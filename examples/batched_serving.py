@@ -7,8 +7,8 @@ The serving-layer walkthrough (repro.service):
 1. build Thorup-Zwick sketches with the construction fanned across worker
    processes (byte-identical output for any worker count),
 2. open an ``inproc://`` session with :func:`repro.service.connect` —
-   sketch entries pre-indexed into flat landmark tables with an LRU
-   result cache,
+   sketch entries pre-indexed into flat landmark tables with a result
+   cache in front,
 3. answer a 10,000-query batch in one vectorized pass and check it agrees
    exactly with the single-query reference path,
 4. replay the workload to show the cache absorbing repeated traffic,
@@ -72,7 +72,7 @@ def main() -> None:
     assert estimates.tolist() == single, "batched != single?!"
     print("batched answers identical to the single-query path")
 
-    # 4. repeated traffic hits the LRU result cache ----------------------
+    # 4. repeated traffic hits the result cache --------------------------
     with connect("inproc://shards=4;cache=50000", sketches) as cached:
         cached.dist_many(pairs)
         cached.dist_many(pairs)

@@ -637,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "here (a cluster://h1:p1,h2:p2 session combines "
                          "the fleet's partial answers)")
     sv.add_argument("--cache-size", type=int, default=65536,
-                    help="LRU result-cache capacity (0 disables)")
+                    help="result-cache capacity in answers, 24 bytes each, "
+                         "per-set LRU (0 disables)")
     sv.add_argument("--handlers", type=int, default=None,
                     help="request-handler threads multiplexing the "
                          "connections (default: sized to the engine, "
@@ -739,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 1; a binary index bakes its own count "
                          "in, and asking for a different one is an error)")
     sb.add_argument("--cache-size", type=int, default=0,
-                    help="LRU result-cache capacity (0 = cold-cache run)")
+                    help="result-cache capacity in answers, 24 bytes each, "
+                         "per-set LRU (0 = cold-cache run)")
     sb.add_argument("--jobs", type=int, default=1,
                     help="workers behind the landmark shards "
                          "(1 = in-process; clamped to --shards; answers "

@@ -73,7 +73,7 @@ class BuiltSketches:
             :func:`repro.service.transport.connect`) instead; this path
             emits a single :class:`DeprecationWarning`.
 
-        :param cache_size: LRU result-cache capacity.
+        :param cache_size: result-cache capacity, in answers.
         :param num_shards: landmark shard count for the index.
         :param jobs: worker processes behind the shards (``1`` =
             in-process); see :class:`~repro.service.workers.ShardServer`.

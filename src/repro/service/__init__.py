@@ -32,7 +32,7 @@ The front door is :func:`~repro.service.transport.connect`::
   splitting into a pure-logic view over packed arrays
   (:func:`index_to_pack` / :func:`index_from_pack`),
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
-  hosts (LRU result cache, epoch pinning); constructing one directly is
+  hosts (result cache, epoch pinning); constructing one directly is
   the deprecated legacy path,
 * :class:`~repro.service.workers.ShardServer` — the shard execution
   plane: a persistent ``multiprocessing`` pool (``pool="proc"``) or a

@@ -38,18 +38,20 @@ last batch drains).  Every batch is served by exactly one epoch — no
 torn reads — and the result cache is epoch-stamped: it is cleared at
 the swap, and a stale batch's write-backs are dropped.
 
-The LRU result cache keys on the *ordered* pair ``(u, v)``: the paper's
-level-scan query is not symmetric under swapping the endpoints (both
-directions can hit at the same level with different routes), and the
-engine's contract is bit-identity with the single-query path, so ``(u, v)``
-and ``(v, u)`` are cached separately.
+The result cache (:class:`_ResultCache`, a set-associative table of
+numpy columns probed once per batch) keys on the *ordered* pair
+``(u, v)``: the paper's level-scan query is not symmetric under swapping
+the endpoints (both directions can hit at the same level with different
+routes), and the engine's contract is bit-identity with the single-query
+path, so ``(u, v)`` and ``(v, u)`` are cached separately.  A cached
+value is the epoch's own float64, so which entries the cache happens to
+keep can change the cost of an answer and never the answer.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -87,6 +89,114 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+#: slots per set of the result cache: a probe gathers one row of this
+#: many keys per pair, and replacement is exact LRU among them
+_CACHE_WAYS = 8
+#: odd 64-bit multiplier (2^64 / golden ratio) of the set hash — the
+#: product's high bits mix every bit of ``u·n + v``, so a batch that
+#: fixes one endpoint still spreads over all sets
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(32)
+
+
+class _ResultCache:
+    """``u·n + v`` → float64 in three preallocated columns shaped
+    ``(sets, ways)`` — key (``-1`` = empty), value, last-used stamp.
+
+    A batch is probed and written back with a handful of numpy calls
+    (hash → gather the set rows → compare), never a Python loop over
+    pairs.  Replacement is LRU within a set: the victim is the way with
+    the oldest stamp, and an empty way (stamp 0) is older than any used
+    one.  ``sets·ways`` is the largest such table with at most
+    :data:`_CACHE_WAYS` ways that fits in ``capacity`` entries; up to 8
+    entries that is one set, i.e. exact LRU.
+
+    Not thread-safe: the engine calls every method under its lock.
+    """
+
+    def __init__(self, capacity: int):
+        self.sets = -(-capacity // _CACHE_WAYS)
+        self.ways = capacity // self.sets
+        slots = self.sets * self.ways
+        self.keys = np.full(slots, -1, dtype=np.int64)
+        self.vals = np.zeros(slots, dtype=np.float64)
+        self.stamps = np.zeros(slots, dtype=np.int64)
+        self._key_rows = self.keys.reshape(self.sets, self.ways)
+        self._stamp_rows = self.stamps.reshape(self.sets, self.ways)
+        self._claim = np.empty(self.sets, dtype=np.int64)
+        self._nsets = np.uint64(self.sets)
+        self.entries = 0
+        self._tick = 0
+
+    def clear(self) -> None:
+        if self.entries:
+            self.keys.fill(-1)
+            self.stamps.fill(0)
+            self.entries = 0
+
+    def set_of(self, keys: np.ndarray) -> np.ndarray:
+        """The set id of each key (pure: callable outside the lock)."""
+        mixed = (keys.view(np.uint64) * _HASH_MULT) >> _HASH_SHIFT
+        return (mixed % self._nsets).view(np.int64)
+
+    def _find(self, keys: np.ndarray, sets: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, found)`` per key: ``slot`` is where the key sits
+        when ``found``, and some slot of its set otherwise."""
+        way = (self._key_rows.take(sets, axis=0)
+               == keys[:, None]).argmax(axis=1)
+        slot = sets * self.ways + way
+        return slot, self.keys[slot] == keys
+
+    def probe(self, keys: np.ndarray, sets: np.ndarray, out: np.ndarray,
+              ) -> np.ndarray:
+        """Copy the cached values into ``out`` and touch their stamps;
+        returns the hit mask."""
+        slot, hit = self._find(keys, sets)
+        slot = slot[hit]
+        out[hit] = self.vals[slot]
+        self._tick += 1
+        self.stamps[slot] = self._tick
+        return hit
+
+    def insert(self, keys: np.ndarray, sets: np.ndarray, vals: np.ndarray,
+               ) -> int:
+        """Store computed answers; returns how many entries were evicted.
+
+        Each round writes at most one key per set, re-probing first so
+        that a key which is already resident — a concurrent batch wrote
+        it between this batch's probe and now — is never stored twice.
+        Rows that lost their set to a *different* key go to the next
+        round; after ``ways`` rounds a further key could only evict one
+        written by this same call, so the rest are dropped.
+        """
+        self._tick += 1
+        evicted = 0
+        for _ in range(self.ways):
+            if not keys.size:
+                break
+            # every row writes its number into its set's cell; the one
+            # a cell ends up holding has the set for this round
+            rows = np.arange(keys.size)
+            self._claim[sets] = rows
+            owner = self._claim[sets]
+            later = keys[owner] != keys  # in-batch repeats just drop out
+            first = np.flatnonzero(owner == rows)
+            _, found = self._find(keys[first], sets[first])
+            first = first[~found]
+            fsets = sets[first]
+            slot = fsets * self.ways + self._stamp_rows.take(
+                fsets, axis=0).argmin(axis=1)
+            used = int(np.count_nonzero(self.keys[slot] >= 0))
+            evicted += used
+            self.entries += first.size - used
+            self.keys[slot] = keys[first]
+            self.vals[slot] = vals[first]
+            self.stamps[slot] = self._tick
+            keys, sets, vals = keys[later], sets[later], vals[later]
+        return evicted
+
+
 class QueryEngine:
     """Answer distance queries — singly or in batches — from one sketch set.
 
@@ -103,7 +213,8 @@ class QueryEngine:
     :param sketches: one sketch per node.  Any homogeneous set of a
         library scheme gets its vectorized index; mixed or unknown sets
         get the generic loop.
-    :param cache_size: capacity of the LRU result cache; ``0`` disables
+    :param cache_size: the most answers the result cache may hold (24
+        bytes each; set-associative, LRU within a set); ``0`` disables
         caching.
     :param num_shards: landmark shard count for the index (layout knob;
         answers are shard-independent).  With ``jobs > 1`` it is also the
@@ -228,7 +339,7 @@ class QueryEngine:
             raise ConfigError(
                 f"memory={memory!r} needs an indexed engine "
                 "(do not pass use_index=False)")
-        self._cache: OrderedDict[tuple[int, int], float] = OrderedDict()
+        self._cache = _ResultCache(self.cache_size) if cache_size else None
         self.stats = CacheStats()
 
     @property
@@ -310,15 +421,11 @@ class QueryEngine:
                       else su.estimate_to(sv))
         return out
 
-    def _cache_put(self, key: tuple[int, int], value: float) -> None:
-        cache = self._cache
-        if key in cache:
-            cache.move_to_end(key)
-            return
-        cache[key] = value
-        if len(cache) > self.cache_size:
-            cache.popitem(last=False)
-            self.stats.evictions += 1
+    @property
+    def cache_entries(self) -> int:
+        """Answers resident in the result cache (never above
+        ``cache_size``)."""
+        return self._cache.entries if self._cache is not None else 0
 
     # ------------------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
@@ -360,40 +467,35 @@ class QueryEngine:
                 return (self._compute_many(arr[:, 0], arr[:, 1], server),
                         epoch)
 
+            # ids are checked before they are keyed: an out-of-range
+            # pair must raise, not alias the u·n + v of a cached one
+            if arr.min() < 0 or arr.max() >= self.n:
+                raise QueryError(f"node id out of range [0, {self.n})")
+            cache = self._cache
+            us, vs = arr[:, 0], arr[:, 1]
+            keys = us * self.n + vs
+            sets = cache.set_of(keys)
             out = np.empty(q, dtype=np.float64)
             with self._lock:
                 # a batch pinned to a retired epoch must not read the
                 # new epoch's cache — hits are epoch-guarded just like
                 # the write-backs below, or one batch could mix epochs
-                use_cache = epoch == self.epoch and bool(self._cache)
-                miss_rows: list[int] = []
-                if not use_cache:
-                    miss_rows = list(range(q))
-                    self.stats.misses += q
+                if epoch == self.epoch and cache.entries:
+                    miss = np.flatnonzero(~cache.probe(keys, sets, out))
                 else:
-                    cache = self._cache
-                    for j in range(q):
-                        key = (int(arr[j, 0]), int(arr[j, 1]))
-                        hit = cache.get(key)
-                        if hit is not None:
-                            cache.move_to_end(key)
-                            out[j] = hit
-                            self.stats.hits += 1
-                        else:
-                            miss_rows.append(j)
-                            self.stats.misses += 1
-            if miss_rows:
-                rows = np.asarray(miss_rows, dtype=np.int64)
-                vals = self._compute_many(arr[rows, 0], arr[rows, 1],
-                                          server)
-                out[rows] = vals
+                    miss = np.arange(q)
+                self.stats.hits += q - miss.size
+                self.stats.misses += miss.size
+            if miss.size:
+                keys, sets = keys[miss], sets[miss]
+                vals = self._compute_many(us[miss], vs[miss], server)
+                out[miss] = vals
                 with self._lock:
                     # epoch-stamped write-back: a batch that started
                     # before a swap must not poison the new epoch's cache
                     if epoch == self.epoch:
-                        for j, val in zip(miss_rows, vals):
-                            self._cache_put((int(arr[j, 0]),
-                                             int(arr[j, 1])), float(val))
+                        self.stats.evictions += cache.insert(keys, sets,
+                                                             vals)
             return out, epoch
         finally:
             self._release_epoch(epoch)
@@ -481,7 +583,8 @@ class QueryEngine:
             self.index = new_server.index
             self.jobs = new_server.jobs
             self.epoch = report.epoch  # the updateable's clock
-            self._cache.clear()
+            if self._cache is not None:
+                self._cache.clear()
             drained = self._active.get(old_epoch, 0) == 0
             if not drained and old_server is not None:
                 self._retired[old_epoch] = old_server
@@ -524,7 +627,8 @@ class QueryEngine:
     def clear_cache(self) -> None:
         """Drop all cached results and reset the hit/miss counters."""
         with self._lock:
-            self._cache.clear()
+            if self._cache is not None:
+                self._cache.clear()
             self.stats = CacheStats()
 
     def close(self) -> None:
@@ -551,4 +655,4 @@ class QueryEngine:
         if self.memory != "heap":
             tail += f", memory={self.memory}"
         return (f"QueryEngine(n={self.n}, {kind}, "
-                f"cache={len(self._cache)}/{self.cache_size}{tail})")
+                f"cache={self.cache_entries}/{self.cache_size}{tail})")

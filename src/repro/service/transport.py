@@ -337,7 +337,8 @@ class OracleServer:
         thread pool sharing the server's address space).
     :param num_shards: landmark shard count when building from
         sketches; must match (or be omitted for) a pre-built source.
-    :param cache_size: LRU result-cache capacity of the hosted engine.
+    :param cache_size: result-cache capacity (answers) of the hosted
+        engine; ``0`` disables it.
     :param shard_range: ``(lo, hi)`` — serve only landmark shards
         ``[lo, hi)`` (the fleet-host topology behind ``repro serve
         --shard-range``).  Static sources are physically restricted
@@ -538,7 +539,8 @@ class OracleServer:
             "pool": engine.pool,
             "cache_size": engine.cache_size,
             "cache": {"hits": cache.hits, "misses": cache.misses,
-                      "evictions": cache.evictions},
+                      "evictions": cache.evictions,
+                      "entries": engine.cache_entries},
             "phases": engine.phase_timings(),
             "handlers": self._handler_count,
             "connections": connections,

@@ -411,7 +411,7 @@ class TestCleanShutdown:
 # ----------------------------------------------------------------------
 class TestConcurrentSessions:
     def test_mixed_traffic_stays_bit_identical(self, graph):
-        readers, rounds, batches = 4, 6, 3
+        readers, batches = 4, 3
         change_batches = [
             sample_weight_changes(graph, 3, seed=100 + b, low=0.3, high=0.8)
             for b in range(batches)]
@@ -421,12 +421,18 @@ class TestConcurrentSessions:
         twin = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
         stores = {0: twin.index}
         for changes in change_batches:
-            stores[twin.apply(changes).epoch] = twin.index
+            # two statements: in `stores[apply().epoch] = twin.index`
+            # the right-hand side is read before apply() runs, which
+            # maps epoch e to the store of epoch e-1
+            report = twin.apply(changes)
+            stores[report.epoch] = twin.index
 
         upd = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
         server, addr = _serve(upd, jobs=1)
         errors: list = []
+        served_epochs: list = []  # one per consumed batch, all readers
         start = threading.Barrier(readers + 1)
+        writer_done = threading.Event()
 
         def reader(rid: int) -> None:
             try:
@@ -440,27 +446,31 @@ class TestConcurrentSessions:
                     expect = {e: s.estimate_many(pairs[:, 0], pairs[:, 1])
                               for e, s in stores.items()}
                     start.wait()
-                    for r in range(rounds):
-                        if r % 2 == 0:
-                            got = client.dist_many(pairs)
-                            # pinned by the reply (client.epoch itself
-                            # only moves forward and may already name a
-                            # newer pushed epoch)
+                    # rounds go on for as long as the writer does; the
+                    # last one starts after it finished, so the final
+                    # epoch serves it
+                    settled = False
+                    while not settled:
+                        settled = writer_done.is_set()
+                        got = client.dist_many(pairs)
+                        # pinned by the reply (client.epoch itself only
+                        # moves forward and may already name a newer
+                        # pushed epoch)
+                        epoch = client.last_result_epoch
+                        served_epochs.append(epoch)
+                        assert got.tolist() == expect[epoch].tolist(), \
+                            (rid, epoch)
+                        lo = 0
+                        for ans in client.dist_stream(chunks):
+                            # each pipelined batch pins its own epoch —
+                            # last_result_epoch names it
                             epoch = client.last_result_epoch
-                            assert got.tolist() == \
-                                expect[epoch].tolist(), (rid, r, epoch)
-                        else:
-                            out, lo = [], 0
-                            for ans in client.dist_stream(chunks):
-                                # each pipelined batch pins its own
-                                # epoch — last_result_epoch names it
-                                epoch = client.last_result_epoch
-                                want = expect[epoch][lo:lo + len(ans)]
-                                assert ans.tolist() == want.tolist(), \
-                                    (rid, r, epoch)
-                                out.append(ans)
-                                lo += len(ans)
-                            assert lo == len(pairs)
+                            served_epochs.append(epoch)
+                            want = expect[epoch][lo:lo + len(ans)]
+                            assert ans.tolist() == want.tolist(), \
+                                (rid, epoch)
+                            lo += len(ans)
+                        assert lo == len(pairs)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append((rid, exc))
                 start.abort()
@@ -476,6 +486,8 @@ class TestConcurrentSessions:
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(("writer", exc))
                 start.abort()
+            finally:
+                writer_done.set()
 
         threads = [threading.Thread(target=reader, args=(i,), daemon=True)
                    for i in range(readers)]
@@ -487,6 +499,9 @@ class TestConcurrentSessions:
                 t.join(timeout=60.0)
             assert not errors, errors
             assert all(not t.is_alive() for t in threads)
+            # "mixed" is a claim about the traffic: reads were answered
+            # by stores the writer installed, not only by epoch 0
+            assert max(served_epochs) >= 1, sorted(set(served_epochs))
         finally:
             server.close()
 

@@ -10,14 +10,16 @@ updates cannot leak ``/dev/shm`` segments.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.graphs import assign_uniform_weights, erdos_renyi
-from repro.service import (QueryEngine, UpdateableIndex,
+from repro.service import (OracleServer, QueryEngine, UpdateableIndex,
                            sample_query_pairs, sample_weight_changes)
 from repro.service.buffers import live_segment_names
 
@@ -170,6 +172,83 @@ def test_epoch_swap_invalidates_cache(updateable):
         assert before.tolist() != after.tolist()
     finally:
         engine.close()
+
+
+def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
+    """Four threads share one cached in-process session while three
+    epochs swap in: no batch mixes a hit cached by one epoch with a miss
+    computed by another, and what the cache holds after a swap belongs
+    to the epoch then serving."""
+    g = updateable.graph.copy()
+    n = g.n
+    every = np.stack(np.meshgrid(np.arange(n), np.arange(n),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
+                           rebuild_threshold=1.0)
+    refs, batches = _epoch_references(twin, every)  # refs[e][u * n + v]
+    assert len({r.tobytes() for r in refs}) == EPOCHS + 1
+
+    # 256 entries for 1600 possible pairs: hits, misses and evictions
+    # all happen, and every thread hits what the others cached
+    server = OracleServer(updateable, cache_size=256)
+    engine, cache = server._engine, server._engine._cache
+    client = server.client()
+    stop = threading.Event()
+    failures: list = []
+    served = [0] * 4
+
+    def hammer(tid: int) -> None:
+        rng = np.random.default_rng(tid)
+        try:
+            while not stop.is_set():
+                rows = rng.integers(0, len(every), size=64)
+                got = client.dist_many(every[rows])
+                assert any(got.tobytes() == ref[rows].tobytes()
+                           for ref in refs), "torn batch"
+                served[tid] += 1
+        except Exception as exc:  # surfaced below
+            failures.append(exc)
+            stop.set()
+
+    def resident_is_of_epoch() -> bool:
+        with engine._lock:
+            slots = np.flatnonzero(cache.keys >= 0)
+            return bool((cache.vals[slots]
+                         == refs[engine.epoch][cache.keys[slots]]).all())
+
+    threads = [threading.Thread(target=hammer, args=(t,), daemon=True)
+               for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more threads than cores, tight slices
+    try:
+        for t in threads:
+            t.start()
+        for changes in batches:
+            # every thread gets 20 batches in on each epoch
+            goal = [count + 20 for count in served]
+            give_up = time.monotonic() + 30.0
+            while not stop.is_set() and any(
+                    count < want for count, want in zip(served, goal)):
+                assert time.monotonic() < give_up, "readers stalled"
+                stop.wait(0.001)
+            assert resident_is_of_epoch()
+            client.apply_updates(changes)
+            assert resident_is_of_epoch()  # nothing of the old epoch
+        stop.wait(0.05)
+        stop.set()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not failures, failures[0]
+        assert all(not t.is_alive() for t in threads)
+        assert engine.epoch == EPOCHS and resident_is_of_epoch()
+        stats = client.stats()["cache"]
+        assert stats["hits"] > 0 and stats["evictions"] > 0
+        assert 0 < stats["entries"] <= 256
+        assert not engine._retired
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        server.close()
 
 
 def test_noop_update_keeps_epoch_and_server(updateable):

@@ -9,7 +9,8 @@ from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import ring
 from repro.oracle.schemes import get_scheme
-from repro.service import QueryEngine, TZIndex, run_serve_benchmark
+from repro.service import (QueryEngine, TZIndex, connect,
+                           run_serve_benchmark)
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 from repro.tz.sketch import TZSketch
 
@@ -168,6 +169,114 @@ class TestQueryEngine:
         assert engine.stats.misses == 0
         engine.dist(0, 1)
         assert engine.stats.misses == 1
+
+
+def _cache_slot_changes(engine, pairs):
+    """Run one batch; returns ``(answers, slots written, of those
+    already occupied)`` read off the cache's key column."""
+    before = engine._cache.keys.copy()
+    answers = engine.dist_many(pairs)
+    written = before != engine._cache.keys
+    return (answers, int(np.count_nonzero(written)),
+            int(np.count_nonzero(before[written] >= 0)))
+
+
+class TestResultCache:
+    """The set-associative result cache: whatever it keeps or evicts,
+    answers and accounting stay exact."""
+
+    def test_every_capacity_keeps_answers_and_accounting(self, tz_sketches):
+        n = len(tz_sketches)
+        table = np.array([[estimate_distance(su, sv) for sv in tz_sketches]
+                          for su in tz_sketches])
+        rng = np.random.default_rng(3)
+        for capacity in range(1, 65):  # most are no multiple of 8 ways
+            engine = QueryEngine(tz_sketches, cache_size=capacity,
+                                 _deprecation=False)
+            cache = engine._cache
+            assert cache.sets * cache.ways <= capacity
+            asked = inserted = evicted = 0
+            for step in range(8):
+                if step % 3 != 2:  # every third batch replays the last
+                    pairs = rng.integers(0, n, size=(rng.integers(1, 24), 2))
+                    # both directions of every pair, and in-batch repeats
+                    pairs = np.concatenate([pairs, pairs[:, ::-1],
+                                            pairs[:4]])
+                got, written, overwritten = _cache_slot_changes(engine,
+                                                                pairs)
+                assert got.tolist() == table[pairs[:, 0],
+                                             pairs[:, 1]].tolist()
+                asked += len(pairs)
+                inserted += written
+                evicted += overwritten
+                stats = engine.stats
+                assert stats.hits + stats.misses == asked
+                resident = cache.keys[cache.keys >= 0]
+                assert engine.cache_entries == resident.size <= capacity
+                assert (stats.evictions == evicted
+                        == inserted - resident.size)
+                # a key is stored once, in its own set, with the value
+                # of its pair
+                assert np.unique(resident).size == resident.size
+                slots = np.flatnonzero(cache.keys >= 0)
+                assert (cache.set_of(resident)
+                        == slots // cache.ways).all()
+                assert (cache.vals[slots]
+                        == table[resident // n, resident % n]).all()
+            if capacity > 1:
+                assert engine.stats.hits > 0
+
+    def test_replay_within_capacity_is_all_hits(self, tz_sketches):
+        engine = QueryEngine(tz_sketches, cache_size=8, _deprecation=False)
+        pairs = np.array([(0, 1), (1, 0), (2, 3), (0, 1), (5, 5)])
+        engine.dist_many(pairs)
+        assert engine.cache_entries == 4  # the repeat is stored once
+        engine.dist_many(pairs)
+        assert engine.stats.hits == 5 and engine.stats.evictions == 0
+
+    def test_stale_write_back_is_not_stored_twice(self, tz_sketches):
+        # two batches that both missed the same key before either wrote
+        # it back: the second write-back must find it resident
+        engine = QueryEngine(tz_sketches, cache_size=16, _deprecation=False)
+        cache = engine._cache
+        keys = np.array([7, 9])
+        sets = cache.set_of(keys)
+        vals = np.array([1.5, 2.5])
+        assert cache.insert(keys, sets, vals) == 0
+        assert cache.insert(keys, sets, vals) == 0
+        assert cache.entries == 2
+        assert sorted(cache.keys[cache.keys >= 0].tolist()) == [7, 9]
+
+    @pytest.mark.parametrize("spec", ["inproc://", "inproc://cache=0"])
+    def test_session_rejects_bad_ids_before_the_cache(self, tz_sketches,
+                                                      spec):
+        n = len(tz_sketches)
+        with connect(spec, tz_sketches) as client:
+            client.dist_many([(0, 1), (2, 3)])
+            before = client.stats()["cache"]
+            # (0, n + 1) would share the key 0·n + n + 1 with (1, 1)
+            for bad in ([(1, 1), (0, n + 1)], [(0, -1)], [(n, 0)],
+                        [(-1, n)]):
+                with pytest.raises(QueryError) as err:
+                    client.dist_many(bad)
+                assert str(err.value) == f"node id out of range [0, {n})"
+            assert client.stats()["cache"] == before
+
+    @pytest.mark.parametrize("cache_size", [64, 0])
+    def test_generic_engine_rejects_bad_ids_before_the_cache(
+            self, tz_sketches, cache_size):
+        n = len(tz_sketches)
+        engine = QueryEngine(tz_sketches, cache_size=cache_size,
+                             use_index=False, _deprecation=False)
+        engine.dist_many([(0, 1), (2, 3)])
+        before = (engine.stats.hits, engine.stats.misses,
+                  engine.cache_entries)
+        for bad in ([(1, 1), (0, n + 1)], [(0, -1)], [(n, 0)]):
+            with pytest.raises(QueryError) as err:
+                engine.dist_many(bad)
+            assert str(err.value) == f"node id out of range [0, {n})"
+        assert (engine.stats.hits, engine.stats.misses,
+                engine.cache_entries) == before
 
 
 class TestBuiltSketchesIntegration:

@@ -98,6 +98,39 @@ class TestBatchedEqualsSingle:
         assert first.tolist() == single
         assert again.tolist() == single
 
+    @settings(max_examples=25, **COMMON)
+    @given(g=connected_graphs(max_n=8),
+           seed=st.integers(min_value=0, max_value=10**6),
+           cache=st.integers(min_value=1, max_value=64),
+           data=st.data())
+    def test_cached_batches_equal_reference_and_account(self, g, seed,
+                                                        cache, data):
+        """Any batch sequence — in-batch duplicates, both directions of
+        a pair, replays — through any capacity: every answer is the
+        reference answer, every row is counted once as a hit or a miss,
+        the table never holds more than ``cache_size`` entries, and
+        every written slot that is no longer resident was an eviction."""
+        sketches, _ = build_tz_sketches_centralized(g, k=2, seed=seed)
+        engine = QueryEngine(sketches, cache_size=cache, _deprecation=False)
+        node = st.integers(min_value=0, max_value=g.n - 1)
+        batches = data.draw(st.lists(
+            st.lists(st.tuples(node, node), min_size=1, max_size=40),
+            min_size=1, max_size=6))
+        asked = inserted = 0
+        for batch in batches:
+            mirrored = batch + [(v, u) for u, v in batch]
+            for pairs in (mirrored, mirrored):  # the second is a replay
+                before = engine._cache.keys.copy()
+                got = engine.dist_many(pairs)
+                inserted += np.count_nonzero(before != engine._cache.keys)
+                assert got.tolist() == [engine.reference_query(u, v)
+                                        for u, v in pairs]
+                asked += len(pairs)
+                assert engine.stats.hits + engine.stats.misses == asked
+                assert engine.cache_entries <= cache
+                assert engine.stats.evictions == (inserted
+                                                  - engine.cache_entries)
+
 
 class TestSandwichBound:
     @settings(max_examples=20, **COMMON)
