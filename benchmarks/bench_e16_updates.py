@@ -1,6 +1,6 @@
 """E16 — incremental index updates vs full rebuild on edge-weight changes.
 
-The serving indexes of E14/E15 are build-once snapshots; real networks
+The serving indexes of E14/E20 are build-once snapshots; real networks
 change.  This experiment measures the dynamic-update subsystem
 (:mod:`repro.service.updates`): for change batches of growing size, the
 time to ``UpdateableIndex.apply`` (dirty-frontier sweep + localized
@@ -17,7 +17,7 @@ Hard claim (always asserted): the updated index is **identical** to the
 from-scratch rebuild — ``==`` on the stores plus bitwise-equal batched
 estimates — for every batch size.  Timing claim (incremental beats
 rebuild at the smallest batch): asserted only on quiet non-CI hardware
-at full size, mirroring the E14/E15b gate pattern — shared runners
+at full size, mirroring the E14 gate pattern — shared runners
 cannot measure a ratio honestly.  ``REPRO_E16_MIN_SPEEDUP`` arms the
 gate anywhere (and sets the bar); ``REPRO_E16_SKIP_TIMING=1``
 force-disables it.

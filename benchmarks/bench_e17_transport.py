@@ -1,20 +1,20 @@
-"""E17 — the transport matrix: inproc vs proc vs tcp-loopback.
+"""E17 — the transport matrix: inproc vs shard threads vs tcp-loopback.
 
 PR 5 unified the serving API around sessions over pluggable transports
 (`repro.service.transport.connect`): the same plan/shard_answer/finish
-dataflow runs in-process (``inproc://``), over a local worker pool
-(``proc://jobs=N;memory=shared``), and across a TCP frame protocol
+dataflow runs in the calling thread (``inproc://``), over a local
+thread pool (``inproc://jobs=N``), and across a TCP frame protocol
 (``tcp://host:port``).  This experiment measures what each topology
-costs on one box, for the same stretch-3 workload E15b uses:
+costs on one box, for a stretch-3 workload:
 
 * ``single_qps``  — one pair per request (for tcp: one RPC per pair,
   the latency floor),
 * ``batched_qps`` — ``dist_many`` per batch (the request-amortized
   path),
-* ``streamed_qps`` — ``dist_stream`` over all batches (on pooled local
-  transports this is the double-buffered dispatch: batch *k+1*'s encode
+* ``streamed_qps`` — ``dist_stream`` over all batches (with shard
+  threads this is the double-buffered dispatch: batch *k+1*'s plan
   overlaps batch *k*'s probes; the report's ``overlap-ms`` column shows
-  the hidden master seconds).
+  the hidden caller-side seconds).
 
 Hard claims (always asserted, any size, any hardware): per-pair,
 batched, and streamed answers are **bit-identical** on every transport.
@@ -58,12 +58,12 @@ def e17_table(experiment_report, e17_built):
     # cache_size=0): the table compares transports, and a warm LRU
     # cache would turn the local rows into dict-lookup benchmarks
     specs = [("inproc", "inproc://cache=0", e17_built),
-             (f"proc x{JOBS}",
-              f"proc://jobs={JOBS};memory=shared;cache=0", e17_built)]
+             (f"threads x{JOBS}",
+              f"inproc://jobs={JOBS};cache=0", e17_built)]
     rows = []
     reports = []
-    with OracleServer(e17_built, jobs=JOBS, memory="shared",
-                      num_shards=JOBS, cache_size=0) as server:
+    with OracleServer(e17_built, jobs=JOBS, num_shards=JOBS,
+                      cache_size=0) as server:
         host, port = server.serve("127.0.0.1:0", block=False)
         specs.append(("tcp-loopback", f"tcp://{host}:{port}", None))
         for label, spec, source in specs:
@@ -86,7 +86,7 @@ def e17_table(experiment_report, e17_built):
             })
     experiment_report("E17-transport", render_table(
         rows, title=f"E17: serving transports (stretch3 eps={EPS}, "
-                    f"ER n={N}, batch={BATCH}, {JOBS} workers/shards)"),
+                    f"ER n={N}, batch={BATCH}, {JOBS} threads/shards)"),
         data={"n": N, "queries": QUERIES, "batch": BATCH, "eps": EPS,
               "jobs": JOBS, "rows": rows})
     return rows
@@ -97,12 +97,12 @@ def test_e17_answers_identical_on_every_transport(e17_table):
     against the per-pair loop of the same session); the table itself
     must cover all three topologies."""
     assert [r["transport"] for r in e17_table] == \
-        ["inproc", f"proc x{JOBS}", "tcp-loopback"]
+        ["inproc", f"threads x{JOBS}", "tcp-loopback"]
 
 
 def test_e17_pooled_stream_reports_overlap(e17_table):
-    """The double-buffered dispatch actually engaged on the pooled
-    transport: some master-side encode time was hidden behind in-flight
+    """The double-buffered dispatch actually engaged on the threaded
+    session: some caller-side plan time was hidden behind in-flight
     probes (a timing *presence* check, not a performance gate)."""
-    proc_row = e17_table[1]
-    assert proc_row["overlap-ms"] > 0.0
+    threads_row = e17_table[1]
+    assert threads_row["overlap-ms"] > 0.0

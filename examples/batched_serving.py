@@ -13,7 +13,7 @@ The serving-layer walkthrough (repro.service):
    exactly with the single-query reference path,
 4. replay the workload to show the cache absorbing repeated traffic,
 5. persist the pre-built index and reload it without rebuilding,
-6. put worker processes behind the landmark shards (``proc://`` — same
+6. put threads behind the landmark shards (``inproc://jobs=4`` — same
    bytes out), and pipeline a streaming workload through the
    double-buffered dispatch,
 7. serve the same oracle over TCP (``tcp://``) and over a loopback
@@ -93,20 +93,20 @@ def main() -> None:
                           index.estimate_many(check[:, 0], check[:, 1]))
     print("index round-trip: reloaded store answers identically")
 
-    # 6. worker processes behind the landmark shards ---------------------
-    with connect("proc://jobs=4;memory=shared;cache=0", sketches) as fleet:
-        fanned = fleet.dist_many(pairs)
-        assert np.array_equal(fanned, estimates), "workers changed answers?!"
-        print("4 shard workers: answers bit-identical to the in-process "
+    # 6. threads behind the landmark shards ------------------------------
+    with connect("inproc://jobs=4;cache=0", sketches) as threaded:
+        fanned = threaded.dist_many(pairs)
+        assert np.array_equal(fanned, estimates), "threads changed answers?!"
+        print("4 shard threads: answers bit-identical to the in-thread "
               "path")
-        # the pipelined stream: batch k+1's encode overlaps batch k's
+        # the pipelined stream: batch k+1's plan overlaps batch k's
         # probes; same bytes, and the hidden seconds are reported
         chunks = [pairs[lo:lo + 2000] for lo in range(0, len(pairs), 2000)]
-        streamed = np.concatenate(list(fleet.dist_stream(chunks)))
+        streamed = np.concatenate(list(threaded.dist_stream(chunks)))
         assert np.array_equal(streamed, estimates)
-        overlap = fleet.stats()["phases"]["overlap_seconds"]
+        overlap = threaded.stats()["phases"]["overlap_seconds"]
         print(f"pipelined stream identical too "
-              f"({overlap * 1e3:.2f} ms of encode hidden behind probes)")
+              f"({overlap * 1e3:.2f} ms of planning hidden behind probes)")
 
     # 7. the same oracle over TCP ----------------------------------------
     with OracleServer(sketches, num_shards=4, cache_size=0) as server:

@@ -10,7 +10,7 @@ A downstream user can drive the whole pipeline without writing Python::
     python -m repro query net.edges sketches.jsonl --pairs 0:100 5:17
     python -m repro eval net.edges sketches.jsonl --eps 0.25
     python -m repro serve-bench sketches.jsonl --queries 10000 --batch 1000 \
-        --shards 4 --jobs 4 --memory shared
+        --shards 4 --jobs 4
     python -m repro build net.edges --scheme tz --k 3 --format binary \
         --shards 4 -o index.rpix
     python -m repro serve-bench index.rpix --memory mmap --queries 10000
@@ -48,6 +48,15 @@ from repro.errors import ReproError
 # ----------------------------------------------------------------------
 # subcommand implementations
 # ----------------------------------------------------------------------
+def _reject_mmap(args, path: str) -> None:
+    """``--memory mmap`` is how an RPIX file is opened; any other source
+    is parsed into heap arrays, so asking to map it is a usage error."""
+    if args.memory == "mmap":
+        raise ReproError(
+            f"--memory mmap maps a binary index container, and {path} is "
+            f"not one (write one with `repro build --format binary`)")
+
+
 def _cmd_gen(args) -> int:
     from repro.graphs import (assign_exponential_weights,
                               assign_uniform_weights, barabasi_albert,
@@ -256,6 +265,7 @@ def _cmd_serve(args) -> int:
             params["eps"] = args.eps
         policy = make_policy(args.policy,
                              rebuild_threshold=args.rebuild_threshold)
+        _reject_mmap(args, args.source)
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
                                  num_shards=(args.shards or 1),
@@ -267,10 +277,10 @@ def _cmd_serve(args) -> int:
                                                 load_sketch_set)
 
         if is_binary_index(args.source):
-            backing = "mmap" if args.memory == "mmap" else "heap"
-            source = load_index_binary(args.source, backing=backing)
+            source = load_index_binary(args.source, backing=args.memory)
             shards = args.shards  # validated against the baked layout
         else:
+            _reject_mmap(args, args.source)
             source = load_sketch_set(args.source)
             shards = args.shards or max(args.jobs, 1)
     shard_range = None
@@ -279,8 +289,7 @@ def _cmd_serve(args) -> int:
     addr = args.addr
     if args.port is not None:
         addr = f"{addr.rsplit(':', 1)[0]}:{args.port}"
-    server = OracleServer(source, jobs=args.jobs, memory=args.memory,
-                          pool=args.pool, num_shards=shards,
+    server = OracleServer(source, jobs=args.jobs, num_shards=shards,
                           cache_size=args.cache_size,
                           shard_range=shard_range)
     host, port = server.serve(addr, block=False,
@@ -290,7 +299,7 @@ def _cmd_serve(args) -> int:
                         f"{server.shard_range[1]}) "))
     print(f"serving {server.scheme or '?'} n={server.n} "
           f"shards={server.num_shards} {range_note}jobs={server.jobs} "
-          f"memory={args.memory} pool={args.pool} epoch={server.epoch} "
+          f"memory={args.memory} epoch={server.epoch} "
           f"updateable={'yes' if server.updateable else 'no'} "
           f"on tcp://{host}:{port}", flush=True)
     try:
@@ -402,10 +411,7 @@ def _cmd_serve_bench(args) -> int:
         raise ReproError(
             "serve-bench wants a SKETCHES/index file, or --connect SPEC")
     if is_binary_index(args.sketches):
-        # a pre-built binary index: mmap-attach when the memory plane is
-        # mmap (no blob parsing), plain read otherwise
-        backing = "mmap" if args.memory == "mmap" else "heap"
-        index = load_index_binary(args.sketches, backing=backing)
+        index = load_index_binary(args.sketches, backing=args.memory)
         found = scheme_name_of_index(index)
         if args.scheme is not None and found != args.scheme:
             raise ReproError(
@@ -418,9 +424,9 @@ def _cmd_serve_bench(args) -> int:
         report = run_serve_benchmark(
             index=index, queries=args.queries, batch=args.batch,
             seed=args.seed, repeats=args.repeats,
-            cache_size=args.cache_size, jobs=args.jobs, memory=args.memory,
-            pool=args.pool)
+            cache_size=args.cache_size, jobs=args.jobs)
     else:
+        _reject_mmap(args, args.sketches)
         sketches = load_sketch_set(args.sketches)
         if args.scheme is not None:
             found = scheme_name_of(sketches)
@@ -433,7 +439,7 @@ def _cmd_serve_bench(args) -> int:
             seed=args.seed, repeats=args.repeats,
             cache_size=args.cache_size,
             num_shards=1 if args.shards is None else args.shards,
-            jobs=args.jobs, memory=args.memory, pool=args.pool)
+            jobs=args.jobs)
     print(json.dumps(report, indent=2))
     if not report["identical"]:
         print("error: batched answers diverged from the single-query path",
@@ -617,16 +623,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "free one and prints it — the fleet-spawning "
                          "shorthand)")
     sv.add_argument("--jobs", type=int, default=1,
-                    help="workers behind the landmark shards")
-    sv.add_argument("--memory", choices=["heap", "shared", "mmap"],
-                    default="heap",
-                    help="serving data plane (a binary index with "
-                         "--memory mmap is attached zero-parse)")
-    sv.add_argument("--pool", choices=["proc", "thread"], default="proc",
-                    help="shard execution plane for --jobs > 1: proc = "
-                         "worker processes; thread = a GIL-releasing "
-                         "thread pool in the server's address space "
-                         "(no pickling; answers identical either way)")
+                    help="threads behind the landmark shards (1 = probe "
+                         "in the handler thread; clamped to the shard "
+                         "count; answers are identical either way)")
+    sv.add_argument("--memory", choices=["heap", "mmap"], default="heap",
+                    help="how a binary index (.rpix) source is opened: "
+                         "heap = read into arrays; mmap = memory-mapped, "
+                         "zero parse (any other source is an error)")
     sv.add_argument("--shards", type=int, default=None,
                     help="landmark shard count when building from "
                          "sketches or a graph (a binary index bakes "
@@ -691,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trace-generator seed (default: --seed)")
     sn.add_argument("--connect", metavar="SPEC", default="inproc://",
                     help="endpoint to drive: inproc:// (default), "
-                         "proc://..., tcp://host:port (a live repro serve "
-                         "--updateable daemon built from GRAPH with the "
+                         "inproc://jobs=N, tcp://host:port (a live repro "
+                         "serve --updateable daemon built from GRAPH with the "
                          "same scheme/seed), or bare tcp:// to serve a "
                          "loopback listener in-process")
     sn.add_argument("--spawn", action="store_true",
@@ -743,20 +746,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="result-cache capacity in answers, 24 bytes each, "
                          "per-set LRU (0 = cold-cache run)")
     sb.add_argument("--jobs", type=int, default=1,
-                    help="workers behind the landmark shards "
-                         "(1 = in-process; clamped to --shards; answers "
-                         "are identical either way)")
-    sb.add_argument("--memory", choices=["heap", "shared", "mmap"],
-                    default="heap",
-                    help="serving data plane: heap = plain arrays + "
-                         "pickle IPC; shared = zero-copy worker attach + "
-                         "shared ring buffers; mmap = memory-mapped index "
-                         "pack (answers are identical in every mode)")
-    sb.add_argument("--pool", choices=["proc", "thread"], default="proc",
-                    help="shard execution plane for --jobs > 1: proc = "
-                         "worker processes; thread = a GIL-releasing "
-                         "thread pool sharing the address space "
-                         "(answers identical either way)")
+                    help="threads behind the landmark shards "
+                         "(1 = the calling thread; clamped to --shards; "
+                         "answers are identical either way)")
+    sb.add_argument("--memory", choices=["heap", "mmap"], default="heap",
+                    help="how a binary index (.rpix) is opened: heap = "
+                         "read into arrays; mmap = memory-mapped, zero "
+                         "parse (any other source is an error)")
     sb.add_argument("--scheme",
                     choices=["tz", "stretch3", "cdg", "graceful"],
                     default=None,
@@ -782,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--queries", type=int, default=2000)
     cb.add_argument("--batch", type=int, default=256)
     cb.add_argument("--jobs", type=int, default=1,
-                    help="workers behind each host's shards")
+                    help="threads behind each host's shards")
     cb.add_argument("--seed", type=int, default=0)
     cb.set_defaults(func=_cmd_cluster_bench)
 

@@ -50,23 +50,23 @@ class BuiltSketches:
     def connect(self, spec: str = "inproc://", *,
                 cache_size: Optional[int] = None):
         """A serving session over this build —
-        ``built.connect("proc://jobs=4;memory=shared")`` is shorthand
-        for :func:`repro.service.transport.connect` with this sketch set
-        as the source (``proc://jobs=4;pool=thread`` serves the shards
-        from a GIL-releasing thread pool instead of worker processes).
-        Returns an :class:`~repro.service.transport.OracleClient`; close
-        it (or use it as a context manager) when done.
+        ``built.connect("inproc://jobs=4")`` is shorthand for
+        :func:`repro.service.transport.connect` with this sketch set as
+        the source (``jobs=4`` serves the shards from a GIL-releasing
+        thread pool).  Returns an
+        :class:`~repro.service.transport.OracleClient`; close it (or use
+        it as a context manager) when done.
         """
         from repro.service.transport import connect as _connect
 
         return _connect(spec, self.sketches, cache_size=cache_size)
 
     def engine(self, cache_size: int = 65536, num_shards: int = 1,
-               jobs: int = 1, memory: str = "heap"):
+               jobs: int = 1):
         """The batched :class:`~repro.service.engine.QueryEngine` over this
         sketch set (built on first use, then cached in ``extras``; asking
         for a different configuration rebuilds it — closing the previous
-        engine's worker pool and shared segments, if it had any).
+        engine's thread pool, if it had one).
 
         .. deprecated::
             Open a session with :meth:`connect` (or
@@ -75,21 +75,18 @@ class BuiltSketches:
 
         :param cache_size: result-cache capacity, in answers.
         :param num_shards: landmark shard count for the index.
-        :param jobs: worker processes behind the shards (``1`` =
-            in-process); see :class:`~repro.service.workers.ShardServer`.
-        :param memory: serving data plane — ``"heap"``, ``"shared"``
-            (zero-copy worker attach + shared ring buffers), or
-            ``"mmap"``; answers are identical in every mode.
+        :param jobs: threads behind the shards (``1`` = the calling
+            thread); see :class:`~repro.service.workers.ShardServer`.
         """
         from repro.service.engine import _warn_deprecated
 
         _warn_deprecated("BuiltSketches.engine")
         return self._engine(cache_size=cache_size, num_shards=num_shards,
-                            jobs=jobs, memory=memory)
+                            jobs=jobs)
 
     def _engine(self, cache_size: int = 65536, num_shards: int = 1,
-                jobs: int = 1, memory: str = "heap"):
-        config = (cache_size, num_shards, jobs, memory)
+                jobs: int = 1):
+        config = (cache_size, num_shards, jobs)
         cached = self.extras.get("_engine")
         if cached is not None:
             if cached[0] == config:
@@ -97,7 +94,7 @@ class BuiltSketches:
             cached[1].close()
         from repro.service.engine import QueryEngine
         eng = QueryEngine(self.sketches, cache_size=cache_size,
-                          num_shards=num_shards, jobs=jobs, memory=memory,
+                          num_shards=num_shards, jobs=jobs,
                           use_index=self.scheme.supports_batch,
                           _deprecation=False)
         self.extras["_engine"] = (config, eng)

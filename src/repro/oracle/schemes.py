@@ -61,22 +61,12 @@ class SchemeSpec:
     def transports(self) -> tuple[str, ...]:
         """Which serving transports (:mod:`repro.service.transport`) can
         host this scheme.  ``inproc`` always works (the generic
-        single-pair loop needs no index); ``proc`` and ``tcp`` route
-        through the shard-decomposed batched index, so they require
-        :attr:`supports_batch`."""
+        single-pair loop needs no index); ``tcp`` (and shard threads,
+        ``inproc://jobs=N``) route through the shard-decomposed batched
+        index, so they require :attr:`supports_batch`."""
         if self.supports_batch:
-            return ("inproc", "proc", "tcp")
+            return ("inproc", "tcp")
         return ("inproc",)
-
-    @property
-    def pools(self) -> tuple[str, ...]:
-        """Which shard execution planes
-        (:data:`~repro.service.workers.POOL_MODES`) can fan this
-        scheme's batches out.  Both require the shard-decomposed
-        batched index; without one the scheme serves in-process only."""
-        if self.supports_batch:
-            return ("proc", "thread")
-        return ()
 
     def describe(self, params: dict) -> str:
         """One-line human summary of the guarantee under ``params``."""
@@ -167,7 +157,6 @@ def scheme_support_matrix() -> list[dict]:
         "serialize": spec.supports_serialize,
         "updates": spec.supports_updates,
         "transports": list(spec.transports),
-        "pools": list(spec.pools),
     } for name, spec in sorted(SCHEMES.items())]
 
 
@@ -178,15 +167,14 @@ def schemes_markdown() -> str:
     yn = {True: "yes", False: "no"}
     lines = [
         "| scheme | build | single query | batched query | serialized "
-        "| incremental updates | transports | pools |",
+        "| incremental updates | transports |",
         "|--------|-------|--------------|---------------|------------"
-        "|---------------------|------------|-------|",
+        "|---------------------|------------|",
     ]
     lines.extend(
         f"| `{row['scheme']}` | {', '.join(row['build'])} "
         f"| {yn[row['query']]} | {yn[row['batch']]} "
         f"| {yn[row['serialize']]} | {yn[row['updates']]} "
-        f"| {', '.join(row['transports'])} "
-        f"| {', '.join(row['pools']) or '—'} |"
+        f"| {', '.join(row['transports'])} |"
         for row in scheme_support_matrix())
     return "\n".join(lines)

@@ -1,5 +1,5 @@
 """The serving layer: sessions over pluggable transports, shard
-workers, parallel builds.
+threads, parallel builds.
 
 The paper's end product is a distance *oracle*: preprocess once, then
 answer ``dist(u, v)`` queries with a bounded stretch.  This package makes
@@ -8,23 +8,23 @@ The front door is :func:`~repro.service.transport.connect`::
 
     from repro.service import connect
 
-    with connect("proc://jobs=4;memory=shared", built) as client:
+    with connect("inproc://jobs=4", built) as client:
         answers = client.dist_many(pairs)
 
 * :mod:`repro.service.transport` — the session API:
   :class:`OracleClient` (``dist`` / ``dist_many`` / ``dist_stream`` /
-  ``apply_updates`` / ``stats``) over ``inproc://`` (this process),
-  ``proc://jobs=N;memory=shared`` (a local worker pool), or
+  ``apply_updates`` / ``stats``) over ``inproc://`` (this process;
+  ``inproc://jobs=N`` puts N threads behind the shards) or
   ``tcp://host:port`` (a remote :class:`OracleServer` — the
   ``python -m repro serve`` daemon — speaking a length-prefixed binary
   frame protocol built on the array-tree codec).  Answers are
   bit-identical across transports, and epoch hot swaps propagate to
   connected TCP clients without a reconnect,
-* :mod:`repro.service.buffers` — the zero-copy memory plane:
+* :mod:`repro.service.buffers` — the zero-copy memory layer:
   :class:`BufferPack` lays every store's arrays out in one contiguous
-  buffer backed by heap memory, a shared-memory segment, or a
-  memory-mapped file, with picklable attach handles and the array-tree
-  codec behind the shared message rings,
+  buffer backed by heap memory or a memory-mapped file (how an RPIX
+  container loads without parsing), plus the array-tree codec behind
+  the TCP frames,
 * :mod:`repro.service.index` — the :class:`IndexStore` protocol and one
   pre-built vectorized store per scheme (:class:`TZIndex`,
   :class:`Stretch3Index`, :class:`CDGIndex`, :class:`GracefulIndex`),
@@ -35,13 +35,9 @@ The front door is :func:`~repro.service.transport.connect`::
   hosts (result cache, epoch pinning); constructing one directly is
   the deprecated legacy path,
 * :class:`~repro.service.workers.ShardServer` — the shard execution
-  plane: a persistent ``multiprocessing`` pool (``pool="proc"``) or a
-  GIL-releasing ``ThreadPoolExecutor`` in this address space
-  (``pool="thread"`` — no pickling, no rings, no attach) running the
-  shard probes (``jobs=1`` is an in-process fallback with the identical
-  dataflow); ``memory="shared"`` attaches process workers to the pack
-  zero-copy and moves requests/responses through preallocated shared
-  ring buffers instead of pickles,
+  plane: ``jobs=1`` probes the shards in the calling thread, ``jobs >
+  1`` on a persistent ``ThreadPoolExecutor`` in this address space (the
+  numpy shard kernels release the GIL; nothing is copied or pickled),
 * :mod:`repro.service.cluster` — the fleet subsystem:
   :class:`ClusterClient` scatters shard probes across N shard-range
   ``OracleServer`` hosts (``cluster://h1:p1,h2:p2`` endpoints) and
@@ -60,7 +56,7 @@ The front door is :func:`~repro.service.transport.connect`::
 * :func:`~repro.service.bench.run_serve_benchmark` /
   :func:`~repro.service.updates.run_update_benchmark` — the measurement
   harnesses behind ``repro serve-bench`` / ``repro update-bench`` and
-  experiments E14/E15/E16.
+  experiments E14/E16/E20.
 
 Batching and parallelism are performance features only: every answer is
 bit-identical to the one-pair-at-a-time reference path, for any shard
@@ -79,8 +75,8 @@ from repro.service.cluster import (ClusterClient, ClusterSpec,
 from repro.service.engine import CacheStats, QueryEngine
 from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
                                  Stretch3Index, TZIndex, build_index,
-                                 index_class_for, index_from_handle,
-                                 index_from_pack, index_to_pack,
+                                 index_class_for, index_from_pack,
+                                 index_to_pack,
                                  refresh_index, restrict_index_shards,
                                  scheme_name_of, scheme_name_of_index)
 from repro.service.parallel import build_tz_sketches_parallel, default_jobs
@@ -99,8 +95,7 @@ from repro.service.updates import (POLICY_NAMES, AdaptiveCostPolicy,
                                    load_changes_jsonl, make_policy,
                                    run_update_benchmark,
                                    sample_weight_changes, save_changes_jsonl)
-from repro.service.workers import (MEMORY_MODES, POOL_MODES, PhaseTimings,
-                                   ShardServer)
+from repro.service.workers import PhaseTimings, ShardServer
 
 __all__ = [
     "AdaptiveCostPolicy",
@@ -136,8 +131,6 @@ __all__ = [
     "EdgeChange",
     "GracefulIndex",
     "IndexStore",
-    "MEMORY_MODES",
-    "POOL_MODES",
     "PackHandle",
     "PackedIndex",
     "PhaseTimings",
@@ -157,7 +150,6 @@ __all__ = [
     "dirty_frontier",
     "even_ranges",
     "index_class_for",
-    "index_from_handle",
     "index_from_pack",
     "index_to_pack",
     "load_changes_jsonl",

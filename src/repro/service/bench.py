@@ -1,18 +1,18 @@
 """Serving benchmark: batched engine vs the single-query loop.
 
 One routine, shared by the ``repro serve-bench`` CLI subcommand and the
-E14/E15/E15b benchmarks, so the numbers the docs quote and the numbers a
+E14/E20 benchmarks, so the numbers the docs quote and the numbers a
 user measures come from the same code path.  The routine always
 cross-checks that the batched answers equal the single-query answers
 exactly before reporting throughput — a benchmark of wrong answers is
 worthless.
 
 Besides the wall totals the report carries a ``phases`` block — the
-cumulative plan / shard_answer / finish / IPC seconds of one measured
-batched pass — so an IPC-bound configuration (the E15 regression story)
-is diagnosable from a single run: if ``ipc_seconds`` dominates
-``shard_answer_seconds``, the workers are starved by the transport, and
-``--memory shared`` (or bigger batches) is the fix.
+cumulative plan / shard_answer / finish / ipc seconds of one measured
+batched pass — so a dispatch-bound configuration is diagnosable from a
+single run: if ``ipc_seconds`` rivals ``kernel_seconds``, handing the
+probes to the shard threads costs as much as running them, and bigger
+batches (or ``--jobs 1``) are the fix.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
                         batch: Optional[int] = None, seed: SeedLike = 0,
                         repeats: int = 3, cache_size: int = 0,
                         num_shards: int = 1, jobs: int = 1,
-                        memory: str = "heap", pool: str = "proc",
                         index: Optional[IndexStore] = None) -> dict:
     """Time ``queries`` random queries answered one-by-one vs in batches.
 
@@ -62,13 +61,9 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
         measures the raw vectorized path (cold-cache throughput).
     :param num_shards: landmark shard count in the pre-built index
         (ignored when ``index`` is given — its own shard count rules).
-    :param jobs: workers behind the shards (``1`` = in-process;
-        clamped to the shard count, and the report shows the effective
-        count).
-    :param memory: serving data plane — ``heap`` | ``shared`` | ``mmap``
-        (see :class:`~repro.service.workers.ShardServer`).
-    :param pool: shard execution plane for ``jobs > 1`` — ``proc``
-        (worker processes) or ``thread`` (a GIL-releasing thread pool).
+    :param jobs: threads behind the shards (``1`` = the calling
+        thread; clamped to the shard count, and the report shows the
+        effective count).
     :param index: serve a pre-built store (e.g. loaded from a binary
         container) instead of building one from sketches; the
         single-query baseline is then the store's own one-pair path.
@@ -84,13 +79,12 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
             "run_serve_benchmark wants exactly one of sketches= or index=")
     if index is not None:
         engine = QueryEngine.from_index(index, cache_size=cache_size,
-                                        jobs=jobs, memory=memory, pool=pool,
-                                        _deprecation=False)
+                                        jobs=jobs, _deprecation=False)
         scheme = (scheme_name_of_index(index) or "?")
     else:
         engine = QueryEngine(sketches, cache_size=cache_size,
                              num_shards=num_shards, jobs=jobs,
-                             memory=memory, pool=pool, _deprecation=False)
+                             _deprecation=False)
         scheme = scheme_name_of(sketches)
     try:
         pairs = sample_query_pairs(engine.n, queries, seed=seed)
@@ -128,10 +122,8 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
             "shards": int(engine.index.num_shards
                           if engine.index is not None else num_shards),
             # the engine clamps jobs to the shard count (a shard is the
-            # unit of work) — report the worker count that actually served
+            # unit of work) — report the thread count that actually served
             "jobs": int(engine.jobs),
-            "memory": memory,
-            "pool": pool,
             "cache_size": int(cache_size),
             "single_seconds": t_single,
             "batched_seconds": t_batched,
@@ -156,12 +148,12 @@ def run_connect_benchmark(spec: str, source=None, queries: int = 1000,
     over the same session: the per-pair loop (``client.dist``), the
     batched path (``client.dist_many`` per batch), and the pipelined
     stream (``client.dist_stream`` over all batches — the
-    double-buffered dispatch on local pooled transports).  Batched and
+    double-buffered dispatch on ``inproc://jobs=N`` sessions).  Batched and
     streamed answers are cross-checked bitwise against the per-pair
     loop before any throughput is reported.
 
-    :param spec: endpoint spec (``inproc://…``, ``proc://…``,
-        ``tcp://host:port``).
+    :param spec: endpoint spec (``inproc://…``, ``tcp://host:port``,
+        ``cluster://…``).
     :param source: what the session serves — required for local
         transports, forbidden for ``tcp://`` (the server owns the
         index).

@@ -5,53 +5,43 @@ a handful of contiguous numpy arrays plus a little scalar metadata.  This
 module separates that physical layout from the query logic:
 
 * :class:`BufferPack` — a named dict of contiguous arrays laid out in
-  **one** buffer, which can be backed by ordinary heap memory, a
-  ``multiprocessing.shared_memory`` segment, or a memory-mapped file.
-  The arrays a pack hands out are read-only views — attaching never
-  copies, and no attached process can corrupt another's answers.
-* :class:`PackHandle` — a tiny picklable token (segment name / file
-  path + the array manifest) that another process turns back into a
-  pack with :meth:`BufferPack.attach`, zero-copy.
+  **one** buffer, backed by ordinary heap memory or a memory-mapped
+  file.  The arrays a pack hands out are read-only views — attaching
+  never copies, and no reader can corrupt another's answers.
+* :class:`PackHandle` — a tiny picklable token (file path or raw bytes
+  + the array manifest) that :meth:`BufferPack.attach` turns back into
+  a pack, zero-copy for a mapped file — how a binary index container
+  is loaded.
 * :class:`PackedIndex` — a pack plus the index type tag and scalar
   metadata; the unit :func:`repro.service.index.index_from_pack`
   rebuilds a store from.
 * the **array-tree codec** (:func:`flatten_tree` / :func:`plan_tree` /
   :func:`write_tree` / :func:`read_tree`) — encodes the nested tuples
   of ndarrays that flow through ``plan``/``shard_answer``/``finish``
-  into a raw buffer region and back, so shard requests and responses
-  can travel through preallocated shared ring buffers instead of
-  pickles (see :class:`SharedArea` and
-  :class:`~repro.service.workers.ShardServer`).
+  into a raw buffer region and back — the body of the TCP transport's
+  query/result frames (:func:`tree_to_bytes` / :func:`tree_from_bytes`)
+  and the layout rule of a pack.
 
 Determinism contract: a pack stores exact bytes, so a store rebuilt from
 any backing answers **bit-identically** to the heap-built original — the
 backing-equivalence test suite asserts this for every scheme.
-
-Teardown: shared segments created by this process are tracked in a
-module registry and unlinked both by :meth:`BufferPack.close` /
-:meth:`SharedArea.close` and by an ``atexit`` guard, so repeated
-benchmark runs cannot leak ``/dev/shm`` segments even on unclean exits.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import mmap as _mmaplib
 import os
-import secrets
 import struct
-import threading
 from dataclasses import dataclass
-from multiprocessing import shared_memory as _shm
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 
-#: the three physical backings every pack supports
-BACKINGS = ("heap", "shared", "mmap")
+#: the physical backings a pack supports
+BACKINGS = ("heap", "mmap")
 
 #: array blobs are aligned to cache-line boundaries inside the buffer
 ALIGNMENT = 64
@@ -61,103 +51,12 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
 
 
-# ----------------------------------------------------------------------
-# shared-segment registry + atexit guard (deterministic /dev/shm cleanup)
-# ----------------------------------------------------------------------
-_LIVE_SEGMENTS: set[str] = set()
-_REGISTRY_LOCK = threading.Lock()
-# Segments whose close() found live exported views: keep the SharedMemory
-# object referenced so its __del__ never runs (it would raise a noisy
-# BufferError).  The name is already unlinked; the mapping is freed at
-# process exit, exactly when the views die.
-_ZOMBIE_SEGMENTS: list = []
-
-
-def _register_segment(name: str) -> None:
-    with _REGISTRY_LOCK:
-        _LIVE_SEGMENTS.add(name)
-
-
-def _forget_segment(name: str) -> None:
-    with _REGISTRY_LOCK:
-        _LIVE_SEGMENTS.discard(name)
-
-
 def live_segment_names() -> list[str]:
-    """Names of shared segments created by this process and not yet
-    unlinked (introspection for tests and leak checks)."""
-    with _REGISTRY_LOCK:
-        return sorted(_LIVE_SEGMENTS)
-
-
-@atexit.register
-def _cleanup_segments() -> None:  # pragma: no cover - exit-path guard
-    for name in list(_LIVE_SEGMENTS):
-        try:
-            seg = _shm.SharedMemory(name=name)
-            seg.close()
-            seg.unlink()
-        except Exception:
-            pass
-        _forget_segment(name)
-
-
-def _new_segment_name(tag: str) -> str:
-    # short: POSIX shm names are limited (NAME_MAX, and 31 chars on macOS)
-    return f"rp-{tag}-{secrets.token_hex(4)}"
-
-
-try:  # the POSIX shm syscalls SharedMemory itself is built on
-    import _posixshmem
-except ImportError:  # pragma: no cover - Windows
-    _posixshmem = None
-
-
-class _AttachedSegment:
-    """A tracker-neutral, non-owning attach to a named POSIX segment.
-
-    Exposes the same ``name``/``buf``/``close()`` surface as
-    ``SharedMemory`` but goes through ``shm_open`` + ``mmap`` directly,
-    so the attaching process's ``resource_tracker`` never hears about a
-    segment it does not own.  (``SharedMemory(name=...)`` registers even
-    pure attaches; in a pool worker that either leaks a registration —
-    "leaked shared_memory" noise after the worker is terminated — or,
-    with a fork-shared tracker, collides with the creator's own
-    register/unregister pairing.)
-
-    ``readonly=True`` maps the pages ``PROT_READ`` — the OS, not just a
-    numpy flag, then guarantees the attacher cannot scribble on the
-    creator's data (how index packs are attached); message rings need
-    ``readonly=False`` since workers write response trees into them.
-    """
-
-    def __init__(self, name: str, readonly: bool = False):
-        self.name = name
-        flags = os.O_RDONLY if readonly else os.O_RDWR
-        fd = _posixshmem.shm_open("/" + name, flags, mode=0)
-        try:
-            size = os.fstat(fd).st_size
-            access = (_mmaplib.ACCESS_READ if readonly
-                      else _mmaplib.ACCESS_DEFAULT)
-            self._mmap = _mmaplib.mmap(fd, size, access=access)
-        finally:
-            os.close(fd)
-        self.buf = memoryview(self._mmap)
-
-    def close(self) -> None:
-        try:
-            self.buf.release()
-            self._mmap.close()
-        except (BufferError, ValueError):  # live exported views
-            pass
-
-
-def attach_segment(name: str, readonly: bool = False):
-    """Attach to an existing segment as a **non-owner** (the creator
-    alone stays responsible for the unlink)."""
-    if _posixshmem is not None:
-        return _AttachedSegment(name, readonly=readonly)
-    return _shm.SharedMemory(name=name)  # pragma: no cover - Windows
+    """Names of shared-memory segments this process created and has not
+    unlinked — always empty: the package no longer creates any.  Kept
+    only because ``bench/run.py``'s leak check imports it and a PR may
+    not edit ``bench/``; the next benchmark-only PR drops both."""
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +71,7 @@ def plan_layout(arrays: Mapping[str, np.ndarray],
     :data:`ALIGNMENT`-aligned.  Iteration order (= dict insertion order)
     is the layout order, so the layout is deterministic.  The geometry
     is exactly :func:`plan_tree`'s (the message codec) with names glued
-    on — one layout rule for packs and rings alike.
+    on — one layout rule for packs and messages alike.
     """
     names = [str(name) for name in arrays]
     rows, total = plan_tree([np.ascontiguousarray(a)
@@ -201,15 +100,13 @@ def _view_array(buffer, dtype: str, shape: tuple, offset: int) -> np.ndarray:
 class PackHandle:
     """Picklable attach token for a :class:`BufferPack`.
 
-    ``shared`` packs travel as a segment name, ``mmap`` packs as a file
-    path plus the blob base offset, and ``heap`` packs carry the raw
-    bytes (a copy — the fallback when no shared backing exists).
+    ``mmap`` packs travel as a file path plus the blob base offset, and
+    ``heap`` packs carry the raw bytes (a copy).
     """
 
     backing: str
     manifest: tuple
     nbytes: int
-    segment: Optional[str] = None
     path: Optional[str] = None
     base: int = 0
     data: Optional[bytes] = None
@@ -219,7 +116,7 @@ class BufferPack:
     """A named dict of contiguous, read-only numpy arrays over one buffer.
 
     Build one with :meth:`from_arrays` (copies the inputs into the chosen
-    backing once) or :meth:`attach` (zero-copy, from another process's
+    backing once) or :meth:`attach` (zero-copy, from a
     :class:`PackHandle`).  Index by name: ``pack["pivot_ids"]``.
 
     :param manifest: ``(name, dtype_str, shape, offset)`` rows.
@@ -228,7 +125,7 @@ class BufferPack:
     """
 
     def __init__(self, manifest: Sequence, nbytes: int, backing: str, *,
-                 buffer, segment=None, mm=None, path: Optional[str] = None,
+                 buffer, mm=None, path: Optional[str] = None,
                  base: int = 0, owner: bool = False,
                  delete_file: bool = False):
         self.manifest = tuple((str(n), str(d), tuple(s), int(o))
@@ -238,7 +135,6 @@ class BufferPack:
         self.base = int(base)
         self.path = path
         self._buffer = buffer
-        self._segment = segment
         self._mm = mm
         self._owner = bool(owner)
         self._delete_file = bool(delete_file)
@@ -255,9 +151,8 @@ class BufferPack:
                     delete_file: bool = False) -> "BufferPack":
         """Copy named arrays into one freshly allocated buffer.
 
-        :param backing: ``"heap"`` (ordinary memory), ``"shared"``
-            (a ``multiprocessing.shared_memory`` segment), or ``"mmap"``
-            (a file at ``path``, created/truncated and memory-mapped).
+        :param backing: ``"heap"`` (ordinary memory) or ``"mmap"`` (a
+            file at ``path``, created/truncated and memory-mapped).
         :param path: required for ``"mmap"``.
         :param delete_file: with ``"mmap"``, delete the file on
             :meth:`close` (scratch-file semantics).
@@ -271,12 +166,6 @@ class BufferPack:
         if backing == "heap":
             pack = cls(manifest, total, backing,
                        buffer=memoryview(bytearray(size)), owner=True)
-        elif backing == "shared":
-            seg = _shm.SharedMemory(name=_new_segment_name("pack"),
-                                    create=True, size=size)
-            _register_segment(seg.name)
-            pack = cls(manifest, total, backing, buffer=seg.buf,
-                       segment=seg, owner=True)
         else:
             if path is None:
                 raise ConfigError("mmap backing needs a file path")
@@ -297,14 +186,9 @@ class BufferPack:
     def attach(cls, handle: PackHandle) -> "BufferPack":
         """Open an existing pack from its handle, zero-copy.
 
-        Shared segments and mapped files are opened read-only (no
-        attached process can scribble on another's index); a ``heap``
-        handle simply wraps the bytes it carries.
+        Mapped files are opened read-only (no reader can scribble on
+        the index); a ``heap`` handle simply wraps the bytes it carries.
         """
-        if handle.backing == "shared":
-            seg = attach_segment(handle.segment, readonly=True)
-            return cls(handle.manifest, handle.nbytes, "shared",
-                       buffer=seg.buf, segment=seg, base=handle.base)
         if handle.backing == "mmap":
             fd = os.open(handle.path, os.O_RDONLY)
             try:
@@ -322,10 +206,7 @@ class BufferPack:
 
     def handle(self) -> PackHandle:
         """The picklable attach token for this pack (heap packs copy
-        their payload into the handle — the no-shared-backing fallback)."""
-        if self.backing == "shared":
-            return PackHandle("shared", self.manifest, self.nbytes,
-                              segment=self._segment.name, base=self.base)
+        their payload into the handle)."""
         if self.backing == "mmap":
             return PackHandle("mmap", self.manifest, self.nbytes,
                               path=self.path, base=self.base)
@@ -363,28 +244,14 @@ class BufferPack:
     def close(self) -> None:
         """Release the backing (idempotent).
 
-        The creator of a shared segment / scratch mapped file also
+        The creator of a scratch mapped file (``delete_file``) also
         unlinks it.  If some store still holds live views the OS mapping
-        stays alive until those views are garbage-collected, but the
-        name is removed immediately — nothing accumulates in
-        ``/dev/shm`` across runs.
+        stays alive until those views are garbage-collected.
         """
         if self._closed:
             return
         self._closed = True
         self._views.clear()
-        if self._segment is not None:
-            name = self._segment.name
-            try:
-                self._segment.close()
-            except BufferError:  # live views exported; mapping outlives us
-                _ZOMBIE_SEGMENTS.append(self._segment)
-            if self._owner:
-                try:
-                    self._segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-                _forget_segment(name)
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -506,10 +373,10 @@ def tree_to_bytes(tree: Any) -> bytes:
 
     Layout: ``u32 head_len | head JSON (spec + manifest) | pad to
     ALIGNMENT | raw leaf blobs`` — the leaves are laid out exactly as
-    :func:`plan_tree`/:func:`write_tree` lay them into a ring slot, so
-    this is the array-tree codec with the descriptor glued on instead of
-    travelling out of band.  The wire form of the TCP transport's query/
-    result frames (:mod:`repro.service.transport`).
+    :func:`plan_tree`/:func:`write_tree` lay them into a pack, so this
+    is the array-tree codec with the descriptor glued on.  The wire
+    form of the TCP transport's query/result frames
+    (:mod:`repro.service.transport`).
     """
     spec, leaves = flatten_tree(tree)
     manifest, total = plan_tree(leaves)
@@ -544,68 +411,3 @@ def tree_from_bytes(data) -> Any:
         raise ConfigError("corrupt array-tree message header") from None
     base = _align(4 + head_len)
     return read_tree(view, base, spec, manifest)
-
-
-class SharedArea:
-    """A shared segment cut into ``slots`` equal ring slots.
-
-    The master allocates one for requests and one for responses and
-    rotates through the slots batch by batch; messages are written with
-    :func:`write_tree` and read back (in either process) with
-    :func:`read_tree`.  Attach from a worker with :meth:`attach_buffer`
-    — the descriptor travelling through the (tiny, pickled) task tuple
-    carries the segment name, so reallocation/growth is just a new
-    segment name appearing in the next batch's descriptors.
-    """
-
-    def __init__(self, slot_bytes: int, slots: int = 2, tag: str = "ring"):
-        if slot_bytes < 1 or slots < 1:
-            raise ConfigError("SharedArea wants slot_bytes >= 1, slots >= 1")
-        self.slot_bytes = int(slot_bytes)
-        self.slots = int(slots)
-        self._segment = _shm.SharedMemory(
-            name=_new_segment_name(tag), create=True,
-            size=self.slot_bytes * self.slots)
-        _register_segment(self._segment.name)
-        self._closed = False
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    @property
-    def buffer(self):
-        return self._segment.buf
-
-    def slot_offset(self, slot: int) -> int:
-        return (slot % self.slots) * self.slot_bytes
-
-    def close(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        name = self._segment.name
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - live views
-            _ZOMBIE_SEGMENTS.append(self._segment)
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        _forget_segment(name)
-
-    def __del__(self):  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def next_pow2(value: int) -> int:
-    """The smallest power of two >= ``value`` (ring capacity sizing)."""
-    size = 1
-    while size < value:
-        size <<= 1
-    return size

@@ -514,7 +514,6 @@ class ClusterClient:
 @contextmanager
 def loopback_fleet(source: Any, num_hosts: int, *,
                    num_shards: Optional[int] = None, jobs: int = 1,
-                   memory: str = "heap", pool: str = "proc",
                    cache_size: int = 65536):
     """Spawn ``num_hosts`` shard-range hosts on loopback (background
     event loops) and yield ``(spec, servers)`` — ``spec`` is the
@@ -543,7 +542,6 @@ def loopback_fleet(source: Any, num_hosts: int, *,
         for i, (lo, hi) in enumerate(even_ranges(int(num_shards),
                                                  int(num_hosts))):
             server = OracleServer(factory(i, lo, hi), jobs=jobs,
-                                  memory=memory, pool=pool,
                                   num_shards=int(num_shards),
                                   cache_size=cache_size,
                                   shard_range=(lo, hi))

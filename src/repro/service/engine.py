@@ -13,16 +13,12 @@ time API produces — batching is a performance feature, never a semantic
 one.
 
 An indexed engine always runs the shard decomposition through a
-:class:`~repro.service.workers.ShardServer` (in-process for ``jobs=1``,
-a persistent process pool for ``jobs > 1``), which is also where the
-per-phase timings (``plan`` / ``shard_answer`` / ``finish`` / ``ipc``)
-accumulate.  ``memory=`` picks the data plane: ``"heap"`` (plain
-arrays / pickle IPC), ``"shared"`` (the index packed into shared memory,
-workers attached zero-copy, messages through shared ring buffers), or
-``"mmap"`` (the pack in a memory-mapped scratch file).  Answers stay
-bit-identical for every worker count and memory mode.  Call
-:meth:`~QueryEngine.close` (or use the engine as a context manager) to
-shut the pool down and release the segments.
+:class:`~repro.service.workers.ShardServer` (in the calling thread for
+``jobs=1``, on a persistent thread pool for ``jobs > 1``), which is
+also where the per-phase timings (``plan`` / ``shard_answer`` /
+``finish`` / ``ipc``) accumulate.  Answers stay bit-identical for every
+``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the engine as a
+context manager) to join the pool's threads.
 
 :meth:`QueryEngine.from_index` serves a pre-built (e.g. binary-loaded)
 store directly, without the sketch set.
@@ -30,13 +26,13 @@ store directly, without the sketch set.
 **Epochs.**  :meth:`QueryEngine.from_updateable` serves a live
 :class:`~repro.service.updates.UpdateableIndex`;
 :meth:`QueryEngine.apply_updates` then hot-swaps epochs: the next
-epoch's store (and, for ``jobs > 1``, its worker pool — workers attach
-to the new epoch's pack) is prepared while traffic continues, the swap
-is one pointer flip under the engine lock, and in-flight batches finish
-on the epoch they started on (the old server is closed only when its
-last batch drains).  Every batch is served by exactly one epoch — no
-torn reads — and the result cache is epoch-stamped: it is cleared at
-the swap, and a stale batch's write-backs are dropped.
+epoch's store (and, for ``jobs > 1``, its thread pool) is prepared
+while traffic continues, the swap is one pointer flip under the engine
+lock, and in-flight batches finish on the epoch they started on (the
+old server is closed only when its last batch drains).  Every batch is
+served by exactly one epoch — no torn reads — and the result cache is
+epoch-stamped: it is cleared at the swap, and a stale batch's
+write-backs are dropped.
 
 The result cache (:class:`_ResultCache`, a set-associative table of
 numpy columns probed once per batch) keys on the *ordered* pair
@@ -72,7 +68,7 @@ def _warn_deprecated(what: str) -> None:
     warnings.warn(
         f"{what} is deprecated; open a serving session with "
         f"repro.service.transport.connect('inproc://', source) "
-        f"(or proc:// / tcp://) instead",
+        f"(or tcp://host:port) instead",
         DeprecationWarning, stacklevel=3)
 
 
@@ -206,7 +202,7 @@ class QueryEngine:
         session with :func:`repro.service.transport.connect` — the same
         engine mechanics behind a transport-agnostic
         :class:`~repro.service.transport.OracleClient` (``inproc://``,
-        ``proc://``, ``tcp://``).  Constructing one directly emits a
+        ``tcp://``).  Constructing one directly emits a
         single :class:`DeprecationWarning`; the transport layer builds
         its engines through the internal non-warning path.
 
@@ -224,26 +220,18 @@ class QueryEngine:
         registry's :attr:`~repro.oracle.schemes.SchemeSpec.supports_batch`
         is the intended source of this value — see
         :meth:`~repro.oracle.api.BuiltSketches.engine`).
-    :param jobs: workers behind the landmark shards (``1`` =
-        everything in-process).  Requires an indexed engine; values above
+    :param jobs: threads behind the landmark shards (``1`` = probe in
+        the calling thread).  Requires an indexed engine; values above
         ``num_shards`` are clamped (a shard is the unit of work) and the
         attribute reflects the effective count.
-    :param memory: the serving data plane — ``"heap"``, ``"shared"``, or
-        ``"mmap"`` (see :class:`~repro.service.workers.ShardServer`).
-        Non-heap modes require an indexed engine.
-    :param pool: the shard execution plane for ``jobs > 1`` —
-        ``"proc"`` (worker processes) or ``"thread"`` (a GIL-releasing
-        thread pool in this address space); see
-        :class:`~repro.service.workers.ShardServer`.
     :raises ConfigError: on an empty set, negative cache size,
-        ``use_index=True`` without an indexable set, or ``jobs``/
-        ``memory`` without an index.
+        ``use_index=True`` without an indexable set, or ``jobs > 1``
+        without an index.
     """
 
     def __init__(self, sketches: Sequence[Any], cache_size: int = 65536,
                  num_shards: int = 1, use_index: Optional[bool] = None,
-                 jobs: int = 1, memory: str = "heap", pool: str = "proc", *,
-                 _deprecation: bool = True):
+                 jobs: int = 1, *, _deprecation: bool = True):
         if _deprecation:
             _warn_deprecated("QueryEngine(sketches=...)")
         if not sketches:
@@ -263,13 +251,12 @@ class QueryEngine:
                 "library scheme")
         if use_index is not False and indexable:
             index = build_index(self.sketches, num_shards=num_shards)
-        self._init_serving(index, cache_size=cache_size, jobs=jobs,
-                           memory=memory, pool=pool)
+        self._init_serving(index, cache_size=cache_size, jobs=jobs)
 
     @classmethod
     def from_index(cls, index: IndexStore, cache_size: int = 65536,
-                   jobs: int = 1, memory: str = "heap", pool: str = "proc",
-                   *, _deprecation: bool = True) -> "QueryEngine":
+                   jobs: int = 1, *,
+                   _deprecation: bool = True) -> "QueryEngine":
         """Serve a pre-built store directly (no sketch set needed — e.g.
         an index loaded from a binary container, possibly mmap-backed).
 
@@ -282,28 +269,25 @@ class QueryEngine:
         self = cls.__new__(cls)
         self.sketches = None
         self.n = index.n
-        self._init_serving(index, cache_size=cache_size, jobs=jobs,
-                           memory=memory, pool=pool)
+        self._init_serving(index, cache_size=cache_size, jobs=jobs)
         return self
 
     @classmethod
     def from_updateable(cls, updateable, cache_size: int = 65536,
-                        jobs: int = 1, memory: str = "heap",
-                        pool: str = "proc", *,
+                        jobs: int = 1, *,
                         _deprecation: bool = True) -> "QueryEngine":
         """Serve a live :class:`~repro.service.updates.UpdateableIndex`,
         enabling :meth:`apply_updates` epoch hot-swaps."""
         if _deprecation:
             _warn_deprecated("QueryEngine.from_updateable")
         self = cls.from_index(updateable.index, cache_size=cache_size,
-                              jobs=jobs, memory=memory, pool=pool,
-                              _deprecation=False)
+                              jobs=jobs, _deprecation=False)
         self._updateable = updateable
         self.epoch = updateable.epoch  # share one epoch clock
         return self
 
     def _init_serving(self, index: Optional[IndexStore], cache_size: int,
-                      jobs: int, memory: str, pool: str = "proc") -> None:
+                      jobs: int) -> None:
         if cache_size < 0:
             raise ConfigError(f"cache_size must be >= 0, got {cache_size}")
         if jobs < 1:
@@ -311,8 +295,6 @@ class QueryEngine:
         self.cache_size = int(cache_size)
         self.jobs = int(jobs)
         self._jobs_requested = int(jobs)
-        self.memory = memory
-        self.pool = pool
         self.index = index
         self._server: Optional[ShardServer] = None
         # epoch bookkeeping: dist_many snapshots (epoch, server) under
@@ -324,33 +306,16 @@ class QueryEngine:
         self._retired: dict[int, ShardServer] = {}
         self._updateable = None
         if index is not None:
-            self._server = ShardServer(index, jobs=self.jobs, memory=memory,
-                                       pool=pool)
-            # the server may rebuild the store over a packed backing —
-            # serve (and expose) that store, and reflect the clamped
-            # worker count (a shard is the unit of work)
-            self.index = self._server.index
+            self._server = ShardServer(index, jobs=self.jobs)
+            # reflect the clamped thread count (a shard is the unit of
+            # work)
             self.jobs = self._server.jobs
         elif self.jobs > 1:
             raise ConfigError(
                 "jobs > 1 needs an indexed engine "
                 "(do not pass use_index=False)")
-        elif memory != "heap":
-            raise ConfigError(
-                f"memory={memory!r} needs an indexed engine "
-                "(do not pass use_index=False)")
         self._cache = _ResultCache(self.cache_size) if cache_size else None
         self.stats = CacheStats()
-
-    @property
-    def serial_dispatch(self) -> bool:
-        """True when concurrent ``dist_many`` calls must be serialized
-        by the caller: ring-mode shard dispatch (shared/mmap pool) is
-        single-producer.  Heap-pool and in-process engines answer
-        concurrent batches safely — the engine lock already guards the
-        cache and epoch bookkeeping."""
-        server = self._server
-        return server is not None and server.ring_dispatch
 
     # ------------------------------------------------------------------
     # epoch bookkeeping
@@ -439,7 +404,7 @@ class QueryEngine:
         Accepts any iterable of pairs or a ``(Q, 2)`` integer array;
         returns a float64 array of length Q.  Cached answers are reused;
         the misses are computed in one vectorized pass (fanned across the
-        shard workers when the engine was built with ``jobs > 1``).
+        shard threads when the engine was built with ``jobs > 1``).
 
         The whole batch is answered by one epoch: the serving store is
         pinned at batch start, and a concurrent :meth:`apply_updates`
@@ -505,17 +470,16 @@ class QueryEngine:
         pair batches, yielding one float64 answer array per batch, in
         order.
 
-        With a worker pool behind the engine this is the
+        With a thread pool behind the engine this is the
         double-buffered path (:meth:`ShardServer.estimate_stream
         <repro.service.workers.ShardServer.estimate_stream>`): batch
-        *k+1*'s plan and request encode overlap batch *k*'s shard
-        probes, and the hidden seconds show up as ``overlap_seconds``
-        in :meth:`phase_timings`.  The result cache is bypassed (a
-        streaming sweep is the cold-cache workload) and the **whole
-        stream** is pinned to one epoch — a concurrent
-        :meth:`apply_updates` only affects streams opened after its
-        swap.  Answers are bit-identical to calling :meth:`dist_many`
-        per batch on a cold cache.
+        *k+1*'s plan overlaps batch *k*'s shard probes, and the hidden
+        seconds show up as ``overlap_seconds`` in :meth:`phase_timings`.
+        The result cache is bypassed (a streaming sweep is the
+        cold-cache workload) and the **whole stream** is pinned to one
+        epoch — a concurrent :meth:`apply_updates` only affects streams
+        opened after its swap.  Answers are bit-identical to calling
+        :meth:`dist_many` per batch on a cold cache.
         """
         for answers, _ in self.dist_stream_pinned(batches):
             yield answers
@@ -557,10 +521,9 @@ class QueryEngine:
         :class:`~repro.service.updates.UpdateableIndex` and hot-swap to
         the new epoch's store.
 
-        The next epoch's server (pack + worker pool; shared-memory
-        workers attach to the new epoch's segment) is built *before* the
-        swap, so traffic never pauses; in-flight batches complete on the
-        old epoch, whose server is closed when its last batch drains.
+        The next epoch's server (and its thread pool) is built *before*
+        the swap, so traffic never pauses; in-flight batches complete on
+        the old epoch, whose server is closed when its last batch drains.
         The result cache is cleared — cached answers are per-epoch.
 
         :returns: the :class:`~repro.service.updates.UpdateReport`.
@@ -575,8 +538,7 @@ class QueryEngine:
         if report.mode == "noop":
             return report
         new_server = ShardServer(self._updateable.index,
-                                 jobs=self._jobs_requested,
-                                 memory=self.memory, pool=self.pool)
+                                 jobs=self._jobs_requested)
         with self._lock:
             old_epoch, old_server = self.epoch, self._server
             self._server = new_server
@@ -632,8 +594,8 @@ class QueryEngine:
             self.stats = CacheStats()
 
     def close(self) -> None:
-        """Shut the shard server down — worker pool, shared segments,
-        scratch files, plus any retired epochs' servers (idempotent)."""
+        """Shut the shard server down — joining its threads — plus any
+        retired epochs' servers (idempotent)."""
         with self._lock:
             servers = list(self._retired.values())
             self._retired.clear()
@@ -652,7 +614,5 @@ class QueryEngine:
         kind = (type(self.index).__name__ if self.index is not None
                 else "generic")
         tail = f", jobs={self.jobs}" if self.jobs > 1 else ""
-        if self.memory != "heap":
-            tail += f", memory={self.memory}"
         return (f"QueryEngine(n={self.n}, {kind}, "
                 f"cache={self.cache_entries}/{self.cache_size}{tail})")

@@ -22,7 +22,7 @@ homogeneous sketch set.
 
 Every store also decomposes a batch into **per-landmark-shard probe
 tasks** (``plan`` → ``shard_answer`` × S → ``finish``), which is what
-:class:`~repro.service.workers.ShardServer` runs on a process pool.  The
+:class:`~repro.service.workers.ShardServer` runs on its threads.  The
 decomposition is part of the determinism contract: ``shard_answer`` is a
 pure function of ``(shard data, request)``, and ``finish`` combines
 responses by shard id, never by completion order, so any worker count
@@ -174,16 +174,6 @@ def _unresolved_error(message: str, row: int) -> QueryError:
 class _BaseIndex:
     """Shared driver: ``estimate_many`` as the in-process plan/probe/finish
     loop, plus the single-pair wrapper."""
-
-    def __getstate__(self):
-        # a pack-built store records its PackedIndex on _pack_source so
-        # serving layers can reuse the backing, but packs (memoryviews,
-        # mmaps) cannot pickle — ship the arrays themselves instead
-        # (numpy copies buffer-backed views), which is exactly what the
-        # heap-mode worker initializer wants
-        state = self.__dict__.copy()
-        state.pop("_pack_source", None)
-        return state
 
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched estimates, bit-identical to the single-pair query."""
@@ -1471,7 +1461,7 @@ def index_to_pack(index: IndexStore, backing: str = "heap", *,
     """Split any store into its physical arrays, copied once into a
     :class:`~repro.service.buffers.BufferPack` of the chosen backing.
 
-    :param backing: ``"heap"``, ``"shared"``, or ``"mmap"``.
+    :param backing: ``"heap"`` or ``"mmap"``.
     :param path: target file for ``"mmap"``.
     :param delete_file: delete the mmap file on pack close.
     :raises ConfigError: for a store type without a pack encoding.
@@ -1492,27 +1482,13 @@ def index_from_pack(packed) -> IndexStore:
     bit-identical answers for any backing.
 
     Accepts a :class:`~repro.service.buffers.PackedIndex` or a bare
-    ``(tag, meta, BufferPack)`` triple.  The returned store keeps a
-    reference to its pack source on ``_pack_source`` so serving layers
-    can reuse (rather than re-copy) an already-shared backing.
+    ``(tag, meta, BufferPack)`` triple.  The store's arrays are views
+    that keep the pack's buffer (heap bytes or file mapping) alive for
+    as long as the store lives.
     """
     tag, meta, pack = ((packed.tag, packed.meta, packed.pack)
                        if hasattr(packed, "pack") else packed)
     cls = _TAG_TO_CLASS.get(tag)
     if cls is None:
         raise ConfigError(f"unknown packed index tag {tag!r}")
-    store = cls._from_pack(meta, pack.as_dict())
-    store._pack_source = packed if hasattr(packed, "pack") else None
-    return store
-
-
-def index_from_handle(handle) -> IndexStore:
-    """Attach to another process's packed index from its picklable
-    handle ``(tag, meta, PackHandle)`` — the worker side of the
-    shared-memory attach protocol."""
-    from repro.service.buffers import BufferPack, PackedIndex
-
-    tag, meta, pack_handle = handle
-    packed = PackedIndex(tag=tag, meta=meta,
-                         pack=BufferPack.attach(pack_handle))
-    return index_from_pack(packed)
+    return cls._from_pack(meta, pack.as_dict())

@@ -26,7 +26,7 @@ Three layers:
   session issues ``apply_updates`` hot swaps, recording per-event
   latency, the epoch each answer was pinned to vs the epochs the
   session could have observed, and the hot-swap stall time.  The
-  endpoint may be ``inproc://`` / ``proc://...``, a remote
+  endpoint may be ``inproc://...``, a remote
   ``tcp://host:port``, or the bare sentinel ``"tcp://"`` — serve the
   given source on a loopback listener and drive it over real sockets.
 
@@ -57,7 +57,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -582,13 +582,12 @@ def _split_stream(arr: np.ndarray) -> list[np.ndarray]:
 
 
 def _drive_query(session: OracleClient, slot_lock: threading.Lock,
-                 serial_lock: Optional[threading.Lock], ev: QueryEvent,
-                 idx: int, state: _RunState) -> list[QueryRecord]:
+                 ev: QueryEvent, idx: int,
+                 state: _RunState) -> list[QueryRecord]:
     """Run one query event on its session slot; returns the records."""
     recs: list[QueryRecord] = []
     arr = ev.pair_array()
-    guard = serial_lock if serial_lock is not None else nullcontext()
-    with slot_lock, guard:
+    with slot_lock:
         if not ev.stream:
             e_sub = session.epoch
             a_sub = state.applies_started
@@ -720,7 +719,7 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
                  timeout: float = 30.0) -> ScenarioResult:
     """Replay ``trace`` against an endpoint and record everything.
 
-    :param endpoint: ``inproc://`` / ``proc://...`` (``source``
+    :param endpoint: ``inproc://...`` (``source``
         required; one shared server, reader sessions on top), a remote
         ``tcp://host:port`` (``source`` forbidden — the server owns the
         index), or the bare sentinel ``"tcp://"``: serve ``source`` on
@@ -746,7 +745,6 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
     owns_server = False
     writer: Optional[OracleClient] = None
     sessions: list[OracleClient] = []
-    serial_lock: Optional[threading.Lock] = None
     t_run = time.perf_counter()
     try:
         if ep == "tcp://":
@@ -782,8 +780,6 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
             writer = connect(ep, source)  # owns the server it creates
             server = writer._transport._server
             sessions = [server.client(ep) for _ in range(query_threads)]
-            if server._engine.serial_dispatch:
-                serial_lock = threading.Lock()
         if trace.n != writer.n:
             raise ConfigError(
                 f"trace is for an n={trace.n} graph but the endpoint "
@@ -806,7 +802,7 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
                         next_slot += 1
                         futures.append(pool.submit(
                             _drive_query, sessions[slot], slot_locks[slot],
-                            serial_lock, ev, idx, state))
+                            ev, idx, state))
                     else:
                         churn.append((idx, ev))
                 for idx, ev in churn:

@@ -6,8 +6,8 @@ serving surface on two objects and one factory:
 
 * :class:`OracleServer` — hosts one :class:`~repro.service.index.IndexStore`
   epoch (optionally a live :class:`~repro.service.updates.UpdateableIndex`)
-  behind a transport listener.  :meth:`OracleServer.local` wraps today's
-  in-process/pooled :class:`~repro.service.workers.ShardServer`;
+  behind a transport listener.  :meth:`OracleServer.local` wraps the
+  in-process :class:`~repro.service.workers.ShardServer`;
   :meth:`OracleServer.serve` listens on TCP with a length-prefixed
   binary frame protocol that reuses the
   :mod:`~repro.service.buffers` array-tree codec for query/result
@@ -18,9 +18,9 @@ serving surface on two objects and one factory:
 * :func:`connect` — the single entry point, taking a URL-style endpoint
   spec::
 
-      connect("inproc://", source)                   # this process, jobs=1
-      connect("proc://jobs=4;memory=shared", source) # local worker pool
-      connect("tcp://host:port")                     # a remote OracleServer
+      connect("inproc://", source)          # this process, jobs=1
+      connect("inproc://jobs=4", source)    # 4 threads behind the shards
+      connect("tcp://host:port")            # a remote OracleServer
 
   ``source`` is whatever the local transports should serve (a sketch
   list, a :class:`~repro.oracle.api.BuiltSketches`, a pre-built store,
@@ -30,7 +30,7 @@ serving surface on two objects and one factory:
 One dataflow contract, many executors: the plan / shard_answer / finish
 decomposition (and the engine's epoch pinning, caching, and hot-swap
 mechanics) is the same code for every transport, so answers are
-**bit-identical** across ``inproc`` / ``proc`` / ``tcp`` — including
+**bit-identical** across ``inproc`` / ``tcp`` / ``cluster`` — including
 :class:`~repro.errors.QueryError` parity on disconnected graphs — and
 an :meth:`OracleClient.apply_updates` hot swap propagates to every
 connected TCP client without a reconnect (the server pushes an
@@ -60,10 +60,8 @@ fans decoded requests across a handler thread pool sized to the
 engine.  Per-connection **backpressure**: while a connection's write
 buffer or in-flight handler count is over its cap, the loop stops
 reading (and dispatching) that connection until it drains, so one slow
-consumer cannot balloon server memory.  Ring-mode shard dispatch (a
-worker pool over shared message rings) is the one engine path that is
-not re-entrant; only that path serializes behind the server's query
-lock — heap and in-process dispatch run handlers concurrently.
+consumer cannot balloon server memory.  Shard dispatch is re-entrant,
+so handlers run their batches concurrently.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ from repro.service.index import (parse_pair_array, scheme_name_of,
 from repro.service.updates import UpdateReport
 
 #: transports :func:`connect` understands
-TRANSPORTS = ("inproc", "proc", "tcp", "cluster")
+TRANSPORTS = ("inproc", "tcp", "cluster")
 
 #: frame protocol version (carried by the hello frame).  Version 2
 #: added request-id multiplexing: request frames carry ``id``, replies
@@ -103,11 +101,8 @@ PROTOCOL_VERSION = 2
 #: connection (the pipelining window; ≥ 2 hides the wire round-trip)
 DEFAULT_PIPELINE_DEPTH = 4
 
-#: options each local transport accepts in its endpoint spec
-_ENDPOINT_OPTIONS = {
-    "inproc": ("memory", "shards", "cache"),
-    "proc": ("jobs", "memory", "pool", "shards", "cache"),
-}
+#: options an ``inproc://`` endpoint spec accepts (all integers)
+_INPROC_OPTIONS = ("jobs", "shards", "cache")
 
 _FRAME_PREFIX = struct.Struct("<II")
 
@@ -150,15 +145,12 @@ def parse_endpoint(spec: str) -> Endpoint:
         spec    := transport "://" rest
         rest    := host ":" port          (tcp)
                  | addr ("," addr)*       (cluster; addr := host ":" port)
-                 | [option (";" option)*] (inproc, proc)
-        option  := key "=" value
+                 | [option (";" option)*] (inproc)
+        option  := key "=" integer
 
-    ``inproc`` accepts ``memory`` / ``shards`` / ``cache``; ``proc``
-    additionally ``jobs`` and ``pool`` (``proc`` | ``thread`` — the
-    shard execution plane; ``proc://jobs=4;pool=thread`` is a worker
-    *pool* session whose shards run on GIL-releasing threads).
-    Integer-valued options are validated here, so a typo fails at
-    :func:`connect` time, not mid-serve.
+    ``inproc`` accepts ``jobs`` (threads behind the shards, default 1) /
+    ``shards`` / ``cache``.  Options are validated here, so a typo fails
+    at :func:`connect` time, not mid-serve.
 
     :raises ConfigError: on an unknown transport, malformed address, or
         unknown/malformed option.
@@ -194,7 +186,6 @@ def parse_endpoint(spec: str) -> Endpoint:
                 f"cluster endpoint names no hosts: {spec!r}")
         return Endpoint("cluster", options={"hosts": tuple(hosts)})
     options: dict = {}
-    allowed = _ENDPOINT_OPTIONS[transport]
     for item in rest.split(";") if rest else ():
         if not item:
             continue
@@ -203,26 +194,16 @@ def parse_endpoint(spec: str) -> Endpoint:
             raise ConfigError(
                 f"bad endpoint option {item!r} in {spec!r} "
                 f"(want key=value)")
-        if key not in allowed:
+        if key not in _INPROC_OPTIONS:
             raise ConfigError(
                 f"{transport}:// does not take option {key!r}; "
-                f"allowed: {', '.join(allowed)}")
-        if key in ("jobs", "shards", "cache"):
-            try:
-                options[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"endpoint option {key}={value!r} is not an "
-                    f"integer") from None
-        elif key == "pool":
-            from repro.service.workers import POOL_MODES
-            if value not in POOL_MODES:
-                raise ConfigError(
-                    f"endpoint option pool={value!r} is not one of "
-                    f"{POOL_MODES}")
-            options[key] = value
-        else:
-            options[key] = value
+                f"allowed: {', '.join(_INPROC_OPTIONS)}")
+        try:
+            options[key] = int(value)
+        except ValueError:
+            raise ConfigError(
+                f"endpoint option {key}={value!r} is not an "
+                f"integer") from None
     return Endpoint(transport, options=options)
 
 
@@ -327,14 +308,9 @@ class OracleServer:
         * an :class:`~repro.service.updates.UpdateableIndex`: serves the
           live epoch and enables :meth:`apply_updates` hot swaps.
 
-    :param jobs: workers behind the landmark shards (``1`` =
-        in-process) — exactly
+    :param jobs: threads behind the landmark shards (``1`` = probe in
+        the calling thread) — exactly
         :class:`~repro.service.workers.ShardServer`'s knob.
-    :param memory: the data plane (``"heap"`` / ``"shared"`` /
-        ``"mmap"``).
-    :param pool: the shard execution plane for ``jobs > 1`` —
-        ``"proc"`` (worker processes) or ``"thread"`` (a GIL-releasing
-        thread pool sharing the server's address space).
     :param num_shards: landmark shard count when building from
         sketches; must match (or be omitted for) a pre-built source.
     :param cache_size: result-cache capacity (answers) of the hosted
@@ -350,16 +326,16 @@ class OracleServer:
         the :class:`~repro.service.cluster.ClusterClient`'s job.
 
     The same server object backs every transport: :meth:`client` hands
-    out in-process sessions (what ``inproc://`` / ``proc://`` bind to),
+    out in-process sessions (what ``inproc://`` binds to),
     :meth:`serve` adds a TCP listener speaking the frame protocol on a
     :mod:`selectors` event loop.  Use as a context manager or
-    :meth:`close` to release the pool, shared segments, listener,
+    :meth:`close` to release the shard threads, listener,
     connections, and serving threads (close joins them with a bounded
     deadline — no thread outlives the server).
     """
 
-    def __init__(self, source: Any, *, jobs: int = 1, memory: str = "heap",
-                 pool: str = "proc", num_shards: Optional[int] = None,
+    def __init__(self, source: Any, *, jobs: int = 1,
+                 num_shards: Optional[int] = None,
                  cache_size: int = 65536,
                  shard_range: Optional[tuple[int, int]] = None):
         self._listener: Optional[socket.socket] = None
@@ -376,12 +352,8 @@ class OracleServer:
         #: them here; the IO loop picks them up after each select)
         self._dirty: set[_Connection] = set()
         self._dirty_lock = threading.Lock()
-        # ring-mode dispatch rotates through shared slots and is not
-        # re-entrant — only that engine path serializes remote queries
-        # here (heap / in-process dispatch runs handlers concurrently)
-        self._query_lock = threading.Lock()
-        # UpdateableIndex.apply is not re-entrant either: concurrent
-        # apply frames (or an apply racing a local one) serialize here
+        # UpdateableIndex.apply is not re-entrant: concurrent apply
+        # frames (or an apply racing a local one) serialize here
         self._apply_lock = threading.Lock()
         # hot-swap telemetry (guarded by _apply_lock): how many
         # effective applies this server performed and what they cost
@@ -417,17 +389,17 @@ class OracleServer:
                 self.shard_range = (lo, hi)
         if kind == "updateable":
             self._engine = QueryEngine.from_updateable(
-                payload, cache_size=cache_size, jobs=jobs, memory=memory,
-                pool=pool, _deprecation=False)
+                payload, cache_size=cache_size, jobs=jobs,
+                _deprecation=False)
         elif kind == "index":
             self._engine = QueryEngine.from_index(
-                payload, cache_size=cache_size, jobs=jobs, memory=memory,
-                pool=pool, _deprecation=False)
+                payload, cache_size=cache_size, jobs=jobs,
+                _deprecation=False)
         else:
             self._engine = QueryEngine(
                 payload, cache_size=cache_size,
                 num_shards=num_shards or max(int(jobs), 1),
-                jobs=jobs, memory=memory, pool=pool, _deprecation=False)
+                jobs=jobs, _deprecation=False)
         if (kind in ("updateable", "index") and num_shards is not None
                 and self._engine.index is not None
                 and num_shards != self._engine.index.num_shards):
@@ -465,15 +437,14 @@ class OracleServer:
         return scheme_name_of(payload)
 
     @classmethod
-    def local(cls, source: Any, *, jobs: int = 1, memory: str = "heap",
-              pool: str = "proc", num_shards: Optional[int] = None,
+    def local(cls, source: Any, *, jobs: int = 1,
+              num_shards: Optional[int] = None,
               cache_size: int = 65536) -> "OracleServer":
-        """A server wrapping today's in-process/pooled
-        :class:`~repro.service.workers.ShardServer` — the host behind
-        ``inproc://`` (``jobs=1``) and ``proc://`` endpoints.  Identical
-        to the constructor; the name states the topology."""
-        return cls(source, jobs=jobs, memory=memory, pool=pool,
-                   num_shards=num_shards, cache_size=cache_size)
+        """A server with no listener — the host behind ``inproc://``
+        endpoints.  Identical to the constructor; the name states the
+        topology."""
+        return cls(source, jobs=jobs, num_shards=num_shards,
+                   cache_size=cache_size)
 
     # ------------------------------------------------------------------
     @property
@@ -491,13 +462,13 @@ class OracleServer:
 
     @property
     def jobs(self) -> int:
-        """Effective worker count (clamped to the shard count)."""
+        """Effective shard-thread count (clamped to the shard count)."""
         return self._engine.jobs
 
     def client(self, endpoint: str = "inproc://",
                owns_server: bool = False) -> "OracleClient":
         """An in-process session over this server (no serialization, no
-        socket — the ``inproc``/``proc`` data path)."""
+        socket — the ``inproc`` data path)."""
         return OracleClient(_LocalTransport(self, owns_server=owns_server),
                             endpoint=endpoint)
 
@@ -521,7 +492,7 @@ class OracleServer:
         return report
 
     def stats(self) -> dict:
-        """A JSON-ready snapshot: size, scheme, epoch, worker/memory
+        """A JSON-ready snapshot: size, scheme, epoch, shard/thread
         configuration, cache counters, cumulative phase timings, and the
         number of live TCP connections."""
         engine = self._engine
@@ -535,8 +506,6 @@ class OracleServer:
             "updateable": self.updateable,
             "shards": self.num_shards,
             "jobs": engine.jobs,
-            "memory": engine.memory,
-            "pool": engine.pool,
             "cache_size": engine.cache_size,
             "cache": {"hits": cache.hits, "misses": cache.misses,
                       "evictions": cache.evictions,
@@ -903,13 +872,7 @@ class OracleServer:
                     f"{self.num_shards} — whole-batch queries need a "
                     f"cluster:// session combining the fleet's partials")
             pairs = np.asarray(tree_from_bytes(body))
-            if self._engine.serial_dispatch:
-                # shared ring slots rotate assuming one batch in flight:
-                # only this dispatch mode serializes concurrent handlers
-                with self._query_lock:
-                    answers, epoch = self._engine.dist_many_pinned(pairs)
-            else:
-                answers, epoch = self._engine.dist_many_pinned(pairs)
+            answers, epoch = self._engine.dist_many_pinned(pairs)
             return ({"kind": "result", "epoch": int(epoch)},
                     tree_to_bytes(answers))
         if kind == "probe":
@@ -962,8 +925,7 @@ class OracleServer:
     def close(self) -> None:
         """Stop listening, drop every connection, join the serving
         threads (event loop and handler pool, bounded deadline), and
-        shut the hosted engine down — pool, shared segments, scratch
-        files (idempotent)."""
+        shut the hosted engine down (idempotent)."""
         self._closed = True
         self._wake()
         thread, self._io_thread = self._io_thread, None
@@ -1048,7 +1010,7 @@ class EpochStaleness:
 
 class _LocalTransport:
     """In-process binding to an :class:`OracleServer` — the ``inproc``
-    and ``proc`` data path (no serialization at all)."""
+    data path (no serialization at all)."""
 
     name = "local"
 
@@ -1543,7 +1505,7 @@ class OracleClient:
     # -- identity ------------------------------------------------------
     @property
     def transport(self) -> str:
-        """``"local"`` (inproc/proc) or ``"tcp"``."""
+        """``"local"`` (inproc) or ``"tcp"``."""
         return self._transport.name
 
     @property
@@ -1584,7 +1546,7 @@ class OracleClient:
 
     def dist_stream(self, batches: Iterable) -> Iterator[np.ndarray]:
         """Pipelined serving over an iterable of pair batches (the
-        double-buffered dispatch on pooled local transports; a
+        double-buffered dispatch on ``inproc://jobs=N`` sessions; a
         ``pipeline_depth``-deep request-id window over tcp); yields one
         answer array per batch, in order, bit-identical to per-batch
         :meth:`dist_many` on a cold cache."""
@@ -1659,16 +1621,10 @@ def connect(spec: str, source: Any = None, *,
     """Open a serving session on an endpoint spec — the one front door
     of the serving layer.
 
-    * ``connect("inproc://", source)`` — everything in this process,
-      ``jobs=1``, heap memory (options: ``memory`` / ``shards`` /
-      ``cache``);
-    * ``connect("proc://jobs=4;memory=shared", source)`` — a local
-      worker pool behind the landmark shards (``jobs`` defaults to the
-      CPU count, ``memory`` to ``shared``, ``shards`` to ``jobs``);
-      ``pool=thread`` runs the shards on a GIL-releasing thread pool
-      instead of worker processes — no pickling, no rings, no segment
-      attach (``memory`` then defaults to ``heap``: nothing needs to
-      move);
+    * ``connect("inproc://", source)`` — everything in this process
+      (options: ``jobs`` / ``shards`` / ``cache``);
+      ``inproc://jobs=4`` puts four GIL-releasing threads behind the
+      landmark shards (``jobs`` defaults to 1, ``shards`` to ``jobs``);
     * ``connect("tcp://host:port")`` — a remote
       :class:`OracleServer`; no ``source`` (the server owns the index);
     * ``connect("cluster://h1:p1,h2:p2")`` — a fleet of
@@ -1731,28 +1687,14 @@ def connect(spec: str, source: Any = None, *,
             f"UpdateableIndex)")
     options = dict(endpoint.options)
     # an explicit shards= option is enforced; otherwise OracleServer
-    # defaults sketch sources to one shard per worker and leaves
+    # defaults sketch sources to one shard per thread and leaves
     # pre-built sources on their baked layout
     shards = options.get("shards")
-    pool = "proc"
-    if endpoint.transport == "inproc":
-        jobs = 1
-        memory = options.get("memory", "heap")
-    else:
-        from repro.service.parallel import default_jobs
-
-        jobs = options.get("jobs")
-        if jobs is None:
-            jobs = default_jobs()
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        pool = options.get("pool", "proc")
-        # process workers want the zero-copy plane; the thread plane
-        # shares the address space, so nothing needs to move
-        memory = options.get("memory",
-                             "shared" if pool == "proc" else "heap")
+    jobs = options.get("jobs", 1)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cache = cache_size if cache_size is not None \
         else options.get("cache", 65536)
-    server = OracleServer.local(source, jobs=jobs, memory=memory, pool=pool,
-                                num_shards=shards, cache_size=cache)
+    server = OracleServer.local(source, jobs=jobs, num_shards=shards,
+                                cache_size=cache)
     return server.client(endpoint=endpoint.describe(), owns_server=True)

@@ -1,91 +1,48 @@
-"""Multi-process shard serving: a worker pool behind the landmark shards.
+"""Shard serving: threads behind the landmark shards.
 
 Every :class:`~repro.service.index.IndexStore` decomposes a query batch
 into per-shard probe tasks (``plan`` → ``shard_answer`` × S → ``finish``;
-see the protocol contract).  :class:`ShardServer` runs that decomposition
-on a **persistent** ``multiprocessing`` pool::
+see the protocol contract).  :class:`ShardServer` runs that
+decomposition::
 
-    master                         workers (persistent pool)
-    ------                         -------------------------
+    caller                         executor threads (jobs > 1)
+    ------                         ---------------------------
     plan(us, vs) ──┬─ request[0] ─▶ shard_answer(0, ·) ─┐
                    ├─ request[1] ─▶ shard_answer(1, ·) ─┤
                    └─ request[S-1]▶ shard_answer(S-1,·) ─┤
     finish(state, responses) ◀──── ordered responses ────┘
 
-The pool is created once and reused for every batch; ``jobs=1`` runs the
-identical plan/probe/finish path in-process — no pool, no pickling — so
-the decomposition itself is exercised even in single-process tests.
-
-**Execution plane.**  ``pool=`` selects what executes the per-shard
-probes when ``jobs > 1``:
-
-* ``"proc"`` (default) — the persistent ``multiprocessing`` pool above.
-  Workers are separate address spaces, so index data and per-batch
-  messages must move (the memory plane below decides how).
-* ``"thread"`` — a ``concurrent.futures.ThreadPoolExecutor`` sharing
-  this process's address space.  ``shard_answer`` is numpy-kernel work
-  that releases the GIL, so threads overlap for real — and because the
-  executor sees the master's own index object there is **no pickling,
-  no ring buffers, no segment attach**: dispatch cost is a function
-  submission.  The ``memory=`` axis stays orthogonal (a non-heap mode
-  still rebuilds the store over the packed backing, so the same bytes
-  are served), but message rings are never allocated.
-
-**Memory plane.**  ``memory=`` selects how index data and per-batch
-messages move (see ``docs/architecture.md`` for the layout diagram):
-
-* ``"heap"`` — the index ships to each worker once through the pool
-  initializer; per batch, request/response arrays are pickled through
-  the pool's pipes.  Simple, and fine for small batches.
-* ``"shared"`` — the index is packed once into a
-  ``multiprocessing.shared_memory`` segment
-  (:func:`~repro.service.index.index_to_pack`) and every worker
-  *attaches* to it zero-copy at pool init.  Per batch, requests and
-  responses travel through two preallocated shared **ring buffers**
-  (:class:`~repro.service.buffers.SharedArea`): the master memcpys each
-  shard's request tree into the request ring, workers memcpy their
-  response trees into their slice of the response ring, and only tiny
-  descriptors (segment name + offsets + shapes) cross the pipe.  This
-  removes the per-batch pickling/IPC tax that made small-batch worker
-  serving lose to in-process.
-* ``"mmap"`` — like ``"shared"``, but the pack lives in a memory-mapped
-  scratch file (page-cache-backed; also what a binary index file loads
-  into), and workers attach by path.  Message rings stay in shared
-  memory.
+``jobs=1`` probes the shards one after another in the calling thread.
+``jobs > 1`` submits them to a persistent
+``concurrent.futures.ThreadPoolExecutor``: ``shard_answer`` is
+numpy-kernel work that releases the GIL, so the probes overlap for
+real, and because the executor sees the caller's own index object
+nothing is copied, pickled or attached — dispatch cost is a function
+submission.  Where the store's bytes live (heap arrays, or a
+memory-mapped RPIX file) was decided when it was loaded; the server
+serves the store it is given.
 
 Determinism: ``shard_answer`` is a pure function of ``(shard, request)``
-and ``finish`` consumes responses by shard id (``pool.map`` preserves
-order), never by completion order, so answers are bit-identical for every
-``jobs`` value *and every memory mode* — the test suite asserts
-jobs=1/jobs=4 and heap/shared/mmap equality for every scheme.  A
+and ``finish`` consumes responses by shard id, never by completion
+order, so answers are bit-identical for every ``jobs`` value — the test
+suite asserts jobs=1/2/4 equality for every scheme.  A
 :class:`~repro.errors.QueryError` for an unresolved pair is raised by
-``finish`` on the master, exactly as in-process.
-
-Teardown is deterministic: :meth:`ShardServer.close` (or the context
-manager) terminates the pool first, then unlinks the index segment and
-both rings; a module-level ``atexit`` guard in
-:mod:`repro.service.buffers` unlinks anything that survives an unclean
-exit, so repeated ``serve-bench`` runs cannot leak ``/dev/shm``
-segments.
+``finish`` in the caller, exactly as in-process.
 
 Per-batch **phase timings** (plan / shard_answer / finish / ipc) are
 accumulated on :attr:`ShardServer.timings`; ``serve-bench`` reports
-them, which is how an IPC-bound configuration is diagnosed from one run.
+them, which is how a dispatch-bound configuration is diagnosed from one
+run.
 
 A server is pinned to **one epoch** of its index: the dynamic-update
 path (:meth:`~repro.service.engine.QueryEngine.apply_updates`) never
-mutates a served store — it builds the next epoch's server (whose
-workers attach to the *new* pack) while this one keeps answering, then
-swaps and closes this one once its in-flight batches drain.
-:meth:`ShardServer.data_plane` exposes which segments a server is
-actually reading, so the swap is observable.
+mutates a served store — it builds the next epoch's server while this
+one keeps answering, then swaps and closes this one once its in-flight
+batches drain.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -95,86 +52,12 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.service import buffers
-from repro.service.buffers import (SharedArea, flatten_tree, next_pow2,
-                                   plan_tree, read_tree, write_tree)
-from repro.service.index import (IndexStore, index_from_handle,
-                                 index_from_pack, index_to_pack,
-                                 parse_pair_array)
+from repro.service.index import IndexStore, parse_pair_array
 
-MEMORY_MODES = ("heap", "shared", "mmap")
-POOL_MODES = ("proc", "thread")
-
-#: thread-plane executor threads carry this name prefix so tests (and
-#: operators reading a stack dump) can tell them from handler threads —
-#: and assert none outlive their server
+#: executor threads carry this name prefix so tests (and operators
+#: reading a stack dump) can tell them from handler threads — and
+#: assert none outlive their server
 THREAD_POOL_PREFIX = "repro-shard"
-
-#: floor for ring slot capacities — avoids reallocation churn on the
-#: first few small batches
-_MIN_RING_BYTES = 1 << 16
-
-# ----------------------------------------------------------------------
-# worker-side globals
-# ----------------------------------------------------------------------
-# Installed once per worker by the pool initializer: either the pickled
-# index (heap mode) or a zero-copy attach to the master's pack.
-_WORKER_INDEX: Optional[IndexStore] = None
-# Worker-side cache of attached message segments, keyed by name; a ring
-# reallocation (growth) simply shows up as a new name in the next
-# batch's descriptors.
-_WORKER_SEGMENTS: dict[str, Any] = {}
-
-
-def _install_index(index: IndexStore) -> None:
-    global _WORKER_INDEX
-    _WORKER_INDEX = index
-
-
-def _attach_index(handle) -> None:
-    global _WORKER_INDEX
-    _WORKER_INDEX = index_from_handle(handle)
-
-
-def _segment_buffer(name: str):
-    seg = _WORKER_SEGMENTS.get(name)
-    if seg is None:
-        seg = buffers.attach_segment(name)
-        _WORKER_SEGMENTS[name] = seg
-    return seg.buf
-
-
-def _serve_shard(task: tuple[int, Any]) -> tuple[float, Any]:
-    """Heap-mode worker: pickled request in, ``(seconds, response)`` out."""
-    shard, request = task
-    t0 = time.perf_counter()
-    response = _WORKER_INDEX.shard_answer(shard, request)
-    return time.perf_counter() - t0, response
-
-
-def _serve_shard_shm(task) -> tuple:
-    """Ring-mode worker: decode the request tree from the request ring,
-    probe, and write the response tree into this shard's slice of the
-    response ring.  Only descriptors cross the pipe.
-
-    Returns ``("shm", seconds, spec, manifest)`` on the fast path, or
-    ``("raw", seconds, response, needed_bytes)`` when the response
-    outgrew its ring slice — the master then grows the ring for the
-    next batch (the answer is still exact either way).
-    """
-    shard, (req_name, req_off, spec, req_manifest), target = task
-    request = read_tree(_segment_buffer(req_name), req_off, spec,
-                        req_manifest)
-    t0 = time.perf_counter()
-    response = _WORKER_INDEX.shard_answer(shard, request)
-    elapsed = time.perf_counter() - t0
-    resp_spec, leaves = flatten_tree(response)
-    manifest, total = plan_tree(leaves)
-    resp_name, resp_off, capacity = target
-    if total > capacity:
-        return ("raw", elapsed, response, total)
-    write_tree(_segment_buffer(resp_name), resp_off, manifest, leaves)
-    return ("shm", elapsed, resp_spec, manifest)
 
 
 # ----------------------------------------------------------------------
@@ -184,23 +67,24 @@ def _serve_shard_shm(task) -> tuple:
 class PhaseTimings:
     """Cumulative per-phase wall time across the batches a server ran.
 
-    ``ipc`` is everything between plan and finish that is not shard
-    compute: message encode/decode plus pool dispatch, minus the
-    parallel critical path (the slowest shard's compute).  In-process
-    serving has ``ipc == 0`` by construction.
+    ``ipc`` is the executor's dispatch overhead: everything between
+    plan and finish that is not shard compute (task submission, thread
+    wake-ups, waiting on futures), i.e. the dispatch wall minus the
+    parallel critical path (the slowest shard's compute).  In-thread
+    serving (``jobs=1``) has ``ipc == 0`` by construction.
 
     ``overlap`` is the double-buffering win of the pipelined path
-    (:meth:`ShardServer.estimate_stream`): master-side seconds — batch
-    *k+1*'s plan and request encode — spent while batch *k*'s shard
-    probes were still in flight.  Sequential serving leaves it 0.
+    (:meth:`ShardServer.estimate_stream`): caller-side seconds — batch
+    *k+1*'s plan — spent while batch *k*'s shard probes were still in
+    flight.  Sequential serving leaves it 0.
 
     ``kernel`` is the per-batch **critical path** of pure shard-kernel
     compute: the slowest shard's probe seconds, summed over batches.
     ``shard_answer`` is the *total* across shards, so with S balanced
     shards ``shard_answer ≈ S × kernel``; the dispatch wall window is
     ``kernel + ipc``.  One report therefore separates "the numpy
-    kernels are slow" (``kernel`` dominates) from "moving the work
-    costs more than the work" (``ipc`` dominates).
+    kernels are slow" (``kernel`` dominates) from "handing the work
+    out costs more than the work" (``ipc`` dominates).
     """
 
     plan: float = 0.0
@@ -223,160 +107,50 @@ class PhaseTimings:
 
 class ShardServer:
     """Serve batched queries from an :class:`IndexStore` with one task per
-    landmark shard, fanned across a persistent worker pool.
+    landmark shard.
 
-    :param index: any built index store (all schemes).
-    :param jobs: workers.  ``1`` keeps everything in-process
-        (same decomposition, no pool); values above the shard count are
-        clamped — a shard is the unit of work, so extra workers would
-        idle.
-    :param memory: ``"heap"`` (pickle IPC), ``"shared"`` (zero-copy
-        attach + shared ring buffers), or ``"mmap"`` (pack in a mapped
-        scratch file + shared rings); see the module docstring.  With
-        ``jobs=1`` a non-heap mode still rebuilds the store over the
-        packed backing, so single-process serving exercises the same
-        bytes a worker would read.
-    :param pool: execution plane for ``jobs > 1`` — ``"proc"`` (worker
-        processes; the memory plane moves data) or ``"thread"`` (a
-        ``ThreadPoolExecutor`` in this address space; the numpy shard
-        kernels release the GIL, and nothing is pickled or attached).
-    :param ring_slots: slots per message ring (rotated batch by batch).
-    :raises ConfigError: when ``jobs < 1``, or ``memory`` / ``pool``
-        is unknown.
+    :param index: any built index store (all schemes); served as given —
+        heap arrays or an mmap-loaded RPIX container alike.
+    :param jobs: ``1`` probes the shards in the calling thread; above
+        that, a persistent ``ThreadPoolExecutor`` of that many threads
+        (the numpy shard kernels release the GIL).  Values above the
+        shard count are clamped — a shard is the unit of work, so extra
+        threads would idle.
+    :raises ConfigError: when ``jobs < 1``.
 
-    Use as a context manager (or call :meth:`close`) so the pool and any
-    shared segments do not outlive the server::
+    Use as a context manager (or call :meth:`close`) so the executor's
+    threads do not outlive the server::
 
-        with ShardServer(build_index(sketches, num_shards=4), jobs=4,
-                         memory="shared") as srv:
+        with ShardServer(build_index(sketches, num_shards=4), jobs=4) as srv:
             est = srv.estimate_many(us, vs)
     """
 
-    def __init__(self, index: IndexStore, jobs: int = 1,
-                 memory: str = "heap", pool: str = "proc",
-                 ring_slots: int = 2):
-        # every attribute close() releases exists before anything that
-        # can raise: a failed construction (bad argument, failed pack or
-        # pool spawn) still reaches __del__, and the GC backstop must
-        # release whatever was allocated instead of tripping over a
-        # missing attribute and silently leaking the pack segment
-        self._pool = None
+    def __init__(self, index: IndexStore, jobs: int = 1):
+        # what close() releases exists before anything that can raise: a
+        # failed construction still reaches __del__, and the GC backstop
+        # must not trip over a missing attribute
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._req_ring: Optional[SharedArea] = None
-        self._resp_ring: Optional[SharedArea] = None
-        self._packed = None
-        self._owns_pack = False
-        self._resp_capacity = 0  # per-shard slice of a response slot
-        self._resp_grow = 0      # deferred response-ring growth (bytes)
-        self._inflight = 0       # submitted-but-uncollected batches
-        self._tick = 0
         self.timings = PhaseTimings()
-        # heap-pool and in-process dispatch are re-entrant, so several
-        # handler threads can be inside estimate_many at once; the
-        # in-flight count and timing accumulators they share must not
-        # lose updates (ring mode serializes outside, but pays the same
-        # uncontended lock for uniformity)
+        # dispatch is re-entrant, so several handler threads can be
+        # inside estimate_many at once; the timing accumulators they
+        # share must not lose updates
         self._state_lock = threading.Lock()
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if memory not in MEMORY_MODES:
-            raise ConfigError(f"unknown memory mode {memory!r}; "
-                              f"choose from {MEMORY_MODES}")
-        if pool not in POOL_MODES:
-            raise ConfigError(f"unknown pool mode {pool!r}; "
-                              f"choose from {POOL_MODES}")
-        if ring_slots < 1:
-            raise ConfigError(f"ring_slots must be >= 1, got {ring_slots}")
-        self.memory = memory
-        self.pool = pool
+        self.index = index
         self.jobs = min(int(jobs), index.num_shards)
-        self.ring_slots = int(ring_slots)
-
-        if memory == "heap":
-            self.index = index
-        else:
-            # reuse an already-matching pack (e.g. an mmap-loaded binary
-            # index) instead of copying the arrays again
-            source = getattr(index, "_pack_source", None)
-            backing = "shared" if memory == "shared" else "mmap"
-            if source is not None and source.pack.backing == backing:
-                self._packed = source
-                self.index = index
-            else:
-                path = None
-                if backing == "mmap":
-                    fd, path = tempfile.mkstemp(prefix="repro-pack-",
-                                                suffix=".bin")
-                    os.close(fd)
-                self._packed = index_to_pack(index, backing=backing,
-                                             path=path, delete_file=True)
-                self._owns_pack = True
-                # master serves plan/finish over the same packed bytes
-                # the workers attach to
-                self.index = index_from_pack(self._packed)
-
         if self.jobs > 1:
-            if pool == "thread":
-                # same address space: the executor probes the master's
-                # own index object — no initializer, no data movement
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix=THREAD_POOL_PREFIX)
-            elif memory == "heap":
-                ctx = multiprocessing.get_context()
-                self._pool = ctx.Pool(processes=self.jobs,
-                                      initializer=_install_index,
-                                      initargs=(self.index,))
-            else:
-                ctx = multiprocessing.get_context()
-                self._pool = ctx.Pool(processes=self.jobs,
-                                      initializer=_attach_index,
-                                      initargs=(self._packed.handle(),))
-
-    @property
-    def ring_dispatch(self) -> bool:
-        """True when dispatch rotates through shared message rings
-        (a ``proc`` pool with a shared/mmap plane).  Ring slots are
-        single-producer state (``_inflight`` / ``_tick``), so this mode
-        is **not re-entrant** — callers fanning queries across threads
-        must serialize it.  Heap-pool, thread-plane, and in-process
-        dispatch are re-entrant (the thread plane never allocates
-        rings, whatever the memory mode)."""
-        return self._pool is not None and self.memory != "heap"
-
-    @property
-    def _fanout(self) -> bool:
-        """True when shard probes actually leave the calling thread
-        (either executor) — what the ipc/overlap accounting keys on."""
-        return self._pool is not None or self._executor is not None
-
-    # ------------------------------------------------------------------
-    # ring management (master side)
-    # ------------------------------------------------------------------
-    def _ensure_req_ring(self, need: int) -> SharedArea:
-        if self._req_ring is None or self._req_ring.slot_bytes < need:
-            if self._req_ring is not None:
-                self._req_ring.close()
-            self._req_ring = SharedArea(
-                next_pow2(max(need, _MIN_RING_BYTES)),
-                slots=self.ring_slots, tag="req")
-        return self._req_ring
-
-    def _ensure_resp_ring(self, per_shard: int) -> SharedArea:
-        if self._resp_ring is None or self._resp_capacity < per_shard:
-            if self._resp_ring is not None:
-                self._resp_ring.close()
-            self._resp_capacity = next_pow2(max(per_shard, _MIN_RING_BYTES))
-            self._resp_ring = SharedArea(
-                self._resp_capacity * self.index.num_shards,
-                slots=self.ring_slots, tag="resp")
-        return self._resp_ring
+            # same address space: the executor probes the caller's own
+            # index object — no initializer, no data movement
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.jobs,
+                thread_name_prefix=THREAD_POOL_PREFIX)
 
     # ------------------------------------------------------------------
     # dispatch: submit (start the probes) / collect (gather responses)
     # ------------------------------------------------------------------
     def _thread_shard(self, shard: int, request) -> tuple[float, Any]:
-        """Thread-plane task: probe the master's own index — the numpy
+        """Executor task: probe the caller's own index — the numpy
         kernel inside releases the GIL, so submissions overlap."""
         t0 = time.perf_counter()
         response = self.index.shard_answer(shard, request)
@@ -384,75 +158,13 @@ class ShardServer:
 
     def _submit(self, requests: list) -> tuple:
         """Start the per-shard probes; returns an opaque handle for
-        :meth:`_collect`.  In-process servers defer the actual compute to
+        :meth:`_collect`.  In-thread servers defer the actual compute to
         collect time (there is nothing to overlap with)."""
-        if self._executor is not None:
-            handle = ("threads", [
-                self._executor.submit(self._thread_shard, s, request)
-                for s, request in enumerate(requests)])
-        elif self._pool is None:
+        if self._executor is None:
             return ("sync", requests)
-        elif self.memory == "heap":
-            handle = ("heap", self._pool.map_async(
-                _serve_shard, list(enumerate(requests))))
-        else:
-            handle = self._submit_rings(requests)
-        with self._state_lock:
-            self._inflight += 1
-        return handle
-
-    def _submit_rings(self, requests: list) -> tuple:
-        """Ring-transport submit: memcpy request trees into this batch's
-        ring slot, hand descriptors to the pool.
-
-        Ring (re)allocation is only safe while no other batch is in
-        flight — a grow unlinks the segment workers may still be
-        reading — so deferred response growth is applied here only when
-        idle, and the pipelined caller flushes its pending batch first
-        whenever :meth:`_ring_growth_needed` says a grow is coming.
-        """
-        encoded = []
-        need = 0
-        for request in requests:
-            spec, leaves = flatten_tree(request)
-            manifest, total = plan_tree(leaves)
-            encoded.append((spec, leaves, manifest, total))
-            need += buffers._align(total)
-        if self._inflight == 0 and self._resp_grow:
-            self._ensure_resp_ring(self._resp_grow)
-            self._resp_grow = 0
-        req_ring = self._ensure_req_ring(need)
-        resp_ring = self._ensure_resp_ring(self._resp_capacity
-                                           or _MIN_RING_BYTES)
-        slot = self._tick % self.ring_slots
-        self._tick += 1
-        req_base = req_ring.slot_offset(slot)
-        resp_base = resp_ring.slot_offset(slot)
-        tasks = []
-        cursor = 0
-        for s, (spec, leaves, manifest, total) in enumerate(encoded):
-            offset = req_base + cursor
-            write_tree(req_ring.buffer, offset, manifest, leaves)
-            cursor += buffers._align(total)
-            target = (resp_ring.name,
-                      resp_base + s * self._resp_capacity,
-                      self._resp_capacity)
-            tasks.append((s, (req_ring.name, offset, spec, manifest),
-                          target))
-        return ("rings", self._pool.map_async(_serve_shard_shm, tasks),
-                resp_base, self._resp_capacity)
-
-    def _ring_growth_needed(self, requests: list) -> bool:
-        """Would submitting these requests reallocate a message ring?
-        (Layout planning only — no blob copies.)"""
-        if self._resp_grow:
-            return True
-        need = 0
-        for request in requests:
-            _, leaves = flatten_tree(request)
-            _, total = plan_tree(leaves)
-            need += buffers._align(total)
-        return self._req_ring is None or self._req_ring.slot_bytes < need
+        return ("threads", [
+            self._executor.submit(self._thread_shard, s, request)
+            for s, request in enumerate(requests)])
 
     def _collect(self, handle: tuple) -> tuple[list, float, float]:
         """Gather one submitted batch; returns ``(responses,
@@ -465,36 +177,9 @@ class ShardServer:
                 responses.append(self.index.shard_answer(s, r))
                 total += time.perf_counter() - t0
             return responses, total, total
-        with self._state_lock:
-            self._inflight -= 1
-        if kind == "threads":
-            raw = [future.result() for future in handle[1]]
-            seconds = [dt for dt, _ in raw]
-            return [resp for _, resp in raw], sum(seconds), max(seconds)
-        if kind == "heap":
-            raw = handle[1].get()
-            seconds = [dt for dt, _ in raw]
-            return [resp for _, resp in raw], sum(seconds), max(seconds)
-        _, async_result, resp_base, capacity = handle
-        raw = async_result.get()
-        resp_ring = self._resp_ring
-        responses, seconds, grow = [], [], 0
-        for s, reply in enumerate(raw):
-            if reply[0] == "shm":
-                _, dt, resp_spec, manifest = reply
-                responses.append(read_tree(
-                    resp_ring.buffer, resp_base + s * capacity,
-                    resp_spec, manifest))
-            else:  # response outgrew its slice; pickled fallback this once
-                _, dt, response, needed = reply
-                responses.append(response)
-                grow = max(grow, needed)
-            seconds.append(dt)
-        if grow:
-            # grown at the next idle submit — reallocating right here
-            # would unlink a ring a pipelined batch may still be using
-            self._resp_grow = max(self._resp_grow, grow)
-        return responses, sum(seconds), max(seconds)
+        raw = [future.result() for future in handle[1]]
+        seconds = [dt for dt, _ in raw]
+        return [resp for _, resp in raw], sum(seconds), max(seconds)
 
     def _dispatch(self, requests: list) -> tuple[list, float, float]:
         """Run the per-shard probes start to finish (the sequential
@@ -503,8 +188,8 @@ class ShardServer:
 
     # ------------------------------------------------------------------
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Batched estimates through the shard workers — bit-identical to
-        ``index.estimate_many`` for every worker count and memory mode."""
+        """Batched estimates through the shard decomposition —
+        bit-identical to ``index.estimate_many`` for every ``jobs``."""
         t0 = time.perf_counter()
         state, requests = self.index.plan(us, vs)
         t1 = time.perf_counter()
@@ -520,7 +205,7 @@ class ShardServer:
                 tm.shard_answer += shard_sum
                 tm.finish += t3 - t2
                 tm.kernel += shard_max
-                if self._fanout:
+                if self._executor is not None:
                     tm.ipc += max(0.0, (t2 - t1) - shard_max)
                 tm.batches += 1
         return answers
@@ -530,13 +215,12 @@ class ShardServer:
         iterable of ``(us, vs)`` batches, yielding one float64 answer
         array per batch, in order.
 
-        While batch *k*'s shard probes run on the pool, the master
-        plans and encodes batch *k+1* into the other ring slot — the
-        dispatch overlap E15 showed was missing.  The hidden master
-        seconds accumulate in :attr:`PhaseTimings.overlap`.  Answers
-        are bit-identical to calling :meth:`estimate_many` per batch
-        (the test suite asserts it); an in-process server (``jobs=1``)
-        degenerates to exactly that.
+        While batch *k*'s shard probes run on the executor, the caller
+        plans batch *k+1*.  The hidden caller-side seconds accumulate
+        in :attr:`PhaseTimings.overlap`.  Answers are bit-identical to
+        calling :meth:`estimate_many` per batch (the test suite asserts
+        it); an in-thread server (``jobs=1``) degenerates to exactly
+        that.
         """
         # `pending` always names the one batch whose probes may be in
         # flight and uncollected — it is reassigned *before* any yield
@@ -552,27 +236,17 @@ class ShardServer:
                 else:
                     state, requests = self.index.plan(us, vs)
                     t1 = time.perf_counter()
-                    if (pending is not None and self._pool is not None
-                            and self.memory != "heap"
-                            and (self.ring_slots < 2
-                                 or self._ring_growth_needed(requests))):
-                        # overlapping needs a slot per in-flight batch,
-                        # and a grow would unlink a ring the in-flight
-                        # batch still reads — drain it first, forgoing
-                        # overlap for this one batch
-                        prev, pending = pending, None
-                        yield self._finish_pending(prev)
                     handle = self._submit(requests)
                 t2 = time.perf_counter()
                 with self._state_lock:
                     self.timings.plan += t1 - t0
                 prev, pending = pending, (state, handle, t2)
                 if prev is not None:
-                    if self._fanout:
-                        # this batch's plan+encode ran while the previous
-                        # batch's probes were in flight: the overlap window
-                        # (in-process "submit" defers the compute, so
-                        # there is nothing to overlap with)
+                    if self._executor is not None:
+                        # this batch's plan ran while the previous
+                        # batch's probes were in flight: the overlap
+                        # window (in-thread "submit" defers the compute,
+                        # so there is nothing to overlap with)
                         with self._state_lock:
                             self.timings.overlap += t2 - t0
                     yield self._finish_pending(prev)
@@ -606,7 +280,7 @@ class ShardServer:
                 tm.shard_answer += shard_sum
                 tm.finish += t2 - t1
                 tm.kernel += shard_max
-                if self._fanout:
+                if self._executor is not None:
                     tm.ipc += max(0.0, (t1 - t_submitted) - shard_max)
                 tm.batches += 1
         return answers
@@ -624,59 +298,18 @@ class ShardServer:
         """Zero the cumulative phase timings."""
         self.timings = PhaseTimings()
 
-    def data_plane(self) -> dict:
-        """Where this server's bytes physically live: memory mode,
-        effective worker count, the index pack's segment name / file
-        path (non-heap modes), and the live message-ring segment names.
-
-        Introspection for operators and tests — e.g. the epoch hot-swap
-        suite asserts that after
-        :meth:`~repro.service.engine.QueryEngine.apply_updates` the new
-        epoch's workers serve from a *different* shared segment and the
-        old epoch's segments are unlinked once its batches drain.
-        """
-        info: dict = {"memory": self.memory, "jobs": self.jobs,
-                      "pool": self.pool}
-        if self._packed is not None:
-            pack = self._packed.pack
-            info["pack_backing"] = pack.backing
-            if pack.backing == "shared" and pack._segment is not None:
-                info["pack_segment"] = pack._segment.name
-            elif pack.backing == "mmap":
-                info["pack_path"] = pack.path
-        info["rings"] = [ring.name
-                         for ring in (self._req_ring, self._resp_ring)
-                         if ring is not None]
-        return info
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down, then release every shared segment
-        and scratch file this server created (idempotent).
+        """Shut the executor down, joining its threads (idempotent).
 
-        Reads its attributes defensively (``getattr`` with defaults):
+        Reads the attribute defensively (``getattr`` with a default):
         the ``__del__`` GC backstop funnels here even for an instance
-        whose construction failed partway, and a missing attribute must
-        not abort the cleanup before the pack segment is released.
+        whose construction failed partway.
         """
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-            self._pool = None
         executor = getattr(self, "_executor", None)
         if executor is not None:
             executor.shutdown(wait=True)
             self._executor = None
-        for name in ("_req_ring", "_resp_ring"):
-            ring = getattr(self, name, None)
-            if ring is not None:
-                ring.close()
-                setattr(self, name, None)
-        packed = getattr(self, "_packed", None)
-        if packed is not None and getattr(self, "_owns_pack", False):
-            packed.close()
-        self._packed = None
 
     def __enter__(self) -> "ShardServer":
         return self
@@ -691,10 +324,6 @@ class ShardServer:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self._executor is not None:
-            mode = f"{self.jobs} threads"
-        elif self._pool is not None:
-            mode = f"{self.jobs} workers"
-        else:
-            mode = "in-process"
-        return f"ShardServer({self.index!r}, {mode}, memory={self.memory})"
+        mode = (f"{self.jobs} threads" if self._executor is not None
+                else "in-thread")
+        return f"ShardServer({self.index!r}, {mode})"

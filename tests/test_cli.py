@@ -317,19 +317,52 @@ class TestBuildFormatAndMemoryPlane:
         rebuilt = build_index(load_sketch_set(sketch_file), num_shards=2)
         assert from_cli == rebuilt
 
-    @pytest.mark.parametrize("memory", ["heap", "shared", "mmap"])
+    @pytest.mark.parametrize("memory", ["heap", "mmap"])
     def test_serve_bench_memory_modes_on_sketches(self, sketch_file, memory,
                                                   capsys):
+        """``--memory`` is how an RPIX file is opened: a sketch file is
+        parsed into heap arrays, so asking to map it is a usage error
+        (not a silent copy into a scratch file)."""
         rc = main(["serve-bench", str(sketch_file), "--queries", "150",
                    "--repeats", "1", "--shards", "2", "--jobs", "2",
                    "--memory", memory])
+        captured = capsys.readouterr()
+        if memory == "mmap":
+            assert rc == 2
+            assert "build --format binary" in captured.err
+            return
         assert rc == 0
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(captured.out)
         assert report["identical"] is True
-        assert report["memory"] == memory
+        assert report["jobs"] == 2
+        assert "memory" not in report and "pool" not in report
         assert set(report["phases"]) >= {"plan_seconds",
                                          "shard_answer_seconds",
                                          "finish_seconds", "ipc_seconds"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--pool", "thread"],      # not an option
+        ["--memory", "shared"],    # not a choice
+    ], ids=["pool", "shared"])
+    @pytest.mark.parametrize("command", ["serve", "serve-bench"])
+    def test_deleted_flags_are_usage_errors(self, sketch_file, command,
+                                            argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(sketch_file), *argv])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_serve_mmap_wants_a_binary_index(self, sketch_file, graph_file,
+                                             capsys):
+        """``serve sk.jsonl --memory mmap`` names the fix; so does the
+        ``--updateable`` form, whose source is a graph."""
+        rc = main(["serve", str(sketch_file), "--memory", "mmap"])
+        assert rc == 2
+        assert "build --format binary" in capsys.readouterr().err
+        rc = main(["serve", str(graph_file), "--updateable", "--scheme",
+                   "tz", "--memory", "mmap"])
+        assert rc == 2
+        assert "build --format binary" in capsys.readouterr().err
 
     @pytest.mark.parametrize("memory", ["heap", "mmap"])
     def test_serve_bench_on_binary_index(self, binary_index_file, memory,

@@ -1,11 +1,11 @@
 """Backing equivalence: every IndexStore answers bit-identically whether
-its arrays live on the heap, in a shared-memory segment, or in a
-memory-mapped file — and whether the batch runs in-process or through
-shard workers attached to those backings.
+its arrays live on the heap or in a memory-mapped file (a scratch pack,
+or an RPIX container loaded ``backing="mmap"``) — and whether the batch
+is probed in the calling thread or by shard threads over that store.
 
-This is the determinism contract of the buffer-pack refactor: the pack
+This is the determinism contract of the buffer-pack layer: the pack
 stores exact bytes and the stores are pure logic over them, so *nothing*
-about the physical memory plane may leak into answers — including which
+about where the bytes live may leak into answers — including which
 pairs raise :class:`~repro.errors.QueryError` on disconnected graphs.
 """
 
@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from repro import build_sketches
 from repro.errors import QueryError
 from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
+from repro.oracle.serialization import load_index_binary, save_index_binary
 from repro.service import (
-    QueryEngine,
+    BufferPack,
+    PackedIndex,
     ShardServer,
     build_index,
-    index_from_handle,
+    connect,
     index_from_pack,
     index_to_pack,
     sample_query_pairs,
@@ -29,7 +31,7 @@ from repro.service import (
 from repro.tz import build_tz_sketches_centralized
 
 SCHEMES = ["tz", "stretch3", "cdg", "graceful"]
-BACKINGS = ["heap", "shared", "mmap"]
+BACKINGS = ["heap", "mmap"]
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,14 @@ def _pack_kwargs(backing, tmp_path, name):
     if backing == "mmap":
         return {"path": str(tmp_path / f"{name}.pack"), "delete_file": True}
     return {}
+
+
+def _rpix_store(index, tmp_path, memory):
+    """The store as ``repro serve idx.rpix --memory {heap,mmap}`` opens
+    it: written to an RPIX container, then loaded with that backing."""
+    path = tmp_path / f"store-{memory}.rpix"
+    save_index_binary(index, str(path))
+    return load_index_binary(str(path), backing=memory)
 
 
 class TestPackEquivalence:
@@ -76,13 +86,16 @@ class TestPackEquivalence:
                 assert store.shard_sizes() == index.shard_sizes()
             finally:
                 packed.close()
+        # the container codec is the same pack codec with a header
+        loaded = _rpix_store(index, tmp_path, "mmap")
+        assert loaded.estimate_many(us, vs).tolist() == want.tolist()
+        assert loaded == index
 
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_pack_built_index_is_picklable(self, built_sets, backing,
                                            tmp_path):
-        """A pack-built store must still pickle (spawn-context pools ship
-        the index through initargs in heap memory mode): the pack source
-        is dropped and the arrays themselves travel."""
+        """A pack-built store pickles: its arrays are views over the
+        pack's buffer, and numpy ships views by value."""
         import pickle
 
         index = build_index(built_sets["tz"], num_shards=2)
@@ -99,13 +112,16 @@ class TestPackEquivalence:
             packed.close()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_handle_attach_equivalence(self, built_sets, scheme):
-        """The worker-side attach path (handle -> pack -> store) answers
-        like the original, in this very process."""
+    def test_handle_attach_equivalence(self, built_sets, scheme, tmp_path):
+        """The attach path (picklable handle -> pack -> store) answers
+        like the original — how a binary container is opened."""
         index = build_index(built_sets[scheme], num_shards=2)
-        packed = index_to_pack(index, backing="shared")
+        packed = index_to_pack(index, backing="mmap",
+                               **_pack_kwargs("mmap", tmp_path, scheme))
         try:
-            attached = index_from_handle(packed.handle())
+            tag, meta, handle = packed.handle()
+            attached = index_from_pack(PackedIndex(
+                tag=tag, meta=meta, pack=BufferPack.attach(handle)))
             pairs = sample_query_pairs(index.n, 120, seed=5)
             assert np.array_equal(
                 attached.estimate_many(pairs[:, 0], pairs[:, 1]),
@@ -142,26 +158,32 @@ class TestPackEquivalence:
 
 
 class TestServerMemoryModes:
+    """A server serves the store it is given; what the bytes live in was
+    decided by whoever loaded it (``--memory`` on the CLI)."""
+
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("memory", ["shared", "mmap"])
-    def test_in_process_non_heap_serving(self, built_sets, scheme, memory):
-        """jobs=1 with a non-heap plane serves over the packed bytes."""
+    @pytest.mark.parametrize("memory", ["mmap"])
+    def test_in_process_non_heap_serving(self, built_sets, scheme, memory,
+                                         tmp_path):
+        """jobs=1 over an mmap-loaded container serves the mapped bytes."""
         index = build_index(built_sets[scheme], num_shards=2)
         pairs = sample_query_pairs(index.n, 150, seed=7)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
-        with ShardServer(index, jobs=1, memory=memory) as srv:
-            assert srv.index is not index  # rebuilt over the pack
+        store = _rpix_store(index, tmp_path, memory)
+        with ShardServer(store, jobs=1) as srv:
+            assert srv.index is store  # served as given, never re-packed
             got = srv.estimate_many(pairs[:, 0], pairs[:, 1])
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("memory", ["heap", "shared", "mmap"])
-    def test_worker_pool_identity(self, built_sets, memory):
-        """4 workers over each memory plane produce the jobs=1 bytes
-        (rings and attach included), across repeated batches."""
+    @pytest.mark.parametrize("memory", ["heap", "mmap"])
+    def test_worker_pool_identity(self, built_sets, memory, tmp_path):
+        """4 shard threads over either load mode produce the jobs=1
+        bytes, across repeated batches."""
         index = build_index(built_sets["tz"], num_shards=4)
         pairs = sample_query_pairs(index.n, 400, seed=9)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
-        with ShardServer(index, jobs=4, memory=memory) as srv:
+        with ShardServer(_rpix_store(index, tmp_path, memory),
+                         jobs=4) as srv:
             first = srv.estimate_many(pairs[:, 0], pairs[:, 1])
             again = srv.estimate_many(pairs[:, 0], pairs[:, 1])
             small = srv.estimate_many(pairs[:7, 0], pairs[:7, 1])
@@ -169,39 +191,28 @@ class TestServerMemoryModes:
         assert again.tolist() == want.tolist()
         assert small.tolist() == want[:7].tolist()
 
-    def test_worker_pool_query_error_parity(self):
+    def test_worker_pool_query_error_parity(self, tmp_path):
         g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
-        index = build_index(sketches, num_shards=2)
-        with ShardServer(index, jobs=2, memory="shared") as srv:
+        store = _rpix_store(build_index(sketches, num_shards=2), tmp_path,
+                            "mmap")
+        with ShardServer(store, jobs=2) as srv:
             with pytest.raises(QueryError):
                 srv.estimate_many(np.asarray([0]), np.asarray([4]))
             # the pool survives the error and keeps serving
             assert srv.estimate_many(np.asarray([2]), np.asarray([4])
                                      ).tolist() == [2.0]
 
-    def test_engine_memory_modes_identical(self, built_sets):
+    def test_engine_memory_modes_identical(self, built_sets, tmp_path):
         sketches = built_sets["stretch3"]
         pairs = sample_query_pairs(len(sketches), 200, seed=3)
-        with QueryEngine(sketches, cache_size=0) as base:
+        with connect("inproc://cache=0", sketches) as base:
             want = base.dist_many(pairs)
-        for memory in ("shared", "mmap"):
-            with QueryEngine(sketches, cache_size=0, num_shards=3, jobs=2,
-                             memory=memory) as eng:
-                assert eng.dist_many(pairs).tolist() == want.tolist()
-
-    def test_engine_rejects_memory_without_index(self, built_sets):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            QueryEngine(built_sets["tz"], use_index=False, memory="shared")
-
-    def test_server_rejects_unknown_memory(self, built_sets):
-        from repro.errors import ConfigError
-
-        index = build_index(built_sets["tz"])
-        with pytest.raises(ConfigError):
-            ShardServer(index, memory="vram")
+        index = build_index(sketches, num_shards=3)
+        for memory in ("heap", "mmap"):
+            with connect("inproc://jobs=2;cache=0",
+                         _rpix_store(index, tmp_path, memory)) as session:
+                assert session.dist_many(pairs).tolist() == want.tolist()
 
     def test_phase_timings_accumulate_and_reset(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
@@ -211,15 +222,15 @@ class TestServerMemoryModes:
             t = srv.timings
             assert t.batches == 1
             assert t.plan > 0.0 and t.shard_answer > 0.0 and t.finish > 0.0
-            assert t.ipc == 0.0  # in-process: no transport
+            assert t.ipc == 0.0  # in-thread: no dispatch
             srv.reset_timings()
             assert srv.timings.batches == 0
 
 
 class TestBackingProperty:
     """Small hypothesis sweep: random graphs x schemes x shard counts,
-    heap vs shared vs mmap answers equal (the nightly profile widens
-    the example count)."""
+    heap vs mmap answers equal (the nightly profile widens the example
+    count)."""
 
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(16, 36), seed=st.integers(0, 1000),

@@ -1,15 +1,16 @@
-"""Epoch-stamped hot swap under load (QueryEngine.apply_updates).
+"""Epoch-stamped hot swap under load (``apply_updates`` on a session).
 
 The contract: a batch issued mid-update completes against **exactly one
 epoch** — it either sees the whole old index or the whole new one, never
-a torn mix — for in-process serving (``jobs=1``) and the pooled
-shared-memory data plane (``jobs=4``).  The old epoch's server (pool +
-segments) is released once its last in-flight batch drains, so repeated
-updates cannot leak ``/dev/shm`` segments.
+a torn mix — for in-thread serving (``jobs=1``) and shard threads
+(``jobs=4``).  The old epoch's server (and its thread pool) is released
+once its last in-flight batch drains, so repeated updates cannot leak
+threads — and nothing here ever starts a process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import threading
 import time
@@ -19,11 +20,22 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.graphs import assign_uniform_weights, erdos_renyi
-from repro.service import (OracleServer, QueryEngine, UpdateableIndex,
+from repro.service import (OracleServer, UpdateableIndex, connect,
                            sample_query_pairs, sample_weight_changes)
-from repro.service.buffers import live_segment_names
+from repro.service.workers import THREAD_POOL_PREFIX
 
 EPOCHS = 3
+
+
+def _engine_of(session):
+    """The engine behind an ``inproc://`` session (white-box asserts)."""
+    return session._transport._server._engine
+
+
+def _assert_nothing_left_running():
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith(THREAD_POOL_PREFIX)] == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()
@@ -58,8 +70,8 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
     ref_bytes = {r.tobytes() for r in refs}
     assert len(ref_bytes) == EPOCHS + 1  # every epoch answers differently
 
-    engine = QueryEngine.from_updateable(updateable, cache_size=0,
-                                         jobs=jobs, memory="shared")
+    session = connect(f"inproc://jobs={jobs};cache=0", updateable)
+    engine = _engine_of(session)
     results: list[bytes] = []
     stop = threading.Event()
     failures: list[Exception] = []
@@ -68,18 +80,18 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
         try:
             while not stop.is_set():
                 results.append(
-                    np.asarray(engine.dist_many(pairs)).tobytes())
+                    np.asarray(session.dist_many(pairs)).tobytes())
         except Exception as exc:  # pragma: no cover - surfaced below
             failures.append(exc)
 
     try:
         thread = threading.Thread(target=hammer)
         thread.start()
-        planes = [engine._server.data_plane()]
+        servers = [engine._server]
         for changes in batches:
-            report = engine.apply_updates(changes)
+            report = session.apply_updates(changes)
             assert report.mode in ("repair", "rebuild")
-            planes.append(engine._server.data_plane())
+            servers.append(engine._server)
         stop.set()
         thread.join()
         assert not failures, failures[0]
@@ -87,29 +99,30 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
         assert results, "hammer thread never completed a batch"
         for got in results:
             assert got in ref_bytes
-        # after the last swap the engine serves the final epoch
-        assert engine.epoch == EPOCHS
-        assert engine.dist_many(pairs).tobytes() == refs[-1].tobytes()
-        # each epoch's workers attach to their own shared segment
-        segs = [p["pack_segment"] for p in planes]
-        assert len(set(segs)) == EPOCHS + 1
-        # retired epochs drained: nothing left pending but the live one
+        # after the last swap the session serves the final epoch
+        assert session.epoch == EPOCHS
+        assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
+        # each epoch got a server of its own, over that epoch's store
+        assert len({id(srv) for srv in servers}) == EPOCHS + 1
+        assert servers[-1].index is updateable.index
+        # retired epochs drained: their executors are shut down, and the
+        # threads still alive fit the one live server
         assert not engine._retired
-        live = set(live_segment_names())
-        assert segs[-1] in live
-        assert not (set(segs[:-1]) & live)  # old packs unlinked
+        assert all(srv._executor is None for srv in servers[:-1])
+        alive = [t for t in threading.enumerate()
+                 if t.name.startswith(THREAD_POOL_PREFIX)]
+        assert len(alive) <= (jobs if jobs > 1 else 0)
     finally:
         stop.set()
-        engine.close()
+        session.close()
+    _assert_nothing_left_running()
 
 
 def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
-    """``pool="thread"`` epoch swaps are torn-read-free: a concurrent
+    """``jobs=4`` epoch swaps are torn-read-free: a concurrent
     ``dist_stream`` is wholly served by the epoch it pinned at first
     pull, and retiring an epoch shuts its executor down (no leaked
     ``repro-shard`` threads)."""
-    from repro.service.workers import THREAD_POOL_PREFIX
-
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 400, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
@@ -118,8 +131,8 @@ def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
     ref_bytes = {r.tobytes() for r in refs}
     assert len(ref_bytes) == EPOCHS + 1
 
-    engine = QueryEngine.from_updateable(updateable, cache_size=0,
-                                         jobs=4, pool="thread")
+    session = connect("inproc://jobs=4;cache=0", updateable)
+    engine = _engine_of(session)
     chunks = [pairs[lo:lo + 100] for lo in range(0, 400, 100)]
     results: list[bytes] = []
     stop = threading.Event()
@@ -128,7 +141,7 @@ def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
     def hammer():
         try:
             while not stop.is_set():
-                out = np.concatenate(list(engine.dist_stream(chunks)))
+                out = np.concatenate(list(session.dist_stream(chunks)))
                 results.append(out.tobytes())
         except Exception as exc:  # pragma: no cover - surfaced below
             failures.append(exc)
@@ -137,7 +150,7 @@ def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
         thread = threading.Thread(target=hammer)
         thread.start()
         for changes in batches:
-            report = engine.apply_updates(changes)
+            report = session.apply_updates(changes)
             assert report.mode in ("repair", "rebuild")
         stop.set()
         thread.join()
@@ -145,33 +158,29 @@ def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
         assert results, "hammer thread never completed a stream"
         for got in results:
             assert got in ref_bytes  # one epoch wholesale, never torn
-        assert engine.epoch == EPOCHS
-        assert engine.dist_many(pairs).tobytes() == refs[-1].tobytes()
+        assert session.epoch == EPOCHS
+        assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
         assert not engine._retired  # old epochs (and executors) drained
     finally:
         stop.set()
-        engine.close()
-    leaked = [t.name for t in threading.enumerate()
-              if t.name.startswith(THREAD_POOL_PREFIX)]
-    assert leaked == []
+        session.close()
+    _assert_nothing_left_running()
 
 
 def test_epoch_swap_invalidates_cache(updateable):
-    engine = QueryEngine.from_updateable(updateable, cache_size=1024)
-    try:
+    with connect("inproc://cache=1024", updateable) as session:
         pairs = sample_query_pairs(updateable.graph.n, 64, seed=1)
-        before = engine.dist_many(pairs)
-        assert engine.dist_many(pairs).tolist() == before.tolist()
-        assert engine.stats.hits >= len(pairs)  # served from cache
+        before = session.dist_many(pairs)
+        assert session.dist_many(pairs).tolist() == before.tolist()
+        # served from cache
+        assert session.stats()["cache"]["hits"] >= len(pairs)
         changes = sample_weight_changes(updateable.graph, 3, seed=901,
                                         low=0.1, high=0.4)
-        engine.apply_updates(changes)
-        after = engine.dist_many(pairs)
+        session.apply_updates(changes)
+        after = session.dist_many(pairs)
         want = updateable.index.estimate_many(pairs[:, 0], pairs[:, 1])
         assert after.tolist() == want.tolist()  # no stale cache hits
         assert before.tolist() != after.tolist()
-    finally:
-        engine.close()
 
 
 def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
@@ -254,27 +263,22 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
 def test_noop_update_keeps_epoch_and_server(updateable):
     from repro.service.updates import EdgeChange
 
-    engine = QueryEngine.from_updateable(updateable, cache_size=0)
-    try:
+    with connect("inproc://cache=0", updateable) as session:
+        engine = _engine_of(session)
         server = engine._server
         # a weight increase on a non-shortest-path edge dirties nobody
         u, v, w = max(updateable.graph.edges(), key=lambda e: e[2])
-        report = engine.apply_updates([EdgeChange("increase", u, v,
-                                                  w * 10)])
+        report = session.apply_updates([EdgeChange("increase", u, v,
+                                                   w * 10)])
         if report.mode == "noop":  # depends on the drawn graph
-            assert engine.epoch == 0 and engine._server is server
+            assert session.epoch == 0 and engine._server is server
         else:
-            assert engine.epoch == 1 and engine._server is not server
-    finally:
-        engine.close()
+            assert session.epoch == 1 and engine._server is not server
 
 
 def test_apply_updates_requires_updateable_engine(updateable):
     from repro.service.updates import EdgeChange
 
-    engine = QueryEngine.from_index(updateable.index, cache_size=0)
-    try:
+    with connect("inproc://cache=0", updateable.index) as session:
         with pytest.raises(ConfigError, match="from_updateable"):
-            engine.apply_updates([EdgeChange("set", 0, 1, 1.0)])
-    finally:
-        engine.close()
+            session.apply_updates([EdgeChange("set", 0, 1, 1.0)])

@@ -3,10 +3,13 @@
 Four claim families:
 
 * **endpoint grammar** — ``parse_endpoint`` accepts exactly the
-  documented ``inproc://`` / ``proc://jobs=4;memory=shared`` /
-  ``tcp://host:port`` forms and fails loudly on everything else;
+  documented ``inproc://jobs=4;shards=4;cache=0`` /
+  ``tcp://host:port`` forms and fails loudly on everything else — the
+  deleted ``proc://`` transport and ``pool=`` / ``memory=`` options
+  included, at ``connect()`` time, before any index is built;
 * **transport equivalence** — for every scheme, ``dist_many`` through
-  ``inproc``, ``proc``, and tcp-loopback sessions is bit-identical to
+  ``inproc`` (in-thread and shard-thread) and tcp-loopback sessions is
+  bit-identical to
   the single-pair reference loop, including :class:`QueryError` parity
   on disconnected graphs, and post-``apply_updates`` epochs answer
   bit-identically to an inline twin applying the same changes;
@@ -50,10 +53,9 @@ SCHEME_PARAMS = {
     "graceful": {},
 }
 
-#: the four topologies every scheme must serve identically — in-process,
-#: the GIL-releasing thread plane, the process pool, and tcp-loopback
-TRANSPORT_SPECS = ("inproc://", "proc://jobs=2;pool=thread",
-                   "proc://jobs=2;memory=shared", "tcp")
+#: the topologies every scheme must serve identically — in-thread, the
+#: GIL-releasing shard threads, and tcp-loopback
+TRANSPORT_SPECS = ("inproc://", "inproc://jobs=2", "tcp")
 
 
 @pytest.fixture(autouse=True)
@@ -109,16 +111,12 @@ class TestEndpointGrammar:
         ep = parse_endpoint("inproc://")
         assert ep.transport == "inproc" and ep.options == {}
 
-    def test_proc_options(self):
-        ep = parse_endpoint("proc://jobs=4;memory=shared;shards=8;cache=0")
-        assert ep.transport == "proc"
-        assert ep.options == {"jobs": 4, "memory": "shared", "shards": 8,
-                              "cache": 0}
-
-    def test_proc_pool_option(self):
-        ep = parse_endpoint("proc://jobs=2;pool=thread")
-        assert ep.options == {"jobs": 2, "pool": "thread"}
-        assert parse_endpoint("proc://pool=proc").options == {"pool": "proc"}
+    def test_inproc_options_round_trip(self):
+        ep = parse_endpoint("inproc://jobs=4;shards=4;cache=0")
+        assert ep.transport == "inproc"
+        assert ep.options == {"jobs": 4, "shards": 4, "cache": 0}
+        assert ep.describe() == "inproc://cache=0;jobs=4;shards=4"
+        assert parse_endpoint(ep.describe()) == ep
 
     def test_tcp_host_port(self):
         ep = parse_endpoint("tcp://serving-box:7111")
@@ -132,16 +130,33 @@ class TestEndpointGrammar:
         "tcp://noport",                # missing port
         "tcp://host:notaport",         # non-numeric port
         "tcp://host:70000",            # port out of range
-        "proc://jobs",                 # option without value
-        "proc://jobs=abc",             # non-integer int option
-        "proc://bogus=1",              # unknown option
-        "inproc://jobs=2",             # jobs is proc-only
-        "proc://pool=fiber",           # unknown pool mode
-        "inproc://pool=thread",        # pool is proc-only
+        "proc://jobs",                 # proc is not a transport
+        "proc://jobs=abc",
+        "proc://bogus=1",
+        "proc://pool=fiber",
+        "inproc://pool=thread",        # pool is not an option
+        "inproc://jobs",               # option without value
+        "inproc://bogus=1",            # unknown option
     ])
     def test_bad_specs_fail_loudly(self, bad):
         with pytest.raises(ConfigError):
             parse_endpoint(bad)
+
+    @pytest.mark.parametrize("spec", [
+        "proc://jobs=2",               # not a transport, and no alias
+        "inproc://pool=thread",        # not options: jobs > 1 means
+        "inproc://memory=mmap",        # threads, loading picks the backing
+        "inproc://jobs=0",
+        "inproc://jobs=x",
+    ])
+    def test_gone_at_connect(self, builds, spec, monkeypatch):
+        """Each fails at ``connect()`` time, before any index is built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("an index was built for a bad spec")
+
+        monkeypatch.setattr("repro.service.engine.build_index", no_build)
+        with pytest.raises(ConfigError):
+            connect(spec, builds["tz"])
 
     def test_connect_requires_source_locally(self, builds):
         with pytest.raises(ConfigError, match="needs source="):
@@ -150,10 +165,9 @@ class TestEndpointGrammar:
             connect("tcp://127.0.0.1:1", builds["tz"])
 
     def test_connect_rejects_zero_jobs(self, builds):
-        # jobs=0 must fail at connect time, not silently become the
-        # CPU-count default
+        # jobs=0 must fail at connect time, not silently become 1
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            connect("proc://jobs=0", builds["tz"])
+            connect("inproc://jobs=0", builds["tz"])
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +232,15 @@ class TestTransportEquivalence:
                 assert client.dist_many(ok).tolist() == want, spec
 
     def test_stats_report_the_execution_plane(self, builds):
-        with session("proc://jobs=2;pool=thread", builds["tz"]) as client:
+        # one plane: ``jobs`` (clamped to the shard count) says it all
+        with session("inproc://jobs=2", builds["tz"]) as client:
             stats = client.stats()
-            assert stats["pool"] == "thread"
-            assert stats["memory"] == "heap"  # thread default: nothing moves
-        with session("proc://jobs=2;memory=shared", builds["tz"]) as client:
-            assert client.stats()["pool"] == "proc"
+            assert stats["jobs"] == 2 and stats["shards"] == 2
+            assert "pool" not in stats and "memory" not in stats
+        with session("inproc://jobs=4;shards=2", builds["tz"]) as client:
+            assert client.stats()["jobs"] == 2
+        with session("inproc://", builds["tz"]) as client:
+            assert client.stats()["jobs"] == 1
 
     def test_static_session_rejects_updates(self, builds):
         from repro.service import EdgeChange
@@ -423,6 +440,32 @@ class TestLiveServeProcess:
                     connect("inproc://", builds[scheme],
                             cache_size=0) as local:
                 assert remote.scheme == scheme
+                assert remote.dist_many(pairs).tolist() == \
+                    local.dist_many(pairs).tolist()
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_mmap_rpix_with_shard_threads_over_live_tcp(self, served_files,
+                                                        builds):
+        """``serve idx.rpix --memory mmap --jobs 2``: the container is
+        opened memory-mapped, two threads probe its shards, and the
+        bytes equal an inproc session's."""
+        from repro.oracle.serialization import save_index_binary
+        from repro.service import build_index
+
+        built = builds["stretch3"]
+        save_index_binary(build_index(built.sketches, num_shards=2),
+                          str(served_files / "s3.rpix"))
+        proc, host, port = _spawn_server(
+            served_files, ["s3.rpix", "--port", "0", "--memory", "mmap",
+                           "--jobs", "2", "--cache-size", "0"])
+        try:
+            pairs = sample_query_pairs(built.graph.n, 200, seed=3)
+            with connect(f"tcp://{host}:{port}") as remote, \
+                    connect("inproc://cache=0", built) as local:
+                stats = remote.stats()
+                assert (stats["jobs"], stats["shards"]) == (2, 2)
                 assert remote.dist_many(pairs).tolist() == \
                     local.dist_many(pairs).tolist()
         finally:

@@ -3,7 +3,7 @@
 The hard invariant (ISSUE 4 acceptance): after ``UpdateableIndex.apply``,
 the updated index answers **bit-identically** to an index rebuilt from
 scratch on the mutated graph with the same random artifacts — property-
-tested for every scheme × memory backing (heap / shared / mmap),
+tested for every scheme × memory backing (heap / mmap-loaded RPIX),
 including :class:`~repro.errors.QueryError` parity when an update
 disconnects the graph.  Weight perturbations are drawn as non-integral
 floats on purpose: float path sums are direction-sensitive at the ulp
@@ -12,6 +12,9 @@ level, and the repair must reproduce the builder's floats exactly.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, GraphError, QueryError
 from repro.graphs import Graph
-from repro.service import ShardServer, build_index, refresh_index
+from repro.oracle.serialization import load_index_binary, save_index_binary
+from repro.service import build_index, refresh_index
 from repro.service.updates import (EdgeChange, UpdateableIndex,
                                    dirty_frontier, load_changes_jsonl,
                                    run_update_benchmark,
@@ -29,7 +33,7 @@ from repro.service.updates import (EdgeChange, UpdateableIndex,
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
-BACKINGS = ("heap", "shared", "mmap")
+BACKINGS = ("heap", "mmap")
 
 
 @st.composite
@@ -98,10 +102,12 @@ def _assert_updated_equals_rebuilt(upd, backing):
     want = _answers_with_errors(rebuilt, us, vs)
     if backing == "heap":
         got = _answers_with_errors(upd.index, us, vs)
-    else:
-        kwargs = {"memory": backing}
-        with ShardServer(upd.index, jobs=1, **kwargs) as srv:
-            got = _answers_with_errors(srv.index, us, vs)
+    else:  # the repaired store, saved and reopened memory-mapped
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "epoch.rpix")
+            save_index_binary(upd.index, path)
+            got = _answers_with_errors(
+                load_index_binary(path, backing="mmap"), us, vs)
     assert got == want  # exact floats, exact raise positions
 
 

@@ -1,20 +1,28 @@
-"""Multi-process shard serving (repro.service.workers).
+"""Shard serving (repro.service.workers): threads behind the shards.
 
 The acceptance bar: for every scheme, ``ShardServer`` answers are
-bit-identical for ``jobs=1`` (in-process decomposition) and ``jobs=4``
-(real worker pool), and both equal the plain ``estimate_many`` path.
+bit-identical for ``jobs=1`` (probes in the calling thread) and
+``jobs=2`` / ``jobs=4`` (a thread pool), and all equal the plain
+``estimate_many`` path — ``QueryError`` parity included.  After
+``close()`` nothing the server started is alive.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
 from repro import build_sketches
 from repro.errors import ConfigError, QueryError
-from repro.service import (QueryEngine, ShardServer, build_index,
+from repro.graphs import Graph
+from repro.service import (ShardServer, build_index, connect,
                            sample_query_pairs)
-from repro.tz import build_tz_sketches_centralized
+from repro.service.workers import THREAD_POOL_PREFIX
+from repro.tz import build_tz_sketches_centralized, estimate_distance
+from repro.tz.sketch import TZSketch
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +41,58 @@ def built_sets(er_weighted, er_unit):
 
 SCHEMES = ["tz", "stretch3", "cdg", "graceful"]
 
+#: components {0, 1} and {2, 3, 4}: cross-component pairs are unresolved
+TWO_COMPONENTS = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+                           (2, 4, 2.0)])
+
+
+@pytest.fixture(scope="module")
+def disconnected_sets():
+    """One sketch set per scheme over :data:`TWO_COMPONENTS` (nets pinned
+    to one node per component, so cross-component pairs are unresolved
+    for every scheme)."""
+    from repro.slack.cdg import build_cdg_centralized
+    from repro.slack.density_net import DensityNet
+    from repro.slack.graceful import GracefulSketch
+    from repro.slack.stretch3 import build_stretch3_centralized
+
+    g = TWO_COMPONENTS
+    net = DensityNet(eps=0.5, n=g.n, members=(0, 2))
+    tz, _ = build_tz_sketches_centralized(g, k=2, seed=1)
+    s3, _ = build_stretch3_centralized(g, 0.5, net=net)
+    cdg, _, _ = build_cdg_centralized(g, 0.5, 2, seed=3, net=net)
+    a, _, _ = build_cdg_centralized(g, 0.5, 1, seed=1, net=net)
+    b, _, _ = build_cdg_centralized(g, 0.25, 2, seed=2, net=net)
+    graceful = [GracefulSketch(node=u, components=(a[u], b[u]))
+                for u in range(g.n)]
+    return {"tz": tz, "stretch3": s3, "cdg": cdg, "graceful": graceful}
+
+
+def _outcome(fn):
+    """A pair's answer, or its QueryError text — what parity compares."""
+    try:
+        return float(fn())
+    except QueryError as exc:
+        return f"QueryError: {exc}"
+
+
+def _single(sketches, u, v):
+    """The scheme's own one-pair query — the reference every path equals."""
+    su, sv = sketches[int(u)], sketches[int(v)]
+    if isinstance(su, TZSketch):
+        return estimate_distance(su, sv)
+    return su.estimate_to(sv)
+
+
+def _shard_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(THREAD_POOL_PREFIX)]
+
+
+def _assert_nothing_left_running():
+    assert _shard_threads() == []
+    assert multiprocessing.active_children() == []
+
 
 class TestShardServerIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -42,25 +102,21 @@ class TestShardServerIdentity:
         pairs = sample_query_pairs(len(sketches), 300, seed=7)
         us, vs = pairs[:, 0], pairs[:, 1]
         want = index.estimate_many(us, vs)
-        with ShardServer(index, jobs=1) as inproc:
-            got1 = inproc.estimate_many(us, vs)
-        with ShardServer(index, jobs=4) as pooled:
-            got4 = pooled.estimate_many(us, vs)
-            again = pooled.estimate_many(us, vs)  # pool is reusable
-        assert got1.tolist() == want.tolist()  # exact, not approx
-        assert got4.tolist() == want.tolist()
-        assert again.tolist() == want.tolist()
+        for jobs in (1, 2, 4):
+            with ShardServer(index, jobs=jobs) as srv:
+                got = srv.estimate_many(us, vs)
+                again = srv.estimate_many(us, vs)  # executor is reusable
+            assert got.tolist() == want.tolist(), jobs  # exact, not approx
+            assert again.tolist() == want.tolist(), jobs
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_engine_jobs_matches_reference(self, built_sets, scheme):
         sketches = built_sets[scheme]
         pairs = sample_query_pairs(len(sketches), 100, seed=9)
-        with QueryEngine(sketches, cache_size=0, num_shards=3,
-                         jobs=3) as engine:
-            got = engine.dist_many(pairs)
-            single = [engine.reference_query(int(u), int(v))
-                      for u, v in pairs]
-        assert got.tolist() == single
+        with connect("inproc://jobs=3;shards=3;cache=0",
+                     sketches) as session:
+            got = session.dist_many(pairs)
+        assert got.tolist() == [_single(sketches, u, v) for u, v in pairs]
 
     def test_dist_many_front_end(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
@@ -74,72 +130,71 @@ class TestShardServerIdentity:
 
 
 class TestThreadPlane:
-    """The ``pool="thread"`` execution plane: a GIL-releasing
-    ThreadPoolExecutor sharing the master's address space — no pickling,
-    no rings, no attach — with byte-identical answers."""
+    """``jobs > 1``: a GIL-releasing ThreadPoolExecutor sharing the
+    caller's address space — nothing copied, pickled or attached — with
+    byte-identical answers."""
 
+    # ``memory`` names where the served store's bytes live (heap-built
+    # here; test_service_backings serves mmap-loaded ones)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("memory", ["heap", "shared"])
+    @pytest.mark.parametrize("memory", ["heap"])
     def test_thread_jobs_match_inline(self, built_sets, scheme, memory):
         sketches = built_sets[scheme]
         index = build_index(sketches, num_shards=4)
         pairs = sample_query_pairs(len(sketches), 300, seed=17)
         us, vs = pairs[:, 0], pairs[:, 1]
         want = index.estimate_many(us, vs)
-        with ShardServer(index, jobs=4, memory=memory,
-                         pool="thread") as srv:
+        with ShardServer(index, jobs=4) as srv:
+            assert srv.index is index  # served as given
             got = srv.estimate_many(us, vs)
-            again = srv.estimate_many(us, vs)  # executor is reusable
         assert got.tolist() == want.tolist()  # exact, not approx
-        assert again.tolist() == want.tolist()
 
     def test_thread_plane_has_no_pool_and_no_rings(self, built_sets):
+        """Serving with ``jobs=4`` starts no process and creates no
+        shared-memory segment — only named threads."""
+        import os
+
+        shm = "/dev/shm"
+        before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
         index = build_index(built_sets["tz"], num_shards=4)
-        with ShardServer(index, jobs=4, pool="thread") as srv:
-            assert srv._pool is None and srv._executor is not None
-            assert not srv.ring_dispatch  # re-entrant: no serializing
-            plane = srv.data_plane()
-            assert plane["pool"] == "thread"
+        with ShardServer(index, jobs=4) as srv:
             srv.estimate_many(np.array([0, 1]), np.array([1, 0]))
-            assert srv._req_ring is None  # never allocated
-            assert srv._resp_ring is None
+            assert multiprocessing.active_children() == []
+            assert 1 <= len(_shard_threads()) <= 4
+            after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+            assert after == before
 
     def test_close_shuts_the_executor_down(self, built_sets):
-        import threading
-
-        from repro.service.workers import THREAD_POOL_PREFIX
-
         index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=2, pool="thread")
+        srv = ShardServer(index, jobs=2)
         srv.estimate_many(np.array([0]), np.array([1]))
         srv.close()
         srv.close()  # idempotent
-        leaked = [t.name for t in threading.enumerate()
-                  if t.name.startswith(THREAD_POOL_PREFIX)]
-        assert leaked == []
-
-    def test_rejects_unknown_pool(self, built_sets):
-        index = build_index(built_sets["tz"], num_shards=2)
-        with pytest.raises(ConfigError, match="pool"):
-            ShardServer(index, jobs=2, pool="fiber")
+        _assert_nothing_left_running()
+        # a closed server still answers, in the calling thread
+        assert srv.estimate_many(np.array([0]), np.array([1])).size == 1
+        _assert_nothing_left_running()
 
     def test_kernel_timing_accumulates(self, built_sets):
         index = build_index(built_sets["stretch3"], num_shards=4)
         pairs = sample_query_pairs(index.n, 400, seed=23)
-        with ShardServer(index, jobs=4, pool="thread") as srv:
+        with ShardServer(index, jobs=4) as srv:
             srv.estimate_many(pairs[:, 0], pairs[:, 1])
             tm = srv.timings
             assert tm.kernel > 0.0
             # the critical path is never longer than the shard total
             assert tm.kernel <= tm.shard_answer + 1e-12
-            assert "kernel_seconds" in tm.as_dict()
+            assert set(tm.as_dict()) == {
+                "plan_seconds", "shard_answer_seconds", "finish_seconds",
+                "ipc_seconds", "overlap_seconds", "kernel_seconds",
+                "batches"}
 
     def test_stream_overlaps_on_the_thread_plane(self, built_sets):
         index = build_index(built_sets["cdg"], num_shards=4)
         pairs = sample_query_pairs(index.n, 600, seed=29)
         batches = [(pairs[lo:lo + 150, 0], pairs[lo:lo + 150, 1])
                    for lo in range(0, 600, 150)]
-        with ShardServer(index, jobs=4, pool="thread") as srv:
+        with ShardServer(index, jobs=4) as srv:
             want = [srv.estimate_many(us, vs).tolist()
                     for us, vs in batches]
             srv.reset_timings()
@@ -147,16 +202,76 @@ class TestThreadPlane:
             assert srv.timings.overlap > 0.0
         assert got == want
 
-    def test_query_error_propagates_through_threads(self):
-        from repro.graphs import Graph
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_query_error_parity_for_every_jobs(self, disconnected_sets,
+                                               scheme, jobs):
+        """A disconnected graph: every ordered pair answers the
+        single-pair query's float — or raises exactly where it raises,
+        with the inline path's message — whatever ``jobs`` is; a mixed
+        batch raises on the inline path's first offending row, and the
+        server keeps answering afterwards."""
+        sketches = disconnected_sets[scheme]
+        n = len(sketches)
+        index = build_index(sketches, num_shards=4)
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        single = [_outcome(lambda: _single(sketches, u, v))
+                  for u, v in pairs]
+        want = [_outcome(lambda: index.estimate(u, v)) for u, v in pairs]
+        assert any(isinstance(w, str) for w in want)  # some pairs raise
+        assert any(isinstance(w, float) for w in want)  # and some answer
+        assert [w if isinstance(w, float) else "raise" for w in want] == \
+            [w if isinstance(w, float) else "raise" for w in single]
+        us, vs = np.array([2, 0, 3]), np.array([4, 2, 0])
+        with pytest.raises(QueryError) as inline:
+            index.estimate_many(us, vs)
+        with ShardServer(index, jobs=jobs) as srv:
+            got = [_outcome(lambda: srv.estimate_many(
+                np.array([u]), np.array([v]))[0]) for u, v in pairs]
+            assert got == want
+            with pytest.raises(QueryError) as err:
+                srv.estimate_many(us, vs)
+            assert str(err.value) == str(inline.value)
+            assert err.value.row == inline.value.row
+            assert srv.estimate_many(us[:1], vs[:1]).tolist() == \
+                index.estimate_many(us[:1], vs[:1]).tolist()
 
-        g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
-        sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
-        index = build_index(sketches, num_shards=2)
-        with ShardServer(index, jobs=2, pool="thread") as srv:
-            assert srv.estimate_many(np.array([2]), np.array([4])).size == 1
+    def test_jobs_says_which_thread_probes(self, built_sets):
+        """``jobs=1`` probes in the calling thread; ``jobs=4`` on the
+        executor's named threads, never the caller's."""
+        index = build_index(built_sets["tz"], num_shards=4)
+        seen = []
+        probe = index.shard_answer
+
+        def recording(shard, request):
+            seen.append(threading.current_thread().name)
+            return probe(shard, request)
+
+        index.shard_answer = recording  # instance attribute shadows it
+        try:
+            us, vs = np.array([0, 1, 2]), np.array([3, 4, 5])
+            with ShardServer(index, jobs=1) as srv:
+                srv.estimate_many(us, vs)
+            assert seen == [threading.current_thread().name] * 4
+            del seen[:]
+            with ShardServer(index, jobs=4) as srv:
+                srv.estimate_many(us, vs)
+            assert len(seen) == 4
+            assert all(name.startswith(THREAD_POOL_PREFIX) for name in seen)
+        finally:
+            del index.shard_answer
+
+    def test_query_error_propagates_through_threads(self):
+        sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,
+                                                    seed=1)
+        with connect("inproc://jobs=2;shards=2;cache=0",
+                     sketches) as session:
+            assert session.dist_many([(2, 4)]).size == 1
             with pytest.raises(QueryError):
-                srv.estimate_many(np.array([0]), np.array([2]))
+                session.dist_many([(0, 2)])
+            with pytest.raises(QueryError):
+                list(session.dist_stream([[(2, 4)], [(0, 2)]]))
+            assert session.dist_many([(2, 4)]).size == 1  # still serving
 
 
 class TestShardServerLifecycle:
@@ -171,7 +286,8 @@ class TestShardServerLifecycle:
     def test_single_shard_stays_in_process(self, built_sets):
         srv = ShardServer(build_index(built_sets["tz"], num_shards=1),
                           jobs=4)
-        assert srv._pool is None  # nothing to fan out
+        assert srv._executor is None  # nothing to fan out
+        assert _shard_threads() == []
         srv.close()
 
     def test_close_is_idempotent(self, built_sets):
@@ -185,24 +301,28 @@ class TestShardServerLifecycle:
         with pytest.raises(ConfigError):
             ShardServer(index, jobs=0)
         with pytest.raises(ConfigError):
-            QueryEngine(built_sets["tz"], jobs=0)
+            connect("inproc://jobs=0", built_sets["tz"])
 
     def test_engine_jobs_requires_an_index(self, built_sets):
-        with pytest.raises(ConfigError):
-            QueryEngine(built_sets["tz"], use_index=False, jobs=2)
+        # a mixed sketch list has no vectorized store: only the generic
+        # single-pair loop can serve it, and that has no shards to fan
+        mixed = built_sets["tz"][:3] + built_sets["stretch3"][3:6]
+        with pytest.raises(ConfigError, match="indexed engine"):
+            connect("inproc://jobs=2", mixed)
 
     def test_engine_close_is_idempotent(self, built_sets):
-        engine = QueryEngine(built_sets["tz"], num_shards=2, jobs=2)
-        engine.close()
-        engine.close()
+        session = connect("inproc://jobs=2;shards=2", built_sets["tz"])
+        session.close()
+        session.close()
+        _assert_nothing_left_running()
 
 
 class TestEstimateStream:
-    """The double-buffered pipelined path: batch k+1's plan/encode
-    overlaps batch k's probes — and never changes a single byte."""
+    """The double-buffered pipelined path: batch k+1's plan overlaps
+    batch k's probes — and never changes a single byte."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("memory", ["heap", "shared"])
+    @pytest.mark.parametrize("memory", ["heap"])
     def test_stream_equals_per_batch_estimates(self, built_sets, scheme,
                                                memory):
         sketches = built_sets[scheme]
@@ -210,7 +330,7 @@ class TestEstimateStream:
         pairs = sample_query_pairs(len(sketches), 600, seed=13)
         batches = [(pairs[lo:lo + 150, 0], pairs[lo:lo + 150, 1])
                    for lo in range(0, 600, 150)]
-        with ShardServer(index, jobs=4, memory=memory) as srv:
+        with ShardServer(index, jobs=4) as srv:
             want = [srv.estimate_many(us, vs).tolist()
                     for us, vs in batches]
             srv.reset_timings()
@@ -226,7 +346,7 @@ class TestEstimateStream:
         empty = np.empty(0, dtype=np.int64)
         batches = [(np.array([0, 5]), np.array([5, 0])), (empty, empty),
                    (np.array([3]), np.array([4]))]
-        with ShardServer(index, jobs=2, memory="shared") as srv:
+        with ShardServer(index, jobs=2) as srv:
             sizes = [out.size for out in srv.estimate_stream(batches)]
         assert sizes == [2, 0, 1]
 
@@ -241,40 +361,35 @@ class TestEstimateStream:
             srv.reset_timings()
             got = np.concatenate(list(srv.estimate_stream(batches)))
             assert srv.timings.overlap == 0.0
+            assert srv.timings.ipc == 0.0
         assert got.tolist() == want.tolist()
 
-    def test_stream_survives_ring_growth(self, built_sets):
-        # a tiny batch first (small rings), then a much bigger one that
-        # forces a request-ring grow mid-stream: the server must drain
-        # the in-flight batch before reallocating, never corrupt answers
-        index = build_index(built_sets["stretch3"], num_shards=4)
-        big = sample_query_pairs(index.n, 4096, seed=5)
-        batches = [(np.array([0, 1]), np.array([1, 0])),
-                   (big[:, 0], big[:, 1]),
-                   (np.array([2]), np.array([3]))]
-        with ShardServer(index, jobs=4, memory="shared",
-                         ring_slots=2) as srv:
-            want = [srv.estimate_many(us, vs).tolist()
-                    for us, vs in batches]
-            got = [out.tolist() for out in srv.estimate_stream(batches)]
-        assert got == want
-
-    def test_stream_abandoned_midway_drains_cleanly(self, built_sets):
+    def test_stream_abandoned_midway_drains_cleanly(self, built_sets,
+                                                    monkeypatch):
         # a consumer that breaks out of the stream leaves one submitted
         # batch in flight; the generator's cleanup must collect exactly
-        # that batch (not re-collect the yielded one) so the server
-        # stays balanced and keeps answering
+        # that batch (not re-collect the yielded one), so no future is
+        # left pending and the server keeps answering
         index = build_index(built_sets["tz"], num_shards=2)
         pairs = sample_query_pairs(index.n, 300, seed=9)
         batches = [(pairs[i * 100:(i + 1) * 100, 0],
                     pairs[i * 100:(i + 1) * 100, 1]) for i in range(3)]
-        with ShardServer(index, jobs=2, memory="shared") as srv:
+        with ShardServer(index, jobs=2) as srv:
             want = [srv.estimate_many(us, vs).tolist()
                     for us, vs in batches]
+            futures = []
+            submit = srv._executor.submit
+
+            def recording_submit(*args):
+                futures.append(submit(*args))
+                return futures[-1]
+
+            monkeypatch.setattr(srv._executor, "submit", recording_submit)
             stream = srv.estimate_stream(batches)
             first = next(stream)
             stream.close()  # abandon with batch 1 submitted, uncollected
-            assert srv._inflight == 0
+            assert len(futures) == 4  # two batches x two shards
+            assert all(f.done() for f in futures)
             assert first.tolist() == want[0]
             # the server still serves, sequentially and streamed
             assert srv.estimate_many(*batches[2]).tolist() == want[2]
@@ -285,56 +400,53 @@ class TestEstimateStream:
     def test_engine_dist_stream_matches_dist_many(self, built_sets):
         pairs = sample_query_pairs(len(built_sets["cdg"]), 300, seed=21)
         chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
-        with QueryEngine(built_sets["cdg"], cache_size=0, num_shards=3,
-                         jobs=3, memory="shared") as engine:
-            want = np.concatenate([engine.dist_many(c) for c in chunks])
-            got = np.concatenate(list(engine.dist_stream(chunks)))
-            phases = engine.phase_timings()
+        with connect("inproc://jobs=3;shards=3;cache=0",
+                     built_sets["cdg"]) as session:
+            want = np.concatenate([session.dist_many(c) for c in chunks])
+            got = np.concatenate(list(session.dist_stream(chunks)))
+            # abandoning a session stream drains it too: the epoch pin
+            # is released, so close() has nothing left to wait for
+            stream = session.dist_stream(chunks)
+            next(stream)
+            stream.close()
+            phases = session.stats()["phases"]
         assert got.tolist() == want.tolist()
-        assert "overlap_seconds" in phases
+        assert phases["overlap_seconds"] > 0.0
+        _assert_nothing_left_running()
 
 
 class TestGCBackstop:
     """ShardServer.__del__ must release everything close() would — even
     for a server that was never dispatched, or whose construction
-    failed halfway (the pack-segment leak the attribute-existence
-    ordering used to cause)."""
+    failed."""
 
-    def test_drop_without_dispatch_releases_segments(self, built_sets):
+    def test_drop_without_dispatch_joins_the_threads(self, built_sets):
         import gc
 
-        from repro.service.buffers import live_segment_names
-
         index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=2, memory="shared")
-        seg = srv.data_plane()["pack_segment"]
-        assert seg in live_segment_names()
-        del srv  # no dispatch ever happened: rings were never allocated
+        srv = ShardServer(index, jobs=2)
+        srv._executor.submit(lambda: None).result()  # one thread exists
+        assert _shard_threads()
+        del srv  # never closed: the GC backstop must join the executor
         gc.collect()
-        assert seg not in live_segment_names()
+        _assert_nothing_left_running()
 
-    def test_failed_construction_releases_the_pack(self, built_sets,
-                                                   monkeypatch):
+    def test_failed_construction_leaves_nothing_running(self, built_sets):
         import gc
 
-        from repro.service.buffers import live_segment_names
-
         index = build_index(built_sets["tz"], num_shards=2)
-        before = set(live_segment_names())
-
-        def boom(_packed):
-            raise RuntimeError("attach exploded")
-
-        monkeypatch.setattr("repro.service.workers.index_from_pack", boom)
-        with pytest.raises(RuntimeError, match="attach exploded"):
-            ShardServer(index, jobs=2, memory="shared")
-        gc.collect()
-        # the half-built server's pack segment was unlinked by __del__
-        assert set(live_segment_names()) == before
+        with pytest.raises(ConfigError):
+            ShardServer(index, jobs=0)
+        with pytest.raises(TypeError):
+            ShardServer(index, jobs="4")
+        with pytest.raises(AttributeError):
+            ShardServer(object(), jobs=4)  # not a store: no num_shards
+        gc.collect()  # the half-built servers reach __del__ unharmed
+        _assert_nothing_left_running()
 
     def test_close_after_close_after_del_path(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=1, memory="shared")
+        srv = ShardServer(index, jobs=2)
         srv.close()
         srv.close()  # idempotent
         srv.__del__()  # and safe after close
@@ -342,10 +454,8 @@ class TestGCBackstop:
 
 class TestShardServerErrors:
     def test_query_error_propagates_through_workers(self):
-        from repro.graphs import Graph
-
-        g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
-        sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
+        sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,
+                                                    seed=1)
         index = build_index(sketches, num_shards=2)
         with ShardServer(index, jobs=2) as srv:
             # same-component pairs answer fine...
@@ -358,26 +468,29 @@ class TestShardServerErrors:
 class TestBuiltSketchesJobs:
     def test_engine_rebuilds_on_jobs_change(self, er_unit):
         built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
-        base = built.engine(cache_size=0, num_shards=2)
-        fanned = built.engine(cache_size=0, num_shards=2, jobs=2)
-        assert fanned is not base
-        pairs = [(0, 9), (9, 0), (4, 4)]
-        assert fanned.dist_many(pairs).tolist() == [
-            built.query(u, v) for u, v in pairs]
-        built.engine().close()
+        with pytest.warns(DeprecationWarning):  # the legacy surface itself
+            base = built.engine(cache_size=0, num_shards=2)
+            fanned = built.engine(cache_size=0, num_shards=2, jobs=2)
+            assert fanned is not base
+            pairs = [(0, 9), (9, 0), (4, 4)]
+            assert fanned.dist_many(pairs).tolist() == [
+                built.query(u, v) for u, v in pairs]
+            built.engine().close()
+        _assert_nothing_left_running()
 
 
 class TestEffectiveJobsReporting:
     def test_engine_and_report_show_clamped_jobs(self, built_sets):
         from repro.service import run_serve_benchmark
 
-        # shards=1 clamps a 4-worker request to in-process serving; the
-        # engine attribute and the benchmark report must say so
-        with QueryEngine(built_sets["tz"], num_shards=1, jobs=4) as eng:
-            assert eng.jobs == 1
+        # shards=1 clamps a 4-thread request to in-thread serving; the
+        # session's stats and the benchmark report must say so
+        with connect("inproc://jobs=4;shards=1", built_sets["tz"]) as session:
+            assert session.stats()["jobs"] == 1
         rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
                                   num_shards=1, jobs=4)
         assert rep["jobs"] == 1 and rep["shards"] == 1
         rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
                                   num_shards=4, jobs=2)
         assert rep["jobs"] == 2
+        assert "pool" not in rep and "memory" not in rep
