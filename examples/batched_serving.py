@@ -33,7 +33,8 @@ import time
 import numpy as np
 
 from repro.graphs import assign_uniform_weights, erdos_renyi
-from repro.oracle.serialization import load_index, save_index
+from repro.oracle.serialization import (load_index_binary,
+                                        save_index_binary)
 from repro.service import (OracleServer, build_tz_sketches_parallel,
                            connect, sample_query_pairs)
 
@@ -85,9 +86,9 @@ def main() -> None:
     # 5. persist the pre-built index -------------------------------------
     index = session.fetch_index()  # the live store behind the session
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "index.json")
-        save_index(index, path)
-        reloaded = load_index(path)
+        path = os.path.join(tmp, "index.rpix")
+        save_index_binary(index, path)
+        reloaded = load_index_binary(path)
     check = sample_query_pairs(g.n, 500, seed=9)
     assert np.array_equal(reloaded.estimate_many(check[:, 0], check[:, 1]),
                           index.estimate_many(check[:, 0], check[:, 1]))

@@ -4,9 +4,11 @@ A distance sketch is only useful if it can leave the node that built it
 (the online query of Section 2.1 literally transmits one).  This module
 provides a stable, JSON-compatible wire format for every sketch type in
 the library, with word-size-faithful content (IDs, distances, levels —
-nothing else), plus round-trip helpers for whole sketch sets and for the
-pre-built serving indexes of :mod:`repro.service.index` (one encoder per
-:class:`~repro.service.index.IndexStore` implementation).
+nothing else), plus round-trip helpers for whole sketch sets.  The
+pre-built serving indexes of :mod:`repro.service.index` persist in one
+format, the binary ``RPIX`` container (:func:`save_index_binary` /
+:func:`load_index_binary`): a small JSON header plus the store's arrays
+as raw aligned blobs, loadable memory-mapped with no parsing.
 
 Format: ``{"type": ..., "v": 1, ...payload...}``.  Decoding validates the
 type tag and version so mixed-version archives fail loudly.  Infinite
@@ -41,8 +43,6 @@ BINARY_MAGIC = b"RPIX"
 BINARY_VERSION = 1
 
 AnySketch = Union[TZSketch, Stretch3Sketch, CDGSketch, GracefulSketch]
-
-_INDEX_TAGS = {"tz_index", "stretch3_index", "cdg_index", "graceful_index"}
 
 
 def _enc_dist(d: float) -> Optional[float]:
@@ -154,181 +154,6 @@ def change_from_dict(data: dict):
 
 
 # ----------------------------------------------------------------------
-# pre-built serving indexes
-# ----------------------------------------------------------------------
-def index_to_dict(index) -> dict:
-    """Encode any :class:`~repro.service.index.IndexStore` implementation.
-
-    Each payload is the index's canonical form — shard-count independent
-    and independent of any dense/sparse storage split — so a load
-    rebuilds a store with identical batched answers:
-
-    * ``tz_index`` — per-node pivot tables plus the bunch-entry stream in
-      composite-key order;
-    * ``stretch3_index`` — the finite ``(owner, net node, dist)`` stream;
-    * ``cdg_index`` — per-node gateway pairs plus the net labels;
-    * ``graceful_index`` — one ``cdg_index`` payload per ε-component.
-    """
-    from repro.service.index import (CDGIndex, GracefulIndex, Stretch3Index,
-                                     TZIndex)
-
-    if isinstance(index, TZIndex):
-        return {
-            "type": "tz_index", "v": VERSION,
-            "n": index.n, "k": index.k, "num_shards": index.num_shards,
-            "pivots": [[[int(index.pivot_ids[u, i]),
-                         _enc_dist(index.pivot_dists[u, i])]
-                        for i in range(index.k)] for u in range(index.n)],
-            "entries": [[u, w, d, lvl]
-                        for u, w, d, lvl in index.iter_entries()],
-        }
-    if isinstance(index, Stretch3Index):
-        return {
-            "type": "stretch3_index", "v": VERSION,
-            "n": index.n, "eps": index.eps,
-            "num_shards": index.num_shards,
-            "entries": [[u, w, d] for u, w, d in index.iter_entries()],
-        }
-    if isinstance(index, CDGIndex):
-        return {
-            "type": "cdg_index", "v": VERSION,
-            "n": index.n, "eps": index.eps, "k": index.k,
-            "num_shards": index.num_shards,
-            "gateways": [[int(index.gateway_ids[u]),
-                          _enc_dist(index.gateway_dists[u])]
-                         for u in range(index.n)],
-            "labels": [sketch_to_dict(index.labels[w])
-                       for w in sorted(index.labels)],
-        }
-    if isinstance(index, GracefulIndex):
-        # the top-level shard count governs every component on load, so
-        # the nested cdg payloads drop theirs (keeps the form canonical)
-        components = []
-        for c in index.components:
-            payload = index_to_dict(c)
-            payload.pop("num_shards")
-            components.append(payload)
-        return {
-            "type": "graceful_index", "v": VERSION,
-            "n": index.n, "num_shards": index.num_shards,
-            "components": components,
-        }
-    raise QueryError(f"cannot serialize index {type(index).__name__}")
-
-
-def _check_index_header(data, tag: str) -> None:
-    if not isinstance(data, dict) or data.get("type") not in _INDEX_TAGS:
-        raise QueryError("not a serialized index")
-    if data.get("v") != VERSION:
-        raise QueryError(f"unsupported sketch format version {data.get('v')}")
-    if data["type"] != tag:  # pragma: no cover - internal dispatch only
-        raise QueryError(f"expected a {tag}, got {data['type']}")
-
-
-def _cdg_sketch_list(data: dict) -> list[CDGSketch]:
-    """Rebuild the per-node CDG sketch set behind a ``cdg_index`` payload
-    (shared by the cdg and graceful decoders)."""
-    _check_index_header(data, "cdg_index")
-    n, eps, k = int(data["n"]), float(data["eps"]), int(data["k"])
-    labels: dict[int, TZSketch] = {}
-    for entry in data["labels"]:
-        lbl = sketch_from_dict(entry)
-        if not isinstance(lbl, TZSketch):
-            raise QueryError("cdg_index labels must be tz sketches")
-        labels[lbl.node] = lbl
-    if len(data["gateways"]) != n:
-        raise QueryError(f"cdg_index wants {n} gateway rows, "
-                         f"got {len(data['gateways'])}")
-    out = []
-    for u, (gw, gd) in enumerate(data["gateways"]):
-        gw = int(gw)
-        lbl = labels.get(gw)
-        if lbl is None:
-            raise QueryError(f"cdg_index gateway {gw} has no label")
-        out.append(CDGSketch(node=u, eps=eps, k=k, gateway=gw,
-                             gateway_dist=_dec_dist(gd), label=lbl))
-    return out
-
-
-def index_from_dict(data: dict):
-    """Decode a dict produced by :func:`index_to_dict` (any index type)."""
-    from repro.service.index import (CDGIndex, GracefulIndex, Stretch3Index,
-                                     TZIndex)
-
-    if not isinstance(data, dict) or data.get("type") not in _INDEX_TAGS:
-        raise QueryError("not a serialized index")
-    if data.get("v") != VERSION:
-        raise QueryError(f"unsupported sketch format version {data.get('v')}")
-    t = data["type"]
-    shards = int(data.get("num_shards", 1))
-
-    if t == "tz_index":
-        n, k = int(data["n"]), int(data["k"])
-        bunches: list[dict[int, tuple[float, int]]] = [dict()
-                                                       for _ in range(n)]
-        for u, w, d, lvl in data["entries"]:
-            u, w = int(u), int(w)
-            if not (0 <= u < n and 0 <= w < n):
-                raise QueryError(
-                    f"tz_index entry ({u}, {w}) out of range [0, {n})")
-            bunches[u][w] = (float(d), int(lvl))
-
-        def pivot(p, d) -> tuple[int, float]:
-            p = int(p)
-            if not (-1 <= p < n):  # -1 is the INF_KEY sentinel
-                raise QueryError(
-                    f"tz_index pivot id {p} out of range [0, {n})")
-            return p, _dec_dist(d)
-
-        sketches = [TZSketch(node=u, k=k,
-                             pivots=tuple(pivot(p, d)
-                                          for p, d in data["pivots"][u]),
-                             bunch=bunches[u])
-                    for u in range(n)]
-        return TZIndex(sketches, num_shards=shards)
-
-    if t == "stretch3_index":
-        n, eps = int(data["n"]), float(data["eps"])
-        per: list[dict[int, float]] = [dict() for _ in range(n)]
-        for u, w, d in data["entries"]:
-            u = int(u)
-            if not 0 <= u < n:
-                raise QueryError(
-                    f"stretch3_index owner {u} out of range [0, {n})")
-            per[u][int(w)] = float(d)
-        sketches = [Stretch3Sketch(node=u, eps=eps, entries=per[u])
-                    for u in range(n)]
-        return Stretch3Index(sketches, num_shards=shards)
-
-    if t == "cdg_index":
-        return CDGIndex(_cdg_sketch_list(data), num_shards=shards)
-
-    # graceful_index
-    comp_lists = [_cdg_sketch_list(c) for c in data["components"]]
-    n = int(data["n"])
-    if any(len(cl) != n for cl in comp_lists):
-        raise QueryError("graceful_index component size mismatch")
-    sketches = [GracefulSketch(node=u,
-                               components=tuple(cl[u] for cl in comp_lists))
-                for u in range(n)]
-    return GracefulIndex(sketches, num_shards=shards)
-
-
-def save_index(index, path) -> None:
-    """Persist a pre-indexed store as one strict-JSON document."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(index_to_dict(index), fh, separators=(",", ":"),
-                  allow_nan=False)
-        fh.write("\n")
-
-
-def load_index(path):
-    """Load a store written by :func:`save_index`."""
-    with open(path, "r", encoding="ascii") as fh:
-        return index_from_dict(json.load(fh))
-
-
-# ----------------------------------------------------------------------
 # the binary index container (header + raw array blobs)
 # ----------------------------------------------------------------------
 # Layout (little-endian):
@@ -345,9 +170,9 @@ def load_index(path):
 #
 # The blobs are exactly a BufferPack layout, so loading with
 # ``backing="mmap"`` attaches the arrays straight off the page cache —
-# the only parsing is the (small) JSON header.  The JSON format above
-# stays the canonical interchange form; this container is the fast path
-# for serving boxes.
+# the only parsing is the (small) JSON header.  This container is the
+# one persistence format of a pre-built store, and a reloaded store
+# writes the same bytes again.
 def write_index_binary(index, fh) -> None:
     """Write the binary container to an open binary file object.
 
@@ -423,8 +248,7 @@ def _read_binary_header(fh) -> dict:
     if not isinstance(header, dict):
         raise QueryError("binary index container header is corrupt")
     # the binary path is registry-driven end to end: accept exactly the
-    # tags save_index_binary can write (unlike _INDEX_TAGS, which names
-    # the formats the hand-written JSON decoders understand)
+    # tags save_index_binary can write
     from repro.service.index import INDEX_TAGS
 
     if header.get("type") not in set(INDEX_TAGS.values()):

@@ -20,6 +20,10 @@ The front door is :func:`~repro.service.transport.connect`::
   frame protocol built on the array-tree codec).  Answers are
   bit-identical across transports, and epoch hot swaps propagate to
   connected TCP clients without a reconnect,
+* :mod:`repro.service.session` — the session core every transport
+  shares: the one bounded streaming window (``stream_window``) over a
+  per-transport submit/collect pair, and the session clock (epochs,
+  :class:`EpochStaleness`, :class:`PipelineStats`),
 * :mod:`repro.service.buffers` — the zero-copy memory layer:
   :class:`BufferPack` lays every store's arrays out in one contiguous
   buffer backed by heap memory or a memory-mapped file (how an RPIX
@@ -85,9 +89,9 @@ from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
                                     compare_policies, generate_trace,
                                     run_named_scenario, run_scenario,
                                     served_subprocess)
-from repro.service.transport import (TRANSPORTS, Endpoint, EpochStaleness,
-                                     OracleClient, OracleServer,
-                                     PipelineStats, connect, parse_endpoint)
+from repro.service.session import EpochStaleness, PipelineStats
+from repro.service.transport import (TRANSPORTS, Endpoint, OracleClient,
+                                     OracleServer, connect, parse_endpoint)
 from repro.service.updates import (POLICY_NAMES, AdaptiveCostPolicy,
                                    EdgeChange, RepairPolicy,
                                    StaticThresholdPolicy, UpdateReport,

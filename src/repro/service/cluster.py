@@ -13,17 +13,24 @@ owning a contiguous range of landmark shards (``repro serve
   client fetches it once from any host and runs ``plan``/``finish``
   locally;
 * **fans probes out** — each host receives one ``probe`` frame carrying
-  exactly the per-shard requests for the shards it owns, pipelined
-  through the same request-id window ``dist_stream`` uses;
+  exactly the per-shard requests for the shards it owns, multiplexed
+  by request id on that host's connection;
 * **combines partials** — the store's own ``finish`` folds the gathered
   ``shard_answer`` responses by shard id, so fleet answers are
   **bit-identical** to single-host serving, including
   :class:`~repro.errors.QueryError` parity on disconnected graphs.
 
+That is the fleet's submit/collect pair (:mod:`repro.service.session`):
+``submit`` plans and scatters, ``collect`` gathers and combines.
+``dist_many`` is ``collect(submit(pairs))``, ``dist_stream`` the shared
+bounded window over the pair, and the session's epochs and telemetry
+live in one :class:`~repro.service.session.SessionClock` — the same
+rules as every other transport, from the same code.
+
 Epoch rule: one batch never mixes epochs.  Every probe reply is stamped
-with the epoch that answered it; the client combines partials only when
-every host (and its routing store) agree, refreshing and replanning
-otherwise.  :meth:`ClusterClient.apply_updates` scatters an edge-change
+with the epoch that answered it; ``collect`` combines partials only
+when every host (and its routing store) agree, refreshing and
+replanning otherwise.  :meth:`ClusterClient.apply_updates` scatters an edge-change
 batch to every host — repairs are deterministic functions of
 ``(graph, scheme, seed, changes)``, so a healthy fleet converges to the
 same epoch — and refuses divergence with a typed
@@ -45,7 +52,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
@@ -56,10 +62,10 @@ from repro.errors import ClusterError, ConfigError, ReproError
 from repro.service.buffers import tree_to_bytes
 from repro.service.index import (IndexStore, TZIndex, build_index,
                                  parse_pair_array, restrict_index_shards)
+from repro.service.session import SessionClock, stream_window
 from repro.service.transport import (DEFAULT_PIPELINE_DEPTH, Endpoint,
-                                     EpochStaleness, OracleServer,
-                                     PipelineStats, _TcpTransport,
-                                     connect, parse_endpoint)
+                                     OracleServer, _TcpTransport, connect,
+                                     parse_endpoint)
 from repro.service.updates import UpdateReport
 
 
@@ -134,8 +140,8 @@ class ClusterClient:
     directly.
 
     Speaks the existing protocol-v2 frames to every host (one
-    :class:`~repro.service.transport._TcpTransport` each, so probes ride
-    the same pipelined id windows as single-host sessions).  ``plan``
+    :class:`~repro.service.transport._TcpTransport` each, so probes are
+    multiplexed by request id like single-host queries).  ``plan``
     and ``finish`` run client-side on a routing store fetched from the
     fleet; only ``shard_answer`` work crosses the wire, scattered to the
     hosts that own each shard.  Answers — including
@@ -157,13 +163,8 @@ class ClusterClient:
 
     def __init__(self, hosts: Any, *, timeout: Optional[float] = None,
                  pipeline_depth: int = DEFAULT_PIPELINE_DEPTH):
-        if pipeline_depth < 1:
-            raise ConfigError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}")
+        self.clock = SessionClock(pipeline_depth)
         self.spec = ClusterSpec.parse(hosts)
-        self.pipeline_depth = int(pipeline_depth)
-        self.pipeline = PipelineStats()
-        self.staleness = EpochStaleness()
         self._apply_lock = threading.Lock()
         self._router_lock = threading.Lock()
         self._transports: dict[str, _TcpTransport] = {}
@@ -188,9 +189,7 @@ class ClusterClient:
         except ReproError:
             self._close_all()
             raise
-        self.epoch = self._router_epoch
-        self.last_result_epoch = self.epoch
-        self.staleness.note_epoch(self.epoch)
+        self.clock.start(self._router_epoch)
 
     # -- membership ----------------------------------------------------
     def _validate_fleet(self) -> None:
@@ -256,17 +255,6 @@ class ClusterClient:
         with self._router_lock:
             return self._router, self._router_epoch
 
-    # -- epoch bookkeeping (same rules as the tcp transport) -----------
-    def _fold_epoch(self, epoch: int) -> None:
-        self.epoch = max(self.epoch, epoch)
-        self.staleness.note_epoch(self.epoch)
-
-    def _note_result_epoch(self, epoch: int) -> None:
-        self.last_result_epoch = epoch
-        self.epoch = max(self.epoch, epoch)
-        self.staleness.note_epoch(self.epoch)
-        self.staleness.note_result(epoch, self.epoch)
-
     # -- the scatter/gather core ---------------------------------------
     def _post_probes(self, requests: list) -> dict[str, int]:
         """Scatter one probe frame per host (its owned shards' requests,
@@ -312,109 +300,53 @@ class ClusterClient:
             except (ConnectionError, ReproError):
                 pass
 
-    def _run_batch(self, arr: np.ndarray) -> tuple[np.ndarray, int]:
-        """One batch end to end: plan on the routing store, scatter,
-        gather, combine — retrying with a refreshed router when a hot
-        swap lands mid-flight (partials from disagreeing epochs are
-        never combined)."""
+    # -- the session surface: a submit/collect pair --------------------
+    def _submit(self, pairs) -> Optional[tuple]:
+        """Plan one batch on the routing store and scatter its probes;
+        returns the ticket for :meth:`_collect` (``None`` for an empty
+        batch)."""
+        arr = parse_pair_array(pairs)
+        if arr.size == 0:
+            return None
+        router, repoch = self._router_snapshot()
+        state, requests = router.plan(arr[:, 0], arr[:, 1])
+        return arr, router, repoch, state, self._post_probes(requests)
+
+    def _collect(self, ticket: Optional[tuple]) -> tuple[np.ndarray, int]:
+        """Gather one batch's partials and combine them —
+        ``(answers, epoch)``.  Partials are combined only when every
+        host answered from the routing store's epoch; when a hot swap
+        landed inside the batch's flight window they are discarded and
+        the batch is replanned against a refreshed router (at most
+        ``_EPOCH_RETRIES`` times)."""
+        if ticket is None:
+            return np.empty(0, dtype=np.float64), self.clock.epoch
         stale: dict[str, Any] = {}
-        for _ in range(self._EPOCH_RETRIES):
-            router, repoch = self._router_snapshot()
-            state, requests = router.plan(arr[:, 0], arr[:, 1])
-            rids = self._post_probes(requests)
+        for attempt in range(self._EPOCH_RETRIES + 1):
+            if attempt:
+                self._refresh_router()
+                ticket = self._submit(ticket[0])
+            _, router, repoch, state, rids = ticket
             responses, epochs = self._gather_probes(rids)
             if all(e == repoch for e in epochs.values()):
                 return router.finish(state, responses), repoch
             stale = {key: f"epoch {e} (router at {repoch})"
                      for key, e in epochs.items() if e != repoch}
-            self._refresh_router()
         raise ClusterError(
             f"fleet epochs did not settle within "
             f"{self._EPOCH_RETRIES} replans", stale)
 
-    # -- the session surface -------------------------------------------
     def dist_many(self, pairs) -> np.ndarray:
-        arr = parse_pair_array(pairs)
-        if arr.size == 0:
-            return np.empty(0, dtype=np.float64)
-        answers, epoch = self._run_batch(arr)
-        self._note_result_epoch(epoch)
-        return answers
+        return self.clock.answer(self._collect(self._submit(pairs)))
 
     def dist_stream(self, batches) -> Iterator[np.ndarray]:
-        """Pipelined fleet streaming: up to ``pipeline_depth`` batches
-        in flight, each scattered across every host's id window; yields
-        answers in submit order.  A batch whose partials straddle a hot
-        swap is transparently replanned against the settled epoch."""
-        stats = self.pipeline
-        window: deque = deque()
-        feed = iter(batches)
-        exhausted = False
-        try:
-            while True:
-                while not exhausted and len(window) < self.pipeline_depth:
-                    try:
-                        pairs = next(feed)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    inflight = sum(1 for e in window if e is not None)
-                    t0 = time.perf_counter()
-                    arr = parse_pair_array(pairs)
-                    if arr.size == 0:
-                        window.append(None)
-                        continue
-                    router, repoch = self._router_snapshot()
-                    state, requests = router.plan(arr[:, 0], arr[:, 1])
-                    rids = self._post_probes(requests)
-                    submit_cost = time.perf_counter() - t0
-                    window.append((arr, router, repoch, state, rids, t0))
-                    stats.requests += 1
-                    stats.max_inflight = max(stats.max_inflight,
-                                             inflight + 1)
-                    if inflight:
-                        stats.overlap_seconds += submit_cost
-                if not window:
-                    return
-                entry = window.popleft()
-                if entry is None:
-                    yield np.empty(0, dtype=np.float64)
-                    continue
-                arr, router, repoch, state, rids, t0 = entry
-                responses, epochs = self._gather_probes(rids)
-                if all(e == repoch for e in epochs.values()):
-                    answers, epoch = router.finish(state, responses), repoch
-                else:
-                    # a hot swap landed inside this batch's flight
-                    # window: partials from mixed epochs are discarded
-                    # and the batch replans against the settled fleet
-                    self._refresh_router()
-                    answers, epoch = self._run_batch(arr)
-                stats.latencies.append(time.perf_counter() - t0)
-                self._note_result_epoch(epoch)
-                yield answers
-        finally:
-            for entry in window:
-                if entry is not None:
-                    self._drain_probes(entry[4])
-
-    def pipeline_stats(self, reset: bool = False) -> dict:
-        """Fleet-level pipelining telemetry of the ``dist_stream``
-        window (requests here are whole batches, each fanned to every
-        host)."""
-        stats = self.pipeline
-        out = dict(stats.summary(), depth=self.pipeline_depth,
-                   latencies=list(stats.latencies))
-        if reset:
-            self.pipeline = PipelineStats()
-        return out
-
-    def staleness_stats(self, reset: bool = False) -> dict:
-        out = self.staleness.summary()
-        if reset:
-            self.staleness = EpochStaleness()
-            self.staleness.note_epoch(self.epoch)
-        return out
+        """Pipelined fleet streaming: :func:`~repro.service.session.
+        stream_window` keeps up to ``pipeline_depth`` batches in
+        flight, each scattered across every host's id window, and
+        yields answers in submit order."""
+        return self.clock.consume(stream_window(
+            batches, self._submit, self._collect, self.clock.depth,
+            self.clock.pipeline))
 
     def apply_updates(self, changes) -> UpdateReport:
         """Scatter an edge-change batch to every host and hot-swap the
@@ -444,7 +376,7 @@ class ClusterClient:
             report = next(iter(reports.values()))
             if report.mode != "noop":
                 self._refresh_router()
-            self._fold_epoch(report.epoch)
+            self.clock.fold(report.epoch)
             return report
 
     def stats(self) -> dict:
@@ -466,11 +398,11 @@ class ClusterClient:
             per_host[key] = host_stats
         if causes:
             raise ClusterError("stats failed on some hosts", causes)
-        return {"n": self.n, "scheme": self.scheme, "epoch": self.epoch,
+        return {"n": self.n, "scheme": self.scheme,
+                "epoch": self.clock.epoch,
                 "updateable": self.updateable, "shards": self.num_shards,
                 "hosts": per_host,
-                "pipeline": dict(self.pipeline.summary(),
-                                 depth=self.pipeline_depth)}
+                "pipeline": self.clock.pipeline_summary()}
 
     def fetch_index(self, path: Optional[str] = None):
         """The full served store — only possible when some host serves
@@ -505,7 +437,7 @@ class ClusterClient:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ClusterClient({self.spec.describe()!r}, n={self.n}, "
-                f"scheme={self.scheme}, epoch={self.epoch})")
+                f"scheme={self.scheme}, epoch={self.clock.epoch})")
 
 
 # ----------------------------------------------------------------------

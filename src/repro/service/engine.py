@@ -29,8 +29,11 @@ store directly, without the sketch set.
 epoch's store (and, for ``jobs > 1``, its thread pool) is prepared
 while traffic continues, the swap is one pointer flip under the engine
 lock, and in-flight batches finish on the epoch they started on (the
-old server is closed only when its last batch drains).  Every batch is
-served by exactly one epoch — no torn reads — and the result cache is
+old server is closed only once no batch is still handing it probes; a
+streamed batch already submitted is collected from its ticket, which
+needs no executor).  Every batch — a ``dist_many`` call or one batch of
+a ``dist_stream`` — is served by exactly one epoch, the one current
+when it was submitted: no torn reads.  The result cache is
 epoch-stamped: it is cleared at the swap, and a stale batch's
 write-backs are dropped.
 
@@ -56,7 +59,8 @@ import numpy as np
 from repro.errors import ConfigError, QueryError
 from repro.service.index import (IndexStore, build_index, index_class_for,
                                  parse_pair_array)
-from repro.service.workers import ShardServer
+from repro.service.session import stream_window
+from repro.service.workers import STREAM_DEPTH, ShardServer
 from repro.tz.sketch import TZSketch, estimate_distance
 
 
@@ -465,55 +469,71 @@ class QueryEngine:
         finally:
             self._release_epoch(epoch)
 
+    # ------------------------------------------------------------------
+    # streaming: the submit/collect pair (see repro.service.session)
+    # ------------------------------------------------------------------
+    def _submit(self, pairs) -> Optional[tuple]:
+        """Start one cache-bypassing batch on the epoch current right
+        now; returns the ticket for :meth:`_collect` (``None`` when
+        empty).  The epoch is pinned only while its server is handed
+        the probes: collecting a ticket needs no executor, so an
+        outstanding one never keeps a retired epoch's server alive."""
+        arr = parse_pair_array(pairs)
+        if arr.size == 0:
+            return None
+        epoch, server = self._acquire_epoch()
+        try:
+            if server is None:
+                return epoch, None, arr
+            return epoch, server, server.submit(arr[:, 0], arr[:, 1])
+        finally:
+            self._release_epoch(epoch)
+
+    def _collect(self, ticket: Optional[tuple]) -> tuple[np.ndarray, int]:
+        """Finish one submitted batch — ``(answers, epoch)``, the epoch
+        being the one that was current at submit."""
+        if ticket is None:
+            return np.empty(0, dtype=np.float64), self.epoch
+        epoch, server, inner = ticket
+        if server is None:
+            return self._compute_many(inner[:, 0], inner[:, 1], None), epoch
+        return server.collect(inner), epoch
+
     def dist_stream(self, batches: Iterable) -> Iterator[np.ndarray]:
         """Pipelined batched serving: a generator over an iterable of
         pair batches, yielding one float64 answer array per batch, in
-        order.
+        order — :func:`~repro.service.session.stream_window` over the
+        engine's submit/collect pair, double-buffered.
 
-        With a thread pool behind the engine this is the
-        double-buffered path (:meth:`ShardServer.estimate_stream
-        <repro.service.workers.ShardServer.estimate_stream>`): batch
-        *k+1*'s plan overlaps batch *k*'s shard probes, and the hidden
-        seconds show up as ``overlap_seconds`` in :meth:`phase_timings`.
-        The result cache is bypassed (a streaming sweep is the
-        cold-cache workload) and the **whole stream** is pinned to one
-        epoch — a concurrent :meth:`apply_updates` only affects streams
-        opened after its swap.  Answers are bit-identical to calling
-        :meth:`dist_many` per batch on a cold cache.
+        With a thread pool behind the engine batch *k+1*'s plan
+        overlaps batch *k*'s shard probes (``overlap_seconds`` in
+        :meth:`phase_timings`).  The result cache is bypassed (a
+        streaming sweep is the cold-cache workload).  **Each batch** is
+        answered wholly by the epoch current when it was submitted — a
+        concurrent :meth:`apply_updates` affects the batches submitted
+        after its swap, exactly as for :meth:`dist_many`.  Answers are
+        bit-identical to per-batch :meth:`dist_many` on a cold cache,
+        and an error surfaces at its own batch's turn.
         """
         for answers, _ in self.dist_stream_pinned(batches):
             yield answers
 
     def dist_stream_pinned(self, batches: Iterable,
                            ) -> Iterator[tuple[np.ndarray, int]]:
-        """:meth:`dist_stream` plus the pinned epoch — yields
-        ``(answers, epoch)`` per batch.  The whole stream is served by
-        one epoch (pinned at first pull), so the epoch is constant
-        across the stream; exposing it per batch lets a transport
-        report the true per-result pin instead of reading the server's
-        live clock (which a concurrent :meth:`apply_updates` may have
-        advanced mid-stream)."""
-        epoch, server = self._acquire_epoch()
-        try:
-            if server is None:
-                for pairs in batches:
-                    arr = parse_pair_array(pairs)
-                    if arr.size == 0:
-                        yield np.empty(0, dtype=np.float64), epoch
-                    else:
-                        yield (self._compute_many(arr[:, 0], arr[:, 1],
-                                                  None), epoch)
-                return
+        """:meth:`dist_stream` plus each batch's pin — yields
+        ``(answers, epoch)``, the epoch current at that batch's submit
+        (a concurrent :meth:`apply_updates` may since have retired it)."""
+        return stream_window(batches, self._submit, self._collect,
+                             STREAM_DEPTH, stats=self)
 
-            def split(feed):
-                for pairs in feed:
-                    arr = parse_pair_array(pairs)
-                    yield arr[:, 0], arr[:, 1]
+    def note_submit(self, inflight: int, seconds: float) -> None:
+        """Window telemetry, passed on to the serving shard server."""
+        server = self._server
+        if server is not None:
+            server.note_submit(inflight, seconds)
 
-            for answers in server.estimate_stream(split(batches)):
-                yield answers, epoch
-        finally:
-            self._release_epoch(epoch)
+    def note_reply(self, seconds: float) -> None:
+        """Per-batch latencies are a session-side number."""
 
     # ------------------------------------------------------------------
     def apply_updates(self, changes) -> "Any":

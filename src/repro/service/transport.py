@@ -37,6 +37,15 @@ connected TCP client without a reconnect (the server pushes an
 epoch-bump frame; in-flight batches stay pinned to the epoch that
 served them, which every result frame names).
 
+One session core (:mod:`repro.service.session`): a transport supplies
+only a ``submit(batch) -> ticket`` / ``collect(ticket) -> (answers,
+epoch)`` pair.  ``dist_many`` is ``collect(submit(pairs))``,
+``dist_stream`` the shared bounded window over the same pair, and a
+:class:`~repro.service.session.SessionClock` keeps the session's epochs
+and telemetry.  So on every transport each batch is answered wholly by
+the epoch current when it was submitted, and an error surfaces at its
+own batch's position in a stream.
+
 Wire protocol (version 2).  A frame is ``u32 frame_len | u32 head_len |
 head JSON | body``; the body is :func:`~repro.service.buffers.tree_to_bytes`
 output for query/result frames, the raw ``RPIX`` binary index container
@@ -52,8 +61,8 @@ keep many requests in flight and consume replies out of order.  The
 client exploits that in :meth:`OracleClient.dist_stream` — a window of
 ``pipeline_depth`` batches (≥ 2) stays submitted per connection, so
 batch *k+1*'s encode and the wire round-trip overlap batch *k*'s
-server-side probes (the PR 5 submit/collect double-buffering, extended
-over TCP).  The server exploits it too: :meth:`OracleServer.serve` runs
+server-side probes (the local double-buffering, extended over TCP).
+The server exploits it too: :meth:`OracleServer.serve` runs
 one :mod:`selectors` event loop that multiplexes every connection
 (accept, frame reassembly, write flushing) on a single IO thread and
 fans decoded requests across a handler thread pool sized to the
@@ -75,7 +84,6 @@ import struct
 import tempfile
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
@@ -87,6 +95,7 @@ from repro.service.buffers import tree_from_bytes, tree_to_bytes
 from repro.service.engine import QueryEngine
 from repro.service.index import (parse_pair_array, scheme_name_of,
                                  scheme_name_of_index)
+from repro.service.session import SessionClock, stream_window
 from repro.service.updates import UpdateReport
 
 #: transports :func:`connect` understands
@@ -225,10 +234,6 @@ def _frame_bytes(head: dict, body: bytes = b"") -> bytes:
     head_json = json.dumps(head, separators=(",", ":")).encode("utf-8")
     return (_FRAME_PREFIX.pack(4 + len(head_json) + len(body),
                                len(head_json)) + head_json + body)
-
-
-def _send_frame(sock: socket.socket, head: dict, body: bytes = b"") -> None:
-    sock.sendall(_frame_bytes(head, body))
 
 
 def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
@@ -953,76 +958,20 @@ class OracleServer:
 # ----------------------------------------------------------------------
 # transports (the client side)
 # ----------------------------------------------------------------------
-@dataclass
-class EpochStaleness:
-    """Per-session staleness telemetry — the introspection surface the
-    scenario harness (and any churn-aware operator) reads.
-
-    A result is **stale** when the epoch that served it
-    (``last_result_epoch``) is older than the newest epoch the session
-    had observed by consume time — legal under the monotonic-epoch rule
-    (an in-flight batch finishes on the epoch it started on), but worth
-    measuring: ``window_seconds`` records, per stale result, how long
-    the newer epoch had already been visible to this session when the
-    old-epoch answer arrived (the *staleness window*).
-    """
-
-    results: int = 0
-    stale_results: int = 0
-    max_epoch_lag: int = 0
-    window_seconds: list = field(default_factory=list)
-    _first_seen: dict = field(default_factory=dict)
-
-    #: per-session epochs whose first-seen timestamps are retained
-    _KEEP = 64
-
-    def note_epoch(self, epoch: int) -> None:
-        """The session just observed ``epoch`` (hello, pushed bump, or
-        result frame) — timestamp its first sighting."""
-        if epoch not in self._first_seen:
-            self._first_seen[epoch] = time.perf_counter()
-            if len(self._first_seen) > self._KEEP:
-                for old in sorted(self._first_seen)[:-self._KEEP]:
-                    del self._first_seen[old]
-
-    def note_result(self, result_epoch: int, session_epoch: int) -> None:
-        """A result pinned to ``result_epoch`` was consumed while the
-        session knew about ``session_epoch``."""
-        self.results += 1
-        lag = session_epoch - result_epoch
-        if lag <= 0:
-            return
-        self.stale_results += 1
-        self.max_epoch_lag = max(self.max_epoch_lag, lag)
-        newer = [t for e, t in self._first_seen.items() if e > result_epoch]
-        if newer and len(self.window_seconds) < 1 << 16:
-            self.window_seconds.append(time.perf_counter() - min(newer))
-
-    def summary(self) -> dict:
-        windows = self.window_seconds
-        return {"results": self.results,
-                "stale_results": self.stale_results,
-                "max_epoch_lag": self.max_epoch_lag,
-                "window_count": len(windows),
-                "window_max_s": max(windows) if windows else 0.0,
-                "window_seconds": list(windows)}
-
-
 class _LocalTransport:
     """In-process binding to an :class:`OracleServer` — the ``inproc``
-    data path (no serialization at all)."""
+    data path (no serialization at all).  ``dist_many`` goes through
+    the engine's result cache; ``dist_stream`` is the engine's own
+    submit/collect window, which bypasses it."""
 
     name = "local"
 
     def __init__(self, server: OracleServer, owns_server: bool):
         self._server = server
         self._owns_server = owns_server
-        self.staleness = EpochStaleness()
-        #: the epoch that served the most recently consumed result — a
-        #: batch pinned before a concurrent hot swap keeps naming the
-        #: old epoch here even though :attr:`epoch` has moved on
-        self.last_result_epoch = server.epoch
-        self.staleness.note_epoch(server.epoch)
+        # an inproc session reads its server's clock directly
+        self.clock = SessionClock(live=lambda: server.epoch)
+        self.clock.start(server.epoch)
 
     @property
     def n(self) -> int:
@@ -1032,37 +981,17 @@ class _LocalTransport:
     def scheme(self) -> Optional[str]:
         return self._server.scheme
 
-    @property
-    def epoch(self) -> int:
-        return self._server.epoch
-
-    def _note_result(self, epoch: int) -> None:
-        self.last_result_epoch = epoch
-        live = self._server.epoch
-        self.staleness.note_epoch(live)
-        self.staleness.note_result(epoch, live)
-
     def dist_many(self, pairs) -> np.ndarray:
-        answers, epoch = self._server._engine.dist_many_pinned(pairs)
-        self._note_result(epoch)
-        return answers
+        return self.clock.answer(
+            self._server._engine.dist_many_pinned(pairs))
 
     def dist_stream(self, batches) -> Iterator[np.ndarray]:
-        for answers, epoch in self._server._engine.dist_stream_pinned(
-                batches):
-            self._note_result(epoch)
-            yield answers
-
-    def staleness_stats(self, reset: bool = False) -> dict:
-        out = self.staleness.summary()
-        if reset:
-            self.staleness = EpochStaleness()
-            self.staleness.note_epoch(self._server.epoch)
-        return out
+        return self.clock.consume(
+            self._server._engine.dist_stream_pinned(batches))
 
     def apply_updates(self, changes) -> UpdateReport:
         report = self._server.apply_updates(changes)
-        self.staleness.note_epoch(self._server.epoch)
+        self.clock.now()
         return report
 
     def stats(self) -> dict:
@@ -1083,32 +1012,14 @@ class _LocalTransport:
             self._server.close()
 
 
-@dataclass
-class PipelineStats:
-    """Client-side telemetry of the pipelined ``dist_stream`` path.
-
-    ``overlap_seconds`` is the submit-side time (encode + send) spent
-    while at least one earlier request was still in flight — the wire
-    analogue of :attr:`~repro.service.workers.PhaseTimings.overlap`;
-    sequential one-in-flight serving leaves it 0.  ``latencies`` holds
-    one submit-to-reply second count per streamed batch (what the E18
-    load generator turns into p50/p99)."""
-
-    requests: int = 0
-    max_inflight: int = 0
-    overlap_seconds: float = 0.0
-    latencies: list = field(default_factory=list)
-
-    def summary(self) -> dict:
-        return {"requests": self.requests,
-                "max_inflight": self.max_inflight,
-                "overlap_seconds": self.overlap_seconds}
-
-
 class _TcpTransport:
     """Frame-protocol client: one socket, multiplexed request/reply
     matched by request id, pushed ``epoch`` frames folded into the
-    session state whenever they arrive.
+    session clock whenever they arrive.
+
+    Its submit/collect pair is :meth:`_post` a ``query`` frame /
+    :meth:`_await` the ``result`` frame that echoes the id; the result
+    head names the epoch that served the batch.
 
     A mid-frame failure (peer gone, corrupt frame) leaves the byte
     stream unrecoverable, so the transport marks itself **dead**: the
@@ -1120,9 +1031,7 @@ class _TcpTransport:
 
     def __init__(self, endpoint: Endpoint, timeout: Optional[float] = None,
                  pipeline_depth: int = DEFAULT_PIPELINE_DEPTH):
-        if pipeline_depth < 1:
-            raise ConfigError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}")
+        self.clock = SessionClock(pipeline_depth)
         try:
             self._sock = socket.create_connection(
                 (endpoint.host, endpoint.port), timeout=timeout)
@@ -1136,9 +1045,6 @@ class _TcpTransport:
         self._dead: Optional[str] = None
         self._next_id = 0
         self._replies: dict[int, tuple[dict, bytes]] = {}
-        self.pipeline_depth = int(pipeline_depth)
-        self.pipeline = PipelineStats()
-        self.staleness = EpochStaleness()
         try:
             head, _ = _recv_frame(self._sock)
         except OSError as exc:  # includes socket.timeout on a mute peer
@@ -1156,11 +1062,7 @@ class _TcpTransport:
                 f"{head.get('v')}, client {PROTOCOL_VERSION}")
         self.n = int(head["n"])
         self.scheme = head.get("scheme")
-        self.epoch = int(head["epoch"])
-        #: the epoch that served the most recently consumed result —
-        #: the per-batch pin.  ``epoch`` itself only moves forward.
-        self.last_result_epoch = self.epoch
-        self.staleness.note_epoch(self.epoch)
+        self.clock.start(int(head["epoch"]))
         self.num_shards = int(head["shards"])
         self.updateable = bool(head["updateable"])
         #: ``(lo, hi)`` when the host serves only a landmark-shard
@@ -1188,45 +1090,14 @@ class _TcpTransport:
         except OSError:  # pragma: no cover - already closed
             pass
 
-    # -- epoch bookkeeping ---------------------------------------------
-    def _fold_epoch(self, epoch: int) -> None:
-        """A pushed epoch-bump frame: the session clock only moves
-        forward, and the staleness telemetry timestamps the sighting."""
-        self.epoch = max(self.epoch, epoch)
-        self.staleness.note_epoch(self.epoch)
-
-    def _note_result_epoch(self, epoch: int) -> None:
-        """A result frame was consumed: re-pin ``last_result_epoch`` to
-        the epoch that actually served it (which may be older than the
-        session clock — the monotonic-epoch rule) and account the
-        staleness window."""
-        self.last_result_epoch = epoch
-        self.epoch = max(self.epoch, epoch)
-        self.staleness.note_epoch(self.epoch)
-        self.staleness.note_result(epoch, self.epoch)
-
     # -- the multiplexed request/reply core ----------------------------
     def _post(self, head: dict, body: bytes = b"") -> int:
         """Send one request frame; returns its id (collect the reply
-        with :meth:`_await`)."""
-        with self._send_lock:
-            self._check_alive()
-            rid = self._next_id
-            self._next_id += 1
-            try:
-                _send_frame(self._sock, dict(head, id=rid), body)
-            except OSError as exc:
-                self._mark_dead(f"send failed: {exc}")
-                raise ConnectionError(
-                    f"oracle connection lost: {exc}") from None
-            return rid
-
-    def _post_stream(self, head: dict, body: bytes = b"") -> int:
-        """:meth:`_post` for the pipelined window: while the request
-        frame is only partially written, consume any replies the server
-        has already queued.  A plain ``sendall`` here can deadlock —
-        with large frames the server may be write-backpressured (its
-        read paused) while this side blocks mid-send, both directions'
+        with :meth:`_await`).  The one send path: while the frame is
+        only partially written, consume any replies the server has
+        already queued.  A plain ``sendall`` here can deadlock — with
+        large frames the server may be write-backpressured (its read
+        paused) while this side blocks mid-send, both directions'
         kernel buffers full; draining the receive side breaks the
         cycle."""
         with self._send_lock:
@@ -1251,12 +1122,22 @@ class _TcpTransport:
                     f"oracle connection lost: {exc}") from None
             return rid
 
+    def _read_frame(self) -> Optional[tuple[dict, bytes]]:
+        """Read one frame (receive lock held).  A reply is returned for
+        its awaiter; a pushed frame is taken in here — an epoch bump
+        folds into the session clock — and yields ``None``."""
+        head, payload = _recv_frame(self._sock)
+        if "id" in head:
+            return head, payload
+        if head.get("kind") == "epoch":
+            self.clock.fold(int(head["epoch"]))
+        return None
+
     def _drain_ready(self) -> bool:
         """Stash every reply frame the kernel has already delivered
-        (non-blocking readiness check, so a quiet socket costs nothing);
-        pushed epoch bumps fold into the session on the way.  Returns
-        False without reading when another thread holds the receive
-        side — that thread is draining already."""
+        (non-blocking readiness check, so a quiet socket costs
+        nothing).  Returns False without reading when another thread
+        holds the receive side — that thread is draining already."""
         if not self._recv_lock.acquire(blocking=False):
             return False
         try:
@@ -1264,12 +1145,9 @@ class _TcpTransport:
                 ready, _, _ = select.select([self._sock], [], [], 0.0)
                 if not ready:
                     return True
-                head, payload = _recv_frame(self._sock)
-                if "id" not in head:
-                    if head.get("kind") == "epoch":
-                        self._fold_epoch(int(head["epoch"]))
-                    continue
-                self._replies[head["id"]] = (head, payload)
+                frame = self._read_frame()
+                if frame is not None:
+                    self._replies[frame[0]["id"]] = frame
             return True
         except (ConnectionError, OSError, ValueError) as exc:
             self._mark_dead(f"receive failed: {exc}")
@@ -1277,166 +1155,93 @@ class _TcpTransport:
         finally:
             self._recv_lock.release()
 
-    def _await(self, rid: int) -> tuple[dict, bytes]:
-        """Collect the reply for ``rid``, folding pushed epoch bumps
-        into the session and stashing out-of-order replies for their
-        own awaiters."""
-        while True:
-            hit = None
+    def _await(self, rid: int, kind: str) -> tuple[dict, bytes]:
+        """Collect the ``kind`` reply for ``rid``, stashing
+        out-of-order replies for their own awaiters; a typed error
+        frame re-raises as its :mod:`repro.errors` class."""
+        hit = None
+        while hit is None:
             with self._recv_lock:
                 hit = self._replies.pop(rid, None)
                 if hit is None:
                     self._check_alive()
                     try:
-                        head, payload = _recv_frame(self._sock)
+                        frame = self._read_frame()
                     except (ConnectionError, OSError) as exc:
                         self._mark_dead(f"receive failed: {exc}")
                         raise ConnectionError(
                             f"oracle connection lost: {exc}") from None
-                    if "id" not in head:
-                        if head.get("kind") == "epoch":
-                            self._fold_epoch(int(head["epoch"]))
-                        continue  # pushed frame; keep reading
-                    if head["id"] != rid:
-                        self._replies[head["id"]] = (head, payload)
-                        continue
-                    hit = (head, payload)
-            head, payload = hit
-            if head.get("kind") == "error":
-                raise _error_from_frame(head)
-            return head, payload
+                    if frame is not None and frame[0]["id"] == rid:
+                        hit = frame
+                    elif frame is not None:
+                        self._replies[frame[0]["id"]] = frame
+        head, payload = hit
+        if head.get("kind") == "error":
+            raise _error_from_frame(head)
+        if head.get("kind") != kind:
+            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
+        return head, payload
 
-    def _request(self, head: dict, body: bytes = b"") -> tuple[dict, bytes]:
-        return self._await(self._post(head, body))
+    def _request(self, head: dict, kind: str) -> tuple[dict, bytes]:
+        return self._await(self._post(head), kind)
 
     # -- fleet probes (the cluster client's fan-out primitive) ---------
     def post_probe(self, shards: Iterable[int], body: bytes) -> int:
         """Send one ``probe`` frame (a pre-encoded tuple of per-shard
-        requests for the named shards); returns its request id.  Uses
-        the deadlock-free interleaved send, so probe windows pipeline
-        exactly like :meth:`dist_stream` batches."""
-        return self._post_stream({"kind": "probe", "shards": list(shards)},
-                                 body)
+        requests for the named shards); returns its request id."""
+        return self._post({"kind": "probe", "shards": list(shards)}, body)
 
     def await_probe(self, rid: int) -> tuple[Any, int]:
         """Collect one probe reply — ``(responses, epoch)``, the
         responses a tuple aligned with the posted shard list."""
-        head, payload = self._await(rid)
-        if head.get("kind") != "probe_result":
-            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
+        head, payload = self._await(rid, "probe_result")
         return tree_from_bytes(payload), int(head["epoch"])
 
-    # -- the session surface -------------------------------------------
-    def dist_many(self, pairs) -> np.ndarray:
+    # -- the session surface: a submit/collect pair --------------------
+    def _submit(self, pairs) -> Optional[int]:
         arr = parse_pair_array(pairs)
         if arr.size == 0:
-            return np.empty(0, dtype=np.float64)
-        head, body = self._request({"kind": "query"}, tree_to_bytes(arr))
-        if head.get("kind") != "result":
-            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
-        # the batch stays pinned to the epoch that served it
-        # (last_result_epoch); the session epoch only moves forward —
-        # an old-epoch reply consumed after a pushed bump must not roll
-        # it back
-        self._note_result_epoch(int(head["epoch"]))
-        return np.array(tree_from_bytes(body), dtype=np.float64)
+            return None
+        return self._post({"kind": "query"}, tree_to_bytes(arr))
+
+    def _collect(self, rid: Optional[int]) -> tuple[np.ndarray, int]:
+        if rid is None:
+            return np.empty(0, dtype=np.float64), self.clock.epoch
+        head, body = self._await(rid, "result")
+        # the batch stays pinned to the epoch that served it: an
+        # old-epoch reply consumed after a pushed bump names the old one
+        return (np.array(tree_from_bytes(body), dtype=np.float64),
+                int(head["epoch"]))
+
+    def dist_many(self, pairs) -> np.ndarray:
+        return self.clock.answer(self._collect(self._submit(pairs)))
 
     def dist_stream(self, batches) -> Iterator[np.ndarray]:
-        """Pipelined streaming: keep up to ``pipeline_depth`` batches
-        submitted, yield answers in submit order (replies may arrive out
-        of order; the id window reorders them).  Batch *k+1*'s encode
-        and round-trip overlap batch *k*'s server-side work — the PR 5
-        double-buffering, extended over the wire."""
-        stats = self.pipeline
-        window: deque = deque()  # (rid | None for empty batch, t_submit)
-        feed = iter(batches)
-        exhausted = False
-        try:
-            while True:
-                while not exhausted and len(window) < self.pipeline_depth:
-                    try:
-                        pairs = next(feed)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    inflight = sum(1 for r, _ in window if r is not None)
-                    t0 = time.perf_counter()
-                    arr = parse_pair_array(pairs)
-                    if arr.size == 0:
-                        window.append((None, t0))
-                        continue
-                    rid = self._post_stream({"kind": "query"},
-                                            tree_to_bytes(arr))
-                    submit_cost = time.perf_counter() - t0
-                    window.append((rid, t0))
-                    stats.requests += 1
-                    stats.max_inflight = max(stats.max_inflight,
-                                             inflight + 1)
-                    if inflight:
-                        # encode+send seconds hidden behind requests
-                        # already in flight: the pipelining win
-                        stats.overlap_seconds += submit_cost
-                if not window:
-                    return
-                rid, t0 = window.popleft()
-                if rid is None:
-                    yield np.empty(0, dtype=np.float64)
-                    continue
-                head, body = self._await(rid)
-                stats.latencies.append(time.perf_counter() - t0)
-                self._note_result_epoch(int(head["epoch"]))
-                yield np.array(tree_from_bytes(body), dtype=np.float64)
-        finally:
-            # abandoned (or errored) mid-stream: collect the in-flight
-            # replies so the session is clean for the next request
-            for rid, _ in window:
-                if rid is not None:
-                    try:
-                        self._await(rid)
-                    except (ReproError, ConnectionError):
-                        pass
-
-    def pipeline_stats(self, reset: bool = False) -> dict:
-        """The pipelined-stream telemetry (and per-batch latencies)
-        accumulated so far; ``reset=True`` starts a fresh window."""
-        stats = self.pipeline
-        out = dict(stats.summary(), depth=self.pipeline_depth,
-                   latencies=list(stats.latencies))
-        if reset:
-            self.pipeline = PipelineStats()
-        return out
-
-    def staleness_stats(self, reset: bool = False) -> dict:
-        """The per-session epoch-staleness telemetry accumulated so
-        far; ``reset=True`` starts a fresh window (the session clock
-        itself is untouched)."""
-        out = self.staleness.summary()
-        if reset:
-            self.staleness = EpochStaleness()
-            self.staleness.note_epoch(self.epoch)
-        return out
+        """Pipelined streaming: :func:`~repro.service.session.
+        stream_window` keeps up to ``pipeline_depth`` query frames
+        posted and yields answers in submit order (replies may arrive
+        out of order; the id stash reorders them).  Batch *k+1*'s
+        encode and round-trip overlap batch *k*'s server-side work —
+        the local double-buffering, extended over the wire."""
+        return self.clock.consume(stream_window(
+            batches, self._submit, self._collect, self.clock.depth,
+            self.clock.pipeline))
 
     def apply_updates(self, changes) -> UpdateReport:
         from repro.oracle.serialization import change_to_dict
 
         head, _ = self._request({
             "kind": "apply",
-            "changes": [change_to_dict(c) for c in changes]})
-        if head.get("kind") != "report":
-            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
+            "changes": [change_to_dict(c) for c in changes]}, "report")
         # tolerant construction: a newer server may report fields this
         # client does not know (version skew must not crash the session)
         report = UpdateReport.from_wire(head["report"])
-        self._fold_epoch(report.epoch)
+        self.clock.fold(report.epoch)
         return report
 
     def stats(self) -> dict:
-        head, _ = self._request({"kind": "stats"})
-        if head.get("kind") != "stats_reply":
-            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
-        stats = head["stats"]
-        stats["pipeline"] = dict(self.pipeline.summary(),
-                                 depth=self.pipeline_depth)
+        stats = self._request({"kind": "stats"}, "stats_reply")[0]["stats"]
+        stats["pipeline"] = self.clock.pipeline_summary()
         return stats
 
     def fetch_index(self, path: Optional[str]):
@@ -1449,9 +1254,7 @@ class _TcpTransport:
         lockstep with the fleet."""
         from repro.oracle.serialization import load_index_binary
 
-        head, blob = self._request({"kind": "fetch_index"})
-        if head.get("kind") != "index_blob":
-            raise ReproError(f"unexpected reply frame {head.get('kind')!r}")
+        head, blob = self._request({"kind": "fetch_index"}, "index_blob")
         epoch = int(head["epoch"])
         if path is None:
             # no attach target: materialize in memory via a scratch file
@@ -1472,8 +1275,8 @@ class _TcpTransport:
         self._closed = True
         if self._dead is None:
             try:
-                _send_frame(self._sock, {"kind": "close"})
-            except OSError:
+                self._post({"kind": "close"})
+            except ConnectionError:
                 pass
         try:
             self._sock.close()
@@ -1522,7 +1325,7 @@ class OracleClient:
     def epoch(self) -> int:
         """The newest epoch this session has observed — advanced (never
         rolled back) by result frames and server-pushed epoch bumps."""
-        return self._transport.epoch
+        return self._transport.clock.now()
 
     @property
     def last_result_epoch(self) -> int:
@@ -1531,7 +1334,7 @@ class OracleClient:
         per-batch pin.  Unlike :attr:`epoch`, this can name an older
         epoch when a reply that was in flight across a hot swap is
         consumed after the pushed bump."""
-        return self._transport.last_result_epoch
+        return self._transport.clock.last_result_epoch
 
     # -- queries -------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
@@ -1545,21 +1348,31 @@ class OracleClient:
         return self._transport.dist_many(pairs)
 
     def dist_stream(self, batches: Iterable) -> Iterator[np.ndarray]:
-        """Pipelined serving over an iterable of pair batches (the
-        double-buffered dispatch on ``inproc://jobs=N`` sessions; a
-        ``pipeline_depth``-deep request-id window over tcp); yields one
-        answer array per batch, in order, bit-identical to per-batch
-        :meth:`dist_many` on a cold cache."""
+        """Pipelined serving over an iterable of pair batches: one
+        bounded in-order window (:func:`~repro.service.session.
+        stream_window`) over the transport's submit/collect pair — two
+        deep on ``inproc://``, ``pipeline_depth`` deep over tcp and
+        across a fleet.  Yields one answer array per batch, in order,
+        bit-identical to per-batch :meth:`dist_many` on a cold cache.
+
+        On every transport: batches are pulled only as window slots
+        free up; **each batch** is answered wholly by the epoch current
+        when it was submitted, named by :attr:`last_result_epoch` as it
+        is consumed; an error (a :class:`~repro.errors.QueryError` for
+        a bad id or an unresolved pair) is raised at its own batch's
+        turn, after every earlier batch was yielded; closing the
+        generator early drains what is in flight."""
         return self._transport.dist_stream(batches)
 
     def pipeline_stats(self, reset: bool = False) -> Optional[dict]:
-        """Client-side pipelining telemetry of a tcp session —
+        """Client-side pipelining telemetry of a tcp or fleet session —
         ``requests`` / ``max_inflight`` / ``overlap_seconds`` /
-        per-batch ``latencies`` of the :meth:`dist_stream` window
-        (``None`` for local transports, whose overlap shows up in the
-        server's phase timings instead)."""
-        fn = getattr(self._transport, "pipeline_stats", None)
-        return fn(reset) if fn is not None else None
+        ``depth`` / per-batch ``latencies`` of the :meth:`dist_stream`
+        window (``None`` for local transports, whose overlap shows up
+        in the server's phase timings instead).  ``latencies`` stops
+        recording past 65536 entries until ``reset=True`` starts a
+        fresh window; ``requests`` keeps counting."""
+        return self._transport.clock.pipeline_stats(reset)
 
     def staleness_stats(self, reset: bool = False) -> dict:
         """Per-session epoch-staleness telemetry (every transport):
@@ -1568,7 +1381,7 @@ class OracleClient:
         monotonic-epoch rule), the worst epoch lag, and per stale
         result the seconds the newer epoch had already been visible
         (the *staleness window*)."""
-        return self._transport.staleness_stats(reset)
+        return self._transport.clock.staleness_stats(reset)
 
     # -- control plane -------------------------------------------------
     def apply_updates(self, changes) -> UpdateReport:
@@ -1640,42 +1453,34 @@ def connect(spec: str, source: Any = None, *,
     spec's ``cache`` option; ``timeout`` bounds the TCP connect +
     handshake (it is cleared once the session is up, so a slow
     large-batch reply can never desync the stream); ``pipeline_depth``
-    sets how many ``dist_stream`` batches a tcp session keeps in flight
-    (default 4, minimum 1).
+    sets how many ``dist_stream`` batches a tcp or fleet session keeps
+    in flight (default 4, minimum 1).
 
     :raises ConfigError: on a bad spec, a missing/forbidden ``source``,
         or an unreachable server.
     """
     endpoint = parse_endpoint(spec)
-    if endpoint.transport == "cluster":
-        from repro.service.cluster import ClusterClient
+    if endpoint.transport != "inproc":
+        kind = endpoint.transport
+        owner = "fleet" if kind == "cluster" else "server"
+        if source is not None:
+            raise ConfigError(
+                f"a {kind}:// session carries no data — the {owner} owns "
+                f"the index (drop source=)")
+        if cache_size is not None:
+            raise ConfigError(
+                f"cache_size is a server-side knob for {kind}:// sessions")
+        depth = (DEFAULT_PIPELINE_DEPTH if pipeline_depth is None
+                 else pipeline_depth)
+        if kind == "cluster":
+            from repro.service.cluster import ClusterClient
 
-        if source is not None:
-            raise ConfigError(
-                "a cluster:// session carries no data — the fleet owns "
-                "the index (drop source=)")
-        if cache_size is not None:
-            raise ConfigError(
-                "cache_size is a server-side knob for cluster:// sessions")
-        depth = (DEFAULT_PIPELINE_DEPTH if pipeline_depth is None
-                 else pipeline_depth)
-        return OracleClient(
-            ClusterClient(endpoint.options["hosts"], timeout=timeout,
-                          pipeline_depth=depth),
-            endpoint=endpoint.describe())
-    if endpoint.transport == "tcp":
-        if source is not None:
-            raise ConfigError(
-                "a tcp:// session carries no data — the server owns the "
-                "index (drop source=)")
-        if cache_size is not None:
-            raise ConfigError(
-                "cache_size is a server-side knob for tcp:// sessions")
-        depth = (DEFAULT_PIPELINE_DEPTH if pipeline_depth is None
-                 else pipeline_depth)
-        return OracleClient(
-            _TcpTransport(endpoint, timeout=timeout, pipeline_depth=depth),
-            endpoint=endpoint.describe())
+            transport = ClusterClient(endpoint.options["hosts"],
+                                      timeout=timeout, pipeline_depth=depth)
+        else:
+            transport = _TcpTransport(endpoint, timeout=timeout,
+                                      pipeline_depth=depth)
+        return OracleClient(transport, endpoint=endpoint.describe())
     if pipeline_depth is not None:
         raise ConfigError(
             "pipeline_depth is a tcp:// session knob (local transports "

@@ -37,8 +37,14 @@ run.
 A server is pinned to **one epoch** of its index: the dynamic-update
 path (:meth:`~repro.service.engine.QueryEngine.apply_updates`) never
 mutates a served store — it builds the next epoch's server while this
-one keeps answering, then swaps and closes this one once its in-flight
-batches drain.
+one keeps answering, then swaps and closes this one once no batch is
+still being submitted to it.  Closing lets the probes already submitted
+run, and collecting needs only the ticket and the immutable index, so a
+batch submitted before the swap is still answered wholly by this epoch.
+
+Serving is a **submit/collect pair** (:mod:`repro.service.session`):
+``estimate_many`` is ``collect(submit(...))``, ``estimate_stream`` the
+shared window driver over the same pair.
 """
 
 from __future__ import annotations
@@ -53,11 +59,16 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.service.index import IndexStore, parse_pair_array
+from repro.service.session import stream_window
 
 #: executor threads carry this name prefix so tests (and operators
 #: reading a stack dump) can tell them from handler threads — and
 #: assert none outlive their server
 THREAD_POOL_PREFIX = "repro-shard"
+
+#: batches a local stream keeps submitted: double buffering — batch
+#: *k+1* is planned while batch *k*'s probes run
+STREAM_DEPTH = 2
 
 
 # ----------------------------------------------------------------------
@@ -147,151 +158,103 @@ class ShardServer:
                 thread_name_prefix=THREAD_POOL_PREFIX)
 
     # ------------------------------------------------------------------
-    # dispatch: submit (start the probes) / collect (gather responses)
+    # the submit/collect pair (see repro.service.session)
     # ------------------------------------------------------------------
-    def _thread_shard(self, shard: int, request) -> tuple[float, Any]:
-        """Executor task: probe the caller's own index — the numpy
-        kernel inside releases the GIL, so submissions overlap."""
+    def _probe(self, shard: int, request) -> tuple[float, Any]:
+        """One timed shard probe of the caller's own index.  As an
+        executor task the numpy kernel inside releases the GIL, so
+        submissions overlap."""
         t0 = time.perf_counter()
         response = self.index.shard_answer(shard, request)
         return time.perf_counter() - t0, response
 
-    def _submit(self, requests: list) -> tuple:
-        """Start the per-shard probes; returns an opaque handle for
-        :meth:`_collect`.  In-thread servers defer the actual compute to
-        collect time (there is nothing to overlap with)."""
-        if self._executor is None:
-            return ("sync", requests)
-        return ("threads", [
-            self._executor.submit(self._thread_shard, s, request)
-            for s, request in enumerate(requests)])
-
-    def _collect(self, handle: tuple) -> tuple[list, float, float]:
-        """Gather one submitted batch; returns ``(responses,
-        sum_of_shard_seconds, max_shard_seconds)``."""
-        kind = handle[0]
-        if kind == "sync":
-            responses, total = [], 0.0
-            for s, r in enumerate(handle[1]):
-                t0 = time.perf_counter()
-                responses.append(self.index.shard_answer(s, r))
-                total += time.perf_counter() - t0
-            return responses, total, total
-        raw = [future.result() for future in handle[1]]
-        seconds = [dt for dt, _ in raw]
-        return [resp for _, resp in raw], sum(seconds), max(seconds)
-
-    def _dispatch(self, requests: list) -> tuple[list, float, float]:
-        """Run the per-shard probes start to finish (the sequential
-        path: submit immediately followed by collect)."""
-        return self._collect(self._submit(requests))
-
-    # ------------------------------------------------------------------
-    def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Batched estimates through the shard decomposition —
-        bit-identical to ``index.estimate_many`` for every ``jobs``."""
+    def submit(self, us: np.ndarray, vs: np.ndarray) -> Optional[tuple]:
+        """Plan one batch and start its per-shard probes; returns the
+        ticket for :meth:`collect` (``None`` for an empty batch).  An
+        in-thread server defers the probes to collect time — there is
+        nothing to overlap with."""
+        if us.shape[0] == 0:
+            return None
         t0 = time.perf_counter()
         state, requests = self.index.plan(us, vs)
         t1 = time.perf_counter()
-        responses, shard_sum, shard_max = self._dispatch(requests)
-        t2 = time.perf_counter()
-        try:
-            answers = self.index.finish(state, responses)
-        finally:
-            t3 = time.perf_counter()
-            tm = self.timings
-            with self._state_lock:
-                tm.plan += t1 - t0
-                tm.shard_answer += shard_sum
-                tm.finish += t3 - t2
-                tm.kernel += shard_max
-                if self._executor is not None:
-                    tm.ipc += max(0.0, (t2 - t1) - shard_max)
-                tm.batches += 1
-        return answers
+        executor = self._executor
+        if executor is not None:
+            requests = [executor.submit(self._probe, s, request)
+                        for s, request in enumerate(requests)]
+        with self._state_lock:
+            self.timings.plan += t1 - t0
+        return state, executor is not None, requests, t1
 
-    def estimate_stream(self, batches) -> "Iterable[np.ndarray]":
-        """Double-buffered pipelined serving: a generator over an
-        iterable of ``(us, vs)`` batches, yielding one float64 answer
-        array per batch, in order.
-
-        While batch *k*'s shard probes run on the executor, the caller
-        plans batch *k+1*.  The hidden caller-side seconds accumulate
-        in :attr:`PhaseTimings.overlap`.  Answers are bit-identical to
-        calling :meth:`estimate_many` per batch (the test suite asserts
-        it); an in-thread server (``jobs=1``) degenerates to exactly
-        that.
-        """
-        # `pending` always names the one batch whose probes may be in
-        # flight and uncollected — it is reassigned *before* any yield
-        # or finish call, so the finally block (abandoned generator, or
-        # a QueryError escaping finish) drains exactly the right handle
-        pending = None  # (state, handle, t_submitted)
-        try:
-            for us, vs in batches:
-                t0 = time.perf_counter()
-                if us.shape[0] == 0:
-                    state, handle = None, ("empty",)
-                    t1 = t0
-                else:
-                    state, requests = self.index.plan(us, vs)
-                    t1 = time.perf_counter()
-                    handle = self._submit(requests)
-                t2 = time.perf_counter()
-                with self._state_lock:
-                    self.timings.plan += t1 - t0
-                prev, pending = pending, (state, handle, t2)
-                if prev is not None:
-                    if self._executor is not None:
-                        # this batch's plan ran while the previous
-                        # batch's probes were in flight: the overlap
-                        # window (in-thread "submit" defers the compute,
-                        # so there is nothing to overlap with)
-                        with self._state_lock:
-                            self.timings.overlap += t2 - t0
-                    yield self._finish_pending(prev)
-            if pending is not None:
-                prev, pending = pending, None
-                yield self._finish_pending(prev)
-        finally:
-            if pending is not None:  # abandoned mid-stream: drain the
-                _, handle, _ = pending  # in-flight probes, drop results
-                if handle[0] != "empty":
-                    try:
-                        self._collect(handle)
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-
-    def _finish_pending(self, pending: tuple) -> np.ndarray:
-        state, handle, t_submitted = pending
-        tm = self.timings
-        if handle[0] == "empty":
-            with self._state_lock:
-                tm.batches += 1
+    def collect(self, ticket: Optional[tuple]) -> np.ndarray:
+        """Gather one submitted batch's responses and finish it.  Needs
+        only the ticket and the (immutable) index, so it works after
+        :meth:`close` — e.g. once a hot swap has retired this server."""
+        if ticket is None:
             return np.empty(0, dtype=np.float64)
-        t0 = time.perf_counter()
-        responses, shard_sum, shard_max = self._collect(handle)
+        state, threaded, handles, t_planned = ticket
+        if threaded:
+            raw = [future.result() for future in handles]
+        else:
+            raw = [self._probe(s, r) for s, r in enumerate(handles)]
+        seconds = [dt for dt, _ in raw]
+        shard_sum = sum(seconds)
+        # the critical path: the slowest shard when they ran side by
+        # side, all of them when the caller ran them one after another
+        shard_max = max(seconds) if threaded else shard_sum
         t1 = time.perf_counter()
         try:
-            answers = self.index.finish(state, responses)
+            return self.index.finish(state, [resp for _, resp in raw])
         finally:
             t2 = time.perf_counter()
+            tm = self.timings
             with self._state_lock:
                 tm.shard_answer += shard_sum
                 tm.finish += t2 - t1
                 tm.kernel += shard_max
-                if self._executor is not None:
-                    tm.ipc += max(0.0, (t1 - t_submitted) - shard_max)
+                if threaded:
+                    tm.ipc += max(0.0, (t1 - t_planned) - shard_max)
                 tm.batches += 1
-        return answers
+
+    def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Batched estimates through the shard decomposition —
+        bit-identical to ``index.estimate_many`` for every ``jobs``."""
+        return self.collect(self.submit(us, vs))
+
+    def estimate_stream(self, batches) -> "Iterable[np.ndarray]":
+        """Double-buffered pipelined serving: a generator over an
+        iterable of ``(us, vs)`` batches, yielding one float64 answer
+        array per batch, in order — :func:`~repro.service.session.
+        stream_window` over :meth:`submit` / :meth:`collect`,
+        :data:`STREAM_DEPTH` deep.
+
+        While batch *k*'s shard probes run on the executor, the caller
+        plans batch *k+1*; the hidden caller-side seconds accumulate in
+        :attr:`PhaseTimings.overlap`.  Answers are bit-identical to
+        :meth:`estimate_many` per batch; an in-thread server
+        (``jobs=1``) degenerates to exactly that.  An error surfaces at
+        its own batch's turn; abandoning the stream drains the probes
+        still in flight.
+        """
+        return stream_window(batches, lambda batch: self.submit(*batch),
+                             self.collect, STREAM_DEPTH, stats=self)
+
+    def note_submit(self, inflight: int, seconds: float) -> None:
+        """Window telemetry: a batch's plan + dispatch took ``seconds``
+        with ``inflight`` earlier batches' probes on the executor (an
+        in-thread "submit" defers the compute: it overlaps nothing)."""
+        if inflight and self._executor is not None:
+            with self._state_lock:
+                self.timings.overlap += seconds
+
+    def note_reply(self, seconds: float) -> None:
+        """Per-batch latencies are a session-side number."""
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
                   ) -> np.ndarray:
         """Convenience pair-list front end (mirrors
         :meth:`~repro.service.engine.QueryEngine.dist_many`)."""
         arr = parse_pair_array(pairs)
-        if arr.size == 0:
-            return np.empty(0, dtype=np.float64)
         return self.estimate_many(arr[:, 0], arr[:, 1])
 
     def reset_timings(self) -> None:

@@ -83,46 +83,38 @@ class TestValidation:
         assert all(isinstance(k, int) for k in s.bunch)
 
 
+def _all_pairs(n):
+    import numpy as np
+
+    us, vs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return us.ravel(), vs.ravel()
+
+
 class TestIndexRoundTrip:
-    """Golden round-trips for the pre-indexed batched-query store."""
-
-    def _pairs(self, n):
-        import numpy as np
-
-        us, vs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return us.ravel(), vs.ravel()
+    """Golden round-trips for the pre-indexed batched-query store
+    through its one persistence format, the binary RPIX container."""
 
     def test_save_load_identical_batched_answers(self, tmp_path, all_built):
         import numpy as np
 
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import TZIndex
 
         idx = TZIndex(all_built["tz"].sketches, num_shards=3)
-        path = tmp_path / "index.json"
-        save_index(idx, path)
-        back = load_index(path)
+        path = tmp_path / "index.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx
-        us, vs = self._pairs(idx.n)
+        us, vs = _all_pairs(idx.n)
         assert np.array_equal(back.estimate_many(us, vs),
                               idx.estimate_many(us, vs))
-
-    def test_dict_round_trip_is_canonical(self, all_built):
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import TZIndex
-
-        sketches = all_built["tz"].sketches
-        d1 = index_to_dict(TZIndex(sketches, num_shards=1))
-        d5 = index_to_dict(TZIndex(sketches, num_shards=5))
-        # the entry stream is canonical: only the shard count differs
-        assert d1["entries"] == d5["entries"]
-        assert d1["pivots"] == d5["pivots"]
-        assert index_from_dict(d1) == index_from_dict(d5)
 
     def test_empty_bunch_sketches(self, tmp_path):
         import numpy as np
 
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import TZIndex
         from repro.tz.sketch import TZSketch
 
@@ -131,9 +123,9 @@ class TestIndexRoundTrip:
         sketches = [TZSketch(node=u, k=1, pivots=((u, 0.0),), bunch={})
                     for u in range(3)]
         idx = TZIndex(sketches)
-        path = tmp_path / "empty.json"
-        save_index(idx, path)
-        back = load_index(path)
+        path = tmp_path / "empty.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx and back.nnz() == 0
         # self-queries short-circuit to 0.0 without touching the tables
         assert np.array_equal(back.estimate_many(np.array([0, 1]),
@@ -146,187 +138,92 @@ class TestIndexRoundTrip:
         import numpy as np
 
         from repro.graphs import Graph
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import TZIndex
         from repro.tz import build_tz_sketches_centralized
 
         sketches, _ = build_tz_sketches_centralized(Graph(1), k=1, seed=0)
         idx = TZIndex(sketches)
-        path = tmp_path / "one.json"
-        save_index(idx, path)
-        back = load_index(path)
+        path = tmp_path / "one.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx
         assert back.estimate_many(np.array([0]), np.array([0])).tolist() == [0.0]
 
-    def test_index_from_dict_rejects_wrong_type(self, all_built):
-        from repro.oracle.serialization import index_from_dict, sketch_to_dict
-
-        with pytest.raises(QueryError):
-            index_from_dict(sketch_to_dict(all_built["tz"].sketches[0]))
-        with pytest.raises(QueryError):
-            index_from_dict({"type": "tz_index", "v": 999})
-
-    def test_file_is_plain_json(self, tmp_path, all_built):
-        from repro.oracle.serialization import save_index
-        from repro.service import TZIndex
-
-        path = tmp_path / "plain.json"
-        save_index(TZIndex(all_built["tz"].sketches), path)
-        data = json.loads(path.read_text(encoding="ascii"))
-        assert data["type"] == "tz_index"
-        assert all(isinstance(e, list) and len(e) == 4
-                   for e in data["entries"])
-
 
 class TestIndexDisconnected:
-    def test_inf_pivots_round_trip_as_strict_json(self, tmp_path):
+    def test_inf_pivots_round_trip(self, tmp_path):
         import numpy as np
 
         from repro.graphs import Graph
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import TZIndex
         from repro.tz import build_tz_sketches_centralized
 
-        # disconnected graph -> INF_KEY sentinel pivots (inf distances);
-        # the file must still be RFC 8259 JSON (no Infinity token).
+        # disconnected graph -> INF_KEY sentinel pivots (inf distances).
         # seed 1 is pinned because it actually samples all of A_1 inside
         # one component, forcing inf pivot distances in the other
         g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
         idx = TZIndex(sketches)
         assert np.isinf(idx.pivot_dists).any()
-        path = tmp_path / "disc.json"
-        save_index(idx, path)
-        text = path.read_text(encoding="ascii")
-        assert "Infinity" not in text
-        json.loads(text)  # strict parse succeeds
-        back = load_index(path)
+        path = tmp_path / "disc.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx
         assert np.array_equal(back.pivot_dists, idx.pivot_dists)
         assert np.isinf(back.pivot_dists).any()
 
 
-class TestIndexCorruption:
-    def test_out_of_range_entries_fail_loudly(self, all_built):
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import TZIndex
-
-        base = index_to_dict(TZIndex(all_built["tz"].sketches))
-        for bad_entry in ([base["n"], 0, 1.0, 0], [-1, 0, 1.0, 0],
-                          [0, base["n"], 1.0, 0]):
-            corrupt = dict(base, entries=base["entries"] + [bad_entry])
-            with pytest.raises(QueryError):
-                index_from_dict(corrupt)
-
-    def test_out_of_range_pivot_fails_loudly(self, all_built):
-        import copy
-
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import TZIndex
-
-        base = index_to_dict(TZIndex(all_built["tz"].sketches))
-        corrupt = copy.deepcopy(base)
-        corrupt["pivots"][0][0][0] = base["n"] + 5
-        with pytest.raises(QueryError):
-            index_from_dict(corrupt)
-
-
 class TestSlackIndexRoundTrip:
     """Round-trips for the stretch3/cdg/graceful serving stores."""
-
-    def _pairs(self, n):
-        import numpy as np
-
-        us, vs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return us.ravel(), vs.ravel()
 
     @pytest.mark.parametrize("scheme", ["stretch3", "cdg", "graceful"])
     def test_save_load_identical_batched_answers(self, tmp_path, all_built,
                                                  scheme):
         import numpy as np
 
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import build_index
 
         idx = build_index(all_built[scheme].sketches, num_shards=3)
-        path = tmp_path / f"{scheme}.json"
-        save_index(idx, path)
-        back = load_index(path)
+        path = tmp_path / f"{scheme}.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx
         assert type(back) is type(idx)
-        us, vs = self._pairs(idx.n)
+        us, vs = _all_pairs(idx.n)
         assert np.array_equal(back.estimate_many(us, vs),
                               idx.estimate_many(us, vs))
-
-    @pytest.mark.parametrize("scheme", ["stretch3", "cdg", "graceful"])
-    def test_dict_round_trip_is_canonical(self, all_built, scheme):
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import build_index
-
-        sketches = all_built[scheme].sketches
-        d1 = index_to_dict(build_index(sketches, num_shards=1))
-        d5 = index_to_dict(build_index(sketches, num_shards=5))
-        # the payload is canonical: only the shard count differs
-        assert {k: v for k, v in d1.items() if k != "num_shards"} == \
-            {k: v for k, v in d5.items() if k != "num_shards"}
-        assert index_from_dict(d1) == index_from_dict(d5)
-
-    @pytest.mark.parametrize("scheme", ["stretch3", "cdg", "graceful"])
-    def test_files_are_strict_json(self, tmp_path, all_built, scheme):
-        from repro.oracle.serialization import save_index
-        from repro.service import build_index
-
-        path = tmp_path / f"{scheme}.json"
-        save_index(build_index(all_built[scheme].sketches), path)
-        text = path.read_text(encoding="ascii")
-        assert "Infinity" not in text
-        data = json.loads(text)  # strict parse succeeds
-        assert data["type"] == f"{scheme}_index"
 
     def test_disconnected_stretch3_round_trip(self, tmp_path):
         import numpy as np
 
         from repro.graphs import Graph
-        from repro.oracle.serialization import load_index, save_index
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
         from repro.service import Stretch3Index
         from repro.slack.density_net import DensityNet
         from repro.slack.stretch3 import build_stretch3_centralized
 
-        # a net node per component: inf distances in the sketches must not
-        # leak into the file (strict JSON) and the reloaded store must
-        # raise exactly where the original does
+        # a net node per component: the reloaded store must raise
+        # exactly where the original does
         g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
         net = DensityNet(eps=0.5, n=g.n, members=(0, 2))
         sketches, _ = build_stretch3_centralized(g, 0.5, net=net)
         idx = Stretch3Index(sketches, num_shards=2)
-        path = tmp_path / "disc3.json"
-        save_index(idx, path)
-        assert "Infinity" not in path.read_text(encoding="ascii")
-        back = load_index(path)
+        path = tmp_path / "disc3.rpix"
+        save_index_binary(idx, path)
+        back = load_index_binary(path)
         assert back == idx
         ok = np.array([2, 3]), np.array([4, 2])
         assert np.array_equal(back.estimate_many(*ok),
                               idx.estimate_many(*ok))
         with pytest.raises(QueryError):
             back.estimate_many(np.array([0]), np.array([2]))
-
-    def test_corrupt_cdg_gateway_fails_loudly(self, all_built):
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import build_index
-
-        base = index_to_dict(build_index(all_built["cdg"].sketches))
-        corrupt = dict(base, gateways=[[10**6, 1.0]] + base["gateways"][1:])
-        with pytest.raises(QueryError, match="has no label"):
-            index_from_dict(corrupt)
-
-    def test_corrupt_stretch3_owner_fails_loudly(self, all_built):
-        from repro.oracle.serialization import index_from_dict, index_to_dict
-        from repro.service import build_index
-
-        base = index_to_dict(build_index(all_built["stretch3"].sketches))
-        corrupt = dict(base, entries=base["entries"] + [[base["n"], 0, 1.0]])
-        with pytest.raises(QueryError, match="out of range"):
-            index_from_dict(corrupt)
 
     def test_sketch_sets_with_inf_entries_are_strict_json(self):
         from repro.graphs import Graph
@@ -348,53 +245,50 @@ class TestBinaryContainer:
 
     @pytest.mark.parametrize("scheme", ["tz", "stretch3", "cdg", "graceful"])
     @pytest.mark.parametrize("backing", ["heap", "mmap"])
-    def test_round_trip_equals_json_loaded(self, all_built, scheme, backing,
-                                           tmp_path):
+    def test_round_trip_equals_freshly_built(self, all_built, scheme,
+                                             backing, tmp_path):
         import numpy as np
 
-        from repro.oracle.serialization import (load_index,
-                                                load_index_binary,
-                                                save_index,
+        from repro.oracle.serialization import (load_index_binary,
                                                 save_index_binary)
         from repro.service import build_index, sample_query_pairs
 
         idx = build_index(all_built[scheme].sketches, num_shards=3)
-        jpath, bpath = tmp_path / "i.json", tmp_path / "i.rpix"
-        save_index(idx, jpath)
+        bpath = tmp_path / "i.rpix"
         save_index_binary(idx, bpath)
-        from_json = load_index(jpath)
         from_bin = load_index_binary(bpath, backing=backing)
-        assert from_bin == from_json == idx
+        fresh = build_index(all_built[scheme].sketches, num_shards=3)
+        assert from_bin == fresh == idx
         pairs = sample_query_pairs(idx.n, 200, seed=4)
         assert np.array_equal(
             from_bin.estimate_many(pairs[:, 0], pairs[:, 1]),
-            idx.estimate_many(pairs[:, 0], pairs[:, 1]))
+            fresh.estimate_many(pairs[:, 0], pairs[:, 1]))
 
-    def test_binary_reload_reserializes_to_canonical_json(self, all_built,
-                                                          tmp_path):
+    def test_binary_reload_reserializes_to_identical_bytes(self, all_built,
+                                                           tmp_path):
         from repro.oracle.serialization import (load_index_binary,
-                                                save_index,
                                                 save_index_binary)
         from repro.service import build_index
 
         idx = build_index(all_built["cdg"].sketches, num_shards=2)
-        save_index(idx, tmp_path / "a.json")
-        save_index_binary(idx, tmp_path / "i.rpix")
-        save_index(load_index_binary(tmp_path / "i.rpix"),
-                   tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == \
-            (tmp_path / "b.json").read_bytes()
+        save_index_binary(idx, tmp_path / "a.rpix")
+        for backing in ("heap", "mmap"):
+            save_index_binary(
+                load_index_binary(tmp_path / "a.rpix", backing=backing),
+                tmp_path / "b.rpix")
+            assert (tmp_path / "a.rpix").read_bytes() == \
+                (tmp_path / "b.rpix").read_bytes()
 
     def test_format_sniffing(self, all_built, tmp_path):
-        from repro.oracle.serialization import (is_binary_index, save_index,
+        from repro.oracle.serialization import (is_binary_index,
                                                 save_index_binary)
         from repro.service import build_index
 
         idx = build_index(all_built["tz"].sketches)
-        save_index(idx, tmp_path / "i.json")
+        save_sketch_set(all_built["tz"].sketches, tmp_path / "sk.jsonl")
         save_index_binary(idx, tmp_path / "i.rpix")
         assert is_binary_index(tmp_path / "i.rpix")
-        assert not is_binary_index(tmp_path / "i.json")
+        assert not is_binary_index(tmp_path / "sk.jsonl")
         assert not is_binary_index(tmp_path / "missing.rpix")
 
     def test_bad_magic_and_version_fail_loudly(self, all_built, tmp_path):

@@ -41,7 +41,7 @@ from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, UpdateableIndex, UpdateReport,
                            connect, sample_query_pairs,
                            sample_weight_changes)
-from repro.service.transport import PROTOCOL_VERSION, _send_frame
+from repro.service.transport import PROTOCOL_VERSION, _frame_bytes
 
 
 @pytest.fixture(scope="module")
@@ -108,36 +108,6 @@ class TestPipelining:
                 stats = client.pipeline_stats()
             assert stats["max_inflight"] == 1
             assert stats["overlap_seconds"] == 0.0
-        finally:
-            server.close()
-
-    def test_empty_batches_keep_order(self, graph, built):
-        pairs = sample_query_pairs(graph.n, 40, seed=5)
-        chunks = [pairs[:20], pairs[:0], pairs[20:]]
-        server, addr = _serve(built, jobs=1)
-        try:
-            with connect(addr) as client:
-                got = list(client.dist_stream(chunks))
-                assert [len(g) for g in got] == [20, 0, 20]
-                want = client.dist_many(pairs)
-            assert np.concatenate(got).tolist() == want.tolist()
-        finally:
-            server.close()
-
-    def test_abandoned_stream_leaves_session_usable(self, graph, built):
-        pairs = sample_query_pairs(graph.n, 120, seed=6)
-        chunks = [pairs[lo:lo + 20] for lo in range(0, 120, 20)]
-        server, addr = _serve(built, jobs=1)
-        try:
-            with connect(addr) as client:
-                stream = client.dist_stream(chunks)
-                next(stream)   # several replies still in flight
-                stream.close()  # abandon mid-stream
-                # the finally-drain realigned the session: the next
-                # request gets its own reply, not a stale one
-                got = client.dist_many(pairs[:10])
-                assert got.tolist() == client.dist_many(
-                    pairs[:10]).tolist()
         finally:
             server.close()
 
@@ -337,10 +307,10 @@ class TestSessionRobustness:
         def impostor():
             sock, _ = listener.accept()
             with sock:
-                _send_frame(sock, {
+                sock.sendall(_frame_bytes({
                     "kind": "hello", "v": PROTOCOL_VERSION + 1, "n": 1,
                     "scheme": None, "epoch": 0, "shards": 1,
-                    "updateable": False})
+                    "updateable": False}))
                 time.sleep(0.2)
 
         thread = threading.Thread(target=impostor, daemon=True)

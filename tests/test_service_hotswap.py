@@ -118,32 +118,39 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
     _assert_nothing_left_running()
 
 
-def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
-    """``jobs=4`` epoch swaps are torn-read-free: a concurrent
-    ``dist_stream`` is wholly served by the epoch it pinned at first
-    pull, and retiring an epoch shuts its executor down (no leaked
-    ``repro-shard`` threads)."""
+def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
+        updateable):
+    """``jobs=4`` epoch swaps are torn-read-free per batch: every chunk
+    of a concurrent ``dist_stream`` is wholly one epoch's answer (the
+    epoch current when that chunk was submitted — a stream is not
+    pinned as a whole), and retiring an epoch shuts its executor down
+    (no leaked ``repro-shard`` threads)."""
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 400, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
                            rebuild_threshold=1.0)
     refs, batches = _epoch_references(twin, pairs)
-    ref_bytes = {r.tobytes() for r in refs}
-    assert len(ref_bytes) == EPOCHS + 1
+    bounds = [(lo, lo + 100) for lo in range(0, 400, 100)]
+    # per chunk: the bytes each epoch answers it with, all distinct
+    ref_slices = [{r[lo:hi].tobytes() for r in refs} for lo, hi in bounds]
+    assert all(len(slices) == EPOCHS + 1 for slices in ref_slices)
 
     session = connect("inproc://jobs=4;cache=0", updateable)
     engine = _engine_of(session)
-    chunks = [pairs[lo:lo + 100] for lo in range(0, 400, 100)]
-    results: list[bytes] = []
+    chunks = [pairs[lo:hi] for lo, hi in bounds]
+    streams = 0
     stop = threading.Event()
     failures: list[Exception] = []
 
     def hammer():
+        nonlocal streams
         try:
             while not stop.is_set():
-                out = np.concatenate(list(session.dist_stream(chunks)))
-                results.append(out.tobytes())
-        except Exception as exc:  # pragma: no cover - surfaced below
+                for i, out in enumerate(session.dist_stream(chunks)):
+                    # one epoch wholesale, never torn
+                    assert out.tobytes() in ref_slices[i], "torn chunk"
+                streams += 1
+        except Exception as exc:  # surfaced below
             failures.append(exc)
 
     try:
@@ -153,17 +160,45 @@ def test_thread_plane_stream_mid_update_sees_exactly_one_epoch(updateable):
             report = session.apply_updates(changes)
             assert report.mode in ("repair", "rebuild")
         stop.set()
-        thread.join()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
         assert not failures, failures[0]
-        assert results, "hammer thread never completed a stream"
-        for got in results:
-            assert got in ref_bytes  # one epoch wholesale, never torn
+        assert streams, "hammer thread never completed a stream"
         assert session.epoch == EPOCHS
         assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
         assert not engine._retired  # old epochs (and executors) drained
     finally:
         stop.set()
         session.close()
+    _assert_nothing_left_running()
+
+
+def test_suspended_stream_does_not_keep_a_retired_executor_alive(updateable):
+    """A stream left suspended with a batch in flight pins nothing: a
+    hot swap retires the old epoch's server and joins its executor at
+    once, and the in-flight batch is still collected — from its ticket
+    — as the old epoch's answer."""
+    g = updateable.graph.copy()
+    pairs = sample_query_pairs(g.n, 300, seed=3)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
+                           rebuild_threshold=1.0)
+    refs, batches = _epoch_references(twin, pairs)
+    chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
+    with connect("inproc://jobs=4;cache=0", updateable) as session:
+        engine = _engine_of(session)
+        old_server = engine._server
+        stream = session.dist_stream(iter(chunks))
+        assert next(stream).tobytes() == refs[0][:100].tobytes()
+        # suspended: chunk 1 is submitted to epoch 0 and uncollected
+        session.apply_updates(batches[0])
+        assert not engine._retired and not engine._active
+        assert old_server._executor is None
+        # the new epoch's pool starts its threads at its first batch
+        _assert_nothing_left_running()
+        assert next(stream).tobytes() == refs[0][100:200].tobytes()
+        assert session.last_result_epoch == 0 and session.epoch == 1
+        assert next(stream).tobytes() == refs[1][200:].tobytes()
+        assert session.last_result_epoch == 1
     _assert_nothing_left_running()
 
 
