@@ -27,7 +27,8 @@ import pytest
 
 from benchmarks._workloads import workload
 from repro.analysis import render_table
-from repro.service import QueryEngine, build_tz_sketches_parallel
+from repro.service import (QueryEngine, build_index,
+                           build_tz_sketches_parallel)
 from repro.service.bench import run_serve_benchmark, sample_query_pairs
 
 # CI's benchmark smoke job shrinks the graph (and zeroes the speedup
@@ -85,14 +86,16 @@ def test_e14_sharding_layout_invariant(e14_sketches):
     import numpy as np
 
     pairs = sample_query_pairs(N, 500, seed=3)
-    base = QueryEngine(e14_sketches, cache_size=0).dist_many(pairs)
+    base = QueryEngine(build_index(e14_sketches),
+                       cache_size=0).dist_many(pairs)
     for shards in (2, 8):
-        eng = QueryEngine(e14_sketches, cache_size=0, num_shards=shards)
+        eng = QueryEngine(build_index(e14_sketches, num_shards=shards),
+                          cache_size=0)
         assert np.array_equal(eng.dist_many(pairs), base)
 
 
 def test_e14_cache_serves_repeats(e14_sketches):
-    eng = QueryEngine(e14_sketches, cache_size=4 * QUERIES)
+    eng = QueryEngine(build_index(e14_sketches), cache_size=4 * QUERIES)
     pairs = sample_query_pairs(N, QUERIES, seed=9)
     eng.dist_many(pairs)
     eng.dist_many(pairs)
@@ -143,7 +146,7 @@ def test_e14_slack_schemes_batched_identical(e14_slack_table):
 
 def test_e14_benchmark_batched_pass(benchmark, e14_sketches, e14_table):
     """Timing kernel: one cold-cache batched pass over 1000 pairs."""
-    eng = QueryEngine(e14_sketches, cache_size=0)
+    eng = QueryEngine(build_index(e14_sketches), cache_size=0)
     pairs = sample_query_pairs(N, QUERIES, seed=7)
 
     def run():

@@ -196,13 +196,8 @@ def _parse_shard_range(text: str) -> tuple[int, int]:
 
 
 def _query_fn(sketches):
-    from repro.tz.sketch import TZSketch, estimate_distance
-
     def query(u: int, v: int) -> float:
-        su, sv = sketches[u], sketches[v]
-        if isinstance(su, TZSketch):
-            return estimate_distance(su, sv)
-        return su.estimate_to(sv)
+        return sketches[u].estimate_to(sketches[v])
 
     return query
 
@@ -250,26 +245,24 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service.transport import OracleServer
 
-    if not args.updateable and (args.policy != "static"
-                                or args.rebuild_threshold is not None):
-        raise ReproError("--policy / --rebuild-threshold tune the live "
-                         "update path; they need --updateable")
+    if not args.updateable and args.rebuild_threshold is not None:
+        raise ReproError("--rebuild-threshold tunes the live update "
+                         "path; it needs --updateable")
     if args.updateable:
         from repro.graphs import read_edgelist
-        from repro.service.updates import UpdateableIndex, make_policy
+        from repro.service.updates import UpdateableIndex
 
         params = {}
         if args.k is not None:
             params["k"] = args.k
         if args.eps is not None:
             params["eps"] = args.eps
-        policy = make_policy(args.policy,
-                             rebuild_threshold=args.rebuild_threshold)
+        if args.rebuild_threshold is not None:
+            params["rebuild_threshold"] = args.rebuild_threshold
         _reject_mmap(args, args.source)
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
-                                 num_shards=(args.shards or 1),
-                                 policy=policy, **params)
+                                 num_shards=(args.shards or 1), **params)
         shards = None  # baked into the updateable's stores
     else:
         from repro.oracle.serialization import (is_binary_index,
@@ -339,15 +332,14 @@ def _cmd_scenario(args) -> int:
     def _replay(endpoint: str):
         return run_named_scenario(
             trace.name, graph, scheme=args.scheme, seed=args.seed,
-            endpoint=endpoint, policy=args.policy, num_shards=args.shards,
+            endpoint=endpoint, num_shards=args.shards,
             query_threads=args.threads, oracle=not args.no_oracle,
             trace=trace, **params)
 
     if args.spawn:
         with served_subprocess(args.graph, scheme=args.scheme,
                                seed=args.seed or 0, shards=args.shards,
-                               policy=args.policy, k=args.k,
-                               eps=args.eps) as addr:
+                               k=args.k, eps=args.eps) as addr:
             result = _replay(addr)
     else:
         result = _replay(args.connect)
@@ -658,18 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--k", type=int, default=None)
     sv.add_argument("--eps", type=float, default=None)
     sv.add_argument("--seed", type=int, default=None)
-    sv.add_argument("--policy", choices=["static", "adaptive"],
-                    default="static",
-                    help="repair-vs-rebuild decision policy of the live "
-                         "index (--updateable only): static = fixed "
-                         "dirty-fraction threshold; adaptive = measured "
-                         "repair/rebuild cost model with the static rule "
-                         "as cold-start fallback (answers identical "
-                         "either way)")
     sv.add_argument("--rebuild-threshold", type=float, default=None,
-                    help="dirty fraction above which the static policy "
-                         "(or the adaptive policy's fallback) rebuilds "
-                         "instead of repairing (default 0.25)")
+                    help="dirty fraction above which the live index "
+                         "(--updateable only) rebuilds instead of "
+                         "repairing (default 0.25)")
     sv.set_defaults(func=_cmd_serve)
 
     sn = sub.add_parser("scenario",
@@ -709,9 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--eps", type=float, default=None)
     sn.add_argument("--seed", type=int, default=0)
     sn.add_argument("--shards", type=int, default=1)
-    sn.add_argument("--policy", choices=["static", "adaptive"],
-                    default="static",
-                    help="repair-vs-rebuild policy of the served index")
     sn.add_argument("--threads", type=int, default=2,
                     help="reader sessions the query events fan out across")
     sn.add_argument("--no-oracle", action="store_true",

@@ -61,53 +61,22 @@ class BuiltSketches:
 
         return _connect(spec, self.sketches, cache_size=cache_size)
 
-    def engine(self, cache_size: int = 65536, num_shards: int = 1,
-               jobs: int = 1):
-        """The batched :class:`~repro.service.engine.QueryEngine` over this
-        sketch set (built on first use, then cached in ``extras``; asking
-        for a different configuration rebuilds it — closing the previous
-        engine's thread pool, if it had one).
-
-        .. deprecated::
-            Open a session with :meth:`connect` (or
-            :func:`repro.service.transport.connect`) instead; this path
-            emits a single :class:`DeprecationWarning`.
-
-        :param cache_size: result-cache capacity, in answers.
-        :param num_shards: landmark shard count for the index.
-        :param jobs: threads behind the shards (``1`` = the calling
-            thread); see :class:`~repro.service.workers.ShardServer`.
-        """
-        from repro.service.engine import _warn_deprecated
-
-        _warn_deprecated("BuiltSketches.engine")
-        return self._engine(cache_size=cache_size, num_shards=num_shards,
-                            jobs=jobs)
-
-    def _engine(self, cache_size: int = 65536, num_shards: int = 1,
-                jobs: int = 1):
-        config = (cache_size, num_shards, jobs)
-        cached = self.extras.get("_engine")
-        if cached is not None:
-            if cached[0] == config:
-                return cached[1]
-            cached[1].close()
-        from repro.service.engine import QueryEngine
-        eng = QueryEngine(self.sketches, cache_size=cache_size,
-                          num_shards=num_shards, jobs=jobs,
-                          use_index=self.scheme.supports_batch,
-                          _deprecation=False)
-        self.extras["_engine"] = (config, eng)
-        return eng
-
     def query_many(self, pairs):
         """Batched estimates for an iterable/array of ``(u, v)`` pairs —
-        answers are bit-identical to looping :meth:`query`."""
-        return self._engine().dist_many(pairs)
+        answers are bit-identical to looping :meth:`query`.  Served by a
+        one-shard index built on first use and kept in ``extras``; open
+        a session with :meth:`connect` for caching, threads or updates.
+        """
+        from repro.service.index import build_index, parse_pair_array
+
+        index = self.extras.get("_index")
+        if index is None:
+            index = self.extras["_index"] = build_index(self.sketches)
+        arr = parse_pair_array(pairs)
+        return index.estimate_many(arr[:, 0], arr[:, 1])
 
     def updateable(self, num_shards: int = 1,
-                   rebuild_threshold: Optional[float] = None,
-                   policy=None):
+                   rebuild_threshold: Optional[float] = None):
         """An :class:`~repro.service.updates.UpdateableIndex` over this
         build — accepts edge-change streams and incrementally repairs
         the index (bit-identical to a rebuild with the same artifacts).
@@ -121,20 +90,16 @@ class BuiltSketches:
         :class:`~repro.service.updates.UpdateableIndex` from the graph
         and a seed for those.
 
-        ``policy`` is a :class:`~repro.service.updates.RepairPolicy`
-        (or a :func:`~repro.service.updates.make_policy` name such as
-        ``"adaptive"``) deciding repair vs rebuild per batch; by
-        default the static ``rebuild_threshold`` rule applies.  Policy
-        choice can only ever change seconds, never answers.
+        ``rebuild_threshold`` is the dirty fraction above which an
+        apply rebuilds instead of repairing (default
+        :data:`~repro.service.updates.REBUILD_THRESHOLD_DEFAULT`).
 
         :raises ConfigError: for a distributed build or a scheme whose
             artifacts are not recoverable from ``extras``.
         """
         from repro.service.updates import (REBUILD_THRESHOLD_DEFAULT,
-                                           UpdateableIndex, make_policy)
+                                           UpdateableIndex)
 
-        if isinstance(policy, str):
-            policy = make_policy(policy, rebuild_threshold=rebuild_threshold)
         if self.mode != "centralized":
             raise ConfigError(
                 "updateable() needs a centralized build (distributed "
@@ -165,7 +130,6 @@ class BuiltSketches:
         return UpdateableIndex(self.graph, scheme=name,
                                num_shards=num_shards,
                                rebuild_threshold=rebuild_threshold,
-                               policy=policy,
                                sketches=self.sketches, **artifacts)
 
     def sizes_words(self) -> list[int]:

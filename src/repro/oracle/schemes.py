@@ -8,8 +8,10 @@ applies to.
 
 The registry is also the source of the capability matrix rendered by
 ``python -m repro schemes --markdown`` (and pasted into the README):
-which build modes exist, whether the serving layer has a vectorized
-batched index, and whether the wire format round-trips the sketches.
+which build modes exist, whether the wire format round-trips the
+sketches, whether the index repairs incrementally, and the serving
+transports (every scheme has a vectorized index, so every transport
+hosts every scheme).
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class SchemeSpec:
         ``None``) or only eps-far pairs.
     :param slack_of: returns the eps for which the bound holds, or
         ``None`` for all-pairs.
-    :param supports_batch: whether the serving layer
-        (:mod:`repro.service`) has a vectorized batched-query index for
-        this scheme.  Every built-in scheme does (see
-        :mod:`repro.service.index`); the flag exists so external schemes
-        registered without an index fall back to the generic loop.
     :param build_modes: construction modes :func:`~repro.oracle.api.build_sketches`
         accepts for this scheme.
     :param supports_serialize: whether :mod:`repro.oracle.serialization`
@@ -52,21 +49,9 @@ class SchemeSpec:
     paper_result: str
     stretch_bound: Callable[[dict], float]
     slack_of: Callable[[dict], Optional[float]]
-    supports_batch: bool = False
     build_modes: tuple[str, ...] = ("centralized", "distributed")
     supports_serialize: bool = True
     supports_updates: bool = False
-
-    @property
-    def transports(self) -> tuple[str, ...]:
-        """Which serving transports (:mod:`repro.service.transport`) can
-        host this scheme.  ``inproc`` always works (the generic
-        single-pair loop needs no index); ``tcp`` (and shard threads,
-        ``inproc://jobs=N``) route through the shard-decomposed batched
-        index, so they require :attr:`supports_batch`."""
-        if self.supports_batch:
-            return ("inproc", "tcp")
-        return ("inproc",)
 
     def describe(self, params: dict) -> str:
         """One-line human summary of the guarantee under ``params``."""
@@ -100,7 +85,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 1.1/3.8 (distributed Thorup-Zwick)",
         stretch_bound=_tz_stretch,
         slack_of=lambda p: None,
-        supports_batch=True,
         supports_updates=True,
     ),
     "stretch3": SchemeSpec(
@@ -108,7 +92,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.3 (density-net table)",
         stretch_bound=_stretch3_stretch,
         slack_of=lambda p: p["eps"],
-        supports_batch=True,
         supports_updates=True,
     ),
     "cdg": SchemeSpec(
@@ -116,7 +99,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.6 ((eps,k)-CDG)",
         stretch_bound=_cdg_stretch,
         slack_of=lambda p: p["eps"],
-        supports_batch=True,
         supports_updates=True,
     ),
     "graceful": SchemeSpec(
@@ -124,7 +106,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.8 / Corollary 4.9 (gracefully degrading)",
         stretch_bound=_graceful_stretch,
         slack_of=lambda p: None,  # all pairs, at the O(log n) worst case
-        supports_batch=True,
         supports_updates=True,
     ),
 }
@@ -147,16 +128,18 @@ def get_scheme(name: str) -> SchemeSpec:
 # ----------------------------------------------------------------------
 def scheme_support_matrix() -> list[dict]:
     """One JSON-ready row per registered scheme, derived entirely from the
-    :data:`SCHEMES` registry (so the docs can never drift from the code)."""
+    :data:`SCHEMES` registry and the transport list (so the docs can
+    never drift from the code)."""
+    from repro.service.transport import TRANSPORTS
+
     return [{
         "scheme": name,
         "paper_result": spec.paper_result,
         "build": list(spec.build_modes),
         "query": True,  # every registered scheme answers single queries
-        "batch": spec.supports_batch,
         "serialize": spec.supports_serialize,
         "updates": spec.supports_updates,
-        "transports": list(spec.transports),
+        "transports": list(TRANSPORTS),
     } for name, spec in sorted(SCHEMES.items())]
 
 
@@ -166,14 +149,14 @@ def schemes_markdown() -> str:
     embeds."""
     yn = {True: "yes", False: "no"}
     lines = [
-        "| scheme | build | single query | batched query | serialized "
+        "| scheme | build | single query | serialized "
         "| incremental updates | transports |",
-        "|--------|-------|--------------|---------------|------------"
+        "|--------|-------|--------------|------------"
         "|---------------------|------------|",
     ]
     lines.extend(
         f"| `{row['scheme']}` | {', '.join(row['build'])} "
-        f"| {yn[row['query']]} | {yn[row['batch']]} "
+        f"| {yn[row['query']]} "
         f"| {yn[row['serialize']]} | {yn[row['updates']]} "
         f"| {', '.join(row['transports'])} |"
         for row in scheme_support_matrix())

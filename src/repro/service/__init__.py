@@ -36,8 +36,7 @@ The front door is :func:`~repro.service.transport.connect`::
   splitting into a pure-logic view over packed arrays
   (:func:`index_to_pack` / :func:`index_from_pack`),
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
-  hosts (result cache, epoch pinning); constructing one directly is
-  the deprecated legacy path,
+  hosts over its one store (result cache, epoch pinning),
 * :class:`~repro.service.workers.ShardServer` — the shard execution
   plane: ``jobs=1`` probes the shards in the calling thread, ``jobs >
   1`` on a persistent ``ThreadPoolExecutor`` in this address space (the
@@ -86,23 +85,18 @@ from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
 from repro.service.parallel import build_tz_sketches_parallel, default_jobs
 from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
                                     ScenarioOracle, ScenarioResult, Trace,
-                                    compare_policies, generate_trace,
-                                    run_named_scenario, run_scenario,
-                                    served_subprocess)
+                                    generate_trace, run_named_scenario,
+                                    run_scenario, served_subprocess)
 from repro.service.session import EpochStaleness, PipelineStats
 from repro.service.transport import (TRANSPORTS, Endpoint, OracleClient,
                                      OracleServer, connect, parse_endpoint)
-from repro.service.updates import (POLICY_NAMES, AdaptiveCostPolicy,
-                                   EdgeChange, RepairPolicy,
-                                   StaticThresholdPolicy, UpdateReport,
+from repro.service.updates import (EdgeChange, UpdateReport,
                                    UpdateableIndex, dirty_frontier,
-                                   load_changes_jsonl, make_policy,
-                                   run_update_benchmark,
+                                   load_changes_jsonl, run_update_benchmark,
                                    sample_weight_changes, save_changes_jsonl)
 from repro.service.workers import PhaseTimings, ShardServer
 
 __all__ = [
-    "AdaptiveCostPolicy",
     "BufferPack",
     "ChurnEvent",
     "ClusterClient",
@@ -111,19 +105,14 @@ __all__ = [
     "EpochStaleness",
     "OracleClient",
     "OracleServer",
-    "POLICY_NAMES",
     "QueryEvent",
-    "RepairPolicy",
     "SCENARIOS",
     "ScenarioOracle",
     "ScenarioResult",
-    "StaticThresholdPolicy",
     "TRANSPORTS",
     "Trace",
-    "compare_policies",
     "connect",
     "generate_trace",
-    "make_policy",
     "parse_endpoint",
     "run_connect_benchmark",
     "run_named_scenario",

@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigError, ReproError
 from repro.rng import SeedLike, ensure_rng
 from repro.service.engine import QueryEngine
-from repro.service.index import (IndexStore, scheme_name_of,
+from repro.service.index import (IndexStore, build_index,
                                  scheme_name_of_index)
 
 
@@ -77,15 +77,14 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
     if (sketches is None) == (index is None):
         raise ConfigError(
             "run_serve_benchmark wants exactly one of sketches= or index=")
-    if index is not None:
-        engine = QueryEngine.from_index(index, cache_size=cache_size,
-                                        jobs=jobs, _deprecation=False)
-        scheme = (scheme_name_of_index(index) or "?")
+    if index is None:
+        index = build_index(sketches, num_shards=num_shards)
+
+        def single(u: int, v: int) -> float:
+            return sketches[u].estimate_to(sketches[v])
     else:
-        engine = QueryEngine(sketches, cache_size=cache_size,
-                             num_shards=num_shards, jobs=jobs,
-                             _deprecation=False)
-        scheme = scheme_name_of(sketches)
+        single = index.estimate
+    engine = QueryEngine(index, cache_size=cache_size, jobs=jobs)
     try:
         pairs = sample_query_pairs(engine.n, queries, seed=seed)
         if batch is None or batch > queries:
@@ -93,12 +92,11 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
         if batch < 1:
             raise ConfigError(f"batch must be >= 1, got {batch}")
 
-        ref = np.asarray([engine.reference_query(int(u), int(v))
-                          for u, v in pairs])
+        ref = np.asarray([single(int(u), int(v)) for u, v in pairs])
 
         def single_loop():
             for u, v in pairs:
-                engine.reference_query(int(u), int(v))
+                single(int(u), int(v))
 
         def batched_loop():
             engine.clear_cache()
@@ -116,11 +114,10 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
         phases = engine.phase_timings()
         return {
             "n": engine.n,
-            "scheme": scheme,
+            "scheme": scheme_name_of_index(index) or "?",
             "queries": int(queries),
             "batch": int(batch),
-            "shards": int(engine.index.num_shards
-                          if engine.index is not None else num_shards),
+            "shards": int(index.num_shards),
             # the engine clamps jobs to the shard count (a shard is the
             # unit of work) — report the thread count that actually served
             "jobs": int(engine.jobs),

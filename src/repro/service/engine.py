@@ -1,18 +1,16 @@
-"""The batched query engine: ``dist_many`` over a built sketch set.
+"""The batched query engine: ``dist_many`` over one index store.
 
 :class:`QueryEngine` is the serving-layer front end.  Every scheme in the
 library has a vectorized :class:`~repro.service.index.IndexStore`
 (:class:`~repro.service.index.TZIndex`,
 :class:`~repro.service.index.Stretch3Index`,
 :class:`~repro.service.index.CDGIndex`,
-:class:`~repro.service.index.GracefulIndex`), so batches route through a
-pre-built store by default; ``use_index=False`` forces the plain loop
-over the sketches' single-pair queries (still benefiting from the result
-cache).  Either way the answers are exactly the ones the one-pair-at-a-
-time API produces — batching is a performance feature, never a semantic
-one.
+:class:`~repro.service.index.GracefulIndex`), and the engine serves
+exactly one such store.  The answers are exactly the ones the
+one-pair-at-a-time API produces — batching is a performance feature,
+never a semantic one.
 
-An indexed engine always runs the shard decomposition through a
+The engine always runs the shard decomposition through a
 :class:`~repro.service.workers.ShardServer` (in the calling thread for
 ``jobs=1``, on a persistent thread pool for ``jobs > 1``), which is
 also where the per-phase timings (``plan`` / ``shard_answer`` /
@@ -20,20 +18,21 @@ also where the per-phase timings (``plan`` / ``shard_answer`` /
 ``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the engine as a
 context manager) to join the pool's threads.
 
-:meth:`QueryEngine.from_index` serves a pre-built (e.g. binary-loaded)
-store directly, without the sketch set.
+Callers do not build engines: :func:`repro.service.transport.connect`
+(through :class:`~repro.service.transport.OracleServer`) normalises
+whatever it is given to a store and constructs the engine over it.
 
-**Epochs.**  :meth:`QueryEngine.from_updateable` serves a live
-:class:`~repro.service.updates.UpdateableIndex`;
-:meth:`QueryEngine.apply_updates` then hot-swaps epochs: the next
-epoch's store (and, for ``jobs > 1``, its thread pool) is prepared
-while traffic continues, the swap is one pointer flip under the engine
-lock, and in-flight batches finish on the epoch they started on (the
-old server is closed only once no batch is still handing it probes; a
-streamed batch already submitted is collected from its ticket, which
-needs no executor).  Every batch — a ``dist_many`` call or one batch of
-a ``dist_stream`` — is served by exactly one epoch, the one current
-when it was submitted: no torn reads.  The result cache is
+**Epochs.**  Given the live
+:class:`~repro.service.updates.UpdateableIndex` behind the store
+(``updateable=``), :meth:`QueryEngine.apply_updates` hot-swaps epochs:
+the next epoch's store (and, for ``jobs > 1``, its thread pool) is
+prepared while traffic continues, the swap is one pointer flip under
+the engine lock, and in-flight batches finish on the epoch they started
+on (the old server is closed only once no batch is still handing it
+probes; a streamed batch already submitted is collected from its
+ticket, which needs no executor).  Every batch — a ``dist_many`` call
+or one batch of a ``dist_stream`` — is served by exactly one epoch, the
+one current when it was submitted: no torn reads.  The result cache is
 epoch-stamped: it is cleared at the swap, and a stale batch's
 write-backs are dropped.
 
@@ -50,30 +49,15 @@ keep can change the cost of an answer and never the answer.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.service.index import (IndexStore, build_index, index_class_for,
-                                 parse_pair_array)
+from repro.service.index import IndexStore, parse_pair_array
 from repro.service.session import stream_window
 from repro.service.workers import STREAM_DEPTH, ShardServer
-from repro.tz.sketch import TZSketch, estimate_distance
-
-
-def _warn_deprecated(what: str) -> None:
-    """The one deprecation funnel for the legacy engine construction
-    paths — each public entry point fires it exactly once per call (the
-    layered classmethods pass ``_deprecation=False`` internally, so a
-    ``from_updateable`` never double-warns through ``from_index``)."""
-    warnings.warn(
-        f"{what} is deprecated; open a serving session with "
-        f"repro.service.transport.connect('inproc://', source) "
-        f"(or tcp://host:port) instead",
-        DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -198,133 +182,58 @@ class _ResultCache:
 
 
 class QueryEngine:
-    """Answer distance queries — singly or in batches — from one sketch set.
+    """Answer distance queries — singly or in batches — from one
+    :class:`~repro.service.index.IndexStore`.
 
-    .. deprecated::
-        ``QueryEngine`` (and its ``from_index`` / ``from_updateable``
-        constructors) is the legacy session surface.  New code opens a
-        session with :func:`repro.service.transport.connect` — the same
-        engine mechanics behind a transport-agnostic
-        :class:`~repro.service.transport.OracleClient` (``inproc://``,
-        ``tcp://``).  Constructing one directly emits a
-        single :class:`DeprecationWarning`; the transport layer builds
-        its engines through the internal non-warning path.
+    The engine behind every session:
+    :func:`repro.service.transport.connect` is the front door, and
+    :class:`~repro.service.transport.OracleServer` builds the engine
+    once its source is normalised to a store.
 
-    :param sketches: one sketch per node.  Any homogeneous set of a
-        library scheme gets its vectorized index; mixed or unknown sets
-        get the generic loop.
+    :param index: the store to serve (its shard layout is baked in).
+    :param updateable: the live
+        :class:`~repro.service.updates.UpdateableIndex` whose current
+        store ``index`` is — enables :meth:`apply_updates` and shares
+        its epoch clock; ``None`` serves a static index.
     :param cache_size: the most answers the result cache may hold (24
         bytes each; set-associative, LRU within a set); ``0`` disables
         caching.
-    :param num_shards: landmark shard count for the index (layout knob;
-        answers are shard-independent).  With ``jobs > 1`` it is also the
-        number of parallel probe tasks per batch.
-    :param use_index: ``None`` (default) auto-detects; ``False`` forces
-        the generic loop; ``True`` requires an indexable set (the scheme
-        registry's :attr:`~repro.oracle.schemes.SchemeSpec.supports_batch`
-        is the intended source of this value — see
-        :meth:`~repro.oracle.api.BuiltSketches.engine`).
     :param jobs: threads behind the landmark shards (``1`` = probe in
-        the calling thread).  Requires an indexed engine; values above
-        ``num_shards`` are clamped (a shard is the unit of work) and the
-        attribute reflects the effective count.
-    :raises ConfigError: on an empty set, negative cache size,
-        ``use_index=True`` without an indexable set, or ``jobs > 1``
-        without an index.
+        the calling thread).  Values above the store's shard count are
+        clamped (a shard is the unit of work) and the attribute
+        reflects the effective count.
+    :raises ConfigError: on a negative cache size or ``jobs < 1``.
     """
 
-    def __init__(self, sketches: Sequence[Any], cache_size: int = 65536,
-                 num_shards: int = 1, use_index: Optional[bool] = None,
-                 jobs: int = 1, *, _deprecation: bool = True):
-        if _deprecation:
-            _warn_deprecated("QueryEngine(sketches=...)")
-        if not sketches:
-            raise ConfigError("cannot serve an empty sketch set")
-        # scalar parameter errors must not cost an index build first
+    def __init__(self, index: IndexStore, *, updateable=None,
+                 cache_size: int = 65536, jobs: int = 1):
         if cache_size < 0:
             raise ConfigError(f"cache_size must be >= 0, got {cache_size}")
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        self.sketches = list(sketches)
-        self.n = len(self.sketches)
-        index: Optional[IndexStore] = None
-        indexable = index_class_for(self.sketches) is not None
-        if use_index is True and not indexable:
-            raise ConfigError(
-                "use_index=True needs a homogeneous sketch set of a "
-                "library scheme")
-        if use_index is not False and indexable:
-            index = build_index(self.sketches, num_shards=num_shards)
-        self._init_serving(index, cache_size=cache_size, jobs=jobs)
-
-    @classmethod
-    def from_index(cls, index: IndexStore, cache_size: int = 65536,
-                   jobs: int = 1, *,
-                   _deprecation: bool = True) -> "QueryEngine":
-        """Serve a pre-built store directly (no sketch set needed — e.g.
-        an index loaded from a binary container, possibly mmap-backed).
-
-        :meth:`reference_query` then falls back to the store's own
-        single-pair path, so the bench harness's identity cross-check
-        still compares batch-of-Q against one-at-a-time answers.
-        """
-        if _deprecation:
-            _warn_deprecated("QueryEngine.from_index")
-        self = cls.__new__(cls)
-        self.sketches = None
         self.n = index.n
-        self._init_serving(index, cache_size=cache_size, jobs=jobs)
-        return self
-
-    @classmethod
-    def from_updateable(cls, updateable, cache_size: int = 65536,
-                        jobs: int = 1, *,
-                        _deprecation: bool = True) -> "QueryEngine":
-        """Serve a live :class:`~repro.service.updates.UpdateableIndex`,
-        enabling :meth:`apply_updates` epoch hot-swaps."""
-        if _deprecation:
-            _warn_deprecated("QueryEngine.from_updateable")
-        self = cls.from_index(updateable.index, cache_size=cache_size,
-                              jobs=jobs, _deprecation=False)
-        self._updateable = updateable
-        self.epoch = updateable.epoch  # share one epoch clock
-        return self
-
-    def _init_serving(self, index: Optional[IndexStore], cache_size: int,
-                      jobs: int) -> None:
-        if cache_size < 0:
-            raise ConfigError(f"cache_size must be >= 0, got {cache_size}")
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.cache_size = int(cache_size)
-        self.jobs = int(jobs)
         self._jobs_requested = int(jobs)
         self.index = index
-        self._server: Optional[ShardServer] = None
+        self._server = ShardServer(index, jobs=self._jobs_requested)
+        # reflect the clamped thread count (a shard is the unit of work)
+        self.jobs = self._server.jobs
         # epoch bookkeeping: dist_many snapshots (epoch, server) under
         # the lock, and a retired epoch's server is closed only once its
         # last in-flight batch drains
         self._lock = threading.Lock()
-        self.epoch = 0
+        self._updateable = updateable
+        # a live index and its engine share one epoch clock
+        self.epoch = updateable.epoch if updateable is not None else 0
         self._active: dict[int, int] = {}
         self._retired: dict[int, ShardServer] = {}
-        self._updateable = None
-        if index is not None:
-            self._server = ShardServer(index, jobs=self.jobs)
-            # reflect the clamped thread count (a shard is the unit of
-            # work)
-            self.jobs = self._server.jobs
-        elif self.jobs > 1:
-            raise ConfigError(
-                "jobs > 1 needs an indexed engine "
-                "(do not pass use_index=False)")
         self._cache = _ResultCache(self.cache_size) if cache_size else None
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # epoch bookkeeping
     # ------------------------------------------------------------------
-    def index_snapshot(self) -> tuple[Optional[IndexStore], int]:
+    def index_snapshot(self) -> tuple[IndexStore, int]:
         """The ``(store, epoch)`` pair currently serving, read
         atomically — a hot swap installs both under the same lock, so
         the pair is always consistent, and stores are never mutated, so
@@ -344,17 +253,13 @@ class QueryEngine:
         so the responses are bit-identical to the ones an in-process
         ``estimate_many`` would have produced.  The whole probe batch is
         answered by one atomically-snapshotted ``(store, epoch)`` pair.
-
-        :raises ConfigError: on a non-indexed engine.
         """
         index, epoch = self.index_snapshot()
-        if index is None:
-            raise ConfigError("shard probes need an indexed engine")
         responses = tuple(index.shard_answer(int(s), r)
                           for s, r in zip(shards, requests))
         return responses, epoch
 
-    def _acquire_epoch(self) -> tuple[int, Optional[ShardServer]]:
+    def _acquire_epoch(self) -> tuple[int, ShardServer]:
         """Pin the current epoch for one batch (it will be served wholly
         by this epoch's server, even if a swap lands mid-flight)."""
         with self._lock:
@@ -373,23 +278,6 @@ class QueryEngine:
         if server is not None:
             server.close()
 
-    def _compute_many(self, us: np.ndarray, vs: np.ndarray,
-                      server: Optional[ShardServer]) -> np.ndarray:
-        if server is not None:
-            return server.estimate_many(us, vs)
-        if us.size and (min(us.min(), vs.min()) < 0
-                        or max(us.max(), vs.max()) >= self.n):
-            raise QueryError(f"node id out of range [0, {self.n})")
-        out = np.empty(us.shape[0], dtype=np.float64)
-        sketches = self.sketches
-        for j in range(us.shape[0]):
-            su, sv = sketches[int(us[j])], sketches[int(vs[j])]
-            # a TZ set can land here via use_index=False: its pairwise
-            # query is the free function, not an estimate_to method
-            out[j] = (estimate_distance(su, sv) if isinstance(su, TZSketch)
-                      else su.estimate_to(sv))
-        return out
-
     @property
     def cache_entries(self) -> int:
         """Answers resident in the result cache (never above
@@ -398,7 +286,7 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
-        """One estimate, through the cache and the indexed path."""
+        """One estimate, through the cache and the shard server."""
         return float(self.dist_many([(u, v)])[0])
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
@@ -433,8 +321,7 @@ class QueryEngine:
         epoch, server = self._acquire_epoch()
         try:
             if self.cache_size == 0:
-                return (self._compute_many(arr[:, 0], arr[:, 1], server),
-                        epoch)
+                return server.estimate_many(arr[:, 0], arr[:, 1]), epoch
 
             # ids are checked before they are keyed: an out-of-range
             # pair must raise, not alias the u·n + v of a cached one
@@ -457,7 +344,7 @@ class QueryEngine:
                 self.stats.misses += miss.size
             if miss.size:
                 keys, sets = keys[miss], sets[miss]
-                vals = self._compute_many(us[miss], vs[miss], server)
+                vals = server.estimate_many(us[miss], vs[miss])
                 out[miss] = vals
                 with self._lock:
                     # epoch-stamped write-back: a batch that started
@@ -483,8 +370,6 @@ class QueryEngine:
             return None
         epoch, server = self._acquire_epoch()
         try:
-            if server is None:
-                return epoch, None, arr
             return epoch, server, server.submit(arr[:, 0], arr[:, 1])
         finally:
             self._release_epoch(epoch)
@@ -495,8 +380,6 @@ class QueryEngine:
         if ticket is None:
             return np.empty(0, dtype=np.float64), self.epoch
         epoch, server, inner = ticket
-        if server is None:
-            return self._compute_many(inner[:, 0], inner[:, 1], None), epoch
         return server.collect(inner), epoch
 
     def dist_stream(self, batches: Iterable) -> Iterator[np.ndarray]:
@@ -528,9 +411,7 @@ class QueryEngine:
 
     def note_submit(self, inflight: int, seconds: float) -> None:
         """Window telemetry, passed on to the serving shard server."""
-        server = self._server
-        if server is not None:
-            server.note_submit(inflight, seconds)
+        self._server.note_submit(inflight, seconds)
 
     def note_reply(self, seconds: float) -> None:
         """Per-batch latencies are a session-side number."""
@@ -547,13 +428,13 @@ class QueryEngine:
         The result cache is cleared — cached answers are per-epoch.
 
         :returns: the :class:`~repro.service.updates.UpdateReport`.
-        :raises ConfigError: for an engine not built with
-            :meth:`from_updateable`.
+        :raises ConfigError: for an engine over a static index.
         """
         if self._updateable is None:
             raise ConfigError(
-                "apply_updates needs an engine built with "
-                "QueryEngine.from_updateable")
+                "apply_updates needs a live index, and this session's "
+                "server hosts a static one; serve an UpdateableIndex "
+                "(`repro serve GRAPH --updateable`)")
         report = self._updateable.apply(changes)
         if report.mode == "noop":
             return report
@@ -568,43 +449,23 @@ class QueryEngine:
             if self._cache is not None:
                 self._cache.clear()
             drained = self._active.get(old_epoch, 0) == 0
-            if not drained and old_server is not None:
-                self._retired[old_epoch] = old_server
             if drained:
                 self._active.pop(old_epoch, None)
-        if drained and old_server is not None:
+            else:
+                self._retired[old_epoch] = old_server
+        if drained:
             old_server.close()
         return report
 
     # ------------------------------------------------------------------
-    def reference_query(self, u: int, v: int) -> float:
-        """The unbatched, uncached reference answer (differential tests and
-        the benchmark's single-query baseline).
-
-        With a sketch set this is the scheme's own single-pair query
-        (fully independent of the index); an index-only engine
-        (:meth:`from_index`) uses the store's single-pair path instead.
-        """
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise QueryError(f"node id out of range [0, {self.n})")
-        if self.sketches is None:
-            return float(self.index.estimate(u, v))
-        su, sv = self.sketches[u], self.sketches[v]
-        if isinstance(su, TZSketch):
-            return estimate_distance(su, sv)
-        return su.estimate_to(sv)
-
-    def phase_timings(self) -> Optional[dict]:
-        """Cumulative plan/shard_answer/finish/ipc seconds from the shard
-        server (``None`` for an unindexed engine)."""
-        if self._server is None:
-            return None
+    def phase_timings(self) -> dict:
+        """Cumulative plan/shard_answer/finish/ipc seconds from the
+        serving epoch's shard server."""
         return self._server.timings.as_dict()
 
     def reset_phase_timings(self) -> None:
-        """Zero the per-phase counters (no-op for unindexed engines)."""
-        if self._server is not None:
-            self._server.reset_timings()
+        """Zero the per-phase counters."""
+        self._server.reset_timings()
 
     def clear_cache(self) -> None:
         """Drop all cached results and reset the hit/miss counters."""
@@ -619,8 +480,7 @@ class QueryEngine:
         with self._lock:
             servers = list(self._retired.values())
             self._retired.clear()
-            if self._server is not None:
-                servers.append(self._server)
+            servers.append(self._server)
         for server in servers:
             server.close()
 
@@ -631,8 +491,6 @@ class QueryEngine:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = (type(self.index).__name__ if self.index is not None
-                else "generic")
         tail = f", jobs={self.jobs}" if self.jobs > 1 else ""
-        return (f"QueryEngine(n={self.n}, {kind}, "
+        return (f"QueryEngine(n={self.n}, {type(self.index).__name__}, "
                 f"cache={self.cache_entries}/{self.cache_size}{tail})")

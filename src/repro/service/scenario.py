@@ -40,12 +40,6 @@ Three layers:
   At checkpoints the twin is additionally compared against a
   from-scratch :meth:`~repro.service.updates.UpdateableIndex.
   rebuild_reference` — the repair path itself stays on trial.
-
-:func:`compare_policies` replays one trace's churn under the static
-and adaptive repair policies (:func:`~repro.service.updates.
-make_policy`) and reports the decisions and costs side by side — the
-final indexes must stay bitwise identical, because policy choice may
-only ever spend seconds, never change answers.
 """
 
 from __future__ import annotations
@@ -70,8 +64,7 @@ from repro.rng import SeedLike, ensure_rng
 from repro.service.bench import sample_query_pairs
 from repro.service.transport import (OracleClient, OracleServer, connect,
                                      parse_endpoint)
-from repro.service.updates import (EdgeChange, RepairPolicy, UpdateReport,
-                                   UpdateableIndex, make_policy)
+from repro.service.updates import EdgeChange, UpdateReport, UpdateableIndex
 
 #: JSONL trace container version (the header line's ``"v"``).
 TRACE_FORMAT_VERSION = 1
@@ -703,8 +696,6 @@ class ScenarioResult:
                         "latency_under_churn_ms": _pct_ms(lat_hot),
                         "latency_quiet_ms": _pct_ms(lat_quiet)},
             "hotswap": {"applies": len(self.applies), "modes": modes,
-                        "policy": (self.applies[-1].report.policy
-                                   if self.applies else None),
                         "stall_ms": _pct_ms(a.seconds
                                             for a in self.applies)},
             "staleness": staleness,
@@ -996,13 +987,12 @@ class ScenarioOracle:
 
 
 # ----------------------------------------------------------------------
-# one-call front door + policy comparison
+# one-call front door
 # ----------------------------------------------------------------------
 def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
                        seed: SeedLike = 0, rounds: Optional[int] = None,
                        trace_seed: Optional[SeedLike] = None,
                        endpoint: str = "inproc://",
-                       policy: Union[RepairPolicy, str, None] = None,
                        num_shards: int = 1, query_threads: int = 2,
                        oracle: bool = True, checkpoint_every: int = 4,
                        trace: Optional[Trace] = None,
@@ -1011,13 +1001,10 @@ def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
                        **params) -> ScenarioResult:
     """Generate (or take) a trace, build the server source and the
     oracle twin from the same ``(graph, scheme, seed, params)``, and
-    replay.  ``policy`` is a :class:`~repro.service.updates.
-    RepairPolicy` or a :func:`~repro.service.updates.make_policy` name
-    for the *served* index (the oracle twin always verifies bitwise, so
-    the policy can only change seconds).  For remote ``tcp://host:port``
-    endpoints the server must have been built from the same inputs (the
-    ``repro serve --updateable`` daemon on the same edge list) or the
-    oracle will flag every answer."""
+    replay.  For remote ``tcp://host:port`` endpoints the server must
+    have been built from the same inputs (the ``repro serve
+    --updateable`` daemon on the same edge list) or the oracle will
+    flag every answer."""
     if trace is None:
         trace = generate_trace(name, graph,
                                seed=seed if trace_seed is None
@@ -1034,54 +1021,11 @@ def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
     if remote:
         source = None
     else:
-        if isinstance(policy, str):
-            policy = make_policy(policy)
         source = UpdateableIndex(graph, scheme, seed,
-                                 num_shards=num_shards, policy=policy,
-                                 **params)
+                                 num_shards=num_shards, **params)
     return run_scenario(trace, ep, source=source, oracle=oracle_obj,
                         query_threads=query_threads,
                         pipeline_depth=pipeline_depth, timeout=timeout)
-
-
-def compare_policies(graph: Graph, trace: Trace, *, scheme: str = "tz",
-                     seed: SeedLike = 0, num_shards: int = 1,
-                     policies: Sequence[str] = ("static", "adaptive"),
-                     **params) -> dict:
-    """Replay one trace's churn under each named repair policy on its
-    own :class:`~repro.service.updates.UpdateableIndex` and report the
-    decisions and costs side by side.
-
-    The final indexes are cross-checked bitwise on sampled pairs —
-    policy choice must only ever change seconds, never answers."""
-    out: dict[str, dict] = {}
-    finals = {}
-    for pname in policies:
-        upd = UpdateableIndex(graph, scheme, seed, num_shards=num_shards,
-                              policy=make_policy(pname), **params)
-        modes: dict[str, int] = {}
-        secs: list[float] = []
-        t0 = time.perf_counter()
-        for ev in trace.churn_events:
-            rep = upd.apply(list(ev.changes))
-            modes[rep.mode] = modes.get(rep.mode, 0) + 1
-            secs.append(rep.seconds.get("total", 0.0))
-        out[pname] = {"policy": pname,
-                      "applies": len(trace.churn_events),
-                      "modes": modes,
-                      "final_epoch": upd.epoch,
-                      "apply_seconds_total": time.perf_counter() - t0,
-                      "apply_ms": _pct_ms(secs),
-                      "describe": upd.policy.describe()}
-        finals[pname] = upd
-    pairs = sample_query_pairs(graph.n, min(128, 4 * graph.n), seed=0)
-    answers = {pname: ScenarioOracle._eval(upd.index, pairs)
-               for pname, upd in finals.items()}
-    kinds = {k for k, _ in answers.values()}
-    identical = len(kinds) == 1 and (
-        kinds == {"error"}
-        or len({a.tobytes() for _, a in answers.values()}) == 1)
-    return {"policies": out, "bitwise_identical": bool(identical)}
 
 
 # ----------------------------------------------------------------------
@@ -1090,7 +1034,6 @@ def compare_policies(graph: Graph, trace: Trace, *, scheme: str = "tz",
 @contextmanager
 def served_subprocess(graph_path, *, scheme: str = "tz",
                       seed: int = 0, shards: int = 1,
-                      policy: Optional[str] = None,
                       k: Optional[int] = None,
                       eps: Optional[float] = None,
                       timeout: float = 60.0,
@@ -1109,8 +1052,6 @@ def served_subprocess(graph_path, *, scheme: str = "tz",
     argv = [sys.executable, "-m", "repro", "serve", str(graph_path),
             "--updateable", "--scheme", scheme, "--seed", str(seed),
             "--shards", str(shards), "--addr", "127.0.0.1:0"]
-    if policy is not None:
-        argv += ["--policy", policy]
     if k is not None:
         argv += ["--k", str(k)]
     if eps is not None:

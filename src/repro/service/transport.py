@@ -6,8 +6,8 @@ serving surface on two objects and one factory:
 
 * :class:`OracleServer` — hosts one :class:`~repro.service.index.IndexStore`
   epoch (optionally a live :class:`~repro.service.updates.UpdateableIndex`)
-  behind a transport listener.  :meth:`OracleServer.local` wraps the
-  in-process :class:`~repro.service.workers.ShardServer`;
+  behind a transport listener.  :meth:`OracleServer.client` hands out
+  in-process sessions over its :class:`~repro.service.workers.ShardServer`;
   :meth:`OracleServer.serve` listens on TCP with a length-prefixed
   binary frame protocol that reuses the
   :mod:`~repro.service.buffers` array-tree codec for query/result
@@ -93,8 +93,8 @@ import numpy as np
 from repro.errors import ConfigError, QueryError, ReproError
 from repro.service.buffers import tree_from_bytes, tree_to_bytes
 from repro.service.engine import QueryEngine
-from repro.service.index import (parse_pair_array, scheme_name_of,
-                                 scheme_name_of_index)
+from repro.service.index import (IndexStore, build_index, parse_pair_array,
+                                 restrict_index_shards, scheme_name_of_index)
 from repro.service.session import SessionClock, stream_window
 from repro.service.updates import UpdateReport
 
@@ -368,88 +368,63 @@ class OracleServer:
         self._closed = False
         self.address: Optional[tuple[str, int]] = None
 
-        kind, payload = self._normalize_source(source)
-        if num_shards is not None and num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+        # everything that can be wrong with the source is found here,
+        # before the engine starts any shard thread
+        index, updateable = self._normalize_source(
+            source, jobs=jobs, num_shards=num_shards)
         self.shard_range: Optional[tuple[int, int]] = None
         if shard_range is not None:
-            from repro.service.index import build_index, restrict_index_shards
-
             lo, hi = int(shard_range[0]), int(shard_range[1])
-            if kind == "sketches":
-                payload = build_index(
-                    payload, num_shards=num_shards or max(int(jobs), 1))
-                kind = "index"
-            if kind == "index":
+            total = index.num_shards
+            if updateable is None:
                 # validates the range; [0, S) returns the store unchanged
-                payload = restrict_index_shards(payload, lo, hi)
-                total = payload.num_shards
-            else:  # updateable: full store stays, the range only gates
-                total = payload.index.num_shards
-                if not (0 <= lo < hi <= total):
-                    raise ConfigError(
-                        f"shard range [{lo}, {hi}) invalid for "
-                        f"{total} shards")
+                index = restrict_index_shards(index, lo, hi)
+            elif not (0 <= lo < hi <= total):
+                # repair is global: the full store stays, the range only
+                # gates what this host advertises and answers
+                raise ConfigError(
+                    f"shard range [{lo}, {hi}) invalid for "
+                    f"{total} shards")
             if (lo, hi) != (0, total):
                 self.shard_range = (lo, hi)
-        if kind == "updateable":
-            self._engine = QueryEngine.from_updateable(
-                payload, cache_size=cache_size, jobs=jobs,
-                _deprecation=False)
-        elif kind == "index":
-            self._engine = QueryEngine.from_index(
-                payload, cache_size=cache_size, jobs=jobs,
-                _deprecation=False)
-        else:
-            self._engine = QueryEngine(
-                payload, cache_size=cache_size,
-                num_shards=num_shards or max(int(jobs), 1),
-                jobs=jobs, _deprecation=False)
-        if (kind in ("updateable", "index") and num_shards is not None
-                and self._engine.index is not None
-                and num_shards != self._engine.index.num_shards):
-            shards = self._engine.index.num_shards
-            self._engine.close()
-            raise ConfigError(
-                f"this source bakes its shard layout in ({shards} "
-                f"shards); drop num_shards or pass {shards}")
-        self.scheme = self._scheme_of(kind, payload)
-        self.updateable = kind == "updateable"
+        self.scheme = (updateable.scheme if updateable is not None
+                       else scheme_name_of_index(index))
+        self.updateable = updateable is not None
+        self._engine = QueryEngine(index, updateable=updateable,
+                                   cache_size=cache_size, jobs=jobs)
 
     @staticmethod
-    def _normalize_source(source: Any) -> tuple[str, Any]:
+    def _normalize_source(source: Any, *, jobs: int,
+                          num_shards: Optional[int],
+                          ) -> tuple[IndexStore, Any]:
+        """``(index, updateable-or-None)`` for anything servable.  A
+        sketch set is indexed here (``num_shards`` shards, default one
+        per thread); a pre-built source keeps its baked layout, which
+        an explicit ``num_shards`` must match."""
         from repro.oracle.api import BuiltSketches
         from repro.service.updates import UpdateableIndex
 
-        if isinstance(source, UpdateableIndex):
-            return "updateable", source
+        if num_shards is not None and num_shards < 1:
+            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         if isinstance(source, BuiltSketches):
-            return "sketches", source.sketches
+            source = source.sketches
         if isinstance(source, (list, tuple)):
-            return "sketches", list(source)
-        if hasattr(source, "plan") and hasattr(source, "estimate_many"):
-            return "index", source
-        raise ConfigError(
-            f"cannot serve a {type(source).__name__}: want a sketch "
-            f"list, BuiltSketches, IndexStore, or UpdateableIndex")
-
-    @staticmethod
-    def _scheme_of(kind: str, payload: Any) -> Optional[str]:
-        if kind == "updateable":
-            return payload.scheme
-        if kind == "index":
-            return scheme_name_of_index(payload)
-        return scheme_name_of(payload)
-
-    @classmethod
-    def local(cls, source: Any, *, jobs: int = 1,
-              num_shards: Optional[int] = None,
-              cache_size: int = 65536) -> "OracleServer":
-        """A server with no listener — the host behind ``inproc://``
-        endpoints.  Identical to the constructor; the name states the
-        topology."""
-        return cls(source, jobs=jobs, num_shards=num_shards,
-                   cache_size=cache_size)
+            return build_index(
+                source, num_shards=num_shards or max(int(jobs), 1)), None
+        if isinstance(source, UpdateableIndex):
+            index, updateable = source.index, source
+        elif hasattr(source, "plan") and hasattr(source, "estimate_many"):
+            index, updateable = source, None
+        else:
+            raise ConfigError(
+                f"cannot serve a {type(source).__name__}: want a sketch "
+                f"list, BuiltSketches, IndexStore, or UpdateableIndex")
+        if num_shards is not None and num_shards != index.num_shards:
+            raise ConfigError(
+                f"this source bakes its shard layout in "
+                f"({index.num_shards} shards); drop num_shards or pass "
+                f"{index.num_shards}")
+        return index, updateable
 
     # ------------------------------------------------------------------
     @property
@@ -462,8 +437,7 @@ class OracleServer:
 
     @property
     def num_shards(self) -> int:
-        index = self._engine.index
-        return index.num_shards if index is not None else 1
+        return self._engine.index.num_shards
 
     @property
     def jobs(self) -> int:
@@ -914,8 +888,6 @@ class OracleServer:
             # epoch number; the old store is immutable, so serializing
             # it outside any lock is safe
             index, epoch = self._engine.index_snapshot()
-            if index is None:  # pragma: no cover - generic sketch set
-                raise ConfigError("server has no index to fetch")
             return ({"kind": "index_blob", "epoch": int(epoch)},
                     index_binary_bytes(index))
         raise ConfigError(f"unknown frame kind {kind!r}")
@@ -999,8 +971,6 @@ class _LocalTransport:
 
     def fetch_index(self, path: Optional[str]):
         index = self._server._engine.index
-        if index is None:
-            raise ConfigError("session has no index to fetch")
         if path is not None:
             from repro.oracle.serialization import save_index_binary
 
@@ -1500,6 +1470,6 @@ def connect(spec: str, source: Any = None, *,
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cache = cache_size if cache_size is not None \
         else options.get("cache", 65536)
-    server = OracleServer.local(source, jobs=jobs, num_shards=shards,
-                                cache_size=cache)
+    server = OracleServer(source, jobs=jobs, num_shards=shards,
+                          cache_size=cache)
     return server.client(endpoint=endpoint.describe(), owns_server=True)

@@ -30,15 +30,13 @@ The repair is organized around two frontiers:
   nodes' own Dijkstra rows (see :func:`repair_tz_sketches`), never by
   re-growing the clean landmarks' trees.
 
-Whether a batch is repaired or rebuilt is a :class:`RepairPolicy` call:
-the default :class:`StaticThresholdPolicy` rebuilds past a fixed dirty
-fraction (``rebuild_threshold``, default 0.25 — the PR 4 behavior),
-while :class:`AdaptiveCostPolicy` learns the actual repair/rebuild
-seconds of the running workload and picks the predicted-cheaper path
-per batch (falling back to the static threshold until it has samples).
-Localized repair only wins while the frontier is small, and either
-fallback guarantees the cost is never worse than a rebuild by more than
-the frontier sweep.
+Whether a batch is repaired or rebuilt is one rule: rebuild when the
+dirty fraction exceeds ``rebuild_threshold`` (default 0.25), repair
+otherwise.  Localized repair only wins while the frontier is small, and
+the fallback guarantees the cost is never worse than a rebuild by more
+than the frontier sweep.  The rule is inline, with no plug-in point: a
+cost model learning the two paths' seconds online lost to it on
+``churn-mixed`` traffic (the table is in ``docs/serving.md`` §9).
 
 **The hard invariant** (property-tested per scheme × memory backing):
 after ``apply``, the updated index answers *bit-identically* to an index
@@ -99,175 +97,6 @@ REBUILD_THRESHOLD_DEFAULT = 0.25
 #: the two ends of a path can differ by a few ulps, so the frontier
 #: tests over-approximate by this margin (more dirty nodes, never fewer)
 _MARGIN_REL = 1e-9
-
-#: policy names :func:`make_policy` accepts (the CLI surface)
-POLICY_NAMES = ("static", "adaptive")
-
-
-# ----------------------------------------------------------------------
-# repair-vs-rebuild policies
-# ----------------------------------------------------------------------
-class RepairPolicy:
-    """Decides, per change batch, whether :meth:`UpdateableIndex.apply`
-    repairs the dirty frontier or falls back to a full rebuild.
-
-    The decision is a pure performance choice — the module invariant
-    (updated index ≡ from-scratch rebuild, bitwise) holds on either
-    path, so a policy can never affect answers, only seconds.
-    Subclasses implement :meth:`decide` and may use the measurement
-    callbacks (:meth:`note_build`, :meth:`observe`) to learn the actual
-    repair/rebuild costs of the workload they are running on.
-    """
-
-    name = "policy"
-
-    def decide(self, dirty: int, n: int) -> str:
-        """``"repair"`` or ``"rebuild"`` for a batch whose dirty-source
-        frontier holds ``dirty`` of ``n`` nodes."""
-        raise NotImplementedError
-
-    def note_build(self, seconds: float, n: int) -> None:
-        """Called once, after the initial from-scratch sketch build —
-        the first (and before any rebuild the only) cost sample of the
-        rebuild path."""
-
-    def observe(self, mode: str, dirty: int, n: int,
-                seconds: float) -> None:
-        """Called after every effective apply with the measured
-        repair/rebuild phase seconds (frontier and index-refresh time
-        excluded — both paths pay those)."""
-
-    def describe(self) -> dict:
-        """A JSON-ready snapshot of the policy state (what E19 and the
-        scenario runner report)."""
-        return {"policy": self.name}
-
-
-class StaticThresholdPolicy(RepairPolicy):
-    """The PR 4 behavior: rebuild when the dirty fraction exceeds a
-    fixed threshold (default :data:`REBUILD_THRESHOLD_DEFAULT`) —
-    the fallback every adaptive policy degrades to before it has
-    measurements."""
-
-    name = "static"
-
-    def __init__(self, threshold: float = REBUILD_THRESHOLD_DEFAULT):
-        if not (0.0 <= threshold <= 1.0):
-            raise ConfigError(f"rebuild threshold must be in [0, 1], "
-                              f"got {threshold}")
-        self.threshold = float(threshold)
-
-    def decide(self, dirty: int, n: int) -> str:
-        frac = dirty / n if n else 0.0
-        return "rebuild" if frac > self.threshold else "repair"
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "threshold": self.threshold}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StaticThresholdPolicy({self.threshold})"
-
-
-class AdaptiveCostPolicy(RepairPolicy):
-    """Pick repair vs rebuild per batch from *measured* costs.
-
-    E16 shows the repair-vs-rebuild crossover is sharp but
-    workload-dependent — a fixed dirty-fraction threshold is wrong on
-    one side or the other for any given graph family.  This policy
-    models the two paths from its own observations:
-
-    * rebuild cost ≈ a constant per batch (a full build touches all
-      ``n`` sketches regardless of the frontier), seeded from the
-      initial build via :meth:`note_build` and refined by an
-      exponentially-weighted moving average over observed rebuilds;
-    * repair cost ≈ ``seconds_per_dirty × dirty`` (the repair scales
-      with the frontier), the per-dirty-source rate EWMA'd over
-      observed repairs.
-
-    A batch is repaired when the predicted repair cost is at most the
-    predicted rebuild cost.  Until both sides have at least one sample
-    the policy defers to the static-threshold fallback, so cold-start
-    behavior is exactly the PR 4 default.  Every decision is logged in
-    :attr:`decisions` with its predictions and basis ("model" or
-    "fallback") — the adaptive-vs-static evidence E19 reports.
-    """
-
-    name = "adaptive"
-
-    def __init__(self, fallback_threshold: float = REBUILD_THRESHOLD_DEFAULT,
-                 smoothing: float = 0.5):
-        if not (0.0 < smoothing <= 1.0):
-            raise ConfigError(f"smoothing must be in (0, 1], "
-                              f"got {smoothing}")
-        self.fallback = StaticThresholdPolicy(fallback_threshold)
-        self.smoothing = float(smoothing)
-        self.rebuild_seconds: Optional[float] = None
-        self.repair_per_dirty: Optional[float] = None
-        self.decisions: list[dict] = []
-
-    def _blend(self, old: Optional[float], new: float) -> float:
-        if old is None:
-            return float(new)
-        return (1.0 - self.smoothing) * old + self.smoothing * new
-
-    def decide(self, dirty: int, n: int) -> str:
-        pred_repair = (None if self.repair_per_dirty is None
-                       else self.repair_per_dirty * dirty)
-        pred_rebuild = self.rebuild_seconds
-        if pred_repair is None or pred_rebuild is None:
-            mode = self.fallback.decide(dirty, n)
-            basis = "fallback"
-        else:
-            mode = "repair" if pred_repair <= pred_rebuild else "rebuild"
-            basis = "model"
-        self.decisions.append({
-            "dirty": int(dirty), "n": int(n), "mode": mode, "basis": basis,
-            "predicted_repair_s": pred_repair,
-            "predicted_rebuild_s": pred_rebuild})
-        return mode
-
-    def note_build(self, seconds: float, n: int) -> None:
-        if seconds > 0.0:
-            self.rebuild_seconds = float(seconds)
-
-    def observe(self, mode: str, dirty: int, n: int,
-                seconds: float) -> None:
-        if seconds <= 0.0:
-            return
-        if mode == "rebuild":
-            self.rebuild_seconds = self._blend(self.rebuild_seconds,
-                                               seconds)
-        elif mode == "repair" and dirty > 0:
-            self.repair_per_dirty = self._blend(self.repair_per_dirty,
-                                                seconds / dirty)
-
-    def describe(self) -> dict:
-        return {"policy": self.name,
-                "fallback_threshold": self.fallback.threshold,
-                "rebuild_seconds": self.rebuild_seconds,
-                "repair_per_dirty": self.repair_per_dirty,
-                "decisions": list(self.decisions)}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"AdaptiveCostPolicy(rebuild_s={self.rebuild_seconds}, "
-                f"per_dirty_s={self.repair_per_dirty}, "
-                f"decisions={len(self.decisions)})")
-
-
-def make_policy(name: str,
-                rebuild_threshold: Optional[float] = None) -> RepairPolicy:
-    """The CLI-facing policy factory: ``"static"`` →
-    :class:`StaticThresholdPolicy`, ``"adaptive"`` →
-    :class:`AdaptiveCostPolicy` (with the threshold as its cold-start
-    fallback)."""
-    threshold = (REBUILD_THRESHOLD_DEFAULT if rebuild_threshold is None
-                 else rebuild_threshold)
-    if name == "static":
-        return StaticThresholdPolicy(threshold)
-    if name == "adaptive":
-        return AdaptiveCostPolicy(fallback_threshold=threshold)
-    raise ConfigError(f"unknown repair policy {name!r}; "
-                      f"choose from {POLICY_NAMES}")
 
 
 # ----------------------------------------------------------------------
@@ -751,19 +580,17 @@ class UpdateReport:
     n: int
     dirty_fraction: float
     seconds: dict = field(default_factory=dict)
-    policy: str = "static"  # name of the policy that made the call
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "epoch": self.epoch,
                 "changes": self.changes, "dirty": self.dirty,
                 "touched": self.touched, "n": self.n,
                 "dirty_fraction": self.dirty_fraction,
-                "seconds": dict(self.seconds),
-                "policy": self.policy}
+                "seconds": dict(self.seconds)}
 
     _WIRE_DEFAULTS = {"mode": "unknown", "epoch": 0, "changes": 0,
                       "dirty": 0, "touched": 0, "n": 0,
-                      "dirty_fraction": 0.0, "policy": "static"}
+                      "dirty_fraction": 0.0}
 
     @classmethod
     def from_wire(cls, data: Mapping) -> "UpdateReport":
@@ -790,10 +617,7 @@ class UpdateableIndex:
         rebuild is always well defined).
     :param num_shards: landmark shard count of every epoch's store.
     :param rebuild_threshold: dirty fraction above which :meth:`apply`
-        falls back to a full rebuild (ignored when ``policy`` is given).
-    :param policy: a :class:`RepairPolicy` deciding repair vs rebuild
-        per batch; ``None`` keeps the PR 4 behavior — a
-        :class:`StaticThresholdPolicy` at ``rebuild_threshold``.
+        falls back to a full rebuild.
     :param sketches: optionally, the already-built sketch set for this
         exact (graph, artifacts) pair — skips the initial build.
     :param params: scheme parameters (``k`` / ``eps`` / ``hierarchy`` /
@@ -804,8 +628,7 @@ class UpdateableIndex:
     def __init__(self, graph: Graph, scheme: str = "tz",
                  seed: SeedLike = None, num_shards: int = 1,
                  rebuild_threshold: float = REBUILD_THRESHOLD_DEFAULT,
-                 sketches: Optional[list] = None,
-                 policy: Optional[RepairPolicy] = None, **params):
+                 sketches: Optional[list] = None, **params):
         if not (0.0 <= rebuild_threshold <= 1.0):
             raise ConfigError(f"rebuild_threshold must be in [0, 1], "
                               f"got {rebuild_threshold}")
@@ -813,12 +636,7 @@ class UpdateableIndex:
         self.scheme = scheme
         self.num_shards = int(num_shards)
         self.rebuild_threshold = float(rebuild_threshold)
-        self.policy: RepairPolicy = (
-            policy if policy is not None
-            else StaticThresholdPolicy(rebuild_threshold))
         self._state = _make_state(self.graph, scheme, seed, params)
-        t_build = time.perf_counter()
-        built_here = sketches is None
         self.sketches = (list(sketches) if sketches is not None
                          else self._state.build(self.graph))
         if len(self.sketches) != self.graph.n:
@@ -827,12 +645,6 @@ class UpdateableIndex:
                 f"{self.graph.n}-node graph")
         self.index: IndexStore = build_index(self.sketches,
                                              num_shards=self.num_shards)
-        if built_here:
-            # the initial build is the first cost sample of the rebuild
-            # path; a pre-built sketch set measured only the index
-            # packing, which would wildly understate a rebuild
-            self.policy.note_build(time.perf_counter() - t_build,
-                                   self.graph.n)
         self.epoch = 0
         self.last_report: Optional[UpdateReport] = None
 
@@ -865,15 +677,10 @@ class UpdateableIndex:
             secs["total"] = time.perf_counter() - t0
             report = UpdateReport(mode="noop", epoch=self.epoch,
                                   changes=len(changes), dirty=0, touched=0,
-                                  n=n, dirty_fraction=0.0, seconds=secs,
-                                  policy=self.policy.name)
+                                  n=n, dirty_fraction=0.0, seconds=secs)
             self.last_report = report
             return report
-        mode = self.policy.decide(int(dirty.size), n)
-        if mode not in ("repair", "rebuild"):
-            raise ConfigError(
-                f"policy {self.policy.name!r} returned {mode!r}; "
-                f"a decision must be 'repair' or 'rebuild'")
+        mode = "rebuild" if frac > self.rebuild_threshold else "repair"
         if mode == "rebuild":
             sketches = self._state.build(work)
             touched = set(range(n))
@@ -886,7 +693,6 @@ class UpdateableIndex:
             index = refresh_index(self.index, sketches, touched)
         t3 = time.perf_counter()
         secs.update({"repair": t2 - t1, "index": t3 - t2, "total": t3 - t0})
-        self.policy.observe(mode, int(dirty.size), n, t2 - t1)
         self.graph = work
         self.sketches = sketches
         self.index = index
@@ -894,8 +700,7 @@ class UpdateableIndex:
         report = UpdateReport(mode=mode, epoch=self.epoch,
                               changes=len(changes), dirty=int(dirty.size),
                               touched=len(touched), n=n,
-                              dirty_fraction=frac, seconds=secs,
-                              policy=self.policy.name)
+                              dirty_fraction=frac, seconds=secs)
         self.last_report = report
         return report
 

@@ -88,6 +88,12 @@ class TZSketch:
             raise QueryError(f"{v} not in bunch of {self.node}")
         return entry[0]
 
+    def estimate_to(self, other: "TZSketch",
+                    method: "QueryMethod" = "paper") -> float:
+        """:func:`estimate_distance` as a method — the single-pair
+        entry point every scheme's sketch exposes."""
+        return estimate_distance(self, other, method)
+
 
 QueryMethod = Literal["paper", "classic"]
 

@@ -128,6 +128,10 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long end-to-end protocol runs")
+    # the library has no deprecated path: a DeprecationWarning attributed
+    # to our own code (``repro.*`` or a test module) fails its test
+    config.addinivalue_line(
+        "filterwarnings", r"error::DeprecationWarning:(repro(\.|$)|test_)")
 
 
 def pytest_collection_modifyitems(config, items):

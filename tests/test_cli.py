@@ -281,7 +281,9 @@ class TestSchemesCommand:
         rows = json.loads(capsys.readouterr().out)
         assert {r["scheme"] for r in rows} == {"tz", "stretch3", "cdg",
                                                "graceful"}
-        assert all(r["batch"] for r in rows)  # every scheme serves batches
+        # every transport hosts every scheme
+        assert all(r["transports"] == ["inproc", "tcp", "cluster"]
+                   for r in rows)
         assert all(r["serialize"] for r in rows)
 
     def test_markdown_matrix_matches_registry(self, capsys):

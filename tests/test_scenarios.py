@@ -1,6 +1,6 @@
 """The churn scenario harness (``repro.service.scenario``).
 
-Four claim families:
+Three claim families:
 
 * **trace model** — every named generator is seeded-deterministic
   (same inputs → byte-identical JSONL), traces round-trip through
@@ -15,9 +15,7 @@ Four claim families:
 * **acceptance topology** — a live ``python -m repro serve`` subprocess
   driven over TCP verifies clean too (the oracle twin is built from the
   same edge-list *file* the daemon reads), and the ``repro scenario``
-  CLI runs end to end in-process;
-* **policy** — an adaptive-policy replay stays oracle-clean and
-  ``compare_policies`` proves static vs adaptive end bitwise identical.
+  CLI runs end to end in-process.
 
 A nightly long-trace run rides the ``slow`` marker.
 """
@@ -32,9 +30,9 @@ from repro.cli import main as cli_main
 from repro.errors import ConfigError
 from repro.graphs import (assign_uniform_weights, erdos_renyi,
                           read_edgelist, write_edgelist)
-from repro.service import (SCENARIOS, QueryEvent, Trace, compare_policies,
-                           generate_trace, run_named_scenario,
-                           run_scenario, served_subprocess)
+from repro.service import (SCENARIOS, QueryEvent, Trace, generate_trace,
+                           run_named_scenario, run_scenario,
+                           served_subprocess)
 
 K = 2  # tz needs k; k=2 keeps the small builds fast
 ROUNDS = 5
@@ -140,26 +138,6 @@ class TestScenarioRuns:
         assert result.ok, result.violations[:3]
         assert any(r.error is not None for r in result.queries)
 
-    def test_adaptive_policy_stays_clean(self, churn_graph):
-        result = run_named_scenario("weight-flap", churn_graph, seed=4,
-                                    rounds=ROUNDS, policy="adaptive",
-                                    endpoint="tcp://", k=K)
-        assert result.ok, result.violations[:3]
-        assert result.applies
-        assert result.applies[-1].report.policy == "adaptive"
-
-    def test_compare_policies_bitwise_identical(self, churn_graph):
-        trace = generate_trace("rolling-churn", churn_graph, seed=6,
-                               rounds=ROUNDS)
-        cmp = compare_policies(churn_graph, trace, scheme="tz", seed=6,
-                               k=K)
-        assert set(cmp["policies"]) == {"static", "adaptive"}
-        assert cmp["bitwise_identical"]
-        adaptive = cmp["policies"]["adaptive"]
-        assert adaptive["describe"]["decisions"]
-        assert adaptive["final_epoch"] == \
-            cmp["policies"]["static"]["final_epoch"]
-
     def test_trace_size_mismatch_rejected(self, churn_graph):
         other = erdos_renyi(8, seed=1)
         trace = generate_trace("steady-mix", other, seed=0, rounds=4)
@@ -181,8 +159,7 @@ class TestScenarioRuns:
         checkpoints on — the endurance version of the smoke runs."""
         result = run_named_scenario("steady-mix", er_weighted, seed=11,
                                     rounds=24, endpoint="tcp://",
-                                    policy="adaptive", query_threads=3,
-                                    k=K)
+                                    query_threads=3, k=K)
         assert result.ok, result.violations[:3]
         assert result.oracle_report["checkpoints"] > 0
 
@@ -195,8 +172,7 @@ class TestServedSubprocess:
         gp = tmp_path / "graph.edges"
         write_edgelist(churn_graph, gp)
         disk = read_edgelist(gp)  # %.12g — the file is the ground truth
-        with served_subprocess(gp, scheme="tz", seed=0, k=K,
-                               policy="adaptive") as addr:
+        with served_subprocess(gp, scheme="tz", seed=0, k=K) as addr:
             assert addr.startswith("tcp://")
             result = run_named_scenario("flash-crowd", disk, seed=0,
                                         rounds=ROUNDS, endpoint=addr,

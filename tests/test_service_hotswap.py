@@ -315,5 +315,5 @@ def test_apply_updates_requires_updateable_engine(updateable):
     from repro.service.updates import EdgeChange
 
     with connect("inproc://cache=0", updateable.index) as session:
-        with pytest.raises(ConfigError, match="from_updateable"):
+        with pytest.raises(ConfigError, match="serve an UpdateableIndex"):
             session.apply_updates([EdgeChange("set", 0, 1, 1.0)])

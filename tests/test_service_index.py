@@ -8,8 +8,7 @@ import pytest
 from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import ring
-from repro.oracle.schemes import get_scheme
-from repro.service import (QueryEngine, TZIndex, connect,
+from repro.service import (QueryEngine, TZIndex, build_index, connect,
                            run_serve_benchmark)
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 from repro.tz.sketch import TZSketch
@@ -106,15 +105,20 @@ class TestTZIndex:
                 assert idx.estimate(u, v) == want
 
 
+def _engine(sketches, **options):
+    """The engine over a fresh one-shard store of ``sketches``."""
+    return QueryEngine(build_index(sketches), **options)
+
+
 class TestQueryEngine:
     def test_dist_and_dist_many_agree(self, tz_sketches):
-        engine = QueryEngine(tz_sketches)
+        engine = _engine(tz_sketches)
         pairs = [(0, 4), (4, 0), (7, 7), (1, 30)]
         batch = engine.dist_many(pairs)
         assert [engine.dist(u, v) for u, v in pairs] == batch.tolist()
 
     def test_cache_hits_and_evictions(self, tz_sketches):
-        engine = QueryEngine(tz_sketches, cache_size=2)
+        engine = _engine(tz_sketches, cache_size=2)
         engine.dist(0, 1)
         engine.dist(0, 1)
         assert engine.stats.hits == 1 and engine.stats.misses == 1
@@ -125,7 +129,7 @@ class TestQueryEngine:
         assert engine.stats.misses == 4
 
     def test_cache_disabled(self, tz_sketches):
-        engine = QueryEngine(tz_sketches, cache_size=0)
+        engine = _engine(tz_sketches, cache_size=0)
         engine.dist(0, 1)
         engine.dist(0, 1)
         assert engine.stats.hits == 0 and engine.stats.misses == 0
@@ -133,37 +137,37 @@ class TestQueryEngine:
     def test_ordered_pair_caching(self, tz_sketches):
         # (u, v) and (v, u) are distinct cache keys: the level scan is not
         # symmetric, and the contract is bit-identity with the single path
-        engine = QueryEngine(tz_sketches, cache_size=64)
+        engine = _engine(tz_sketches, cache_size=64)
         a = engine.dist(3, 30)
         b = engine.dist(30, 3)
-        assert a == engine.reference_query(3, 30)
-        assert b == engine.reference_query(30, 3)
+        assert a == estimate_distance(tz_sketches[3], tz_sketches[30])
+        assert b == estimate_distance(tz_sketches[30], tz_sketches[3])
 
     def test_slack_schemes_get_their_own_index(self, er_unit):
         from repro.service import Stretch3Index
 
         built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
-        engine = QueryEngine(built.sketches, cache_size=8)
+        engine = _engine(built.sketches, cache_size=8)
         assert isinstance(engine.index, Stretch3Index)
         pairs = [(0, 5), (5, 0), (2, 2)]
         assert engine.dist_many(pairs).tolist() == [
             built.query(u, v) for u, v in pairs]
 
-    def test_generic_loop_still_available(self, er_unit):
-        built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
-        engine = QueryEngine(built.sketches, cache_size=8, use_index=False)
-        assert engine.index is None
-        pairs = [(0, 5), (5, 0), (2, 2)]
-        assert engine.dist_many(pairs).tolist() == [
-            built.query(u, v) for u, v in pairs]
-
     def test_rejects_bad_pairs_shape(self, tz_sketches):
-        engine = QueryEngine(tz_sketches)
+        engine = _engine(tz_sketches)
         with pytest.raises(ConfigError):
             engine.dist_many(np.arange(6))
 
+    def test_rejects_out_of_range_ids(self, er_unit):
+        built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
+        engine = _engine(built.sketches, cache_size=0)
+        with pytest.raises(QueryError):
+            engine.dist(-1, 5)
+        with pytest.raises(QueryError):
+            engine.dist(0, engine.n)
+
     def test_clear_cache(self, tz_sketches):
-        engine = QueryEngine(tz_sketches, cache_size=8)
+        engine = _engine(tz_sketches, cache_size=8)
         engine.dist(0, 1)
         engine.clear_cache()
         assert engine.stats.misses == 0
@@ -191,8 +195,7 @@ class TestResultCache:
                           for su in tz_sketches])
         rng = np.random.default_rng(3)
         for capacity in range(1, 65):  # most are no multiple of 8 ways
-            engine = QueryEngine(tz_sketches, cache_size=capacity,
-                                 _deprecation=False)
+            engine = _engine(tz_sketches, cache_size=capacity)
             cache = engine._cache
             assert cache.sets * cache.ways <= capacity
             asked = inserted = evicted = 0
@@ -227,7 +230,7 @@ class TestResultCache:
                 assert engine.stats.hits > 0
 
     def test_replay_within_capacity_is_all_hits(self, tz_sketches):
-        engine = QueryEngine(tz_sketches, cache_size=8, _deprecation=False)
+        engine = _engine(tz_sketches, cache_size=8)
         pairs = np.array([(0, 1), (1, 0), (2, 3), (0, 1), (5, 5)])
         engine.dist_many(pairs)
         assert engine.cache_entries == 4  # the repeat is stored once
@@ -237,7 +240,7 @@ class TestResultCache:
     def test_stale_write_back_is_not_stored_twice(self, tz_sketches):
         # two batches that both missed the same key before either wrote
         # it back: the second write-back must find it resident
-        engine = QueryEngine(tz_sketches, cache_size=16, _deprecation=False)
+        engine = _engine(tz_sketches, cache_size=16)
         cache = engine._cache
         keys = np.array([7, 9])
         sets = cache.set_of(keys)
@@ -262,22 +265,6 @@ class TestResultCache:
                 assert str(err.value) == f"node id out of range [0, {n})"
             assert client.stats()["cache"] == before
 
-    @pytest.mark.parametrize("cache_size", [64, 0])
-    def test_generic_engine_rejects_bad_ids_before_the_cache(
-            self, tz_sketches, cache_size):
-        n = len(tz_sketches)
-        engine = QueryEngine(tz_sketches, cache_size=cache_size,
-                             use_index=False, _deprecation=False)
-        engine.dist_many([(0, 1), (2, 3)])
-        before = (engine.stats.hits, engine.stats.misses,
-                  engine.cache_entries)
-        for bad in ([(1, 1), (0, n + 1)], [(0, -1)], [(n, 0)]):
-            with pytest.raises(QueryError) as err:
-                engine.dist_many(bad)
-            assert str(err.value) == f"node id out of range [0, {n})"
-        assert (engine.stats.hits, engine.stats.misses,
-                engine.cache_entries) == before
-
 
 class TestBuiltSketchesIntegration:
     def test_query_many_matches_query(self, er_weighted):
@@ -285,16 +272,10 @@ class TestBuiltSketchesIntegration:
         pairs = [(0, 9), (9, 0), (4, 4), (1, 35)]
         assert built.query_many(pairs).tolist() == [
             built.query(u, v) for u, v in pairs]
-
-    def test_engine_is_cached(self, er_weighted):
-        built = build_sketches(er_weighted, scheme="tz", k=2, seed=5)
-        assert built.engine() is built.engine()
-
-    def test_every_scheme_supports_batch(self):
-        from repro.oracle.schemes import SCHEMES
-
-        for name in SCHEMES:
-            assert get_scheme(name).supports_batch, name
+        # the one-shard store behind query_many is built once
+        store = built.extras["_index"]
+        built.query_many(pairs)
+        assert built.extras["_index"] is store
 
 
 class TestServeBenchmark:
@@ -368,29 +349,6 @@ class TestDisconnectedGraphs:
         assert not found.any()
 
 
-class TestEngineConfig:
-    def test_built_sketches_engine_rebuilds_on_new_config(self, er_unit):
-        built = build_sketches(er_unit, scheme="tz", k=2, seed=5)
-        default = built.engine()
-        assert built.engine() is default
-        cold = built.engine(cache_size=0, num_shards=4)
-        assert cold is not default
-        assert cold.cache_size == 0 and cold.index.num_shards == 4
-        assert built.engine(cache_size=0, num_shards=4) is cold
-
-    def test_use_index_flag(self, er_unit):
-        tz = build_sketches(er_unit, scheme="tz", k=2, seed=5).sketches
-        s3 = build_sketches(er_unit, scheme="stretch3", eps=0.3,
-                            seed=2).sketches
-        assert QueryEngine(tz, use_index=False).index is None
-        assert QueryEngine(tz, use_index=True).index is not None
-        assert QueryEngine(s3, use_index=True).index is not None
-        # a mixed set has no index class and must refuse use_index=True
-        with pytest.raises(ConfigError):
-            QueryEngine([tz[0], s3[1]], use_index=True)
-        assert QueryEngine([tz[0], s3[1]]).index is None  # generic loop
-
-
 class TestLookupValidation:
     def test_lookup_rejects_out_of_range_owner(self, indexed):
         with pytest.raises(QueryError):
@@ -402,25 +360,6 @@ class TestLookupValidation:
         _, _, found = indexed.lookup(np.array([0, 0]),
                                      np.array([-1, indexed.n]))
         assert not found.any()
-
-
-class TestGenericPathParity:
-    """Regressions for the generic (non-indexed) query path."""
-
-    def test_use_index_false_works_on_tz_sets(self, tz_sketches):
-        forced = QueryEngine(tz_sketches, use_index=False, cache_size=0)
-        auto = QueryEngine(tz_sketches, cache_size=0)
-        pairs = [(0, 4), (4, 0), (7, 7), (1, 30)]
-        assert forced.dist_many(pairs).tolist() == \
-            auto.dist_many(pairs).tolist()
-
-    def test_generic_path_rejects_out_of_range_ids(self, er_unit):
-        built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
-        engine = QueryEngine(built.sketches, cache_size=0)
-        with pytest.raises(QueryError):
-            engine.dist(-1, 5)
-        with pytest.raises(QueryError):
-            engine.dist(0, engine.n)
 
 
 class TestSlackIndexes:
@@ -495,7 +434,7 @@ class TestSlackIndexes:
 
         for built, cls in ((s3_built, Stretch3Index), (cdg_built, CDGIndex),
                            (graceful_built, GracefulIndex)):
-            assert isinstance(QueryEngine(built.sketches).index, cls)
+            assert isinstance(_engine(built.sketches).index, cls)
 
     def test_query_many_matches_query_all_schemes(self, s3_built, cdg_built,
                                                   graceful_built):

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.graphs import Graph, apsp
-from repro.service import QueryEngine, TZIndex, build_tz_sketches_parallel
+from repro.service import (QueryEngine, TZIndex, build_index,
+                           build_tz_sketches_parallel)
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 
 COMMON = dict(deadline=None,
@@ -88,12 +89,12 @@ class TestBatchedEqualsSingle:
            cache=st.integers(min_value=0, max_value=64))
     def test_cache_never_changes_answers(self, g, seed, cache):
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=seed)
-        engine = QueryEngine(sketches, cache_size=cache)
+        engine = QueryEngine(build_index(sketches), cache_size=cache)
         us, vs = _all_ordered_pairs(g.n)
         pairs = np.stack([us, vs], axis=1)
         first = engine.dist_many(pairs)
         again = engine.dist_many(pairs)  # now (partly) served from cache
-        single = [engine.reference_query(int(u), int(v))
+        single = [estimate_distance(sketches[u], sketches[v])
                   for u, v in zip(us, vs)]
         assert first.tolist() == single
         assert again.tolist() == single
@@ -111,7 +112,7 @@ class TestBatchedEqualsSingle:
         the table never holds more than ``cache_size`` entries, and
         every written slot that is no longer resident was an eviction."""
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=seed)
-        engine = QueryEngine(sketches, cache_size=cache, _deprecation=False)
+        engine = QueryEngine(build_index(sketches), cache_size=cache)
         node = st.integers(min_value=0, max_value=g.n - 1)
         batches = data.draw(st.lists(
             st.lists(st.tuples(node, node), min_size=1, max_size=40),
@@ -123,8 +124,9 @@ class TestBatchedEqualsSingle:
                 before = engine._cache.keys.copy()
                 got = engine.dist_many(pairs)
                 inserted += np.count_nonzero(before != engine._cache.keys)
-                assert got.tolist() == [engine.reference_query(u, v)
-                                        for u, v in pairs]
+                assert got.tolist() == [
+                    estimate_distance(sketches[u], sketches[v])
+                    for u, v in pairs]
                 asked += len(pairs)
                 assert engine.stats.hits + engine.stats.misses == asked
                 assert engine.cache_entries <= cache

@@ -38,8 +38,8 @@ import pytest
 from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
-from repro.service import (OracleServer, QueryEngine, UpdateableIndex,
-                           connect, parse_endpoint, sample_query_pairs,
+from repro.service import (OracleServer, UpdateableIndex, connect,
+                           parse_endpoint, sample_query_pairs,
                            sample_weight_changes)
 from repro.service.buffers import tree_from_bytes, tree_to_bytes
 
@@ -154,7 +154,7 @@ class TestEndpointGrammar:
         def no_build(*args, **kwargs):
             raise AssertionError("an index was built for a bad spec")
 
-        monkeypatch.setattr("repro.service.engine.build_index", no_build)
+        monkeypatch.setattr("repro.service.transport.build_index", no_build)
         with pytest.raises(ConfigError):
             connect(spec, builds["tz"])
 
@@ -247,7 +247,8 @@ class TestTransportEquivalence:
 
         for spec in TRANSPORT_SPECS:
             with session(spec, builds["tz"]) as client:
-                with pytest.raises(ConfigError, match="from_updateable"):
+                with pytest.raises(ConfigError,
+                                   match="hosts a static one.*--updateable"):
                     client.apply_updates([EdgeChange("set", 0, 1, 2.0)])
 
 
@@ -357,22 +358,6 @@ class TestTreeWireCodec:
 # deprecation hygiene
 # ----------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_query_engine_paths_warn_once_each(self, builds):
-        sketches = builds["tz"].sketches
-        with pytest.warns(DeprecationWarning, match="connect") as rec:
-            QueryEngine(sketches, cache_size=0).close()
-        assert len(rec) == 1
-        with pytest.warns(DeprecationWarning, match="connect") as rec:
-            engine = QueryEngine.from_updateable(_updateable_for(builds),
-                                                 cache_size=0)
-            engine.close()
-        assert len(rec) == 1  # from_updateable does not re-warn via from_index
-
-    def test_built_sketches_engine_warns(self, builds):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            builds["stretch3"].engine(cache_size=0).close()
-        builds["stretch3"].extras.pop("_engine", None)
-
     def test_connect_paths_do_not_warn(self, builds):
         import warnings
 
@@ -380,12 +365,7 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             with connect("inproc://", builds["tz"], cache_size=0) as c:
                 c.dist(0, 1)
-            builds["tz"].query_many([(0, 1)])  # internal engine: no warning
-
-
-def _updateable_for(builds):
-    built = builds["tz"]
-    return built.updateable()
+            builds["tz"].query_many([(0, 1)])
 
 
 # ----------------------------------------------------------------------

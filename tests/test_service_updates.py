@@ -369,102 +369,34 @@ class TestBuiltSketchesUpdateable:
 
 
 class TestRepairPolicies:
-    """The repair-vs-rebuild policy objects: a pure seconds choice (the
-    bit-identity invariant is policy-blind), so these tests pin the
-    *decision* logic and the reporting surface."""
+    """Repair vs rebuild is one rule — rebuild when the dirty fraction
+    exceeds ``rebuild_threshold`` — and a pure seconds choice (the
+    bit-identity invariant holds on either path)."""
 
-    def test_make_policy_names(self):
-        from repro.service.updates import (POLICY_NAMES,
-                                           AdaptiveCostPolicy,
-                                           StaticThresholdPolicy,
-                                           make_policy)
-
-        assert set(POLICY_NAMES) == {"static", "adaptive"}
-        assert isinstance(make_policy("static"), StaticThresholdPolicy)
-        assert isinstance(make_policy("adaptive"), AdaptiveCostPolicy)
-        assert make_policy("static", rebuild_threshold=0.5).threshold \
-            == 0.5
-        assert make_policy("adaptive",
-                           rebuild_threshold=0.5).fallback.threshold \
-            == 0.5
-        with pytest.raises(ConfigError, match="unknown repair policy"):
-            make_policy("oracle-of-delphi")
-
-    def test_static_threshold_bounds_and_boundary(self):
-        from repro.service.updates import StaticThresholdPolicy
-
-        with pytest.raises(ConfigError, match="rebuild threshold"):
-            StaticThresholdPolicy(-0.1)
-        with pytest.raises(ConfigError, match="rebuild threshold"):
-            StaticThresholdPolicy(1.5)
-        pol = StaticThresholdPolicy(0.25)
-        assert pol.decide(25, 100) == "repair"   # == threshold: repair
-        assert pol.decide(26, 100) == "rebuild"  # > threshold: rebuild
-        assert pol.decide(0, 0) == "repair"      # empty graph: no-op-ish
-        assert pol.describe() == {"policy": "static", "threshold": 0.25}
-
-    def test_adaptive_falls_back_then_trusts_the_model(self):
-        from repro.service.updates import AdaptiveCostPolicy
-
-        pol = AdaptiveCostPolicy(fallback_threshold=0.25)
-        # cold start: no measurements, degrade to the static rule
-        assert pol.decide(50, 100) == "rebuild"
-        assert pol.decisions[-1]["basis"] == "fallback"
-        pol.note_build(10.0, 100)           # rebuild cost known...
-        assert pol.decide(50, 100) == "rebuild"
-        assert pol.decisions[-1]["basis"] == "fallback"  # ...repair not
-        pol.observe("repair", 10, 100, 1.0)  # 0.1 s per dirty node
-        # now the model rules: 50 dirty -> 5.0 s repair vs 10.0 s
-        # rebuild, even though 0.5 is far over the static threshold
-        assert pol.decide(50, 100) == "repair"
-        assert pol.decisions[-1]["basis"] == "model"
-        assert pol.decide(200, 100) == "rebuild"  # 20.0 s > 10.0 s
-        desc = pol.describe()
-        assert desc["rebuild_seconds"] == 10.0
-        assert desc["repair_per_dirty"] == pytest.approx(0.1)
-        assert [d["basis"] for d in desc["decisions"]] == \
-            ["fallback", "fallback", "model", "model"]
-
-    def test_adaptive_validation_and_ewma(self):
-        from repro.service.updates import AdaptiveCostPolicy
-
-        with pytest.raises(ConfigError, match="smoothing"):
-            AdaptiveCostPolicy(smoothing=0.0)
-        with pytest.raises(ConfigError, match="smoothing"):
-            AdaptiveCostPolicy(smoothing=1.5)
-        pol = AdaptiveCostPolicy(smoothing=0.5)
-        pol.observe("rebuild", 0, 100, 4.0)
-        pol.observe("rebuild", 0, 100, 8.0)
-        assert pol.rebuild_seconds == pytest.approx(6.0)  # EWMA blend
-        pol.observe("repair", 5, 100, 0.0)   # non-positive: ignored
-        assert pol.repair_per_dirty is None
-        pol.observe("repair", 0, 100, 1.0)   # zero dirty: ignored
-        assert pol.repair_per_dirty is None
-
-    def test_report_carries_policy_name(self, er_weighted):
-        from repro.service.updates import make_policy
-
+    def test_static_threshold_bounds_and_boundary(self, er_weighted):
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match="rebuild_threshold"):
+                UpdateableIndex(er_weighted, "tz", seed=4, k=2,
+                                rebuild_threshold=bad)
         changes = sample_weight_changes(er_weighted, 2, seed=6)
-        static = UpdateableIndex(er_weighted, "tz", seed=4, k=2)
-        assert static.apply(changes).policy == "static"
-        adaptive = UpdateableIndex(er_weighted, "tz", seed=4, k=2,
-                                   policy=make_policy("adaptive"))
-        assert adaptive.apply(changes).policy == "adaptive"
-        # the invariant the policies live under: same changes, same
-        # epoch, bit-identical answers either way
+
+        def apply_at(threshold):
+            upd = UpdateableIndex(er_weighted, "tz", seed=4, k=2,
+                                  rebuild_threshold=threshold)
+            return upd, upd.apply(changes)
+
+        _, probe = apply_at(1.0)
+        frac = probe.dirty_fraction
+        assert probe.mode == "repair" and 0.0 < frac < 1.0
+        repaired, at = apply_at(frac)           # == threshold: repair
+        assert at.mode == "repair"
+        rebuilt, below = apply_at(float(np.nextafter(frac, 0.0)))
+        assert below.mode == "rebuild"          # > threshold: rebuild
+        assert "policy" not in at.as_dict()
+        # same changes, same epoch, bit-identical answers either way
         us, vs = _all_ordered_pairs(er_weighted.n)
-        assert _answers_with_errors(static.index, us, vs) == \
-            _answers_with_errors(adaptive.index, us, vs)
-
-    def test_string_policy_via_built_sketches(self, er_weighted):
-        from repro import build_sketches
-
-        built = build_sketches(er_weighted, scheme="tz", seed=4, k=2)
-        upd = built.updateable(policy="adaptive", rebuild_threshold=0.5)
-        assert upd.policy.name == "adaptive"
-        assert upd.policy.fallback.threshold == 0.5
-        rep = upd.apply(sample_weight_changes(er_weighted, 2, seed=7))
-        assert rep.policy == "adaptive"
+        assert _answers_with_errors(repaired.index, us, vs) == \
+            _answers_with_errors(rebuilt.index, us, vs)
 
 
 def test_run_update_benchmark_smoke(er_weighted):

@@ -21,8 +21,7 @@ from repro.graphs import Graph
 from repro.service import (ShardServer, build_index, connect,
                            sample_query_pairs)
 from repro.service.workers import THREAD_POOL_PREFIX
-from repro.tz import build_tz_sketches_centralized, estimate_distance
-from repro.tz.sketch import TZSketch
+from repro.tz import build_tz_sketches_centralized
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +77,7 @@ def _outcome(fn):
 
 def _single(sketches, u, v):
     """The scheme's own one-pair query — the reference every path equals."""
-    su, sv = sketches[int(u)], sketches[int(v)]
-    if isinstance(su, TZSketch):
-        return estimate_distance(su, sv)
-    return su.estimate_to(sv)
+    return sketches[int(u)].estimate_to(sketches[int(v)])
 
 
 def _shard_threads():
@@ -236,6 +232,31 @@ class TestThreadPlane:
             assert srv.estimate_many(us[:1], vs[:1]).tolist() == \
                 index.estimate_many(us[:1], vs[:1]).tolist()
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_query_many_equals_looped_query(self, disconnected_sets, scheme):
+        """``BuiltSketches.query_many`` is the looped ``query``: the same
+        floats, a ``QueryError`` exactly where the loop raises, and a
+        mixed batch raises as a whole."""
+        from repro.oracle.api import BuiltSketches
+        from repro.oracle.schemes import get_scheme
+
+        built = BuiltSketches(TWO_COMPONENTS, get_scheme(scheme),
+                              "centralized", {}, disconnected_sets[scheme])
+        n = TWO_COMPONENTS.n
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        looped = [_outcome(lambda: built.query(u, v)) for u, v in pairs]
+        batched = [_outcome(lambda: built.query_many([(u, v)])[0])
+                   for u, v in pairs]
+        assert any(isinstance(w, str) for w in looped)
+        assert [w if isinstance(w, float) else "raise" for w in batched] \
+            == [w if isinstance(w, float) else "raise" for w in looped]
+        with pytest.raises(QueryError):
+            built.query_many(pairs)
+        fine = [p for p, w in zip(pairs, looped) if isinstance(w, float)]
+        assert built.query_many(fine).tolist() == \
+            [w for w in looped if isinstance(w, float)]
+        assert built.query_many([]).size == 0
+
     def test_jobs_says_which_thread_probes(self, built_sets):
         """``jobs=1`` probes in the calling thread; ``jobs=4`` on the
         executor's named threads, never the caller's."""
@@ -303,12 +324,30 @@ class TestShardServerLifecycle:
         with pytest.raises(ConfigError):
             connect("inproc://jobs=0", built_sets["tz"])
 
-    def test_engine_jobs_requires_an_index(self, built_sets):
-        # a mixed sketch list has no vectorized store: only the generic
-        # single-pair loop can serve it, and that has no shards to fan
+    def test_source_is_validated_before_any_shard_server(self, built_sets,
+                                                         monkeypatch):
+        # everything that can be wrong with a source is found while it is
+        # normalised to a store — before an engine (and its repro-shard*
+        # executor) exists
+        from repro.graphs import random_geometric
+        from repro.service import OracleServer, UpdateableIndex
+
+        prebuilt = build_index(built_sets["tz"], num_shards=2)
+        live = UpdateableIndex(random_geometric(24, seed=3), "tz", seed=1,
+                               num_shards=2, k=2)
         mixed = built_sets["tz"][:3] + built_sets["stretch3"][3:6]
-        with pytest.raises(ConfigError, match="indexed engine"):
-            connect("inproc://jobs=2", mixed)
+
+        def unreachable(self, *args, **kwargs):
+            raise AssertionError("a ShardServer was constructed")
+
+        monkeypatch.setattr(ShardServer, "__init__", unreachable)
+        for source in (prebuilt, live):
+            with pytest.raises(ConfigError, match="bakes its shard layout"):
+                OracleServer(source, num_shards=4, jobs=4)
+        # no store serves a mixed set, whatever the thread count
+        for spec in ("inproc://", "inproc://jobs=2"):
+            with pytest.raises(ConfigError, match="no batched index"):
+                connect(spec, mixed)
 
     def test_engine_close_is_idempotent(self, built_sets):
         session = connect("inproc://jobs=2;shards=2", built_sets["tz"])
@@ -463,20 +502,6 @@ class TestShardServerErrors:
             # ...cross-component pairs raise exactly like the inline path
             with pytest.raises(QueryError):
                 srv.estimate_many(np.array([0]), np.array([2]))
-
-
-class TestBuiltSketchesJobs:
-    def test_engine_rebuilds_on_jobs_change(self, er_unit):
-        built = build_sketches(er_unit, scheme="stretch3", eps=0.3, seed=2)
-        with pytest.warns(DeprecationWarning):  # the legacy surface itself
-            base = built.engine(cache_size=0, num_shards=2)
-            fanned = built.engine(cache_size=0, num_shards=2, jobs=2)
-            assert fanned is not base
-            pairs = [(0, 9), (9, 0), (4, 4)]
-            assert fanned.dist_many(pairs).tolist() == [
-                built.query(u, v) for u, v in pairs]
-            built.engine().close()
-        _assert_nothing_left_running()
 
 
 class TestEffectiveJobsReporting:
