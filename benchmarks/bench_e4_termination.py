@@ -22,7 +22,7 @@ from repro.tz import (
     sample_hierarchy,
 )
 
-NS = (16, 32, 64)
+NS = (32, 64, 128, 256)
 K = 2
 
 

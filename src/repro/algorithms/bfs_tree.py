@@ -13,7 +13,8 @@ Nodes do not know ``D``, but they do know ``n`` (model assumption, Section
 rounds, then performs one round of ``adopt`` notifications so every parent
 learns its children (needed for the COMPLETE convergecast of the
 termination detector).  The message-active prefix is only ``O(D)`` rounds;
-the remaining rounds are idle waiting, which consumes no bandwidth.  The
+the remaining rounds are idle waiting — each node sets a timer for the
+horizon and is not called in between — which consumes no bandwidth.  The
 simulator charges the idle rounds too, so reported setup-round numbers are
 an honest *upper* bound; experiment E4 reports the setup phase separately
 so it never contaminates the per-phase measurements of Theorem 3.8.
@@ -57,8 +58,6 @@ class BFSTreeProgram(NodeProgram):
     :attr:`done` becomes True, then reads :meth:`tree`.
     """
 
-    needs_clock = True
-
     def __init__(self, node: int, n: int, horizon: Optional[int] = None,
                  settle: int = 1):
         self.node = node
@@ -77,6 +76,9 @@ class BFSTreeProgram(NodeProgram):
     # --------------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:
         ctx.broadcast(("elect", self.node, 0))
+        # the two rounds this protocol counts to: adopt, then done
+        ctx.wake_at(self.horizon)
+        ctx.wake_at(self.horizon + self.settle)
 
     def on_round(self, ctx: NodeContext, inbox: dict[int, Any]) -> None:
         improved = False
@@ -105,11 +107,6 @@ class BFSTreeProgram(NodeProgram):
                 ctx.send(self.parent, ("adopt",))
         if ctx.round >= self.horizon + self.settle:
             self.done = True
-
-    def has_pending(self) -> bool:
-        # "waiting for the horizon" counts as pending work so the simulator
-        # keeps the clock running through message-silent rounds
-        return not self.done
 
     # --------------------------------------------------------------
     def tree(self) -> TreeInfo:

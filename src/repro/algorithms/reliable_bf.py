@@ -43,8 +43,6 @@ class ReliableBellmanFordProgram(NodeProgram):
         later improvement wakes it again).
     """
 
-    needs_clock = True
-
     KIND = "rbf"
 
     def __init__(self, node: int, source: int, period: int = 2,
@@ -62,6 +60,7 @@ class ReliableBellmanFordProgram(NodeProgram):
     def on_start(self, ctx: NodeContext) -> None:
         if self.is_source:
             ctx.broadcast((self.KIND, 0.0))
+            ctx.wake_at(self.period)
 
     def on_round(self, ctx: NodeContext, inbox: dict[int, Any]) -> None:
         improved = False
@@ -76,20 +75,18 @@ class ReliableBellmanFordProgram(NodeProgram):
             self._quiet_periods = 0
             self._done = False
             ctx.broadcast((self.KIND, self.dist))
-            return
-        # soft-state repair: periodically re-announce the current value so
-        # a lost message is eventually replaced
-        if self._done or math.isinf(self.dist):
-            return
-        if ctx.round % self.period == 0:
+        elif self._done or math.isinf(self.dist):
+            return  # dormant until an improvement arrives
+        elif ctx.round % self.period == 0:
+            # soft-state repair: periodically re-announce the current value
+            # so a lost message is eventually replaced
             self._quiet_periods += 1
             if self._quiet_periods > self.patience:
                 self._done = True
                 return
             ctx.broadcast((self.KIND, self.dist))
-
-    def has_pending(self) -> bool:
-        return not self._done and not math.isinf(self.dist)
+        # still repairing: be called at the next period even without mail
+        ctx.wake_at(ctx.round - ctx.round % self.period + self.period)
 
     def result(self) -> float:
         return self.dist

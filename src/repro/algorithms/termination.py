@@ -60,7 +60,8 @@ class EchoBookkeeper(EngineListener):
         self.on_complete = on_complete
         #: (src, quoted-dist) -> {"waiting": set[int], "parent": ParentMsg}
         self._outstanding: dict[tuple[int, float], dict] = {}
-        #: neighbor -> FIFO of (src, quoted-dist) echoes owed to it
+        #: neighbor -> nonempty FIFO of (src, quoted-dist) echoes owed to
+        #: it (a drained queue is removed, so the keys are the creditors)
         self.owed: dict[int, deque[tuple[int, float]]] = {}
         self.echoes_sent = 0
         self.echoes_received = 0
@@ -116,18 +117,21 @@ class EchoBookkeeper(EngineListener):
     def pop_owed(self, to: int) -> Optional[tuple[int, float]]:
         """Take the next echo owed to neighbor ``to`` (None if none)."""
         q = self.owed.get(to)
-        if not q:
+        if q is None:
             return None
         self.echoes_sent += 1
-        return q.popleft()
+        echo = q.popleft()
+        if not q:
+            del self.owed[to]
+        return echo
 
     def has_owed(self) -> bool:
-        return any(self.owed.values())
+        return bool(self.owed)
 
     def owed_edges(self) -> list[int]:
         """Neighbors we currently owe at least one echo."""
-        return [v for v, q in self.owed.items() if q]
+        return list(self.owed)
 
     def quiet(self) -> bool:
         """True when no broadcasts await echoes and no echoes are owed."""
-        return not self._outstanding and not self.has_owed()
+        return not self._outstanding and not self.owed

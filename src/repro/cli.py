@@ -141,9 +141,10 @@ def _cmd_build(args) -> int:
                            **_scheme_params(args))
     print(built.describe())
     if built.metrics is not None:
-        print(f"cost: {built.metrics.rounds} rounds, "
-              f"{built.metrics.messages} messages, "
-              f"{built.metrics.words} words")
+        print(f"cost: {built.metrics.describe()}")
+        for ph in built.metrics.phases:
+            print(f"  {ph.name}: {ph.rounds} rounds, {ph.messages} messages, "
+                  f"{ph.words} words")
     shards = 1 if args.shards is None else args.shards
     sketches, index = built.sketches, None
     if args.apply_updates is not None:

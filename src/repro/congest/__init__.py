@@ -13,7 +13,6 @@ Protocols are written as :class:`~repro.congest.node.NodeProgram` subclasses
 :class:`~repro.congest.network.Simulator`.
 """
 
-from repro.congest.message import Message
 from repro.congest.node import NodeProgram
 from repro.congest.context import NodeContext
 from repro.congest.network import Simulator, SimulationResult
@@ -23,7 +22,6 @@ from repro.congest.delays import DelayedSimulator
 
 __all__ = [
     "DelayedSimulator",
-    "Message",
     "NodeProgram",
     "NodeContext",
     "Simulator",

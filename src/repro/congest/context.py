@@ -24,16 +24,17 @@ class NodeContext:
     Instances are created by the simulator; protocols never construct one.
     """
 
-    __slots__ = ("node", "n", "_weights", "_neighbors", "rng", "_outbox",
-                 "_round", "_send_allowed")
+    __slots__ = ("node", "n", "_weights", "_neighbors", "rng", "_timers",
+                 "_outbox", "_round", "_send_allowed")
 
     def __init__(self, node: int, n: int, neighbors: dict[int, float],
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, timers: dict[int, set[int]]):
         self.node = node
         self.n = n
         self._weights = neighbors
         self._neighbors = tuple(sorted(neighbors))
         self.rng = rng
+        self._timers = timers  # the simulator's: round -> nodes to wake
         self._outbox: dict[int, Any] = {}
         self._round = 0
         self._send_allowed = False
@@ -87,6 +88,27 @@ class NodeContext:
     def can_send(self, dst: int) -> bool:
         """True if the edge to ``dst`` is still free this round."""
         return dst not in self._outbox
+
+    # ------------------------------------------------------------------
+    # time
+    # ------------------------------------------------------------------
+    def wake_at(self, round_no: int) -> None:
+        """Ask for an ``on_round`` call at ``round_no`` even without mail.
+
+        This is how a protocol counts rounds (a fixed election horizon, a
+        phase budget, a rebroadcast period): a node is otherwise called
+        only when it has mail or declared queued work.  An outstanding
+        timer keeps the run alive; asking twice for one round is one call.
+        ``round_no`` must lie after the current round.
+        """
+        if not self._send_allowed:
+            raise ProtocolError(
+                f"node {self.node}: wake_at() outside a simulator callback")
+        if round_no <= self._round:
+            raise ProtocolError(
+                f"node {self.node}: wake_at({round_no}) is not after the "
+                f"current round {self._round}")
+        self._timers.setdefault(round_no, set()).add(self.node)
 
     # ------------------------------------------------------------------
     # simulator-internal hooks (prefixed, not part of the protocol surface)

@@ -27,9 +27,7 @@ the point is correctness under weakened timing, not a performance claim.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.congest.network import Simulator
+from repro.congest.network import InFlight, Simulator
 from repro.errors import ConfigError
 from repro.rng import SeedLike, ensure_rng
 
@@ -50,8 +48,8 @@ class DelayedSimulator(Simulator):
             raise ConfigError("max_delay must be >= 1")
         self.max_delay = int(max_delay)
         self._delay_rng = ensure_rng(delay_seed)
-        #: arrival round -> list of (src, dst, payload)
-        self._queues: dict[int, list[tuple[int, int, Any]]] = {}
+        #: arrival round -> the messages due then
+        self._queues: dict[int, list[InFlight]] = {}
         self._last_arrival: dict[tuple[int, int], int] = {}
         self.max_observed_delay = 0
 
@@ -60,23 +58,22 @@ class DelayedSimulator(Simulator):
         sends = super()._collect(u)
         if not sends:
             return sends
-        now = self.metrics.rounds  # sends happen during round `now`
-        for src, dst, payload in sends:
+        now = self.round  # sends happen during round `now`
+        for message in sends:
             delay = int(self._delay_rng.integers(1, self.max_delay + 1))
             arrival = now + delay
-            edge = (src, dst)
+            edge = message[:2]
             prev = self._last_arrival.get(edge, 0)
             if arrival <= prev:  # FIFO + one delivery per edge per round
                 arrival = prev + 1
             self._last_arrival[edge] = arrival
             self.max_observed_delay = max(self.max_observed_delay,
                                           arrival - now)
-            self._queues.setdefault(arrival, []).append((src, dst, payload))
-        return []  # everything routes through the link queues
+            self._queues.setdefault(arrival, []).append(message)
+        return ()  # everything routes through the link queues
 
     def _external_pending(self) -> bool:
         return bool(self._queues)
 
     def _deliveries(self, round_no: int, inflight):
-        due = self._queues.pop(round_no, [])
-        return list(inflight) + due
+        return inflight + self._queues.pop(round_no, [])

@@ -76,11 +76,16 @@ class FaultModel:
 
 
 class FaultySimulator(Simulator):
-    """A simulator whose deliveries pass through a :class:`FaultModel`.
+    """A simulator whose sends pass through a :class:`FaultModel`.
 
-    Implementation note: faults are applied at *delivery* time by
-    filtering the in-flight list each round, so the accounting still
-    charges the sender for every transmission attempt.
+    Faults are applied when a node's outbox is collected, in send order
+    (one loss draw per message that no crash blocks): a dropped message
+    never enters the in-flight list, and a crashed endpoint blocks the
+    message in either direction.  The run metrics therefore count
+    delivered messages only; the attempts that failed are on the fault
+    model (``dropped`` / ``blocked``).  A crashed node's program object
+    remains allocated but becomes inert (it receives nothing, so its state
+    can only change through its own timers) — fail-stop semantics.
     """
 
     def __init__(self, *args, fault_model: Optional[FaultModel] = None,
@@ -89,15 +94,9 @@ class FaultySimulator(Simulator):
         self.fault_model = fault_model or FaultModel()
 
     def _collect(self, u: int):
-        # faults are applied at collection time: a dropped message never
-        # enters the in-flight list, and a crashed endpoint blocks the
-        # message in either direction.  A crashed node's program object
-        # remains allocated but becomes inert (it receives nothing, so its
-        # state can only change through clock ticks) — fail-stop semantics.
         sends = super()._collect(u)
         if not sends:
             return sends
-        fm = self.fault_model
-        round_no = self.metrics.rounds  # sends from round r deliver at r+1
-        return [(src, dst, payload) for src, dst, payload in sends
-                if fm.delivers(src, dst, round_no + 1)]
+        delivers = self.fault_model.delivers
+        arrival = self.round + 1  # sends from round r deliver at r + 1
+        return [m for m in sends if delivers(m[0], m[1], arrival)]

@@ -40,6 +40,11 @@ class RunMetrics:
     words: int = 0
     max_inflight: int = 0
     phases: list[PhaseMetrics] = field(default_factory=list)
+    #: what simulating the run cost the engine (not protocol quantities,
+    #: so not in ``as_row``): node callbacks executed, and seconds spent
+    #: inside ``Simulator.run``
+    wakeups: int = 0
+    wall_s: float = field(default=0.0, compare=False)
 
     # ------------------------------------------------------------------
     def begin_phase(self, name: str) -> None:
@@ -77,6 +82,8 @@ class RunMetrics:
             messages=self.messages + other.messages,
             words=self.words + other.words,
             max_inflight=max(self.max_inflight, other.max_inflight),
+            wakeups=self.wakeups + other.wakeups,
+            wall_s=self.wall_s + other.wall_s,
         )
         out.phases = list(self.phases) + list(other.phases)
         return out
@@ -87,6 +94,14 @@ class RunMetrics:
             "messages": self.messages,
             "words": self.words,
         }
+
+    def describe(self) -> str:
+        """The paper's cost and, next to it, what simulating it cost."""
+        us = self.wall_s / self.messages * 1e6 if self.messages else 0.0
+        return (f"{self.rounds} rounds, {self.messages} messages, "
+                f"{self.words} words (max {self.max_inflight} in flight); "
+                f"simulated in {self.wall_s:.3f} s — {us:.1f} µs/message, "
+                f"{self.wakeups} wake-ups")
 
     def __repr__(self) -> str:
         return (

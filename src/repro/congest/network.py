@@ -8,16 +8,29 @@ node of a :class:`~repro.graphs.graph.Graph`, enforcing the CONGEST rules:
 * synchronous delivery: messages sent in round ``r`` are in the inbox at
   round ``r + 1``.
 
-The engine is the library's hot loop, so it follows the optimization
-guidance for pure-Python inner loops: it wakes only nodes that have mail or
-pending work (event-driven scheduling — semantically identical to the
-synchronous model since silent nodes cannot change state), keeps per-round
-allocations to plain dicts/lists, and meters messages with integer
-arithmetic only.
+The engine is the library's hot loop and it is event-driven: the cost of a
+run is proportional to the messages delivered plus the node callbacks that
+have something to do, not to ``n x rounds``.
+
+* A node's ``on_round`` runs in a round iff it has mail, it declared queued
+  work (``has_pending()``), or a timer it set (``ctx.wake_at``) is due.
+  Skipping everyone else is semantically identical to the synchronous
+  model: a node's state changes only inside its own callbacks, and a
+  callback with no mail, no queued work and no due timer has nothing to
+  act on.
+* The set of nodes with queued work is kept incrementally —
+  ``has_pending()`` is asked of a node right after its own callback, the
+  only moment its answer can change — so no per-round pass over all
+  programs exists.  A round in which nobody is woken costs O(1) and is
+  still charged to the metrics, one by one.
+* A message is metered once, where it is sent: its word count is checked
+  against the budget when the sender's outbox is collected and travels
+  with the message, so delivery only adds integers.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -29,6 +42,16 @@ from repro.errors import ProtocolError, SimulationError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng, spawn
 from repro.words import DEFAULT_BANDWIDTH_WORDS, payload_words
+
+#: The wire format of the simulator — one message in flight:
+#: ``(src, dst, payload, words)``.  Payloads are plain tuples of
+#: ints/floats/strings (see :mod:`repro.words` for how their size in words
+#: is metered); by convention the first element is a short string *kind
+#: tag* (``"bf"``, ``"tze"``, ``"tzc"`` ...), which costs one word — the
+#: paper absorbs such tags into its O(log n) message-size constant.
+InFlight = tuple[int, int, Any, int]
+
+_CONTAINERS = (tuple, list, dict)
 
 
 @dataclass
@@ -79,33 +102,56 @@ class Simulator:
         # metrics may be supplied up front so program factories can hold a
         # reference (e.g. a designated node marking phase boundaries)
         self.metrics = metrics if metrics is not None else RunMetrics()
+        #: the current round of *this* run (``metrics`` may be an
+        #: accumulator that already holds earlier constructions' rounds)
+        self.round = 0
+        self._pending: set[int] = set()  # nodes whose has_pending() is True
+        self._timers: dict[int, set[int]] = {}  # round -> nodes to wake
+        #: flat payload type signature -> payload_words
+        self._signature_words: dict[tuple, int] = {}
         self.programs: list[NodeProgram] = [program_factory(u) for u in graph.nodes()]
         self.contexts: list[NodeContext] = [
-            NodeContext(u, graph.n, graph.neighbors(u), node_rngs[u])
+            NodeContext(u, graph.n, graph.neighbors(u), node_rngs[u],
+                        self._timers)
             for u in graph.nodes()
         ]
         self.tracer = tracer
-        self._clocked = [u for u in graph.nodes() if self.programs[u].needs_clock]
 
     # ------------------------------------------------------------------
-    def _collect(self, u: int) -> list[tuple[int, int, Any]]:
-        """Drain node ``u``'s outbox, enforcing the word budget."""
+    def _collect(self, u: int) -> Sequence[InFlight]:
+        """Drain node ``u``'s outbox into in-flight records.
+
+        This is the one place a message is metered: its word count is
+        checked against the budget and carried in the record."""
         out = self.contexts[u]._close()
         if not out:
-            return []
+            return ()
+        known, budget = self._signature_words, self.bandwidth_words
         sends = []
+        last = nwords = None
         for dst, payload in out.items():
-            nwords = payload_words(payload)
-            if nwords > self.bandwidth_words:
-                raise ProtocolError(
-                    f"node {u}: message to {dst} is {nwords} words, exceeds "
-                    f"bandwidth budget of {self.bandwidth_words} words/edge/round")
-            sends.append((u, dst, payload))
+            # a broadcast puts one object on every edge: meter it once
+            if payload is not last or not sends:
+                last = payload
+                if type(payload) is tuple:
+                    # every valid component of a flat tuple is one word,
+                    # so its size is a function of the element types alone
+                    signature = tuple(map(type, payload))
+                    nwords = known.get(signature)
+                    if nwords is None:
+                        nwords = payload_words(payload)
+                        if not any(issubclass(t, _CONTAINERS)
+                                   for t in signature):
+                            known[signature] = nwords
+                else:
+                    nwords = payload_words(payload)
+                if nwords > budget:
+                    raise ProtocolError(
+                        f"node {u}: message to {dst} is {nwords} words, "
+                        f"exceeds bandwidth budget of {budget} "
+                        f"words/edge/round")
+            sends.append((u, dst, payload, nwords))
         return sends
-
-    def _quiescent(self, inflight: Sequence[tuple[int, int, Any]]) -> bool:
-        return (not inflight and not self._external_pending()
-                and not any(p.has_pending() for p in self.programs))
 
     def _external_pending(self) -> bool:
         """Hook for subclasses holding messages outside the in-flight list
@@ -113,38 +159,50 @@ class Simulator:
         return False
 
     def _deliveries(self, round_no: int,
-                    inflight: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
+                    inflight: list[InFlight]) -> list[InFlight]:
         """Hook: the messages to deliver in ``round_no`` (default: exactly
         the previous round's sends — synchronous semantics)."""
         return inflight
+
+    def _call_everyone(self, hook: str) -> list[InFlight]:
+        """One full pass — ``on_start`` at round 0, the oracle's
+        ``on_quiescent`` — returning what the nodes sent."""
+        pending = self._pending
+        sends: list[InFlight] = []
+        for u, (prog, ctx) in enumerate(zip(self.programs, self.contexts)):
+            ctx._open(self.round)
+            getattr(prog, hook)(ctx)
+            sends.extend(self._collect(u))
+            if prog.has_pending():
+                pending.add(u)
+            else:
+                pending.discard(u)
+        self.metrics.wakeups += len(self.programs)
+        return sends
 
     # ------------------------------------------------------------------
     def run(self, max_rounds: int = 5_000_000) -> SimulationResult:
         """Execute the protocol to quiescence (or ``max_rounds``).
 
-        Whenever the network goes silent, every unfinished program's
+        The network is quiescent when nothing is in flight (or held on a
+        subclass's links), no node has queued work and no timer is
+        outstanding.  Whenever that happens, every unfinished program's
         ``on_quiescent`` hook fires (repeatedly, until all programs report
         ``finished()``); if the network is still silent afterwards the run
         ends.  This implements the *oracle* synchronizer — protocols
         carrying their own termination detection (paper Section 3.3)
         simply never rely on the hook and terminate by going silent.
         """
+        started = time.perf_counter()
         programs, contexts = self.programs, self.contexts
-        metrics = self.metrics
-        tracer = self.tracer
+        metrics, tracer = self.metrics, self.tracer
+        pending, timers, collect = self._pending, self._timers, self._collect
 
-        # round 0: on_start
-        inflight: list[tuple[int, int, Any]] = []
-        for u in self.graph.nodes():
-            ctx = contexts[u]
-            ctx._open(0)
-            programs[u].on_start(ctx)
-            inflight.extend(self._collect(u))
-
-        round_no = 0
+        inflight = self._call_everyone("on_start")
         idle_spins = 0
         while True:
-            if self._quiescent(inflight):
+            if not (inflight or pending or timers
+                    or self._external_pending()):
                 if all(p.finished() for p in programs):
                     break
                 # oracle synchronization point; programs may advance
@@ -154,47 +212,48 @@ class Simulator:
                     raise SimulationError(
                         "programs keep requesting quiescence callbacks "
                         "without ever finishing or sending — livelock")
-                new_sends: list[tuple[int, int, Any]] = []
-                for u in self.graph.nodes():
-                    ctx = contexts[u]
-                    ctx._open(round_no)
-                    programs[u].on_quiescent(ctx)
-                    new_sends.extend(self._collect(u))
-                inflight = new_sends
+                inflight = self._call_everyone("on_quiescent")
                 continue
             idle_spins = 0
 
-            if round_no >= max_rounds:
+            if self.round >= max_rounds:
                 raise SimulationError(
                     f"protocol did not quiesce within {max_rounds} rounds "
                     f"({len(inflight)} messages still in flight)")
-            round_no += 1
+            self.round = round_no = self.round + 1
 
             # deliver round_no's mail
             inflight = self._deliveries(round_no, inflight)
             inboxes: dict[int, dict[int, Any]] = {}
             words = 0
-            for src, dst, payload in inflight:
-                inboxes.setdefault(dst, {})[src] = payload
-                words += payload_words(payload)
-                if tracer is not None:
+            for src, dst, payload, nwords in inflight:
+                box = inboxes.get(dst)
+                if box is None:
+                    inboxes[dst] = {src: payload}
+                else:
+                    box[src] = payload
+                words += nwords
+            if tracer is not None:
+                for src, dst, payload, _ in inflight:
                     tracer.record(round_no, src, dst, payload)
             metrics.record_round(len(inflight), words)
 
-            # wake nodes with mail, pending work, or a clock requirement
-            wake = set(inboxes)
-            wake.update(u for u in self.graph.nodes()
-                        if programs[u].has_pending())
-            wake.update(self._clocked)
-
+            # wake exactly the nodes with mail, queued work or a due timer
+            wake = pending.union(inboxes, timers.pop(round_no, ()))
+            metrics.wakeups += len(wake)
             inflight = []
             empty: dict[int, Any] = {}
             for u in sorted(wake):
-                ctx = contexts[u]
+                ctx, prog = contexts[u], programs[u]
                 ctx._open(round_no)
-                programs[u].on_round(ctx, inboxes.get(u, empty))
-                inflight.extend(self._collect(u))
+                prog.on_round(ctx, inboxes.get(u, empty))
+                inflight.extend(collect(u))
+                if prog.has_pending():
+                    pending.add(u)
+                else:
+                    pending.discard(u)
 
+        metrics.wall_s += time.perf_counter() - started
         return SimulationResult(programs=programs, metrics=metrics)
 
 

@@ -10,15 +10,21 @@ Lifecycle
     message (Algorithm 1 line "Initialization" / Algorithm 2 "In the first
     round").
 ``on_round(ctx, inbox)``
-    Called each round in which the node received at least one message or
-    reported pending outgoing work (``has_pending()``), mirroring an
-    event-driven implementation.  Set the class attribute ``needs_clock =
-    True`` to be called *every* round instead (needed by protocols that
-    count rounds, e.g. fixed phase budgets under the paper's "every node
-    knows S" assumption).
+    Called in exactly the rounds in which the node has something to act
+    on: it received at least one message, it reported queued outgoing work
+    (``has_pending()``, asked right after each of the node's own
+    callbacks), or a timer it set with ``ctx.wake_at(round_no)`` is due.
+    In every other round the node is not called at all — in the
+    synchronous model a node with no mail, no queued work and no due
+    timer cannot change state, so skipping it is unobservable.  Protocols
+    that count rounds (a fixed election horizon, fixed phase budgets under
+    the paper's "every node knows S" assumption, a rebroadcast period)
+    set a timer for the round they are waiting for; an outstanding timer
+    keeps the run alive through message-silent rounds.
 ``on_quiescent(ctx)``
     Called only by the *oracle* synchronizer when the whole network is
-    silent (no messages in flight, no pending work anywhere).  This models
+    silent (no messages in flight, no pending work anywhere, no timer
+    outstanding).  This models
     an external phase-synchronization service; the honest in-protocol
     alternative is the ECHO/COMPLETE machinery of paper Section 3.3
     (``repro.algorithms.termination`` / ``repro.tz.distributed``).
@@ -37,9 +43,6 @@ from repro.congest.context import NodeContext
 class NodeProgram:
     """One node's protocol state machine (subclass to implement a protocol)."""
 
-    #: If True, ``on_round`` fires every round even with an empty inbox.
-    needs_clock: bool = False
-
     def on_start(self, ctx: NodeContext) -> None:
         """Round-0 initialization hook (default: no-op)."""
 
@@ -52,10 +55,15 @@ class NodeProgram:
     def has_pending(self) -> bool:
         """True if this node has queued outgoing work not yet sent.
 
-        The simulator uses this for quiescence detection: the network is
-        quiescent when nothing is in flight and no program has pending
-        work.  Programs with internal send queues (round-robin multi-source
-        Bellman-Ford) must override this.
+        A node that answers True is called again next round even without
+        mail, and keeps the network from being quiescent.  The simulator
+        asks right after each of this node's callbacks, so the answer must
+        depend on this node's own state only.  It must be True whenever a
+        mail-less ``on_round`` would send or change state; a True beyond
+        that is harmless but wakes the node for nothing.
+        Programs with internal send queues (round-robin multi-source
+        Bellman-Ford) must override this; waiting for a round is a timer
+        (``ctx.wake_at``), not pending work.
         """
         return False
 

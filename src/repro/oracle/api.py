@@ -149,8 +149,8 @@ class BuiltSketches:
         return self.scheme.slack_of({**self.params, "n": self.graph.n})
 
     def describe(self) -> str:
-        cost = (f"{self.metrics.rounds} rounds / {self.metrics.messages} msgs"
-                if self.metrics is not None else "centralized")
+        cost = (self.metrics.describe() if self.metrics is not None
+                else "centralized")
         return (f"[{self.scheme.name}/{self.mode}] n={self.graph.n} "
                 f"max-size={self.max_size_words()}w, {cost}; "
                 f"{self.scheme.describe({**self.params, 'n': self.graph.n})}")

@@ -112,6 +112,9 @@ class _TZPhasedProgram(NodeProgram):
     def finished(self) -> bool:
         return self.done
 
+    def has_pending(self) -> bool:
+        return self.engine is not None and self.engine.pending()
+
     # ------------------------------------------------------------------
     def sketch(self) -> TZSketch:
         if not self.done:
@@ -165,9 +168,6 @@ class TZOracleProgram(_TZPhasedProgram):
         if not self.done:
             self._advance(ctx)
 
-    def has_pending(self) -> bool:
-        return self.engine is not None and self.engine.pending()
-
 
 # ======================================================================
 # known-S synchronization
@@ -184,9 +184,9 @@ class TZKnownSProgram(_TZPhasedProgram):
         self.phase_end = 0
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._advance()
+        self._advance(ctx)
 
-    def _advance(self) -> None:
+    def _advance(self, ctx: NodeContext) -> None:
         self._finalize_phase()
         self.phase -= 1
         if self.phase < 0:
@@ -195,13 +195,16 @@ class TZKnownSProgram(_TZPhasedProgram):
             return
         self._mark_phase(self.phase)
         self.phase_end += self.budgets[self.phase]
+        # the budget is the one thing this protocol counts rounds for
+        # (a phase lasts at least the round it starts in)
+        ctx.wake_at(max(self.phase_end, ctx.round) + 1)
         self.engine = self._make_engine(self.phase)
         if self.level == self.phase:
             self.engine.enqueue_source()
 
     def on_round(self, ctx: NodeContext, inbox: dict[int, Any]) -> None:
         if not self.done and ctx.round > self.phase_end:
-            self._advance()
+            self._advance(ctx)
         if self.done:
             if inbox:
                 raise ProtocolError(
@@ -218,9 +221,6 @@ class TZKnownSProgram(_TZPhasedProgram):
                     f"{self.phase} — budget for phase {payload[1]} too small")
             eng.accept(payload[2], payload[3], w, ctx.edge_weight(w))
         eng.serve(ctx)
-
-    def has_pending(self) -> bool:
-        return not self.done
 
 
 def phase_budgets(n: int, k: int, S: int, mode: str = "whp",
@@ -274,7 +274,8 @@ class TZEchoProgram(_TZPhasedProgram):
         self.tree: Optional[TreeInfo] = None
         self.tree_neighbors: tuple[int, ...] = ()
         self.book: Optional[EchoBookkeeper] = None
-        #: neighbor -> FIFO of control payloads (COMPLETE/START forwards)
+        #: neighbor -> nonempty FIFO of control payloads (COMPLETE/START
+        #: forwards); a drained queue is removed
         self.control: dict[int, deque] = {}
         self.self_complete = False
         self.complete_sent = False
@@ -286,9 +287,6 @@ class TZEchoProgram(_TZPhasedProgram):
     # ------------------------------------------------------------------
     def _push_control(self, to: int, payload: tuple) -> None:
         self.control.setdefault(to, deque()).append(payload)
-
-    def _any_control(self) -> bool:
-        return any(q for q in self.control.values())
 
     def _on_source_complete(self) -> None:
         self.self_complete = True
@@ -344,13 +342,20 @@ class TZEchoProgram(_TZPhasedProgram):
         for c in self.tree.children:
             self._push_control(c, (START, ph))
 
-    def _maybe_complete(self) -> None:
-        """COMPLETE convergecast: fire once self-complete and all children
-        of the BFS tree reported for the current phase."""
+    def _complete_ready(self) -> bool:
+        """Self-complete, every child of the BFS tree reported for the
+        current phase, and COMPLETE not yet sent."""
         if self.done or self.complete_sent or not self.self_complete:
-            return
-        reported = self.children_complete.get(self.phase, set())
-        if not reported.issuperset(self.tree.children):
+            return False
+        children = self.tree.children
+        if not children:
+            return True
+        reported = self.children_complete.get(self.phase)
+        return reported is not None and reported.issuperset(children)
+
+    def _maybe_complete(self) -> None:
+        """COMPLETE convergecast: fire once :meth:`_complete_ready`."""
+        if not self._complete_ready():
             return
         self.complete_sent = True
         if self.tree.parent is not None:
@@ -404,29 +409,32 @@ class TZEchoProgram(_TZPhasedProgram):
         # 2. convergecast bookkeeping (may trigger leader phase release)
         self._maybe_complete()
 
-        # 3. edge discipline: control messages first, one per edge ...
-        sent_control = False
-        for v in ctx.neighbors:
-            q = self.control.get(v)
-            if q:
-                ctx.send(v, q.popleft())
-                sent_control = True
-                continue
-            if self.book is not None:
-                owed = self.book.pop_owed(v)
-                if owed is not None:
-                    ctx.send(v, (ECHO, self.phase, owed[0], owed[1]))
-                    sent_control = True
+        # 3. edge discipline: control messages first, one per edge —
+        # only the edges with a queued COMPLETE/START or an owed ECHO are
+        # touched, in neighbor order ...
+        control, book = self.control, self.book
+        owed = book.owed if book is not None else {}
+        if control or owed:
+            for v in sorted(control.keys() | owed.keys()):
+                q = control.get(v)
+                if q is not None:
+                    ctx.send(v, q.popleft())
+                    if not q:
+                        del control[v]
+                else:
+                    src, quoted = book.pop_owed(v)
+                    ctx.send(v, (ECHO, self.phase, src, quoted))
         # ... then (in a control-silent round) one data broadcast
-        if not sent_control and self.engine is not None:
+        elif self.engine is not None:
             self.engine.serve(ctx)
 
     def has_pending(self) -> bool:
         if self.stage == "elect":
-            return True
-        if not self.done:
-            return True
-        return self._any_control()
+            return False  # the election waits on its timers, not on work
+        return bool(self.control
+                    or (self.book is not None and self.book.owed)
+                    or (self.engine is not None and self.engine.pending())
+                    or self._complete_ready())
 
 
 # ======================================================================

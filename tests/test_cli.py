@@ -1,6 +1,7 @@
 """The command-line interface (repro.cli)."""
 
 import json
+import re
 
 import pytest
 
@@ -69,7 +70,13 @@ class TestBuild:
                    "--mode", "distributed", "--seed", "3", "-o", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "rounds" in out
+        # the paper's cost next to the engine's, then one line per phase
+        assert re.search(
+            r"^cost: \d+ rounds, \d+ messages, \d+ words \(max \d+ in "
+            r"flight\); simulated in [\d.]+ s — [\d.]+ µs/message, "
+            r"\d+ wake-ups$", out, re.M)
+        assert re.findall(r"^  (phase-\d): \d+ rounds, \d+ messages, "
+                          r"\d+ words$", out, re.M) == ["phase-1", "phase-0"]
 
     def test_slack_scheme(self, tmp_path, graph_file):
         path = tmp_path / "s3.jsonl"

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.congest import Message, NodeProgram, Simulator
+from repro.congest import NodeProgram, Simulator
 from repro.congest.metrics import RunMetrics
 from repro.congest.tracing import Tracer
 from repro.errors import ProtocolError, SimulationError
@@ -207,15 +207,6 @@ class TestTracing:
         Simulator(g, lambda u: Flooder(u, 0), tracer=tr).run()
         assert len(tr) == 1
         assert next(tr.between(1, 2)).round == 2
-
-
-class TestMessage:
-    def test_words(self):
-        assert Message(0, 1, ("bf", 3, 1.0)).words() == 3
-
-    def test_kind(self):
-        assert Message(0, 1, ("bf", 3, 1.0)).kind() == "bf"
-        assert Message(0, 1, 42).kind() is None
 
 
 class TestRunProtocol:

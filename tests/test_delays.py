@@ -13,6 +13,7 @@ import pytest
 from repro.algorithms.bellman_ford import BellmanFordProgram
 from repro.algorithms.supersource import SuperSourceBFProgram
 from repro.congest.delays import DelayedSimulator
+from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError
 from repro.graphs import apsp
 from repro.tz import build_tz_sketches_centralized, sample_hierarchy
@@ -36,6 +37,25 @@ class TestMechanics:
         assert [p.result()[0] for p in sync.programs] == \
             [p.result()[0] for p in delayed.programs]
         assert delayed.metrics.rounds == sync.metrics.rounds
+
+    def test_link_clock_is_the_runs_round_not_the_accumulators(self):
+        """With a pre-charged ``metrics=`` every hop used to wait for the
+        local round to catch up with the accumulator (20 rounds for a
+        4-node path instead of 4)."""
+        from repro.graphs import path_graph
+
+        def run(metrics):
+            sim = DelayedSimulator(
+                path_graph(4), lambda u: BellmanFordProgram(u, 0), seed=1,
+                max_delay=1, delay_seed=2, metrics=metrics)
+            before = metrics.rounds
+            res = sim.run()
+            return ([p.result()[0] for p in res.programs],
+                    metrics.rounds - before, sim.max_observed_delay)
+
+        fresh, charged = run(RunMetrics()), run(RunMetrics(rounds=4))
+        assert fresh == ([0.0, 1.0, 2.0, 3.0], 4, 1)
+        assert charged == fresh
 
     def test_fifo_preserved_per_edge(self, small_ring):
         # a chatty protocol where reordering would corrupt sequence numbers

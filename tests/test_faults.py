@@ -18,6 +18,7 @@ from repro.algorithms.reliable_bf import (
     reliable_single_source_distances,
 )
 from repro.congest.faults import FaultModel, FaultySimulator
+from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError
 from repro.graphs import apsp, path_graph, ring
 
@@ -104,6 +105,26 @@ class TestLossySimulation:
         dists, _, _ = reliable_single_source_distances(
             g, 0, crashes={3: 50}, seed=12)
         assert dists == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+class TestFaultClock:
+    def test_crash_round_is_the_runs_round_not_the_accumulators(self):
+        """``metrics=`` may arrive pre-charged (it sums constructions);
+        a crash scheduled for round 4 must still happen at round 4 of
+        *this* run — node 3 hears its distance at round 3, before it."""
+        def run(metrics):
+            fm = FaultModel(crashes={3: 4})
+            sim = FaultySimulator(
+                path_graph(4), lambda u: ReliableBellmanFordProgram(u, 0),
+                seed=13, fault_model=fm, metrics=metrics)
+            before = metrics.rounds
+            res = sim.run()
+            return ([p.result() for p in res.programs],
+                    metrics.rounds - before, fm.blocked, fm.dropped)
+
+        fresh, charged = run(RunMetrics()), run(RunMetrics(rounds=5))
+        assert fresh[0] == [0.0, 1.0, 2.0, 3.0]
+        assert charged == fresh
 
 
 class TestProgramValidation:

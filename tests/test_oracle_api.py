@@ -58,6 +58,8 @@ class TestBuildDispatch:
                            seed=1)
         assert b.metrics is not None and b.metrics.rounds > 0
         assert "rounds" in b.describe()
+        assert b.metrics.describe() in b.describe()  # engine cost included
+        assert f"{b.metrics.wakeups} wake-ups" in b.describe()
 
     def test_extras_expose_hierarchy_and_net(self, er_unit):
         b = build_sketches(er_unit, scheme="cdg", eps=0.3, k=2, seed=2)
