@@ -23,7 +23,14 @@ from repro.tz import build_tz_sketches_centralized
 
 FAMILIES = ("er", "geo")
 NS = (64, 128, 256, 512)
+#: the ER sweep for k >= 2 reaches the sizes where n^{1/k} and log n
+#: separate; k = 1 stays on NS (its labels are n^2 words in total)
+ER_NS = (256, 1024, 4096)
 KS = (1, 2, 3, "log n")
+
+
+def _sweep(family: str, k) -> tuple:
+    return ER_NS if family == "er" and k != 1 else NS
 
 
 def _resolve_k(k, n: int) -> int:
@@ -51,7 +58,8 @@ def _measure(family: str, n: int, k) -> dict:
 
 @pytest.fixture(scope="module")
 def e1_table(experiment_report):
-    rows = [_measure(f, n, k) for f in FAMILIES for n in NS for k in KS]
+    rows = [_measure(f, n, k) for f in FAMILIES for k in KS
+            for n in _sweep(f, k)]
     experiment_report("E1-tz-sketch-size", render_table(
         rows, title="E1: TZ label size vs k n^{1/k} (Lemma 3.1 / Thm 3.8); "
                      "bounds in words = 2 entries"))
@@ -78,19 +86,30 @@ def test_e1_no_upward_drift_in_n(e1_table):
 
 def test_e1_klogn_smallest_at_large_n(e1_table):
     """k=log n gives the smallest sketches at the largest n (paper: the
-    minimum-size point of the tradeoff)."""
-    big = [r for r in e1_table if r["n"] == max(NS) and r["family"] == "er"]
-    sizes = {r["k"]: r["mean(words)"] for r in big}
-    logk = next(v for k, v in sizes.items() if k.startswith("log"))
-    assert logk <= sizes["1"]
-    assert logk <= sizes["2"]
+    minimum-size point of the tradeoff) — against k=2 at the top of the
+    ER sweep, against k=1 at the largest n both sweeps share."""
+    def sizes(n):
+        return {r["k"].split()[0]: r["mean(words)"] for r in e1_table
+                if r["n"] == n and r["family"] == "er"}
+
+    top, shared = sizes(max(ER_NS)), sizes(max(set(ER_NS) & set(NS)))
+    assert top["log"] <= top["2"]
+    assert shared["log"] <= shared["1"]
+    assert shared["log"] <= shared["2"]
 
 
-def bench_build(n=256, k=3):
-    g = workload("er", n)
+def bench_build(n=256, k=3, weighted=False):
+    g = workload("er", n, weighted)
     return build_tz_sketches_centralized(g, k=k, seed=1)
 
 
 def test_e1_benchmark_build_centralized(benchmark, e1_table):
     """Timing kernel: centralized TZ preprocessing at n=256, k=3."""
     benchmark.pedantic(bench_build, rounds=3, iterations=1)
+
+
+def test_e1_benchmark_build_serving_size(benchmark):
+    """The same builder at the size the gated serving workloads of
+    ``bench/`` cold-start on: weighted ER, n=2000, k=2."""
+    benchmark.pedantic(bench_build, kwargs=dict(n=2000, k=2, weighted=True),
+                       rounds=3, iterations=1)

@@ -140,6 +140,10 @@ def _cmd_build(args) -> int:
                            seed=args.seed, jobs=args.jobs,
                            **_scheme_params(args))
     print(built.describe())
+    if "build" in built.extras:
+        from repro.tz.centralized import describe_build
+
+        print(describe_build(built.extras["build"]))
     if built.metrics is not None:
         print(f"cost: {built.metrics.describe()}")
         for ph in built.metrics.phases:

@@ -16,6 +16,7 @@ V = {0, 1, ..., n-1}", and we adopt the same convention globally.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -175,18 +176,17 @@ class Graph:
     def to_csr(self) -> sp.csr_matrix:
         """Symmetric CSR adjacency matrix (cached until the graph mutates)."""
         if self._csr_cache is None:
-            rows, cols, vals = [], [], []
-            for u, v, w in self.edges():
-                rows.append(u)
-                cols.append(v)
-                vals.append(w)
-                rows.append(v)
-                cols.append(u)
-                vals.append(w)
-            self._csr_cache = sp.csr_matrix(
-                (np.asarray(vals, dtype=np.float64), (rows, cols)),
-                shape=(self.n, self.n),
-            )
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
+            csr = sp.csr_matrix(
+                (np.fromiter(chain.from_iterable(a.values()
+                                                 for a in self._adj),
+                             dtype=np.float64, count=indptr[-1]),
+                 np.fromiter(chain.from_iterable(self._adj),
+                             dtype=np.int64, count=indptr[-1]),
+                 indptr), shape=(self.n, self.n))
+            csr.sort_indices()  # canonical whatever the insertion order
+            self._csr_cache = csr
         return self._csr_cache
 
     def to_networkx(self):
@@ -199,7 +199,12 @@ class Graph:
         return g
 
     def copy(self) -> "Graph":
-        return Graph(self.n, self.edges())
+        """An independent graph with the same edges (validated on the
+        way in, so the adjacency is duplicated as is)."""
+        g = Graph(self.n)
+        g._adj = [dict(a) for a in self._adj]
+        g._m = self._m
+        return g
 
     # ------------------------------------------------------------------
     # dunder

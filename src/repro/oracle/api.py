@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.oracle.schemes import SchemeSpec, get_scheme
 from repro.rng import SeedLike
+from repro.tz.centralized import describe_build
 from repro.tz.sketch import estimate_distance
 
 
@@ -149,8 +150,12 @@ class BuiltSketches:
         return self.scheme.slack_of({**self.params, "n": self.graph.n})
 
     def describe(self) -> str:
-        cost = (self.metrics.describe() if self.metrics is not None
-                else "centralized")
+        if self.metrics is not None:
+            cost = self.metrics.describe()
+        elif "build" in self.extras:
+            cost = f"centralized, {describe_build(self.extras['build'])}"
+        else:
+            cost = "centralized"
         return (f"[{self.scheme.name}/{self.mode}] n={self.graph.n} "
                 f"max-size={self.max_size_words()}w, {cost}; "
                 f"{self.scheme.describe({**self.params, 'n': self.graph.n})}")
@@ -196,7 +201,7 @@ def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
 
 
 def _build_tz(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.tz.centralized import build_tz_sketches_centralized
+    from repro.tz.centralized import build_tz_sketches_timed, grow_clusters
     from repro.tz.distributed import build_tz_sketches_distributed
 
     k = params.get("k")
@@ -205,17 +210,14 @@ def _build_tz(graph, spec, mode, seed, params) -> BuiltSketches:
     if k is None and hierarchy is None:
         raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
     if mode == "centralized":
+        grow = grow_clusters
         if jobs is not None:
-            from repro.service.parallel import build_tz_sketches_parallel
-            sketches, h = build_tz_sketches_parallel(graph, k=k,
-                                                     hierarchy=hierarchy,
-                                                     seed=seed, jobs=jobs)
-        else:
-            sketches, h = build_tz_sketches_centralized(graph, k=k,
-                                                        hierarchy=hierarchy,
-                                                        seed=seed)
-        return BuiltSketches(graph, spec, mode,
-                             {"k": h.k}, sketches, None, {"hierarchy": h})
+            from repro.service.parallel import fanned_out
+            grow = fanned_out(jobs)
+        sketches, h, report = build_tz_sketches_timed(graph, k, hierarchy,
+                                                      seed, grow)
+        return BuiltSketches(graph, spec, mode, {"k": h.k}, sketches, None,
+                             {"hierarchy": h, "build": report})
     res = build_tz_sketches_distributed(
         graph, k=k, hierarchy=hierarchy, seed=seed,
         sync=params.get("sync", "oracle"), S=params.get("S"),

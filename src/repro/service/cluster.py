@@ -514,9 +514,8 @@ def build_shard_range(graph, scheme: str = "tz", *, lo: int, hi: int,
             f"shard range [{lo}, {hi}) invalid for {num_shards} shards")
     lo, hi, num_shards = int(lo), int(hi), int(num_shards)
     if scheme == "tz":
-        from repro.tz.centralized import (assemble_sketches, cluster_table,
-                                          compute_pivot_keys,
-                                          merge_cluster_tables)
+        from repro.tz.centralized import (assemble_sketches,
+                                          compute_pivot_keys, grow_clusters)
         from repro.tz.hierarchy import sample_hierarchy
 
         k = params.get("k")
@@ -530,10 +529,9 @@ def build_shard_range(graph, scheme: str = "tz", *, lo: int, hi: int,
         roots = [int(w) for w in hierarchy.universe()
                  if hierarchy.level_of(int(w)) == top
                  or lo <= int(w) % num_shards < hi]
-        table = cluster_table(graph, hierarchy, pivot_keys, roots)
-        bunches = merge_cluster_tables(graph.n, [table])
-        sketches = assemble_sketches(graph.n, hierarchy.k, pivot_keys,
-                                     bunches)
+        table = grow_clusters(graph, hierarchy, pivot_keys, roots)
+        sketches = assemble_sketches(hierarchy.k, pivot_keys, table,
+                                     graph.nodes())
         return restrict_index_shards(
             TZIndex(sketches, num_shards=num_shards), lo, hi)
     from repro.oracle.api import build_sketches

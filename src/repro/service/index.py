@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -205,6 +206,45 @@ def _compose_keys(owners: np.ndarray, landmarks: np.ndarray,
     return np.where(landmarks < 0, -2, owners * n + landmarks)
 
 
+def _flatten_bunches(owners: Sequence[int], sketches: Sequence[TZSketch],
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """The bunch entries of ``sketches`` as ``(owner, landmark, dist,
+    level)`` columns, ``owners[j]`` owning the entries of
+    ``sketches[j]`` — one pass over the dicts, everything after it is
+    array work."""
+    sizes = np.fromiter((len(s.bunch) for s in sketches), dtype=np.int64,
+                        count=len(sketches))
+    total = int(sizes.sum())
+    landmarks = np.fromiter(
+        chain.from_iterable(s.bunch for s in sketches),
+        dtype=np.int64, count=total)
+    values = np.fromiter(
+        chain.from_iterable(chain.from_iterable(
+            s.bunch.values() for s in sketches)),
+        dtype=np.float64, count=2 * total).reshape(total, 2)
+    return (np.repeat(np.asarray(owners, dtype=np.int64), sizes), landmarks,
+            values[:, 0], values[:, 1].astype(np.int64))
+
+
+def _build_shards(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
+                  shard_of: np.ndarray, which: Iterable[int],
+                  ) -> dict[int, "_Shard"]:
+    """The landmark shards ``which`` over the given entries (entry ``j``
+    lives in shard ``shard_of[j]``), each sorted by composite key."""
+    order = np.lexsort((keys, shard_of))
+    keys, dists, levels = keys[order], dists[order], levels[order]
+    shard_of = shard_of[order]
+    out = {}
+    for sidx in which:
+        a, b = np.searchsorted(shard_of, (sidx, sidx + 1))
+        slot_key, slot_idx, mask, shift = _build_hash(keys[a:b])
+        out[sidx] = _Shard(keys=keys[a:b], dists=dists[a:b],
+                           levels=levels[a:b], slot_key=slot_key,
+                           slot_idx=slot_idx, mask=mask, shift=shift)
+    return out
+
+
 def _build_hash(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Open-addressing hash table over composite keys.
 
@@ -316,20 +356,19 @@ class TZIndex(_BaseIndex):
         self.k = k
         self.num_shards = int(num_shards)
 
+        owners, landmarks, dists, levels = _flatten_bunches(range(n),
+                                                            sketches)
         # the dense top block is sound only if no landmark mixes level-(k-1)
         # entries with sub-top entries (honest TZ output never does; see
         # module docstring) — otherwise store everything sharded
-        seen_levels: dict[int, set[int]] = {}
-        for s in sketches:
-            for w, (_, lvl) in s.bunch.items():
-                seen_levels.setdefault(w, set()).add(lvl)
-        self.dense_top = all(lvls == {k - 1}
-                             for lvls in seen_levels.values()
-                             if (k - 1) in lvls)
-        top_landmarks = (sorted(w for w, lvls in seen_levels.items()
-                                if lvls == {k - 1})
-                         if self.dense_top else [])
-        self.top_ids = np.asarray(top_landmarks, dtype=np.int64)
+        at_top = levels == k - 1
+        has_top = np.zeros(n, dtype=bool)
+        has_top[landmarks[at_top]] = True
+        has_sub = np.zeros(n, dtype=bool)
+        has_sub[landmarks[~at_top]] = True
+        self.dense_top = not (has_top & has_sub).any()
+        self.top_ids = (np.flatnonzero(has_top) if self.dense_top
+                        else np.empty(0, dtype=np.int64))
         #: column of each top landmark in the dense table (-1 elsewhere)
         self.top_col = np.full(n, -1, dtype=np.int64)
         self.top_col[self.top_ids] = np.arange(self.top_ids.size)
@@ -337,36 +376,21 @@ class TZIndex(_BaseIndex):
         #: missing entry so the probe correctly reports "not found"
         self.top_dist = np.full((n, self.top_ids.size), np.inf,
                                 dtype=np.float64)
+        dense = self.top_col[landmarks] >= 0
+        self.top_dist[owners[dense], self.top_col[landmarks[dense]]] = (
+            dists[dense])
 
-        self.pivot_ids = np.empty((n, k), dtype=np.int64)
-        self.pivot_dists = np.empty((n, k), dtype=np.float64)
-        per_shard: list[list[tuple[int, float, int]]] = [
-            [] for _ in range(self.num_shards)]
-        # iterating owners in ID order with sorted bunch keys yields
-        # composite keys in strictly increasing order within every shard,
-        # so the shard arrays come out sorted without an explicit sort
-        for u, s in enumerate(sketches):
-            for i, (p, d) in enumerate(s.pivots):
-                self.pivot_ids[u, i] = p
-                self.pivot_dists[u, i] = d
-            for w in sorted(s.bunch):
-                d, lvl = s.bunch[w]
-                if self.top_col[w] >= 0:
-                    self.top_dist[u, self.top_col[w]] = d
-                else:
-                    per_shard[w % self.num_shards].append((u * n + w, d, lvl))
+        pivots = np.asarray([s.pivots for s in sketches], dtype=np.float64)
+        self.pivot_ids = pivots[:, :, 0].astype(np.int64)
+        self.pivot_dists = np.ascontiguousarray(pivots[:, :, 1])
         #: True when any pivot is the INF_KEY sentinel (-1, inf) — only on
         #: disconnected graphs; the batch path then masks sentinel probes
         self.sentinel_pivots = bool((self.pivot_ids < 0).any())
-        self.shards: list[_Shard] = []
-        for entries in per_shard:
-            keys = np.asarray([e[0] for e in entries], dtype=np.int64)
-            slot_key, slot_idx, mask, shift = _build_hash(keys)
-            self.shards.append(_Shard(
-                keys=keys,
-                dists=np.asarray([e[1] for e in entries], dtype=np.float64),
-                levels=np.asarray([e[2] for e in entries], dtype=np.int64),
-                slot_key=slot_key, slot_idx=slot_idx, mask=mask, shift=shift))
+        sub = ~dense
+        shards = _build_shards(owners[sub] * n + landmarks[sub], dists[sub],
+                               levels[sub], landmarks[sub] % self.num_shards,
+                               range(self.num_shards))
+        self.shards: list[_Shard] = [shards[s] for s in range(self.num_shards)]
 
     # ------------------------------------------------------------------
     # size accounting
@@ -651,12 +675,16 @@ class TZIndex(_BaseIndex):
             if not isinstance(s, TZSketch) or s.k != k:
                 raise ConfigError(
                     f"replacement sketch for {u} is not a k={k} TZSketch")
-            for w, (_, lvl) in s.bunch.items():
-                is_top = self.dense_top and self.top_col[w] >= 0
-                if is_top != (self.dense_top and lvl == k - 1):
-                    raise ConfigError(
-                        f"entry ({u}, {w}) at level {lvl} disagrees with "
-                        f"the dense-top layout (rebuild required)")
+        owners = np.asarray(sorted(dirty), dtype=np.int64)
+        fresh = [dirty[u] for u in owners.tolist()]
+        own, landmarks, dists, levels = _flatten_bunches(owners, fresh)
+        dense = self.top_col[landmarks] >= 0
+        drift = np.flatnonzero(dense != (self.dense_top & (levels == k - 1)))
+        if drift.size:
+            j = drift[0]
+            raise ConfigError(
+                f"entry ({own[j]}, {landmarks[j]}) at level {levels[j]} "
+                f"disagrees with the dense-top layout (rebuild required)")
 
         new = TZIndex.__new__(TZIndex)
         new.n, new.k, new.num_shards = n, k, S
@@ -664,51 +692,35 @@ class TZIndex(_BaseIndex):
         new.top_ids = self.top_ids
         new.top_col = self.top_col
 
+        pivots = np.asarray([s.pivots for s in fresh], dtype=np.float64)
         new.pivot_ids = np.array(self.pivot_ids)
+        new.pivot_ids[owners] = pivots[:, :, 0].astype(np.int64)
         new.pivot_dists = np.array(self.pivot_dists)
-        new.top_dist = np.array(self.top_dist)
-        per_shard: dict[int, list[tuple[int, float, int]]] = {}
-        owners = np.asarray(sorted(dirty), dtype=np.int64)
-        for u in owners:
-            s = dirty[int(u)]
-            for i, (p, d) in enumerate(s.pivots):
-                new.pivot_ids[u, i] = p
-                new.pivot_dists[u, i] = d
-            new.top_dist[u, :] = np.inf
-            for w in sorted(s.bunch):
-                d, lvl = s.bunch[w]
-                if self.top_col[w] >= 0:
-                    new.top_dist[u, self.top_col[w]] = d
-                else:
-                    per_shard.setdefault(w % S, []).append(
-                        (int(u) * n + w, d, lvl))
+        new.pivot_dists[owners] = pivots[:, :, 1]
         new.sentinel_pivots = bool((new.pivot_ids < 0).any())
+        new.top_dist = np.array(self.top_dist)
+        new.top_dist[owners, :] = np.inf
+        new.top_dist[own[dense], self.top_col[landmarks[dense]]] = (
+            dists[dense])
 
-        affected = set(per_shard)
+        # a shard is rebuilt iff it holds an old or a new entry of a dirty
+        # owner: its clean owners' rows plus the dirty owners' new ones
+        sub = ~dense
+        parts = [(own[sub] * n + landmarks[sub], dists[sub], levels[sub],
+                  landmarks[sub] % S)]
+        affected = set(parts[0][3].tolist())
         for sidx, sh in enumerate(self.shards):
-            if sh.keys.size and np.isin(sh.keys // n, owners).any():
+            stale = np.isin(sh.keys // n, owners)
+            if stale.any():
                 affected.add(sidx)
+            if sidx in affected:
+                keep = ~stale
+                parts.append((sh.keys[keep], sh.dists[keep], sh.levels[keep],
+                              np.full(int(keep.sum()), sidx)))
         new.shards = list(self.shards)  # clean shards shared by reference
-        for sidx in affected:
-            sh = self.shards[sidx]
-            keep = (~np.isin(sh.keys // n, owners) if sh.keys.size
-                    else np.zeros(0, dtype=bool))
-            added = per_shard.get(sidx, [])
-            keys = np.concatenate([
-                sh.keys[keep],
-                np.asarray([e[0] for e in added], dtype=np.int64)])
-            dists = np.concatenate([
-                sh.dists[keep],
-                np.asarray([e[1] for e in added], dtype=np.float64)])
-            levels = np.concatenate([
-                sh.levels[keep],
-                np.asarray([e[2] for e in added], dtype=np.int64)])
-            order = np.argsort(keys, kind="stable")
-            keys, dists, levels = keys[order], dists[order], levels[order]
-            slot_key, slot_idx, mask, shift = _build_hash(keys)
-            new.shards[sidx] = _Shard(keys=keys, dists=dists, levels=levels,
-                                      slot_key=slot_key, slot_idx=slot_idx,
-                                      mask=mask, shift=shift)
+        for sidx, shard in _build_shards(
+                *map(np.concatenate, zip(*parts)), affected).items():
+            new.shards[sidx] = shard
         return new
 
     def _to_sketches(self) -> list[TZSketch]:

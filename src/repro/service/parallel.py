@@ -2,21 +2,23 @@
 
 The [TZ05] preprocessing splits into a small shared stage — sampling the
 hierarchy and running one multi-source Dijkstra per level — and the
-dominant stage: one truncated cluster-growing Dijkstra *per vertex*.  The
+dominant stage: growing one truncated cluster *per vertex*.  The
 per-root computations are completely independent (the same separability
 DiPOA exploits across subproblems), so this module fans them across
-``multiprocessing`` workers and merges the shards deterministically.
+``multiprocessing`` workers — each runs the builder's own frontier
+kernel (:func:`~repro.tz.centralized.grow_clusters`) on its share of the
+roots — and merges the shards deterministically.
 
 Determinism contract: for a fixed seed, ``jobs=1`` and ``jobs=N`` produce
 *byte-identical* serialized sketch sets.  Two ingredients make that true:
 
-* every worker computes the exact same cluster dict a serial run would
+* every worker computes the exact same cluster rows a serial run would
   (the computation consumes no randomness and no shared mutable state), and
-* :func:`~repro.tz.centralized.merge_cluster_tables` inserts entries in
-  canonical ``(level, root)`` order, so bunch dict iteration order — which
-  the JSON wire format exposes — is independent of the sharding.
+* :func:`~repro.tz.centralized.merge_bunch_tables` sorts the entries
+  into the canonical ``(owner, level, landmark)`` order, so bunch dict
+  iteration order is independent of the sharding.
 
-Roots are dealt round-robin (``sources[j::jobs]``) so each worker gets a
+Roots are dealt round-robin (``roots[j::jobs]``) so each worker gets a
 balanced mix of low-level roots (big clusters) and high-level roots.
 """
 
@@ -29,9 +31,9 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike
-from repro.tz.centralized import (assemble_sketches, cluster_table,
-                                  compute_pivot_keys, merge_cluster_tables)
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
+from repro.tz.centralized import (BunchTable, build_tz_sketches_timed,
+                                  grow_clusters, merge_bunch_tables)
+from repro.tz.hierarchy import Hierarchy
 from repro.tz.sketch import TZSketch
 
 # Worker-global build inputs, installed once per worker by the pool
@@ -43,14 +45,38 @@ def _init_worker(graph, hierarchy, pivot_keys) -> None:
     _WORKER_STATE["build"] = (graph, hierarchy, pivot_keys)
 
 
-def _grow_clusters(sources: list[int]):
-    graph, hierarchy, pivot_keys = _WORKER_STATE["build"]
-    return cluster_table(graph, hierarchy, pivot_keys, sources)
+def _grow_clusters(roots) -> BunchTable:
+    return grow_clusters(*_WORKER_STATE["build"], roots)
 
 
 def default_jobs() -> int:
     """Worker count used when ``jobs`` is not given: one per CPU."""
     return max(1, os.cpu_count() or 1)
+
+
+def fanned_out(jobs: Optional[int]):
+    """The cluster stage across ``jobs`` worker processes: a drop-in for
+    :func:`~repro.tz.centralized.grow_clusters` returning the identical
+    table, whatever the worker count (``None``: one per CPU).
+
+    :raises ConfigError: when ``jobs < 1``.
+    """
+    if jobs is None:
+        jobs = default_jobs()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+    def grow(graph, hierarchy, pivot_keys, roots) -> BunchTable:
+        workers = min(jobs, len(roots))
+        if workers <= 1:
+            return grow_clusters(graph, hierarchy, pivot_keys, roots)
+        ctx = multiprocessing.get_context()
+        with ctx.Pool(processes=workers, initializer=_init_worker,
+                      initargs=(graph, hierarchy, pivot_keys)) as pool:
+            return merge_bunch_tables(pool.map(
+                _grow_clusters, [roots[j::workers] for j in range(workers)]))
+
+    return grow
 
 
 def build_tz_sketches_parallel(graph: Graph, k: Optional[int] = None,
@@ -66,28 +92,5 @@ def build_tz_sketches_parallel(graph: Graph, k: Optional[int] = None,
     parameters plus ``jobs``, and — for a shared seed/hierarchy — the
     *identical* sketch set, whatever the worker count.
     """
-    if hierarchy is None:
-        if k is None:
-            raise ConfigError("provide k or hierarchy")
-        hierarchy = sample_hierarchy(graph.n, k, seed=seed)
-    elif k is not None and k != hierarchy.k:
-        raise ConfigError(f"k={k} conflicts with hierarchy.k={hierarchy.k}")
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-
-    pivot_keys = compute_pivot_keys(graph, hierarchy)
-    sources = [int(w) for w in hierarchy.universe()]
-    jobs = min(jobs, len(sources))
-    if jobs <= 1:
-        tables = [cluster_table(graph, hierarchy, pivot_keys, sources)]
-    else:
-        chunks = [sources[j::jobs] for j in range(jobs)]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=jobs, initializer=_init_worker,
-                      initargs=(graph, hierarchy, pivot_keys)) as pool:
-            tables = pool.map(_grow_clusters, chunks)
-    bunches = merge_cluster_tables(graph.n, tables)
-    return assemble_sketches(graph.n, hierarchy.k, pivot_keys,
-                             bunches), hierarchy
+    return build_tz_sketches_timed(graph, k, hierarchy, seed,
+                                   fanned_out(jobs))[:2]

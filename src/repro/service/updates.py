@@ -82,8 +82,9 @@ from repro.slack.density_net import (DensityNet, nearest_in_set_centralized,
                                      sample_density_net)
 from repro.slack.graceful import GracefulSketch, graceful_schedule
 from repro.slack.stretch3 import Stretch3Sketch, build_stretch3_centralized
-from repro.tz.centralized import (build_tz_sketches_centralized, cluster_of,
-                                  compute_pivot_keys)
+from repro.tz.centralized import (assemble_sketches,
+                                  build_tz_sketches_centralized,
+                                  compute_pivot_keys, grow_clusters)
 from repro.tz.hierarchy import Hierarchy, sample_hierarchy
 from repro.tz.sketch import TZSketch
 
@@ -317,13 +318,16 @@ def repair_tz_sketches(graph: Graph, hierarchy: Hierarchy,
 
     * top-level landmarks (``A_{k-1}``, whose clusters are untruncated
       and belong to every bunch) contribute one from-landmark Dijkstra
-      row each — bitwise what the untruncated
-      :func:`~repro.tz.centralized.cluster_of` stores, at a fixed cost
-      independent of the dirty set;
+      row each, at a fixed cost independent of the dirty set;
     * sub-top candidate landmarks — the only ones whose (small,
       truncated) clusters could hold a dirty node, discovered by a
-      margin-padded threshold scan of the dirty nodes' own rows — are
-      re-grown with :func:`~repro.tz.centralized.cluster_of` itself.
+      margin-padded threshold scan of the dirty nodes' own rows — have
+      their clusters re-grown.
+
+    Both go through the builder's own
+    :func:`~repro.tz.centralized.grow_clusters` in one call, and the
+    dirty nodes' labels are sliced from its table exactly as a full
+    build slices everyone's.
 
     The dirty nodes' from-source rows steer *which* clusters are
     re-grown; they never supply a stored float.
@@ -342,46 +346,18 @@ def repair_tz_sketches(graph: Graph, hierarchy: Hierarchy,
 
     # margin-padded discovery of the sub-top clusters that could hold a
     # dirty node: candidate w at level i iff d(v, w) <= d(v, A_{i+1}) + pad
-    roots: set[int] = set()
-    for j, v in enumerate(dirty):
-        row = dist_rows[j]
-        for i in range(k - 1):
-            members = hierarchy.exact_level(i)
-            if members.size == 0:
-                continue
-            thr = pivot_keys[i + 1][v]
-            if thr.is_inf():
-                near = members[np.isfinite(row[members])]
-            else:
-                pad = _MARGIN_REL * (1.0 + thr.dist)
-                near = members[row[members] <= thr.dist + pad]
-            roots.update(int(w) for w in near)
-    clusters: dict[int, tuple[int, dict[int, float]]] = {}
-    for w in sorted(roots):
-        lvl = hierarchy.level_of(w)
-        clusters[w] = (lvl, cluster_of(graph, w, lvl, pivot_keys[lvl + 1]))
-
-    top = hierarchy.exact_level(k - 1)
-    top_rows = (_dijkstra_rows(graph, [int(w) for w in top])
-                if top.size else None)
-
-    out: dict[int, TZSketch] = {}
-    for j, v in enumerate(dirty):
-        # canonical (level, landmark) insertion order, matching
-        # merge_cluster_tables, so dict iteration order is reproducible
-        entries = sorted(((lvl, w, c[v])
-                          for w, (lvl, c) in clusters.items() if v in c),
-                         key=lambda e: (e[0], e[1]))
-        bunch: dict[int, tuple[float, int]] = {
-            w: (d, lvl) for lvl, w, d in entries}
-        for jj, w in enumerate(top):
-            d = top_rows[jj, v]
-            if np.isfinite(d):
-                bunch[int(w)] = (float(d), k - 1)
-        pivots = tuple((pivot_keys[i][v].node, pivot_keys[i][v].dist)
-                       for i in range(k))
-        out[v] = TZSketch(node=v, k=k, pivots=pivots, bunch=bunch)
-    return out
+    # (an infinite threshold admits every reachable w)
+    roots = [hierarchy.exact_level(k - 1)]
+    for i in range(k - 1):
+        members = hierarchy.exact_level(i)
+        thr = np.asarray([pivot_keys[i + 1][v].dist for v in dirty])
+        bound = thr + _MARGIN_REL * (1.0 + thr)
+        rows = dist_rows[:, members]
+        near = (rows <= bound[:, None]) & np.isfinite(rows)
+        roots.append(members[near.any(axis=0)])
+    table = grow_clusters(graph, hierarchy, pivot_keys,
+                          np.concatenate(roots))
+    return dict(zip(dirty, assemble_sketches(k, pivot_keys, table, dirty)))
 
 
 # ----------------------------------------------------------------------

@@ -57,11 +57,17 @@ class TestStats:
 
 
 class TestBuild:
-    def test_build_writes_sketches(self, sketch_file, graph_file):
+    def test_build_writes_sketches(self, capsys, sketch_file, graph_file):
         from repro.oracle.serialization import load_sketch_set
 
         sketches = load_sketch_set(sketch_file)
         assert len(sketches) == 32
+        # a centralized build says where its time went, one line
+        entries = sum(len(s.bunch) for s in sketches)
+        assert re.search(
+            r"^built in [\d.]+ s — pivots [\d.]+ s, clusters [\d.]+ s "
+            rf"\({entries} bunch entries, \d+ frontier rounds\), "
+            r"assemble [\d.]+ s$", capsys.readouterr().out, re.M)
 
     def test_distributed_build_reports_cost(self, tmp_path, graph_file,
                                             capsys):

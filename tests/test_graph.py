@@ -132,6 +132,29 @@ class TestConversions:
         h.add_edge(1, 2, 1.0)
         assert g.m == 1 and h.m == 2
 
+    def test_copy_is_independent_both_ways(self):
+        g = Graph(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0)])
+        before = g.to_csr().toarray()
+        h = g.copy()
+        assert h == g and h.m == g.m == 3
+        assert list(h.edges()) == list(g.edges())
+        # mutate the copy: the original and its cached CSR stay put
+        h.remove_edge(1, 2)
+        h.set_weight(0, 1, 9.0)
+        h.add_edge(0, 3, 1.0)
+        assert (g.m, h.m) == (3, 3)
+        assert g.weight(0, 1) == 2.0 and g.has_edge(1, 2)
+        assert not g.has_edge(0, 3)
+        assert (g.to_csr().toarray() == before).all()
+        assert h.to_csr()[0, 1] == 9.0 and h.to_csr()[1, 2] == 0.0
+        # mutate the original: the copy and its CSR stay put
+        after = h.to_csr().toarray()
+        g.remove_edge(2, 3)
+        g.set_weight(1, 2, 7.0)
+        assert (g.m, h.m) == (2, 3)
+        assert h.weight(2, 3) == 4.0 and not h.has_edge(1, 2)
+        assert (h.to_csr().toarray() == after).all()
+
     def test_equality(self):
         a = Graph(2, [(0, 1, 1.0)])
         b = Graph(2, [(0, 1, 1.0)])

@@ -1,0 +1,206 @@
+"""The columnar centralized builder: pinned outputs and kernel properties.
+
+``GOLDEN`` was recorded at the commit *before* the per-root Dijkstra loop
+became the frontier kernel (and before :class:`TZIndex` was assembled from
+arrays): a digest of every sketch — pivots, bunch values **and bunch dict
+order** — and of the RPIX bytes of the index built from them.  Any builder
+must reproduce the table exactly; the kernel tests below then compare its
+rows against the per-root reference :func:`cluster_of` and the
+definition-based :func:`brute_force_bunches`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import build_sketches
+from repro.graphs import (Graph, apsp, assign_uniform_weights, erdos_renyi,
+                          ring)
+from repro.oracle.serialization import index_binary_bytes
+from repro.service import build_index
+from repro.tz import (brute_force_bunches, build_tz_sketches_centralized,
+                      centralized, compute_pivot_keys, sample_hierarchy)
+
+
+# ----------------------------------------------------------------------
+# (a) golden digests, recorded at the parent commit
+# ----------------------------------------------------------------------
+def _two_components() -> Graph:
+    """A weighted 12-ring and an integer-weight 9-node ER graph, side by
+    side with no edge between them."""
+    g = Graph(21)
+    for u, v, w in assign_uniform_weights(ring(12), seed=5).edges():
+        g.add_edge(u, v, w)
+    for u, v, w in erdos_renyi(9, seed=6).edges():
+        g.add_edge(12 + u, 12 + v, float(1 + (u * v) % 3))
+    return g
+
+
+def _cases(request) -> dict:
+    """``name -> (graph, universe or None)``."""
+    er_weighted = request.getfixturevalue("er_weighted")
+    return {
+        "er_weighted": (er_weighted, None),
+        "er_unit": (request.getfixturevalue("er_unit"), None),
+        "small_grid": (request.getfixturevalue("small_grid"), None),
+        "small_ring": (request.getfixturevalue("small_ring"), None),
+        "two_components": (_two_components(), None),
+        # CDG-style: the hierarchy lives on a net, the other nodes have
+        # level -1 — inside clusters, never roots
+        "net_universe": (er_weighted, range(0, er_weighted.n, 3)),
+        "single_node": (Graph(1), None),
+    }
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:20]
+
+
+def _sketch_digest(sketches) -> str:
+    """Everything a sketch holds, bunch iteration order included."""
+    return _sha(repr([(s.node, s.k, s.pivots, list(s.bunch.items()))
+                      for s in sketches]).encode())
+
+
+GOLDEN = {
+    ('er_weighted', 1): ('215e48b658018c07b2a3', '393c06f7b3440f501c5b'),
+    ('er_weighted', 2): ('c9aed4302ea866449008', '8f2f867f95f803bf4464'),
+    ('er_weighted', 3): ('8b8b5cb510c020927993', '36a0a166b8df3b634d8e'),
+    ('er_unit', 1): ('9f5823324d08be4f4a37', 'e89f7d02f0254ae4140b'),
+    ('er_unit', 2): ('d2072961598069fbf5c2', '90b5f07a0bd4e8bb64df'),
+    ('er_unit', 3): ('e76982ed03d34e6590f2', '80cedbeafc9109f32653'),
+    ('small_grid', 1): ('9938e900d3b9ca9313fa', 'ee8cb173656e63fc9640'),
+    ('small_grid', 2): ('0c7f9edd01a767feef30', 'd61ff8decbcc012956d0'),
+    ('small_grid', 3): ('97209afbde1d770f831f', 'dd94763a33e7bd809ec9'),
+    ('small_ring', 1): ('5d5e297d2acb37702401', 'be82c50476e102c76074'),
+    ('small_ring', 2): ('394c05c4a64cd266cb45', '98c38ac75a917e3fdbed'),
+    ('small_ring', 3): ('39fc21ab0b138c8befa8', 'd39b6b4c78f69558eccc'),
+    ('two_components', 1): ('92b051f0ea11afa81622', 'd951270ec5c00d234ab0'),
+    ('two_components', 2): ('9bbafc60022261f32e29', '46e777f89a56462116d2'),
+    ('two_components', 3): ('c2e8241d9ca6a061a024', '6f738ac5dd1b788c28fd'),
+    ('net_universe', 1): ('534d42412c22fea1ecca', 'd96c4f08dc1165ab6b0f'),
+    ('net_universe', 2): ('63049f6d3fe818e71793', 'a7e3038ab5533b7d819e'),
+    ('net_universe', 3): ('e6477d556f01a604c2d9', 'bf1ea3d2e1bf0621d414'),
+    ('single_node', 1): ('44409bfd49f7b62d2889', '1d7a5dc64bac2a8b4a10'),
+    ('single_node', 2): ('4512eb254926d865b129', 'ae675a7e024e6a76502d'),
+    ('single_node', 3): ('236cd8ce4ba010c5afbb', '9dcabae78ccd3b761f4c'),
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("name", (
+    "er_weighted", "er_unit", "small_grid", "small_ring", "two_components",
+    "net_universe", "single_node"))
+def test_golden_sketches_and_index_bytes(request, name, k):
+    graph, universe = _cases(request)[name]
+    h = sample_hierarchy(graph.n, k, universe=universe, seed=31 + k)
+    sketches, _ = build_tz_sketches_centralized(graph, hierarchy=h)
+    row = (_sketch_digest(sketches),
+           _sha(index_binary_bytes(build_index(sketches, num_shards=3))))
+    assert row == GOLDEN[name, k]
+
+
+# ----------------------------------------------------------------------
+# (b) the kernel against the per-root reference and the definition
+# ----------------------------------------------------------------------
+@st.composite
+def instances(draw):
+    """A random graph — sparse enough to fall apart now and then — with
+    unit, small-integer (ties everywhere) or float weights, and a
+    hierarchy sampled over all of V or over a subset."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("unit", "int", "float")))
+    p = draw(st.sampled_from((0.03, 0.1, 0.3)))
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v, {"unit": 1.0,
+                                  "int": float(rng.integers(1, 4)),
+                                  "float": float(rng.uniform(0.1, 10.0)),
+                                  }[kind])
+    universe = None
+    if draw(st.booleans()):
+        universe = np.flatnonzero(rng.random(n) < 0.5)
+        if universe.size == 0:
+            universe = [int(rng.integers(n))]
+    h = sample_hierarchy(n, draw(st.integers(1, 4)), universe=universe,
+                         seed=rng)
+    return g, h, kind
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_kernel_rows_equal_cluster_of_and_definition(instance):
+    g, h, kind = instance
+    pk = compute_pivot_keys(g, h)
+    table = centralized.grow_clusters(g, h, pk, h.universe())
+    key = (table.owner * h.k + table.level) * g.n + table.landmark
+    assert (np.diff(key) > 0).all()  # canonical order, no duplicates
+    for w in h.universe().tolist():
+        rows = table.landmark == w
+        assert (table.level[rows] == h.level_of(w)).all()
+        mine = dict(zip(table.owner[rows].tolist(),
+                        table.dist[rows].tolist()))
+        # same members, the very same floats
+        assert mine == centralized.cluster_of(g, w, h.level_of(w),
+                                              pk[h.level_of(w) + 1])
+    fast = table.bunches(g.nodes())
+    slow = brute_force_bunches(g, h, dist_matrix=apsp(g))
+    if kind == "float":
+        # the definition reads d(u, w) off u's row, the builder grows it
+        # from w: same members and levels, sums equal up to their order
+        assert [sorted(b) for b in fast] == [sorted(b) for b in slow]
+        for bf, bs in zip(fast, slow):
+            for w, (d, lvl) in bf.items():
+                assert lvl == bs[w][1] and d == pytest.approx(bs[w][0],
+                                                              rel=1e-12)
+    else:
+        assert fast == slow
+
+
+# ----------------------------------------------------------------------
+# (c) + (d) the table does not depend on how the roots were split
+# ----------------------------------------------------------------------
+def _columns(table):
+    return [c.tolist() for c in table[:4]]
+
+
+def _grow(graph, h, pk, roots):
+    return centralized.grow_clusters(graph, h, pk, roots)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_block_size_is_invisible(monkeypatch, er_weighted, k):
+    h = sample_hierarchy(er_weighted.n, k, seed=3)
+    pk = compute_pivot_keys(er_weighted, h)
+    default = _grow(er_weighted, h, pk, h.universe())
+    for cells in (1, 1 << 40):  # one root per block / one block per level
+        monkeypatch.setattr(centralized, "_BLOCK_CELLS", cells)
+        table = _grow(er_weighted, h, pk, h.universe())
+        assert _columns(table) == _columns(default)
+
+
+def test_root_split_is_invisible(er_unit):
+    h = sample_hierarchy(er_unit.n, 3, seed=4)
+    pk = compute_pivot_keys(er_unit, h)
+    roots = h.universe()
+    whole = _grow(er_unit, h, pk, roots)
+    parts = [_grow(er_unit, h, pk, roots[j::3]) for j in range(3)]
+    assert _columns(centralized.merge_bunch_tables(parts)) == _columns(whole)
+    assert _grow(er_unit, h, pk, []).owner.size == 0
+
+
+def test_worker_count_keeps_bunch_order(er_weighted):
+    serial = build_sketches(er_weighted, "tz", k=3, seed=8)
+    fanned = build_sketches(er_weighted, "tz", k=3, seed=8, jobs=2)
+    assert _sketch_digest(fanned.sketches) == _sketch_digest(serial.sketches)
+    assert fanned.extras["build"]["entries"] == sum(
+        len(s.bunch) for s in serial.sketches)
