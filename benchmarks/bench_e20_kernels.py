@@ -1,16 +1,18 @@
-"""E20 — does ``jobs`` pay?  Shard threads vs the calling thread.
+"""E20 — does ``jobs`` pay, and is the shard count free?
 
-The per-landmark shard decomposition (``plan`` → ``shard_answer`` × S →
+The per-landmark shard decomposition (``plan`` → ``answer`` →
 ``finish``) lets a server probe the shards of one batch in parallel.
 The serving layer has exactly one knob for that: ``jobs``.  ``jobs=1``
-probes in the calling thread; ``jobs > 1`` hands the probes to a
-``ThreadPoolExecutor`` in the same address space — the probe kernels
-are columnar numpy (gathers, adds, row-mins over the packed arrays), so
+answers every shard with one kernel pass in the calling thread;
+``jobs=J`` hands J contiguous shard groups — one ``answer`` call each —
+to a ``ThreadPoolExecutor`` in the same address space.  The kernels are
+columnar numpy (gathers, adds, row-mins over the packed arrays), so
 they release the GIL and overlap for real, and nothing is copied or
 pickled on the way.
 
-This experiment is the row that knob has to own.  It serves the same
-workload three ways —
+This experiment owns two tables.
+
+**Threads** serves the same workload three ways —
 
 * ``inproc``  — ``jobs=1``, the single-threaded decomposition,
 * ``jobs=2``  — two shard threads,
@@ -19,17 +21,26 @@ workload three ways —
 — over {tz, stretch3} × batch sizes {64, 1024, 16 384}, reporting
 per-cell throughput, the ratio to ``inproc``, and the ``kernel`` /
 ``ipc`` phase split (``kernel_seconds`` is the per-batch critical path
-of pure shard compute; ``ipc_seconds`` is what dispatching to the
+of pure kernel compute; ``ipc_seconds`` is what dispatching to the
 executor cost on top).  Expect ``jobs`` to lose wherever a batch's
 kernels are cheaper than a thread hand-off (every tz cell at n=2000,
 every batch-64 cell) and to win where they are not (stretch3 from
 batch ≈ 1024) — see the when-it-pays table in ``docs/serving.md``.
 
+**Shards** is the row the one-table store has to own: tz, ``jobs=1``,
+S ∈ {1, 4, 16} × batch ∈ {64, 1024}, µs per batch and the ratio to
+S = 1.  A shard is a row range of one bunch table behind one hash
+directory, so a batch costs one probe pass whatever S; what S > 1 still
+pays is the routing ``plan`` does for the fleet (a stable radix sort,
+its inverse, and S slices each way).  The S = 1 row doubles as the
+proof that the one-shard store did not get slower.
+
 Hard claims (always asserted, any hardware): answers are bit-identical
-across every arm, batch size, and scheme.  Timing claim (``jobs=4`` >=
-``REPRO_E20_MIN_SPEEDUP``x ``inproc`` on stretch3 at batch >= 1024):
-gated by ``timing_gate`` — self-skips on CI and single-CPU hosts, armed
-anywhere by ``REPRO_FORCE_TIMING=1``.
+across every arm, shard count, batch size, and scheme.  Timing claims —
+``jobs=4`` >= ``REPRO_E20_MIN_SPEEDUP``x ``inproc`` on stretch3 at
+batch >= 1024, and S = 16 within :data:`MAX_SHARD_RATIO` of S = 1 at
+the largest sweep batch — are gated by ``timing_gate``: they self-skip
+on CI and single-CPU hosts, armed anywhere by ``REPRO_FORCE_TIMING=1``.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e20_kernels.py -q``
 """
@@ -59,6 +70,15 @@ SCHEMES = ("tz", "stretch3")
 #: (arm label, jobs)
 ARMS = (("inproc", 1), ("jobs=2", 2), ("jobs=4", 4))
 MIN_SPEEDUP = float(os.environ.get("REPRO_E20_MIN_SPEEDUP", "1.0"))
+#: the shard sweep: tz, ``jobs=1``; a batch larger than the workload is
+#: the whole workload in one batch (the CI smoke run)
+SWEEP_SHARDS = (1, 4, 16)
+SWEEP_BATCHES = (64, 1024)
+#: S = 16 may cost this much of S = 1 per batch.  What S > 1 pays is a
+#: flat ~55-70 us of routing per 1024-pair batch, measured 1.23-1.31x
+#: of the ~230 us an S = 1 batch takes (the per-shard-table store this
+#: replaced: 1.8x at S = 4 already, 4x at S = 16)
+MAX_SHARD_RATIO = 1.4
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +122,68 @@ def e20_table(experiment_report, e20_sketches):
               "shards": SHARDS, "eps": EPS,
               "min_speedup": MIN_SPEEDUP, "rows": rows})
     return rows
+
+
+@pytest.fixture(scope="module")
+def e20_shard_sweep(experiment_report, e20_sketches):
+    rows = []
+    for batch in SWEEP_BATCHES:
+        base_us = None
+        for shards in SWEEP_SHARDS:
+            rep = run_serve_benchmark(e20_sketches["tz"], queries=QUERIES,
+                                      batch=batch, seed=11, repeats=5,
+                                      num_shards=shards, jobs=1)
+            assert rep["identical"], \
+                f"tz batch={batch} S={shards}: answers diverged"
+            batches = -(-QUERIES // rep["batch"])
+            us = rep["batched_seconds"] / batches * 1e6
+            if shards == 1:
+                base_us = us
+            rows.append({
+                "batch": rep["batch"], "shards": shards,
+                "us/batch": round(us, 1),
+                "vs-S=1": round(us / base_us, 2),
+                "kernel-us": round(
+                    rep["phases"]["kernel_seconds"] / batches * 1e6, 1),
+            })
+    experiment_report("E20-shards", render_table(
+        rows, title=f"E20: one probe pass per batch, whatever the shard "
+                    f"count (tz, ER n={N}, jobs=1, Q={QUERIES})"),
+        data={"n": N, "queries": QUERIES, "max_ratio": MAX_SHARD_RATIO,
+              "rows": rows})
+    return rows
+
+
+def test_e20_answers_identical_across_shard_counts(e20_sketches):
+    """The hard claim of the sweep: the shard count never shows in the
+    answers, for either scheme."""
+    pairs = sample_query_pairs(N, min(1000, QUERIES), seed=5)
+    for scheme in SCHEMES:
+        base = None
+        for shards in SWEEP_SHARDS:
+            with connect(f"inproc://shards={shards};cache=0",
+                         e20_sketches[scheme]) as session:
+                got = session.dist_many(pairs)
+            if base is None:
+                base = got
+            else:
+                assert np.array_equal(got, base), (scheme, shards)
+
+
+def test_e20_shard_sweep_complete(e20_shard_sweep):
+    assert len(e20_shard_sweep) == len(SWEEP_BATCHES) * len(SWEEP_SHARDS)
+    for row in e20_shard_sweep:
+        assert row["us/batch"] > 0 and row["kernel-us"] > 0
+
+
+def test_e20_shard_count_is_nearly_free(e20_shard_sweep, timing_gate):
+    """The claim the one-table store rests on: sixteen shards cost a
+    batch a bounded routing surcharge, not sixteen kernel calls."""
+    timing_gate("S=16 vs S=1 at jobs=1")
+    largest = max(row["batch"] for row in e20_shard_sweep)
+    row = next(row for row in e20_shard_sweep
+               if row["batch"] == largest and row["shards"] == 16)
+    assert row["vs-S=1"] <= MAX_SHARD_RATIO, row
 
 
 def test_e20_answers_identical_across_jobs(e20_sketches):

@@ -39,8 +39,10 @@ VERSION = 1
 #: magic prefix of the binary index container (see ``save_index_binary``)
 BINARY_MAGIC = b"RPIX"
 #: version of the binary container layout (independent of the JSON
-#: payload version above, which governs the logical content)
-BINARY_VERSION = 1
+#: payload version above, which governs the logical content); 2 = the TZ
+#: store is one bunch table plus one directory — a v1 file (per-shard
+#: tables) is refused, rebuild it with ``repro build --format binary``
+BINARY_VERSION = 2
 
 AnySketch = Union[TZSketch, Stretch3Sketch, CDGSketch, GracefulSketch]
 

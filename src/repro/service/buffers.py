@@ -17,7 +17,7 @@ module separates that physical layout from the query logic:
   rebuilds a store from.
 * the **array-tree codec** (:func:`flatten_tree` / :func:`plan_tree` /
   :func:`write_tree` / :func:`read_tree`) — encodes the nested tuples
-  of ndarrays that flow through ``plan``/``shard_answer``/``finish``
+  of ndarrays that flow through ``plan``/``answer``/``finish``
   into a raw buffer region and back — the body of the TCP transport's
   query/result frames (:func:`tree_to_bytes` / :func:`tree_from_bytes`)
   and the layout rule of a pack.

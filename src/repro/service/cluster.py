@@ -13,10 +13,11 @@ owning a contiguous range of landmark shards (``repro serve
   client fetches it once from any host and runs ``plan``/``finish``
   locally;
 * **fans probes out** — each host receives one ``probe`` frame carrying
-  exactly the per-shard requests for the shards it owns, multiplexed
-  by request id on that host's connection;
+  exactly the per-shard requests for the shards it owns — served there
+  by one ``answer`` pass — multiplexed by request id on that host's
+  connection;
 * **combines partials** — the store's own ``finish`` folds the gathered
-  ``shard_answer`` responses by shard id, so fleet answers are
+  per-shard responses by shard id, so fleet answers are
   **bit-identical** to single-host serving, including
   :class:`~repro.errors.QueryError` parity on disconnected graphs.
 
@@ -143,7 +144,7 @@ class ClusterClient:
     :class:`~repro.service.transport._TcpTransport` each, so probes are
     multiplexed by request id like single-host queries).  ``plan``
     and ``finish`` run client-side on a routing store fetched from the
-    fleet; only ``shard_answer`` work crosses the wire, scattered to the
+    fleet; only ``answer`` work crosses the wire, scattered to the
     hosts that own each shard.  Answers — including
     :class:`~repro.errors.QueryError` behaviour — are bit-identical to
     one full host serving the same index.
@@ -160,6 +161,10 @@ class ClusterClient:
 
     #: how many times a batch replans when a hot swap lands mid-flight
     _EPOCH_RETRIES = 4
+    #: seconds the first replan waits, doubling each time: a host still
+    #: applying the batch its peers already swapped to can only be
+    #: waited for, and a replan cycle is far shorter than a repair
+    _EPOCH_BACKOFF = 0.002
 
     def __init__(self, hosts: Any, *, timeout: Optional[float] = None,
                  pipeline_depth: int = DEFAULT_PIPELINE_DEPTH):
@@ -239,8 +244,9 @@ class ClusterClient:
     # -- the routing store ---------------------------------------------
     def _refresh_router(self) -> None:
         """(Re)fetch the routing store: any host's RPIX blob carries the
-        full ``plan``/``finish`` state (restriction only empties shard
-        tables), so the first host serves as the source of truth."""
+        full ``plan``/``finish`` state (restriction only drops rows of
+        the shard-local tables), so the first host serves as the source
+        of truth."""
         key = next(iter(self._transports))
         try:
             index, epoch = self._transports[key].fetch_index_pinned(None)
@@ -318,12 +324,14 @@ class ClusterClient:
         host answered from the routing store's epoch; when a hot swap
         landed inside the batch's flight window they are discarded and
         the batch is replanned against a refreshed router (at most
-        ``_EPOCH_RETRIES`` times)."""
+        ``_EPOCH_RETRIES`` times, backing off so that a host still
+        mid-swap can finish)."""
         if ticket is None:
             return np.empty(0, dtype=np.float64), self.clock.epoch
         stale: dict[str, Any] = {}
         for attempt in range(self._EPOCH_RETRIES + 1):
             if attempt:
+                time.sleep(self._EPOCH_BACKOFF * 2 ** (attempt - 1))
                 self._refresh_router()
                 ticket = self._submit(ticket[0])
             _, router, repoch, state, rids = ticket

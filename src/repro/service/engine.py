@@ -248,16 +248,15 @@ class QueryEngine:
 
         This is the fleet fan-out hook: a :class:`ClusterClient
         <repro.service.cluster.ClusterClient>` plans a batch client-side
-        and ships each host only the requests for the shards it owns;
-        ``shard_answer`` is a pure function of ``(shard data, request)``,
-        so the responses are bit-identical to the ones an in-process
+        and ships each host only the requests for the shards it owns,
+        which the host answers in one ``answer`` pass; a shard's
+        response is a pure function of ``(shard data, request)``, so the
+        responses are bit-identical to the ones an in-process
         ``estimate_many`` would have produced.  The whole probe batch is
         answered by one atomically-snapshotted ``(store, epoch)`` pair.
         """
         index, epoch = self.index_snapshot()
-        responses = tuple(index.shard_answer(int(s), r)
-                          for s, r in zip(shards, requests))
-        return responses, epoch
+        return tuple(index.answer([int(s) for s in shards], requests)), epoch
 
     def _acquire_epoch(self) -> tuple[int, ShardServer]:
         """Pin the current epoch for one batch (it will be served wholly

@@ -4,7 +4,7 @@ Every scheme in the library has a vectorized index here, all conforming to
 the :class:`IndexStore` protocol:
 
 * :class:`TZIndex` — Thorup–Zwick labels flattened into dense pivot/top
-  tables plus hashed per-landmark shard tables.
+  tables plus one hashed bunch table cut into landmark shards.
 * :class:`Stretch3Index` — the Theorem 4.3 sketches as one dense
   ``(n, |N|)`` node × net-node distance matrix; a batch is a gather and a
   row-wise min.
@@ -21,13 +21,16 @@ disconnected graphs.  Use :func:`build_index` to get the right store for a
 homogeneous sketch set.
 
 Every store also decomposes a batch into **per-landmark-shard probe
-tasks** (``plan`` → ``shard_answer`` × S → ``finish``), which is what
-:class:`~repro.service.workers.ShardServer` runs on its threads.  The
-decomposition is part of the determinism contract: ``shard_answer`` is a
-pure function of ``(shard data, request)``, and ``finish`` combines
-responses by shard id, never by completion order, so any worker count
-yields the same bytes.  See ``docs/architecture.md`` for the dataflow
-diagram.
+requests** (``plan`` → ``answer`` → ``finish``).  ``answer(shards,
+requests)`` is the one kernel entry: it serves any set of shards in one
+pass, so an executor — the calling thread, a
+:class:`~repro.service.workers.ShardServer` thread owning a group of
+shards, a fleet host owning a range — makes one call for everything it
+owns.  The decomposition is part of the determinism contract: a shard's
+response is a pure function of ``(shard data, request)`` however the
+shards are grouped into calls, and ``finish`` combines responses by
+shard id, never by completion order, so any grouping yields the same
+bytes.  See ``docs/architecture.md`` for the dataflow diagram.
 
 Notes on the TZ layout (the template the other stores reuse):
 
@@ -38,19 +41,23 @@ Notes on the TZ layout (the template the other stores reuse):
   is infinite), so the level-``k-1`` bunch entries form a complete
   ``n x |A_{k-1}|`` distance matrix; a top-level probe is a plain array
   gather instead of a search.
-* per-shard **landmark tables** for the sub-top levels — every remaining
-  bunch entry ``w ∈ B_i(u)``, ``i < k-1``, becomes one row
-  ``(owner u, landmark w, distance, level)``.  Rows are keyed by the
-  composite integer ``u * n + w``, stored sorted (the canonical wire
-  order) and mirrored into an open-addressing hash table, so a batch of
-  membership probes costs 1-3 vectorized gathers per probe with no
-  Python-level loop.
+* **one bunch table** for the sub-top levels — every remaining bunch
+  entry ``w ∈ B_i(u)``, ``i < k-1``, is one row ``(key, distance,
+  level)`` keyed by the composite integer ``u * n + w``.  Rows are
+  sorted by ``(landmark shard, key)``; ``bounds`` holds the S+1 shard
+  offsets, so a shard is the row range ``bounds[s]:bounds[s+1]`` — a
+  placement unit, not a separate structure.
+* **one hash directory** (open addressing, ``slot_key`` / ``slot_idx``)
+  over every resident key, so a batch of membership probes — whichever
+  shards they were routed to — is one kernel call of a few vectorized
+  gathers with no Python-level loop over shards.
 
 Sharding is by landmark (``w % num_shards``): all entries naming landmark
-``w`` live in shard ``w mod S``.  A query batch is routed shard by shard,
-which maps directly onto a multi-process serving topology (each shard can
-be owned by one worker; the landmark is known *before* the lookup, so the
-router needs no sketch data).
+``w`` live in shard ``w mod S``.  ``plan`` routes a batch's probes shard
+by shard, which maps directly onto a fleet whose hosts each hold a
+contiguous shard range (the landmark is known *before* the lookup, so
+the router needs no sketch data); in one address space the routing is a
+stable radix sort and its inverse.
 
 The dense split requires that level-``k-1`` entries and sub-top entries
 never share a landmark — true for every honest TZ construction, where an
@@ -63,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -75,6 +82,15 @@ from repro.slack.stretch3 import Stretch3Sketch
 from repro.tz.sketch import TZSketch
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
+
+#: cells of the one windowed gather that ends a TZ probe (see
+#: :meth:`TZIndex._probe`): about what two more rounds of the walk cost
+_WINDOW_CELLS = 1 << 12
+
+#: cells of one ``(rows, columns)`` gather block of the stretch-3 kernel
+#: (float64, so 512 KB per temporary): larger batches are cut into row
+#: blocks so the gathered rows are still cache-resident when reduced
+_BLOCK_CELLS = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -93,14 +109,19 @@ class IndexStore(Protocol):
     2. **Shard decomposition** — ``estimate_many`` is equivalent to::
 
            state, requests = store.plan(us, vs)
-           responses = [store.shard_answer(s, r)
-                        for s, r in enumerate(requests)]
+           responses = store.answer(range(store.num_shards), requests)
            answers = store.finish(state, responses)
 
-       where each ``shard_answer`` call touches only shard ``s``'s slice
-       of the store and is a pure function of its arguments (so it can
-       run in a worker process), and ``finish`` combines responses by
-       shard id.  Answers are independent of ``num_shards``.
+       and ``answer`` may be split any way: for every list of distinct
+       shards, ``answer(shards, [requests[s] for s in shards])`` equals
+       ``[answer((s,), (requests[s],))[0] for s in shards]`` — one
+       shard's response touches only that shard's slice of the store
+       and is a pure function of ``(shard data, request)``, so shards
+       can be grouped per thread or per host freely, and ``finish``
+       combines responses by shard id.  A probe that finds nothing
+       answers the canonical ``(0.0, -1)`` — distance zero, level -1 —
+       so equal stores give byte-equal responses.  Answers are
+       independent of ``num_shards``.
     """
 
     n: int
@@ -126,8 +147,13 @@ class IndexStore(Protocol):
         """Validate a batch and split it into per-shard requests."""
         ...
 
+    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
+        """Serve these shards' requests in one pass: the per-shard
+        responses, in the order asked (pure; safe on any thread)."""
+        ...
+
     def shard_answer(self, shard: int, request: Any) -> Any:
-        """Serve one shard's request (pure; safe in a worker process)."""
+        """One shard's response: ``answer((shard,), (request,))[0]``."""
         ...
 
     def finish(self, state: Any, responses: list) -> np.ndarray:
@@ -141,8 +167,10 @@ def _validated_pairs(us, vs, n: int) -> tuple[np.ndarray, np.ndarray]:
     vs = np.ascontiguousarray(vs, dtype=np.int64)
     if us.shape != vs.shape or us.ndim != 1:
         raise QueryError("estimate_many wants two equal-length 1-d arrays")
-    if us.size and (us.min() < 0 or vs.min() < 0
-                    or max(int(us.max()), int(vs.max())) >= n):
+    # one unsigned reduction checks both bounds of both columns: a
+    # negative id reads as >= 2^63
+    if us.size and int(np.maximum(us.view(np.uint64),
+                                  vs.view(np.uint64)).max()) >= n:
         raise QueryError(f"node id out of range [0, {n})")
     return us, vs
 
@@ -173,18 +201,18 @@ def _unresolved_error(message: str, row: int) -> QueryError:
 
 
 class _BaseIndex:
-    """Shared driver: ``estimate_many`` as the in-process plan/probe/finish
-    loop, plus the single-pair wrapper."""
+    """Shared driver: ``estimate_many`` as plan → answer → finish over
+    every shard at once, plus the single-shard and single-pair wrappers."""
 
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched estimates, bit-identical to the single-pair query."""
         state, requests = self.plan(us, vs)
-        if self.num_shards == 1:
-            # trivial layout: one shard owns everything — go straight to
-            # the kernel and skip the enumerate/scatter round-trip
-            return self.finish(state, [self.shard_answer(0, requests[0])])
-        responses = [self.shard_answer(s, r) for s, r in enumerate(requests)]
-        return self.finish(state, responses)
+        return self.finish(
+            state, self.answer(range(self.num_shards), requests))
+
+    def shard_answer(self, shard: int, request: Any) -> Any:
+        """One shard's response — :meth:`answer` for a single shard."""
+        return self.answer((shard,), (request,))[0]
 
     def estimate(self, u: int, v: int) -> float:
         """Single-pair convenience wrapper over :meth:`estimate_many`."""
@@ -194,18 +222,6 @@ class _BaseIndex:
 # ----------------------------------------------------------------------
 # Thorup–Zwick
 # ----------------------------------------------------------------------
-def _compose_keys(owners: np.ndarray, landmarks: np.ndarray,
-                  n: np.int64) -> np.ndarray:
-    """Composite probe keys ``owner * n + landmark``.
-
-    A negative landmark (the ``INF_KEY`` pivot sentinel -1, possible on
-    disconnected graphs) must never match: mapped to -2, which matches
-    neither a stored key (>= 0) nor the hash table's -1 empty marker, so
-    the probe reports it absent — exactly like ``bunch.get(-1)``.
-    """
-    return np.where(landmarks < 0, -2, owners * n + landmarks)
-
-
 def _flatten_bunches(owners: Sequence[int], sketches: Sequence[TZSketch],
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
@@ -227,88 +243,65 @@ def _flatten_bunches(owners: Sequence[int], sketches: Sequence[TZSketch],
             values[:, 0], values[:, 1].astype(np.int64))
 
 
-def _build_shards(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
-                  shard_of: np.ndarray, which: Iterable[int],
-                  ) -> dict[int, "_Shard"]:
-    """The landmark shards ``which`` over the given entries (entry ``j``
-    lives in shard ``shard_of[j]``), each sorted by composite key."""
+def _bunch_table(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
+                 n: int, num_shards: int) -> dict[str, np.ndarray]:
+    """The stored form of a set of sub-top entries: rows sorted by
+    ``(landmark shard, key)``, the S+1 shard offsets, and the directory
+    over every key.  ``dists`` / ``levels`` carry one trailing **absent
+    row** ``(0.0, -1)``: an empty directory slot points at -1, which
+    wraps to it, so a probe that finds nothing gathers the canonical
+    answer instead of branching."""
+    shard_of = keys % n % num_shards
     order = np.lexsort((keys, shard_of))
-    keys, dists, levels = keys[order], dists[order], levels[order]
-    shard_of = shard_of[order]
-    out = {}
-    for sidx in which:
-        a, b = np.searchsorted(shard_of, (sidx, sidx + 1))
-        slot_key, slot_idx, mask, shift = _build_hash(keys[a:b])
-        out[sidx] = _Shard(keys=keys[a:b], dists=dists[a:b],
-                           levels=levels[a:b], slot_key=slot_key,
-                           slot_idx=slot_idx, mask=mask, shift=shift)
-    return out
+    keys = keys[order]
+    slot_key, slot_idx = _build_hash(keys)
+    return {"keys": keys,
+            "dists": np.append(dists[order], 0.0),
+            "levels": np.append(levels[order], np.int64(-1)),
+            "bounds": np.searchsorted(shard_of[order],
+                                      np.arange(num_shards + 1)),
+            "slot_key": slot_key, "slot_idx": slot_idx}
 
 
-def _build_hash(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Open-addressing hash table over composite keys.
-
-    Returns ``(slot_key, slot_idx, mask, shift)``: power-of-two table at
-    load factor <= 0.5, empty slots keyed -1.  Probing costs 1-3 gathers —
-    beats binary search, whose ~log2(nnz) dependent accesses dominate the
-    batched lookup profile.
+def _build_hash(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Open-addressing directory ``(slot_key, slot_idx)`` over composite
+    keys: power-of-two table at load factor <= 0.5, linear probing from
+    the Fibonacci hash of the key; an empty slot is keyed -1 and points
+    at row -1.  Probing costs 1-3 gathers — beats binary search, whose
+    ~log2(nnz) dependent accesses dominate the batched lookup profile.
     """
     size = 1
     while size < max(2, 2 * keys.size):
         size <<= 1
-    shift = 64 - size.bit_length() + 1
+    mask, shift = _hash_params(size)
     slot_key = np.full(size, -1, dtype=np.int64)
-    slot_idx = np.zeros(size, dtype=np.int64)
-    mask = size - 1
-    if keys.size:
-        cur = (((keys.astype(np.uint64) * _HASH_MULT) >> np.uint64(shift))
-               .astype(np.int64) & mask)
-        pend = np.arange(keys.size)
-        while pend.size:
-            slots = cur[pend]
-            empty = slot_key[slots] == -1
-            # first pending entry per empty slot wins this round
-            _, first = np.unique(slots[empty], return_index=True)
-            winners = np.flatnonzero(empty)[first]
-            slot_key[slots[winners]] = keys[pend[winners]]
-            slot_idx[slots[winners]] = pend[winners]
-            placed = np.zeros(pend.size, dtype=bool)
-            placed[winners] = True
-            pend = pend[~placed]
-            cur[pend] = (cur[pend] + 1) & mask
-    return slot_key, slot_idx, mask, shift
+    slot_idx = np.full(size, -1, dtype=np.int64)
+    cur = ((keys.view(np.uint64) * _HASH_MULT) >> shift).view(np.int64)
+    pend = np.arange(keys.size)
+    # scratch: per slot, the first pending entry that wants it this round
+    claim = np.full(size, keys.size, dtype=np.int64)
+    while pend.size:
+        slots = cur[pend]
+        free = np.flatnonzero(slot_key[slots] == -1)
+        wanted = slots[free]
+        np.minimum.at(claim, wanted, free)
+        won = claim[wanted] == free
+        claim[wanted] = keys.size
+        winners = free[won]
+        slot_key[wanted[won]] = keys[pend[winners]]
+        slot_idx[wanted[won]] = pend[winners]
+        placed = np.zeros(pend.size, dtype=bool)
+        placed[winners] = True
+        pend = pend[~placed]
+        cur[pend] = (cur[pend] + 1) & mask
+    return slot_key, slot_idx
 
 
-@dataclass(frozen=True)
-class _Shard:
-    """One landmark shard: composite-key-sorted bunch entries plus a hash
-    table for O(1) batched probes."""
-
-    keys: np.ndarray    # int64, sorted: owner * n + landmark
-    dists: np.ndarray   # float64
-    levels: np.ndarray  # int64
-    slot_key: np.ndarray
-    slot_idx: np.ndarray
-    mask: int
-    shift: int
-
-    def probe(self, keys: np.ndarray) -> np.ndarray:
-        """Entry index for each probe key, -1 where absent."""
-        cur = (((keys.astype(np.uint64) * _HASH_MULT)
-                >> np.uint64(self.shift)).astype(np.int64) & self.mask)
-        # unrolled first round: most probes resolve without a collision
-        at = self.slot_key[cur]
-        hit = at == keys
-        pos = np.where(hit, self.slot_idx[cur], -1)
-        pend = np.flatnonzero(~hit & (at != -1))
-        while pend.size:
-            cur[pend] = (cur[pend] + 1) & self.mask
-            slots = cur[pend]
-            at = self.slot_key[slots]
-            hit = at == keys[pend]
-            pos[pend[hit]] = self.slot_idx[slots[hit]]
-            pend = pend[~hit & (at != -1)]
-        return pos
+def _hash_params(size: int) -> tuple[int, np.uint64]:
+    """``(mask, shift)`` of a directory of ``size`` (a power of two)
+    slots: a key's home slot is the top ``log2(size)`` bits of its
+    Fibonacci hash."""
+    return size - 1, np.uint64(64 - size.bit_length() + 1)
 
 
 @dataclass
@@ -317,12 +310,11 @@ class _TZPlan:
 
     us: np.ndarray
     vs: np.ndarray
-    hit: np.ndarray       # (q, k, 2) bool, top level prefilled if dense
-    cand: np.ndarray      # (q, k, 2) float64, ditto
-    via: np.ndarray       # (q, kk, 2) pivot distances awaiting probe sums
-    kk: int               # levels routed through the shard tables
-    idx: list             # per-shard positions into the flat probe array
-    nprobe: int           # flat probe count
+    hit: np.ndarray       # (k, 2, q) bool, top level prefilled if dense
+    cand: np.ndarray      # (k, 2, q) float64, ditto
+    via: np.ndarray       # (kk, 2, q) pivot distances awaiting probe sums,
+    #                       kk the levels routed through the bunch table
+    order: Optional[np.ndarray]  # flat probes in shard order; None = as is
 
 
 class TZIndex(_BaseIndex):
@@ -331,9 +323,10 @@ class TZIndex(_BaseIndex):
     :param sketches: one :class:`~repro.tz.sketch.TZSketch` per node,
         indexed by node ID.
     :param num_shards: number of landmark shards (``>= 1``).  Answers are
-        independent of the shard count; it only changes the physical
-        layout (and the unit of work a
-        :class:`~repro.service.workers.ShardServer` hands one worker).
+        independent of the shard count; it only changes the order of the
+        bunch table's rows (and the unit of placement: what a fleet host
+        owns, what a :class:`~repro.service.workers.ShardServer` thread
+        is handed).
     :raises ConfigError: on an empty set, a non-TZ sketch, mixed ``k``,
         or ``num_shards < 1``.
     """
@@ -352,9 +345,6 @@ class TZIndex(_BaseIndex):
             if s.k != k:
                 raise ConfigError(
                     f"mixed k in sketch set: {s.k} vs {k} (node {s.node})")
-        self.n = n
-        self.k = k
-        self.num_shards = int(num_shards)
 
         owners, landmarks, dists, levels = _flatten_bunches(range(n),
                                                             sketches)
@@ -366,98 +356,146 @@ class TZIndex(_BaseIndex):
         has_top[landmarks[at_top]] = True
         has_sub = np.zeros(n, dtype=bool)
         has_sub[landmarks[~at_top]] = True
-        self.dense_top = not (has_top & has_sub).any()
-        self.top_ids = (np.flatnonzero(has_top) if self.dense_top
-                        else np.empty(0, dtype=np.int64))
-        #: column of each top landmark in the dense table (-1 elsewhere)
-        self.top_col = np.full(n, -1, dtype=np.int64)
-        self.top_col[self.top_ids] = np.arange(self.top_ids.size)
-        #: dense ``d(v, w)`` for top landmarks; +inf marks a (pathological)
-        #: missing entry so the probe correctly reports "not found"
-        self.top_dist = np.full((n, self.top_ids.size), np.inf,
-                                dtype=np.float64)
-        dense = self.top_col[landmarks] >= 0
-        self.top_dist[owners[dense], self.top_col[landmarks[dense]]] = (
-            dists[dense])
+        dense_top = not (has_top & has_sub).any()
+        top_ids = (np.flatnonzero(has_top) if dense_top
+                   else np.empty(0, dtype=np.int64))
+        top_col = np.full(n, -1, dtype=np.int64)
+        top_col[top_ids] = np.arange(top_ids.size)
+        top_dist = np.full((n, top_ids.size), np.inf, dtype=np.float64)
+        dense = top_col[landmarks] >= 0
+        top_dist[owners[dense], top_col[landmarks[dense]]] = dists[dense]
 
         pivots = np.asarray([s.pivots for s in sketches], dtype=np.float64)
-        self.pivot_ids = pivots[:, :, 0].astype(np.int64)
-        self.pivot_dists = np.ascontiguousarray(pivots[:, :, 1])
+        pivot_ids = pivots[:, :, 0].astype(np.int64)
+        sub = ~dense
+        self._install(
+            {"n": n, "k": k, "num_shards": num_shards,
+             "dense_top": dense_top,
+             "sentinel_pivots": bool((pivot_ids < 0).any())},
+            {"pivot_ids": pivot_ids,
+             "pivot_dists": np.ascontiguousarray(pivots[:, :, 1]),
+             "top_ids": top_ids, "top_col": top_col, "top_dist": top_dist,
+             **_bunch_table(owners[sub] * n + landmarks[sub], dists[sub],
+                            levels[sub], n, num_shards)})
+
+    def _install(self, meta: dict, arrays) -> None:
+        """Adopt the stored state — exactly what :meth:`pack_meta` and
+        :meth:`pack_arrays` hold, as views, no copies — and derive the
+        per-node tables ``plan`` reads (computed here, never stored)."""
+        self.n = int(meta["n"])
+        self.k = int(meta["k"])
+        self.num_shards = int(meta["num_shards"])
+        self.dense_top = bool(meta["dense_top"])
         #: True when any pivot is the INF_KEY sentinel (-1, inf) — only on
         #: disconnected graphs; the batch path then masks sentinel probes
-        self.sentinel_pivots = bool((self.pivot_ids < 0).any())
-        sub = ~dense
-        shards = _build_shards(owners[sub] * n + landmarks[sub], dists[sub],
-                               levels[sub], landmarks[sub] % self.num_shards,
-                               range(self.num_shards))
-        self.shards: list[_Shard] = [shards[s] for s in range(self.num_shards)]
+        self.sentinel_pivots = bool(meta["sentinel_pivots"])
+        self.pivot_ids = arrays["pivot_ids"]
+        self.pivot_dists = arrays["pivot_dists"]
+        self.top_ids = arrays["top_ids"]
+        #: column of each top landmark in the dense table (-1 elsewhere)
+        self.top_col = arrays["top_col"]
+        #: dense ``d(v, w)`` for top landmarks; +inf marks a (pathological)
+        #: missing entry so the probe correctly reports "not found"
+        self.top_dist = arrays["top_dist"]
+        #: the sub-top entries, sorted by ``(landmark shard, key)``;
+        #: ``dists`` / ``levels`` end with the absent row ``(0.0, -1)``
+        self.keys = arrays["keys"]
+        self.dists = arrays["dists"]
+        self.levels = arrays["levels"]
+        #: shard ``s`` is rows ``bounds[s]:bounds[s + 1]``
+        self.bounds = arrays["bounds"]
+        self.slot_key = arrays["slot_key"]
+        self.slot_idx = arrays["slot_idx"]
+        self.mask, self.shift = _hash_params(self.slot_key.size)
+
+        n, S = self.n, self.num_shards
+        #: levels routed through the bunch table (the rest is dense)
+        self._kk = self.k - 1 if self.dense_top else self.k
+        # landmark -> shard, in the narrowest dtype (a stable argsort of
+        # one- or two-byte integers is a radix sort).  The last entry is
+        # where index -1 — the sentinel pivot — lands: the shard its
+        # never-matching key -2 has always been routed to
+        shard_of = np.arange(n + 1, dtype=np.int64) % S
+        shard_of[n] = (n - 2) % n % S if self.dense_top else 0
+        shard_of = shard_of.astype(np.min_scalar_type(S - 1))
+        #: node -> shard of each of its routed pivots, ``(n, kk)``
+        self._pivot_shard = shard_of[self.pivot_ids[:, :self._kk]]
+        self._shard_ids = np.arange(1, S, dtype=shard_of.dtype)
+        #: node -> dense-table column of its top pivot (-1: sentinel pivot
+        #: or not a top landmark), so a top probe is one 2-d gather
+        top = self.pivot_ids[:, self.k - 1]
+        self._top_pivot_col = np.where(top >= 0, self.top_col[top], -1)
+        #: slot offsets 1..L+1, L the longest occupied run of the
+        #: directory: no walk passes more than L occupied slots
+        empty = np.flatnonzero(self.slot_key == -1)
+        runs = np.diff(empty, append=empty[0] + self.slot_key.size) - 1
+        self._window = np.arange(1, int(runs.max()) + 2)
 
     # ------------------------------------------------------------------
     # size accounting
     # ------------------------------------------------------------------
     def nnz(self) -> int:
         """Total number of bunch entries (dense top block included)."""
-        sub = sum(sh.keys.size for sh in self.shards)
-        return sub + int(np.isfinite(self.top_dist).sum())
+        return self.keys.size + int(np.isfinite(self.top_dist).sum())
 
     def shard_sizes(self) -> list[int]:
         """Sharded (sub-top) entry count per landmark shard."""
-        return [sh.keys.size for sh in self.shards]
+        return np.diff(self.bounds).tolist()
 
     # ------------------------------------------------------------------
-    # shard routing and probing
+    # the probe kernel
     # ------------------------------------------------------------------
-    def _route(self, keys: np.ndarray, landmarks: np.ndarray,
-               ) -> tuple[list, list[np.ndarray]]:
-        """Group flat composite keys by landmark shard.
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(dist, level)`` of each composite key — the absent row
+        ``(0.0, -1)`` where the key is not resident.  Every membership
+        probe of the store goes through here, once per :meth:`answer`.
 
-        Returns ``(idx, requests)``: per-shard positions into the flat
-        array (``[None]`` for the trivial single-shard layout) and the
-        per-shard key arrays.
+        A key walks from its home slot to the first slot that holds it
+        or is empty; the slot's row index then gathers the answer, an
+        empty slot's -1 wrapping to the absent row.  A round of the walk
+        costs a dozen numpy calls however few keys are still pending
+        (a miss — nearly every probe — walks to the end of its occupied
+        run), so once the pending keys' whole remaining walks fit in
+        :data:`_WINDOW_CELLS` cells they are gathered at once.
         """
-        if self.num_shards == 1:
-            return [None], [keys]
-        shard_of = landmarks % self.num_shards
-        idx = [np.flatnonzero(shard_of == s) for s in range(self.num_shards)]
-        return idx, [keys[i] for i in idx]
+        cur = ((keys.view(np.uint64) * _HASH_MULT) >> self.shift).view(
+            np.int64)
+        at = self.slot_key.take(cur)
+        pend = np.flatnonzero((at != keys) & (at != -1))
+        seen = 1  # slots of its walk every pending key has passed
+        while pend.size:
+            ahead = self._window[:self._window.size - seen]
+            if pend.size * ahead.size <= _WINDOW_CELLS:
+                slots = (cur[pend][:, None] + ahead) & self.mask
+                at = self.slot_key.take(slots)
+                stop = (at == keys[pend][:, None]) | (at == -1)
+                cur[pend] = slots[np.arange(pend.size), stop.argmax(axis=1)]
+                break
+            nxt = (cur[pend] + 1) & self.mask
+            cur[pend] = nxt
+            at = self.slot_key.take(nxt)
+            pend = pend[(at != keys[pend]) & (at != -1)]
+            seen += 1
+        pos = self.slot_idx.take(cur)
+        return self.dists.take(pos), self.levels.take(pos)
 
-    def shard_answer(self, shard: int, request: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe shard ``shard`` with composite keys.
-
-        Returns ``(dist, level)`` with level -1 where absent (the distance
-        is then unspecified; a -1 level never matches a scan level, so the
-        garbage value is never selected).  Pure: touches only this shard's
-        hash table, so it can run in a worker process.
+    def answer(self, shards: Sequence[int], requests: Sequence[np.ndarray],
+               ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Probe the table with these shards' composite-key requests in
+        one kernel call; per shard ``(dist, level)``, the absent row
+        ``(0.0, -1)`` for a key that is not resident.  A key names its
+        own landmark, hence its shard, so the kernel never reads
+        ``shards``: one response is cut per request, and a shard this
+        store does not hold (see :func:`restrict_index_shards`) answers
+        all-absent.  Pure: reads the table and the directory, writes
+        nothing shared.
         """
-        sh = self.shards[shard]
-        if request.size == 0 or sh.keys.size == 0:
-            return (np.zeros(request.size, dtype=np.float64),
-                    np.full(request.size, -1, dtype=np.int64))
-        pos = sh.probe(request)
-        # gather with pos=-1 wrapping to the last entry is safe: the level
-        # is forced to -1 there (see above)
-        return sh.dists[pos], np.where(pos >= 0, sh.levels[pos], -1)
-
-    def _scatter(self, idx: list, responses: list, total: int,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge per-shard probe responses back into flat arrays."""
-        if self.num_shards == 1:
-            return responses[0]
-        dist = np.zeros(total, dtype=np.float64)
-        level = np.full(total, -1, dtype=np.int64)
-        for pos, (d, lvl) in zip(idx, responses):
-            dist[pos] = d
-            level[pos] = lvl
-        return dist, level
-
-    def _probe_keys(self, keys: np.ndarray, landmarks: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Route flat composite keys through the shard hash tables; returns
-        ``(dist, level)`` with level -1 where absent."""
-        idx, requests = self._route(keys, landmarks)
-        responses = [self.shard_answer(s, r) for s, r in enumerate(requests)]
-        return self._scatter(idx, responses, keys.size)
+        if not requests:
+            return []
+        dist, level = self._probe(np.concatenate(requests, dtype=np.int64))
+        ends = list(accumulate(map(len, requests)))
+        return [(dist[a:b], level[a:b])
+                for a, b in zip([0] + ends[:-1], ends)]
 
     def lookup(self, owners: np.ndarray, landmarks: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -486,12 +524,8 @@ class TZIndex(_BaseIndex):
             dist[oi] = d[ok]
             level[oi] = self.k - 1
         rest = np.flatnonzero(~is_top & in_range)
-        if rest.size:
-            keys = _compose_keys(owners[rest], landmarks[rest],
-                                 np.int64(self.n))
-            d, lvl = self._probe_keys(keys, landmarks[rest])
-            dist[rest] = d
-            level[rest] = lvl
+        dist[rest], level[rest] = self._probe(
+            owners[rest] * self.n + landmarks[rest])
         return dist, level, level >= 0
 
     # ------------------------------------------------------------------
@@ -508,91 +542,99 @@ class TZIndex(_BaseIndex):
         """:meth:`plan` minus the batch validation — wrapping stores
         (CDG, graceful) route already-validated compact-universe ids
         here so a batch is checked once, not once per layer."""
-        q, k, n = us.shape[0], self.k, self.n
+        q, k, kk, n = us.shape[0], self.k, self._kk, self.n
 
-        pu = self.pivot_ids[us]      # (q, k)
-        pv = self.pivot_ids[vs]
-        du = self.pivot_dists[us]
-        dv = self.pivot_dists[vs]
+        pu = self.pivot_ids.take(us, axis=0)      # (q, k)
+        pv = self.pivot_ids.take(vs, axis=0)
+        du = self.pivot_dists.take(us, axis=0)
+        dv = self.pivot_dists.take(vs, axis=0)
 
-        # hit/candidate matrix in Lemma 3.2's exact check order: columns
-        # (level 0 dir 1), (level 0 dir 2), ..., (level k-1 dir 1),
-        # (level k-1 dir 2); argmax then picks the first hit per row
-        hit = np.empty((q, k, 2), dtype=bool)
-        cand = np.empty((q, k, 2), dtype=np.float64)
+        # hit/candidate rows in Lemma 3.2's exact check order — (level 0
+        # dir 1), (level 0 dir 2), ..., (level k-1 dir 1), (level k-1
+        # dir 2) — one contiguous row of q per check; the first hit
+        # down the rows wins
+        hit = np.empty((k, 2, q), dtype=bool)
+        cand = np.empty((k, 2, q), dtype=np.float64)
 
-        # the sentinel masks are pure overhead on connected graphs, where
-        # no pivot is ever -1 — compose keys directly in that case
-        compose = _compose_keys if self.sentinel_pivots else (
-            lambda o, lm, nn: o * nn + lm)
+        # the probes themselves are pair-major: the order of the wire
+        keys = np.empty((q, kk, 2), dtype=np.int64)
+        np.add((vs * n)[:, None], pu[:, :kk], out=keys[:, :, 0])
+        np.add((us * n)[:, None], pv[:, :kk], out=keys[:, :, 1])
+        if self.sentinel_pivots:
+            # a sentinel pivot (-1, on disconnected graphs) must never
+            # match: key -2 equals neither a stored key (>= 0) nor the
+            # directory's empty marker, exactly like ``bunch.get(-1)``
+            keys[:, :, 0][pu[:, :kk] < 0] = -2
+            keys[:, :, 1][pv[:, :kk] < 0] = -2
+        via = np.empty((kk, 2, q), dtype=np.float64)
+        via[:, 0] = du[:, :kk].T
+        via[:, 1] = dv[:, :kk].T
+        flat = keys.reshape(-1)
 
-        kk = k - 1 if self.dense_top else k
-        if kk:
-            keys = np.empty((q, kk, 2), dtype=np.int64)
-            keys[:, :, 0] = compose(vs[:, None], pu[:, :kk], n)
-            keys[:, :, 1] = compose(us[:, None], pv[:, :kk], n)
-            flat = keys.reshape(-1)
-            if self.num_shards > 1:
-                # landmarks only needed for routing; clamp the -2 sentinel
-                # keys of the fully-sharded path into a valid shard (they
-                # can never match a stored key anyway)
-                lms = flat % n if self.dense_top else np.maximum(flat, 0) % n
-            else:
-                lms = flat
-            via = np.empty((q, kk, 2), dtype=np.float64)
-            via[:, :, 0] = du[:, :kk]
-            via[:, :, 1] = dv[:, :kk]
-            idx, requests = self._route(flat, lms)
+        if self.num_shards == 1:
+            order, requests = None, [flat]  # shard order is flat order
         else:
-            flat = np.empty(0, dtype=np.int64)
-            via = np.empty((q, 0, 2), dtype=np.float64)
-            idx, requests = self._route(flat, flat)
+            # a stable sort keeps flat order inside a shard, so the
+            # requests are the ones a per-shard filter would produce
+            shard = np.empty((q, kk, 2), dtype=self._pivot_shard.dtype)
+            shard[:, :, 0] = self._pivot_shard.take(us, axis=0)
+            shard[:, :, 1] = self._pivot_shard.take(vs, axis=0)
+            shard = shard.reshape(-1)
+            order = shard.argsort(kind="stable")
+            routed = flat.take(order)
+            cuts = shard.take(order).searchsorted(self._shard_ids).tolist()
+            requests = [routed[a:b]
+                        for a, b in zip([0] + cuts, cuts + [flat.size])]
 
         if self.dense_top:
             if self.top_ids.size:
-                # the landmark >= 0 guard keeps the INF_KEY sentinel pivot
-                # (-1, on disconnected graphs) from wrapping into a column
-                if self.sentinel_pivots:
-                    c0 = np.where(pu[:, kk] >= 0,
-                                  self.top_col[pu[:, kk]], -1)
-                    c1 = np.where(pv[:, kk] >= 0,
-                                  self.top_col[pv[:, kk]], -1)
-                else:
-                    c0 = self.top_col[pu[:, kk]]
-                    c1 = self.top_col[pv[:, kk]]
-                t0 = self.top_dist[vs, np.maximum(c0, 0)]
-                hit[:, kk, 0] = (c0 >= 0) & np.isfinite(t0)
-                cand[:, kk, 0] = du[:, kk] + t0
-                t1 = self.top_dist[us, np.maximum(c1, 0)]
-                hit[:, kk, 1] = (c1 >= 0) & np.isfinite(t1)
-                cand[:, kk, 1] = dv[:, kk] + t1
+                # column -1 (sentinel pivot, or a pivot outside the top
+                # block) reads a neighbouring cell, masked out of the hit
+                c0 = self._top_pivot_col.take(us)
+                c1 = self._top_pivot_col.take(vs)
+                top, width = self.top_dist.reshape(-1), self.top_ids.size
+                t0 = top.take(vs * width + c0)
+                t1 = top.take(us * width + c1)
+                hit[kk, 0] = (c0 >= 0) & np.isfinite(t0)
+                hit[kk, 1] = (c1 >= 0) & np.isfinite(t1)
+                np.add(du[:, kk], t0, out=cand[kk, 0])
+                np.add(dv[:, kk], t1, out=cand[kk, 1])
             else:  # degenerate: no top-level entries anywhere
-                hit[:, kk, :] = False
-                cand[:, kk, :] = np.inf
+                hit[kk] = False
+                cand[kk] = np.inf
 
-        state = _TZPlan(us=us, vs=vs, hit=hit, cand=cand, via=via, kk=kk,
-                        idx=idx, nprobe=flat.size)
-        return state, requests
+        return _TZPlan(us=us, vs=vs, hit=hit, cand=cand, via=via,
+                       order=order), requests
 
     def finish(self, state: _TZPlan, responses: list) -> np.ndarray:
         """Fold the shard probe responses into the Lemma 3.2 level scan:
         first hit wins, exactly like the single-pair reference."""
-        us, vs, kk = state.us, state.vs, state.kk
-        q, k = us.shape[0], self.k
-        if kk:
-            d, lvl = self._scatter(state.idx, responses, state.nprobe)
-            state.hit[:, :kk, :] = (
-                lvl.reshape(q, kk, 2)
-                == np.arange(kk, dtype=np.int64)[None, :, None])
-            state.cand[:, :kk, :] = state.via + d.reshape(q, kk, 2)
-        hit2 = state.hit.reshape(q, 2 * k)
-        first = np.argmax(hit2, axis=1)
-        rows = np.arange(q)
-        est = np.where(us == vs, 0.0,
-                       state.cand.reshape(q, 2 * k)[rows, first])
-        unresolved = (us != vs) & ~hit2[rows, first]
-        if unresolved.any():
-            j = int(np.flatnonzero(unresolved)[0])
+        us, vs = state.us, state.vs
+        q, k, kk = us.shape[0], self.k, self._kk
+        if state.order is None:
+            d, lvl = responses[0]
+        else:
+            # undo the routing: one inverse assignment per column
+            dists, levels = zip(*responses)
+            d = np.empty(state.order.size, dtype=np.float64)
+            d[state.order] = np.concatenate(dists)
+            lvl = np.empty(state.order.size, dtype=np.int64)
+            lvl[state.order] = np.concatenate(levels)
+        np.equal(lvl.reshape(q, kk, 2).transpose(1, 2, 0),
+                 np.arange(kk, dtype=np.int64)[:, None, None],
+                 out=state.hit[:kk])
+        np.add(state.via, d.reshape(q, kk, 2).transpose(1, 2, 0),
+               out=state.cand[:kk])
+        hit = state.hit.reshape(2 * k, q)
+        cand = state.cand.reshape(2 * k, q)
+        est = cand[-1]
+        for row in range(2 * k - 2, -1, -1):
+            est = np.where(hit[row], cand[row], est)
+        same = us == vs
+        est[same] = 0.0
+        resolved = hit.any(axis=0) | same
+        if not resolved.all():
+            j = int(np.flatnonzero(~resolved)[0])
             raise _unresolved_error(
                 f"labels of {int(us[j])} and {int(vs[j])} share no level "
                 f"(A_{self.k - 1} membership is inconsistent between them)",
@@ -603,72 +645,45 @@ class TZIndex(_BaseIndex):
     # buffer-pack split: physical arrays vs pure logic
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
-        """Every array this store reads at query time, by name (the
-        payload of :func:`index_to_pack`)."""
-        out = {
-            "pivot_ids": self.pivot_ids, "pivot_dists": self.pivot_dists,
-            "top_ids": self.top_ids, "top_col": self.top_col,
-            "top_dist": self.top_dist,
-        }
-        for s, sh in enumerate(self.shards):
-            out[f"s{s}.keys"] = sh.keys
-            out[f"s{s}.dists"] = sh.dists
-            out[f"s{s}.levels"] = sh.levels
-            out[f"s{s}.slot_key"] = sh.slot_key
-            out[f"s{s}.slot_idx"] = sh.slot_idx
-        return out
+        """Every array this store keeps, by name (the payload of
+        :func:`index_to_pack`)."""
+        return {name: getattr(self, name) for name in (
+            "pivot_ids", "pivot_dists", "top_ids", "top_col", "top_dist",
+            "keys", "dists", "levels", "bounds", "slot_key", "slot_idx")}
 
     def pack_meta(self) -> dict:
         """The scalar (non-array) state, JSON-compatible."""
         return {"n": self.n, "k": self.k, "num_shards": self.num_shards,
                 "dense_top": self.dense_top,
-                "sentinel_pivots": self.sentinel_pivots,
-                "shard_hash": [[sh.mask, sh.shift] for sh in self.shards]}
+                "sentinel_pivots": self.sentinel_pivots}
 
     @classmethod
     def _from_pack(cls, meta: dict, arrays) -> "TZIndex":
         """Rebuild the store as a pure-logic view over packed arrays —
         no copies, bit-identical answers for any backing."""
         self = cls.__new__(cls)
-        self.n = int(meta["n"])
-        self.k = int(meta["k"])
-        self.num_shards = int(meta["num_shards"])
-        self.dense_top = bool(meta["dense_top"])
-        self.sentinel_pivots = bool(meta["sentinel_pivots"])
-        self.pivot_ids = arrays["pivot_ids"]
-        self.pivot_dists = arrays["pivot_dists"]
-        self.top_ids = arrays["top_ids"]
-        self.top_col = arrays["top_col"]
-        self.top_dist = arrays["top_dist"]
-        self.shards = [
-            _Shard(keys=arrays[f"s{s}.keys"], dists=arrays[f"s{s}.dists"],
-                   levels=arrays[f"s{s}.levels"],
-                   slot_key=arrays[f"s{s}.slot_key"],
-                   slot_idx=arrays[f"s{s}.slot_idx"],
-                   mask=int(mask), shift=int(shift))
-            for s, (mask, shift) in enumerate(meta["shard_hash"])]
+        self._install(meta, arrays)
         return self
 
     # ------------------------------------------------------------------
     # incremental refresh (the dynamic-update subsystem's index hook)
     # ------------------------------------------------------------------
     def apply_sketch_updates(self, dirty: dict[int, TZSketch]) -> "TZIndex":
-        """A **new** index with the ``dirty`` owners' sketches replaced,
-        touching only the landmark shards their entries live in.
-
-        The clean shards' arrays (keys, distances, hash tables) are
-        shared with this index by reference — only shards holding an old
-        or new entry of a dirty owner are rebuilt, which is what makes a
-        small update batch much cheaper than ``TZIndex(sketches)`` from
-        scratch.  ``self`` is never mutated (epoch semantics: readers on
-        the old store are unaffected).
+        """A **new** index with the ``dirty`` owners' sketches replaced —
+        byte for byte what ``TZIndex(sketches, num_shards)`` builds from
+        the updated set, without flattening the clean owners' bunches
+        again: their rows are kept, the dirty owners' rows are dropped
+        by one mask and the fresh ones merged in by the build's own
+        sort, and the directory is rebuilt over the result.  ``self`` is
+        never mutated (epoch semantics: readers on the old store are
+        unaffected).
 
         :raises ConfigError: when a replacement sketch is incompatible
             with this index's physical layout (wrong ``k``, or an entry
             whose level disagrees with the dense-top split — callers
             fall back to a full rebuild).
         """
-        n, k, S = self.n, self.k, self.num_shards
+        n, k = self.n, self.k
         for u, s in dirty.items():
             if not (0 <= u < n):
                 raise ConfigError(f"dirty owner {u} out of range [0, {n})")
@@ -686,77 +701,66 @@ class TZIndex(_BaseIndex):
                 f"entry ({own[j]}, {landmarks[j]}) at level {levels[j]} "
                 f"disagrees with the dense-top layout (rebuild required)")
 
-        new = TZIndex.__new__(TZIndex)
-        new.n, new.k, new.num_shards = n, k, S
-        new.dense_top = self.dense_top
-        new.top_ids = self.top_ids
-        new.top_col = self.top_col
-
+        arrays = self.pack_arrays()
         pivots = np.asarray([s.pivots for s in fresh], dtype=np.float64)
-        new.pivot_ids = np.array(self.pivot_ids)
-        new.pivot_ids[owners] = pivots[:, :, 0].astype(np.int64)
-        new.pivot_dists = np.array(self.pivot_dists)
-        new.pivot_dists[owners] = pivots[:, :, 1]
-        new.sentinel_pivots = bool((new.pivot_ids < 0).any())
-        new.top_dist = np.array(self.top_dist)
-        new.top_dist[owners, :] = np.inf
-        new.top_dist[own[dense], self.top_col[landmarks[dense]]] = (
-            dists[dense])
+        pivot_ids = arrays["pivot_ids"] = np.array(self.pivot_ids)
+        pivot_ids[owners] = pivots[:, :, 0].astype(np.int64)
+        arrays["pivot_dists"] = np.array(self.pivot_dists)
+        arrays["pivot_dists"][owners] = pivots[:, :, 1]
+        top_dist = arrays["top_dist"] = np.array(self.top_dist)
+        top_dist[owners, :] = np.inf
+        top_dist[own[dense], self.top_col[landmarks[dense]]] = dists[dense]
 
-        # a shard is rebuilt iff it holds an old or a new entry of a dirty
-        # owner: its clean owners' rows plus the dirty owners' new ones
+        is_dirty = np.zeros(n, dtype=bool)
+        is_dirty[owners] = True
+        keep = ~is_dirty[self.keys // n]
         sub = ~dense
-        parts = [(own[sub] * n + landmarks[sub], dists[sub], levels[sub],
-                  landmarks[sub] % S)]
-        affected = set(parts[0][3].tolist())
-        for sidx, sh in enumerate(self.shards):
-            stale = np.isin(sh.keys // n, owners)
-            if stale.any():
-                affected.add(sidx)
-            if sidx in affected:
-                keep = ~stale
-                parts.append((sh.keys[keep], sh.dists[keep], sh.levels[keep],
-                              np.full(int(keep.sum()), sidx)))
-        new.shards = list(self.shards)  # clean shards shared by reference
-        for sidx, shard in _build_shards(
-                *map(np.concatenate, zip(*parts)), affected).items():
-            new.shards[sidx] = shard
-        return new
+        arrays.update(_bunch_table(
+            np.concatenate([self.keys[keep], own[sub] * n + landmarks[sub]]),
+            np.concatenate([self.dists[:-1][keep], dists[sub]]),
+            np.concatenate([self.levels[:-1][keep], levels[sub]]),
+            n, self.num_shards))
+        meta = {**self.pack_meta(),
+                "sentinel_pivots": bool((pivot_ids < 0).any())}
+        return TZIndex._from_pack(meta, arrays)
+
+    # ------------------------------------------------------------------
+    # canonical entry columns (serialization / equality)
+    # ------------------------------------------------------------------
+    def entry_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """All bunch entries as ``(owner, landmark, dist, level)`` columns
+        in global composite-key order, dense top block included — the
+        canonical view, independent of the shard count and of the
+        dense/sparse storage split."""
+        rows, cols = np.nonzero(np.isfinite(self.top_dist))
+        keys = np.concatenate([self.keys, rows * self.n + self.top_ids[cols]])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        return (keys // self.n, keys % self.n,
+                np.concatenate([self.dists[:-1],
+                                self.top_dist[rows, cols]])[order],
+                np.concatenate([self.levels[:-1],
+                                np.full(rows.size, self.k - 1)])[order])
+
+    def iter_entries(self) -> Iterable[tuple[int, int, float, int]]:
+        """:meth:`entry_columns` as a stream of ``(owner, landmark, dist,
+        level)`` tuples."""
+        return zip(*(col.tolist() for col in self.entry_columns()))
 
     def _to_sketches(self) -> list[TZSketch]:
         """Invert the build: the per-node sketch set this index stores
         (exact — every pivot and bunch entry round-trips bitwise)."""
-        bunches: list[dict[int, tuple[float, int]]] = [
-            dict() for _ in range(self.n)]
-        for u, w, d, lvl in self.iter_entries():
-            bunches[u][w] = (d, lvl)
+        owner, *cols = self.entry_columns()
+        landmark, dist, level = (col.tolist() for col in cols)
+        cut = np.searchsorted(owner, np.arange(self.n + 1)).tolist()
+        pivot_ids, pivot_dists = (self.pivot_ids.tolist(),
+                                  self.pivot_dists.tolist())
         return [TZSketch(node=u, k=self.k,
-                         pivots=tuple(
-                             (int(self.pivot_ids[u, i]),
-                              float(self.pivot_dists[u, i]))
-                             for i in range(self.k)),
-                         bunch=bunches[u])
-                for u in range(self.n)]
-
-    # ------------------------------------------------------------------
-    # canonical entry stream (serialization / equality)
-    # ------------------------------------------------------------------
-    def iter_entries(self) -> Iterable[tuple[int, int, float, int]]:
-        """All bunch entries as ``(owner, landmark, dist, level)`` in global
-        composite-key order — a canonical stream independent of the shard
-        count and of the dense/sparse storage split."""
-        merged = [(int(key), float(sh.dists[j]), int(sh.levels[j]))
-                  for sh in self.shards
-                  for j, key in enumerate(sh.keys)]
-        for u in range(self.n):
-            for j in range(self.top_ids.size):
-                d = self.top_dist[u, j]
-                if np.isfinite(d):
-                    merged.append((u * self.n + int(self.top_ids[j]),
-                                   float(d), self.k - 1))
-        merged.sort(key=lambda e: e[0])
-        for key, d, lvl in merged:
-            yield key // self.n, key % self.n, d, lvl
+                         pivots=tuple(zip(pivot_ids[u], pivot_dists[u])),
+                         bunch=dict(zip(landmark[a:b],
+                                        zip(dist[a:b], level[a:b]))))
+                for u, (a, b) in enumerate(zip(cut[:-1], cut[1:]))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TZIndex):
@@ -764,7 +768,8 @@ class TZIndex(_BaseIndex):
         return (self.n == other.n and self.k == other.k
                 and np.array_equal(self.pivot_ids, other.pivot_ids)
                 and np.array_equal(self.pivot_dists, other.pivot_dists)
-                and list(self.iter_entries()) == list(other.iter_entries()))
+                and all(map(np.array_equal, self.entry_columns(),
+                            other.entry_columns())))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TZIndex(n={self.n}, k={self.k}, nnz={self.nnz()}, "
@@ -784,7 +789,8 @@ class Stretch3Index(_BaseIndex):
     loop in :meth:`~repro.slack.stretch3.Stretch3Sketch.estimate_to`
     produces, since an IEEE-754 min is order-independent.
 
-    Sharding is by net-node id (``w % num_shards``): each shard owns a
+    Sharding is by net-node id (``w % num_shards``): the columns are
+    stored in ``(shard, id)`` order, so each shard owns a contiguous
     column block and answers a batch with its partial per-pair min; the
     combine step is an elementwise min over shards.
 
@@ -816,9 +822,11 @@ class Stretch3Index(_BaseIndex):
         self.n = len(sketches)
         self.eps = eps
         self.num_shards = int(num_shards)
-        #: sorted net-node ids — the columns of the dense table
-        self.net_ids = np.asarray(
-            sorted({w for s in sketches for w in s.entries}), dtype=np.int64)
+        ids = np.asarray(sorted({w for s in sketches for w in s.entries}),
+                         dtype=np.int64)
+        #: net-node ids labelling the columns of the dense table, in
+        #: ``(w mod S, w)`` order — a shard is a column slice
+        self.net_ids = ids[np.lexsort((ids, ids % self.num_shards))]
         col = {int(w): j for j, w in enumerate(self.net_ids)}
         #: dense ``d(u, w)``; +inf marks a missing entry
         self.dist = np.full((self.n, self.net_ids.size), np.inf,
@@ -826,10 +834,14 @@ class Stretch3Index(_BaseIndex):
         for u, s in enumerate(sketches):
             for w, d in s.entries.items():
                 self.dist[u, col[w]] = d
-        #: per-shard column blocks (net node ``w`` lives in ``w mod S``)
-        self._shard_cols = [
-            np.flatnonzero(self.net_ids % self.num_shards == s)
-            for s in range(self.num_shards)]
+        self._col_bounds = self._shard_columns()
+
+    def _shard_columns(self) -> list[int]:
+        """The S+1 column offsets: shard ``s`` owns columns
+        ``[bounds[s], bounds[s + 1])`` (a pure function of ``net_ids``
+        and ``num_shards``, derived at build/load)."""
+        return np.searchsorted(self.net_ids % self.num_shards,
+                               np.arange(self.num_shards + 1)).tolist()
 
     def nnz(self) -> int:
         """Number of stored (finite) node → net-node entries."""
@@ -837,42 +849,50 @@ class Stretch3Index(_BaseIndex):
 
     def shard_sizes(self) -> list[int]:
         """Stored entry count per net-node shard."""
-        return [int(np.isfinite(self.dist[:, cols]).sum())
-                for cols in self._shard_cols]
+        cb = self._col_bounds
+        return [int(np.isfinite(self.dist[:, a:b]).sum())
+                for a, b in zip(cb[:-1], cb[1:])]
 
     # ------------------------------------------------------------------
-    def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Batched estimates via the direct columnar kernel — two row
-        gathers, one add, one row-wise min over the full table (an IEEE
-        min is order-independent, so this is bit-identical to the
-        shard-partial decomposition for any shard count)."""
-        us, vs = _validated_pairs(us, vs, self.n)
-        if self.net_ids.size:
-            best = (self.dist[us] + self.dist[vs]).min(axis=1)
-        else:
-            best = np.full(us.size, np.inf, dtype=np.float64)
-        return self._combine(us, vs, best)
-
     def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
         """Validate the batch; every shard receives the full pair list
         (each owns a disjoint column block of the min)."""
         us, vs = _validated_pairs(us, vs, self.n)
         return (us, vs), [(us, vs)] * self.num_shards
 
-    def shard_answer(self, shard: int, request: Any) -> np.ndarray:
-        """Partial per-pair min over this shard's net-node columns
-        (+inf where the shard contributes no finite route)."""
-        us, vs = request
-        cols = self._shard_cols[shard]
-        if cols.size == 0:
-            return np.full(us.size, np.inf, dtype=np.float64)
-        if cols.size == self.net_ids.size:
-            # the shard owns every column (single-shard layout): plain
-            # row gathers beat the 2-d fancy gather
-            return (self.dist[us] + self.dist[vs]).min(axis=1)
-        through = (self.dist[us[:, None], cols[None, :]]
-                   + self.dist[vs[:, None], cols[None, :]])
-        return through.min(axis=1)
+    def answer(self, shards: Sequence[int], requests: Sequence,
+               ) -> list[np.ndarray]:
+        """Per shard asked, the partial per-pair min over its net-node
+        columns (+inf where it contributes no finite route).  Shards
+        asked with the very same request object — what :meth:`plan`
+        hands out — share one pass over the rows."""
+        out: list[np.ndarray] = []
+        for _, run in groupby(zip(shards, requests),
+                              key=lambda item: id(item[1])):
+            run = list(run)
+            out.extend(self._partial_mins([s for s, _ in run], *run[0][1]))
+        return out
+
+    def _partial_mins(self, shards: list[int], us: np.ndarray,
+                      vs: np.ndarray) -> list[np.ndarray]:
+        """``dist[us] + dist[vs]`` over the column span of ``shards``,
+        gathered once in row blocks of :data:`_BLOCK_CELLS` cells and
+        min-reduced per shard segment in one pass."""
+        cb = self._col_bounds
+        lo, hi = min(shards), max(shards) + 1
+        a, b = cb[lo], cb[hi]
+        # one row per shard of the span; an empty shard stays +inf
+        parts = np.full((hi - lo, us.size), np.inf, dtype=np.float64)
+        live = [s for s in range(lo, hi) if cb[s] < cb[s + 1]]
+        rows = [s - lo for s in live]
+        starts = [cb[s] - a for s in live]
+        step = max(1, _BLOCK_CELLS // max(1, b - a))
+        for i in range(0, us.size if live else 0, step):
+            through = self.dist[us[i:i + step], a:b]
+            through += self.dist[vs[i:i + step], a:b]
+            parts[rows, i:i + step] = np.minimum.reduceat(
+                through, starts, axis=1).T
+        return [parts[s - lo] for s in shards]
 
     def finish(self, state: Any, responses: list) -> np.ndarray:
         """Elementwise min over the shard partials; QueryError where no
@@ -882,12 +902,6 @@ class Stretch3Index(_BaseIndex):
         best = responses[0]
         for part in responses[1:]:
             best = np.minimum(best, part)
-        return self._combine(us, vs, best)
-
-    def _combine(self, us: np.ndarray, vs: np.ndarray,
-                 best: np.ndarray) -> np.ndarray:
-        """Shared tail of the kernel and the shard combine: zero the
-        diagonal, raise on pairs with no shared net node."""
         est = np.where(us == vs, 0.0, best)
         bad = (us != vs) & ~np.isfinite(best)
         if bad.any():
@@ -910,27 +924,26 @@ class Stretch3Index(_BaseIndex):
 
     @classmethod
     def _from_pack(cls, meta: dict, arrays) -> "Stretch3Index":
-        """Rebuild as a view over packed arrays (the shard column split
-        is a pure function of ``net_ids`` and ``num_shards``)."""
+        """Rebuild as a view over packed arrays."""
         self = cls.__new__(cls)
         self.n = int(meta["n"])
         self.eps = float(meta["eps"])
         self.num_shards = int(meta["num_shards"])
         self.net_ids = arrays["net_ids"]
         self.dist = arrays["dist"]
-        self._shard_cols = [
-            np.flatnonzero(self.net_ids % self.num_shards == s)
-            for s in range(self.num_shards)]
+        self._col_bounds = self._shard_columns()
         return self
 
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterable[tuple[int, int, float]]:
         """Finite entries as ``(owner, net node, dist)``, sorted by
-        ``(owner, net node)`` — the canonical serialization stream."""
-        for u in range(self.n):
-            row = self.dist[u]
-            for j in np.flatnonzero(np.isfinite(row)):
-                yield u, int(self.net_ids[j]), float(row[j])
+        ``(owner, net node)`` — the canonical serialization stream,
+        independent of the shard count."""
+        by_id = np.argsort(self.net_ids)
+        table = self.dist[:, by_id]
+        rows, cols = np.nonzero(np.isfinite(table))
+        return zip(rows.tolist(), self.net_ids[by_id][cols].tolist(),
+                   table[rows, cols].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Stretch3Index):
@@ -1088,9 +1101,9 @@ class CDGIndex(_BaseIndex):
                                                       self._gw_slot[vs])
         return (us, vs, sub_state), requests
 
-    def shard_answer(self, shard: int, request: Any) -> Any:
-        """Delegate the probe to the TZ sub-index shard."""
-        return self._sub.shard_answer(shard, request)
+    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
+        """Delegate the probes to the TZ sub-index."""
+        return self._sub.answer(shards, requests)
 
     def finish(self, state: Any, responses: list) -> np.ndarray:
         """Wrap the sub-index's answers in the gateway legs, re-raising
@@ -1234,10 +1247,12 @@ class GracefulIndex(_BaseIndex):
                     for s in range(self.num_shards)]
         return (us, vs, states), requests
 
-    def shard_answer(self, shard: int, request: Any) -> Any:
-        """Serve shard ``shard`` of every component."""
-        return tuple(comp.shard_answer(shard, r)
-                     for comp, r in zip(self.components, request))
+    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
+        """Serve the shards of every component — one kernel call per
+        component, transposed back to one response tuple per shard."""
+        per_comp = [comp.answer(shards, [r[i] for r in requests])
+                    for i, comp in enumerate(self.components)]
+        return list(zip(*per_comp))
 
     def finish(self, state: Any, responses: list) -> np.ndarray:
         """Component-wise minimum (any unresolved component raises, as the
@@ -1356,13 +1371,12 @@ def refresh_index(index: IndexStore, sketches: Sequence[Any],
     owners differ from what ``index`` serves — the index-side
     ``apply_updates`` path of the dynamic-update subsystem.
 
-    :class:`TZIndex` takes the shard-surgical route
-    (:meth:`TZIndex.apply_sketch_updates`): clean landmark shards are
-    shared with the old store by reference and only affected shards are
-    rebuilt.  Other store types (whose layouts couple owners across the
-    whole table) are rebuilt from the sketch list; either way the old
-    store object is left untouched and the result is exactly
-    ``build_index(sketches, num_shards=index.num_shards)``.
+    :class:`TZIndex` keeps the clean owners' rows
+    (:meth:`TZIndex.apply_sketch_updates`) and flattens only the
+    touched sketches.  Other store types (whose layouts couple owners
+    across the whole table) are rebuilt from the sketch list; either
+    way the old store object is left untouched and the result is
+    exactly ``build_index(sketches, num_shards=index.num_shards)``.
     """
     touched = sorted(int(u) for u in touched)
     if not touched:
@@ -1376,18 +1390,6 @@ def refresh_index(index: IndexStore, sketches: Sequence[Any],
     return build_index(sketches, num_shards=index.num_shards)
 
 
-def _empty_shard() -> _Shard:
-    """A landmark shard with no entries (the canonical empty layout —
-    exactly what :class:`TZIndex` builds when no entry routes to a
-    shard, so restricted and partially-built stores are byte-identical)."""
-    keys = np.empty(0, dtype=np.int64)
-    slot_key, slot_idx, mask, shift = _build_hash(keys)
-    return _Shard(keys=keys, dists=np.empty(0, dtype=np.float64),
-                  levels=np.empty(0, dtype=np.int64),
-                  slot_key=slot_key, slot_idx=slot_idx, mask=mask,
-                  shift=shift)
-
-
 def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
     """A new store serving only landmark shards ``[lo, hi)`` — the unit a
     fleet host owns (``repro serve --shard-range LO:HI``).
@@ -1395,10 +1397,10 @@ def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
     Router state (pivot tables, the dense top block, gateway arrays, net
     universes) is kept in full, so ``plan`` and ``finish`` on the
     restricted store behave exactly like the original's; only the
-    shard-local tables outside the range are replaced by canonical empty
-    ones.  ``shard_answer`` for an owned shard is bit-identical to the
-    full store's, and the restriction is idempotent.  ``[0, S)`` returns
-    the store itself unchanged.
+    shard-local data outside the range is dropped (a shard outside it
+    is empty and answers all-absent).  ``answer`` for owned shards is
+    bit-identical to the full store's, and the restriction is
+    idempotent.  ``[0, S)`` returns the store itself unchanged.
 
     :raises ConfigError: on an invalid range or an unknown store type.
     """
@@ -1410,28 +1412,21 @@ def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
     if (lo, hi) == (0, S):
         return index
     if isinstance(index, TZIndex):
-        new = TZIndex.__new__(TZIndex)
-        new.n, new.k, new.num_shards = index.n, index.k, S
-        new.dense_top = index.dense_top
-        new.sentinel_pivots = index.sentinel_pivots
-        new.pivot_ids = index.pivot_ids
-        new.pivot_dists = index.pivot_dists
-        new.top_ids = index.top_ids
-        new.top_col = index.top_col
-        new.top_dist = index.top_dist
-        new.shards = [sh if lo <= s < hi else _empty_shard()
-                      for s, sh in enumerate(index.shards)]
-        return new
+        # the owned shards are one contiguous slice of the table (already
+        # in order); the directory is rebuilt over the keys that stay
+        a, b = index.bounds[lo], index.bounds[hi]
+        return TZIndex._from_pack(index.pack_meta(), {
+            **index.pack_arrays(),
+            **_bunch_table(index.keys[a:b], index.dists[a:b],
+                           index.levels[a:b], index.n, S)})
     if isinstance(index, Stretch3Index):
         new = Stretch3Index.__new__(Stretch3Index)
         new.n, new.eps, new.num_shards = index.n, index.eps, S
         new.net_ids = index.net_ids
-        dist = np.array(index.dist)
-        for s, cols in enumerate(index._shard_cols):
-            if not (lo <= s < hi):
-                dist[:, cols] = np.inf
-        new.dist = dist
-        new._shard_cols = index._shard_cols
+        cb = index._col_bounds
+        new.dist = np.full_like(index.dist, np.inf)
+        new.dist[:, cb[lo]:cb[hi]] = index.dist[:, cb[lo]:cb[hi]]
+        new._col_bounds = cb
         return new
     if isinstance(index, CDGIndex):
         new = CDGIndex.__new__(CDGIndex)

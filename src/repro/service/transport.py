@@ -27,7 +27,7 @@ serving surface on two objects and one factory:
   or an :class:`~repro.service.updates.UpdateableIndex`); a ``tcp://``
   session carries no data — the server owns the index.
 
-One dataflow contract, many executors: the plan / shard_answer / finish
+One dataflow contract, many executors: the plan / answer / finish
 decomposition (and the engine's epoch pinning, caching, and hot-swap
 mechanics) is the same code for every transport, so answers are
 **bit-identical** across ``inproc`` / ``tcp`` / ``cluster`` — including

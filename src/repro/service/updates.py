@@ -8,7 +8,8 @@ stream of :class:`EdgeChange` events (``increase`` / ``decrease`` /
 semantics allow) and repairs the affected sketch entries in place of a
 from-scratch rebuild.
 
-The repair is organized around two frontiers:
+The repair is organized around the **dirty-source frontier** and an
+index refresh that re-flattens only what it touched:
 
 * the **dirty-source frontier** — for each changed edge ``{a, b}`` one
   shortest-path sweep from each endpoint decides, per node ``v``,
@@ -20,15 +21,15 @@ The repair is organized around two frontiers:
   scheme's sketch of a *clean* node is a pure function of that node's
   unchanged distance row (plus fixed random artifacts), so clean
   sketches are reused byte-for-byte.
-* the **dirty-shard frontier** — only sketch entries owned by dirty
-  nodes can change, so the index refresh
-  (:func:`~repro.service.index.refresh_index`) rebuilds only the
-  landmark shards holding a dirty owner's old or new entries; every
-  clean shard's arrays and hash tables carry over to the new epoch by
-  reference.  For the Thorup–Zwick family the dirty bunches themselves
-  are recomputed from the Section 3.1 definition against the dirty
-  nodes' own Dijkstra rows (see :func:`repair_tz_sketches`), never by
-  re-growing the clean landmarks' trees.
+* the **index refresh** — only sketch entries owned by dirty nodes can
+  change, so :func:`~repro.service.index.refresh_index` keeps the clean
+  owners' rows of the TZ bunch table, merges the dirty owners' fresh
+  rows in by the build's own sort and rebuilds the hash directory — the
+  same bytes a from-scratch build gives.  For the Thorup–Zwick family
+  the dirty bunches themselves are recomputed from the Section 3.1
+  definition against the dirty nodes' own Dijkstra rows (see
+  :func:`repair_tz_sketches`), never by re-growing the clean landmarks'
+  trees.
 
 Whether a batch is repaired or rebuilt is one rule: rebuild when the
 dirty fraction exceeds ``rebuild_threshold`` (default 0.25), repair
@@ -50,8 +51,7 @@ cluster growing, ``scipy``'s Dijkstra rows for the slack schemes'
 tables — never with a "close enough" shortcut.
 
 Epoch semantics: every effective ``apply`` produces a **new**
-:class:`~repro.service.index.IndexStore` (clean shards shared
-structurally, affected shards rebuilt) and bumps :attr:`epoch`; the old
+:class:`~repro.service.index.IndexStore` and bumps :attr:`epoch`; the old
 store object is never mutated, which is what lets a serving session
 hot-swap epochs while in-flight batches finish on the old pack.  Serve
 a live index by passing it as the source of

@@ -1,31 +1,34 @@
 """Shard serving: threads behind the landmark shards.
 
 Every :class:`~repro.service.index.IndexStore` decomposes a query batch
-into per-shard probe tasks (``plan`` → ``shard_answer`` × S → ``finish``;
-see the protocol contract).  :class:`ShardServer` runs that
-decomposition::
+into per-shard probe requests (``plan`` → ``answer`` → ``finish``; see
+the protocol contract), and ``answer`` serves any set of shards in one
+kernel pass.  :class:`ShardServer` runs that decomposition, one
+``answer`` call per thread::
 
-    caller                         executor threads (jobs > 1)
-    ------                         ---------------------------
-    plan(us, vs) ──┬─ request[0] ─▶ shard_answer(0, ·) ─┐
-                   ├─ request[1] ─▶ shard_answer(1, ·) ─┤
-                   └─ request[S-1]▶ shard_answer(S-1,·) ─┤
-    finish(state, responses) ◀──── ordered responses ────┘
+    caller                              executor threads (jobs = J > 1)
+    ------                              -------------------------------
+    plan(us, vs) ──┬─ requests[g0] ─▶ answer(group 0, ·) ─┐
+                   ├─ requests[g1] ─▶ answer(group 1, ·) ─┤
+                   └─ requests[gJ-1]▶ answer(group J-1,·) ─┤
+    finish(state, responses) ◀────── responses by shard id ─┘
 
-``jobs=1`` probes the shards one after another in the calling thread.
-``jobs > 1`` submits them to a persistent
-``concurrent.futures.ThreadPoolExecutor``: ``shard_answer`` is
-numpy-kernel work that releases the GIL, so the probes overlap for
-real, and because the executor sees the caller's own index object
-nothing is copied, pickled or attached — dispatch cost is a function
-submission.  Where the store's bytes live (heap arrays, or a
+``jobs=1`` answers all S shards with one call in the calling thread.
+``jobs=J`` cuts the shards into J contiguous groups and submits one
+task per group to a persistent
+``concurrent.futures.ThreadPoolExecutor``: ``answer`` is numpy-kernel
+work that releases the GIL, so the groups overlap for real, and because
+the executor sees the caller's own index object nothing is copied,
+pickled or attached — dispatch cost is J function submissions, whatever
+the shard count.  Where the store's bytes live (heap arrays, or a
 memory-mapped RPIX file) was decided when it was loaded; the server
 serves the store it is given.
 
-Determinism: ``shard_answer`` is a pure function of ``(shard, request)``
-and ``finish`` consumes responses by shard id, never by completion
-order, so answers are bit-identical for every ``jobs`` value — the test
-suite asserts jobs=1/2/4 equality for every scheme.  A
+Determinism: a shard's response is a pure function of ``(shard data,
+request)`` however the shards are grouped, and ``finish`` consumes
+responses by shard id, never by completion order, so answers are
+bit-identical for every ``jobs`` value — the test suite asserts
+jobs=1/2/4 equality for every scheme.  A
 :class:`~repro.errors.QueryError` for an unresolved pair is raised by
 ``finish`` in the caller, exactly as in-process.
 
@@ -53,7 +56,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -79,23 +82,24 @@ class PhaseTimings:
     """Cumulative per-phase wall time across the batches a server ran.
 
     ``ipc`` is the executor's dispatch overhead: everything between
-    plan and finish that is not shard compute (task submission, thread
+    plan and finish that is not kernel compute (task submission, thread
     wake-ups, waiting on futures), i.e. the dispatch wall minus the
-    parallel critical path (the slowest shard's compute).  In-thread
+    parallel critical path (the slowest group's compute).  In-thread
     serving (``jobs=1``) has ``ipc == 0`` by construction.
 
     ``overlap`` is the double-buffering win of the pipelined path
     (:meth:`ShardServer.estimate_stream`): caller-side seconds — batch
-    *k+1*'s plan — spent while batch *k*'s shard probes were still in
+    *k+1*'s plan — spent while batch *k*'s probes were still in
     flight.  Sequential serving leaves it 0.
 
-    ``kernel`` is the per-batch **critical path** of pure shard-kernel
-    compute: the slowest shard's probe seconds, summed over batches.
-    ``shard_answer`` is the *total* across shards, so with S balanced
-    shards ``shard_answer ≈ S × kernel``; the dispatch wall window is
-    ``kernel + ipc``.  One report therefore separates "the numpy
-    kernels are slow" (``kernel`` dominates) from "handing the work
-    out costs more than the work" (``ipc`` dominates).
+    ``kernel`` is the per-batch **critical path** of pure kernel
+    compute: the slowest ``answer`` call's seconds, summed over batches.
+    ``shard_answer`` is the *total* across the batch's ``answer`` calls
+    — one per worker group — so with ``jobs=1`` the two are equal and
+    with J balanced groups ``shard_answer ≈ J × kernel``; the dispatch
+    wall window is ``kernel + ipc``.  One report therefore separates
+    "the numpy kernels are slow" (``kernel`` dominates) from "handing
+    the work out costs more than the work" (``ipc`` dominates).
     """
 
     plan: float = 0.0
@@ -117,16 +121,17 @@ class PhaseTimings:
 
 
 class ShardServer:
-    """Serve batched queries from an :class:`IndexStore` with one task per
-    landmark shard.
+    """Serve batched queries from an :class:`IndexStore` with one
+    ``answer`` call per thread.
 
     :param index: any built index store (all schemes); served as given —
         heap arrays or an mmap-loaded RPIX container alike.
-    :param jobs: ``1`` probes the shards in the calling thread; above
-        that, a persistent ``ThreadPoolExecutor`` of that many threads
-        (the numpy shard kernels release the GIL).  Values above the
-        shard count are clamped — a shard is the unit of work, so extra
-        threads would idle.
+    :param jobs: ``1`` answers every shard in the calling thread; above
+        that, a persistent ``ThreadPoolExecutor`` of that many threads,
+        each handed one contiguous group of shards per batch (the numpy
+        kernels release the GIL).  Values above the shard count are
+        clamped — a shard is the unit of placement, so extra threads
+        would idle.
     :raises ConfigError: when ``jobs < 1``.
 
     Use as a context manager (or call :meth:`close`) so the executor's
@@ -150,6 +155,11 @@ class ShardServer:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.index = index
         self.jobs = min(int(jobs), index.num_shards)
+        #: the contiguous, near-even shard group each ``answer`` call
+        #: serves — one per thread
+        cuts = [index.num_shards * j // self.jobs
+                for j in range(self.jobs + 1)]
+        self._groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         if self.jobs > 1:
             # same address space: the executor probes the caller's own
             # index object — no initializer, no data movement
@@ -160,19 +170,20 @@ class ShardServer:
     # ------------------------------------------------------------------
     # the submit/collect pair (see repro.service.session)
     # ------------------------------------------------------------------
-    def _probe(self, shard: int, request) -> tuple[float, Any]:
-        """One timed shard probe of the caller's own index.  As an
-        executor task the numpy kernel inside releases the GIL, so
-        submissions overlap."""
+    def _probe(self, group: range, requests: list) -> tuple[float, list]:
+        """One timed ``answer`` call of the caller's own index for a
+        group of shards.  As an executor task the numpy kernel inside
+        releases the GIL, so submissions overlap."""
         t0 = time.perf_counter()
-        response = self.index.shard_answer(shard, request)
-        return time.perf_counter() - t0, response
+        responses = self.index.answer(group,
+                                      requests[group.start:group.stop])
+        return time.perf_counter() - t0, responses
 
     def submit(self, us: np.ndarray, vs: np.ndarray) -> Optional[tuple]:
-        """Plan one batch and start its per-shard probes; returns the
-        ticket for :meth:`collect` (``None`` for an empty batch).  An
-        in-thread server defers the probes to collect time — there is
-        nothing to overlap with."""
+        """Plan one batch and start its probes, one task per shard
+        group; returns the ticket for :meth:`collect` (``None`` for an
+        empty batch).  An in-thread server defers the probes to collect
+        time — there is nothing to overlap with."""
         if us.shape[0] == 0:
             return None
         t0 = time.perf_counter()
@@ -180,8 +191,8 @@ class ShardServer:
         t1 = time.perf_counter()
         executor = self._executor
         if executor is not None:
-            requests = [executor.submit(self._probe, s, request)
-                        for s, request in enumerate(requests)]
+            requests = [executor.submit(self._probe, group, requests)
+                        for group in self._groups]
         with self._state_lock:
             self.timings.plan += t1 - t0
         return state, executor is not None, requests, t1
@@ -196,15 +207,16 @@ class ShardServer:
         if threaded:
             raw = [future.result() for future in handles]
         else:
-            raw = [self._probe(s, r) for s, r in enumerate(handles)]
+            raw = [self._probe(range(len(handles)), handles)]
         seconds = [dt for dt, _ in raw]
         shard_sum = sum(seconds)
-        # the critical path: the slowest shard when they ran side by
-        # side, all of them when the caller ran them one after another
-        shard_max = max(seconds) if threaded else shard_sum
+        # the critical path: the slowest group when they ran side by
+        # side; in-thread there is one call and it is all of it
+        shard_max = max(seconds)
         t1 = time.perf_counter()
         try:
-            return self.index.finish(state, [resp for _, resp in raw])
+            return self.index.finish(
+                state, [resp for _, group in raw for resp in group])
         finally:
             t2 = time.perf_counter()
             tm = self.timings

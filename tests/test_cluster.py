@@ -137,17 +137,22 @@ class TestRestrictIndexShards:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_PARAMS))
     def test_restricted_shards_answer_identically(self, graph, indexes,
                                                   scheme):
-        """Per owned shard, the restricted store's shard_answer output
-        matches the full store's — the property the fleet combiner
-        rests on."""
+        """For the shards it owns, the restricted store's responses —
+        one shard at a time or the whole range in one pass — match the
+        full store's byte for byte, absent probes included: the
+        property the fleet combiner rests on."""
         index = indexes[scheme]
-        part = restrict_index_shards(index, 0, 2)
         pairs = sample_query_pairs(graph.n, 80, seed=12)
         state, requests = index.plan(pairs[:, 0], pairs[:, 1])
-        for s in range(2):
-            full = index.shard_answer(s, requests[s])
-            got = part.shard_answer(s, requests[s])
-            assert _tree_equal(got, full), (scheme, s)
+        for lo, hi in [(0, 2), (1, 3), (3, 4)]:
+            part = restrict_index_shards(index, lo, hi)
+            owned = range(lo, hi)
+            full = index.answer(owned, requests[lo:hi])
+            assert _tree_equal(tuple(part.answer(owned, requests[lo:hi])),
+                               tuple(full)), (scheme, lo, hi)
+            for s, want in zip(owned, full):
+                assert _tree_equal(part.shard_answer(s, requests[s]),
+                                   want), (scheme, s)
 
     def test_bad_ranges_rejected(self, indexes):
         index = indexes["tz"]

@@ -303,11 +303,13 @@ class TestBinaryContainer:
         (tmp_path / "junk.rpix").write_bytes(b"NOPE" + raw[4:])
         with pytest.raises(QueryError, match="not a binary index"):
             load_index_binary(tmp_path / "junk.rpix")
-        bad = bytearray(raw)
-        bad[4] = 99  # container version
-        (tmp_path / "vers.rpix").write_bytes(bytes(bad))
-        with pytest.raises(QueryError, match="container version"):
-            load_index_binary(tmp_path / "vers.rpix")
+        # 1 is the retired per-shard-table layout: refused, not migrated
+        for version in (1, 99):
+            bad = bytearray(raw)
+            bad[4] = version  # container version
+            (tmp_path / "vers.rpix").write_bytes(bytes(bad))
+            with pytest.raises(QueryError, match="container version"):
+                load_index_binary(tmp_path / "vers.rpix")
         (tmp_path / "trunc.rpix").write_bytes(bytes(raw[:-50]))
         for backing in ("heap", "mmap"):
             with pytest.raises(QueryError, match="truncated"):

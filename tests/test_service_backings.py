@@ -28,6 +28,7 @@ from repro.service import (
     index_to_pack,
     sample_query_pairs,
 )
+from repro.service.buffers import tree_to_bytes
 from repro.tz import build_tz_sketches_centralized
 
 SCHEMES = ["tz", "stretch3", "cdg", "graceful"]
@@ -62,6 +63,12 @@ def _rpix_store(index, tmp_path, memory):
     return load_index_binary(str(path), backing=memory)
 
 
+def _response_bytes(store, requests) -> bytes:
+    """The whole response tree of one ``answer`` pass, canonically."""
+    return tree_to_bytes(tuple(store.answer(range(store.num_shards),
+                                            requests)))
+
+
 class TestPackEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("shards", [1, 3])
@@ -72,6 +79,8 @@ class TestPackEquivalence:
         pairs = sample_query_pairs(len(sketches), 250, seed=13)
         us, vs = pairs[:, 0], pairs[:, 1]
         want = index.estimate_many(us, vs)
+        _, requests = index.plan(us, vs)
+        responses = _response_bytes(index, requests)
         for backing in BACKINGS:
             packed = index_to_pack(index, backing=backing,
                                    **_pack_kwargs(backing, tmp_path,
@@ -80,6 +89,9 @@ class TestPackEquivalence:
                 store = index_from_pack(packed)
                 got = store.estimate_many(us, vs)
                 assert got.tolist() == want.tolist(), (scheme, backing)
+                # not only the answers: every response byte, the
+                # distance of an absent probe included
+                assert _response_bytes(store, requests) == responses
                 # the rebuilt store is the same logical index
                 assert store == index, (scheme, backing)
                 assert store.nnz() == index.nnz()
@@ -89,6 +101,7 @@ class TestPackEquivalence:
         # the container codec is the same pack codec with a header
         loaded = _rpix_store(index, tmp_path, "mmap")
         assert loaded.estimate_many(us, vs).tolist() == want.tolist()
+        assert _response_bytes(loaded, requests) == responses
         assert loaded == index
 
     @pytest.mark.parametrize("backing", BACKINGS)

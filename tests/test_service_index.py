@@ -58,6 +58,30 @@ class TestTZIndex:
         keys = [u * idx.n + w for u, w, _, _ in entries]
         assert keys == sorted(keys)
         assert len(entries) == idx.nnz()
+        # the canonical view does not know the shard count
+        assert all(map(np.array_equal, idx.entry_columns(),
+                       TZIndex(tz_sketches).entry_columns()))
+        assert entries == [
+            (s.node, w, d, lvl) for s in tz_sketches
+            for w, (d, lvl) in sorted(s.bunch.items())]
+
+    def test_routing_is_stable(self, tz_sketches):
+        """``plan`` routes with a stable sort, so inside a shard the
+        probes keep their flat (pair, level, direction) order and the
+        per-shard requests are the bytes a fleet has always been
+        shipped.  The digest was recorded on the router this one
+        replaced (one ``flatnonzero`` filter per shard)."""
+        import hashlib
+
+        from repro.service import sample_query_pairs
+        from repro.service.buffers import tree_to_bytes
+
+        idx = TZIndex(tz_sketches, num_shards=3)
+        pairs = sample_query_pairs(idx.n, 200, seed=5)
+        _, requests = idx.plan(pairs[:, 0], pairs[:, 1])
+        assert [r.size for r in requests] == [298, 273, 229]
+        assert hashlib.sha256(tree_to_bytes(
+            tuple(requests))).hexdigest()[:20] == "e99ba820c54e60872637"
 
     def test_rejects_empty_and_mixed_k(self, tz_sketches):
         with pytest.raises(ConfigError):

@@ -370,3 +370,176 @@ class TestQueryErrorParityDisconnected:
                 idx.estimate_many(*ok).tolist()
             with pytest.raises(QueryError):
                 srv.estimate_many(np.array([1]), np.array([3]))
+
+
+# ----------------------------------------------------------------------
+# answer(shards, requests): one pass over any set of shards
+# ----------------------------------------------------------------------
+def _disconnected() -> Graph:
+    """Components {0, 1, 2} and {3, 4, 5, 6}."""
+    return Graph(7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 2.5), (3, 4, 1.0),
+                     (4, 5, 1.5), (5, 6, 1.0), (3, 6, 2.0)])
+
+
+def _connected() -> Graph:
+    g = _disconnected()
+    g.add_edge(2, 3, 1.25)
+    g.add_edge(0, 6, 3.0)
+    return g
+
+
+def _tz_with_sentinel_pivots(g: Graph):
+    """A k=3 TZ set on ``g`` some of whose pivots are the INF_KEY
+    sentinel: a whole component has no top-level landmark."""
+    for seed in range(64):
+        sketches, _ = build_tz_sketches_centralized(g, k=3, seed=seed)
+        if any(p < 0 for s in sketches for p, _ in s.pivots):
+            return sketches
+    raise AssertionError("no seed leaves a component without a landmark")
+
+
+def _tz_fully_sharded():
+    """Hand-crafted: landmark 0 sits at level 0 in some bunches and at
+    level 1 in others, so the dense top split is unsound and every
+    entry goes through the bunch table; node 5 has a sentinel pivot."""
+    from repro.tz.sketch import TZSketch
+
+    inf = float("inf")
+    sketches = [TZSketch(node=0, k=2, pivots=((0, 0.0), (4, 4.0)),
+                         bunch={0: (0.0, 0), 4: (4.0, 1)})]
+    for u in range(1, 5):
+        sketches.append(TZSketch(
+            node=u, k=2, pivots=((u, 0.0), (4, float(4 - u))),
+            bunch={u: (0.0, 0), 0: (float(u), u % 2),
+                   4: (float(4 - u), 1)}))
+    sketches.append(TZSketch(node=5, k=2, pivots=((5, 0.0), (-1, inf)),
+                             bunch={5: (0.0, 0)}))
+    return sketches
+
+
+def _slack_disconnected(scheme: str):
+    from repro.slack.cdg import build_cdg_centralized
+    from repro.slack.density_net import DensityNet
+    from repro.slack.graceful import GracefulSketch
+    from repro.slack.stretch3 import build_stretch3_centralized
+
+    g = _disconnected()
+    net = DensityNet(eps=0.5, n=g.n, members=(0, 3, 5))
+    if scheme == "stretch3":
+        return build_stretch3_centralized(g, 0.5, net=net)[0]
+    a = build_cdg_centralized(g, 0.5, 2, seed=1, net=net)[0]
+    if scheme == "cdg":
+        return a
+    b = build_cdg_centralized(g, 0.25, 1, seed=2, net=net)[0]
+    return [GracefulSketch(node=u, components=(a[u], b[u]))
+            for u in range(g.n)]
+
+
+def _slack_connected(scheme: str):
+    from repro import build_sketches
+
+    params = {"stretch3": dict(eps=0.4), "cdg": dict(eps=0.4, k=2),
+              "graceful": {}}[scheme]
+    return build_sketches(_connected(), scheme=scheme, seed=5,
+                          **params).sketches
+
+
+_DECOMPOSITION_CASES = {
+    "tz": lambda: build_tz_sketches_centralized(_connected(), k=3,
+                                                seed=4)[0],
+    "tz-sentinel-pivots": lambda: _tz_with_sentinel_pivots(_disconnected()),
+    "tz-fully-sharded": _tz_fully_sharded,
+    **{scheme: (lambda scheme=scheme: _slack_connected(scheme))
+       for scheme in ("stretch3", "cdg", "graceful")},
+    **{f"{scheme}-disconnected":
+       (lambda scheme=scheme: _slack_disconnected(scheme))
+       for scheme in ("stretch3", "cdg", "graceful")},
+}
+_decomposition_sets: dict = {}
+
+
+def _decomposition_set(name: str):
+    """The sketch set of a case, built once per session."""
+    if name not in _decomposition_sets:
+        _decomposition_sets[name] = _DECOMPOSITION_CASES[name]()
+    return _decomposition_sets[name]
+
+
+def _response_bytes(response) -> bytes:
+    """One shard's response tree, canonically (dtype and shape too)."""
+    from repro.service.buffers import tree_to_bytes
+
+    return tree_to_bytes((response,))
+
+
+def _outcome(fn):
+    """``fn()``'s answers, or its QueryError as ``(message, row)``."""
+    try:
+        return fn().tolist()
+    except QueryError as exc:
+        return str(exc), exc.row
+
+
+class TestAnswerDecomposition:
+    """``answer`` is the one kernel entry: however a batch's shards are
+    grouped into calls, every shard's response is the one
+    ``shard_answer`` gives, and plan → answer → finish is
+    ``estimate_many`` is the single-pair query — values, QueryErrors
+    and the row they name."""
+
+    def test_cases_cover_the_layouts(self):
+        tz = {name: build_index(_decomposition_set(name), num_shards=3)
+              for name in _DECOMPOSITION_CASES if name.startswith("tz")}
+        assert tz["tz"].dense_top and not tz["tz"].sentinel_pivots
+        assert tz["tz-sentinel-pivots"].sentinel_pivots
+        assert not tz["tz-fully-sharded"].dense_top
+        assert tz["tz-fully-sharded"].sentinel_pivots
+
+    @settings(max_examples=120, **COMMON)
+    @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
+           shards=st.sampled_from([1, 2, 3, 5, 8]), data=st.data())
+    def test_any_grouping_of_any_shards(self, case, shards, data):
+        sketches = _decomposition_set(case)
+        n = len(sketches)
+        index = build_index(sketches, num_shards=shards)
+        node = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), min_size=1,
+                                   max_size=24), label="pairs")
+        us, vs = (np.asarray(col, dtype=np.int64) for col in zip(*pairs))
+        state, requests = index.plan(us, vs)
+        assert len(requests) == shards
+        per_shard = [index.shard_answer(s, requests[s])
+                     for s in range(shards)]
+        want = [_response_bytes(response) for response in per_shard]
+
+        # a random subset of the shards, in a random order, cut into
+        # random consecutive groups: one answer call per group
+        asked = data.draw(st.permutations(range(shards)), label="order")
+        asked = asked[:data.draw(st.integers(1, shards), label="subset")]
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(asked))),
+                                label="cuts") | {len(asked)})
+        for lo, hi in zip([0] + cuts, cuts):
+            group = asked[lo:hi]
+            got = index.answer(group, [requests[s] for s in group])
+            assert len(got) == len(group)
+            for s, response in zip(group, got):
+                assert _response_bytes(response) == want[s], (case, s)
+
+        single = _single_answers(sketches, us.tolist(), vs.tolist())
+        whole = _outcome(lambda: index.finish(
+            state, index.answer(range(shards), requests)))
+        assert whole == _outcome(lambda: index.finish(state, per_shard))
+        assert whole == _outcome(lambda: index.estimate_many(us, vs))
+        if "raise" not in single:
+            assert whole == single
+        else:
+            _, row = whole
+            assert single[row] == "raise"
+            if not case.startswith("graceful"):
+                # (graceful scans component by component, so it names
+                # the first bad row of the first bad component)
+                assert row == single.index("raise")
+        for j, want in enumerate(single):
+            got = _outcome(lambda: index.estimate_many(us[j:j + 1],
+                                                       vs[j:j + 1]))
+            assert got == ([want] if want != "raise" else (got[0], 0))

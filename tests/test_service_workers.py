@@ -258,29 +258,37 @@ class TestThreadPlane:
         assert built.query_many([]).size == 0
 
     def test_jobs_says_which_thread_probes(self, built_sets):
-        """``jobs=1`` probes in the calling thread; ``jobs=4`` on the
-        executor's named threads, never the caller's."""
-        index = build_index(built_sets["tz"], num_shards=4)
-        seen = []
-        probe = index.shard_answer
+        """One kernel pass per executor, whatever the shard count:
+        ``jobs=1`` probes once per batch, in the calling thread;
+        ``jobs=J`` once per worker group, on the executor's named
+        threads, never the caller's."""
+        caller = threading.current_thread().name
+        pairs = sample_query_pairs(len(built_sets["tz"]), 300, seed=31)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        for shards in (1, 4, 16):
+            index = build_index(built_sets["tz"], num_shards=shards)
+            want = index.estimate_many(us, vs)
+            seen = []
+            kernel = index._probe
 
-        def recording(shard, request):
-            seen.append(threading.current_thread().name)
-            return probe(shard, request)
+            def counting(keys):
+                seen.append(threading.current_thread().name)
+                return kernel(keys)
 
-        index.shard_answer = recording  # instance attribute shadows it
-        try:
-            us, vs = np.array([0, 1, 2]), np.array([3, 4, 5])
-            with ShardServer(index, jobs=1) as srv:
-                srv.estimate_many(us, vs)
-            assert seen == [threading.current_thread().name] * 4
-            del seen[:]
-            with ShardServer(index, jobs=4) as srv:
-                srv.estimate_many(us, vs)
-            assert len(seen) == 4
-            assert all(name.startswith(THREAD_POOL_PREFIX) for name in seen)
-        finally:
-            del index.shard_answer
+            index._probe = counting  # instance attribute shadows it
+            for jobs in (1, 2, 4):
+                del seen[:]
+                with ShardServer(index, jobs=jobs) as srv:
+                    got = srv.estimate_many(us, vs)
+                    groups = srv.jobs
+                assert groups == min(jobs, shards)
+                assert np.array_equal(got, want), (shards, jobs)
+                if groups == 1:
+                    assert seen == [caller], (shards, jobs)
+                else:
+                    assert len(seen) == groups, (shards, jobs)
+                    assert all(name.startswith(THREAD_POOL_PREFIX)
+                               for name in seen)
 
     def test_query_error_propagates_through_threads(self):
         sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,

@@ -1,9 +1,12 @@
 """The columnar centralized builder: pinned outputs and kernel properties.
 
-``GOLDEN`` was recorded at the commit *before* the per-root Dijkstra loop
-became the frontier kernel (and before :class:`TZIndex` was assembled from
-arrays): a digest of every sketch — pivots, bunch values **and bunch dict
-order** — and of the RPIX bytes of the index built from them.  Any builder
+``GOLDEN`` holds, per case, a digest of every sketch — pivots, bunch
+values **and bunch dict order** — and of the RPIX bytes of the index
+built from them.  The sketch digests were recorded at the commit
+*before* the per-root Dijkstra loop became the frontier kernel (and
+before :class:`TZIndex` was assembled from arrays) and have not moved
+since; the RPIX digests were re-recorded when the container went to
+version 2 (one bunch table and one directory per TZ store).  Any builder
 must reproduce the table exactly; the kernel tests below then compare its
 rows against the per-root reference :func:`cluster_of` and the
 definition-based :func:`brute_force_bunches`.
@@ -28,7 +31,7 @@ from repro.tz import (brute_force_bunches, build_tz_sketches_centralized,
 
 
 # ----------------------------------------------------------------------
-# (a) golden digests, recorded at the parent commit
+# (a) golden digests
 # ----------------------------------------------------------------------
 def _two_components() -> Graph:
     """A weighted 12-ring and an integer-weight 9-node ER graph, side by
@@ -68,27 +71,27 @@ def _sketch_digest(sketches) -> str:
 
 
 GOLDEN = {
-    ('er_weighted', 1): ('215e48b658018c07b2a3', '393c06f7b3440f501c5b'),
-    ('er_weighted', 2): ('c9aed4302ea866449008', '8f2f867f95f803bf4464'),
-    ('er_weighted', 3): ('8b8b5cb510c020927993', '36a0a166b8df3b634d8e'),
-    ('er_unit', 1): ('9f5823324d08be4f4a37', 'e89f7d02f0254ae4140b'),
-    ('er_unit', 2): ('d2072961598069fbf5c2', '90b5f07a0bd4e8bb64df'),
-    ('er_unit', 3): ('e76982ed03d34e6590f2', '80cedbeafc9109f32653'),
-    ('small_grid', 1): ('9938e900d3b9ca9313fa', 'ee8cb173656e63fc9640'),
-    ('small_grid', 2): ('0c7f9edd01a767feef30', 'd61ff8decbcc012956d0'),
-    ('small_grid', 3): ('97209afbde1d770f831f', 'dd94763a33e7bd809ec9'),
-    ('small_ring', 1): ('5d5e297d2acb37702401', 'be82c50476e102c76074'),
-    ('small_ring', 2): ('394c05c4a64cd266cb45', '98c38ac75a917e3fdbed'),
-    ('small_ring', 3): ('39fc21ab0b138c8befa8', 'd39b6b4c78f69558eccc'),
-    ('two_components', 1): ('92b051f0ea11afa81622', 'd951270ec5c00d234ab0'),
-    ('two_components', 2): ('9bbafc60022261f32e29', '46e777f89a56462116d2'),
-    ('two_components', 3): ('c2e8241d9ca6a061a024', '6f738ac5dd1b788c28fd'),
-    ('net_universe', 1): ('534d42412c22fea1ecca', 'd96c4f08dc1165ab6b0f'),
-    ('net_universe', 2): ('63049f6d3fe818e71793', 'a7e3038ab5533b7d819e'),
-    ('net_universe', 3): ('e6477d556f01a604c2d9', 'bf1ea3d2e1bf0621d414'),
-    ('single_node', 1): ('44409bfd49f7b62d2889', '1d7a5dc64bac2a8b4a10'),
-    ('single_node', 2): ('4512eb254926d865b129', 'ae675a7e024e6a76502d'),
-    ('single_node', 3): ('236cd8ce4ba010c5afbb', '9dcabae78ccd3b761f4c'),
+    ('er_weighted', 1): ('215e48b658018c07b2a3', 'ee5c4018087ea453744d'),
+    ('er_weighted', 2): ('c9aed4302ea866449008', '1327d98eae1b897dc84e'),
+    ('er_weighted', 3): ('8b8b5cb510c020927993', '0a12fd0e95d910e168c5'),
+    ('er_unit', 1): ('9f5823324d08be4f4a37', 'ab926da17457674dc536'),
+    ('er_unit', 2): ('d2072961598069fbf5c2', '2b905bc9da8482ebc43d'),
+    ('er_unit', 3): ('e76982ed03d34e6590f2', 'cf064a55df81f0eefa7e'),
+    ('small_grid', 1): ('9938e900d3b9ca9313fa', 'ebbb511b59a34bb4aff0'),
+    ('small_grid', 2): ('0c7f9edd01a767feef30', 'e3b631c64b9904b2e81a'),
+    ('small_grid', 3): ('97209afbde1d770f831f', 'f813fe1556ad37159cc9'),
+    ('small_ring', 1): ('5d5e297d2acb37702401', '3c00e7831949d536f4d2'),
+    ('small_ring', 2): ('394c05c4a64cd266cb45', '5ddba5b13d8ad5f303e2'),
+    ('small_ring', 3): ('39fc21ab0b138c8befa8', 'ed880a6238153fa79241'),
+    ('two_components', 1): ('92b051f0ea11afa81622', '238774a3c42f3cb25d81'),
+    ('two_components', 2): ('9bbafc60022261f32e29', '95314ebb91f764f01dfe'),
+    ('two_components', 3): ('c2e8241d9ca6a061a024', '4aaefecc4c4ac5ec3eb7'),
+    ('net_universe', 1): ('534d42412c22fea1ecca', 'a596aab28401d8340a47'),
+    ('net_universe', 2): ('63049f6d3fe818e71793', '284a65582e7a15118d87'),
+    ('net_universe', 3): ('e6477d556f01a604c2d9', '5887ac1801965f7c0e07'),
+    ('single_node', 1): ('44409bfd49f7b62d2889', '148fc688cc9c789961a5'),
+    ('single_node', 2): ('4512eb254926d865b129', '8b50458de60264322bf4'),
+    ('single_node', 3): ('236cd8ce4ba010c5afbb', '706ca5ae513b3a57516c'),
 }
 
 
