@@ -1,7 +1,7 @@
 """E17 — the transport matrix: inproc vs shard threads vs tcp-loopback.
 
 PR 5 unified the serving API around sessions over pluggable transports
-(`repro.service.transport.connect`): the same plan/shard_answer/finish
+(`repro.service.client.connect`): the same plan/shard_answer/finish
 dataflow runs in the calling thread (``inproc://``), over a local
 thread pool (``inproc://jobs=N``), and across a TCP frame protocol
 (``tcp://host:port``).  This experiment measures what each topology

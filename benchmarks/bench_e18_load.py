@@ -1,4 +1,4 @@
-"""E18 — tail latency under concurrent TCP load (protocol v2).
+"""E18 — tail latency under concurrent TCP load (protocol v3).
 
 E17 showed the wire cost of one session; this experiment measures the
 fleet story the async transport rebuild exists for: **N concurrent

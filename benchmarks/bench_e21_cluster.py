@@ -2,7 +2,7 @@
 
 The paper's construction is distributed; this experiment distributes the
 *serving*.  One index is served three ways — a single full
-:class:`~repro.service.transport.OracleServer`, then loopback fleets of
+:class:`~repro.service.server.OracleServer`, then loopback fleets of
 1, 2, and 4 shard-range hosts behind a ``cluster://`` session — and the
 same query workload runs against every topology.
 

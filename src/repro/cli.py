@@ -216,7 +216,7 @@ def _cmd_query(args) -> int:
             raise ReproError(
                 "--connect queries a live server; drop the sketches "
                 "argument (the server owns the index)")
-        from repro.service.transport import connect
+        from repro.service.client import connect
 
         client = connect(args.connect)
         query = client.dist
@@ -248,7 +248,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service.transport import OracleServer
+    from repro.service.server import OracleServer
 
     if not args.updateable and args.rebuild_threshold is not None:
         raise ReproError("--rebuild-threshold tunes the live update "
@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("serve",
                         help="host an oracle over TCP (the frame-protocol "
-                             "daemon repro.service.transport clients "
+                             "daemon repro.service.client sessions "
                              "connect to)")
     sv.add_argument("source",
                     help="what to serve: a sketch set (.jsonl), a binary "

@@ -52,13 +52,13 @@ class BuiltSketches:
                 cache_size: Optional[int] = None):
         """A serving session over this build —
         ``built.connect("inproc://jobs=4")`` is shorthand for
-        :func:`repro.service.transport.connect` with this sketch set as
+        :func:`repro.service.client.connect` with this sketch set as
         the source (``jobs=4`` serves the shards from a GIL-releasing
         thread pool).  Returns an
-        :class:`~repro.service.transport.OracleClient`; close it (or use
+        :class:`~repro.service.client.OracleClient`; close it (or use
         it as a context manager) when done.
         """
-        from repro.service.transport import connect as _connect
+        from repro.service.client import connect as _connect
 
         return _connect(spec, self.sketches, cache_size=cache_size)
 

@@ -130,7 +130,7 @@ def scheme_support_matrix() -> list[dict]:
     """One JSON-ready row per registered scheme, derived entirely from the
     :data:`SCHEMES` registry and the transport list (so the docs can
     never drift from the code)."""
-    from repro.service.transport import TRANSPORTS
+    from repro.service.client import TRANSPORTS
 
     return [{
         "scheme": name,

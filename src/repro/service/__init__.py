@@ -4,22 +4,25 @@ threads, parallel builds.
 The paper's end product is a distance *oracle*: preprocess once, then
 answer ``dist(u, v)`` queries with a bounded stretch.  This package makes
 the oracle servable at scale — for **every** scheme in the library.
-The front door is :func:`~repro.service.transport.connect`::
+The front door is :func:`~repro.service.client.connect`::
 
     from repro.service import connect
 
     with connect("inproc://jobs=4", built) as client:
         answers = client.dist_many(pairs)
 
-* :mod:`repro.service.transport` — the session API:
+* :mod:`repro.service.client` — the session API:
   :class:`OracleClient` (``dist`` / ``dist_many`` / ``dist_stream`` /
   ``apply_updates`` / ``stats``) over ``inproc://`` (this process;
   ``inproc://jobs=N`` puts N threads behind the shards) or
-  ``tcp://host:port`` (a remote :class:`OracleServer` — the
-  ``python -m repro serve`` daemon — speaking a length-prefixed binary
-  frame protocol built on the array-tree codec).  Answers are
+  ``tcp://host:port`` (a remote :class:`OracleServer`).  Answers are
   bit-identical across transports, and epoch hot swaps propagate to
   connected TCP clients without a reconnect,
+* :mod:`repro.service.server` — :class:`OracleServer`, the
+  ``python -m repro serve`` daemon: one event loop that answers small
+  requests itself and hands large ones to a handler pool,
+* :mod:`repro.service.protocol` — the version-3 frame protocol (one
+  fixed binary head; raw arrays for ``query`` / ``result``),
 * :mod:`repro.service.session` — the session core every transport
   shares: the one bounded streaming window (``stream_window``) over a
   per-transport submit/collect pair, and the session clock (epochs,
@@ -28,7 +31,7 @@ The front door is :func:`~repro.service.transport.connect`::
   :class:`BufferPack` lays every store's arrays out in one contiguous
   buffer backed by heap memory or a memory-mapped file (how an RPIX
   container loads without parsing), plus the array-tree codec behind
-  the TCP frames,
+  the tcp ``probe`` frames,
 * :mod:`repro.service.index` — the :class:`IndexStore` protocol and one
   pre-built vectorized store per scheme (:class:`TZIndex`,
   :class:`Stretch3Index`, :class:`CDGIndex`, :class:`GracefulIndex`),
@@ -70,6 +73,8 @@ map and ``docs/serving.md`` for the operator's guide.
 from repro.service.bench import (run_connect_benchmark, run_load_benchmark,
                                  run_serve_benchmark, sample_query_pairs)
 from repro.service.buffers import BufferPack, PackedIndex, PackHandle
+from repro.service.client import (TRANSPORTS, Endpoint, OracleClient,
+                                  connect, parse_endpoint)
 from repro.service.cluster import (ClusterClient, ClusterSpec,
                                    apply_updates_distributed,
                                    build_distributed, build_shard_range,
@@ -87,9 +92,8 @@ from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
                                     ScenarioOracle, ScenarioResult, Trace,
                                     generate_trace, run_named_scenario,
                                     run_scenario, served_subprocess)
+from repro.service.server import OracleServer
 from repro.service.session import EpochStaleness, PipelineStats
-from repro.service.transport import (TRANSPORTS, Endpoint, OracleClient,
-                                     OracleServer, connect, parse_endpoint)
 from repro.service.updates import (EdgeChange, UpdateReport,
                                    UpdateableIndex, dirty_frontier,
                                    load_changes_jsonl, run_update_benchmark,

@@ -140,8 +140,8 @@ def run_connect_benchmark(spec: str, source=None, queries: int = 1000,
     """Time a query workload through a transport session — the
     ``serve-bench --connect`` harness and the E17 experiment.
 
-    Opens one :class:`~repro.service.transport.OracleClient` with
-    :func:`~repro.service.transport.connect` and measures three paths
+    Opens one :class:`~repro.service.client.OracleClient` with
+    :func:`~repro.service.client.connect` and measures three paths
     over the same session: the per-pair loop (``client.dist``), the
     batched path (``client.dist_many`` per batch), and the pipelined
     stream (``client.dist_stream`` over all batches — the
@@ -155,7 +155,7 @@ def run_connect_benchmark(spec: str, source=None, queries: int = 1000,
         transports, forbidden for ``tcp://`` (the server owns the
         index).
     """
-    from repro.service.transport import connect
+    from repro.service.client import connect
 
     if queries < 1:
         raise ConfigError(f"queries must be >= 1, got {queries}")
@@ -258,7 +258,7 @@ def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
         with an error — a hung session must surface as a failure, not
         hang the benchmark forever.
     """
-    from repro.service.transport import connect, parse_endpoint
+    from repro.service.client import connect, parse_endpoint
 
     if parse_endpoint(spec).transport != "tcp":
         raise ConfigError(

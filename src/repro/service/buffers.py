@@ -371,12 +371,12 @@ def _spec_from_json(node):
 def tree_to_bytes(tree: Any) -> bytes:
     """Encode an array tree as one self-contained byte string.
 
-    Layout: ``u32 head_len | head JSON (spec + manifest) | pad to
+    Layout: ``u32 desc_len | descriptor JSON (spec + manifest) | pad to
     ALIGNMENT | raw leaf blobs`` — the leaves are laid out exactly as
     :func:`plan_tree`/:func:`write_tree` lay them into a pack, so this
-    is the array-tree codec with the descriptor glued on.  The wire
-    form of the TCP transport's query/result frames
-    (:mod:`repro.service.transport`).
+    is the array-tree codec with the descriptor glued on.  The body
+    of the tcp ``probe`` / ``probe_result`` frames
+    (:mod:`repro.service.protocol`).
     """
     spec, leaves = flatten_tree(tree)
     manifest, total = plan_tree(leaves)
@@ -399,15 +399,15 @@ def tree_from_bytes(data) -> Any:
     view = memoryview(data)
     if len(view) < 4:
         raise ConfigError("truncated array-tree message")
-    (head_len,) = struct.unpack_from("<I", view, 0)
-    if 4 + head_len > len(view):
+    (desc_len,) = struct.unpack_from("<I", view, 0)
+    if 4 + desc_len > len(view):
         raise ConfigError("truncated array-tree message")
     try:
-        head = json.loads(bytes(view[4:4 + head_len]).decode("ascii"))
+        head = json.loads(bytes(view[4:4 + desc_len]).decode("ascii"))
         spec = _spec_from_json(head["spec"])
         manifest = tuple((str(dt), tuple(int(d) for d in shape), int(off))
                          for dt, shape, off in head["manifest"])
     except (ValueError, KeyError, TypeError, UnicodeDecodeError):
         raise ConfigError("corrupt array-tree message header") from None
-    base = _align(4 + head_len)
+    base = _align(4 + desc_len)
     return read_tree(view, base, spec, manifest)

@@ -1,5 +1,5 @@
 """The fleet subsystem: distributed shard fan-out and scatter/gather
-construction across multiple :class:`~repro.service.transport.OracleServer`
+construction across multiple :class:`~repro.service.server.OracleServer`
 hosts.
 
 The paper computes distance sketches *distributedly*; this module is the
@@ -60,13 +60,12 @@ from typing import Any, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import ClusterError, ConfigError, ReproError
-from repro.service.buffers import tree_to_bytes
+from repro.service.client import (DEFAULT_PIPELINE_DEPTH, Endpoint,
+                                  _TcpTransport, connect, parse_endpoint)
 from repro.service.index import (IndexStore, TZIndex, build_index,
                                  parse_pair_array, restrict_index_shards)
+from repro.service.server import OracleServer
 from repro.service.session import SessionClock, stream_window
-from repro.service.transport import (DEFAULT_PIPELINE_DEPTH, Endpoint,
-                                     OracleServer, _TcpTransport, connect,
-                                     parse_endpoint)
 from repro.service.updates import UpdateReport
 
 
@@ -140,8 +139,8 @@ class ClusterClient:
     transport behind ``connect("cluster://h1:p1,h2:p2")``, also usable
     directly.
 
-    Speaks the existing protocol-v2 frames to every host (one
-    :class:`~repro.service.transport._TcpTransport` each, so probes are
+    Speaks the protocol-v3 frames to every host (one
+    :class:`~repro.service.client._TcpTransport` each, so probes are
     multiplexed by request id like single-host queries).  ``plan``
     and ``finish`` run client-side on a routing store fetched from the
     fleet; only ``answer`` work crosses the wire, scattered to the
@@ -268,9 +267,9 @@ class ClusterClient:
         rids: dict[str, int] = {}
         causes: dict[str, Any] = {}
         for key, shards in self._by_host.items():
-            body = tree_to_bytes(tuple(requests[s] for s in shards))
             try:
-                rids[key] = self._transports[key].post_probe(shards, body)
+                rids[key] = self._transports[key].post_probe(
+                    shards, (requests[s] for s in shards))
             except (ConnectionError, ReproError) as exc:
                 causes[key] = exc
         if causes:
@@ -618,7 +617,7 @@ def apply_updates_distributed(session: Any, changes) -> UpdateReport:
     hot-swaps atomically; the call succeeds only when the whole fleet
     lands on the same epoch, so no batch ever combines partials from
     mixed epochs.  Accepts an
-    :class:`~repro.service.transport.OracleClient` over a ``cluster://``
+    :class:`~repro.service.client.OracleClient` over a ``cluster://``
     endpoint or a bare :class:`ClusterClient`.
 
     :raises ConfigError: for a non-fleet session.

@@ -18,8 +18,8 @@ also where the per-phase timings (``plan`` / ``shard_answer`` /
 ``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the engine as a
 context manager) to join the pool's threads.
 
-Callers do not build engines: :func:`repro.service.transport.connect`
-(through :class:`~repro.service.transport.OracleServer`) normalises
+Callers do not build engines: :func:`repro.service.client.connect`
+(through :class:`~repro.service.server.OracleServer`) normalises
 whatever it is given to a store and constructs the engine over it.
 
 **Epochs.**  Given the live
@@ -186,8 +186,8 @@ class QueryEngine:
     :class:`~repro.service.index.IndexStore`.
 
     The engine behind every session:
-    :func:`repro.service.transport.connect` is the front door, and
-    :class:`~repro.service.transport.OracleServer` builds the engine
+    :func:`repro.service.client.connect` is the front door, and
+    :class:`~repro.service.server.OracleServer` builds the engine
     once its source is normalised to a store.
 
     :param index: the store to serve (its shard layout is baked in).

@@ -1,10 +1,10 @@
 """Event-driven churn + query scenario harness.
 
 The update path (:mod:`repro.service.updates`) and the async serving
-tier (:mod:`repro.service.transport`) are property-tested in isolation;
+tier (:mod:`repro.service.server`) are property-tested in isolation;
 this module exercises them *together*, the way a live deployment would:
 interleaved edge churn and query traffic replayed against any
-:func:`~repro.service.transport.connect` endpoint, with a correctness
+:func:`~repro.service.client.connect` endpoint, with a correctness
 oracle asserting every answer was bit-identical to some epoch the
 client could legally observe.
 
@@ -62,8 +62,8 @@ from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng
 from repro.service.bench import sample_query_pairs
-from repro.service.transport import (OracleClient, OracleServer, connect,
-                                     parse_endpoint)
+from repro.service.client import OracleClient, connect, parse_endpoint
+from repro.service.server import OracleServer
 from repro.service.updates import EdgeChange, UpdateReport, UpdateableIndex
 
 #: JSONL trace container version (the header line's ``"v"``).

@@ -55,8 +55,8 @@ Epoch semantics: every effective ``apply`` produces a **new**
 store object is never mutated, which is what lets a serving session
 hot-swap epochs while in-flight batches finish on the old pack.  Serve
 a live index by passing it as the source of
-:func:`repro.service.transport.connect` (any transport) or of an
-:class:`~repro.service.transport.OracleServer` —
+:func:`repro.service.client.connect` (any transport) or of an
+:class:`~repro.service.server.OracleServer` —
 ``client.apply_updates(changes)`` then swaps with zero downtime, and a
 TCP server pushes the epoch bump to every connected session
 (``python -m repro serve GRAPH --updateable`` is the daemon form).

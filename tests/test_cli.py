@@ -223,7 +223,7 @@ class TestConnectFlows:
     @pytest.fixture()
     def live_server(self, sketch_file):
         from repro.oracle.serialization import load_sketch_set
-        from repro.service.transport import OracleServer
+        from repro.service.server import OracleServer
 
         server = OracleServer(load_sketch_set(sketch_file), cache_size=0)
         host, port = server.serve("127.0.0.1:0", block=False)

@@ -37,7 +37,7 @@ from repro.service import (ClusterClient, ClusterSpec, OracleServer,
                            even_ranges, loopback_fleet,
                            restrict_index_shards, sample_query_pairs)
 from repro.service.cluster import run_cluster_benchmark
-from repro.service.transport import parse_endpoint
+from repro.service.client import parse_endpoint
 from repro.service.updates import UpdateableIndex, sample_weight_changes
 
 SHARDS = 4
@@ -557,7 +557,7 @@ class TestClusterCli:
             addr = line.rsplit(" on ", 1)[1].strip()
             assert not addr.endswith(":0")
             # the advertised socket answers probes for its range
-            from repro.service.transport import _TcpTransport
+            from repro.service.client import _TcpTransport
 
             t = _TcpTransport(parse_endpoint(addr), timeout=10)
             try:

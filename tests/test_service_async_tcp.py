@@ -1,4 +1,4 @@
-"""The multiplexed TCP plane (protocol v2) and its bug-sweep fixes.
+"""The multiplexed TCP plane (protocol v3) and its bug-sweep fixes.
 
 Five claim families:
 
@@ -29,6 +29,7 @@ Five claim families:
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
@@ -41,7 +42,8 @@ from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, UpdateableIndex, UpdateReport,
                            connect, sample_query_pairs,
                            sample_weight_changes)
-from repro.service.transport import PROTOCOL_VERSION, _frame_bytes
+from repro.service.protocol import (HELLO, PROTOCOL_VERSION, PUSH_RID,
+                                    encode_frame)
 
 
 @pytest.fixture(scope="module")
@@ -300,17 +302,18 @@ class TestSessionRobustness:
             client.close()
             server.close()
 
-    def test_version_mismatch_rejected(self):
+    @staticmethod
+    def _greeted_by(greeting: bytes) -> None:
+        """``connect`` to an impostor whose first bytes are
+        ``greeting`` must fail as a version mismatch, inside the
+        connect timeout."""
         listener = socket.create_server(("127.0.0.1", 0))
         host, port = listener.getsockname()[:2]
 
         def impostor():
             sock, _ = listener.accept()
             with sock:
-                sock.sendall(_frame_bytes({
-                    "kind": "hello", "v": PROTOCOL_VERSION + 1, "n": 1,
-                    "scheme": None, "epoch": 0, "shards": 1,
-                    "updateable": False}))
+                sock.sendall(greeting)
                 time.sleep(0.2)
 
         thread = threading.Thread(target=impostor, daemon=True)
@@ -321,6 +324,19 @@ class TestSessionRobustness:
         finally:
             listener.close()
             thread.join(timeout=5.0)
+
+    def test_version_mismatch_rejected(self):
+        self._greeted_by(encode_frame(HELLO, PUSH_RID, 0, {
+            "v": PROTOCOL_VERSION + 1, "n": 1, "scheme": None, "epoch": 0,
+            "shards": 1, "updateable": False}))
+
+    def test_v2_style_greeting_rejected(self):
+        # what a protocol-v2 server sends: u32 frame_len | u32 head_len
+        # | head JSON
+        head = (b'{"kind":"hello","v":2,"n":1,"scheme":null,"epoch":0,'
+                b'"shards":1,"updateable":false,"shard_range":null}')
+        self._greeted_by(
+            struct.pack("<II", 4 + len(head), len(head)) + head)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The session-oriented serving API (repro.service.transport).
+"""The session-oriented serving API (repro.service.client / .server).
 
 Four claim families:
 
@@ -154,7 +154,7 @@ class TestEndpointGrammar:
         def no_build(*args, **kwargs):
             raise AssertionError("an index was built for a bad spec")
 
-        monkeypatch.setattr("repro.service.transport.build_index", no_build)
+        monkeypatch.setattr("repro.service.server.build_index", no_build)
         with pytest.raises(ConfigError):
             connect(spec, builds["tz"])
 
