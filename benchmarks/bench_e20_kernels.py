@@ -1,46 +1,45 @@
 """E20 — does ``jobs`` pay, and is the shard count free?
 
-The per-landmark shard decomposition (``plan`` → ``answer`` →
-``finish``) lets a server probe the shards of one batch in parallel.
-The serving layer has exactly one knob for that: ``jobs``.  ``jobs=1``
-answers every shard with one kernel pass in the calling thread;
-``jobs=J`` hands J contiguous shard groups — one ``answer`` call each —
-to a ``ThreadPoolExecutor`` in the same address space.  The kernels are
-columnar numpy (gathers, adds, row-mins over the packed arrays), so
-they release the GIL and overlap for real, and nothing is copied or
-pickled on the way.
+A store answers a batch as ``plan`` → ``answer`` → ``finish``, and a
+pair's answer depends on that pair only.  The serving layer has exactly
+one knob for local parallelism: ``jobs``.  ``jobs=1`` runs the chain
+once in the calling thread; ``jobs=J`` cuts the *batch* into J
+contiguous pair ranges and hands each — the whole chain — to a
+``ThreadPoolExecutor`` in the same address space, whatever the store's
+shard count.  The kernels are columnar numpy (gathers, adds, row-mins
+over the packed arrays), so they release the GIL and overlap for real,
+and nothing is copied or pickled on the way.
 
 This experiment owns two tables.
 
 **Threads** serves the same workload three ways —
 
-* ``inproc``  — ``jobs=1``, the single-threaded decomposition,
-* ``jobs=2``  — two shard threads,
-* ``jobs=4``  — four shard threads (one per shard),
+* ``inproc``  — ``jobs=1``, the calling thread,
+* ``jobs=2``  — two pair ranges per batch,
+* ``jobs=4``  — four pair ranges per batch,
 
 — over {tz, stretch3} × batch sizes {64, 1024, 16 384}, reporting
 per-cell throughput, the ratio to ``inproc``, and the ``kernel`` /
 ``ipc`` phase split (``kernel_seconds`` is the per-batch critical path
-of pure kernel compute; ``ipc_seconds`` is what dispatching to the
-executor cost on top).  Expect ``jobs`` to lose wherever a batch's
-kernels are cheaper than a thread hand-off (every tz cell at n=2000,
-every batch-64 cell) and to win where they are not (stretch3 from
-batch ≈ 1024) — see the when-it-pays table in ``docs/serving.md``.
+of ``answer``; ``ipc_seconds`` is what dispatching to the executor cost
+on top).  Expect ``jobs`` to lose wherever a range's chain is cheaper
+than a thread hand-off (every batch-64 cell) — see the when-it-pays
+table in ``docs/serving.md`` §5, the input to the keep-or-delete
+verdict on ``jobs`` (ROADMAP item 3(b)).
 
-**Shards** is the row the one-table store has to own: tz, ``jobs=1``,
+**Shards** is the row the unrouted store has to own: tz, ``jobs=1``,
 S ∈ {1, 4, 16} × batch ∈ {64, 1024}, µs per batch and the ratio to
 S = 1.  A shard is a row range of one bunch table behind one hash
-directory, so a batch costs one probe pass whatever S; what S > 1 still
-pays is the routing ``plan`` does for the fleet (a stable radix sort,
-its inverse, and S slices each way).  The S = 1 row doubles as the
-proof that the one-shard store did not get slower.
+directory, a key names its own landmark, and only a fleet routes — so
+a local batch costs the same whatever S.
 
 Hard claims (always asserted, any hardware): answers are bit-identical
 across every arm, shard count, batch size, and scheme.  Timing claims —
 ``jobs=4`` >= ``REPRO_E20_MIN_SPEEDUP``x ``inproc`` on stretch3 at
-batch >= 1024, and S = 16 within :data:`MAX_SHARD_RATIO` of S = 1 at
-the largest sweep batch — are gated by ``timing_gate``: they self-skip
-on CI and single-CPU hosts, armed anywhere by ``REPRO_FORCE_TIMING=1``.
+batch >= 1024, and S = 4 / 16 within :data:`MAX_SHARD_RATIO` of S = 1
+at the largest sweep batch — are gated by ``timing_gate``: they
+self-skip on CI and single-CPU hosts, armed anywhere by
+``REPRO_FORCE_TIMING=1``.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e20_kernels.py -q``
 """
@@ -55,7 +54,7 @@ import pytest
 from benchmarks._workloads import workload, workload_apsp
 from repro import build_sketches
 from repro.analysis import render_table
-from repro.service import (build_tz_sketches_parallel, connect,
+from repro.service import (build_index, build_tz_sketches_parallel, connect,
                            run_serve_benchmark, sample_query_pairs)
 
 N = int(os.environ.get("REPRO_E20_N", "2000"))
@@ -74,11 +73,10 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_E20_MIN_SPEEDUP", "1.0"))
 #: the whole workload in one batch (the CI smoke run)
 SWEEP_SHARDS = (1, 4, 16)
 SWEEP_BATCHES = (64, 1024)
-#: S = 16 may cost this much of S = 1 per batch.  What S > 1 pays is a
-#: flat ~55-70 us of routing per 1024-pair batch, measured 1.23-1.31x
-#: of the ~230 us an S = 1 batch takes (the per-shard-table store this
-#: replaced: 1.8x at S = 4 already, 4x at S = 16)
-MAX_SHARD_RATIO = 1.4
+#: S > 1 may cost this much of S = 1 per batch: nothing but noise, since
+#: a local batch is never routed (the routed store this replaced paid a
+#: flat 45-70 us per 1024-pair batch, 1.2-1.3x)
+MAX_SHARD_RATIO = 1.05
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +114,8 @@ def e20_table(experiment_report, e20_sketches):
                     "ipc-ms": round(phases["ipc_seconds"] * 1e3, 2),
                 })
     experiment_report("E20-kernels", render_table(
-        rows, title=f"E20: shard threads vs the calling thread (ER n={N}, "
-                    f"{SHARDS} shards, Q={QUERIES})"),
+        rows, title=f"E20: pair-range threads vs the calling thread (ER "
+                    f"n={N}, {SHARDS} shards, Q={QUERIES})"),
         data={"n": N, "queries": QUERIES, "batches": list(BATCHES),
               "shards": SHARDS, "eps": EPS,
               "min_speedup": MIN_SPEEDUP, "rows": rows})
@@ -128,27 +126,34 @@ def e20_table(experiment_report, e20_sketches):
 def e20_shard_sweep(experiment_report, e20_sketches):
     rows = []
     for batch in SWEEP_BATCHES:
-        base_us = None
-        for shards in SWEEP_SHARDS:
-            rep = run_serve_benchmark(e20_sketches["tz"], queries=QUERIES,
-                                      batch=batch, seed=11, repeats=5,
-                                      num_shards=shards, jobs=1)
-            assert rep["identical"], \
-                f"tz batch={batch} S={shards}: answers diverged"
+        # the S arms take turns, and an arm keeps its quietest turn: a
+        # 5 % claim cannot be read off arms measured minutes apart
+        best: dict = {}
+        for _ in range(3):
+            for shards in SWEEP_SHARDS:
+                rep = run_serve_benchmark(e20_sketches["tz"],
+                                          queries=QUERIES, batch=batch,
+                                          seed=11, repeats=3,
+                                          num_shards=shards, jobs=1)
+                assert rep["identical"], \
+                    f"tz batch={batch} S={shards}: answers diverged"
+                if (shards not in best or rep["batched_seconds"]
+                        < best[shards]["batched_seconds"]):
+                    best[shards] = rep
+        for shards, rep in best.items():
             batches = -(-QUERIES // rep["batch"])
             us = rep["batched_seconds"] / batches * 1e6
-            if shards == 1:
-                base_us = us
             rows.append({
                 "batch": rep["batch"], "shards": shards,
                 "us/batch": round(us, 1),
-                "vs-S=1": round(us / base_us, 2),
+                "vs-S=1": round(rep["batched_seconds"]
+                                / best[1]["batched_seconds"], 2),
                 "kernel-us": round(
                     rep["phases"]["kernel_seconds"] / batches * 1e6, 1),
             })
     experiment_report("E20-shards", render_table(
-        rows, title=f"E20: one probe pass per batch, whatever the shard "
-                    f"count (tz, ER n={N}, jobs=1, Q={QUERIES})"),
+        rows, title=f"E20: a local batch costs the same whatever the "
+                    f"shard count (tz, ER n={N}, jobs=1, Q={QUERIES})"),
         data={"n": N, "queries": QUERIES, "max_ratio": MAX_SHARD_RATIO,
               "rows": rows})
     return rows
@@ -161,8 +166,8 @@ def test_e20_answers_identical_across_shard_counts(e20_sketches):
     for scheme in SCHEMES:
         base = None
         for shards in SWEEP_SHARDS:
-            with connect(f"inproc://shards={shards};cache=0",
-                         e20_sketches[scheme]) as session:
+            index = build_index(e20_sketches[scheme], num_shards=shards)
+            with connect("inproc://cache=0", index) as session:
                 got = session.dist_many(pairs)
             if base is None:
                 base = got
@@ -176,14 +181,14 @@ def test_e20_shard_sweep_complete(e20_shard_sweep):
         assert row["us/batch"] > 0 and row["kernel-us"] > 0
 
 
-def test_e20_shard_count_is_nearly_free(e20_shard_sweep, timing_gate):
-    """The claim the one-table store rests on: sixteen shards cost a
-    batch a bounded routing surcharge, not sixteen kernel calls."""
-    timing_gate("S=16 vs S=1 at jobs=1")
+def test_e20_shard_count_is_free(e20_shard_sweep, timing_gate):
+    """The claim unrouted local serving rests on: four or sixteen
+    shards cost a batch what one does."""
+    timing_gate("S=4/16 vs S=1 at jobs=1")
     largest = max(row["batch"] for row in e20_shard_sweep)
-    row = next(row for row in e20_shard_sweep
-               if row["batch"] == largest and row["shards"] == 16)
-    assert row["vs-S=1"] <= MAX_SHARD_RATIO, row
+    for row in e20_shard_sweep:
+        if row["batch"] == largest:
+            assert row["vs-S=1"] <= MAX_SHARD_RATIO, row
 
 
 def test_e20_answers_identical_across_jobs(e20_sketches):
@@ -194,8 +199,8 @@ def test_e20_answers_identical_across_jobs(e20_sketches):
     for scheme in SCHEMES:
         base = None
         for arm, jobs in ARMS:
-            with connect(f"inproc://jobs={jobs};shards={SHARDS};cache=0",
-                         e20_sketches[scheme]) as session:
+            index = build_index(e20_sketches[scheme], num_shards=SHARDS)
+            with connect(f"inproc://jobs={jobs};cache=0", index) as session:
                 got = session.dist_many(pairs)
                 streamed = np.concatenate(list(session.dist_stream(chunks)))
             assert np.array_equal(streamed, got), (scheme, arm)
@@ -222,7 +227,7 @@ def test_e20_kernel_phase_reported(e20_table):
 
 
 def test_e20_threads_pay_on_stretch3(e20_table, timing_gate):
-    """The claim ``jobs`` rests on: four shard threads serve stretch3 at
+    """The claim ``jobs`` rests on: four threads serve stretch3 at
     least as fast as the calling thread alone from batch 1024 up."""
     timing_gate("jobs=4 vs inproc on stretch3")
     cells = [row for row in e20_table
@@ -236,10 +241,11 @@ def test_e20_threads_pay_on_stretch3(e20_table, timing_gate):
 
 
 def test_e20_benchmark_threaded_pass(benchmark, e20_sketches, e20_table):
-    """Timing kernel: one cold-cache batched pass through four shard
-    threads (executor start-up excluded — it is a one-time cost)."""
-    with connect(f"inproc://jobs=4;shards={SHARDS};cache=0",
-                 e20_sketches["tz"]) as session:
+    """Timing kernel: one cold-cache batched pass through four threads
+    (executor start-up excluded — it is a one-time cost)."""
+    with connect("inproc://jobs=4;cache=0",
+                 build_index(e20_sketches["tz"],
+                             num_shards=SHARDS)) as session:
         pairs = sample_query_pairs(N, QUERIES, seed=7)
         session.dist_many(pairs)  # warm the executor
 

@@ -13,7 +13,7 @@ The serving-layer walkthrough (repro.service):
    exactly with the single-query reference path,
 4. replay the workload to show the cache absorbing repeated traffic,
 5. persist the pre-built index and reload it without rebuilding,
-6. put threads behind the landmark shards (``inproc://jobs=4`` — same
+6. cut every batch across four threads (``inproc://jobs=4`` — same
    bytes out), and pipeline a streaming workload through the
    double-buffered dispatch,
 7. serve the same oracle over TCP (``tcp://``) and over a loopback
@@ -54,7 +54,7 @@ def main() -> None:
         return estimate_distance(sketches[u], sketches[v])
 
     # 2. an in-process session -------------------------------------------
-    session = connect("inproc://shards=4;cache=0", sketches)
+    session = connect("inproc://cache=0", sketches)
     print(session)
 
     # 3. one vectorized pass over 10k queries ----------------------------
@@ -74,7 +74,7 @@ def main() -> None:
     print("batched answers identical to the single-query path")
 
     # 4. repeated traffic hits the result cache --------------------------
-    with connect("inproc://shards=4;cache=50000", sketches) as cached:
+    with connect("inproc://cache=50000", sketches) as cached:
         cached.dist_many(pairs)
         cached.dist_many(pairs)
         counters = cached.stats()["cache"]
@@ -94,20 +94,19 @@ def main() -> None:
                           index.estimate_many(check[:, 0], check[:, 1]))
     print("index round-trip: reloaded store answers identically")
 
-    # 6. threads behind the landmark shards ------------------------------
+    # 6. a batch cut across four threads ---------------------------------
     with connect("inproc://jobs=4;cache=0", sketches) as threaded:
         fanned = threaded.dist_many(pairs)
         assert np.array_equal(fanned, estimates), "threads changed answers?!"
-        print("4 shard threads: answers bit-identical to the in-thread "
-              "path")
-        # the pipelined stream: batch k+1's plan overlaps batch k's
-        # probes; same bytes, and the hidden seconds are reported
+        print("4 threads: answers bit-identical to the in-thread path")
+        # the pipelined stream: batch k+1's submit overlaps batch k's
+        # pair ranges; same bytes, and the hidden seconds are reported
         chunks = [pairs[lo:lo + 2000] for lo in range(0, len(pairs), 2000)]
         streamed = np.concatenate(list(threaded.dist_stream(chunks)))
         assert np.array_equal(streamed, estimates)
         overlap = threaded.stats()["phases"]["overlap_seconds"]
         print(f"pipelined stream identical too "
-              f"({overlap * 1e3:.2f} ms of planning hidden behind probes)")
+              f"({overlap * 1e3:.2f} ms of dispatch hidden behind kernels)")
 
     # 7. the same oracle over TCP ----------------------------------------
     with OracleServer(sketches, num_shards=4, cache_size=0) as server:

@@ -280,7 +280,7 @@ def _cmd_serve(args) -> int:
         else:
             _reject_mmap(args, args.source)
             source = load_sketch_set(args.source)
-            shards = args.shards or max(args.jobs, 1)
+            shards = args.shards
     shard_range = None
     if args.shard_range is not None:
         shard_range = _parse_shard_range(args.shard_range)
@@ -620,17 +620,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "free one and prints it — the fleet-spawning "
                          "shorthand)")
     sv.add_argument("--jobs", type=int, default=1,
-                    help="threads behind the landmark shards (1 = probe "
-                         "in the handler thread; clamped to the shard "
-                         "count; answers are identical either way)")
+                    help="threads a batch is cut across (1 = answer in "
+                         "the handler thread; answers are identical "
+                         "either way)")
     sv.add_argument("--memory", choices=["heap", "mmap"], default="heap",
                     help="how a binary index (.rpix) source is opened: "
                          "heap = read into arrays; mmap = memory-mapped, "
                          "zero parse (any other source is an error)")
     sv.add_argument("--shards", type=int, default=None,
                     help="landmark shard count when building from "
-                         "sketches or a graph (a binary index bakes "
-                         "its own in)")
+                         "sketches or a graph (default 1: what a fleet's "
+                         "hosts divide; a binary index bakes its own in)")
     sv.add_argument("--shard-range", default=None, metavar="LO:HI",
                     help="serve only landmark shards [LO, HI) — one host "
                          "of a fleet; whole-batch queries are refused "
@@ -732,9 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="result-cache capacity in answers, 24 bytes each, "
                          "per-set LRU (0 = cold-cache run)")
     sb.add_argument("--jobs", type=int, default=1,
-                    help="threads behind the landmark shards "
-                         "(1 = the calling thread; clamped to --shards; "
-                         "answers are identical either way)")
+                    help="threads a batch is cut across "
+                         "(1 = the calling thread; answers are identical "
+                         "either way)")
     sb.add_argument("--memory", choices=["heap", "mmap"], default="heap",
                     help="how a binary index (.rpix) is opened: heap = "
                          "read into arrays; mmap = memory-mapped, zero "

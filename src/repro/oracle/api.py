@@ -53,7 +53,7 @@ class BuiltSketches:
         """A serving session over this build —
         ``built.connect("inproc://jobs=4")`` is shorthand for
         :func:`repro.service.client.connect` with this sketch set as
-        the source (``jobs=4`` serves the shards from a GIL-releasing
+        the source (``jobs=4`` cuts every batch across a GIL-releasing
         thread pool).  Returns an
         :class:`~repro.service.client.OracleClient`; close it (or use
         it as a context manager) when done.

@@ -1,4 +1,4 @@
-"""The serving layer: sessions over pluggable transports, shard
+"""The serving layer: sessions over pluggable transports, batch
 threads, parallel builds.
 
 The paper's end product is a distance *oracle*: preprocess once, then
@@ -14,7 +14,7 @@ The front door is :func:`~repro.service.client.connect`::
 * :mod:`repro.service.client` — the session API:
   :class:`OracleClient` (``dist`` / ``dist_many`` / ``dist_stream`` /
   ``apply_updates`` / ``stats``) over ``inproc://`` (this process;
-  ``inproc://jobs=N`` puts N threads behind the shards) or
+  ``inproc://jobs=N`` cuts every batch across N threads) or
   ``tcp://host:port`` (a remote :class:`OracleServer`).  Answers are
   bit-identical across transports, and epoch hot swaps propagate to
   connected TCP clients without a reconnect,
@@ -35,15 +35,15 @@ The front door is :func:`~repro.service.client.connect`::
 * :mod:`repro.service.index` — the :class:`IndexStore` protocol and one
   pre-built vectorized store per scheme (:class:`TZIndex`,
   :class:`Stretch3Index`, :class:`CDGIndex`, :class:`GracefulIndex`),
-  each decomposing a batch into per-landmark-shard probe tasks and
+  each answering a batch as plan → [route →] answer → finish and
   splitting into a pure-logic view over packed arrays
   (:func:`index_to_pack` / :func:`index_from_pack`),
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
   hosts over its one store (result cache, epoch pinning),
-* :class:`~repro.service.workers.ShardServer` — the shard execution
-  plane: ``jobs=1`` probes the shards in the calling thread, ``jobs >
-  1`` on a persistent ``ThreadPoolExecutor`` in this address space (the
-  numpy shard kernels release the GIL; nothing is copied or pickled),
+* :class:`~repro.service.workers.ShardServer` — the local execution
+  plane: ``jobs=1`` answers a batch in the calling thread, ``jobs >
+  1`` in pair ranges on a persistent ``ThreadPoolExecutor`` here (the
+  numpy kernels release the GIL; nothing is copied or pickled),
 * :mod:`repro.service.cluster` — the fleet subsystem:
   :class:`ClusterClient` scatters shard probes across N shard-range
   ``OracleServer`` hosts (``cluster://h1:p1,h2:p2`` endpoints) and

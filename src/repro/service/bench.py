@@ -61,9 +61,8 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
         measures the raw vectorized path (cold-cache throughput).
     :param num_shards: landmark shard count in the pre-built index
         (ignored when ``index`` is given — its own shard count rules).
-    :param jobs: threads behind the shards (``1`` = the calling
-        thread; clamped to the shard count, and the report shows the
-        effective count).
+    :param jobs: threads a batch is cut across (``1`` = the calling
+        thread).
     :param index: serve a pre-built store (e.g. loaded from a binary
         container) instead of building one from sketches; the
         single-query baseline is then the store's own one-pair path.
@@ -118,8 +117,6 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
             "queries": int(queries),
             "batch": int(batch),
             "shards": int(index.num_shards),
-            # the engine clamps jobs to the shard count (a shard is the
-            # unit of work) — report the thread count that actually served
             "jobs": int(engine.jobs),
             "cache_size": int(cache_size),
             "single_seconds": t_single,

@@ -3,7 +3,7 @@
 handle and the :func:`connect` factory::
 
     connect("inproc://", source)          # this process, jobs=1
-    connect("inproc://jobs=4", source)    # 4 threads behind the shards
+    connect("inproc://jobs=4", source)    # batches cut across 4 threads
     connect("tcp://host:port")            # a remote OracleServer
     connect("cluster://h1:p1,h2:p2")      # a fleet of shard-range hosts
 
@@ -53,7 +53,7 @@ TRANSPORTS = ("inproc", "tcp", "cluster")
 DEFAULT_PIPELINE_DEPTH = 4
 
 #: options an ``inproc://`` endpoint spec accepts (all integers)
-_INPROC_OPTIONS = ("jobs", "shards", "cache")
+_INPROC_OPTIONS = ("jobs", "cache")
 
 #: makes one ``send`` on the (blocking) session socket non-blocking;
 #: where the platform lacks it the first ``send`` of a frame may block
@@ -93,9 +93,9 @@ def parse_endpoint(spec: str) -> Endpoint:
                  | [option (";" option)*] (inproc)
         option  := key "=" integer
 
-    ``inproc`` accepts ``jobs`` (threads behind the shards, default 1) /
-    ``shards`` / ``cache``.  Options are validated here, so a typo fails
-    at :func:`connect` time, not mid-serve.
+    ``inproc`` accepts ``jobs`` (threads a batch is cut across, default
+    1) and ``cache``.  Options are validated here, so a typo fails at
+    :func:`connect` time, not mid-serve.
 
     :raises ConfigError: on an unknown transport, malformed address, or
         unknown/malformed option.
@@ -661,9 +661,9 @@ def connect(spec: str, source: Any = None, *,
     of the serving layer.
 
     * ``connect("inproc://", source)`` — everything in this process
-      (options: ``jobs`` / ``shards`` / ``cache``);
-      ``inproc://jobs=4`` puts four GIL-releasing threads behind the
-      landmark shards (``jobs`` defaults to 1, ``shards`` to ``jobs``);
+      (options: ``jobs`` / ``cache``); ``inproc://jobs=4`` cuts every
+      batch across four GIL-releasing threads (``jobs`` defaults to 1;
+      shards are a fleet's placement unit and no session option);
     * ``connect("tcp://host:port")`` — a remote
       :class:`OracleServer`; no ``source`` (the server owns the index);
     * ``connect("cluster://h1:p1,h2:p2")`` — a fleet of
@@ -716,16 +716,11 @@ def connect(spec: str, source: Any = None, *,
             f"{endpoint.transport}:// serves in this process and needs "
             f"source= (a sketch list, BuiltSketches, IndexStore, or "
             f"UpdateableIndex)")
-    options = dict(endpoint.options)
-    # an explicit shards= option is enforced; otherwise OracleServer
-    # defaults sketch sources to one shard per thread and leaves
-    # pre-built sources on their baked layout
-    shards = options.get("shards")
+    options = endpoint.options
     jobs = options.get("jobs", 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cache = cache_size if cache_size is not None \
         else options.get("cache", 65536)
-    server = OracleServer(source, jobs=jobs, num_shards=shards,
-                          cache_size=cache)
+    server = OracleServer(source, jobs=jobs, cache_size=cache)
     return server.client(endpoint=endpoint.describe(), owns_server=True)

@@ -7,11 +7,12 @@ serving-side mirror of that idea.  A fleet is N frame-protocol hosts, each
 owning a contiguous range of landmark shards (``repro serve
 --shard-range LO:HI``), and a :class:`ClusterClient` that
 
-* **plans client-side** — the routing state every scheme keeps outside
-  its shards (TZ pivot tables and the dense top block, gateway arrays,
-  net universes) travels in full inside every host's RPIX blob, so the
-  client fetches it once from any host and runs ``plan``/``finish``
-  locally;
+* **plans and routes client-side** — the routing state every scheme
+  keeps outside its shards (TZ pivot tables and the dense top block,
+  gateway arrays, net universes) travels in full inside every host's
+  RPIX blob, so the client fetches it once from any host and runs
+  ``plan`` → ``route`` / ``finish`` locally (nothing else routes: a
+  local session answers the unrouted request);
 * **fans probes out** — each host receives one ``probe`` frame carrying
   exactly the per-shard requests for the shards it owns — served there
   by one ``answer`` pass — multiplexed by request id on that host's
@@ -141,10 +142,10 @@ class ClusterClient:
 
     Speaks the protocol-v3 frames to every host (one
     :class:`~repro.service.client._TcpTransport` each, so probes are
-    multiplexed by request id like single-host queries).  ``plan``
-    and ``finish`` run client-side on a routing store fetched from the
-    fleet; only ``answer`` work crosses the wire, scattered to the
-    hosts that own each shard.  Answers — including
+    multiplexed by request id like single-host queries).  ``plan``,
+    ``route`` and ``finish`` run client-side on a routing store fetched
+    from the fleet; only ``answer`` work crosses the wire, scattered to
+    the hosts that own each shard.  Answers — including
     :class:`~repro.errors.QueryError` behaviour — are bit-identical to
     one full host serving the same index.
 
@@ -307,14 +308,14 @@ class ClusterClient:
 
     # -- the session surface: a submit/collect pair --------------------
     def _submit(self, pairs) -> Optional[tuple]:
-        """Plan one batch on the routing store and scatter its probes;
-        returns the ticket for :meth:`_collect` (``None`` for an empty
-        batch)."""
+        """Plan one batch on the routing store, route its request shard
+        by shard and scatter the probes; returns the ticket for
+        :meth:`_collect` (``None`` for an empty batch)."""
         arr = parse_pair_array(pairs)
         if arr.size == 0:
             return None
         router, repoch = self._router_snapshot()
-        state, requests = router.plan(arr[:, 0], arr[:, 1])
+        state, requests = router.route(*router.plan(arr[:, 0], arr[:, 1]))
         return arr, router, repoch, state, self._post_probes(requests)
 
     def _collect(self, ticket: Optional[tuple]) -> tuple[np.ndarray, int]:

@@ -10,13 +10,15 @@ exactly one such store.  The answers are exactly the ones the
 one-pair-at-a-time API produces — batching is a performance feature,
 never a semantic one.
 
-The engine always runs the shard decomposition through a
-:class:`~repro.service.workers.ShardServer` (in the calling thread for
-``jobs=1``, on a persistent thread pool for ``jobs > 1``), which is
-also where the per-phase timings (``plan`` / ``shard_answer`` /
-``finish`` / ``ipc``) accumulate.  Answers stay bit-identical for every
-``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the engine as a
-context manager) to join the pool's threads.
+A batch is parsed, copied into contiguous id columns and range-checked
+once, at this edge (:func:`~repro.service.index.pair_columns`); the
+result cache, the :class:`~repro.service.workers.ShardServer` and the
+store's ``_plan_checked`` take those columns as they are.  The server
+runs plan → answer → finish (in the calling thread for ``jobs=1``, cut
+into ``jobs`` pair ranges on a persistent thread pool above that) and
+accumulates the per-phase timings.  Answers stay bit-identical for
+every ``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the
+engine as a context manager) to join the pool's threads.
 
 Callers do not build engines: :func:`repro.service.client.connect`
 (through :class:`~repro.service.server.OracleServer`) normalises
@@ -29,7 +31,7 @@ the next epoch's store (and, for ``jobs > 1``, its thread pool) is
 prepared while traffic continues, the swap is one pointer flip under
 the engine lock, and in-flight batches finish on the epoch they started
 on (the old server is closed only once no batch is still handing it
-probes; a streamed batch already submitted is collected from its
+work; a streamed batch already submitted is collected from its
 ticket, which needs no executor).  Every batch — a ``dist_many`` call
 or one batch of a ``dist_stream`` — is served by exactly one epoch, the
 one current when it was submitted: no torn reads.  The result cache is
@@ -54,8 +56,8 @@ from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, QueryError
-from repro.service.index import IndexStore, parse_pair_array
+from repro.errors import ConfigError
+from repro.service.index import IndexStore, pair_columns
 from repro.service.session import stream_window
 from repro.service.workers import STREAM_DEPTH, ShardServer
 
@@ -198,10 +200,8 @@ class QueryEngine:
     :param cache_size: the most answers the result cache may hold (24
         bytes each; set-associative, LRU within a set); ``0`` disables
         caching.
-    :param jobs: threads behind the landmark shards (``1`` = probe in
-        the calling thread).  Values above the store's shard count are
-        clamped (a shard is the unit of work) and the attribute
-        reflects the effective count.
+    :param jobs: threads a batch is cut across (``1`` = answer in the
+        calling thread), whatever the store's shard count.
     :raises ConfigError: on a negative cache size or ``jobs < 1``.
     """
 
@@ -213,11 +213,9 @@ class QueryEngine:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.n = index.n
         self.cache_size = int(cache_size)
-        self._jobs_requested = int(jobs)
+        self.jobs = int(jobs)
         self.index = index
-        self._server = ShardServer(index, jobs=self._jobs_requested)
-        # reflect the clamped thread count (a shard is the unit of work)
-        self.jobs = self._server.jobs
+        self._server = ShardServer(index, jobs=self.jobs)
         # epoch bookkeeping: dist_many snapshots (epoch, server) under
         # the lock, and a retired epoch's server is closed only once its
         # last in-flight batch drains
@@ -313,21 +311,18 @@ class QueryEngine:
         actually answered it rather than guessing from the server's
         current clock.
         """
-        arr = parse_pair_array(pairs)
-        if arr.size == 0:
+        # ids are checked before they are keyed: an out-of-range pair
+        # must raise, not alias the u·n + v of a cached one
+        us, vs = pair_columns(pairs, self.n)
+        q = us.shape[0]
+        if q == 0:
             return np.empty(0, dtype=np.float64), self.epoch
-        q = arr.shape[0]
         epoch, server = self._acquire_epoch()
         try:
             if self.cache_size == 0:
-                return server.estimate_many(arr[:, 0], arr[:, 1]), epoch
+                return server.collect(server.submit(us, vs)), epoch
 
-            # ids are checked before they are keyed: an out-of-range
-            # pair must raise, not alias the u·n + v of a cached one
-            if arr.min() < 0 or arr.max() >= self.n:
-                raise QueryError(f"node id out of range [0, {self.n})")
             cache = self._cache
-            us, vs = arr[:, 0], arr[:, 1]
             keys = us * self.n + vs
             sets = cache.set_of(keys)
             out = np.empty(q, dtype=np.float64)
@@ -343,7 +338,7 @@ class QueryEngine:
                 self.stats.misses += miss.size
             if miss.size:
                 keys, sets = keys[miss], sets[miss]
-                vals = server.estimate_many(us[miss], vs[miss])
+                vals = server.collect(server.submit(us[miss], vs[miss]))
                 out[miss] = vals
                 with self._lock:
                     # epoch-stamped write-back: a batch that started
@@ -362,14 +357,14 @@ class QueryEngine:
         """Start one cache-bypassing batch on the epoch current right
         now; returns the ticket for :meth:`_collect` (``None`` when
         empty).  The epoch is pinned only while its server is handed
-        the probes: collecting a ticket needs no executor, so an
+        the batch: collecting a ticket needs no executor, so an
         outstanding one never keeps a retired epoch's server alive."""
-        arr = parse_pair_array(pairs)
-        if arr.size == 0:
+        us, vs = pair_columns(pairs, self.n)
+        if us.shape[0] == 0:
             return None
         epoch, server = self._acquire_epoch()
         try:
-            return epoch, server, server.submit(arr[:, 0], arr[:, 1])
+            return epoch, server, server.submit(us, vs)
         finally:
             self._release_epoch(epoch)
 
@@ -387,8 +382,8 @@ class QueryEngine:
         order — :func:`~repro.service.session.stream_window` over the
         engine's submit/collect pair, double-buffered.
 
-        With a thread pool behind the engine batch *k+1*'s plan
-        overlaps batch *k*'s shard probes (``overlap_seconds`` in
+        With a thread pool behind the engine batch *k+1*'s submit
+        overlaps batch *k*'s pair ranges (``overlap_seconds`` in
         :meth:`phase_timings`).  The result cache is bypassed (a
         streaming sweep is the cold-cache workload).  **Each batch** is
         answered wholly by the epoch current when it was submitted — a
@@ -437,13 +432,11 @@ class QueryEngine:
         report = self._updateable.apply(changes)
         if report.mode == "noop":
             return report
-        new_server = ShardServer(self._updateable.index,
-                                 jobs=self._jobs_requested)
+        new_server = ShardServer(self._updateable.index, jobs=self.jobs)
         with self._lock:
             old_epoch, old_server = self.epoch, self._server
             self._server = new_server
             self.index = new_server.index
-            self.jobs = new_server.jobs
             self.epoch = report.epoch  # the updateable's clock
             if self._cache is not None:
                 self._cache.clear()

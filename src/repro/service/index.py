@@ -4,7 +4,7 @@ Every scheme in the library has a vectorized index here, all conforming to
 the :class:`IndexStore` protocol:
 
 * :class:`TZIndex` — Thorup–Zwick labels flattened into dense pivot/top
-  tables plus one hashed bunch table cut into landmark shards.
+  tables plus one hashed bunch table behind a miss filter.
 * :class:`Stretch3Index` — the Theorem 4.3 sketches as one dense
   ``(n, |N|)`` node × net-node distance matrix; a batch is a gather and a
   row-wise min.
@@ -20,17 +20,17 @@ pair by pair, including :class:`~repro.errors.QueryError` parity on
 disconnected graphs.  Use :func:`build_index` to get the right store for a
 homogeneous sketch set.
 
-Every store also decomposes a batch into **per-landmark-shard probe
-requests** (``plan`` → ``answer`` → ``finish``).  ``answer(shards,
-requests)`` is the one kernel entry: it serves any set of shards in one
-pass, so an executor — the calling thread, a
-:class:`~repro.service.workers.ShardServer` thread owning a group of
-shards, a fleet host owning a range — makes one call for everything it
-owns.  The decomposition is part of the determinism contract: a shard's
-response is a pure function of ``(shard data, request)`` however the
-shards are grouped into calls, and ``finish`` combines responses by
-shard id, never by completion order, so any grouping yields the same
-bytes.  See ``docs/architecture.md`` for the dataflow diagram.
+Every store answers a batch as ``plan`` → ``answer`` → ``finish``, with
+``answer(shards, requests)`` the one kernel entry.  Where every shard
+is resident — any local session — ``plan``'s requests are answered as
+they are, whatever ``num_shards`` is.  A fleet, whose hosts each hold a
+shard range, takes one more step: ``route`` splits the requests shard
+by shard (the landmark is known *before* the lookup, so the router
+needs no sketch data), each host answers what it owns in one pass, and
+``finish`` undoes the routing it finds in the state.  Either way a
+response is a pure function of ``(resident data, request)`` and
+``finish`` combines responses by position, never by completion order
+(dataflow diagram: ``docs/architecture.md``).
 
 Notes on the TZ layout (the template the other stores reuse):
 
@@ -44,20 +44,17 @@ Notes on the TZ layout (the template the other stores reuse):
 * **one bunch table** for the sub-top levels — every remaining bunch
   entry ``w ∈ B_i(u)``, ``i < k-1``, is one row ``(key, distance,
   level)`` keyed by the composite integer ``u * n + w``.  Rows are
-  sorted by ``(landmark shard, key)``; ``bounds`` holds the S+1 shard
-  offsets, so a shard is the row range ``bounds[s]:bounds[s+1]`` — a
-  placement unit, not a separate structure.
+  sorted by ``(landmark shard, key)``, a landmark ``w`` living in shard
+  ``w mod S``; ``bounds`` holds the S+1 shard offsets, so a shard is
+  the row range ``bounds[s]:bounds[s+1]`` — a placement unit, not a
+  separate structure.
 * **one hash directory** (open addressing, ``slot_key`` / ``slot_idx``)
-  over every resident key, so a batch of membership probes — whichever
-  shards they were routed to — is one kernel call of a few vectorized
-  gathers with no Python-level loop over shards.
-
-Sharding is by landmark (``w % num_shards``): all entries naming landmark
-``w`` live in shard ``w mod S``.  ``plan`` routes a batch's probes shard
-by shard, which maps directly onto a fleet whose hosts each hold a
-contiguous shard range (the landmark is known *before* the lookup, so
-the router needs no sketch data); in one address space the routing is a
-stable radix sort and its inverse.
+  over every resident key: a key names its own landmark, so a batch of
+  membership probes is one kernel call with no loop over shards.
+* **one miss filter** in front of it — a blocked Bloom filter derived
+  from the resident keys at load, never stored.  ``E|B_i(v)| <= n^{1/k}``
+  against n nodes, so nearly every ``p_i(u) ∈ B_i(v)`` probe is absent:
+  the filter proves it in one gather; only what it passes walks on.
 
 The dense split requires that level-``k-1`` entries and sub-top entries
 never share a landmark — true for every honest TZ construction, where an
@@ -69,7 +66,8 @@ sets violating this are detected at build time and stored fully sharded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, groupby
 from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -86,6 +84,16 @@ _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
 #: cells of the one windowed gather that ends a TZ probe (see
 #: :meth:`TZIndex._probe`): about what two more rounds of the walk cost
 _WINDOW_CELLS = 1 << 12
+
+#: resident keys per 64-bit word of a TZ store's miss filter; the word
+#: count rounds up to a power of two, so 16-32 bits per key — the knee of
+#: the size / false-positive / qps table in CHANGES.md (PR 21): half the
+#: size passes 3x the misses, twice the size serves no faster
+_FILTER_KEYS_PER_WORD = 4
+#: the two filter bits of a key, by the 12 hash bits that choose them
+_FILTER_BITS = (np.uint64(1) << (np.arange(4096, dtype=np.uint64) >> 6)
+                | np.uint64(1) << (np.arange(4096, dtype=np.uint64) & 63))
+_PICK_BITS, _PICK_MASK = np.uint64(12), np.uint64(4095)
 
 #: cells of one ``(rows, columns)`` gather block of the stretch-3 kernel
 #: (float64, so 512 KB per temporary): larger batches are cut into row
@@ -105,23 +113,26 @@ class IndexStore(Protocol):
     1. **Bit-identity** — :meth:`estimate_many` returns, for every pair,
        the exact float the scheme's single-pair query would return, and
        raises :class:`~repro.errors.QueryError` exactly when some pair in
-       the batch would raise it singly.
-    2. **Shard decomposition** — ``estimate_many`` is equivalent to::
+       the batch would raise it singly, tagged with the first such
+       batch row (``exc.row``).
+    2. **plan → [route →] answer → finish** — ``estimate_many`` is
+       equivalent to::
 
            state, requests = store.plan(us, vs)
-           responses = store.answer(range(store.num_shards), requests)
+           # a fleet only — exactly one request per landmark shard:
+           # state, requests = store.route(state, requests)
+           responses = store.answer(range(len(requests)), requests)
            answers = store.finish(state, responses)
 
-       and ``answer`` may be split any way: for every list of distinct
-       shards, ``answer(shards, [requests[s] for s in shards])`` equals
-       ``[answer((s,), (requests[s],))[0] for s in shards]`` — one
-       shard's response touches only that shard's slice of the store
-       and is a pure function of ``(shard data, request)``, so shards
-       can be grouped per thread or per host freely, and ``finish``
-       combines responses by shard id.  A probe that finds nothing
-       answers the canonical ``(0.0, -1)`` — distance zero, level -1 —
-       so equal stores give byte-equal responses.  Answers are
-       independent of ``num_shards``.
+       and routed requests may be answered in any split: for every list
+       of distinct shards, ``answer(shards, [requests[s] for s in
+       shards])`` equals ``[answer((s,), (requests[s],))[0] for s in
+       shards]`` — a shard's response reads only that shard's slice of
+       the store, so shards spread over hosts freely, and ``finish``
+       combines responses by position.  A probe that finds nothing
+       answers the canonical ``(0.0, -1)``, so equal stores give
+       byte-equal responses.  A pair's answer depends on that pair only
+       (any cut of a batch gives the same floats), never on S.
     """
 
     n: int
@@ -144,24 +155,36 @@ class IndexStore(Protocol):
         ...
 
     def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """Validate a batch and split it into per-shard requests."""
+        """:func:`validated_pairs`, then :meth:`_plan_checked`."""
+        ...
+
+    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
+                      ) -> tuple[Any, list]:
+        """What ``finish`` needs and the batch's requests, from id
+        columns the caller validated (:func:`pair_columns`)."""
+        ...
+
+    def route(self, state: Any, requests: list) -> tuple[Any, list]:
+        """Planned requests re-addressed as one per landmark shard; the
+        returned state tells ``finish`` how."""
         ...
 
     def answer(self, shards: Sequence[int], requests: Sequence) -> list:
-        """Serve these shards' requests in one pass: the per-shard
-        responses, in the order asked (pure; safe on any thread)."""
+        """Serve these requests in one pass: one response each, in the
+        order asked (pure; safe on any thread); ``shards[i]`` is the
+        shard of a routed ``requests[i]``."""
         ...
 
     def shard_answer(self, shard: int, request: Any) -> Any:
-        """One shard's response: ``answer((shard,), (request,))[0]``."""
+        """One request's response: ``answer((shard,), (request,))[0]``."""
         ...
 
     def finish(self, state: Any, responses: list) -> np.ndarray:
-        """Combine the per-shard responses into the final answers."""
+        """Combine the responses into the final answers."""
         ...
 
 
-def _validated_pairs(us, vs, n: int) -> tuple[np.ndarray, np.ndarray]:
+def validated_pairs(us, vs, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared batch validation: contiguous int64 arrays, ids in [0, n)."""
     us = np.ascontiguousarray(us, dtype=np.int64)
     vs = np.ascontiguousarray(vs, dtype=np.int64)
@@ -192,6 +215,14 @@ def parse_pair_array(pairs) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
+def pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``dist_many`` workload as validated id columns — what a session
+    edge hands ``_plan_checked``, so a batch is parsed, copied and
+    checked once (ConfigError: bad shape; QueryError: id out of range)."""
+    arr = parse_pair_array(pairs)
+    return validated_pairs(arr[:, 0], arr[:, 1], n)
+
+
 def _unresolved_error(message: str, row: int) -> QueryError:
     """A QueryError tagged with the offending batch row (wrapping stores
     use the tag to re-raise with their own node ids)."""
@@ -201,17 +232,26 @@ def _unresolved_error(message: str, row: int) -> QueryError:
 
 
 class _BaseIndex:
-    """Shared driver: ``estimate_many`` as plan → answer → finish over
-    every shard at once, plus the single-shard and single-pair wrappers."""
+    """Shared driver: ``estimate_many`` as plan → answer → finish, the
+    validating ``plan``, the identity ``route``, the one-request and
+    single-pair wrappers."""
+
+    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
+        """Validate a batch and plan it (see :class:`IndexStore`)."""
+        return self._plan_checked(*validated_pairs(us, vs, self.n))
+
+    def route(self, state: Any, requests: list) -> tuple[Any, list]:
+        """Planned requests already addressed shard by shard."""
+        return state, requests
 
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched estimates, bit-identical to the single-pair query."""
         state, requests = self.plan(us, vs)
         return self.finish(
-            state, self.answer(range(self.num_shards), requests))
+            state, self.answer(range(len(requests)), requests))
 
     def shard_answer(self, shard: int, request: Any) -> Any:
-        """One shard's response — :meth:`answer` for a single shard."""
+        """One request's response — :meth:`answer` for a single one."""
         return self.answer((shard,), (request,))[0]
 
     def estimate(self, u: int, v: int) -> float:
@@ -304,6 +344,30 @@ def _hash_params(size: int) -> tuple[int, np.uint64]:
     return size - 1, np.uint64(64 - size.bit_length() + 1)
 
 
+def _miss_filter(keys: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """``(words, shift)`` of a single-word blocked Bloom filter over
+    ``keys``: a key sets two bits of one ``uint64`` word, all three
+    chosen by its Fibonacci hash — the word by the top bits (``h >>
+    shift``), the bits by the twelve below.  No false negatives; about
+    1 % of absent keys pass.  Built in row blocks, never stored."""
+    words = 2
+    while words * _FILTER_KEYS_PER_WORD < keys.size:
+        words <<= 1
+    shift = _hash_params(words)[1]
+    filt = np.zeros(words, dtype=np.uint64)
+    for i in range(0, keys.size, _BLOCK_CELLS):
+        h = keys[i:i + _BLOCK_CELLS].view(np.uint64) * _HASH_MULT
+        np.bitwise_or.at(filt, (h >> shift).view(np.int64),
+                         _filter_bits(h, shift))
+    return filt, shift
+
+
+def _filter_bits(h: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Each hash's two-bit mask in its filter word ``h >> shift``."""
+    return _FILTER_BITS.take(
+        ((h >> (shift - _PICK_BITS)) & _PICK_MASK).view(np.int64))
+
+
 @dataclass
 class _TZPlan:
     """In-flight state of one batched TZ query (master side only)."""
@@ -314,7 +378,7 @@ class _TZPlan:
     cand: np.ndarray      # (k, 2, q) float64, ditto
     via: np.ndarray       # (kk, 2, q) pivot distances awaiting probe sums,
     #                       kk the levels routed through the bunch table
-    order: Optional[np.ndarray]  # flat probes in shard order; None = as is
+    order: Optional[np.ndarray]  # set by route: flat probes in shard order
 
 
 class TZIndex(_BaseIndex):
@@ -407,6 +471,8 @@ class TZIndex(_BaseIndex):
         self.slot_key = arrays["slot_key"]
         self.slot_idx = arrays["slot_idx"]
         self.mask, self.shift = _hash_params(self.slot_key.size)
+        #: the miss filter over the resident keys (derived, never stored)
+        self._filter, self._filter_shift = _miss_filter(self.keys)
 
         n, S = self.n, self.num_shards
         #: levels routed through the bunch table (the rest is dense)
@@ -450,18 +516,28 @@ class TZIndex(_BaseIndex):
         ``(0.0, -1)`` where the key is not resident.  Every membership
         probe of the store goes through here, once per :meth:`answer`.
 
-        A key walks from its home slot to the first slot that holds it
-        or is empty; the slot's row index then gathers the answer, an
-        empty slot's -1 wrapping to the absent row.  A round of the walk
-        costs a dozen numpy calls however few keys are still pending
-        (a miss — nearly every probe — walks to the end of its occupied
-        run), so once the pending keys' whole remaining walks fit in
+        Nearly every probe is a miss, so the miss filter is asked
+        first — one gather from a cache-resident table — and only the
+        keys it passes (the resident ones and about 1 % of the rest)
+        walk the directory: from the home slot to the first slot that
+        holds the key or is empty, whose row index gathers the answer
+        (an empty slot's -1 wraps to the absent row).  A round of the
+        walk costs a dozen numpy calls however few keys are pending, so
+        once the pending keys' whole remaining walks fit in
         :data:`_WINDOW_CELLS` cells they are gathered at once.
         """
-        cur = ((keys.view(np.uint64) * _HASH_MULT) >> self.shift).view(
-            np.int64)
+        h = keys.view(np.uint64) * _HASH_MULT
+        bits = _filter_bits(h, self._filter_shift)
+        word = self._filter.take((h >> self._filter_shift).view(np.int64))
+        live = ((word & bits) == bits).nonzero()[0]
+        dist = np.zeros(keys.size, dtype=np.float64)
+        level = np.empty(keys.size, dtype=np.int64)
+        level.fill(-1)
+
+        keys = keys.take(live)
+        cur = (h.take(live) >> self.shift).view(np.int64)
         at = self.slot_key.take(cur)
-        pend = np.flatnonzero((at != keys) & (at != -1))
+        pend = ((at != keys) & (at != -1)).nonzero()[0]
         seen = 1  # slots of its walk every pending key has passed
         while pend.size:
             ahead = self._window[:self._window.size - seen]
@@ -477,22 +553,26 @@ class TZIndex(_BaseIndex):
             pend = pend[(at != keys[pend]) & (at != -1)]
             seen += 1
         pos = self.slot_idx.take(cur)
-        return self.dists.take(pos), self.levels.take(pos)
+        dist[live] = self.dists.take(pos)
+        level[live] = self.levels.take(pos)
+        return dist, level
 
     def answer(self, shards: Sequence[int], requests: Sequence[np.ndarray],
                ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Probe the table with these shards' composite-key requests in
-        one kernel call; per shard ``(dist, level)``, the absent row
+        """Probe the table with these composite-key requests in one
+        kernel call; per request ``(dist, level)``, the absent row
         ``(0.0, -1)`` for a key that is not resident.  A key names its
         own landmark, hence its shard, so the kernel never reads
-        ``shards``: one response is cut per request, and a shard this
-        store does not hold (see :func:`restrict_index_shards`) answers
-        all-absent.  Pure: reads the table and the directory, writes
-        nothing shared.
+        ``shards``: the unrouted request of :meth:`plan` and the routed
+        ones are served alike, and a key of a shard this store does not
+        hold (see :func:`restrict_index_shards`) answers absent.  Pure:
+        reads the table and the directory, writes nothing shared.
         """
         if not requests:
             return []
-        dist, level = self._probe(np.concatenate(requests, dtype=np.int64))
+        keys = (np.concatenate(requests, dtype=np.int64) if len(requests) > 1
+                else np.ascontiguousarray(requests[0], dtype=np.int64))
+        dist, level = self._probe(keys)
         ends = list(accumulate(map(len, requests)))
         return [(dist[a:b], level[a:b])
                 for a, b in zip([0] + ends[:-1], ends)]
@@ -531,17 +611,11 @@ class TZIndex(_BaseIndex):
     # ------------------------------------------------------------------
     # the batched Lemma 3.2 query, decomposed per the IndexStore contract
     # ------------------------------------------------------------------
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[_TZPlan, list]:
-        """Validate the batch, gather pivots and the dense-top hits, and
-        split the sub-top membership probes into per-shard key requests."""
-        us, vs = _validated_pairs(us, vs, self.n)
-        return self._plan_checked(us, vs)
-
     def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
                       ) -> tuple[_TZPlan, list]:
-        """:meth:`plan` minus the batch validation — wrapping stores
-        (CDG, graceful) route already-validated compact-universe ids
-        here so a batch is checked once, not once per layer."""
+        """Gather pivots and the dense-top hits of a validated batch;
+        its sub-top membership probes are one flat key request,
+        pair-major."""
         q, k, kk, n = us.shape[0], self.k, self._kk, self.n
 
         pu = self.pivot_ids.take(us, axis=0)      # (q, k)
@@ -569,22 +643,6 @@ class TZIndex(_BaseIndex):
         via = np.empty((kk, 2, q), dtype=np.float64)
         via[:, 0] = du[:, :kk].T
         via[:, 1] = dv[:, :kk].T
-        flat = keys.reshape(-1)
-
-        if self.num_shards == 1:
-            order, requests = None, [flat]  # shard order is flat order
-        else:
-            # a stable sort keeps flat order inside a shard, so the
-            # requests are the ones a per-shard filter would produce
-            shard = np.empty((q, kk, 2), dtype=self._pivot_shard.dtype)
-            shard[:, :, 0] = self._pivot_shard.take(us, axis=0)
-            shard[:, :, 1] = self._pivot_shard.take(vs, axis=0)
-            shard = shard.reshape(-1)
-            order = shard.argsort(kind="stable")
-            routed = flat.take(order)
-            cuts = shard.take(order).searchsorted(self._shard_ids).tolist()
-            requests = [routed[a:b]
-                        for a, b in zip([0] + cuts, cuts + [flat.size])]
 
         if self.dense_top:
             if self.top_ids.size:
@@ -604,7 +662,24 @@ class TZIndex(_BaseIndex):
                 cand[kk] = np.inf
 
         return _TZPlan(us=us, vs=vs, hit=hit, cand=cand, via=via,
-                       order=order), requests
+                       order=None), [keys.reshape(-1)]
+
+    def route(self, state: _TZPlan, requests: list) -> tuple[_TZPlan, list]:
+        """Split the flat request by landmark shard.  A stable sort
+        keeps flat order inside a shard, so the requests are the ones a
+        per-shard filter would produce; the routed state carries the
+        order for ``finish`` to undo."""
+        (flat,) = requests
+        shard = np.empty((state.us.size, self._kk, 2),
+                         dtype=self._pivot_shard.dtype)
+        shard[:, :, 0] = self._pivot_shard.take(state.us, axis=0)
+        shard[:, :, 1] = self._pivot_shard.take(state.vs, axis=0)
+        shard = shard.reshape(-1)
+        order = shard.argsort(kind="stable")
+        routed = flat.take(order)
+        cuts = shard.take(order).searchsorted(self._shard_ids).tolist()
+        return replace(state, order=order), [
+            routed[a:b] for a, b in zip([0] + cuts, cuts + [flat.size])]
 
     def finish(self, state: _TZPlan, responses: list) -> np.ndarray:
         """Fold the shard probe responses into the Lemma 3.2 level scan:
@@ -854,10 +929,10 @@ class Stretch3Index(_BaseIndex):
                 for a, b in zip(cb[:-1], cb[1:])]
 
     # ------------------------------------------------------------------
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """Validate the batch; every shard receives the full pair list
-        (each owns a disjoint column block of the min)."""
-        us, vs = _validated_pairs(us, vs, self.n)
+    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
+                      ) -> tuple[Any, list]:
+        """Every shard receives the full pair list (each owns a column
+        block of the min): one request per shard, nothing to route."""
         return (us, vs), [(us, vs)] * self.num_shards
 
     def answer(self, shards: Sequence[int], requests: Sequence,
@@ -1086,19 +1161,19 @@ class CDGIndex(_BaseIndex):
         return self._sub.shard_sizes()
 
     # ------------------------------------------------------------------
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """Validate the batch and plan the gateway-label TZ sub-batch."""
-        us, vs = _validated_pairs(us, vs, self.n)
-        return self._plan_checked(us, vs)
-
     def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
                       ) -> tuple[Any, list]:
-        """:meth:`plan` minus the batch validation.  The gateway slots
-        gathered from ``_gw_slot`` are valid sub-universe ids by
-        construction, so the TZ sub-plan skips its own check too —
-        one validation per batch, however deep the store nests."""
+        """Plan the gateway-label TZ sub-batch (gateway slots gathered
+        from ``_gw_slot`` are valid sub-universe ids by construction:
+        one validation per batch, however deep the store nests)."""
         sub_state, requests = self._sub._plan_checked(self._gw_slot[us],
                                                       self._gw_slot[vs])
+        return (us, vs, sub_state), requests
+
+    def route(self, state: Any, requests: list) -> tuple[Any, list]:
+        """Split the sub-index's request by landmark shard."""
+        us, vs, sub_state = state
+        sub_state, requests = self._sub.route(sub_state, requests)
         return (us, vs, sub_state), requests
 
     def answer(self, shards: Sequence[int], requests: Sequence) -> list:
@@ -1233,23 +1308,26 @@ class GracefulIndex(_BaseIndex):
                 for s in range(self.num_shards)]
 
     # ------------------------------------------------------------------
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """Plan every component's sub-batch; shard ``s``'s request is the
-        tuple of the components' shard-``s`` requests."""
-        us, vs = _validated_pairs(us, vs, self.n)
-        states, per_comp = [], []
-        for comp in self.components:
-            # validated once above — components share this store's id space
-            st, reqs = comp._plan_checked(us, vs)
-            states.append(st)
-            per_comp.append(reqs)
-        requests = [tuple(per_comp[i][s] for i in range(len(self.components)))
-                    for s in range(self.num_shards)]
-        return (us, vs, states), requests
+    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
+                      ) -> tuple[Any, list]:
+        """Plan every component's sub-batch (they share this store's id
+        space); a request is the tuple of the components' requests."""
+        states, per_comp = zip(*(comp._plan_checked(us, vs)
+                                 for comp in self.components))
+        return (us, vs, list(states)), list(zip(*per_comp))
+
+    def route(self, state: Any, requests: list) -> tuple[Any, list]:
+        """Route every component; shard ``s``'s request is the tuple of
+        the components' shard-``s`` requests."""
+        us, vs, states = state
+        states, per_comp = zip(*(
+            comp.route(st, [r[i] for r in requests])
+            for i, (comp, st) in enumerate(zip(self.components, states))))
+        return (us, vs, list(states)), list(zip(*per_comp))
 
     def answer(self, shards: Sequence[int], requests: Sequence) -> list:
-        """Serve the shards of every component — one kernel call per
-        component, transposed back to one response tuple per shard."""
+        """Serve the requests of every component — one kernel call per
+        component, transposed back to one response tuple per request."""
         per_comp = [comp.answer(shards, [r[i] for r in requests])
                     for i, comp in enumerate(self.components)]
         return list(zip(*per_comp))
@@ -1260,8 +1338,7 @@ class GracefulIndex(_BaseIndex):
         us, vs, states = state
         est: Optional[np.ndarray] = None
         for i, comp in enumerate(self.components):
-            part = comp.finish(states[i], [responses[s][i]
-                                           for s in range(self.num_shards)])
+            part = comp.finish(states[i], [r[i] for r in responses])
             est = part if est is None else np.minimum(est, part)
         return est
 
@@ -1420,30 +1497,19 @@ def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
             **_bunch_table(index.keys[a:b], index.dists[a:b],
                            index.levels[a:b], index.n, S)})
     if isinstance(index, Stretch3Index):
-        new = Stretch3Index.__new__(Stretch3Index)
-        new.n, new.eps, new.num_shards = index.n, index.eps, S
-        new.net_ids = index.net_ids
         cb = index._col_bounds
-        new.dist = np.full_like(index.dist, np.inf)
-        new.dist[:, cb[lo]:cb[hi]] = index.dist[:, cb[lo]:cb[hi]]
-        new._col_bounds = cb
-        return new
-    if isinstance(index, CDGIndex):
-        new = CDGIndex.__new__(CDGIndex)
-        new.n, new.eps, new.k = index.n, index.eps, index.k
-        new.num_shards = S
-        new.gateway_ids = index.gateway_ids
-        new.gateway_dists = index.gateway_dists
-        new.net_ids = index.net_ids
-        new._gw_slot = index._gw_slot
-        new._sub = restrict_index_shards(index._sub, lo, hi)
-        new._labels = None
-        return new
-    if isinstance(index, GracefulIndex):
-        new = GracefulIndex.__new__(GracefulIndex)
-        new.n, new.num_shards = index.n, S
-        new.components = [restrict_index_shards(c, lo, hi)
-                          for c in index.components]
+        dist = np.full_like(index.dist, np.inf)
+        dist[:, cb[lo]:cb[hi]] = index.dist[:, cb[lo]:cb[hi]]
+        return Stretch3Index._from_pack(
+            index.pack_meta(), {"net_ids": index.net_ids, "dist": dist})
+    if isinstance(index, (CDGIndex, GracefulIndex)):
+        new = copy(index)  # router state is shared, never mutated
+        if isinstance(index, CDGIndex):
+            new._sub = restrict_index_shards(index._sub, lo, hi)
+            new._labels = None
+        else:
+            new.components = [restrict_index_shards(c, lo, hi)
+                              for c in index.components]
         return new
     raise ConfigError(
         f"cannot shard-restrict a {type(index).__name__}")

@@ -103,11 +103,13 @@ class OracleServer:
         * an :class:`~repro.service.updates.UpdateableIndex`: serves the
           live epoch and enables :meth:`apply_updates` hot swaps.
 
-    :param jobs: threads behind the landmark shards (``1`` = probe in
-        the calling thread) — exactly
+    :param jobs: threads a batch is cut across (``1`` = answer in the
+        calling thread) — exactly
         :class:`~repro.service.workers.ShardServer`'s knob.
     :param num_shards: landmark shard count when building from
-        sketches; must match (or be omitted for) a pre-built source.
+        sketches (default 1: shards are what a fleet's hosts divide,
+        not a unit of local work); must match (or be omitted for) a
+        pre-built source.
     :param cache_size: result-cache capacity (answers) of the hosted
         engine; ``0`` disables it.
     :param shard_range: ``(lo, hi)`` — serve only landmark shards
@@ -160,8 +162,7 @@ class OracleServer:
 
         # everything that can be wrong with the source is found here,
         # before the engine starts any shard thread
-        index, updateable = self._normalize_source(
-            source, jobs=jobs, num_shards=num_shards)
+        index, updateable = self._normalize_source(source, num_shards)
         self.shard_range: Optional[tuple[int, int]] = None
         if shard_range is not None:
             lo, hi = int(shard_range[0]), int(shard_range[1])
@@ -184,13 +185,12 @@ class OracleServer:
                                    cache_size=cache_size, jobs=jobs)
 
     @staticmethod
-    def _normalize_source(source: Any, *, jobs: int,
-                          num_shards: Optional[int],
+    def _normalize_source(source: Any, num_shards: Optional[int],
                           ) -> tuple[IndexStore, Any]:
         """``(index, updateable-or-None)`` for anything servable.  A
-        sketch set is indexed here (``num_shards`` shards, default one
-        per thread); a pre-built source keeps its baked layout, which
-        an explicit ``num_shards`` must match."""
+        sketch set is indexed here (``num_shards`` shards, default
+        one); a pre-built source keeps its baked layout, which an
+        explicit ``num_shards`` must match."""
         from repro.oracle.api import BuiltSketches
         from repro.service.updates import UpdateableIndex
 
@@ -199,8 +199,7 @@ class OracleServer:
         if isinstance(source, BuiltSketches):
             source = source.sketches
         if isinstance(source, (list, tuple)):
-            return build_index(
-                source, num_shards=num_shards or max(int(jobs), 1)), None
+            return build_index(source, num_shards=num_shards or 1), None
         if isinstance(source, UpdateableIndex):
             index, updateable = source.index, source
         elif hasattr(source, "plan") and hasattr(source, "estimate_many"):
@@ -231,7 +230,7 @@ class OracleServer:
 
     @property
     def jobs(self) -> int:
-        """Effective shard-thread count (clamped to the shard count)."""
+        """Threads a batch is cut across."""
         return self._engine.jobs
 
     def client(self, endpoint: str = "inproc://",

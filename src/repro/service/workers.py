@@ -1,47 +1,41 @@
-"""Shard serving: threads behind the landmark shards.
+"""Shard serving: one store, one batch, optionally cut across threads.
 
-Every :class:`~repro.service.index.IndexStore` decomposes a query batch
-into per-shard probe requests (``plan`` → ``answer`` → ``finish``; see
-the protocol contract), and ``answer`` serves any set of shards in one
-kernel pass.  :class:`ShardServer` runs that decomposition, one
-``answer`` call per thread::
+Every :class:`~repro.service.index.IndexStore` answers a batch as
+``plan`` → ``answer`` → ``finish`` (see the protocol contract), and a
+pair's answer depends on that pair only.  :class:`ShardServer` runs that
+chain over a validated batch::
 
-    caller                              executor threads (jobs = J > 1)
-    ------                              -------------------------------
-    plan(us, vs) ──┬─ requests[g0] ─▶ answer(group 0, ·) ─┐
-                   ├─ requests[g1] ─▶ answer(group 1, ·) ─┤
-                   └─ requests[gJ-1]▶ answer(group J-1,·) ─┤
-    finish(state, responses) ◀────── responses by shard id ─┘
+    caller                          executor threads (jobs = J > 1)
+    ------                          -------------------------------
+    submit(us, vs) ─┬─ pairs [0, q/J)    ─▶ plan → answer → finish ─┐
+                    ├─ pairs [q/J, 2q/J) ─▶ plan → answer → finish ─┤
+                    └─ …                 ─▶ plan → answer → finish ─┤
+    collect(ticket) ◀──────── answers, concatenated in pair order ──┘
 
-``jobs=1`` answers all S shards with one call in the calling thread.
-``jobs=J`` cuts the shards into J contiguous groups and submits one
-task per group to a persistent
-``concurrent.futures.ThreadPoolExecutor``: ``answer`` is numpy-kernel
-work that releases the GIL, so the groups overlap for real, and because
-the executor sees the caller's own index object nothing is copied,
-pickled or attached — dispatch cost is J function submissions, whatever
-the shard count.  Where the store's bytes live (heap arrays, or a
-memory-mapped RPIX file) was decided when it was loaded; the server
-serves the store it is given.
+``jobs=1`` runs the chain once, in the calling thread.  ``jobs=J`` cuts
+the *batch* into J contiguous pair ranges, one task each on a
+persistent ``concurrent.futures.ThreadPoolExecutor``: the chain is
+numpy-kernel work that releases the GIL, so the ranges overlap for
+real, and the executor sees the caller's own index object — nothing is
+copied, pickled or attached.  The cut does not depend on the store's
+shard count: a shard is placement (what a fleet host owns), not a unit
+of local execution.
 
-Determinism: a shard's response is a pure function of ``(shard data,
-request)`` however the shards are grouped, and ``finish`` consumes
-responses by shard id, never by completion order, so answers are
-bit-identical for every ``jobs`` value — the test suite asserts
-jobs=1/2/4 equality for every scheme.  A
-:class:`~repro.errors.QueryError` for an unresolved pair is raised by
-``finish`` in the caller, exactly as in-process.
+Determinism: any cut gives the same bytes, so answers are bit-identical
+for every ``jobs`` value (the test suite asserts jobs=1/2/4/7, every
+scheme).  A :class:`~repro.errors.QueryError` for an unresolved pair is
+raised by ``collect`` in the caller, exactly as in-process: the lowest
+failing range's, tagged with its row in the whole batch.
 
-Per-batch **phase timings** (plan / shard_answer / finish / ipc) are
-accumulated on :attr:`ShardServer.timings`; ``serve-bench`` reports
-them, which is how a dispatch-bound configuration is diagnosed from one
-run.
+Per-batch **phase timings** (plan / shard_answer / finish / ipc)
+accumulate on :attr:`ShardServer.timings`; ``serve-bench`` reports
+them, which is how a dispatch-bound configuration is diagnosed.
 
 A server is pinned to **one epoch** of its index: the dynamic-update
 path (:meth:`~repro.service.engine.QueryEngine.apply_updates`) never
 mutates a served store — it builds the next epoch's server while this
 one keeps answering, then swaps and closes this one once no batch is
-still being submitted to it.  Closing lets the probes already submitted
+still being submitted to it.  Closing lets the ranges already submitted
 run, and collecting needs only the ticket and the immutable index, so a
 batch submitted before the swap is still answered wholly by this epoch.
 
@@ -60,8 +54,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.service.index import IndexStore, parse_pair_array
+from repro.errors import ConfigError, QueryError
+from repro.service.index import IndexStore, pair_columns, validated_pairs
 from repro.service.session import stream_window
 
 #: executor threads carry this name prefix so tests (and operators
@@ -70,7 +64,7 @@ from repro.service.session import stream_window
 THREAD_POOL_PREFIX = "repro-shard"
 
 #: batches a local stream keeps submitted: double buffering — batch
-#: *k+1* is planned while batch *k*'s probes run
+#: *k+1* is cut and queued while batch *k*'s ranges run
 STREAM_DEPTH = 2
 
 
@@ -81,25 +75,17 @@ STREAM_DEPTH = 2
 class PhaseTimings:
     """Cumulative per-phase wall time across the batches a server ran.
 
-    ``ipc`` is the executor's dispatch overhead: everything between
-    plan and finish that is not kernel compute (task submission, thread
-    wake-ups, waiting on futures), i.e. the dispatch wall minus the
-    parallel critical path (the slowest group's compute).  In-thread
-    serving (``jobs=1``) has ``ipc == 0`` by construction.
-
-    ``overlap`` is the double-buffering win of the pipelined path
-    (:meth:`ShardServer.estimate_stream`): caller-side seconds — batch
-    *k+1*'s plan — spent while batch *k*'s probes were still in
-    flight.  Sequential serving leaves it 0.
-
-    ``kernel`` is the per-batch **critical path** of pure kernel
-    compute: the slowest ``answer`` call's seconds, summed over batches.
-    ``shard_answer`` is the *total* across the batch's ``answer`` calls
-    — one per worker group — so with ``jobs=1`` the two are equal and
-    with J balanced groups ``shard_answer ≈ J × kernel``; the dispatch
-    wall window is ``kernel + ipc``.  One report therefore separates
-    "the numpy kernels are slow" (``kernel`` dominates) from "handing
-    the work out costs more than the work" (``ipc`` dominates).
+    ``plan`` / ``shard_answer`` / ``finish`` are the seconds in the
+    store's three steps, summed over a batch's pair ranges (one
+    in-thread, J on the executor); ``kernel`` is the per-batch
+    **critical path** of ``answer``, the slowest range's seconds — equal
+    to ``shard_answer`` at ``jobs=1``, ``≈ shard_answer / J`` for J
+    balanced ranges.  ``ipc`` is the executor's dispatch overhead: the
+    wall time from submit until every range was collected, minus the
+    slowest range's own three steps (0 in-thread, by construction).
+    ``overlap`` is the double-buffering win of
+    :meth:`ShardServer.estimate_stream`: caller-side seconds — batch
+    *k+1*'s submit — spent while batch *k*'s ranges were in flight.
     """
 
     plan: float = 0.0
@@ -121,23 +107,21 @@ class PhaseTimings:
 
 
 class ShardServer:
-    """Serve batched queries from an :class:`IndexStore` with one
-    ``answer`` call per thread.
+    """Serve batched queries from an :class:`IndexStore`, the batch cut
+    into one contiguous pair range per thread.
 
     :param index: any built index store (all schemes); served as given —
         heap arrays or an mmap-loaded RPIX container alike.
-    :param jobs: ``1`` answers every shard in the calling thread; above
+    :param jobs: ``1`` answers a batch in the calling thread; above
         that, a persistent ``ThreadPoolExecutor`` of that many threads,
-        each handed one contiguous group of shards per batch (the numpy
-        kernels release the GIL).  Values above the shard count are
-        clamped — a shard is the unit of placement, so extra threads
-        would idle.
+        each handed one contiguous range of the batch's pairs (the
+        numpy kernels release the GIL).
     :raises ConfigError: when ``jobs < 1``.
 
     Use as a context manager (or call :meth:`close`) so the executor's
     threads do not outlive the server::
 
-        with ShardServer(build_index(sketches, num_shards=4), jobs=4) as srv:
+        with ShardServer(build_index(sketches), jobs=4) as srv:
             est = srv.estimate_many(us, vs)
     """
 
@@ -154,12 +138,7 @@ class ShardServer:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.index = index
-        self.jobs = min(int(jobs), index.num_shards)
-        #: the contiguous, near-even shard group each ``answer`` call
-        #: serves — one per thread
-        cuts = [index.num_shards * j // self.jobs
-                for j in range(self.jobs + 1)]
-        self._groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        self.jobs = int(jobs)
         if self.jobs > 1:
             # same address space: the executor probes the caller's own
             # index object — no initializer, no data movement
@@ -170,68 +149,79 @@ class ShardServer:
     # ------------------------------------------------------------------
     # the submit/collect pair (see repro.service.session)
     # ------------------------------------------------------------------
-    def _probe(self, group: range, requests: list) -> tuple[float, list]:
-        """One timed ``answer`` call of the caller's own index for a
-        group of shards.  As an executor task the numpy kernel inside
-        releases the GIL, so submissions overlap."""
+    def _serve(self, us: np.ndarray, vs: np.ndarray, start: int = 0,
+               ) -> tuple:
+        """plan → answer → finish for the pairs from batch row
+        ``start`` on: ``(answers, plan s, answer s, finish s)``, the
+        answers replaced by the :class:`QueryError` (its ``row``
+        counted in the whole batch) when a pair is unresolved."""
+        index = self.index
         t0 = time.perf_counter()
-        responses = self.index.answer(group,
-                                      requests[group.start:group.stop])
-        return time.perf_counter() - t0, responses
+        state, requests = index._plan_checked(us, vs)
+        t1 = time.perf_counter()
+        responses = index.answer(range(len(requests)), requests)
+        t2 = time.perf_counter()
+        try:
+            out = index.finish(state, responses)
+        except QueryError as exc:
+            exc.row += start
+            out = exc
+        return out, t1 - t0, t2 - t1, time.perf_counter() - t2
 
     def submit(self, us: np.ndarray, vs: np.ndarray) -> Optional[tuple]:
-        """Plan one batch and start its probes, one task per shard
-        group; returns the ticket for :meth:`collect` (``None`` for an
-        empty batch).  An in-thread server defers the probes to collect
-        time — there is nothing to overlap with."""
-        if us.shape[0] == 0:
+        """Start one batch of **validated** id columns
+        (:func:`~repro.service.index.pair_columns` at a session edge,
+        or :meth:`estimate_many`); returns the ticket for
+        :meth:`collect` (``None`` for an empty batch).  An executor
+        gets ``jobs`` contiguous ranges, one task each; an in-thread
+        server defers the work to collect time — nothing to overlap."""
+        q = us.shape[0]
+        if q == 0:
             return None
-        t0 = time.perf_counter()
-        state, requests = self.index.plan(us, vs)
-        t1 = time.perf_counter()
         executor = self._executor
-        if executor is not None:
-            requests = [executor.submit(self._probe, group, requests)
-                        for group in self._groups]
-        with self._state_lock:
-            self.timings.plan += t1 - t0
-        return state, executor is not None, requests, t1
+        if executor is None:
+            return False, (us, vs), 0.0
+        cuts = [q * j // self.jobs for j in range(self.jobs + 1)]
+        tasks = [executor.submit(self._serve, us[a:b], vs[a:b], a)
+                 for a, b in zip(cuts, cuts[1:]) if a < b]
+        return True, tasks, time.perf_counter()
 
     def collect(self, ticket: Optional[tuple]) -> np.ndarray:
-        """Gather one submitted batch's responses and finish it.  Needs
+        """Gather one submitted batch's ranges, in pair order.  Needs
         only the ticket and the (immutable) index, so it works after
-        :meth:`close` — e.g. once a hot swap has retired this server."""
+        :meth:`close` — e.g. once a hot swap has retired this server.
+
+        :raises QueryError: the lowest unresolved row's, as in-process.
+        """
         if ticket is None:
             return np.empty(0, dtype=np.float64)
-        state, threaded, handles, t_planned = ticket
+        threaded, handles, t_submit = ticket
         if threaded:
-            raw = [future.result() for future in handles]
+            parts = [future.result() for future in handles]
         else:
-            raw = [self._probe(range(len(handles)), handles)]
-        seconds = [dt for dt, _ in raw]
-        shard_sum = sum(seconds)
-        # the critical path: the slowest group when they ran side by
-        # side; in-thread there is one call and it is all of it
-        shard_max = max(seconds)
-        t1 = time.perf_counter()
-        try:
-            return self.index.finish(
-                state, [resp for _, group in raw for resp in group])
-        finally:
-            t2 = time.perf_counter()
-            tm = self.timings
-            with self._state_lock:
-                tm.shard_answer += shard_sum
-                tm.finish += t2 - t1
-                tm.kernel += shard_max
-                if threaded:
-                    tm.ipc += max(0.0, (t1 - t_planned) - shard_max)
-                tm.batches += 1
+            parts = [self._serve(*handles)]
+        wall = time.perf_counter() - t_submit
+        outs, plan, kernel, finish = zip(*parts)
+        tm = self.timings
+        with self._state_lock:
+            tm.plan += sum(plan)
+            tm.shard_answer += sum(kernel)
+            tm.finish += sum(finish)
+            tm.kernel += max(kernel)  # the critical path
+            if threaded:
+                tm.ipc += max(0.0, wall - max(map(sum, zip(plan, kernel,
+                                                           finish))))
+            tm.batches += 1
+        for out in outs:
+            if isinstance(out, QueryError):
+                raise out
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Batched estimates through the shard decomposition —
-        bit-identical to ``index.estimate_many`` for every ``jobs``."""
-        return self.collect(self.submit(us, vs))
+        """Batched estimates — bit-identical to ``index.estimate_many``
+        for every ``jobs``."""
+        return self.collect(self.submit(
+            *validated_pairs(us, vs, self.index.n)))
 
     def estimate_stream(self, batches) -> "Iterable[np.ndarray]":
         """Double-buffered pipelined serving: a generator over an
@@ -240,20 +230,22 @@ class ShardServer:
         stream_window` over :meth:`submit` / :meth:`collect`,
         :data:`STREAM_DEPTH` deep.
 
-        While batch *k*'s shard probes run on the executor, the caller
-        plans batch *k+1*; the hidden caller-side seconds accumulate in
-        :attr:`PhaseTimings.overlap`.  Answers are bit-identical to
-        :meth:`estimate_many` per batch; an in-thread server
-        (``jobs=1``) degenerates to exactly that.  An error surfaces at
-        its own batch's turn; abandoning the stream drains the probes
-        still in flight.
+        While batch *k*'s ranges run on the executor, the caller cuts
+        and queues batch *k+1*; the hidden caller-side seconds
+        accumulate in :attr:`PhaseTimings.overlap`.  Answers are
+        bit-identical to :meth:`estimate_many` per batch; an in-thread
+        server (``jobs=1``) degenerates to exactly that.  An error
+        surfaces at its own batch's turn; abandoning the stream drains
+        the ranges still in flight.
         """
-        return stream_window(batches, lambda batch: self.submit(*batch),
-                             self.collect, STREAM_DEPTH, stats=self)
+        n = self.index.n
+        return stream_window(
+            batches, lambda batch: self.submit(*validated_pairs(*batch, n)),
+            self.collect, STREAM_DEPTH, stats=self)
 
     def note_submit(self, inflight: int, seconds: float) -> None:
-        """Window telemetry: a batch's plan + dispatch took ``seconds``
-        with ``inflight`` earlier batches' probes on the executor (an
+        """Window telemetry: a batch's cut + dispatch took ``seconds``
+        with ``inflight`` earlier batches' ranges on the executor (an
         in-thread "submit" defers the compute: it overlaps nothing)."""
         if inflight and self._executor is not None:
             with self._state_lock:
@@ -266,8 +258,7 @@ class ShardServer:
                   ) -> np.ndarray:
         """Convenience pair-list front end (mirrors
         :meth:`~repro.service.engine.QueryEngine.dist_many`)."""
-        arr = parse_pair_array(pairs)
-        return self.estimate_many(arr[:, 0], arr[:, 1])
+        return self.collect(self.submit(*pair_columns(pairs, self.index.n)))
 
     def reset_timings(self) -> None:
         """Zero the cumulative phase timings."""

@@ -143,7 +143,8 @@ class TestRestrictIndexShards:
         property the fleet combiner rests on."""
         index = indexes[scheme]
         pairs = sample_query_pairs(graph.n, 80, seed=12)
-        state, requests = index.plan(pairs[:, 0], pairs[:, 1])
+        _, requests = index.route(*index.plan(pairs[:, 0], pairs[:, 1]))
+        assert len(requests) == SHARDS
         for lo, hi in [(0, 2), (1, 3), (3, 4)]:
             part = restrict_index_shards(index, lo, hi)
             owned = range(lo, hi)

@@ -1,5 +1,5 @@
 """The docs are executable: run every ``python`` snippet in ``docs/*.md``
-and check intra-repo links in the docs and README.
+and ``README.md``, and check intra-repo links in all of them.
 
 This is the "doctest pass" the CI docs job runs.  Each markdown file's
 fenced ``python`` blocks execute top to bottom in one shared namespace
@@ -43,7 +43,7 @@ def _python_blocks(path: pathlib.Path) -> list[tuple[int, str]]:
     return blocks
 
 
-@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINKED_FILES, ids=lambda p: p.name)
 def test_doc_snippets_execute(path):
     """Every python snippet on the page runs, in page order, sharing one
     namespace — the doctest pass for the prose docs."""

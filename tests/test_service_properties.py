@@ -481,11 +481,11 @@ def _outcome(fn):
 
 
 class TestAnswerDecomposition:
-    """``answer`` is the one kernel entry: however a batch's shards are
-    grouped into calls, every shard's response is the one
-    ``shard_answer`` gives, and plan → answer → finish is
+    """``answer`` is the one kernel entry: however a routed batch's
+    shards are grouped into calls, every shard's response is the one
+    ``shard_answer`` gives, and plan → [route →] answer → finish is
     ``estimate_many`` is the single-pair query — values, QueryErrors
-    and the row they name."""
+    and the row they name — routed or not."""
 
     def test_cases_cover_the_layouts(self):
         tz = {name: build_index(_decomposition_set(name), num_shards=3)
@@ -506,7 +506,8 @@ class TestAnswerDecomposition:
         pairs = data.draw(st.lists(st.tuples(node, node), min_size=1,
                                    max_size=24), label="pairs")
         us, vs = (np.asarray(col, dtype=np.int64) for col in zip(*pairs))
-        state, requests = index.plan(us, vs)
+        local_state, local = index.plan(us, vs)
+        state, requests = index.route(local_state, local)
         assert len(requests) == shards
         per_shard = [index.shard_answer(s, requests[s])
                      for s in range(shards)]
@@ -529,6 +530,8 @@ class TestAnswerDecomposition:
         whole = _outcome(lambda: index.finish(
             state, index.answer(range(shards), requests)))
         assert whole == _outcome(lambda: index.finish(state, per_shard))
+        assert whole == _outcome(lambda: index.finish(
+            local_state, index.answer(range(len(local)), local)))
         assert whole == _outcome(lambda: index.estimate_many(us, vs))
         if "raise" not in single:
             assert whole == single
@@ -543,3 +546,95 @@ class TestAnswerDecomposition:
             got = _outcome(lambda: index.estimate_many(us[j:j + 1],
                                                        vs[j:j + 1]))
             assert got == ([want] if want != "raise" else (got[0], 0))
+
+
+# ----------------------------------------------------------------------
+# the TZ probe kernel behind its miss filter
+# ----------------------------------------------------------------------
+def _tz_stores(index) -> list:
+    """Every TZ bunch table inside a store (none in a stretch-3 one)."""
+    if isinstance(index, TZIndex):
+        return [index]
+    if hasattr(index, "components"):
+        return [comp._sub for comp in index.components]
+    return [index._sub] if hasattr(index, "_sub") else []
+
+
+def _walk_reference(store: TZIndex, keys) -> tuple[list, list]:
+    """The directory walk one key at a time, the filter never asked:
+    what ``_probe`` must return byte for byte."""
+    from repro.service.index import _HASH_MULT
+
+    dists, levels = [], []
+    for key in keys:
+        cur = int((np.array([key]).view(np.uint64) * _HASH_MULT)[0]
+                  >> store.shift)
+        while store.slot_key[cur] not in (key, -1):
+            cur = (cur + 1) & store.mask
+        pos = store.slot_idx[cur]
+        dists.append(store.dists[pos])
+        levels.append(store.levels[pos])
+    return dists, levels
+
+
+def _through(path: str, index, sketches, data, tmp_path):
+    """The store ``path`` makes of ``index`` — one construction path
+    that ends in ``_install`` each."""
+    from repro.oracle.serialization import (load_index_binary,
+                                            save_index_binary)
+    from repro.service import refresh_index, restrict_index_shards
+
+    if path == "rpix-mmap":
+        file = tmp_path / "store.rpix"
+        save_index_binary(index, file)
+        return load_index_binary(file, backing="mmap")
+    if path == "updates":
+        touched = data.draw(st.sets(st.integers(0, len(sketches) - 1),
+                                    min_size=1, max_size=4), label="dirty")
+        return refresh_index(index, sketches, touched)
+    if path == "restrict":
+        lo = data.draw(st.integers(0, index.num_shards - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, index.num_shards), label="hi")
+        return restrict_index_shards(index, lo, hi)
+    return index
+
+
+class TestProbeBehindTheFilter:
+    """Whatever path built the store, every resident key probes to its
+    own row, everything else — the sentinel key -2 included — to the
+    absent row, and ``_probe`` equals the unfiltered walk."""
+
+    @settings(max_examples=150, **COMMON)
+    @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
+           shards=st.sampled_from([1, 2, 3, 5, 8]),
+           path=st.sampled_from(["build", "rpix-mmap", "updates",
+                                 "restrict"]),
+           data=st.data())
+    def test_resident_found_absent_rejected(self, case, shards, path, data,
+                                            tmp_path_factory):
+        sketches = _decomposition_set(case)
+        full = build_index(sketches, num_shards=shards)
+        index = _through(path, full, sketches, data,
+                         tmp_path_factory.mktemp("probe"))
+        for whole, store in zip(_tz_stores(full), _tz_stores(index)):
+            keys = np.asarray(store.keys)
+            if path != "restrict":
+                assert np.array_equal(keys, whole.keys)
+            dist, level = store._probe(np.ascontiguousarray(keys))
+            assert dist.tobytes() == store.dists[:-1].tobytes()
+            assert level.tobytes() == store.levels[:-1].tobytes()
+
+            # probes drawn over the key space, rows of the unrestricted
+            # table (gone from a restricted one) and the sentinel mixed in
+            drawn = data.draw(st.lists(st.integers(-2, store.n ** 2 - 1),
+                                       max_size=40), label="probes")
+            probes = np.asarray(drawn + [-2] + whole.keys[:40].tolist(),
+                                dtype=np.int64)
+            dist, level = store._probe(probes)
+            want_dist, want_level = _walk_reference(store, probes.tolist())
+            assert dist.tolist() == want_dist
+            assert level.tolist() == want_level
+            absent = ~np.isin(probes, keys)
+            assert absent[len(drawn)]  # -2 is never resident
+            assert not dist[absent].any() and (level[absent] == -1).all()
+            assert (level[~absent] >= 0).all()

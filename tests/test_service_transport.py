@@ -3,10 +3,11 @@
 Four claim families:
 
 * **endpoint grammar** — ``parse_endpoint`` accepts exactly the
-  documented ``inproc://jobs=4;shards=4;cache=0`` /
+  documented ``inproc://jobs=4;cache=0`` /
   ``tcp://host:port`` forms and fails loudly on everything else — the
-  deleted ``proc://`` transport and ``pool=`` / ``memory=`` options
-  included, at ``connect()`` time, before any index is built;
+  deleted ``proc://`` transport and ``pool=`` / ``memory=`` /
+  ``shards=`` options included, at ``connect()`` time, before any index
+  is built;
 * **transport equivalence** — for every scheme, ``dist_many`` through
   ``inproc`` (in-thread and shard-thread) and tcp-loopback sessions is
   bit-identical to
@@ -112,10 +113,10 @@ class TestEndpointGrammar:
         assert ep.transport == "inproc" and ep.options == {}
 
     def test_inproc_options_round_trip(self):
-        ep = parse_endpoint("inproc://jobs=4;shards=4;cache=0")
+        ep = parse_endpoint("inproc://jobs=4;cache=0")
         assert ep.transport == "inproc"
-        assert ep.options == {"jobs": 4, "shards": 4, "cache": 0}
-        assert ep.describe() == "inproc://cache=0;jobs=4;shards=4"
+        assert ep.options == {"jobs": 4, "cache": 0}
+        assert ep.describe() == "inproc://cache=0;jobs=4"
         assert parse_endpoint(ep.describe()) == ep
 
     def test_tcp_host_port(self):
@@ -146,6 +147,7 @@ class TestEndpointGrammar:
         "proc://jobs=2",               # not a transport, and no alias
         "inproc://pool=thread",        # not options: jobs > 1 means
         "inproc://memory=mmap",        # threads, loading picks the backing
+        "inproc://shards=4",           # placement is for fleets, not sessions
         "inproc://jobs=0",
         "inproc://jobs=x",
     ])
@@ -232,13 +234,19 @@ class TestTransportEquivalence:
                 assert client.dist_many(ok).tolist() == want, spec
 
     def test_stats_report_the_execution_plane(self, builds):
-        # one plane: ``jobs`` (clamped to the shard count) says it all
+        # one plane: ``jobs`` says it all, whatever the shard count — a
+        # sketch source is indexed with one shard, a pre-built store
+        # keeps its own
         with session("inproc://jobs=2", builds["tz"]) as client:
             stats = client.stats()
-            assert stats["jobs"] == 2 and stats["shards"] == 2
+            assert stats["jobs"] == 2 and stats["shards"] == 1
             assert "pool" not in stats and "memory" not in stats
-        with session("inproc://jobs=4;shards=2", builds["tz"]) as client:
-            assert client.stats()["jobs"] == 2
+        from repro.service import build_index
+
+        index = build_index(builds["tz"].sketches, num_shards=2)
+        with session("inproc://jobs=4", index) as client:
+            stats = client.stats()
+            assert stats["jobs"] == 4 and stats["shards"] == 2
         with session("inproc://", builds["tz"]) as client:
             assert client.stats()["jobs"] == 1
 

@@ -1,10 +1,11 @@
-"""Shard serving (repro.service.workers): threads behind the shards.
+"""Shard serving (repro.service.workers): a batch cut across threads.
 
-The acceptance bar: for every scheme, ``ShardServer`` answers are
-bit-identical for ``jobs=1`` (probes in the calling thread) and
-``jobs=2`` / ``jobs=4`` (a thread pool), and all equal the plain
-``estimate_many`` path — ``QueryError`` parity included.  After
-``close()`` nothing the server started is alive.
+The acceptance bar: for every scheme and every shard count,
+``ShardServer`` answers are bit-identical for ``jobs=1`` (the calling
+thread) and ``jobs=2`` / ``4`` / ``7`` (a thread pool, one contiguous
+pair range per thread — more threads than shards included), and all
+equal the plain ``estimate_many`` path — ``QueryError`` parity
+included.  After ``close()`` nothing the server started is alive.
 """
 
 from __future__ import annotations
@@ -93,24 +94,34 @@ def _assert_nothing_left_running():
 class TestShardServerIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_jobs_1_equals_jobs_4_equals_inline(self, built_sets, scheme):
+        """Local ``estimate_many`` == ``finish(route → answer per
+        shard)`` == the single-pair query for S in {1, 4, 16}, and every
+        ``jobs`` — above the shard count too — returns those floats."""
         sketches = built_sets[scheme]
-        index = build_index(sketches, num_shards=4)
         pairs = sample_query_pairs(len(sketches), 300, seed=7)
         us, vs = pairs[:, 0], pairs[:, 1]
-        want = index.estimate_many(us, vs)
-        for jobs in (1, 2, 4):
-            with ShardServer(index, jobs=jobs) as srv:
-                got = srv.estimate_many(us, vs)
-                again = srv.estimate_many(us, vs)  # executor is reusable
-            assert got.tolist() == want.tolist(), jobs  # exact, not approx
-            assert again.tolist() == want.tolist(), jobs
+        single = [_single(sketches, u, v) for u, v in pairs]
+        for shards in (1, 4, 16):
+            index = build_index(sketches, num_shards=shards)
+            want = index.estimate_many(us, vs)
+            assert want.tolist() == single, shards  # exact, not approx
+            state, requests = index.route(*index.plan(us, vs))
+            assert len(requests) == shards
+            routed = index.finish(state, [index.shard_answer(s, requests[s])
+                                          for s in range(shards)])
+            assert routed.tolist() == single, shards
+            for jobs in (1, 2, 4, 7):
+                with ShardServer(index, jobs=jobs) as srv:
+                    got = srv.estimate_many(us, vs)
+                    again = srv.estimate_many(us, vs)  # executor reusable
+                assert got.tolist() == single, (shards, jobs)
+                assert again.tolist() == single, (shards, jobs)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_engine_jobs_matches_reference(self, built_sets, scheme):
         sketches = built_sets[scheme]
         pairs = sample_query_pairs(len(sketches), 100, seed=9)
-        with connect("inproc://jobs=3;shards=3;cache=0",
-                     sketches) as session:
+        with connect("inproc://jobs=3;cache=0", sketches) as session:
             got = session.dist_many(pairs)
         assert got.tolist() == [_single(sketches, u, v) for u, v in pairs]
 
@@ -199,14 +210,15 @@ class TestThreadPlane:
         assert got == want
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 7])
     def test_query_error_parity_for_every_jobs(self, disconnected_sets,
                                                scheme, jobs):
         """A disconnected graph: every ordered pair answers the
         single-pair query's float — or raises exactly where it raises,
         with the inline path's message — whatever ``jobs`` is; a mixed
-        batch raises on the inline path's first offending row, and the
-        server keeps answering afterwards."""
+        batch raises on the inline path's first offending row (counted
+        in the whole batch, however it was cut), routed or not, and
+        the server keeps answering afterwards."""
         sketches = disconnected_sets[scheme]
         n = len(sketches)
         index = build_index(sketches, num_shards=4)
@@ -221,6 +233,12 @@ class TestThreadPlane:
         us, vs = np.array([2, 0, 3]), np.array([4, 2, 0])
         with pytest.raises(QueryError) as inline:
             index.estimate_many(us, vs)
+        assert inline.value.row == 1
+        state, requests = index.route(*index.plan(us, vs))
+        with pytest.raises(QueryError) as routed:
+            index.finish(state, index.answer(range(4), requests))
+        assert (str(routed.value), routed.value.row) == \
+            (str(inline.value), 1)
         with ShardServer(index, jobs=jobs) as srv:
             got = [_outcome(lambda: srv.estimate_many(
                 np.array([u]), np.array([v]))[0]) for u, v in pairs]
@@ -258,10 +276,11 @@ class TestThreadPlane:
         assert built.query_many([]).size == 0
 
     def test_jobs_says_which_thread_probes(self, built_sets):
-        """One kernel pass per executor, whatever the shard count:
+        """One kernel pass per pair range, whatever the shard count:
         ``jobs=1`` probes once per batch, in the calling thread;
-        ``jobs=J`` once per worker group, on the executor's named
-        threads, never the caller's."""
+        ``jobs=J`` once per range — J of them, or one per pair when
+        the batch is shorter — on the executor's named threads, never
+        the caller's."""
         caller = threading.current_thread().name
         pairs = sample_query_pairs(len(built_sets["tz"]), 300, seed=31)
         us, vs = pairs[:, 0], pairs[:, 1]
@@ -276,25 +295,24 @@ class TestThreadPlane:
                 return kernel(keys)
 
             index._probe = counting  # instance attribute shadows it
-            for jobs in (1, 2, 4):
-                del seen[:]
+            for jobs in (1, 2, 4, 7):
                 with ShardServer(index, jobs=jobs) as srv:
-                    got = srv.estimate_many(us, vs)
-                    groups = srv.jobs
-                assert groups == min(jobs, shards)
-                assert np.array_equal(got, want), (shards, jobs)
-                if groups == 1:
-                    assert seen == [caller], (shards, jobs)
-                else:
-                    assert len(seen) == groups, (shards, jobs)
-                    assert all(name.startswith(THREAD_POOL_PREFIX)
-                               for name in seen)
+                    assert srv.jobs == jobs  # no clamp to the shards
+                    for q in (300, 3):
+                        del seen[:]
+                        got = srv.estimate_many(us[:q], vs[:q])
+                        assert np.array_equal(got, want[:q]), (shards, jobs)
+                        if jobs == 1:
+                            assert seen == [caller], (shards, jobs)
+                        else:
+                            assert len(seen) == min(jobs, q), (shards, jobs)
+                            assert all(name.startswith(THREAD_POOL_PREFIX)
+                                       for name in seen)
 
     def test_query_error_propagates_through_threads(self):
         sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,
                                                     seed=1)
-        with connect("inproc://jobs=2;shards=2;cache=0",
-                     sketches) as session:
+        with connect("inproc://jobs=2;cache=0", sketches) as session:
             assert session.dist_many([(2, 4)]).size == 1
             with pytest.raises(QueryError):
                 session.dist_many([(0, 2)])
@@ -304,20 +322,16 @@ class TestThreadPlane:
 
 
 class TestShardServerLifecycle:
-    def test_jobs_clamped_to_shard_count(self, built_sets):
-        index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=8)
-        try:
-            assert srv.jobs == 2
-        finally:
-            srv.close()
-
-    def test_single_shard_stays_in_process(self, built_sets):
-        srv = ShardServer(build_index(built_sets["tz"], num_shards=1),
-                          jobs=4)
-        assert srv._executor is None  # nothing to fan out
-        assert _shard_threads() == []
-        srv.close()
+    def test_jobs_do_not_depend_on_the_shard_count(self, built_sets):
+        """A shard is placement, not a unit of local work: a one-shard
+        store still fans a batch out over every thread asked for."""
+        for shards in (1, 2):
+            index = build_index(built_sets["tz"], num_shards=shards)
+            with ShardServer(index, jobs=8) as srv:
+                assert srv.jobs == 8 and srv._executor is not None
+                srv.estimate_many(np.arange(16), np.arange(16)[::-1])
+                assert len(_shard_threads()) > 1
+            _assert_nothing_left_running()
 
     def test_close_is_idempotent(self, built_sets):
         srv = ShardServer(build_index(built_sets["tz"], num_shards=2),
@@ -358,15 +372,15 @@ class TestShardServerLifecycle:
                 connect(spec, mixed)
 
     def test_engine_close_is_idempotent(self, built_sets):
-        session = connect("inproc://jobs=2;shards=2", built_sets["tz"])
+        session = connect("inproc://jobs=2", built_sets["tz"])
         session.close()
         session.close()
         _assert_nothing_left_running()
 
 
 class TestEstimateStream:
-    """The double-buffered pipelined path: batch k+1's plan overlaps
-    batch k's probes — and never changes a single byte."""
+    """The double-buffered pipelined path: batch k+1's submit overlaps
+    batch k's pair ranges — and never changes a single byte."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("memory", ["heap"])
@@ -385,7 +399,7 @@ class TestEstimateStream:
             timings = srv.timings
         assert got == want  # exact floats, exact batch order
         assert timings.batches == len(batches)
-        # batches 2..k planned while a predecessor was in flight
+        # batches 2..k submitted while a predecessor was in flight
         assert timings.overlap > 0.0
 
     def test_stream_handles_empty_batches_in_order(self, built_sets):
@@ -435,7 +449,7 @@ class TestEstimateStream:
             stream = srv.estimate_stream(batches)
             first = next(stream)
             stream.close()  # abandon with batch 1 submitted, uncollected
-            assert len(futures) == 4  # two batches x two shards
+            assert len(futures) == 4  # two batches x two pair ranges
             assert all(f.done() for f in futures)
             assert first.tolist() == want[0]
             # the server still serves, sequentially and streamed
@@ -447,7 +461,7 @@ class TestEstimateStream:
     def test_engine_dist_stream_matches_dist_many(self, built_sets):
         pairs = sample_query_pairs(len(built_sets["cdg"]), 300, seed=21)
         chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
-        with connect("inproc://jobs=3;shards=3;cache=0",
+        with connect("inproc://jobs=3;cache=0",
                      built_sets["cdg"]) as session:
             want = np.concatenate([session.dist_many(c) for c in chunks])
             got = np.concatenate(list(session.dist_stream(chunks)))
@@ -487,7 +501,9 @@ class TestGCBackstop:
         with pytest.raises(TypeError):
             ShardServer(index, jobs="4")
         with pytest.raises(AttributeError):
-            ShardServer(object(), jobs=4)  # not a store: no num_shards
+            # not a store: the first batch finds out, on the caller
+            ShardServer(object(), jobs=1).estimate_many(np.arange(2),
+                                                        np.arange(2))
         gc.collect()  # the half-built servers reach __del__ unharmed
         _assert_nothing_left_running()
 
@@ -513,17 +529,18 @@ class TestShardServerErrors:
 
 
 class TestEffectiveJobsReporting:
-    def test_engine_and_report_show_clamped_jobs(self, built_sets):
+    def test_engine_and_report_show_the_jobs_asked_for(self, built_sets):
         from repro.service import run_serve_benchmark
 
-        # shards=1 clamps a 4-thread request to in-thread serving; the
-        # session's stats and the benchmark report must say so
-        with connect("inproc://jobs=4;shards=1", built_sets["tz"]) as session:
-            assert session.stats()["jobs"] == 1
+        # a one-shard store serves with every thread asked for; the
+        # session's stats and the benchmark report say so
+        with connect("inproc://jobs=4", built_sets["tz"]) as session:
+            stats = session.stats()
+            assert stats["jobs"] == 4 and stats["shards"] == 1
         rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
                                   num_shards=1, jobs=4)
-        assert rep["jobs"] == 1 and rep["shards"] == 1
+        assert rep["jobs"] == 4 and rep["shards"] == 1 and rep["identical"]
         rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
                                   num_shards=4, jobs=2)
-        assert rep["jobs"] == 2
+        assert rep["jobs"] == 2 and rep["shards"] == 4
         assert "pool" not in rep and "memory" not in rep

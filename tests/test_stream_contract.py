@@ -55,7 +55,7 @@ def open_session(kind: str, graph):
         with connect("inproc://cache=0", _updateable(graph)) as session:
             yield session
     elif kind == "threads":
-        with connect(f"inproc://jobs=2;shards={SHARDS};cache=0",
+        with connect("inproc://jobs=2;cache=0",
                      _updateable(graph)) as session:
             yield session
     elif kind == "tcp":
