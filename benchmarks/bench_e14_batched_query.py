@@ -26,9 +26,9 @@ import os
 import pytest
 
 from benchmarks._workloads import workload
+from repro import build_sketches
 from repro.analysis import render_table
-from repro.service import (QueryEngine, build_index,
-                           build_tz_sketches_parallel)
+from repro.service import QueryEngine, build_index
 from repro.service.bench import run_serve_benchmark, sample_query_pairs
 
 # CI's benchmark smoke job shrinks the graph (and zeroes the speedup
@@ -45,8 +45,7 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_E14_MIN_SPEEDUP", "5.0"))
 @pytest.fixture(scope="module")
 def e14_sketches():
     g = workload("er", N, weighted=True)
-    sketches, _ = build_tz_sketches_parallel(g, k=2, seed=SEED, jobs=1)
-    return sketches
+    return build_sketches(g, scheme="tz", k=2, seed=SEED).sketches
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +113,6 @@ def e14_slack_table(experiment_report):
     """Every scheme through the batched path (smaller n: the slack builds
     run full APSP, and the claim here is identity + speedup shape, not
     absolute throughput)."""
-    from repro import build_sketches
-
     g = workload("er", 400, weighted=True)
     rows = []
     for scheme, params in SLACK_BUILDS.items():

@@ -1,24 +1,22 @@
 #!/usr/bin/env python
-"""Batched serving: parallel sketch construction + sessions over
-pluggable transports.
+"""Batched serving: sessions over pluggable transports.
 
-The serving-layer walkthrough (repro.service):
+The serving-layer walkthrough (repro.service), over one Thorup-Zwick
+sketch set:
 
-1. build Thorup-Zwick sketches with the construction fanned across worker
-   processes (byte-identical output for any worker count),
-2. open an ``inproc://`` session with :func:`repro.service.connect` —
+1. open an ``inproc://`` session with :func:`repro.service.connect` —
    sketch entries pre-indexed into flat landmark tables with a result
    cache in front,
-3. answer a 10,000-query batch in one vectorized pass and check it agrees
+2. answer a 10,000-query batch in one vectorized pass and check it agrees
    exactly with the single-query reference path,
-4. replay the workload to show the cache absorbing repeated traffic,
-5. persist the pre-built index and reload it without rebuilding,
-6. cut every batch across four threads (``inproc://jobs=4`` — same
+3. replay the workload to show the cache absorbing repeated traffic,
+4. persist the pre-built index and reload it without rebuilding,
+5. cut every batch across four threads (``inproc://jobs=4`` — same
    bytes out), and pipeline a streaming workload through the
    double-buffered dispatch,
-7. serve the same oracle over TCP (``tcp://``) and over a loopback
+6. serve the same oracle over TCP (``tcp://``) and over a loopback
    client, bit-identical again,
-8. serve a slack scheme (stretch3) through its own vectorized index.
+7. serve a slack scheme (stretch3) through its own vectorized index.
 
 The prose version of this walkthrough, with the knob-picking guidance,
 is docs/serving.md.
@@ -32,32 +30,30 @@ import time
 
 import numpy as np
 
+from repro import build_sketches
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.oracle.serialization import (load_index_binary,
                                         save_index_binary)
-from repro.service import (OracleServer, build_tz_sketches_parallel,
-                           connect, sample_query_pairs)
+from repro.service import OracleServer, connect, sample_query_pairs
 
 
 def main() -> None:
-    # 1. parallel preprocessing ------------------------------------------
     g = assign_uniform_weights(erdos_renyi(1000, seed=1), low=1, high=10,
                                seed=2)
-    t0 = time.perf_counter()
-    sketches, hierarchy = build_tz_sketches_parallel(g, k=2, seed=3, jobs=2)
-    print(f"built {len(sketches)} sketches (k={hierarchy.k}, 2 workers) "
-          f"in {time.perf_counter() - t0:.2f}s")
+    built = build_sketches(g, scheme="tz", k=2, seed=3)
+    sketches = built.sketches
+    print(built.describe())
 
     def reference(u: int, v: int) -> float:
         from repro.tz.sketch import estimate_distance
 
         return estimate_distance(sketches[u], sketches[v])
 
-    # 2. an in-process session -------------------------------------------
+    # 1. an in-process session -------------------------------------------
     session = connect("inproc://cache=0", sketches)
     print(session)
 
-    # 3. one vectorized pass over 10k queries ----------------------------
+    # 2. one vectorized pass over 10k queries ----------------------------
     pairs = sample_query_pairs(g.n, 10_000, seed=7)
     estimates = session.dist_many(pairs)  # warm-up
     t0 = time.perf_counter()
@@ -73,7 +69,7 @@ def main() -> None:
     assert estimates.tolist() == single, "batched != single?!"
     print("batched answers identical to the single-query path")
 
-    # 4. repeated traffic hits the result cache --------------------------
+    # 3. repeated traffic hits the result cache --------------------------
     with connect("inproc://cache=50000", sketches) as cached:
         cached.dist_many(pairs)
         cached.dist_many(pairs)
@@ -83,7 +79,7 @@ def main() -> None:
               f"{counters['misses']} misses "
               f"({100 * counters['hits'] / total:.0f}% hit rate)")
 
-    # 5. persist the pre-built index -------------------------------------
+    # 4. persist the pre-built index -------------------------------------
     index = session.fetch_index()  # the live store behind the session
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "index.rpix")
@@ -94,7 +90,7 @@ def main() -> None:
                           index.estimate_many(check[:, 0], check[:, 1]))
     print("index round-trip: reloaded store answers identically")
 
-    # 6. a batch cut across four threads ---------------------------------
+    # 5. a batch cut across four threads ---------------------------------
     with connect("inproc://jobs=4;cache=0", sketches) as threaded:
         fanned = threaded.dist_many(pairs)
         assert np.array_equal(fanned, estimates), "threads changed answers?!"
@@ -108,7 +104,7 @@ def main() -> None:
         print(f"pipelined stream identical too "
               f"({overlap * 1e3:.2f} ms of dispatch hidden behind kernels)")
 
-    # 7. the same oracle over TCP ----------------------------------------
+    # 6. the same oracle over TCP ----------------------------------------
     with OracleServer(sketches, num_shards=4, cache_size=0) as server:
         host, port = server.serve("127.0.0.1:0", block=False)
         with connect(f"tcp://{host}:{port}") as remote:
@@ -117,9 +113,7 @@ def main() -> None:
     print("tcp-loopback session: answers bit-identical to inproc "
           "(python -m repro serve hosts the same thing as a daemon)")
 
-    # 8. a slack scheme through its own index ----------------------------
-    from repro import build_sketches
-
+    # 7. a slack scheme through its own index ----------------------------
     s3 = build_sketches(g, scheme="stretch3", eps=0.25, seed=11)
     with s3.connect("inproc://cache=0") as slack:
         small = pairs[:1000]

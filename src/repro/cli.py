@@ -6,7 +6,6 @@ A downstream user can drive the whole pipeline without writing Python::
     python -m repro stats net.edges
     python -m repro build net.edges --scheme tz --k 3 --mode distributed \
         --seed 2 -o sketches.jsonl
-    python -m repro build net.edges --scheme tz --k 3 --jobs 4 -o sketches.jsonl
     python -m repro query net.edges sketches.jsonl --pairs 0:100 5:17
     python -m repro eval net.edges sketches.jsonl --eps 0.25
     python -m repro serve-bench sketches.jsonl --queries 10000 --batch 1000 \
@@ -137,8 +136,7 @@ def _cmd_build(args) -> int:
 
     g = read_edgelist(args.graph)
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
-                           seed=args.seed, jobs=args.jobs,
-                           **_scheme_params(args))
+                           seed=args.seed, **_scheme_params(args))
     print(built.describe())
     if "build" in built.extras:
         from repro.tz.centralized import describe_build
@@ -563,9 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     b.add_argument("--S", type=int, default=None)
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker processes for the centralized tz "
-                        "construction (output is identical for any count)")
     b.add_argument("--format", choices=["json", "binary"], default="json",
                    help="json = per-node sketches as JSON lines; binary = "
                         "a pre-built index as the mmap-loadable container "

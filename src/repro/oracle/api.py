@@ -161,9 +161,22 @@ class BuiltSketches:
                 f"{self.scheme.describe({**self.params, 'n': self.graph.n})}")
 
 
+_SYNC_PARAMS = ("sync", "S", "budget")
+#: (scheme, mode) -> every keyword parameter that build reads
+_PARAMS = {
+    ("tz", "centralized"): ("k", "hierarchy"),
+    ("tz", "distributed"): ("k", "hierarchy", *_SYNC_PARAMS),
+    ("stretch3", "centralized"): ("eps", "net", "dist_matrix"),
+    ("stretch3", "distributed"): ("eps", "net"),
+    ("cdg", "centralized"): ("eps", "k", "net", "hierarchy", "dist_matrix"),
+    ("cdg", "distributed"): ("eps", "k", "net", "hierarchy", *_SYNC_PARAMS),
+    ("graceful", "centralized"): ("schedule", "dist_matrix"),
+    ("graceful", "distributed"): ("schedule", *_SYNC_PARAMS),
+}
+
+
 def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
-                   seed: SeedLike = None, jobs: Optional[int] = None,
-                   **params) -> BuiltSketches:
+                   seed: SeedLike = None, **params) -> BuiltSketches:
     """Build distance sketches for every node of ``graph``.
 
     Parameters
@@ -173,21 +186,22 @@ def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
     mode:
         ``"centralized"`` (fast reference construction) or
         ``"distributed"`` (full CONGEST protocol with cost accounting).
-    jobs:
-        Worker processes for the construction (centralized tz only; see
-        :mod:`repro.service.parallel`).  The output is byte-identical for
-        every worker count; ``None`` keeps the in-process serial path.
     params:
-        Scheme-specific (see module docstring).
+        Scheme-specific (see module docstring).  A parameter this
+        scheme and mode do not read is a :class:`ConfigError`, never
+        silently dropped (``sinc="echo"`` must not build with the
+        oracle terminator).
     """
     spec = get_scheme(scheme)
     if mode not in ("centralized", "distributed"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if jobs is not None and (scheme != "tz" or mode != "centralized"):
-        raise ConfigError("jobs= is only supported for scheme='tz' with "
-                          "mode='centralized'")
-    if jobs is not None:
-        params["jobs"] = jobs
+    allowed = _PARAMS[scheme, mode]
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"a {mode} {scheme} build takes no parameter "
+            f"{', '.join(map(repr, unknown))}; it reads: "
+            f"{', '.join(allowed)}")
 
     if scheme == "tz":
         return _build_tz(graph, spec, mode, seed, params)
@@ -201,21 +215,16 @@ def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
 
 
 def _build_tz(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.tz.centralized import build_tz_sketches_timed, grow_clusters
+    from repro.tz.centralized import build_tz_sketches_timed
     from repro.tz.distributed import build_tz_sketches_distributed
 
     k = params.get("k")
     hierarchy = params.get("hierarchy")
-    jobs = params.get("jobs")
     if k is None and hierarchy is None:
         raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
     if mode == "centralized":
-        grow = grow_clusters
-        if jobs is not None:
-            from repro.service.parallel import fanned_out
-            grow = fanned_out(jobs)
         sketches, h, report = build_tz_sketches_timed(graph, k, hierarchy,
-                                                      seed, grow)
+                                                      seed)
         return BuiltSketches(graph, spec, mode, {"k": h.k}, sketches, None,
                              {"hierarchy": h, "build": report})
     res = build_tz_sketches_distributed(

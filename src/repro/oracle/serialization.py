@@ -22,13 +22,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
 import os
 import struct
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.slack.cdg import CDGSketch
 from repro.slack.graceful import GracefulSketch
 from repro.slack.stretch3 import Stretch3Sketch
@@ -170,24 +171,29 @@ def change_from_dict(data: dict):
 #               "nbytes": blob span, "base": blob start in the file}
 #   offset base  the raw array blobs, 64-byte aligned relative to base
 #
-# The blobs are exactly a BufferPack layout, so loading with
-# ``backing="mmap"`` attaches the arrays straight off the page cache —
-# the only parsing is the (small) JSON header.  This container is the
-# one persistence format of a pre-built store, and a reloaded store
-# writes the same bytes again.
+# ``(tag, meta, arrays)`` is the physical form of a store
+# (:mod:`repro.service.index`) and this container its one persistence
+# format: the blobs are the arrays as served, so loading is the (small)
+# JSON header plus one read-only view per array — over the bytes read,
+# or with ``backing="mmap"`` straight off the page cache — and a
+# reloaded store writes the same bytes again.
+
+#: the array dtypes a container holds (all the stores keep)
+_BLOB_DTYPES = ("<i8", "<f8")
+
+
 def write_index_binary(index, fh) -> None:
     """Write the binary container to an open binary file object.
 
     The streamable core of :func:`save_index_binary` — also what the
     TCP transport's index-fetch frame serializes into, so a remote
     worker downloads byte-for-byte the container ``repro build
-    --format binary`` would have written and attaches/mmaps it
-    unchanged (zero-parse on the wire).
+    --format binary`` would have written (zero-parse on the wire).
     """
     from repro.service.buffers import plan_layout
-    from repro.service.index import INDEX_TAGS
+    from repro.service.index import index_tag
 
-    tag = INDEX_TAGS.get(type(index))
+    tag = index_tag(index)
     if tag is None:
         raise QueryError(f"cannot serialize index {type(index).__name__}")
     arrays = index.pack_arrays()
@@ -234,33 +240,6 @@ def save_index_binary(index, path) -> None:
         write_index_binary(index, fh)
 
 
-def _read_binary_header(fh) -> dict:
-    head = fh.read(12)
-    if len(head) < 12 or head[:4] != BINARY_MAGIC:
-        raise QueryError("not a binary index container")
-    version, _, hlen = struct.unpack("<HHI", head[4:])
-    if version != BINARY_VERSION:
-        raise QueryError(
-            f"unsupported binary container version {version}")
-    try:
-        header = json.loads(fh.read(hlen).decode("ascii"))
-    except (ValueError, UnicodeDecodeError):  # short read or garbage
-        raise QueryError("binary index container header is corrupt") \
-            from None
-    if not isinstance(header, dict):
-        raise QueryError("binary index container header is corrupt")
-    # the binary path is registry-driven end to end: accept exactly the
-    # tags save_index_binary can write
-    from repro.service.index import INDEX_TAGS
-
-    if header.get("type") not in set(INDEX_TAGS.values()):
-        raise QueryError("binary container holds no known index type")
-    if header.get("v") != VERSION:
-        raise QueryError(
-            f"unsupported sketch format version {header.get('v')}")
-    return header
-
-
 def is_binary_index(path) -> bool:
     """True when ``path`` starts with the binary container magic."""
     try:
@@ -270,41 +249,86 @@ def is_binary_index(path) -> bool:
         return False
 
 
+def _corrupt(what: str) -> QueryError:
+    return QueryError(f"binary index container {what} is corrupt")
+
+
+def load_index_bytes(data):
+    """The store a binary container holds, as read-only views over
+    ``data`` — bytes (:func:`index_binary_bytes`, a fetched index blob)
+    or any buffer (:func:`load_index_binary`'s ``mmap``).  The one
+    loader: nothing of the blobs is parsed or copied, and nothing of the
+    header is trusted — every manifest row must name a dtype the writer
+    emits and a 64-aligned span inside the blobs, and the store must
+    find every array and meta key of its type, in consistent shapes.
+
+    :raises QueryError: on a bad magic, container version or type tag,
+        a truncated container, or a corrupt header.
+    """
+    from repro.service.buffers import ALIGNMENT, view_array
+    from repro.service.index import index_from_arrays
+
+    if len(data) < 12 or data[:4] != BINARY_MAGIC:
+        raise QueryError("not a binary index container")
+    version, _, hlen = struct.unpack_from("<HHI", data, 4)
+    if version != BINARY_VERSION:
+        raise QueryError(
+            f"unsupported binary container version {version}")
+    try:
+        header = json.loads(bytes(data[12:12 + hlen]).decode("ascii"))
+    except (ValueError, UnicodeDecodeError):  # short read or garbage
+        raise _corrupt("header") from None
+    if not isinstance(header, dict):
+        raise _corrupt("header")
+    if header.get("v") != VERSION:
+        raise QueryError(
+            f"unsupported sketch format version {header.get('v')}")
+    try:
+        tag, meta = header["type"], header["meta"]
+        nbytes, base = int(header["nbytes"]), int(header["base"])
+        rows = [(str(name), str(dt), tuple(map(int, shape)), int(off))
+                for name, dt, shape, off in header["manifest"]]
+    except (KeyError, TypeError, ValueError):
+        raise _corrupt("header") from None
+    if base < 12 + hlen or nbytes < 0:
+        raise _corrupt("header")
+    if len(data) < base + nbytes:
+        raise QueryError("binary index container is truncated")
+    arrays = {}
+    for name, dt, shape, off in rows:
+        if (dt not in _BLOB_DTYPES or min(shape, default=0) < 0
+                or off < 0 or off % ALIGNMENT
+                or off + math.prod(shape) * np.dtype(dt).itemsize > nbytes):
+            raise _corrupt(f"manifest row {name!r}")
+        arrays[name] = view_array(data, dt, shape, base + off)
+    try:
+        return index_from_arrays(tag, meta, arrays)
+    except KeyError as exc:  # an array or meta key the store needs
+        raise _corrupt(f"header (no {exc.args[0]!r})") from None
+    except (ConfigError, TypeError, ValueError, IndexError) as exc:
+        raise _corrupt(f"header ({exc})") from None
+
+
 def load_index_binary(path, backing: str = "heap"):
     """Load a store written by :func:`save_index_binary`.
 
-    :param backing: ``"heap"`` reads the blobs into memory; ``"mmap"``
-        memory-maps the file and serves the arrays straight from the
-        page cache — no blob parsing, no copy, instant loads however
-        large the index.
-    :raises QueryError: on a bad magic, container version, or type tag.
+    :param backing: ``"heap"`` reads the file into memory; ``"mmap"``
+        maps it read-only and serves the arrays straight from the page
+        cache — no copy, instant loads however large the index, pages
+        shared by every process that maps the same file.
+    :raises QueryError: as :func:`load_index_bytes`.
     """
-    from repro.service.buffers import BufferPack, PackedIndex, PackHandle
-    from repro.service.index import index_from_pack
-
     if backing not in ("heap", "mmap"):
         raise QueryError(
             f"load_index_binary backing must be 'heap' or 'mmap', "
             f"got {backing!r}")
     with open(path, "rb") as fh:
-        header = _read_binary_header(fh)
-        manifest = tuple((name, dt, tuple(shape), off)
-                         for name, dt, shape, off in header["manifest"])
-        nbytes, base = int(header["nbytes"]), int(header["base"])
         if backing == "heap":
-            fh.seek(base)
-            blob = fh.read(nbytes)
-            if len(blob) < nbytes:
-                raise QueryError("binary index container is truncated")
-            handle = PackHandle("heap", manifest, nbytes, data=blob)
-        else:
-            if os.fstat(fh.fileno()).st_size < base + nbytes:
-                raise QueryError("binary index container is truncated")
-            handle = PackHandle("mmap", manifest, nbytes, path=str(path),
-                                base=base)
-    packed = PackedIndex(tag=header["type"], meta=header["meta"],
-                         pack=BufferPack.attach(handle))
-    return index_from_pack(packed)
+            return load_index_bytes(fh.read())
+        if not os.fstat(fh.fileno()).st_size:  # nothing to map
+            raise QueryError("not a binary index container")
+        return load_index_bytes(
+            mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
 def dumps(sketch: AnySketch) -> str:

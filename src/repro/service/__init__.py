@@ -1,5 +1,5 @@
 """The serving layer: sessions over pluggable transports, batch
-threads, parallel builds.
+threads, fleets, live updates.
 
 The paper's end product is a distance *oracle*: preprocess once, then
 answer ``dist(u, v)`` queries with a bounded stretch.  This package makes
@@ -27,17 +27,17 @@ The front door is :func:`~repro.service.client.connect`::
   shares: the one bounded streaming window (``stream_window``) over a
   per-transport submit/collect pair, and the session clock (epochs,
   :class:`EpochStaleness`, :class:`PipelineStats`),
-* :mod:`repro.service.buffers` — the zero-copy memory layer:
-  :class:`BufferPack` lays every store's arrays out in one contiguous
-  buffer backed by heap memory or a memory-mapped file (how an RPIX
-  container loads without parsing), plus the array-tree codec behind
-  the tcp ``probe`` frames,
+* :mod:`repro.service.buffers` — arrays in one buffer: the 64-byte
+  layout rule an RPIX container's blobs follow (loaded as read-only
+  views over the bytes read or one ``mmap``), plus the array-tree codec
+  behind the tcp ``probe`` frames,
 * :mod:`repro.service.index` — the :class:`IndexStore` protocol and one
   pre-built vectorized store per scheme (:class:`TZIndex`,
   :class:`Stretch3Index`, :class:`CDGIndex`, :class:`GracefulIndex`),
-  each answering a batch as plan → [route →] answer → finish and
-  splitting into a pure-logic view over packed arrays
-  (:func:`index_to_pack` / :func:`index_from_pack`),
+  each answering a batch as plan → [route →] answer → finish; a
+  store's physical form is ``(meta, arrays)``, adopted in one place
+  whether it comes from sketches, a container, a shard restriction or
+  an incremental refresh,
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
   hosts over its one store (result cache, epoch pinning),
 * :class:`~repro.service.workers.ShardServer` — the local execution
@@ -56,9 +56,6 @@ The front door is :func:`~repro.service.client.connect`::
   automatic rebuild fallback), and
   :meth:`QueryEngine.apply_updates <repro.service.engine.QueryEngine.apply_updates>`
   hot-swaps the resulting epochs with zero downtime,
-* :func:`~repro.service.parallel.build_tz_sketches_parallel` — the
-  centralized preprocessing fanned across worker processes with a
-  deterministic (byte-identical) merge,
 * :func:`~repro.service.bench.run_serve_benchmark` /
   :func:`~repro.service.updates.run_update_benchmark` — the measurement
   harnesses behind ``repro serve-bench`` / ``repro update-bench`` and
@@ -66,13 +63,12 @@ The front door is :func:`~repro.service.client.connect`::
 
 Batching and parallelism are performance features only: every answer is
 bit-identical to the one-pair-at-a-time reference path, for any shard
-count and any worker count.  See ``docs/architecture.md`` for the layer
+count and any thread count.  See ``docs/architecture.md`` for the layer
 map and ``docs/serving.md`` for the operator's guide.
 """
 
 from repro.service.bench import (run_connect_benchmark, run_load_benchmark,
                                  run_serve_benchmark, sample_query_pairs)
-from repro.service.buffers import BufferPack, PackedIndex, PackHandle
 from repro.service.client import (TRANSPORTS, Endpoint, OracleClient,
                                   connect, parse_endpoint)
 from repro.service.cluster import (ClusterClient, ClusterSpec,
@@ -83,11 +79,9 @@ from repro.service.cluster import (ClusterClient, ClusterSpec,
 from repro.service.engine import CacheStats, QueryEngine
 from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
                                  Stretch3Index, TZIndex, build_index,
-                                 index_class_for, index_from_pack,
-                                 index_to_pack,
-                                 refresh_index, restrict_index_shards,
+                                 index_class_for, refresh_index,
+                                 restrict_index_shards,
                                  scheme_name_of, scheme_name_of_index)
-from repro.service.parallel import build_tz_sketches_parallel, default_jobs
 from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
                                     ScenarioOracle, ScenarioResult, Trace,
                                     generate_trace, run_named_scenario,
@@ -101,7 +95,6 @@ from repro.service.updates import (EdgeChange, UpdateReport,
 from repro.service.workers import PhaseTimings, ShardServer
 
 __all__ = [
-    "BufferPack",
     "ChurnEvent",
     "ClusterClient",
     "ClusterSpec",
@@ -128,8 +121,6 @@ __all__ = [
     "EdgeChange",
     "GracefulIndex",
     "IndexStore",
-    "PackHandle",
-    "PackedIndex",
     "PhaseTimings",
     "PipelineStats",
     "QueryEngine",
@@ -142,13 +133,9 @@ __all__ = [
     "build_distributed",
     "build_index",
     "build_shard_range",
-    "build_tz_sketches_parallel",
-    "default_jobs",
     "dirty_frontier",
     "even_ranges",
     "index_class_for",
-    "index_from_pack",
-    "index_to_pack",
     "load_changes_jsonl",
     "loopback_fleet",
     "refresh_index",

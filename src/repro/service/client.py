@@ -21,10 +21,8 @@ hot swap) folds into the session clock without a reconnect.
 
 from __future__ import annotations
 
-import os
 import select
 import socket
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
@@ -482,18 +480,12 @@ class _TcpTransport:
         ``(store, epoch)`` (the pair the server snapshotted atomically).
         The cluster client uses the epoch to keep its routing store in
         lockstep with the fleet."""
-        from repro.oracle.serialization import load_index_binary
+        from repro.oracle.serialization import (load_index_binary,
+                                                load_index_bytes)
 
         epoch, blob = self._await(self._post(FETCH_INDEX), INDEX_BLOB)
-        if path is None:
-            # no attach target: materialize in memory via a scratch file
-            fd, tmp = tempfile.mkstemp(prefix="repro-fetch-", suffix=".rpix")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                return load_index_binary(tmp, backing="heap"), epoch
-            finally:
-                os.unlink(tmp)
+        if path is None:  # no attach target: views over the blob itself
+            return load_index_bytes(blob), epoch
         with open(path, "wb") as fh:
             fh.write(blob)
         return load_index_binary(path, backing="mmap"), epoch

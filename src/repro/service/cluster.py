@@ -52,6 +52,7 @@ See ``docs/serving.md`` §10 for the operator's guide and
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -596,9 +597,7 @@ def build_distributed(graph, scheme: str = "tz", *, num_hosts: int,
             f"seed so the scatter shares one random draw")
     ranges = even_ranges(int(num_shards), int(num_hosts))
     if jobs is None:
-        from repro.service.parallel import default_jobs
-
-        jobs = min(len(ranges), default_jobs())
+        jobs = min(len(ranges), os.cpu_count() or 1)
     if jobs <= 1 or len(ranges) == 1:
         return [_build_range_blob(graph, scheme, lo, hi, num_shards, seed,
                                   params)

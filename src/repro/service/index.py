@@ -66,7 +66,6 @@ sets violating this are detected at build time and stored fully sharded
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, groupby
 from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
@@ -231,10 +230,60 @@ def _unresolved_error(message: str, row: int) -> QueryError:
     return err
 
 
+def _prefixed(prefix: str, arrays: dict) -> dict:
+    """A nested store's arrays under its namespace in the parent's."""
+    return {prefix + name: arr for name, arr in arrays.items()}
+
+
+def _unprefixed(prefix: str, arrays) -> dict:
+    """Inverse of :func:`_prefixed`: the arrays of one namespace."""
+    return {name[len(prefix):]: arr for name, arr in arrays.items()
+            if name.startswith(prefix)}
+
+
 class _BaseIndex:
-    """Shared driver: ``estimate_many`` as plan → answer → finish, the
-    validating ``plan``, the identity ``route``, the one-request and
-    single-pair wrappers."""
+    """Shared driver: the one way a store comes to hold state, and
+    ``estimate_many`` as plan → answer → finish with the validating
+    ``plan``, the identity ``route``, the one-request and single-pair
+    wrappers.
+
+    A store's physical form is ``(meta, arrays)`` — JSON-compatible
+    scalars plus named contiguous arrays, what :meth:`pack_meta` /
+    :meth:`pack_arrays` return and an RPIX container holds.  The
+    sketch constructor (:meth:`_flatten`), the container loader, shard
+    restriction and incremental refresh each produce that pair and hand
+    it to :meth:`_install`, which adopts the arrays as they are (views,
+    no copies) and derives everything else.
+    """
+
+    #: registry name of the scheme served (``"tz"`` …)
+    scheme: str
+
+    def __init__(self, sketches: Sequence[Any], num_shards: int = 1):
+        if not sketches:
+            raise ConfigError("cannot index an empty sketch set")
+        if num_shards < 1:
+            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+        self._install(*self._flatten(sketches, int(num_shards)))
+
+    @classmethod
+    def _from_pack(cls, meta: dict, arrays):
+        """The store over already-flattened state — no copies,
+        bit-identical answers wherever the arrays' bytes live.
+
+        :raises KeyError: when ``meta`` / ``arrays`` lack an entry.
+        :raises ConfigError: when the arrays' shapes contradict it.
+        """
+        self = cls.__new__(cls)
+        self._install(meta, arrays)
+        return self
+
+    def _consistent(self, ok: bool) -> None:
+        """Called by ``_install`` with the shape relations its arrays
+        must satisfy (a corrupt container's need not)."""
+        if not ok:
+            raise ConfigError(f"{type(self).__name__} arrays do not have "
+                              f"the shapes their meta implies")
 
     def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
         """Validate a batch and plan it (see :class:`IndexStore`)."""
@@ -395,11 +444,12 @@ class TZIndex(_BaseIndex):
         or ``num_shards < 1``.
     """
 
-    def __init__(self, sketches: Sequence[TZSketch], num_shards: int = 1):
-        if not sketches:
-            raise ConfigError("cannot index an empty sketch set")
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+    scheme = "tz"
+
+    @staticmethod
+    def _flatten(sketches: Sequence[TZSketch], num_shards: int,
+                 ) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a sketch set, validated."""
         n = len(sketches)
         k = sketches[0].k
         for s in sketches:
@@ -432,15 +482,15 @@ class TZIndex(_BaseIndex):
         pivots = np.asarray([s.pivots for s in sketches], dtype=np.float64)
         pivot_ids = pivots[:, :, 0].astype(np.int64)
         sub = ~dense
-        self._install(
-            {"n": n, "k": k, "num_shards": num_shards,
-             "dense_top": dense_top,
-             "sentinel_pivots": bool((pivot_ids < 0).any())},
-            {"pivot_ids": pivot_ids,
-             "pivot_dists": np.ascontiguousarray(pivots[:, :, 1]),
-             "top_ids": top_ids, "top_col": top_col, "top_dist": top_dist,
-             **_bunch_table(owners[sub] * n + landmarks[sub], dists[sub],
-                            levels[sub], n, num_shards)})
+        return ({"n": n, "k": k, "num_shards": num_shards,
+                 "dense_top": dense_top,
+                 "sentinel_pivots": bool((pivot_ids < 0).any())},
+                {"pivot_ids": pivot_ids,
+                 "pivot_dists": np.ascontiguousarray(pivots[:, :, 1]),
+                 "top_ids": top_ids, "top_col": top_col,
+                 "top_dist": top_dist,
+                 **_bunch_table(owners[sub] * n + landmarks[sub], dists[sub],
+                                levels[sub], n, num_shards)})
 
     def _install(self, meta: dict, arrays) -> None:
         """Adopt the stored state — exactly what :meth:`pack_meta` and
@@ -470,11 +520,19 @@ class TZIndex(_BaseIndex):
         self.bounds = arrays["bounds"]
         self.slot_key = arrays["slot_key"]
         self.slot_idx = arrays["slot_idx"]
-        self.mask, self.shift = _hash_params(self.slot_key.size)
+        n, S, slots = self.n, self.num_shards, self.slot_key.size
+        self._consistent(
+            self.pivot_ids.shape == self.pivot_dists.shape == (n, self.k)
+            and self.top_col.shape == (n,) and self.top_ids.ndim == 1
+            and self.top_dist.shape == (n, self.top_ids.size)
+            and self.keys.ndim == 1 and self.bounds.shape == (S + 1,)
+            and self.dists.shape == self.levels.shape == (self.keys.size + 1,)
+            and self.slot_idx.shape == (slots,)
+            and slots >= 2 and slots & (slots - 1) == 0)
+        self.mask, self.shift = _hash_params(slots)
         #: the miss filter over the resident keys (derived, never stored)
         self._filter, self._filter_shift = _miss_filter(self.keys)
 
-        n, S = self.n, self.num_shards
         #: levels routed through the bunch table (the rest is dense)
         self._kk = self.k - 1 if self.dense_top else self.k
         # landmark -> shard, in the narrowest dtype (a stable argsort of
@@ -717,11 +775,10 @@ class TZIndex(_BaseIndex):
         return est
 
     # ------------------------------------------------------------------
-    # buffer-pack split: physical arrays vs pure logic
+    # the physical form: what a container holds
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
-        """Every array this store keeps, by name (the payload of
-        :func:`index_to_pack`)."""
+        """Every array this store keeps, by name, in container order."""
         return {name: getattr(self, name) for name in (
             "pivot_ids", "pivot_dists", "top_ids", "top_col", "top_dist",
             "keys", "dists", "levels", "bounds", "slot_key", "slot_idx")}
@@ -732,13 +789,14 @@ class TZIndex(_BaseIndex):
                 "dense_top": self.dense_top,
                 "sentinel_pivots": self.sentinel_pivots}
 
-    @classmethod
-    def _from_pack(cls, meta: dict, arrays) -> "TZIndex":
-        """Rebuild the store as a pure-logic view over packed arrays —
-        no copies, bit-identical answers for any backing."""
-        self = cls.__new__(cls)
-        self._install(meta, arrays)
-        return self
+    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """The arrays of this store holding shards ``[lo, hi)`` only:
+        they are one contiguous slice of the table (already in order);
+        the directory is rebuilt over the keys that stay."""
+        a, b = self.bounds[lo], self.bounds[hi]
+        return {**self.pack_arrays(),
+                **_bunch_table(self.keys[a:b], self.dists[a:b],
+                               self.levels[a:b], self.n, self.num_shards)}
 
     # ------------------------------------------------------------------
     # incremental refresh (the dynamic-update subsystem's index hook)
@@ -877,12 +935,12 @@ class Stretch3Index(_BaseIndex):
         ``eps``, or ``num_shards < 1``.
     """
 
-    def __init__(self, sketches: Sequence[Stretch3Sketch],
-                 num_shards: int = 1):
-        if not sketches:
-            raise ConfigError("cannot index an empty sketch set")
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+    scheme = "stretch3"
+
+    @staticmethod
+    def _flatten(sketches: Sequence[Stretch3Sketch], num_shards: int,
+                 ) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a sketch set, validated."""
         for s in sketches:
             if not isinstance(s, Stretch3Sketch):
                 raise ConfigError(
@@ -894,29 +952,35 @@ class Stretch3Index(_BaseIndex):
                 raise ConfigError(
                     f"mixed eps in sketch set: {s.eps} vs {eps} "
                     f"(node {s.node})")
-        self.n = len(sketches)
-        self.eps = eps
-        self.num_shards = int(num_shards)
         ids = np.asarray(sorted({w for s in sketches for w in s.entries}),
                          dtype=np.int64)
-        #: net-node ids labelling the columns of the dense table, in
-        #: ``(w mod S, w)`` order — a shard is a column slice
-        self.net_ids = ids[np.lexsort((ids, ids % self.num_shards))]
-        col = {int(w): j for j, w in enumerate(self.net_ids)}
-        #: dense ``d(u, w)``; +inf marks a missing entry
-        self.dist = np.full((self.n, self.net_ids.size), np.inf,
-                            dtype=np.float64)
+        net_ids = ids[np.lexsort((ids, ids % num_shards))]
+        col = {int(w): j for j, w in enumerate(net_ids)}
+        dist = np.full((len(sketches), net_ids.size), np.inf,
+                       dtype=np.float64)
         for u, s in enumerate(sketches):
             for w, d in s.entries.items():
-                self.dist[u, col[w]] = d
-        self._col_bounds = self._shard_columns()
+                dist[u, col[w]] = d
+        return ({"n": len(sketches), "eps": eps, "num_shards": num_shards},
+                {"net_ids": net_ids, "dist": dist})
 
-    def _shard_columns(self) -> list[int]:
-        """The S+1 column offsets: shard ``s`` owns columns
-        ``[bounds[s], bounds[s + 1])`` (a pure function of ``net_ids``
-        and ``num_shards``, derived at build/load)."""
-        return np.searchsorted(self.net_ids % self.num_shards,
-                               np.arange(self.num_shards + 1)).tolist()
+    def _install(self, meta: dict, arrays) -> None:
+        """Adopt the stored state (see :class:`_BaseIndex`)."""
+        self.n = int(meta["n"])
+        self.eps = float(meta["eps"])
+        self.num_shards = int(meta["num_shards"])
+        #: net-node ids labelling the columns of the dense table, in
+        #: ``(w mod S, w)`` order — a shard is a column slice
+        self.net_ids = arrays["net_ids"]
+        #: dense ``d(u, w)``; +inf marks a missing entry
+        self.dist = arrays["dist"]
+        self._consistent(self.net_ids.ndim == 1
+                         and self.dist.shape == (self.n, self.net_ids.size))
+        #: the S+1 column offsets: shard ``s`` owns columns
+        #: ``[bounds[s], bounds[s + 1])``
+        self._col_bounds = np.searchsorted(
+            self.net_ids % self.num_shards,
+            np.arange(self.num_shards + 1)).tolist()
 
     def nnz(self) -> int:
         """Number of stored (finite) node → net-node entries."""
@@ -987,27 +1051,21 @@ class Stretch3Index(_BaseIndex):
         return est
 
     # ------------------------------------------------------------------
-    # buffer-pack split
-    # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
-        """Every array this store reads at query time, by name."""
+        """Every array this store keeps, by name, in container order."""
         return {"net_ids": self.net_ids, "dist": self.dist}
 
     def pack_meta(self) -> dict:
         """The scalar (non-array) state, JSON-compatible."""
         return {"n": self.n, "eps": self.eps, "num_shards": self.num_shards}
 
-    @classmethod
-    def _from_pack(cls, meta: dict, arrays) -> "Stretch3Index":
-        """Rebuild as a view over packed arrays."""
-        self = cls.__new__(cls)
-        self.n = int(meta["n"])
-        self.eps = float(meta["eps"])
-        self.num_shards = int(meta["num_shards"])
-        self.net_ids = arrays["net_ids"]
-        self.dist = arrays["dist"]
-        self._col_bounds = self._shard_columns()
-        return self
+    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """The arrays of this store holding shards ``[lo, hi)`` only:
+        every other column reads +inf, the missing entry."""
+        cb = self._col_bounds
+        dist = np.full_like(self.dist, np.inf)
+        dist[:, cb[lo]:cb[hi]] = self.dist[:, cb[lo]:cb[hi]]
+        return {"net_ids": self.net_ids, "dist": dist}
 
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterable[tuple[int, int, float]]:
@@ -1053,11 +1111,12 @@ class CDGIndex(_BaseIndex):
         sketches shipping different labels for the same gateway.
     """
 
-    def __init__(self, sketches: Sequence[CDGSketch], num_shards: int = 1):
-        if not sketches:
-            raise ConfigError("cannot index an empty sketch set")
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+    scheme = "cdg"
+
+    @staticmethod
+    def _flatten(sketches: Sequence[CDGSketch], num_shards: int,
+                 ) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a sketch set, validated."""
         for s in sketches:
             if not isinstance(s, CDGSketch):
                 raise ConfigError(
@@ -1084,17 +1143,6 @@ class CDGIndex(_BaseIndex):
             if lbl.k != lk:
                 raise ConfigError(
                     f"mixed k in net labels: {lbl.k} vs {lk}")
-        self.n = len(sketches)
-        self.eps = eps
-        self.k = k
-        self.num_shards = int(num_shards)
-        self.gateway_ids = np.asarray([s.gateway for s in sketches],
-                                      dtype=np.int64)
-        self.gateway_dists = np.asarray([s.gateway_dist for s in sketches],
-                                        dtype=np.float64)
-        # original-id label map (one per gateway) — see the ``labels``
-        # property (pack-built stores reconstruct it lazily instead)
-        self._labels: Optional[dict[int, TZSketch]] = labels
 
         # compact universe: every id a label mentions (owners, bunch
         # landmarks, non-sentinel pivots), remapped to 0..m-1 so the TZ
@@ -1103,10 +1151,10 @@ class CDGIndex(_BaseIndex):
         for lbl in labels.values():
             universe.update(lbl.bunch)
             universe.update(p for p, _ in lbl.pivots if p >= 0)
-        self.net_ids = np.asarray(sorted(universe), dtype=np.int64)
-        slot = {int(w): j for j, w in enumerate(self.net_ids)}
+        net_ids = np.asarray(sorted(universe), dtype=np.int64)
+        slot = {int(w): j for j, w in enumerate(net_ids)}
         subs = []
-        for j, w in enumerate(self.net_ids):
+        for j, w in enumerate(net_ids):
             lbl = labels.get(int(w))
             if lbl is None:
                 # a net node referenced by labels but never a gateway: it
@@ -1122,35 +1170,39 @@ class CDGIndex(_BaseIndex):
                                  for p, d in lbl.pivots),
                     bunch={slot[w2]: entry
                            for w2, entry in lbl.bunch.items()}))
-        self._sub = TZIndex(subs, num_shards=self.num_shards)
-        #: per-node slot of the gateway's label in the sub-index
-        self._gw_slot = np.asarray([slot[int(g)] for g in self.gateway_ids],
-                                   dtype=np.int64)
+        sub_meta, sub_arrays = TZIndex._flatten(subs, num_shards)
+        gateway_ids = np.asarray([s.gateway for s in sketches],
+                                 dtype=np.int64)
+        return ({"n": len(sketches), "eps": eps, "k": k,
+                 "num_shards": num_shards, "sub": sub_meta},
+                {"gateway_ids": gateway_ids,
+                 "gateway_dists": np.asarray(
+                     [s.gateway_dist for s in sketches], dtype=np.float64),
+                 "net_ids": net_ids,
+                 "gw_slot": np.asarray([slot[g] for g in gateway_ids.tolist()],
+                                       dtype=np.int64),
+                 **_prefixed("sub.", sub_arrays)})
 
-    @property
-    def labels(self) -> dict[int, TZSketch]:
-        """Original-id net-label map, one entry per gateway (the
-        serialization form).  Sketch-built stores carry it from
-        construction; pack-built stores reconstruct it exactly from the
-        TZ sub-index by mapping the compact universe back through
-        ``net_ids`` (the remap is a bijection, so the round trip is
-        bitwise)."""
-        if self._labels is None:
-            gateways = {int(g) for g in self.gateway_ids}
-            net = self.net_ids
-            labels: dict[int, TZSketch] = {}
-            for j, sub in enumerate(self._sub._to_sketches()):
-                w = int(net[j])
-                if w not in gateways:
-                    continue
-                labels[w] = TZSketch(
-                    node=w, k=sub.k,
-                    pivots=tuple(((int(net[p]) if p >= 0 else -1), d)
-                                 for p, d in sub.pivots),
-                    bunch={int(net[b]): entry
-                           for b, entry in sub.bunch.items()})
-            self._labels = labels
-        return self._labels
+    def _install(self, meta: dict, arrays) -> None:
+        """Adopt the stored state (see :class:`_BaseIndex`)."""
+        self.n = int(meta["n"])
+        self.eps = float(meta["eps"])
+        self.k = int(meta["k"])
+        self.num_shards = int(meta["num_shards"])
+        self.gateway_ids = arrays["gateway_ids"]
+        self.gateway_dists = arrays["gateway_dists"]
+        #: original id of each node of the sub-index's compact universe
+        self.net_ids = arrays["net_ids"]
+        #: per-node slot of the gateway's label in the sub-index
+        self._gw_slot = arrays["gw_slot"]
+        #: the net labels, over the compact universe
+        self._sub = TZIndex._from_pack(meta["sub"],
+                                       _unprefixed("sub.", arrays))
+        self._consistent(
+            self.gateway_ids.shape == self.gateway_dists.shape
+            == self._gw_slot.shape == (self.n,)
+            and self.net_ids.shape == (self._sub.n,)
+            and self._sub.num_shards == self.num_shards)
 
     def nnz(self) -> int:
         """Stored entries: gateway pairs plus the sub-index's bunches."""
@@ -1198,16 +1250,12 @@ class CDGIndex(_BaseIndex):
         return np.where(us == vs, 0.0, est)
 
     # ------------------------------------------------------------------
-    # buffer-pack split
-    # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Own arrays plus the TZ sub-index's, namespaced ``sub.*``."""
-        out = {"gateway_ids": self.gateway_ids,
-               "gateway_dists": self.gateway_dists,
-               "net_ids": self.net_ids, "gw_slot": self._gw_slot}
-        for name, arr in self._sub.pack_arrays().items():
-            out[f"sub.{name}"] = arr
-        return out
+        return {"gateway_ids": self.gateway_ids,
+                "gateway_dists": self.gateway_dists,
+                "net_ids": self.net_ids, "gw_slot": self._gw_slot,
+                **_prefixed("sub.", self._sub.pack_arrays())}
 
     def pack_meta(self) -> dict:
         """The scalar state, with the sub-index's meta nested."""
@@ -1215,34 +1263,24 @@ class CDGIndex(_BaseIndex):
                 "num_shards": self.num_shards,
                 "sub": self._sub.pack_meta()}
 
-    @classmethod
-    def _from_pack(cls, meta: dict, arrays) -> "CDGIndex":
-        """Rebuild as views over packed arrays; the label dict is
-        reconstructed lazily only if serialization/equality asks."""
-        self = cls.__new__(cls)
-        self.n = int(meta["n"])
-        self.eps = float(meta["eps"])
-        self.k = int(meta["k"])
-        self.num_shards = int(meta["num_shards"])
-        self.gateway_ids = arrays["gateway_ids"]
-        self.gateway_dists = arrays["gateway_dists"]
-        self.net_ids = arrays["net_ids"]
-        self._gw_slot = arrays["gw_slot"]
-        prefix = "sub."
-        sub_arrays = {name[len(prefix):]: arr for name, arr in arrays.items()
-                      if name.startswith(prefix)}
-        self._sub = TZIndex._from_pack(meta["sub"], sub_arrays)
-        self._labels = None
-        return self
+    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """The arrays of this store holding shards ``[lo, hi)`` only:
+        the gateway arrays (router state) in full, the sub-index cut."""
+        return {**self.pack_arrays(),
+                **_prefixed("sub.", self._sub._restricted(lo, hi))}
 
     def __eq__(self, other: object) -> bool:
+        """Same gateways and same net labels: the compact universe is a
+        function of the labels, so equal ``net_ids`` and equal
+        sub-indexes are equal label maps."""
         if not isinstance(other, CDGIndex):
             return NotImplemented
         return (self.n == other.n and self.eps == other.eps
                 and self.k == other.k
                 and np.array_equal(self.gateway_ids, other.gateway_ids)
                 and np.array_equal(self.gateway_dists, other.gateway_dists)
-                and self.labels == other.labels)
+                and np.array_equal(self.net_ids, other.net_ids)
+                and self._sub == other._sub)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CDGIndex(n={self.n}, net={self.net_ids.size}, "
@@ -1270,12 +1308,12 @@ class GracefulIndex(_BaseIndex):
         mismatched component counts.
     """
 
-    def __init__(self, sketches: Sequence[GracefulSketch],
-                 num_shards: int = 1):
-        if not sketches:
-            raise ConfigError("cannot index an empty sketch set")
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
+    scheme = "graceful"
+
+    @staticmethod
+    def _flatten(sketches: Sequence[GracefulSketch], num_shards: int,
+                 ) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a sketch set, validated."""
         for s in sketches:
             if not isinstance(s, GracefulSketch):
                 raise ConfigError(
@@ -1289,13 +1327,26 @@ class GracefulIndex(_BaseIndex):
                     f"{len(s.components)} components, expected {levels}")
         if levels == 0:
             raise ConfigError("graceful sketches need >= 1 component")
-        self.n = len(sketches)
-        self.num_shards = int(num_shards)
+        metas, arrays = [], {}
+        for i in range(levels):
+            meta, part = CDGIndex._flatten(
+                [s.components[i] for s in sketches], num_shards)
+            metas.append(meta)
+            arrays.update(_prefixed(f"c{i}.", part))
+        return ({"n": len(sketches), "num_shards": num_shards,
+                 "components": metas}, arrays)
+
+    def _install(self, meta: dict, arrays) -> None:
+        """Adopt the stored state (see :class:`_BaseIndex`)."""
+        self.n = int(meta["n"])
+        self.num_shards = int(meta["num_shards"])
         #: per-ε-level CDG stores, ordered by schedule index
         self.components = [
-            CDGIndex([s.components[i] for s in sketches],
-                     num_shards=self.num_shards)
-            for i in range(levels)]
+            CDGIndex._from_pack(comp_meta, _unprefixed(f"c{i}.", arrays))
+            for i, comp_meta in enumerate(meta["components"])]
+        self._consistent(bool(self.components) and all(
+            (c.n, c.num_shards) == (self.n, self.num_shards)
+            for c in self.components))
 
     def nnz(self) -> int:
         """Total stored entries across all components."""
@@ -1343,14 +1394,11 @@ class GracefulIndex(_BaseIndex):
         return est
 
     # ------------------------------------------------------------------
-    # buffer-pack split
-    # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Every component's arrays, namespaced ``c<i>.*``."""
         out: dict[str, np.ndarray] = {}
         for i, comp in enumerate(self.components):
-            for name, arr in comp.pack_arrays().items():
-                out[f"c{i}.{name}"] = arr
+            out.update(_prefixed(f"c{i}.", comp.pack_arrays()))
         return out
 
     def pack_meta(self) -> dict:
@@ -1358,21 +1406,12 @@ class GracefulIndex(_BaseIndex):
         return {"n": self.n, "num_shards": self.num_shards,
                 "components": [c.pack_meta() for c in self.components]}
 
-    @classmethod
-    def _from_pack(cls, meta: dict, arrays) -> "GracefulIndex":
-        """Rebuild every component as a view over its array slice."""
-        self = cls.__new__(cls)
-        self.n = int(meta["n"])
-        self.num_shards = int(meta["num_shards"])
-        self.components = []
-        for i, comp_meta in enumerate(meta["components"]):
-            prefix = f"c{i}."
-            comp_arrays = {name[len(prefix):]: arr
-                           for name, arr in arrays.items()
-                           if name.startswith(prefix)}
-            self.components.append(CDGIndex._from_pack(comp_meta,
-                                                       comp_arrays))
-        return self
+    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """Every component's arrays restricted to shards ``[lo, hi)``."""
+        out: dict[str, np.ndarray] = {}
+        for i, comp in enumerate(self.components):
+            out.update(_prefixed(f"c{i}.", comp._restricted(lo, hi)))
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GracefulIndex):
@@ -1388,13 +1427,13 @@ class GracefulIndex(_BaseIndex):
 # ----------------------------------------------------------------------
 # the factory
 # ----------------------------------------------------------------------
-#: sketch type -> (scheme name, index class); the single source of truth
-#: for which store serves which scheme
-INDEX_TYPES: dict[type, tuple[str, type]] = {
-    TZSketch: ("tz", TZIndex),
-    Stretch3Sketch: ("stretch3", Stretch3Index),
-    CDGSketch: ("cdg", CDGIndex),
-    GracefulSketch: ("graceful", GracefulIndex),
+#: sketch type -> the store class serving it; the single source of truth
+#: for which store serves which scheme (its name is ``cls.scheme``)
+INDEX_TYPES: dict[type, type] = {
+    TZSketch: TZIndex,
+    Stretch3Sketch: Stretch3Index,
+    CDGSketch: CDGIndex,
+    GracefulSketch: GracefulIndex,
 }
 
 
@@ -1403,27 +1442,46 @@ def index_class_for(sketches: Sequence[Any]) -> Optional[type]:
     when the set is empty, mixed, or of an unknown type."""
     if not sketches:
         return None
-    entry = INDEX_TYPES.get(type(sketches[0]))
-    if entry is None:
-        return None
     first = type(sketches[0])
     if not all(isinstance(s, first) for s in sketches):
         return None
-    return entry[1]
+    return INDEX_TYPES.get(first)
 
 
 def scheme_name_of(sketches: Sequence[Any]) -> Optional[str]:
     """The registry name (``"tz"`` …) of a homogeneous sketch set, or
     ``None`` when unrecognized."""
-    if index_class_for(sketches) is None:
-        return None
-    return INDEX_TYPES[type(sketches[0])][0]
+    cls = index_class_for(sketches)
+    return cls.scheme if cls else None
 
 
 def scheme_name_of_index(index: IndexStore) -> Optional[str]:
     """The registry name (``"tz"`` …) behind a built store, or ``None``."""
-    tag = INDEX_TAGS.get(type(index))
-    return tag[: -len("_index")] if tag else None
+    return getattr(type(index), "scheme", None)
+
+
+#: container type tag -> store class, derived from the registry
+_BY_TAG = {cls.scheme + "_index": cls for cls in INDEX_TYPES.values()}
+
+
+def index_tag(index: IndexStore) -> Optional[str]:
+    """The container type tag (``"tz_index"`` …) of a built store, or
+    ``None`` for a store no container holds."""
+    return next((tag for tag, cls in _BY_TAG.items()
+                 if cls is type(index)), None)
+
+
+def index_from_arrays(tag: str, meta: dict, arrays) -> IndexStore:
+    """The store of container type ``tag`` over its flattened state —
+    the loader's last step.
+
+    :raises ConfigError: on an unknown tag or inconsistent shapes.
+    :raises KeyError: naming the array or meta key that is missing.
+    """
+    cls = _BY_TAG.get(tag)
+    if cls is None:
+        raise ConfigError(f"unknown index type tag {tag!r}")
+    return cls._from_pack(meta, arrays)
 
 
 def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:
@@ -1488,80 +1546,7 @@ def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
             f"shard range [{lo}, {hi}) invalid for {S} shards")
     if (lo, hi) == (0, S):
         return index
-    if isinstance(index, TZIndex):
-        # the owned shards are one contiguous slice of the table (already
-        # in order); the directory is rebuilt over the keys that stay
-        a, b = index.bounds[lo], index.bounds[hi]
-        return TZIndex._from_pack(index.pack_meta(), {
-            **index.pack_arrays(),
-            **_bunch_table(index.keys[a:b], index.dists[a:b],
-                           index.levels[a:b], index.n, S)})
-    if isinstance(index, Stretch3Index):
-        cb = index._col_bounds
-        dist = np.full_like(index.dist, np.inf)
-        dist[:, cb[lo]:cb[hi]] = index.dist[:, cb[lo]:cb[hi]]
-        return Stretch3Index._from_pack(
-            index.pack_meta(), {"net_ids": index.net_ids, "dist": dist})
-    if isinstance(index, (CDGIndex, GracefulIndex)):
-        new = copy(index)  # router state is shared, never mutated
-        if isinstance(index, CDGIndex):
-            new._sub = restrict_index_shards(index._sub, lo, hi)
-            new._labels = None
-        else:
-            new.components = [restrict_index_shards(c, lo, hi)
-                              for c in index.components]
-        return new
-    raise ConfigError(
-        f"cannot shard-restrict a {type(index).__name__}")
-
-
-# ----------------------------------------------------------------------
-# buffer-pack plumbing: any store <-> (tag, meta, named arrays)
-# ----------------------------------------------------------------------
-#: index class -> serialization/pack type tag
-INDEX_TAGS: dict[type, str] = {
-    TZIndex: "tz_index",
-    Stretch3Index: "stretch3_index",
-    CDGIndex: "cdg_index",
-    GracefulIndex: "graceful_index",
-}
-_TAG_TO_CLASS = {tag: cls for cls, tag in INDEX_TAGS.items()}
-
-
-def index_to_pack(index: IndexStore, backing: str = "heap", *,
-                  path: Optional[str] = None,
-                  delete_file: bool = False) -> "PackedIndex":
-    """Split any store into its physical arrays, copied once into a
-    :class:`~repro.service.buffers.BufferPack` of the chosen backing.
-
-    :param backing: ``"heap"`` or ``"mmap"``.
-    :param path: target file for ``"mmap"``.
-    :param delete_file: delete the mmap file on pack close.
-    :raises ConfigError: for a store type without a pack encoding.
-    """
-    from repro.service.buffers import BufferPack, PackedIndex
-
-    tag = INDEX_TAGS.get(type(index))
-    if tag is None:
+    if not isinstance(index, _BaseIndex):
         raise ConfigError(
-            f"no buffer-pack encoding for {type(index).__name__}")
-    pack = BufferPack.from_arrays(index.pack_arrays(), backing=backing,
-                                  path=path, delete_file=delete_file)
-    return PackedIndex(tag=tag, meta=index.pack_meta(), pack=pack)
-
-
-def index_from_pack(packed) -> IndexStore:
-    """Rebuild a store as a pure-logic view over a pack — zero-copy,
-    bit-identical answers for any backing.
-
-    Accepts a :class:`~repro.service.buffers.PackedIndex` or a bare
-    ``(tag, meta, BufferPack)`` triple.  The store's arrays are views
-    that keep the pack's buffer (heap bytes or file mapping) alive for
-    as long as the store lives.
-    """
-    tag, meta, pack = ((packed.tag, packed.meta, packed.pack)
-                       if hasattr(packed, "pack") else packed)
-    cls = _TAG_TO_CLASS.get(tag)
-    if cls is None:
-        raise ConfigError(f"unknown packed index tag {tag!r}")
-    return cls._from_pack(meta, pack.as_dict())
+            f"cannot shard-restrict a {type(index).__name__}")
+    return index._from_pack(index.pack_meta(), index._restricted(lo, hi))

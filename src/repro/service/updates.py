@@ -53,7 +53,7 @@ tables — never with a "close enough" shortcut.
 Epoch semantics: every effective ``apply`` produces a **new**
 :class:`~repro.service.index.IndexStore` and bumps :attr:`epoch`; the old
 store object is never mutated, which is what lets a serving session
-hot-swap epochs while in-flight batches finish on the old pack.  Serve
+hot-swap epochs while in-flight batches finish on the old store.  Serve
 a live index by passing it as the source of
 :func:`repro.service.client.connect` (any transport) or of an
 :class:`~repro.service.server.OracleServer` —

@@ -131,8 +131,8 @@ class BunchTable(NamedTuple):
 
     That order is the canonical one: an owner's entries are one
     contiguous slice, and slicing it into a dict reproduces the bunch
-    iteration order every builder (serial, fanned out, shard-range,
-    repair) must share.
+    iteration order every builder (full, shard-range, repair) must
+    share.
     """
 
     owner: np.ndarray     # int64
@@ -212,10 +212,10 @@ def grow_clusters(graph: Graph, hierarchy: Hierarchy,
     entries (``u ∈ C(w) ⟺ w ∈ B(u)``, paper Section 3.2).
 
     Roots are independent of each other, so any split of the universe
-    (worker chunks, a fleet host's landmark range, the candidates of a
-    repair) merges back into the full table with
-    :func:`merge_bunch_tables`.  Per level, blocks of
-    :data:`_BLOCK_CELLS` cells go through the frontier kernel; a level
+    (a fleet host's landmark range, the candidates of a repair) merges
+    back into the full table with :func:`merge_bunch_tables`.  Per
+    level, blocks of :data:`_BLOCK_CELLS` cells go through the frontier
+    kernel; a level
     whose threshold is the all-``INF_KEY`` sentinel (the top one) has
     untruncated clusters, which are plain distance rows — taken from
     :func:`scipy.sparse.csgraph.dijkstra`, bitwise the same floats.
@@ -300,14 +300,11 @@ def assemble_sketches(k: int, pivot_keys: list[list[DistKey]],
 
 def build_tz_sketches_timed(graph: Graph, k: Optional[int] = None,
                             hierarchy: Optional[Hierarchy] = None,
-                            seed: SeedLike = None, grow=grow_clusters,
+                            seed: SeedLike = None,
                             ) -> tuple[list[TZSketch], Hierarchy, dict]:
     """:func:`build_tz_sketches_centralized` plus a report of where the
     time went: ``pivots_s`` / ``clusters_s`` / ``assemble_s`` seconds,
-    bunch ``entries`` and frontier ``rounds``.
-
-    ``grow`` is the cluster stage (:func:`grow_clusters`, or a drop-in
-    that fans the roots out and merges)."""
+    bunch ``entries`` and frontier ``rounds``."""
     if hierarchy is None:
         if k is None:
             raise ConfigError("provide k or hierarchy")
@@ -317,7 +314,7 @@ def build_tz_sketches_timed(graph: Graph, k: Optional[int] = None,
     t0 = time.perf_counter()
     pivot_keys = compute_pivot_keys(graph, hierarchy)
     t1 = time.perf_counter()
-    table = grow(graph, hierarchy, pivot_keys, hierarchy.universe())
+    table = grow_clusters(graph, hierarchy, pivot_keys, hierarchy.universe())
     t2 = time.perf_counter()
     sketches = assemble_sketches(hierarchy.k, pivot_keys, table,
                                  graph.nodes())

@@ -1,19 +1,16 @@
-"""The zero-copy memory layer (repro.service.buffers): packs, handles,
-and the array-tree codec."""
-
-import pickle
+"""Arrays in one buffer (repro.service.buffers): the layout rule, the
+read-only views over it, and the array-tree codec."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.service.buffers import (
-    BufferPack,
     build_tree,
     flatten_tree,
     plan_layout,
     plan_tree,
     read_tree,
+    view_array,
     write_tree,
 )
 
@@ -43,64 +40,24 @@ class TestLayout:
         assert [row[0] for row in manifest] == list(arrays)
 
 
-class TestBufferPack:
-    @pytest.mark.parametrize("backing", ["heap", "mmap"])
-    def test_round_trip_bitwise(self, arrays, backing, tmp_path):
-        path = str(tmp_path / "p.pack") if backing == "mmap" else None
-        pack = BufferPack.from_arrays(arrays, backing=backing, path=path)
-        try:
-            for name, arr in arrays.items():
-                got = pack[name]
-                assert got.dtype == arr.dtype and got.shape == arr.shape
-                assert np.array_equal(got, arr)
-                assert not got.flags.writeable  # immutable views
-        finally:
-            pack.close()
+class TestViews:
+    def test_views_are_bitwise_and_read_only(self, arrays):
+        """What a container loader does with a manifest: one read-only
+        view per row over the laid-out bytes, nothing copied."""
+        manifest, total = plan_layout(arrays)
+        buf = bytearray(total)
+        write_tree(memoryview(buf), 0, [row[1:] for row in manifest],
+                   list(arrays.values()))
+        blob = bytes(buf)
+        for (name, dt, shape, off), arr in zip(manifest, arrays.values()):
+            got = view_array(blob, dt, shape, off)
+            assert got.dtype == arr.dtype and got.shape == arr.shape
+            assert np.array_equal(got, arr)
+            assert not got.flags.writeable  # immutable views
+            assert got.size == 0 or got.base is not None  # no copy
 
-    @pytest.mark.parametrize("backing", ["heap", "mmap"])
-    def test_handle_is_picklable_and_attaches(self, arrays, backing,
-                                              tmp_path):
-        path = str(tmp_path / "p.pack") if backing == "mmap" else None
-        pack = BufferPack.from_arrays(arrays, backing=backing, path=path)
-        try:
-            handle = pickle.loads(pickle.dumps(pack.handle()))
-            attached = BufferPack.attach(handle)
-            try:
-                for name, arr in arrays.items():
-                    assert np.array_equal(attached[name], arr)
-            finally:
-                attached.close()
-        finally:
-            pack.close()
-
-    def test_dict_face(self, arrays):
-        with BufferPack.from_arrays(arrays) as pack:
-            assert pack.names() == list(arrays)
-            assert "ids" in pack and "nope" not in pack
-            assert set(iter(pack)) == set(arrays)
-            view = pack.as_dict()
-            assert np.array_equal(view["table"], arrays["table"])
-
-    def test_rejects_unknown_backing(self, arrays):
-        for backing in ("gpu", "shared"):
-            with pytest.raises(ConfigError):
-                BufferPack.from_arrays(arrays, backing=backing)
-
-    def test_mmap_needs_a_path(self, arrays):
-        with pytest.raises(ConfigError):
-            BufferPack.from_arrays(arrays, backing="mmap")
-
-    def test_mmap_scratch_file_deleted_on_close(self, arrays, tmp_path):
-        path = tmp_path / "scratch.pack"
-        pack = BufferPack.from_arrays(arrays, backing="mmap",
-                                      path=str(path), delete_file=True)
-        assert path.exists()
-        pack.close()
-        assert not path.exists()
-
-    def test_empty_pack(self):
-        with BufferPack.from_arrays({}) as pack:
-            assert pack.names() == [] and pack.nbytes == 0
+    def test_empty_layout(self):
+        assert plan_layout({}) == ((), 0)
 
 
 class TestArrayTreeCodec:

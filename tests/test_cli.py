@@ -144,22 +144,24 @@ class TestEval:
 
 
 class TestBuildJobs:
-    def test_parallel_build_matches_serial(self, tmp_path, graph_file):
-        serial = tmp_path / "serial.jsonl"
-        fanned = tmp_path / "fanned.jsonl"
-        assert main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                     "--seed", "3", "-o", str(serial)]) == 0
-        assert main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                     "--seed", "3", "--jobs", "2", "-o", str(fanned)]) == 0
-        assert serial.read_bytes() == fanned.read_bytes()
+    """``build`` takes no ``--jobs``: the process fan-out is gone, and
+    ``jobs`` names only the threads a served batch is cut across."""
+
+    def test_jobs_rejected_for_tz(self, tmp_path, graph_file, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
+                  "--jobs", "2", "-o", str(tmp_path / "x.jsonl")])
+        assert usage.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_jobs_rejected_for_slack_scheme(self, tmp_path, graph_file,
                                             capsys):
-        rc = main(["build", str(graph_file), "--scheme", "stretch3",
-                   "--eps", "0.3", "--jobs", "2",
-                   "-o", str(tmp_path / "x.jsonl")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            main(["build", str(graph_file), "--scheme", "stretch3",
+                  "--eps", "0.3", "--jobs", "2",
+                  "-o", str(tmp_path / "x.jsonl")])
+        assert usage.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestServeBench:

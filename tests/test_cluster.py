@@ -410,10 +410,8 @@ class TestDistributedBuild:
     def test_blobs_byte_identical_to_restricted_full_build(self, graph,
                                                            scheme):
         params = SCHEME_PARAMS[scheme]
-        jobs = 2 if scheme == "tz" else None
         full = build_index(
-            build_sketches(graph, scheme, seed=11, jobs=jobs,
-                           **params).sketches,
+            build_sketches(graph, scheme, seed=11, **params).sketches,
             num_shards=SHARDS)
         blobs = build_distributed(graph, scheme, num_hosts=2,
                                   num_shards=SHARDS, seed=11, jobs=1,

@@ -66,6 +66,45 @@ class TestBuildDispatch:
         assert "net" in b.extras and "hierarchy" in b.extras
 
 
+class TestUnknownParameters:
+    """A keyword the scheme/mode does not read is refused, never
+    dropped: a typo of ``sync=`` must not build with the oracle
+    terminator, and a stale ``jobs=`` must not look accepted."""
+
+    REQUIRED = {"tz": {"k": 2}, "stretch3": {"eps": 0.4},
+                "cdg": {"eps": 0.4, "k": 2}, "graceful": {}}
+
+    @pytest.mark.parametrize("mode", ["centralized", "distributed"])
+    @pytest.mark.parametrize("scheme", sorted(REQUIRED))
+    @pytest.mark.parametrize("stray", ["sinc", "jobs", "epsilon"])
+    def test_rejected_per_scheme_and_mode(self, er_unit, scheme, mode,
+                                          stray):
+        with pytest.raises(ConfigError, match=f"no parameter '{stray}'"):
+            build_sketches(er_unit, scheme, mode, seed=1,
+                           **self.REQUIRED[scheme], **{stray: 2})
+
+    def test_the_error_names_what_is_read(self, er_unit):
+        with pytest.raises(ConfigError, match="reads: k, hierarchy$"):
+            build_sketches(er_unit, "tz", k=2, epsilon=0.5, sinc="echo")
+        # a parameter of the other mode is as unknown as a typo
+        with pytest.raises(ConfigError, match="'sync'"):
+            build_sketches(er_unit, "tz", k=2, sync="echo")
+        with pytest.raises(ConfigError, match="'dist_matrix'"):
+            build_sketches(er_unit, "stretch3", "distributed", eps=0.4,
+                           dist_matrix=None)
+
+    def test_every_read_parameter_is_accepted(self, small_ring):
+        from repro.oracle.api import _PARAMS
+
+        for (scheme, mode), names in _PARAMS.items():
+            params = {**dict.fromkeys(names), **self.REQUIRED[scheme]}
+            if "sync" in names:
+                params.update(sync="oracle", budget="whp")
+            built = build_sketches(small_ring, scheme, mode, seed=3,
+                                   **params)
+            assert len(built.sketches) == small_ring.n
+
+
 class TestQueryFacade:
     def test_query_all_schemes(self, er_unit, er_unit_apsp):
         for scheme, params in [("tz", {"k": 2}), ("stretch3", {"eps": 0.3}),

@@ -321,6 +321,54 @@ class TestBinaryContainer:
         with pytest.raises(QueryError, match="backing"):
             load_index_binary(path, backing="gpu")
 
+        # a header that parses but lies: a typed error from every way of
+        # loading it, never a numpy ValueError, a KeyError — or a store
+        import json
+        import struct
+
+        from repro.oracle.serialization import load_index_bytes
+
+        hlen = struct.unpack_from("<I", raw, 8)[0]
+        header = json.loads(raw[12:12 + hlen])
+        rows = {row[0]: i for i, row in enumerate(header["manifest"])}
+        base = header["base"]
+
+        def rewritten(edit) -> bytes:
+            lied = json.loads(json.dumps(header))
+            edit(lied)
+            text = json.dumps(lied, separators=(",", ":")).encode("ascii")
+            assert 12 + len(text) <= base  # the blobs stay where they are
+            return (bytes(raw[:8]) + struct.pack("<I", len(text))
+                    + text.ljust(base - 12, b"\0") + bytes(raw[base:]))
+
+        def patch(name, field, value):
+            """Rewrite one field of ``name``'s manifest row."""
+            def edit(lied):
+                lied["manifest"][rows[name]][field] = value
+            return edit
+
+        lies = {
+            "offset past the blobs": patch("top_col", 3,
+                                           header["nbytes"] + 64),
+            "object dtype": patch("top_col", 1, "|O"),
+            "manifest row removed":
+                lambda lied: lied["manifest"].pop(rows["top_col"]),
+            "meta key removed": lambda lied: lied["meta"].pop("k"),
+            "shape shrunk": patch("keys", 2, [3]),
+            "negative shape": patch("keys", 2, [-5]),
+        }
+        for what, edit in lies.items():
+            blob = rewritten(edit)
+            (tmp_path / "lie.rpix").write_bytes(blob)
+            for load in (lambda: load_index_bytes(blob),
+                         lambda: load_index_binary(tmp_path / "lie.rpix"),
+                         lambda: load_index_binary(tmp_path / "lie.rpix",
+                                                   backing="mmap")):
+                with pytest.raises(QueryError, match="binary index "
+                                   "container .* is corrupt"):
+                    load()
+                    pytest.fail(f"{what}: loaded")
+
     def test_mmap_load_shares_file_bytes(self, all_built, tmp_path):
         """The mmap load builds views over the file, not copies."""
         from repro.oracle.serialization import (load_index_binary,

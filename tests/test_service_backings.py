@@ -1,12 +1,14 @@
-"""Backing equivalence: every IndexStore answers bit-identically whether
-its arrays live on the heap or in a memory-mapped file (a scratch pack,
-or an RPIX container loaded ``backing="mmap"``) — and whether the batch
-is probed in the calling thread or by shard threads over that store.
+"""Backing equivalence: every IndexStore answers bit-identically
+wherever its arrays live — built on the heap from sketches, or loaded
+from an RPIX container as views over the bytes read (``heap``), over
+one read-only mapping of the file (``mmap``), or over the container as
+one byte string (a fetched index blob) — and whether the batch is
+probed in the calling thread or by threads over that store.
 
-This is the determinism contract of the buffer-pack layer: the pack
-stores exact bytes and the stores are pure logic over them, so *nothing*
-about where the bytes live may leak into answers — including which
-pairs raise :class:`~repro.errors.QueryError` on disconnected graphs.
+This is the determinism contract of the container: it stores exact
+bytes and the stores are pure logic over them, so *nothing* about
+where the bytes live may leak into answers — including which pairs
+raise :class:`~repro.errors.QueryError` on disconnected graphs.
 """
 
 import numpy as np
@@ -17,22 +19,21 @@ from hypothesis import strategies as st
 from repro import build_sketches
 from repro.errors import QueryError
 from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
-from repro.oracle.serialization import load_index_binary, save_index_binary
+from repro.oracle.serialization import (index_binary_bytes,
+                                        load_index_binary, load_index_bytes,
+                                        save_index_binary)
 from repro.service import (
-    BufferPack,
-    PackedIndex,
     ShardServer,
     build_index,
     connect,
-    index_from_pack,
-    index_to_pack,
     sample_query_pairs,
 )
 from repro.service.buffers import tree_to_bytes
 from repro.tz import build_tz_sketches_centralized
 
 SCHEMES = ["tz", "stretch3", "cdg", "graceful"]
-BACKINGS = ["heap", "mmap"]
+#: the three ways a container becomes a store
+BACKINGS = ["heap", "mmap", "bytes"]
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +50,12 @@ def built_sets(er_weighted, er_unit):
     }
 
 
-def _pack_kwargs(backing, tmp_path, name):
-    if backing == "mmap":
-        return {"path": str(tmp_path / f"{name}.pack"), "delete_file": True}
-    return {}
-
-
 def _rpix_store(index, tmp_path, memory):
     """The store as ``repro serve idx.rpix --memory {heap,mmap}`` opens
-    it: written to an RPIX container, then loaded with that backing."""
+    it — written to an RPIX container, then loaded with that backing —
+    or, for ``"bytes"``, as ``fetch_index()`` materializes a blob."""
+    if memory == "bytes":
+        return load_index_bytes(index_binary_bytes(index))
     path = tmp_path / f"store-{memory}.rpix"
     save_index_binary(index, str(path))
     return load_index_binary(str(path), backing=memory)
@@ -82,65 +80,46 @@ class TestPackEquivalence:
         _, requests = index.plan(us, vs)
         responses = _response_bytes(index, requests)
         for backing in BACKINGS:
-            packed = index_to_pack(index, backing=backing,
-                                   **_pack_kwargs(backing, tmp_path,
-                                                  f"{scheme}-{shards}"))
-            try:
-                store = index_from_pack(packed)
-                got = store.estimate_many(us, vs)
-                assert got.tolist() == want.tolist(), (scheme, backing)
-                # not only the answers: every response byte, the
-                # distance of an absent probe included
-                assert _response_bytes(store, requests) == responses
-                # the rebuilt store is the same logical index
-                assert store == index, (scheme, backing)
-                assert store.nnz() == index.nnz()
-                assert store.shard_sizes() == index.shard_sizes()
-            finally:
-                packed.close()
-        # the container codec is the same pack codec with a header
-        loaded = _rpix_store(index, tmp_path, "mmap")
-        assert loaded.estimate_many(us, vs).tolist() == want.tolist()
-        assert _response_bytes(loaded, requests) == responses
-        assert loaded == index
+            store = _rpix_store(index, tmp_path, backing)
+            got = store.estimate_many(us, vs)
+            assert got.tolist() == want.tolist(), (scheme, backing)
+            # not only the answers: every response byte, the
+            # distance of an absent probe included
+            assert _response_bytes(store, requests) == responses
+            # the loaded store is the same logical index
+            assert store == index, (scheme, backing)
+            assert store.nnz() == index.nnz()
+            assert store.shard_sizes() == index.shard_sizes()
+            # and the same physical one: views nobody can write through
+            assert index_binary_bytes(store) == index_binary_bytes(index)
+            assert not any(arr.flags.writeable
+                           for arr in store.pack_arrays().values())
 
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_pack_built_index_is_picklable(self, built_sets, backing,
                                            tmp_path):
-        """A pack-built store pickles: its arrays are views over the
-        pack's buffer, and numpy ships views by value."""
+        """A loaded store pickles: its arrays are views over the
+        container's bytes, and numpy ships views by value."""
         import pickle
 
         index = build_index(built_sets["tz"], num_shards=2)
-        packed = index_to_pack(index, backing=backing,
-                               **_pack_kwargs(backing, tmp_path, "pkl"))
-        try:
-            store = index_from_pack(packed)
-            clone = pickle.loads(pickle.dumps(store))
-            pairs = sample_query_pairs(index.n, 60, seed=2)
-            assert np.array_equal(
-                clone.estimate_many(pairs[:, 0], pairs[:, 1]),
-                index.estimate_many(pairs[:, 0], pairs[:, 1]))
-        finally:
-            packed.close()
+        store = _rpix_store(index, tmp_path, backing)
+        clone = pickle.loads(pickle.dumps(store))
+        pairs = sample_query_pairs(index.n, 60, seed=2)
+        assert np.array_equal(
+            clone.estimate_many(pairs[:, 0], pairs[:, 1]),
+            index.estimate_many(pairs[:, 0], pairs[:, 1]))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_handle_attach_equivalence(self, built_sets, scheme, tmp_path):
-        """The attach path (picklable handle -> pack -> store) answers
-        like the original — how a binary container is opened."""
+    def test_bytes_loader_equivalence(self, built_sets, scheme):
+        """The bytes path (container blob -> views over it -> store)
+        answers like the original — how a fetched index is opened."""
         index = build_index(built_sets[scheme], num_shards=2)
-        packed = index_to_pack(index, backing="mmap",
-                               **_pack_kwargs("mmap", tmp_path, scheme))
-        try:
-            tag, meta, handle = packed.handle()
-            attached = index_from_pack(PackedIndex(
-                tag=tag, meta=meta, pack=BufferPack.attach(handle)))
-            pairs = sample_query_pairs(index.n, 120, seed=5)
-            assert np.array_equal(
-                attached.estimate_many(pairs[:, 0], pairs[:, 1]),
-                index.estimate_many(pairs[:, 0], pairs[:, 1]))
-        finally:
-            packed.close()
+        loaded = load_index_bytes(index_binary_bytes(index))
+        pairs = sample_query_pairs(index.n, 120, seed=5)
+        assert np.array_equal(
+            loaded.estimate_many(pairs[:, 0], pairs[:, 1]),
+            index.estimate_many(pairs[:, 0], pairs[:, 1]))
 
     def test_query_error_parity_on_disconnected_graphs(self, tmp_path):
         """A pair unresolved on the heap store is unresolved on every
@@ -154,20 +133,14 @@ class TestPackEquivalence:
         with pytest.raises(QueryError) as heap_err:
             index.estimate_many(us, vs)
         for backing in BACKINGS:
-            packed = index_to_pack(index, backing=backing,
-                                   **_pack_kwargs(backing, tmp_path,
-                                                  backing))
-            try:
-                store = index_from_pack(packed)
-                with pytest.raises(QueryError) as err:
-                    store.estimate_many(us, vs)
-                assert str(err.value) == str(heap_err.value)
-                assert err.value.row == heap_err.value.row
-                # the resolvable prefix still answers
-                assert store.estimate_many(us[:1], vs[:1]).tolist() == \
-                    index.estimate_many(us[:1], vs[:1]).tolist()
-            finally:
-                packed.close()
+            store = _rpix_store(index, tmp_path, backing)
+            with pytest.raises(QueryError) as err:
+                store.estimate_many(us, vs)
+            assert str(err.value) == str(heap_err.value)
+            assert err.value.row == heap_err.value.row
+            # the resolvable prefix still answers
+            assert store.estimate_many(us[:1], vs[:1]).tolist() == \
+                index.estimate_many(us[:1], vs[:1]).tolist()
 
 
 class TestServerMemoryModes:
@@ -175,10 +148,11 @@ class TestServerMemoryModes:
     decided by whoever loaded it (``--memory`` on the CLI)."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("memory", ["mmap"])
+    @pytest.mark.parametrize("memory", ["mmap", "bytes"])
     def test_in_process_non_heap_serving(self, built_sets, scheme, memory,
                                          tmp_path):
-        """jobs=1 over an mmap-loaded container serves the mapped bytes."""
+        """jobs=1 over a loaded container serves the bytes it was
+        loaded over."""
         index = build_index(built_sets[scheme], num_shards=2)
         pairs = sample_query_pairs(index.n, 150, seed=7)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
@@ -188,7 +162,7 @@ class TestServerMemoryModes:
             got = srv.estimate_many(pairs[:, 0], pairs[:, 1])
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("memory", ["heap", "mmap"])
+    @pytest.mark.parametrize("memory", BACKINGS)
     def test_worker_pool_identity(self, built_sets, memory, tmp_path):
         """4 shard threads over either load mode produce the jobs=1
         bytes, across repeated batches."""
@@ -222,7 +196,7 @@ class TestServerMemoryModes:
         with connect("inproc://cache=0", sketches) as base:
             want = base.dist_many(pairs)
         index = build_index(sketches, num_shards=3)
-        for memory in ("heap", "mmap"):
+        for memory in BACKINGS:
             with connect("inproc://jobs=2;cache=0",
                          _rpix_store(index, tmp_path, memory)) as session:
                 assert session.dist_many(pairs).tolist() == want.tolist()
@@ -242,7 +216,7 @@ class TestServerMemoryModes:
 
 class TestBackingProperty:
     """Small hypothesis sweep: random graphs x schemes x shard counts,
-    heap vs mmap answers equal (the nightly profile widens the example
+    every backing's answers equal (the nightly profile widens the example
     count)."""
 
     @settings(max_examples=8, deadline=None)
@@ -258,13 +232,8 @@ class TestBackingProperty:
         index = build_index(sketches, num_shards=shards)
         pairs = sample_query_pairs(n, 80, seed=seed + 3)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
-        tmp = tmp_path_factory.mktemp("packs")
+        tmp = tmp_path_factory.mktemp("containers")
         for backing in BACKINGS:
-            packed = index_to_pack(index, backing=backing,
-                                   **_pack_kwargs(backing, tmp, backing))
-            try:
-                got = index_from_pack(packed).estimate_many(pairs[:, 0],
-                                                            pairs[:, 1])
-                assert got.tolist() == want.tolist()
-            finally:
-                packed.close()
+            got = _rpix_store(index, tmp, backing).estimate_many(
+                pairs[:, 0], pairs[:, 1])
+            assert got.tolist() == want.tolist()

@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.graphs import Graph, apsp
-from repro.service import (QueryEngine, TZIndex, build_index,
-                           build_tz_sketches_parallel)
+from repro.service import QueryEngine, TZIndex, build_index
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 
 COMMON = dict(deadline=None,
@@ -147,18 +146,6 @@ class TestSandwichBound:
             hi = (2 * k - 1) * d[us, vs]
             assert (est >= lo - 1e-9).all()
             assert (est <= hi + 1e-9).all()
-
-    @settings(max_examples=10, **COMMON)
-    @given(g=connected_graphs(max_n=10),
-           seed=st.integers(min_value=0, max_value=10**6),
-           jobs=st.integers(min_value=1, max_value=4))
-    def test_parallel_build_keeps_the_bound(self, g, seed, jobs):
-        d = apsp(g)
-        sketches, _ = build_tz_sketches_parallel(g, k=3, seed=seed, jobs=jobs)
-        us, vs = _all_ordered_pairs(g.n)
-        est = TZIndex(sketches).estimate_many(us, vs)
-        assert (est >= d[us, vs] - 1e-9).all()
-        assert (est <= 5 * d[us, vs] + 1e-9).all()
 
 
 @pytest.mark.slow
