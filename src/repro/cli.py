@@ -42,6 +42,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
+from repro.oracle.schemes import SCHEMES
 
 
 # ----------------------------------------------------------------------
@@ -102,19 +103,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _scheme_params(args) -> dict:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.sync is not None:
-        params["sync"] = args.sync
-    if args.S is not None:
-        params["S"] = args.S
-    return params
-
-
 def _cmd_build(args) -> int:
     from repro.graphs import read_edgelist
     from repro.oracle.api import build_sketches
@@ -135,8 +123,11 @@ def _cmd_build(args) -> int:
             "total layout)")
 
     g = read_edgelist(args.graph)
+    # only the flags given: a build refuses even a None it does not read
+    flags = {"k": args.k, "eps": args.eps, "sync": args.sync, "S": args.S}
+    flags = {key: v for key, v in flags.items() if v is not None}
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
-                           seed=args.seed, **_scheme_params(args))
+                           seed=args.seed, **flags)
     print(built.describe())
     if "build" in built.extras:
         from repro.tz.centralized import describe_build
@@ -255,17 +246,12 @@ def _cmd_serve(args) -> int:
         from repro.graphs import read_edgelist
         from repro.service.updates import UpdateableIndex
 
-        params = {}
-        if args.k is not None:
-            params["k"] = args.k
-        if args.eps is not None:
-            params["eps"] = args.eps
-        if args.rebuild_threshold is not None:
-            params["rebuild_threshold"] = args.rebuild_threshold
         _reject_mmap(args, args.source)
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
-                                 num_shards=(args.shards or 1), **params)
+                                 num_shards=(args.shards or 1),
+                                 rebuild_threshold=args.rebuild_threshold,
+                                 k=args.k, eps=args.eps)
         shards = None  # baked into the updateable's stores
     else:
         from repro.oracle.serialization import (is_binary_index,
@@ -317,11 +303,6 @@ def _cmd_scenario(args) -> int:
         raise ReproError("pick exactly one trace source: --trace NAME "
                          "to generate, or --load-trace FILE to replay")
     graph = read_edgelist(args.graph)
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.eps is not None:
-        params["eps"] = args.eps
     if args.load_trace is not None:
         trace = Trace.load_jsonl(args.load_trace)
     else:
@@ -337,7 +318,7 @@ def _cmd_scenario(args) -> int:
             trace.name, graph, scheme=args.scheme, seed=args.seed,
             endpoint=endpoint, num_shards=args.shards,
             query_threads=args.threads, oracle=not args.no_oracle,
-            trace=trace, **params)
+            trace=trace, k=args.k, eps=args.eps)
 
     if args.spawn:
         with served_subprocess(args.graph, scheme=args.scheme,
@@ -475,16 +456,11 @@ def _cmd_update_bench(args) -> int:
     from repro.graphs import read_edgelist
     from repro.service.updates import run_update_benchmark
 
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.eps is not None:
-        params["eps"] = args.eps
     g = read_edgelist(args.graph)
     report = run_update_benchmark(
         g, scheme=args.scheme, seed=args.seed, batch_sizes=args.batches,
         num_shards=args.shards, rebuild_threshold=args.rebuild_threshold,
-        **params)
+        k=args.k, eps=args.eps)
     print(json.dumps(report, indent=2))
     if not report["identical"]:
         print("error: updated index diverged from a from-scratch rebuild",
@@ -551,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build sketches for every node")
     b.add_argument("graph")
-    b.add_argument("--scheme", choices=["tz", "stretch3", "cdg", "graceful"],
-                   default="tz")
+    b.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
     b.add_argument("--mode", choices=["centralized", "distributed"],
                    default="centralized")
     b.add_argument("--k", type=int, default=None)
@@ -643,9 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "live UpdateableIndex — clients can push edge "
                          "changes (apply_updates) and every connected "
                          "session hot-swaps epochs without reconnecting")
-    sv.add_argument("--scheme",
-                    choices=["tz", "stretch3", "cdg", "graceful"],
-                    default="tz",
+    sv.add_argument("--scheme", choices=sorted(SCHEMES), default="tz",
                     help="scheme for --updateable builds")
     sv.add_argument("--k", type=int, default=None)
     sv.add_argument("--eps", type=float, default=None)
@@ -686,9 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spawn a `python -m repro serve GRAPH "
                          "--updateable` subprocess on a free port and run "
                          "against it (overrides --connect)")
-    sn.add_argument("--scheme",
-                    choices=["tz", "stretch3", "cdg", "graceful"],
-                    default="tz")
+    sn.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
     sn.add_argument("--k", type=int, default=None)
     sn.add_argument("--eps", type=float, default=None)
     sn.add_argument("--seed", type=int, default=0)
@@ -734,9 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how a binary index (.rpix) is opened: heap = "
                          "read into arrays; mmap = memory-mapped, zero "
                          "parse (any other source is an error)")
-    sb.add_argument("--scheme",
-                    choices=["tz", "stretch3", "cdg", "graceful"],
-                    default=None,
+    sb.add_argument("--scheme", choices=sorted(SCHEMES), default=None,
                     help="assert the loaded sketch set is this scheme")
     sb.add_argument("--seed", type=int, default=0)
     sb.set_defaults(func=_cmd_serve_bench)
@@ -767,9 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="incremental index update vs full rebuild "
                              "on edge-weight changes")
     ub.add_argument("graph")
-    ub.add_argument("--scheme",
-                    choices=["tz", "stretch3", "cdg", "graceful"],
-                    default="tz")
+    ub.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
     ub.add_argument("--k", type=int, default=None)
     ub.add_argument("--eps", type=float, default=None)
     ub.add_argument("--seed", type=int, default=0)

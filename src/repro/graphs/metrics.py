@@ -35,6 +35,18 @@ def apsp(g: Graph) -> np.ndarray:
     return _csgraph_dijkstra(g.to_csr(), directed=False)
 
 
+def distance_rows(g: Graph, sources=None) -> np.ndarray:
+    """Distance rows of ``sources`` (row ``j`` is ``sources[j]``; ``None``
+    is every node, i.e. :func:`apsp`) — bitwise the corresponding rows of
+    :func:`apsp`: same solver, same CSR."""
+    if sources is None:
+        return apsp(g)
+    if g.n == 1:
+        return np.zeros((len(sources), 1))
+    return np.atleast_2d(_csgraph_dijkstra(g.to_csr(), directed=False,
+                                           indices=list(sources)))
+
+
 def apsp_hops(g: Graph) -> np.ndarray:
     """All-pairs *hop* distance matrix (treat every weight as 1)."""
     if g.n == 1:

@@ -1,13 +1,19 @@
 """The public build/query surface.
 
-``build_sketches(graph, scheme=..., mode=...)`` dispatches to the right
-construction and wraps the result in :class:`BuiltSketches`, which holds
+``build_sketches(graph, scheme=..., mode=...)`` runs the scheme's
+registry row (:mod:`repro.oracle.schemes` — ``sample`` then the
+per-owner ``sketches`` function for a centralized build, the row's
+``distributed`` builder otherwise; nothing here names a scheme) and
+wraps the result in :class:`BuiltSketches`, which holds
 
 * one sketch object per node (all schemes expose ``estimate_to`` and
   ``size_words``),
 * the CONGEST cost (:class:`~repro.congest.metrics.RunMetrics`) for
   distributed builds (``None`` for centralized ones),
-* the scheme metadata needed to interpret stretch guarantees.
+* the scheme metadata needed to interpret stretch guarantees,
+* the random ``artifacts`` the build drew or was handed — what a
+  rebuild, an :meth:`~BuiltSketches.updateable` index or a fleet build
+  needs to reproduce it.
 
 TZ-specific parameters: ``k`` (and ``sync``/``S``/``budget`` when
 distributed).  Slack schemes take ``eps`` (+ ``k`` for CDG); graceful takes
@@ -16,13 +22,14 @@ no scheme parameters (the schedule is fixed by Theorem 4.8).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError
 from repro.graphs.graph import Graph
-from repro.oracle.schemes import SchemeSpec, get_scheme
+from repro.oracle.schemes import SCHEMES, SchemeSpec, get_scheme
 from repro.rng import SeedLike
 from repro.tz.centralized import describe_build
 from repro.tz.sketch import estimate_distance
@@ -39,6 +46,7 @@ class BuiltSketches:
     sketches: list[Any]
     metrics: Optional[RunMetrics] = None
     extras: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def query(self, u: int, v: int, **kwargs) -> float:
@@ -82,56 +90,27 @@ class BuiltSketches:
         build — accepts edge-change streams and incrementally repairs
         the index (bit-identical to a rebuild with the same artifacts).
 
-        Reuses the already-built sketches and the build's random
-        artifacts (hierarchy / density net) from ``extras``, so no
-        reconstruction happens here.  Centralized builds of ``tz`` /
-        ``stretch3`` / ``cdg`` only: distributed builds' metrics would
-        not survive a repair, and a graceful build does not record its
-        per-component nets — construct
-        :class:`~repro.service.updates.UpdateableIndex` from the graph
-        and a seed for those.
+        Reuses the already-built sketches and the random artifacts the
+        build recorded, so no reconstruction happens here.  Centralized
+        builds only: a distributed build's cost metrics would not
+        survive a repair.
 
         ``rebuild_threshold`` is the dirty fraction above which an
         apply rebuilds instead of repairing (default
         :data:`~repro.service.updates.REBUILD_THRESHOLD_DEFAULT`).
 
-        :raises ConfigError: for a distributed build or a scheme whose
-            artifacts are not recoverable from ``extras``.
+        :raises ConfigError: for a distributed build.
         """
-        from repro.service.updates import (REBUILD_THRESHOLD_DEFAULT,
-                                           UpdateableIndex)
+        from repro.service.updates import UpdateableIndex
 
         if self.mode != "centralized":
             raise ConfigError(
                 "updateable() needs a centralized build (distributed "
                 "cost metrics cannot be repaired incrementally)")
-        if not self.scheme.supports_updates:
-            raise ConfigError(
-                f"scheme {self.scheme.name!r} has no update support")
-        if rebuild_threshold is None:
-            rebuild_threshold = REBUILD_THRESHOLD_DEFAULT
-        name = self.scheme.name
-        artifacts: dict = {}
-        if name == "tz":
-            artifacts["hierarchy"] = self.extras["hierarchy"]
-        elif name == "stretch3":
-            artifacts["net"] = self.extras["net"]
-            artifacts["eps"] = self.params["eps"]
-        elif name == "cdg":
-            artifacts["net"] = self.extras["net"]
-            artifacts["hierarchy"] = self.extras["hierarchy"]
-            artifacts["eps"] = self.params["eps"]
-            artifacts["k"] = self.params["k"]
-        else:
-            raise ConfigError(
-                f"a built {name!r} set does not record the artifacts an "
-                f"updateable index needs; build "
-                f"UpdateableIndex(graph, scheme={name!r}, seed=...) "
-                f"directly instead")
-        return UpdateableIndex(self.graph, scheme=name,
+        return UpdateableIndex(self.graph, scheme=self.scheme.name,
                                num_shards=num_shards,
                                rebuild_threshold=rebuild_threshold,
-                               sketches=self.sketches, **artifacts)
+                               sketches=self.sketches, **self.artifacts)
 
     def sizes_words(self) -> list[int]:
         return [s.size_words() for s in self.sketches]
@@ -161,18 +140,10 @@ class BuiltSketches:
                 f"{self.scheme.describe({**self.params, 'n': self.graph.n})}")
 
 
-_SYNC_PARAMS = ("sync", "S", "budget")
-#: (scheme, mode) -> every keyword parameter that build reads
-_PARAMS = {
-    ("tz", "centralized"): ("k", "hierarchy"),
-    ("tz", "distributed"): ("k", "hierarchy", *_SYNC_PARAMS),
-    ("stretch3", "centralized"): ("eps", "net", "dist_matrix"),
-    ("stretch3", "distributed"): ("eps", "net"),
-    ("cdg", "centralized"): ("eps", "k", "net", "hierarchy", "dist_matrix"),
-    ("cdg", "distributed"): ("eps", "k", "net", "hierarchy", *_SYNC_PARAMS),
-    ("graceful", "centralized"): ("schedule", "dist_matrix"),
-    ("graceful", "distributed"): ("schedule", *_SYNC_PARAMS),
-}
+#: (scheme, mode) -> every keyword parameter that build reads (a view of
+#: the registry rows' ``reads``)
+_PARAMS = {(name, mode): reads for name, spec in SCHEMES.items()
+           for mode, reads in spec.reads.items()}
 
 
 def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
@@ -190,108 +161,17 @@ def build_sketches(graph: Graph, scheme: str = "tz", mode: str = "centralized",
         Scheme-specific (see module docstring).  A parameter this
         scheme and mode do not read is a :class:`ConfigError`, never
         silently dropped (``sinc="echo"`` must not build with the
-        oracle terminator).
+        oracle terminator); ``None`` means "not given".
     """
     spec = get_scheme(scheme)
-    if mode not in ("centralized", "distributed"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    allowed = _PARAMS[scheme, mode]
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"a {mode} {scheme} build takes no parameter "
-            f"{', '.join(map(repr, unknown))}; it reads: "
-            f"{', '.join(allowed)}")
-
-    if scheme == "tz":
-        return _build_tz(graph, spec, mode, seed, params)
-    if scheme == "stretch3":
-        return _build_stretch3(graph, spec, mode, seed, params)
-    if scheme == "cdg":
-        return _build_cdg(graph, spec, mode, seed, params)
-    if scheme == "graceful":
-        return _build_graceful(graph, spec, mode, seed, params)
-    raise ConfigError(f"scheme {scheme!r} has no builder")  # pragma: no cover
-
-
-def _build_tz(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.tz.centralized import build_tz_sketches_timed
-    from repro.tz.distributed import build_tz_sketches_distributed
-
-    k = params.get("k")
-    hierarchy = params.get("hierarchy")
-    if k is None and hierarchy is None:
-        raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
-    if mode == "centralized":
-        sketches, h, report = build_tz_sketches_timed(graph, k, hierarchy,
-                                                      seed)
-        return BuiltSketches(graph, spec, mode, {"k": h.k}, sketches, None,
-                             {"hierarchy": h, "build": report})
-    res = build_tz_sketches_distributed(
-        graph, k=k, hierarchy=hierarchy, seed=seed,
-        sync=params.get("sync", "oracle"), S=params.get("S"),
-        budget=params.get("budget", "whp"))
-    return BuiltSketches(graph, spec, mode, {"k": res.hierarchy.k},
-                         res.sketches, res.metrics,
-                         {"hierarchy": res.hierarchy,
-                          "max_queue_len": res.max_queue_len,
-                          "tree_depth": res.tree_depth,
-                          "sync": res.sync})
-
-
-def _build_stretch3(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.slack.stretch3 import (build_stretch3_centralized,
-                                      build_stretch3_distributed)
-
-    eps = params.get("eps")
-    if eps is None:
-        raise ConfigError("stretch3 scheme needs eps")
-    if mode == "centralized":
-        sketches, net = build_stretch3_centralized(
-            graph, eps, seed=seed, net=params.get("net"),
-            dist_matrix=params.get("dist_matrix"))
-        return BuiltSketches(graph, spec, mode, {"eps": eps}, sketches, None,
-                             {"net": net})
-    sketches, net, metrics = build_stretch3_distributed(
-        graph, eps, seed=seed, net=params.get("net"))
-    return BuiltSketches(graph, spec, mode, {"eps": eps}, sketches, metrics,
-                         {"net": net})
-
-
-def _build_cdg(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.slack.cdg import build_cdg_centralized, build_cdg_distributed
-
-    eps, k = params.get("eps"), params.get("k")
-    if eps is None or k is None:
-        raise ConfigError("cdg scheme needs eps and k")
-    if mode == "centralized":
-        sketches, net, h = build_cdg_centralized(
-            graph, eps, k, seed=seed, net=params.get("net"),
-            hierarchy=params.get("hierarchy"),
-            dist_matrix=params.get("dist_matrix"))
-        return BuiltSketches(graph, spec, mode, {"eps": eps, "k": k},
-                             sketches, None, {"net": net, "hierarchy": h})
-    sketches, net, h, metrics = build_cdg_distributed(
-        graph, eps, k, seed=seed, net=params.get("net"),
-        hierarchy=params.get("hierarchy"), sync=params.get("sync", "oracle"),
-        S=params.get("S"), budget=params.get("budget", "whp"))
-    return BuiltSketches(graph, spec, mode, {"eps": eps, "k": k},
-                         sketches, metrics, {"net": net, "hierarchy": h})
-
-
-def _build_graceful(graph, spec, mode, seed, params) -> BuiltSketches:
-    from repro.slack.graceful import (build_graceful_centralized,
-                                      build_graceful_distributed)
-
-    if mode == "centralized":
-        sketches, schedule = build_graceful_centralized(
-            graph, seed=seed, schedule=params.get("schedule"),
-            dist_matrix=params.get("dist_matrix"))
-        return BuiltSketches(graph, spec, mode, {}, sketches, None,
-                             {"schedule": schedule})
-    sketches, schedule, metrics = build_graceful_distributed(
-        graph, seed=seed, schedule=params.get("schedule"),
-        sync=params.get("sync", "oracle"), S=params.get("S"),
-        budget=params.get("budget", "whp"))
-    return BuiltSketches(graph, spec, mode, {}, sketches, metrics,
-                         {"schedule": schedule})
+    spec.check(mode, params)
+    params = {key: v for key, v in params.items() if v is not None}
+    build = spec.build if mode == "centralized" else spec.distributed
+    sketches, artifacts, metrics, extras = build(graph, seed, params)
+    # scalars are the build's parameters, sampled objects its extras
+    scalars = {key: v for key, v in artifacts.items()
+               if isinstance(v, numbers.Real)}
+    extras.update((key, v) for key, v in artifacts.items()
+                  if key not in scalars)
+    return BuiltSketches(graph, spec, mode, scalars, sketches, metrics,
+                         extras, artifacts)

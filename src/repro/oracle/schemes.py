@@ -1,10 +1,30 @@
-"""Scheme registry: one :class:`SchemeSpec` per sketch family.
+"""Scheme registry: one :class:`SchemeSpec` row per sketch family.
 
-Each spec records the paper result it implements, the theoretical
-worst-case stretch as a function of the build parameters, and the slack
-semantics (whether the stretch bound holds for all pairs or only ε-far
-pairs) — the evaluation layer uses these to know which pairs a bound
-applies to.
+A row is everything the rest of the library knows about a scheme: the
+paper result it implements with its worst-case stretch and slack
+semantics (the evaluation layer uses these to know which pairs a bound
+applies to), the keyword parameters each build mode reads, and the
+source paper's composition rule as three callables —
+
+* ``sample(graph, seed, params) -> artifacts``: the scheme's random
+  artifacts, drawn from one stream in a fixed order — ``tz``: the
+  hierarchy; ``stretch3``: the density net; ``cdg``: the net, then the
+  hierarchy over it; ``graceful``: the schedule, then per level net and
+  net hierarchy.  An artifact present in ``params`` is taken as given,
+  so ``sample`` is the identity on its own output;
+* ``sketches(graph, artifacts, owners=None, **hints) -> list``: the
+  centralized per-owner function — from fixed artifacts, the sketches
+  of ``owners`` (all nodes: a build).  Builds
+  (:func:`~repro.oracle.api.build_sketches`), rebuilds and repairs
+  (:class:`~repro.service.updates.UpdateableIndex`) and fleet
+  shard-range builds (:func:`~repro.service.cluster.build_shard_range`)
+  all end in it, which is why they agree byte for byte;
+* ``distributed(graph, seed, params) -> (sketches, artifacts, metrics,
+  extras)``: the CONGEST construction (it interleaves its artifact
+  draws with the simulator's, through the same ``sample``);
+
+plus ``repair(graph, artifacts, sketches, dirty) -> {node: fresh
+sketch}``, the update path's dirty-row discovery, where one exists.
 
 The registry is also the source of the capability matrix rendered by
 ``python -m repro schemes --markdown`` (and pasted into the README):
@@ -18,14 +38,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.errors import ConfigError
+from repro.slack.cdg import (build_cdg_distributed, cdg_artifacts,
+                             cdg_sketches)
+from repro.slack.graceful import (build_graceful_distributed,
+                                  graceful_artifacts, graceful_sketches)
+from repro.slack.stretch3 import (build_stretch3_distributed,
+                                  stretch3_artifacts, stretch3_sketches)
+from repro.tz.centralized import tz_sketches
+from repro.tz.distributed import tz_distributed
+from repro.tz.hierarchy import tz_artifacts
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Metadata for one sketch scheme.
+    """One scheme (see the module docstring for the callables' contracts).
 
     :param name: registry key (``"tz"``, ``"stretch3"``, ``"cdg"``,
         ``"graceful"``).
@@ -35,23 +64,61 @@ class SchemeSpec:
         ``None``) or only eps-far pairs.
     :param slack_of: returns the eps for which the bound holds, or
         ``None`` for all-pairs.
-    :param build_modes: construction modes :func:`~repro.oracle.api.build_sketches`
-        accepts for this scheme.
+    :param reads: per build mode, every keyword parameter a build reads
+        (anything else is a :class:`ConfigError`, never dropped).
+    :param sample, sketches, distributed, repair: the composition rule.
+    :param hints: the optional keywords ``sketches`` understands
+        (documented there).
     :param supports_serialize: whether :mod:`repro.oracle.serialization`
         round-trips this scheme's sketches (and its pre-built index).
-    :param supports_updates: whether the dynamic-update subsystem
-        (:mod:`repro.service.updates`) can incrementally repair this
-        scheme's index on edge-weight changes (every built-in scheme
-        can; external schemes without a repair strategy rebuild).
     """
 
     name: str
     paper_result: str
     stretch_bound: Callable[[dict], float]
     slack_of: Callable[[dict], Optional[float]]
-    build_modes: tuple[str, ...] = ("centralized", "distributed")
+    reads: Mapping[str, tuple[str, ...]]
+    sample: Callable[..., dict]
+    sketches: Callable[..., list]
+    distributed: Callable[..., tuple]
+    hints: tuple[str, ...] = ()
+    repair: Optional[Callable[..., dict]] = None
     supports_serialize: bool = True
-    supports_updates: bool = False
+
+    @property
+    def build_modes(self) -> tuple[str, ...]:
+        """Construction modes :func:`~repro.oracle.api.build_sketches`
+        accepts for this scheme."""
+        return tuple(self.reads)
+
+    @property
+    def supports_updates(self) -> bool:
+        """Whether :mod:`repro.service.updates` repairs this scheme's
+        index incrementally on edge-weight changes."""
+        return self.repair is not None
+
+    def check(self, mode: str, params: Mapping) -> None:
+        """Refuse a keyword this scheme and mode do not read."""
+        if mode not in self.reads:
+            raise ConfigError(f"unknown mode {mode!r}")
+        unknown = sorted(set(params) - set(self.reads[mode]))
+        if unknown:
+            raise ConfigError(
+                f"a {mode} {self.name} build takes no parameter "
+                f"{', '.join(map(repr, unknown))}; it reads: "
+                f"{', '.join(self.reads[mode])}")
+
+    def build(self, graph, seed, params: Mapping, **hints):
+        """A centralized build — ``sample``, then ``sketches`` over every
+        node — in ``distributed``'s shape (no metrics)."""
+        artifacts = self.sample(graph, seed, params)
+        extras = {}
+        if params.get("dist_matrix") is not None:
+            hints["dist_rows"] = params["dist_matrix"]
+        if "report" in self.hints:
+            hints["report"] = extras["build"] = {}
+        return (self.sketches(graph, artifacts, **hints), artifacts, None,
+                extras)
 
     def describe(self, params: dict) -> str:
         """One-line human summary of the guarantee under ``params``."""
@@ -59,6 +126,32 @@ class SchemeSpec:
         bound = self.stretch_bound(params)
         tail = f" with {slack}-slack" if slack is not None else ""
         return f"{self.name}: stretch <= {bound:g}{tail} ({self.paper_result})"
+
+
+def _repair(name: str) -> Callable[..., dict]:
+    """A repair lives in :mod:`repro.service.updates`, which imports this
+    registry — so a row binds it by name, resolved at call time."""
+    def repair(graph, artifacts, sketches, dirty):
+        from repro.service import updates
+
+        return getattr(updates, name)(graph, artifacts, sketches, dirty)
+    return repair
+
+
+def _distributed(builder: Callable, needs: tuple, draws: tuple) -> Callable:
+    """A slack row's ``distributed`` from its public builder,
+    ``build_X_distributed(graph, *needs, seed=, **rest) -> (sketches,
+    *draws, metrics)`` (tz's, which reports extras, sits beside it)."""
+    def build(graph, seed, params):
+        given = {key: params.get(key) for key in needs}
+        rest = {key: v for key, v in params.items() if key not in given}
+        sketches, *drawn, metrics = builder(graph, *given.values(),
+                                            seed=seed, **rest)
+        return sketches, {**given, **dict(zip(draws, drawn))}, metrics, {}
+    return build
+
+
+_SYNC = ("sync", "S", "budget")
 
 
 def _tz_stretch(p: dict) -> float:
@@ -85,28 +178,56 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 1.1/3.8 (distributed Thorup-Zwick)",
         stretch_bound=_tz_stretch,
         slack_of=lambda p: None,
-        supports_updates=True,
+        reads={"centralized": ("k", "hierarchy"),
+               "distributed": ("k", "hierarchy", *_SYNC)},
+        sample=tz_artifacts,
+        sketches=tz_sketches,
+        distributed=tz_distributed,
+        hints=("roots", "pivot_keys", "report"),
+        repair=_repair("repair_tz"),
     ),
     "stretch3": SchemeSpec(
         name="stretch3",
         paper_result="Theorem 4.3 (density-net table)",
         stretch_bound=_stretch3_stretch,
         slack_of=lambda p: p["eps"],
-        supports_updates=True,
+        reads={"centralized": ("eps", "net", "dist_matrix"),
+               "distributed": ("eps", "net")},
+        sample=stretch3_artifacts,
+        sketches=stretch3_sketches,
+        distributed=_distributed(build_stretch3_distributed, ("eps",),
+                                 ("net",)),
+        hints=("dist_rows",),
+        repair=_repair("repair_stretch3"),
     ),
     "cdg": SchemeSpec(
         name="cdg",
         paper_result="Theorem 4.6 ((eps,k)-CDG)",
         stretch_bound=_cdg_stretch,
         slack_of=lambda p: p["eps"],
-        supports_updates=True,
+        reads={"centralized": ("eps", "k", "net", "hierarchy",
+                               "dist_matrix"),
+               "distributed": ("eps", "k", "net", "hierarchy", *_SYNC)},
+        sample=cdg_artifacts,
+        sketches=cdg_sketches,
+        distributed=_distributed(build_cdg_distributed, ("eps", "k"),
+                                 ("net", "hierarchy")),
+        hints=("dist_rows", "labels"),
+        repair=_repair("repair_cdg"),
     ),
     "graceful": SchemeSpec(
         name="graceful",
         paper_result="Theorem 4.8 / Corollary 4.9 (gracefully degrading)",
         stretch_bound=_graceful_stretch,
         slack_of=lambda p: None,  # all pairs, at the O(log n) worst case
-        supports_updates=True,
+        reads={"centralized": ("schedule", "dist_matrix"),
+               "distributed": ("schedule", *_SYNC)},
+        sample=graceful_artifacts,
+        sketches=graceful_sketches,
+        distributed=_distributed(build_graceful_distributed, (),
+                                 ("schedule",)),
+        hints=("dist_rows",),
+        repair=_repair("repair_graceful"),
     ),
 }
 

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.distkey import DistKey
-from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike
 from repro.tz.centralized import compute_pivot_keys
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
+from repro.tz.hierarchy import Hierarchy, tz_artifacts
 
 #: DFS interval: v's subtree in a cluster tree is exactly the label range
 #: [enter, exit).  Two words on the wire.
@@ -212,10 +211,8 @@ def build_routing_scheme(graph: Graph, k: Optional[int] = None,
     tree (O(S) rounds each, within the Theorem 3.8 budget).  The
     centralized build keeps this extension focused on the routing logic.
     """
-    if hierarchy is None:
-        if k is None:
-            raise ConfigError("provide k or hierarchy")
-        hierarchy = sample_hierarchy(graph.n, k, seed=seed)
+    hierarchy = tz_artifacts(graph, seed,
+                             {"k": k, "hierarchy": hierarchy})["hierarchy"]
     kk = hierarchy.k
     pivot_keys = compute_pivot_keys(graph, hierarchy)
 

@@ -72,7 +72,6 @@ from repro.service.bench import (run_connect_benchmark, run_load_benchmark,
 from repro.service.client import (TRANSPORTS, Endpoint, OracleClient,
                                   connect, parse_endpoint)
 from repro.service.cluster import (ClusterClient, ClusterSpec,
-                                   apply_updates_distributed,
                                    build_distributed, build_shard_range,
                                    even_ranges, loopback_fleet,
                                    run_cluster_benchmark)
@@ -129,7 +128,6 @@ __all__ = [
     "TZIndex",
     "UpdateReport",
     "UpdateableIndex",
-    "apply_updates_distributed",
     "build_distributed",
     "build_index",
     "build_shard_range",

@@ -38,13 +38,15 @@ batch to every host — repairs are deterministic functions of
 same epoch — and refuses divergence with a typed
 :class:`~repro.errors.ClusterError`.
 
-Construction scatters too: :func:`build_shard_range` builds one host's
-shard range (for TZ, by growing only the clusters of the landmarks the
-range owns plus the top level every label carries — Lemma 3.2's
-backstop), byte-identical to
-:func:`~repro.service.index.restrict_index_shards` of a full build with
-the same seed, and :func:`build_distributed` fans the ranges across
-worker processes, returning the RPIX blobs the fleet hosts serve.
+Construction scatters too: :func:`build_distributed` samples the
+scheme's random artifacts once (its :mod:`repro.oracle.schemes` row)
+and fans the shard ranges across worker processes; each runs
+:func:`build_shard_range` — the row's centralized build for one host's
+range (for TZ, growing only the clusters of the landmarks the range
+owns plus the top level every label carries — Lemma 3.2's backstop) —
+byte-identical to :func:`~repro.service.index.restrict_index_shards`
+of one full build from the same artifacts, and returns the RPIX blob
+that host serves.
 
 See ``docs/serving.md`` §10 for the operator's guide and
 ``docs/architecture.md`` for the fleet diagram.
@@ -64,8 +66,9 @@ import numpy as np
 from repro.errors import ClusterError, ConfigError, ReproError
 from repro.service.client import (DEFAULT_PIPELINE_DEPTH, Endpoint,
                                   _TcpTransport, connect, parse_endpoint)
-from repro.service.index import (IndexStore, TZIndex, build_index,
-                                 parse_pair_array, restrict_index_shards)
+from repro.oracle.schemes import get_scheme
+from repro.service.index import (IndexStore, build_index, parse_pair_array,
+                                 restrict_index_shards)
 from repro.service.server import OracleServer
 from repro.service.session import SessionClock, stream_window
 from repro.service.updates import UpdateReport
@@ -502,19 +505,20 @@ def loopback_fleet(source: Any, num_hosts: int, *,
 def build_shard_range(graph, scheme: str = "tz", *, lo: int, hi: int,
                       num_shards: int, seed=None, **params) -> IndexStore:
     """Build landmark shards ``[lo, hi)`` of the scheme's index — the
-    per-host unit of :func:`build_distributed`.
+    per-host unit of :func:`build_distributed`: the registry row's
+    centralized build (:meth:`~repro.oracle.schemes.SchemeSpec.build`),
+    restricted to the range.
 
-    For ``tz`` this is a genuinely partial construction, mirroring the
-    paper's per-landmark decomposition: clusters are grown only for the
-    top-level landmarks (whose entries every label carries — the dense
-    top block is Lemma 3.2's backstop) plus the sub-top landmarks the
-    range owns (``lo <= w % num_shards < hi``), so a host's cluster
-    work scales with its share of the landmark universe.  The result is
-    **byte-identical** to
-    :func:`~repro.service.index.restrict_index_shards` of a full build
-    with the same seed.  The slack schemes' layouts couple every owner
-    in dense tables, so they build fully and restrict — same bytes,
-    no partial-work win.
+    Where the row's per-owner function takes ``roots`` (``tz``) this is
+    a genuinely partial construction, mirroring the paper's
+    per-landmark decomposition: sub-top clusters are grown only for the
+    landmarks the range owns (``lo <= w % num_shards < hi``; the top
+    level, whose entries every label carries, is always grown), so a
+    host's cluster work scales with its share of the landmark universe.
+    The other schemes' layouts couple every owner in dense tables, so
+    they build fully and restrict.  Either way the result is
+    **byte-identical** to restricting a full build from the same
+    artifacts (the same ``seed``, or the artifacts as ``params``).
 
     :raises ConfigError: on a bad range or missing scheme parameters.
     """
@@ -522,42 +526,24 @@ def build_shard_range(graph, scheme: str = "tz", *, lo: int, hi: int,
         raise ConfigError(
             f"shard range [{lo}, {hi}) invalid for {num_shards} shards")
     lo, hi, num_shards = int(lo), int(hi), int(num_shards)
-    if scheme == "tz":
-        from repro.tz.centralized import (assemble_sketches,
-                                          compute_pivot_keys, grow_clusters)
-        from repro.tz.hierarchy import sample_hierarchy
-
-        k = params.get("k")
-        hierarchy = params.get("hierarchy")
-        if k is None and hierarchy is None:
-            raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
-        if hierarchy is None:
-            hierarchy = sample_hierarchy(graph.n, int(k), seed=seed)
-        pivot_keys = compute_pivot_keys(graph, hierarchy)
-        top = hierarchy.k - 1
-        roots = [int(w) for w in hierarchy.universe()
-                 if hierarchy.level_of(int(w)) == top
-                 or lo <= int(w) % num_shards < hi]
-        table = grow_clusters(graph, hierarchy, pivot_keys, roots)
-        sketches = assemble_sketches(hierarchy.k, pivot_keys, table,
-                                     graph.nodes())
-        return restrict_index_shards(
-            TZIndex(sketches, num_shards=num_shards), lo, hi)
-    from repro.oracle.api import build_sketches
-
-    built = build_sketches(graph, scheme, seed=seed, **params)
+    spec = get_scheme(scheme)
+    hints = {}
+    if "roots" in spec.hints:
+        shard = np.arange(graph.n) % num_shards
+        hints["roots"] = np.flatnonzero((lo <= shard) & (shard < hi))
+    sketches = spec.build(graph, seed, params, **hints)[0]
     return restrict_index_shards(
-        build_index(built.sketches, num_shards=num_shards), lo, hi)
+        build_index(sketches, num_shards=num_shards), lo, hi)
 
 
-def _build_range_blob(graph, scheme, lo, hi, num_shards, seed,
-                      params) -> tuple[tuple[int, int], bytes]:
+def _build_range_blob(graph, scheme, lo, hi, num_shards,
+                      artifacts) -> tuple[tuple[int, int], bytes]:
     """Worker entry of :func:`build_distributed` (module-level so it
     pickles into a process pool)."""
     from repro.oracle.serialization import index_binary_bytes
 
     index = build_shard_range(graph, scheme, lo=lo, hi=hi,
-                              num_shards=num_shards, seed=seed, **params)
+                              num_shards=num_shards, **artifacts)
     return (lo, hi), index_binary_bytes(index)
 
 
@@ -570,65 +556,31 @@ def build_distributed(graph, scheme: str = "tz", *, num_hosts: int,
     blobs their fleet hosts serve (``repro serve --shard-range LO:HI``
     each blob as a static source).
 
-    Returns ``[((lo, hi), blob), ...]`` in range order.  Every blob is
-    byte-identical to restricting a single full build of the same seed
-    to the same range, which is what makes a fleet built this way answer
-    bit-identically to one big host.
-
-    For ``tz`` the hierarchy is sampled **once** here and shipped to
-    every builder, so the scatter shares one random draw even with
-    ``seed=None``; the other schemes resample per builder and therefore
-    need an explicit ``seed`` when ``num_hosts > 1``.
+    Returns ``[((lo, hi), blob), ...]`` in range order.  The scheme's
+    random artifacts are sampled **once** here and shipped to every
+    builder, so the scatter shares one draw whatever ``seed`` is, and
+    every blob is byte-identical to restricting a single full build
+    from those artifacts — which is what makes a fleet built this way
+    answer bit-identically to one big host.
 
     :param jobs: builder processes (default: one per host, capped by
         the CPU count); ``1`` builds serially in this process.
     """
-    params = dict(params)
-    if scheme == "tz" and params.get("hierarchy") is None:
-        from repro.tz.hierarchy import sample_hierarchy
-
-        k = params.get("k")
-        if k is None:
-            raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
-        params["hierarchy"] = sample_hierarchy(graph.n, int(k), seed=seed)
-    elif scheme != "tz" and num_hosts > 1 and seed is None:
-        raise ConfigError(
-            f"{scheme} builders resample per host — pass an explicit "
-            f"seed so the scatter shares one random draw")
+    artifacts = get_scheme(scheme).sample(graph, seed, params)
     ranges = even_ranges(int(num_shards), int(num_hosts))
     if jobs is None:
         jobs = min(len(ranges), os.cpu_count() or 1)
     if jobs <= 1 or len(ranges) == 1:
-        return [_build_range_blob(graph, scheme, lo, hi, num_shards, seed,
-                                  params)
+        return [_build_range_blob(graph, scheme, lo, hi, num_shards,
+                                  artifacts)
                 for lo, hi in ranges]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
         futures = [pool.submit(_build_range_blob, graph, scheme, lo, hi,
-                               num_shards, seed, params)
+                               num_shards, artifacts)
                    for lo, hi in ranges]
         return [f.result() for f in futures]
-
-
-def apply_updates_distributed(session: Any, changes) -> UpdateReport:
-    """Scatter an edge-change batch across a fleet: every host repairs
-    its own updateable store locally (the per-host repair scatter) and
-    hot-swaps atomically; the call succeeds only when the whole fleet
-    lands on the same epoch, so no batch ever combines partials from
-    mixed epochs.  Accepts an
-    :class:`~repro.service.client.OracleClient` over a ``cluster://``
-    endpoint or a bare :class:`ClusterClient`.
-
-    :raises ConfigError: for a non-fleet session.
-    :raises ClusterError: on any per-host failure or epoch divergence.
-    """
-    transport = getattr(session, "_transport", session)
-    if not isinstance(transport, ClusterClient):
-        raise ConfigError(
-            "apply_updates_distributed wants a cluster:// session "
-            "(use session.apply_updates for single hosts)")
-    return transport.apply_updates(changes)
 
 
 # ----------------------------------------------------------------------

@@ -432,7 +432,8 @@ class QueryEngine:
         report = self._updateable.apply(changes)
         if report.mode == "noop":
             return report
-        new_server = ShardServer(self._updateable.index, jobs=self.jobs)
+        new_server = ShardServer(self._updateable.index, jobs=self.jobs,
+                                 timings=self._server.timings)
         with self._lock:
             old_epoch, old_server = self.epoch, self._server
             self._server = new_server
@@ -451,8 +452,8 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def phase_timings(self) -> dict:
-        """Cumulative plan/shard_answer/finish/ipc seconds from the
-        serving epoch's shard server."""
+        """Cumulative plan/shard_answer/finish/ipc seconds over every
+        epoch this engine has served — a hot swap does not restart them."""
         return self._server.timings.as_dict()
 
     def reset_phase_timings(self) -> None:

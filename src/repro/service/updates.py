@@ -8,8 +8,7 @@ stream of :class:`EdgeChange` events (``increase`` / ``decrease`` /
 semantics allow) and repairs the affected sketch entries in place of a
 from-scratch rebuild.
 
-The repair is organized around the **dirty-source frontier** and an
-index refresh that re-flattens only what it touched:
+An ``apply`` is three steps, none of which knows a scheme:
 
 * the **dirty-source frontier** — for each changed edge ``{a, b}`` one
   shortest-path sweep from each endpoint decides, per node ``v``,
@@ -20,35 +19,34 @@ index refresh that re-flattens only what it touched:
   shorter route (``d(v, a) + w_new < d(v, b)`` or symmetrically).  Every
   scheme's sketch of a *clean* node is a pure function of that node's
   unchanged distance row (plus fixed random artifacts), so clean
-  sketches are reused byte-for-byte.
-* the **index refresh** — only sketch entries owned by dirty nodes can
-  change, so :func:`~repro.service.index.refresh_index` keeps the clean
-  owners' rows of the TZ bunch table, merges the dirty owners' fresh
-  rows in by the build's own sort and rebuilds the hash directory — the
-  same bytes a from-scratch build gives.  For the Thorup–Zwick family
-  the dirty bunches themselves are recomputed from the Section 3.1
-  definition against the dirty nodes' own Dijkstra rows (see
-  :func:`repair_tz_sketches`), never by re-growing the clean landmarks'
-  trees.
-
-Whether a batch is repaired or rebuilt is one rule: rebuild when the
-dirty fraction exceeds ``rebuild_threshold`` (default 0.25), repair
-otherwise.  Localized repair only wins while the frontier is small, and
-the fallback guarantees the cost is never worse than a rebuild by more
-than the frontier sweep.  The rule is inline, with no plug-in point: a
-cost model learning the two paths' seconds online lost to it on
-``churn-mixed`` traffic (the table is in ``docs/serving.md`` §9).
+  sketches are reused byte-for-byte;
+* the **repair** — the scheme's registry row
+  (:mod:`repro.oracle.schemes`) rebuilds the dirty owners' sketches: its
+  ``repair`` function (``repair_tz`` … ``repair_graceful`` below) finds
+  what else the dirty set reaches — the candidate cluster roots of a TZ
+  label, the clean nodes behind a dirty CDG gateway — and ends in the
+  row's per-owner ``sketches`` function, the one a build runs.  Past
+  ``rebuild_threshold`` (default 0.25 of the nodes dirty) the same
+  function simply runs over every owner: localized repair only wins
+  while the frontier is small, and the fallback bounds the cost by a
+  rebuild plus the frontier sweep.  The rule is inline, with no plug-in
+  point: a cost model learning the two paths' seconds online lost to it
+  on ``churn-mixed`` traffic (the table is in ``docs/serving.md`` §9);
+* the **index refresh** — only sketch entries owned by touched nodes
+  can change, so :func:`~repro.service.index.refresh_index` keeps the
+  clean owners' rows of the TZ bunch table, merges the fresh rows in by
+  the build's own sort and rebuilds the hash directory — the same bytes
+  a from-scratch build gives.
 
 **The hard invariant** (property-tested per scheme × memory backing):
 after ``apply``, the updated index answers *bit-identically* to an index
-rebuilt from scratch on the mutated graph with the same random artifacts
-(hierarchy / density nets / schedule), including
-:class:`~repro.errors.QueryError` parity when an update disconnects the
-graph.  Repairs therefore recompute with the *same primitives* the
-builders certify — ``compute_pivot_keys`` for the pivot tables, the
-definition-based bunch scan the differential tests prove equal to
-cluster growing, ``scipy``'s Dijkstra rows for the slack schemes'
-tables — never with a "close enough" shortcut.
+rebuilt from scratch on the mutated graph with the same random artifacts,
+including :class:`~repro.errors.QueryError` parity when an update
+disconnects the graph.  It holds by construction: repair, rebuild,
+:meth:`UpdateableIndex.rebuild_reference` and
+:func:`~repro.oracle.api.build_sketches` produce an owner's sketch with
+the same function from the same artifacts (drawn once, by the row's
+``sample``).
 
 Epoch semantics: every effective ``apply`` produces a **new**
 :class:`~repro.service.index.IndexStore` and bumps :attr:`epoch`; the old
@@ -66,26 +64,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.errors import ConfigError, GraphError, QueryError
+from repro.errors import ConfigError, GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp
+from repro.graphs.metrics import distance_rows
+from repro.oracle.schemes import get_scheme
 from repro.rng import SeedLike, ensure_rng
 from repro.service.index import IndexStore, build_index, refresh_index
-from repro.slack.cdg import CDGSketch, build_cdg_centralized, _net_hierarchy
-from repro.slack.density_net import (DensityNet, nearest_in_set_centralized,
-                                     sample_density_net)
-from repro.slack.graceful import GracefulSketch, graceful_schedule
-from repro.slack.stretch3 import Stretch3Sketch, build_stretch3_centralized
-from repro.tz.centralized import (assemble_sketches,
-                                  build_tz_sketches_centralized,
-                                  compute_pivot_keys, grow_clusters)
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
+from repro.slack.cdg import cdg_sketches
+from repro.slack.stretch3 import stretch3_sketches
+from repro.tz.centralized import compute_pivot_keys, tz_sketches
 from repro.tz.sketch import TZSketch
 
 #: ops an :class:`EdgeChange` can carry
@@ -198,17 +190,6 @@ def sample_weight_changes(graph: Graph, count: int, seed: SeedLike = 0,
 # ----------------------------------------------------------------------
 # the dirty-source frontier
 # ----------------------------------------------------------------------
-def _endpoint_rows(graph: Graph, a: int, b: int) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    """``(d(a, ·), d(b, ·))`` on the current graph (the frontier sweep)."""
-    if graph.n == 1:  # degenerate, no edges possible anyway
-        z = np.zeros(1)
-        return z, z
-    rows = _csgraph_dijkstra(graph.to_csr(), directed=False,
-                             indices=[a, b])
-    return rows[0], rows[1]
-
-
 def _dirty_for_change(d_a: np.ndarray, d_b: np.ndarray, w_old: float,
                       w_new: float) -> np.ndarray:
     """Boolean dirty mask for one weight change (``inf`` spellings cover
@@ -278,7 +259,7 @@ def dirty_frontier(graph: Graph, changes: Sequence[EdgeChange],
             w_old, w_new = graph.weight(c.u, c.v), float(c.weight)
         if w_new == w_old:
             continue
-        d_a, d_b = _endpoint_rows(graph, c.u, c.v)
+        d_a, d_b = distance_rows(graph, [c.u, c.v])  # the frontier sweep
         dirty |= _dirty_for_change(d_a, d_b, w_old, w_new)
         if c.op == "remove":
             graph.remove_edge(c.u, c.v)
@@ -289,256 +270,96 @@ def dirty_frontier(graph: Graph, changes: Sequence[EdgeChange],
     return np.flatnonzero(dirty)
 
 
-def _dijkstra_rows(graph: Graph, sources: Sequence[int]) -> np.ndarray:
-    """Distance rows for ``sources`` — bitwise the corresponding rows of
-    :func:`~repro.graphs.metrics.apsp` (same solver, same CSR)."""
-    if graph.n == 1:
-        return np.zeros((len(sources), 1))
-    return np.atleast_2d(_csgraph_dijkstra(graph.to_csr(), directed=False,
-                                           indices=list(sources)))
-
-
 # ----------------------------------------------------------------------
-# Thorup–Zwick repair (shared by the tz scheme and the CDG net labels)
+# per-scheme repairs, ``(graph, artifacts, sketches, dirty) -> {node:
+# fresh sketch}``: discover what a dirty set can touch, then end in the
+# registry row's per-owner function — the one a build runs
 # ----------------------------------------------------------------------
-def repair_tz_sketches(graph: Graph, hierarchy: Hierarchy,
-                       dirty: Sequence[int],
-                       dist_rows: Optional[np.ndarray] = None,
-                       ) -> dict[int, TZSketch]:
-    """Recompute the TZ sketches of ``dirty`` nodes on the (already
-    mutated) graph, bit-identical to a full
-    :func:`~repro.tz.centralized.build_tz_sketches_centralized` rerun.
+def repair_tz(graph: Graph, artifacts: dict, sketches: list,
+              dirty: Sequence[int], dist_rows: Optional[np.ndarray] = None,
+              ) -> dict[int, TZSketch]:
+    """The TZ labels of ``dirty`` nodes on the (already mutated) graph,
+    bit-identical to a full build's: the build's per-owner function,
+    handed the only sub-top cluster roots that can reach a dirty node
+    (``sketches`` goes unread — a label depends on no other label).
 
-    The pivot tables are recomputed with the builder's own multi-source
-    sweeps (cheap: ``k`` Dijkstras — the part of the build whose cost
-    does not scale with the dirty set).  Bunch entries are direction-
-    sensitive at the ulp level (a float path sum depends on which end
-    the Dijkstra ran from), so every stored distance is recomputed in
-    the **builder's direction — from the landmark**:
-
-    * top-level landmarks (``A_{k-1}``, whose clusters are untruncated
-      and belong to every bunch) contribute one from-landmark Dijkstra
-      row each, at a fixed cost independent of the dirty set;
-    * sub-top candidate landmarks — the only ones whose (small,
-      truncated) clusters could hold a dirty node, discovered by a
-      margin-padded threshold scan of the dirty nodes' own rows — have
-      their clusters re-grown.
-
-    Both go through the builder's own
-    :func:`~repro.tz.centralized.grow_clusters` in one call, and the
-    dirty nodes' labels are sliced from its table exactly as a full
-    build slices everyone's.
-
-    The dirty nodes' from-source rows steer *which* clusters are
-    re-grown; they never supply a stored float.
+    Bunch entries are direction-sensitive at the ulp level (a float path
+    sum depends on which end the Dijkstra ran from), so every stored
+    distance is computed in the **builder's direction — from the
+    landmark**, by the builder: the dirty nodes' own rows only steer
+    *which* clusters are grown and never supply a stored float.  A
+    sub-top landmark ``w`` at level ``i`` is a candidate iff
+    ``d(v, w) <= d(v, A_{i+1})`` for some dirty ``v``, padded by
+    :data:`_MARGIN_REL` (an infinite threshold admits every reachable
+    ``w``); its (small, truncated) cluster is re-grown.  The top level's
+    untruncated clusters and the ``k`` pivot sweeps are a fixed cost the
+    per-owner function pays for any owner set.
 
     :param dist_rows: optional pre-computed Dijkstra rows for ``dirty``
         (row ``j`` is node ``dirty[j]``); computed here when omitted.
     :returns: ``{node: new TZSketch}`` for exactly the dirty nodes.
     """
-    dirty = sorted(int(v) for v in dirty)
-    if not dirty:
+    if len(dirty) == 0:
         return {}
-    k = hierarchy.k
+    hierarchy = artifacts["hierarchy"]
     pivot_keys = compute_pivot_keys(graph, hierarchy)
     if dist_rows is None:
-        dist_rows = _dijkstra_rows(graph, dirty)
-
-    # margin-padded discovery of the sub-top clusters that could hold a
-    # dirty node: candidate w at level i iff d(v, w) <= d(v, A_{i+1}) + pad
-    # (an infinite threshold admits every reachable w)
-    roots = [hierarchy.exact_level(k - 1)]
-    for i in range(k - 1):
+        dist_rows = distance_rows(graph, dirty)
+    roots = [np.empty(0, dtype=np.int64)]
+    for i in range(hierarchy.k - 1):
         members = hierarchy.exact_level(i)
         thr = np.asarray([pivot_keys[i + 1][v].dist for v in dirty])
         bound = thr + _MARGIN_REL * (1.0 + thr)
         rows = dist_rows[:, members]
         near = (rows <= bound[:, None]) & np.isfinite(rows)
         roots.append(members[near.any(axis=0)])
-    table = grow_clusters(graph, hierarchy, pivot_keys,
-                          np.concatenate(roots))
-    return dict(zip(dirty, assemble_sketches(k, pivot_keys, table, dirty)))
+    return dict(zip(dirty, tz_sketches(graph, artifacts, dirty,
+                                       roots=np.concatenate(roots),
+                                       pivot_keys=pivot_keys)))
 
 
-# ----------------------------------------------------------------------
-# per-scheme build/repair strategies (fixed random artifacts)
-# ----------------------------------------------------------------------
-class _TZState:
-    scheme = "tz"
-
-    def __init__(self, hierarchy: Hierarchy):
-        self.hierarchy = hierarchy
-
-    def build(self, graph: Graph) -> list[TZSketch]:
-        sketches, _ = build_tz_sketches_centralized(
-            graph, hierarchy=self.hierarchy)
-        return sketches
-
-    def repair(self, graph: Graph, sketches: list, dirty: np.ndarray,
-               ) -> tuple[list, set[int]]:
-        fresh = repair_tz_sketches(graph, self.hierarchy, dirty)
-        out = list(sketches)
-        for v, s in fresh.items():
-            out[v] = s
-        return out, set(fresh)
+def repair_stretch3(graph: Graph, artifacts: dict, sketches: list,
+                    dirty: Sequence[int]) -> dict:
+    """A stretch3 sketch is its owner's row over the net: the dirty
+    owners' sketches are the build restricted to them."""
+    return dict(zip(dirty, stretch3_sketches(graph, artifacts, dirty)))
 
 
-class _Stretch3State:
-    scheme = "stretch3"
-
-    def __init__(self, net: DensityNet, eps: float):
-        self.net = net
-        self.eps = float(eps)
-
-    def build(self, graph: Graph,
-              dist_matrix: Optional[np.ndarray] = None) -> list:
-        sketches, _ = build_stretch3_centralized(
-            graph, self.eps, net=self.net, dist_matrix=dist_matrix)
-        return sketches
-
-    def repair(self, graph: Graph, sketches: list, dirty: np.ndarray,
-               dist_rows: Optional[np.ndarray] = None,
-               ) -> tuple[list, set[int]]:
-        dirty = [int(v) for v in dirty]
-        if dist_rows is None:
-            dist_rows = _dijkstra_rows(graph, dirty)
-        members = list(self.net.members)
-        out = list(sketches)
-        for j, v in enumerate(dirty):
-            row = dist_rows[j]
-            out[v] = Stretch3Sketch(
-                node=v, eps=self.eps,
-                entries={w: float(row[w]) for w in members})
-        return out, set(dirty)
+def repair_cdg(graph: Graph, artifacts: dict, sketches: list,
+               dirty: Sequence[int],
+               dist_rows: Optional[np.ndarray] = None) -> dict:
+    """Dirty owners get the build's sketch — new gateway, linked to the
+    current net labels; a dirty *net member*'s label is repaired first
+    (:func:`repair_tz` over the net hierarchy), and every clean
+    node whose gateway it is is re-linked to the fresh label."""
+    if dist_rows is None:
+        dist_rows = distance_rows(graph, dirty)
+    # every net member is its own gateway (d(w, w) = 0 always wins), so
+    # member w's current label is sketches[w].label
+    labels = {w: sketches[w].label for w in artifacts["net"].members}
+    at = {v: j for j, v in enumerate(dirty) if v in labels}
+    relabelled = repair_tz(graph, artifacts, sketches, list(at),
+                           dist_rows=dist_rows[list(at.values())])
+    labels.update(relabelled)
+    fresh = dict(zip(dirty, cdg_sketches(graph, artifacts, dirty,
+                                         dist_rows=dist_rows, labels=labels)))
+    for u, s in enumerate(sketches):
+        if u not in fresh and s.gateway in relabelled:
+            fresh[u] = replace(s, label=labels[s.gateway])
+    return fresh
 
 
-class _CDGState:
-    scheme = "cdg"
-
-    def __init__(self, net: DensityNet, hierarchy: Hierarchy, eps: float,
-                 k: int):
-        self.net = net
-        self.hierarchy = hierarchy
-        self.eps = float(eps)
-        self.k = int(k)
-
-    def build(self, graph: Graph,
-              dist_matrix: Optional[np.ndarray] = None) -> list[CDGSketch]:
-        sketches, _, _ = build_cdg_centralized(
-            graph, self.eps, self.k, net=self.net,
-            hierarchy=self.hierarchy, dist_matrix=dist_matrix)
-        return sketches
-
-    def repair(self, graph: Graph, sketches: list, dirty: np.ndarray,
-               dist_rows: Optional[np.ndarray] = None,
-               ) -> tuple[list, set[int]]:
-        dirty = [int(v) for v in dirty]
-        if dist_rows is None:
-            dist_rows = _dijkstra_rows(graph, dirty)
-        members = list(self.net.members)
-        member_set = set(members)
-        # every net member is its own gateway (d(w, w) = 0 always wins),
-        # so member w's current label is sketches[w].label
-        labels = {w: sketches[w].label for w in members}
-        net_dirty = [v for v in dirty if v in member_set]
-        if net_dirty:
-            rows_idx = {v: j for j, v in enumerate(dirty)}
-            sub_rows = dist_rows[[rows_idx[v] for v in net_dirty]]
-            fresh = repair_tz_sketches(graph, self.hierarchy, net_dirty,
-                                       dist_rows=sub_rows)
-            labels.update(fresh)
-        gateways = nearest_in_set_centralized(dist_rows, members)
-        new_gw = {v: gateways[j] for j, v in enumerate(dirty)}
-        out = list(sketches)
-        touched: set[int] = set()
-        for u, s in enumerate(sketches):
-            if u in new_gw:
-                gd, gw = new_gw[u]
-            else:
-                gd, gw = s.gateway_dist, s.gateway
-            if gw < 0:
-                raise QueryError(
-                    f"update strands node {u} from the density net "
-                    f"(no reachable member); rebuild with a net covering "
-                    f"every component")
-            lbl = labels[gw]
-            if u in new_gw or lbl is not s.label:
-                out[u] = CDGSketch(node=u, eps=self.eps, k=self.k,
-                                   gateway=gw, gateway_dist=gd, label=lbl)
-                touched.add(u)
-        return out, touched
-
-
-class _GracefulState:
-    scheme = "graceful"
-
-    def __init__(self, schedule: list, components: list[_CDGState]):
-        self.schedule = schedule
-        self.components = components
-
-    def build(self, graph: Graph) -> list[GracefulSketch]:
-        d = apsp(graph)
-        per_level = [c.build(graph, dist_matrix=d) for c in self.components]
-        return [GracefulSketch(node=u,
-                               components=tuple(lvl[u] for lvl in per_level))
-                for u in range(graph.n)]
-
-    def repair(self, graph: Graph, sketches: list, dirty: np.ndarray,
-               ) -> tuple[list, set[int]]:
-        dirty_list = [int(v) for v in dirty]
-        rows = _dijkstra_rows(graph, dirty_list)
-        touched: set[int] = set()
-        per_level = []
-        for i, comp in enumerate(self.components):
-            comp_sketches = [s.components[i] for s in sketches]
-            repaired, comp_touched = comp.repair(graph, comp_sketches,
-                                                 dirty, dist_rows=rows)
-            per_level.append(repaired)
-            touched |= comp_touched
-        out = list(sketches)
-        for u in touched:
-            out[u] = GracefulSketch(
-                node=u, components=tuple(lvl[u] for lvl in per_level))
-        return out, touched
-
-
-def _make_state(graph: Graph, scheme: str, seed: SeedLike, params: dict):
-    """Sample the scheme's random artifacts exactly as
-    :func:`~repro.oracle.api.build_sketches` would for the same seed, and
-    wrap them in the matching repair strategy."""
-    rng = ensure_rng(seed)
-    n = graph.n
-    if scheme == "tz":
-        hierarchy = params.get("hierarchy")
-        if hierarchy is None:
-            k = params.get("k")
-            if k is None:
-                raise ConfigError("tz scheme needs k (or a hierarchy)")
-            hierarchy = sample_hierarchy(n, k, seed=rng)
-        return _TZState(hierarchy)
-    if scheme == "stretch3":
-        eps = params.get("eps")
-        if eps is None:
-            raise ConfigError("stretch3 scheme needs eps")
-        net = params.get("net") or sample_density_net(n, eps, seed=rng)
-        return _Stretch3State(net, eps)
-    if scheme == "cdg":
-        eps, k = params.get("eps"), params.get("k")
-        if eps is None or k is None:
-            raise ConfigError("cdg scheme needs eps and k")
-        net = params.get("net") or sample_density_net(n, eps, seed=rng)
-        hierarchy = (params.get("hierarchy")
-                     or _net_hierarchy(graph, net, eps, k, rng))
-        return _CDGState(net, hierarchy, eps, k)
-    if scheme == "graceful":
-        schedule = params.get("schedule") or graceful_schedule(n)
-        components = []
-        for eps, k in schedule:
-            net = sample_density_net(n, eps, seed=rng)
-            hierarchy = _net_hierarchy(graph, net, eps, k, rng)
-            components.append(_CDGState(net, hierarchy, eps, k))
-        return _GracefulState(schedule, components)
-    raise ConfigError(f"scheme {scheme!r} has no update strategy")
+def repair_graceful(graph: Graph, artifacts: dict, sketches: list,
+                    dirty: Sequence[int]) -> dict:
+    """Every level is a CDG repair over one shared block of dirty rows."""
+    rows = distance_rows(graph, dirty)
+    per_level = [repair_cdg(graph, level, [s.components[i] for s in sketches],
+                            dirty, dist_rows=rows)
+                 for i, level in enumerate(artifacts["components"])]
+    return {u: replace(sketches[u], components=tuple(
+                fresh.get(u, old)
+                for fresh, old in zip(per_level, sketches[u].components)))
+            for u in set().union(*per_level)}
 
 
 # ----------------------------------------------------------------------
@@ -587,24 +408,28 @@ class UpdateableIndex:
 
     :param graph: the starting graph (copied; later mutations happen on
         the copy via :meth:`apply`).
-    :param scheme: ``"tz"`` | ``"stretch3"`` | ``"cdg"`` | ``"graceful"``
-        (centralized builds only — the artifacts are sampled once from
-        ``seed`` and pinned for the index's lifetime, so a from-scratch
-        rebuild is always well defined).
+    :param scheme: a :data:`~repro.oracle.schemes.SCHEMES` row with a
+        ``repair``; its ``sample`` draws the artifacts once from
+        ``seed``, as :func:`~repro.oracle.api.build_sketches` does, and
+        they stay pinned, so a from-scratch rebuild is well defined.
     :param num_shards: landmark shard count of every epoch's store.
     :param rebuild_threshold: dirty fraction above which :meth:`apply`
-        falls back to a full rebuild.
+        falls back to a full rebuild (``None``:
+        :data:`REBUILD_THRESHOLD_DEFAULT`).
     :param sketches: optionally, the already-built sketch set for this
         exact (graph, artifacts) pair — skips the initial build.
     :param params: scheme parameters (``k`` / ``eps`` / ``hierarchy`` /
         ``net`` / ``schedule``), as for
-        :func:`~repro.oracle.api.build_sketches`.
+        :func:`~repro.oracle.api.build_sketches` — or the ``artifacts``
+        a build recorded, which ``sample`` takes as given.
     """
 
     def __init__(self, graph: Graph, scheme: str = "tz",
                  seed: SeedLike = None, num_shards: int = 1,
-                 rebuild_threshold: float = REBUILD_THRESHOLD_DEFAULT,
+                 rebuild_threshold: Optional[float] = None,
                  sketches: Optional[list] = None, **params):
+        if rebuild_threshold is None:
+            rebuild_threshold = REBUILD_THRESHOLD_DEFAULT
         if not (0.0 <= rebuild_threshold <= 1.0):
             raise ConfigError(f"rebuild_threshold must be in [0, 1], "
                               f"got {rebuild_threshold}")
@@ -612,9 +437,12 @@ class UpdateableIndex:
         self.scheme = scheme
         self.num_shards = int(num_shards)
         self.rebuild_threshold = float(rebuild_threshold)
-        self._state = _make_state(self.graph, scheme, seed, params)
-        self.sketches = (list(sketches) if sketches is not None
-                         else self._state.build(self.graph))
+        self._spec = get_scheme(scheme)
+        if self._spec.repair is None:
+            raise ConfigError(f"scheme {scheme!r} has no update support")
+        self.artifacts = self._spec.sample(self.graph, seed, params)
+        self.sketches = (list(sketches) if sketches is not None else
+                         self._spec.sketches(self.graph, self.artifacts))
         if len(self.sketches) != self.graph.n:
             raise ConfigError(
                 f"{len(self.sketches)} sketches for a "
@@ -658,13 +486,16 @@ class UpdateableIndex:
             return report
         mode = "rebuild" if frac > self.rebuild_threshold else "repair"
         if mode == "rebuild":
-            sketches = self._state.build(work)
-            touched = set(range(n))
+            sketches = self._spec.sketches(work, self.artifacts)
+            touched = range(n)
             t2 = time.perf_counter()
             index = build_index(sketches, num_shards=self.num_shards)
         else:
-            sketches, touched = self._state.repair(work, self.sketches,
-                                                   dirty)
+            touched = self._spec.repair(work, self.artifacts, self.sketches,
+                                        dirty.tolist())
+            sketches = list(self.sketches)
+            for v, fresh in touched.items():
+                sketches[v] = fresh
             t2 = time.perf_counter()
             index = refresh_index(self.index, sketches, touched)
         t3 = time.perf_counter()
@@ -684,8 +515,8 @@ class UpdateableIndex:
         """A from-scratch build on the **current** graph with the same
         pinned artifacts — the oracle the bit-identity invariant (and
         ``update-bench``) compares against.  Does not mutate state."""
-        sketches = self._state.build(self.graph)
-        return build_index(sketches, num_shards=self.num_shards)
+        return build_index(self._spec.sketches(self.graph, self.artifacts),
+                           num_shards=self.num_shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"UpdateableIndex({self.scheme}, n={self.graph.n}, "

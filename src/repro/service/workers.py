@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -86,6 +86,11 @@ class PhaseTimings:
     ``overlap`` is the double-buffering win of
     :meth:`ShardServer.estimate_stream`: caller-side seconds — batch
     *k+1*'s submit — spent while batch *k*'s ranges were in flight.
+
+    One instance outlives a hot swap — the engine hands it to every
+    epoch's server — and dispatch is re-entrant, so several handler
+    threads (on two epochs' servers, mid-swap) can be accumulating at
+    once: every update and :meth:`reset` holds :attr:`lock`.
     """
 
     plan: float = 0.0
@@ -95,6 +100,15 @@ class PhaseTimings:
     overlap: float = 0.0
     kernel: float = 0.0
     batches: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock,
+                                 repr=False, compare=False)
+
+    def reset(self) -> None:
+        """Zero every counter, in place."""
+        with self.lock:
+            self.plan = self.shard_answer = self.finish = 0.0
+            self.ipc = self.overlap = self.kernel = 0.0
+            self.batches = 0
 
     def as_dict(self) -> dict:
         return {"plan_seconds": self.plan,
@@ -116,6 +130,9 @@ class ShardServer:
         that, a persistent ``ThreadPoolExecutor`` of that many threads,
         each handed one contiguous range of the batch's pairs (the
         numpy kernels release the GIL).
+    :param timings: the accumulator to add this server's batches to
+        (default: a fresh one) — how an engine keeps one set of phase
+        counters across the servers of successive epochs.
     :raises ConfigError: when ``jobs < 1``.
 
     Use as a context manager (or call :meth:`close`) so the executor's
@@ -125,16 +142,13 @@ class ShardServer:
             est = srv.estimate_many(us, vs)
     """
 
-    def __init__(self, index: IndexStore, jobs: int = 1):
+    def __init__(self, index: IndexStore, jobs: int = 1,
+                 timings: Optional[PhaseTimings] = None):
         # what close() releases exists before anything that can raise: a
         # failed construction still reaches __del__, and the GC backstop
         # must not trip over a missing attribute
         self._executor: Optional[ThreadPoolExecutor] = None
-        self.timings = PhaseTimings()
-        # dispatch is re-entrant, so several handler threads can be
-        # inside estimate_many at once; the timing accumulators they
-        # share must not lose updates
-        self._state_lock = threading.Lock()
+        self.timings = PhaseTimings() if timings is None else timings
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.index = index
@@ -203,7 +217,7 @@ class ShardServer:
         wall = time.perf_counter() - t_submit
         outs, plan, kernel, finish = zip(*parts)
         tm = self.timings
-        with self._state_lock:
+        with tm.lock:
             tm.plan += sum(plan)
             tm.shard_answer += sum(kernel)
             tm.finish += sum(finish)
@@ -248,7 +262,7 @@ class ShardServer:
         with ``inflight`` earlier batches' ranges on the executor (an
         in-thread "submit" defers the compute: it overlaps nothing)."""
         if inflight and self._executor is not None:
-            with self._state_lock:
+            with self.timings.lock:
                 self.timings.overlap += seconds
 
     def note_reply(self, seconds: float) -> None:
@@ -262,7 +276,7 @@ class ShardServer:
 
     def reset_timings(self) -> None:
         """Zero the cumulative phase timings."""
-        self.timings = PhaseTimings()
+        self.timings.reset()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

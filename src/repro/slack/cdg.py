@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.congest.metrics import RunMetrics
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp
+from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
 from repro.slack.density_net import (DensityNet, nearest_in_set_centralized,
                                      sample_density_net)
 from repro.algorithms.supersource import distances_to_set
-from repro.tz.centralized import build_tz_sketches_centralized
+from repro.tz.centralized import tz_sketches
 from repro.tz.distributed import build_tz_sketches_distributed
 from repro.tz.hierarchy import Hierarchy, sample_hierarchy
 from repro.tz.sketch import TZSketch, estimate_distance
@@ -71,18 +71,59 @@ def cdg_sampling_probability(n: int, eps: float, k: int) -> float:
     return min(1.0, base ** (-1.0 / k))
 
 
-def _assemble(eps: float, k: int, gateways: list[tuple[float, int]],
+def _assemble(eps: float, k: int, owners, gateways: list[tuple[float, int]],
               net_labels: dict[int, TZSketch]) -> list[CDGSketch]:
-    return [CDGSketch(node=u, eps=eps, k=k, gateway=gw,
-                      gateway_dist=gd, label=net_labels[gw])
-            for u, (gd, gw) in enumerate(gateways)]
+    out = []
+    for u, (gd, gw) in zip(owners, gateways):
+        if gw < 0:
+            raise QueryError(
+                f"the graph strands node {u} from the density net (no "
+                f"reachable member); use a net covering every component")
+        out.append(CDGSketch(node=int(u), eps=eps, k=k, gateway=gw,
+                             gateway_dist=gd, label=net_labels[gw]))
+    return out
 
 
-def _net_hierarchy(graph: Graph, net: DensityNet, eps: float, k: int,
-                   rng) -> Hierarchy:
-    return sample_hierarchy(graph.n, k,
-                            q=cdg_sampling_probability(graph.n, eps, k),
-                            universe=net.members, seed=rng)
+def cdg_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
+    """The cdg registry row's ``sample``: a density net for ``eps``, then
+    the ``k``-level hierarchy over that net — in that order, from one
+    stream; an explicit ``net`` / ``hierarchy`` is taken as given.  Every
+    CDG build (centralized, distributed, a graceful level) samples here."""
+    eps, k = params.get("eps"), params.get("k")
+    if eps is None or k is None:
+        raise ConfigError("cdg scheme needs eps and k")
+    rng = ensure_rng(seed)
+    net, hierarchy = params.get("net"), params.get("hierarchy")
+    if net is None:
+        net = sample_density_net(graph.n, eps, seed=rng)
+    if hierarchy is None:
+        hierarchy = sample_hierarchy(
+            graph.n, k, q=cdg_sampling_probability(graph.n, eps, k),
+            universe=net.members, seed=rng)
+    return {"eps": eps, "k": k, "net": net, "hierarchy": hierarchy}
+
+
+def cdg_sketches(graph: Graph, artifacts: dict,
+                 owners: Optional[Sequence[int]] = None, *,
+                 dist_rows: Optional[np.ndarray] = None,
+                 labels: Optional[dict[int, TZSketch]] = None,
+                 ) -> list[CDGSketch]:
+    """The cdg registry row's per-owner function: each owner's gateway
+    read off its distance row (``dist_rows``, as for
+    :func:`~repro.slack.stretch3.stretch3_sketches`), linked to the
+    gateway's Thorup–Zwick label over the fixed net and net hierarchy
+    (``labels``: the net members' labels, for a repair that holds them).
+
+    :raises QueryError: when an owner reaches no net member.
+    """
+    members = artifacts["net"].members
+    if dist_rows is None:
+        dist_rows = distance_rows(graph, owners)
+    if labels is None:
+        labels = dict(zip(members, tz_sketches(graph, artifacts, members)))
+    return _assemble(artifacts["eps"], artifacts["k"],
+                     graph.nodes() if owners is None else owners,
+                     nearest_in_set_centralized(dist_rows, members), labels)
 
 
 def build_cdg_centralized(graph: Graph, eps: float, k: int,
@@ -92,16 +133,10 @@ def build_cdg_centralized(graph: Graph, eps: float, k: int,
                           dist_matrix: Optional[np.ndarray] = None,
                           ) -> tuple[list[CDGSketch], DensityNet, Hierarchy]:
     """Centralized twin (used for differential tests and large-n stats)."""
-    rng = ensure_rng(seed)
-    if net is None:
-        net = sample_density_net(graph.n, eps, seed=rng)
-    if hierarchy is None:
-        hierarchy = _net_hierarchy(graph, net, eps, k, rng)
-    d = apsp(graph) if dist_matrix is None else dist_matrix
-    gateways = nearest_in_set_centralized(d, net.members)
-    sketches, _ = build_tz_sketches_centralized(graph, hierarchy=hierarchy)
-    net_labels = {w: sketches[w] for w in net.members}
-    return _assemble(eps, k, gateways, net_labels), net, hierarchy
+    artifacts = cdg_artifacts(graph, seed, {"eps": eps, "k": k, "net": net,
+                                            "hierarchy": hierarchy})
+    return (cdg_sketches(graph, artifacts, dist_rows=dist_matrix),
+            artifacts["net"], artifacts["hierarchy"])
 
 
 def build_cdg_distributed(graph: Graph, eps: float, k: int,
@@ -126,13 +161,13 @@ def build_cdg_distributed(graph: Graph, eps: float, k: int,
     sketch-sized exchange away (the online protocol of experiment E10).
     """
     rng = ensure_rng(seed)
-    if net is None:
-        net = sample_density_net(graph.n, eps, seed=rng)
-    if hierarchy is None:
-        hierarchy = _net_hierarchy(graph, net, eps, k, rng)
+    artifacts = cdg_artifacts(graph, rng, {"eps": eps, "k": k, "net": net,
+                                           "hierarchy": hierarchy})
+    net, hierarchy = artifacts["net"], artifacts["hierarchy"]
     assignments, m1 = distances_to_set(graph, net.members, seed=rng)
     tz = build_tz_sketches_distributed(graph, hierarchy=hierarchy, sync=sync,
                                        seed=rng, S=S, budget=budget)
     net_labels = {w: tz.sketches[w] for w in net.members}
     metrics = m1 + tz.metrics
-    return _assemble(eps, k, assignments, net_labels), net, hierarchy, metrics
+    return (_assemble(eps, k, graph.nodes(), assignments, net_labels), net,
+            hierarchy, metrics)

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp
+from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
-from repro.slack.cdg import CDGSketch, build_cdg_centralized, build_cdg_distributed
+from repro.slack.cdg import (CDGSketch, build_cdg_distributed, cdg_artifacts,
+                             cdg_sketches)
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,38 @@ def graceful_schedule(n: int) -> list[tuple[float, int]]:
     return [(2.0 ** -i, i) for i in range(1, imax + 1)]
 
 
-def _assemble(n: int, per_level: list[list[CDGSketch]]) -> list[GracefulSketch]:
-    return [GracefulSketch(node=u,
-                           components=tuple(level[u] for level in per_level))
-            for u in range(n)]
+def _assemble(owners, per_level: list[list[CDGSketch]]) -> list[GracefulSketch]:
+    return [GracefulSketch(node=int(u),
+                           components=tuple(level[j] for level in per_level))
+            for j, u in enumerate(owners)]
+
+
+def graceful_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
+    """The graceful registry row's ``sample``: the Theorem 4.8 schedule
+    (an explicit ``schedule`` is taken as given), then per level the CDG
+    artifacts — net, then net hierarchy — back to back from one stream.
+    ``components`` (what a build recorded) is taken as given too."""
+    rng = ensure_rng(seed)
+    schedule, components = params.get("schedule"), params.get("components")
+    if schedule is None:
+        schedule = graceful_schedule(graph.n)
+    if components is None:
+        components = [cdg_artifacts(graph, rng, {"eps": eps, "k": k})
+                      for eps, k in schedule]
+    return {"schedule": schedule, "components": components}
+
+
+def graceful_sketches(graph: Graph, artifacts: dict,
+                      owners: Optional[Sequence[int]] = None, *,
+                      dist_rows: Optional[np.ndarray] = None,
+                      ) -> list[GracefulSketch]:
+    """The graceful registry row's per-owner function: the owners' CDG
+    sketches of every level, over one shared block of ``dist_rows``."""
+    if dist_rows is None:
+        dist_rows = distance_rows(graph, owners)
+    per_level = [cdg_sketches(graph, level, owners, dist_rows=dist_rows)
+                 for level in artifacts["components"]]
+    return _assemble(graph.nodes() if owners is None else owners, per_level)
 
 
 def build_graceful_centralized(graph: Graph, seed: SeedLike = None,
@@ -84,16 +113,9 @@ def build_graceful_centralized(graph: Graph, seed: SeedLike = None,
                                dist_matrix: Optional[np.ndarray] = None,
                                ) -> tuple[list[GracefulSketch], list[tuple[float, int]]]:
     """Centralized twin of the Theorem 4.8 build."""
-    rng = ensure_rng(seed)
-    if schedule is None:
-        schedule = graceful_schedule(graph.n)
-    d = apsp(graph) if dist_matrix is None else dist_matrix
-    per_level = []
-    for eps, k in schedule:
-        sketches, _, _ = build_cdg_centralized(graph, eps, k, seed=rng,
-                                               dist_matrix=d)
-        per_level.append(sketches)
-    return _assemble(graph.n, per_level), schedule
+    artifacts = graceful_artifacts(graph, seed, {"schedule": schedule})
+    return (graceful_sketches(graph, artifacts, dist_rows=dist_matrix),
+            artifacts["schedule"])
 
 
 def build_graceful_distributed(graph: Graph, seed: SeedLike = None,
@@ -115,4 +137,4 @@ def build_graceful_distributed(graph: Graph, seed: SeedLike = None,
                                                   sync=sync, S=S, budget=budget)
         per_level.append(sketches)
         total = m if total is None else total + m
-    return _assemble(graph.n, per_level), schedule, total
+    return _assemble(graph.nodes(), per_level), schedule, total

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.algorithms.ksource import k_source_shortest_paths
 from repro.congest.metrics import RunMetrics
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp
+from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
 from repro.slack.density_net import DensityNet, sample_density_net
 from repro.words import entry_words
@@ -60,9 +61,32 @@ class Stretch3Sketch:
         return best
 
 
-def _assemble(eps: float, per_node: list[dict[int, float]]) -> list[Stretch3Sketch]:
-    return [Stretch3Sketch(node=u, eps=eps, entries=dict(entries))
-            for u, entries in enumerate(per_node)]
+def stretch3_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
+    """The stretch3 registry row's ``sample``: one density net for
+    ``eps`` (an explicit ``net`` is taken as given)."""
+    eps, net = params.get("eps"), params.get("net")
+    if eps is None:
+        raise ConfigError("stretch3 scheme needs eps")
+    if net is None:
+        net = sample_density_net(graph.n, eps, seed=seed)
+    return {"eps": eps, "net": net}
+
+
+def stretch3_sketches(graph: Graph, artifacts: dict,
+                      owners: Optional[Sequence[int]] = None, *,
+                      dist_rows: Optional[np.ndarray] = None,
+                      ) -> list[Stretch3Sketch]:
+    """The stretch3 registry row's per-owner function: each owner's
+    distance row restricted to the fixed net.  ``dist_rows``: the
+    owners' rows, for a caller that has them (row ``j`` is
+    ``owners[j]``; the whole matrix for a build)."""
+    if dist_rows is None:
+        dist_rows = distance_rows(graph, owners)
+    owners = graph.nodes() if owners is None else owners
+    eps, members = artifacts["eps"], list(artifacts["net"].members)
+    return [Stretch3Sketch(node=int(u), eps=eps,
+                           entries=dict(zip(members, row[members].tolist())))
+            for u, row in zip(owners, dist_rows)]
 
 
 def build_stretch3_centralized(graph: Graph, eps: float, seed: SeedLike = None,
@@ -70,13 +94,9 @@ def build_stretch3_centralized(graph: Graph, eps: float, seed: SeedLike = None,
                                dist_matrix: np.ndarray = None,
                                ) -> tuple[list[Stretch3Sketch], DensityNet]:
     """Centralized twin: net sampling + APSP rows restricted to the net."""
-    rng = ensure_rng(seed)
-    if net is None:
-        net = sample_density_net(graph.n, eps, seed=rng)
-    d = apsp(graph) if dist_matrix is None else dist_matrix
-    members = list(net.members)
-    per_node = [{w: float(d[u, w]) for w in members} for u in graph.nodes()]
-    return _assemble(eps, per_node), net
+    artifacts = stretch3_artifacts(graph, seed, {"eps": eps, "net": net})
+    return (stretch3_sketches(graph, artifacts, dist_rows=dist_matrix),
+            artifacts["net"])
 
 
 def build_stretch3_distributed(graph: Graph, eps: float, seed: SeedLike = None,
@@ -85,7 +105,7 @@ def build_stretch3_distributed(graph: Graph, eps: float, seed: SeedLike = None,
     """Distributed build per Theorem 4.3: sample the net locally, then one
     k-Source Shortest Paths run with the net as the source set."""
     rng = ensure_rng(seed)
-    if net is None:
-        net = sample_density_net(graph.n, eps, seed=rng)
+    net = stretch3_artifacts(graph, rng, {"eps": eps, "net": net})["net"]
     per_node, metrics = k_source_shortest_paths(graph, net.members, seed=rng)
-    return _assemble(eps, per_node), net, metrics
+    return [Stretch3Sketch(node=u, eps=eps, entries=dict(entries))
+            for u, entries in enumerate(per_node)], net, metrics

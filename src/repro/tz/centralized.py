@@ -43,7 +43,7 @@ from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.graphs.metrics import apsp
 from repro.rng import SeedLike
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
+from repro.tz.hierarchy import Hierarchy, tz_artifacts
 from repro.tz.sketch import TZSketch
 
 
@@ -298,30 +298,58 @@ def assemble_sketches(k: int, pivot_keys: list[list[DistKey]],
             for u, bunch in zip(nodes, table.bunches(nodes))]
 
 
+def tz_sketches(graph: Graph, artifacts: dict,
+                owners: Optional[Sequence[int]] = None, *,
+                roots=None,
+                pivot_keys: Optional[list[list[DistKey]]] = None,
+                report: Optional[dict] = None) -> list[TZSketch]:
+    """The tz registry row's per-owner function: from a fixed hierarchy,
+    the labels of ``owners`` (default: every node — a build).
+
+    ``roots`` restricts cluster growing to those sub-top landmarks (the
+    top level is always grown: its untruncated clusters reach every
+    label — Lemma 3.2's backstop — and nodes outside the universe root
+    nothing), so the labels hold exactly the entries those landmarks
+    contribute: all of them when ``roots`` covers every cluster that can
+    hold an owner (a repair), the ones a shard range serves otherwise.
+    ``pivot_keys`` spares the ``k`` pivot sweeps to a caller that already
+    ran them; ``report``, a dict, receives where the time went
+    (``pivots_s`` / ``clusters_s`` / ``assemble_s``, bunch ``entries``,
+    frontier ``rounds``).
+    """
+    hierarchy = artifacts["hierarchy"]
+    t0 = time.perf_counter()
+    if pivot_keys is None:
+        pivot_keys = compute_pivot_keys(graph, hierarchy)
+    t1 = time.perf_counter()
+    if roots is None:
+        roots = hierarchy.universe()
+    else:
+        roots = np.asarray(roots, dtype=np.int64)
+        roots = np.concatenate([hierarchy.exact_level(hierarchy.k - 1),
+                                roots[hierarchy.level[roots] >= 0]])
+    table = grow_clusters(graph, hierarchy, pivot_keys, roots)
+    t2 = time.perf_counter()
+    sketches = assemble_sketches(
+        hierarchy.k, pivot_keys, table,
+        graph.nodes() if owners is None else owners)
+    if report is not None:
+        report.update(pivots_s=t1 - t0, clusters_s=t2 - t1,
+                      assemble_s=time.perf_counter() - t2,
+                      entries=int(table.owner.size), rounds=table.rounds)
+    return sketches
+
+
 def build_tz_sketches_timed(graph: Graph, k: Optional[int] = None,
                             hierarchy: Optional[Hierarchy] = None,
                             seed: SeedLike = None,
                             ) -> tuple[list[TZSketch], Hierarchy, dict]:
-    """:func:`build_tz_sketches_centralized` plus a report of where the
-    time went: ``pivots_s`` / ``clusters_s`` / ``assemble_s`` seconds,
-    bunch ``entries`` and frontier ``rounds``."""
-    if hierarchy is None:
-        if k is None:
-            raise ConfigError("provide k or hierarchy")
-        hierarchy = sample_hierarchy(graph.n, k, seed=seed)
-    elif k is not None and k != hierarchy.k:
-        raise ConfigError(f"k={k} conflicts with hierarchy.k={hierarchy.k}")
-    t0 = time.perf_counter()
-    pivot_keys = compute_pivot_keys(graph, hierarchy)
-    t1 = time.perf_counter()
-    table = grow_clusters(graph, hierarchy, pivot_keys, hierarchy.universe())
-    t2 = time.perf_counter()
-    sketches = assemble_sketches(hierarchy.k, pivot_keys, table,
-                                 graph.nodes())
-    t3 = time.perf_counter()
-    return sketches, hierarchy, {
-        "pivots_s": t1 - t0, "clusters_s": t2 - t1, "assemble_s": t3 - t2,
-        "entries": int(table.owner.size), "rounds": table.rounds}
+    """:func:`build_tz_sketches_centralized` plus :func:`tz_sketches`'
+    report of where the time went."""
+    artifacts = tz_artifacts(graph, seed, {"k": k, "hierarchy": hierarchy})
+    report: dict = {}
+    sketches = tz_sketches(graph, artifacts, report=report)
+    return sketches, artifacts["hierarchy"], report
 
 
 def describe_build(report: dict) -> str:

@@ -57,7 +57,7 @@ from repro.distkey import INF_KEY, DistKey
 from repro.errors import ConfigError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
+from repro.tz.hierarchy import Hierarchy, tz_artifacts
 from repro.tz.sketch import TZSketch
 
 DATA, ECHO, COMPLETE, START = "tzd", "tze", "tzc", "tzs"
@@ -484,12 +484,8 @@ def build_tz_sketches_distributed(
         ``"whp"`` / ``"safe"`` / explicit per-phase round list, for
         ``known_smax``.
     """
-    if hierarchy is None:
-        if k is None:
-            raise ConfigError("provide k or hierarchy")
-        hierarchy = sample_hierarchy(graph.n, k, seed=seed)
-    elif k is not None and k != hierarchy.k:
-        raise ConfigError(f"k={k} conflicts with hierarchy.k={hierarchy.k}")
+    hierarchy = tz_artifacts(graph, seed,
+                             {"k": k, "hierarchy": hierarchy})["hierarchy"]
     kk = hierarchy.k
     levels = hierarchy.level
 
@@ -543,3 +539,12 @@ def build_tz_sketches_distributed(
                                max_queue_len=max_q, tree_depth=depth)
 
 
+
+
+def tz_distributed(graph: Graph, seed: SeedLike, params: dict):
+    """The tz registry row's distributed build, in the row's shape:
+    ``(sketches, artifacts, metrics, extras)``."""
+    res = build_tz_sketches_distributed(graph, seed=seed, **params)
+    return (res.sketches, {"k": res.hierarchy.k, "hierarchy": res.hierarchy},
+            res.metrics, {"max_queue_len": res.max_queue_len,
+                          "tree_depth": res.tree_depth, "sync": res.sync})

@@ -137,3 +137,18 @@ def sample_hierarchy(n: int, k: int, q: Optional[float] = None,
     raise ConfigError(
         f"could not sample a hierarchy with nonempty A_{k-1} after "
         f"{max_resample} attempts (|universe|={members.size}, k={k}, q={q})")
+
+
+def tz_artifacts(graph, seed: SeedLike, params) -> dict:
+    """The tz registry row's ``sample``: the one random artifact of a
+    Thorup–Zwick build is its hierarchy — an explicit ``hierarchy`` is
+    taken as given, otherwise one is drawn for ``k`` with the paper's
+    ``n^{-1/k}``.  Every tz build (any mode, a fleet's) samples here."""
+    k, hierarchy = params.get("k"), params.get("hierarchy")
+    if hierarchy is None:
+        if k is None:
+            raise ConfigError("tz scheme needs k (or an explicit hierarchy)")
+        hierarchy = sample_hierarchy(graph.n, int(k), seed=seed)
+    elif k is not None and k != hierarchy.k:
+        raise ConfigError(f"k={k} conflicts with hierarchy.k={hierarchy.k}")
+    return {"k": hierarchy.k, "hierarchy": hierarchy}

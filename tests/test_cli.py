@@ -334,6 +334,29 @@ class TestBuildFormatAndMemoryPlane:
         rebuilt = build_index(load_sketch_set(sketch_file), num_shards=2)
         assert from_cli == rebuilt
 
+    def test_build_graceful_applies_updates(self, tmp_path, graph_file,
+                                            capsys):
+        """``--apply-updates`` works for every scheme the matrix says
+        repairs — graceful included: the written index is the one a
+        from-scratch build on the mutated graph gives."""
+        from repro.oracle.serialization import load_index_binary
+        from repro.service.updates import (UpdateableIndex,
+                                           sample_weight_changes,
+                                           save_changes_jsonl)
+
+        g = read_edgelist(graph_file)
+        changes = sample_weight_changes(g, 3, seed=8, low=0.2, high=0.6)
+        save_changes_jsonl(changes, tmp_path / "changes.jsonl")
+        path = tmp_path / "graceful.rpix"
+        rc = main(["build", str(graph_file), "--scheme", "graceful",
+                   "--seed", "3", "--format", "binary", "--apply-updates",
+                   str(tmp_path / "changes.jsonl"), "-o", str(path)])
+        assert rc == 0
+        assert "applied 3 changes" in capsys.readouterr().out
+        twin = UpdateableIndex(g, "graceful", seed=3)
+        twin.apply(changes)
+        assert load_index_binary(path) == twin.rebuild_reference()
+
     @pytest.mark.parametrize("memory", ["heap", "mmap"])
     def test_serve_bench_memory_modes_on_sketches(self, sketch_file, memory,
                                                   capsys):

@@ -32,7 +32,7 @@ from repro.graphs import Graph, erdos_renyi, random_geometric
 from repro.oracle.api import build_sketches
 from repro.oracle.serialization import index_binary_bytes
 from repro.service import (ClusterClient, ClusterSpec, OracleServer,
-                           apply_updates_distributed, build_distributed,
+                           build_distributed,
                            build_index, build_shard_range, connect,
                            even_ranges, loopback_fleet,
                            restrict_index_shards, sample_query_pairs)
@@ -337,8 +337,8 @@ class TestFleetUpdates:
         with loopback_fleet(factory, 2, num_shards=SHARDS) as out:
             yield out
 
-    def test_apply_updates_distributed_bit_identical(self, graph,
-                                                     updateable_fleet):
+    def test_fleet_apply_updates_bit_identical(self, graph,
+                                               updateable_fleet):
         spec, _servers = updateable_fleet
         changes = sample_weight_changes(graph, 3, seed=77, low=0.2,
                                         high=0.6)
@@ -348,7 +348,7 @@ class TestFleetUpdates:
         pairs = sample_query_pairs(graph.n, 120, seed=5)
         want = twin.index.estimate_many(pairs[:, 0], pairs[:, 1])
         with connect(spec) as session:
-            report = apply_updates_distributed(session, changes)
+            report = session.apply_updates(changes)
             assert report.mode == twin_report.mode
             assert report.epoch == twin_report.epoch
             assert session.epoch == twin_report.epoch
@@ -370,19 +370,11 @@ class TestFleetUpdates:
         want = twin.index.estimate_many(pairs[:, 0], pairs[:, 1])
         with connect(spec) as stale, connect(spec) as writer:
             before = stale.dist_many(pairs)  # pins the old router
-            report = apply_updates_distributed(writer, changes)
+            report = writer.apply_updates(changes)
             got = stale.dist_many(pairs)
             assert got.tolist() == want.tolist()
             assert stale.last_result_epoch == report.epoch
             assert not np.array_equal(before, got) or report.mode == "noop"
-
-    def test_apply_updates_distributed_wants_a_fleet(self, indexes):
-        with OracleServer(indexes["tz"]) as server:
-            host, port = server.serve("127.0.0.1:0", block=False)
-            with connect(f"tcp://{host}:{port}") as session:
-                with pytest.raises(ConfigError, match="cluster"):
-                    apply_updates_distributed(session, [])
-
 
     def test_scenario_oracle_over_a_fleet(self, graph):
         """The churn scenario runner drives a cluster:// endpoint
@@ -406,7 +398,7 @@ class TestFleetUpdates:
 # distributed construction
 # ----------------------------------------------------------------------
 class TestDistributedBuild:
-    @pytest.mark.parametrize("scheme", ["tz", "stretch3"])
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PARAMS))
     def test_blobs_byte_identical_to_restricted_full_build(self, graph,
                                                            scheme):
         params = SCHEME_PARAMS[scheme]
@@ -455,10 +447,36 @@ class TestDistributedBuild:
             for srv in servers:
                 srv.close()
 
-    def test_non_tz_scatter_needs_a_seed(self, graph):
-        with pytest.raises(ConfigError, match="seed"):
-            build_distributed(graph, "stretch3", num_hosts=2,
-                              num_shards=4, eps=0.4)
+    @pytest.mark.parametrize("scheme", ["stretch3", "cdg", "graceful"])
+    def test_scatter_shares_one_draw_without_a_seed(self, graph, scheme):
+        """The artifacts are sampled once and shipped, for every scheme:
+        handed the artifacts of seed 11, a seedless scatter gives the
+        blobs of ``seed=11`` (serial and process-pool); handed nothing,
+        its hosts still agree on the routing state every blob carries
+        in full — they plan a batch into the same requests."""
+        import pickle
+
+        from repro.oracle.schemes import get_scheme
+        from repro.oracle.serialization import load_index_bytes
+
+        params = SCHEME_PARAMS[scheme]
+        seeded = build_distributed(graph, scheme, num_hosts=2,
+                                   num_shards=SHARDS, seed=11, jobs=1,
+                                   **params)
+        artifacts = get_scheme(scheme).sample(graph, 11, params)
+        for jobs in (1, 2):
+            assert build_distributed(graph, scheme, num_hosts=2,
+                                     num_shards=SHARDS, seed=None,
+                                     jobs=jobs, **artifacts) == seeded
+        pairs = sample_query_pairs(graph.n, 64, seed=2)
+        blobs = build_distributed(graph, scheme, num_hosts=2,
+                                  num_shards=SHARDS, seed=None, jobs=1,
+                                  **params)
+        stores = [load_index_bytes(blob) for _, blob in blobs]
+        routing = {pickle.dumps((store.plan(pairs[:, 0], pairs[:, 1])[1],
+                                 store.pack_arrays().get("net_ids")))
+                   for store in stores}
+        assert len(routing) == 1
 
     def test_build_shard_range_validates(self, graph):
         with pytest.raises(ConfigError):

@@ -31,6 +31,84 @@ class TestRegistry:
         assert "15" in text and "0.25" in text
 
 
+#: scheme -> the build parameters of the rows below
+ROW_PARAMS = {"tz": {"k": 3}, "stretch3": {"eps": 0.8},
+              "cdg": {"eps": 0.8, "k": 2}, "graceful": {}}
+
+#: ``sha256(repr(sketches))[:20]`` of ``build_sketches(er_weighted,
+#: scheme, mode, seed=seed, **ROW_PARAMS[scheme])``, recorded on the
+#: per-scheme builders before the registry row replaced them
+GOLDEN = {
+    "tz/centralized/1": "e0322e24dbd7c0644905",
+    "tz/centralized/7": "326c40d293b2b970c05c",
+    "tz/distributed/1": "b934fe0313f05413f5c8",
+    "tz/distributed/7": "27fafe2dea9132c6eabc",
+    "stretch3/centralized/1": "4ba2fdda080dd95912dd",
+    "stretch3/centralized/7": "fcaf476a78a3aee198d6",
+    "stretch3/distributed/1": "1e513d7bc5262947055d",
+    "stretch3/distributed/7": "7981d6876f7b95dd94e9",
+    "cdg/centralized/1": "f8b6454cc07365f2c683",
+    "cdg/centralized/7": "db480e4c1447278e3c16",
+    "cdg/distributed/1": "420b6a9af32ce9c43cc7",
+    "cdg/distributed/7": "25d79683040444abf719",
+    "graceful/centralized/1": "2977e3f64a4c7b23b9b2",
+    "graceful/centralized/7": "089a5258faa8133fab0c",
+    "graceful/distributed/1": "76543258582559c6288c",
+    "graceful/distributed/7": "8f130e7122f66a9d824a",
+}
+
+
+class TestRegistryRow:
+    """A scheme is one registry row: ``sample`` draws its artifacts,
+    ``sketches`` is the per-owner function every build, repair and
+    shard-range build ends in."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_same_seed_same_bytes(self, er_weighted, key):
+        import hashlib
+
+        scheme, mode, seed = key.split("/")
+        built = build_sketches(er_weighted, scheme, mode, seed=int(seed),
+                               **ROW_PARAMS[scheme])
+        assert hashlib.sha256(repr(built.sketches).encode()
+                              ).hexdigest()[:20] == GOLDEN[key]
+
+    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    def test_sample_is_the_identity_on_its_output(self, er_weighted,
+                                                  scheme):
+        spec = get_scheme(scheme)
+        artifacts = spec.sample(er_weighted, 3, ROW_PARAMS[scheme])
+        again = spec.sample(er_weighted, None, artifacts)
+        assert all(again[key] is artifacts[key] for key in artifacts)
+        built = build_sketches(er_weighted, scheme, seed=3,
+                               **ROW_PARAMS[scheme])
+        assert built.sketches == spec.sketches(er_weighted, artifacts)
+        assert built.artifacts.keys() == artifacts.keys()
+
+    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    def test_owner_subset_equals_the_full_build(self, er_weighted, scheme):
+        """What repairs and shard-range builds rest on: an owner's
+        sketch does not depend on who else is being built."""
+        spec = get_scheme(scheme)
+        artifacts = spec.sample(er_weighted, 5, ROW_PARAMS[scheme])
+        full = spec.sketches(er_weighted, artifacts)
+        for owners in ([0], [7, 3, 30], list(range(er_weighted.n))):
+            assert spec.sketches(er_weighted, artifacts, owners) == \
+                [full[u] for u in owners]
+
+    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    def test_owner_subset_on_a_disconnected_graph(self, scheme):
+        from repro.graphs import Graph
+
+        # components {0, 1} and {2, 3, 4}; at n = 5 every sampled net
+        # is all of V, so each component holds a net member
+        g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
+        spec = get_scheme(scheme)
+        artifacts = spec.sample(g, 2, ROW_PARAMS[scheme])
+        full = spec.sketches(g, artifacts)
+        assert spec.sketches(g, artifacts, [4, 1]) == [full[4], full[1]]
+
+
 class TestBuildDispatch:
     def test_tz_requires_k(self, er_unit):
         with pytest.raises(ConfigError):

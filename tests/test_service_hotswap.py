@@ -295,6 +295,34 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
         server.close()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_phase_timings_accumulate_across_swaps(updateable, jobs):
+    """``stats()["phases"]`` is cumulative over the session: a hot swap
+    installs a new shard server, which keeps adding to the engine's one
+    set of counters — no counter ever steps back, whichever epoch's
+    server ran the batch — and ``reset_phase_timings`` still zeroes it."""
+    pairs = sample_query_pairs(updateable.graph.n, 64, seed=3)
+    with connect(f"inproc://jobs={jobs};cache=0", updateable) as session:
+        seen = [session.stats()["phases"]]
+        for i in range(EPOCHS):
+            for _ in range(5):
+                session.dist_many(pairs)
+            seen.append(session.stats()["phases"])
+            report = session.apply_updates(sample_weight_changes(
+                updateable.graph, 3, seed=900 + i, low=0.1, high=0.4))
+            assert report.mode != "noop"
+            seen.append(session.stats()["phases"])
+        session.dist_many(pairs)
+        seen.append(session.stats()["phases"])
+        assert session.epoch == EPOCHS
+        for before, after in zip(seen, seen[1:]):
+            assert all(after[name] >= before[name] for name in before)
+        assert seen[-1]["batches"] == 5 * EPOCHS + 1
+        assert seen[-1]["plan_seconds"] > seen[1]["plan_seconds"] > 0.0
+        _engine_of(session).reset_phase_timings()
+        assert set(session.stats()["phases"].values()) == {0}
+
+
 def test_noop_update_keeps_epoch_and_server(updateable):
     from repro.service.updates import EdgeChange
 

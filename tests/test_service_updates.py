@@ -353,9 +353,24 @@ class TestIndexRefresh:
 
 
 class TestBuiltSketchesUpdateable:
-    @pytest.mark.parametrize("scheme,params", [
-        ("tz", dict(k=2)), ("stretch3", dict(eps=0.4)),
-        ("cdg", dict(eps=0.4, k=2))])
+    SCHEMES = [("tz", dict(k=2)), ("stretch3", dict(eps=0.4)),
+               ("cdg", dict(eps=0.4, k=2)), ("graceful", dict())]
+
+    @pytest.mark.parametrize("scheme,params", SCHEMES)
+    def test_seeded_index_equals_seeded_build(self, er_weighted, scheme,
+                                              params):
+        """One ``sample`` per scheme: a seed means the same artifacts,
+        hence the same sketches, to ``UpdateableIndex`` and to
+        ``build_sketches`` (``repro serve --updateable --seed`` vs
+        ``repro build --seed``, the scenario oracle's twin)."""
+        from repro import build_sketches
+
+        for seed in (4, 5):
+            built = build_sketches(er_weighted, scheme, seed=seed, **params)
+            upd = UpdateableIndex(er_weighted, scheme, seed=seed, **params)
+            assert upd.sketches == built.sketches
+
+    @pytest.mark.parametrize("scheme,params", SCHEMES)
     def test_updateable_reuses_build(self, er_weighted, scheme, params):
         from repro import build_sketches
 
@@ -371,9 +386,6 @@ class TestBuiltSketchesUpdateable:
         with pytest.raises(ConfigError, match="centralized"):
             build_sketches(er_unit, scheme="tz", k=2, seed=1,
                            mode="distributed").updateable()
-        with pytest.raises(ConfigError, match="graceful"):
-            build_sketches(er_unit, scheme="graceful",
-                           seed=1).updateable()
 
 
 class TestRepairPolicies:
