@@ -39,11 +39,11 @@ The front door is :func:`~repro.service.client.connect`::
   whether it comes from sketches, a container, a shard restriction or
   an incremental refresh,
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
-  hosts over its one store (result cache, epoch pinning),
-* :class:`~repro.service.workers.ShardServer` — the local execution
-  plane: ``jobs=1`` answers a batch in the calling thread, ``jobs >
-  1`` in pair ranges on a persistent ``ThreadPoolExecutor`` here (the
-  numpy kernels release the GIL; nothing is copied or pickled),
+  hosts over its one store: the result cache, the hot swap (an epoch
+  is a store) and the local execution plane — ``jobs=1`` answers a
+  batch in the calling thread, ``jobs > 1`` in pair ranges on the one
+  thread pool the engine owns for its whole life (the numpy kernels
+  release the GIL; nothing is copied or pickled),
 * :mod:`repro.service.cluster` — the fleet subsystem:
   :class:`ClusterClient` scatters shard probes across N shard-range
   ``OracleServer`` hosts (``cluster://h1:p1,h2:p2`` endpoints) and
@@ -75,7 +75,7 @@ from repro.service.cluster import (ClusterClient, ClusterSpec,
                                    build_distributed, build_shard_range,
                                    even_ranges, loopback_fleet,
                                    run_cluster_benchmark)
-from repro.service.engine import CacheStats, QueryEngine
+from repro.service.engine import CacheStats, PhaseTimings, QueryEngine
 from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
                                  Stretch3Index, TZIndex, build_index,
                                  index_class_for, refresh_index,
@@ -91,7 +91,6 @@ from repro.service.updates import (EdgeChange, UpdateReport,
                                    UpdateableIndex, dirty_frontier,
                                    load_changes_jsonl, run_update_benchmark,
                                    sample_weight_changes, save_changes_jsonl)
-from repro.service.workers import PhaseTimings, ShardServer
 
 __all__ = [
     "ChurnEvent",
@@ -123,7 +122,6 @@ __all__ = [
     "PhaseTimings",
     "PipelineStats",
     "QueryEngine",
-    "ShardServer",
     "Stretch3Index",
     "TZIndex",
     "UpdateReport",

@@ -711,6 +711,8 @@ def connect(spec: str, source: Any = None, *,
     options = endpoint.options
     jobs = options.get("jobs", 1)
     if jobs < 1:
+        # the engine checks this too; here it fails a bad spec before
+        # the source is indexed
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cache = cache_size if cache_size is not None \
         else options.get("cache", 65536)

@@ -12,31 +12,48 @@ never a semantic one.
 
 A batch is parsed, copied into contiguous id columns and range-checked
 once, at this edge (:func:`~repro.service.index.pair_columns`); the
-result cache, the :class:`~repro.service.workers.ShardServer` and the
-store's ``_plan_checked`` take those columns as they are.  The server
-runs plan → answer → finish (in the calling thread for ``jobs=1``, cut
-into ``jobs`` pair ranges on a persistent thread pool above that) and
-accumulates the per-phase timings.  Answers stay bit-identical for
-every ``jobs`` value.  Call :meth:`~QueryEngine.close` (or use the
-engine as a context manager) to join the pool's threads.
+result cache and the store's ``_plan_checked`` take those columns as
+they are.  Every store answers a batch as ``plan`` → ``answer`` →
+``finish`` and a pair's answer depends on that pair only, so the engine
+runs that chain (:func:`_serve`) over the batch::
+
+    caller                          pool threads (jobs = J > 1)
+    ------                          ---------------------------
+    _start(store, us, vs) ─┬─ pairs [0, q/J)    ─▶ plan → answer → finish ─┐
+                           ├─ pairs [q/J, 2q/J) ─▶ plan → answer → finish ─┤
+                           └─ …                 ─▶ plan → answer → finish ─┤
+    _gather(ticket) ◀─────────── answers, concatenated in pair order ──────┘
+
+``jobs=1`` runs the chain once, in the calling thread.  ``jobs=J`` cuts
+the *batch* into J contiguous pair ranges, one task each on the engine's
+one thread pool: the chain is numpy-kernel work that releases the GIL,
+so the ranges overlap for real, and a task sees the caller's own store
+object — nothing is copied, pickled or attached.  The cut does not
+depend on the store's shard count: a shard is placement (what a fleet
+host owns), not a unit of local execution.  Any cut gives the same
+bytes, so answers are bit-identical for every ``jobs`` value; a
+:class:`~repro.errors.QueryError` for an unresolved pair is raised in
+the caller, exactly as in-process: the lowest failing range's, tagged
+with its row in the whole batch.  The pool is created once, lives as
+long as the engine and is joined by :meth:`~QueryEngine.close` (or the
+engine's context manager); the per-phase seconds accumulate in one
+:class:`PhaseTimings`.
 
 Callers do not build engines: :func:`repro.service.client.connect`
 (through :class:`~repro.service.server.OracleServer`) normalises
 whatever it is given to a store and constructs the engine over it.
 
-**Epochs.**  Given the live
-:class:`~repro.service.updates.UpdateableIndex` behind the store
-(``updateable=``), :meth:`QueryEngine.apply_updates` hot-swaps epochs:
-the next epoch's store (and, for ``jobs > 1``, its thread pool) is
-prepared while traffic continues, the swap is one pointer flip under
-the engine lock, and in-flight batches finish on the epoch they started
-on (the old server is closed only once no batch is still handing it
-work; a streamed batch already submitted is collected from its
-ticket, which needs no executor).  Every batch — a ``dist_many`` call
-or one batch of a ``dist_stream`` — is served by exactly one epoch, the
-one current when it was submitted: no torn reads.  The result cache is
-epoch-stamped: it is cleared at the swap, and a stale batch's
-write-backs are dropped.
+**Epochs.**  An epoch is a store.  Given the live
+:class:`~repro.service.updates.UpdateableIndex` behind it
+(``updateable=``), :meth:`QueryEngine.apply_updates` prepares the next
+epoch's store while traffic continues and swaps ``(store, epoch)`` in
+under the engine lock.  Stores are immutable and a batch — a
+``dist_many`` call or one batch of a ``dist_stream`` — reads that pair
+once, when it is submitted; its ticket and its pool tasks hold the store
+from then on, so it is answered wholly by that epoch whatever swaps
+land before it is collected: no torn reads, and nothing to pin or
+release.  The result cache is epoch-stamped: it is cleared at the swap,
+and a stale batch's write-backs are dropped.
 
 The result cache (:class:`_ResultCache`, a set-associative table of
 numpy columns probed once per batch) keys on the *ordered* pair
@@ -51,15 +68,95 @@ keep can change the cost of an answer and never the answer.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError
 from repro.service.index import IndexStore, pair_columns
 from repro.service.session import stream_window
-from repro.service.workers import STREAM_DEPTH, ShardServer
+
+#: pool threads carry this name prefix so tests (and operators reading a
+#: stack dump) can tell them from handler threads — and assert none
+#: outlive their engine
+THREAD_POOL_PREFIX = "repro-shard"
+
+#: batches a local stream keeps submitted: double buffering — batch
+#: *k+1* is cut and queued while batch *k*'s ranges run
+STREAM_DEPTH = 2
+
+
+@dataclass
+class PhaseTimings:
+    """Cumulative per-phase wall time across the batches an engine ran.
+
+    ``plan`` / ``shard_answer`` / ``finish`` are the seconds in the
+    store's three steps, summed over a batch's pair ranges (one
+    in-thread, J on the pool); ``kernel`` is the per-batch **critical
+    path** of ``answer``, the slowest range's seconds — equal to
+    ``shard_answer`` at ``jobs=1``, ``≈ shard_answer / J`` for J
+    balanced ranges.  ``ipc`` is the pool's dispatch overhead: the wall
+    time from submit until the last range *ended*, minus the slowest
+    range's own three steps (0 in-thread, by construction) — what the
+    caller does between submitting a batch and collecting it is not in
+    it.  ``overlap`` is the double-buffering win of a ``dist_stream``:
+    caller-side seconds — batch *k+1*'s submit — spent while batch
+    *k*'s ranges were in flight.
+
+    One instance serves an engine for its whole life, hot swaps
+    included, and dispatch is re-entrant, so several handler threads
+    can be accumulating at once: every update and :meth:`reset` holds
+    :attr:`lock`.
+    """
+
+    plan: float = 0.0
+    shard_answer: float = 0.0
+    finish: float = 0.0
+    ipc: float = 0.0
+    overlap: float = 0.0
+    kernel: float = 0.0
+    batches: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock,
+                                 repr=False, compare=False)
+
+    def reset(self) -> None:
+        """Zero every counter, in place."""
+        with self.lock:
+            self.plan = self.shard_answer = self.finish = 0.0
+            self.ipc = self.overlap = self.kernel = 0.0
+            self.batches = 0
+
+    def as_dict(self) -> dict:
+        return {"plan_seconds": self.plan,
+                "shard_answer_seconds": self.shard_answer,
+                "finish_seconds": self.finish,
+                "ipc_seconds": self.ipc,
+                "overlap_seconds": self.overlap,
+                "kernel_seconds": self.kernel,
+                "batches": self.batches}
+
+
+def _serve(index: IndexStore, us: np.ndarray, vs: np.ndarray,
+           start: int = 0) -> tuple:
+    """plan → answer → finish on ``index`` for the pairs from batch row
+    ``start`` on: ``(answers, plan s, answer s, finish s, end stamp)``,
+    the answers replaced by the :class:`QueryError` (its ``row`` counted
+    in the whole batch) when a pair is unresolved."""
+    t0 = time.perf_counter()
+    state, requests = index._plan_checked(us, vs)
+    t1 = time.perf_counter()
+    responses = index.answer(range(len(requests)), requests)
+    t2 = time.perf_counter()
+    try:
+        out = index.finish(state, responses)
+    except QueryError as exc:
+        exc.row += start
+        out = exc
+    t3 = time.perf_counter()
+    return out, t1 - t0, t2 - t1, t3 - t2, t3
 
 
 @dataclass
@@ -201,7 +298,8 @@ class QueryEngine:
         bytes each; set-associative, LRU within a set); ``0`` disables
         caching.
     :param jobs: threads a batch is cut across (``1`` = answer in the
-        calling thread), whatever the store's shard count.
+        calling thread), whatever the store's shard count; above 1 the
+        engine owns a pool of that many threads until :meth:`close`.
     :raises ConfigError: on a negative cache size or ``jobs < 1``.
     """
 
@@ -214,30 +312,30 @@ class QueryEngine:
         self.n = index.n
         self.cache_size = int(cache_size)
         self.jobs = int(jobs)
-        self.index = index
-        self._server = ShardServer(index, jobs=self.jobs)
-        # epoch bookkeeping: dist_many snapshots (epoch, server) under
-        # the lock, and a retired epoch's server is closed only once its
-        # last in-flight batch drains
+        # (index, epoch) are read and swapped together, under the lock
         self._lock = threading.Lock()
+        self.index = index
         self._updateable = updateable
         # a live index and its engine share one epoch clock
         self.epoch = updateable.epoch if updateable is not None else 0
-        self._active: dict[int, int] = {}
-        self._retired: dict[int, ShardServer] = {}
         self._cache = _ResultCache(self.cache_size) if cache_size else None
         self.stats = CacheStats()
+        self._timings = PhaseTimings()
+        # same address space: a task probes the caller's own store
+        # object — no initializer, no data movement
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.jobs, thread_name_prefix=THREAD_POOL_PREFIX,
+        ) if self.jobs > 1 else None
 
-    # ------------------------------------------------------------------
-    # epoch bookkeeping
     # ------------------------------------------------------------------
     def index_snapshot(self) -> tuple[IndexStore, int]:
         """The ``(store, epoch)`` pair currently serving, read
         atomically — a hot swap installs both under the same lock, so
         the pair is always consistent, and stores are never mutated, so
         the returned store stays valid even after a subsequent swap
-        (how the transport layer labels an index blob with the epoch
-        that actually produced it)."""
+        (how a batch stays on the epoch it started on, and how the
+        transport layer labels an index blob with the epoch that
+        actually produced it)."""
         with self._lock:
             return self.index, self.epoch
 
@@ -256,24 +354,51 @@ class QueryEngine:
         index, epoch = self.index_snapshot()
         return tuple(index.answer([int(s) for s in shards], requests)), epoch
 
-    def _acquire_epoch(self) -> tuple[int, ShardServer]:
-        """Pin the current epoch for one batch (it will be served wholly
-        by this epoch's server, even if a swap lands mid-flight)."""
-        with self._lock:
-            epoch, server = self.epoch, self._server
-            self._active[epoch] = self._active.get(epoch, 0) + 1
-            return epoch, server
+    # ------------------------------------------------------------------
+    # execution: the start/gather pair over one store
+    # ------------------------------------------------------------------
+    def _start(self, index: IndexStore, us: np.ndarray, vs: np.ndarray,
+               ) -> tuple:
+        """Start one non-empty batch of **validated** id columns on
+        ``index``; returns the ticket for :meth:`_gather`.  The pool
+        gets ``jobs`` contiguous ranges, one task each; in-thread the
+        work is deferred to gather time — nothing to overlap.  The
+        ticket holds the store, so the batch is that epoch's whatever
+        is swapped in before it is gathered."""
+        pool = self._pool
+        if pool is None:
+            return None, (index, us, vs)
+        q = us.shape[0]
+        cuts = [q * j // self.jobs for j in range(self.jobs + 1)]
+        t_submit = time.perf_counter()
+        return t_submit, [pool.submit(_serve, index, us[a:b], vs[a:b], a)
+                          for a, b in zip(cuts, cuts[1:]) if a < b]
 
-    def _release_epoch(self, epoch: int) -> None:
-        with self._lock:
-            self._active[epoch] -= 1
-            drained = (self._active[epoch] == 0
-                       and epoch in self._retired)
-            server = self._retired.pop(epoch) if drained else None
-            if drained:
-                del self._active[epoch]
-        if server is not None:
-            server.close()
+    def _gather(self, ticket: tuple) -> np.ndarray:
+        """Collect one started batch's ranges, in pair order.
+
+        :raises QueryError: the lowest unresolved row's, as in-process.
+        """
+        t_submit, work = ticket
+        if t_submit is None:
+            parts = [_serve(*work)]
+        else:
+            parts = [task.result() for task in work]
+        outs, plan, kernel, finish, end = zip(*parts)
+        tm = self._timings
+        with tm.lock:
+            tm.plan += sum(plan)
+            tm.shard_answer += sum(kernel)
+            tm.finish += sum(finish)
+            tm.kernel += max(kernel)  # the critical path
+            if t_submit is not None:
+                tm.ipc += max(0.0, max(end) - t_submit - max(
+                    map(sum, zip(plan, kernel, finish))))
+            tm.batches += 1
+        for out in outs:
+            if isinstance(out, QueryError):
+                raise out
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     @property
     def cache_entries(self) -> int:
@@ -283,7 +408,7 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
-        """One estimate, through the cache and the shard server."""
+        """One estimate, through the cache and the store."""
         return float(self.dist_many([(u, v)])[0])
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
@@ -292,12 +417,13 @@ class QueryEngine:
 
         Accepts any iterable of pairs or a ``(Q, 2)`` integer array;
         returns a float64 array of length Q.  Cached answers are reused;
-        the misses are computed in one vectorized pass (fanned across the
-        shard threads when the engine was built with ``jobs > 1``).
+        the misses are computed in one vectorized pass (cut across the
+        pool's threads when the engine was built with ``jobs > 1``).
 
         The whole batch is answered by one epoch: the serving store is
-        pinned at batch start, and a concurrent :meth:`apply_updates`
-        only affects batches issued after its swap.
+        read once, at batch start, and a concurrent
+        :meth:`apply_updates` only affects batches issued after its
+        swap.
         """
         return self.dist_many_pinned(pairs)[0]
 
@@ -317,38 +443,34 @@ class QueryEngine:
         q = us.shape[0]
         if q == 0:
             return np.empty(0, dtype=np.float64), self.epoch
-        epoch, server = self._acquire_epoch()
-        try:
-            if self.cache_size == 0:
-                return server.collect(server.submit(us, vs)), epoch
+        index, epoch = self.index_snapshot()
+        cache = self._cache
+        if cache is None:
+            return self._gather(self._start(index, us, vs)), epoch
 
-            cache = self._cache
-            keys = us * self.n + vs
-            sets = cache.set_of(keys)
-            out = np.empty(q, dtype=np.float64)
+        keys = us * self.n + vs
+        sets = cache.set_of(keys)
+        out = np.empty(q, dtype=np.float64)
+        with self._lock:
+            # a batch that started on a since-replaced epoch must not
+            # read the new epoch's cache — hits are epoch-guarded just
+            # like the write-backs below, or one batch could mix epochs
+            if epoch == self.epoch and cache.entries:
+                miss = np.flatnonzero(~cache.probe(keys, sets, out))
+            else:
+                miss = np.arange(q)
+            self.stats.hits += q - miss.size
+            self.stats.misses += miss.size
+        if miss.size:
+            keys, sets = keys[miss], sets[miss]
+            vals = self._gather(self._start(index, us[miss], vs[miss]))
+            out[miss] = vals
             with self._lock:
-                # a batch pinned to a retired epoch must not read the
-                # new epoch's cache — hits are epoch-guarded just like
-                # the write-backs below, or one batch could mix epochs
-                if epoch == self.epoch and cache.entries:
-                    miss = np.flatnonzero(~cache.probe(keys, sets, out))
-                else:
-                    miss = np.arange(q)
-                self.stats.hits += q - miss.size
-                self.stats.misses += miss.size
-            if miss.size:
-                keys, sets = keys[miss], sets[miss]
-                vals = server.collect(server.submit(us[miss], vs[miss]))
-                out[miss] = vals
-                with self._lock:
-                    # epoch-stamped write-back: a batch that started
-                    # before a swap must not poison the new epoch's cache
-                    if epoch == self.epoch:
-                        self.stats.evictions += cache.insert(keys, sets,
-                                                             vals)
-            return out, epoch
-        finally:
-            self._release_epoch(epoch)
+                # epoch-stamped write-back: a batch that started
+                # before a swap must not poison the new epoch's cache
+                if epoch == self.epoch:
+                    self.stats.evictions += cache.insert(keys, sets, vals)
+        return out, epoch
 
     # ------------------------------------------------------------------
     # streaming: the submit/collect pair (see repro.service.session)
@@ -356,25 +478,20 @@ class QueryEngine:
     def _submit(self, pairs) -> Optional[tuple]:
         """Start one cache-bypassing batch on the epoch current right
         now; returns the ticket for :meth:`_collect` (``None`` when
-        empty).  The epoch is pinned only while its server is handed
-        the batch: collecting a ticket needs no executor, so an
-        outstanding one never keeps a retired epoch's server alive."""
+        empty)."""
         us, vs = pair_columns(pairs, self.n)
         if us.shape[0] == 0:
             return None
-        epoch, server = self._acquire_epoch()
-        try:
-            return epoch, server, server.submit(us, vs)
-        finally:
-            self._release_epoch(epoch)
+        index, epoch = self.index_snapshot()
+        return self._start(index, us, vs), epoch
 
     def _collect(self, ticket: Optional[tuple]) -> tuple[np.ndarray, int]:
         """Finish one submitted batch — ``(answers, epoch)``, the epoch
         being the one that was current at submit."""
         if ticket is None:
             return np.empty(0, dtype=np.float64), self.epoch
-        epoch, server, inner = ticket
-        return server.collect(inner), epoch
+        started, epoch = ticket
+        return self._gather(started), epoch
 
     def dist_stream(self, batches: Iterable) -> Iterator[np.ndarray]:
         """Pipelined batched serving: a generator over an iterable of
@@ -399,13 +516,18 @@ class QueryEngine:
                            ) -> Iterator[tuple[np.ndarray, int]]:
         """:meth:`dist_stream` plus each batch's pin — yields
         ``(answers, epoch)``, the epoch current at that batch's submit
-        (a concurrent :meth:`apply_updates` may since have retired it)."""
+        (a concurrent :meth:`apply_updates` may since have replaced
+        it)."""
         return stream_window(batches, self._submit, self._collect,
                              STREAM_DEPTH, stats=self)
 
     def note_submit(self, inflight: int, seconds: float) -> None:
-        """Window telemetry, passed on to the serving shard server."""
-        self._server.note_submit(inflight, seconds)
+        """Window telemetry: a batch's cut + dispatch took ``seconds``
+        with ``inflight`` earlier batches' ranges on the pool (an
+        in-thread "submit" defers the compute: it overlaps nothing)."""
+        if inflight and self._pool is not None:
+            with self._timings.lock:
+                self._timings.overlap += seconds
 
     def note_reply(self, seconds: float) -> None:
         """Per-batch latencies are a session-side number."""
@@ -416,10 +538,10 @@ class QueryEngine:
         :class:`~repro.service.updates.UpdateableIndex` and hot-swap to
         the new epoch's store.
 
-        The next epoch's server (and its thread pool) is built *before*
-        the swap, so traffic never pauses; in-flight batches complete on
-        the old epoch, whose server is closed when its last batch drains.
-        The result cache is cleared — cached answers are per-epoch.
+        The next epoch's store is built while traffic continues; the
+        swap installs ``(store, epoch)`` and clears the result cache —
+        cached answers are per-epoch — under the engine lock.  Batches
+        already submitted finish on the store they hold.
 
         :returns: the :class:`~repro.service.updates.UpdateReport`.
         :raises ConfigError: for an engine over a static index.
@@ -430,35 +552,23 @@ class QueryEngine:
                 "server hosts a static one; serve an UpdateableIndex "
                 "(`repro serve GRAPH --updateable`)")
         report = self._updateable.apply(changes)
-        if report.mode == "noop":
-            return report
-        new_server = ShardServer(self._updateable.index, jobs=self.jobs,
-                                 timings=self._server.timings)
-        with self._lock:
-            old_epoch, old_server = self.epoch, self._server
-            self._server = new_server
-            self.index = new_server.index
-            self.epoch = report.epoch  # the updateable's clock
-            if self._cache is not None:
-                self._cache.clear()
-            drained = self._active.get(old_epoch, 0) == 0
-            if drained:
-                self._active.pop(old_epoch, None)
-            else:
-                self._retired[old_epoch] = old_server
-        if drained:
-            old_server.close()
+        if report.mode != "noop":
+            with self._lock:
+                self.index = self._updateable.index
+                self.epoch = report.epoch  # the updateable's clock
+                if self._cache is not None:
+                    self._cache.clear()
         return report
 
     # ------------------------------------------------------------------
     def phase_timings(self) -> dict:
         """Cumulative plan/shard_answer/finish/ipc seconds over every
         epoch this engine has served — a hot swap does not restart them."""
-        return self._server.timings.as_dict()
+        return self._timings.as_dict()
 
     def reset_phase_timings(self) -> None:
         """Zero the per-phase counters."""
-        self._server.reset_timings()
+        self._timings.reset()
 
     def clear_cache(self) -> None:
         """Drop all cached results and reset the hit/miss counters."""
@@ -468,14 +578,12 @@ class QueryEngine:
             self.stats = CacheStats()
 
     def close(self) -> None:
-        """Shut the shard server down — joining its threads — plus any
-        retired epochs' servers (idempotent)."""
-        with self._lock:
-            servers = list(self._retired.values())
-            self._retired.clear()
-            servers.append(self._server)
-        for server in servers:
-            server.close()
+        """Join the pool's threads (idempotent); ranges already
+        submitted run to their end first.  A closed engine still
+        answers, in the calling thread."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryEngine":
         return self

@@ -438,8 +438,7 @@ class TZIndex(_BaseIndex):
     :param num_shards: number of landmark shards (``>= 1``).  Answers are
         independent of the shard count; it only changes the order of the
         bunch table's rows (and the unit of placement: what a fleet host
-        owns, what a :class:`~repro.service.workers.ShardServer` thread
-        is handed).
+        owns).
     :raises ConfigError: on an empty set, a non-TZ sketch, mixed ``k``,
         or ``num_shards < 1``.
     """
@@ -881,20 +880,6 @@ class TZIndex(_BaseIndex):
         level)`` tuples."""
         return zip(*(col.tolist() for col in self.entry_columns()))
 
-    def _to_sketches(self) -> list[TZSketch]:
-        """Invert the build: the per-node sketch set this index stores
-        (exact — every pivot and bunch entry round-trips bitwise)."""
-        owner, *cols = self.entry_columns()
-        landmark, dist, level = (col.tolist() for col in cols)
-        cut = np.searchsorted(owner, np.arange(self.n + 1)).tolist()
-        pivot_ids, pivot_dists = (self.pivot_ids.tolist(),
-                                  self.pivot_dists.tolist())
-        return [TZSketch(node=u, k=self.k,
-                         pivots=tuple(zip(pivot_ids[u], pivot_dists[u])),
-                         bunch=dict(zip(landmark[a:b],
-                                        zip(dist[a:b], level[a:b]))))
-                for u, (a, b) in enumerate(zip(cut[:-1], cut[1:]))]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TZIndex):
             return NotImplemented
@@ -1099,9 +1084,8 @@ class CDGIndex(_BaseIndex):
     ``d''`` is the TZ estimate between the gateways' labels.  The store
     keeps the gateway pairs in flat arrays and the labels — remapped onto
     a compact 0-based universe — in a :class:`TZIndex`, so a batch is two
-    gathers around one TZ sub-batch.  Sharding (and hence the
-    :class:`~repro.service.workers.ShardServer` decomposition) is
-    delegated to the sub-index.
+    gathers around one TZ sub-batch.  Sharding is delegated to the
+    sub-index.
 
     :param sketches: one :class:`~repro.slack.cdg.CDGSketch` per node,
         indexed by node ID.

@@ -105,7 +105,8 @@ class OracleServer:
 
     :param jobs: threads a batch is cut across (``1`` = answer in the
         calling thread) — exactly
-        :class:`~repro.service.workers.ShardServer`'s knob.
+        :class:`~repro.service.engine.QueryEngine`'s knob, validated
+        there.
     :param num_shards: landmark shard count when building from
         sketches (default 1: shards are what a fleet's hosts divide,
         not a unit of local work); must match (or be omitted for) a

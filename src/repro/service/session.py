@@ -2,16 +2,15 @@
 
 A serving session owes its caller one thing per batch — an answer
 computed wholly from *one* epoch's sketches, delivered in order —
-wherever the shards sit.  So every session kind (a
-:class:`~repro.service.workers.ShardServer`, the engine, the tcp
+wherever the shards sit.  So every session kind (the engine, the tcp
 client, the fleet client) supplies only a pair::
 
     submit(batch)   -> ticket            # start the batch; None = empty
     collect(ticket) -> result            # gather it: (answers, epoch)
 
 and what surrounds the pair exists once, here: :func:`stream_window`,
-the bounded in-order window every ``dist_stream`` / ``estimate_stream``
-runs on, and :class:`SessionClock`, a session's epochs and telemetry.
+the bounded in-order window every ``dist_stream`` runs on, and
+:class:`SessionClock`, a session's epochs and telemetry.
 
 **The pin rule** follows from the pair: a batch is answered wholly by
 the epoch that was current when it was *submitted*, ``collect`` names
@@ -168,7 +167,7 @@ class PipelineStats:
 
     ``overlap_seconds`` is the submit-side time (encode + send) spent
     while at least one earlier request was still in flight — the wire
-    analogue of :attr:`~repro.service.workers.PhaseTimings.overlap`;
+    analogue of :attr:`~repro.service.engine.PhaseTimings.overlap`;
     sequential one-in-flight serving leaves it 0.  ``latencies`` holds
     one submit-to-reply second count per streamed batch (what the E18
     load generator turns into p50/p99); past :data:`MAX_SAMPLES`

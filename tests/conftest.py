@@ -95,6 +95,33 @@ def er_weighted_S(er_weighted) -> int:
     return shortest_path_diameter(er_weighted)
 
 
+def _serving_leftovers() -> list[str]:
+    """What a closed server must not leave behind: engine pool threads,
+    tcp handler and IO-loop threads, child processes."""
+    import multiprocessing
+    import threading
+
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(("repro-shard", "oracle-handler",
+                                  "oracle-io"))
+            ] + [repr(p) for p in multiprocessing.active_children()]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_thread_outlives_its_server():
+    """Every suite is held to it: when a test module is done, nothing
+    its servers started is still alive."""
+    yield
+    assert _serving_leftovers() == []
+
+
+@pytest.fixture
+def serving_leftovers():
+    """The leak check itself, for a test that asserts it mid-way (right
+    after a ``close()``): ``assert serving_leftovers() == []``."""
+    return _serving_leftovers
+
+
 @pytest.fixture
 def timing_gate():
     """Gate for wall-clock assertions that need real parallel hardware.

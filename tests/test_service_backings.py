@@ -23,7 +23,7 @@ from repro.oracle.serialization import (index_binary_bytes,
                                         load_index_binary, load_index_bytes,
                                         save_index_binary)
 from repro.service import (
-    ShardServer,
+    QueryEngine,
     build_index,
     connect,
     sample_query_pairs,
@@ -157,23 +157,23 @@ class TestServerMemoryModes:
         pairs = sample_query_pairs(index.n, 150, seed=7)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
         store = _rpix_store(index, tmp_path, memory)
-        with ShardServer(store, jobs=1) as srv:
-            assert srv.index is store  # served as given, never re-packed
-            got = srv.estimate_many(pairs[:, 0], pairs[:, 1])
+        with QueryEngine(store, cache_size=0, jobs=1) as engine:
+            assert engine.index is store  # served as given, never re-packed
+            got = engine.dist_many(pairs)
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("memory", BACKINGS)
     def test_worker_pool_identity(self, built_sets, memory, tmp_path):
-        """4 shard threads over either load mode produce the jobs=1
+        """4 pool threads over either load mode produce the jobs=1
         bytes, across repeated batches."""
         index = build_index(built_sets["tz"], num_shards=4)
         pairs = sample_query_pairs(index.n, 400, seed=9)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
-        with ShardServer(_rpix_store(index, tmp_path, memory),
-                         jobs=4) as srv:
-            first = srv.estimate_many(pairs[:, 0], pairs[:, 1])
-            again = srv.estimate_many(pairs[:, 0], pairs[:, 1])
-            small = srv.estimate_many(pairs[:7, 0], pairs[:7, 1])
+        with QueryEngine(_rpix_store(index, tmp_path, memory),
+                         cache_size=0, jobs=4) as engine:
+            first = engine.dist_many(pairs)
+            again = engine.dist_many(pairs)
+            small = engine.dist_many(pairs[:7])
         assert first.tolist() == want.tolist()
         assert again.tolist() == want.tolist()
         assert small.tolist() == want[:7].tolist()
@@ -183,12 +183,11 @@ class TestServerMemoryModes:
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
         store = _rpix_store(build_index(sketches, num_shards=2), tmp_path,
                             "mmap")
-        with ShardServer(store, jobs=2) as srv:
+        with QueryEngine(store, cache_size=0, jobs=2) as engine:
             with pytest.raises(QueryError):
-                srv.estimate_many(np.asarray([0]), np.asarray([4]))
+                engine.dist_many([(0, 4)])
             # the pool survives the error and keeps serving
-            assert srv.estimate_many(np.asarray([2]), np.asarray([4])
-                                     ).tolist() == [2.0]
+            assert engine.dist_many([(2, 4)]).tolist() == [2.0]
 
     def test_engine_memory_modes_identical(self, built_sets, tmp_path):
         sketches = built_sets["stretch3"]
@@ -203,15 +202,15 @@ class TestServerMemoryModes:
 
     def test_phase_timings_accumulate_and_reset(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
-        with ShardServer(index, jobs=1) as srv:
-            pairs = sample_query_pairs(index.n, 100, seed=1)
-            srv.estimate_many(pairs[:, 0], pairs[:, 1])
-            t = srv.timings
-            assert t.batches == 1
-            assert t.plan > 0.0 and t.shard_answer > 0.0 and t.finish > 0.0
-            assert t.ipc == 0.0  # in-thread: no dispatch
-            srv.reset_timings()
-            assert srv.timings.batches == 0
+        with QueryEngine(index, cache_size=0, jobs=1) as engine:
+            engine.dist_many(sample_query_pairs(index.n, 100, seed=1))
+            t = engine.phase_timings()
+            assert t["batches"] == 1
+            assert min(t["plan_seconds"], t["shard_answer_seconds"],
+                       t["finish_seconds"]) > 0.0
+            assert t["ipc_seconds"] == 0.0  # in-thread: no dispatch
+            engine.reset_phase_timings()
+            assert engine.phase_timings()["batches"] == 0
 
 
 class TestBackingProperty:

@@ -2,18 +2,19 @@
 
 The contract: a batch issued mid-update completes against **exactly one
 epoch** — it either sees the whole old index or the whole new one, never
-a torn mix — for in-thread serving (``jobs=1``) and shard threads
-(``jobs=4``).  The old epoch's server (and its thread pool) is released
-once its last in-flight batch drains, so repeated updates cannot leak
-threads — and nothing here ever starts a process.
+a torn mix — for in-thread serving (``jobs=1``) and pool threads
+(``jobs=4``).  An epoch is a store: the engine's one thread pool serves
+every epoch, so at no moment — mid-swap included — are more than
+``jobs`` of its threads alive, a batch submitted before a swap is still
+answered with the old epoch's bytes, and ``close()`` leaves none.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,20 +23,41 @@ from repro.errors import ConfigError
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, UpdateableIndex, connect,
                            sample_query_pairs, sample_weight_changes)
-from repro.service.workers import THREAD_POOL_PREFIX
+from repro.service.engine import THREAD_POOL_PREFIX
 
 EPOCHS = 3
 
 
 def _engine_of(session):
-    """The engine behind an ``inproc://`` session (white-box asserts)."""
+    """The engine behind an ``inproc://`` session."""
     return session._transport._server._engine
 
 
-def _assert_nothing_left_running():
-    assert [t.name for t in threading.enumerate()
-            if t.name.startswith(THREAD_POOL_PREFIX)] == []
-    assert multiprocessing.active_children() == []
+def _pool_threads() -> int:
+    return sum(t.name.startswith(THREAD_POOL_PREFIX)
+               for t in threading.enumerate())
+
+
+@contextmanager
+def pool_thread_peak():
+    """Sample the live ``repro-shard*`` thread count for as long as the
+    block runs — every half millisecond, so mid-swap too — and yield a
+    one-item list holding the most seen at any sample point."""
+    peak, done = [0], threading.Event()
+
+    def sample():
+        while not done.is_set():
+            peak[0] = max(peak[0], _pool_threads())
+            done.wait(0.0005)
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        yield peak
+    finally:
+        done.set()
+        sampler.join()
+        peak[0] = max(peak[0], _pool_threads())
 
 
 @pytest.fixture()
@@ -60,7 +82,8 @@ def _epoch_references(updateable, pairs):
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
+def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs,
+                                                 serving_leftovers):
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 400, seed=3)
     # replay on a twin to learn each epoch's expected answers up front
@@ -71,7 +94,6 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
     assert len(ref_bytes) == EPOCHS + 1  # every epoch answers differently
 
     session = connect(f"inproc://jobs={jobs};cache=0", updateable)
-    engine = _engine_of(session)
     results: list[bytes] = []
     stop = threading.Event()
     failures: list[Exception] = []
@@ -86,14 +108,16 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
 
     try:
         thread = threading.Thread(target=hammer)
-        thread.start()
-        servers = [engine._server]
-        for changes in batches:
-            report = session.apply_updates(changes)
-            assert report.mode in ("repair", "rebuild")
-            servers.append(engine._server)
-        stop.set()
-        thread.join()
+        with pool_thread_peak() as peak:
+            thread.start()
+            for changes in batches:
+                before = len(results)
+                while len(results) < before + 3 and not failures:
+                    time.sleep(0.001)  # every epoch serves some batches
+                report = session.apply_updates(changes)
+                assert report.mode in ("repair", "rebuild")
+            stop.set()
+            thread.join()
         assert not failures, failures[0]
         # every mid-flight batch matched one epoch wholesale
         assert results, "hammer thread never completed a batch"
@@ -102,29 +126,24 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs):
         # after the last swap the session serves the final epoch
         assert session.epoch == EPOCHS
         assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
-        # each epoch got a server of its own, over that epoch's store
-        assert len({id(srv) for srv in servers}) == EPOCHS + 1
-        assert servers[-1].index is updateable.index
-        # retired epochs drained: their executors are shut down, and the
-        # threads still alive fit the one live server
-        assert not engine._retired
-        assert all(srv._executor is None for srv in servers[:-1])
-        alive = [t for t in threading.enumerate()
-                 if t.name.startswith(THREAD_POOL_PREFIX)]
-        assert len(alive) <= (jobs if jobs > 1 else 0)
+        assert _engine_of(session).index is updateable.index
+        # one pool served every epoch: never more than ``jobs`` of its
+        # threads at any sample point, swaps included
+        assert peak[0] <= (jobs if jobs > 1 else 0)
+        assert (peak[0] > 0) == (jobs > 1)
     finally:
         stop.set()
         session.close()
-    _assert_nothing_left_running()
+    assert serving_leftovers() == []
 
 
 def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
-        updateable):
+        updateable, serving_leftovers):
     """``jobs=4`` epoch swaps are torn-read-free per batch: every chunk
     of a concurrent ``dist_stream`` is wholly one epoch's answer (the
     epoch current when that chunk was submitted — a stream is not
-    pinned as a whole), and retiring an epoch shuts its executor down
-    (no leaked ``repro-shard`` threads)."""
+    pinned as a whole), on never more than four ``repro-shard``
+    threads, none of which outlives the session."""
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 400, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
@@ -136,7 +155,6 @@ def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
     assert all(len(slices) == EPOCHS + 1 for slices in ref_slices)
 
     session = connect("inproc://jobs=4;cache=0", updateable)
-    engine = _engine_of(session)
     chunks = [pairs[lo:hi] for lo, hi in bounds]
     streams = 0
     stop = threading.Event()
@@ -155,29 +173,31 @@ def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
 
     try:
         thread = threading.Thread(target=hammer)
-        thread.start()
-        for changes in batches:
-            report = session.apply_updates(changes)
-            assert report.mode in ("repair", "rebuild")
-        stop.set()
-        thread.join(timeout=60.0)
+        with pool_thread_peak() as peak:
+            thread.start()
+            for changes in batches:
+                report = session.apply_updates(changes)
+                assert report.mode in ("repair", "rebuild")
+            stop.set()
+            thread.join(timeout=60.0)
         assert not thread.is_alive()
         assert not failures, failures[0]
         assert streams, "hammer thread never completed a stream"
         assert session.epoch == EPOCHS
         assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
-        assert not engine._retired  # old epochs (and executors) drained
+        assert 0 < peak[0] <= 4
     finally:
         stop.set()
         session.close()
-    _assert_nothing_left_running()
+    assert serving_leftovers() == []
 
 
-def test_suspended_stream_does_not_keep_a_retired_executor_alive(updateable):
-    """A stream left suspended with a batch in flight pins nothing: a
-    hot swap retires the old epoch's server and joins its executor at
-    once, and the in-flight batch is still collected — from its ticket
-    — as the old epoch's answer."""
+def test_suspended_stream_does_not_keep_a_retired_executor_alive(
+        updateable, serving_leftovers):
+    """A stream left suspended with a batch in flight pins nothing — no
+    second pool exists for it to keep alive — and does not hold the
+    swap up; the in-flight batch is still collected — its ticket holds
+    the old store — as the old epoch's answer."""
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 300, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
@@ -186,20 +206,18 @@ def test_suspended_stream_does_not_keep_a_retired_executor_alive(updateable):
     chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
     with connect("inproc://jobs=4;cache=0", updateable) as session:
         engine = _engine_of(session)
-        old_server = engine._server
+        old_store = engine.index
         stream = session.dist_stream(iter(chunks))
         assert next(stream).tobytes() == refs[0][:100].tobytes()
         # suspended: chunk 1 is submitted to epoch 0 and uncollected
         session.apply_updates(batches[0])
-        assert not engine._retired and not engine._active
-        assert old_server._executor is None
-        # the new epoch's pool starts its threads at its first batch
-        _assert_nothing_left_running()
+        assert engine.index is updateable.index is not old_store
+        assert 0 < _pool_threads() <= 4  # the same pool, still up
         assert next(stream).tobytes() == refs[0][100:200].tobytes()
         assert session.last_result_epoch == 0 and session.epoch == 1
         assert next(stream).tobytes() == refs[1][200:].tobytes()
         assert session.last_result_epoch == 1
-    _assert_nothing_left_running()
+    assert serving_leftovers() == []
 
 
 def test_epoch_swap_invalidates_cache(updateable):
@@ -288,7 +306,6 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
         stats = client.stats()["cache"]
         assert stats["hits"] > 0 and stats["evictions"] > 0
         assert 0 < stats["entries"] <= 256
-        assert not engine._retired
     finally:
         sys.setswitchinterval(interval)
         stop.set()
@@ -298,9 +315,9 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_phase_timings_accumulate_across_swaps(updateable, jobs):
     """``stats()["phases"]`` is cumulative over the session: a hot swap
-    installs a new shard server, which keeps adding to the engine's one
-    set of counters — no counter ever steps back, whichever epoch's
-    server ran the batch — and ``reset_phase_timings`` still zeroes it."""
+    installs a new store, and batches on it keep adding to the engine's
+    one set of counters — no counter ever steps back, whichever epoch
+    ran the batch — and ``reset_phase_timings`` still zeroes it."""
     pairs = sample_query_pairs(updateable.graph.n, 64, seed=3)
     with connect(f"inproc://jobs={jobs};cache=0", updateable) as session:
         seen = [session.stats()["phases"]]
@@ -318,6 +335,8 @@ def test_phase_timings_accumulate_across_swaps(updateable, jobs):
         for before, after in zip(seen, seen[1:]):
             assert all(after[name] >= before[name] for name in before)
         assert seen[-1]["batches"] == 5 * EPOCHS + 1
+        assert {"plan_seconds", "shard_answer_seconds", "kernel_seconds",
+                "finish_seconds", "ipc_seconds", "batches"} <= set(seen[-1])
         assert seen[-1]["plan_seconds"] > seen[1]["plan_seconds"] > 0.0
         _engine_of(session).reset_phase_timings()
         assert set(session.stats()["phases"].values()) == {0}
@@ -328,15 +347,15 @@ def test_noop_update_keeps_epoch_and_server(updateable):
 
     with connect("inproc://cache=0", updateable) as session:
         engine = _engine_of(session)
-        server = engine._server
+        store = engine.index
         # a weight increase on a non-shortest-path edge dirties nobody
         u, v, w = max(updateable.graph.edges(), key=lambda e: e[2])
         report = session.apply_updates([EdgeChange("increase", u, v,
                                                    w * 10)])
         if report.mode == "noop":  # depends on the drawn graph
-            assert session.epoch == 0 and engine._server is server
+            assert session.epoch == 0 and engine.index is store
         else:
-            assert session.epoch == 1 and engine._server is not server
+            assert session.epoch == 1 and engine.index is not store
 
 
 def test_apply_updates_requires_updateable_engine(updateable):

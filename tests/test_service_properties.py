@@ -263,14 +263,15 @@ class TestSlackSchemesBatchedEqualsSingle:
         # equality lives in test_service_workers.py (a pool per hypothesis
         # example would dominate the runtime)
         from repro import build_sketches
-        from repro.service import ShardServer, build_index
+        from repro.service import QueryEngine, build_index
 
         built = build_sketches(g, scheme="stretch3", eps=0.4, seed=seed)
         us, vs = _all_ordered_pairs(g.n)
         index = build_index(built.sketches, num_shards=4)
         base = index.estimate_many(us, vs)
-        with ShardServer(index, jobs=jobs) as srv:
-            assert srv.estimate_many(us, vs).tolist() == base.tolist()
+        with QueryEngine(index, cache_size=0, jobs=jobs) as engine:
+            assert engine.dist_many(np.stack([us, vs], axis=1)).tolist() \
+                == base.tolist()
 
 
 class TestQueryErrorParityDisconnected:
@@ -345,18 +346,18 @@ class TestQueryErrorParityDisconnected:
     def test_workers_match_inline_on_disconnected(self):
         from repro.slack.density_net import DensityNet
         from repro.slack.stretch3 import build_stretch3_centralized
-        from repro.service import ShardServer, Stretch3Index
+        from repro.service import QueryEngine, Stretch3Index
 
         g = self._two_components()
         net = DensityNet(eps=0.5, n=g.n, members=(0, 2))
         sketches, _ = build_stretch3_centralized(g, 0.5, net=net)
         idx = Stretch3Index(sketches, num_shards=2)
-        with ShardServer(idx, jobs=2) as srv:
+        with QueryEngine(idx, cache_size=0, jobs=2) as engine:
             ok = np.array([2, 3]), np.array([4, 2])
-            assert srv.estimate_many(*ok).tolist() == \
+            assert engine.dist_many(np.stack(ok, axis=1)).tolist() == \
                 idx.estimate_many(*ok).tolist()
             with pytest.raises(QueryError):
-                srv.estimate_many(np.array([1]), np.array([3]))
+                engine.dist_many([(1, 3)])
 
 
 # ----------------------------------------------------------------------

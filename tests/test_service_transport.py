@@ -59,20 +59,6 @@ SCHEME_PARAMS = {
 TRANSPORT_SPECS = ("inproc://", "inproc://jobs=2", "tcp")
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_shard_threads():
-    """Every test in this module must tear its sessions down without
-    leaking a shard-executor thread."""
-    yield
-    import threading
-
-    from repro.service.workers import THREAD_POOL_PREFIX
-
-    leaked = [t.name for t in threading.enumerate()
-              if t.name.startswith(THREAD_POOL_PREFIX)]
-    assert leaked == []
-
-
 @pytest.fixture(scope="module")
 def graph() -> Graph:
     return assign_uniform_weights(erdos_renyi(24, seed=11), seed=12)

@@ -1,17 +1,19 @@
-"""Shard serving (repro.service.workers): a batch cut across threads.
+"""The engine's execution plane: a batch cut across threads.
 
-The acceptance bar: for every scheme and every shard count,
-``ShardServer`` answers are bit-identical for ``jobs=1`` (the calling
-thread) and ``jobs=2`` / ``4`` / ``7`` (a thread pool, one contiguous
-pair range per thread — more threads than shards included), and all
-equal the plain ``estimate_many`` path — ``QueryError`` parity
-included.  After ``close()`` nothing the server started is alive.
+The acceptance bar: for every scheme and every shard count, a
+:class:`~repro.service.engine.QueryEngine`'s answers are bit-identical
+for ``jobs=1`` (the calling thread) and ``jobs=2`` / ``4`` / ``7`` (the
+engine's thread pool, one contiguous pair range per thread — more
+threads than shards included), and all equal the plain
+``estimate_many`` path — ``QueryError`` parity included.  After
+``close()`` nothing the engine started is alive.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ import pytest
 from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import Graph
-from repro.service import (ShardServer, build_index, connect,
+from repro.service import (QueryEngine, build_index, connect,
                            sample_query_pairs)
-from repro.service.workers import THREAD_POOL_PREFIX
+from repro.service.engine import THREAD_POOL_PREFIX
 from repro.tz import build_tz_sketches_centralized
 
 
@@ -86,9 +88,13 @@ def _shard_threads():
             if t.name.startswith(THREAD_POOL_PREFIX)]
 
 
-def _assert_nothing_left_running():
-    assert _shard_threads() == []
-    assert multiprocessing.active_children() == []
+def _engine(index, jobs: int) -> QueryEngine:
+    """A cache-less engine: every batch reaches the store."""
+    return QueryEngine(index, cache_size=0, jobs=jobs)
+
+
+def _pairs(us, vs) -> np.ndarray:
+    return np.stack([us, vs], axis=1)
 
 
 class TestShardServerIdentity:
@@ -111,9 +117,9 @@ class TestShardServerIdentity:
                                           for s in range(shards)])
             assert routed.tolist() == single, shards
             for jobs in (1, 2, 4, 7):
-                with ShardServer(index, jobs=jobs) as srv:
-                    got = srv.estimate_many(us, vs)
-                    again = srv.estimate_many(us, vs)  # executor reusable
+                with _engine(index, jobs) as engine:
+                    got = engine.dist_many(pairs)
+                    again = engine.dist_many(pairs)  # the pool is reusable
                 assert got.tolist() == single, (shards, jobs)
                 assert again.tolist() == single, (shards, jobs)
 
@@ -127,13 +133,14 @@ class TestShardServerIdentity:
 
     def test_dist_many_front_end(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
-        with ShardServer(index, jobs=2) as srv:
-            got = srv.dist_many([(0, 5), (5, 0), (3, 3)])
+        with _engine(index, 2) as engine:
+            got = engine.dist_many([(0, 5), (5, 0), (3, 3)])
             assert got.tolist() == [index.estimate(0, 5),
                                     index.estimate(5, 0), 0.0]
-            assert srv.dist_many(np.empty((0, 2), dtype=np.int64)).size == 0
+            assert engine.dist_many(
+                np.empty((0, 2), dtype=np.int64)).size == 0
             with pytest.raises(ConfigError):
-                srv.dist_many(np.arange(6))
+                engine.dist_many(np.arange(6))
 
 
 class TestThreadPlane:
@@ -151,9 +158,9 @@ class TestThreadPlane:
         pairs = sample_query_pairs(len(sketches), 300, seed=17)
         us, vs = pairs[:, 0], pairs[:, 1]
         want = index.estimate_many(us, vs)
-        with ShardServer(index, jobs=4) as srv:
-            assert srv.index is index  # served as given
-            got = srv.estimate_many(us, vs)
+        with _engine(index, 4) as engine:
+            assert engine.index is index  # served as given
+            got = engine.dist_many(pairs)
         assert got.tolist() == want.tolist()  # exact, not approx
 
     def test_thread_plane_has_no_pool_and_no_rings(self, built_sets):
@@ -164,49 +171,67 @@ class TestThreadPlane:
         shm = "/dev/shm"
         before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
         index = build_index(built_sets["tz"], num_shards=4)
-        with ShardServer(index, jobs=4) as srv:
-            srv.estimate_many(np.array([0, 1]), np.array([1, 0]))
+        with _engine(index, 4) as engine:
+            engine.dist_many([(0, 1), (1, 0)])
             assert multiprocessing.active_children() == []
             assert 1 <= len(_shard_threads()) <= 4
             after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
             assert after == before
 
-    def test_close_shuts_the_executor_down(self, built_sets):
+    def test_close_shuts_the_executor_down(self, built_sets,
+                                           serving_leftovers):
         index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=2)
-        srv.estimate_many(np.array([0]), np.array([1]))
-        srv.close()
-        srv.close()  # idempotent
-        _assert_nothing_left_running()
-        # a closed server still answers, in the calling thread
-        assert srv.estimate_many(np.array([0]), np.array([1])).size == 1
-        _assert_nothing_left_running()
+        engine = _engine(index, 2)
+        engine.dist_many([(0, 1), (1, 0)])
+        assert _shard_threads()
+        engine.close()
+        engine.close()  # idempotent
+        assert serving_leftovers() == []
+        # a closed engine still answers, in the calling thread
+        assert engine.dist_many([(0, 1)]).size == 1
+        assert serving_leftovers() == []
 
     def test_kernel_timing_accumulates(self, built_sets):
         index = build_index(built_sets["stretch3"], num_shards=4)
         pairs = sample_query_pairs(index.n, 400, seed=23)
-        with ShardServer(index, jobs=4) as srv:
-            srv.estimate_many(pairs[:, 0], pairs[:, 1])
-            tm = srv.timings
-            assert tm.kernel > 0.0
+        with _engine(index, 4) as engine:
+            engine.dist_many(pairs)
+            phases = engine.phase_timings()
+            assert phases["kernel_seconds"] > 0.0
             # the critical path is never longer than the shard total
-            assert tm.kernel <= tm.shard_answer + 1e-12
-            assert set(tm.as_dict()) == {
+            assert phases["kernel_seconds"] <= \
+                phases["shard_answer_seconds"] + 1e-12
+            assert set(phases) == {
                 "plan_seconds", "shard_answer_seconds", "finish_seconds",
                 "ipc_seconds", "overlap_seconds", "kernel_seconds",
                 "batches"}
 
+    def test_ipc_is_not_the_callers_idle_time(self, built_sets):
+        """``ipc_seconds`` is dispatch overhead — submit until the last
+        range *ended* — so a consumer that thinks between ``next()``
+        calls (while the window's next batch is already submitted) adds
+        nothing to it."""
+        index = build_index(built_sets["tz"], num_shards=2)
+        pairs = sample_query_pairs(index.n, 400, seed=37)
+        chunks = [pairs[lo:lo + 100] for lo in range(0, 400, 100)]
+        with _engine(index, 2) as engine:
+            list(engine.dist_stream(chunks))  # the pool's threads exist
+            before = engine.phase_timings()
+            for _ in engine.dist_stream(chunks):
+                time.sleep(0.2)
+            after = engine.phase_timings()
+        assert after["batches"] - before["batches"] == 4
+        assert after["ipc_seconds"] - before["ipc_seconds"] < 0.1
+
     def test_stream_overlaps_on_the_thread_plane(self, built_sets):
         index = build_index(built_sets["cdg"], num_shards=4)
         pairs = sample_query_pairs(index.n, 600, seed=29)
-        batches = [(pairs[lo:lo + 150, 0], pairs[lo:lo + 150, 1])
-                   for lo in range(0, 600, 150)]
-        with ShardServer(index, jobs=4) as srv:
-            want = [srv.estimate_many(us, vs).tolist()
-                    for us, vs in batches]
-            srv.reset_timings()
-            got = [out.tolist() for out in srv.estimate_stream(batches)]
-            assert srv.timings.overlap > 0.0
+        batches = [pairs[lo:lo + 150] for lo in range(0, 600, 150)]
+        with _engine(index, 4) as engine:
+            want = [engine.dist_many(batch).tolist() for batch in batches]
+            engine.reset_phase_timings()
+            got = [out.tolist() for out in engine.dist_stream(batches)]
+            assert engine.phase_timings()["overlap_seconds"] > 0.0
         assert got == want
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -239,15 +264,14 @@ class TestThreadPlane:
             index.finish(state, index.answer(range(4), requests))
         assert (str(routed.value), routed.value.row) == \
             (str(inline.value), 1)
-        with ShardServer(index, jobs=jobs) as srv:
-            got = [_outcome(lambda: srv.estimate_many(
-                np.array([u]), np.array([v]))[0]) for u, v in pairs]
+        with _engine(index, jobs) as engine:
+            got = [_outcome(lambda: engine.dist(u, v)) for u, v in pairs]
             assert got == want
             with pytest.raises(QueryError) as err:
-                srv.estimate_many(us, vs)
+                engine.dist_many(_pairs(us, vs))
             assert str(err.value) == str(inline.value)
             assert err.value.row == inline.value.row
-            assert srv.estimate_many(us[:1], vs[:1]).tolist() == \
+            assert engine.dist_many(_pairs(us[:1], vs[:1])).tolist() == \
                 index.estimate_many(us[:1], vs[:1]).tolist()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -279,8 +303,8 @@ class TestThreadPlane:
         """One kernel pass per pair range, whatever the shard count:
         ``jobs=1`` probes once per batch, in the calling thread;
         ``jobs=J`` once per range — J of them, or one per pair when
-        the batch is shorter — on the executor's named threads, never
-        the caller's."""
+        the batch is shorter — on the pool's named threads, never the
+        caller's."""
         caller = threading.current_thread().name
         pairs = sample_query_pairs(len(built_sets["tz"]), 300, seed=31)
         us, vs = pairs[:, 0], pairs[:, 1]
@@ -296,11 +320,11 @@ class TestThreadPlane:
 
             index._probe = counting  # instance attribute shadows it
             for jobs in (1, 2, 4, 7):
-                with ShardServer(index, jobs=jobs) as srv:
-                    assert srv.jobs == jobs  # no clamp to the shards
+                with _engine(index, jobs) as engine:
+                    assert engine.jobs == jobs  # no clamp to the shards
                     for q in (300, 3):
                         del seen[:]
-                        got = srv.estimate_many(us[:q], vs[:q])
+                        got = engine.dist_many(pairs[:q])
                         assert np.array_equal(got, want[:q]), (shards, jobs)
                         if jobs == 1:
                             assert seen == [caller], (shards, jobs)
@@ -322,35 +346,38 @@ class TestThreadPlane:
 
 
 class TestShardServerLifecycle:
-    def test_jobs_do_not_depend_on_the_shard_count(self, built_sets):
+    def test_jobs_do_not_depend_on_the_shard_count(self, built_sets,
+                                                   serving_leftovers):
         """A shard is placement, not a unit of local work: a one-shard
         store still fans a batch out over every thread asked for."""
         for shards in (1, 2):
             index = build_index(built_sets["tz"], num_shards=shards)
-            with ShardServer(index, jobs=8) as srv:
-                assert srv.jobs == 8 and srv._executor is not None
-                srv.estimate_many(np.arange(16), np.arange(16)[::-1])
-                assert len(_shard_threads()) > 1
-            _assert_nothing_left_running()
+            with _engine(index, 8) as engine:
+                assert engine.jobs == 8
+                engine.dist_many(_pairs(np.arange(16), np.arange(16)[::-1]))
+                assert 1 < len(_shard_threads()) <= 8
+            assert serving_leftovers() == []
 
     def test_close_is_idempotent(self, built_sets):
-        srv = ShardServer(build_index(built_sets["tz"], num_shards=2),
-                          jobs=2)
-        srv.close()
-        srv.close()
+        engine = _engine(build_index(built_sets["tz"], num_shards=2), 2)
+        engine.close()
+        engine.close()
 
-    def test_rejects_bad_jobs(self, built_sets):
+    def test_rejects_bad_jobs(self, built_sets, serving_leftovers):
         index = build_index(built_sets["tz"])
         with pytest.raises(ConfigError):
-            ShardServer(index, jobs=0)
+            QueryEngine(index, jobs=0)
+        with pytest.raises(TypeError):
+            QueryEngine(index, jobs="4")
         with pytest.raises(ConfigError):
             connect("inproc://jobs=0", built_sets["tz"])
+        assert serving_leftovers() == []  # refused before a pool exists
 
     def test_source_is_validated_before_any_shard_server(self, built_sets,
                                                          monkeypatch):
         # everything that can be wrong with a source is found while it is
         # normalised to a store — before an engine (and its repro-shard*
-        # executor) exists
+        # pool) exists
         from repro.graphs import random_geometric
         from repro.service import OracleServer, UpdateableIndex
 
@@ -359,10 +386,11 @@ class TestShardServerLifecycle:
                                num_shards=2, k=2)
         mixed = built_sets["tz"][:3] + built_sets["stretch3"][3:6]
 
-        def unreachable(self, *args, **kwargs):
-            raise AssertionError("a ShardServer was constructed")
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an engine's thread pool was constructed")
 
-        monkeypatch.setattr(ShardServer, "__init__", unreachable)
+        monkeypatch.setattr("repro.service.engine.ThreadPoolExecutor",
+                            unreachable)
         for source in (prebuilt, live):
             with pytest.raises(ConfigError, match="bakes its shard layout"):
                 OracleServer(source, num_shards=4, jobs=4)
@@ -371,11 +399,13 @@ class TestShardServerLifecycle:
             with pytest.raises(ConfigError, match="no batched index"):
                 connect(spec, mixed)
 
-    def test_engine_close_is_idempotent(self, built_sets):
+    def test_engine_close_is_idempotent(self, built_sets,
+                                        serving_leftovers):
         session = connect("inproc://jobs=2", built_sets["tz"])
+        session.dist_many([(0, 1), (1, 0)])
         session.close()
         session.close()
-        _assert_nothing_left_running()
+        assert serving_leftovers() == []
 
 
 class TestEstimateStream:
@@ -389,40 +419,36 @@ class TestEstimateStream:
         sketches = built_sets[scheme]
         index = build_index(sketches, num_shards=4)
         pairs = sample_query_pairs(len(sketches), 600, seed=13)
-        batches = [(pairs[lo:lo + 150, 0], pairs[lo:lo + 150, 1])
-                   for lo in range(0, 600, 150)]
-        with ShardServer(index, jobs=4) as srv:
-            want = [srv.estimate_many(us, vs).tolist()
-                    for us, vs in batches]
-            srv.reset_timings()
-            got = [out.tolist() for out in srv.estimate_stream(batches)]
-            timings = srv.timings
+        batches = [pairs[lo:lo + 150] for lo in range(0, 600, 150)]
+        with _engine(index, 4) as engine:
+            want = [index.estimate_many(b[:, 0], b[:, 1]).tolist()
+                    for b in batches]
+            got = [out.tolist() for out in engine.dist_stream(batches)]
+            phases = engine.phase_timings()
         assert got == want  # exact floats, exact batch order
-        assert timings.batches == len(batches)
+        assert phases["batches"] == len(batches)
         # batches 2..k submitted while a predecessor was in flight
-        assert timings.overlap > 0.0
+        assert phases["overlap_seconds"] > 0.0
 
     def test_stream_handles_empty_batches_in_order(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
-        empty = np.empty(0, dtype=np.int64)
-        batches = [(np.array([0, 5]), np.array([5, 0])), (empty, empty),
-                   (np.array([3]), np.array([4]))]
-        with ShardServer(index, jobs=2) as srv:
-            sizes = [out.size for out in srv.estimate_stream(batches)]
+        batches = [[(0, 5), (5, 0)], np.empty((0, 2), dtype=np.int64),
+                   [(3, 4)]]
+        with _engine(index, 2) as engine:
+            sizes = [out.size for out in engine.dist_stream(batches)]
         assert sizes == [2, 0, 1]
 
     def test_stream_in_process_has_no_overlap(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
         pairs = sample_query_pairs(index.n, 100, seed=3)
-        batches = [(pairs[:50, 0], pairs[:50, 1]),
-                   (pairs[50:, 0], pairs[50:, 1])]
-        with ShardServer(index, jobs=1) as srv:
-            want = np.concatenate([srv.estimate_many(us, vs)
-                                   for us, vs in batches])
-            srv.reset_timings()
-            got = np.concatenate(list(srv.estimate_stream(batches)))
-            assert srv.timings.overlap == 0.0
-            assert srv.timings.ipc == 0.0
+        batches = [pairs[:50], pairs[50:]]
+        with _engine(index, 1) as engine:
+            want = np.concatenate([engine.dist_many(b) for b in batches])
+            engine.reset_phase_timings()
+            got = np.concatenate(list(engine.dist_stream(batches)))
+            phases = engine.phase_timings()
+            assert phases["overlap_seconds"] == 0.0
+            assert phases["ipc_seconds"] == 0.0
         assert got.tolist() == want.tolist()
 
     def test_stream_abandoned_midway_drains_cleanly(self, built_sets,
@@ -430,89 +456,48 @@ class TestEstimateStream:
         # a consumer that breaks out of the stream leaves one submitted
         # batch in flight; the generator's cleanup must collect exactly
         # that batch (not re-collect the yielded one), so no future is
-        # left pending and the server keeps answering
+        # left pending and the engine keeps answering
         index = build_index(built_sets["tz"], num_shards=2)
         pairs = sample_query_pairs(index.n, 300, seed=9)
-        batches = [(pairs[i * 100:(i + 1) * 100, 0],
-                    pairs[i * 100:(i + 1) * 100, 1]) for i in range(3)]
-        with ShardServer(index, jobs=2) as srv:
-            want = [srv.estimate_many(us, vs).tolist()
-                    for us, vs in batches]
+        batches = [pairs[i * 100:(i + 1) * 100] for i in range(3)]
+        with _engine(index, 2) as engine:
+            want = [engine.dist_many(b).tolist() for b in batches]
             futures = []
-            submit = srv._executor.submit
+            submit = engine._pool.submit
 
             def recording_submit(*args):
                 futures.append(submit(*args))
                 return futures[-1]
 
-            monkeypatch.setattr(srv._executor, "submit", recording_submit)
-            stream = srv.estimate_stream(batches)
+            monkeypatch.setattr(engine._pool, "submit", recording_submit)
+            stream = engine.dist_stream(batches)
             first = next(stream)
             stream.close()  # abandon with batch 1 submitted, uncollected
             assert len(futures) == 4  # two batches x two pair ranges
             assert all(f.done() for f in futures)
             assert first.tolist() == want[0]
-            # the server still serves, sequentially and streamed
-            assert srv.estimate_many(*batches[2]).tolist() == want[2]
-            again = [out.tolist()
-                     for out in srv.estimate_stream(batches)]
+            # the engine still serves, sequentially and streamed
+            assert engine.dist_many(batches[2]).tolist() == want[2]
+            again = [out.tolist() for out in engine.dist_stream(batches)]
             assert again == want
 
-    def test_engine_dist_stream_matches_dist_many(self, built_sets):
+    def test_engine_dist_stream_matches_dist_many(self, built_sets,
+                                                  serving_leftovers):
         pairs = sample_query_pairs(len(built_sets["cdg"]), 300, seed=21)
         chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
         with connect("inproc://jobs=3;cache=0",
                      built_sets["cdg"]) as session:
             want = np.concatenate([session.dist_many(c) for c in chunks])
             got = np.concatenate(list(session.dist_stream(chunks)))
-            # abandoning a session stream drains it too: the epoch pin
-            # is released, so close() has nothing left to wait for
+            # abandoning a session stream drains it too, so close() has
+            # nothing left to wait for
             stream = session.dist_stream(chunks)
             next(stream)
             stream.close()
             phases = session.stats()["phases"]
         assert got.tolist() == want.tolist()
         assert phases["overlap_seconds"] > 0.0
-        _assert_nothing_left_running()
-
-
-class TestGCBackstop:
-    """ShardServer.__del__ must release everything close() would — even
-    for a server that was never dispatched, or whose construction
-    failed."""
-
-    def test_drop_without_dispatch_joins_the_threads(self, built_sets):
-        import gc
-
-        index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=2)
-        srv._executor.submit(lambda: None).result()  # one thread exists
-        assert _shard_threads()
-        del srv  # never closed: the GC backstop must join the executor
-        gc.collect()
-        _assert_nothing_left_running()
-
-    def test_failed_construction_leaves_nothing_running(self, built_sets):
-        import gc
-
-        index = build_index(built_sets["tz"], num_shards=2)
-        with pytest.raises(ConfigError):
-            ShardServer(index, jobs=0)
-        with pytest.raises(TypeError):
-            ShardServer(index, jobs="4")
-        with pytest.raises(AttributeError):
-            # not a store: the first batch finds out, on the caller
-            ShardServer(object(), jobs=1).estimate_many(np.arange(2),
-                                                        np.arange(2))
-        gc.collect()  # the half-built servers reach __del__ unharmed
-        _assert_nothing_left_running()
-
-    def test_close_after_close_after_del_path(self, built_sets):
-        index = build_index(built_sets["tz"], num_shards=2)
-        srv = ShardServer(index, jobs=2)
-        srv.close()
-        srv.close()  # idempotent
-        srv.__del__()  # and safe after close
+        assert serving_leftovers() == []
 
 
 class TestShardServerErrors:
@@ -520,12 +505,12 @@ class TestShardServerErrors:
         sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,
                                                     seed=1)
         index = build_index(sketches, num_shards=2)
-        with ShardServer(index, jobs=2) as srv:
+        with _engine(index, 2) as engine:
             # same-component pairs answer fine...
-            assert srv.estimate_many(np.array([2]), np.array([4])).size == 1
+            assert engine.dist_many([(2, 4)]).size == 1
             # ...cross-component pairs raise exactly like the inline path
             with pytest.raises(QueryError):
-                srv.estimate_many(np.array([0]), np.array([2]))
+                engine.dist_many([(0, 2)])
 
 
 class TestEffectiveJobsReporting:
