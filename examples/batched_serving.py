@@ -9,7 +9,8 @@ sketch set:
    cache in front,
 2. answer a 10,000-query batch in one vectorized pass and check it agrees
    exactly with the single-query reference path,
-3. replay the workload to show the cache absorbing repeated traffic,
+3. replay the workload to show the cache absorbing repeated traffic
+   (and account for every replayed row exactly),
 4. persist the pre-built index and reload it without rebuilding,
 5. cut every batch across four threads (``inproc://jobs=4`` — same
    bytes out), and pipeline a streaming workload through the
@@ -70,14 +71,24 @@ def main() -> None:
     print("batched answers identical to the single-query path")
 
     # 3. repeated traffic hits the result cache --------------------------
+    # direct-mapped: a key has one slot, so distinct pairs that share a
+    # slot keep one of them; the replay hits exactly the resident ones
+    distinct = np.unique(pairs, axis=0)
     with connect("inproc://cache=50000", sketches) as cached:
-        cached.dist_many(pairs)
-        cached.dist_many(pairs)
+        cached.dist_many(distinct)
+        first = cached.stats()["cache"]
+        assert first["misses"] == len(distinct) and first["hits"] == 0
+        # nothing to evict yet, and one write-back's keys that share a
+        # slot do not evict each other: one of them is written
+        assert first["evictions"] == 0
+        cached.dist_many(distinct)
         counters = cached.stats()["cache"]
-        total = counters["hits"] + counters["misses"]
-        print(f"replay with cache: {counters['hits']} hits, "
-              f"{counters['misses']} misses "
-              f"({100 * counters['hits'] / total:.0f}% hit rate)")
+        assert counters["hits"] == first["entries"]
+        assert counters["misses"] == 2 * len(distinct) - first["entries"]
+        print(f"replay of {len(distinct)} distinct pairs through 50000 "
+              f"slots: {counters['hits']} hits "
+              f"({100 * counters['hits'] / len(distinct):.0f}% of the "
+              f"replay), {counters['evictions']} evictions")
 
     # 4. persist the pre-built index -------------------------------------
     index = session.fetch_index()  # the live store behind the session

@@ -607,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "here (a cluster://h1:p1,h2:p2 session combines "
                          "the fleet's partial answers)")
     sv.add_argument("--cache-size", type=int, default=65536,
-                    help="result-cache capacity in answers, 24 bytes each, "
-                         "per-set LRU (0 disables)")
+                    help="result-cache slots, one answer and 24 bytes "
+                         "each, direct-mapped (0 disables)")
     sv.add_argument("--handlers", type=int, default=None,
                     help="request-handler threads multiplexing the "
                          "connections (default: sized to the engine, "
@@ -695,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 1; a binary index bakes its own count "
                          "in, and asking for a different one is an error)")
     sb.add_argument("--cache-size", type=int, default=0,
-                    help="result-cache capacity in answers, 24 bytes each, "
-                         "per-set LRU (0 = cold-cache run)")
+                    help="result-cache slots, one answer and 24 bytes "
+                         "each, direct-mapped (0 = cold-cache run)")
     sb.add_argument("--jobs", type=int, default=1,
                     help="threads a batch is cut across "
                          "(1 = the calling thread; answers are identical "

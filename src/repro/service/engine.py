@@ -55,8 +55,8 @@ land before it is collected: no torn reads, and nothing to pin or
 release.  The result cache is epoch-stamped: it is cleared at the swap,
 and a stale batch's write-backs are dropped.
 
-The result cache (:class:`_ResultCache`, a set-associative table of
-numpy columns probed once per batch) keys on the *ordered* pair
+The result cache (:class:`_ResultCache`, a direct-mapped table of
+numpy columns probed with one gather per batch) keys on the *ordered* pair
 ``(u, v)``: the paper's level-scan query is not symmetric under swapping
 the endpoints (both directions can hit at the same level with different
 routes), and the engine's contract is bit-identity with the single-query
@@ -172,111 +172,79 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-#: slots per set of the result cache: a probe gathers one row of this
-#: many keys per pair, and replacement is exact LRU among them
-_CACHE_WAYS = 8
-#: odd 64-bit multiplier (2^64 / golden ratio) of the set hash — the
+#: odd 64-bit multiplier (2^64 / golden ratio) of the slot hash — the
 #: product's high bits mix every bit of ``u·n + v``, so a batch that
-#: fixes one endpoint still spreads over all sets
+#: fixes one endpoint still spreads over all slots
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(32)
 
 
 class _ResultCache:
-    """``u·n + v`` → float64 in three preallocated columns shaped
-    ``(sets, ways)`` — key (``-1`` = empty), value, last-used stamp.
+    """``u·n + v`` → float64, direct-mapped: ``capacity`` slots, each
+    holding at most one key, in two preallocated columns — key (``-1`` =
+    empty) and value — plus a claim cell per slot for write-backs.
 
-    A batch is probed and written back with a handful of numpy calls
-    (hash → gather the set rows → compare), never a Python loop over
-    pairs.  Replacement is LRU within a set: the victim is the way with
-    the oldest stamp, and an empty way (stamp 0) is older than any used
-    one.  ``sets·ways`` is the largest such table with at most
-    :data:`_CACHE_WAYS` ways that fits in ``capacity`` entries; up to 8
-    entries that is one set, i.e. exact LRU.
+    A key can live in one slot only, so a probe is one gather of keys,
+    one of values and a compare, and a miss simply replaces whatever
+    its slot held: no recency to track, no victim to choose.
 
     Not thread-safe: the engine calls every method under its lock.
     """
 
     def __init__(self, capacity: int):
-        self.sets = -(-capacity // _CACHE_WAYS)
-        self.ways = capacity // self.sets
-        slots = self.sets * self.ways
-        self.keys = np.full(slots, -1, dtype=np.int64)
-        self.vals = np.zeros(slots, dtype=np.float64)
-        self.stamps = np.zeros(slots, dtype=np.int64)
-        self._key_rows = self.keys.reshape(self.sets, self.ways)
-        self._stamp_rows = self.stamps.reshape(self.sets, self.ways)
-        self._claim = np.empty(self.sets, dtype=np.int64)
-        self._nsets = np.uint64(self.sets)
+        self.keys = np.full(capacity, -1, dtype=np.int64)
+        self.vals = np.zeros(capacity, dtype=np.float64)
+        self._claim = np.empty(capacity, dtype=np.int64)
+        self._nslots = np.uint64(capacity)
         self.entries = 0
-        self._tick = 0
 
     def clear(self) -> None:
         if self.entries:
             self.keys.fill(-1)
-            self.stamps.fill(0)
             self.entries = 0
 
-    def set_of(self, keys: np.ndarray) -> np.ndarray:
-        """The set id of each key (pure: callable outside the lock)."""
-        mixed = (keys.view(np.uint64) * _HASH_MULT) >> _HASH_SHIFT
-        return (mixed % self._nsets).view(np.int64)
+    def slot_of(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each key (pure: callable outside the lock): the
+        product's top 32 bits scaled to ``[0, capacity)`` by a multiply
+        and a shift (exact below 2^32 slots) — a ``%`` costs twice as
+        much and keeps the product's less mixed low bits."""
+        mixed = keys.view(np.uint64) * _HASH_MULT
+        mixed >>= _HASH_SHIFT
+        mixed *= self._nslots
+        mixed >>= _HASH_SHIFT
+        return mixed.view(np.int64)
 
-    def _find(self, keys: np.ndarray, sets: np.ndarray,
+    def probe(self, keys: np.ndarray, slots: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot, found)`` per key: ``slot`` is where the key sits
-        when ``found``, and some slot of its set otherwise."""
-        way = (self._key_rows.take(sets, axis=0)
-               == keys[:, None]).argmax(axis=1)
-        slot = sets * self.ways + way
-        return slot, self.keys[slot] == keys
+        """``(values, miss rows)``: the values the keys' slots hold —
+        a row's cached answer unless it is a miss row, whose value the
+        caller overwrites."""
+        return (self.vals.take(slots),
+                np.flatnonzero(self.keys.take(slots) != keys))
 
-    def probe(self, keys: np.ndarray, sets: np.ndarray, out: np.ndarray,
-              ) -> np.ndarray:
-        """Copy the cached values into ``out`` and touch their stamps;
-        returns the hit mask."""
-        slot, hit = self._find(keys, sets)
-        slot = slot[hit]
-        out[hit] = self.vals[slot]
-        self._tick += 1
-        self.stamps[slot] = self._tick
-        return hit
-
-    def insert(self, keys: np.ndarray, sets: np.ndarray, vals: np.ndarray,
+    def insert(self, keys: np.ndarray, slots: np.ndarray, vals: np.ndarray,
                ) -> int:
         """Store computed answers; returns how many entries were evicted.
 
-        Each round writes at most one key per set, re-probing first so
-        that a key which is already resident — a concurrent batch wrote
-        it between this batch's probe and now — is never stored twice.
-        Rows that lost their set to a *different* key go to the next
-        round; after ``ways`` rounds a further key could only evict one
-        written by this same call, so the rest are dropped.
+        One claim round: every row writes its number into its slot's
+        claim cell, and the row a cell ends up holding — whichever of a
+        slot's rows NumPy's scatter left there — writes its key *and its
+        own value*, so keys of one batch that share a slot cannot tear
+        it.  A slot that already holds the winner's key (a concurrent
+        batch wrote it after this one's probe) is left alone; one that
+        holds another key is an eviction.
         """
-        self._tick += 1
-        evicted = 0
-        for _ in range(self.ways):
-            if not keys.size:
-                break
-            # every row writes its number into its set's cell; the one
-            # a cell ends up holding has the set for this round
-            rows = np.arange(keys.size)
-            self._claim[sets] = rows
-            owner = self._claim[sets]
-            later = keys[owner] != keys  # in-batch repeats just drop out
-            first = np.flatnonzero(owner == rows)
-            _, found = self._find(keys[first], sets[first])
-            first = first[~found]
-            fsets = sets[first]
-            slot = fsets * self.ways + self._stamp_rows.take(
-                fsets, axis=0).argmin(axis=1)
-            used = int(np.count_nonzero(self.keys[slot] >= 0))
-            evicted += used
-            self.entries += first.size - used
-            self.keys[slot] = keys[first]
-            self.vals[slot] = vals[first]
-            self.stamps[slot] = self._tick
-            keys, sets, vals = keys[later], sets[later], vals[later]
+        rows = np.arange(keys.size)
+        self._claim[slots] = rows
+        won = np.flatnonzero(self._claim[slots] == rows)
+        slots = slots[won]
+        old = self.keys[slots]
+        fresh = old != keys[won]
+        won, slots, old = won[fresh], slots[fresh], old[fresh]
+        evicted = int(np.count_nonzero(old >= 0))
+        self.entries += won.size - evicted
+        self.keys[slots] = keys[won]
+        self.vals[slots] = vals[won]
         return evicted
 
 
@@ -294,9 +262,9 @@ class QueryEngine:
         :class:`~repro.service.updates.UpdateableIndex` whose current
         store ``index`` is — enables :meth:`apply_updates` and shares
         its epoch clock; ``None`` serves a static index.
-    :param cache_size: the most answers the result cache may hold (24
-        bytes each; set-associative, LRU within a set); ``0`` disables
-        caching.
+    :param cache_size: slots of the result cache, one answer each (24
+        bytes a slot; direct-mapped: a key has one slot, and a miss
+        replaces what it holds); ``0`` disables caching.
     :param jobs: threads a batch is cut across (``1`` = answer in the
         calling thread), whatever the store's shard count; above 1 the
         engine owns a pool of that many threads until :meth:`close`.
@@ -406,6 +374,16 @@ class QueryEngine:
         ``cache_size``)."""
         return self._cache.entries if self._cache is not None else 0
 
+    def cache_counters(self) -> dict:
+        """``hits`` / ``misses`` / ``evictions`` / ``entries``, read
+        together under the engine lock — one batch's accounting is
+        either all in the snapshot or not at all."""
+        with self._lock:
+            stats = self.stats
+            return {"hits": stats.hits, "misses": stats.misses,
+                    "evictions": stats.evictions,
+                    "entries": self.cache_entries}
+
     # ------------------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
         """One estimate, through the cache and the store."""
@@ -449,27 +427,26 @@ class QueryEngine:
             return self._gather(self._start(index, us, vs)), epoch
 
         keys = us * self.n + vs
-        sets = cache.set_of(keys)
-        out = np.empty(q, dtype=np.float64)
+        slots = cache.slot_of(keys)
         with self._lock:
             # a batch that started on a since-replaced epoch must not
             # read the new epoch's cache — hits are epoch-guarded just
             # like the write-backs below, or one batch could mix epochs
             if epoch == self.epoch and cache.entries:
-                miss = np.flatnonzero(~cache.probe(keys, sets, out))
+                out, miss = cache.probe(keys, slots)
             else:
-                miss = np.arange(q)
+                out, miss = np.empty(q, dtype=np.float64), np.arange(q)
             self.stats.hits += q - miss.size
             self.stats.misses += miss.size
         if miss.size:
-            keys, sets = keys[miss], sets[miss]
+            keys, slots = keys[miss], slots[miss]
             vals = self._gather(self._start(index, us[miss], vs[miss]))
             out[miss] = vals
             with self._lock:
                 # epoch-stamped write-back: a batch that started
                 # before a swap must not poison the new epoch's cache
                 if epoch == self.epoch:
-                    self.stats.evictions += cache.insert(keys, sets, vals)
+                    self.stats.evictions += cache.insert(keys, slots, vals)
         return out, epoch
 
     # ------------------------------------------------------------------

@@ -272,7 +272,6 @@ class OracleServer:
         configuration, cache counters, cumulative phase timings, and the
         number of live TCP connections."""
         engine = self._engine
-        cache = engine.stats
         with self._conn_lock:
             connections = len(self._conns)
         return {
@@ -283,9 +282,7 @@ class OracleServer:
             "shards": self.num_shards,
             "jobs": engine.jobs,
             "cache_size": engine.cache_size,
-            "cache": {"hits": cache.hits, "misses": cache.misses,
-                      "evictions": cache.evictions,
-                      "entries": engine.cache_entries},
+            "cache": engine.cache_counters(),
             "phases": engine.phase_timings(),
             "handlers": self._handler_count,
             "connections": connections,

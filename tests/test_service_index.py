@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import ring
-from repro.service import (QueryEngine, TZIndex, build_index, connect,
-                           run_serve_benchmark)
+from repro.service import (OracleServer, QueryEngine, TZIndex, build_index,
+                           connect, run_serve_benchmark)
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 from repro.tz.sketch import TZSketch
 
@@ -145,15 +147,20 @@ class TestQueryEngine:
         assert [engine.dist(u, v) for u, v in pairs] == batch.tolist()
 
     def test_cache_hits_and_evictions(self, tz_sketches):
+        # direct-mapped: two pairs whose keys share a slot evict each
+        # other, however empty the rest of the table is
         engine = _engine(tz_sketches, cache_size=2)
+        slot_of = engine._cache.slot_of
+        v = next(v for v in range(2, engine.n)  # key of (0, v) is v
+                 if slot_of(np.array([v])) == slot_of(np.array([1])))
         engine.dist(0, 1)
         engine.dist(0, 1)
         assert engine.stats.hits == 1 and engine.stats.misses == 1
-        engine.dist(0, 2)
-        engine.dist(0, 3)  # evicts (0, 1)
-        assert engine.stats.evictions == 1
-        engine.dist(0, 1)
-        assert engine.stats.misses == 4
+        engine.dist(0, v)  # evicts (0, 1)
+        assert engine.stats.evictions == 1 and engine.cache_entries == 1
+        engine.dist(0, 1)  # evicts (0, v)
+        assert engine.stats.evictions == 2 and engine.cache_entries == 1
+        assert engine.stats.hits == 1 and engine.stats.misses == 3
 
     def test_cache_disabled(self, tz_sketches):
         engine = _engine(tz_sketches, cache_size=0)
@@ -213,7 +220,7 @@ def _cache_slot_changes(engine, pairs):
 
 
 class TestResultCache:
-    """The set-associative result cache: whatever it keeps or evicts,
+    """The direct-mapped result cache: whatever it keeps or evicts,
     answers and accounting stay exact."""
 
     def test_every_capacity_keeps_answers_and_accounting(self, tz_sketches):
@@ -221,10 +228,10 @@ class TestResultCache:
         table = np.array([[estimate_distance(su, sv) for sv in tz_sketches]
                           for su in tz_sketches])
         rng = np.random.default_rng(3)
-        for capacity in range(1, 65):  # most are no multiple of 8 ways
+        for capacity in range(1, 65):
             engine = _engine(tz_sketches, cache_size=capacity)
             cache = engine._cache
-            assert cache.sets * cache.ways <= capacity
+            assert cache.keys.size == capacity
             asked = inserted = evicted = 0
             for step in range(8):
                 if step % 3 != 2:  # every third batch replays the last
@@ -245,24 +252,29 @@ class TestResultCache:
                 assert engine.cache_entries == resident.size <= capacity
                 assert (stats.evictions == evicted
                         == inserted - resident.size)
-                # a key is stored once, in its own set, with the value
+                # a key is stored once, in its own slot, with the value
                 # of its pair
                 assert np.unique(resident).size == resident.size
                 slots = np.flatnonzero(cache.keys >= 0)
-                assert (cache.set_of(resident)
-                        == slots // cache.ways).all()
+                assert (cache.slot_of(resident) == slots).all()
                 assert (cache.vals[slots]
                         == table[resident // n, resident % n]).all()
             if capacity > 1:
                 assert engine.stats.hits > 0
 
     def test_replay_within_capacity_is_all_hits(self, tz_sketches):
+        # "within capacity" for a direct-mapped table: the four distinct
+        # keys sit in four distinct slots of the eight
         engine = _engine(tz_sketches, cache_size=8)
-        pairs = np.array([(0, 1), (1, 0), (2, 3), (0, 1), (5, 5)])
+        pairs = np.array([(0, 1), (1, 0), (2, 3), (0, 1), (7, 7)])
+        keys = pairs[:, 0] * engine.n + pairs[:, 1]
+        assert np.unique(engine._cache.slot_of(keys)).size == 4
         engine.dist_many(pairs)
         assert engine.cache_entries == 4  # the repeat is stored once
+        resident = np.count_nonzero(np.isin(keys, engine._cache.keys))
         engine.dist_many(pairs)
-        assert engine.stats.hits == 5 and engine.stats.evictions == 0
+        assert engine.stats.hits == resident == 5
+        assert engine.stats.evictions == 0
 
     def test_stale_write_back_is_not_stored_twice(self, tz_sketches):
         # two batches that both missed the same key before either wrote
@@ -270,12 +282,58 @@ class TestResultCache:
         engine = _engine(tz_sketches, cache_size=16)
         cache = engine._cache
         keys = np.array([7, 9])
-        sets = cache.set_of(keys)
+        slots = cache.slot_of(keys)
         vals = np.array([1.5, 2.5])
-        assert cache.insert(keys, sets, vals) == 0
-        assert cache.insert(keys, sets, vals) == 0
+        assert cache.insert(keys, slots, vals) == 0
+        assert cache.insert(keys, slots, vals) == 0
         assert cache.entries == 2
         assert sorted(cache.keys[cache.keys >= 0].tolist()) == [7, 9]
+
+    def test_keys_sharing_a_slot_leave_one_whole_entry(self, tz_sketches):
+        # distinct keys of one write-back collide in every slot: each
+        # slot ends up holding one of them *and that key's own value*.
+        # NumPy does not say which repeat of an index a scatter keeps,
+        # so the key and the value must be written by one claimed row.
+        engine = _engine(tz_sketches, cache_size=4)
+        cache = engine._cache
+
+        def write_back(keys):
+            return cache.insert(keys, cache.slot_of(keys), keys * 0.5 + 0.25)
+
+        keys = np.arange(200, dtype=np.int64)
+        assert write_back(keys) == 0
+        assert cache.entries == 4  # one per slot, not one per row
+        assert (cache.slot_of(cache.keys) == np.arange(4)).all()
+        assert np.isin(cache.keys, keys).all()
+        assert (cache.vals == cache.keys * 0.5 + 0.25).all()
+        # a second such batch replaces every slot exactly once
+        assert write_back(keys + 1000) == 4
+        assert cache.entries == 4
+        assert (cache.slot_of(cache.keys) == np.arange(4)).all()
+        assert (cache.keys >= 1000).all()
+        assert (cache.vals == cache.keys * 0.5 + 0.25).all()
+
+    def test_server_stats_read_the_counters_under_the_engine_lock(
+            self, tz_sketches):
+        # a batch updates hits/misses and then evictions/entries under
+        # the engine lock: a snapshot taken without it could mix them
+        with OracleServer(tz_sketches, cache_size=8) as server:
+            server.client().dist_many([(0, 1), (2, 3)])
+            engine = server._engine
+            done = threading.Event()
+            seen: list = []
+
+            def snapshot() -> None:
+                seen.append(server.stats()["cache"])
+                done.set()
+
+            with engine._lock:
+                reader = threading.Thread(target=snapshot, daemon=True)
+                reader.start()
+                assert not done.wait(0.2)  # blocked on the lock
+            reader.join(timeout=10.0)
+            assert seen == [{"hits": 0, "misses": 2, "evictions": 0,
+                             "entries": 2}]
 
     @pytest.mark.parametrize("spec", ["inproc://", "inproc://cache=0"])
     def test_session_rejects_bad_ids_before_the_cache(self, tz_sketches,
