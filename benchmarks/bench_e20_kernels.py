@@ -28,10 +28,12 @@ than a thread hand-off (every cell of this table) — the verdict on
 only for batches of >= 65 536 pairs.
 
 **Shards** is the row the unrouted store has to own: tz, ``jobs=1``,
-S ∈ {1, 4, 16} × batch ∈ {64, 1024}, µs per batch and the ratio to
+S ∈ {1, 4, 16} × batch ∈ {1, 64, 1024}, µs per batch and the ratio to
 S = 1.  A shard is a row range of one bunch table behind one hash
 directory, a key names its own landmark, and only a fleet routes — so
-a local batch costs the same whatever S.
+a local batch costs the same whatever S.  The one-pair row (at most
+:data:`ONE_PAIR_QUERIES` queries) is the per-request floor: what a
+batch costs before its size matters.
 
 Hard claims (always asserted, any hardware): answers are bit-identical
 across every arm, shard count, batch size, and scheme.  Timing claims —
@@ -80,7 +82,10 @@ PAY_BATCH = 1 << 20
 #: the shard sweep: tz, ``jobs=1``; a batch larger than the workload is
 #: the whole workload in one batch (the CI smoke run)
 SWEEP_SHARDS = (1, 4, 16)
-SWEEP_BATCHES = (64, 1024)
+SWEEP_BATCHES = (1, 64, 1024)
+#: queries of the sweep's one-pair row (a batch each): enough for a
+#: per-request floor, few enough that a nightly run stays within seconds
+ONE_PAIR_QUERIES = 2048
 #: S > 1 may cost this much of S = 1 per batch: nothing but noise, since
 #: a local batch is never routed (the routed store this replaced paid a
 #: flat 45-70 us per 1024-pair batch, 1.2-1.3x)
@@ -134,13 +139,14 @@ def e20_table(experiment_report, e20_sketches):
 def e20_shard_sweep(experiment_report, e20_sketches):
     rows = []
     for batch in SWEEP_BATCHES:
+        queries = min(QUERIES, ONE_PAIR_QUERIES) if batch == 1 else QUERIES
         # the S arms take turns, and an arm keeps its quietest turn: a
         # 5 % claim cannot be read off arms measured minutes apart
         best: dict = {}
         for _ in range(3):
             for shards in SWEEP_SHARDS:
                 rep = run_serve_benchmark(e20_sketches["tz"],
-                                          queries=QUERIES, batch=batch,
+                                          queries=queries, batch=batch,
                                           seed=11, repeats=3,
                                           num_shards=shards, jobs=1)
                 assert rep["identical"], \
@@ -149,10 +155,11 @@ def e20_shard_sweep(experiment_report, e20_sketches):
                         < best[shards]["batched_seconds"]):
                     best[shards] = rep
         for shards, rep in best.items():
-            batches = -(-QUERIES // rep["batch"])
+            batches = -(-rep["queries"] // rep["batch"])
             us = rep["batched_seconds"] / batches * 1e6
             rows.append({
                 "batch": rep["batch"], "shards": shards,
+                "queries": rep["queries"],
                 "us/batch": round(us, 1),
                 "vs-S=1": round(rep["batched_seconds"]
                                 / best[1]["batched_seconds"], 2),

@@ -103,6 +103,13 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _scheme_flags(args, names=("k", "eps")) -> dict:
+    """The scheme flags given on the command line: a build refuses even
+    a None it does not read."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _cmd_build(args) -> int:
     from repro.graphs import read_edgelist
     from repro.oracle.api import build_sketches
@@ -123,11 +130,9 @@ def _cmd_build(args) -> int:
             "total layout)")
 
     g = read_edgelist(args.graph)
-    # only the flags given: a build refuses even a None it does not read
-    flags = {"k": args.k, "eps": args.eps, "sync": args.sync, "S": args.S}
-    flags = {key: v for key, v in flags.items() if v is not None}
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
-                           seed=args.seed, **flags)
+                           seed=args.seed,
+                           **_scheme_flags(args, ("k", "eps", "sync", "S")))
     print(built.describe())
     if "build" in built.extras:
         from repro.tz.centralized import describe_build
@@ -251,7 +256,7 @@ def _cmd_serve(args) -> int:
                                  scheme=args.scheme, seed=args.seed,
                                  num_shards=(args.shards or 1),
                                  rebuild_threshold=args.rebuild_threshold,
-                                 k=args.k, eps=args.eps)
+                                 **_scheme_flags(args))
         shards = None  # baked into the updateable's stores
     else:
         from repro.oracle.serialization import (is_binary_index,
@@ -318,7 +323,7 @@ def _cmd_scenario(args) -> int:
             trace.name, graph, scheme=args.scheme, seed=args.seed,
             endpoint=endpoint, num_shards=args.shards,
             query_threads=args.threads, oracle=not args.no_oracle,
-            trace=trace, k=args.k, eps=args.eps)
+            trace=trace, **_scheme_flags(args))
 
     if args.spawn:
         with served_subprocess(args.graph, scheme=args.scheme,
@@ -460,7 +465,7 @@ def _cmd_update_bench(args) -> int:
     report = run_update_benchmark(
         g, scheme=args.scheme, seed=args.seed, batch_sizes=args.batches,
         num_shards=args.shards, rebuild_threshold=args.rebuild_threshold,
-        k=args.k, eps=args.eps)
+        **_scheme_flags(args))
     print(json.dumps(report, indent=2))
     if not report["identical"]:
         print("error: updated index diverged from a from-scratch rebuild",

@@ -220,7 +220,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.8 / Corollary 4.9 (gracefully degrading)",
         stretch_bound=_graceful_stretch,
         slack_of=lambda p: None,  # all pairs, at the O(log n) worst case
-        reads={"centralized": ("schedule", "dist_matrix"),
+        reads={"centralized": ("schedule", "components", "dist_matrix"),
                "distributed": ("schedule", *_SYNC)},
         sample=graceful_artifacts,
         sketches=graceful_sketches,

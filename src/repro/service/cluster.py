@@ -520,13 +520,15 @@ def build_shard_range(graph, scheme: str = "tz", *, lo: int, hi: int,
     **byte-identical** to restricting a full build from the same
     artifacts (the same ``seed``, or the artifacts as ``params``).
 
-    :raises ConfigError: on a bad range or missing scheme parameters.
+    :raises ConfigError: on a bad range, missing scheme parameters, or
+        a keyword a centralized build of the scheme does not read.
     """
     if not (0 <= int(lo) < int(hi) <= int(num_shards)):
         raise ConfigError(
             f"shard range [{lo}, {hi}) invalid for {num_shards} shards")
     lo, hi, num_shards = int(lo), int(hi), int(num_shards)
     spec = get_scheme(scheme)
+    spec.check("centralized", params)
     hints = {}
     if "roots" in spec.hints:
         shard = np.arange(graph.n) % num_shards
@@ -565,8 +567,12 @@ def build_distributed(graph, scheme: str = "tz", *, num_hosts: int,
 
     :param jobs: builder processes (default: one per host, capped by
         the CPU count); ``1`` builds serially in this process.
+    :raises ConfigError: on a keyword a centralized build of the scheme
+        does not read.
     """
-    artifacts = get_scheme(scheme).sample(graph, seed, params)
+    spec = get_scheme(scheme)
+    spec.check("centralized", params)
+    artifacts = spec.sample(graph, seed, params)
     ranges = even_ranges(int(num_shards), int(num_hosts))
     if jobs is None:
         jobs = min(len(ranges), os.cpu_count() or 1)

@@ -10,16 +10,17 @@ exactly one such store.  The answers are exactly the ones the
 one-pair-at-a-time API produces — batching is a performance feature,
 never a semantic one.
 
-A batch is parsed, copied into contiguous id columns and range-checked
-once, at this edge (:func:`~repro.service.index.pair_columns`); the
-result cache and the store's ``_plan_checked`` take those columns as
-they are.  Every store answers a batch as ``plan`` → ``answer`` →
-``finish`` and a pair's answer depends on that pair only, so the engine
-runs that chain (:func:`_serve`) over the batch::
+A batch is parsed, copied into one ``(2, q)`` endpoint array ``[us;
+vs]`` and range-checked once, at this edge
+(:func:`~repro.service.index.pair_columns`); the result cache and the
+store's ``_plan_checked`` take that array as it is.  Every store
+answers a batch as ``plan`` → ``answer`` → ``finish`` and a pair's
+answer depends on that pair only, so the engine runs that chain
+(:func:`_serve`) over the batch::
 
     caller                          pool threads (jobs = J > 1)
     ------                          ---------------------------
-    _start(store, us, vs) ─┬─ pairs [0, q/J)    ─▶ plan → answer → finish ─┐
+    _start(store, ends)   ─┬─ pairs [0, q/J)    ─▶ plan → answer → finish ─┐
                            ├─ pairs [q/J, 2q/J) ─▶ plan → answer → finish ─┤
                            └─ …                 ─▶ plan → answer → finish ─┤
     _gather(ticket) ◀─────────── answers, concatenated in pair order ──────┘
@@ -139,14 +140,14 @@ class PhaseTimings:
                 "batches": self.batches}
 
 
-def _serve(index: IndexStore, us: np.ndarray, vs: np.ndarray,
-           start: int = 0) -> tuple:
-    """plan → answer → finish on ``index`` for the pairs from batch row
-    ``start`` on: ``(answers, plan s, answer s, finish s, end stamp)``,
-    the answers replaced by the :class:`QueryError` (its ``row`` counted
-    in the whole batch) when a pair is unresolved."""
+def _serve(index: IndexStore, ends: np.ndarray, start: int = 0) -> tuple:
+    """plan → answer → finish on ``index`` for the pairs ``ends`` (the
+    ``(2, q)`` endpoints) from batch row ``start`` on: ``(answers, plan
+    s, answer s, finish s, end stamp)``, the answers replaced by the
+    :class:`QueryError` (its ``row`` counted in the whole batch) when a
+    pair is unresolved."""
     t0 = time.perf_counter()
-    state, requests = index._plan_checked(us, vs)
+    state, requests = index._plan_checked(ends)
     t1 = time.perf_counter()
     responses = index.answer(range(len(requests)), requests)
     t2 = time.perf_counter()
@@ -325,21 +326,20 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # execution: the start/gather pair over one store
     # ------------------------------------------------------------------
-    def _start(self, index: IndexStore, us: np.ndarray, vs: np.ndarray,
-               ) -> tuple:
-        """Start one non-empty batch of **validated** id columns on
-        ``index``; returns the ticket for :meth:`_gather`.  The pool
-        gets ``jobs`` contiguous ranges, one task each; in-thread the
-        work is deferred to gather time — nothing to overlap.  The
-        ticket holds the store, so the batch is that epoch's whatever
-        is swapped in before it is gathered."""
+    def _start(self, index: IndexStore, ends: np.ndarray) -> tuple:
+        """Start one non-empty batch of **validated** ``(2, q)``
+        endpoints on ``index``; returns the ticket for :meth:`_gather`.
+        The pool gets ``jobs`` contiguous ranges, one task each;
+        in-thread the work is deferred to gather time — nothing to
+        overlap.  The ticket holds the store, so the batch is that
+        epoch's whatever is swapped in before it is gathered."""
         pool = self._pool
         if pool is None:
-            return None, (index, us, vs)
-        q = us.shape[0]
+            return None, (index, ends)
+        q = ends.shape[1]
         cuts = [q * j // self.jobs for j in range(self.jobs + 1)]
         t_submit = time.perf_counter()
-        return t_submit, [pool.submit(_serve, index, us[a:b], vs[a:b], a)
+        return t_submit, [pool.submit(_serve, index, ends[:, a:b], a)
                           for a, b in zip(cuts, cuts[1:]) if a < b]
 
     def _gather(self, ticket: tuple) -> np.ndarray:
@@ -417,16 +417,16 @@ class QueryEngine:
         """
         # ids are checked before they are keyed: an out-of-range pair
         # must raise, not alias the u·n + v of a cached one
-        us, vs = pair_columns(pairs, self.n)
-        q = us.shape[0]
+        ends = pair_columns(pairs, self.n)
+        q = ends.shape[1]
         if q == 0:
             return np.empty(0, dtype=np.float64), self.epoch
         index, epoch = self.index_snapshot()
         cache = self._cache
         if cache is None:
-            return self._gather(self._start(index, us, vs)), epoch
+            return self._gather(self._start(index, ends)), epoch
 
-        keys = us * self.n + vs
+        keys = ends[0] * self.n + ends[1]
         slots = cache.slot_of(keys)
         with self._lock:
             # a batch that started on a since-replaced epoch must not
@@ -440,7 +440,7 @@ class QueryEngine:
             self.stats.misses += miss.size
         if miss.size:
             keys, slots = keys[miss], slots[miss]
-            vals = self._gather(self._start(index, us[miss], vs[miss]))
+            vals = self._gather(self._start(index, ends[:, miss]))
             out[miss] = vals
             with self._lock:
                 # epoch-stamped write-back: a batch that started
@@ -456,11 +456,11 @@ class QueryEngine:
         """Start one cache-bypassing batch on the epoch current right
         now; returns the ticket for :meth:`_collect` (``None`` when
         empty)."""
-        us, vs = pair_columns(pairs, self.n)
-        if us.shape[0] == 0:
+        ends = pair_columns(pairs, self.n)
+        if ends.shape[1] == 0:
             return None
         index, epoch = self.index_snapshot()
-        return self._start(index, us, vs), epoch
+        return self._start(index, ends), epoch
 
     def _collect(self, ticket: Optional[tuple]) -> tuple[np.ndarray, int]:
         """Finish one submitted batch — ``(answers, epoch)``, the epoch

@@ -157,10 +157,10 @@ class IndexStore(Protocol):
         """:func:`validated_pairs`, then :meth:`_plan_checked`."""
         ...
 
-    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
-                      ) -> tuple[Any, list]:
-        """What ``finish`` needs and the batch's requests, from id
-        columns the caller validated (:func:`pair_columns`)."""
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
+        """What ``finish`` needs and the batch's requests, from the
+        ``(2, q)`` endpoint array ``[us; vs]`` the caller validated
+        (:func:`pair_columns`)."""
         ...
 
     def route(self, state: Any, requests: list) -> tuple[Any, list]:
@@ -183,18 +183,23 @@ class IndexStore(Protocol):
         ...
 
 
-def validated_pairs(us, vs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared batch validation: contiguous int64 arrays, ids in [0, n)."""
-    us = np.ascontiguousarray(us, dtype=np.int64)
-    vs = np.ascontiguousarray(vs, dtype=np.int64)
+def _check_ids(ids: np.ndarray, n: int) -> None:
+    """Every id of an int64 array in ``[0, n)``: one unsigned compare
+    checks both bounds (a negative id reads as >= 2^63)."""
+    if np.count_nonzero(ids.view(np.uint64) >= n):
+        raise QueryError(f"node id out of range [0, {n})")
+
+
+def validated_pairs(us, vs, n: int) -> np.ndarray:
+    """Shared batch validation: two id columns as one ``(2, q)`` int64
+    endpoint array ``[us; vs]``, ids in [0, n)."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
     if us.shape != vs.shape or us.ndim != 1:
         raise QueryError("estimate_many wants two equal-length 1-d arrays")
-    # one unsigned reduction checks both bounds of both columns: a
-    # negative id reads as >= 2^63
-    if us.size and int(np.maximum(us.view(np.uint64),
-                                  vs.view(np.uint64)).max()) >= n:
-        raise QueryError(f"node id out of range [0, {n})")
-    return us, vs
+    ends = np.concatenate((us, vs)).reshape(2, us.size)
+    _check_ids(ends, n)
+    return ends
 
 
 def parse_pair_array(pairs) -> np.ndarray:
@@ -214,12 +219,16 @@ def parse_pair_array(pairs) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
-def pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ``dist_many`` workload as validated id columns — what a session
-    edge hands ``_plan_checked``, so a batch is parsed, copied and
-    checked once (ConfigError: bad shape; QueryError: id out of range)."""
-    arr = parse_pair_array(pairs)
-    return validated_pairs(arr[:, 0], arr[:, 1], n)
+def pair_columns(pairs, n: int) -> np.ndarray:
+    """A ``dist_many`` workload as the validated ``(2, q)`` endpoint
+    array ``[us; vs]`` — what a session edge hands ``_plan_checked``, so
+    a batch is parsed, copied and checked once: one copy of the ``(q,
+    2)`` pairs into stacked columns (each row a contiguous id column),
+    range-checked by one compare (ConfigError: bad shape; QueryError: id
+    out of range)."""
+    ends = np.ascontiguousarray(parse_pair_array(pairs).T)
+    _check_ids(ends, n)
+    return ends
 
 
 def _unresolved_error(message: str, row: int) -> QueryError:
@@ -287,7 +296,7 @@ class _BaseIndex:
 
     def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
         """Validate a batch and plan it (see :class:`IndexStore`)."""
-        return self._plan_checked(*validated_pairs(us, vs, self.n))
+        return self._plan_checked(validated_pairs(us, vs, self.n))
 
     def route(self, state: Any, requests: list) -> tuple[Any, list]:
         """Planned requests already addressed shard by shard."""
@@ -407,31 +416,40 @@ def _miss_filter(keys: np.ndarray) -> tuple[np.ndarray, np.uint64]:
     for i in range(0, keys.size, _BLOCK_CELLS):
         h = keys[i:i + _BLOCK_CELLS].view(np.uint64) * _HASH_MULT
         np.bitwise_or.at(filt, (h >> shift).view(np.int64),
-                         _filter_bits(h, shift))
+                         _filter_bits(h, shift - _PICK_BITS))
     return filt, shift
 
 
-def _filter_bits(h: np.ndarray, shift: np.uint64) -> np.ndarray:
-    """Each hash's two-bit mask in its filter word ``h >> shift``."""
-    return _FILTER_BITS.take(
-        ((h >> (shift - _PICK_BITS)) & _PICK_MASK).view(np.int64))
+def _filter_bits(h: np.ndarray, pick: np.uint64) -> np.ndarray:
+    """Each hash's two-bit mask in its filter word, chosen by the twelve
+    hash bits from ``pick`` up (``pick`` = the word shift minus 12)."""
+    return _FILTER_BITS.take(((h >> pick) & _PICK_MASK).view(np.int64))
 
 
 @dataclass
 class _TZPlan:
     """In-flight state of one batched TZ query (master side only)."""
 
-    us: np.ndarray
-    vs: np.ndarray
+    ends: np.ndarray      # (2, q) endpoints [us; vs]
     hit: np.ndarray       # (k, 2, q) bool, top level prefilled if dense
     cand: np.ndarray      # (k, 2, q) float64, ditto
-    via: np.ndarray       # (kk, 2, q) pivot distances awaiting probe sums,
-    #                       kk the levels routed through the bunch table
+    via: np.ndarray       # (kk, 2, q) view of the pivot distances awaiting
+    #                       probe sums, kk the levels routed through the
+    #                       bunch table
     order: Optional[np.ndarray]  # set by route: flat probes in shard order
 
 
 class TZIndex(_BaseIndex):
     """Flat-array index over a TZ sketch set, built for batched queries.
+
+    A batch pays for its pairs, not for numpy call overhead: it arrives
+    as one stacked ``(2, q)`` endpoint array, so ``plan`` reads each
+    per-node table (pivot ids, pivot distances, top-pivot columns) with
+    one gather for both ends and writes every probe key with one add;
+    ``answer`` walks the directory only when the miss filter passes a
+    key; ``finish`` takes the first hit with one ``copyto`` per check
+    and finds the unresolved pairs as the NaNs left, with no Python-level
+    reductions.
 
     :param sketches: one :class:`~repro.tz.sketch.TZSketch` per node,
         indexed by node ID.
@@ -531,9 +549,14 @@ class TZIndex(_BaseIndex):
         self.mask, self.shift = _hash_params(slots)
         #: the miss filter over the resident keys (derived, never stored)
         self._filter, self._filter_shift = _miss_filter(self.keys)
+        self._filter_pick = self._filter_shift - _PICK_BITS
 
         #: levels routed through the bunch table (the rest is dense)
         self._kk = self.k - 1 if self.dense_top else self.k
+        #: ``(kk, 1, 1)``: the level each row of ``finish``'s hits checks
+        self._level_rows = np.arange(self._kk, dtype=np.int64)[:, None, None]
+        #: the dense table as one row of cells, for a flat ``take``
+        self._top_cells = self.top_dist.reshape(-1)
         # landmark -> shard, in the narrowest dtype (a stable argsort of
         # one- or two-byte integers is a radix sort).  The last entry is
         # where index -1 — the sentinel pivot — lands: the shard its
@@ -574,22 +597,26 @@ class TZIndex(_BaseIndex):
         probe of the store goes through here, once per :meth:`answer`.
 
         Nearly every probe is a miss, so the miss filter is asked
-        first — one gather from a cache-resident table — and only the
-        keys it passes (the resident ones and about 1 % of the rest)
-        walk the directory: from the home slot to the first slot that
-        holds the key or is empty, whose row index gathers the answer
-        (an empty slot's -1 wraps to the absent row).  A round of the
-        walk costs a dozen numpy calls however few keys are pending, so
-        once the pending keys' whole remaining walks fit in
-        :data:`_WINDOW_CELLS` cells they are gathered at once.
+        first — one gather from a cache-resident table — and the output
+        is prefilled with the absent row.  Only the keys the filter
+        passes (the resident ones and about 1 % of the rest; for a lone
+        pair usually none) walk the directory: from the home slot to the
+        first slot that holds the key or is empty, whose row index
+        gathers the answer (an empty slot's -1 wraps to the absent row).
+        A round of the walk costs a dozen numpy calls however few keys
+        are pending, so once the pending keys' whole remaining walks fit
+        in :data:`_WINDOW_CELLS` cells they are gathered at once.
         """
         h = keys.view(np.uint64) * _HASH_MULT
-        bits = _filter_bits(h, self._filter_shift)
+        bits = _filter_bits(h, self._filter_pick)
         word = self._filter.take((h >> self._filter_shift).view(np.int64))
-        live = ((word & bits) == bits).nonzero()[0]
+        np.bitwise_and(word, bits, out=word)
+        live = (word == bits).nonzero()[0]
         dist = np.zeros(keys.size, dtype=np.float64)
         level = np.empty(keys.size, dtype=np.int64)
         level.fill(-1)
+        if not live.size:
+            return dist, level
 
         keys = keys.take(live)
         cur = (h.take(live) >> self.shift).view(np.int64)
@@ -625,60 +652,25 @@ class TZIndex(_BaseIndex):
         hold (see :func:`restrict_index_shards`) answers absent.  Pure:
         reads the table and the directory, writes nothing shared.
         """
-        if not requests:
-            return []
-        keys = (np.concatenate(requests, dtype=np.int64) if len(requests) > 1
-                else np.ascontiguousarray(requests[0], dtype=np.int64))
-        dist, level = self._probe(keys)
+        if len(requests) < 2:  # nothing, or the plan's one flat request
+            return [self._probe(np.ascontiguousarray(keys, dtype=np.int64))
+                    for keys in requests]
+        dist, level = self._probe(np.concatenate(requests, dtype=np.int64))
         ends = list(accumulate(map(len, requests)))
         return [(dist[a:b], level[a:b])
                 for a, b in zip([0] + ends[:-1], ends)]
 
-    def lookup(self, owners: np.ndarray, landmarks: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched bunch probe: for each ``(owner, landmark)`` pair return
-        ``(dist, level, found)`` — ``found[j]`` is False when the landmark
-        is not in the owner's bunch (then dist/level are undefined).
-
-        Owners must be real node ids; a landmark outside ``[0, n)`` (e.g.
-        the INF_KEY pivot sentinel -1) is simply never a member.
-        """
-        owners = np.ascontiguousarray(owners, dtype=np.int64)
-        landmarks = np.ascontiguousarray(landmarks, dtype=np.int64)
-        m = owners.shape[0]
-        if m and (owners.min() < 0 or owners.max() >= self.n):
-            raise QueryError(f"owner id out of range [0, {self.n})")
-        dist = np.zeros(m, dtype=np.float64)
-        level = np.full(m, -1, dtype=np.int64)
-        in_range = (landmarks >= 0) & (landmarks < self.n)
-        col = np.where(in_range, self.top_col[landmarks % self.n], -1)
-        is_top = col >= 0
-        ti = np.flatnonzero(is_top)
-        if ti.size:
-            d = self.top_dist[owners[ti], col[ti]]
-            ok = np.isfinite(d)
-            oi = ti[ok]
-            dist[oi] = d[ok]
-            level[oi] = self.k - 1
-        rest = np.flatnonzero(~is_top & in_range)
-        dist[rest], level[rest] = self._probe(
-            owners[rest] * self.n + landmarks[rest])
-        return dist, level, level >= 0
-
     # ------------------------------------------------------------------
     # the batched Lemma 3.2 query, decomposed per the IndexStore contract
     # ------------------------------------------------------------------
-    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
-                      ) -> tuple[_TZPlan, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[_TZPlan, list]:
         """Gather pivots and the dense-top hits of a validated batch;
         its sub-top membership probes are one flat key request,
-        pair-major."""
-        q, k, kk, n = us.shape[0], self.k, self._kk, self.n
-
-        pu = self.pivot_ids.take(us, axis=0)      # (q, k)
-        pv = self.pivot_ids.take(vs, axis=0)
-        du = self.pivot_dists.take(us, axis=0)
-        dv = self.pivot_dists.take(vs, axis=0)
+        pair-major.  The endpoints come stacked, ``[us; vs]``, so every
+        per-node table is read by one gather for both ends."""
+        q, k, kk, n = ends.shape[1], self.k, self._kk, self.n
+        piv = self.pivot_ids.take(ends, axis=0)      # (2, q, k)
+        pd = self.pivot_dists.take(ends, axis=0)
 
         # hit/candidate rows in Lemma 3.2's exact check order — (level 0
         # dir 1), (level 0 dir 2), ..., (level k-1 dir 1), (level k-1
@@ -687,38 +679,38 @@ class TZIndex(_BaseIndex):
         hit = np.empty((k, 2, q), dtype=bool)
         cand = np.empty((k, 2, q), dtype=np.float64)
 
-        # the probes themselves are pair-major: the order of the wire
+        # the probes themselves are pair-major, (q, kk, 2): the order of
+        # the wire.  They are written through the (2, q, kk) view that
+        # matches the gathered pivots, so the add runs along q.  Direction
+        # 0 looks u's pivots up in v's bunch, direction 1 the reverse: a
+        # probe's owner is the other end (``[::-1]`` swaps the rows)
         keys = np.empty((q, kk, 2), dtype=np.int64)
-        np.add((vs * n)[:, None], pu[:, :kk], out=keys[:, :, 0])
-        np.add((us * n)[:, None], pv[:, :kk], out=keys[:, :, 1])
+        by_end = keys.transpose(2, 0, 1)
+        landmarks = piv[:, :, :kk]
+        np.add((ends * n)[::-1, :, None], landmarks, out=by_end)
         if self.sentinel_pivots:
             # a sentinel pivot (-1, on disconnected graphs) must never
             # match: key -2 equals neither a stored key (>= 0) nor the
             # directory's empty marker, exactly like ``bunch.get(-1)``
-            keys[:, :, 0][pu[:, :kk] < 0] = -2
-            keys[:, :, 1][pv[:, :kk] < 0] = -2
-        via = np.empty((kk, 2, q), dtype=np.float64)
-        via[:, 0] = du[:, :kk].T
-        via[:, 1] = dv[:, :kk].T
+            np.copyto(by_end, -2, where=landmarks < 0)
 
         if self.dense_top:
+            top_hit = hit[kk]
             if self.top_ids.size:
                 # column -1 (sentinel pivot, or a pivot outside the top
                 # block) reads a neighbouring cell, masked out of the hit
-                c0 = self._top_pivot_col.take(us)
-                c1 = self._top_pivot_col.take(vs)
-                top, width = self.top_dist.reshape(-1), self.top_ids.size
-                t0 = top.take(vs * width + c0)
-                t1 = top.take(us * width + c1)
-                hit[kk, 0] = (c0 >= 0) & np.isfinite(t0)
-                hit[kk, 1] = (c1 >= 0) & np.isfinite(t1)
-                np.add(du[:, kk], t0, out=cand[kk, 0])
-                np.add(dv[:, kk], t1, out=cand[kk, 1])
+                col = self._top_pivot_col.take(ends)
+                t = self._top_cells.take(
+                    np.add((ends * self.top_ids.size)[::-1], col))
+                np.isfinite(t, out=top_hit)
+                top_hit &= col >= 0
+                np.add(pd[:, :, kk], t, out=cand[kk])
             else:  # degenerate: no top-level entries anywhere
-                hit[kk] = False
+                top_hit.fill(False)
                 cand[kk] = np.inf
 
-        return _TZPlan(us=us, vs=vs, hit=hit, cand=cand, via=via,
+        return _TZPlan(ends=ends, hit=hit, cand=cand,
+                       via=pd[:, :, :kk].transpose(2, 0, 1),
                        order=None), [keys.reshape(-1)]
 
     def route(self, state: _TZPlan, requests: list) -> tuple[_TZPlan, list]:
@@ -727,11 +719,9 @@ class TZIndex(_BaseIndex):
         per-shard filter would produce; the routed state carries the
         order for ``finish`` to undo."""
         (flat,) = requests
-        shard = np.empty((state.us.size, self._kk, 2),
-                         dtype=self._pivot_shard.dtype)
-        shard[:, :, 0] = self._pivot_shard.take(state.us, axis=0)
-        shard[:, :, 1] = self._pivot_shard.take(state.vs, axis=0)
-        shard = shard.reshape(-1)
+        # (2, q, kk) -> the pair-major (q, kk, 2) order of the keys
+        shard = self._pivot_shard.take(state.ends, axis=0).transpose(
+            1, 2, 0).reshape(-1)
         order = shard.argsort(kind="stable")
         routed = flat.take(order)
         cuts = shard.take(order).searchsorted(self._shard_ids).tolist()
@@ -740,9 +730,14 @@ class TZIndex(_BaseIndex):
 
     def finish(self, state: _TZPlan, responses: list) -> np.ndarray:
         """Fold the shard probe responses into the Lemma 3.2 level scan:
-        first hit wins, exactly like the single-pair reference."""
-        us, vs = state.us, state.vs
-        q, k, kk = us.shape[0], self.k, self._kk
+        first hit wins, exactly like the single-pair reference.
+
+        Each check's candidates are copied where it hit into a
+        NaN-prefilled answer, from the last check to the first.  A hit's
+        candidate is a sum of terms that are finite or +inf, never NaN,
+        so the NaNs left are exactly the unresolved pairs."""
+        ends = state.ends
+        q, kk = ends.shape[1], self._kk
         if state.order is None:
             d, lvl = responses[0]
         else:
@@ -752,23 +747,23 @@ class TZIndex(_BaseIndex):
             d[state.order] = np.concatenate(dists)
             lvl = np.empty(state.order.size, dtype=np.int64)
             lvl[state.order] = np.concatenate(levels)
-        np.equal(lvl.reshape(q, kk, 2).transpose(1, 2, 0),
-                 np.arange(kk, dtype=np.int64)[:, None, None],
-                 out=state.hit[:kk])
+        hit, cand = state.hit, state.cand
+        np.equal(lvl.reshape(q, kk, 2).transpose(1, 2, 0), self._level_rows,
+                 out=hit[:kk])
         np.add(state.via, d.reshape(q, kk, 2).transpose(1, 2, 0),
-               out=state.cand[:kk])
-        hit = state.hit.reshape(2 * k, q)
-        cand = state.cand.reshape(2 * k, q)
-        est = cand[-1]
-        for row in range(2 * k - 2, -1, -1):
-            est = np.where(hit[row], cand[row], est)
-        same = us == vs
-        est[same] = 0.0
-        resolved = hit.any(axis=0) | same
-        if not resolved.all():
-            j = int(np.flatnonzero(~resolved)[0])
+               out=cand[:kk])
+        est = np.empty(q, dtype=np.float64)
+        est.fill(np.nan)
+        rows = 2 * self.k
+        for row_hit, row_cand in zip(hit.reshape(rows, q)[::-1],
+                                     cand.reshape(rows, q)[::-1]):
+            np.copyto(est, row_cand, where=row_hit)
+        np.copyto(est, 0.0, where=ends[0] == ends[1])
+        unresolved = np.isnan(est)
+        if np.count_nonzero(unresolved):
+            j = int(unresolved.argmax())
             raise _unresolved_error(
-                f"labels of {int(us[j])} and {int(vs[j])} share no level "
+                f"labels of {ends[0, j]} and {ends[1, j]} share no level "
                 f"(A_{self.k - 1} membership is inconsistent between them)",
                 j)
         return est
@@ -978,11 +973,11 @@ class Stretch3Index(_BaseIndex):
                 for a, b in zip(cb[:-1], cb[1:])]
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
-                      ) -> tuple[Any, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
         """Every shard receives the full pair list (each owns a column
         block of the min): one request per shard, nothing to route."""
-        return (us, vs), [(us, vs)] * self.num_shards
+        pairs = ends[0], ends[1]
+        return pairs, [pairs] * self.num_shards
 
     def answer(self, shards: Sequence[int], requests: Sequence,
                ) -> list[np.ndarray]:
@@ -1197,20 +1192,19 @@ class CDGIndex(_BaseIndex):
         return self._sub.shard_sizes()
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
-                      ) -> tuple[Any, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
         """Plan the gateway-label TZ sub-batch (gateway slots gathered
         from ``_gw_slot`` are valid sub-universe ids by construction:
         one validation per batch, however deep the store nests)."""
-        sub_state, requests = self._sub._plan_checked(self._gw_slot[us],
-                                                      self._gw_slot[vs])
-        return (us, vs, sub_state), requests
+        sub_state, requests = self._sub._plan_checked(
+            self._gw_slot.take(ends))
+        return (ends, sub_state), requests
 
     def route(self, state: Any, requests: list) -> tuple[Any, list]:
         """Split the sub-index's request by landmark shard."""
-        us, vs, sub_state = state
+        ends, sub_state = state
         sub_state, requests = self._sub.route(sub_state, requests)
-        return (us, vs, sub_state), requests
+        return (ends, sub_state), requests
 
     def answer(self, shards: Sequence[int], requests: Sequence) -> list:
         """Delegate the probes to the TZ sub-index."""
@@ -1219,19 +1213,23 @@ class CDGIndex(_BaseIndex):
     def finish(self, state: Any, responses: list) -> np.ndarray:
         """Wrap the sub-index's answers in the gateway legs, re-raising
         unresolved pairs with the original node ids."""
-        us, vs, sub_state = state
+        ends, sub_state = state
         try:
             through = self._sub.finish(sub_state, responses)
         except QueryError as exc:
             j = getattr(exc, "row", None)
             if j is None:  # pragma: no cover - defensive
                 raise
+            u, v = ends[:, j]
             raise _unresolved_error(
-                f"cdg sketches of {int(us[j])} and {int(vs[j])} share no "
-                f"level (gateways {int(self.gateway_ids[us[j]])} and "
-                f"{int(self.gateway_ids[vs[j]])})", j) from None
-        est = (self.gateway_dists[us] + through) + self.gateway_dists[vs]
-        return np.where(us == vs, 0.0, est)
+                f"cdg sketches of {u} and {v} share no level (gateways "
+                f"{self.gateway_ids[u]} and {self.gateway_ids[v]})",
+                j) from None
+        legs = self.gateway_dists.take(ends)
+        est = legs[0] + through
+        est += legs[1]
+        np.copyto(est, 0.0, where=ends[0] == ends[1])
+        return est
 
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
@@ -1343,22 +1341,21 @@ class GracefulIndex(_BaseIndex):
                 for s in range(self.num_shards)]
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, us: np.ndarray, vs: np.ndarray,
-                      ) -> tuple[Any, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
         """Plan every component's sub-batch (they share this store's id
-        space); a request is the tuple of the components' requests."""
-        states, per_comp = zip(*(comp._plan_checked(us, vs)
+        space); the state is the list of the components' states and a
+        request the tuple of the components' requests."""
+        states, per_comp = zip(*(comp._plan_checked(ends)
                                  for comp in self.components))
-        return (us, vs, list(states)), list(zip(*per_comp))
+        return list(states), list(zip(*per_comp))
 
     def route(self, state: Any, requests: list) -> tuple[Any, list]:
         """Route every component; shard ``s``'s request is the tuple of
         the components' shard-``s`` requests."""
-        us, vs, states = state
         states, per_comp = zip(*(
             comp.route(st, [r[i] for r in requests])
-            for i, (comp, st) in enumerate(zip(self.components, states))))
-        return (us, vs, list(states)), list(zip(*per_comp))
+            for i, (comp, st) in enumerate(zip(self.components, state))))
+        return list(states), list(zip(*per_comp))
 
     def answer(self, shards: Sequence[int], requests: Sequence) -> list:
         """Serve the requests of every component — one kernel call per
@@ -1370,10 +1367,9 @@ class GracefulIndex(_BaseIndex):
     def finish(self, state: Any, responses: list) -> np.ndarray:
         """Component-wise minimum (any unresolved component raises, as the
         single-pair ``min`` over a raising generator would)."""
-        us, vs, states = state
         est: Optional[np.ndarray] = None
         for i, comp in enumerate(self.components):
-            part = comp.finish(states[i], [r[i] for r in responses])
+            part = comp.finish(state[i], [r[i] for r in responses])
             est = part if est is None else np.minimum(est, part)
         return est
 

@@ -422,6 +422,8 @@ class UpdateableIndex:
         ``net`` / ``schedule``), as for
         :func:`~repro.oracle.api.build_sketches` — or the ``artifacts``
         a build recorded, which ``sample`` takes as given.
+    :raises ConfigError: on a keyword a centralized build of the scheme
+        does not read (the message ``build_sketches`` gives).
     """
 
     def __init__(self, graph: Graph, scheme: str = "tz",
@@ -440,6 +442,7 @@ class UpdateableIndex:
         self._spec = get_scheme(scheme)
         if self._spec.repair is None:
             raise ConfigError(f"scheme {scheme!r} has no update support")
+        self._spec.check("centralized", params)
         self.artifacts = self._spec.sample(self.graph, seed, params)
         self.sketches = (list(sketches) if sketches is not None else
                          self._spec.sketches(self.graph, self.artifacts))

@@ -484,6 +484,21 @@ class TestDistributedBuild:
         with pytest.raises(ConfigError, match="needs k"):
             build_shard_range(graph, "tz", lo=0, hi=1, num_shards=4)
 
+    def test_build_shard_range_refuses_what_a_build_refuses(self, graph):
+        """A keyword the scheme does not read is refused with the
+        message ``build_sketches`` gives, here and through the scatter
+        built on it."""
+        with pytest.raises(ConfigError) as want:
+            build_sketches(graph, "tz", seed=1, k=2, epsilon=0.3)
+        with pytest.raises(ConfigError) as got:
+            build_shard_range(graph, "tz", lo=0, hi=1, num_shards=2,
+                              seed=1, k=2, epsilon=0.3)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ConfigError) as scattered:
+            build_distributed(graph, "tz", num_hosts=2, num_shards=2,
+                              seed=1, jobs=1, k=2, epsilon=0.3)
+        assert str(scattered.value) == str(want.value)
+
 
 # ----------------------------------------------------------------------
 # the benchmark harness is itself the correctness oracle

@@ -171,6 +171,16 @@ class TestUnknownParameters:
             build_sketches(er_unit, "stretch3", "distributed", eps=0.4,
                            dist_matrix=None)
 
+    @pytest.mark.parametrize("scheme", sorted(REQUIRED))
+    def test_recorded_artifacts_are_read(self, small_ring, scheme):
+        """What a build records is a parameter its scheme reads: a
+        build from ``built.artifacts`` gives the same sketches — how
+        ``updateable()`` and the fleet scatter rebuild."""
+        built = build_sketches(small_ring, scheme, seed=3,
+                               **self.REQUIRED[scheme])
+        again = build_sketches(small_ring, scheme, **built.artifacts)
+        assert again.sketches == built.sketches
+
     def test_every_read_parameter_is_accepted(self, small_ring):
         from repro.oracle.api import _PARAMS
 

@@ -36,19 +36,6 @@ class TestTZIndex:
         top = int(np.isfinite(idx.top_dist).sum())
         assert sum(idx.shard_sizes()) + top == idx.nnz()
 
-    def test_lookup_matches_bunch_dicts(self, tz_sketches, indexed):
-        rng = np.random.default_rng(5)
-        owners = rng.integers(0, indexed.n, size=200)
-        landmarks = rng.integers(0, indexed.n, size=200)
-        dist, level, found = indexed.lookup(owners, landmarks)
-        for j, (u, w) in enumerate(zip(owners, landmarks)):
-            entry = tz_sketches[int(u)].bunch.get(int(w))
-            if entry is None:
-                assert not found[j]
-            else:
-                assert found[j]
-                assert dist[j] == entry[0] and level[j] == entry[1]
-
     def test_estimate_matches_reference(self, tz_sketches, indexed):
         for u, v in [(0, 1), (3, 30), (17, 17), (35, 2)]:
             assert indexed.estimate(u, v) == estimate_distance(
@@ -425,26 +412,6 @@ class TestDisconnectedGraphs:
                             idx.estimate_many(np.array([u]), np.array([v]))
                         continue
                     assert idx.estimate(u, v) == want
-
-    def test_lookup_rejects_sentinel_landmark(self):
-        sketches, _ = build_tz_sketches_centralized(self._disconnected(),
-                                                    k=2, seed=1)
-        idx = TZIndex(sketches)
-        _, _, found = idx.lookup(np.array([0, 2]), np.array([-1, -1]))
-        assert not found.any()
-
-
-class TestLookupValidation:
-    def test_lookup_rejects_out_of_range_owner(self, indexed):
-        with pytest.raises(QueryError):
-            indexed.lookup(np.array([-1]), np.array([0]))
-        with pytest.raises(QueryError):
-            indexed.lookup(np.array([indexed.n]), np.array([0]))
-
-    def test_lookup_treats_out_of_range_landmark_as_absent(self, indexed):
-        _, _, found = indexed.lookup(np.array([0, 0]),
-                                     np.array([-1, indexed.n]))
-        assert not found.any()
 
 
 class TestSlackIndexes:

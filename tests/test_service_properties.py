@@ -3,7 +3,7 @@
 Two invariants, checked on every generated instance:
 
 * **batch/single bit-identity** — for random connected weighted graphs and
-  all k ∈ {2, 3, 4}, every batched answer equals the single-query answer
+  all k ∈ {1, 2, 3, 4}, every batched answer equals the single-query answer
   *exactly* (``==`` on floats, not approx), across shard counts and cache
   configurations;
 * **sandwich bound** — every estimate satisfies
@@ -32,7 +32,9 @@ from repro.tz import build_tz_sketches_centralized, estimate_distance
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
-KS = (2, 3, 4)
+#: k = 1 is the one TZ shape with no sub-top level (``kk = 0``): an empty
+#: probe request, what a fused plan/finish most easily breaks
+KS = (1, 2, 3, 4)
 
 
 @st.composite
@@ -534,6 +536,53 @@ class TestAnswerDecomposition:
             got = _outcome(lambda: index.estimate_many(us[j:j + 1],
                                                        vs[j:j + 1]))
             assert got == ([want] if want != "raise" else (got[0], 0))
+
+
+_TZ_CASES = sorted(name for name in _DECOMPOSITION_CASES
+                   if name.startswith("tz"))
+
+
+class TestOnePairSwept:
+    """A lone pair is the batch the per-request floor is paid on, and
+    the one whose probes the miss filter usually rejects outright.  The
+    property suites draw batches of 1–24 pairs, so a lone pair is
+    sampled there; here every ordered pair of every TZ layout is asked
+    on its own, through the store and through a cache-less engine."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("case", _TZ_CASES)
+    def test_every_pair_alone_is_the_single_query(self, case, shards):
+        sketches = _decomposition_set(case)
+        index = build_index(sketches, num_shards=shards)
+        n = len(sketches)
+        with QueryEngine(index, cache_size=0) as engine:
+            for u in range(n):
+                for v in range(n):
+                    try:
+                        want = [estimate_distance(sketches[u], sketches[v])]
+                    except QueryError as exc:
+                        want = (str(exc), 0)
+                    assert _outcome(lambda: index.estimate_many(
+                        np.array([u]), np.array([v]))) == want, (u, v)
+                    assert _outcome(lambda: np.array(
+                        [engine.dist(u, v)])) == want, (u, v)
+
+    @pytest.mark.parametrize("case", _TZ_CASES)
+    def test_a_hit_candidate_is_never_nan(self, case):
+        """``finish`` takes the first hit by copying hit candidates into
+        a NaN-prefilled answer and reads the NaNs left as the unresolved
+        pairs — sound only because no hit's candidate is NaN (it is a sum
+        of terms that are finite or +inf)."""
+        sketches = _decomposition_set(case)
+        index = build_index(sketches, num_shards=2)
+        us, vs = _all_ordered_pairs(len(sketches))
+        state, requests = index.plan(us, vs)
+        try:
+            index.finish(state, index.answer(range(len(requests)), requests))
+        except QueryError:
+            pass  # the candidates are complete before anything raises
+        assert state.hit.any()
+        assert not np.isnan(state.cand[state.hit]).any()
 
 
 # ----------------------------------------------------------------------

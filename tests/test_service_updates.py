@@ -387,6 +387,21 @@ class TestBuiltSketchesUpdateable:
             build_sketches(er_unit, scheme="tz", k=2, seed=1,
                            mode="distributed").updateable()
 
+    @pytest.mark.parametrize("scheme,params", SCHEMES)
+    def test_refuses_what_a_build_refuses(self, er_unit, scheme, params):
+        """A keyword the scheme does not read is refused, with the
+        message ``build_sketches`` gives — never silently dropped."""
+        from repro import build_sketches
+
+        stray = {"tz": "eps", "stretch3": "k"}.get(scheme, "epsilon")
+        with pytest.raises(ConfigError) as want:
+            build_sketches(er_unit, scheme, seed=1, **params, **{stray: 0.3})
+        with pytest.raises(ConfigError) as got:
+            UpdateableIndex(er_unit, scheme, seed=1, **params,
+                            **{stray: 0.3})
+        assert str(got.value) == str(want.value)
+        assert f"no parameter '{stray}'" in str(got.value)
+
 
 class TestRepairPolicies:
     """Repair vs rebuild is one rule — rebuild when the dirty fraction
