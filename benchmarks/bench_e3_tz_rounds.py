@@ -22,7 +22,7 @@ from repro.analysis import render_table, summarize_ratios, tz_message_bound, tz_
 from repro.algorithms.ksource import k_source_shortest_paths
 from repro.tz import build_tz_sketches_distributed
 
-SWEEP = (("er", (64, 128, 256, 512)), ("grid", (36, 64, 100)), ("ring", (24, 48, 96)))
+SWEEP = (("er", (64, 128, 256, 512, 1024, 2048)), ("grid", (36, 64, 100)), ("ring", (24, 48, 96)))
 K = 2
 
 

@@ -22,7 +22,7 @@ from repro.tz import (
     sample_hierarchy,
 )
 
-NS = (32, 64, 128, 256)
+NS = (32, 64, 128, 256, 512)
 K = 2
 
 

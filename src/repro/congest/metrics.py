@@ -10,7 +10,7 @@ back to back, Theorem 4.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -63,6 +63,13 @@ class RunMetrics:
             ph.messages += messages
             ph.words += words
 
+    def record_idle(self, rounds: int) -> None:
+        """Charge ``rounds`` silent rounds at once (``record_round(0, 0)``
+        that many times)."""
+        self.rounds += rounds
+        if self.phases:
+            self.phases[-1].rounds += rounds
+
     # ------------------------------------------------------------------
     def phase(self, name: str) -> PhaseMetrics:
         """Look up a phase by name (raises ``KeyError`` if absent)."""
@@ -85,7 +92,8 @@ class RunMetrics:
             wakeups=self.wakeups + other.wakeups,
             wall_s=self.wall_s + other.wall_s,
         )
-        out.phases = list(self.phases) + list(other.phases)
+        # copies: recording into the sum must not move its operands
+        out.phases = [replace(ph) for ph in (*self.phases, *other.phases)]
         return out
 
     def as_row(self) -> dict:

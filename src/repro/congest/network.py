@@ -8,9 +8,14 @@ node of a :class:`~repro.graphs.graph.Graph`, enforcing the CONGEST rules:
 * synchronous delivery: messages sent in round ``r`` are in the inbox at
   round ``r + 1``.
 
-The engine is the library's hot loop and it is event-driven: the cost of a
-run is proportional to the messages delivered plus the node callbacks that
-have something to do, not to ``n x rounds``.
+It runs every protocol written as node programs — the k-source,
+super-source, election and reliable Bellman-Ford runs, the delayed and
+faulty variants, anything traced — while the distributed Thorup–Zwick
+build runs on :class:`repro.congest.columnar.PhasedBellmanFord`, which
+simulates a round of every node at once (the per-node TZ programs run
+here stay its reference).  The engine is event-driven: the cost of a
+run is proportional to the messages delivered plus the node callbacks
+that have something to do, not to ``n x rounds``.
 
 * A node's ``on_round`` runs in a round iff it has mail, it declared queued
   work (``has_pending()``), or a timer it set (``ctx.wake_at``) is due.

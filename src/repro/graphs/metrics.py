@@ -103,6 +103,10 @@ def shortest_path_diameter(g: Graph) -> int:
 
     ``D <= S`` always; with unit weights ``S == D``.
     """
+    w = g.to_csr().data
+    if w.size and w.min() == w.max():
+        # equal weights: a path is shortest iff it has the fewest hops
+        return hop_diameter(g)
     best = 0.0
     for s in g.nodes():
         _, hops = single_source_hops_on_shortest_paths(g, s)

@@ -36,6 +36,12 @@ drain one per edge per round with priority over data; a data broadcast
 (which needs *all* incident edges) is deferred to a control-silent round.
 The paper bounds this overhead at "at most double the messages and rounds
 plus negligible extras"; experiment E4 measures the actual factor.
+
+:func:`build_tz_sketches_distributed` runs the protocol on the columnar
+round engine (:class:`repro.congest.columnar.PhasedBellmanFord`).  The
+per-node programs below (``TZOracleProgram``, ``TZKnownSProgram``,
+``TZEchoProgram``) are the reference it is tested against, and what the
+delayed and faulty simulators run.
 """
 
 from __future__ import annotations
@@ -45,13 +51,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+import numpy as np
 
 from repro.algorithms.bfs_tree import BFSTreeProgram, TreeInfo
 from repro.algorithms.round_robin import MultiSourceEngine
 from repro.algorithms.termination import EchoBookkeeper
+from repro.congest.columnar import PhasedBellmanFord
 from repro.congest.context import NodeContext
 from repro.congest.metrics import RunMetrics
-from repro.congest.network import Simulator
 from repro.congest.node import NodeProgram
 from repro.distkey import INF_KEY, DistKey
 from repro.errors import ConfigError, ProtocolError
@@ -487,17 +494,8 @@ def build_tz_sketches_distributed(
     hierarchy = tz_artifacts(graph, seed,
                              {"k": k, "hierarchy": hierarchy})["hierarchy"]
     kk = hierarchy.k
-    levels = hierarchy.level
-
-    marker_holder: list[Optional[RunMetrics]] = [None]
-
-    if sync == "oracle":
-        marker_node = 0
-
-        def factory(u: int) -> NodeProgram:
-            marker = marker_holder[0] if u == marker_node else None
-            return TZOracleProgram(u, kk, int(levels[u]), phase_marker=marker)
-    elif sync == "known_smax":
+    budgets = None
+    if sync == "known_smax":
         if S is None:
             raise ConfigError("known_smax sync requires S")
         if isinstance(budget, str):
@@ -505,40 +503,31 @@ def build_tz_sketches_distributed(
                                     universe_size=int(hierarchy.universe().size))
         else:
             budgets = [int(b) for b in budget]
-        marker_node = 0
-
-        def factory(u: int) -> NodeProgram:
-            marker = marker_holder[0] if u == marker_node else None
-            return TZKnownSProgram(u, kk, int(levels[u]), budgets,
-                                   phase_marker=marker)
-    elif sync == "echo":
-        # the max-ID node wins the election and drives phase transitions,
-        # so it is the sharpest phase marker
-        marker_node = graph.n - 1
-
-        def factory(u: int) -> NodeProgram:
-            marker = marker_holder[0] if u == marker_node else None
-            return TZEchoProgram(u, graph.n, kk, int(levels[u]),
-                                 phase_marker=marker)
-    else:
+    elif sync not in ("oracle", "echo"):
         raise ConfigError(f"unknown sync mode {sync!r}")
 
-    metrics = RunMetrics()
-    if phase_metrics:
-        marker_holder[0] = metrics
-    sim = Simulator(graph, factory, seed=seed, metrics=metrics)
-    res = sim.run(max_rounds=max_rounds)
-
-    sketches = [p.sketch() for p in res.programs]
-    max_q = max(p.max_queue_len for p in res.programs)
-    depth = None
-    if sync == "echo":
-        depth = max(p.tree.depth for p in res.programs)
-    return TZDistributedResult(sketches=sketches, hierarchy=hierarchy,
-                               metrics=res.metrics, sync=sync,
-                               max_queue_len=max_q, tree_depth=depth)
+    run = PhasedBellmanFord(graph, hierarchy.level, kk, seed=seed,
+                            mark_phases=phase_metrics, max_rounds=max_rounds)
+    run.run(sync, budgets)
+    return TZDistributedResult(sketches=_sketches(run, hierarchy),
+                               hierarchy=hierarchy, metrics=run.metrics,
+                               sync=sync, max_queue_len=int(run.max_q.max()),
+                               tree_depth=run.tree_depth)
 
 
+def _sketches(run: PhasedBellmanFord, hierarchy: Hierarchy) -> list[TZSketch]:
+    """Package the engine's pivots and accepted entries as labels."""
+    n, kk = run.n, hierarchy.k
+    owner, src, dist = run.entries()
+    lo = np.searchsorted(owner, np.arange(n)).tolist()
+    hi = np.searchsorted(owner, np.arange(n), side="right").tolist()
+    src_l, dist_l = src.tolist(), dist.tolist()
+    lvl_l = hierarchy.level[src].tolist()
+    pivots = zip(*(zip(run.piv_n[:, i].tolist(), run.piv_d[:, i].tolist())
+                   for i in range(kk)))
+    return [TZSketch(node=u, k=kk, pivots=piv,
+                     bunch=dict(zip(src_l[a:b], zip(dist_l[a:b], lvl_l[a:b]))))
+            for u, piv, a, b in zip(range(n), pivots, lo, hi)]
 
 
 def tz_distributed(graph: Graph, seed: SeedLike, params: dict):

@@ -85,6 +85,17 @@ class TestShortestPathDiameter:
         for g in (er_weighted, er_heavy, geo_graph):
             assert shortest_path_diameter(g) >= hop_diameter(g)
 
+    def test_equal_weights_agree_with_the_per_source_search(self, er_unit):
+        # the equal-weight shortcut returns D; the per-source
+        # (dist, hops) search must find the same S
+        g = er_unit.copy()
+        for u, v, _ in list(g.edges()):
+            g.set_weight(u, v, 2.5)
+        per_source = max(
+            single_source_hops_on_shortest_paths(g, s)[1].max()
+            for s in g.nodes())
+        assert shortest_path_diameter(g) == int(per_source) == hop_diameter(g)
+
     def test_min_hop_among_shortest_paths(self):
         # two shortest 0->3 paths of weight 4: 0-1-2-3 (3 hops, 1+1+2) and
         # 0-4-3 (2 hops, 2+2): h(0,3) must be 2
