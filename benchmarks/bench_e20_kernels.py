@@ -32,8 +32,9 @@ S ∈ {1, 4, 16} × batch ∈ {1, 64, 1024}, µs per batch and the ratio to
 S = 1.  A shard is a row range of one bunch table behind one hash
 directory, a key names its own landmark, and only a fleet routes — so
 a local batch costs the same whatever S.  The one-pair row (at most
-:data:`ONE_PAIR_QUERIES` queries) is the per-request floor: what a
-batch costs before its size matters.
+:data:`ONE_PAIR_QUERIES` queries) is the per-request floor; a lone
+pair is the store's scalar single-pair query, not a batch, so it costs
+the same whatever S too.
 
 Hard claims (always asserted, any hardware): answers are bit-identical
 across every arm, shard count, batch size, and scheme.  Timing claims —

@@ -25,6 +25,12 @@ answer depends on that pair only, so the engine runs that chain
                            └─ …                 ─▶ plan → answer → finish ─┤
     _gather(ticket) ◀─────────── answers, concatenated in pair order ──────┘
 
+A batch of one pair — the paper's own query, and every request of a
+one-pair-per-request client — skips the chain: it is answered in the
+calling thread by the store's scalar single-pair query
+(:func:`_serve_one`), a few µs against the chain's forty-odd numpy
+calls.
+
 ``jobs=1`` runs the chain once, in the calling thread.  ``jobs=J`` cuts
 the *batch* into J contiguous pair ranges, one task each on the engine's
 one thread pool: the chain is numpy-kernel work that releases the GIL,
@@ -72,12 +78,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.service.index import IndexStore, pair_columns
+from repro.service.index import _HASH_MULT, IndexStore, pair_columns
 from repro.service.session import stream_window
 
 #: pool threads carry this name prefix so tests (and operators reading a
@@ -160,6 +167,19 @@ def _serve(index: IndexStore, ends: np.ndarray, start: int = 0) -> tuple:
     return out, t1 - t0, t2 - t1, t3 - t2, t3
 
 
+def _serve_one(index: IndexStore, ends: np.ndarray) -> tuple:
+    """:func:`_serve` for a batch of one pair: the store's single-pair
+    query (``_estimate_checked``, Lemma 3.2's scalar scan on a TZ
+    store), its seconds booked as the answer's."""
+    t0 = time.perf_counter()
+    try:
+        out = np.array([index._estimate_checked(*ends[:, 0].tolist())])
+    except QueryError as exc:
+        out = exc
+    t1 = time.perf_counter()
+    return out, 0.0, t1 - t0, 0.0, t1
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting for the engine's result cache."""
@@ -173,10 +193,9 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-#: odd 64-bit multiplier (2^64 / golden ratio) of the slot hash — the
+#: the slot hash is the stores' Fibonacci multiply (``_HASH_MULT``): the
 #: product's high bits mix every bit of ``u·n + v``, so a batch that
 #: fixes one endpoint still spreads over all slots
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(32)
 
 
@@ -331,12 +350,15 @@ class QueryEngine:
         endpoints on ``index``; returns the ticket for :meth:`_gather`.
         The pool gets ``jobs`` contiguous ranges, one task each;
         in-thread the work is deferred to gather time — nothing to
-        overlap.  The ticket holds the store, so the batch is that
-        epoch's whatever is swapped in before it is gathered."""
-        pool = self._pool
+        overlap.  A lone pair is always in-thread (:func:`_serve_one`):
+        its scalar query costs less than a dispatch.  The ticket holds
+        the store, so the batch is that epoch's whatever is swapped in
+        before it is gathered."""
+        pool, q = self._pool, ends.shape[1]
+        if q == 1:
+            return None, partial(_serve_one, index, ends)
         if pool is None:
-            return None, (index, ends)
-        q = ends.shape[1]
+            return None, partial(_serve, index, ends)
         cuts = [q * j // self.jobs for j in range(self.jobs + 1)]
         t_submit = time.perf_counter()
         return t_submit, [pool.submit(_serve, index, ends[:, a:b], a)
@@ -349,7 +371,7 @@ class QueryEngine:
         """
         t_submit, work = ticket
         if t_submit is None:
-            parts = [_serve(*work)]
+            parts = [work()]
         else:
             parts = [task.result() for task in work]
         outs, plan, kernel, finish, end = zip(*parts)

@@ -20,6 +20,14 @@ pair by pair, including :class:`~repro.errors.QueryError` parity on
 disconnected graphs.  Use :func:`build_index` to get the right store for a
 homogeneous sketch set.
 
+A lone pair is the paper's own query and skips the batch machinery:
+``estimate(u, v)`` — and the engine's batch of one — is the store's
+scalar ``_estimate_checked`` over the same arrays (TZ: Lemma 3.2's level
+scan with one ``item`` read per cell it needs, behind the same miss
+filter; CDG: that scan between the gateway labels plus the two legs;
+graceful: the min over its components; stretch-3: one row sum and min).
+It returns the batch path's float bit for bit, and its ``QueryError``.
+
 Every store answers a batch as ``plan`` → ``answer`` → ``finish``, with
 ``answer(shards, requests)`` the one kernel entry.  Where every shard
 is resident — any local session — ``plan``'s requests are answered as
@@ -79,6 +87,9 @@ from repro.slack.stretch3 import Stretch3Sketch
 from repro.tz.sketch import TZSketch
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
+#: the same hash in Python ints (a one-key probe; numpy scalars would
+#: warn on the wrap-around the uint64 arrays do silently)
+_HASH_MULT_INT, _U64 = int(_HASH_MULT), (1 << 64) - 1
 
 #: cells of the one windowed gather that ends a TZ probe (see
 #: :meth:`TZIndex._probe`): about what two more rounds of the walk cost
@@ -142,7 +153,14 @@ class IndexStore(Protocol):
         ...
 
     def estimate(self, u: int, v: int) -> float:
-        """Single-pair convenience wrapper over :meth:`estimate_many`."""
+        """The single-pair query: one float, bit-identical to
+        :meth:`estimate_many` on that pair, errors included."""
+        ...
+
+    def _estimate_checked(self, u: int, v: int) -> float:
+        """:meth:`estimate` on two ids the caller range-checked — what
+        the engine answers a one-pair batch with (a
+        :class:`~repro.errors.QueryError` carries ``row`` 0)."""
         ...
 
     def nnz(self) -> int:
@@ -313,8 +331,12 @@ class _BaseIndex:
         return self.answer((shard,), (request,))[0]
 
     def estimate(self, u: int, v: int) -> float:
-        """Single-pair convenience wrapper over :meth:`estimate_many`."""
-        return float(self.estimate_many(np.asarray([u]), np.asarray([v]))[0])
+        """The single-pair query: ids checked, then the store's scalar
+        ``_estimate_checked``."""
+        u, v = int(u), int(v)
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise QueryError(f"node id out of range [0, {self.n})")
+        return self._estimate_checked(u, v)
 
 
 # ----------------------------------------------------------------------
@@ -576,6 +598,9 @@ class TZIndex(_BaseIndex):
         empty = np.flatnonzero(self.slot_key == -1)
         runs = np.diff(empty, append=empty[0] + self.slot_key.size) - 1
         self._window = np.arange(1, int(runs.max()) + 2)
+        #: the hash parameters as Python ints, for the scalar probe
+        self._scalar_hash = (int(self.shift), self.mask,
+                             int(self._filter_shift), int(self._filter_pick))
 
     # ------------------------------------------------------------------
     # size accounting
@@ -640,6 +665,61 @@ class TZIndex(_BaseIndex):
         dist[live] = self.dists.take(pos)
         level[live] = self.levels.take(pos)
         return dist, level
+
+    def _probe_one(self, key: int) -> tuple[float, int]:
+        """:meth:`_probe` of one non-negative key in Python ints: the
+        same Fibonacci hash, filter word and bits, and directory walk,
+        each array read one ``item``."""
+        shift, mask, filter_shift, pick = self._scalar_hash
+        h = key * _HASH_MULT_INT & _U64
+        b = h >> pick & 4095
+        bits = 1 << (b >> 6) | 1 << (b & 63)
+        if self._filter.item(h >> filter_shift) & bits != bits:
+            return 0.0, -1
+        slot_key, cur = self.slot_key, h >> shift
+        while True:
+            at = slot_key.item(cur)
+            if at == key:
+                pos = self.slot_idx.item(cur)
+                return self.dists.item(pos), self.levels.item(pos)
+            if at == -1:
+                return 0.0, -1
+            cur = cur + 1 & mask
+
+    def _estimate_checked(self, u: int, v: int) -> float:
+        """Lemma 3.2 for one pair, in scalar Python over this store's
+        own arrays: the level scan of :meth:`finish` in its check order
+        — at each level ``p_i(u) ∈ B_i(v)``, then ``p_i(v) ∈ B_i(u)`` —
+        returning at the first hit, so a lone pair pays a few ``item``
+        reads and usually one filter word per probe instead of the
+        batch path's forty-odd numpy calls.  Same floats (one IEEE add
+        of the same two doubles) and the same :class:`QueryError`."""
+        if u == v:
+            return 0.0
+        n, k, piv, pd = self.n, self.k, self.pivot_ids, self.pivot_dists
+        for i in range(self._kk):
+            # a sentinel pivot (-1) is never a bunch member
+            w = piv.item(u, i)
+            if w >= 0:
+                d, level = self._probe_one(v * n + w)
+                if level == i:
+                    return pd.item(u, i) + d
+            w = piv.item(v, i)
+            if w >= 0:
+                d, level = self._probe_one(u * n + w)
+                if level == i:
+                    return pd.item(v, i) + d
+        if self.dense_top:
+            top, width = self.k - 1, self.top_ids.size
+            for a, b in ((u, v), (v, u)):
+                col = self._top_pivot_col.item(a)
+                if col >= 0:
+                    t = self._top_cells.item(b * width + col)
+                    if math.isfinite(t):
+                        return pd.item(a, top) + t
+        raise _unresolved_error(
+            f"labels of {u} and {v} share no level "
+            f"(A_{k - 1} membership is inconsistent between them)", 0)
 
     def answer(self, shards: Sequence[int], requests: Sequence[np.ndarray],
                ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -1025,10 +1105,23 @@ class Stretch3Index(_BaseIndex):
         bad = (us != vs) & ~np.isfinite(best)
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
-            raise _unresolved_error(
-                f"sketches of {int(us[j])} and {int(vs[j])} share no "
-                f"net node", j)
+            raise _unresolved_error(self._no_route(us[j], vs[j]), j)
         return est
+
+    def _estimate_checked(self, u: int, v: int) -> float:
+        """One pair: the min of its two rows' sum, whole (a min is the
+        same float however the columns are cut into shards)."""
+        if u == v:
+            return 0.0
+        best = (float((self.dist[u] + self.dist[v]).min())
+                if self.net_ids.size else math.inf)
+        if not math.isfinite(best):
+            raise _unresolved_error(self._no_route(u, v), 0)
+        return best
+
+    @staticmethod
+    def _no_route(u: int, v: int) -> str:
+        return f"sketches of {int(u)} and {int(v)} share no net node"
 
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
@@ -1220,16 +1313,31 @@ class CDGIndex(_BaseIndex):
             j = getattr(exc, "row", None)
             if j is None:  # pragma: no cover - defensive
                 raise
-            u, v = ends[:, j]
-            raise _unresolved_error(
-                f"cdg sketches of {u} and {v} share no level (gateways "
-                f"{self.gateway_ids[u]} and {self.gateway_ids[v]})",
-                j) from None
+            raise self._unresolved(*ends[:, j].tolist(), j) from None
         legs = self.gateway_dists.take(ends)
         est = legs[0] + through
         est += legs[1]
         np.copyto(est, 0.0, where=ends[0] == ends[1])
         return est
+
+    def _estimate_checked(self, u: int, v: int) -> float:
+        """One pair: the sub-index's scalar scan between the gateways'
+        labels, wrapped in the two gateway legs in :meth:`finish`'s
+        order of addition."""
+        slot = self._gw_slot
+        try:
+            through = self._sub._estimate_checked(slot.item(u), slot.item(v))
+        except QueryError:
+            raise self._unresolved(u, v, 0) from None
+        if u == v:
+            return 0.0
+        legs = self.gateway_dists
+        return legs.item(u) + through + legs.item(v)
+
+    def _unresolved(self, u: int, v: int, row: int) -> QueryError:
+        return _unresolved_error(
+            f"cdg sketches of {u} and {v} share no level (gateways "
+            f"{self.gateway_ids[u]} and {self.gateway_ids[v]})", row)
 
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:
@@ -1372,6 +1480,11 @@ class GracefulIndex(_BaseIndex):
             part = comp.finish(state[i], [r[i] for r in responses])
             est = part if est is None else np.minimum(est, part)
         return est
+
+    def _estimate_checked(self, u: int, v: int) -> float:
+        """One pair: the min of the components' scalar queries, the
+        first unresolved component's error raised."""
+        return min(comp._estimate_checked(u, v) for comp in self.components)
 
     # ------------------------------------------------------------------
     def pack_arrays(self) -> dict[str, np.ndarray]:

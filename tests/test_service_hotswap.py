@@ -242,9 +242,10 @@ def test_epoch_swap_invalidates_cache(updateable):
 
 def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
     """Four threads share one cached in-process session while three
-    epochs swap in: no batch mixes a hit cached by one epoch with a miss
-    computed by another, and what the cache holds after a swap belongs
-    to the epoch then serving."""
+    epochs swap in, batches of 64 pairs and lone pairs in turn: no
+    batch mixes a hit cached by one epoch with a miss computed by
+    another, and what the cache holds after a swap belongs to the epoch
+    then serving."""
     g = updateable.graph.copy()
     n = g.n
     every = np.stack(np.meshgrid(np.arange(n), np.arange(n),
@@ -267,7 +268,10 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
         rng = np.random.default_rng(tid)
         try:
             while not stop.is_set():
-                rows = rng.integers(0, len(every), size=64)
+                # every other request a lone pair: the scalar query
+                # behind the cache's array probe
+                rows = rng.integers(0, len(every),
+                                    size=64 if served[tid] % 2 else 1)
                 got = client.dist_many(every[rows])
                 assert any(got.tobytes() == ref[rows].tobytes()
                            for ref in refs), "torn batch"

@@ -89,6 +89,10 @@ class TestTZIndex:
             indexed.estimate_many(np.array([0]), np.array([indexed.n]))
         with pytest.raises(QueryError):
             indexed.estimate_many(np.array([-1]), np.array([0]))
+        # the scalar single-pair query checks its ids the same way
+        for u, v in ((0, indexed.n), (-1, 0), (indexed.n, indexed.n)):
+            with pytest.raises(QueryError, match=r"out of range \[0, "):
+                indexed.estimate(u, v)
 
     def test_empty_batch(self, indexed):
         out = indexed.estimate_many(np.empty(0, dtype=np.int64),
@@ -248,6 +252,38 @@ class TestResultCache:
                         == table[resident // n, resident % n]).all()
             if capacity > 1:
                 assert engine.stats.hits > 0
+
+    def test_lone_pairs_between_batches_keep_answers_and_accounting(
+            self, tz_sketches):
+        n = len(tz_sketches)
+        table = np.array([[estimate_distance(su, sv) for sv in tz_sketches]
+                          for su in tz_sketches])
+        rng = np.random.default_rng(8)
+        for capacity in (1, 5, 64):
+            engine = _engine(tz_sketches, cache_size=capacity)
+            cache = engine._cache
+            asked = inserted = 0
+            for step in range(40):
+                size = 1 if step % 4 else int(rng.integers(2, 12))
+                pairs = rng.integers(0, n, size=(size, 2))
+                if step % 8 == 3:
+                    pairs = last  # a lone replay: a hit if still resident
+                before = cache.keys.copy()
+                hits = engine.stats.hits
+                got = engine.dist_many(pairs)
+                assert got.tolist() == table[pairs[:, 0],
+                                             pairs[:, 1]].tolist()
+                if size == 1 and step % 8 == 3:
+                    assert engine.stats.hits == hits + int(
+                        pairs[0, 0] * n + pairs[0, 1] in before)
+                inserted += int(np.count_nonzero(before != cache.keys))
+                asked += len(pairs)
+                last = pairs[:1]
+                stats = engine.stats
+                assert stats.hits + stats.misses == asked
+                resident = cache.keys[cache.keys >= 0]
+                assert engine.cache_entries == resident.size <= capacity
+                assert stats.evictions == inserted - resident.size
 
     def test_replay_within_capacity_is_all_hits(self, tz_sketches):
         # "within capacity" for a direct-mapped table: the four distinct

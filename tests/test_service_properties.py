@@ -407,13 +407,14 @@ def _tz_fully_sharded():
     return sketches
 
 
-def _slack_disconnected(scheme: str):
+def _slack_on_net(scheme: str, g: Graph):
+    """A slack sketch set on ``g`` over the pinned net {0, 3, 5}, so most
+    nodes reach the net through a gateway leg."""
     from repro.slack.cdg import build_cdg_centralized
     from repro.slack.density_net import DensityNet
     from repro.slack.graceful import GracefulSketch
     from repro.slack.stretch3 import build_stretch3_centralized
 
-    g = _disconnected()
     net = DensityNet(eps=0.5, n=g.n, members=(0, 3, 5))
     if scheme == "stretch3":
         return build_stretch3_centralized(g, 0.5, net=net)[0]
@@ -425,6 +426,10 @@ def _slack_disconnected(scheme: str):
             for u in range(g.n)]
 
 
+def _slack_disconnected(scheme: str):
+    return _slack_on_net(scheme, _disconnected())
+
+
 def _slack_connected(scheme: str):
     from repro import build_sketches
 
@@ -432,6 +437,13 @@ def _slack_connected(scheme: str):
               "graceful": {}}[scheme]
     return build_sketches(_connected(), scheme=scheme, seed=5,
                           **params).sketches
+
+
+def _connected_inexact() -> Graph:
+    """:func:`_connected` with weights in tenths, so that sums round and
+    the order of a scheme's additions shows in the last bit."""
+    g = _connected()
+    return Graph(g.n, [(u, v, w / 10 + 0.1) for u, v, w in g.edges()])
 
 
 _DECOMPOSITION_CASES = {
@@ -444,6 +456,9 @@ _DECOMPOSITION_CASES = {
     **{f"{scheme}-disconnected":
        (lambda scheme=scheme: _slack_disconnected(scheme))
        for scheme in ("stretch3", "cdg", "graceful")},
+    **{f"{scheme}-inexact":
+       (lambda scheme=scheme: _slack_on_net(scheme, _connected_inexact()))
+       for scheme in ("cdg", "graceful")},
 }
 _decomposition_sets: dict = {}
 
@@ -466,6 +481,14 @@ def _outcome(fn):
     """``fn()``'s answers, or its QueryError as ``(message, row)``."""
     try:
         return fn().tolist()
+    except QueryError as exc:
+        return str(exc), exc.row
+
+
+def _bits(fn):
+    """:func:`_outcome` with the answers as their float64 bytes."""
+    try:
+        return np.asarray(fn(), dtype=np.float64).tobytes()
     except QueryError as exc:
         return str(exc), exc.row
 
@@ -566,6 +589,37 @@ class TestOnePairSwept:
                         np.array([u]), np.array([v]))) == want, (u, v)
                     assert _outcome(lambda: np.array(
                         [engine.dist(u, v)])) == want, (u, v)
+
+    @settings(max_examples=60, **COMMON)
+    @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
+           shards=st.sampled_from([1, 2, 3, 5]),
+           path=st.sampled_from(["build", "rpix-mmap", "updates",
+                                 "restrict"]),
+           data=st.data())
+    def test_the_scalar_query_is_the_batch_of_one(self, case, shards, path,
+                                                  data, tmp_path_factory):
+        """A lone pair is answered by the store's scalar single-pair
+        query (``estimate``, and the engine's batch of one): on every
+        layout and whatever path built the store, its float is the
+        batch path's bit for bit, and its QueryError the batch path's
+        message at row 0 — through a cache-less engine and a cached
+        one, miss and hit."""
+        sketches = _decomposition_set(case)
+        index = _through(path, build_index(sketches, num_shards=shards),
+                         sketches, data, tmp_path_factory.mktemp("lone"))
+        n = len(sketches)
+        with QueryEngine(index, cache_size=0) as bare, \
+                QueryEngine(index, cache_size=4 * n) as cached:
+            for u in range(n):
+                for v in range(n):
+                    want = _bits(lambda: index.estimate_many(
+                        np.array([u]), np.array([v])))
+                    assert _bits(lambda: np.array(
+                        [index.estimate(u, v)])) == want, (u, v)
+                    for engine in (bare, cached, cached):
+                        assert _bits(lambda: engine.dist_many(
+                            [(u, v)])) == want, (u, v)
+        assert cached.stats.hits > 0
 
     @pytest.mark.parametrize("case", _TZ_CASES)
     def test_a_hit_candidate_is_never_nan(self, case):
@@ -675,3 +729,9 @@ class TestProbeBehindTheFilter:
             assert absent[len(drawn)]  # -2 is never resident
             assert not dist[absent].any() and (level[absent] == -1).all()
             assert (level[~absent] >= 0).all()
+
+            # the scalar probe of a lone pair's scan (never asked for
+            # the sentinel: the scan skips a negative pivot)
+            live = probes >= 0
+            assert [store._probe_one(key) for key in probes[live].tolist()] \
+                == list(zip(dist[live].tolist(), level[live].tolist()))

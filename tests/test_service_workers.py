@@ -333,6 +333,40 @@ class TestThreadPlane:
                             assert all(name.startswith(THREAD_POOL_PREFIX)
                                        for name in seen)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_lone_pair_is_answered_in_the_caller(self, built_sets, scheme):
+        """A batch of one is the store's scalar single-pair query, run in
+        the calling thread whatever ``jobs`` is (a dispatch would cost
+        more than the answer) and booked as one batch of answer time."""
+        caller = threading.current_thread().name
+        index = build_index(built_sets[scheme], num_shards=4)
+        pairs = sample_query_pairs(index.n, 20, seed=5)
+        want = index.estimate_many(pairs[:, 0], pairs[:, 1])
+        seen = []
+        scalar = index._estimate_checked
+
+        def counting(u, v):
+            seen.append(threading.current_thread().name)
+            return scalar(u, v)
+
+        index._estimate_checked = counting  # instance attribute shadows it
+        for jobs in (1, 4):
+            with _engine(index, jobs) as engine:
+                del seen[:]
+                got = [engine.dist_many(pairs[i:i + 1])[0]
+                       for i in range(len(pairs))]
+                assert np.array(got).tobytes() == want.tobytes()
+                assert seen == [caller] * len(pairs)
+                phases = engine.phase_timings()
+                assert phases["batches"] == len(pairs)
+                assert phases["plan_seconds"] == phases["finish_seconds"] \
+                    == phases["ipc_seconds"] == 0.0
+                assert phases["kernel_seconds"] \
+                    == phases["shard_answer_seconds"] > 0.0
+                # a longer batch never takes the scalar path
+                engine.dist_many(pairs[:2])
+                assert len(seen) == len(pairs)
+
     def test_query_error_propagates_through_threads(self):
         sketches, _ = build_tz_sketches_centralized(TWO_COMPONENTS, k=2,
                                                     seed=1)
