@@ -10,6 +10,7 @@ star-path for the D-vs-S gap.
 from __future__ import annotations
 
 import functools
+import zlib
 
 import numpy as np
 
@@ -32,7 +33,9 @@ BASE_SEED = 20120625  # SPAA'12 conference date — fixed workload seed
 @functools.lru_cache(maxsize=64)
 def workload(family: str, n: int, weighted: bool = False) -> Graph:
     """A reproducible experiment graph of the given family and size."""
-    seed = BASE_SEED + hash((family, n, weighted)) % 100_000
+    # a stable digest, not hash(): a str's hash is salted per process
+    seed = BASE_SEED + zlib.crc32(
+        repr((family, n, weighted)).encode()) % 100_000
     if family == "er":
         g = erdos_renyi(n, seed=seed)
     elif family == "ba":

@@ -30,8 +30,8 @@ only for batches of >= 65 536 pairs.
 **Shards** is the row the unrouted store has to own: tz, ``jobs=1``,
 S ∈ {1, 4, 16} × batch ∈ {1, 64, 1024}, µs per batch and the ratio to
 S = 1.  A shard is a row range of one bunch table behind one hash
-directory, a key names its own landmark, and only a fleet routes — so
-a local batch costs the same whatever S.  The one-pair row (at most
+directory, and no step of a batch reads S — so a batch costs the same
+whatever S.  The one-pair row (at most
 :data:`ONE_PAIR_QUERIES` queries) is the per-request floor; a lone
 pair is the store's scalar single-pair query, not a batch, so it costs
 the same whatever S too.
@@ -88,7 +88,7 @@ SWEEP_BATCHES = (1, 64, 1024)
 #: per-request floor, few enough that a nightly run stays within seconds
 ONE_PAIR_QUERIES = 2048
 #: S > 1 may cost this much of S = 1 per batch: nothing but noise, since
-#: a local batch is never routed (the routed store this replaced paid a
+#: no step of a batch reads S (the routed store this replaced paid a
 #: flat 45-70 us per 1024-pair batch, 1.2-1.3x)
 MAX_SHARD_RATIO = 1.05
 

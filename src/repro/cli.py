@@ -21,12 +21,6 @@ A downstream user can drive the whole pipeline without writing Python::
     python -m repro build net.edges --scheme tz --k 3 --seed 2 \
         --apply-updates changes.jsonl -o sketches.jsonl
     python -m repro update-bench net.edges --scheme tz --k 2 --batches 1 4 16
-    python -m repro build net.edges --scheme tz --k 3 --seed 2 \
-        --format binary --shards 4 --shard-range 0:2 -o host0.rpix
-    python -m repro serve host0.rpix --port 0 --shard-range 0:2
-    python -m repro query --connect cluster://hostA:7111,hostB:7112 \
-        --pairs 0:100 5:17
-    python -m repro cluster-bench index.rpix --hosts 1 2 4 --queries 2000
     python -m repro schemes --markdown
 
 Sketches travel as the JSON-lines format of
@@ -123,11 +117,6 @@ def _cmd_build(args) -> int:
             "--shards at load time instead)")
     if args.shards is not None and args.shards < 1:
         raise ReproError(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_range is not None and args.format != "binary":
-        raise ReproError(
-            "--shard-range writes one fleet host's slice of a binary "
-            "index; it needs --format binary (and --shards for the "
-            "total layout)")
 
     g = read_edgelist(args.graph)
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
@@ -159,17 +148,9 @@ def _cmd_build(args) -> int:
             from repro.service import build_index
 
             index = build_index(sketches, num_shards=shards)
-        if args.shard_range is not None:
-            from repro.service import restrict_index_shards
-
-            lo, hi = _parse_shard_range(args.shard_range)
-            index = restrict_index_shards(index, lo, hi)
         save_index_binary(index, args.output)
-        range_note = ("" if args.shard_range is None
-                      else f", shard range [{args.shard_range})")
         print(f"wrote a binary {type(index).__name__} "
-              f"({index.nnz()} entries, {shards} shards{range_note}) "
-              f"to {args.output}")
+              f"({index.nnz()} entries, {shards} shards) to {args.output}")
     else:
         save_sketch_set(sketches, args.output)
         print(f"wrote {len(sketches)} sketches to {args.output}")
@@ -182,16 +163,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError:
         raise ReproError(f"bad pair {text!r}; expected 'u:v'") from None
-
-
-def _parse_shard_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise ReproError(
-            f"bad shard range {text!r}; expected 'LO:HI' "
-            f"(a half-open landmark shard interval)") from None
 
 
 def _query_fn(sketches):
@@ -270,22 +241,15 @@ def _cmd_serve(args) -> int:
             _reject_mmap(args, args.source)
             source = load_sketch_set(args.source)
             shards = args.shards
-    shard_range = None
-    if args.shard_range is not None:
-        shard_range = _parse_shard_range(args.shard_range)
     addr = args.addr
     if args.port is not None:
         addr = f"{addr.rsplit(':', 1)[0]}:{args.port}"
     server = OracleServer(source, jobs=args.jobs, num_shards=shards,
-                          cache_size=args.cache_size,
-                          shard_range=shard_range)
+                          cache_size=args.cache_size)
     host, port = server.serve(addr, block=False,
                               handlers=args.handlers)
-    range_note = ("" if server.shard_range is None
-                  else (f"range=[{server.shard_range[0]}:"
-                        f"{server.shard_range[1]}) "))
     print(f"serving {server.scheme or '?'} n={server.n} "
-          f"shards={server.num_shards} {range_note}jobs={server.jobs} "
+          f"shards={server.num_shards} jobs={server.jobs} "
           f"memory={args.memory} epoch={server.epoch} "
           f"updateable={'yes' if server.updateable else 'no'} "
           f"on tcp://{host}:{port}", flush=True)
@@ -429,34 +393,6 @@ def _cmd_serve_bench(args) -> int:
     return 0
 
 
-def _cmd_cluster_bench(args) -> int:
-    from repro.oracle.serialization import (is_binary_index,
-                                            load_index_binary,
-                                            load_sketch_set)
-    from repro.service.cluster import run_cluster_benchmark
-
-    if is_binary_index(args.source):
-        source = load_index_binary(args.source)
-        if args.shards is not None and args.shards != source.num_shards:
-            raise ReproError(
-                f"a binary index bakes its shard layout in: this one has "
-                f"{source.num_shards} shards, not {args.shards}")
-        shards = None
-    else:
-        from repro.service import build_index
-
-        shards = args.shards or max(max(args.hosts), 1)
-        source = build_index(load_sketch_set(args.source),
-                             num_shards=shards)
-        shards = None  # baked in now
-    report = run_cluster_benchmark(
-        source, hosts=args.hosts, num_shards=shards,
-        queries=args.queries, batch=args.batch, seed=args.seed,
-        jobs=args.jobs)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def _cmd_update_bench(args) -> int:
     from repro.graphs import read_edgelist
     from repro.service.updates import run_update_benchmark
@@ -549,12 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="landmark shard count baked into a --format binary "
                         "index (layout only; answers are identical; "
                         "rejected with --format json)")
-    b.add_argument("--shard-range", default=None, metavar="LO:HI",
-                   help="write only landmark shards [LO, HI) of the "
-                        "--shards layout — one fleet host's slice, "
-                        "byte-identical to restricting the full build "
-                        "(--format binary only; see repro serve "
-                        "--shard-range)")
     b.add_argument("--apply-updates", metavar="CHANGES.JSONL", default=None,
                    help="after building, apply this edge-change stream "
                         "(see repro.service.updates) through the "
@@ -569,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("graph", nargs="?", default=None)
     q.add_argument("sketches", nargs="?", default=None)
     q.add_argument("--connect", metavar="SPEC", default=None,
-                   help="query a live server instead of local sketch "
-                        "files (tcp://host:port, or "
-                        "cluster://h1:p1,h2:p2 for a shard-range fleet)")
+                   help="query a live server (tcp://host:port) instead "
+                        "of local sketch files")
     q.add_argument("--pairs", nargs="+", required=True, metavar="u:v")
     q.add_argument("--exact", action="store_true",
                    help="also compute exact distances for comparison "
@@ -592,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "before serving)")
     sv.add_argument("--port", type=int, default=None,
                     help="override the port of --addr (--port 0 picks a "
-                         "free one and prints it — the fleet-spawning "
-                         "shorthand)")
+                         "free one and prints it)")
     sv.add_argument("--jobs", type=int, default=1,
                     help="threads a batch is cut across (1 = answer in "
                          "the handler thread; answers are identical "
@@ -604,13 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "zero parse (any other source is an error)")
     sv.add_argument("--shards", type=int, default=None,
                     help="landmark shard count when building from "
-                         "sketches or a graph (default 1: what a fleet's "
-                         "hosts divide; a binary index bakes its own in)")
-    sv.add_argument("--shard-range", default=None, metavar="LO:HI",
-                    help="serve only landmark shards [LO, HI) — one host "
-                         "of a fleet; whole-batch queries are refused "
-                         "here (a cluster://h1:p1,h2:p2 session combines "
-                         "the fleet's partial answers)")
+                         "sketches or a graph (default 1; layout only, "
+                         "answers are identical; a binary index bakes "
+                         "its own in)")
     sv.add_argument("--cache-size", type=int, default=65536,
                     help="result-cache slots, one answer and 24 bytes "
                          "each, direct-mapped (0 disables)")
@@ -680,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="batched vs single-query serving throughput")
     sb.add_argument("sketches", nargs="?", default=None)
     sb.add_argument("--connect", metavar="SPEC", default=None,
-                    help="benchmark a live endpoint (tcp://host:port, or "
-                         "cluster://h1:p1,h2:p2 for a shard-range fleet) "
+                    help="benchmark a live endpoint (tcp://host:port) "
                          "instead of serving local files")
     sb.add_argument("--clients", type=int, default=None,
                     help="with --connect: closed-loop load generator — N "
@@ -714,28 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="assert the loaded sketch set is this scheme")
     sb.add_argument("--seed", type=int, default=0)
     sb.set_defaults(func=_cmd_serve_bench)
-
-    cb = sub.add_parser("cluster-bench",
-                        help="loopback fleets of N shard-range hosts vs "
-                             "one full host (identity asserted; timings "
-                             "reported, never gated)")
-    cb.add_argument("source",
-                    help="what the fleets serve: a sketch set (.jsonl) "
-                         "or a binary index (.rpix)")
-    cb.add_argument("--hosts", type=int, nargs="+", default=[1, 2, 4],
-                    metavar="N",
-                    help="fleet sizes to measure (every host count must "
-                         "divide into at least one shard each)")
-    cb.add_argument("--shards", type=int, default=None,
-                    help="landmark shard count when building from "
-                         "sketches (default: max fleet size; a binary "
-                         "index bakes its own in)")
-    cb.add_argument("--queries", type=int, default=2000)
-    cb.add_argument("--batch", type=int, default=256)
-    cb.add_argument("--jobs", type=int, default=1,
-                    help="threads behind each host's shards")
-    cb.add_argument("--seed", type=int, default=0)
-    cb.set_defaults(func=_cmd_cluster_bench)
 
     ub = sub.add_parser("update-bench",
                         help="incremental index update vs full rebuild "

@@ -41,21 +41,3 @@ class SimulationError(ReproError):
 class QueryError(ReproError):
     """A sketch query could not be answered (e.g. sketches from different
     builds, or a malformed label)."""
-
-
-class ClusterError(ReproError):
-    """A fleet operation failed on one or more hosts.
-
-    ``causes`` maps ``"host:port"`` to the underlying failure (an exception
-    or a short description), so a query against a fleet with a dead host
-    reports *which* hosts died instead of a bare ``ConnectionError`` from
-    whichever socket happened to fail first.
-    """
-
-    def __init__(self, message: str, causes: dict | None = None):
-        self.causes = dict(causes or {})
-        if self.causes:
-            detail = "; ".join(f"{host}: {why}"
-                               for host, why in sorted(self.causes.items()))
-            message = f"{message} [{detail}]"
-        super().__init__(message)

@@ -12,8 +12,8 @@ wraps the result in :class:`BuiltSketches`, which holds
   distributed builds (``None`` for centralized ones),
 * the scheme metadata needed to interpret stretch guarantees,
 * the random ``artifacts`` the build drew or was handed — what a
-  rebuild, an :meth:`~BuiltSketches.updateable` index or a fleet build
-  needs to reproduce it.
+  rebuild or an :meth:`~BuiltSketches.updateable` index needs to
+  reproduce it.
 
 TZ-specific parameters: ``k`` (and ``sync``/``S``/``budget`` when
 distributed).  Slack schemes take ``eps`` (+ ``k`` for CDG); graceful takes

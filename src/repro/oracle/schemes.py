@@ -16,9 +16,8 @@ source paper's composition rule as three callables —
   centralized per-owner function — from fixed artifacts, the sketches
   of ``owners`` (all nodes: a build).  Builds
   (:func:`~repro.oracle.api.build_sketches`), rebuilds and repairs
-  (:class:`~repro.service.updates.UpdateableIndex`) and fleet
-  shard-range builds (:func:`~repro.service.cluster.build_shard_range`)
-  all end in it, which is why they agree byte for byte;
+  (:class:`~repro.service.updates.UpdateableIndex`) all end in it,
+  which is why they agree byte for byte;
 * ``distributed(graph, seed, params) -> (sketches, artifacts, metrics,
   extras)``: the CONGEST construction (it interleaves its artifact
   draws with the simulator's, through the same ``sample``);

@@ -1,5 +1,5 @@
-"""The serving layer: sessions over pluggable transports, batch
-threads, fleets, live updates.
+"""The serving layer: sessions over two transports, batch threads,
+live updates.
 
 The paper's end product is a distance *oracle*: preprocess once, then
 answer ``dist(u, v)`` queries with a bounded stretch.  This package makes
@@ -29,27 +29,20 @@ The front door is :func:`~repro.service.client.connect`::
   :class:`EpochStaleness`, :class:`PipelineStats`),
 * :mod:`repro.service.buffers` — arrays in one buffer: the 64-byte
   layout rule an RPIX container's blobs follow (loaded as read-only
-  views over the bytes read or one ``mmap``), plus the array-tree codec
-  behind the tcp ``probe`` frames,
+  views over the bytes read or one ``mmap``), plus an array-tree codec
+  the benchmark times,
 * :mod:`repro.service.index` — the :class:`IndexStore` protocol and one
   pre-built vectorized store per scheme (:class:`TZIndex`,
   :class:`Stretch3Index`, :class:`CDGIndex`, :class:`GracefulIndex`),
-  each answering a batch as plan → [route →] answer → finish; a
-  store's physical form is ``(meta, arrays)``, adopted in one place
-  whether it comes from sketches, a container, a shard restriction or
-  an incremental refresh,
+  each answering a batch as plan → answer → finish; a store's physical
+  form is ``(meta, arrays)``, adopted in one place whether it comes
+  from sketches, a container or an incremental refresh,
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
   hosts over its one store: the result cache, the hot swap (an epoch
   is a store) and the local execution plane — ``jobs=1`` answers a
   batch in the calling thread, ``jobs > 1`` in pair ranges on the one
   thread pool the engine owns for its whole life (the numpy kernels
   release the GIL; nothing is copied or pickled),
-* :mod:`repro.service.cluster` — the fleet subsystem:
-  :class:`ClusterClient` scatters shard probes across N shard-range
-  ``OracleServer`` hosts (``cluster://h1:p1,h2:p2`` endpoints) and
-  combines the partials client-side, bit-identical to one full host;
-  :func:`build_distributed` scatters construction the same way and
-  gathers per-range RPIX blobs,
 * :mod:`repro.service.updates` — the dynamic-update subsystem:
   :class:`UpdateableIndex` applies edge-change streams by repairing
   only the dirty frontier (bit-identical to a from-scratch rebuild,
@@ -71,15 +64,10 @@ from repro.service.bench import (run_connect_benchmark, run_load_benchmark,
                                  run_serve_benchmark, sample_query_pairs)
 from repro.service.client import (TRANSPORTS, Endpoint, OracleClient,
                                   connect, parse_endpoint)
-from repro.service.cluster import (ClusterClient, ClusterSpec,
-                                   build_distributed, build_shard_range,
-                                   even_ranges, loopback_fleet,
-                                   run_cluster_benchmark)
 from repro.service.engine import CacheStats, PhaseTimings, QueryEngine
 from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
                                  Stretch3Index, TZIndex, build_index,
                                  index_class_for, refresh_index,
-                                 restrict_index_shards,
                                  scheme_name_of, scheme_name_of_index)
 from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
                                     ScenarioOracle, ScenarioResult, Trace,
@@ -94,8 +82,6 @@ from repro.service.updates import (EdgeChange, UpdateReport,
 
 __all__ = [
     "ChurnEvent",
-    "ClusterClient",
-    "ClusterSpec",
     "Endpoint",
     "EpochStaleness",
     "OracleClient",
@@ -126,17 +112,11 @@ __all__ = [
     "TZIndex",
     "UpdateReport",
     "UpdateableIndex",
-    "build_distributed",
     "build_index",
-    "build_shard_range",
     "dirty_frontier",
-    "even_ranges",
     "index_class_for",
     "load_changes_jsonl",
-    "loopback_fleet",
     "refresh_index",
-    "restrict_index_shards",
-    "run_cluster_benchmark",
     "run_load_benchmark",
     "run_serve_benchmark",
     "run_update_benchmark",

@@ -146,8 +146,7 @@ def run_connect_benchmark(spec: str, source=None, queries: int = 1000,
     streamed answers are cross-checked bitwise against the per-pair
     loop before any throughput is reported.
 
-    :param spec: endpoint spec (``inproc://…``, ``tcp://host:port``,
-        ``cluster://…``).
+    :param spec: endpoint spec (``inproc://…`` or ``tcp://host:port``).
     :param source: what the session serves — required for local
         transports, forbidden for ``tcp://`` (the server owns the
         index).

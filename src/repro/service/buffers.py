@@ -15,9 +15,9 @@ can corrupt another's answers.
 * the **array-tree codec** (:func:`flatten_tree` / :func:`plan_tree` /
   :func:`write_tree` / :func:`read_tree`) puts the nested tuples of
   ndarrays that flow through ``plan``/``answer``/``finish`` into a raw
-  buffer region and back — the body of the tcp ``probe`` /
-  ``probe_result`` frames (:func:`tree_to_bytes` /
-  :func:`tree_from_bytes`).
+  buffer region and back, self-describing with :func:`tree_to_bytes` /
+  :func:`tree_from_bytes` (no frame carries one; the benchmark times
+  it).
 
 Determinism contract: the bytes are exact, so a store over any of them
 answers **bit-identically** to the sketch-built original — the
@@ -158,9 +158,7 @@ def tree_to_bytes(tree: Any) -> bytes:
     Layout: ``u32 desc_len | descriptor JSON (spec + manifest) | pad to
     ALIGNMENT | raw leaf blobs`` — the leaves are laid out exactly as
     the layout rule lays a store's arrays into its container, so this
-    is the array-tree codec with the descriptor glued on.  The body
-    of the tcp ``probe`` / ``probe_result`` frames
-    (:mod:`repro.service.protocol`).
+    is the array-tree codec with the descriptor glued on.
     """
     spec, leaves = flatten_tree(tree)
     manifest, total = plan_tree(leaves)

@@ -5,7 +5,6 @@ handle and the :func:`connect` factory::
     connect("inproc://", source)          # this process, jobs=1
     connect("inproc://jobs=4", source)    # batches cut across 4 threads
     connect("tcp://host:port")            # a remote OracleServer
-    connect("cluster://h1:p1,h2:p2")      # a fleet of shard-range hosts
 
 One session core (:mod:`repro.service.session`): a transport supplies
 only a ``submit(batch) -> ticket`` / ``collect(ticket) -> (answers,
@@ -30,21 +29,19 @@ from typing import Any, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ReproError
-from repro.service.buffers import tree_from_bytes, tree_to_bytes
 from repro.service.index import parse_pair_array
 from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, ERROR,
                                     FETCH_INDEX, HELLO, INDEX_BLOB,
-                                    MAX_FRAME_BYTES, PAIRS, PROBE,
-                                    PROBE_RESULT, PROTOCOL_VERSION, PUSH_RID,
-                                    QUERY, REPORT, RESULT, STATS, STATS_REPLY,
-                                    FrameError, FrameReader, encode_frame,
-                                    error_from_body, kind_name)
+                                    MAX_FRAME_BYTES, PAIRS, PROTOCOL_VERSION,
+                                    PUSH_RID, QUERY, REPORT, RESULT, STATS,
+                                    STATS_REPLY, FrameError, FrameReader,
+                                    encode_frame, error_from_body, kind_name)
 from repro.service.server import OracleServer
 from repro.service.session import SessionClock, stream_window
 from repro.service.updates import UpdateReport
 
 #: transports :func:`connect` understands
-TRANSPORTS = ("inproc", "tcp", "cluster")
+TRANSPORTS = ("inproc", "tcp")
 
 #: how many batches a tcp ``dist_stream`` keeps in flight per
 #: connection (the pipelining window; ≥ 2 hides the wire round-trip)
@@ -73,9 +70,6 @@ class Endpoint:
     def describe(self) -> str:
         if self.transport == "tcp":
             return f"tcp://{self.host}:{self.port}"
-        if self.transport == "cluster":
-            hosts = ",".join(f"{h}:{p}" for h, p in self.options["hosts"])
-            return f"cluster://{hosts}"
         opts = ";".join(f"{k}={v}" for k, v in sorted(self.options.items()))
         return f"{self.transport}://{opts}"
 
@@ -87,7 +81,6 @@ def parse_endpoint(spec: str) -> Endpoint:
 
         spec    := transport "://" rest
         rest    := host ":" port          (tcp)
-                 | addr ("," addr)*       (cluster; addr := host ":" port)
                  | [option (";" option)*] (inproc)
         option  := key "=" integer
 
@@ -114,20 +107,6 @@ def parse_endpoint(spec: str) -> Endpoint:
         if not (0 <= port_num <= 65535):
             raise ConfigError(f"tcp port out of range in {spec!r}")
         return Endpoint("tcp", host=host, port=port_num)
-    if transport == "cluster":
-        hosts = []
-        for item in rest.rstrip(";").split(","):
-            item = item.strip()
-            if not item:
-                raise ConfigError(
-                    f"cluster endpoint wants "
-                    f"cluster://host:port,host:port..., got {spec!r}")
-            member = parse_endpoint(f"tcp://{item}")
-            hosts.append((member.host, member.port))
-        if not hosts:
-            raise ConfigError(
-                f"cluster endpoint names no hosts: {spec!r}")
-        return Endpoint("cluster", options={"hosts": tuple(hosts)})
     options: dict = {}
     for item in rest.split(";") if rest else ():
         if not item:
@@ -273,11 +252,6 @@ class _TcpTransport:
         self.clock.start(int(hello["epoch"]))
         self.num_shards = int(hello["shards"])
         self.updateable = bool(hello["updateable"])
-        #: ``(lo, hi)`` when the host serves only a landmark-shard
-        #: subset (a fleet member), else None (a full host)
-        raw_range = hello.get("shard_range")
-        self.shard_range = (None if raw_range is None
-                            else (int(raw_range[0]), int(raw_range[1])))
         #: the largest frame the server reads; :meth:`_post` refuses a
         #: larger one before a byte is sent
         self._max_frame = int(hello["max_frame"])
@@ -414,19 +388,6 @@ class _TcpTransport:
     def _request(self, kind: int, reply: int, body: Any = b"") -> Any:
         return self._await(self._post(kind, body), reply)[1]
 
-    # -- fleet probes (the cluster client's fan-out primitive) ---------
-    def post_probe(self, shards: Iterable[int], requests: Iterable) -> int:
-        """Send one ``probe`` frame — the named shards' requests, in
-        the same order; returns its request id."""
-        return self._post(PROBE, tree_to_bytes(
-            (np.asarray(list(shards), dtype=np.int64), tuple(requests))))
-
-    def await_probe(self, rid: int) -> tuple[Any, int]:
-        """Collect one probe reply — ``(responses, epoch)``, the
-        responses a tuple aligned with the posted shard list."""
-        epoch, body = self._await(rid, PROBE_RESULT)
-        return tree_from_bytes(body), epoch
-
     # -- the session surface: a submit/collect pair --------------------
     def _submit(self, pairs) -> Optional[int]:
         arr = parse_pair_array(pairs)
@@ -473,22 +434,15 @@ class _TcpTransport:
         return stats
 
     def fetch_index(self, path: Optional[str]):
-        return self.fetch_index_pinned(path)[0]
-
-    def fetch_index_pinned(self, path: Optional[str]):
-        """:meth:`fetch_index` plus the epoch that produced the blob —
-        ``(store, epoch)`` (the pair the server snapshotted atomically).
-        The cluster client uses the epoch to keep its routing store in
-        lockstep with the fleet."""
         from repro.oracle.serialization import (load_index_binary,
                                                 load_index_bytes)
 
-        epoch, blob = self._await(self._post(FETCH_INDEX), INDEX_BLOB)
+        blob = self._request(FETCH_INDEX, INDEX_BLOB)
         if path is None:  # no attach target: views over the blob itself
-            return load_index_bytes(blob), epoch
+            return load_index_bytes(blob)
         with open(path, "wb") as fh:
             fh.write(blob)
-        return load_index_binary(path, backing="mmap"), epoch
+        return load_index_binary(path, backing="mmap")
 
     def close(self) -> None:
         if self._closed:
@@ -569,8 +523,8 @@ class OracleClient:
         """Pipelined serving over an iterable of pair batches: one
         bounded in-order window (:func:`~repro.service.session.
         stream_window`) over the transport's submit/collect pair — two
-        deep on ``inproc://``, ``pipeline_depth`` deep over tcp and
-        across a fleet.  Yields one answer array per batch, in order,
+        deep on ``inproc://``, ``pipeline_depth`` deep over tcp.
+        Yields one answer array per batch, in order,
         bit-identical to per-batch :meth:`dist_many` on a cold cache.
 
         On every transport: batches are pulled only as window slots
@@ -583,7 +537,7 @@ class OracleClient:
         return self._transport.dist_stream(batches)
 
     def pipeline_stats(self, reset: bool = False) -> Optional[dict]:
-        """Client-side pipelining telemetry of a tcp or fleet session —
+        """Client-side pipelining telemetry of a tcp session —
         ``requests`` / ``max_inflight`` / ``overlap_seconds`` /
         ``depth`` / per-batch ``latencies`` of the :meth:`dist_stream`
         window (``None`` for local transports, whose overlap shows up
@@ -655,14 +609,9 @@ def connect(spec: str, source: Any = None, *,
     * ``connect("inproc://", source)`` — everything in this process
       (options: ``jobs`` / ``cache``); ``inproc://jobs=4`` cuts every
       batch across four GIL-releasing threads (``jobs`` defaults to 1;
-      shards are a fleet's placement unit and no session option);
+      the shard count is an index layout parameter, no session option);
     * ``connect("tcp://host:port")`` — a remote
-      :class:`OracleServer`; no ``source`` (the server owns the index);
-    * ``connect("cluster://h1:p1,h2:p2")`` — a fleet of
-      :class:`OracleServer` hosts each owning a landmark-shard range
-      (``repro serve --shard-range``): batches are planned client-side,
-      probes fan out per host, and the partials are combined by the
-      store's ``finish`` — answers bit-identical to one full host.
+      :class:`OracleServer`; no ``source`` (the server owns the index).
 
     ``source`` for local transports: a sketch list,
     :class:`~repro.oracle.api.BuiltSketches`, pre-built store, or
@@ -671,33 +620,25 @@ def connect(spec: str, source: Any = None, *,
     spec's ``cache`` option; ``timeout`` bounds the TCP connect +
     handshake (it is cleared once the session is up, so a slow
     large-batch reply can never desync the stream); ``pipeline_depth``
-    sets how many ``dist_stream`` batches a tcp or fleet session keeps
-    in flight (default 4, minimum 1).
+    sets how many ``dist_stream`` batches a tcp session keeps in flight
+    (default 4, minimum 1).
 
     :raises ConfigError: on a bad spec, a missing/forbidden ``source``,
         or an unreachable server.
     """
     endpoint = parse_endpoint(spec)
-    if endpoint.transport != "inproc":
-        kind = endpoint.transport
-        owner = "fleet" if kind == "cluster" else "server"
+    if endpoint.transport == "tcp":
         if source is not None:
             raise ConfigError(
-                f"a {kind}:// session carries no data — the {owner} owns "
-                f"the index (drop source=)")
+                "a tcp:// session carries no data — the server owns "
+                "the index (drop source=)")
         if cache_size is not None:
             raise ConfigError(
-                f"cache_size is a server-side knob for {kind}:// sessions")
+                "cache_size is a server-side knob for tcp:// sessions")
         depth = (DEFAULT_PIPELINE_DEPTH if pipeline_depth is None
                  else pipeline_depth)
-        if kind == "cluster":
-            from repro.service.cluster import ClusterClient
-
-            transport = ClusterClient(endpoint.options["hosts"],
-                                      timeout=timeout, pipeline_depth=depth)
-        else:
-            transport = _TcpTransport(endpoint, timeout=timeout,
-                                      pipeline_depth=depth)
+        transport = _TcpTransport(endpoint, timeout=timeout,
+                                  pipeline_depth=depth)
         return OracleClient(transport, endpoint=endpoint.describe())
     if pipeline_depth is not None:
         raise ConfigError(

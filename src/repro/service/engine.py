@@ -36,8 +36,8 @@ the *batch* into J contiguous pair ranges, one task each on the engine's
 one thread pool: the chain is numpy-kernel work that releases the GIL,
 so the ranges overlap for real, and a task sees the caller's own store
 object — nothing is copied, pickled or attached.  The cut does not
-depend on the store's shard count: a shard is placement (what a fleet
-host owns), not a unit of local execution.  Any cut gives the same
+depend on the store's shard count, a layout parameter of the RPIX
+container and never a unit of execution.  Any cut gives the same
 bytes, so answers are bit-identical for every ``jobs`` value; a
 :class:`~repro.errors.QueryError` for an unresolved pair is raised in
 the caller, exactly as in-process: the lowest failing range's, tagged
@@ -154,12 +154,12 @@ def _serve(index: IndexStore, ends: np.ndarray, start: int = 0) -> tuple:
     :class:`QueryError` (its ``row`` counted in the whole batch) when a
     pair is unresolved."""
     t0 = time.perf_counter()
-    state, requests = index._plan_checked(ends)
+    state, request = index._plan_checked(ends)
     t1 = time.perf_counter()
-    responses = index.answer(range(len(requests)), requests)
+    response = index.answer(request)
     t2 = time.perf_counter()
     try:
-        out = index.finish(state, responses)
+        out = index._finish(state, response)
     except QueryError as exc:
         exc.row += start
         out = exc
@@ -326,21 +326,6 @@ class QueryEngine:
         actually produced it)."""
         with self._lock:
             return self.index, self.epoch
-
-    def shard_answers_pinned(self, shards, requests) -> tuple[tuple, int]:
-        """Serve raw per-shard probe requests — ``(responses, epoch)``.
-
-        This is the fleet fan-out hook: a :class:`ClusterClient
-        <repro.service.cluster.ClusterClient>` plans a batch client-side
-        and ships each host only the requests for the shards it owns,
-        which the host answers in one ``answer`` pass; a shard's
-        response is a pure function of ``(shard data, request)``, so the
-        responses are bit-identical to the ones an in-process
-        ``estimate_many`` would have produced.  The whole probe batch is
-        answered by one atomically-snapshotted ``(store, epoch)`` pair.
-        """
-        index, epoch = self.index_snapshot()
-        return tuple(index.answer([int(s) for s in shards], requests)), epoch
 
     # ------------------------------------------------------------------
     # execution: the start/gather pair over one store

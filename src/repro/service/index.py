@@ -28,17 +28,13 @@ filter; CDG: that scan between the gateway labels plus the two legs;
 graceful: the min over its components; stretch-3: one row sum and min).
 It returns the batch path's float bit for bit, and its ``QueryError``.
 
-Every store answers a batch as ``plan`` → ``answer`` → ``finish``, with
-``answer(shards, requests)`` the one kernel entry.  Where every shard
-is resident — any local session — ``plan``'s requests are answered as
-they are, whatever ``num_shards`` is.  A fleet, whose hosts each hold a
-shard range, takes one more step: ``route`` splits the requests shard
-by shard (the landmark is known *before* the lookup, so the router
-needs no sketch data), each host answers what it owns in one pass, and
-``finish`` undoes the routing it finds in the state.  Either way a
-response is a pure function of ``(resident data, request)`` and
-``finish`` combines responses by position, never by completion order
-(dataflow diagram: ``docs/architecture.md``).
+Every store answers a batch in three steps: ``_plan_checked(ends) →
+(state, request)``, ``answer(request) → response`` (the one kernel
+entry, pure) and ``_finish(state, response) → answers``.  None of them
+reads ``num_shards``: the shard count is a layout parameter of the RPIX
+container (the order of a few stored rows and columns), and neither
+the answers nor their cost depend on it (dataflow diagram:
+``docs/architecture.md``).
 
 Notes on the TZ layout (the template the other stores reuse):
 
@@ -54,11 +50,10 @@ Notes on the TZ layout (the template the other stores reuse):
   level)`` keyed by the composite integer ``u * n + w``.  Rows are
   sorted by ``(landmark shard, key)``, a landmark ``w`` living in shard
   ``w mod S``; ``bounds`` holds the S+1 shard offsets, so a shard is
-  the row range ``bounds[s]:bounds[s+1]`` — a placement unit, not a
-  separate structure.
+  the row range ``bounds[s]:bounds[s+1]`` — a layout, not a separate
+  structure.
 * **one hash directory** (open addressing, ``slot_key`` / ``slot_idx``)
-  over every resident key: a key names its own landmark, so a batch of
-  membership probes is one kernel call with no loop over shards.
+  over every key, so a batch of membership probes is one kernel call.
 * **one miss filter** in front of it — a blocked Bloom filter derived
   from the resident keys at load, never stored.  ``E|B_i(v)| <= n^{1/k}``
   against n nodes, so nearly every ``p_i(u) ∈ B_i(v)`` probe is absent:
@@ -74,8 +69,8 @@ sets violating this are detected at build time and stored fully sharded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, groupby
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -125,24 +120,17 @@ class IndexStore(Protocol):
        raises :class:`~repro.errors.QueryError` exactly when some pair in
        the batch would raise it singly, tagged with the first such
        batch row (``exc.row``).
-    2. **plan → [route →] answer → finish** — ``estimate_many`` is
-       equivalent to::
+    2. **plan → answer → finish** — ``estimate_many`` is equivalent
+       to::
 
-           state, requests = store.plan(us, vs)
-           # a fleet only — exactly one request per landmark shard:
-           # state, requests = store.route(state, requests)
-           responses = store.answer(range(len(requests)), requests)
-           answers = store.finish(state, responses)
+           state, request = store._plan_checked(validated_pairs(us, vs, n))
+           answers = store._finish(state, store.answer(request))
 
-       and routed requests may be answered in any split: for every list
-       of distinct shards, ``answer(shards, [requests[s] for s in
-       shards])`` equals ``[answer((s,), (requests[s],))[0] for s in
-       shards]`` — a shard's response reads only that shard's slice of
-       the store, so shards spread over hosts freely, and ``finish``
-       combines responses by position.  A probe that finds nothing
-       answers the canonical ``(0.0, -1)``, so equal stores give
-       byte-equal responses.  A pair's answer depends on that pair only
-       (any cut of a batch gives the same floats), never on S.
+       ``answer`` is pure (it reads the store, writes nothing shared),
+       so it runs on any thread.  A probe that finds nothing answers
+       the canonical ``(0.0, -1)``, so equal stores give byte-equal
+       responses.  A pair's answer depends on that pair only (any cut
+       of a batch gives the same floats), never on S.
     """
 
     n: int
@@ -171,33 +159,19 @@ class IndexStore(Protocol):
         """Stored entry count per landmark shard."""
         ...
 
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """:func:`validated_pairs`, then :meth:`_plan_checked`."""
-        ...
-
-    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
-        """What ``finish`` needs and the batch's requests, from the
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, Any]:
+        """What ``_finish`` needs and the batch's one request, from the
         ``(2, q)`` endpoint array ``[us; vs]`` the caller validated
         (:func:`pair_columns`)."""
         ...
 
-    def route(self, state: Any, requests: list) -> tuple[Any, list]:
-        """Planned requests re-addressed as one per landmark shard; the
-        returned state tells ``finish`` how."""
+    def answer(self, request: Any) -> Any:
+        """Serve one planned request in one pass (pure; safe on any
+        thread)."""
         ...
 
-    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
-        """Serve these requests in one pass: one response each, in the
-        order asked (pure; safe on any thread); ``shards[i]`` is the
-        shard of a routed ``requests[i]``."""
-        ...
-
-    def shard_answer(self, shard: int, request: Any) -> Any:
-        """One request's response: ``answer((shard,), (request,))[0]``."""
-        ...
-
-    def finish(self, state: Any, responses: list) -> np.ndarray:
-        """Combine the responses into the final answers."""
+    def _finish(self, state: Any, response: Any) -> np.ndarray:
+        """Combine the response into the final answers."""
         ...
 
 
@@ -270,17 +244,15 @@ def _unprefixed(prefix: str, arrays) -> dict:
 
 class _BaseIndex:
     """Shared driver: the one way a store comes to hold state, and
-    ``estimate_many`` as plan → answer → finish with the validating
-    ``plan``, the identity ``route``, the one-request and single-pair
-    wrappers.
+    ``estimate_many`` / ``estimate`` over the store's own steps.
 
     A store's physical form is ``(meta, arrays)`` — JSON-compatible
     scalars plus named contiguous arrays, what :meth:`pack_meta` /
     :meth:`pack_arrays` return and an RPIX container holds.  The
-    sketch constructor (:meth:`_flatten`), the container loader, shard
-    restriction and incremental refresh each produce that pair and hand
-    it to :meth:`_install`, which adopts the arrays as they are (views,
-    no copies) and derives everything else.
+    sketch constructor (:meth:`_flatten`), the container loader and
+    incremental refresh each produce that pair and hand it to
+    :meth:`_install`, which adopts the arrays as they are (views, no
+    copies) and derives everything else.
     """
 
     #: registry name of the scheme served (``"tz"`` …)
@@ -312,23 +284,29 @@ class _BaseIndex:
             raise ConfigError(f"{type(self).__name__} arrays do not have "
                               f"the shapes their meta implies")
 
-    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
-        """Validate a batch and plan it (see :class:`IndexStore`)."""
-        return self._plan_checked(validated_pairs(us, vs, self.n))
-
-    def route(self, state: Any, requests: list) -> tuple[Any, list]:
-        """Planned requests already addressed shard by shard."""
-        return state, requests
-
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched estimates, bit-identical to the single-pair query."""
-        state, requests = self.plan(us, vs)
-        return self.finish(
-            state, self.answer(range(len(requests)), requests))
+        state, request = self._plan_checked(validated_pairs(us, vs, self.n))
+        return self._finish(state, self.answer(request))
+
+    # the three steps in list form — a batch's one request in a list,
+    # its one response in a list — as ``bench/workloads.py`` drives them
+    # by hand on a traced run; they go once the benchmark stops
+    # calling them
+    def plan(self, us: np.ndarray, vs: np.ndarray) -> tuple[Any, list]:
+        """Validate a batch and plan it: ``(state, [request])``."""
+        state, request = self._plan_checked(validated_pairs(us, vs, self.n))
+        return state, [request]
 
     def shard_answer(self, shard: int, request: Any) -> Any:
-        """One request's response — :meth:`answer` for a single one."""
-        return self.answer((shard,), (request,))[0]
+        """:meth:`answer` (``shard`` is not read)."""
+        return self.answer(request)
+
+    def finish(self, state: Any, responses: list) -> np.ndarray:
+        """:meth:`_finish` on the one response of :meth:`plan`'s
+        request."""
+        (response,) = responses
+        return self._finish(state, response)
 
     def estimate(self, u: int, v: int) -> float:
         """The single-pair query: ids checked, then the store's scalar
@@ -456,9 +434,8 @@ class _TZPlan:
     hit: np.ndarray       # (k, 2, q) bool, top level prefilled if dense
     cand: np.ndarray      # (k, 2, q) float64, ditto
     via: np.ndarray       # (kk, 2, q) view of the pivot distances awaiting
-    #                       probe sums, kk the levels routed through the
-    #                       bunch table
-    order: Optional[np.ndarray]  # set by route: flat probes in shard order
+    #                       probe sums, kk the levels probed in the bunch
+    #                       table
 
 
 class TZIndex(_BaseIndex):
@@ -477,8 +454,7 @@ class TZIndex(_BaseIndex):
         indexed by node ID.
     :param num_shards: number of landmark shards (``>= 1``).  Answers are
         independent of the shard count; it only changes the order of the
-        bunch table's rows (and the unit of placement: what a fleet host
-        owns).
+        bunch table's rows.
     :raises ConfigError: on an empty set, a non-TZ sketch, mixed ``k``,
         or ``num_shards < 1``.
     """
@@ -573,22 +549,12 @@ class TZIndex(_BaseIndex):
         self._filter, self._filter_shift = _miss_filter(self.keys)
         self._filter_pick = self._filter_shift - _PICK_BITS
 
-        #: levels routed through the bunch table (the rest is dense)
+        #: levels probed in the bunch table (the rest is dense)
         self._kk = self.k - 1 if self.dense_top else self.k
-        #: ``(kk, 1, 1)``: the level each row of ``finish``'s hits checks
+        #: ``(kk, 1, 1)``: the level each row of ``_finish``'s hits checks
         self._level_rows = np.arange(self._kk, dtype=np.int64)[:, None, None]
         #: the dense table as one row of cells, for a flat ``take``
         self._top_cells = self.top_dist.reshape(-1)
-        # landmark -> shard, in the narrowest dtype (a stable argsort of
-        # one- or two-byte integers is a radix sort).  The last entry is
-        # where index -1 — the sentinel pivot — lands: the shard its
-        # never-matching key -2 has always been routed to
-        shard_of = np.arange(n + 1, dtype=np.int64) % S
-        shard_of[n] = (n - 2) % n % S if self.dense_top else 0
-        shard_of = shard_of.astype(np.min_scalar_type(S - 1))
-        #: node -> shard of each of its routed pivots, ``(n, kk)``
-        self._pivot_shard = shard_of[self.pivot_ids[:, :self._kk]]
-        self._shard_ids = np.arange(1, S, dtype=shard_of.dtype)
         #: node -> dense-table column of its top pivot (-1: sentinel pivot
         #: or not a top landmark), so a top probe is one 2-d gather
         top = self.pivot_ids[:, self.k - 1]
@@ -688,7 +654,7 @@ class TZIndex(_BaseIndex):
 
     def _estimate_checked(self, u: int, v: int) -> float:
         """Lemma 3.2 for one pair, in scalar Python over this store's
-        own arrays: the level scan of :meth:`finish` in its check order
+        own arrays: the level scan of :meth:`_finish` in its check order
         — at each level ``p_i(u) ∈ B_i(v)``, then ``p_i(v) ∈ B_i(u)`` —
         returning at the first hit, so a lone pair pays a few ``item``
         reads and usually one filter word per probe instead of the
@@ -721,29 +687,17 @@ class TZIndex(_BaseIndex):
             f"labels of {u} and {v} share no level "
             f"(A_{k - 1} membership is inconsistent between them)", 0)
 
-    def answer(self, shards: Sequence[int], requests: Sequence[np.ndarray],
-               ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Probe the table with these composite-key requests in one
-        kernel call; per request ``(dist, level)``, the absent row
-        ``(0.0, -1)`` for a key that is not resident.  A key names its
-        own landmark, hence its shard, so the kernel never reads
-        ``shards``: the unrouted request of :meth:`plan` and the routed
-        ones are served alike, and a key of a shard this store does not
-        hold (see :func:`restrict_index_shards`) answers absent.  Pure:
-        reads the table and the directory, writes nothing shared.
-        """
-        if len(requests) < 2:  # nothing, or the plan's one flat request
-            return [self._probe(np.ascontiguousarray(keys, dtype=np.int64))
-                    for keys in requests]
-        dist, level = self._probe(np.concatenate(requests, dtype=np.int64))
-        ends = list(accumulate(map(len, requests)))
-        return [(dist[a:b], level[a:b])
-                for a, b in zip([0] + ends[:-1], ends)]
+    def answer(self, request: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Probe the table with the planned composite keys in one kernel
+        call: ``(dist, level)`` per key, the absent row ``(0.0, -1)``
+        for a key that is not resident.  Pure: reads the table and the
+        directory, writes nothing shared."""
+        return self._probe(request)
 
     # ------------------------------------------------------------------
     # the batched Lemma 3.2 query, decomposed per the IndexStore contract
     # ------------------------------------------------------------------
-    def _plan_checked(self, ends: np.ndarray) -> tuple[_TZPlan, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[_TZPlan, np.ndarray]:
         """Gather pivots and the dense-top hits of a validated batch;
         its sub-top membership probes are one flat key request,
         pair-major.  The endpoints come stacked, ``[us; vs]``, so every
@@ -790,27 +744,11 @@ class TZIndex(_BaseIndex):
                 cand[kk] = np.inf
 
         return _TZPlan(ends=ends, hit=hit, cand=cand,
-                       via=pd[:, :, :kk].transpose(2, 0, 1),
-                       order=None), [keys.reshape(-1)]
+                       via=pd[:, :, :kk].transpose(2, 0, 1)), keys.reshape(-1)
 
-    def route(self, state: _TZPlan, requests: list) -> tuple[_TZPlan, list]:
-        """Split the flat request by landmark shard.  A stable sort
-        keeps flat order inside a shard, so the requests are the ones a
-        per-shard filter would produce; the routed state carries the
-        order for ``finish`` to undo."""
-        (flat,) = requests
-        # (2, q, kk) -> the pair-major (q, kk, 2) order of the keys
-        shard = self._pivot_shard.take(state.ends, axis=0).transpose(
-            1, 2, 0).reshape(-1)
-        order = shard.argsort(kind="stable")
-        routed = flat.take(order)
-        cuts = shard.take(order).searchsorted(self._shard_ids).tolist()
-        return replace(state, order=order), [
-            routed[a:b] for a, b in zip([0] + cuts, cuts + [flat.size])]
-
-    def finish(self, state: _TZPlan, responses: list) -> np.ndarray:
-        """Fold the shard probe responses into the Lemma 3.2 level scan:
-        first hit wins, exactly like the single-pair reference.
+    def _finish(self, state: _TZPlan, response: tuple) -> np.ndarray:
+        """Fold the probe response into the Lemma 3.2 level scan: first
+        hit wins, exactly like the single-pair reference.
 
         Each check's candidates are copied where it hit into a
         NaN-prefilled answer, from the last check to the first.  A hit's
@@ -818,15 +756,7 @@ class TZIndex(_BaseIndex):
         so the NaNs left are exactly the unresolved pairs."""
         ends = state.ends
         q, kk = ends.shape[1], self._kk
-        if state.order is None:
-            d, lvl = responses[0]
-        else:
-            # undo the routing: one inverse assignment per column
-            dists, levels = zip(*responses)
-            d = np.empty(state.order.size, dtype=np.float64)
-            d[state.order] = np.concatenate(dists)
-            lvl = np.empty(state.order.size, dtype=np.int64)
-            lvl[state.order] = np.concatenate(levels)
+        d, lvl = response
         hit, cand = state.hit, state.cand
         np.equal(lvl.reshape(q, kk, 2).transpose(1, 2, 0), self._level_rows,
                  out=hit[:kk])
@@ -862,15 +792,6 @@ class TZIndex(_BaseIndex):
         return {"n": self.n, "k": self.k, "num_shards": self.num_shards,
                 "dense_top": self.dense_top,
                 "sentinel_pivots": self.sentinel_pivots}
-
-    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """The arrays of this store holding shards ``[lo, hi)`` only:
-        they are one contiguous slice of the table (already in order);
-        the directory is rebuilt over the keys that stay."""
-        a, b = self.bounds[lo], self.bounds[hi]
-        return {**self.pack_arrays(),
-                **_bunch_table(self.keys[a:b], self.dists[a:b],
-                               self.levels[a:b], self.n, self.num_shards)}
 
     # ------------------------------------------------------------------
     # incremental refresh (the dynamic-update subsystem's index hook)
@@ -982,15 +903,14 @@ class Stretch3Index(_BaseIndex):
     loop in :meth:`~repro.slack.stretch3.Stretch3Sketch.estimate_to`
     produces, since an IEEE-754 min is order-independent.
 
-    Sharding is by net-node id (``w % num_shards``): the columns are
-    stored in ``(shard, id)`` order, so each shard owns a contiguous
-    column block and answers a batch with its partial per-pair min; the
-    combine step is an elementwise min over shards.
+    The columns are stored in ``(w % num_shards, w)`` order, so a shard
+    is a contiguous column block; a batch takes its min over all columns
+    at once, so neither answers nor cost depend on the shard count.
 
     :param sketches: one :class:`~repro.slack.stretch3.Stretch3Sketch`
         per node, indexed by node ID.
-    :param num_shards: number of net-node shards (``>= 1``); answers are
-        shard-independent.
+    :param num_shards: number of net-node shards (``>= 1``): the column
+        order only.
     :raises ConfigError: on an empty set, a non-stretch3 sketch, mixed
         ``eps``, or ``num_shards < 1``.
     """
@@ -1036,71 +956,44 @@ class Stretch3Index(_BaseIndex):
         self.dist = arrays["dist"]
         self._consistent(self.net_ids.ndim == 1
                          and self.dist.shape == (self.n, self.net_ids.size))
-        #: the S+1 column offsets: shard ``s`` owns columns
-        #: ``[bounds[s], bounds[s + 1])``
-        self._col_bounds = np.searchsorted(
-            self.net_ids % self.num_shards,
-            np.arange(self.num_shards + 1)).tolist()
 
     def nnz(self) -> int:
         """Number of stored (finite) node → net-node entries."""
         return int(np.isfinite(self.dist).sum())
 
     def shard_sizes(self) -> list[int]:
-        """Stored entry count per net-node shard."""
-        cb = self._col_bounds
+        """Stored entry count per net-node shard (shard ``s`` owns the
+        columns of the net nodes ``w`` with ``w % S == s``)."""
+        cb = np.searchsorted(self.net_ids % self.num_shards,
+                             np.arange(self.num_shards + 1)).tolist()
         return [int(np.isfinite(self.dist[:, a:b]).sum())
                 for a, b in zip(cb[:-1], cb[1:])]
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
-        """Every shard receives the full pair list (each owns a column
-        block of the min): one request per shard, nothing to route."""
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, tuple]:
+        """The request is the pair list itself, and so is the state."""
         pairs = ends[0], ends[1]
-        return pairs, [pairs] * self.num_shards
+        return pairs, pairs
 
-    def answer(self, shards: Sequence[int], requests: Sequence,
-               ) -> list[np.ndarray]:
-        """Per shard asked, the partial per-pair min over its net-node
-        columns (+inf where it contributes no finite route).  Shards
-        asked with the very same request object — what :meth:`plan`
-        hands out — share one pass over the rows."""
-        out: list[np.ndarray] = []
-        for _, run in groupby(zip(shards, requests),
-                              key=lambda item: id(item[1])):
-            run = list(run)
-            out.extend(self._partial_mins([s for s, _ in run], *run[0][1]))
-        return out
+    def answer(self, request: tuple) -> np.ndarray:
+        """The per-pair min of ``dist[u] + dist[v]`` over every net-node
+        column (+inf where no column gives a finite route), gathered in
+        row blocks of :data:`_BLOCK_CELLS` cells so that each block is
+        still cache-resident when it is reduced."""
+        us, vs = request
+        best = np.full(us.size, np.inf)
+        width = self.net_ids.size
+        step = max(1, _BLOCK_CELLS // max(1, width))
+        for i in range(0, us.size if width else 0, step):
+            through = self.dist[us[i:i + step]]
+            through += self.dist[vs[i:i + step]]
+            through.min(axis=1, out=best[i:i + step])
+        return best
 
-    def _partial_mins(self, shards: list[int], us: np.ndarray,
-                      vs: np.ndarray) -> list[np.ndarray]:
-        """``dist[us] + dist[vs]`` over the column span of ``shards``,
-        gathered once in row blocks of :data:`_BLOCK_CELLS` cells and
-        min-reduced per shard segment in one pass."""
-        cb = self._col_bounds
-        lo, hi = min(shards), max(shards) + 1
-        a, b = cb[lo], cb[hi]
-        # one row per shard of the span; an empty shard stays +inf
-        parts = np.full((hi - lo, us.size), np.inf, dtype=np.float64)
-        live = [s for s in range(lo, hi) if cb[s] < cb[s + 1]]
-        rows = [s - lo for s in live]
-        starts = [cb[s] - a for s in live]
-        step = max(1, _BLOCK_CELLS // max(1, b - a))
-        for i in range(0, us.size if live else 0, step):
-            through = self.dist[us[i:i + step], a:b]
-            through += self.dist[vs[i:i + step], a:b]
-            parts[rows, i:i + step] = np.minimum.reduceat(
-                through, starts, axis=1).T
-        return [parts[s - lo] for s in shards]
-
-    def finish(self, state: Any, responses: list) -> np.ndarray:
-        """Elementwise min over the shard partials; QueryError where no
-        shard found a shared net node (exactly when the dict loop would
-        have raised)."""
+    def _finish(self, state: Any, best: np.ndarray) -> np.ndarray:
+        """QueryError where no net node is shared (exactly when the dict
+        loop would have raised)."""
         us, vs = state
-        best = responses[0]
-        for part in responses[1:]:
-            best = np.minimum(best, part)
         est = np.where(us == vs, 0.0, best)
         bad = (us != vs) & ~np.isfinite(best)
         if bad.any():
@@ -1109,8 +1002,8 @@ class Stretch3Index(_BaseIndex):
         return est
 
     def _estimate_checked(self, u: int, v: int) -> float:
-        """One pair: the min of its two rows' sum, whole (a min is the
-        same float however the columns are cut into shards)."""
+        """One pair: the min of its two rows' sum (a min is the same
+        float however the columns are cut into blocks)."""
         if u == v:
             return 0.0
         best = (float((self.dist[u] + self.dist[v]).min())
@@ -1131,14 +1024,6 @@ class Stretch3Index(_BaseIndex):
     def pack_meta(self) -> dict:
         """The scalar (non-array) state, JSON-compatible."""
         return {"n": self.n, "eps": self.eps, "num_shards": self.num_shards}
-
-    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """The arrays of this store holding shards ``[lo, hi)`` only:
-        every other column reads +inf, the missing entry."""
-        cb = self._col_bounds
-        dist = np.full_like(self.dist, np.inf)
-        dist[:, cb[lo]:cb[hi]] = self.dist[:, cb[lo]:cb[hi]]
-        return {"net_ids": self.net_ids, "dist": dist}
 
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterable[tuple[int, int, float]]:
@@ -1172,8 +1057,8 @@ class CDGIndex(_BaseIndex):
     ``d''`` is the TZ estimate between the gateways' labels.  The store
     keeps the gateway pairs in flat arrays and the labels — remapped onto
     a compact 0-based universe — in a :class:`TZIndex`, so a batch is two
-    gathers around one TZ sub-batch.  Sharding is delegated to the
-    sub-index.
+    gathers around one TZ sub-batch.  The shard layout is the
+    sub-index's.
 
     :param sketches: one :class:`~repro.slack.cdg.CDGSketch` per node,
         indexed by node ID.
@@ -1285,30 +1170,24 @@ class CDGIndex(_BaseIndex):
         return self._sub.shard_sizes()
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, np.ndarray]:
         """Plan the gateway-label TZ sub-batch (gateway slots gathered
         from ``_gw_slot`` are valid sub-universe ids by construction:
         one validation per batch, however deep the store nests)."""
-        sub_state, requests = self._sub._plan_checked(
+        sub_state, request = self._sub._plan_checked(
             self._gw_slot.take(ends))
-        return (ends, sub_state), requests
+        return (ends, sub_state), request
 
-    def route(self, state: Any, requests: list) -> tuple[Any, list]:
-        """Split the sub-index's request by landmark shard."""
-        ends, sub_state = state
-        sub_state, requests = self._sub.route(sub_state, requests)
-        return (ends, sub_state), requests
-
-    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
+    def answer(self, request: np.ndarray) -> tuple:
         """Delegate the probes to the TZ sub-index."""
-        return self._sub.answer(shards, requests)
+        return self._sub.answer(request)
 
-    def finish(self, state: Any, responses: list) -> np.ndarray:
+    def _finish(self, state: Any, response: tuple) -> np.ndarray:
         """Wrap the sub-index's answers in the gateway legs, re-raising
         unresolved pairs with the original node ids."""
         ends, sub_state = state
         try:
-            through = self._sub.finish(sub_state, responses)
+            through = self._sub._finish(sub_state, response)
         except QueryError as exc:
             j = getattr(exc, "row", None)
             if j is None:  # pragma: no cover - defensive
@@ -1322,7 +1201,7 @@ class CDGIndex(_BaseIndex):
 
     def _estimate_checked(self, u: int, v: int) -> float:
         """One pair: the sub-index's scalar scan between the gateways'
-        labels, wrapped in the two gateway legs in :meth:`finish`'s
+        labels, wrapped in the two gateway legs in :meth:`_finish`'s
         order of addition."""
         slot = self._gw_slot
         try:
@@ -1353,12 +1232,6 @@ class CDGIndex(_BaseIndex):
                 "num_shards": self.num_shards,
                 "sub": self._sub.pack_meta()}
 
-    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """The arrays of this store holding shards ``[lo, hi)`` only:
-        the gateway arrays (router state) in full, the sub-index cut."""
-        return {**self.pack_arrays(),
-                **_prefixed("sub.", self._sub._restricted(lo, hi))}
-
     def __eq__(self, other: object) -> bool:
         """Same gateways and same net labels: the compact universe is a
         function of the labels, so equal ``net_ids`` and equal
@@ -1388,8 +1261,7 @@ class GracefulIndex(_BaseIndex):
     A pair is unresolved exactly when *any* component is unresolved for
     it, matching the single-pair ``min`` over component estimates (which
     consumes every component).  Shard ``s`` of this store is the union of
-    shard ``s`` across the component sub-indexes, so one worker still
-    owns one landmark shard end to end.
+    shard ``s`` across the component sub-indexes.
 
     :param sketches: one :class:`~repro.slack.graceful.GracefulSketch`
         per node, indexed by node ID.
@@ -1449,35 +1321,25 @@ class GracefulIndex(_BaseIndex):
                 for s in range(self.num_shards)]
 
     # ------------------------------------------------------------------
-    def _plan_checked(self, ends: np.ndarray) -> tuple[Any, list]:
+    def _plan_checked(self, ends: np.ndarray) -> tuple[tuple, tuple]:
         """Plan every component's sub-batch (they share this store's id
-        space); the state is the list of the components' states and a
-        request the tuple of the components' requests."""
-        states, per_comp = zip(*(comp._plan_checked(ends)
+        space); the state is the tuple of the components' states and the
+        request the tuple of their requests."""
+        states, requests = zip(*(comp._plan_checked(ends)
                                  for comp in self.components))
-        return list(states), list(zip(*per_comp))
+        return states, requests
 
-    def route(self, state: Any, requests: list) -> tuple[Any, list]:
-        """Route every component; shard ``s``'s request is the tuple of
-        the components' shard-``s`` requests."""
-        states, per_comp = zip(*(
-            comp.route(st, [r[i] for r in requests])
-            for i, (comp, st) in enumerate(zip(self.components, state))))
-        return list(states), list(zip(*per_comp))
+    def answer(self, request: tuple) -> tuple:
+        """Serve every component's request — one kernel call each."""
+        return tuple(comp.answer(r)
+                     for comp, r in zip(self.components, request))
 
-    def answer(self, shards: Sequence[int], requests: Sequence) -> list:
-        """Serve the requests of every component — one kernel call per
-        component, transposed back to one response tuple per request."""
-        per_comp = [comp.answer(shards, [r[i] for r in requests])
-                    for i, comp in enumerate(self.components)]
-        return list(zip(*per_comp))
-
-    def finish(self, state: Any, responses: list) -> np.ndarray:
+    def _finish(self, state: tuple, response: tuple) -> np.ndarray:
         """Component-wise minimum (any unresolved component raises, as the
         single-pair ``min`` over a raising generator would)."""
         est: Optional[np.ndarray] = None
-        for i, comp in enumerate(self.components):
-            part = comp.finish(state[i], [r[i] for r in responses])
+        for comp, st, resp in zip(self.components, state, response):
+            part = comp._finish(st, resp)
             est = part if est is None else np.minimum(est, part)
         return est
 
@@ -1498,13 +1360,6 @@ class GracefulIndex(_BaseIndex):
         """The scalar state, one nested meta per ε-component."""
         return {"n": self.n, "num_shards": self.num_shards,
                 "components": [c.pack_meta() for c in self.components]}
-
-    def _restricted(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """Every component's arrays restricted to shards ``[lo, hi)``."""
-        out: dict[str, np.ndarray] = {}
-        for i, comp in enumerate(self.components):
-            out.update(_prefixed(f"c{i}.", comp._restricted(lo, hi)))
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GracefulIndex):
@@ -1616,30 +1471,3 @@ def refresh_index(index: IndexStore, sketches: Sequence[Any],
         except ConfigError:  # layout drifted — take the full rebuild
             pass
     return build_index(sketches, num_shards=index.num_shards)
-
-
-def restrict_index_shards(index: IndexStore, lo: int, hi: int) -> IndexStore:
-    """A new store serving only landmark shards ``[lo, hi)`` — the unit a
-    fleet host owns (``repro serve --shard-range LO:HI``).
-
-    Router state (pivot tables, the dense top block, gateway arrays, net
-    universes) is kept in full, so ``plan`` and ``finish`` on the
-    restricted store behave exactly like the original's; only the
-    shard-local data outside the range is dropped (a shard outside it
-    is empty and answers all-absent).  ``answer`` for owned shards is
-    bit-identical to the full store's, and the restriction is
-    idempotent.  ``[0, S)`` returns the store itself unchanged.
-
-    :raises ConfigError: on an invalid range or an unknown store type.
-    """
-    S = index.num_shards
-    lo, hi = int(lo), int(hi)
-    if not (0 <= lo < hi <= S):
-        raise ConfigError(
-            f"shard range [{lo}, {hi}) invalid for {S} shards")
-    if (lo, hi) == (0, S):
-        return index
-    if not isinstance(index, _BaseIndex):
-        raise ConfigError(
-            f"cannot shard-restrict a {type(index).__name__}")
-    return index._from_pack(index.pack_meta(), index._restricted(lo, hi))

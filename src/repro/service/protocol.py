@@ -7,14 +7,15 @@ little-endian head and a body::
 ``frame_len`` counts the whole frame.  ``rid`` is the client-assigned
 request id a reply echoes (:data:`PUSH_RID` on frames the server pushes
 unasked); ``epoch`` names the epoch that served a ``result`` /
-``probe_result`` / ``index_blob`` (the new epoch on a pushed ``epoch``
-frame) and is 0 on requests.  A kind has exactly one body format: raw
-``<i8`` ``(Q, 2)`` pairs for ``query``, raw ``<f8`` ``(Q,)`` answers for
-``result``, an array tree (:mod:`~repro.service.buffers`) for ``probe``
-/ ``probe_result``, the RPIX bytes for ``index_blob``, one JSON object
-for the control kinds (:data:`CONTROL_KINDS`), nothing for the rest —
-so a ``query`` → ``result`` round trip touches neither :mod:`json` nor
-the tree codec.  ``docs/serving.md`` §5b has the full table.
+``index_blob`` (the new epoch on a pushed ``epoch`` frame) and is 0 on
+requests.  A kind has exactly one body format: raw ``<i8`` ``(Q, 2)``
+pairs for ``query``, raw ``<f8`` ``(Q,)`` answers for ``result``, the
+RPIX bytes for ``index_blob``, one JSON object for the control kinds
+(:data:`CONTROL_KINDS`), nothing for the rest — so a ``query`` →
+``result`` round trip never touches :mod:`json`.  Kinds 4 and 5 (the
+retired ``probe`` / ``probe_result``) are unassigned, so every other
+kind keeps its number and a server answers them as it answers any
+unknown kind.  ``docs/serving.md`` §5b has the full table.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ ANSWERS = np.dtype("<f8")
 RECV_BYTES = 1 << 16
 RECV_MAX = 1 << 20
 
-(HELLO, QUERY, RESULT, PROBE, PROBE_RESULT, APPLY, REPORT, STATS,
- STATS_REPLY, FETCH_INDEX, INDEX_BLOB, EPOCH, ERROR, CLOSE) = range(1, 15)
+HELLO, QUERY, RESULT = 1, 2, 3
+(APPLY, REPORT, STATS, STATS_REPLY, FETCH_INDEX, INDEX_BLOB, EPOCH, ERROR,
+ CLOSE) = range(6, 15)
 
 KIND_NAMES = {
-    HELLO: "hello", QUERY: "query", RESULT: "result", PROBE: "probe",
-    PROBE_RESULT: "probe_result", APPLY: "apply", REPORT: "report",
+    HELLO: "hello", QUERY: "query", RESULT: "result",
+    APPLY: "apply", REPORT: "report",
     STATS: "stats", STATS_REPLY: "stats_reply",
     FETCH_INDEX: "fetch_index", INDEX_BLOB: "index_blob", EPOCH: "epoch",
     ERROR: "error", CLOSE: "close"}

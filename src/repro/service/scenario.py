@@ -752,12 +752,12 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
             sessions = [connect(target, timeout=timeout,
                                 pipeline_depth=pipeline_depth)
                         for _ in range(query_threads)]
-        elif parse_endpoint(ep).transport in ("tcp", "cluster"):
+        elif parse_endpoint(ep).transport == "tcp":
             if source is not None:
                 raise ConfigError(
-                    "a tcp://host:port (or cluster://) session carries "
-                    "no data — drop source= (or use the bare 'tcp://' "
-                    "sentinel to loopback-serve it)")
+                    "a tcp://host:port session carries no data — drop "
+                    "source= (or use the bare 'tcp://' sentinel to "
+                    "loopback-serve it)")
             target = ep
             writer = connect(ep, timeout=timeout,
                              pipeline_depth=pipeline_depth)
@@ -1016,9 +1016,7 @@ def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
                                  **params)
                   if oracle else None)
     ep = endpoint.strip()
-    remote = ((ep != "tcp://" and ep.startswith("tcp://"))
-              or ep.startswith("cluster://"))
-    if remote:
+    if ep != "tcp://" and ep.startswith("tcp://"):
         source = None
     else:
         source = UpdateableIndex(graph, scheme, seed,

@@ -6,7 +6,7 @@ transport: :meth:`OracleServer.client` hands out in-process sessions,
 
 The listener is one :mod:`selectors` event loop on one IO thread plus a
 handler thread pool, and *where a request runs* is read off its frame
-head: a ``query`` / ``probe`` / ``stats`` frame of at most
+head: a ``query`` / ``stats`` frame of at most
 :data:`INLINE_FRAME_BYTES` is answered on the loop thread and its reply
 written in the same loop turn — below that size the request is cheaper
 than a thread hop, and handlers queueing for the GIL only made the loop
@@ -30,29 +30,26 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.service.buffers import tree_from_bytes, tree_to_bytes
 from repro.service.engine import QueryEngine
-from repro.service.index import (IndexStore, build_index,
-                                 restrict_index_shards, scheme_name_of_index)
+from repro.service.index import IndexStore, build_index, scheme_name_of_index
 from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, FETCH_INDEX,
                                     HELLO, INDEX_BLOB, KIND_NAMES,
-                                    MAX_FRAME_BYTES, PAIRS, PROBE,
-                                    PROBE_RESULT, PROTOCOL_VERSION, PUSH_RID,
-                                    QUERY, REPORT, RESULT, STATS, STATS_REPLY,
-                                    FrameError, FrameReader, encode_error,
-                                    encode_frame, kind_name)
+                                    MAX_FRAME_BYTES, PAIRS, PROTOCOL_VERSION,
+                                    PUSH_RID, QUERY, REPORT, RESULT, STATS,
+                                    STATS_REPLY, FrameError, FrameReader,
+                                    encode_error, encode_frame, kind_name)
 from repro.service.updates import UpdateReport
 
 if TYPE_CHECKING:
     from repro.service.client import OracleClient
 
-#: a ``query`` / ``probe`` / ``stats`` frame whose body is at most this
-#: long (16 384 pairs) is answered on the IO-loop thread; anything
-#: longer goes to the handler pool.  Measured, not tunable: the
-#: crossover table is in ``docs/serving.md`` §5b.
+#: a ``query`` / ``stats`` frame whose body is at most this long
+#: (16 384 pairs) is answered on the IO-loop thread; anything longer
+#: goes to the handler pool.  Measured, not tunable: the crossover
+#: table is in ``docs/serving.md`` §5b.
 INLINE_FRAME_BYTES = 1 << 18
 
-_INLINE_KINDS = frozenset((QUERY, PROBE, STATS))
+_INLINE_KINDS = frozenset((QUERY, STATS))
 
 #: per-connection write-buffer high-water mark: above this the event
 #: loop stops reading (and dispatching) the connection until it drains
@@ -108,20 +105,11 @@ class OracleServer:
         :class:`~repro.service.engine.QueryEngine`'s knob, validated
         there.
     :param num_shards: landmark shard count when building from
-        sketches (default 1: shards are what a fleet's hosts divide,
-        not a unit of local work); must match (or be omitted for) a
+        sketches (default 1: a layout parameter of the RPIX container,
+        never a unit of work); must match (or be omitted for) a
         pre-built source.
     :param cache_size: result-cache capacity (answers) of the hosted
         engine; ``0`` disables it.
-    :param shard_range: ``(lo, hi)`` — serve only landmark shards
-        ``[lo, hi)`` (the fleet-host topology behind ``repro serve
-        --shard-range``).  Static sources are physically restricted
-        (:func:`~repro.service.index.restrict_index_shards`); an
-        updateable source keeps the full store (repair is global) and
-        the range only gates what this host advertises and answers.  A
-        proper-subset host answers ``probe`` frames for its shards and
-        rejects whole-batch ``query`` frames — combining partials is
-        the :class:`~repro.service.cluster.ClusterClient`'s job.
 
     The same server object backs every transport: :meth:`client` hands
     out in-process sessions (what ``inproc://`` binds to),
@@ -134,8 +122,7 @@ class OracleServer:
 
     def __init__(self, source: Any, *, jobs: int = 1,
                  num_shards: Optional[int] = None,
-                 cache_size: int = 65536,
-                 shard_range: Optional[tuple[int, int]] = None):
+                 cache_size: int = 65536):
         self._listener: Optional[socket.socket] = None
         self._io_thread: Optional[threading.Thread] = None
         self._selector: Optional[selectors.BaseSelector] = None
@@ -164,21 +151,6 @@ class OracleServer:
         # everything that can be wrong with the source is found here,
         # before the engine starts any shard thread
         index, updateable = self._normalize_source(source, num_shards)
-        self.shard_range: Optional[tuple[int, int]] = None
-        if shard_range is not None:
-            lo, hi = int(shard_range[0]), int(shard_range[1])
-            total = index.num_shards
-            if updateable is None:
-                # validates the range; [0, S) returns the store unchanged
-                index = restrict_index_shards(index, lo, hi)
-            elif not (0 <= lo < hi <= total):
-                # repair is global: the full store stays, the range only
-                # gates what this host advertises and answers
-                raise ConfigError(
-                    f"shard range [{lo}, {hi}) invalid for "
-                    f"{total} shards")
-            if (lo, hi) != (0, total):
-                self.shard_range = (lo, hi)
         self.scheme = (updateable.scheme if updateable is not None
                        else scheme_name_of_index(index))
         self.updateable = updateable is not None
@@ -418,8 +390,6 @@ class OracleServer:
                 "v": PROTOCOL_VERSION, "n": self.n,
                 "scheme": self.scheme, "epoch": self.epoch,
                 "shards": self.num_shards, "updateable": self.updateable,
-                "shard_range": (list(self.shard_range)
-                                if self.shard_range else None),
                 "max_frame": conn.reader.max_frame}))
             if not conn.closed:  # the peer may be gone already
                 with self._conn_lock:
@@ -447,8 +417,8 @@ class OracleServer:
 
     def _dispatch(self, conn: _Connection) -> None:
         """Answer or hand off every complete frame buffered on ``conn``
-        — here, on the loop thread, for a small ``query`` / ``probe`` /
-        ``stats``, else on the handler pool — then settle the selector
+        — here, on the loop thread, for a small ``query`` / ``stats``,
+        else on the handler pool — then settle the selector
         interest.  Stops (bytes stay buffered) while the connection is
         backpressured."""
         reader = conn.reader
@@ -585,40 +555,11 @@ class OracleServer:
 
     def _handle(self, kind: int, rid: int, body: Any) -> bytes:
         if kind == QUERY:
-            if self.shard_range is not None:
-                lo, hi = self.shard_range
-                raise ConfigError(
-                    f"this host serves landmark shards [{lo}, {hi}) of "
-                    f"{self.num_shards} — whole-batch queries need a "
-                    f"cluster:// session combining the fleet's partials")
             answers, epoch = self._engine.dist_many_pinned(
                 np.frombuffer(body, dtype=PAIRS).reshape(-1, 2))
             return encode_frame(
                 RESULT, rid, epoch,
                 answers.astype(ANSWERS, copy=False).tobytes())
-        if kind == PROBE:
-            tree = tree_from_bytes(body)
-            if not (isinstance(tree, tuple) and len(tree) == 2
-                    and isinstance(tree[0], np.ndarray)
-                    and isinstance(tree[1], tuple)):
-                raise ConfigError(
-                    "a probe body is the tree (shard ids, (request, ...))")
-            shards = [int(s) for s in tree[0].ravel().tolist()]
-            requests = tree[1]
-            lo, hi = self.shard_range or (0, self.num_shards)
-            for s in shards:
-                if not (lo <= s < hi):
-                    raise ConfigError(
-                        f"shard {s} is not served here (this host owns "
-                        f"[{lo}, {hi}) of {self.num_shards})")
-            if len(requests) != len(shards):
-                raise ConfigError(
-                    f"probe names {len(shards)} shards but carries "
-                    f"{len(requests)} requests")
-            responses, epoch = self._engine.shard_answers_pinned(
-                shards, requests)
-            return encode_frame(PROBE_RESULT, rid, epoch,
-                                tree_to_bytes(responses))
         if kind == APPLY:
             from repro.oracle.serialization import change_from_dict
 

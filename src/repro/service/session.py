@@ -2,8 +2,8 @@
 
 A serving session owes its caller one thing per batch — an answer
 computed wholly from *one* epoch's sketches, delivered in order —
-wherever the shards sit.  So every session kind (the engine, the tcp
-client, the fleet client) supplies only a pair::
+whatever the transport.  So every session kind (the engine, the tcp
+client) supplies only a pair::
 
     submit(batch)   -> ticket            # start the batch; None = empty
     collect(ticket) -> result            # gather it: (answers, epoch)

@@ -212,7 +212,7 @@ def grow_clusters(graph: Graph, hierarchy: Hierarchy,
     entries (``u ∈ C(w) ⟺ w ∈ B(u)``, paper Section 3.2).
 
     Roots are independent of each other, so any split of the universe
-    (a fleet host's landmark range, the candidates of a repair) merges
+    (the candidates of a repair, say) merges
     back into the full table with :func:`merge_bunch_tables`.  Per
     level, blocks of :data:`_BLOCK_CELLS` cells go through the frontier
     kernel; a level

@@ -143,7 +143,7 @@ def tz_artifacts(graph, seed: SeedLike, params) -> dict:
     """The tz registry row's ``sample``: the one random artifact of a
     Thorup–Zwick build is its hierarchy — an explicit ``hierarchy`` is
     taken as given, otherwise one is drawn for ``k`` with the paper's
-    ``n^{-1/k}``.  Every tz build (any mode, a fleet's) samples here."""
+    ``n^{-1/k}``.  Every tz build (any mode) samples here."""
     k, hierarchy = params.get("k"), params.get("hierarchy")
     if hierarchy is None:
         if k is None:

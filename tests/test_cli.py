@@ -297,7 +297,7 @@ class TestSchemesCommand:
         assert {r["scheme"] for r in rows} == {"tz", "stretch3", "cdg",
                                                "graceful"}
         # every transport hosts every scheme
-        assert all(r["transports"] == ["inproc", "tcp", "cluster"]
+        assert all(r["transports"] == ["inproc", "tcp"]
                    for r in rows)
         assert all(r["serialize"] for r in rows)
 

@@ -16,7 +16,8 @@ Hypothesis drives raw sockets with
   kinds that must be empty,
 * control kinds whose body is invalid UTF-8 / invalid JSON / valid JSON
   but not an object,
-* junk ``probe`` trees and junk ``apply`` objects,
+* the retired kinds 4 and 5 (``probe`` / ``probe_result``) with junk
+  bodies, and junk ``apply`` objects,
 
 and after every exchange asserts the contract: the fuzzed connection
 yields only well-formed v3 reply frames (typed ``error`` frames
@@ -46,7 +47,7 @@ from repro import build_sketches
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.service import OracleServer, connect, sample_query_pairs
 from repro.service.protocol import (APPLY, CONTROL_KINDS, EPOCH, ERROR, HELLO,
-                                    KIND_NAMES, MAX_FRAME_BYTES, PROBE,
+                                    KIND_NAMES, MAX_FRAME_BYTES,
                                     PROTOCOL_VERSION, PUSH_RID, QUERY, RESULT,
                                     STATS)
 
@@ -54,6 +55,10 @@ from repro.service.protocol import (APPLY, CONTROL_KINDS, EPOCH, ERROR, HELLO,
 #: u32 frame_len | u8 kind | 3 pad | u64 rid | i64 epoch
 _HEAD = struct.Struct("<IB3xQq")
 assert _HEAD.size == 24
+
+#: the kinds of the retired fleet frames (``probe``, ``probe_result``),
+#: unassigned since: a server answers them as any unknown kind
+RETIRED_KINDS = (4, 5)
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +114,15 @@ non_dict_body = st.tuples(
     _control, st.sampled_from([b"[1,2]", b"null", b'"query"', b"3", b"true"]),
 ).map(lambda t: _frame(*t))
 
-junk_probe = st.binary(max_size=96).map(lambda body: _frame(PROBE, body))
+retired_kind = st.tuples(st.sampled_from(RETIRED_KINDS),
+                         st.binary(max_size=96)).map(lambda t: _frame(*t))
 
 junk_apply = st.sampled_from(
     [{}, {"changes": 3}, {"changes": [1]}, {"changes": [{"op": "?"}]}],
 ).map(lambda obj: _frame(APPLY, json.dumps(obj).encode("utf-8")))
 
 well_formed = st.one_of(any_kind, ragged_query, non_json_body,
-                        non_dict_body, junk_probe, junk_apply)
+                        non_dict_body, retired_kind, junk_apply)
 
 truncated = st.tuples(well_formed, st.integers(1, 32)).map(
     lambda t: t[0][:max(1, len(t[0]) - t[1])])
@@ -124,7 +130,7 @@ truncated = st.tuples(well_formed, st.integers(1, 32)).map(
 payloads = st.lists(
     st.one_of(garbage, corrupt_len, undersized, oversized, any_kind,
               ragged_query, body_on_empty_kind, non_json_body,
-              non_dict_body, junk_probe, junk_apply, truncated),
+              non_dict_body, retired_kind, junk_apply, truncated),
     min_size=1, max_size=3)
 
 
@@ -227,6 +233,30 @@ def test_bogus_request_id_comes_back_typed(fuzz_server):
             assert reply["message"]
 
 
+def test_retired_kinds_are_typed_errors_and_the_session_goes_on(
+        fuzz_server):
+    """Kinds 4 and 5 — the retired fleet ``probe`` / ``probe_result`` —
+    are unassigned: each is answered by a typed ``ConfigError`` frame
+    echoing its request id, and the same connection then answers a
+    ``query`` bit-identically to an in-process session."""
+    server, addr, g = fuzz_server
+    pairs = sample_query_pairs(g.n, 8, seed=3)
+    want = server.client().dist_many(pairs)
+    with socket.create_connection(addr, timeout=5.0) as sock:
+        assert _read_frame(sock)[0] == HELLO
+        for kind in RETIRED_KINDS:
+            rid = 0xFEED00 + kind
+            sock.sendall(_frame(kind, b"\0" * 16, rid=rid))
+            got, echoed, _, reply = _read_frame(sock)
+            assert (got, echoed) == (ERROR, rid)
+            assert reply["etype"] == "ConfigError"
+            assert reply["message"] == f"unknown frame kind {kind}"
+        sock.sendall(_frame(QUERY, pairs.astype("<i8").tobytes(), rid=9))
+        got, echoed, _, body = _read_frame(sock)
+    assert (got, echoed) == (RESULT, 9)
+    assert body == want.astype("<f8").tobytes()
+
+
 def test_non_dict_json_head_disconnects_cleanly(fuzz_server):
     """The regression this suite caught, where v3 keeps it: ``[1,2]`` as
     the JSON of a control frame (the v2 head, the v3 body) must drop the
@@ -241,7 +271,7 @@ def test_non_dict_json_head_disconnects_cleanly(fuzz_server):
 # the other direction: a hostile server
 # ----------------------------------------------------------------------
 _HELLO = {"v": PROTOCOL_VERSION, "n": 16, "scheme": "tz", "epoch": 0,
-          "shards": 1, "updateable": False, "shard_range": None,
+          "shards": 1, "updateable": False,
           "max_frame": MAX_FRAME_BYTES}
 
 _EIGHT = struct.pack("<d", 1.5)

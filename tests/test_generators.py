@@ -151,3 +151,25 @@ class TestFromNetworkx:
         nxg = nx.path_graph(4)
         g = from_networkx(nxg)
         assert all(w == 1.0 for _, _, w in g.edges())
+
+
+def test_benchmark_workloads_do_not_depend_on_the_hash_seed():
+    """``benchmarks/_workloads.py`` seeds its graphs from a stable digest:
+    two processes with different ``PYTHONHASHSEED`` build the same
+    edges."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, 'benchmarks'); "
+            "from _workloads import workload; "
+            "print(sorted(workload('er', 64, True).edges()))")
+    outs = [subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": salt,
+             "PYTHONPATH": str(root / "src")}).stdout
+        for salt in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].count("(") > 64

@@ -175,7 +175,7 @@ class TestUnknownParameters:
     def test_recorded_artifacts_are_read(self, small_ring, scheme):
         """What a build records is a parameter its scheme reads: a
         build from ``built.artifacts`` gives the same sketches — how
-        ``updateable()`` and the fleet scatter rebuild."""
+        ``updateable()`` rebuilds."""
         built = build_sketches(small_ring, scheme, seed=3,
                                **self.REQUIRED[scheme])
         again = build_sketches(small_ring, scheme, **built.artifacts)

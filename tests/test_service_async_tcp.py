@@ -334,7 +334,7 @@ class TestSessionRobustness:
         # what a protocol-v2 server sends: u32 frame_len | u32 head_len
         # | head JSON
         head = (b'{"kind":"hello","v":2,"n":1,"scheme":null,"epoch":0,'
-                b'"shards":1,"updateable":false,"shard_range":null}')
+                b'"shards":1,"updateable":false}')
         self._greeted_by(
             struct.pack("<II", 4 + len(head), len(head)) + head)
 

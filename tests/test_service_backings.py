@@ -61,10 +61,9 @@ def _rpix_store(index, tmp_path, memory):
     return load_index_binary(str(path), backing=memory)
 
 
-def _response_bytes(store, requests) -> bytes:
+def _response_bytes(store, request) -> bytes:
     """The whole response tree of one ``answer`` pass, canonically."""
-    return tree_to_bytes(tuple(store.answer(range(store.num_shards),
-                                            requests)))
+    return tree_to_bytes(store.answer(request))
 
 
 class TestPackEquivalence:
@@ -77,15 +76,15 @@ class TestPackEquivalence:
         pairs = sample_query_pairs(len(sketches), 250, seed=13)
         us, vs = pairs[:, 0], pairs[:, 1]
         want = index.estimate_many(us, vs)
-        _, requests = index.plan(us, vs)
-        responses = _response_bytes(index, requests)
+        _, (request,) = index.plan(us, vs)
+        responses = _response_bytes(index, request)
         for backing in BACKINGS:
             store = _rpix_store(index, tmp_path, backing)
             got = store.estimate_many(us, vs)
             assert got.tolist() == want.tolist(), (scheme, backing)
             # not only the answers: every response byte, the
             # distance of an absent probe included
-            assert _response_bytes(store, requests) == responses
+            assert _response_bytes(store, request) == responses
             # the loaded store is the same logical index
             assert store == index, (scheme, backing)
             assert store.nnz() == index.nnz()

@@ -54,27 +54,6 @@ class TestTZIndex:
             (s.node, w, d, lvl) for s in tz_sketches
             for w, (d, lvl) in sorted(s.bunch.items())]
 
-    def test_routing_is_stable(self, tz_sketches):
-        """``plan`` emits one flat pair-major request; ``route`` — the
-        step only a fleet takes — splits it with a stable sort, so
-        inside a shard the probes keep their flat (pair, level,
-        direction) order and the per-shard requests are the bytes a
-        fleet has always been shipped.  The digest was recorded on the
-        router before PR 19's (one ``flatnonzero`` filter per shard)."""
-        import hashlib
-
-        from repro.service import sample_query_pairs
-        from repro.service.buffers import tree_to_bytes
-
-        idx = TZIndex(tz_sketches, num_shards=3)
-        pairs = sample_query_pairs(idx.n, 200, seed=5)
-        state, (flat,) = idx.plan(pairs[:, 0], pairs[:, 1])
-        assert flat.size == 800 and state.order is None
-        _, requests = idx.route(state, [flat])
-        assert [r.size for r in requests] == [298, 273, 229]
-        assert hashlib.sha256(tree_to_bytes(
-            tuple(requests))).hexdigest()[:20] == "e99ba820c54e60872637"
-
     def test_rejects_empty_and_mixed_k(self, tz_sketches):
         with pytest.raises(ConfigError):
             TZIndex([])

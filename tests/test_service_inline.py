@@ -1,6 +1,6 @@
 """The inline/pool seam of the tcp server, and the v3 wire around it.
 
-A ``query`` / ``probe`` / ``stats`` frame of at most
+A ``query`` / ``stats`` frame of at most
 ``INLINE_FRAME_BYTES`` is answered on the IO-loop thread, anything
 larger (and every ``apply`` / ``fetch_index``) on the handler pool.
 That is a scheduling decision only, so:
@@ -148,25 +148,6 @@ def test_small_requests_run_on_the_loop_thread(graph, small_inline):
             if t.name.startswith(("oracle-io", "oracle-handler"))] == []
 
 
-def test_small_probes_run_on_the_loop_thread(graph, small_inline):
-    from repro.service import loopback_fleet
-
-    built = build_sketches(graph, scheme="tz", seed=7, k=2)
-    store = build_index(built.sketches, num_shards=2)
-    with loopback_fleet(store, 2, cache_size=0) as (spec, servers):
-        threads = [_record_engine_threads(s, "shard_answers_pinned")
-                   for s in servers]
-        with connect(spec) as fleet:
-            for q in (3, 4 * small_inline):
-                pairs = sample_query_pairs(graph.n, q, seed=q)
-                assert np.array_equal(
-                    fleet.dist_many(pairs),
-                    store.estimate_many(pairs[:, 0], pairs[:, 1]))
-    for names in threads:
-        assert names[0] == "oracle-io"
-        assert names[1].startswith("oracle-handler")
-
-
 # ----------------------------------------------------------------------
 # (c) a repair never stalls the readers
 # ----------------------------------------------------------------------
@@ -310,11 +291,7 @@ def test_query_path_uses_neither_json_nor_the_tree_codec(graph,
                            "json.JSONEncoder.encode",
                            "json.JSONDecoder.decode",
                            "repro.service.buffers.tree_to_bytes",
-                           "repro.service.buffers.tree_from_bytes",
-                           "repro.service.server.tree_to_bytes",
-                           "repro.service.server.tree_from_bytes",
-                           "repro.service.client.tree_to_bytes",
-                           "repro.service.client.tree_from_bytes"):
+                           "repro.service.buffers.tree_from_bytes"):
                 monkeypatch.setattr(target, forbidden)
             with pytest.raises(AssertionError):
                 json.dumps({})

@@ -470,13 +470,6 @@ def _decomposition_set(name: str):
     return _decomposition_sets[name]
 
 
-def _response_bytes(response) -> bytes:
-    """One shard's response tree, canonically (dtype and shape too)."""
-    from repro.service.buffers import tree_to_bytes
-
-    return tree_to_bytes((response,))
-
-
 def _outcome(fn):
     """``fn()``'s answers, or its QueryError as ``(message, row)``."""
     try:
@@ -494,11 +487,9 @@ def _bits(fn):
 
 
 class TestAnswerDecomposition:
-    """``answer`` is the one kernel entry: however a routed batch's
-    shards are grouped into calls, every shard's response is the one
-    ``shard_answer`` gives, and plan → [route →] answer → finish is
-    ``estimate_many`` is the single-pair query — values, QueryErrors
-    and the row they name — routed or not."""
+    """plan → answer → finish is ``estimate_many`` is the single-pair
+    query — values, QueryErrors and the row they name — on every layout
+    and shard count."""
 
     def test_cases_cover_the_layouts(self):
         tz = {name: build_index(_decomposition_set(name), num_shards=3)
@@ -511,7 +502,8 @@ class TestAnswerDecomposition:
     @settings(max_examples=120, **COMMON)
     @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
            shards=st.sampled_from([1, 2, 3, 5, 8]), data=st.data())
-    def test_any_grouping_of_any_shards(self, case, shards, data):
+    def test_plan_answer_finish_is_the_single_query(self, case, shards,
+                                                    data):
         sketches = _decomposition_set(case)
         n = len(sketches)
         index = build_index(sketches, num_shards=shards)
@@ -519,32 +511,11 @@ class TestAnswerDecomposition:
         pairs = data.draw(st.lists(st.tuples(node, node), min_size=1,
                                    max_size=24), label="pairs")
         us, vs = (np.asarray(col, dtype=np.int64) for col in zip(*pairs))
-        local_state, local = index.plan(us, vs)
-        state, requests = index.route(local_state, local)
-        assert len(requests) == shards
-        per_shard = [index.shard_answer(s, requests[s])
-                     for s in range(shards)]
-        want = [_response_bytes(response) for response in per_shard]
-
-        # a random subset of the shards, in a random order, cut into
-        # random consecutive groups: one answer call per group
-        asked = data.draw(st.permutations(range(shards)), label="order")
-        asked = asked[:data.draw(st.integers(1, shards), label="subset")]
-        cuts = sorted(data.draw(st.sets(st.integers(1, len(asked))),
-                                label="cuts") | {len(asked)})
-        for lo, hi in zip([0] + cuts, cuts):
-            group = asked[lo:hi]
-            got = index.answer(group, [requests[s] for s in group])
-            assert len(got) == len(group)
-            for s, response in zip(group, got):
-                assert _response_bytes(response) == want[s], (case, s)
+        state, (request,) = index.plan(us, vs)
 
         single = _single_answers(sketches, us.tolist(), vs.tolist())
-        whole = _outcome(lambda: index.finish(
-            state, index.answer(range(shards), requests)))
-        assert whole == _outcome(lambda: index.finish(state, per_shard))
-        assert whole == _outcome(lambda: index.finish(
-            local_state, index.answer(range(len(local)), local)))
+        whole = _outcome(lambda: index.finish(state,
+                                              [index.answer(request)]))
         assert whole == _outcome(lambda: index.estimate_many(us, vs))
         if "raise" not in single:
             assert whole == single
@@ -593,8 +564,7 @@ class TestOnePairSwept:
     @settings(max_examples=60, **COMMON)
     @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
            shards=st.sampled_from([1, 2, 3, 5]),
-           path=st.sampled_from(["build", "rpix-mmap", "updates",
-                                 "restrict"]),
+           path=st.sampled_from(["build", "rpix-mmap", "updates"]),
            data=st.data())
     def test_the_scalar_query_is_the_batch_of_one(self, case, shards, path,
                                                   data, tmp_path_factory):
@@ -630,9 +600,9 @@ class TestOnePairSwept:
         sketches = _decomposition_set(case)
         index = build_index(sketches, num_shards=2)
         us, vs = _all_ordered_pairs(len(sketches))
-        state, requests = index.plan(us, vs)
+        state, (request,) = index.plan(us, vs)
         try:
-            index.finish(state, index.answer(range(len(requests)), requests))
+            index.finish(state, [index.answer(request)])
         except QueryError:
             pass  # the candidates are complete before anything raises
         assert state.hit.any()
@@ -673,7 +643,7 @@ def _through(path: str, index, sketches, data, tmp_path):
     that ends in ``_install`` each."""
     from repro.oracle.serialization import (load_index_binary,
                                             save_index_binary)
-    from repro.service import refresh_index, restrict_index_shards
+    from repro.service import refresh_index
 
     if path == "rpix-mmap":
         file = tmp_path / "store.rpix"
@@ -683,10 +653,6 @@ def _through(path: str, index, sketches, data, tmp_path):
         touched = data.draw(st.sets(st.integers(0, len(sketches) - 1),
                                     min_size=1, max_size=4), label="dirty")
         return refresh_index(index, sketches, touched)
-    if path == "restrict":
-        lo = data.draw(st.integers(0, index.num_shards - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, index.num_shards), label="hi")
-        return restrict_index_shards(index, lo, hi)
     return index
 
 
@@ -698,8 +664,7 @@ class TestProbeBehindTheFilter:
     @settings(max_examples=150, **COMMON)
     @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
            shards=st.sampled_from([1, 2, 3, 5, 8]),
-           path=st.sampled_from(["build", "rpix-mmap", "updates",
-                                 "restrict"]),
+           path=st.sampled_from(["build", "rpix-mmap", "updates"]),
            data=st.data())
     def test_resident_found_absent_rejected(self, case, shards, path, data,
                                             tmp_path_factory):
@@ -709,14 +674,13 @@ class TestProbeBehindTheFilter:
                          tmp_path_factory.mktemp("probe"))
         for whole, store in zip(_tz_stores(full), _tz_stores(index)):
             keys = np.asarray(store.keys)
-            if path != "restrict":
-                assert np.array_equal(keys, whole.keys)
+            assert np.array_equal(keys, whole.keys)
             dist, level = store._probe(np.ascontiguousarray(keys))
             assert dist.tobytes() == store.dists[:-1].tobytes()
             assert level.tobytes() == store.levels[:-1].tobytes()
 
-            # probes drawn over the key space, rows of the unrestricted
-            # table (gone from a restricted one) and the sentinel mixed in
+            # probes drawn over the key space, rows of the table and the
+            # sentinel mixed in
             drawn = data.draw(st.lists(st.integers(-2, store.n ** 2 - 1),
                                        max_size=40), label="probes")
             probes = np.asarray(drawn + [-2] + whole.keys[:40].tolist(),

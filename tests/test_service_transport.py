@@ -133,7 +133,7 @@ class TestEndpointGrammar:
         "proc://jobs=2",               # not a transport, and no alias
         "inproc://pool=thread",        # not options: jobs > 1 means
         "inproc://memory=mmap",        # threads, loading picks the backing
-        "inproc://shards=4",           # placement is for fleets, not sessions
+        "inproc://shards=4",           # a layout parameter, not a session option
         "inproc://jobs=0",
         "inproc://jobs=x",
     ])

@@ -100,9 +100,9 @@ def _pairs(us, vs) -> np.ndarray:
 class TestShardServerIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_jobs_1_equals_jobs_4_equals_inline(self, built_sets, scheme):
-        """Local ``estimate_many`` == ``finish(route → answer per
-        shard)`` == the single-pair query for S in {1, 4, 16}, and every
-        ``jobs`` — above the shard count too — returns those floats."""
+        """Local ``estimate_many`` == the single-pair query for S in
+        {1, 4, 16}, and every ``jobs`` — above the shard count too —
+        returns those floats."""
         sketches = built_sets[scheme]
         pairs = sample_query_pairs(len(sketches), 300, seed=7)
         us, vs = pairs[:, 0], pairs[:, 1]
@@ -111,11 +111,6 @@ class TestShardServerIdentity:
             index = build_index(sketches, num_shards=shards)
             want = index.estimate_many(us, vs)
             assert want.tolist() == single, shards  # exact, not approx
-            state, requests = index.route(*index.plan(us, vs))
-            assert len(requests) == shards
-            routed = index.finish(state, [index.shard_answer(s, requests[s])
-                                          for s in range(shards)])
-            assert routed.tolist() == single, shards
             for jobs in (1, 2, 4, 7):
                 with _engine(index, jobs) as engine:
                     got = engine.dist_many(pairs)
@@ -242,8 +237,8 @@ class TestThreadPlane:
         single-pair query's float — or raises exactly where it raises,
         with the inline path's message — whatever ``jobs`` is; a mixed
         batch raises on the inline path's first offending row (counted
-        in the whole batch, however it was cut), routed or not, and
-        the server keeps answering afterwards."""
+        in the whole batch, however it was cut), and the server keeps
+        answering afterwards."""
         sketches = disconnected_sets[scheme]
         n = len(sketches)
         index = build_index(sketches, num_shards=4)
@@ -259,11 +254,6 @@ class TestThreadPlane:
         with pytest.raises(QueryError) as inline:
             index.estimate_many(us, vs)
         assert inline.value.row == 1
-        state, requests = index.route(*index.plan(us, vs))
-        with pytest.raises(QueryError) as routed:
-            index.finish(state, index.answer(range(4), requests))
-        assert (str(routed.value), routed.value.row) == \
-            (str(inline.value), 1)
         with _engine(index, jobs) as engine:
             got = [_outcome(lambda: engine.dist(u, v)) for u, v in pairs]
             assert got == want

@@ -3,8 +3,7 @@
 One bounded in-order window (``repro.service.session.stream_window``)
 runs every stream, over a per-kind submit/collect pair; this suite
 states what a caller may rely on and runs it against an in-thread
-``inproc://`` session, a threaded one, a ``tcp://`` session and a
-2-host ``cluster://`` session:
+``inproc://`` session, a threaded one and a ``tcp://`` session:
 
 * answers equal per-batch ``dist_many``, in order;
 * an empty batch yields an empty array and costs no request;
@@ -26,15 +25,15 @@ import pytest
 from repro.errors import QueryError
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, PipelineStats, UpdateableIndex,
-                           connect, loopback_fleet, sample_query_pairs,
+                           connect, sample_query_pairs,
                            sample_weight_changes)
 from repro.service.session import MAX_SAMPLES, stream_window
 
-KINDS = ["inproc", "threads", "tcp", "cluster"]
+KINDS = ["inproc", "threads", "tcp"]
 SHARDS = 2
 #: the window each kind runs: double buffering locally, the
 #: ``pipeline_depth`` given to connect() remotely
-DEPTH = {"inproc": 2, "threads": 2, "tcp": 3, "cluster": 3}
+DEPTH = {"inproc": 2, "threads": 2, "tcp": 3}
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ def _updateable(graph) -> UpdateableIndex:
 @contextmanager
 def open_session(kind: str, graph):
     """A cache-less session of ``kind`` over a fresh updateable TZ
-    store of ``graph`` (one store per fleet host)."""
+    store of ``graph``."""
     if kind == "inproc":
         with connect("inproc://cache=0", _updateable(graph)) as session:
             yield session
@@ -58,16 +57,11 @@ def open_session(kind: str, graph):
         with connect("inproc://jobs=2;cache=0",
                      _updateable(graph)) as session:
             yield session
-    elif kind == "tcp":
+    else:
         with OracleServer(_updateable(graph), cache_size=0) as server:
             host, port = server.serve("127.0.0.1:0", block=False)
             with connect(f"tcp://{host}:{port}",
                          pipeline_depth=DEPTH[kind]) as session:
-                yield session
-    else:
-        with loopback_fleet(lambda i, lo, hi: _updateable(graph), 2,
-                            num_shards=SHARDS, cache_size=0) as (spec, _):
-            with connect(spec, pipeline_depth=DEPTH[kind]) as session:
                 yield session
 
 
@@ -77,7 +71,7 @@ def _chunks(graph, count: int, size: int = 25, seed: int = 3):
 
 
 def _requests(session) -> int:
-    """Batches the session has actually sent to its shards."""
+    """Batches the session has actually sent."""
     stats = session.pipeline_stats()
     if stats is not None:
         return stats["requests"]
