@@ -22,14 +22,43 @@ Quickstart::
     est = built.query(5, 99)
 """
 
-from repro._version import __version__
-from repro.oracle.api import build_sketches, BuiltSketches
-from repro.tz.sketch import TZSketch, estimate_distance
+import sys
 
-__all__ = [
-    "__version__",
-    "build_sketches",
-    "BuiltSketches",
-    "TZSketch",
-    "estimate_distance",
-]
+
+def lazy_exports(package: str, submodules: dict) -> tuple:
+    """``(__all__, __getattr__, __dir__)`` for a package that re-exports
+    names of its submodules (``{submodule: (name, ...)}``): a PEP 562
+    ``__getattr__`` imports a submodule only when one of its names is
+    first read.
+
+    A package ``__init__`` that imported its submodules eagerly would
+    make every ``import repro.x.y`` load all of ``repro.x``; this keeps
+    a serving process (``python -m repro serve idx.rpix``) off the
+    construction stack and scipy.  An unknown name raises
+    :class:`AttributeError`, so ``hasattr`` stays honest.
+    """
+    owner = {name: f"{package}.{sub}"
+             for sub, names in submodules.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in owner:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # __import__ is the import statement's own path, so the
+        # submodule shows in ``-X importtime`` (import_module bypasses it)
+        value = getattr(__import__(owner[name], fromlist=[name]), name)
+        namespace[name] = value  # later reads skip __getattr__
+        return value
+
+    def __dir__() -> list:
+        return sorted({*namespace, *owner})
+
+    return list(owner), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "_version": ("__version__",),
+    "oracle.api": ("build_sketches", "BuiltSketches"),
+    "tz.sketch": ("TZSketch", "estimate_distance"),
+})

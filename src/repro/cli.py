@@ -36,7 +36,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-from repro.oracle.schemes import SCHEMES
+
+#: the ``--scheme`` choices: the keys of
+#: :data:`repro.oracle.schemes.SCHEMES`, spelled out so that parsing a
+#: command line never imports the registry's builders (a test pins the two)
+SCHEME_NAMES = ("cdg", "graceful", "stretch3", "tz")
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build sketches for every node")
     b.add_argument("graph")
-    b.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
+    b.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
     b.add_argument("--mode", choices=["centralized", "distributed"],
                    default="centralized")
     b.add_argument("--k", type=int, default=None)
@@ -547,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "live UpdateableIndex — clients can push edge "
                          "changes (apply_updates) and every connected "
                          "session hot-swaps epochs without reconnecting")
-    sv.add_argument("--scheme", choices=sorted(SCHEMES), default="tz",
+    sv.add_argument("--scheme", choices=SCHEME_NAMES, default="tz",
                     help="scheme for --updateable builds")
     sv.add_argument("--k", type=int, default=None)
     sv.add_argument("--eps", type=float, default=None)
@@ -588,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spawn a `python -m repro serve GRAPH "
                          "--updateable` subprocess on a free port and run "
                          "against it (overrides --connect)")
-    sn.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
+    sn.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
     sn.add_argument("--k", type=int, default=None)
     sn.add_argument("--eps", type=float, default=None)
     sn.add_argument("--seed", type=int, default=0)
@@ -633,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how a binary index (.rpix) is opened: heap = "
                          "read into arrays; mmap = memory-mapped, zero "
                          "parse (any other source is an error)")
-    sb.add_argument("--scheme", choices=sorted(SCHEMES), default=None,
+    sb.add_argument("--scheme", choices=SCHEME_NAMES, default=None,
                     help="assert the loaded sketch set is this scheme")
     sb.add_argument("--seed", type=int, default=0)
     sb.set_defaults(func=_cmd_serve_bench)
@@ -642,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="incremental index update vs full rebuild "
                              "on edge-weight changes")
     ub.add_argument("graph")
-    ub.add_argument("--scheme", choices=sorted(SCHEMES), default="tz")
+    ub.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
     ub.add_argument("--k", type=int, default=None)
     ub.add_argument("--eps", type=float, default=None)
     ub.add_argument("--seed", type=int, default=0)

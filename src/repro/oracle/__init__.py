@@ -7,36 +7,14 @@ downstream user needs: pick a scheme (``"tz"``, ``"stretch3"``, ``"cdg"``,
 reports sizes and construction cost.
 """
 
-from repro.oracle.api import build_sketches, BuiltSketches
-from repro.oracle.schemes import (SCHEMES, SchemeSpec, get_scheme,
-                                  scheme_support_matrix, schemes_markdown)
-from repro.oracle.evaluation import (
-    StretchReport,
-    evaluate_stretch,
-    eps_far_mask,
-    average_stretch,
-    slack_coverage,
-)
-from repro.oracle.online import (
-    online_query_cost,
-    online_query_cost_many,
-    simulate_online_exchange,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "build_sketches",
-    "BuiltSketches",
-    "SCHEMES",
-    "SchemeSpec",
-    "get_scheme",
-    "scheme_support_matrix",
-    "schemes_markdown",
-    "StretchReport",
-    "evaluate_stretch",
-    "eps_far_mask",
-    "average_stretch",
-    "slack_coverage",
-    "online_query_cost",
-    "online_query_cost_many",
-    "simulate_online_exchange",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "api": ("build_sketches", "BuiltSketches"),
+    "schemes": ("SCHEMES", "SchemeSpec", "get_scheme",
+                "scheme_support_matrix", "schemes_markdown"),
+    "evaluation": ("StretchReport", "evaluate_stretch", "eps_far_mask",
+                   "average_stretch", "slack_coverage"),
+    "online": ("online_query_cost", "online_query_cost_many",
+               "simulate_online_exchange"),
+})

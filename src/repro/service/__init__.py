@@ -60,68 +60,23 @@ count and any thread count.  See ``docs/architecture.md`` for the layer
 map and ``docs/serving.md`` for the operator's guide.
 """
 
-from repro.service.bench import (run_connect_benchmark, run_load_benchmark,
-                                 run_serve_benchmark, sample_query_pairs)
-from repro.service.client import (TRANSPORTS, Endpoint, OracleClient,
-                                  connect, parse_endpoint)
-from repro.service.engine import CacheStats, PhaseTimings, QueryEngine
-from repro.service.index import (CDGIndex, GracefulIndex, IndexStore,
-                                 Stretch3Index, TZIndex, build_index,
-                                 index_class_for, refresh_index,
-                                 scheme_name_of, scheme_name_of_index)
-from repro.service.scenario import (SCENARIOS, ChurnEvent, QueryEvent,
-                                    ScenarioOracle, ScenarioResult, Trace,
-                                    generate_trace, run_named_scenario,
-                                    run_scenario, served_subprocess)
-from repro.service.server import OracleServer
-from repro.service.session import EpochStaleness, PipelineStats
-from repro.service.updates import (EdgeChange, UpdateReport,
-                                   UpdateableIndex, dirty_frontier,
-                                   load_changes_jsonl, run_update_benchmark,
-                                   sample_weight_changes, save_changes_jsonl)
+from repro import lazy_exports
 
-__all__ = [
-    "ChurnEvent",
-    "Endpoint",
-    "EpochStaleness",
-    "OracleClient",
-    "OracleServer",
-    "QueryEvent",
-    "SCENARIOS",
-    "ScenarioOracle",
-    "ScenarioResult",
-    "TRANSPORTS",
-    "Trace",
-    "connect",
-    "generate_trace",
-    "parse_endpoint",
-    "run_connect_benchmark",
-    "run_named_scenario",
-    "run_scenario",
-    "scheme_name_of_index",
-    "served_subprocess",
-    "CDGIndex",
-    "CacheStats",
-    "EdgeChange",
-    "GracefulIndex",
-    "IndexStore",
-    "PhaseTimings",
-    "PipelineStats",
-    "QueryEngine",
-    "Stretch3Index",
-    "TZIndex",
-    "UpdateReport",
-    "UpdateableIndex",
-    "build_index",
-    "dirty_frontier",
-    "index_class_for",
-    "load_changes_jsonl",
-    "refresh_index",
-    "run_load_benchmark",
-    "run_serve_benchmark",
-    "run_update_benchmark",
-    "sample_query_pairs",
-    "sample_weight_changes",
-    "save_changes_jsonl",
-    "scheme_name_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bench": ("run_connect_benchmark", "run_load_benchmark",
+              "run_serve_benchmark", "sample_query_pairs"),
+    "client": ("TRANSPORTS", "Endpoint", "OracleClient", "connect",
+               "parse_endpoint"),
+    "engine": ("CacheStats", "PhaseTimings", "QueryEngine"),
+    "index": ("CDGIndex", "GracefulIndex", "IndexStore", "Stretch3Index",
+              "TZIndex", "build_index", "index_class_for", "refresh_index",
+              "scheme_name_of", "scheme_name_of_index"),
+    "scenario": ("SCENARIOS", "ChurnEvent", "QueryEvent", "ScenarioOracle",
+                 "ScenarioResult", "Trace", "generate_trace",
+                 "run_named_scenario", "run_scenario", "served_subprocess"),
+    "server": ("OracleServer",),
+    "session": ("EpochStaleness", "PipelineStats", "UpdateReport"),
+    "updates": ("EdgeChange", "UpdateableIndex", "dirty_frontier",
+                "load_changes_jsonl", "run_update_benchmark",
+                "sample_weight_changes", "save_changes_jsonl"),
+})

@@ -37,8 +37,7 @@ from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, ERROR,
                                     STATS_REPLY, FrameError, FrameReader,
                                     encode_frame, error_from_body, kind_name)
 from repro.service.server import OracleServer
-from repro.service.session import SessionClock, stream_window
-from repro.service.updates import UpdateReport
+from repro.service.session import SessionClock, UpdateReport, stream_window
 
 #: transports :func:`connect` understands
 TRANSPORTS = ("inproc", "tcp")

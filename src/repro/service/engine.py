@@ -527,7 +527,7 @@ class QueryEngine:
         cached answers are per-epoch — under the engine lock.  Batches
         already submitted finish on the store they hold.
 
-        :returns: the :class:`~repro.service.updates.UpdateReport`.
+        :returns: the :class:`~repro.service.session.UpdateReport`.
         :raises ConfigError: for an engine over a static index.
         """
         if self._updateable is None:

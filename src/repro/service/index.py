@@ -71,15 +71,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import (TYPE_CHECKING, Any, Iterable, Optional, Protocol,
+                    Sequence, runtime_checkable)
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.slack.cdg import CDGSketch
-from repro.slack.graceful import GracefulSketch
-from repro.slack.stretch3 import Stretch3Sketch
 from repro.tz.sketch import TZSketch
+
+if TYPE_CHECKING:
+    from repro.slack.cdg import CDGSketch
+    from repro.slack.graceful import GracefulSketch
+    from repro.slack.stretch3 import Stretch3Sketch
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
 #: the same hash in Python ints (a one-key probe; numpy scalars would
@@ -921,6 +924,8 @@ class Stretch3Index(_BaseIndex):
     def _flatten(sketches: Sequence[Stretch3Sketch], num_shards: int,
                  ) -> tuple[dict, dict]:
         """``(meta, arrays)`` of a sketch set, validated."""
+        from repro.slack.stretch3 import Stretch3Sketch
+
         for s in sketches:
             if not isinstance(s, Stretch3Sketch):
                 raise ConfigError(
@@ -1074,6 +1079,8 @@ class CDGIndex(_BaseIndex):
     def _flatten(sketches: Sequence[CDGSketch], num_shards: int,
                  ) -> tuple[dict, dict]:
         """``(meta, arrays)`` of a sketch set, validated."""
+        from repro.slack.cdg import CDGSketch
+
         for s in sketches:
             if not isinstance(s, CDGSketch):
                 raise ConfigError(
@@ -1276,6 +1283,8 @@ class GracefulIndex(_BaseIndex):
     def _flatten(sketches: Sequence[GracefulSketch], num_shards: int,
                  ) -> tuple[dict, dict]:
         """``(meta, arrays)`` of a sketch set, validated."""
+        from repro.slack.graceful import GracefulSketch
+
         for s in sketches:
             if not isinstance(s, GracefulSketch):
                 raise ConfigError(
@@ -1376,12 +1385,15 @@ class GracefulIndex(_BaseIndex):
 # the factory
 # ----------------------------------------------------------------------
 #: sketch type -> the store class serving it; the single source of truth
-#: for which store serves which scheme (its name is ``cls.scheme``)
-INDEX_TYPES: dict[type, type] = {
-    TZSketch: TZIndex,
-    Stretch3Sketch: Stretch3Index,
-    CDGSketch: CDGIndex,
-    GracefulSketch: GracefulIndex,
+#: for which store serves which scheme (its name is ``cls.scheme``).  A
+#: type is keyed by its qualified name, so this module never imports
+#: the slack schemes' modules — the construction stack — to serve a
+#: container: a sketch's module is loaded wherever the sketch exists
+INDEX_TYPES: dict[str, type] = {
+    "repro.tz.sketch.TZSketch": TZIndex,
+    "repro.slack.stretch3.Stretch3Sketch": Stretch3Index,
+    "repro.slack.cdg.CDGSketch": CDGIndex,
+    "repro.slack.graceful.GracefulSketch": GracefulIndex,
 }
 
 
@@ -1393,7 +1405,7 @@ def index_class_for(sketches: Sequence[Any]) -> Optional[type]:
     first = type(sketches[0])
     if not all(isinstance(s, first) for s in sketches):
         return None
-    return INDEX_TYPES.get(first)
+    return INDEX_TYPES.get(f"{first.__module__}.{first.__qualname__}")
 
 
 def scheme_name_of(sketches: Sequence[Any]) -> Optional[str]:
@@ -1444,7 +1456,7 @@ def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:
         raise ConfigError(
             f"no batched index for this sketch set ({', '.join(kinds)}); "
             f"indexable types: "
-            f"{', '.join(t.__name__ for t in INDEX_TYPES)}")
+            f"{', '.join(t.rsplit('.', 1)[1] for t in INDEX_TYPES)}")
     return cls(sketches, num_shards=num_shards)
 
 

@@ -64,7 +64,8 @@ from repro.rng import SeedLike, ensure_rng
 from repro.service.bench import sample_query_pairs
 from repro.service.client import OracleClient, connect, parse_endpoint
 from repro.service.server import OracleServer
-from repro.service.updates import EdgeChange, UpdateReport, UpdateableIndex
+from repro.service.session import UpdateReport
+from repro.service.updates import EdgeChange, UpdateableIndex
 
 #: JSONL trace container version (the header line's ``"v"``).
 TRACE_FORMAT_VERSION = 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -38,7 +39,7 @@ from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, FETCH_INDEX,
                                     PUSH_RID, QUERY, REPORT, RESULT, STATS,
                                     STATS_REPLY, FrameError, FrameReader,
                                     encode_error, encode_frame, kind_name)
-from repro.service.updates import UpdateReport
+from repro.service.session import UpdateReport
 
 if TYPE_CHECKING:
     from repro.service.client import OracleClient
@@ -164,16 +165,20 @@ class OracleServer:
         sketch set is indexed here (``num_shards`` shards, default
         one); a pre-built source keeps its baked layout, which an
         explicit ``num_shards`` must match."""
-        from repro.oracle.api import BuiltSketches
-        from repro.service.updates import UpdateableIndex
-
+        # a BuiltSketches or an UpdateableIndex exists only once its
+        # module is loaded, so the classes are looked up there: a
+        # process serving a container never imports the construction
+        # stack just to learn its source is neither
+        api = sys.modules.get("repro.oracle.api")
+        updates = sys.modules.get("repro.service.updates")
         if num_shards is not None and num_shards < 1:
             raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
-        if isinstance(source, BuiltSketches):
+        if api is not None and isinstance(source, api.BuiltSketches):
             source = source.sketches
         if isinstance(source, (list, tuple)):
             return build_index(source, num_shards=num_shards or 1), None
-        if isinstance(source, UpdateableIndex):
+        if updates is not None and isinstance(source,
+                                              updates.UpdateableIndex):
             index, updateable = source.index, source
         elif hasattr(source, "plan") and hasattr(source, "estimate_many"):
             index, updateable = source, None

@@ -9,8 +9,9 @@ client) supplies only a pair::
     collect(ticket) -> result            # gather it: (answers, epoch)
 
 and what surrounds the pair exists once, here: :func:`stream_window`,
-the bounded in-order window every ``dist_stream`` runs on, and
-:class:`SessionClock`, a session's epochs and telemetry.
+the bounded in-order window every ``dist_stream`` runs on,
+:class:`SessionClock`, a session's epochs and telemetry, and
+:class:`UpdateReport`, what an epoch-making apply reports.
 
 **The pin rule** follows from the pair: a batch is answered wholly by
 the epoch that was current when it was *submitted*, ``collect`` names
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -193,6 +194,45 @@ class PipelineStats:
         return {"requests": self.requests,
                 "max_inflight": self.max_inflight,
                 "overlap_seconds": self.overlap_seconds}
+
+
+@dataclass
+class UpdateReport:
+    """What one :meth:`~repro.service.updates.UpdateableIndex.apply`
+    did — the reply to ``apply_updates`` on every session kind, so it
+    lives with the session, not with the update machinery."""
+
+    mode: str               # "noop" | "repair" | "rebuild"
+    epoch: int              # epoch after the apply
+    changes: int            # changes applied to the graph
+    dirty: int              # dirty-source frontier size
+    touched: int            # sketches actually replaced
+    n: int
+    dirty_fraction: float
+    seconds: dict = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return {"mode": self.mode, "epoch": self.epoch,
+                "changes": self.changes, "dirty": self.dirty,
+                "touched": self.touched, "n": self.n,
+                "dirty_fraction": self.dirty_fraction,
+                "seconds": dict(self.seconds)}
+
+    _WIRE_DEFAULTS = {"mode": "unknown", "epoch": 0, "changes": 0,
+                      "dirty": 0, "touched": 0, "n": 0,
+                      "dirty_fraction": 0.0}
+
+    @classmethod
+    def from_wire(cls, data: Mapping) -> "UpdateReport":
+        """Construct tolerantly from a wire dict: unknown keys (a newer
+        server reporting fields this build does not know) are ignored,
+        missing ones fall back to neutral defaults — protocol version
+        skew must degrade the report, not crash the session."""
+        known = {f.name for f in fields(cls)}
+        kwargs = {k: v for k, v in dict(data).items() if k in known}
+        for name, default in cls._WIRE_DEFAULTS.items():
+            kwargs.setdefault(name, default)
+        return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------

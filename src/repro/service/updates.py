@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -75,6 +75,7 @@ from repro.graphs.metrics import distance_rows
 from repro.oracle.schemes import get_scheme
 from repro.rng import SeedLike, ensure_rng
 from repro.service.index import IndexStore, build_index, refresh_index
+from repro.service.session import UpdateReport
 from repro.slack.cdg import cdg_sketches
 from repro.slack.stretch3 import stretch3_sketches
 from repro.tz.centralized import compute_pivot_keys, tz_sketches
@@ -365,43 +366,6 @@ def repair_graceful(graph: Graph, artifacts: dict, sketches: list,
 # ----------------------------------------------------------------------
 # the updateable index
 # ----------------------------------------------------------------------
-@dataclass
-class UpdateReport:
-    """What one :meth:`UpdateableIndex.apply` did."""
-
-    mode: str               # "noop" | "repair" | "rebuild"
-    epoch: int              # epoch after the apply
-    changes: int            # changes applied to the graph
-    dirty: int              # dirty-source frontier size
-    touched: int            # sketches actually replaced
-    n: int
-    dirty_fraction: float
-    seconds: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"mode": self.mode, "epoch": self.epoch,
-                "changes": self.changes, "dirty": self.dirty,
-                "touched": self.touched, "n": self.n,
-                "dirty_fraction": self.dirty_fraction,
-                "seconds": dict(self.seconds)}
-
-    _WIRE_DEFAULTS = {"mode": "unknown", "epoch": 0, "changes": 0,
-                      "dirty": 0, "touched": 0, "n": 0,
-                      "dirty_fraction": 0.0}
-
-    @classmethod
-    def from_wire(cls, data: Mapping) -> "UpdateReport":
-        """Construct tolerantly from a wire dict: unknown keys (a newer
-        server reporting fields this build does not know) are ignored,
-        missing ones fall back to neutral defaults — protocol version
-        skew must degrade the report, not crash the session."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in dict(data).items() if k in known}
-        for name, default in cls._WIRE_DEFAULTS.items():
-            kwargs.setdefault(name, default)
-        return cls(**kwargs)
-
-
 class UpdateableIndex:
     """A live index over a mutable graph: apply edge changes, get a new
     epoch's :class:`~repro.service.index.IndexStore`.

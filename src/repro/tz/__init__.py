@@ -10,25 +10,12 @@
   known-S and ECHO (Section 3.3) synchronization.
 """
 
-from repro.tz.hierarchy import Hierarchy, sample_hierarchy
-from repro.tz.sketch import TZSketch, estimate_distance
-from repro.tz.centralized import (
-    build_tz_sketches_centralized,
-    compute_pivot_keys,
-    compute_bunches,
-    brute_force_bunches,
-)
-from repro.tz.distributed import build_tz_sketches_distributed, TZDistributedResult
+from repro import lazy_exports
 
-__all__ = [
-    "Hierarchy",
-    "sample_hierarchy",
-    "TZSketch",
-    "estimate_distance",
-    "build_tz_sketches_centralized",
-    "compute_pivot_keys",
-    "compute_bunches",
-    "brute_force_bunches",
-    "build_tz_sketches_distributed",
-    "TZDistributedResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "hierarchy": ("Hierarchy", "sample_hierarchy"),
+    "sketch": ("TZSketch", "estimate_distance"),
+    "centralized": ("build_tz_sketches_centralized", "compute_pivot_keys",
+                    "compute_bunches", "brute_force_bunches"),
+    "distributed": ("build_tz_sketches_distributed", "TZDistributedResult"),
+})

@@ -131,8 +131,7 @@ class BunchTable(NamedTuple):
 
     That order is the canonical one: an owner's entries are one
     contiguous slice, and slicing it into a dict reproduces the bunch
-    iteration order every builder (full, shard-range, repair) must
-    share.
+    iteration order every builder (full, repair) must share.
     """
 
     owner: np.ndarray     # int64
