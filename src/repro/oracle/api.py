@@ -81,7 +81,7 @@ class BuiltSketches:
         index = self.extras.get("_index")
         if index is None:
             index = self.extras["_index"] = build_index(self.sketches)
-        arr = parse_pair_array(pairs)
+        arr = parse_pair_array(pairs, index.n)
         return index.estimate_many(arr[:, 0], arr[:, 1])
 
     def updateable(self, num_shards: int = 1,

@@ -29,13 +29,14 @@ from typing import Any, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ReproError
-from repro.service.index import parse_pair_array
+from repro.service.index import checked_pair, parse_pair_array
 from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, ERROR,
                                     FETCH_INDEX, HELLO, INDEX_BLOB,
-                                    MAX_FRAME_BYTES, PAIRS, PROTOCOL_VERSION,
-                                    PUSH_RID, QUERY, REPORT, RESULT, STATS,
-                                    STATS_REPLY, FrameError, FrameReader,
-                                    encode_frame, error_from_body, kind_name)
+                                    MAX_FRAME_BYTES, ONE_ANSWER, ONE_PAIR,
+                                    PAIRS, PROTOCOL_VERSION, PUSH_RID, QUERY,
+                                    REPORT, RESULT, STATS, STATS_REPLY,
+                                    FrameError, FrameReader, encode_frame,
+                                    error_from_body, kind_name)
 from repro.service.server import OracleServer
 from repro.service.session import SessionClock, UpdateReport, stream_window
 
@@ -164,6 +165,9 @@ class _LocalTransport:
     @property
     def scheme(self) -> Optional[str]:
         return self._server.scheme
+
+    def dist(self, u, v) -> float:
+        return self.clock.answer(self._server._engine.dist_one_pinned(u, v))
 
     def dist_many(self, pairs) -> np.ndarray:
         return self.clock.answer(
@@ -389,7 +393,7 @@ class _TcpTransport:
 
     # -- the session surface: a submit/collect pair --------------------
     def _submit(self, pairs) -> Optional[int]:
-        arr = parse_pair_array(pairs)
+        arr = parse_pair_array(pairs, self.n)
         if arr.size == 0:
             return None
         return self._post(QUERY, arr.astype(PAIRS, copy=False).tobytes())
@@ -401,6 +405,16 @@ class _TcpTransport:
         # old-epoch reply consumed after a pushed bump names the old one
         epoch, body = self._await(rid, RESULT)
         return np.frombuffer(body, dtype=ANSWERS).astype(np.float64), epoch
+
+    def dist(self, u, v) -> float:
+        """A lone pair, its bodies packed with :mod:`struct`: the bytes
+        :meth:`_submit` / :meth:`_collect` would carry."""
+        body = ONE_PAIR.pack(*checked_pair(u, v, self.n))
+        epoch, body = self._await(self._post(QUERY, body), RESULT)
+        if len(body) != ONE_ANSWER.size:
+            raise ReproError(f"a {len(body)}-byte result for one pair")
+        self.clock.note_result(epoch)
+        return ONE_ANSWER.unpack(body)[0]
 
     def dist_many(self, pairs) -> np.ndarray:
         return self.clock.answer(self._collect(self._submit(pairs)))
@@ -509,8 +523,9 @@ class OracleClient:
 
     # -- queries -------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
-        """One distance estimate."""
-        return float(self.dist_many([(u, v)])[0])
+        """One distance estimate — the paper's query, sent and answered
+        as one pair (bit-identical to ``dist_many([(u, v)])[0]``)."""
+        return self._transport.dist(u, v)
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
                   ) -> np.ndarray:

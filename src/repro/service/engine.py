@@ -25,11 +25,12 @@ answer depends on that pair only, so the engine runs that chain
                            └─ …                 ─▶ plan → answer → finish ─┤
     _gather(ticket) ◀─────────── answers, concatenated in pair order ──────┘
 
-A batch of one pair — the paper's own query, and every request of a
-one-pair-per-request client — skips the chain: it is answered in the
-calling thread by the store's scalar single-pair query
-(:func:`_serve_one`), a few µs against the chain's forty-odd numpy
-calls.
+A lone pair — the paper's own query — skips the chain and numpy at its
+one entry, :meth:`QueryEngine.dist_one_pinned`: Python-int ids, the
+cache probed and filled one slot at a time, and a miss answered in the
+calling thread by the store's scalar ``_estimate_checked`` (Lemma 3.2's
+scan on a TZ store), a few µs against the chain's forty-odd numpy
+calls.  A streamed lone pair, cache bypassed, is :func:`_serve_one`.
 
 ``jobs=1`` runs the chain once, in the calling thread.  ``jobs=J`` cuts
 the *batch* into J contiguous pair ranges, one task each on the engine's
@@ -84,7 +85,8 @@ from typing import Any, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.service.index import _HASH_MULT, IndexStore, pair_columns
+from repro.service.index import (_HASH_MULT, _HASH_MULT_INT, _U64,
+                                 IndexStore, checked_pair, pair_columns)
 from repro.service.session import stream_window
 
 #: pool threads carry this name prefix so tests (and operators reading a
@@ -188,10 +190,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 #: the slot hash is the stores' Fibonacci multiply (``_HASH_MULT``): the
 #: product's high bits mix every bit of ``u·n + v``, so a batch that
@@ -234,6 +232,10 @@ class _ResultCache:
         mixed >>= _HASH_SHIFT
         return mixed.view(np.int64)
 
+    def slot_one(self, key: int) -> int:
+        """:meth:`slot_of` for one key, in Python ints."""
+        return ((key * _HASH_MULT_INT & _U64) >> 32) * self.keys.size >> 32
+
     def probe(self, keys: np.ndarray, slots: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
         """``(values, miss rows)``: the values the keys' slots hold —
@@ -266,6 +268,15 @@ class _ResultCache:
         self.keys[slots] = keys[won]
         self.vals[slots] = vals[won]
         return evicted
+
+    def insert_one(self, key: int, slot: int, val: float) -> int:
+        """:meth:`insert` for one key (its slot from :meth:`slot_one`)."""
+        old = self.keys.item(slot)
+        if old == key:
+            return 0
+        self.keys[slot], self.vals[slot] = key, val
+        self.entries += old < 0
+        return int(old >= 0)
 
 
 class QueryEngine:
@@ -394,7 +405,45 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def dist(self, u: int, v: int) -> float:
         """One estimate, through the cache and the store."""
-        return float(self.dist_many([(u, v)])[0])
+        return self.dist_one_pinned(u, v)[0]
+
+    def dist_one_pinned(self, u: int, v: int) -> tuple[float, int]:
+        """:meth:`dist_many_pinned` for the one pair ``(u, v)`` —
+        ``(answer, epoch)``, same bits and errors — with no numpy
+        call."""
+        u, v = checked_pair(u, v, self.n)
+        cache = self._cache
+        if cache is None:
+            index, epoch = self.index_snapshot()
+            return self._answer_one(index, u, v), epoch
+        key = u * self.n + v
+        slot = cache.slot_one(key)
+        with self._lock:
+            # snapshot and probe under one lock: a hit is this epoch's
+            index, epoch = self.index, self.epoch
+            if cache.keys.item(slot) == key:
+                self.stats.hits += 1
+                return cache.vals.item(slot), epoch
+            self.stats.misses += 1
+        answer = self._answer_one(index, u, v)
+        with self._lock:
+            if epoch == self.epoch:  # as in dist_many_pinned
+                self.stats.evictions += cache.insert_one(key, slot, answer)
+        return answer, epoch
+
+    def _answer_one(self, index: IndexStore, u: int, v: int) -> float:
+        """The store's scalar query, booked as one batch of answer
+        seconds (an unresolved pair's too)."""
+        t0 = time.perf_counter()
+        try:
+            return index._estimate_checked(u, v)
+        finally:
+            seconds = time.perf_counter() - t0
+            tm = self._timings
+            with tm.lock:
+                tm.shard_answer += seconds
+                tm.kernel += seconds
+                tm.batches += 1
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
                   ) -> np.ndarray:
@@ -428,6 +477,9 @@ class QueryEngine:
         q = ends.shape[1]
         if q == 0:
             return np.empty(0, dtype=np.float64), self.epoch
+        if q == 1:
+            answer, epoch = self.dist_one_pinned(*ends[:, 0].tolist())
+            return np.array([answer]), epoch
         index, epoch = self.index_snapshot()
         cache = self._cache
         if cache is None:

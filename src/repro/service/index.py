@@ -69,6 +69,7 @@ sets violating this are detected at build time and stored fully sharded
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import (TYPE_CHECKING, Any, Iterable, Optional, Protocol,
@@ -197,21 +198,44 @@ def validated_pairs(us, vs, n: int) -> np.ndarray:
     return ends
 
 
-def parse_pair_array(pairs) -> np.ndarray:
+def _node_id(x) -> int:
+    """A node id as a Python int (never a float, however integral)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ConfigError(f"node ids must be integers, got {x!r}") from None
+
+
+def checked_pair(u, v, n: int) -> tuple[int, int]:
+    """A lone pair's ids as Python ints in ``[0, n)``: a batch's rules
+    (:func:`pair_columns`), with the same errors."""
+    u, v = _node_id(u), _node_id(v)
+    if not (0 <= u < n and 0 <= v < n):
+        raise QueryError(f"node id out of range [0, {n})")
+    return u, v
+
+
+def parse_pair_array(pairs, n: int) -> np.ndarray:
     """Normalize a ``dist_many`` workload — any iterable of ``(u, v)``
     pairs or a ``(Q, 2)`` integer array — to an int64 ``(Q, 2)`` array
-    (shared by the engine and the shard-server front ends).
+    (shared by the engine and the tcp client).
 
-    :raises ConfigError: on any other shape.
+    :raises ConfigError: on any other shape, or a non-integer id.
+    :raises QueryError: on an id outside int64 (outside ``[0, n)``).
     """
-    if isinstance(pairs, np.ndarray):
-        arr = pairs.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray(list(pairs), dtype=np.int64)
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs)
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
         raise ConfigError(
             f"dist_many wants a (Q, 2) pair array, got shape {arr.shape}")
-    return arr.reshape(-1, 2)
+    if arr.size and arr.dtype.kind not in "iu":
+        # floats, or ints no integer dtype holds: checked pair by pair
+        rows = pairs.tolist() if isinstance(pairs, np.ndarray) else pairs
+        return np.array([checked_pair(u, v, n) for u, v in rows],
+                        dtype=np.int64).reshape(-1, 2)
+    # a uint64 id >= 2^63 wraps negative: still out of range
+    return arr.astype(np.int64, copy=False).reshape(-1, 2)
 
 
 def pair_columns(pairs, n: int) -> np.ndarray:
@@ -221,7 +245,7 @@ def pair_columns(pairs, n: int) -> np.ndarray:
     2)`` pairs into stacked columns (each row a contiguous id column),
     range-checked by one compare (ConfigError: bad shape; QueryError: id
     out of range)."""
-    ends = np.ascontiguousarray(parse_pair_array(pairs).T)
+    ends = np.ascontiguousarray(parse_pair_array(pairs, n).T)
     _check_ids(ends, n)
     return ends
 
@@ -314,10 +338,7 @@ class _BaseIndex:
     def estimate(self, u: int, v: int) -> float:
         """The single-pair query: ids checked, then the store's scalar
         ``_estimate_checked``."""
-        u, v = int(u), int(v)
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise QueryError(f"node id out of range [0, {self.n})")
-        return self._estimate_checked(u, v)
+        return self._estimate_checked(*checked_pair(u, v, self.n))
 
 
 # ----------------------------------------------------------------------

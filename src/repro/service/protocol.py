@@ -47,6 +47,12 @@ PUSH_RID = (1 << 64) - 1
 PAIRS = np.dtype("<i8")
 ANSWERS = np.dtype("<f8")
 
+#: a lone pair's ``query`` body, its ``result`` body and whole ``result``
+#: frame, byte for byte the arrays' without numpy
+ONE_PAIR = struct.Struct("<qq")
+ONE_ANSWER = struct.Struct("<d")
+ONE_RESULT = struct.Struct(HEAD.format + "d")
+
 #: a ``recv`` asks for this much — a larger buffer costs more to
 #: allocate than a small frame costs to serve — unless a longer frame is
 #: known to be on its way (:meth:`FrameReader.want`)

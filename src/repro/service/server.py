@@ -35,10 +35,11 @@ from repro.service.engine import QueryEngine
 from repro.service.index import IndexStore, build_index, scheme_name_of_index
 from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, FETCH_INDEX,
                                     HELLO, INDEX_BLOB, KIND_NAMES,
-                                    MAX_FRAME_BYTES, PAIRS, PROTOCOL_VERSION,
-                                    PUSH_RID, QUERY, REPORT, RESULT, STATS,
-                                    STATS_REPLY, FrameError, FrameReader,
-                                    encode_error, encode_frame, kind_name)
+                                    MAX_FRAME_BYTES, ONE_PAIR, ONE_RESULT,
+                                    PAIRS, PROTOCOL_VERSION, PUSH_RID, QUERY,
+                                    REPORT, RESULT, STATS, STATS_REPLY,
+                                    FrameError, FrameReader, encode_error,
+                                    encode_frame, kind_name)
 from repro.service.session import UpdateReport
 
 if TYPE_CHECKING:
@@ -560,6 +561,11 @@ class OracleServer:
 
     def _handle(self, kind: int, rid: int, body: Any) -> bytes:
         if kind == QUERY:
+            if len(body) == ONE_PAIR.size:  # a lone pair: no numpy call
+                answer, epoch = self._engine.dist_one_pinned(
+                    *ONE_PAIR.unpack(body))
+                return ONE_RESULT.pack(ONE_RESULT.size, RESULT, rid, epoch,
+                                       answer)
             answers, epoch = self._engine.dist_many_pinned(
                 np.frombuffer(body, dtype=PAIRS).reshape(-1, 2))
             return encode_frame(

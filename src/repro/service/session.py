@@ -294,9 +294,9 @@ class SessionClock:
         self.fold(epoch)
         self.staleness.note_result(epoch, self.epoch)
 
-    def answer(self, result: tuple[np.ndarray, int]) -> np.ndarray:
-        """Consume one ``collect`` result: note its epoch, hand the
-        answers on."""
+    def answer(self, result: tuple[Any, int]) -> Any:
+        """Consume one ``collect`` result (or a lone pair's ``(float,
+        epoch)``): note its epoch, hand the answers on."""
         answers, epoch = result
         self.note_result(epoch)
         return answers

@@ -25,7 +25,8 @@ from repro.cli import SCHEME_NAMES, main
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.oracle.api import build_sketches
 from repro.oracle.schemes import SCHEMES
-from repro.oracle.serialization import save_index_binary
+from repro.oracle.serialization import load_index_binary, save_index_binary
+from repro.service import OracleServer, connect
 from repro.service.index import build_index
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -77,6 +78,9 @@ def rpix(tmp_path_factory) -> Path:
 
 
 class TestServingBoundary:
+    """Each side answers one ``dist`` over tcp before its log is read,
+    so what a query loads on demand is checked too."""
+
     def test_serve_daemon_loads_the_serving_stack_only(self, rpix,
                                                        tmp_path):
         log_path = tmp_path / "importtime.log"
@@ -87,18 +91,29 @@ class TestServingBoundary:
                 stdout=subprocess.PIPE, stderr=log, text=True, env=_env())
             try:
                 ready = child.stdout.readline()
+                with connect(ready.rsplit(" on ", 1)[1].strip()) as client:
+                    answer = client.dist(0, 1)
             finally:
                 child.terminate()
                 child.communicate(timeout=30)
         assert "serving tz n=60" in ready and "memory=mmap" in ready
+        assert answer == load_index_binary(rpix).estimate(0, 1)
         _assert_serving_only(_imported(log_path.read_text()))
 
-    def test_client_import_loads_the_serving_stack_only(self):
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c",
-             "from repro.service import connect"],
-            capture_output=True, text=True, env=_env(), timeout=60)
+    def test_client_import_loads_the_serving_stack_only(self, rpix):
+        store = load_index_binary(rpix)
+        with OracleServer(store, cache_size=0) as server:
+            host, port = server.serve("127.0.0.1:0", block=False)
+            done = subprocess.run(
+                [sys.executable, "-X", "importtime", "-c",
+                 "import sys\n"
+                 "from repro.service import connect\n"
+                 "with connect(sys.argv[1]) as client:\n"
+                 "    print(repr(client.dist(0, 1)))",
+                 f"tcp://{host}:{port}"],
+                capture_output=True, text=True, env=_env(), timeout=60)
         assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == repr(store.estimate(0, 1))
         _assert_serving_only(_imported(done.stderr))
 
 

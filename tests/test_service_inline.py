@@ -129,17 +129,21 @@ def test_answers_identical_on_both_sides_of_the_threshold(
 def test_small_requests_run_on_the_loop_thread(graph, small_inline):
     built = build_sketches(graph, scheme="tz", seed=7, k=2)
     server, addr = _serve(built)
+    # a lone pair reaches the engine's one-pair entry, a batch
+    # dist_many_pinned
+    lone = _record_engine_threads(server, "dist_one_pinned")
     threads = _record_engine_threads(server, "dist_many_pinned")
     try:
         with connect(addr) as client:
             client.dist(0, 1)
-            assert threads == ["oracle-io"]
+            assert lone == ["oracle-io"] and threads == []
             client.dist_many(sample_query_pairs(graph.n, small_inline,
                                                 seed=1))
-            assert threads[1:] == ["oracle-io"]
+            assert threads == ["oracle-io"]
             client.dist_many(sample_query_pairs(graph.n, small_inline + 1,
                                                 seed=2))
-            assert threads[2].startswith("oracle-handler")
+            assert threads[1].startswith("oracle-handler")
+            assert lone == ["oracle-io"]
             # stats is answered inline too, and says nothing new
             assert client.stats()["handlers"] == 2
     finally:
