@@ -1,20 +1,20 @@
-"""E17 — the transport matrix: inproc vs shard threads vs tcp-loopback.
+"""E17 — the transport matrix: inproc vs tcp-loopback.
 
 PR 5 unified the serving API around sessions over pluggable transports
 (`repro.service.client.connect`): the same plan/shard_answer/finish
-dataflow runs in the calling thread (``inproc://``), over a local
-thread pool (``inproc://jobs=N``), and across a TCP frame protocol
-(``tcp://host:port``).  This experiment measures what each topology
+dataflow runs in this process (``inproc://``) and across a TCP frame
+protocol (``tcp://host:port``).  This experiment measures what each topology
 costs on one box, for a stretch-3 workload:
 
 * ``single_qps``  — one pair per request (for tcp: one RPC per pair,
   the latency floor),
 * ``batched_qps`` — ``dist_many`` per batch (the request-amortized
   path),
-* ``streamed_qps`` — ``dist_stream`` over all batches (with shard
-  threads this is the double-buffered dispatch: batch *k+1*'s plan
-  overlaps batch *k*'s probes; the report's ``overlap-ms`` column shows
-  the hidden caller-side seconds).
+* ``streamed_qps`` — ``dist_stream`` over all batches (over tcp, batch
+  *k+1*'s encode and round trip overlap batch *k*'s server-side work).
+
+Every batch here is far below the engine's cut (``2·RANGE_PAIRS``
+pairs), so both rows answer it in one thread: E20 owns the cut.
 
 Hard claims (always asserted, any size, any hardware): per-pair,
 batched, and streamed answers are **bit-identical** on every transport.
@@ -42,7 +42,6 @@ QUERIES = int(os.environ.get("REPRO_E17_QUERIES", "3000"))
 BATCH = min(500, QUERIES)
 EPS = 0.08
 SEED = 57
-JOBS = 4
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +56,10 @@ def e17_table(experiment_report, e17_built):
     # cache=0 everywhere (the tcp server below is also built with
     # cache_size=0): the table compares transports, and a warm LRU
     # cache would turn the local rows into dict-lookup benchmarks
-    specs = [("inproc", "inproc://cache=0", e17_built),
-             (f"threads x{JOBS}",
-              f"inproc://jobs={JOBS};cache=0", e17_built)]
+    specs = [("inproc", "inproc://cache=0", e17_built)]
     rows = []
     reports = []
-    with OracleServer(e17_built, jobs=JOBS, num_shards=JOBS,
-                      cache_size=0) as server:
+    with OracleServer(e17_built, cache_size=0) as server:
         host, port = server.serve("127.0.0.1:0", block=False)
         specs.append(("tcp-loopback", f"tcp://{host}:{port}", None))
         for label, spec, source in specs:
@@ -72,7 +68,6 @@ def e17_table(experiment_report, e17_built):
             assert rep["identical"], \
                 f"{label}: batched/streamed answers diverged"
             reports.append(rep)
-            phases = rep.get("phases") or {}
             rows.append({
                 "transport": label,
                 "single-qps": int(rep["single_qps"]),
@@ -81,28 +76,17 @@ def e17_table(experiment_report, e17_built):
                 "vs-inproc": (round(rep["batched_qps"]
                                     / reports[0]["batched_qps"], 2)
                               if reports else 1.0),
-                "overlap-ms": round(
-                    phases.get("overlap_seconds", 0.0) * 1e3, 2),
             })
     experiment_report("E17-transport", render_table(
         rows, title=f"E17: serving transports (stretch3 eps={EPS}, "
-                    f"ER n={N}, batch={BATCH}, {JOBS} threads/shards)"),
+                    f"ER n={N}, batch={BATCH})"),
         data={"n": N, "queries": QUERIES, "batch": BATCH, "eps": EPS,
-              "jobs": JOBS, "rows": rows})
+              "rows": rows})
     return rows
 
 
 def test_e17_answers_identical_on_every_transport(e17_table):
     """The identity assertions ran inside the table fixture (per cell,
     against the per-pair loop of the same session); the table itself
-    must cover all three topologies."""
-    assert [r["transport"] for r in e17_table] == \
-        ["inproc", f"threads x{JOBS}", "tcp-loopback"]
-
-
-def test_e17_pooled_stream_reports_overlap(e17_table):
-    """The double-buffered dispatch actually engaged on the threaded
-    session: some caller-side plan time was hidden behind in-flight
-    probes (a timing *presence* check, not a performance gate)."""
-    threads_row = e17_table[1]
-    assert threads_row["overlap-ms"] > 0.0
+    must cover both topologies."""
+    assert [r["transport"] for r in e17_table] == ["inproc", "tcp-loopback"]

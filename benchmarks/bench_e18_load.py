@@ -50,7 +50,6 @@ QUERIES = int(os.environ.get("REPRO_E18_QUERIES", "2000"))
 CLIENTS = int(os.environ.get("REPRO_E18_CLIENTS", "4"))
 EPS = 0.08
 SEED = 57
-DEPTH = 4
 
 
 def _timing_gate_armed() -> bool:
@@ -70,12 +69,12 @@ def e18_built():
 def e18_report(experiment_report, e18_built):
     # cache=0: the load generator replays the same pairs in both modes,
     # and a warm LRU would turn the pipelined pass into a cache test
-    with OracleServer(e18_built, jobs=1, cache_size=0) as server:
+    with OracleServer(e18_built, cache_size=0) as server:
         host, port = server.serve("127.0.0.1:0", block=False,
                                   handlers=CLIENTS)
         report = run_load_benchmark(f"tcp://{host}:{port}",
                                     clients=CLIENTS, queries=QUERIES,
-                                    seed=9, depth=DEPTH)
+                                    seed=9)
     assert report["identical"], \
         "pipelined answers diverged from the sequential pass"
     rows = [{
@@ -90,8 +89,9 @@ def e18_report(experiment_report, e18_built):
     experiment_report("E18-load", render_table(
         rows, title=f"E18: {CLIENTS} concurrent tcp clients "
                     f"(stretch3 eps={EPS}, ER n={N}, "
-                    f"{QUERIES} queries/client, depth={DEPTH})"),
-        data={"n": N, "eps": EPS, "depth": DEPTH, **report})
+                    f"{QUERIES} queries/client, "
+                    f"depth={report['depth']})"),
+        data={"n": N, "eps": EPS, **report})
     return report
 
 

@@ -1,49 +1,49 @@
-"""E20 — does ``jobs`` pay, and is the shard count free?
+"""E20 — does the cut pay, and is the shard count free?
 
 A store answers a batch as ``plan`` → ``answer`` → ``finish``, and a
-pair's answer depends on that pair only.  The serving layer has exactly
-one knob for local parallelism: ``jobs``.  ``jobs=1`` runs the chain
-once in the calling thread; ``jobs=J`` cuts the *batch* into J
-contiguous pair ranges and hands each — the whole chain — to a
-``ThreadPoolExecutor`` in the same address space, whatever the store's
-shard count.  The kernels are columnar numpy (gathers, adds, row-mins
-over the packed arrays), so they release the GIL and overlap for real,
-and nothing is copied or pickled on the way.
+pair's answer depends on that pair only.  How a batch runs is the
+engine's decision: a batch of q pairs is cut into
+``min(cpus, q // RANGE_PAIRS)`` contiguous pair ranges, each — the
+whole chain — a task on a ``ThreadPoolExecutor`` in the same address
+space, whatever the store's shard count; below two ranges it runs in
+the calling thread.  The kernels are columnar numpy (gathers, adds,
+row-mins over the packed arrays), so they release the GIL and overlap
+for real, and nothing is copied or pickled on the way.
 
 This experiment owns two tables.
 
-**Threads** serves the same workload three ways —
+**Cut** serves the same batches two ways —
 
-* ``inproc``  — ``jobs=1``, the calling thread,
-* ``jobs=2``  — two pair ranges per batch,
-* ``jobs=4``  — four pair ranges per batch,
+* ``in-thread`` — an engine built with ``cpus`` substituted to 1: every
+  batch runs in the calling thread,
+* ``engine``    — an engine built on this host's CPUs: the rule itself,
 
-— over {tz, stretch3} × batch sizes {64, 1024, 16 384}, reporting
-per-cell throughput, the ratio to ``inproc``, and the ``kernel`` /
-``ipc`` phase split (``kernel_seconds`` is the per-batch critical path
-of ``answer``; ``ipc_seconds`` is what dispatching to the executor cost
-on top).  Expect ``jobs`` to lose wherever a range's chain is cheaper
-than a thread hand-off (every cell of this table) — the verdict on
-``jobs`` (ROADMAP item 3(b); ``docs/serving.md`` §5) is that it pays
-only for batches of >= 65 536 pairs.
+— over {tz, stretch3} × batch sizes :data:`BATCHES` (the smallest cut
+is ``2·RANGE_PAIRS`` = 65 536 pairs), one batch per arm per turn in
+:data:`TURNS` alternating turns in one process, reporting the median
+pairs per second, the ranges the rule cut the batch into, the median of
+the per-turn ratios to ``in-thread``, and the ``kernel`` / ``ipc``
+phase split per batch (``kernel_seconds`` is the per-batch critical
+path of ``answer``; ``ipc_seconds`` is what dispatching to the executor
+cost on top).  Below the cut both arms run the same code, so their
+ratio is the host's noise.  ``docs/serving.md`` §5 has the trial that
+set ``RANGE_PAIRS``.
 
-**Shards** is the row the unrouted store has to own: tz, ``jobs=1``,
-S ∈ {1, 4, 16} × batch ∈ {1, 64, 1024}, µs per batch and the ratio to
-S = 1.  A shard is a row range of one bunch table behind one hash
-directory, and no step of a batch reads S — so a batch costs the same
-whatever S.  The one-pair row (at most
-:data:`ONE_PAIR_QUERIES` queries) is the per-request floor; a lone
-pair is the store's scalar single-pair query, not a batch, so it costs
-the same whatever S too.
+**Shards** is the row the unrouted store has to own: tz, in-thread
+batches, S ∈ {1, 4, 16} × batch ∈ {1, 64, 1024}, µs per batch and the
+ratio to S = 1.  A shard is a row range of one bunch table behind one
+hash directory, and no step of a batch reads S — so a batch costs the
+same whatever S.  The one-pair row (at most :data:`ONE_PAIR_QUERIES`
+queries) is the per-request floor; a lone pair is the store's scalar
+single-pair query, not a batch, so it costs the same whatever S too.
 
 Hard claims (always asserted, any hardware): answers are bit-identical
-across every arm, shard count, batch size, and scheme.  Timing claims —
-``jobs=2`` >= ``REPRO_E20_MIN_SPEEDUP``x ``jobs=1`` in 9 of 10
-alternating turns on one :data:`PAY_BATCH`-pair tz batch (the cell of
-the verdict's table where threads pay at this size), and S = 4 / 16
-within :data:`MAX_SHARD_RATIO` of S = 1 at the largest sweep batch —
-are gated by ``timing_gate``: they self-skip on CI and single-CPU
-hosts, armed anywhere by ``REPRO_FORCE_TIMING=1``.
+across both arms, every shard count, batch size, and scheme.  Timing
+claims — the engine's cut >= ``REPRO_E20_MIN_SPEEDUP``x in-thread in 9
+of 10 alternating turns on one :data:`PAY_BATCH`-pair tz batch, and
+S = 4 / 16 within :data:`MAX_SHARD_RATIO` of S = 1 at the largest sweep
+batch — are gated by ``timing_gate``: they self-skip on CI and
+single-CPU hosts, armed anywhere by ``REPRO_FORCE_TIMING=1``.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e20_kernels.py -q``
 """
@@ -51,6 +51,7 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e20_kernels.py -q``
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -59,29 +60,29 @@ import pytest
 from benchmarks._workloads import workload, workload_apsp
 from repro import build_sketches
 from repro.analysis import render_table
-from repro.service import (build_index, connect, run_serve_benchmark,
-                           sample_query_pairs)
+from repro.service import (QueryEngine, build_index, connect,
+                           run_serve_benchmark, sample_query_pairs)
+from repro.service.engine import RANGE_PAIRS
 
 N = int(os.environ.get("REPRO_E20_N", "2000"))
 QUERIES = int(os.environ.get("REPRO_E20_QUERIES", "16384"))
 BATCHES = tuple(int(b) for b in
                 os.environ.get("REPRO_E20_BATCHES",
-                               "64,1024,16384").split(","))
+                               "32768,65536,262144").split(","))
 SEED = 97
 SHARDS = 4
 EPS = 0.1  # |net| ~ 5 ln n / eps: a few hundred columns at n=2000
 SCHEMES = ("tz", "stretch3")
-#: (arm label, jobs)
-ARMS = (("inproc", 1), ("jobs=2", 2), ("jobs=4", 4))
+ARMS = ("in-thread", "engine")
+#: alternating turns per cell of the cut table
+TURNS = 5
 MIN_SPEEDUP = float(os.environ.get("REPRO_E20_MIN_SPEEDUP", "1.0"))
-#: pairs of the one batch two threads are timed on.  At n = 2000 a
-#: 65 536-pair batch still loses and a 262 144-pair one wins (1.4-2.5x,
-#: 10/10) only while its temporaries fall off the allocator's cliff —
-#: in this process, after the stretch3 fixture freed a 32 MB matrix,
-#: they do not (1.0x); 2^20 pairs win about 2x, 10/10, either way
+#: pairs of the one batch the cut is gated on: 2^20 pairs win about 2x,
+#: 10/10, at n = 2000 wherever the single thread's allocator cliff sits
+#: (docs/serving.md §5)
 PAY_BATCH = 1 << 20
-#: the shard sweep: tz, ``jobs=1``; a batch larger than the workload is
-#: the whole workload in one batch (the CI smoke run)
+#: the shard sweep: tz, in-thread batches; a batch larger than the
+#: workload is the whole workload in one batch (the CI smoke run)
 SWEEP_SHARDS = (1, 4, 16)
 SWEEP_BATCHES = (1, 64, 1024)
 #: queries of the sweep's one-pair row (a batch each): enough for a
@@ -91,6 +92,15 @@ ONE_PAIR_QUERIES = 2048
 #: no step of a batch reads S (the routed store this replaced paid a
 #: flat 45-70 us per 1024-pair batch, 1.2-1.3x)
 MAX_SHARD_RATIO = 1.05
+
+
+def _arms(index) -> dict:
+    """Both arms over one store: an engine built for one CPU (never
+    cuts) and one built on this host's CPUs (the engine's rule)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.service.engine.usable_cpus", lambda: 1)
+        in_thread = QueryEngine(index, cache_size=0)
+    return {"in-thread": in_thread, "engine": QueryEngine(index, cache_size=0)}
 
 
 @pytest.fixture(scope="module")
@@ -106,32 +116,45 @@ def e20_sketches():
 def e20_table(experiment_report, e20_sketches):
     rows = []
     for scheme in SCHEMES:
-        sketches = e20_sketches[scheme]
-        for batch in BATCHES:
-            inproc_qps = None
-            for arm, jobs in ARMS:
-                rep = run_serve_benchmark(sketches, queries=QUERIES,
-                                          batch=batch, seed=11, repeats=3,
-                                          num_shards=SHARDS, jobs=jobs)
-                assert rep["identical"], \
-                    f"{scheme} batch={batch} {arm}: answers diverged"
-                phases = rep["phases"]
-                qps = rep["batched_qps"]
-                if arm == "inproc":
-                    inproc_qps = qps
-                rows.append({
-                    "scheme": scheme, "batch": batch, "arm": arm,
-                    "jobs": rep["jobs"],
-                    "qps": int(qps),
-                    "vs-inproc": round(qps / inproc_qps, 2),
-                    "kernel-ms": round(phases["kernel_seconds"] * 1e3, 2),
-                    "ipc-ms": round(phases["ipc_seconds"] * 1e3, 2),
-                })
+        arms = _arms(build_index(e20_sketches[scheme], num_shards=SHARDS))
+        try:
+            for batch in BATCHES:
+                pairs = sample_query_pairs(N, batch, seed=11)
+                want = arms["in-thread"].dist_many(pairs)
+                for arm, engine in arms.items():
+                    assert engine.dist_many(pairs).tobytes() == \
+                        want.tobytes(), f"{scheme} batch={batch} {arm}"
+                    engine.reset_phase_timings()
+                took = {arm: [] for arm in ARMS}
+                for turn in range(TURNS):
+                    for arm in ARMS if turn % 2 else ARMS[::-1]:
+                        t0 = time.perf_counter()
+                        arms[arm].dist_many(pairs)
+                        took[arm].append(time.perf_counter() - t0)
+                for arm, engine in arms.items():
+                    phases = engine.phase_timings()
+                    per_batch = 1e3 / phases["batches"]
+                    rows.append({
+                        "scheme": scheme, "batch": batch, "arm": arm,
+                        "ranges": max(1, min(engine.cpus,
+                                             batch // RANGE_PAIRS)),
+                        "pairs/s": int(batch / statistics.median(took[arm])),
+                        "vs-in-thread": round(statistics.median(
+                            a / b for a, b in zip(took["in-thread"],
+                                                  took[arm])), 2),
+                        "kernel-ms": round(
+                            phases["kernel_seconds"] * per_batch, 2),
+                        "ipc-ms": round(phases["ipc_seconds"] * per_batch,
+                                        2),
+                    })
+        finally:
+            for engine in arms.values():
+                engine.close()
     experiment_report("E20-kernels", render_table(
-        rows, title=f"E20: pair-range threads vs the calling thread (ER "
-                    f"n={N}, {SHARDS} shards, Q={QUERIES})"),
-        data={"n": N, "queries": QUERIES, "batches": list(BATCHES),
-              "shards": SHARDS, "eps": EPS,
+        rows, title=f"E20: the engine's cut vs the calling thread (ER "
+                    f"n={N}, {SHARDS} shards, {TURNS} alternating turns)"),
+        data={"n": N, "batches": list(BATCHES), "shards": SHARDS,
+              "eps": EPS, "turns": TURNS, "range_pairs": RANGE_PAIRS,
               "min_speedup": MIN_SPEEDUP, "rows": rows})
     return rows
 
@@ -149,7 +172,7 @@ def e20_shard_sweep(experiment_report, e20_sketches):
                 rep = run_serve_benchmark(e20_sketches["tz"],
                                           queries=queries, batch=batch,
                                           seed=11, repeats=3,
-                                          num_shards=shards, jobs=1)
+                                          num_shards=shards)
                 assert rep["identical"], \
                     f"tz batch={batch} S={shards}: answers diverged"
                 if (shards not in best or rep["batched_seconds"]
@@ -169,7 +192,7 @@ def e20_shard_sweep(experiment_report, e20_sketches):
             })
     experiment_report("E20-shards", render_table(
         rows, title=f"E20: a local batch costs the same whatever the "
-                    f"shard count (tz, ER n={N}, jobs=1, Q={QUERIES})"),
+                    f"shard count (tz, ER n={N}, in-thread, Q={QUERIES})"),
         data={"n": N, "queries": QUERIES, "max_ratio": MAX_SHARD_RATIO,
               "rows": rows})
     return rows
@@ -200,25 +223,25 @@ def test_e20_shard_sweep_complete(e20_shard_sweep):
 def test_e20_shard_count_is_free(e20_shard_sweep, timing_gate):
     """The claim unrouted local serving rests on: four or sixteen
     shards cost a batch what one does."""
-    timing_gate("S=4/16 vs S=1 at jobs=1")
+    timing_gate("S=4/16 vs S=1, in-thread")
     largest = max(row["batch"] for row in e20_shard_sweep)
     for row in e20_shard_sweep:
         if row["batch"] == largest:
             assert row["vs-S=1"] <= MAX_SHARD_RATIO, row
 
 
-def test_e20_answers_identical_across_jobs(e20_sketches):
-    """The hard claim: every arm serves the same bytes, every scheme —
-    per batch and streamed."""
-    pairs = sample_query_pairs(N, min(1000, QUERIES), seed=3)
-    chunks = [pairs[lo:lo + 256] for lo in range(0, len(pairs), 256)]
+def test_e20_answers_identical_across_arms(e20_sketches):
+    """The hard claim: both arms serve the same bytes, every scheme —
+    per bulk batch (the smallest the engine cuts) and streamed."""
+    pairs = sample_query_pairs(N, 4 * RANGE_PAIRS, seed=3)
+    chunks = [pairs[:2 * RANGE_PAIRS], pairs[2 * RANGE_PAIRS:]]
     for scheme in SCHEMES:
+        arms = _arms(build_index(e20_sketches[scheme], num_shards=SHARDS))
         base = None
-        for arm, jobs in ARMS:
-            index = build_index(e20_sketches[scheme], num_shards=SHARDS)
-            with connect(f"inproc://jobs={jobs};cache=0", index) as session:
-                got = session.dist_many(pairs)
-                streamed = np.concatenate(list(session.dist_stream(chunks)))
+        for arm, engine in arms.items():
+            with engine:
+                got = engine.dist_many(pairs)
+                streamed = np.concatenate(list(engine.dist_stream(chunks)))
             assert np.array_equal(streamed, got), (scheme, arm)
             if base is None:
                 base = got
@@ -229,50 +252,51 @@ def test_e20_answers_identical_across_jobs(e20_sketches):
 def test_e20_table_complete(e20_table):
     assert len(e20_table) == len(SCHEMES) * len(BATCHES) * len(ARMS)
     for row in e20_table:
-        assert row["qps"] > 0
-        assert row["jobs"] == dict(ARMS)[row["arm"]]
+        assert row["pairs/s"] > 0
+        if row["arm"] == "in-thread":
+            assert row["ranges"] == 1
 
 
 def test_e20_kernel_phase_reported(e20_table):
     """The kernel split is present: every arm reports a nonzero critical
-    path, and only arms that dispatch to the executor report ipc."""
+    path, and only batches cut into ranges report ipc."""
     for row in e20_table:
         assert row["kernel-ms"] > 0.0
-        if row["arm"] == "inproc":
+        if row["ranges"] == 1:
             assert row["ipc-ms"] == 0.0  # nothing is handed off in-thread
 
 
-def test_e20_threads_pay_on_one_large_tz_batch(e20_sketches, timing_gate):
-    """The claim ``jobs`` is kept on: two threads serve one
+def test_e20_the_cut_pays_on_one_large_tz_batch(e20_sketches, timing_gate):
+    """The claim the cut rests on: the engine's rule serves one
     :data:`PAY_BATCH`-pair tz batch faster than the calling thread
     alone, in at least 9 of 10 alternating turns."""
-    timing_gate(f"jobs=2 vs jobs=1 on one {PAY_BATCH}-pair tz batch")
-    index = build_index(e20_sketches["tz"])
+    timing_gate(f"the cut vs in-thread on one {PAY_BATCH}-pair tz batch")
+    arms = _arms(build_index(e20_sketches["tz"]))
+    one, cut = arms["in-thread"], arms["engine"]
     pairs = sample_query_pairs(N, PAY_BATCH, seed=13)
-    with connect("inproc://jobs=1;cache=0", index) as one, \
-            connect("inproc://jobs=2;cache=0", index) as two:
-        assert np.array_equal(one.dist_many(pairs), two.dist_many(pairs))
+    with one, cut:
+        assert np.array_equal(one.dist_many(pairs), cut.dist_many(pairs))
         ratios = []
         for turn in range(10):
             took = {}
-            for session in (one, two) if turn % 2 else (two, one):
+            for engine in (one, cut) if turn % 2 else (cut, one):
                 t0 = time.perf_counter()
                 for _ in range(3):
-                    session.dist_many(pairs)
-                took[session] = time.perf_counter() - t0
-            ratios.append(round(took[one] / took[two], 2))
+                    engine.dist_many(pairs)
+                took[engine] = time.perf_counter() - t0
+            ratios.append(round(took[one] / took[cut], 2))
     assert sum(r >= MIN_SPEEDUP for r in ratios) >= 9, (
-        f"jobs=2 vs jobs=1 per turn: {ratios}")
+        f"cut vs in-thread per turn: {ratios}")
 
 
-def test_e20_benchmark_threaded_pass(benchmark, e20_sketches, e20_table):
-    """Timing kernel: one cold-cache batched pass through four threads
-    (executor start-up excluded — it is a one-time cost)."""
-    with connect("inproc://jobs=4;cache=0",
+def test_e20_benchmark_cut_pass(benchmark, e20_sketches, e20_table):
+    """Timing kernel: one cold-cache pass of the smallest batch the
+    engine cuts (pool start-up excluded — it is a one-time cost)."""
+    with connect("inproc://cache=0",
                  build_index(e20_sketches["tz"],
                              num_shards=SHARDS)) as session:
-        pairs = sample_query_pairs(N, QUERIES, seed=7)
-        session.dist_many(pairs)  # warm the executor
+        pairs = sample_query_pairs(N, 2 * RANGE_PAIRS, seed=7)
+        session.dist_many(pairs)  # warm the pool
 
         def run():
             return session.dist_many(pairs)

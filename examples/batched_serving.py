@@ -12,9 +12,10 @@ sketch set:
 3. replay the workload to show the cache absorbing repeated traffic
    (and account for every replayed row exactly),
 4. persist the pre-built index and reload it without rebuilding,
-5. cut every batch across four threads (``inproc://jobs=4`` — same
-   bytes out), and pipeline a streaming workload through the
-   double-buffered dispatch,
+5. answer a bulk batch the engine cuts into pair ranges on its own
+   thread pool (no option: one range per CPU, 2^15 pairs each at
+   least — same bytes out), and pipeline a streaming workload through
+   the double-buffered dispatch,
 6. serve the same oracle over TCP (``tcp://``) and over a loopback
    client, bit-identical again,
 7. serve a slack scheme (stretch3) through its own vectorized index.
@@ -36,6 +37,7 @@ from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.oracle.serialization import (load_index_binary,
                                         save_index_binary)
 from repro.service import OracleServer, connect, sample_query_pairs
+from repro.service.engine import RANGE_PAIRS, usable_cpus
 
 
 def main() -> None:
@@ -101,17 +103,24 @@ def main() -> None:
                           index.estimate_many(check[:, 0], check[:, 1]))
     print("index round-trip: reloaded store answers identically")
 
-    # 5. a batch cut across four threads ---------------------------------
-    with connect("inproc://jobs=4;cache=0", sketches) as threaded:
-        fanned = threaded.dist_many(pairs)
-        assert np.array_equal(fanned, estimates), "threads changed answers?!"
-        print("4 threads: answers bit-identical to the in-thread path")
+    # 5. a bulk batch, cut by the engine -------------------------------
+    # the 10k pairs repeated to 2 * RANGE_PAIRS: the smallest batch the
+    # engine cuts, into min(cpus, q // RANGE_PAIRS) ranges
+    bulk = np.resize(pairs, (2 * RANGE_PAIRS, 2))
+    want = np.resize(estimates, 2 * RANGE_PAIRS)
+    ranges = min(usable_cpus(), len(bulk) // RANGE_PAIRS)
+    how = (f"cut into {ranges} pair ranges" if ranges > 1
+           else "answered in one thread (one CPU)")
+    with connect("inproc://cache=0", sketches) as bulk_session:
+        fanned = bulk_session.dist_many(bulk)
+        assert np.array_equal(fanned, want), "the cut changed answers?!"
+        print(f"{len(bulk)} pairs {how}: answers bit-identical to the "
+              f"in-thread path")
         # the pipelined stream: batch k+1's submit overlaps batch k's
         # pair ranges; same bytes, and the hidden seconds are reported
-        chunks = [pairs[lo:lo + 2000] for lo in range(0, len(pairs), 2000)]
-        streamed = np.concatenate(list(threaded.dist_stream(chunks)))
-        assert np.array_equal(streamed, estimates)
-        overlap = threaded.stats()["phases"]["overlap_seconds"]
+        streamed = list(bulk_session.dist_stream([bulk, bulk]))
+        assert all(np.array_equal(out, want) for out in streamed)
+        overlap = bulk_session.stats()["phases"]["overlap_seconds"]
         print(f"pipelined stream identical too "
               f"({overlap * 1e3:.2f} ms of dispatch hidden behind kernels)")
 

@@ -9,11 +9,11 @@ A downstream user can drive the whole pipeline without writing Python::
     python -m repro query net.edges sketches.jsonl --pairs 0:100 5:17
     python -m repro eval net.edges sketches.jsonl --eps 0.25
     python -m repro serve-bench sketches.jsonl --queries 10000 --batch 1000 \
-        --shards 4 --jobs 4
+        --shards 4
     python -m repro build net.edges --scheme tz --k 3 --format binary \
         --shards 4 -o index.rpix
     python -m repro serve-bench index.rpix --memory mmap --queries 10000
-    python -m repro serve index.rpix --addr 0.0.0.0:7111 --jobs 4 --memory mmap
+    python -m repro serve index.rpix --addr 0.0.0.0:7111 --memory mmap
     python -m repro query --connect tcp://serving-box:7111 --pairs 0:100 5:17
     python -m repro serve-bench --connect tcp://serving-box:7111 --queries 10000
     python -m repro serve net.edges --updateable --scheme tz --k 3 --seed 2 \
@@ -248,12 +248,12 @@ def _cmd_serve(args) -> int:
     addr = args.addr
     if args.port is not None:
         addr = f"{addr.rsplit(':', 1)[0]}:{args.port}"
-    server = OracleServer(source, jobs=args.jobs, num_shards=shards,
+    server = OracleServer(source, num_shards=shards,
                           cache_size=args.cache_size)
     host, port = server.serve(addr, block=False,
                               handlers=args.handlers)
     print(f"serving {server.scheme or '?'} n={server.n} "
-          f"shards={server.num_shards} jobs={server.jobs} "
+          f"shards={server.num_shards} "
           f"memory={args.memory} epoch={server.epoch} "
           f"updateable={'yes' if server.updateable else 'no'} "
           f"on tcp://{host}:{port}", flush=True)
@@ -319,22 +319,31 @@ def _cmd_serve_bench(args) -> int:
         raise ReproError(
             "--clients drives concurrent sessions against a live server; "
             "it needs --connect tcp://host:port")
-    if args.depth is not None and args.clients is None:
-        raise ReproError(
-            "--depth sets the per-session pipelining window of the "
-            "--clients load generator; add --clients N")
     if args.connect is not None:
         if args.sketches is not None:
             raise ReproError(
                 "--connect benchmarks a live server; drop the sketches "
                 "argument (the server owns the index)")
+        for flag, given in (("--shards", args.shards is not None),
+                            ("--memory mmap", args.memory == "mmap")):
+            if given:
+                raise ReproError(
+                    f"{flag} describes a local index, and --connect "
+                    f"benchmarks a live server (which owns its index)")
+        if args.scheme is not None:
+            from repro.service.client import connect
+
+            with connect(args.connect) as probe:
+                if probe.scheme != args.scheme:
+                    raise ReproError(
+                        f"server serves {probe.scheme or 'unrecognized'}, "
+                        f"not {args.scheme}")
         if args.clients is not None:
             from repro.service.bench import run_load_benchmark
 
             report = run_load_benchmark(args.connect, clients=args.clients,
                                         queries=args.queries,
-                                        batch=args.batch, seed=args.seed,
-                                        depth=args.depth)
+                                        batch=args.batch, seed=args.seed)
             print(json.dumps(report, indent=2))
             if not report["identical"]:
                 print("error: pipelined answers diverged from the "
@@ -346,10 +355,6 @@ def _cmd_serve_bench(args) -> int:
         report = run_connect_benchmark(args.connect, queries=args.queries,
                                        batch=args.batch, seed=args.seed,
                                        repeats=args.repeats)
-        if args.scheme is not None and report["scheme"] != args.scheme:
-            raise ReproError(
-                f"server serves {report['scheme'] or 'unrecognized'}, "
-                f"not {args.scheme}")
         print(json.dumps(report, indent=2))
         if not report["identical"]:
             print("error: batched answers diverged from the per-pair "
@@ -373,7 +378,7 @@ def _cmd_serve_bench(args) -> int:
         report = run_serve_benchmark(
             index=index, queries=args.queries, batch=args.batch,
             seed=args.seed, repeats=args.repeats,
-            cache_size=args.cache_size, jobs=args.jobs)
+            cache_size=args.cache_size)
     else:
         _reject_mmap(args, args.sketches)
         sketches = load_sketch_set(args.sketches)
@@ -387,8 +392,7 @@ def _cmd_serve_bench(args) -> int:
             sketches, queries=args.queries, batch=args.batch,
             seed=args.seed, repeats=args.repeats,
             cache_size=args.cache_size,
-            num_shards=1 if args.shards is None else args.shards,
-            jobs=args.jobs)
+            num_shards=1 if args.shards is None else args.shards)
     print(json.dumps(report, indent=2))
     if not report["identical"]:
         print("error: batched answers diverged from the single-query path",
@@ -526,10 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--port", type=int, default=None,
                     help="override the port of --addr (--port 0 picks a "
                          "free one and prints it)")
-    sv.add_argument("--jobs", type=int, default=1,
-                    help="threads a batch is cut across (1 = answer in "
-                         "the handler thread; answers are identical "
-                         "either way)")
     sv.add_argument("--memory", choices=["heap", "mmap"], default="heap",
                     help="how a binary index (.rpix) source is opened: "
                          "heap = read into arrays; mmap = memory-mapped, "
@@ -542,10 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--cache-size", type=int, default=65536,
                     help="result-cache slots, one answer and 24 bytes "
                          "each, direct-mapped (0 disables)")
-    sv.add_argument("--handlers", type=int, default=None,
+    sv.add_argument("--handlers", type=int, default=2,
                     help="request-handler threads multiplexing the "
-                         "connections (default: sized to the engine, "
-                         "max(2, jobs))")
+                         "connections (default 2)")
     sv.add_argument("--updateable", action="store_true",
                     help="treat SOURCE as a graph edge list and serve a "
                          "live UpdateableIndex — clients can push edge "
@@ -584,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trace-generator seed (default: --seed)")
     sn.add_argument("--connect", metavar="SPEC", default="inproc://",
                     help="endpoint to drive: inproc:// (default), "
-                         "inproc://jobs=N, tcp://host:port (a live repro "
-                         "serve --updateable daemon built from GRAPH with the "
+                         "tcp://host:port (a live repro serve "
+                         "--updateable daemon built from GRAPH with the "
                          "same scheme/seed), or bare tcp:// to serve a "
                          "loopback listener in-process")
     sn.add_argument("--spawn", action="store_true",
@@ -615,9 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "concurrent sessions each measuring a "
                          "sequential and a pipelined pass (p50/p99 "
                          "latency and qps per client)")
-    sb.add_argument("--depth", type=int, default=None,
-                    help="with --clients: dist_stream pipelining window "
-                         "per session (default 4)")
     sb.add_argument("--queries", type=int, default=10_000)
     sb.add_argument("--batch", type=int, default=None,
                     help="batch size (default: one batch for all queries)")
@@ -629,16 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--cache-size", type=int, default=0,
                     help="result-cache slots, one answer and 24 bytes "
                          "each, direct-mapped (0 = cold-cache run)")
-    sb.add_argument("--jobs", type=int, default=1,
-                    help="threads a batch is cut across "
-                         "(1 = the calling thread; answers are identical "
-                         "either way)")
     sb.add_argument("--memory", choices=["heap", "mmap"], default="heap",
                     help="how a binary index (.rpix) is opened: heap = "
                          "read into arrays; mmap = memory-mapped, zero "
                          "parse (any other source is an error)")
     sb.add_argument("--scheme", choices=SCHEME_NAMES, default=None,
-                    help="assert the loaded sketch set is this scheme")
+                    help="assert the served sketch set is this scheme")
     sb.add_argument("--seed", type=int, default=0)
     sb.set_defaults(func=_cmd_serve_bench)
 

@@ -59,10 +59,10 @@ class BuiltSketches:
     def connect(self, spec: str = "inproc://", *,
                 cache_size: Optional[int] = None):
         """A serving session over this build —
-        ``built.connect("inproc://jobs=4")`` is shorthand for
+        ``built.connect("inproc://")`` is shorthand for
         :func:`repro.service.client.connect` with this sketch set as
-        the source (``jobs=4`` cuts every batch across a GIL-releasing
-        thread pool).  Returns an
+        the source (the engine cuts a bulk batch across a GIL-releasing
+        thread pool by itself).  Returns an
         :class:`~repro.service.client.OracleClient`; close it (or use
         it as a context manager) when done.
         """

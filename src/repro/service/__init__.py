@@ -1,4 +1,4 @@
-"""The serving layer: sessions over two transports, batch threads,
+"""The serving layer: sessions over two transports, cut bulk batches,
 live updates.
 
 The paper's end product is a distance *oracle*: preprocess once, then
@@ -8,13 +8,12 @@ The front door is :func:`~repro.service.client.connect`::
 
     from repro.service import connect
 
-    with connect("inproc://jobs=4", built) as client:
+    with connect("inproc://", built) as client:
         answers = client.dist_many(pairs)
 
 * :mod:`repro.service.client` — the session API:
   :class:`OracleClient` (``dist`` / ``dist_many`` / ``dist_stream`` /
-  ``apply_updates`` / ``stats``) over ``inproc://`` (this process;
-  ``inproc://jobs=N`` cuts every batch across N threads) or
+  ``apply_updates`` / ``stats``) over ``inproc://`` (this process) or
   ``tcp://host:port`` (a remote :class:`OracleServer`).  Answers are
   bit-identical across transports, and epoch hot swaps propagate to
   connected TCP clients without a reconnect,
@@ -39,10 +38,11 @@ The front door is :func:`~repro.service.client.connect`::
   from sketches, a container or an incremental refresh,
 * :class:`~repro.service.engine.QueryEngine` — the engine every session
   hosts over its one store: the result cache, the hot swap (an epoch
-  is a store) and the local execution plane — ``jobs=1`` answers a
-  batch in the calling thread, ``jobs > 1`` in pair ranges on the one
-  thread pool the engine owns for its whole life (the numpy kernels
-  release the GIL; nothing is copied or pickled),
+  is a store) and the local execution plane — a batch runs in the
+  calling thread, and a bulk one (``2·RANGE_PAIRS`` pairs and up) is
+  cut into pair ranges, at most one per CPU, on a thread pool the
+  engine creates for it (the numpy kernels release the GIL; nothing is
+  copied or pickled),
 * :mod:`repro.service.updates` — the dynamic-update subsystem:
   :class:`UpdateableIndex` applies edge-change streams by repairing
   only the dirty frontier (bit-identical to a from-scratch rebuild,
@@ -56,7 +56,7 @@ The front door is :func:`~repro.service.client.connect`::
 
 Batching and parallelism are performance features only: every answer is
 bit-identical to the one-pair-at-a-time reference path, for any shard
-count and any thread count.  See ``docs/architecture.md`` for the layer
+count and however a batch is cut.  See ``docs/architecture.md`` for the layer
 map and ``docs/serving.md`` for the operator's guide.
 """
 

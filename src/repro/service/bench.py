@@ -10,9 +10,8 @@ worthless.
 Besides the wall totals the report carries a ``phases`` block — the
 cumulative plan / shard_answer / finish / ipc seconds of one measured
 batched pass — so a dispatch-bound configuration is diagnosable from a
-single run: if ``ipc_seconds`` rivals ``kernel_seconds``, handing the
-probes to the shard threads costs as much as running them, and bigger
-batches (or ``--jobs 1``) are the fix.
+single run: if ``ipc_seconds`` rivals ``kernel_seconds``, handing a cut
+batch's pair ranges to the pool threads costs as much as running them.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
                         queries: int = 1000,
                         batch: Optional[int] = None, seed: SeedLike = 0,
                         repeats: int = 3, cache_size: int = 0,
-                        num_shards: int = 1, jobs: int = 1,
+                        num_shards: int = 1,
                         index: Optional[IndexStore] = None) -> dict:
     """Time ``queries`` random queries answered one-by-one vs in batches.
 
@@ -61,8 +60,6 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
         measures the raw vectorized path (cold-cache throughput).
     :param num_shards: landmark shard count in the pre-built index
         (ignored when ``index`` is given — its own shard count rules).
-    :param jobs: threads a batch is cut across (``1`` = the calling
-        thread).
     :param index: serve a pre-built store (e.g. loaded from a binary
         container) instead of building one from sketches; the
         single-query baseline is then the store's own one-pair path.
@@ -83,7 +80,7 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
             return sketches[u].estimate_to(sketches[v])
     else:
         single = index.estimate
-    engine = QueryEngine(index, cache_size=cache_size, jobs=jobs)
+    engine = QueryEngine(index, cache_size=cache_size)
     try:
         pairs = sample_query_pairs(engine.n, queries, seed=seed)
         if batch is None or batch > queries:
@@ -117,7 +114,6 @@ def run_serve_benchmark(sketches: Optional[Sequence[Any]] = None,
             "queries": int(queries),
             "batch": int(batch),
             "shards": int(index.num_shards),
-            "jobs": int(engine.jobs),
             "cache_size": int(cache_size),
             "single_seconds": t_single,
             "batched_seconds": t_batched,
@@ -142,7 +138,7 @@ def run_connect_benchmark(spec: str, source=None, queries: int = 1000,
     over the same session: the per-pair loop (``client.dist``), the
     batched path (``client.dist_many`` per batch), and the pipelined
     stream (``client.dist_stream`` over all batches — the
-    double-buffered dispatch on ``inproc://jobs=N`` sessions).  Batched and
+    double-buffered dispatch on ``inproc://`` sessions).  Batched and
     streamed answers are cross-checked bitwise against the per-pair
     loop before any throughput is reported.
 
@@ -223,7 +219,6 @@ def _percentiles_ms(latencies: Sequence[float]) -> dict:
 
 def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
                        batch: Optional[int] = None, seed: SeedLike = 0,
-                       depth: Optional[int] = None,
                        phase_timeout: float = 600.0) -> dict:
     """Closed-loop multi-client load generator — the ``serve-bench
     --clients N --connect`` harness and the E18 experiment.
@@ -236,7 +231,8 @@ def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
     1. **sequential** — one ``dist_many`` per batch, one request in
        flight per connection (the protocol-v1 behaviour, the baseline);
     2. **pipelined** — one ``dist_stream`` over all batches with a
-       ``depth``-deep request-id window.
+       :data:`~repro.service.client.PIPELINE_DEPTH`-deep request-id
+       window.
 
     Answers from the two passes are cross-checked bitwise per client
     (distinct per-client workloads also catch cross-request reply
@@ -247,14 +243,12 @@ def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
 
     :param spec: a ``tcp://host:port`` endpoint (the load generator
         measures the wire; local transports have no wire to pipeline).
-    :param depth: pipelining window per session (default: the
-        transport's default, 4).
     :param phase_timeout: seconds any one barrier phase (connect,
         sequential pass, pipelined pass) may take before the run aborts
         with an error — a hung session must surface as a failure, not
         hang the benchmark forever.
     """
-    from repro.service.client import connect, parse_endpoint
+    from repro.service.client import PIPELINE_DEPTH, connect, parse_endpoint
 
     if parse_endpoint(spec).transport != "tcp":
         raise ConfigError(
@@ -275,7 +269,7 @@ def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
 
     def worker(cid: int) -> None:
         try:
-            client = connect(spec, pipeline_depth=depth)
+            client = connect(spec)
         except Exception as exc:  # noqa: BLE001 - reported, then re-raised
             errors.append((cid, exc))
             barrier.abort()
@@ -371,7 +365,7 @@ def run_load_benchmark(spec: str, clients: int = 4, queries: int = 1000,
         "endpoint": spec,
         "clients": int(clients),
         "queries_per_client": int(queries),
-        "depth": int(depth) if depth is not None else None,
+        "depth": PIPELINE_DEPTH,
         **walls,
         "seq_total_qps": total / walls["seq_wall_seconds"],
         "pipe_total_qps": total / walls["pipe_wall_seconds"],

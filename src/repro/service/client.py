@@ -2,8 +2,8 @@
 ``inproc`` and ``tcp`` transports, the :class:`OracleClient` session
 handle and the :func:`connect` factory::
 
-    connect("inproc://", source)          # this process, jobs=1
-    connect("inproc://jobs=4", source)    # batches cut across 4 threads
+    connect("inproc://", source)          # this process
+    connect("inproc://cache=0", source)   # ... without a result cache
     connect("tcp://host:port")            # a remote OracleServer
 
 One session core (:mod:`repro.service.session`): a transport supplies
@@ -45,10 +45,10 @@ TRANSPORTS = ("inproc", "tcp")
 
 #: how many batches a tcp ``dist_stream`` keeps in flight per
 #: connection (the pipelining window; ≥ 2 hides the wire round-trip)
-DEFAULT_PIPELINE_DEPTH = 4
+PIPELINE_DEPTH = 4
 
 #: options an ``inproc://`` endpoint spec accepts (all integers)
-_INPROC_OPTIONS = ("jobs", "cache")
+_INPROC_OPTIONS = ("cache",)
 
 #: makes one ``send`` on the (blocking) session socket non-blocking;
 #: where the platform lacks it the first ``send`` of a frame may block
@@ -84,9 +84,9 @@ def parse_endpoint(spec: str) -> Endpoint:
                  | [option (";" option)*] (inproc)
         option  := key "=" integer
 
-    ``inproc`` accepts ``jobs`` (threads a batch is cut across, default
-    1) and ``cache``.  Options are validated here, so a typo fails at
-    :func:`connect` time, not mid-serve.
+    ``inproc`` accepts ``cache`` (result-cache slots).  Options are
+    validated here, so a typo fails at :func:`connect` time, not
+    mid-serve.
 
     :raises ConfigError: on an unknown transport, malformed address, or
         unknown/malformed option.
@@ -215,9 +215,8 @@ class _TcpTransport:
 
     name = "tcp"
 
-    def __init__(self, endpoint: Endpoint, timeout: Optional[float] = None,
-                 pipeline_depth: int = DEFAULT_PIPELINE_DEPTH):
-        self.clock = SessionClock(pipeline_depth)
+    def __init__(self, endpoint: Endpoint, timeout: Optional[float] = None):
+        self.clock = SessionClock(PIPELINE_DEPTH)
         try:
             self._sock = socket.create_connection(
                 (endpoint.host, endpoint.port), timeout=timeout)
@@ -421,7 +420,7 @@ class _TcpTransport:
 
     def dist_stream(self, batches) -> Iterator[np.ndarray]:
         """Pipelined streaming: :func:`~repro.service.session.
-        stream_window` keeps up to ``pipeline_depth`` query frames
+        stream_window` keeps up to :data:`PIPELINE_DEPTH` query frames
         posted and yields answers in submit order (replies may arrive
         out of order; the id stash reorders them).  Batch *k+1*'s
         encode and round-trip overlap batch *k*'s server-side work —
@@ -537,7 +536,7 @@ class OracleClient:
         """Pipelined serving over an iterable of pair batches: one
         bounded in-order window (:func:`~repro.service.session.
         stream_window`) over the transport's submit/collect pair — two
-        deep on ``inproc://``, ``pipeline_depth`` deep over tcp.
+        deep on ``inproc://``, :data:`PIPELINE_DEPTH` deep over tcp.
         Yields one answer array per batch, in order,
         bit-identical to per-batch :meth:`dist_many` on a cold cache.
 
@@ -615,15 +614,14 @@ class OracleClient:
 # ----------------------------------------------------------------------
 def connect(spec: str, source: Any = None, *,
             cache_size: Optional[int] = None,
-            timeout: Optional[float] = None,
-            pipeline_depth: Optional[int] = None) -> OracleClient:
+            timeout: Optional[float] = None) -> OracleClient:
     """Open a serving session on an endpoint spec — the one front door
     of the serving layer.
 
     * ``connect("inproc://", source)`` — everything in this process
-      (options: ``jobs`` / ``cache``); ``inproc://jobs=4`` cuts every
-      batch across four GIL-releasing threads (``jobs`` defaults to 1;
-      the shard count is an index layout parameter, no session option);
+      (option: ``cache``); the engine cuts a bulk batch across its
+      GIL-releasing threads by itself (the shard count is an index
+      layout parameter, no session option);
     * ``connect("tcp://host:port")`` — a remote
       :class:`OracleServer`; no ``source`` (the server owns the index).
 
@@ -633,9 +631,7 @@ def connect(spec: str, source: Any = None, *,
     :meth:`OracleClient.apply_updates`).  ``cache_size`` overrides the
     spec's ``cache`` option; ``timeout`` bounds the TCP connect +
     handshake (it is cleared once the session is up, so a slow
-    large-batch reply can never desync the stream); ``pipeline_depth``
-    sets how many ``dist_stream`` batches a tcp session keeps in flight
-    (default 4, minimum 1).
+    large-batch reply can never desync the stream).
 
     :raises ConfigError: on a bad spec, a missing/forbidden ``source``,
         or an unreachable server.
@@ -649,27 +645,14 @@ def connect(spec: str, source: Any = None, *,
         if cache_size is not None:
             raise ConfigError(
                 "cache_size is a server-side knob for tcp:// sessions")
-        depth = (DEFAULT_PIPELINE_DEPTH if pipeline_depth is None
-                 else pipeline_depth)
-        transport = _TcpTransport(endpoint, timeout=timeout,
-                                  pipeline_depth=depth)
+        transport = _TcpTransport(endpoint, timeout=timeout)
         return OracleClient(transport, endpoint=endpoint.describe())
-    if pipeline_depth is not None:
-        raise ConfigError(
-            "pipeline_depth is a tcp:// session knob (local transports "
-            "pipeline in the engine's double-buffered dispatch)")
     if source is None:
         raise ConfigError(
             f"{endpoint.transport}:// serves in this process and needs "
             f"source= (a sketch list, BuiltSketches, IndexStore, or "
             f"UpdateableIndex)")
-    options = endpoint.options
-    jobs = options.get("jobs", 1)
-    if jobs < 1:
-        # the engine checks this too; here it fails a bad spec before
-        # the source is indexed
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cache = cache_size if cache_size is not None \
-        else options.get("cache", 65536)
-    server = OracleServer(source, jobs=jobs, cache_size=cache)
+        else endpoint.options.get("cache", 65536)
+    server = OracleServer(source, cache_size=cache)
     return server.client(endpoint=endpoint.describe(), owns_server=True)

@@ -18,10 +18,10 @@ answers a batch as ``plan`` → ``answer`` → ``finish`` and a pair's
 answer depends on that pair only, so the engine runs that chain
 (:func:`_serve`) over the batch::
 
-    caller                          pool threads (jobs = J > 1)
-    ------                          ---------------------------
-    _start(store, ends)   ─┬─ pairs [0, q/J)    ─▶ plan → answer → finish ─┐
-                           ├─ pairs [q/J, 2q/J) ─▶ plan → answer → finish ─┤
+    caller                          pool threads (a cut batch, R ranges)
+    ------                          ------------------------------------
+    _start(store, ends)   ─┬─ pairs [0, q/R)    ─▶ plan → answer → finish ─┐
+                           ├─ pairs [q/R, 2q/R) ─▶ plan → answer → finish ─┤
                            └─ …                 ─▶ plan → answer → finish ─┤
     _gather(ticket) ◀─────────── answers, concatenated in pair order ──────┘
 
@@ -32,20 +32,24 @@ calling thread by the store's scalar ``_estimate_checked`` (Lemma 3.2's
 scan on a TZ store), a few µs against the chain's forty-odd numpy
 calls.  A streamed lone pair, cache bypassed, is :func:`_serve_one`.
 
-``jobs=1`` runs the chain once, in the calling thread.  ``jobs=J`` cuts
-the *batch* into J contiguous pair ranges, one task each on the engine's
-one thread pool: the chain is numpy-kernel work that releases the GIL,
-so the ranges overlap for real, and a task sees the caller's own store
-object — nothing is copied, pickled or attached.  The cut does not
-depend on the store's shard count, a layout parameter of the RPIX
-container and never a unit of execution.  Any cut gives the same
-bytes, so answers are bit-identical for every ``jobs`` value; a
-:class:`~repro.errors.QueryError` for an unresolved pair is raised in
-the caller, exactly as in-process: the lowest failing range's, tagged
-with its row in the whole batch.  The pool is created once, lives as
-long as the engine and is joined by :meth:`~QueryEngine.close` (or the
-engine's context manager); the per-phase seconds accumulate in one
-:class:`PhaseTimings`.
+How a batch runs is the engine's decision, read off the batch and the
+host: a batch of q pairs is cut into ``min(cpus, q // RANGE_PAIRS)``
+contiguous pair ranges (:data:`RANGE_PAIRS`; ``cpus`` is
+:func:`usable_cpus`, read once when the engine is built), and below 2
+ranges it runs once, in the calling thread.  A cut batch's ranges are
+one task each on the engine's thread pool: the chain is numpy-kernel
+work that releases the GIL, so the ranges overlap for real, and a task
+sees the caller's own store object — nothing is copied, pickled or
+attached.  The cut does not depend on the store's shard count, a layout
+parameter of the RPIX container and never a unit of execution.  Any cut
+gives the same bytes, so answers are bit-identical whether a batch is
+cut or not; a :class:`~repro.errors.QueryError` for an unresolved pair
+is raised in the caller, exactly as in-process: the lowest failing
+range's, tagged with its row in the whole batch.  The pool is created
+by the first batch that is cut, lives as long as the engine and is
+joined by :meth:`~QueryEngine.close` (or the engine's context manager);
+an engine that never sees a bulk batch starts no thread.  The per-phase
+seconds accumulate in one :class:`PhaseTimings`.
 
 Callers do not build engines: :func:`repro.service.client.connect`
 (through :class:`~repro.service.server.OracleServer`) normalises
@@ -75,6 +79,7 @@ keep can change the cost of an answer and never the answer.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,10 +94,16 @@ from repro.service.index import (_HASH_MULT, _HASH_MULT_INT, _U64,
                                  IndexStore, checked_pair, pair_columns)
 from repro.service.session import stream_window
 
-#: pool threads carry this name prefix so tests (and operators reading a
-#: stack dump) can tell them from handler threads — and assert none
-#: outlive their engine
-THREAD_POOL_PREFIX = "repro-shard"
+#: pool threads answer the pair ranges of a cut batch; they carry this
+#: name prefix so tests (and operators reading a stack dump) can tell
+#: them from handler threads — and assert none outlive their engine
+THREAD_POOL_PREFIX = "repro-cut"
+
+#: pairs per range of a cut batch: a batch of q pairs runs as
+#: ``min(cpus, q // RANGE_PAIRS)`` ranges, in the calling thread below
+#: 2 — so a cut starts at 2·RANGE_PAIRS pairs.  Measured, not tunable:
+#: the trial table is in ``docs/serving.md`` §5.
+RANGE_PAIRS = 1 << 15
 
 #: batches a local stream keeps submitted: double buffering — batch
 #: *k+1* is cut and queued while batch *k*'s ranges run
@@ -105,11 +116,11 @@ class PhaseTimings:
 
     ``plan`` / ``shard_answer`` / ``finish`` are the seconds in the
     store's three steps, summed over a batch's pair ranges (one
-    in-thread, J on the pool); ``kernel`` is the per-batch **critical
+    in-thread, R on the pool); ``kernel`` is the per-batch **critical
     path** of ``answer``, the slowest range's seconds — equal to
-    ``shard_answer`` at ``jobs=1``, ``≈ shard_answer / J`` for J
-    balanced ranges.  ``ipc`` is the pool's dispatch overhead: the wall
-    time from submit until the last range *ended*, minus the slowest
+    ``shard_answer`` for a batch run in-thread, ``≈ shard_answer / R``
+    for R balanced ranges.  ``ipc`` is the pool's dispatch overhead: the
+    wall time from submit until the last range *ended*, minus the slowest
     range's own three steps (0 in-thread, by construction) — what the
     caller does between submitting a batch and collecting it is not in
     it.  ``overlap`` is the double-buffering win of a ``dist_stream``:
@@ -147,6 +158,15 @@ class PhaseTimings:
                 "overlap_seconds": self.overlap,
                 "kernel_seconds": self.kernel,
                 "batches": self.batches}
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _serve(index: IndexStore, ends: np.ndarray, start: int = 0) -> tuple:
@@ -296,21 +316,17 @@ class QueryEngine:
     :param cache_size: slots of the result cache, one answer each (24
         bytes a slot; direct-mapped: a key has one slot, and a miss
         replaces what it holds); ``0`` disables caching.
-    :param jobs: threads a batch is cut across (``1`` = answer in the
-        calling thread), whatever the store's shard count; above 1 the
-        engine owns a pool of that many threads until :meth:`close`.
-    :raises ConfigError: on a negative cache size or ``jobs < 1``.
+    :raises ConfigError: on a negative cache size.
     """
 
     def __init__(self, index: IndexStore, *, updateable=None,
-                 cache_size: int = 65536, jobs: int = 1):
+                 cache_size: int = 65536):
         if cache_size < 0:
             raise ConfigError(f"cache_size must be >= 0, got {cache_size}")
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.n = index.n
         self.cache_size = int(cache_size)
-        self.jobs = int(jobs)
+        #: the most ranges a batch is cut into
+        self.cpus = usable_cpus()
         # (index, epoch) are read and swapped together, under the lock
         self._lock = threading.Lock()
         self.index = index
@@ -320,11 +336,10 @@ class QueryEngine:
         self._cache = _ResultCache(self.cache_size) if cache_size else None
         self.stats = CacheStats()
         self._timings = PhaseTimings()
-        # same address space: a task probes the caller's own store
-        # object — no initializer, no data movement
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix=THREAD_POOL_PREFIX,
-        ) if self.jobs > 1 else None
+        # created by the first cut batch (guarded by _lock); a closed
+        # engine makes none
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._closed = False
 
     # ------------------------------------------------------------------
     def index_snapshot(self) -> tuple[IndexStore, int]:
@@ -344,21 +359,35 @@ class QueryEngine:
     def _start(self, index: IndexStore, ends: np.ndarray) -> tuple:
         """Start one non-empty batch of **validated** ``(2, q)``
         endpoints on ``index``; returns the ticket for :meth:`_gather`.
-        The pool gets ``jobs`` contiguous ranges, one task each;
-        in-thread the work is deferred to gather time — nothing to
-        overlap.  A lone pair is always in-thread (:func:`_serve_one`):
-        its scalar query costs less than a dispatch.  The ticket holds
-        the store, so the batch is that epoch's whatever is swapped in
-        before it is gathered."""
-        pool, q = self._pool, ends.shape[1]
+        A batch of at least ``2·RANGE_PAIRS`` pairs is cut into
+        ``min(cpus, q // RANGE_PAIRS)`` contiguous ranges, one pool task
+        each; a smaller one runs in-thread, deferred to gather time —
+        nothing to overlap.  A lone pair is its scalar query
+        (:func:`_serve_one`).  The ticket holds the store, so the batch
+        is that epoch's whatever is swapped in before it is
+        gathered."""
+        q = ends.shape[1]
         if q == 1:
             return None, partial(_serve_one, index, ends)
+        ranges = min(self.cpus, q // RANGE_PAIRS)
+        pool = self._cut_pool() if ranges > 1 else None
         if pool is None:
             return None, partial(_serve, index, ends)
-        cuts = [q * j // self.jobs for j in range(self.jobs + 1)]
+        cuts = [q * j // ranges for j in range(ranges + 1)]
         t_submit = time.perf_counter()
         return t_submit, [pool.submit(_serve, index, ends[:, a:b], a)
-                          for a, b in zip(cuts, cuts[1:]) if a < b]
+                          for a, b in zip(cuts, cuts[1:])]
+
+    def _cut_pool(self) -> Optional[ThreadPoolExecutor]:
+        """The pool a cut batch's ranges run on — created here, by the
+        first such batch; ``None`` once the engine is closed.  Same
+        address space: a task probes the caller's own store object."""
+        with self._lock:
+            if self._pool is None and not self._closed:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.cpus,
+                    thread_name_prefix=THREAD_POOL_PREFIX)
+            return self._pool
 
     def _gather(self, ticket: tuple) -> np.ndarray:
         """Collect one started batch's ranges, in pair order.
@@ -452,7 +481,7 @@ class QueryEngine:
         Accepts any iterable of pairs or a ``(Q, 2)`` integer array;
         returns a float64 array of length Q.  Cached answers are reused;
         the misses are computed in one vectorized pass (cut across the
-        pool's threads when the engine was built with ``jobs > 1``).
+        pool's threads when they are a bulk batch).
 
         The whole batch is answered by one epoch: the serving store is
         read once, at batch start, and a concurrent
@@ -535,8 +564,8 @@ class QueryEngine:
         order — :func:`~repro.service.session.stream_window` over the
         engine's submit/collect pair, double-buffered.
 
-        With a thread pool behind the engine batch *k+1*'s submit
-        overlaps batch *k*'s pair ranges (``overlap_seconds`` in
+        When the batches are cut, batch *k+1*'s submit overlaps batch
+        *k*'s pair ranges (``overlap_seconds`` in
         :meth:`phase_timings`).  The result cache is bypassed (a
         streaming sweep is the cold-cache workload).  **Each batch** is
         answered wholly by the epoch current when it was submitted — a
@@ -559,8 +588,9 @@ class QueryEngine:
 
     def note_submit(self, inflight: int, seconds: float) -> None:
         """Window telemetry: a batch's cut + dispatch took ``seconds``
-        with ``inflight`` earlier batches' ranges on the pool (an
-        in-thread "submit" defers the compute: it overlaps nothing)."""
+        with ``inflight`` earlier batches outstanding; counted once the
+        engine has a pool (an in-thread "submit" defers the compute: on
+        an engine that never cut a batch it overlaps nothing)."""
         if inflight and self._pool is not None:
             with self._timings.lock:
                 self._timings.overlap += seconds
@@ -617,7 +647,8 @@ class QueryEngine:
         """Join the pool's threads (idempotent); ranges already
         submitted run to their end first.  A closed engine still
         answers, in the calling thread."""
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool, self._closed = self._pool, None, True
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -628,6 +659,5 @@ class QueryEngine:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tail = f", jobs={self.jobs}" if self.jobs > 1 else ""
         return (f"QueryEngine(n={self.n}, {type(self.index).__name__}, "
-                f"cache={self.cache_entries}/{self.cache_size}{tail})")
+                f"cache={self.cache_entries}/{self.cache_size})")

@@ -707,7 +707,6 @@ class ScenarioResult:
 def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
                  source=None, oracle: Optional["ScenarioOracle"] = None,
                  query_threads: int = 2,
-                 pipeline_depth: Optional[int] = None,
                  timeout: float = 30.0) -> ScenarioResult:
     """Replay ``trace`` against an endpoint and record everything.
 
@@ -748,10 +747,8 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
             owns_server = True
             host, port = server.serve("127.0.0.1:0", block=False)
             target = f"tcp://{host}:{port}"
-            writer = connect(target, timeout=timeout,
-                             pipeline_depth=pipeline_depth)
-            sessions = [connect(target, timeout=timeout,
-                                pipeline_depth=pipeline_depth)
+            writer = connect(target, timeout=timeout)
+            sessions = [connect(target, timeout=timeout)
                         for _ in range(query_threads)]
         elif parse_endpoint(ep).transport == "tcp":
             if source is not None:
@@ -760,10 +757,8 @@ def run_scenario(trace: Trace, endpoint: str = "inproc://", *,
                     "source= (or use the bare 'tcp://' sentinel to "
                     "loopback-serve it)")
             target = ep
-            writer = connect(ep, timeout=timeout,
-                             pipeline_depth=pipeline_depth)
-            sessions = [connect(ep, timeout=timeout,
-                                pipeline_depth=pipeline_depth)
+            writer = connect(ep, timeout=timeout)
+            sessions = [connect(ep, timeout=timeout)
                         for _ in range(query_threads)]
         else:
             if source is None:
@@ -997,7 +992,6 @@ def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
                        num_shards: int = 1, query_threads: int = 2,
                        oracle: bool = True, checkpoint_every: int = 4,
                        trace: Optional[Trace] = None,
-                       pipeline_depth: Optional[int] = None,
                        timeout: float = 30.0,
                        **params) -> ScenarioResult:
     """Generate (or take) a trace, build the server source and the
@@ -1023,8 +1017,7 @@ def run_named_scenario(name: str, graph: Graph, *, scheme: str = "tz",
         source = UpdateableIndex(graph, scheme, seed,
                                  num_shards=num_shards, **params)
     return run_scenario(trace, ep, source=source, oracle=oracle_obj,
-                        query_threads=query_threads,
-                        pipeline_depth=pipeline_depth, timeout=timeout)
+                        query_threads=query_threads, timeout=timeout)
 
 
 # ----------------------------------------------------------------------

@@ -102,10 +102,6 @@ class OracleServer:
         * an :class:`~repro.service.updates.UpdateableIndex`: serves the
           live epoch and enables :meth:`apply_updates` hot swaps.
 
-    :param jobs: threads a batch is cut across (``1`` = answer in the
-        calling thread) — exactly
-        :class:`~repro.service.engine.QueryEngine`'s knob, validated
-        there.
     :param num_shards: landmark shard count when building from
         sketches (default 1: a layout parameter of the RPIX container,
         never a unit of work); must match (or be omitted for) a
@@ -117,12 +113,12 @@ class OracleServer:
     out in-process sessions (what ``inproc://`` binds to),
     :meth:`serve` adds a TCP listener speaking the frame protocol on a
     :mod:`selectors` event loop.  Use as a context manager or
-    :meth:`close` to release the shard threads, listener,
+    :meth:`close` to release the engine's pool, listener,
     connections, and serving threads (close joins them with a bounded
     deadline — no thread outlives the server).
     """
 
-    def __init__(self, source: Any, *, jobs: int = 1,
+    def __init__(self, source: Any, *,
                  num_shards: Optional[int] = None,
                  cache_size: int = 65536):
         self._listener: Optional[socket.socket] = None
@@ -151,13 +147,13 @@ class OracleServer:
         self.address: Optional[tuple[str, int]] = None
 
         # everything that can be wrong with the source is found here,
-        # before the engine starts any shard thread
+        # before an engine exists
         index, updateable = self._normalize_source(source, num_shards)
         self.scheme = (updateable.scheme if updateable is not None
                        else scheme_name_of_index(index))
         self.updateable = updateable is not None
         self._engine = QueryEngine(index, updateable=updateable,
-                                   cache_size=cache_size, jobs=jobs)
+                                   cache_size=cache_size)
 
     @staticmethod
     def _normalize_source(source: Any, num_shards: Optional[int],
@@ -207,11 +203,6 @@ class OracleServer:
     def num_shards(self) -> int:
         return self._engine.index.num_shards
 
-    @property
-    def jobs(self) -> int:
-        """Threads a batch is cut across."""
-        return self._engine.jobs
-
     def client(self, endpoint: str = "inproc://",
                owns_server: bool = False) -> "OracleClient":
         """An in-process :class:`~repro.service.client.OracleClient`
@@ -246,8 +237,8 @@ class OracleServer:
         return report
 
     def stats(self) -> dict:
-        """A JSON-ready snapshot: size, scheme, epoch, shard/thread
-        configuration, cache counters, cumulative phase timings, and the
+        """A JSON-ready snapshot: size, scheme, epoch, shard count,
+        cache counters, cumulative phase timings, and the
         number of live TCP connections."""
         engine = self._engine
         with self._conn_lock:
@@ -258,7 +249,6 @@ class OracleServer:
             "epoch": engine.epoch,
             "updateable": self.updateable,
             "shards": self.num_shards,
-            "jobs": engine.jobs,
             "cache_size": engine.cache_size,
             "cache": engine.cache_counters(),
             "phases": engine.phase_timings(),
@@ -274,17 +264,16 @@ class OracleServer:
     # ------------------------------------------------------------------
     def serve(self, addr: str = "127.0.0.1:0", *, block: bool = True,
               backlog: int = 128,
-              handlers: Optional[int] = None) -> tuple[str, int]:
+              handlers: int = 2) -> tuple[str, int]:
         """Listen for frame-protocol clients on ``addr`` (``host:port``;
         port ``0`` picks a free one).
 
         One :mod:`selectors` event loop owns every socket — accepts,
         frame reassembly, small requests, reply flushing — and the
         requests it does not answer itself (see the module docstring)
-        fan out across a pool of ``handlers`` threads (default: sized to
-        the engine, ``max(2, jobs)``), so many concurrent sessions
-        multiplex over a fixed thread count instead of a thread per
-        connection.
+        fan out across a pool of ``handlers`` threads, so many
+        concurrent sessions multiplex over a fixed thread count instead
+        of a thread per connection.
 
         Returns the bound ``(host, port)``.  With ``block=True`` (the
         daemon mode ``python -m repro serve`` runs) the calling thread
@@ -301,8 +290,6 @@ class OracleServer:
                 f"server is already listening on "
                 f"{self.address[0]}:{self.address[1]}")
         host, port = parse_listen_addr(addr)
-        if handlers is None:
-            handlers = max(2, self.jobs)
         if handlers < 1:
             raise ConfigError(f"handlers must be >= 1, got {handlers}")
         listener = socket.create_server((host, port), backlog=backlog)

@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
 
 #: most samples :attr:`PipelineStats.latencies` /
 #: :attr:`EpochStaleness.window_seconds` keep between resets — a
@@ -247,20 +246,18 @@ class SessionClock:
     the most recently consumed answer — older than ``epoch`` when a
     batch submitted before a hot swap is consumed after it.
 
-    :param depth: a remote session's ``dist_stream`` window
-        (``pipeline_depth``); ``None`` for a local session, whose
-        overlap is in the server's phase timings and whose
-        :meth:`pipeline_stats` is therefore ``None``.
+    :param depth: a remote session's ``dist_stream`` window (the tcp
+        transport's :data:`~repro.service.client.PIPELINE_DEPTH`);
+        ``None`` for a local session, whose overlap is in the server's
+        phase timings and whose :meth:`pipeline_stats` is therefore
+        ``None``.
     :param live: for a session that can read its server's clock
         directly (``inproc``): a callable returning it.
-    :raises ConfigError: when ``depth < 1``.
     """
 
     def __init__(self, depth: Optional[int] = None,
                  live: Optional[Callable[[], int]] = None):
-        if depth is not None and depth < 1:
-            raise ConfigError(f"pipeline_depth must be >= 1, got {depth}")
-        self.depth = None if depth is None else int(depth)
+        self.depth = depth
         self._live = live
         self.epoch = 0
         self.last_result_epoch = 0

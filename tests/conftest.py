@@ -101,8 +101,10 @@ def _serving_leftovers() -> list[str]:
     import multiprocessing
     import threading
 
+    from repro.service.engine import THREAD_POOL_PREFIX
+
     return [t.name for t in threading.enumerate()
-            if t.name.startswith(("repro-shard", "oracle-handler",
+            if t.name.startswith((THREAD_POOL_PREFIX, "oracle-handler",
                                   "oracle-io"))
             ] + [repr(p) for p in multiprocessing.active_children()]
 
@@ -120,6 +122,20 @@ def serving_leftovers():
     """The leak check itself, for a test that asserts it mid-way (right
     after a ``close()``): ``assert serving_leftovers() == []``."""
     return _serving_leftovers
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(count)``: every engine built from then on (in a test's own
+    server and sessions too) cuts bulk batches for ``count`` CPUs — the
+    engine's one seam, :func:`repro.service.engine.usable_cpus`, so 2
+    and 7 ranges run on any runner."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr("repro.service.engine.usable_cpus",
+                            lambda: count)
+
+    return use
 
 
 @pytest.fixture

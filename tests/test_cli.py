@@ -144,8 +144,8 @@ class TestEval:
 
 
 class TestBuildJobs:
-    """``build`` takes no ``--jobs``: the process fan-out is gone, and
-    ``jobs`` names only the threads a served batch is cut across."""
+    """``build`` takes no ``--jobs``: the process fan-out is gone (and
+    no command takes one: the serving engine cuts its own batches)."""
 
     def test_jobs_rejected_for_tz(self, tmp_path, graph_file, capsys):
         with pytest.raises(SystemExit) as usage:
@@ -186,11 +186,13 @@ class TestServeBench:
 
 class TestServeBenchJobsAndScheme:
     def test_jobs_flag_keeps_answers_identical(self, sketch_file, capsys):
+        """How a batch runs is the engine's decision: the report names
+        the shard layout and no thread count, and answers match."""
         rc = main(["serve-bench", str(sketch_file), "--queries", "200",
-                   "--repeats", "1", "--shards", "2", "--jobs", "2"])
+                   "--repeats", "1", "--shards", "2"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["jobs"] == 2 and report["shards"] == 2
+        assert "jobs" not in report and report["shards"] == 2
         assert report["identical"] is True
 
     def test_scheme_assertion_passes_and_fails(self, sketch_file, capsys):
@@ -265,6 +267,33 @@ class TestConnectFlows:
         assert report["transport"] == "tcp" and report["scheme"] == "tz"
         assert report["streamed_qps"] > 0
 
+    def test_serve_bench_clients_checks_the_scheme(self, live_server,
+                                                   capsys):
+        """``--scheme`` is checked on the ``--clients`` path too, before
+        any load is run."""
+        spec, _ = live_server
+        rc = main(["serve-bench", "--connect", spec, "--clients", "2",
+                   "--queries", "40", "--scheme", "graceful"])
+        assert rc == 2
+        assert "not graceful" in capsys.readouterr().err
+        rc = main(["serve-bench", "--connect", spec, "--clients", "2",
+                   "--queries", "40", "--scheme", "tz"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["identical"] is True
+
+    @pytest.mark.parametrize("argv", [["--shards", "2"],
+                                      ["--memory", "mmap"]],
+                             ids=["shards", "mmap"])
+    def test_serve_bench_connect_refuses_local_index_flags(self, argv,
+                                                           capsys):
+        """A live server owns its index: flags that describe a local one
+        are refused, not ignored (before any connection is made)."""
+        rc = main(["serve-bench", "--connect", "tcp://127.0.0.1:1",
+                   "--queries", "10", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and "--connect" in err
+
     def test_serve_bench_connect_scheme_mismatch(self, live_server,
                                                  capsys):
         spec, _ = live_server
@@ -284,10 +313,13 @@ class TestConnectFlows:
         assert "--connect" in capsys.readouterr().err
 
     def test_serve_bench_depth_needs_clients(self, capsys):
-        rc = main(["serve-bench", "--connect", "tcp://127.0.0.1:1",
-                   "--depth", "2", "--queries", "10"])
-        assert rc == 2
-        assert "--clients" in capsys.readouterr().err
+        """The load generator's window is the tcp transport's constant:
+        ``--depth`` is no flag, with ``--clients`` or without."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", "--connect", "tcp://127.0.0.1:1",
+                  "--clients", "2", "--depth", "2", "--queries", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --depth" in capsys.readouterr().err
 
 
 class TestSchemesCommand:
@@ -364,7 +396,7 @@ class TestBuildFormatAndMemoryPlane:
         parsed into heap arrays, so asking to map it is a usage error
         (not a silent copy into a scratch file)."""
         rc = main(["serve-bench", str(sketch_file), "--queries", "150",
-                   "--repeats", "1", "--shards", "2", "--jobs", "2",
+                   "--repeats", "1", "--shards", "2",
                    "--memory", memory])
         captured = capsys.readouterr()
         if memory == "mmap":
@@ -374,8 +406,7 @@ class TestBuildFormatAndMemoryPlane:
         assert rc == 0
         report = json.loads(captured.out)
         assert report["identical"] is True
-        assert report["jobs"] == 2
-        assert "memory" not in report and "pool" not in report
+        assert {"jobs", "memory", "pool"}.isdisjoint(report)
         assert set(report["phases"]) >= {"plan_seconds",
                                          "shard_answer_seconds",
                                          "finish_seconds", "ipc_seconds"}
@@ -383,7 +414,8 @@ class TestBuildFormatAndMemoryPlane:
     @pytest.mark.parametrize("argv", [
         ["--pool", "thread"],      # not an option
         ["--memory", "shared"],    # not a choice
-    ], ids=["pool", "shared"])
+        ["--jobs", "2"],           # the engine decides how a batch runs
+    ], ids=["pool", "shared", "jobs"])
     @pytest.mark.parametrize("command", ["serve", "serve-bench"])
     def test_deleted_flags_are_usage_errors(self, sketch_file, command,
                                             argv, capsys):
@@ -408,7 +440,7 @@ class TestBuildFormatAndMemoryPlane:
     def test_serve_bench_on_binary_index(self, binary_index_file, memory,
                                          capsys):
         rc = main(["serve-bench", str(binary_index_file), "--queries",
-                   "150", "--repeats", "1", "--jobs", "2",
+                   "150", "--repeats", "1",
                    "--memory", memory, "--scheme", "tz"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)

@@ -65,7 +65,7 @@ RETIRED_KINDS = (4, 5)
 def fuzz_server():
     g = assign_uniform_weights(erdos_renyi(16, seed=21), seed=22)
     built = build_sketches(g, scheme="stretch3", seed=5, eps=0.5)
-    server = OracleServer(built, jobs=1, cache_size=0)
+    server = OracleServer(built, cache_size=0)
     host, port = server.serve("127.0.0.1:0", block=False)
     yield server, (host, port), g
     server.close()

@@ -69,7 +69,7 @@ class TestPipelining:
     def test_stream_keeps_requests_in_flight(self, graph, built):
         pairs = sample_query_pairs(graph.n, 240, seed=3)
         chunks = [pairs[lo:lo + 30] for lo in range(0, 240, 30)]
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 want = [client.dist_many(c) for c in chunks]
@@ -90,7 +90,7 @@ class TestPipelining:
         timing_gate("dist_stream overlap")
         pairs = sample_query_pairs(graph.n, 240, seed=3)
         chunks = [pairs[lo:lo + 30] for lo in range(0, 240, 30)]
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 list(client.dist_stream(chunks))
@@ -100,22 +100,13 @@ class TestPipelining:
         finally:
             server.close()
 
-    def test_depth_one_disables_overlap(self, graph, built):
-        pairs = sample_query_pairs(graph.n, 60, seed=4)
-        chunks = [pairs[lo:lo + 20] for lo in range(0, 60, 20)]
-        server, addr = _serve(built, jobs=1)
-        try:
-            with connect(addr, pipeline_depth=1) as client:
-                list(client.dist_stream(chunks))
-                stats = client.pipeline_stats()
-            assert stats["max_inflight"] == 1
-            assert stats["overlap_seconds"] == 0.0
-        finally:
-            server.close()
-
     def test_local_transports_reject_pipeline_depth(self, built):
-        with pytest.raises(ConfigError, match="pipeline_depth"):
+        """The window is the transport's own constant: no session kind
+        takes a ``pipeline_depth``."""
+        with pytest.raises(TypeError, match="pipeline_depth"):
             connect("inproc://", built, pipeline_depth=2)
+        with pytest.raises(TypeError, match="pipeline_depth"):
+            connect("tcp://127.0.0.1:9", pipeline_depth=2)
 
     def test_local_sessions_have_no_pipeline_stats(self, built):
         with connect("inproc://", built) as client:
@@ -134,7 +125,7 @@ class TestPipelining:
         pairs = rng.integers(0, graph.n, size=(batch * batches, 2))
         chunks = [pairs[lo:lo + batch]
                   for lo in range(0, batch * batches, batch)]
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         done: list = []
 
         def run() -> None:
@@ -159,7 +150,7 @@ class TestPipelining:
 # ----------------------------------------------------------------------
 class TestStatsAndPinning:
     def test_empty_stream_records_nothing(self, built):
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 client.pipeline_stats(reset=True)
@@ -174,7 +165,7 @@ class TestStatsAndPinning:
 
     def test_single_batch_stream(self, graph, built):
         pairs = sample_query_pairs(graph.n, 15, seed=14)
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 want = client.dist_many(pairs)
@@ -196,7 +187,7 @@ class TestStatsAndPinning:
         across interleaved ``apply_updates`` calls on the same
         session."""
         upd = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
-        server, addr = _serve(upd, jobs=1)
+        server, addr = _serve(upd)
         try:
             with connect(addr) as client:
                 pairs = sample_query_pairs(graph.n, 12, seed=15)
@@ -229,7 +220,7 @@ class TestStatsAndPinning:
             assert client.last_result_epoch == report.epoch > e0
 
     def test_staleness_stats_surface_and_reset(self, graph, built):
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 pairs = sample_query_pairs(graph.n, 10, seed=17)
@@ -251,7 +242,7 @@ class TestStatsAndPinning:
         next request's accounting."""
         pairs = sample_query_pairs(graph.n, 120, seed=18)
         chunks = [pairs[lo:lo + 20] for lo in range(0, 120, 20)]
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr) as client:
                 client.pipeline_stats(reset=True)
@@ -276,7 +267,7 @@ class TestStatsAndPinning:
 # ----------------------------------------------------------------------
 class TestSessionRobustness:
     def test_connect_timeout_cleared_after_hello(self, built):
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         try:
             with connect(addr, timeout=5.0) as client:
                 assert client._transport._sock.gettimeout() is None
@@ -284,7 +275,7 @@ class TestSessionRobustness:
             server.close()
 
     def test_dead_after_server_gone(self, graph, built):
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         client = connect(addr)
         try:
             pairs = sample_query_pairs(graph.n, 10, seed=8)
@@ -375,7 +366,7 @@ class TestCleanShutdown:
                 if t.name.startswith(("oracle-io", "oracle-handler"))]
 
     def test_close_joins_serving_threads(self, graph, built):
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         with connect(addr) as client:
             client.dist_many(sample_query_pairs(graph.n, 10, seed=9))
             assert self._serving_threads()  # the loop is alive mid-serve
@@ -387,7 +378,7 @@ class TestCleanShutdown:
         assert self._serving_threads() == []
 
     def test_close_is_idempotent(self, built):
-        server, _ = _serve(built, jobs=1)
+        server, _ = _serve(built)
         server.close()
         server.close()
 
@@ -414,7 +405,7 @@ class TestConcurrentSessions:
             stores[report.epoch] = twin.index
 
         upd = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
-        server, addr = _serve(upd, jobs=1)
+        server, addr = _serve(upd)
         errors: list = []
         served_epochs: list = []  # one per consumed batch, all readers
         start = threading.Barrier(readers + 1)
@@ -494,7 +485,7 @@ class TestConcurrentSessions:
     def test_many_sessions_one_handler_pool(self, graph, built):
         # more sessions than handler threads: the event loop multiplexes
         # them all, and every session gets its own right answers
-        server, addr = _serve(built, jobs=1)
+        server, addr = _serve(built)
         sessions = 6
         pairs = sample_query_pairs(graph.n, 50, seed=21)
         errors: list = []

@@ -29,6 +29,7 @@ from repro.service import (
     sample_query_pairs,
 )
 from repro.service.buffers import tree_to_bytes
+from repro.service.engine import RANGE_PAIRS
 from repro.tz import build_tz_sketches_centralized
 
 SCHEMES = ["tz", "stretch3", "cdg", "graceful"]
@@ -150,58 +151,66 @@ class TestServerMemoryModes:
     @pytest.mark.parametrize("memory", ["mmap", "bytes"])
     def test_in_process_non_heap_serving(self, built_sets, scheme, memory,
                                          tmp_path):
-        """jobs=1 over a loaded container serves the bytes it was
+        """An engine over a loaded container serves the bytes it was
         loaded over."""
         index = build_index(built_sets[scheme], num_shards=2)
         pairs = sample_query_pairs(index.n, 150, seed=7)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
         store = _rpix_store(index, tmp_path, memory)
-        with QueryEngine(store, cache_size=0, jobs=1) as engine:
+        with QueryEngine(store, cache_size=0) as engine:
             assert engine.index is store  # served as given, never re-packed
             got = engine.dist_many(pairs)
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("memory", BACKINGS)
-    def test_worker_pool_identity(self, built_sets, memory, tmp_path):
-        """4 pool threads over either load mode produce the jobs=1
-        bytes, across repeated batches."""
+    def test_worker_pool_identity(self, built_sets, memory, tmp_path,
+                                  cpus):
+        """A batch cut into 4 pair ranges over either load mode produces
+        the in-thread bytes, across repeated batches."""
+        cpus(4)
         index = build_index(built_sets["tz"], num_shards=4)
-        pairs = sample_query_pairs(index.n, 400, seed=9)
+        pairs = sample_query_pairs(index.n, 4 * RANGE_PAIRS, seed=9)
         want = index.estimate_many(pairs[:, 0], pairs[:, 1])
         with QueryEngine(_rpix_store(index, tmp_path, memory),
-                         cache_size=0, jobs=4) as engine:
+                         cache_size=0) as engine:
             first = engine.dist_many(pairs)
             again = engine.dist_many(pairs)
             small = engine.dist_many(pairs[:7])
-        assert first.tolist() == want.tolist()
-        assert again.tolist() == want.tolist()
-        assert small.tolist() == want[:7].tolist()
+        assert first.tobytes() == want.tobytes()
+        assert again.tobytes() == want.tobytes()
+        assert small.tobytes() == want[:7].tobytes()
 
-    def test_worker_pool_query_error_parity(self, tmp_path):
+    def test_worker_pool_query_error_parity(self, tmp_path, cpus):
+        cpus(2)
         g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 2.0)])
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=1)
         store = _rpix_store(build_index(sketches, num_shards=2), tmp_path,
                             "mmap")
-        with QueryEngine(store, cache_size=0, jobs=2) as engine:
+        good = np.tile([[2, 4]], (2 * RANGE_PAIRS, 1))
+        bad = good.copy()
+        bad[-1] = (0, 4)
+        with QueryEngine(store, cache_size=0) as engine:
             with pytest.raises(QueryError):
-                engine.dist_many([(0, 4)])
+                engine.dist_many(bad)
             # the pool survives the error and keeps serving
-            assert engine.dist_many([(2, 4)]).tolist() == [2.0]
+            assert set(engine.dist_many(good).tolist()) == {2.0}
 
-    def test_engine_memory_modes_identical(self, built_sets, tmp_path):
+    def test_engine_memory_modes_identical(self, built_sets, tmp_path,
+                                           cpus):
+        cpus(2)
         sketches = built_sets["stretch3"]
-        pairs = sample_query_pairs(len(sketches), 200, seed=3)
+        pairs = sample_query_pairs(len(sketches), 2 * RANGE_PAIRS, seed=3)
         with connect("inproc://cache=0", sketches) as base:
             want = base.dist_many(pairs)
         index = build_index(sketches, num_shards=3)
         for memory in BACKINGS:
-            with connect("inproc://jobs=2;cache=0",
+            with connect("inproc://cache=0",
                          _rpix_store(index, tmp_path, memory)) as session:
-                assert session.dist_many(pairs).tolist() == want.tolist()
+                assert session.dist_many(pairs).tobytes() == want.tobytes()
 
     def test_phase_timings_accumulate_and_reset(self, built_sets):
         index = build_index(built_sets["tz"], num_shards=2)
-        with QueryEngine(index, cache_size=0, jobs=1) as engine:
+        with QueryEngine(index, cache_size=0) as engine:
             engine.dist_many(sample_query_pairs(index.n, 100, seed=1))
             t = engine.phase_timings()
             assert t["batches"] == 1

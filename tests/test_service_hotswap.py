@@ -2,11 +2,13 @@
 
 The contract: a batch issued mid-update completes against **exactly one
 epoch** — it either sees the whole old index or the whole new one, never
-a torn mix — for in-thread serving (``jobs=1``) and pool threads
-(``jobs=4``).  An epoch is a store: the engine's one thread pool serves
-every epoch, so at no moment — mid-swap included — are more than
-``jobs`` of its threads alive, a batch submitted before a swap is still
-answered with the old epoch's bytes, and ``close()`` leaves none.
+a torn mix — for batches answered in the calling thread and bulk
+batches cut into pair ranges on the engine's pool (the CPU count
+substituted through the ``cpus`` fixture).  An epoch is a store: the
+engine's one thread pool serves every epoch, so at no moment — mid-swap
+included — are more than ``cpus`` of its threads alive, a batch
+submitted before a swap is still answered with the old epoch's bytes,
+and ``close()`` leaves none.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from repro.errors import ConfigError
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, UpdateableIndex, connect,
                            sample_query_pairs, sample_weight_changes)
-from repro.service.engine import THREAD_POOL_PREFIX
+from repro.service.engine import RANGE_PAIRS, THREAD_POOL_PREFIX
 
 EPOCHS = 3
+
+#: the smallest batch the engine cuts (into 2 ranges)
+BULK = 2 * RANGE_PAIRS
 
 
 def _engine_of(session):
@@ -40,7 +45,7 @@ def _pool_threads() -> int:
 
 @contextmanager
 def pool_thread_peak():
-    """Sample the live ``repro-shard*`` thread count for as long as the
+    """Sample the live pool thread count for as long as the
     block runs — every half millisecond, so mid-swap too — and yield a
     one-item list holding the most seen at any sample point."""
     peak, done = [0], threading.Event()
@@ -81,11 +86,12 @@ def _epoch_references(updateable, pairs):
     return refs, batches
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs,
+@pytest.mark.parametrize("ncpu", [1, 4])
+def test_batch_mid_update_sees_exactly_one_epoch(updateable, ncpu, cpus,
                                                  serving_leftovers):
+    cpus(ncpu)
     g = updateable.graph.copy()
-    pairs = sample_query_pairs(g.n, 400, seed=3)
+    pairs = sample_query_pairs(g.n, BULK, seed=3)
     # replay on a twin to learn each epoch's expected answers up front
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
                            rebuild_threshold=1.0)
@@ -93,7 +99,7 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs,
     ref_bytes = {r.tobytes() for r in refs}
     assert len(ref_bytes) == EPOCHS + 1  # every epoch answers differently
 
-    session = connect(f"inproc://jobs={jobs};cache=0", updateable)
+    session = connect("inproc://cache=0", updateable)
     results: list[bytes] = []
     stop = threading.Event()
     failures: list[Exception] = []
@@ -127,10 +133,10 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs,
         assert session.epoch == EPOCHS
         assert session.dist_many(pairs).tobytes() == refs[-1].tobytes()
         assert _engine_of(session).index is updateable.index
-        # one pool served every epoch: never more than ``jobs`` of its
+        # one pool served every epoch: never more than ``cpus`` of its
         # threads at any sample point, swaps included
-        assert peak[0] <= (jobs if jobs > 1 else 0)
-        assert (peak[0] > 0) == (jobs > 1)
+        assert peak[0] <= (ncpu if ncpu > 1 else 0)
+        assert (peak[0] > 0) == (ncpu > 1)
     finally:
         stop.set()
         session.close()
@@ -138,23 +144,24 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, jobs,
 
 
 def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
-        updateable, serving_leftovers):
-    """``jobs=4`` epoch swaps are torn-read-free per batch: every chunk
-    of a concurrent ``dist_stream`` is wholly one epoch's answer (the
-    epoch current when that chunk was submitted — a stream is not
-    pinned as a whole), on never more than four ``repro-shard``
-    threads, none of which outlives the session."""
+        updateable, cpus, serving_leftovers):
+    """Epoch swaps under cut batches are torn-read-free per batch: every
+    chunk of a concurrent ``dist_stream`` is wholly one epoch's answer
+    (the epoch current when that chunk was submitted — a stream is not
+    pinned as a whole), on never more than four pool threads, none of
+    which outlives the session."""
+    cpus(4)
     g = updateable.graph.copy()
-    pairs = sample_query_pairs(g.n, 400, seed=3)
+    pairs = sample_query_pairs(g.n, 3 * BULK, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
                            rebuild_threshold=1.0)
     refs, batches = _epoch_references(twin, pairs)
-    bounds = [(lo, lo + 100) for lo in range(0, 400, 100)]
+    bounds = [(lo, lo + BULK) for lo in range(0, 3 * BULK, BULK)]
     # per chunk: the bytes each epoch answers it with, all distinct
     ref_slices = [{r[lo:hi].tobytes() for r in refs} for lo, hi in bounds]
     assert all(len(slices) == EPOCHS + 1 for slices in ref_slices)
 
-    session = connect("inproc://jobs=4;cache=0", updateable)
+    session = connect("inproc://cache=0", updateable)
     chunks = [pairs[lo:hi] for lo, hi in bounds]
     streams = 0
     stop = threading.Event()
@@ -193,29 +200,30 @@ def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
 
 
 def test_suspended_stream_does_not_keep_a_retired_executor_alive(
-        updateable, serving_leftovers):
+        updateable, cpus, serving_leftovers):
     """A stream left suspended with a batch in flight pins nothing — no
     second pool exists for it to keep alive — and does not hold the
     swap up; the in-flight batch is still collected — its ticket holds
     the old store — as the old epoch's answer."""
+    cpus(4)
     g = updateable.graph.copy()
-    pairs = sample_query_pairs(g.n, 300, seed=3)
+    pairs = sample_query_pairs(g.n, 3 * BULK, seed=3)
     twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
                            rebuild_threshold=1.0)
     refs, batches = _epoch_references(twin, pairs)
-    chunks = [pairs[lo:lo + 100] for lo in range(0, 300, 100)]
-    with connect("inproc://jobs=4;cache=0", updateable) as session:
+    chunks = [pairs[lo:lo + BULK] for lo in range(0, 3 * BULK, BULK)]
+    with connect("inproc://cache=0", updateable) as session:
         engine = _engine_of(session)
         old_store = engine.index
         stream = session.dist_stream(iter(chunks))
-        assert next(stream).tobytes() == refs[0][:100].tobytes()
+        assert next(stream).tobytes() == refs[0][:BULK].tobytes()
         # suspended: chunk 1 is submitted to epoch 0 and uncollected
         session.apply_updates(batches[0])
         assert engine.index is updateable.index is not old_store
         assert 0 < _pool_threads() <= 4  # the same pool, still up
-        assert next(stream).tobytes() == refs[0][100:200].tobytes()
+        assert next(stream).tobytes() == refs[0][BULK:2 * BULK].tobytes()
         assert session.last_result_epoch == 0 and session.epoch == 1
-        assert next(stream).tobytes() == refs[1][200:].tobytes()
+        assert next(stream).tobytes() == refs[1][2 * BULK:].tobytes()
         assert session.last_result_epoch == 1
     assert serving_leftovers() == []
 
@@ -320,14 +328,17 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
         server.close()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_phase_timings_accumulate_across_swaps(updateable, jobs):
+@pytest.mark.parametrize("ncpu", [1, 2])
+def test_phase_timings_accumulate_across_swaps(updateable, ncpu, cpus):
     """``stats()["phases"]`` is cumulative over the session: a hot swap
     installs a new store, and batches on it keep adding to the engine's
     one set of counters — no counter ever steps back, whichever epoch
     ran the batch — and ``reset_phase_timings`` still zeroes it."""
-    pairs = sample_query_pairs(updateable.graph.n, 64, seed=3)
-    with connect(f"inproc://jobs={jobs};cache=0", updateable) as session:
+    cpus(ncpu)
+    # in-thread batches on one CPU, cut ones on two
+    pairs = sample_query_pairs(updateable.graph.n,
+                               64 if ncpu == 1 else BULK, seed=3)
+    with connect("inproc://cache=0", updateable) as session:
         seen = [session.stats()["phases"]]
         for i in range(EPOCHS):
             for _ in range(5):

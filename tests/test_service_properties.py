@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.errors import QueryError
 from repro.graphs import Graph, apsp
 from repro.service import QueryEngine, TZIndex, build_index
+from repro.service.engine import RANGE_PAIRS
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 
 COMMON = dict(deadline=None,
@@ -259,11 +260,10 @@ class TestSlackSchemesBatchedEqualsSingle:
     @settings(max_examples=6, **COMMON)
     @given(g=connected_graphs(max_n=10),
            seed=st.integers(min_value=0, max_value=10**6),
-           jobs=st.sampled_from([1, 4]))
-    def test_shard_server_jobs_never_change_answers(self, g, seed, jobs):
-        # in-process decomposition across jobs values; the real-pool
-        # equality lives in test_service_workers.py (a pool per hypothesis
-        # example would dominate the runtime)
+           ncpu=st.sampled_from([1, 4]))
+    def test_shard_server_jobs_never_change_answers(self, g, seed, ncpu):
+        # every ordered pair, tiled to a batch the engine cuts into
+        # ``ncpu`` ranges (in-thread at one CPU): the same bytes
         from repro import build_sketches
         from repro.service import QueryEngine, build_index
 
@@ -271,9 +271,14 @@ class TestSlackSchemesBatchedEqualsSingle:
         us, vs = _all_ordered_pairs(g.n)
         index = build_index(built.sketches, num_shards=4)
         base = index.estimate_many(us, vs)
-        with QueryEngine(index, cache_size=0, jobs=jobs) as engine:
-            assert engine.dist_many(np.stack([us, vs], axis=1)).tolist() \
-                == base.tolist()
+        q = 4 * RANGE_PAIRS
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.service.engine.usable_cpus", lambda: ncpu)
+            engine = QueryEngine(index, cache_size=0)
+        with engine:
+            got = engine.dist_many(np.resize(np.stack([us, vs], axis=1),
+                                             (q, 2)))
+        assert got.tobytes() == np.resize(base, q).tobytes()
 
 
 class TestQueryErrorParityDisconnected:
@@ -354,12 +359,19 @@ class TestQueryErrorParityDisconnected:
         net = DensityNet(eps=0.5, n=g.n, members=(0, 2))
         sketches, _ = build_stretch3_centralized(g, 0.5, net=net)
         idx = Stretch3Index(sketches, num_shards=2)
-        with QueryEngine(idx, cache_size=0, jobs=2) as engine:
-            ok = np.array([2, 3]), np.array([4, 2])
-            assert engine.dist_many(np.stack(ok, axis=1)).tolist() == \
-                idx.estimate_many(*ok).tolist()
-            with pytest.raises(QueryError):
-                engine.dist_many([(1, 3)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.service.engine.usable_cpus", lambda: 2)
+            engine = QueryEngine(idx, cache_size=0)
+        # bulk batches, cut into two ranges
+        ok = np.tile([[2, 4], [3, 2]], (RANGE_PAIRS, 1))
+        bad = ok.copy()
+        bad[-1] = (1, 3)
+        with engine:
+            assert engine.dist_many(ok).tobytes() == \
+                idx.estimate_many(ok[:, 0], ok[:, 1]).tobytes()
+            with pytest.raises(QueryError) as err:
+                engine.dist_many(bad)
+            assert err.value.row == len(bad) - 1
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Four claim families:
 
 * **endpoint grammar** — ``parse_endpoint`` accepts exactly the
-  documented ``inproc://jobs=4;cache=0`` /
+  documented ``inproc://cache=0`` /
   ``tcp://host:port`` forms and fails loudly on everything else — the
   deleted ``proc://`` transport and ``pool=`` / ``memory=`` /
-  ``shards=`` options included, at ``connect()`` time, before any index
-  is built;
+  ``shards=`` / ``jobs=`` options included, at ``connect()`` time,
+  before any index is built;
 * **transport equivalence** — for every scheme, ``dist_many`` through
-  ``inproc`` (in-thread and shard-thread) and tcp-loopback sessions is
-  bit-identical to
+  ``inproc`` and tcp-loopback sessions — a bulk batch cut into pair
+  ranges included — is bit-identical to
   the single-pair reference loop, including :class:`QueryError` parity
   on disconnected graphs, and post-``apply_updates`` epochs answer
   bit-identically to an inline twin applying the same changes;
@@ -43,6 +43,7 @@ from repro.service import (OracleServer, UpdateableIndex, connect,
                            parse_endpoint, sample_query_pairs,
                            sample_weight_changes)
 from repro.service.buffers import tree_from_bytes, tree_to_bytes
+from repro.service.engine import RANGE_PAIRS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -54,9 +55,12 @@ SCHEME_PARAMS = {
     "graceful": {},
 }
 
-#: the topologies every scheme must serve identically — in-thread, the
-#: GIL-releasing shard threads, and tcp-loopback
-TRANSPORT_SPECS = ("inproc://", "inproc://jobs=2", "tcp")
+#: the topologies every scheme must serve identically — in-process and
+#: tcp-loopback
+TRANSPORT_SPECS = ("inproc://", "tcp")
+
+#: the smallest batch an engine cuts (into 2 ranges)
+BULK = 2 * RANGE_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +85,7 @@ def session(spec: str, source):
         finally:
             client.close()
         return
-    with OracleServer(source, jobs=1, cache_size=0) as server:
+    with OracleServer(source, cache_size=0) as server:
         host, port = server.serve("127.0.0.1:0", block=False)
         client = connect(f"tcp://{host}:{port}")
         try:
@@ -99,10 +103,10 @@ class TestEndpointGrammar:
         assert ep.transport == "inproc" and ep.options == {}
 
     def test_inproc_options_round_trip(self):
-        ep = parse_endpoint("inproc://jobs=4;cache=0")
+        ep = parse_endpoint("inproc://cache=0")
         assert ep.transport == "inproc"
-        assert ep.options == {"jobs": 4, "cache": 0}
-        assert ep.describe() == "inproc://cache=0;jobs=4"
+        assert ep.options == {"cache": 0}
+        assert ep.describe() == "inproc://cache=0"
         assert parse_endpoint(ep.describe()) == ep
 
     def test_tcp_host_port(self):
@@ -131,9 +135,10 @@ class TestEndpointGrammar:
 
     @pytest.mark.parametrize("spec", [
         "proc://jobs=2",               # not a transport, and no alias
-        "inproc://pool=thread",        # not options: jobs > 1 means
-        "inproc://memory=mmap",        # threads, loading picks the backing
+        "inproc://pool=thread",        # not options: the engine cuts
+        "inproc://memory=mmap",        # batches, loading picks the backing
         "inproc://shards=4",           # a layout parameter, not a session option
+        "inproc://jobs=2",             # the engine decides how a batch runs
         "inproc://jobs=0",
         "inproc://jobs=x",
     ])
@@ -153,8 +158,10 @@ class TestEndpointGrammar:
             connect("tcp://127.0.0.1:1", builds["tz"])
 
     def test_connect_rejects_zero_jobs(self, builds):
-        # jobs=0 must fail at connect time, not silently become 1
-        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        # jobs is no option at all: it fails at connect time, and the
+        # error names the one option an inproc spec takes
+        with pytest.raises(ConfigError,
+                           match="does not take option 'jobs'.*cache"):
             connect("inproc://jobs=0", builds["tz"])
 
 
@@ -164,12 +171,18 @@ class TestEndpointGrammar:
 class TestTransportEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_PARAMS))
     def test_dist_many_bit_identical_everywhere(self, graph, builds,
-                                                scheme):
+                                                scheme, cpus):
+        cpus(2)
         built = builds[scheme]
         pairs = sample_query_pairs(graph.n, 300, seed=5)
         ref = np.asarray([built.query(int(u), int(v)) for u, v in pairs])
+        # the 300 pairs repeated: a bulk batch of known answers
+        bulk, bulk_ref = np.resize(pairs, (BULK, 2)), np.resize(ref, BULK)
         for spec in TRANSPORT_SPECS:
             with session(spec, built) as client:
+                # a bulk batch, cut into two pair ranges server-side
+                assert client.dist_many(bulk).tobytes() == \
+                    bulk_ref.tobytes(), spec
                 assert client.n == graph.n and client.scheme == scheme
                 got = client.dist_many(pairs)
                 assert got.tolist() == ref.tolist(), spec  # exact floats
@@ -183,7 +196,7 @@ class TestTransportEquivalence:
         params = SCHEME_PARAMS[scheme]
         changes = sample_weight_changes(graph, 3, seed=77, low=0.2,
                                         high=0.6)
-        # the heap/jobs=1 reference: an inline twin applying the same
+        # the in-thread reference: an inline twin applying the same
         # batch (UpdateableIndex is deterministic in (graph, seed))
         twin = UpdateableIndex(graph, scheme=scheme, seed=9, **params)
         twin_report = twin.apply(changes)
@@ -220,21 +233,19 @@ class TestTransportEquivalence:
                 assert client.dist_many(ok).tolist() == want, spec
 
     def test_stats_report_the_execution_plane(self, builds):
-        # one plane: ``jobs`` says it all, whatever the shard count — a
-        # sketch source is indexed with one shard, a pre-built store
-        # keeps its own
-        with session("inproc://jobs=2", builds["tz"]) as client:
+        # how a batch runs is the engine's decision, so no stats key
+        # names it; a sketch source is indexed with one shard, a
+        # pre-built store keeps its own
+        with session("inproc://", builds["tz"]) as client:
             stats = client.stats()
-            assert stats["jobs"] == 2 and stats["shards"] == 1
-            assert "pool" not in stats and "memory" not in stats
+            assert stats["shards"] == 1
+            assert {"jobs", "pool", "memory"}.isdisjoint(stats)
         from repro.service import build_index
 
         index = build_index(builds["tz"].sketches, num_shards=2)
-        with session("inproc://jobs=4", index) as client:
+        with session("inproc://", index) as client:
             stats = client.stats()
-            assert stats["jobs"] == 4 and stats["shards"] == 2
-        with session("inproc://", builds["tz"]) as client:
-            assert client.stats()["jobs"] == 1
+            assert stats["shards"] == 2 and "jobs" not in stats
 
     def test_static_session_rejects_updates(self, builds):
         from repro.service import EdgeChange
@@ -252,7 +263,7 @@ class TestTransportEquivalence:
 class TestTcpProtocol:
     def test_epoch_bump_pushes_to_other_clients(self, graph):
         upd = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
-        with OracleServer(upd, jobs=1, cache_size=0) as server:
+        with OracleServer(upd, cache_size=0) as server:
             host, port = server.serve("127.0.0.1:0", block=False)
             with connect(f"tcp://{host}:{port}") as writer, \
                     connect(f"tcp://{host}:{port}") as watcher:
@@ -422,9 +433,10 @@ class TestLiveServeProcess:
 
     def test_mmap_rpix_with_shard_threads_over_live_tcp(self, served_files,
                                                         builds):
-        """``serve idx.rpix --memory mmap --jobs 2``: the container is
-        opened memory-mapped, two threads probe its shards, and the
-        bytes equal an inproc session's."""
+        """``serve idx.rpix --memory mmap``: the container is opened
+        memory-mapped, and the bytes equal an inproc session's — for a
+        bulk batch too, which the daemon cuts into pair ranges on a
+        host with two CPUs or more."""
         from repro.oracle.serialization import save_index_binary
         from repro.service import build_index
 
@@ -433,15 +445,18 @@ class TestLiveServeProcess:
                           str(served_files / "s3.rpix"))
         proc, host, port = _spawn_server(
             served_files, ["s3.rpix", "--port", "0", "--memory", "mmap",
-                           "--jobs", "2", "--cache-size", "0"])
+                           "--cache-size", "0"])
         try:
             pairs = sample_query_pairs(built.graph.n, 200, seed=3)
+            bulk = sample_query_pairs(built.graph.n, BULK, seed=4)
             with connect(f"tcp://{host}:{port}") as remote, \
                     connect("inproc://cache=0", built) as local:
                 stats = remote.stats()
-                assert (stats["jobs"], stats["shards"]) == (2, 2)
+                assert stats["shards"] == 2 and "jobs" not in stats
                 assert remote.dist_many(pairs).tolist() == \
                     local.dist_many(pairs).tolist()
+                assert remote.dist_many(bulk).tobytes() == \
+                    local.dist_many(bulk).tobytes()
         finally:
             proc.kill()
             proc.wait()

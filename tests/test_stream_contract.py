@@ -3,7 +3,8 @@
 One bounded in-order window (``repro.service.session.stream_window``)
 runs every stream, over a per-kind submit/collect pair; this suite
 states what a caller may rely on and runs it against an in-thread
-``inproc://`` session, a threaded one and a ``tcp://`` session:
+``inproc://`` session, one whose bulk batches are cut into pair ranges
+on the engine's pool and a ``tcp://`` session:
 
 * answers equal per-batch ``dist_many``, in order;
 * an empty batch yields an empty array and costs no request;
@@ -27,13 +28,19 @@ from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.service import (OracleServer, PipelineStats, UpdateableIndex,
                            connect, sample_query_pairs,
                            sample_weight_changes)
+from repro.service.client import PIPELINE_DEPTH
+from repro.service.engine import RANGE_PAIRS, STREAM_DEPTH
 from repro.service.session import MAX_SAMPLES, stream_window
 
 KINDS = ["inproc", "threads", "tcp"]
 SHARDS = 2
-#: the window each kind runs: double buffering locally, the
-#: ``pipeline_depth`` given to connect() remotely
-DEPTH = {"inproc": 2, "threads": 2, "tcp": 3}
+#: the window each kind runs: double buffering locally, the tcp
+#: transport's fixed window remotely
+DEPTH = {"inproc": STREAM_DEPTH, "threads": STREAM_DEPTH,
+         "tcp": PIPELINE_DEPTH}
+#: pairs per batch: ``threads`` streams the smallest batch the engine
+#: cuts (on two CPUs, into two ranges)
+SIZE = {"inproc": 25, "threads": 2 * RANGE_PAIRS, "tcp": 25}
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +61,20 @@ def open_session(kind: str, graph):
         with connect("inproc://cache=0", _updateable(graph)) as session:
             yield session
     elif kind == "threads":
-        with connect("inproc://jobs=2;cache=0",
-                     _updateable(graph)) as session:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.service.engine.usable_cpus", lambda: 2)
+            session = connect("inproc://cache=0", _updateable(graph))
+        with session:
             yield session
     else:
         with OracleServer(_updateable(graph), cache_size=0) as server:
             host, port = server.serve("127.0.0.1:0", block=False)
-            with connect(f"tcp://{host}:{port}",
-                         pipeline_depth=DEPTH[kind]) as session:
+            with connect(f"tcp://{host}:{port}") as session:
                 yield session
 
 
-def _chunks(graph, count: int, size: int = 25, seed: int = 3):
+def _chunks(kind: str, graph, count: int, seed: int = 3):
+    size = SIZE[kind]
     pairs = sample_query_pairs(graph.n, count * size, seed=seed)
     return [pairs[i * size:(i + 1) * size] for i in range(count)]
 
@@ -83,10 +92,12 @@ def _requests(session) -> int:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", KINDS)
 def test_stream_equals_per_batch_dist_many_in_order(kind, graph):
-    chunks = _chunks(graph, 6)
+    chunks = _chunks(kind, graph, 6)
     with open_session(kind, graph) as session:
         want = [session.dist_many(c) for c in chunks]
         got = list(session.dist_stream(chunks))
+        if kind == "threads":  # the kind really cuts its batches
+            assert session.stats()["phases"]["overlap_seconds"] > 0.0
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == np.float64
@@ -95,7 +106,7 @@ def test_stream_equals_per_batch_dist_many_in_order(kind, graph):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_empty_batches_cost_no_request(kind, graph):
-    a, b = _chunks(graph, 2)
+    a, b = _chunks(kind, graph, 2)
     with open_session(kind, graph) as session:
         want = session.dist_many(np.concatenate([a, b]))
         before = _requests(session)
@@ -109,7 +120,7 @@ def test_empty_batches_cost_no_request(kind, graph):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_batches_are_pulled_only_as_slots_free_up(kind, graph):
-    chunks = _chunks(graph, 9)
+    chunks = _chunks(kind, graph, 9)
     pulled = 0
 
     def feed():
@@ -136,7 +147,7 @@ def test_batches_are_pulled_only_as_slots_free_up(kind, graph):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_closing_early_drains_and_keeps_the_session_aligned(kind, graph):
-    chunks = _chunks(graph, 6)
+    chunks = _chunks(kind, graph, 6)
     with open_session(kind, graph) as session:
         want = [session.dist_many(c) for c in chunks]
         stream = session.dist_stream(iter(chunks))
@@ -151,7 +162,7 @@ def test_closing_early_drains_and_keeps_the_session_aligned(kind, graph):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_error_surfaces_at_its_own_batch(kind, graph):
-    good = _chunks(graph, 1)[0]
+    good = _chunks(kind, graph, 1)[0]
     bad = np.array([[0, graph.n]])  # id out of range
     with open_session(kind, graph) as session:
         want = session.dist_many(good)
@@ -172,7 +183,7 @@ def test_an_error_surfaces_at_its_own_batch(kind, graph):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_mid_stream_swap_never_tears_a_batch(kind, graph):
-    chunks = _chunks(graph, 8)
+    chunks = _chunks(kind, graph, 8)
     changes = sample_weight_changes(graph, 3, seed=900, low=0.1, high=0.4)
     twin = _updateable(graph)
     refs = [[twin.index.estimate_many(c[:, 0], c[:, 1]) for c in chunks]]
