@@ -27,40 +27,32 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng
 
 
+# node pairs per block of ER coin flips or geometric distances: each
+# temporary stays at 8 MB of float64, whatever n is
+_BLOCK = 1 << 20
+
+
 def _connect_components(g: Graph, rng: np.random.Generator, weight: float = 1.0) -> None:
     """Add minimal random edges to make ``g`` connected (used by random
-    generators so that every returned graph satisfies the paper's model)."""
-    # union-find over current edges
-    parent = list(range(g.n))
+    generators so that every returned graph satisfies the paper's model).
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for u, v, _ in g.edges():
-        union(u, v)
-    roots: dict[int, list[int]] = {}
-    for u in g.nodes():
-        roots.setdefault(find(u), []).append(u)
-    comps = list(roots.values())
+    Components are taken in order of their smallest node, each as its
+    ascending node list, and consecutive ones are joined by an edge
+    between a random node of each."""
+    _, labels = connected_components(g.to_csr(), directed=False)
+    comps = np.split(np.argsort(labels, kind="stable"),
+                     np.bincount(labels).cumsum()[:-1])
     for a, b in zip(comps, comps[1:]):
         u = int(rng.choice(a))
         v = int(rng.choice(b))
         g.add_edge(u, v, weight)
-        union(u, v)
 
 
 def erdos_renyi(n: int, p: Optional[float] = None, seed: SeedLike = None) -> Graph:
@@ -74,13 +66,21 @@ def erdos_renyi(n: int, p: Optional[float] = None, seed: SeedLike = None) -> Gra
         p = min(1.0, 2.0 * math.log(max(n, 2)) / max(n, 1))
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"p must be in [0,1], got {p}")
-    g = Graph(n)
+    hits = [np.empty(0, dtype=np.int64)]
+    pairs = n * (n - 1) // 2
     if n > 1 and p > 0:
-        # vectorized upper-triangle coin flips
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        for u, v in zip(iu[mask], ju[mask]):
-            g.add_edge(int(u), int(v), 1.0)
+        # one coin per pair (i, j), i < j, in row-major order, flipped
+        # a block at a time: the same stream as one flip per pair
+        flips = np.empty(min(_BLOCK, pairs))
+        for lo in range(0, pairs, _BLOCK):
+            block = rng.random(out=flips[:min(_BLOCK, pairs - lo)])
+            hits.append(np.flatnonzero(block < p) + lo)
+    k = np.concatenate(hits)
+    # row i's pairs start at flat index i*n - i*(i+1)/2
+    i = np.arange(n, dtype=np.int64)
+    starts = i * n - i * (i + 1) // 2
+    rows = np.searchsorted(starts, k, side="right") - 1
+    g = Graph.from_arrays(n, rows, k - starts[rows] + rows + 1, 1.0)
     _connect_components(g, rng)
     return g
 
@@ -120,51 +120,40 @@ def grid2d(rows: int, cols: int) -> Graph:
     """``rows x cols`` grid; node ``(r, c)`` has ID ``r*cols + c``."""
     if rows < 1 or cols < 1:
         raise GraphError("grid dimensions must be positive")
-    g = Graph(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(u, u + 1, 1.0)
-            if r + 1 < rows:
-                g.add_edge(u, u + cols, 1.0)
-    return g
+    ids = np.arange(rows * cols)
+    r, c = np.divmod(ids, cols)
+    # node by node: the edge to the right, then the edge down
+    u = np.repeat(ids, 2)
+    v = np.column_stack((ids + 1, ids + cols)).ravel()
+    keep = np.column_stack((c + 1 < cols, r + 1 < rows)).ravel()
+    return Graph.from_arrays(rows * cols, u[keep], v[keep], 1.0)
 
 
 def ring(n: int) -> Graph:
     """Cycle on ``n`` nodes (``n >= 3``)."""
     if n < 3:
         raise GraphError("ring needs n >= 3")
-    g = Graph(n)
-    for u in range(n):
-        g.add_edge(u, (u + 1) % n, 1.0)
-    return g
+    u = np.arange(n)
+    return Graph.from_arrays(n, u, (u + 1) % n, 1.0)
 
 
 def path_graph(n: int) -> Graph:
     """Simple path ``0 - 1 - ... - n-1``."""
-    g = Graph(n)
-    for u in range(n - 1):
-        g.add_edge(u, u + 1, 1.0)
-    return g
+    u = np.arange(n - 1)
+    return Graph.from_arrays(n, u, u + 1, 1.0)
 
 
 def complete_graph(n: int) -> Graph:
     """K_n with unit weights."""
-    g = Graph(n)
-    for u, v in itertools.combinations(range(n), 2):
-        g.add_edge(u, v, 1.0)
-    return g
+    return Graph.from_arrays(n, *np.triu_indices(n, k=1), 1.0)
 
 
 def tree_graph(n: int, branching: int = 2) -> Graph:
     """Complete ``branching``-ary tree on ``n`` nodes (BFS numbering)."""
     if branching < 1:
         raise GraphError("branching must be >= 1")
-    g = Graph(n)
-    for u in range(1, n):
-        g.add_edge(u, (u - 1) // branching, 1.0)
-    return g
+    u = np.arange(1, n)
+    return Graph.from_arrays(n, u, (u - 1) // branching, 1.0)
 
 
 def random_geometric(n: int, radius: Optional[float] = None, seed: SeedLike = None) -> Graph:
@@ -177,16 +166,21 @@ def random_geometric(n: int, radius: Optional[float] = None, seed: SeedLike = No
     rng = ensure_rng(seed)
     if radius is None:
         radius = math.sqrt(3.0 * math.log(max(n, 2)) / (math.pi * max(n, 1)))
+    if n < 1:
+        return Graph(n)
     pts = rng.random((n, 2))
-    g = Graph(n)
-    # vectorized pairwise distances (n is experiment-scale, <= a few thousand)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist[iu, ju] <= radius
-    for u, v in zip(iu[close], ju[close]):
-        w = max(1.0, math.ceil(1000.0 * dist[u, v]))
-        g.add_edge(int(u), int(v), w)
+    step = max(1, _BLOCK // n)
+    blocks = []
+    for lo in range(0, n, step):
+        # rows lo..hi-1 against columns lo..n-1; the pairs i < j are kept
+        hi = min(n, lo + step)
+        dx = pts[lo:hi, None, 0] - pts[None, lo:, 0]
+        dy = pts[lo:hi, None, 1] - pts[None, lo:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        i, j = np.nonzero(np.triu(dist <= radius, k=1))
+        blocks.append((i + lo, j + lo, dist[i, j]))
+    u, v, dist = (np.concatenate(c) for c in zip(*blocks))
+    g = Graph.from_arrays(n, u, v, np.maximum(1.0, np.ceil(1000.0 * dist)))
     _connect_components(g, rng, weight=max(1.0, math.ceil(1000.0 * radius)))
     return g
 
@@ -202,15 +196,13 @@ def caterpillar(spine: int, legs_per_node: int = 1, leg_weight: float = 1.0,
     if spine < 1:
         raise GraphError("spine must have >= 1 node")
     n = spine + spine * legs_per_node
-    g = Graph(n)
-    for u in range(spine - 1):
-        g.add_edge(u, u + 1, spine_weight)
-    nxt = spine
-    for u in range(spine):
-        for _ in range(legs_per_node):
-            g.add_edge(u, nxt, leg_weight)
-            nxt += 1
-    return g
+    per = max(0, legs_per_node)
+    u = np.concatenate((np.arange(spine - 1),
+                        np.repeat(np.arange(spine), per)))
+    v = np.concatenate((np.arange(1, spine),
+                        np.arange(spine, spine + spine * per)))
+    w = np.repeat([spine_weight, leg_weight], (spine - 1, spine * per))
+    return Graph.from_arrays(n, u, v, w)
 
 
 def star_path(n_path: int, heavy_weight: Optional[float] = None) -> Graph:
@@ -226,13 +218,13 @@ def star_path(n_path: int, heavy_weight: Optional[float] = None) -> Graph:
     if n_path < 2:
         raise GraphError("star_path needs n_path >= 2")
     hub = n_path
-    g = Graph(n_path + 1)
-    for u in range(n_path - 1):
-        g.add_edge(u, u + 1, 1.0)
     hw = float(n_path) if heavy_weight is None else heavy_weight
-    for u in range(n_path):
-        g.add_edge(u, hub, hw)
-    return g
+    path = np.arange(n_path)
+    return Graph.from_arrays(
+        n_path + 1,
+        np.concatenate((path[:-1], path)),
+        np.concatenate((path[1:], np.full(n_path, hub))),
+        np.repeat([1.0, hw], (n_path - 1, n_path)))
 
 
 def from_networkx(nxg) -> Graph:
@@ -243,7 +235,5 @@ def from_networkx(nxg) -> Graph:
     """
     nodes = sorted(nxg.nodes(), key=str)
     index = {v: i for i, v in enumerate(nodes)}
-    g = Graph(len(nodes))
-    for u, v, data in nxg.edges(data=True):
-        g.add_edge(index[u], index[v], float(data.get("weight", 1.0)))
-    return g
+    return Graph(len(nodes), ((index[u], index[v], float(data.get("weight", 1.0)))
+                              for u, v, data in nxg.edges(data=True)))

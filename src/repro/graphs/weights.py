@@ -10,7 +10,10 @@ weight distribution, not just the topology:
 * exponential-ish (heavy-tailed integer) weights — a few very cheap edges
   create long (many-hop) shortest paths, inflating ``S`` relative to ``D``.
 
-All functions mutate the graph in place and return it for chaining.
+All functions draw the ``m`` weights in one vectorized call (the same
+stream, and the same generator state afterwards, as one scalar draw per
+edge in :meth:`Graph.edges` order) and write them back in that order.  They
+mutate the graph in place and return it for chaining.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from repro.rng import SeedLike, ensure_rng
 
 def assign_unit_weights(g: Graph) -> Graph:
     """Set every edge weight to 1 (makes ``S == D``)."""
-    for u, v, _ in list(g.edges()):
-        g.set_weight(u, v, 1.0)
+    g._replace_weights(np.ones(g.m))
     return g
 
 
@@ -32,9 +34,7 @@ def assign_uniform_weights(g: Graph, low: float = 1.0, high: float = 10.0,
                            seed: SeedLike = None) -> Graph:
     """I.i.d. ``Uniform[low, high]`` weights (rounded to integers >= 1)."""
     rng = ensure_rng(seed)
-    for u, v, _ in list(g.edges()):
-        w = float(np.ceil(rng.uniform(low, high)))
-        g.set_weight(u, v, max(1.0, w))
+    g._replace_weights(np.maximum(1.0, np.ceil(rng.uniform(low, high, g.m))))
     return g
 
 
@@ -44,9 +44,7 @@ def assign_exponential_weights(g: Graph, scale: float = 10.0, seed: SeedLike = N
     Creates the cheap-detour structure that separates ``S`` from ``D``.
     """
     rng = ensure_rng(seed)
-    for u, v, _ in list(g.edges()):
-        w = 1.0 + float(np.floor(rng.exponential(scale)))
-        g.set_weight(u, v, w)
+    g._replace_weights(1.0 + np.floor(rng.exponential(scale, g.m)))
     return g
 
 
@@ -55,6 +53,5 @@ def assign_integer_weights(g: Graph, choices=(1, 2, 5, 10, 100), seed: SeedLike 
     useful for hand-checkable tests)."""
     rng = ensure_rng(seed)
     arr = np.asarray(choices, dtype=np.float64)
-    for u, v, _ in list(g.edges()):
-        g.set_weight(u, v, float(arr[int(rng.integers(0, len(arr)))]))
+    g._replace_weights(arr[rng.integers(0, len(arr), g.m)])
     return g
