@@ -1,7 +1,6 @@
 """E19 — correctness and latency under sustained churn (scenarios).
 
-E16 measured one apply in isolation and E18 one query fleet in
-isolation; this experiment replays the **combined** workload the
+This experiment replays the **combined** workload the
 dynamic-update subsystem exists for: named churn+query scenario traces
 (``repro.service.scenario``) driven over real TCP sockets against a
 live ``OracleServer`` while the correctness oracle verifies every
@@ -21,7 +20,7 @@ Per scenario the report (``BENCH_E19-scenarios.json``) carries
 
 Hard claims (always asserted, any size, any hardware): zero oracle
 violations on every scenario and ≥ 3 scenarios in the report.  There
-is **no** wall-clock gate by design (E17 precedent): churn replay
+is **no** wall-clock gate by design: churn replay
 timing on a shared runner is noise, and the numbers are telemetry, not
 acceptance.
 

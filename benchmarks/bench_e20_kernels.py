@@ -61,7 +61,7 @@ from benchmarks._workloads import workload, workload_apsp
 from repro import build_sketches
 from repro.analysis import render_table
 from repro.service import (QueryEngine, build_index, connect,
-                           run_serve_benchmark, sample_query_pairs)
+                           sample_query_pairs)
 from repro.service.engine import RANGE_PAIRS
 
 N = int(os.environ.get("REPRO_E20_N", "2000"))
@@ -85,6 +85,8 @@ PAY_BATCH = 1 << 20
 #: workload is the whole workload in one batch (the CI smoke run)
 SWEEP_SHARDS = (1, 4, 16)
 SWEEP_BATCHES = (1, 64, 1024)
+#: alternating turns per sweep batch size; each S keeps its quietest
+SWEEP_TURNS = 9
 #: queries of the sweep's one-pair row (a batch each): enough for a
 #: per-request floor, few enough that a nightly run stays within seconds
 ONE_PAIR_QUERIES = 2048
@@ -161,35 +163,49 @@ def e20_table(experiment_report, e20_sketches):
 
 @pytest.fixture(scope="module")
 def e20_shard_sweep(experiment_report, e20_sketches):
+    sketches = e20_sketches["tz"]
+    engines = {shards: QueryEngine(build_index(sketches, num_shards=shards),
+                                   cache_size=0)
+               for shards in SWEEP_SHARDS}
     rows = []
-    for batch in SWEEP_BATCHES:
-        queries = min(QUERIES, ONE_PAIR_QUERIES) if batch == 1 else QUERIES
-        # the S arms take turns, and an arm keeps its quietest turn: a
-        # 5 % claim cannot be read off arms measured minutes apart
-        best: dict = {}
-        for _ in range(3):
-            for shards in SWEEP_SHARDS:
-                rep = run_serve_benchmark(e20_sketches["tz"],
-                                          queries=queries, batch=batch,
-                                          seed=11, repeats=3,
-                                          num_shards=shards)
-                assert rep["identical"], \
+    try:
+        for batch in SWEEP_BATCHES:
+            queries = (min(QUERIES, ONE_PAIR_QUERIES) if batch == 1
+                       else QUERIES)
+            batch = min(batch, queries)
+            pairs = sample_query_pairs(N, queries, seed=11)
+            chunks = [pairs[lo:lo + batch]
+                      for lo in range(0, queries, batch)]
+            want = np.asarray([sketches[u].estimate_to(sketches[v])
+                               for u, v in pairs.tolist()])
+            for shards, engine in engines.items():
+                got = np.concatenate([engine.dist_many(c) for c in chunks])
+                assert got.tobytes() == want.tobytes(), \
                     f"tz batch={batch} S={shards}: answers diverged"
-                if (shards not in best or rep["batched_seconds"]
-                        < best[shards]["batched_seconds"]):
-                    best[shards] = rep
-        for shards, rep in best.items():
-            batches = -(-rep["queries"] // rep["batch"])
-            us = rep["batched_seconds"] / batches * 1e6
-            rows.append({
-                "batch": rep["batch"], "shards": shards,
-                "queries": rep["queries"],
-                "us/batch": round(us, 1),
-                "vs-S=1": round(rep["batched_seconds"]
-                                / best[1]["batched_seconds"], 2),
-                "kernel-us": round(
-                    rep["phases"]["kernel_seconds"] / batches * 1e6, 1),
-            })
+                engine.reset_phase_timings()
+            # the S arms take turns, and an arm keeps its quietest turn: a
+            # 5 % claim cannot be read off arms measured minutes apart
+            best = {shards: float("inf") for shards in SWEEP_SHARDS}
+            for turn in range(SWEEP_TURNS):
+                for shards in (SWEEP_SHARDS if turn % 2
+                               else SWEEP_SHARDS[::-1]):
+                    t0 = time.perf_counter()
+                    for chunk in chunks:
+                        engines[shards].dist_many(chunk)
+                    best[shards] = min(best[shards],
+                                       time.perf_counter() - t0)
+            for shards, engine in engines.items():
+                phases = engine.phase_timings()
+                rows.append({
+                    "batch": batch, "shards": shards, "queries": queries,
+                    "us/batch": round(best[shards] / len(chunks) * 1e6, 1),
+                    "vs-S=1": round(best[shards] / best[1], 2),
+                    "kernel-us": round(phases["kernel_seconds"]
+                                       / phases["batches"] * 1e6, 1),
+                })
+    finally:
+        for engine in engines.values():
+            engine.close()
     experiment_report("E20-shards", render_table(
         rows, title=f"E20: a local batch costs the same whatever the "
                     f"shard count (tz, ER n={N}, in-thread, Q={QUERIES})"),

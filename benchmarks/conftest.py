@@ -1,6 +1,6 @@
 """Benchmark-harness plumbing.
 
-Each experiment file (``bench_e1_*`` … ``bench_e16_*``) computes the
+Each experiment file (``bench_e1_*`` … ``bench_e20_*``) computes the
 table for one paper claim and registers it via the ``experiment_report``
 fixture.  All registered tables are printed in the terminal summary (so
 they appear in ``bench_output.txt``) and persisted under

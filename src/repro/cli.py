@@ -8,20 +8,18 @@ A downstream user can drive the whole pipeline without writing Python::
         --seed 2 -o sketches.jsonl
     python -m repro query net.edges sketches.jsonl --pairs 0:100 5:17
     python -m repro eval net.edges sketches.jsonl --eps 0.25
-    python -m repro serve-bench sketches.jsonl --queries 10000 --batch 1000 \
-        --shards 4
     python -m repro build net.edges --scheme tz --k 3 --format binary \
         --shards 4 -o index.rpix
-    python -m repro serve-bench index.rpix --memory mmap --queries 10000
     python -m repro serve index.rpix --addr 0.0.0.0:7111 --memory mmap
     python -m repro query --connect tcp://serving-box:7111 --pairs 0:100 5:17
-    python -m repro serve-bench --connect tcp://serving-box:7111 --queries 10000
     python -m repro serve net.edges --updateable --scheme tz --k 3 --seed 2 \
         --addr 127.0.0.1:7111
     python -m repro build net.edges --scheme tz --k 3 --seed 2 \
         --apply-updates changes.jsonl -o sketches.jsonl
-    python -m repro update-bench net.edges --scheme tz --k 2 --batches 1 4 16
     python -m repro schemes --markdown
+
+Serving speed is measured by the ``bench/`` tree at the repository root
+(``python3 bench/run.py --workload NAME``), not by a subcommand.
 
 Sketches travel as the JSON-lines format of
 :mod:`repro.oracle.serialization`; graphs as the edge-list format of
@@ -117,8 +115,8 @@ def _cmd_build(args) -> int:
     if args.format != "binary" and args.shards is not None:
         raise ReproError(
             "--shards only applies to --format binary (a JSON-lines "
-            "sketch set has no shard layout; serve-bench takes "
-            "--shards at load time instead)")
+            "sketch set has no shard layout; `repro serve --shards` "
+            "takes it at load time instead)")
     if args.shards is not None and args.shards < 1:
         raise ReproError(f"--shards must be >= 1, got {args.shards}")
 
@@ -170,7 +168,10 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _query_fn(sketches):
+    from repro.service.index import checked_pair
+
     def query(u: int, v: int) -> float:
+        u, v = checked_pair(u, v, len(sketches))
         return sketches[u].estimate_to(sketches[v])
 
     return query
@@ -178,6 +179,7 @@ def _query_fn(sketches):
 
 def _cmd_query(args) -> int:
     from repro.graphs import apsp, read_edgelist
+    from repro.service.index import checked_pair
 
     client = None
     if args.connect is not None:
@@ -206,6 +208,7 @@ def _cmd_query(args) -> int:
             u, v = _parse_pair(text)
             est = query(u, v)
             if d is not None:
+                u, v = checked_pair(u, v, len(d))
                 print(f"{u}:{v} estimate={est:g} exact={d[u, v]:g} "
                       f"stretch={est / d[u, v] if d[u, v] else 1.0:.3f}")
             else:
@@ -308,116 +311,6 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.oracle.serialization import (is_binary_index,
-                                            load_index_binary,
-                                            load_sketch_set)
-    from repro.service import run_serve_benchmark, scheme_name_of
-    from repro.service.bench import scheme_name_of_index
-
-    if args.clients is not None and args.connect is None:
-        raise ReproError(
-            "--clients drives concurrent sessions against a live server; "
-            "it needs --connect tcp://host:port")
-    if args.connect is not None:
-        if args.sketches is not None:
-            raise ReproError(
-                "--connect benchmarks a live server; drop the sketches "
-                "argument (the server owns the index)")
-        for flag, given in (("--shards", args.shards is not None),
-                            ("--memory mmap", args.memory == "mmap")):
-            if given:
-                raise ReproError(
-                    f"{flag} describes a local index, and --connect "
-                    f"benchmarks a live server (which owns its index)")
-        if args.scheme is not None:
-            from repro.service.client import connect
-
-            with connect(args.connect) as probe:
-                if probe.scheme != args.scheme:
-                    raise ReproError(
-                        f"server serves {probe.scheme or 'unrecognized'}, "
-                        f"not {args.scheme}")
-        if args.clients is not None:
-            from repro.service.bench import run_load_benchmark
-
-            report = run_load_benchmark(args.connect, clients=args.clients,
-                                        queries=args.queries,
-                                        batch=args.batch, seed=args.seed)
-            print(json.dumps(report, indent=2))
-            if not report["identical"]:
-                print("error: pipelined answers diverged from the "
-                      "sequential pass", file=sys.stderr)
-                return 1
-            return 0
-        from repro.service.bench import run_connect_benchmark
-
-        report = run_connect_benchmark(args.connect, queries=args.queries,
-                                       batch=args.batch, seed=args.seed,
-                                       repeats=args.repeats)
-        print(json.dumps(report, indent=2))
-        if not report["identical"]:
-            print("error: batched answers diverged from the per-pair "
-                  "path", file=sys.stderr)
-            return 1
-        return 0
-    if args.sketches is None:
-        raise ReproError(
-            "serve-bench wants a SKETCHES/index file, or --connect SPEC")
-    if is_binary_index(args.sketches):
-        index = load_index_binary(args.sketches, backing=args.memory)
-        found = scheme_name_of_index(index)
-        if args.scheme is not None and found != args.scheme:
-            raise ReproError(
-                f"index is {found or 'unrecognized'}, not {args.scheme}")
-        if args.shards is not None and args.shards != index.num_shards:
-            raise ReproError(
-                f"a binary index bakes its shard layout in: this one has "
-                f"{index.num_shards} shards, not {args.shards} (rebuild "
-                f"with --format binary --shards {args.shards})")
-        report = run_serve_benchmark(
-            index=index, queries=args.queries, batch=args.batch,
-            seed=args.seed, repeats=args.repeats,
-            cache_size=args.cache_size)
-    else:
-        _reject_mmap(args, args.sketches)
-        sketches = load_sketch_set(args.sketches)
-        if args.scheme is not None:
-            found = scheme_name_of(sketches)
-            if found != args.scheme:
-                raise ReproError(
-                    f"sketch set is {found or 'unrecognized'}, "
-                    f"not {args.scheme}")
-        report = run_serve_benchmark(
-            sketches, queries=args.queries, batch=args.batch,
-            seed=args.seed, repeats=args.repeats,
-            cache_size=args.cache_size,
-            num_shards=1 if args.shards is None else args.shards)
-    print(json.dumps(report, indent=2))
-    if not report["identical"]:
-        print("error: batched answers diverged from the single-query path",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_update_bench(args) -> int:
-    from repro.graphs import read_edgelist
-    from repro.service.updates import run_update_benchmark
-
-    g = read_edgelist(args.graph)
-    report = run_update_benchmark(
-        g, scheme=args.scheme, seed=args.seed, batch_sizes=args.batches,
-        num_shards=args.shards, rebuild_threshold=args.rebuild_threshold,
-        **_scheme_flags(args))
-    print(json.dumps(report, indent=2))
-    if not report["identical"]:
-        print("error: updated index diverged from a from-scratch rebuild",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_schemes(args) -> int:
     from repro.oracle.schemes import scheme_support_matrix, schemes_markdown
 
@@ -488,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--format", choices=["json", "binary"], default="json",
                    help="json = per-node sketches as JSON lines; binary = "
                         "a pre-built index as the mmap-loadable container "
-                        "(serve-bench detects either)")
+                        "(serve detects either)")
     b.add_argument("--shards", type=int, default=None,
                    help="landmark shard count baked into a --format binary "
                         "index (layout only; answers are identical; "
@@ -602,58 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the post-hoc correctness verification "
                          "(measurement-only replay)")
     sn.set_defaults(func=_cmd_scenario)
-
-    sb = sub.add_parser("serve-bench",
-                        help="batched vs single-query serving throughput")
-    sb.add_argument("sketches", nargs="?", default=None)
-    sb.add_argument("--connect", metavar="SPEC", default=None,
-                    help="benchmark a live endpoint (tcp://host:port) "
-                         "instead of serving local files")
-    sb.add_argument("--clients", type=int, default=None,
-                    help="with --connect: closed-loop load generator — N "
-                         "concurrent sessions each measuring a "
-                         "sequential and a pipelined pass (p50/p99 "
-                         "latency and qps per client)")
-    sb.add_argument("--queries", type=int, default=10_000)
-    sb.add_argument("--batch", type=int, default=None,
-                    help="batch size (default: one batch for all queries)")
-    sb.add_argument("--repeats", type=int, default=3)
-    sb.add_argument("--shards", type=int, default=None,
-                    help="landmark shards in the pre-built index "
-                         "(default 1; a binary index bakes its own count "
-                         "in, and asking for a different one is an error)")
-    sb.add_argument("--cache-size", type=int, default=0,
-                    help="result-cache slots, one answer and 24 bytes "
-                         "each, direct-mapped (0 = cold-cache run)")
-    sb.add_argument("--memory", choices=["heap", "mmap"], default="heap",
-                    help="how a binary index (.rpix) is opened: heap = "
-                         "read into arrays; mmap = memory-mapped, zero "
-                         "parse (any other source is an error)")
-    sb.add_argument("--scheme", choices=SCHEME_NAMES, default=None,
-                    help="assert the served sketch set is this scheme")
-    sb.add_argument("--seed", type=int, default=0)
-    sb.set_defaults(func=_cmd_serve_bench)
-
-    ub = sub.add_parser("update-bench",
-                        help="incremental index update vs full rebuild "
-                             "on edge-weight changes")
-    ub.add_argument("graph")
-    ub.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
-    ub.add_argument("--k", type=int, default=None)
-    ub.add_argument("--eps", type=float, default=None)
-    ub.add_argument("--seed", type=int, default=0)
-    ub.add_argument("--batches", type=int, nargs="+", default=[1, 4, 16],
-                    metavar="N",
-                    help="change-batch sizes to measure (random distinct "
-                         "edges, weights scaled by a uniform factor)")
-    ub.add_argument("--shards", type=int, default=1,
-                    help="landmark shard count of the maintained index")
-    ub.add_argument("--rebuild-threshold", type=float, default=1.0,
-                    help="dirty fraction above which apply() rebuilds "
-                         "instead of repairing (default 1.0 here so the "
-                         "benchmark always measures the repair path; the "
-                         "library default is 0.25)")
-    ub.set_defaults(func=_cmd_update_bench)
 
     sc = sub.add_parser("schemes",
                         help="the scheme capability matrix (from the "

@@ -48,11 +48,13 @@ The front door is :func:`~repro.service.client.connect`::
   only the dirty frontier (bit-identical to a from-scratch rebuild,
   automatic rebuild fallback), and
   :meth:`QueryEngine.apply_updates <repro.service.engine.QueryEngine.apply_updates>`
-  hot-swaps the resulting epochs with zero downtime,
-* :func:`~repro.service.bench.run_serve_benchmark` /
-  :func:`~repro.service.updates.run_update_benchmark` — the measurement
-  harnesses behind ``repro serve-bench`` / ``repro update-bench`` and
-  experiments E14/E16/E20.
+  hot-swaps the resulting epochs with zero downtime; its seeded
+  workloads (:func:`~repro.service.updates.sample_query_pairs`,
+  :func:`~repro.service.updates.sample_weight_changes`) feed the tests,
+  the examples and the scenario harness.
+
+The serving benchmark is the ``bench/`` tree at the repository root
+(``python3 bench/run.py --workload NAME``).
 
 Batching and parallelism are performance features only: every answer is
 bit-identical to the one-pair-at-a-time reference path, for any shard
@@ -63,20 +65,18 @@ map and ``docs/serving.md`` for the operator's guide.
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "bench": ("run_connect_benchmark", "run_load_benchmark",
-              "run_serve_benchmark", "sample_query_pairs"),
     "client": ("TRANSPORTS", "Endpoint", "OracleClient", "connect",
                "parse_endpoint"),
     "engine": ("CacheStats", "PhaseTimings", "QueryEngine"),
     "index": ("CDGIndex", "GracefulIndex", "IndexStore", "Stretch3Index",
               "TZIndex", "build_index", "index_class_for", "refresh_index",
-              "scheme_name_of", "scheme_name_of_index"),
+              "scheme_name_of_index"),
     "scenario": ("SCENARIOS", "ChurnEvent", "QueryEvent", "ScenarioOracle",
                  "ScenarioResult", "Trace", "generate_trace",
                  "run_named_scenario", "run_scenario", "served_subprocess"),
     "server": ("OracleServer",),
     "session": ("EpochStaleness", "PipelineStats", "UpdateReport"),
     "updates": ("EdgeChange", "UpdateableIndex", "dirty_frontier",
-                "load_changes_jsonl", "run_update_benchmark",
+                "load_changes_jsonl", "sample_query_pairs",
                 "sample_weight_changes", "save_changes_jsonl"),
 })

@@ -636,13 +636,6 @@ class QueryEngine:
         """Zero the per-phase counters."""
         self._timings.reset()
 
-    def clear_cache(self) -> None:
-        """Drop all cached results and reset the hit/miss counters."""
-        with self._lock:
-            if self._cache is not None:
-                self._cache.clear()
-            self.stats = CacheStats()
-
     def close(self) -> None:
         """Join the pool's threads (idempotent); ranges already
         submitted run to their end first.  A closed engine still

@@ -1429,13 +1429,6 @@ def index_class_for(sketches: Sequence[Any]) -> Optional[type]:
     return INDEX_TYPES.get(f"{first.__module__}.{first.__qualname__}")
 
 
-def scheme_name_of(sketches: Sequence[Any]) -> Optional[str]:
-    """The registry name (``"tz"`` …) of a homogeneous sketch set, or
-    ``None`` when unrecognized."""
-    cls = index_class_for(sketches)
-    return cls.scheme if cls else None
-
-
 def scheme_name_of_index(index: IndexStore) -> Optional[str]:
     """The registry name (``"tz"`` …) behind a built store, or ``None``."""
     return getattr(type(index), "scheme", None)

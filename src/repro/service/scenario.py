@@ -61,11 +61,11 @@ import numpy as np
 from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng
-from repro.service.bench import sample_query_pairs
 from repro.service.client import OracleClient, connect, parse_endpoint
 from repro.service.server import OracleServer
 from repro.service.session import UpdateReport
-from repro.service.updates import EdgeChange, UpdateableIndex
+from repro.service.updates import (EdgeChange, UpdateableIndex,
+                                   sample_query_pairs)
 
 #: JSONL trace container version (the header line's ``"v"``).
 TRACE_FORMAT_VERSION = 1

@@ -169,10 +169,10 @@ class PipelineStats:
     while at least one earlier request was still in flight — the wire
     analogue of :attr:`~repro.service.engine.PhaseTimings.overlap`;
     sequential one-in-flight serving leaves it 0.  ``latencies`` holds
-    one submit-to-reply second count per streamed batch (what the E18
-    load generator turns into p50/p99); past :data:`MAX_SAMPLES`
-    entries it stops recording until the next reset, while ``requests``
-    keeps counting."""
+    one submit-to-reply second count per streamed batch (what the
+    ``tcp-stream`` benchmark workload turns into p50/p90); past
+    :data:`MAX_SAMPLES` entries it stops recording until the next reset,
+    while ``requests`` keeps counting."""
 
     requests: int = 0
     max_inflight: int = 0

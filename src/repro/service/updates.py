@@ -170,7 +170,7 @@ def sample_weight_changes(graph: Graph, count: int, seed: SeedLike = 0,
                           ) -> list[EdgeChange]:
     """A reproducible batch of ``count`` random weight perturbations:
     distinct edges, each weight scaled by a uniform factor in
-    ``[low, high]`` (the workload of ``update-bench`` / E16)."""
+    ``[low, high]`` (the churn workload of ``bench/``)."""
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     edges = list(graph.edges())
@@ -186,6 +186,12 @@ def sample_weight_changes(graph: Graph, count: int, seed: SeedLike = 0,
         out.append(EdgeChange(op="set", u=u, v=v,
                               weight=max(w * factor, 1e-12)))
     return out
+
+
+def sample_query_pairs(n: int, queries: int, seed: SeedLike = 0) -> np.ndarray:
+    """A reproducible ``(queries, 2)`` workload of uniform random pairs."""
+    rng = ensure_rng(seed)
+    return rng.integers(0, n, size=(queries, 2), dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -480,65 +486,11 @@ class UpdateableIndex:
 
     def rebuild_reference(self) -> IndexStore:
         """A from-scratch build on the **current** graph with the same
-        pinned artifacts — the oracle the bit-identity invariant (and
-        ``update-bench``) compares against.  Does not mutate state."""
+        pinned artifacts — the oracle the bit-identity invariant
+        compares against.  Does not mutate state."""
         return build_index(self._spec.sketches(self.graph, self.artifacts),
                            num_shards=self.num_shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"UpdateableIndex({self.scheme}, n={self.graph.n}, "
                 f"epoch={self.epoch}, shards={self.num_shards})")
-
-
-# ----------------------------------------------------------------------
-# the measurement harness (update-bench / E16)
-# ----------------------------------------------------------------------
-def run_update_benchmark(graph: Graph, scheme: str = "tz",
-                         seed: SeedLike = 0,
-                         batch_sizes: Sequence[int] = (1, 4, 16),
-                         num_shards: int = 1,
-                         rebuild_threshold: float = 1.0,
-                         verify_pairs: int = 2000,
-                         **params) -> dict:
-    """Incremental update vs full rebuild, per change-batch size.
-
-    For each batch size: build a fresh :class:`UpdateableIndex`, apply a
-    reproducible batch of random weight perturbations, time the apply,
-    then time a from-scratch rebuild on the mutated graph and verify the
-    two indexes are **identical** (``==`` plus bitwise-equal estimates
-    on a sampled workload).  Returns a JSON-ready report; the
-    ``identical`` flag covers every row.
-    """
-    from repro.service.bench import sample_query_pairs
-
-    rows = []
-    identical = True
-    for size in batch_sizes:
-        upd = UpdateableIndex(graph, scheme=scheme, seed=seed,
-                              num_shards=num_shards,
-                              rebuild_threshold=rebuild_threshold, **params)
-        changes = sample_weight_changes(graph, size, seed=hash(size) % 2**31)
-        # sample_weight_changes clamps to the edge count; report what ran
-        t0 = time.perf_counter()
-        report = upd.apply(changes)
-        t_update = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        rebuilt = upd.rebuild_reference()
-        t_rebuild = time.perf_counter() - t0
-        pairs = sample_query_pairs(graph.n, min(verify_pairs, graph.n ** 2),
-                                   seed=size)
-        same = bool(upd.index == rebuilt) and bool(np.array_equal(
-            upd.index.estimate_many(pairs[:, 0], pairs[:, 1]),
-            rebuilt.estimate_many(pairs[:, 0], pairs[:, 1])))
-        identical &= same
-        rows.append({
-            "batch": int(size), "changes": len(changes),
-            "mode": report.mode,
-            "dirty": report.dirty, "touched": report.touched,
-            "update_seconds": t_update, "rebuild_seconds": t_rebuild,
-            "speedup": t_rebuild / t_update if t_update > 0 else np.inf,
-            "identical": same,
-        })
-    return {"scheme": scheme, "n": graph.n, "m": graph.m,
-            "shards": int(num_shards), "rows": rows,
-            "identical": identical}

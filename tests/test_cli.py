@@ -119,6 +119,19 @@ class TestQuery:
                    "--pairs", "0-31"])
         assert rc == 2
 
+    @pytest.mark.parametrize("pair", ["-1:5", "32:5"],
+                             ids=["negative", "equal-n"])
+    def test_out_of_range_id_is_a_usage_error(self, graph_file,
+                                              sketch_file, pair, capsys):
+        """A local query range-checks its ids the way a session does:
+        no answer for Python's negative index, no IndexError traceback."""
+        rc = main(["query", str(graph_file), str(sketch_file), "--exact",
+                   f"--pairs={pair}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node id out of range [0, 32)\n"
+
 
 class TestEval:
     def test_stretch_report(self, graph_file, sketch_file, capsys):
@@ -164,65 +177,10 @@ class TestBuildJobs:
         assert "--jobs" in capsys.readouterr().err
 
 
-class TestServeBench:
-    def test_reports_identical_answers(self, sketch_file, capsys):
-        rc = main(["serve-bench", str(sketch_file), "--queries", "500",
-                   "--batch", "100", "--repeats", "1"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["identical"] is True
-        assert report["queries"] == 500 and report["batch"] == 100
-        assert report["batched_qps"] > 0
-
-    def test_shards_and_cache_flags(self, sketch_file, capsys):
-        rc = main(["serve-bench", str(sketch_file), "--queries", "200",
-                   "--repeats", "1", "--shards", "3",
-                   "--cache-size", "64"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["shards"] == 3 and report["cache_size"] == 64
-        assert report["identical"] is True
-
-
-class TestServeBenchJobsAndScheme:
-    def test_jobs_flag_keeps_answers_identical(self, sketch_file, capsys):
-        """How a batch runs is the engine's decision: the report names
-        the shard layout and no thread count, and answers match."""
-        rc = main(["serve-bench", str(sketch_file), "--queries", "200",
-                   "--repeats", "1", "--shards", "2"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "jobs" not in report and report["shards"] == 2
-        assert report["identical"] is True
-
-    def test_scheme_assertion_passes_and_fails(self, sketch_file, capsys):
-        rc = main(["serve-bench", str(sketch_file), "--queries", "100",
-                   "--repeats", "1", "--scheme", "tz"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["scheme"] == "tz"
-        rc = main(["serve-bench", str(sketch_file), "--queries", "100",
-                   "--repeats", "1", "--scheme", "graceful"])
-        assert rc == 2
-        assert "not graceful" in capsys.readouterr().err
-
-    def test_slack_sketches_are_served_batched(self, tmp_path, graph_file,
-                                               capsys):
-        path = tmp_path / "s3.jsonl"
-        assert main(["build", str(graph_file), "--scheme", "stretch3",
-                     "--eps", "0.3", "--seed", "5", "-o", str(path)]) == 0
-        capsys.readouterr()
-        rc = main(["serve-bench", str(path), "--queries", "200",
-                   "--repeats", "1", "--scheme", "stretch3"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scheme"] == "stretch3"
-        assert report["identical"] is True
-
-
 class TestConnectFlows:
-    """`query --connect` / `serve-bench --connect` against a live
-    transport endpoint (the `serve` daemon itself is exercised
-    end-to-end in tests/test_service_transport.py)."""
+    """`query --connect` against a live transport endpoint (the `serve`
+    daemon itself is exercised end-to-end in
+    tests/test_service_transport.py)."""
 
     @pytest.fixture()
     def live_server(self, sketch_file):
@@ -256,70 +214,6 @@ class TestConnectFlows:
         rc = main(["query", "--pairs", "0:1"])
         assert rc == 2
         assert "--connect" in capsys.readouterr().err
-
-    def test_serve_bench_connect(self, live_server, capsys):
-        spec, _ = live_server
-        rc = main(["serve-bench", "--connect", spec, "--queries", "200",
-                   "--batch", "50", "--repeats", "1", "--scheme", "tz"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["identical"] is True
-        assert report["transport"] == "tcp" and report["scheme"] == "tz"
-        assert report["streamed_qps"] > 0
-
-    def test_serve_bench_clients_checks_the_scheme(self, live_server,
-                                                   capsys):
-        """``--scheme`` is checked on the ``--clients`` path too, before
-        any load is run."""
-        spec, _ = live_server
-        rc = main(["serve-bench", "--connect", spec, "--clients", "2",
-                   "--queries", "40", "--scheme", "graceful"])
-        assert rc == 2
-        assert "not graceful" in capsys.readouterr().err
-        rc = main(["serve-bench", "--connect", spec, "--clients", "2",
-                   "--queries", "40", "--scheme", "tz"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["identical"] is True
-
-    @pytest.mark.parametrize("argv", [["--shards", "2"],
-                                      ["--memory", "mmap"]],
-                             ids=["shards", "mmap"])
-    def test_serve_bench_connect_refuses_local_index_flags(self, argv,
-                                                           capsys):
-        """A live server owns its index: flags that describe a local one
-        are refused, not ignored (before any connection is made)."""
-        rc = main(["serve-bench", "--connect", "tcp://127.0.0.1:1",
-                   "--queries", "10", *argv])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert argv[0] in err and "--connect" in err
-
-    def test_serve_bench_connect_scheme_mismatch(self, live_server,
-                                                 capsys):
-        spec, _ = live_server
-        rc = main(["serve-bench", "--connect", spec, "--queries", "50",
-                   "--repeats", "1", "--scheme", "graceful"])
-        assert rc == 2
-        assert "not graceful" in capsys.readouterr().err
-
-    def test_serve_bench_without_source(self, capsys):
-        rc = main(["serve-bench"])
-        assert rc == 2
-        assert "--connect" in capsys.readouterr().err
-
-    def test_serve_bench_clients_needs_connect(self, capsys):
-        rc = main(["serve-bench", "--clients", "2", "--queries", "10"])
-        assert rc == 2
-        assert "--connect" in capsys.readouterr().err
-
-    def test_serve_bench_depth_needs_clients(self, capsys):
-        """The load generator's window is the tcp transport's constant:
-        ``--depth`` is no flag, with ``--clients`` or without."""
-        with pytest.raises(SystemExit) as exc:
-            main(["serve-bench", "--connect", "tcp://127.0.0.1:1",
-                  "--clients", "2", "--depth", "2", "--queries", "10"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --depth" in capsys.readouterr().err
 
 
 class TestSchemesCommand:
@@ -389,38 +283,26 @@ class TestBuildFormatAndMemoryPlane:
         twin.apply(changes)
         assert load_index_binary(path) == twin.rebuild_reference()
 
-    @pytest.mark.parametrize("memory", ["heap", "mmap"])
-    def test_serve_bench_memory_modes_on_sketches(self, sketch_file, memory,
-                                                  capsys):
-        """``--memory`` is how an RPIX file is opened: a sketch file is
-        parsed into heap arrays, so asking to map it is a usage error
-        (not a silent copy into a scratch file)."""
-        rc = main(["serve-bench", str(sketch_file), "--queries", "150",
-                   "--repeats", "1", "--shards", "2",
-                   "--memory", memory])
-        captured = capsys.readouterr()
-        if memory == "mmap":
-            assert rc == 2
-            assert "build --format binary" in captured.err
-            return
-        assert rc == 0
-        report = json.loads(captured.out)
-        assert report["identical"] is True
-        assert {"jobs", "memory", "pool"}.isdisjoint(report)
-        assert set(report["phases"]) >= {"plan_seconds",
-                                         "shard_answer_seconds",
-                                         "finish_seconds", "ipc_seconds"}
-
     @pytest.mark.parametrize("argv", [
         ["--pool", "thread"],      # not an option
         ["--memory", "shared"],    # not a choice
         ["--jobs", "2"],           # the engine decides how a batch runs
     ], ids=["pool", "shared", "jobs"])
-    @pytest.mark.parametrize("command", ["serve", "serve-bench"])
+    @pytest.mark.parametrize("command", ["serve"])
     def test_deleted_flags_are_usage_errors(self, sketch_file, command,
                                             argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, str(sketch_file), *argv])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["serve", "update"])
+    def test_deleted_commands_are_usage_errors(self, sketch_file, verb,
+                                               capsys):
+        """Serving speed is measured by ``bench/run.py``: the
+        ``<verb>-bench`` subcommands are unknown commands."""
+        with pytest.raises(SystemExit) as exc:
+            main([f"{verb}-bench", str(sketch_file)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
@@ -436,24 +318,13 @@ class TestBuildFormatAndMemoryPlane:
         assert rc == 2
         assert "build --format binary" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("memory", ["heap", "mmap"])
-    def test_serve_bench_on_binary_index(self, binary_index_file, memory,
-                                         capsys):
-        rc = main(["serve-bench", str(binary_index_file), "--queries",
-                   "150", "--repeats", "1",
-                   "--memory", memory, "--scheme", "tz"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["identical"] is True
-        assert report["scheme"] == "tz"
-        assert report["shards"] == 2  # baked into the container
-
-    def test_serve_bench_binary_scheme_mismatch(self, binary_index_file,
-                                                capsys):
-        rc = main(["serve-bench", str(binary_index_file), "--queries",
-                   "50", "--repeats", "1", "--scheme", "graceful"])
+    def test_serve_binary_shards_mismatch(self, binary_index_file, capsys):
+        """A binary index bakes its shard layout in; asking ``serve`` for
+        another count fails loudly before anything listens, instead of
+        silently serving the baked one."""
+        rc = main(["serve", str(binary_index_file), "--shards", "8"])
         assert rc == 2
-        assert "not graceful" in capsys.readouterr().err
+        assert "bakes its shard layout" in capsys.readouterr().err
 
     def test_build_shards_requires_binary_format(self, tmp_path, graph_file,
                                                  capsys):
@@ -461,16 +332,5 @@ class TestBuildFormatAndMemoryPlane:
                    "--seed", "3", "--shards", "4",
                    "-o", str(tmp_path / "sk.jsonl")])
         assert rc == 2
-        assert "--format binary" in capsys.readouterr().err
-
-    def test_serve_bench_binary_shards_mismatch(self, binary_index_file,
-                                                capsys):
-        """A binary index bakes its shard layout in; asking for another
-        count must fail loudly, not silently serve the baked one."""
-        rc = main(["serve-bench", str(binary_index_file), "--queries",
-                   "50", "--repeats", "1", "--shards", "8"])
-        assert rc == 2
-        assert "bakes its shard layout" in capsys.readouterr().err
-        rc = main(["serve-bench", str(binary_index_file), "--queries",
-                   "50", "--repeats", "1", "--shards", "2"])
-        assert rc == 0  # matching the baked count is fine
+        err = capsys.readouterr().err
+        assert "--format binary" in err and "repro serve --shards" in err

@@ -484,7 +484,8 @@ class TestConcurrentSessions:
 
     def test_many_sessions_one_handler_pool(self, graph, built):
         # more sessions than handler threads: the event loop multiplexes
-        # them all, and every session gets its own right answers
+        # them all, and every session gets its own right answers, one
+        # request at a time and through a full pipelining window
         server, addr = _serve(built)
         sessions = 6
         pairs = sample_query_pairs(graph.n, 50, seed=21)
@@ -500,6 +501,11 @@ class TestConcurrentSessions:
                         if want is None:
                             want = got
                         assert got.tolist() == want.tolist(), cid
+                    chunks = [mine[lo:lo + 10] for lo in range(0, 50, 10)]
+                    client.pipeline_stats(reset=True)
+                    piped = np.concatenate(list(client.dist_stream(chunks)))
+                    assert piped.tolist() == want.tolist(), cid
+                    assert client.pipeline_stats()["max_inflight"] >= 2
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append((cid, exc))
 

@@ -1,4 +1,4 @@
-"""Unit tests for the serving layer (repro.service): index, engine, bench."""
+"""Unit tests for the serving layer (repro.service): index and engine."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro import build_sketches
 from repro.errors import ConfigError, QueryError
 from repro.graphs import ring
 from repro.service import (OracleServer, QueryEngine, TZIndex, build_index,
-                           connect, run_serve_benchmark)
+                           connect, sample_query_pairs)
 from repro.tz import build_tz_sketches_centralized, estimate_distance
 from repro.tz.sketch import TZSketch
 
@@ -170,14 +170,6 @@ class TestQueryEngine:
         with pytest.raises(QueryError):
             engine.dist(0, engine.n)
 
-    def test_clear_cache(self, tz_sketches):
-        engine = _engine(tz_sketches, cache_size=8)
-        engine.dist(0, 1)
-        engine.clear_cache()
-        assert engine.stats.misses == 0
-        engine.dist(0, 1)
-        assert engine.stats.misses == 1
-
 
 def _cache_slot_changes(engine, pairs):
     """Run one batch; returns ``(answers, slots written, of those
@@ -277,6 +269,16 @@ class TestResultCache:
         engine.dist_many(pairs)
         assert engine.stats.hits == resident == 5
         assert engine.stats.evictions == 0
+        # a uniform workload in a table four times its size: keys that
+        # share a slot keep one of them, and the replay hits exactly the
+        # rows whose key the first pass left resident
+        engine = _engine(tz_sketches, cache_size=4000)
+        pairs = sample_query_pairs(engine.n, 1000, seed=9)
+        engine.dist_many(pairs)
+        keys = pairs[:, 0] * engine.n + pairs[:, 1]
+        resident = int(np.count_nonzero(np.isin(keys, engine._cache.keys)))
+        engine.dist_many(pairs)
+        assert engine.stats.hits == resident > 0
 
     def test_stale_write_back_is_not_stored_twice(self, tz_sketches):
         # two batches that both missed the same key before either wrote
@@ -365,21 +367,6 @@ class TestBuiltSketchesIntegration:
         assert built.extras["_index"] is store
 
 
-class TestServeBenchmark:
-    def test_report_is_consistent(self, tz_sketches):
-        rep = run_serve_benchmark(tz_sketches, queries=200, batch=50,
-                                  repeats=1, seed=3)
-        assert rep["identical"]
-        assert rep["queries"] == 200 and rep["batch"] == 50
-        assert rep["single_qps"] > 0 and rep["batched_qps"] > 0
-
-    def test_rejects_bad_params(self, tz_sketches):
-        with pytest.raises(ConfigError):
-            run_serve_benchmark(tz_sketches, queries=0)
-        with pytest.raises(ConfigError):
-            run_serve_benchmark(tz_sketches, queries=10, batch=0)
-
-
 class TestOnlineCostMany:
     def test_matches_scalar_closed_form(self):
         from repro.oracle import online_query_cost, online_query_cost_many
@@ -445,32 +432,35 @@ class TestSlackIndexes:
     def graceful_built(self, er_unit):
         return build_sketches(er_unit, scheme="graceful", seed=4)
 
-    def _assert_matches_single(self, index, sketches):
+    def _assert_matches_single(self, store_class, sketches):
+        """Every ordered pair, batched by the store and by an engine
+        over it, one shard and two: exact, not approx."""
         n = len(sketches)
         us, vs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         us, vs = us.ravel(), vs.ravel()
-        batched = index.estimate_many(us, vs)
         single = [sketches[u].estimate_to(sketches[v])
                   for u, v in zip(us, vs)]
-        assert batched.tolist() == single  # exact, not approx
+        for shards in (1, 2):
+            index = store_class(sketches, num_shards=shards)
+            assert index.estimate_many(us, vs).tolist() == single
+            with QueryEngine(index, cache_size=0) as engine:
+                assert engine.dist_many(
+                    np.column_stack([us, vs])).tolist() == single
 
     def test_stretch3_matches_single(self, s3_built):
         from repro.service import Stretch3Index
 
-        self._assert_matches_single(Stretch3Index(s3_built.sketches),
-                                    s3_built.sketches)
+        self._assert_matches_single(Stretch3Index, s3_built.sketches)
 
     def test_cdg_matches_single(self, cdg_built):
         from repro.service import CDGIndex
 
-        self._assert_matches_single(CDGIndex(cdg_built.sketches),
-                                    cdg_built.sketches)
+        self._assert_matches_single(CDGIndex, cdg_built.sketches)
 
     def test_graceful_matches_single(self, graceful_built):
         from repro.service import GracefulIndex
 
-        self._assert_matches_single(GracefulIndex(graceful_built.sketches),
-                                    graceful_built.sketches)
+        self._assert_matches_single(GracefulIndex, graceful_built.sketches)
 
     @pytest.mark.parametrize("shards", [2, 5])
     def test_shard_count_never_changes_answers(self, s3_built, cdg_built,
@@ -548,14 +538,14 @@ class TestSlackIndexes:
             assert build_index(built.sketches).estimate_many(empty,
                                                              empty).size == 0
 
-    def test_scheme_name_of(self, s3_built, cdg_built, graceful_built,
-                            tz_sketches):
-        from repro.service import scheme_name_of
+    def test_index_class_for(self, s3_built, cdg_built, graceful_built,
+                             tz_sketches):
+        from repro.service import index_class_for
 
-        assert scheme_name_of(tz_sketches) == "tz"
-        assert scheme_name_of(s3_built.sketches) == "stretch3"
-        assert scheme_name_of(cdg_built.sketches) == "cdg"
-        assert scheme_name_of(graceful_built.sketches) == "graceful"
-        assert scheme_name_of([]) is None
-        assert scheme_name_of([object()]) is None
-        assert scheme_name_of([tz_sketches[0], s3_built.sketches[0]]) is None
+        assert index_class_for(tz_sketches).scheme == "tz"
+        assert index_class_for(s3_built.sketches).scheme == "stretch3"
+        assert index_class_for(cdg_built.sketches).scheme == "cdg"
+        assert index_class_for(graceful_built.sketches).scheme == "graceful"
+        assert index_class_for([]) is None
+        assert index_class_for([object()]) is None
+        assert index_class_for([tz_sketches[0], s3_built.sketches[0]]) is None

@@ -21,12 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, GraphError, QueryError
-from repro.graphs import Graph
+from repro.graphs import Graph, random_geometric
 from repro.oracle.serialization import load_index_binary, save_index_binary
 from repro.service import build_index, refresh_index
 from repro.service.updates import (EdgeChange, UpdateableIndex,
                                    dirty_frontier, load_changes_jsonl,
-                                   run_update_benchmark,
                                    sample_weight_changes,
                                    save_changes_jsonl)
 
@@ -280,6 +279,14 @@ class TestUpdateSemantics:
         dirty = dirty_frontier(h, [EdgeChange("increase", 0, 1, 9.0)])
         assert dirty.tolist() == [0, 1]
         assert h.weight(0, 1) == 9.0 and g.weight(0, 1) == 2.0
+        # more changed edges never dirty fewer nodes: the frontier of a
+        # batch contains the frontier of each of its prefixes
+        g = random_geometric(200, seed=5)
+        changes = sample_weight_changes(g, 64, seed=6)
+        fronts = [set(dirty_frontier(g.copy(), changes[:size]).tolist())
+                  for size in (1, 4, 16, 64)]
+        assert all(a <= b for a, b in zip(fronts, fronts[1:]))
+        assert 0 < len(fronts[0]) < g.n
 
     def test_failed_repair_leaves_state_untouched(self):
         """Atomicity: a repair that raises mid-way (here: a removal that
@@ -432,13 +439,3 @@ class TestRepairPolicies:
         us, vs = _all_ordered_pairs(er_weighted.n)
         assert _answers_with_errors(repaired.index, us, vs) == \
             _answers_with_errors(rebuilt.index, us, vs)
-
-
-def test_run_update_benchmark_smoke(er_weighted):
-    report = run_update_benchmark(er_weighted, scheme="tz", k=2, seed=5,
-                                  batch_sizes=(1, 2), num_shards=2,
-                                  verify_pairs=400)
-    assert report["identical"]
-    assert [r["batch"] for r in report["rows"]] == [1, 2]
-    for row in report["rows"]:
-        assert row["update_seconds"] > 0 and row["rebuild_seconds"] > 0

@@ -715,18 +715,14 @@ class TestShardServerErrors:
 
 class TestEffectiveJobsReporting:
     def test_engine_and_report_show_the_jobs_asked_for(self, built_sets):
-        """How a batch is cut is the engine's own decision: neither a
-        session's stats nor the benchmark report carries a ``jobs``
-        key, and both name the store's shard count."""
-        from repro.service import run_serve_benchmark
-
+        """How a batch is cut is the engine's own decision: a session's
+        stats carry no ``jobs`` / ``pool`` / ``memory`` key, and name
+        the store's shard count."""
         with connect("inproc://", built_sets["tz"]) as session:
             stats = session.stats()
             assert "jobs" not in stats and stats["shards"] == 1
-        rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
-                                  num_shards=1)
-        assert "jobs" not in rep and rep["shards"] == 1 and rep["identical"]
-        rep = run_serve_benchmark(built_sets["tz"], queries=50, repeats=1,
-                                  num_shards=4)
-        assert rep["shards"] == 4
-        assert "pool" not in rep and "memory" not in rep
+        with connect("inproc://",
+                     build_index(built_sets["tz"], num_shards=4)) as session:
+            stats = session.stats()
+        assert stats["shards"] == 4
+        assert {"jobs", "pool", "memory"}.isdisjoint(stats)
