@@ -215,6 +215,66 @@ class TestConnectFlows:
         assert rc == 2
         assert "--connect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("served", [
+        "sketches", "sketches-shards2", "sketches-shards3-cache64",
+        "rpix-heap", "rpix-mmap", "stretch3"])
+    def test_served_answers_equal_local_query(self, served, tmp_path,
+                                              graph_file, sketch_file,
+                                              capsys):
+        """Whatever the server holds — a sketch set at any shard count
+        and cache size, an RPIX opened on the heap or mapped, a slack
+        scheme's sketches — ``query --connect`` prints exactly what a
+        local ``query`` of the same sketches prints, and the session
+        names the layout it serves and no thread count."""
+        from repro.oracle.serialization import (load_index_binary,
+                                                load_sketch_set)
+        from repro.service.client import connect
+        from repro.service.server import OracleServer
+
+        scheme, cache = "tz", 0
+        if served == "stretch3":
+            scheme, sketch_file = "stretch3", tmp_path / "s3.jsonl"
+            assert main(["build", str(graph_file), "--scheme", "stretch3",
+                         "--eps", "0.3", "--seed", "5",
+                         "-o", str(sketch_file)]) == 0
+        if served.startswith("rpix"):
+            path = tmp_path / "idx.rpix"
+            assert main(["build", str(graph_file), "--scheme", "tz",
+                         "--k", "2", "--seed", "3", "--format", "binary",
+                         "--shards", "2", "-o", str(path)]) == 0
+            source = load_index_binary(path, backing=served[len("rpix-"):])
+            server = OracleServer(source, cache_size=cache)
+            shards = 2  # baked into the container
+        else:
+            shards = {"sketches-shards2": 2,
+                      "sketches-shards3-cache64": 3}.get(served, 1)
+            cache = 64 if served.endswith("cache64") else 0
+            server = OracleServer(load_sketch_set(sketch_file),
+                                  num_shards=shards, cache_size=cache)
+        capsys.readouterr()
+        pairs = [f"{u}:{(7 * u + 5) % 32}" for u in range(32)] + ["9:9"]
+        pairs += pairs[:8]  # repeats: a cache, if any, answers these
+        assert main(["query", str(graph_file), str(sketch_file),
+                     "--pairs", *pairs]) == 0
+        local = capsys.readouterr().out
+        host, port = server.serve("127.0.0.1:0", block=False)
+        try:
+            spec = f"tcp://{host}:{port}"
+            assert main(["query", "--connect", spec, "--pairs", *pairs]) == 0
+            assert capsys.readouterr().out == local
+            client = connect(spec)
+            try:
+                stats = client.stats()
+            finally:
+                client.close()
+        finally:
+            server.close()
+        assert len(local.splitlines()) == len(pairs)
+        assert stats["transport"] == "tcp" and stats["scheme"] == scheme
+        assert stats["shards"] == shards and stats["cache_size"] == cache
+        assert "jobs" not in stats
+        assert (stats["cache"]["hits"] > 0) == (cache > 0)
+
 
 class TestSchemesCommand:
     def test_json_matrix(self, capsys):
@@ -288,7 +348,7 @@ class TestBuildFormatAndMemoryPlane:
         ["--memory", "shared"],    # not a choice
         ["--jobs", "2"],           # the engine decides how a batch runs
     ], ids=["pool", "shared", "jobs"])
-    @pytest.mark.parametrize("command", ["serve"])
+    @pytest.mark.parametrize("command", ["serve", "serve-bench"])
     def test_deleted_flags_are_usage_errors(self, sketch_file, command,
                                             argv, capsys):
         with pytest.raises(SystemExit) as exc:
