@@ -31,8 +31,9 @@ from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.oracle.schemes import SCHEMES, SchemeSpec, get_scheme
 from repro.rng import SeedLike
+from repro.service.index import checked_pair
 from repro.tz.centralized import describe_build
-from repro.tz.sketch import estimate_distance
+from repro.tz.sketch import TZLabels
 
 
 @dataclass
@@ -50,11 +51,22 @@ class BuiltSketches:
 
     # ------------------------------------------------------------------
     def query(self, u: int, v: int, **kwargs) -> float:
-        """Estimate ``d(u, v)`` from the two sketches alone."""
-        su, sv = self.sketches[u], self.sketches[v]
-        if self.scheme.name == "tz":
-            return estimate_distance(su, sv, **kwargs)
-        return su.estimate_to(sv)
+        """Estimate ``d(u, v)`` from the two sketches alone.  An id
+        outside ``[0, n)`` raises what :meth:`query_many` raises."""
+        sketches = self.sketches
+        # the per-pair loop of a caller pays for no check on good ids:
+        # only an id the list refuses, or a negative one it would read
+        # from the end, takes checked_pair
+        try:
+            su, sv = sketches[u], sketches[v]
+            ok = u >= 0 and v >= 0
+        except (IndexError, TypeError):
+            ok = False
+        if not ok:
+            u, v = checked_pair(u, v, len(sketches))
+            su, sv = sketches[u], sketches[v]
+        # a call through an empty **kwargs costs ~40 % of the scan itself
+        return su.estimate_to(sv, **kwargs) if kwargs else su.estimate_to(sv)
 
     def connect(self, spec: str = "inproc://", *,
                 cache_size: Optional[int] = None):
@@ -113,6 +125,8 @@ class BuiltSketches:
                                sketches=self.sketches, **self.artifacts)
 
     def sizes_words(self) -> list[int]:
+        if isinstance(self.sketches, TZLabels):
+            return self.sketches.sizes_words()
         return [s.size_words() for s in self.sketches]
 
     def max_size_words(self) -> int:

@@ -71,14 +71,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import (TYPE_CHECKING, Any, Iterable, Optional, Protocol,
                     Sequence, runtime_checkable)
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.tz.sketch import TZSketch
+from repro.tz.sketch import TZLabels, TZSketch
 
 if TYPE_CHECKING:
     from repro.slack.cdg import CDGSketch
@@ -344,25 +343,17 @@ class _BaseIndex:
 # ----------------------------------------------------------------------
 # Thorup–Zwick
 # ----------------------------------------------------------------------
-def _flatten_bunches(owners: Sequence[int], sketches: Sequence[TZSketch],
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-    """The bunch entries of ``sketches`` as ``(owner, landmark, dist,
-    level)`` columns, ``owners[j]`` owning the entries of
-    ``sketches[j]`` — one pass over the dicts, everything after it is
-    array work."""
-    sizes = np.fromiter((len(s.bunch) for s in sketches), dtype=np.int64,
-                        count=len(sketches))
-    total = int(sizes.sum())
-    landmarks = np.fromiter(
-        chain.from_iterable(s.bunch for s in sketches),
-        dtype=np.int64, count=total)
-    values = np.fromiter(
-        chain.from_iterable(chain.from_iterable(
-            s.bunch.values() for s in sketches)),
-        dtype=np.float64, count=2 * total).reshape(total, 2)
-    return (np.repeat(np.asarray(owners, dtype=np.int64), sizes), landmarks,
-            values[:, 0], values[:, 1].astype(np.int64))
+def _labels_of(sketches: Sequence[Any]) -> TZLabels:
+    """The columns of a list of TZ labels, checked to share one ``k``."""
+    k = sketches[0].k
+    for s in sketches:
+        if not isinstance(s, TZSketch):
+            raise ConfigError(
+                f"TZIndex only indexes TZSketch, got {type(s).__name__}")
+        if s.k != k:
+            raise ConfigError(
+                f"mixed k in sketch set: {s.k} vs {k} (node {s.node})")
+    return TZLabels.from_sketches(sketches)
 
 
 def _bunch_table(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
@@ -488,19 +479,14 @@ class TZIndex(_BaseIndex):
     @staticmethod
     def _flatten(sketches: Sequence[TZSketch], num_shards: int,
                  ) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of a sketch set, validated."""
-        n = len(sketches)
-        k = sketches[0].k
-        for s in sketches:
-            if not isinstance(s, TZSketch):
-                raise ConfigError(
-                    f"TZIndex only indexes TZSketch, got {type(s).__name__}")
-            if s.k != k:
-                raise ConfigError(
-                    f"mixed k in sketch set: {s.k} vs {k} (node {s.node})")
-
-        owners, landmarks, dists, levels = _flatten_bunches(range(n),
-                                                            sketches)
+        """``(meta, arrays)`` of a sketch set, validated — read off the
+        columns of a :class:`~repro.tz.sketch.TZLabels`, or of a list
+        flattened into one."""
+        labels = (sketches if isinstance(sketches, TZLabels)
+                  else _labels_of(sketches))
+        n, k = len(labels), labels.k
+        owners, landmarks = labels.owner, labels.landmark
+        dists, levels = labels.dist, labels.level
         # the dense top block is sound only if no landmark mixes level-(k-1)
         # entries with sub-top entries (honest TZ output never does; see
         # module docstring) — otherwise store everything sharded
@@ -518,14 +504,15 @@ class TZIndex(_BaseIndex):
         dense = top_col[landmarks] >= 0
         top_dist[owners[dense], top_col[landmarks[dense]]] = dists[dense]
 
-        pivots = np.asarray([s.pivots for s in sketches], dtype=np.float64)
-        pivot_ids = pivots[:, :, 0].astype(np.int64)
+        pivot_ids = labels.pivot_ids
         sub = ~dense
         return ({"n": n, "k": k, "num_shards": num_shards,
                  "dense_top": dense_top,
                  "sentinel_pivots": bool((pivot_ids < 0).any())},
-                {"pivot_ids": pivot_ids,
-                 "pivot_dists": np.ascontiguousarray(pivots[:, :, 1]),
+                {"pivot_ids": np.ascontiguousarray(pivot_ids,
+                                                   dtype=np.int64),
+                 "pivot_dists": np.ascontiguousarray(labels.pivot_dists,
+                                                     dtype=np.float64),
                  "top_ids": top_ids, "top_col": top_col,
                  "top_dist": top_dist,
                  **_bunch_table(owners[sub] * n + landmarks[sub], dists[sub],
@@ -843,8 +830,9 @@ class TZIndex(_BaseIndex):
                 raise ConfigError(
                     f"replacement sketch for {u} is not a k={k} TZSketch")
         owners = np.asarray(sorted(dirty), dtype=np.int64)
-        fresh = [dirty[u] for u in owners.tolist()]
-        own, landmarks, dists, levels = _flatten_bunches(owners, fresh)
+        fresh = TZLabels.from_sketches([dirty[u] for u in owners.tolist()])
+        own, landmarks = owners[fresh.owner], fresh.landmark
+        dists, levels = fresh.dist, fresh.level
         dense = self.top_col[landmarks] >= 0
         drift = np.flatnonzero(dense != (self.dense_top & (levels == k - 1)))
         if drift.size:
@@ -854,11 +842,10 @@ class TZIndex(_BaseIndex):
                 f"disagrees with the dense-top layout (rebuild required)")
 
         arrays = self.pack_arrays()
-        pivots = np.asarray([s.pivots for s in fresh], dtype=np.float64)
         pivot_ids = arrays["pivot_ids"] = np.array(self.pivot_ids)
-        pivot_ids[owners] = pivots[:, :, 0].astype(np.int64)
+        pivot_ids[owners] = fresh.pivot_ids
         arrays["pivot_dists"] = np.array(self.pivot_dists)
-        arrays["pivot_dists"][owners] = pivots[:, :, 1]
+        arrays["pivot_dists"][owners] = fresh.pivot_dists
         top_dist = arrays["top_dist"] = np.array(self.top_dist)
         top_dist[owners, :] = np.inf
         top_dist[own[dense], self.top_col[landmarks[dense]]] = dists[dense]
@@ -1420,9 +1407,13 @@ INDEX_TYPES: dict[str, type] = {
 
 def index_class_for(sketches: Sequence[Any]) -> Optional[type]:
     """The :class:`IndexStore` class serving this sketch set, or ``None``
-    when the set is empty, mixed, or of an unknown type."""
+    when the set is empty, mixed, or of an unknown type (a
+    :class:`~repro.tz.sketch.TZLabels` is known without reading a
+    label)."""
     if not sketches:
         return None
+    if isinstance(sketches, TZLabels):
+        return TZIndex
     first = type(sketches[0])
     if not all(isinstance(s, first) for s in sketches):
         return None

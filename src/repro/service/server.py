@@ -41,6 +41,7 @@ from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, FETCH_INDEX,
                                     FrameError, FrameReader, encode_error,
                                     encode_frame, kind_name)
 from repro.service.session import UpdateReport
+from repro.tz.sketch import TZLabels
 
 if TYPE_CHECKING:
     from repro.service.client import OracleClient
@@ -93,8 +94,9 @@ class OracleServer:
 
     :param source: what to serve —
 
-        * a per-node sketch list (or a
-          :class:`~repro.oracle.api.BuiltSketches`): the index is built
+        * a per-node sketch list, a
+          :class:`~repro.tz.sketch.TZLabels` (read as columns) or a
+          :class:`~repro.oracle.api.BuiltSketches`: the index is built
           here with ``num_shards`` shards;
         * a pre-built :class:`~repro.service.index.IndexStore` (e.g.
           loaded from a binary container): served as-is, shard layout
@@ -172,7 +174,7 @@ class OracleServer:
             raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         if api is not None and isinstance(source, api.BuiltSketches):
             source = source.sketches
-        if isinstance(source, (list, tuple)):
+        if isinstance(source, (list, tuple, TZLabels)):
             return build_index(source, num_shards=num_shards or 1), None
         if updates is not None and isinstance(source,
                                               updates.UpdateableIndex):

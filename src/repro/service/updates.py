@@ -78,7 +78,7 @@ from repro.service.index import IndexStore, build_index, refresh_index
 from repro.service.session import UpdateReport
 from repro.slack.cdg import cdg_sketches
 from repro.slack.stretch3 import stretch3_sketches
-from repro.tz.centralized import compute_pivot_keys, tz_sketches
+from repro.tz.centralized import pivot_key_array, tz_sketches
 from repro.tz.sketch import TZSketch
 
 #: ops an :class:`EdgeChange` can carry
@@ -309,13 +309,13 @@ def repair_tz(graph: Graph, artifacts: dict, sketches: list,
     if len(dirty) == 0:
         return {}
     hierarchy = artifacts["hierarchy"]
-    pivot_keys = compute_pivot_keys(graph, hierarchy)
+    pivot_keys = pivot_key_array(graph, hierarchy)
     if dist_rows is None:
         dist_rows = distance_rows(graph, dirty)
     roots = [np.empty(0, dtype=np.int64)]
     for i in range(hierarchy.k - 1):
         members = hierarchy.exact_level(i)
-        thr = np.asarray([pivot_keys[i + 1][v].dist for v in dirty])
+        thr = pivot_keys[i + 1, dirty, 0]
         bound = thr + _MARGIN_REL * (1.0 + thr)
         rows = dist_rows[:, members]
         near = (rows <= bound[:, None]) & np.isfinite(rows)

@@ -1,24 +1,32 @@
 """Centralized Thorup–Zwick construction — the differential-testing baseline.
 
-This is the [TZ05] preprocessing the paper distributes: pivots via
-multi-source Dijkstra per level, bunches via truncated "cluster growing"
+This is the [TZ05] preprocessing the paper distributes: pivots via one
+multi-source sweep per level, bunches via truncated "cluster growing"
 from every vertex.  Everything uses the :class:`~repro.distkey.DistKey`
 tie-breaking, so for a shared :class:`~repro.tz.hierarchy.Hierarchy` the
 output is *identical* (not just equivalent) to the distributed construction
 — the core correctness instrument of this reproduction (tests assert the
 equality sketch-by-sketch).
 
-Clusters are grown columnar (:func:`grow_clusters`): all roots of a level
-advance together, one frontier round per batch of numpy calls, and the
-result is a :class:`BunchTable` of arrays from which the labels are
-sliced.  Two per-root references stay for the tests to compare against,
-neither on any build path: :func:`cluster_of`, the truncated Dijkstra whose
-floats the kernel must reproduce, and the direct-from-definition
-:func:`brute_force_bunches` (O(k n^2), small graphs only), a third,
-independently derived answer for three-way differential tests.
+The build is columnar from the CSR to the labels.  A pivot sweep
+(:func:`pivot_key_array`) is one :func:`scipy.sparse.csgraph.dijkstra`
+call for the distances plus a min-fixpoint over the tight edges for the
+witnesses.  Clusters are grown by :func:`grow_clusters`: all roots of a
+level advance together, one frontier round per batch of numpy calls,
+into a :class:`BunchTable` of arrays.  The labels are a
+:class:`~repro.tz.sketch.TZLabels` over the pivot arrays and the
+table's columns, whose per-node dicts exist only once a caller indexes
+into them — the serving index reads the columns.  Two per-root
+references stay for the tests to compare against, neither on any build
+path: :func:`cluster_of`, the truncated Dijkstra whose floats the kernel
+must reproduce, and the direct-from-definition :func:`brute_force_bunches`
+(O(k n^2), small graphs only), a third, independently derived answer for
+three-way differential tests.
 
-Complexity: pivots cost ``O(k m log n)``.  The kernel relaxes every edge
-out of a cluster member once per time that member's distance improves —
+Complexity: pivots cost ``O(k m log n)`` for the sweeps, plus one pass
+over the tight edges out of a node per time its witness improves.  The
+kernel relaxes every edge out of a cluster member once per time that
+member's distance improves —
 ``O(Σ_w vol(C(w)))`` relaxations when labels settle on first touch (unit
 weights), a small multiple of it on weighted graphs, against label-setting's
 ``O((Σ_w |C(w)|) log n)`` = ``O(k n^{1+1/k} log n)`` expected, the classic
@@ -44,47 +52,86 @@ from repro.graphs.graph import Graph
 from repro.graphs.metrics import apsp
 from repro.rng import SeedLike
 from repro.tz.hierarchy import Hierarchy, tz_artifacts
-from repro.tz.sketch import TZSketch
+from repro.tz.sketch import TZLabels, bunch_dicts
 
 
-def multi_source_dijkstra_keys(graph: Graph, sources: np.ndarray) -> list[DistKey]:
-    """Per node, the minimum ``DistKey(d(u, s), s)`` over all ``s`` in
-    ``sources`` — i.e. the distance to the set with its witness, under the
-    library-wide tie-breaking (closest source, smallest ID among ties)."""
-    best: list[DistKey] = [INF_KEY] * graph.n
-    pq: list[tuple[float, int, int]] = []
-    for s in sources:
-        s = int(s)
-        best[s] = DistKey(0.0, s)
-        pq.append((0.0, s, s))
-    heapq.heapify(pq)
-    while pq:
-        d, origin, u = heapq.heappop(pq)
-        if (d, origin) > best[u]:
-            continue
-        for v, w in graph.neighbors(u).items():
-            cand = (d + w, origin)  # a DistKey only once it wins
-            if cand < best[v]:
-                best[v] = DistKey(*cand)
-                heapq.heappush(pq, (cand[0], origin, v))
-    return best
+def _expand(indptr: np.ndarray, front: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Every CSR slot of the rows of ``front``: ``(cell, edge)``, slot
+    ``j`` of ``front[c]``'s row being edge ``indptr[front[c]] + j``."""
+    first = indptr[front]
+    deg = indptr[front + 1] - first
+    cell = np.repeat(np.arange(front.size), deg)
+    edge = np.arange(cell.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
+    return cell, edge
 
 
-def compute_pivot_keys(graph: Graph, hierarchy: Hierarchy) -> list[list[DistKey]]:
-    """``pivot_keys[i][u] = DistKey(d(u, A_i), p_i(u))`` for ``i = 0..k``.
+def _set_keys(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, ``d(u, sources)`` and its witness — the smallest source
+    among the closest (-1 where no source is reachable).
 
-    Level ``k`` is the all-infinite sentinel (``d(u, A_k) = ∞``, paper
-    Section 3.1).
+    The distances are one :func:`scipy.sparse.csgraph.dijkstra` sweep:
+    the least fixed point of ``d_v = min fl(d_u + w)``.  The witnesses
+    are a min-fixpoint over the tight edges of those final distances
+    (``d_u + w == d_v``), from every source at its own id: the smallest
+    source that reaches ``v`` along a tight path — what a label-setting
+    sweep over ``(distance, witness)`` keys settles, which extends every
+    node only from its final key.
     """
-    keys: list[list[DistKey]] = []
-    for i in range(hierarchy.k):
+    indptr = csr.indptr.astype(np.int64)
+    n = indptr.size - 1
+    dist = csgraph_dijkstra(csr, directed=False, indices=sources,
+                            min_only=True)
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    tight = (dist[tail] + csr.data == dist[csr.indices]) & np.isfinite(
+        dist[tail])
+    t_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail[tight], minlength=n), out=t_indptr[1:])
+    t_head = csr.indices[tight]
+    witness = np.full(n, n, dtype=np.int64)  # n: none yet, above every id
+    witness[sources] = sources
+    front = np.unique(sources)
+    while front.size:
+        cell, edge = _expand(t_indptr, front)
+        head = t_head[edge]
+        cand = witness[front][cell]
+        keep = cand < witness[head]
+        head = head[keep]
+        np.minimum.at(witness, head, cand[keep])
+        front = np.unique(head)
+    witness[witness == n] = -1
+    return dist, witness
+
+
+def pivot_key_array(graph: Graph, hierarchy: Hierarchy) -> np.ndarray:
+    """``keys[i, u] = (d(u, A_i), p_i(u))`` as a ``(k + 1, n, 2)`` float
+    array, level ``k`` the ``INF_KEY`` sentinel ``(inf, -1)`` (paper
+    Section 3.1) — one :func:`_set_keys` sweep per level."""
+    n, k = graph.n, hierarchy.k
+    csr = graph.to_csr()
+    keys = np.empty((k + 1, n, 2))
+    keys[k] = (INF_KEY.dist, INF_KEY.node)
+    for i in range(k):
         a_i = hierarchy.A(i)
         if a_i.size == 0:
             raise ConfigError(f"A_{i} is empty — hierarchy violates [TZ05] "
                               f"(use ensure_top_nonempty)")
-        keys.append(multi_source_dijkstra_keys(graph, a_i))
-    keys.append([INF_KEY] * graph.n)
+        keys[i, :, 0], keys[i, :, 1] = _set_keys(csr, a_i)
     return keys
+
+
+def compute_pivot_keys(graph: Graph, hierarchy: Hierarchy) -> list[list[DistKey]]:
+    """``pivot_keys[i][u] = DistKey(d(u, A_i), p_i(u))`` for ``i = 0..k``
+    — :func:`pivot_key_array` as :class:`DistKey` lists.
+
+    Level ``k`` is the all-infinite sentinel (``d(u, A_k) = ∞``, paper
+    Section 3.1).
+    """
+    keys = pivot_key_array(graph, hierarchy)
+    return [[DistKey(d, w) if w >= 0 else INF_KEY
+             for d, w in zip(level[:, 0].tolist(),
+                             level[:, 1].astype(np.int64).tolist())]
+            for level in keys[:-1]] + [[INF_KEY] * graph.n]
 
 
 def cluster_of(graph: Graph, w: int, level: int,
@@ -141,17 +188,23 @@ class BunchTable(NamedTuple):
     #: frontier rounds the kernel iterated to produce it (observability)
     rounds: int
 
+    def rows_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, bounds)``: the rows of each of ``nodes`` in turn,
+        ``nodes[j]``'s being ``rows[bounds[j]:bounds[j + 1]]``."""
+        lo = np.searchsorted(self.owner, nodes, side="left")
+        sizes = np.searchsorted(self.owner, nodes, side="right") - lo
+        bounds = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return (np.arange(bounds[-1]) - np.repeat(bounds[:-1] - lo, sizes),
+                bounds)
+
     def bunches(self, nodes: Sequence[int],
                 ) -> list[dict[int, tuple[float, int]]]:
         """``B(u)`` as ``landmark -> (dist, level)`` for each ``u`` in
         ``nodes``, in canonical iteration order."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        lo = np.searchsorted(self.owner, nodes, side="left").tolist()
-        hi = np.searchsorted(self.owner, nodes, side="right").tolist()
-        return [dict(zip(self.landmark[a:b].tolist(),
-                         zip(self.dist[a:b].tolist(),
-                             self.level[a:b].tolist())))
-                for a, b in zip(lo, hi)]
+        rows, bounds = self.rows_of(np.asarray(nodes, dtype=np.int64))
+        return bunch_dicts(self.landmark[rows], self.dist[rows],
+                           self.level[rows], bounds)
 
 
 def merge_bunch_tables(tables: Sequence[BunchTable]) -> BunchTable:
@@ -184,14 +237,7 @@ def _grow_block(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
     while front.size:
         rounds += 1
         row = front // n
-        u = front - row * n
-        first = indptr[u]
-        deg = indptr[u + 1] - first
-        # expand every frontier cell over its CSR row: slot j of cell c
-        # is edge first[c] + j
-        cell = np.repeat(np.arange(front.size), deg)
-        edge = np.arange(cell.size) - np.repeat(np.cumsum(deg) - deg - first,
-                                                deg)
+        cell, edge = _expand(indptr, front - row * n)
         v = indices[edge]
         cand = best[front][cell] + weights[edge]
         row = row[cell]
@@ -205,10 +251,14 @@ def _grow_block(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
     return best.reshape(roots.size, n), rounds
 
 
-def grow_clusters(graph: Graph, hierarchy: Hierarchy,
-                  pivot_keys: list[list[DistKey]], roots) -> BunchTable:
+def grow_clusters(graph: Graph, hierarchy: Hierarchy, pivot_keys,
+                  roots) -> BunchTable:
     """Grow the clusters rooted at ``roots`` and invert them into bunch
     entries (``u ∈ C(w) ⟺ w ∈ B(u)``, paper Section 3.2).
+
+    ``pivot_keys[i]`` holds every node's ``(d(u, A_i), p_i(u))`` for
+    ``i = 0..k`` — :func:`pivot_key_array`'s array or
+    :func:`compute_pivot_keys`' lists.
 
     Roots are independent of each other, so any split of the universe
     (the candidates of a repair, say) merges
@@ -246,13 +296,12 @@ def grow_clusters(graph: Graph, hierarchy: Hierarchy,
     return merge_bunch_tables(parts)
 
 
-def compute_bunches(graph: Graph, hierarchy: Hierarchy,
-                    pivot_keys: Optional[list[list[DistKey]]] = None,
+def compute_bunches(graph: Graph, hierarchy: Hierarchy, pivot_keys=None,
                     ) -> list[dict[int, tuple[float, int]]]:
     """All bunches, via cluster growing (bunches invert clusters:
     ``u ∈ C(w) ⟺ w ∈ B(u)``, paper Section 3.2)."""
     if pivot_keys is None:
-        pivot_keys = compute_pivot_keys(graph, hierarchy)
+        pivot_keys = pivot_key_array(graph, hierarchy)
     table = grow_clusters(graph, hierarchy, pivot_keys, hierarchy.universe())
     return table.bunches(graph.nodes())
 
@@ -284,24 +333,29 @@ def brute_force_bunches(graph: Graph, hierarchy: Hierarchy,
     return bunches
 
 
-def assemble_sketches(k: int, pivot_keys: list[list[DistKey]],
-                      table: BunchTable, nodes: Sequence[int],
-                      ) -> list[TZSketch]:
-    """Package pivots + each node's slice of the bunch table into the
-    :class:`TZSketch` labels of ``nodes``."""
-    return [TZSketch(node=int(u), k=k,
-                     pivots=tuple((pivot_keys[i][u].node,
-                                   pivot_keys[i][u].dist)
-                                  for i in range(k)),
-                     bunch=bunch)
-            for u, bunch in zip(nodes, table.bunches(nodes))]
+def assemble_labels(k: int, pivot_keys: np.ndarray, table: BunchTable,
+                    nodes: Optional[Sequence[int]] = None) -> TZLabels:
+    """Pivots + the bunch table as the :class:`TZLabels` of ``nodes``
+    (default: every node, whose rows are the table's own columns)."""
+    if nodes is None:
+        nodes = np.arange(pivot_keys.shape[1])
+        owner, landmark, dist, level = table[:4]
+    else:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows, bounds = table.rows_of(nodes)
+        owner = np.repeat(np.arange(nodes.size), np.diff(bounds))
+        landmark, dist, level = (table.landmark[rows], table.dist[rows],
+                                 table.level[rows])
+    keys = pivot_keys[:k, nodes].transpose(1, 0, 2)
+    return TZLabels(k, nodes, keys[:, :, 1].astype(np.int64),
+                    np.ascontiguousarray(keys[:, :, 0]), owner, landmark,
+                    dist, level)
 
 
 def tz_sketches(graph: Graph, artifacts: dict,
                 owners: Optional[Sequence[int]] = None, *,
-                roots=None,
-                pivot_keys: Optional[list[list[DistKey]]] = None,
-                report: Optional[dict] = None) -> list[TZSketch]:
+                roots=None, pivot_keys: Optional[np.ndarray] = None,
+                report: Optional[dict] = None) -> TZLabels:
     """The tz registry row's per-owner function: from a fixed hierarchy,
     the labels of ``owners`` (default: every node — a build).
 
@@ -311,15 +365,15 @@ def tz_sketches(graph: Graph, artifacts: dict,
     nothing), so the labels hold exactly the entries those landmarks
     contribute: all of them when ``roots`` covers every cluster that can
     hold an owner (a repair), the ones a shard range serves otherwise.
-    ``pivot_keys`` spares the ``k`` pivot sweeps to a caller that already
-    ran them; ``report``, a dict, receives where the time went
-    (``pivots_s`` / ``clusters_s`` / ``assemble_s``, bunch ``entries``,
-    frontier ``rounds``).
+    ``pivot_keys`` (:func:`pivot_key_array`) spares the ``k`` pivot
+    sweeps to a caller that already ran them; ``report``, a dict,
+    receives where the time went (``pivots_s`` / ``clusters_s`` /
+    ``assemble_s``, bunch ``entries``, frontier ``rounds``).
     """
     hierarchy = artifacts["hierarchy"]
     t0 = time.perf_counter()
     if pivot_keys is None:
-        pivot_keys = compute_pivot_keys(graph, hierarchy)
+        pivot_keys = pivot_key_array(graph, hierarchy)
     t1 = time.perf_counter()
     if roots is None:
         roots = hierarchy.universe()
@@ -329,20 +383,18 @@ def tz_sketches(graph: Graph, artifacts: dict,
                                 roots[hierarchy.level[roots] >= 0]])
     table = grow_clusters(graph, hierarchy, pivot_keys, roots)
     t2 = time.perf_counter()
-    sketches = assemble_sketches(
-        hierarchy.k, pivot_keys, table,
-        graph.nodes() if owners is None else owners)
+    labels = assemble_labels(hierarchy.k, pivot_keys, table, owners)
     if report is not None:
         report.update(pivots_s=t1 - t0, clusters_s=t2 - t1,
                       assemble_s=time.perf_counter() - t2,
                       entries=int(table.owner.size), rounds=table.rounds)
-    return sketches
+    return labels
 
 
 def build_tz_sketches_timed(graph: Graph, k: Optional[int] = None,
                             hierarchy: Optional[Hierarchy] = None,
                             seed: SeedLike = None,
-                            ) -> tuple[list[TZSketch], Hierarchy, dict]:
+                            ) -> tuple[TZLabels, Hierarchy, dict]:
     """:func:`build_tz_sketches_centralized` plus :func:`tz_sketches`'
     report of where the time went."""
     artifacts = tz_artifacts(graph, seed, {"k": k, "hierarchy": hierarchy})
@@ -364,7 +416,7 @@ def describe_build(report: dict) -> str:
 def build_tz_sketches_centralized(graph: Graph, k: Optional[int] = None,
                                   hierarchy: Optional[Hierarchy] = None,
                                   seed: SeedLike = None,
-                                  ) -> tuple[list[TZSketch], Hierarchy]:
+                                  ) -> tuple[TZLabels, Hierarchy]:
     """End-to-end centralized [TZ05] preprocessing.
 
     Provide either ``k`` (a hierarchy is sampled with the paper's

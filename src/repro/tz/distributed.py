@@ -65,7 +65,7 @@ from repro.errors import ConfigError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike
 from repro.tz.hierarchy import Hierarchy, tz_artifacts
-from repro.tz.sketch import TZSketch
+from repro.tz.sketch import TZLabels, TZSketch
 
 DATA, ECHO, COMPLETE, START = "tzd", "tze", "tzc", "tzs"
 
@@ -509,25 +509,14 @@ def build_tz_sketches_distributed(
     run = PhasedBellmanFord(graph, hierarchy.level, kk, seed=seed,
                             mark_phases=phase_metrics, max_rounds=max_rounds)
     run.run(sync, budgets)
-    return TZDistributedResult(sketches=_sketches(run, hierarchy),
+    # a plain list: a caller's per-pair loop indexes it directly
+    owner, src, dist = run.entries()
+    sketches = list(TZLabels(kk, np.arange(run.n), run.piv_n, run.piv_d,
+                             owner, src, dist, hierarchy.level[src]))
+    return TZDistributedResult(sketches=sketches,
                                hierarchy=hierarchy, metrics=run.metrics,
                                sync=sync, max_queue_len=int(run.max_q.max()),
                                tree_depth=run.tree_depth)
-
-
-def _sketches(run: PhasedBellmanFord, hierarchy: Hierarchy) -> list[TZSketch]:
-    """Package the engine's pivots and accepted entries as labels."""
-    n, kk = run.n, hierarchy.k
-    owner, src, dist = run.entries()
-    lo = np.searchsorted(owner, np.arange(n)).tolist()
-    hi = np.searchsorted(owner, np.arange(n), side="right").tolist()
-    src_l, dist_l = src.tolist(), dist.tolist()
-    lvl_l = hierarchy.level[src].tolist()
-    pivots = zip(*(zip(run.piv_n[:, i].tolist(), run.piv_d[:, i].tolist())
-                   for i in range(kk)))
-    return [TZSketch(node=u, k=kk, pivots=piv,
-                     bunch=dict(zip(src_l[a:b], zip(dist_l[a:b], lvl_l[a:b]))))
-            for u, piv, a, b in zip(range(n), pivots, lo, hi)]
 
 
 def tz_distributed(graph: Graph, seed: SeedLike, params: dict):

@@ -26,13 +26,22 @@ Size accounting follows the paper: a label stores IDs and distances, so its
 size is ``2k`` words for the pivots plus ``2|B(u)|`` words for the bunch
 (the level tag of a bunch entry rides along in the ID word; see
 :mod:`repro.words`).
+
+A builder hands its labels back as :class:`TZLabels` — pivot arrays and
+bunch columns behind a read-only sequence of :class:`TZSketch` — so a
+caller that only indexes or sizes them never builds the per-node dicts.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal
+from itertools import chain
+from typing import Literal, Optional
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.words import entry_words
@@ -88,14 +97,120 @@ class TZSketch:
             raise QueryError(f"{v} not in bunch of {self.node}")
         return entry[0]
 
-    def estimate_to(self, other: "TZSketch",
-                    method: "QueryMethod" = "paper") -> float:
-        """:func:`estimate_distance` as a method — the single-pair
-        entry point every scheme's sketch exposes."""
-        return estimate_distance(self, other, method)
-
 
 QueryMethod = Literal["paper", "classic"]
+
+
+def bunch_dicts(landmark: np.ndarray, dist: np.ndarray, level: np.ndarray,
+                bounds: np.ndarray) -> list[dict[int, tuple[float, int]]]:
+    """Bunches from entry columns: bunch ``j`` is rows ``bounds[j]:
+    bounds[j + 1]`` as ``landmark -> (dist, level)``, in row order."""
+    land, dl, lv = landmark.tolist(), dist.tolist(), level.tolist()
+    edges = bounds.tolist()
+    return [dict(zip(land[a:b], zip(dl[a:b], lv[a:b])))
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+class TZLabels(Sequence):
+    """The labels of a TZ sketch set as columns, read as a sequence of
+    :class:`TZSketch`.
+
+    Label ``j`` belongs to node ``nodes[j]``; its pivots are
+    ``(pivot_ids[j, i], pivot_dists[j, i])`` for ``i < k`` and its bunch
+    is the rows whose ``owner`` is ``j`` — ``owner`` sorted, an owner's
+    rows in its bunch's iteration order — as ``landmark -> (dist,
+    level)``.  Sizes (:meth:`sizes_words`) and the serving index read
+    the columns.  The first element access builds every
+    :class:`TZSketch` once, under a lock; from then on the object
+    behaves as the list of them: indices (negative too), slices (lists),
+    ``==`` against a list either way, ``repr``, pickling.  The arrays
+    are never written.
+    """
+
+    def __init__(self, k: int, nodes: np.ndarray, pivot_ids: np.ndarray,
+                 pivot_dists: np.ndarray, owner: np.ndarray,
+                 landmark: np.ndarray, dist: np.ndarray, level: np.ndarray):
+        self.k = int(k)
+        self.nodes = nodes
+        self.pivot_ids = pivot_ids
+        self.pivot_dists = pivot_dists
+        self.owner = owner
+        self.landmark = landmark
+        self.dist = dist
+        self.level = level
+        self._lock = threading.Lock()
+        self._labels: Optional[list[TZSketch]] = None
+
+    @classmethod
+    def from_sketches(cls, sketches: Sequence[TZSketch]) -> "TZLabels":
+        """The columns of a list of same-``k`` labels — one pass over
+        the dicts, label ``j`` keeping position ``j``."""
+        count, k = len(sketches), sketches[0].k
+        sizes = np.fromiter((len(s.bunch) for s in sketches),
+                            dtype=np.int64, count=count)
+        total = int(sizes.sum())
+        landmark = np.fromiter(chain.from_iterable(s.bunch for s in sketches),
+                               dtype=np.int64, count=total)
+        values = np.fromiter(
+            chain.from_iterable(chain.from_iterable(
+                s.bunch.values() for s in sketches)),
+            dtype=np.float64, count=2 * total).reshape(total, 2)
+        pivots = np.asarray([s.pivots for s in sketches],
+                            dtype=np.float64).reshape(count, k, 2)
+        return cls(k, np.fromiter((s.node for s in sketches), dtype=np.int64,
+                                  count=count),
+                   pivots[:, :, 0].astype(np.int64),
+                   np.ascontiguousarray(pivots[:, :, 1]),
+                   np.repeat(np.arange(count), sizes), landmark,
+                   values[:, 0], values[:, 1].astype(np.int64))
+
+    def sizes_words(self) -> list[int]:
+        """:meth:`TZSketch.size_words` of every label, from the columns."""
+        counts = np.bincount(self.owner, minlength=len(self))
+        return (entry_words() * (self.k + counts)).tolist()
+
+    def _materialized(self) -> list[TZSketch]:
+        labels = self._labels
+        if labels is None:
+            with self._lock:
+                if self._labels is None:
+                    self._labels = self._materialize()
+                labels = self._labels
+        return labels
+
+    def _materialize(self) -> list[TZSketch]:
+        k, count = self.k, len(self)
+        bunches = bunch_dicts(self.landmark, self.dist, self.level,
+                              np.searchsorted(self.owner,
+                                              np.arange(count + 1)))
+        return [TZSketch(node=u, k=k, pivots=tuple(zip(ids, ds)), bunch=b)
+                for u, ids, ds, b in zip(self.nodes.tolist(),
+                                         self.pivot_ids.tolist(),
+                                         self.pivot_dists.tolist(), bunches)]
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TZLabels):
+            other = other._materialized()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._materialized() == other
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+    def __reduce__(self):
+        return (TZLabels, (self.k, self.nodes, self.pivot_ids,
+                           self.pivot_dists, self.owner, self.landmark,
+                           self.dist, self.level))
 
 
 def estimate_distance(su: TZSketch, sv: TZSketch,
@@ -113,6 +228,12 @@ def estimate_distance(su: TZSketch, sv: TZSketch,
     if method == "classic":
         return _estimate_classic(su, sv)
     raise QueryError(f"unknown query method {method!r}")
+
+
+#: :func:`estimate_distance` as a method — the single-pair entry point
+#: every scheme's sketch exposes; the function itself, so a per-pair
+#: loop pays one Python call, not two
+TZSketch.estimate_to = estimate_distance
 
 
 def _estimate_paper(su: TZSketch, sv: TZSketch) -> float:

@@ -235,3 +235,35 @@ class TestSeedSemantics:
                            hierarchy=h, seed=9)
         for sa, sb in zip(a.sketches, b.sketches):
             assert sa.pivots == sb.pivots and sa.bunch == sb.bunch
+
+
+class TestQueryIdRange:
+    """``BuiltSketches.query`` checks ids the way ``query_many`` does:
+    a negative id is not Python's index from the end, and an id past
+    the graph is a ``QueryError``, not an ``IndexError``."""
+
+    @pytest.fixture(scope="class", params=[("tz", "distributed", {"k": 2}),
+                                           ("stretch3", "centralized",
+                                            {"eps": 0.8})],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def built(self, request, er_unit):
+        scheme, mode, params = request.param
+        return build_sketches(er_unit, scheme, mode, seed=3, **params)
+
+    @pytest.mark.parametrize("bad", [-1, "n", 2**63, 1.5])
+    @pytest.mark.parametrize("end", ["u", "v"])
+    def test_bad_id_raises_what_query_many_raises(self, built, bad, end):
+        from repro.errors import QueryError
+
+        n = built.graph.n
+        bad = n if bad == "n" else bad
+        pair = (bad, 0) if end == "u" else (0, bad)
+        with pytest.raises((QueryError, ConfigError)) as many:
+            built.query_many([pair])
+        with pytest.raises(type(many.value)) as one:
+            built.query(*pair)
+        assert str(one.value) == str(many.value)
+
+    def test_in_range_ids_still_answer(self, built):
+        n = built.graph.n
+        assert built.query(0, n - 1) == built.query_many([(0, n - 1)])[0]

@@ -1,12 +1,15 @@
 """Centralized Thorup-Zwick (repro.tz.centralized)."""
 
+import heapq
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distkey import DistKey, INF_KEY
 from repro.errors import ConfigError
-from repro.graphs import apsp, path_graph
+from repro.graphs import Graph, apsp, path_graph
 from repro.tz import (
     brute_force_bunches,
     build_tz_sketches_centralized,
@@ -14,7 +17,31 @@ from repro.tz import (
     compute_pivot_keys,
     sample_hierarchy,
 )
-from repro.tz.centralized import cluster_of, multi_source_dijkstra_keys
+from repro.tz.centralized import cluster_of
+
+
+def multi_source_dijkstra_keys(graph, sources) -> list[DistKey]:
+    """The label-setting reference for the pivot sweeps: per node, the
+    minimum ``DistKey(d(u, s), s)`` over ``s`` in ``sources``, settled by
+    a heap of ``(distance, witness, node)`` entries — a node extends its
+    neighbours only from its final key."""
+    best: list[DistKey] = [INF_KEY] * graph.n
+    pq: list[tuple[float, int, int]] = []
+    for s in sources:
+        s = int(s)
+        best[s] = DistKey(0.0, s)
+        pq.append((0.0, s, s))
+    heapq.heapify(pq)
+    while pq:
+        d, origin, u = heapq.heappop(pq)
+        if (d, origin) > best[u]:
+            continue
+        for v, w in graph.neighbors(u).items():
+            cand = (d + w, origin)  # a DistKey only once it wins
+            if cand < best[v]:
+                best[v] = DistKey(*cand)
+                heapq.heappush(pq, (cand[0], origin, v))
+    return best
 
 
 class TestMultiSourceDijkstra:
@@ -141,3 +168,80 @@ class TestBuild:
         sketches, _ = build_tz_sketches_centralized(g, k=2, seed=12)
         mean_entries = np.mean([len(s.bunch) for s in sketches])
         assert mean_entries <= 6 * 2 * 128 ** 0.5
+
+
+# ----------------------------------------------------------------------
+# the array pivot sweep against the label-setting reference
+# ----------------------------------------------------------------------
+def _array_keys(graph, sources) -> list[tuple[float, int]]:
+    from repro.tz.centralized import _set_keys
+
+    dist, witness = _set_keys(graph.to_csr(),
+                              np.asarray(sources, dtype=np.int64))
+    return list(zip(dist.tolist(), witness.tolist()))
+
+
+@st.composite
+def sweeps(draw):
+    """A random graph — sparse enough to fall apart now and then — with
+    unit, small-integer (ties everywhere) or float weights, and a
+    source set: one node, every node, or a random subset."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("unit", "int", "float")))
+    p = draw(st.sampled_from((0.03, 0.1, 0.3)))
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v, {"unit": 1.0,
+                                  "int": float(rng.integers(1, 4)),
+                                  "float": float(rng.uniform(0.1, 10.0)),
+                                  }[kind])
+    which = draw(st.sampled_from(("one", "all", "some")))
+    if which == "one":
+        sources = [int(rng.integers(n))]
+    elif which == "all":
+        sources = list(range(n))
+    else:
+        sources = sorted({int(x) for x in rng.integers(n, size=1 + n // 4)})
+    return g, sources
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sweeps())
+def test_array_sweep_equals_the_label_setting_reference(case):
+    g, sources = case
+    want = [tuple(key) for key in multi_source_dijkstra_keys(g, sources)]
+    assert _array_keys(g, sources) == want
+
+
+def test_smaller_witness_wins_when_sums_round_together():
+    """Node 4 is reached from node 2 (d = 1.0, witness 1) and from node
+    3 (d = 1 + 2^-52, witness 0): the prefixes differ by an ulp, both
+    sums round to 2.0, so both edges are tight and witness 0 must win —
+    though its prefix is the longer one and is settled second."""
+    eps = 2.0 ** -52
+    g = Graph(5, [(1, 2, 1.0), (0, 3, 1.0 + eps), (2, 4, 1.0), (3, 4, 1.0)])
+    assert (1.0 + eps) + 1.0 == 1.0 + 1.0 == 2.0
+    assert multi_source_dijkstra_keys(g, [0, 1])[4] == DistKey(2.0, 0)
+    assert _array_keys(g, [0, 1])[4] == (2.0, 0)
+    assert _array_keys(g, [0, 1]) == [
+        tuple(key) for key in multi_source_dijkstra_keys(g, [0, 1])]
+
+
+def test_pivot_keys_are_the_array_sweep(er_weighted, small_grid):
+    from repro.tz.centralized import pivot_key_array
+
+    for g, seed in ((er_weighted, 1), (small_grid, 2)):
+        h = sample_hierarchy(g.n, 3, seed=seed)
+        keys = pivot_key_array(g, h)
+        view = compute_pivot_keys(g, h)
+        for i in range(h.k):
+            want = multi_source_dijkstra_keys(g, h.A(i))
+            assert view[i] == want
+            assert [(d, int(w)) for d, w in keys[i].tolist()] == [
+                tuple(key) for key in want]
+        assert (keys[h.k, :, 0] == np.inf).all()
+        assert (keys[h.k, :, 1] == -1).all()
