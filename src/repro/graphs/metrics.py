@@ -18,10 +18,28 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+
+
+def symmetric_dijkstra(csr, indices=None, min_only: bool = False,
+                       ) -> np.ndarray:
+    """:func:`scipy.sparse.csgraph.dijkstra` on ``csr`` read as it is
+    stored — every distance computation of the package goes through here.
+
+    ``csr`` is :meth:`Graph.to_csr`'s matrix (or one with its sparsity
+    and new weights), symmetric by construction: each undirected edge is
+    stored as both half-edges with the same weight.  So ``directed=True``
+    relaxes exactly the edges ``directed=False`` would, into the very
+    same floats, without scipy building and walking the transpose.
+    Having one call also keeps the rows the TZ builder takes for its top
+    level bitwise equal to :func:`distance_rows`, which the incremental
+    repairs rely on.
+    """
+    return csgraph_dijkstra(csr, directed=True, indices=indices,
+                            min_only=min_only)
 
 
 def apsp(g: Graph) -> np.ndarray:
@@ -32,7 +50,7 @@ def apsp(g: Graph) -> np.ndarray:
     """
     if g.n == 1:
         return np.zeros((1, 1))
-    return _csgraph_dijkstra(g.to_csr(), directed=False)
+    return symmetric_dijkstra(g.to_csr())
 
 
 def distance_rows(g: Graph, sources=None) -> np.ndarray:
@@ -43,8 +61,8 @@ def distance_rows(g: Graph, sources=None) -> np.ndarray:
         return apsp(g)
     if g.n == 1:
         return np.zeros((len(sources), 1))
-    return np.atleast_2d(_csgraph_dijkstra(g.to_csr(), directed=False,
-                                           indices=list(sources)))
+    return np.atleast_2d(symmetric_dijkstra(g.to_csr(),
+                                            indices=list(sources)))
 
 
 def apsp_hops(g: Graph) -> np.ndarray:
@@ -53,7 +71,7 @@ def apsp_hops(g: Graph) -> np.ndarray:
         return np.zeros((1, 1))
     csr = g.to_csr().copy()
     csr.data[:] = 1.0
-    return _csgraph_dijkstra(csr, directed=False)
+    return symmetric_dijkstra(csr)
 
 
 def hop_diameter(g: Graph) -> int:

@@ -25,15 +25,17 @@ three-way differential tests.
 
 Complexity: pivots cost ``O(k m log n)`` for the sweeps, plus one pass
 over the tight edges out of a node per time its witness improves.  The
-kernel relaxes every edge out of a cluster member once per time that
-member's distance improves —
+kernel relaxes every edge out of a cluster member that the level's prune
+keeps (weight at most the head's threshold) once per time that member's
+distance improves —
 ``O(Σ_w vol(C(w)))`` relaxations when labels settle on first touch (unit
 weights), a small multiple of it on weighted graphs, against label-setting's
 ``O((Σ_w |C(w)|) log n)`` = ``O(k n^{1+1/k} log n)`` expected, the classic
-TZ bound — plus ``O(n)`` per root to allocate and scan its dense row, and
-one sort of the entries.  The dense rows bound the intended range to
-``n`` in the 10^4s; the per-message Python of the round-faithful simulator
-stops three orders of magnitude earlier (experiments E1/E2 run here).
+TZ bound — plus one sort of the entries.  A block reads and resets only
+the cells it reached, so a truncated root costs nothing per node of the
+graph; the top level's clusters are whole components, ``O(n)`` each by
+definition.  The round-faithful simulator's per-message Python stops
+three orders of magnitude earlier (experiments E1/E2 run here).
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ import time
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro.distkey import INF_KEY, DistKey
 from repro.errors import ConfigError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp
+from repro.graphs.metrics import apsp, symmetric_dijkstra
 from repro.rng import SeedLike
 from repro.tz.hierarchy import Hierarchy, tz_artifacts
 from repro.tz.sketch import TZLabels, bunch_dicts
@@ -57,13 +58,12 @@ from repro.tz.sketch import TZLabels, bunch_dicts
 
 def _expand(indptr: np.ndarray, front: np.ndarray,
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Every CSR slot of the rows of ``front``: ``(cell, edge)``, slot
-    ``j`` of ``front[c]``'s row being edge ``indptr[front[c]] + j``."""
+    """Every CSR slot of the rows of ``front``: ``(deg, edge)``, the
+    row lengths and, row after row, the edges ``indptr[front[c]] + j``."""
     first = indptr[front]
     deg = indptr[front + 1] - first
-    cell = np.repeat(np.arange(front.size), deg)
-    edge = np.arange(cell.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
-    return cell, edge
+    edge = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - first, deg)
+    return deg, edge
 
 
 def _set_keys(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +80,7 @@ def _set_keys(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     indptr = csr.indptr.astype(np.int64)
     n = indptr.size - 1
-    dist = csgraph_dijkstra(csr, directed=False, indices=sources,
-                            min_only=True)
+    dist = symmetric_dijkstra(csr, indices=sources, min_only=True)
     tail = np.repeat(np.arange(n), np.diff(indptr))
     tight = (dist[tail] + csr.data == dist[csr.indices]) & np.isfinite(
         dist[tail])
@@ -92,9 +91,9 @@ def _set_keys(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     witness[sources] = sources
     front = np.unique(sources)
     while front.size:
-        cell, edge = _expand(t_indptr, front)
+        deg, edge = _expand(t_indptr, front)
         head = t_head[edge]
-        cand = witness[front][cell]
+        cand = np.repeat(witness[front], deg)
         keep = cand < witness[head]
         head = head[keep]
         np.minimum.at(witness, head, cand[keep])
@@ -166,9 +165,9 @@ def cluster_of(graph: Graph, w: int, level: int,
     return out
 
 
-#: cells of one dense ``best[root, node]`` block of the frontier kernel
-#: (float64, so 4 MB): enough rows per block that a round's numpy calls
-#: carry thousands of relaxations, small enough to stay cache-resident
+#: cells of the frontier kernel's ``best[root, node]`` block (float64,
+#: so 4 MB): enough rows per block that a round's numpy calls carry
+#: thousands of relaxations, small enough to stay cache-resident
 _BLOCK_CELLS = 1 << 19
 
 
@@ -187,6 +186,8 @@ class BunchTable(NamedTuple):
     level: np.ndarray     # int64
     #: frontier rounds the kernel iterated to produce it (observability)
     rounds: int
+    #: candidate edges the kernel examined, over every round
+    relaxations: int = 0
 
     def rows_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, bounds)``: the rows of each of ``nodes`` in turn,
@@ -209,46 +210,107 @@ class BunchTable(NamedTuple):
 
 def merge_bunch_tables(tables: Sequence[BunchTable]) -> BunchTable:
     """One canonical table from tables grown over disjoint root sets —
-    the result is independent of how the roots were split."""
-    owner, landmark, dist, level = (
-        np.concatenate([t[c] for t in tables]) for c in range(4))
-    order = np.lexsort((landmark, level, owner))
-    return BunchTable(owner[order], landmark[order], dist[order],
-                      level[order], sum(t.rounds for t in tables))
+    the result is independent of how the roots were split.
+
+    An ``(owner, landmark)`` pair occurs once, so the canonical order is
+    one sort of the unique key ``(owner · levels + level) · nodes +
+    landmark``, int32 whenever it fits.
+    """
+    columns = [np.concatenate([t[c] for t in tables]) for c in range(4)]
+    owner, landmark, _, level = columns
+    counts = (sum(t.rounds for t in tables),
+              sum(t.relaxations for t in tables))
+    if owner.size:
+        levels = int(level.max()) + 1
+        nodes = int(max(owner.max(), landmark.max())) + 1
+        key = owner.astype(np.int32 if nodes * nodes * levels <= 1 << 31
+                           else np.int64)
+        key *= levels
+        key += level
+        key *= nodes
+        key += landmark
+        order = np.argsort(key)
+        del key, owner, landmark, level
+        for c, column in enumerate(columns):  # one copy alive at a time
+            columns[c] = column[order]
+    return BunchTable(*columns, *counts)
+
+
+def _prune(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+           thr_d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The CSR without the half-edges ``u → v`` of weight ``w >
+    thr_d[v]``, which no cluster of the level can cross, plus each kept
+    edge's ``thr_d[v]``.
+
+    A candidate ``fl(b + w)`` with ``b ≥ 0`` is ``≥ w``, so it is ``>
+    thr_d[v]`` and fails the cluster test, ties included; an edge of
+    weight exactly ``thr_d[v]`` stays (from the root itself, ``b = 0``,
+    the tie is broken by the ids).
+    """
+    reach = thr_d[indices]
+    keep = weights <= reach
+    at = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=at[1:])
+    return at[indptr], indices[keep], weights[keep], reach[keep]
 
 
 def _grow_block(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-                n: int, roots: np.ndarray, thr_d: np.ndarray,
-                thr_n: np.ndarray) -> tuple[np.ndarray, int]:
-    """The frontier kernel: ``best[r, v] = d(roots[r], v)`` for ``v`` in
-    the cluster of ``roots[r]``, ``inf`` elsewhere, plus the rounds run.
+                reach: np.ndarray, n: int, roots: np.ndarray,
+                thr_n: np.ndarray, best: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The frontier kernel: ``(cells, dist, rounds, relaxations)``, cell
+    ``r · n + v`` for each ``v`` in the cluster of ``roots[r]`` at
+    ``d(roots[r], v)``.
 
-    Label-correcting: every improved cell relaxes its CSR row, a
+    Label-correcting: every improved cell relaxes its row of the pruned
+    CSR (:func:`_prune`; ``reach`` is ``thr_d[v]`` per edge), a
     candidate survives iff it beats the cell *and* the cluster threshold
     ``(thr_d[v], thr_n[v])`` under the ``DistKey`` order, and the round's
     survivors fold in with ``np.minimum.at``.  The fixed point holds the
     floats the label-setting :func:`cluster_of` computes (see
-    ``docs/architecture.md``, "The centralized builder").
+    ``docs/architecture.md``, "The centralized builder").  Only the few
+    candidates within ``thr_d[v]`` go on to the cell lookups.
+
+    ``best`` (all ``inf``, at least ``roots.size · n`` cells) is scratch
+    shared by every block.  A round's improved cells are deduplicated
+    without a sort: each survivor stamps its position into its cell (as
+    ``-1 - position``, never a distance), the cell keeps the stamp of
+    the last write, and the winners put the cell's distance back.  The
+    cells that ever improved are read off ``best`` and set back to
+    ``inf`` on return.
     """
-    best = np.full(roots.size * n, np.inf)
     front = np.arange(roots.size) * n + roots
     best[front] = 0.0
-    rounds = 0
+    reached = [front]
+    rounds = relaxations = 0
     while front.size:
         rounds += 1
         row = front // n
-        cell, edge = _expand(indptr, front - row * n)
+        deg, edge = _expand(indptr, front - row * n)
+        relaxations += edge.size
+        cand = np.repeat(best[front], deg) + weights[edge]
+        hit = np.flatnonzero(cand <= reach[edge])
+        edge, cand = edge[hit], cand[hit]
+        row = np.repeat(row, deg)[hit]
         v = indices[edge]
-        cand = best[front][cell] + weights[edge]
-        row = row[cell]
-        td = thr_d[v]
         target = row * n + v
-        keep = (((cand < td) | ((cand == td) & (roots[row] < thr_n[v])))
-                & (cand < best[target]))
-        target = target[keep]
+        prev = best[target]
+        keep = cand < prev
+        tie = np.flatnonzero(cand == reach[edge])
+        keep[tie] &= roots[row[tie]] < thr_n[v[tie]]
+        target, prev = target[keep], prev[keep]
         np.minimum.at(best, target, cand[keep])
-        front = np.unique(target)
-    return best.reshape(roots.size, n), rounds
+        folded = best[target]
+        stamp = -1.0 - np.arange(target.size)
+        best[target] = stamp
+        first = best[target] == stamp
+        front = target[first]
+        best[front] = folded[first]
+        reached.append(front[np.isinf(prev[first])])
+    cells = np.concatenate(reached)
+    dist = best[cells]
+    best[cells] = np.inf
+    return cells, dist, rounds, relaxations
 
 
 def grow_clusters(graph: Graph, hierarchy: Hierarchy, pivot_keys,
@@ -261,13 +323,14 @@ def grow_clusters(graph: Graph, hierarchy: Hierarchy, pivot_keys,
     :func:`compute_pivot_keys`' lists.
 
     Roots are independent of each other, so any split of the universe
-    (the candidates of a repair, say) merges
-    back into the full table with :func:`merge_bunch_tables`.  Per
-    level, blocks of :data:`_BLOCK_CELLS` cells go through the frontier
-    kernel; a level
-    whose threshold is the all-``INF_KEY`` sentinel (the top one) has
-    untruncated clusters, which are plain distance rows — taken from
-    :func:`scipy.sparse.csgraph.dijkstra`, bitwise the same floats.
+    (the candidates of a repair, say) merges back into the full table
+    with :func:`merge_bunch_tables`.  Per level, blocks of at most
+    :data:`_BLOCK_CELLS` cells go through the frontier kernel over the
+    CSR :func:`_prune` leaves that level, sharing one scratch block sized
+    by the level's roots; a level whose threshold is the all-``INF_KEY``
+    sentinel (the top one) has untruncated clusters, which are plain
+    distance rows — taken from :func:`symmetric_dijkstra`, bitwise the
+    same floats.
     """
     n = graph.n
     csr = graph.to_csr()
@@ -280,19 +343,26 @@ def grow_clusters(graph: Graph, hierarchy: Hierarchy, pivot_keys,
     for lvl in np.unique(levels).tolist():
         thr = np.asarray(pivot_keys[lvl + 1], dtype=np.float64)
         thr_d, thr_n = thr[:, 0], thr[:, 1]
-        untruncated = bool(np.isinf(thr_d).all())
         members = roots[levels == lvl]
+        if np.isinf(thr_d).all():  # untruncated
+            for at in range(0, members.size, per_block):
+                block = members[at:at + per_block]
+                best = symmetric_dijkstra(csr, indices=block)
+                r, owner = np.nonzero(np.isfinite(best))
+                parts.append(BunchTable(owner, block[r], best[r, owner],
+                                        np.full(owner.size, lvl), 0))
+            continue
+        pruned = _prune(indptr, csr.indices, csr.data, thr_d)
+        scratch = np.full(min(members.size, per_block) * n, np.inf)
         for at in range(0, members.size, per_block):
             block = members[at:at + per_block]
-            if untruncated:
-                best, rounds = csgraph_dijkstra(csr, directed=False,
-                                                indices=block), 0
-            else:
-                best, rounds = _grow_block(indptr, csr.indices, csr.data, n,
-                                           block, thr_d, thr_n)
-            r, owner = np.nonzero(np.isfinite(best))
-            parts.append(BunchTable(owner, block[r], best[r, owner],
-                                    np.full(owner.size, lvl), rounds))
+            cells, dist, rounds, relaxations = _grow_block(
+                *pruned, n, block, thr_n, scratch)
+            r = cells // n
+            parts.append(BunchTable(cells - r * n, block[r], dist,
+                                    np.full(cells.size, lvl), rounds,
+                                    relaxations))
+        del scratch  # not alive beside the top level's dense rows
     return merge_bunch_tables(parts)
 
 
@@ -368,7 +438,8 @@ def tz_sketches(graph: Graph, artifacts: dict,
     ``pivot_keys`` (:func:`pivot_key_array`) spares the ``k`` pivot
     sweeps to a caller that already ran them; ``report``, a dict,
     receives where the time went (``pivots_s`` / ``clusters_s`` /
-    ``assemble_s``, bunch ``entries``, frontier ``rounds``).
+    ``assemble_s``, bunch ``entries``, frontier ``rounds``, and the
+    ``relaxations``: candidate edges the frontier kernel examined).
     """
     hierarchy = artifacts["hierarchy"]
     t0 = time.perf_counter()
@@ -387,7 +458,8 @@ def tz_sketches(graph: Graph, artifacts: dict,
     if report is not None:
         report.update(pivots_s=t1 - t0, clusters_s=t2 - t1,
                       assemble_s=time.perf_counter() - t2,
-                      entries=int(table.owner.size), rounds=table.rounds)
+                      entries=int(table.owner.size), rounds=table.rounds,
+                      relaxations=table.relaxations)
     return labels
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import GraphError
 from repro.graphs import (
@@ -17,7 +20,8 @@ from repro.graphs import (
     star_path,
     weighted_diameter,
 )
-from repro.graphs.metrics import single_source_hops_on_shortest_paths
+from repro.graphs.metrics import (single_source_hops_on_shortest_paths,
+                                  symmetric_dijkstra)
 
 
 class TestAPSP:
@@ -54,6 +58,47 @@ class TestAPSP:
 
     def test_singleton(self):
         assert apsp(Graph(1)).shape == (1, 1)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Unit, integer 1–3 (ties everywhere) or float weights, sparse
+    enough at the low end to fall apart."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("unit", "int", "float")))
+    p = draw(st.sampled_from((0.05, 0.15, 0.5)))
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v, {"unit": 1.0,
+                                  "int": float(rng.integers(1, 4)),
+                                  "float": float(rng.uniform(0.1, 10.0)),
+                                  }[kind])
+    return g
+
+
+class TestSymmetricDijkstra:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(), st.data())
+    def test_directed_sweep_is_the_undirected_one(self, g, data):
+        """``to_csr()`` stores both half-edges of every edge, so reading
+        it as directed gives scipy's undirected answer bit for bit."""
+        csr = g.to_csr()
+        assert np.array_equal(symmetric_dijkstra(csr),
+                              dijkstra(csr, directed=False))
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                     max_size=4))
+        for min_only in (False, True):
+            assert np.array_equal(
+                symmetric_dijkstra(csr, indices=sources, min_only=min_only),
+                dijkstra(csr, directed=False, indices=sources,
+                         min_only=min_only))
+
+    def test_disconnected_pairs_stay_infinite(self):
+        d = symmetric_dijkstra(Graph(4, [(0, 1, 1.5), (2, 3, 2.0)]).to_csr())
+        assert np.isinf(d[0, 2]) and d[2, 3] == 2.0
 
 
 class TestHops:

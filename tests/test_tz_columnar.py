@@ -27,8 +27,9 @@ from repro.graphs import (Graph, apsp, assign_uniform_weights, erdos_renyi,
 from repro.oracle.serialization import (index_binary_bytes,
                                         load_index_binary, load_index_bytes)
 from repro.service import build_index
-from repro.tz import (brute_force_bunches, build_tz_sketches_centralized,
-                      centralized, compute_pivot_keys, sample_hierarchy)
+from repro.tz import (Hierarchy, brute_force_bunches,
+                      build_tz_sketches_centralized, centralized,
+                      compute_pivot_keys, sample_hierarchy)
 
 
 # ----------------------------------------------------------------------
@@ -227,3 +228,41 @@ def test_build_report_counts_every_bunch_entry(er_weighted):
     built = build_sketches(er_weighted, "tz", k=3, seed=8)
     assert built.extras["build"]["entries"] == sum(
         len(s.bunch) for s in built.sketches)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_report_counts_fewer_relaxations_than_unpruned_rows(er_weighted, k):
+    """Unpruned, every member of a truncated cluster relaxes its whole
+    row at least once; the prune drops the edges heavier than their
+    head's threshold, so the kernel examines strictly fewer."""
+    built = build_sketches(er_weighted, "tz", k=k, seed=8)
+    deg = np.diff(er_weighted.to_csr().indptr)
+    unpruned = sum(int(deg[s.node]) for s in built.sketches
+                   for _, level in s.bunch.values() if level < k - 1)
+    assert 0 < built.extras["build"]["relaxations"] < unpruned
+
+
+# ----------------------------------------------------------------------
+# (e) the prune's tie boundary
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("root, pivot, admitted", ((0, 2, True),
+                                                   (2, 0, False)))
+def test_an_edge_as_heavy_as_the_threshold_is_kept(root, pivot, admitted):
+    """The path ``root —2— 1 —2— pivot``, ``pivot`` alone in ``A_1``:
+    the edge into 1 weighs exactly ``d(1, A_1)``, so the tie decides,
+    and 1 is in ``C(root)`` iff ``root < p_1(1)``.  A prune that dropped
+    edges of weight ``≥ d(v, A_{i+1})`` would lose 1 in the first case."""
+    g = Graph(3)
+    g.add_edge(root, 1, 2.0)
+    g.add_edge(1, pivot, 2.0)
+    level = np.zeros(3, dtype=np.int64)
+    level[pivot] = 1
+    h = Hierarchy(n=3, k=2, q=0.5, level=level)
+    pk = compute_pivot_keys(g, h)
+    table = centralized.grow_clusters(g, h, pk, h.universe())
+    for w in range(3):
+        rows = table.landmark == w
+        assert dict(zip(table.owner[rows].tolist(),
+                        table.dist[rows].tolist())) == centralized.cluster_of(
+            g, w, h.level_of(w), pk[h.level_of(w) + 1])
+    assert (1 in table.owner[table.landmark == root]) is admitted
