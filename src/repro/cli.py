@@ -269,48 +269,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    from repro.graphs import read_edgelist
-    from repro.service.scenario import (Trace, generate_trace,
-                                        run_named_scenario,
-                                        served_subprocess)
-
-    if (args.trace is None) == (args.load_trace is None):
-        raise ReproError("pick exactly one trace source: --trace NAME "
-                         "to generate, or --load-trace FILE to replay")
-    graph = read_edgelist(args.graph)
-    if args.load_trace is not None:
-        trace = Trace.load_jsonl(args.load_trace)
-    else:
-        trace = generate_trace(
-            args.trace, graph,
-            seed=args.seed if args.trace_seed is None else args.trace_seed,
-            rounds=args.rounds)
-    if args.save_trace is not None:
-        trace.save_jsonl(args.save_trace)
-
-    def _replay(endpoint: str):
-        return run_named_scenario(
-            trace.name, graph, scheme=args.scheme, seed=args.seed,
-            endpoint=endpoint, num_shards=args.shards,
-            query_threads=args.threads, oracle=not args.no_oracle,
-            trace=trace, **_scheme_flags(args))
-
-    if args.spawn:
-        with served_subprocess(args.graph, scheme=args.scheme,
-                               seed=args.seed or 0, shards=args.shards,
-                               k=args.k, eps=args.eps) as addr:
-            result = _replay(addr)
-    else:
-        result = _replay(args.connect)
-    print(json.dumps(result.summary(), indent=2, sort_keys=True))
-    if not result.ok:
-        print(f"error: oracle found {len(result.violations)} "
-              f"violation(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_schemes(args) -> int:
     from repro.oracle.schemes import scheme_support_matrix, schemes_markdown
 
@@ -453,48 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(--updateable only) rebuilds instead of "
                          "repairing (default 0.25)")
     sv.set_defaults(func=_cmd_serve)
-
-    sn = sub.add_parser("scenario",
-                        help="replay a churn+query scenario trace against "
-                             "a live endpoint with the correctness oracle "
-                             "armed")
-    sn.add_argument("graph",
-                    help="edge list the trace, the served index, and the "
-                         "oracle twin are built from")
-    sn.add_argument("--trace", default=None, metavar="NAME",
-                    help="named scenario to generate (flash-crowd, "
-                         "rolling-churn, weight-flap, disconnect-heal, "
-                         "steady-mix)")
-    sn.add_argument("--load-trace", default=None, metavar="TRACE.JSONL",
-                    help="replay a saved trace instead of generating one")
-    sn.add_argument("--save-trace", default=None, metavar="TRACE.JSONL",
-                    help="persist the replayed trace (exact JSONL "
-                         "round-trip; replays are reproducible)")
-    sn.add_argument("--rounds", type=int, default=None,
-                    help="trace length (default: the scenario's own)")
-    sn.add_argument("--trace-seed", type=int, default=None,
-                    help="trace-generator seed (default: --seed)")
-    sn.add_argument("--connect", metavar="SPEC", default="inproc://",
-                    help="endpoint to drive: inproc:// (default), "
-                         "tcp://host:port (a live repro serve "
-                         "--updateable daemon built from GRAPH with the "
-                         "same scheme/seed), or bare tcp:// to serve a "
-                         "loopback listener in-process")
-    sn.add_argument("--spawn", action="store_true",
-                    help="spawn a `python -m repro serve GRAPH "
-                         "--updateable` subprocess on a free port and run "
-                         "against it (overrides --connect)")
-    sn.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
-    sn.add_argument("--k", type=int, default=None)
-    sn.add_argument("--eps", type=float, default=None)
-    sn.add_argument("--seed", type=int, default=0)
-    sn.add_argument("--shards", type=int, default=1)
-    sn.add_argument("--threads", type=int, default=2,
-                    help="reader sessions the query events fan out across")
-    sn.add_argument("--no-oracle", action="store_true",
-                    help="skip the post-hoc correctness verification "
-                         "(measurement-only replay)")
-    sn.set_defaults(func=_cmd_scenario)
 
     sc = sub.add_parser("schemes",
                         help="the scheme capability matrix (from the "

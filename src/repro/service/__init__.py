@@ -51,7 +51,7 @@ The front door is :func:`~repro.service.client.connect`::
   hot-swaps the resulting epochs with zero downtime; its seeded
   workloads (:func:`~repro.service.updates.sample_query_pairs`,
   :func:`~repro.service.updates.sample_weight_changes`) feed the tests,
-  the examples and the scenario harness.
+  the examples and the benchmark.
 
 The serving benchmark is the ``bench/`` tree at the repository root
 (``python3 bench/run.py --workload NAME``).
@@ -71,9 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "index": ("CDGIndex", "GracefulIndex", "IndexStore", "Stretch3Index",
               "TZIndex", "build_index", "index_class_for", "refresh_index",
               "scheme_name_of_index"),
-    "scenario": ("SCENARIOS", "ChurnEvent", "QueryEvent", "ScenarioOracle",
-                 "ScenarioResult", "Trace", "generate_trace",
-                 "run_named_scenario", "run_scenario", "served_subprocess"),
     "server": ("OracleServer",),
     "session": ("EpochStaleness", "PipelineStats", "UpdateReport"),
     "updates": ("EdgeChange", "UpdateableIndex", "dirty_frontier",

@@ -107,8 +107,8 @@ def stream_window(batches: Iterable, submit: Callable[[Any], Any],
 # ----------------------------------------------------------------------
 @dataclass
 class EpochStaleness:
-    """Per-session staleness telemetry — the introspection surface the
-    scenario harness (and any churn-aware operator) reads.
+    """Per-session staleness telemetry — the introspection surface a
+    churn-aware operator (and the test suite's churn replays) reads.
 
     A result is **stale** when the epoch that served it
     (``last_result_epoch``) is older than the newest epoch the session

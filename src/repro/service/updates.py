@@ -31,7 +31,7 @@ An ``apply`` is three steps, none of which knows a scheme:
   while the frontier is small, and the fallback bounds the cost by a
   rebuild plus the frontier sweep.  The rule is inline, with no plug-in
   point: a cost model learning the two paths' seconds online lost to it
-  on ``churn-mixed`` traffic (the table is in ``docs/serving.md`` §9);
+  on ``churn-mixed`` traffic (the table is in ``docs/serving.md`` §8);
 * the **index refresh** — only sketch entries owned by touched nodes
   can change, so :func:`~repro.service.index.refresh_index` keeps the
   clean owners' rows of the TZ bunch table, merges the fresh rows in by

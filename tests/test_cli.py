@@ -356,13 +356,16 @@ class TestBuildFormatAndMemoryPlane:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["serve", "update"])
-    def test_deleted_commands_are_usage_errors(self, sketch_file, verb,
+    @pytest.mark.parametrize("command", ["serve-bench", "update-bench",
+                                         "scenario"],
+                             ids=["serve", "update", "scenario"])
+    def test_deleted_commands_are_usage_errors(self, sketch_file, command,
                                                capsys):
         """Serving speed is measured by ``bench/run.py``: the
-        ``<verb>-bench`` subcommands are unknown commands."""
+        ``<verb>-bench`` subcommands are unknown commands.  So is
+        ``scenario``: the churn replay lives in the test suite."""
         with pytest.raises(SystemExit) as exc:
-            main([f"{verb}-bench", str(sketch_file)])
+            main([command, str(sketch_file)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 

@@ -122,7 +122,6 @@ _CONSTANTS = {
     "__version__": "repro._version",
     "SCHEMES": "repro.oracle.schemes",
     "TRANSPORTS": "repro.service.client",
-    "SCENARIOS": "repro.service.scenario",
 }
 
 

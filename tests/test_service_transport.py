@@ -25,12 +25,6 @@ Four claim families:
 
 from __future__ import annotations
 
-import os
-import pathlib
-import re
-import subprocess
-import sys
-import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,8 +38,7 @@ from repro.service import (OracleServer, UpdateableIndex, connect,
                            sample_weight_changes)
 from repro.service.buffers import tree_from_bytes, tree_to_bytes
 from repro.service.engine import RANGE_PAIRS
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+from scenario_harness import served_subprocess
 
 #: scheme -> build params for the equivalence suites
 SCHEME_PARAMS = {
@@ -376,27 +369,6 @@ class TestDeprecationShims:
 # ----------------------------------------------------------------------
 # ISSUE 5 acceptance: a live `python -m repro serve` process
 # ----------------------------------------------------------------------
-def _spawn_server(tmp_path, argv: list[str]) -> tuple:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", *argv],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + 60
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if "on tcp://" in line or proc.poll() is not None:
-            break
-    match = re.search(r"on tcp://([0-9.]+):(\d+)", line)
-    if not match:
-        proc.kill()
-        raise AssertionError(f"server never announced an address: {line!r}")
-    return proc, match.group(1), int(match.group(2))
-
-
 @pytest.fixture(scope="module")
 def served_files(tmp_path_factory, graph, builds):
     from repro.graphs import write_edgelist
@@ -416,20 +388,13 @@ class TestLiveServeProcess:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_PARAMS))
     def test_tcp_equals_inproc_for_every_scheme(self, served_files,
                                                 builds, scheme):
-        proc, host, port = _spawn_server(served_files,
-                                         [f"{scheme}.jsonl",
-                                          "--addr", "127.0.0.1:0"])
-        try:
-            pairs = sample_query_pairs(builds[scheme].graph.n, 200, seed=3)
-            with connect(f"tcp://{host}:{port}") as remote, \
-                    connect("inproc://", builds[scheme],
-                            cache_size=0) as local:
-                assert remote.scheme == scheme
-                assert remote.dist_many(pairs).tolist() == \
-                    local.dist_many(pairs).tolist()
-        finally:
-            proc.kill()
-            proc.wait()
+        pairs = sample_query_pairs(builds[scheme].graph.n, 200, seed=3)
+        with served_subprocess(served_files / f"{scheme}.jsonl") as addr, \
+                connect(addr) as remote, \
+                connect("inproc://", builds[scheme], cache_size=0) as local:
+            assert remote.scheme == scheme
+            assert remote.dist_many(pairs).tolist() == \
+                local.dist_many(pairs).tolist()
 
     def test_mmap_rpix_with_shard_threads_over_live_tcp(self, served_files,
                                                         builds):
@@ -443,55 +408,44 @@ class TestLiveServeProcess:
         built = builds["stretch3"]
         save_index_binary(build_index(built.sketches, num_shards=2),
                           str(served_files / "s3.rpix"))
-        proc, host, port = _spawn_server(
-            served_files, ["s3.rpix", "--port", "0", "--memory", "mmap",
-                           "--cache-size", "0"])
-        try:
-            pairs = sample_query_pairs(built.graph.n, 200, seed=3)
-            bulk = sample_query_pairs(built.graph.n, BULK, seed=4)
-            with connect(f"tcp://{host}:{port}") as remote, \
-                    connect("inproc://cache=0", built) as local:
-                stats = remote.stats()
-                assert stats["shards"] == 2 and "jobs" not in stats
-                assert remote.dist_many(pairs).tolist() == \
-                    local.dist_many(pairs).tolist()
-                assert remote.dist_many(bulk).tobytes() == \
-                    local.dist_many(bulk).tobytes()
-        finally:
-            proc.kill()
-            proc.wait()
+        pairs = sample_query_pairs(built.graph.n, 200, seed=3)
+        bulk = sample_query_pairs(built.graph.n, BULK, seed=4)
+        with served_subprocess(served_files / "s3.rpix", "--memory", "mmap",
+                               "--cache-size", "0") as addr, \
+                connect(addr) as remote, \
+                connect("inproc://cache=0", built) as local:
+            stats = remote.stats()
+            assert stats["shards"] == 2 and "jobs" not in stats
+            assert remote.dist_many(pairs).tolist() == \
+                local.dist_many(pairs).tolist()
+            assert remote.dist_many(bulk).tobytes() == \
+                local.dist_many(bulk).tobytes()
 
     def test_hot_swap_propagates_over_live_tcp(self, served_files, graph):
-        proc, host, port = _spawn_server(
-            served_files, ["net.edges", "--updateable", "--scheme", "tz",
-                           "--k", "2", "--seed", "9",
-                           "--addr", "127.0.0.1:0"])
-        try:
-            # an inline twin of the served UpdateableIndex — same graph
-            # file, same seed, so bit-identical epochs
-            twin = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
-            changes = sample_weight_changes(graph, 3, seed=41, low=0.2,
-                                            high=0.6)
-            pairs = sample_query_pairs(graph.n, 150, seed=2)
-            with connect(f"tcp://{host}:{port}") as watcher, \
-                    connect(f"tcp://{host}:{port}") as writer:
-                before = watcher.dist_many(pairs)
-                assert before.tolist() == twin.index.estimate_many(
-                    pairs[:, 0], pairs[:, 1]).tolist()
-                report = writer.apply_updates(changes)
-                twin_report = twin.apply(changes)
-                assert (report.mode, report.epoch) == \
-                    (twin_report.mode, twin_report.epoch)
-                # the watcher session — opened before the swap, never
-                # reconnected — serves the new epoch
-                after = watcher.dist_many(pairs)
-                assert after.tolist() == twin.index.estimate_many(
-                    pairs[:, 0], pairs[:, 1]).tolist()
-                assert watcher.epoch == report.epoch
-                assert before.tolist() != after.tolist()
-        finally:
-            proc.kill()
-            proc.wait()
+        # an inline twin of the served UpdateableIndex — same graph
+        # file, same seed, so bit-identical epochs
+        twin = UpdateableIndex(graph, scheme="tz", seed=9, k=2)
+        changes = sample_weight_changes(graph, 3, seed=41, low=0.2,
+                                        high=0.6)
+        pairs = sample_query_pairs(graph.n, 150, seed=2)
+        with served_subprocess(served_files / "net.edges", "--updateable",
+                               "--scheme", "tz", "--k", "2",
+                               "--seed", "9") as addr, \
+                connect(addr) as watcher, connect(addr) as writer:
+            before = watcher.dist_many(pairs)
+            assert before.tolist() == twin.index.estimate_many(
+                pairs[:, 0], pairs[:, 1]).tolist()
+            report = writer.apply_updates(changes)
+            twin_report = twin.apply(changes)
+            assert (report.mode, report.epoch) == \
+                (twin_report.mode, twin_report.epoch)
+            # the watcher session — opened before the swap, never
+            # reconnected — serves the new epoch
+            after = watcher.dist_many(pairs)
+            assert after.tolist() == twin.index.estimate_many(
+                pairs[:, 0], pairs[:, 1]).tolist()
+            assert watcher.epoch == report.epoch
+            assert before.tolist() != after.tolist()
 
 
 # ----------------------------------------------------------------------
