@@ -57,7 +57,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks._workloads import workload, workload_apsp
+from benchmarks._workloads import workload
 from repro import build_sketches
 from repro.analysis import render_table
 from repro.service import (QueryEngine, build_index, connect,
@@ -109,8 +109,7 @@ def _arms(index) -> dict:
 def e20_sketches():
     g = workload("er", N, weighted=True)
     tz = build_sketches(g, scheme="tz", k=2, seed=SEED)
-    s3 = build_sketches(g, scheme="stretch3", eps=EPS, seed=SEED,
-                        dist_matrix=workload_apsp("er", N, weighted=True))
+    s3 = build_sketches(g, scheme="stretch3", eps=EPS, seed=SEED)
     return {"tz": tz.sketches, "stretch3": s3.sketches}
 
 

@@ -28,8 +28,7 @@ def e6_table(experiment_report):
     d = workload_apsp("er", N, weighted=True)
     rows = []
     for eps in EPSES:
-        sketches, net = build_stretch3_centralized(g, eps, seed=21,
-                                                   dist_matrix=d)
+        sketches, net = build_stretch3_centralized(g, eps, seed=21)
         rep = evaluate_stretch(
             d, lambda u, v: sketches[u].estimate_to(sketches[v]),
             eps=eps, max_pairs=4000, seed=2)
@@ -95,9 +94,8 @@ def test_e6_distributed_rounds_flat(e6_distributed):
 def test_e6_benchmark_build(benchmark, e6_table, e6_distributed):
     """Timing kernel: centralized Theorem 4.3 build at n=256, eps=0.1."""
     g = workload("er", N, weighted=True)
-    d = workload_apsp("er", N, weighted=True)
 
     def run():
-        return build_stretch3_centralized(g, 0.1, seed=5, dist_matrix=d)
+        return build_stretch3_centralized(g, 0.1, seed=5)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

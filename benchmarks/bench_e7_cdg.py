@@ -29,8 +29,7 @@ def e7_table(experiment_report):
     d = workload_apsp("er", N, weighted=True)
     rows = []
     for eps, k in GRID:
-        sketches, net, _ = build_cdg_centralized(g, eps, k, seed=31,
-                                                 dist_matrix=d)
+        sketches, net, _ = build_cdg_centralized(g, eps, k, seed=31)
         rep = evaluate_stretch(
             d, lambda u, v: sketches[u].estimate_to(sketches[v]),
             eps=eps, max_pairs=4000, seed=3)
@@ -104,9 +103,8 @@ def test_e7_distributed_rounds_flat(e7_distributed):
 def test_e7_benchmark_build(benchmark, e7_table, e7_distributed):
     """Timing kernel: centralized CDG build at n=256, eps=0.1, k=2."""
     g = workload("er", N, weighted=True)
-    d = workload_apsp("er", N, weighted=True)
 
     def run():
-        return build_cdg_centralized(g, 0.1, 2, seed=7, dist_matrix=d)
+        return build_cdg_centralized(g, 0.1, 2, seed=7)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

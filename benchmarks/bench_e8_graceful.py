@@ -31,8 +31,7 @@ def e8_degradation(experiment_report):
     n = 192
     g = workload("er", n, weighted=True)
     d = workload_apsp("er", n, weighted=True)
-    sketches, schedule = build_graceful_centralized(g, seed=41,
-                                                    dist_matrix=d)
+    sketches, schedule = build_graceful_centralized(g, seed=41)
     rows = []
     for eps, k in schedule:
         rep = evaluate_stretch(
@@ -58,7 +57,7 @@ def e8_average(experiment_report):
     for n in (96, 192, 320):
         g = workload("ba", n)
         d = workload_apsp("ba", n)
-        graceful, _ = build_graceful_centralized(g, seed=43, dist_matrix=d)
+        graceful, _ = build_graceful_centralized(g, seed=43)
         k = max(1, int(math.log2(n)))
         tz, _ = build_tz_sketches_centralized(g, k=k, seed=44)
         avg_g = average_stretch(
@@ -112,9 +111,8 @@ def test_e8_size_within_polylog_bound(e8_average):
 def test_e8_benchmark_build(benchmark, e8_degradation, e8_average):
     """Timing kernel: full graceful build at n=128 (centralized)."""
     g = workload("er", 128, weighted=True)
-    d = workload_apsp("er", 128, weighted=True)
 
     def run():
-        return build_graceful_centralized(g, seed=9, dist_matrix=d)
+        return build_graceful_centralized(g, seed=9)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -178,7 +178,8 @@ def _query_fn(sketches):
 
 
 def _cmd_query(args) -> int:
-    from repro.graphs import apsp, read_edgelist
+    from repro.graphs import read_edgelist
+    from repro.graphs.metrics import distance_rows
     from repro.service.index import checked_pair
 
     client = None
@@ -198,19 +199,22 @@ def _cmd_query(args) -> int:
         from repro.oracle.serialization import load_sketch_set
 
         query = _query_fn(load_sketch_set(args.sketches))
-    d = None
-    if args.exact:
-        if args.graph is None:
-            raise ReproError("--exact needs the GRAPH argument")
-        d = apsp(read_edgelist(args.graph))
+    exact = None
     try:
+        if args.exact:
+            if args.graph is None:
+                raise ReproError("--exact needs the GRAPH argument")
+            g = read_edgelist(args.graph)
+            sources = sorted({checked_pair(*_parse_pair(text), g.n)[0]
+                              for text in args.pairs})
+            exact = dict(zip(sources, distance_rows(g, sources)))
         for text in args.pairs:
             u, v = _parse_pair(text)
             est = query(u, v)
-            if d is not None:
-                u, v = checked_pair(u, v, len(d))
-                print(f"{u}:{v} estimate={est:g} exact={d[u, v]:g} "
-                      f"stretch={est / d[u, v] if d[u, v] else 1.0:.3f}")
+            if exact is not None:
+                d = exact[u][v]
+                print(f"{u}:{v} estimate={est:g} exact={d:g} "
+                      f"stretch={est / d if d else 1.0:.3f}")
             else:
                 print(f"{u}:{v} estimate={est:g}")
     finally:

@@ -15,9 +15,9 @@ source paper's composition rule as three callables —
 * ``sketches(graph, artifacts, owners=None, **hints) -> list``: the
   centralized per-owner function — from fixed artifacts, the sketches
   of ``owners`` (all nodes: a build).  Builds
-  (:func:`~repro.oracle.api.build_sketches`), rebuilds and repairs
-  (:class:`~repro.service.updates.UpdateableIndex`) all end in it,
-  which is why they agree byte for byte;
+  (:func:`~repro.oracle.api.build_sketches`) and rebuilds
+  (:class:`~repro.service.updates.UpdateableIndex`) end in it, and
+  repairs re-run its primitives, which is why they agree byte for byte;
 * ``distributed(graph, seed, params) -> (sketches, artifacts, metrics,
   extras)``: the CONGEST construction (it interleaves its artifact
   draws with the simulator's, through the same ``sample``);
@@ -112,8 +112,6 @@ class SchemeSpec:
         node — in ``distributed``'s shape (no metrics)."""
         artifacts = self.sample(graph, seed, params)
         extras = {}
-        if params.get("dist_matrix") is not None:
-            hints["dist_rows"] = params["dist_matrix"]
         if "report" in self.hints:
             hints["report"] = extras["build"] = {}
         return (self.sketches(graph, artifacts, **hints), artifacts, None,
@@ -190,13 +188,12 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.3 (density-net table)",
         stretch_bound=_stretch3_stretch,
         slack_of=lambda p: p["eps"],
-        reads={"centralized": ("eps", "net", "dist_matrix"),
+        reads={"centralized": ("eps", "net"),
                "distributed": ("eps", "net")},
         sample=stretch3_artifacts,
         sketches=stretch3_sketches,
         distributed=_distributed(build_stretch3_distributed, ("eps",),
                                  ("net",)),
-        hints=("dist_rows",),
         repair=_repair("repair_stretch3"),
     ),
     "cdg": SchemeSpec(
@@ -204,14 +201,12 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.6 ((eps,k)-CDG)",
         stretch_bound=_cdg_stretch,
         slack_of=lambda p: p["eps"],
-        reads={"centralized": ("eps", "k", "net", "hierarchy",
-                               "dist_matrix"),
+        reads={"centralized": ("eps", "k", "net", "hierarchy"),
                "distributed": ("eps", "k", "net", "hierarchy", *_SYNC)},
         sample=cdg_artifacts,
         sketches=cdg_sketches,
         distributed=_distributed(build_cdg_distributed, ("eps", "k"),
                                  ("net", "hierarchy")),
-        hints=("dist_rows", "labels"),
         repair=_repair("repair_cdg"),
     ),
     "graceful": SchemeSpec(
@@ -219,13 +214,12 @@ SCHEMES: dict[str, SchemeSpec] = {
         paper_result="Theorem 4.8 / Corollary 4.9 (gracefully degrading)",
         stretch_bound=_graceful_stretch,
         slack_of=lambda p: None,  # all pairs, at the O(log n) worst case
-        reads={"centralized": ("schedule", "components", "dist_matrix"),
+        reads={"centralized": ("schedule", "components"),
                "distributed": ("schedule", *_SYNC)},
         sample=graceful_artifacts,
         sketches=graceful_sketches,
         distributed=_distributed(build_graceful_distributed, (),
                                  ("schedule",)),
-        hints=("dist_rows",),
         repair=_repair("repair_graceful"),
     ),
 }

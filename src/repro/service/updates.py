@@ -16,16 +16,16 @@ An ``apply`` is three steps, none of which knows a scheme:
   matters to ``v`` only if the old edge was on a near-optimal ``v``-path
   (``d(v, a) + w_old <= d(v, b)`` or symmetrically, padded by a
   conservative float margin), a decrease only if the new edge opens a
-  shorter route (``d(v, a) + w_new < d(v, b)`` or symmetrically).  Every
-  scheme's sketch of a *clean* node is a pure function of that node's
-  unchanged distance row (plus fixed random artifacts), so clean
-  sketches are reused byte-for-byte;
+  shorter route (``d(v, a) + w_new < d(v, b)`` or symmetrically).  A
+  *clean* node's sweep is float-identical after the change, so every
+  stored distance a build computes from it is reused byte-for-byte;
 * the **repair** — the scheme's registry row
-  (:mod:`repro.oracle.schemes`) rebuilds the dirty owners' sketches: its
-  ``repair`` function (``repair_tz`` … ``repair_graceful`` below) finds
-  what else the dirty set reaches — the candidate cluster roots of a TZ
-  label, the clean nodes behind a dirty CDG gateway — and ends in the
-  row's per-owner ``sketches`` function, the one a build runs.  Past
+  (:mod:`repro.oracle.schemes`) rebuilds what the dirty set reaches:
+  its ``repair`` function (``repair_tz`` … ``repair_graceful`` below)
+  re-runs the build's own primitives on the mutated graph — the
+  candidate cluster roots of a TZ label, the dirty net members' rows
+  of stretch3, the gateway sweep of CDG — and re-issues every owner
+  whose sketch they change.  Past
   ``rebuild_threshold`` (default 0.25 of the nodes dirty) the same
   function simply runs over every owner: localized repair only wins
   while the frontier is small, and the fallback bounds the cost by a
@@ -76,8 +76,7 @@ from repro.oracle.schemes import get_scheme
 from repro.rng import SeedLike, ensure_rng
 from repro.service.index import IndexStore, build_index, refresh_index
 from repro.service.session import UpdateReport
-from repro.slack.cdg import cdg_sketches
-from repro.slack.stretch3 import stretch3_sketches
+from repro.slack.cdg import gateways, link_gateways
 from repro.tz.centralized import pivot_key_array, tz_sketches
 from repro.tz.sketch import TZSketch
 
@@ -279,12 +278,11 @@ def dirty_frontier(graph: Graph, changes: Sequence[EdgeChange],
 
 # ----------------------------------------------------------------------
 # per-scheme repairs, ``(graph, artifacts, sketches, dirty) -> {node:
-# fresh sketch}``: discover what a dirty set can touch, then end in the
-# registry row's per-owner function — the one a build runs
+# fresh sketch}``: discover what a dirty set can touch, then re-run the
+# build's own primitives on it
 # ----------------------------------------------------------------------
 def repair_tz(graph: Graph, artifacts: dict, sketches: list,
-              dirty: Sequence[int], dist_rows: Optional[np.ndarray] = None,
-              ) -> dict[int, TZSketch]:
+              dirty: Sequence[int]) -> dict[int, TZSketch]:
     """The TZ labels of ``dirty`` nodes on the (already mutated) graph,
     bit-identical to a full build's: the build's per-owner function,
     handed the only sub-top cluster roots that can reach a dirty node
@@ -302,22 +300,19 @@ def repair_tz(graph: Graph, artifacts: dict, sketches: list,
     untruncated clusters and the ``k`` pivot sweeps are a fixed cost the
     per-owner function pays for any owner set.
 
-    :param dist_rows: optional pre-computed Dijkstra rows for ``dirty``
-        (row ``j`` is node ``dirty[j]``); computed here when omitted.
     :returns: ``{node: new TZSketch}`` for exactly the dirty nodes.
     """
     if len(dirty) == 0:
         return {}
     hierarchy = artifacts["hierarchy"]
     pivot_keys = pivot_key_array(graph, hierarchy)
-    if dist_rows is None:
-        dist_rows = distance_rows(graph, dirty)
+    dirty_rows = distance_rows(graph, dirty)
     roots = [np.empty(0, dtype=np.int64)]
     for i in range(hierarchy.k - 1):
         members = hierarchy.exact_level(i)
         thr = pivot_keys[i + 1, dirty, 0]
         bound = thr + _MARGIN_REL * (1.0 + thr)
-        rows = dist_rows[:, members]
+        rows = dirty_rows[:, members]
         near = (rows <= bound[:, None]) & np.isfinite(rows)
         roots.append(members[near.any(axis=0)])
     return dict(zip(dirty, tz_sketches(graph, artifacts, dirty,
@@ -327,41 +322,49 @@ def repair_tz(graph: Graph, artifacts: dict, sketches: list,
 
 def repair_stretch3(graph: Graph, artifacts: dict, sketches: list,
                     dirty: Sequence[int]) -> dict:
-    """A stretch3 sketch is its owner's row over the net: the dirty
-    owners' sketches are the build restricted to them."""
-    return dict(zip(dirty, stretch3_sketches(graph, artifacts, dirty)))
+    """A stretch3 entry ``d(w, u)`` is read off net member ``w``'s row,
+    and a clean node's row is float-identical after the change: only
+    the dirty members are swept again, and every owner with a changed
+    entry is re-issued."""
+    moved = sorted(set(artifacts["net"].members).intersection(dirty))
+    if not moved:
+        return {}
+    rows = distance_rows(graph, moved)
+    old = np.array([[s.entries[w] for w in moved] for s in sketches]).T
+    return {int(u): replace(sketches[u], entries={
+                **sketches[u].entries, **dict(zip(moved, rows[:, u].tolist()))})
+            for u in np.flatnonzero((rows != old).any(axis=0))}
 
 
 def repair_cdg(graph: Graph, artifacts: dict, sketches: list,
-               dirty: Sequence[int],
-               dist_rows: Optional[np.ndarray] = None) -> dict:
-    """Dirty owners get the build's sketch — new gateway, linked to the
-    current net labels; a dirty *net member*'s label is repaired first
-    (:func:`repair_tz` over the net hierarchy), and every clean
-    node whose gateway it is is re-linked to the fresh label."""
-    if dist_rows is None:
-        dist_rows = distance_rows(graph, dirty)
+               dirty: Sequence[int]) -> dict:
+    """A dirty *net member*'s label is repaired first (:func:`repair_tz`
+    over the net hierarchy); the gateway column is swept again, and
+    every owner whose gateway pair moved or whose gateway's label
+    changed is re-issued, linked to the current net labels."""
+    members = artifacts["net"].members
     # every net member is its own gateway (d(w, w) = 0 always wins), so
     # member w's current label is sketches[w].label
-    labels = {w: sketches[w].label for w in artifacts["net"].members}
-    at = {v: j for j, v in enumerate(dirty) if v in labels}
-    relabelled = repair_tz(graph, artifacts, sketches, list(at),
-                           dist_rows=dist_rows[list(at.values())])
+    labels = {w: sketches[w].label for w in members}
+    relabelled = {w: label for w, label in repair_tz(
+                      graph, artifacts, sketches,
+                      [v for v in dirty if v in labels]).items()
+                  if label != labels[w]}
     labels.update(relabelled)
-    fresh = dict(zip(dirty, cdg_sketches(graph, artifacts, dirty,
-                                         dist_rows=dist_rows, labels=labels)))
-    for u, s in enumerate(sketches):
-        if u not in fresh and s.gateway in relabelled:
-            fresh[u] = replace(s, label=labels[s.gateway])
-    return fresh
+    column = gateways(graph, members)
+    owners = [u for u, s in enumerate(sketches)
+              if s.gateway in relabelled
+              or (s.gateway_dist, s.gateway) != column[u]]
+    return dict(zip(owners, link_gateways(
+        artifacts["eps"], artifacts["k"], owners,
+        [column[u] for u in owners], labels)))
 
 
 def repair_graceful(graph: Graph, artifacts: dict, sketches: list,
                     dirty: Sequence[int]) -> dict:
-    """Every level is a CDG repair over one shared block of dirty rows."""
-    rows = distance_rows(graph, dirty)
+    """Every level is a CDG repair."""
     per_level = [repair_cdg(graph, level, [s.components[i] for s in sketches],
-                            dirty, dist_rows=rows)
+                            dirty)
                  for i, level in enumerate(artifacts["components"])]
     return {u: replace(sketches[u], components=tuple(
                 fresh.get(u, old)

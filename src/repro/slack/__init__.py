@@ -16,7 +16,6 @@ from repro.slack.density_net import (
     ball_radii,
     verify_density_net,
     build_density_net_distributed,
-    nearest_in_set_centralized,
 )
 from repro.slack.stretch3 import (
     Stretch3Sketch,
@@ -42,7 +41,6 @@ __all__ = [
     "ball_radii",
     "verify_density_net",
     "build_density_net_distributed",
-    "nearest_in_set_centralized",
     "Stretch3Sketch",
     "build_stretch3_centralized",
     "build_stretch3_distributed",

@@ -29,12 +29,10 @@ import numpy as np
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
-from repro.slack.density_net import (DensityNet, nearest_in_set_centralized,
-                                     sample_density_net)
+from repro.slack.density_net import DensityNet, sample_density_net
 from repro.algorithms.supersource import distances_to_set
-from repro.tz.centralized import tz_sketches
+from repro.tz.centralized import _set_keys, tz_sketches
 from repro.tz.distributed import build_tz_sketches_distributed
 from repro.tz.hierarchy import Hierarchy, sample_hierarchy
 from repro.tz.sketch import TZSketch, estimate_distance
@@ -71,10 +69,26 @@ def cdg_sampling_probability(n: int, eps: float, k: int) -> float:
     return min(1.0, base ** (-1.0 / k))
 
 
-def _assemble(eps: float, k: int, owners, gateways: list[tuple[float, int]],
-              net_labels: dict[int, TZSketch]) -> list[CDGSketch]:
+def gateways(graph: Graph, members) -> list[tuple[float, int]]:
+    """Per node ``(d(u, N), u')``: the closest member of ``members``,
+    the smallest id among equidistant ones, ``(inf, -1)`` where none is
+    reachable — one sweep from the net, as the super-source run of
+    :func:`~repro.algorithms.supersource.distances_to_set` computes it."""
+    dist, witness = _set_keys(graph.to_csr(),
+                              np.asarray(members, dtype=np.int64))
+    return list(zip(dist.tolist(), witness.tolist()))
+
+
+def link_gateways(eps: float, k: int, owners,
+                  pairs: list[tuple[float, int]],
+                  net_labels: dict[int, TZSketch]) -> list[CDGSketch]:
+    """The owners' sketches: each gateway pair ``(d(u, u'), u')`` of
+    ``pairs`` (one per owner) linked to ``u'``'s label.
+
+    :raises QueryError: when an owner reaches no net member.
+    """
     out = []
-    for u, (gd, gw) in zip(owners, gateways):
+    for u, (gd, gw) in zip(owners, pairs):
         if gw < 0:
             raise QueryError(
                 f"the graph strands node {u} from the density net (no "
@@ -104,39 +118,31 @@ def cdg_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 
 def cdg_sketches(graph: Graph, artifacts: dict,
-                 owners: Optional[Sequence[int]] = None, *,
-                 dist_rows: Optional[np.ndarray] = None,
-                 labels: Optional[dict[int, TZSketch]] = None,
-                 ) -> list[CDGSketch]:
+                 owners: Optional[Sequence[int]] = None) -> list[CDGSketch]:
     """The cdg registry row's per-owner function: each owner's gateway
-    read off its distance row (``dist_rows``, as for
-    :func:`~repro.slack.stretch3.stretch3_sketches`), linked to the
-    gateway's Thorup–Zwick label over the fixed net and net hierarchy
-    (``labels``: the net members' labels, for a repair that holds them).
+    from one :func:`gateways` sweep over the net, linked to the
+    gateway's Thorup–Zwick label over the fixed net and net hierarchy.
 
     :raises QueryError: when an owner reaches no net member.
     """
     members = artifacts["net"].members
-    if dist_rows is None:
-        dist_rows = distance_rows(graph, owners)
-    if labels is None:
-        labels = dict(zip(members, tz_sketches(graph, artifacts, members)))
-    return _assemble(artifacts["eps"], artifacts["k"],
-                     graph.nodes() if owners is None else owners,
-                     nearest_in_set_centralized(dist_rows, members), labels)
+    labels = dict(zip(members, tz_sketches(graph, artifacts, members)))
+    column = gateways(graph, members)
+    owners = graph.nodes() if owners is None else owners
+    return link_gateways(artifacts["eps"], artifacts["k"], owners,
+                         [column[u] for u in owners], labels)
 
 
 def build_cdg_centralized(graph: Graph, eps: float, k: int,
                           seed: SeedLike = None,
                           net: Optional[DensityNet] = None,
                           hierarchy: Optional[Hierarchy] = None,
-                          dist_matrix: Optional[np.ndarray] = None,
                           ) -> tuple[list[CDGSketch], DensityNet, Hierarchy]:
     """Centralized twin (used for differential tests and large-n stats)."""
     artifacts = cdg_artifacts(graph, seed, {"eps": eps, "k": k, "net": net,
                                             "hierarchy": hierarchy})
-    return (cdg_sketches(graph, artifacts, dist_rows=dist_matrix),
-            artifacts["net"], artifacts["hierarchy"])
+    return (cdg_sketches(graph, artifacts), artifacts["net"],
+            artifacts["hierarchy"])
 
 
 def build_cdg_distributed(graph: Graph, eps: float, k: int,
@@ -169,5 +175,5 @@ def build_cdg_distributed(graph: Graph, eps: float, k: int,
                                        seed=rng, S=S, budget=budget)
     net_labels = {w: tz.sketches[w] for w in net.members}
     metrics = m1 + tz.metrics
-    return (_assemble(eps, k, graph.nodes(), assignments, net_labels), net,
-            hierarchy, metrics)
+    return (link_gateways(eps, k, graph.nodes(), assignments, net_labels),
+            net, hierarchy, metrics)

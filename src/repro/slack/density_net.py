@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.algorithms.supersource import distances_to_set
 from repro.congest.metrics import RunMetrics
-from repro.distkey import DistKey
 from repro.errors import ConfigError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng
@@ -71,24 +70,25 @@ def sample_density_net(n: int, eps: float, seed: SeedLike = None) -> DensityNet:
     raise ConfigError(f"net sampling kept drawing empty sets (n={n}, eps={eps})")
 
 
-def ball_radii(dist_matrix: np.ndarray, eps: float) -> np.ndarray:
+def ball_radii(dist: np.ndarray, eps: float) -> np.ndarray:
     """``R(u, ε)`` for every ``u``: the εn-th smallest entry in row ``u``
-    (the row contains ``d(u, u) = 0``, so ``|B(u, R)| >= εn`` counts ``u``)."""
-    n = dist_matrix.shape[0]
+    of the n × n distance matrix ``dist`` (the row contains
+    ``d(u, u) = 0``, so ``|B(u, R)| >= εn`` counts ``u``)."""
+    n = dist.shape[0]
     need = max(1, math.ceil(eps * n))
     # partition is O(n) per row vs full sort's O(n log n)
-    return np.partition(dist_matrix, need - 1, axis=1)[:, need - 1]
+    return np.partition(dist, need - 1, axis=1)[:, need - 1]
 
 
-def verify_density_net(dist_matrix: np.ndarray, net: DensityNet) -> dict:
+def verify_density_net(dist: np.ndarray, net: DensityNet) -> dict:
     """Exact check of both Definition 4.1 properties.
 
     Returns a report dict: per-property booleans plus the measured values,
     used by tests and experiment E5.
     """
     members = np.asarray(net.members, dtype=np.int64)
-    radii = ball_radii(dist_matrix, net.eps)
-    d_to_net = dist_matrix[:, members].min(axis=1)
+    radii = ball_radii(dist, net.eps)
+    d_to_net = dist[:, members].min(axis=1)
     coverage_ok = bool(np.all(d_to_net <= radii + 1e-9))
     size_ok = net.size() <= net.size_bound()
     return {
@@ -99,23 +99,6 @@ def verify_density_net(dist_matrix: np.ndarray, net: DensityNet) -> dict:
         "worst_coverage_ratio": float(np.max(
             np.where(radii > 0, d_to_net / np.maximum(radii, 1e-300), 0.0))),
     }
-
-
-def nearest_in_set_centralized(dist_matrix: np.ndarray, members,
-                               ) -> list[tuple[float, int]]:
-    """Per node: ``(d(u, N), closest member)`` with the library tie-break
-    (smallest member ID among equidistant) — the centralized twin of
-    :func:`repro.algorithms.supersource.distances_to_set`."""
-    mem = sorted(int(v) for v in members)
-    out = []
-    for u in range(dist_matrix.shape[0]):
-        best = DistKey(math.inf, -1)
-        for v in mem:
-            key = DistKey(float(dist_matrix[u, v]), v)
-            if key < best:
-                best = key
-        out.append((best.dist, best.node))
-    return out
 
 
 def build_density_net_distributed(graph: Graph, eps: float,
@@ -133,7 +116,7 @@ def build_density_net_distributed(graph: Graph, eps: float,
     return net, assignments, metrics
 
 
-def cdg_original_net(dist_matrix: np.ndarray, eps: float,
+def cdg_original_net(dist: np.ndarray, eps: float,
                      seed: SeedLike = None) -> DensityNet:
     """The *original* Chan-Dinitz-Gupta density net for the A2 ablation:
     a greedy centralized construction of at most ``ceil(1/ε)`` nodes such
@@ -148,8 +131,8 @@ def cdg_original_net(dist_matrix: np.ndarray, eps: float,
     all vertices are covered — for the ablation's measurement purposes the
     *size* and *radius* actually achieved are what get reported).
     """
-    n = dist_matrix.shape[0]
-    radii = ball_radii(dist_matrix, eps)
+    n = dist.shape[0]
+    radii = ball_radii(dist, eps)
     order = np.argsort(radii, kind="stable")
     covered = np.zeros(n, dtype=bool)
     members: list[int] = []
@@ -158,5 +141,5 @@ def cdg_original_net(dist_matrix: np.ndarray, eps: float,
         if covered[u]:
             continue
         members.append(u)
-        covered |= dist_matrix[u] <= 2.0 * radii
+        covered |= dist[u] <= 2.0 * radii
     return DensityNet(eps=eps, n=n, members=tuple(sorted(members)))

@@ -22,12 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
 from repro.slack.cdg import (CDGSketch, build_cdg_distributed, cdg_artifacts,
                              cdg_sketches)
@@ -96,26 +93,22 @@ def graceful_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 
 def graceful_sketches(graph: Graph, artifacts: dict,
-                      owners: Optional[Sequence[int]] = None, *,
-                      dist_rows: Optional[np.ndarray] = None,
+                      owners: Optional[Sequence[int]] = None,
                       ) -> list[GracefulSketch]:
     """The graceful registry row's per-owner function: the owners' CDG
-    sketches of every level, over one shared block of ``dist_rows``."""
-    if dist_rows is None:
-        dist_rows = distance_rows(graph, owners)
-    per_level = [cdg_sketches(graph, level, owners, dist_rows=dist_rows)
+    sketches of every level — one gateway sweep per level, over the
+    graph's one CSR."""
+    per_level = [cdg_sketches(graph, level, owners)
                  for level in artifacts["components"]]
     return _assemble(graph.nodes() if owners is None else owners, per_level)
 
 
 def build_graceful_centralized(graph: Graph, seed: SeedLike = None,
                                schedule: Optional[list[tuple[float, int]]] = None,
-                               dist_matrix: Optional[np.ndarray] = None,
                                ) -> tuple[list[GracefulSketch], list[tuple[float, int]]]:
     """Centralized twin of the Theorem 4.8 build."""
     artifacts = graceful_artifacts(graph, seed, {"schedule": schedule})
-    return (graceful_sketches(graph, artifacts, dist_rows=dist_matrix),
-            artifacts["schedule"])
+    return graceful_sketches(graph, artifacts), artifacts["schedule"]
 
 
 def build_graceful_distributed(graph: Graph, seed: SeedLike = None,

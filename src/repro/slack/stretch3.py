@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.algorithms.ksource import k_source_shortest_paths
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
@@ -73,30 +71,26 @@ def stretch3_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 
 def stretch3_sketches(graph: Graph, artifacts: dict,
-                      owners: Optional[Sequence[int]] = None, *,
-                      dist_rows: Optional[np.ndarray] = None,
+                      owners: Optional[Sequence[int]] = None,
                       ) -> list[Stretch3Sketch]:
     """The stretch3 registry row's per-owner function: each owner's
-    distance row restricted to the fixed net.  ``dist_rows``: the
-    owners' rows, for a caller that has them (row ``j`` is
-    ``owners[j]``; the whole matrix for a build)."""
-    if dist_rows is None:
-        dist_rows = distance_rows(graph, owners)
-    owners = graph.nodes() if owners is None else owners
+    distances to the fixed net, read off the net members' rows — |N|
+    sweeps from the net, each entry computed from the member, as the
+    k-source run computes it."""
     eps, members = artifacts["eps"], list(artifacts["net"].members)
+    owners = graph.nodes() if owners is None else owners
+    columns = distance_rows(graph, members)[:, owners].T.tolist()
     return [Stretch3Sketch(node=int(u), eps=eps,
-                           entries=dict(zip(members, row[members].tolist())))
-            for u, row in zip(owners, dist_rows)]
+                           entries=dict(zip(members, column)))
+            for u, column in zip(owners, columns)]
 
 
 def build_stretch3_centralized(graph: Graph, eps: float, seed: SeedLike = None,
                                net: DensityNet = None,
-                               dist_matrix: np.ndarray = None,
                                ) -> tuple[list[Stretch3Sketch], DensityNet]:
-    """Centralized twin: net sampling + APSP rows restricted to the net."""
+    """Centralized twin: net sampling + the net members' distance rows."""
     artifacts = stretch3_artifacts(graph, seed, {"eps": eps, "net": net})
-    return (stretch3_sketches(graph, artifacts, dist_rows=dist_matrix),
-            artifacts["net"])
+    return stretch3_sketches(graph, artifacts), artifacts["net"]
 
 
 def build_stretch3_distributed(graph: Graph, eps: float, seed: SeedLike = None,

@@ -8,6 +8,7 @@ the benchmark harness, not the tests.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -60,6 +61,16 @@ def er_weighted() -> Graph:
 
 
 @pytest.fixture(scope="session")
+def er_float() -> Graph:
+    """Erdős–Rényi, n=36, non-integral weights U[1, 10): float path sums
+    depend on the end a sweep starts from."""
+    g = erdos_renyi(36, seed=206)
+    u, v, _ = zip(*g.edges())
+    return Graph.from_arrays(g.n, u, v, np.random.default_rng(207).uniform(
+        1.0, 10.0, g.m))
+
+
+@pytest.fixture(scope="session")
 def er_heavy() -> Graph:
     """Heavy-tailed weights — S well above D."""
     return assign_exponential_weights(erdos_renyi(30, seed=304), seed=305)
@@ -93,6 +104,64 @@ def er_unit_apsp(er_unit) -> np.ndarray:
 @pytest.fixture(scope="session")
 def er_weighted_S(er_weighted) -> int:
     return shortest_path_diameter(er_weighted)
+
+
+@pytest.fixture(scope="session")
+def nearest_in_set():
+    """The dense reference for every nearest-net-member routine
+    (:func:`repro.slack.cdg.gateways`,
+    :func:`repro.algorithms.supersource.distances_to_set`): per node
+    ``(d(u, N), closest member)``, the smallest member id among
+    equidistant ones, read off the n × n matrix with a ``DistKey`` scan."""
+    from repro.distkey import DistKey
+
+    def reference(dist: np.ndarray, members) -> list[tuple[float, int]]:
+        mem = sorted(int(v) for v in members)
+        out = []
+        for u in range(dist.shape[0]):
+            best = DistKey(math.inf, -1)
+            for v in mem:
+                key = DistKey(float(dist[u, v]), v)
+                if key < best:
+                    best = key
+            out.append((best.dist, best.node))
+        return out
+
+    return reference
+
+
+_AT_SCALE = """
+import json, resource, sys
+from repro.graphs import assign_uniform_weights, erdos_renyi
+from repro.oracle.api import build_sketches
+from repro.service import build_index
+graph = assign_uniform_weights(erdos_renyi(10_000, seed=1), 1.0, 10.0, seed=2)
+built = build_sketches(graph, sys.argv[1], seed=3, **json.loads(sys.argv[2]))
+build_index(built.sketches, num_shards=4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+"""
+
+
+@pytest.fixture(scope="session")
+def peak_rss_at_scale():
+    """``run(scheme, **params)``: the peak RSS in MB of a fresh process
+    that builds ``scheme`` centrally on ER + U[1, 10] weights at
+    n = 10^4, then its 4-shard index (the nightly memory bounds)."""
+    import json
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+
+    def run(scheme: str, **params) -> float:
+        out = subprocess.run(
+            [sys.executable, "-c", _AT_SCALE, scheme, json.dumps(params)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}).stdout
+        return int(out) / 1024
+
+    return run
 
 
 def _serving_leftovers() -> list[str]:

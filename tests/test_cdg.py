@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError
+from repro.graphs import (Graph, apsp, assign_exponential_weights,
+                          assign_uniform_weights, erdos_renyi,
+                          random_geometric)
 from repro.oracle.evaluation import eps_far_mask
 from repro.slack.cdg import (
     build_cdg_centralized,
     build_cdg_distributed,
+    cdg_artifacts,
     cdg_sampling_probability,
+    cdg_sketches,
+    gateways,
 )
-from repro.slack.density_net import sample_density_net
+from repro.slack.density_net import DensityNet, sample_density_net
 from repro.tz.hierarchy import sample_hierarchy
 
 EPS, K = 0.25, 2
@@ -41,28 +47,34 @@ class TestSamplingProbability:
 
 
 class TestBuildEquivalence:
-    def test_distributed_matches_centralized(self, er_weighted,
-                                             er_weighted_apsp, shared):
+    def test_distributed_matches_centralized(self, er_weighted, er_float,
+                                             shared):
+        """The gateway sweep and the super-source run both start from
+        the net: equal gateways to the bit, non-integral weights
+        included; labels equal on the integer-weighted graph."""
         net, h = shared
         cs, _, _ = build_cdg_centralized(er_weighted, EPS, K, net=net,
-                                         hierarchy=h,
-                                         dist_matrix=er_weighted_apsp)
+                                         hierarchy=h)
         ds, _, _, metrics = build_cdg_distributed(er_weighted, EPS, K,
                                                   net=net, hierarchy=h,
                                                   seed=73)
         for a, b in zip(cs, ds):
-            assert a.gateway == b.gateway
-            assert a.gateway_dist == pytest.approx(b.gateway_dist)
+            assert (a.gateway, a.gateway_dist) == (b.gateway, b.gateway_dist)
             assert a.label.pivots == b.label.pivots
             assert a.label.bunch == b.label.bunch
         assert metrics.rounds >= 1
+        cs, _, _ = build_cdg_centralized(er_float, EPS, K, net=net,
+                                         hierarchy=h)
+        ds, _, _, _ = build_cdg_distributed(er_float, EPS, K, net=net,
+                                            hierarchy=h, seed=73)
+        assert [(a.gateway, a.gateway_dist) for a in cs] == \
+            [(b.gateway, b.gateway_dist) for b in ds]
 
     def test_gateway_is_nearest_net_node(self, er_weighted,
                                          er_weighted_apsp, shared):
         net, h = shared
         cs, _, _ = build_cdg_centralized(er_weighted, EPS, K, net=net,
-                                         hierarchy=h,
-                                         dist_matrix=er_weighted_apsp)
+                                         hierarchy=h)
         members = np.asarray(net.members)
         for u, s in enumerate(cs):
             assert s.gateway in net.members
@@ -87,13 +99,41 @@ class TestBuildEquivalence:
             assert set(s.label.bunch) <= net_set
 
 
+class TestGatewaySweep:
+    """:func:`gateways` against the dense reference."""
+
+    @pytest.mark.parametrize("family", ["er-uniform", "er-exponential",
+                                        "rgg"])
+    def test_equals_the_dense_reference(self, nearest_in_set, family):
+        g = {"er-uniform": lambda: assign_uniform_weights(
+                 erdos_renyi(120, seed=11), seed=12),
+             "er-exponential": lambda: assign_exponential_weights(
+                 erdos_renyi(120, seed=13), seed=14),
+             "rgg": lambda: random_geometric(120, seed=15)}[family]()
+        for eps in (0.5, 0.1):
+            members = sample_density_net(g.n, eps, seed=16).members
+            got = gateways(g, members)
+            assert got == nearest_in_set(apsp(g), members)
+            assert all(type(d) is float and type(w) is int for d, w in got)
+
+    def test_disconnected_graph(self, nearest_in_set):
+        # components {0, 1} and {2, 3, 4}; the net lives in the second
+        g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 2.0)])
+        net = DensityNet(eps=0.5, n=5, members=(3,))
+        got = gateways(g, net.members)
+        assert got == nearest_in_set(apsp(g), net.members)
+        assert got[:2] == [(math.inf, -1)] * 2
+        artifacts = cdg_artifacts(g, 1, {"eps": 0.5, "k": 1, "net": net})
+        with pytest.raises(QueryError, match="strands node 0"):
+            cdg_sketches(g, artifacts)
+
+
 class TestGuarantees:
     def test_never_underestimates(self, er_weighted, er_weighted_apsp,
                                   shared):
         net, h = shared
         cs, _, _ = build_cdg_centralized(er_weighted, EPS, K, net=net,
-                                         hierarchy=h,
-                                         dist_matrix=er_weighted_apsp)
+                                         hierarchy=h)
         n = er_weighted.n
         for u in range(n):
             for v in range(u + 1, n):
@@ -104,8 +144,7 @@ class TestGuarantees:
                                         shared):
         net, h = shared
         cs, _, _ = build_cdg_centralized(er_weighted, EPS, K, net=net,
-                                         hierarchy=h,
-                                         dist_matrix=er_weighted_apsp)
+                                         hierarchy=h)
         far = eps_far_mask(er_weighted_apsp, EPS)
         n = er_weighted.n
         bound = 8 * K - 1

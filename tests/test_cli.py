@@ -210,6 +210,32 @@ class TestConnectFlows:
         assert rc == 2
         assert "server owns the index" in capsys.readouterr().err
 
+    def test_query_connect_exact_out_of_range(self, live_server, graph_file,
+                                              monkeypatch, capsys):
+        """An id outside GRAPH fails the ``--exact`` check with the local
+        query's message, and the connection is closed anyway."""
+        import repro.service.client as client_mod
+
+        spec, _ = live_server
+        opened, closed = [], []
+        connect = client_mod.connect
+
+        def recording(*args, **kwargs):
+            client = connect(*args, **kwargs)
+            close = client.close
+            client.close = lambda: (closed.append(client), close())
+            opened.append(client)
+            return client
+
+        monkeypatch.setattr(client_mod, "connect", recording)
+        rc = main(["query", str(graph_file), "--connect", spec, "--exact",
+                   "--pairs", "0:1", "32:5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node id out of range [0, 32)\n"
+        assert len(opened) == 1 and closed == opened
+
     def test_query_without_files_or_connect(self, capsys):
         rc = main(["query", "--pairs", "0:1"])
         assert rc == 2

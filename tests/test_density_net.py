@@ -11,7 +11,6 @@ from repro.slack.density_net import (
     ball_radii,
     build_density_net_distributed,
     cdg_original_net,
-    nearest_in_set_centralized,
     sample_density_net,
     sampling_probability,
     verify_density_net,
@@ -110,10 +109,10 @@ class TestVerification:
 
 class TestDistributedConstruction:
     def test_assignments_match_centralized(self, er_weighted,
-                                           er_weighted_apsp):
+                                           er_weighted_apsp, nearest_in_set):
         net, assignments, metrics = build_density_net_distributed(
             er_weighted, 0.3, seed=9)
-        want = nearest_in_set_centralized(er_weighted_apsp, net.members)
+        want = nearest_in_set(er_weighted_apsp, net.members)
         for (gd, gw), (wd, ww) in zip(assignments, want):
             assert gd == pytest.approx(wd)
             assert gw == ww

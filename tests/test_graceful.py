@@ -13,9 +13,9 @@ from repro.slack.graceful import (
 
 
 @pytest.fixture(scope="module")
-def built(er_weighted, er_weighted_apsp):
+def built(er_weighted):
     sketches, schedule = build_graceful_centralized(
-        er_weighted, seed=81, dist_matrix=er_weighted_apsp)
+        er_weighted, seed=81)
     return sketches, schedule
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.algorithms import distances_to_set, k_source_shortest_paths
 from repro.errors import ConfigError
 from repro.graphs import apsp, path_graph, ring, shortest_path_diameter
-from repro.slack.density_net import nearest_in_set_centralized
 
 
 class TestKSource:
@@ -48,10 +47,10 @@ class TestSuperSource:
         want = d[:, members].min(axis=1)
         assert np.allclose([g[0] for g in got], want)
 
-    def test_witness_is_closest_member(self, er_weighted):
+    def test_witness_is_closest_member(self, er_weighted, nearest_in_set):
         members = [2, 9, 17]
         got, _ = distances_to_set(er_weighted, members, seed=1)
-        want = nearest_in_set_centralized(apsp(er_weighted), members)
+        want = nearest_in_set(apsp(er_weighted), members)
         assert [(g[0], g[1]) for g in got] == [
             (pytest.approx(w[0]), w[1]) for w in want]
 

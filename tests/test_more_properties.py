@@ -55,17 +55,16 @@ class TestSuperSourceProperties:
     @settings(max_examples=20, **COMMON)
     @given(seed=st.integers(0, 10**6),
            members_seed=st.integers(0, 10**6))
-    def test_matches_centralized_on_random_instances(self, seed,
-                                                     members_seed):
+    def test_matches_centralized_on_random_instances(self, nearest_in_set,
+                                                     seed, members_seed):
         from repro.algorithms import distances_to_set
-        from repro.slack.density_net import nearest_in_set_centralized
 
         g = graph_from_seed(seed)
         rng = np.random.default_rng(members_seed)
         size = int(rng.integers(1, g.n + 1))
         members = sorted(rng.choice(g.n, size=size, replace=False).tolist())
         got, _ = distances_to_set(g, members, seed=seed)
-        want = nearest_in_set_centralized(apsp(g), members)
+        want = nearest_in_set(apsp(g), members)
         for (gd, gw), (wd, ww) in zip(got, want):
             assert gd == pytest.approx(wd)
             assert gw == ww

@@ -149,8 +149,7 @@ class TestSlackProperties:
         from repro.slack.stretch3 import build_stretch3_centralized
 
         d = apsp(g)
-        sketches, _ = build_stretch3_centralized(g, eps, seed=seed,
-                                                 dist_matrix=d)
+        sketches, _ = build_stretch3_centralized(g, eps, seed=seed)
         far = eps_far_mask(d, eps)
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -168,8 +167,7 @@ class TestSlackProperties:
         from repro.slack.cdg import build_cdg_centralized
 
         d = apsp(g)
-        sketches, _, _ = build_cdg_centralized(g, eps, k, seed=seed,
-                                               dist_matrix=d)
+        sketches, _, _ = build_cdg_centralized(g, eps, k, seed=seed)
         far = eps_far_mask(d, eps)
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -185,8 +183,7 @@ class TestSlackProperties:
         from repro.slack.graceful import build_graceful_centralized
 
         d = apsp(g)
-        sketches, schedule = build_graceful_centralized(g, seed=seed,
-                                                        dist_matrix=d)
+        sketches, schedule = build_graceful_centralized(g, seed=seed)
         bound = 8 * len(schedule) - 1
         for u in range(g.n):
             for v in range(u + 1, g.n):

@@ -186,36 +186,14 @@ def test_sessions_serve_labels_without_dicts(er_weighted, created, how):
 # ----------------------------------------------------------------------
 # nightly: the n = 10^4 cold start in bounded memory
 # ----------------------------------------------------------------------
-_AT_SCALE = """
-import resource
-import sys
-from repro.graphs import assign_uniform_weights, erdos_renyi
-from repro.oracle.api import build_sketches
-from repro.service import build_index
-graph = assign_uniform_weights(erdos_renyi(10_000, seed=1), 1.0, 10.0, seed=2)
-built = build_sketches(graph, "tz", k=int(sys.argv[1]), seed=3)
-build_index(built.sketches, num_shards=4)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
-"""
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("k", (2, 3))
-def test_tz_build_at_ten_thousand_nodes_in_bounded_memory(k):
+def test_tz_build_at_ten_thousand_nodes_in_bounded_memory(
+        peak_rss_at_scale, k):
     """ER + uniform weights at n = 10^4, a TZ build, then its
     index: the labels stay columns, so peak RSS of a fresh process stays
     under 450 MB (≈ 345 MB measured at k = 2, ≈ 190 MB at k = 3;
     building the 10^4 bunch dicts and flattening them again peaked at
     ≈ 650 MB).  k = 3 truncates two levels, so the kernel prunes the
     CSR twice."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    out = subprocess.run(
-        [sys.executable, "-c", _AT_SCALE, str(k)], capture_output=True,
-        text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")}).stdout
-    assert int(out) / 1024 <= 450
+    assert peak_rss_at_scale("tz", k=k) <= 450
