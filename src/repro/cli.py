@@ -226,9 +226,6 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service.server import OracleServer
 
-    if not args.updateable and args.rebuild_threshold is not None:
-        raise ReproError("--rebuild-threshold tunes the live update "
-                         "path; it needs --updateable")
     if args.updateable:
         from repro.graphs import read_edgelist
         from repro.service.updates import UpdateableIndex
@@ -237,7 +234,6 @@ def _cmd_serve(args) -> int:
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
                                  num_shards=(args.shards or 1),
-                                 rebuild_threshold=args.rebuild_threshold,
                                  **_scheme_flags(args))
         shards = None  # baked into the updateable's stores
     else:
@@ -410,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--k", type=int, default=None)
     sv.add_argument("--eps", type=float, default=None)
     sv.add_argument("--seed", type=int, default=None)
-    sv.add_argument("--rebuild-threshold", type=float, default=None,
-                    help="dirty fraction above which the live index "
-                         "(--updateable only) rebuilds instead of "
-                         "repairing (default 0.25)")
     sv.set_defaults(func=_cmd_serve)
 
     sc = sub.add_parser("schemes",

@@ -96,8 +96,7 @@ class BuiltSketches:
         arr = parse_pair_array(pairs, index.n)
         return index.estimate_many(arr[:, 0], arr[:, 1])
 
-    def updateable(self, num_shards: int = 1,
-                   rebuild_threshold: Optional[float] = None):
+    def updateable(self, num_shards: int = 1):
         """An :class:`~repro.service.updates.UpdateableIndex` over this
         build — accepts edge-change streams and incrementally repairs
         the index (bit-identical to a rebuild with the same artifacts).
@@ -106,10 +105,6 @@ class BuiltSketches:
         build recorded, so no reconstruction happens here.  Centralized
         builds only: a distributed build's cost metrics would not
         survive a repair.
-
-        ``rebuild_threshold`` is the dirty fraction above which an
-        apply rebuilds instead of repairing (default
-        :data:`~repro.service.updates.REBUILD_THRESHOLD_DEFAULT`).
 
         :raises ConfigError: for a distributed build.
         """
@@ -121,7 +116,6 @@ class BuiltSketches:
                 "cost metrics cannot be repaired incrementally)")
         return UpdateableIndex(self.graph, scheme=self.scheme.name,
                                num_shards=num_shards,
-                               rebuild_threshold=rebuild_threshold,
                                sketches=self.sketches, **self.artifacts)
 
     def sizes_words(self) -> list[int]:

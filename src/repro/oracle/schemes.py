@@ -23,14 +23,16 @@ source paper's composition rule as three callables —
   draws with the simulator's, through the same ``sample``);
 
 plus ``repair(graph, artifacts, sketches, dirty) -> {node: fresh
-sketch}``, the update path's dirty-row discovery, where one exists.
+sketch}``, the update path's dirty-row discovery, where one exists, and
+``rebuild_above``, the dirty fraction past which an update rebuilds
+instead (the scheme's measured crossover, ``docs/serving.md`` §8).
 
 The registry is also the source of the capability matrix rendered by
 ``python -m repro schemes --markdown`` (and pasted into the README):
-which build modes exist, whether the wire format round-trips the
-sketches, whether the index repairs incrementally, and the serving
-transports (every scheme has a vectorized index, so every transport
-hosts every scheme).
+which build modes exist, whether the index repairs incrementally, and
+the serving transports (every scheme has a vectorized index and a wire
+format, so every transport hosts and every file format holds every
+scheme).
 """
 
 from __future__ import annotations
@@ -66,10 +68,11 @@ class SchemeSpec:
     :param reads: per build mode, every keyword parameter a build reads
         (anything else is a :class:`ConfigError`, never dropped).
     :param sample, sketches, distributed, repair: the composition rule.
+    :param rebuild_above: the dirty fraction above which an update
+        rebuilds every owner instead of repairing (a fraction equal to
+        it repairs).
     :param hints: the optional keywords ``sketches`` understands
         (documented there).
-    :param supports_serialize: whether :mod:`repro.oracle.serialization`
-        round-trips this scheme's sketches (and its pre-built index).
     """
 
     name: str
@@ -82,7 +85,7 @@ class SchemeSpec:
     distributed: Callable[..., tuple]
     hints: tuple[str, ...] = ()
     repair: Optional[Callable[..., dict]] = None
-    supports_serialize: bool = True
+    rebuild_above: float = 0.0
 
     @property
     def build_modes(self) -> tuple[str, ...]:
@@ -182,6 +185,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=tz_distributed,
         hints=("roots", "pivot_keys", "report"),
         repair=_repair("repair_tz"),
+        rebuild_above=0.05,
     ),
     "stretch3": SchemeSpec(
         name="stretch3",
@@ -195,6 +199,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=_distributed(build_stretch3_distributed, ("eps",),
                                  ("net",)),
         repair=_repair("repair_stretch3"),
+        rebuild_above=0.8,
     ),
     "cdg": SchemeSpec(
         name="cdg",
@@ -208,6 +213,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=_distributed(build_cdg_distributed, ("eps", "k"),
                                  ("net", "hierarchy")),
         repair=_repair("repair_cdg"),
+        rebuild_above=0.15,
     ),
     "graceful": SchemeSpec(
         name="graceful",
@@ -221,6 +227,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=_distributed(build_graceful_distributed, (),
                                  ("schedule",)),
         repair=_repair("repair_graceful"),
+        rebuild_above=0.1,
     ),
 }
 
@@ -250,8 +257,6 @@ def scheme_support_matrix() -> list[dict]:
         "scheme": name,
         "paper_result": spec.paper_result,
         "build": list(spec.build_modes),
-        "query": True,  # every registered scheme answers single queries
-        "serialize": spec.supports_serialize,
         "updates": spec.supports_updates,
         "transports": list(TRANSPORTS),
     } for name, spec in sorted(SCHEMES.items())]
@@ -263,15 +268,11 @@ def schemes_markdown() -> str:
     embeds."""
     yn = {True: "yes", False: "no"}
     lines = [
-        "| scheme | build | single query | serialized "
-        "| incremental updates | transports |",
-        "|--------|-------|--------------|------------"
-        "|---------------------|------------|",
+        "| scheme | build | incremental updates | transports |",
+        "|--------|-------|---------------------|------------|",
     ]
     lines.extend(
         f"| `{row['scheme']}` | {', '.join(row['build'])} "
-        f"| {yn[row['query']]} "
-        f"| {yn[row['serialize']]} | {yn[row['updates']]} "
-        f"| {', '.join(row['transports'])} |"
+        f"| {yn[row['updates']]} | {', '.join(row['transports'])} |"
         for row in scheme_support_matrix())
     return "\n".join(lines)

@@ -25,13 +25,12 @@ An ``apply`` is three steps, none of which knows a scheme:
   re-runs the build's own primitives on the mutated graph — the
   candidate cluster roots of a TZ label, the dirty net members' rows
   of stretch3, the gateway sweep of CDG — and re-issues every owner
-  whose sketch they change.  Past
-  ``rebuild_threshold`` (default 0.25 of the nodes dirty) the same
-  function simply runs over every owner: localized repair only wins
-  while the frontier is small, and the fallback bounds the cost by a
-  rebuild plus the frontier sweep.  The rule is inline, with no plug-in
-  point: a cost model learning the two paths' seconds online lost to it
-  on ``churn-mixed`` traffic (the table is in ``docs/serving.md`` §8);
+  whose sketch they change.  Past the row's ``rebuild_above`` dirty
+  fraction the build's per-owner function simply runs over every owner:
+  localized repair only wins while the frontier is small, and the
+  fallback bounds the cost by a rebuild plus the frontier sweep.  Each
+  row's value is its scheme's measured crossover (the table is in
+  ``docs/serving.md`` §8), and no caller sets it;
 * the **index refresh** — only sketch entries owned by touched nodes
   can change, so :func:`~repro.service.index.refresh_index` keeps the
   clean owners' rows of the TZ bunch table, merges the fresh rows in by
@@ -65,7 +64,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +81,6 @@ from repro.tz.sketch import TZSketch
 
 #: ops an :class:`EdgeChange` can carry
 CHANGE_OPS = ("set", "increase", "decrease", "insert", "remove")
-
-#: default dirty-fraction beyond which apply() falls back to a rebuild
-REBUILD_THRESHOLD_DEFAULT = 0.25
 
 #: relative pad on the dirtiness tests — float path sums computed from
 #: the two ends of a path can differ by a few ulps, so the frontier
@@ -123,20 +119,6 @@ class EdgeChange:
                     f"got {self.weight!r}")
         if self.u == self.v:
             raise ConfigError(f"self-loop change on node {self.u}")
-
-    def as_dict(self) -> dict:
-        d = {"op": self.op, "u": self.u, "v": self.v}
-        if self.op != "remove":
-            d["weight"] = float(self.weight)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EdgeChange":
-        try:
-            return cls(op=str(data["op"]), u=int(data["u"]),
-                       v=int(data["v"]), weight=data.get("weight"))
-        except KeyError as exc:
-            raise ConfigError(f"edge change missing field {exc}") from None
 
 
 def save_changes_jsonl(changes: Iterable[EdgeChange], path) -> None:
@@ -386,9 +368,6 @@ class UpdateableIndex:
         ``seed``, as :func:`~repro.oracle.api.build_sketches` does, and
         they stay pinned, so a from-scratch rebuild is well defined.
     :param num_shards: landmark shard count of every epoch's store.
-    :param rebuild_threshold: dirty fraction above which :meth:`apply`
-        falls back to a full rebuild (``None``:
-        :data:`REBUILD_THRESHOLD_DEFAULT`).
     :param sketches: optionally, the already-built sketch set for this
         exact (graph, artifacts) pair — skips the initial build.
     :param params: scheme parameters (``k`` / ``eps`` / ``hierarchy`` /
@@ -401,17 +380,10 @@ class UpdateableIndex:
 
     def __init__(self, graph: Graph, scheme: str = "tz",
                  seed: SeedLike = None, num_shards: int = 1,
-                 rebuild_threshold: Optional[float] = None,
                  sketches: Optional[list] = None, **params):
-        if rebuild_threshold is None:
-            rebuild_threshold = REBUILD_THRESHOLD_DEFAULT
-        if not (0.0 <= rebuild_threshold <= 1.0):
-            raise ConfigError(f"rebuild_threshold must be in [0, 1], "
-                              f"got {rebuild_threshold}")
         self.graph = graph.copy()
         self.scheme = scheme
         self.num_shards = int(num_shards)
-        self.rebuild_threshold = float(rebuild_threshold)
         self._spec = get_scheme(scheme)
         if self._spec.repair is None:
             raise ConfigError(f"scheme {scheme!r} has no update support")
@@ -432,11 +404,11 @@ class UpdateableIndex:
     def apply(self, changes: Sequence[EdgeChange]) -> UpdateReport:
         """Apply a change batch and refresh the index.
 
-        Repairs (or rebuilds, past the threshold) the sketch set and
-        installs a **new** index object — the previous epoch's store is
-        left untouched for readers still on it.  Bit-identity with a
-        from-scratch rebuild is the module invariant; see the module
-        docstring.
+        Repairs (or rebuilds, past the row's ``rebuild_above``) the
+        sketch set and installs a **new** index object — the previous
+        epoch's store is left untouched for readers still on it.
+        Bit-identity with a from-scratch rebuild is the module
+        invariant; see the module docstring.
 
         Atomic: the changes land on a working copy of the graph, and
         all state (graph, sketches, index, epoch) commits together only
@@ -460,7 +432,7 @@ class UpdateableIndex:
                                   n=n, dirty_fraction=0.0, seconds=secs)
             self.last_report = report
             return report
-        mode = "rebuild" if frac > self.rebuild_threshold else "repair"
+        mode = "rebuild" if frac > self._spec.rebuild_above else "repair"
         if mode == "rebuild":
             sketches = self._spec.sketches(work, self.artifacts)
             touched = range(n)

@@ -311,7 +311,6 @@ class TestSchemesCommand:
         # every transport hosts every scheme
         assert all(r["transports"] == ["inproc", "tcp"]
                    for r in rows)
-        assert all(r["serialize"] for r in rows)
 
     def test_markdown_matrix_matches_registry(self, capsys):
         from repro.oracle.schemes import SCHEMES, schemes_markdown
@@ -373,7 +372,8 @@ class TestBuildFormatAndMemoryPlane:
         ["--pool", "thread"],      # not an option
         ["--memory", "shared"],    # not a choice
         ["--jobs", "2"],           # the engine decides how a batch runs
-    ], ids=["pool", "shared", "jobs"])
+        ["--rebuild-threshold", "0.5"],  # each scheme's row decides
+    ], ids=["pool", "shared", "jobs", "rebuild-threshold"])
     @pytest.mark.parametrize("command", ["serve", "serve-bench"])
     def test_deleted_flags_are_usage_errors(self, sketch_file, command,
                                             argv, capsys):

@@ -267,3 +267,35 @@ class TestQueryIdRange:
     def test_in_range_ids_still_answer(self, built):
         n = built.graph.n
         assert built.query(0, n - 1) == built.query_many([(0, n - 1)])[0]
+
+
+class TestRepairPolicies:
+    """Repair or rebuild is one rule per scheme: an apply rebuilds when
+    its dirty fraction exceeds the row's ``rebuild_above``.  It is a
+    seconds choice only: both paths end in the from-scratch index."""
+
+    @staticmethod
+    def _dirtying(dirty: int, n: int):
+        """A graph on which ``set (0, 1)`` dirties exactly ``dirty``
+        nodes: the edge's ends and the pendants of 0.  The hub 2 and its
+        pendants are as far from 0 as from 1, so they stay clean."""
+        from repro.graphs import Graph
+
+        edges = [(0, 1, 1.5), (0, 2, 1.0), (1, 2, 1.0)]
+        edges += [(0, v, 1.25) for v in range(3, dirty + 1)]
+        edges += [(2, v, 1.25) for v in range(dirty + 1, n)]
+        return Graph(n, edges)
+
+    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    def test_row_value_is_the_boundary(self, scheme):
+        from repro.service.updates import EdgeChange, UpdateableIndex
+
+        n, above = 40, get_scheme(scheme).rebuild_above
+        at = round(above * n)
+        for dirty, mode in ((at, "repair"), (at + 1, "rebuild")):
+            upd = UpdateableIndex(self._dirtying(dirty, n), scheme, seed=1,
+                                  **ROW_PARAMS[scheme])
+            report = upd.apply([EdgeChange("set", 0, 1, 1.75)])
+            assert (report.dirty, report.mode) == (dirty, mode)
+            assert (report.dirty_fraction == above) == (mode == "repair")
+            assert upd.index == upd.rebuild_reference()

@@ -32,6 +32,9 @@ EPOCHS = 3
 #: the smallest batch the engine cuts (into 2 ranges)
 BULK = 2 * RANGE_PAIRS
 
+# every swap goes through a repair and refresh_index
+pytestmark = pytest.mark.usefixtures("always_repair")
+
 
 def _engine_of(session):
     """The engine behind an ``inproc://`` session."""
@@ -68,8 +71,7 @@ def pool_thread_peak():
 @pytest.fixture()
 def updateable():
     g = assign_uniform_weights(erdos_renyi(40, seed=101), seed=17)
-    return UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
-                           rebuild_threshold=1.0)
+    return UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4)
 
 
 def _epoch_references(updateable, pairs):
@@ -93,8 +95,7 @@ def test_batch_mid_update_sees_exactly_one_epoch(updateable, ncpu, cpus,
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, BULK, seed=3)
     # replay on a twin to learn each epoch's expected answers up front
-    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
-                           rebuild_threshold=1.0)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4)
     refs, batches = _epoch_references(twin, pairs)
     ref_bytes = {r.tobytes() for r in refs}
     assert len(ref_bytes) == EPOCHS + 1  # every epoch answers differently
@@ -153,8 +154,7 @@ def test_thread_plane_stream_mid_update_pins_each_batch_to_one_epoch(
     cpus(4)
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 3 * BULK, seed=3)
-    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
-                           rebuild_threshold=1.0)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4)
     refs, batches = _epoch_references(twin, pairs)
     bounds = [(lo, lo + BULK) for lo in range(0, 3 * BULK, BULK)]
     # per chunk: the bytes each epoch answers it with, all distinct
@@ -208,8 +208,7 @@ def test_suspended_stream_does_not_keep_a_retired_executor_alive(
     cpus(4)
     g = updateable.graph.copy()
     pairs = sample_query_pairs(g.n, 3 * BULK, seed=3)
-    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
-                           rebuild_threshold=1.0)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4)
     refs, batches = _epoch_references(twin, pairs)
     chunks = [pairs[lo:lo + BULK] for lo in range(0, 3 * BULK, BULK)]
     with connect("inproc://cache=0", updateable) as session:
@@ -258,8 +257,7 @@ def test_cached_batches_mid_update_see_exactly_one_epoch(updateable):
     n = g.n
     every = np.stack(np.meshgrid(np.arange(n), np.arange(n),
                                  indexing="ij"), axis=-1).reshape(-1, 2)
-    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4,
-                           rebuild_threshold=1.0)
+    twin = UpdateableIndex(g, scheme="tz", seed=5, k=2, num_shards=4)
     refs, batches = _epoch_references(twin, every)  # refs[e][u * n + v]
     assert len({r.tobytes() for r in refs}) == EPOCHS + 1
 

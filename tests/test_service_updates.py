@@ -34,6 +34,10 @@ COMMON = dict(deadline=None,
 
 BACKINGS = ("heap", "mmap")
 
+# every apply below repairs, so the suites test the repair path against
+# a from-scratch rebuild (the rebuild path: tests/test_service_rebuild.py)
+pytestmark = pytest.mark.usefixtures("always_repair")
+
 
 @st.composite
 def graphs_with_changes(draw, max_n=12, max_changes=3, allow_structure=True):
@@ -121,7 +125,7 @@ class TestUpdatedEqualsRebuilt:
     def test_tz(self, gc, seed, shards, backing):
         g, changes = gc
         upd = UpdateableIndex(g, scheme="tz", seed=seed, k=3,
-                              num_shards=shards, rebuild_threshold=1.0)
+                              num_shards=shards)
         upd.apply(changes)
         _assert_updated_equals_rebuilt(upd, backing)
 
@@ -133,7 +137,7 @@ class TestUpdatedEqualsRebuilt:
     def test_stretch3(self, gc, seed, shards, backing):
         g, changes = gc
         upd = UpdateableIndex(g, scheme="stretch3", seed=seed, eps=0.4,
-                              num_shards=shards, rebuild_threshold=1.0)
+                              num_shards=shards)
         upd.apply(changes)
         _assert_updated_equals_rebuilt(upd, backing)
 
@@ -145,7 +149,7 @@ class TestUpdatedEqualsRebuilt:
     def test_cdg(self, gc, seed, shards, backing):
         g, changes = gc
         upd = UpdateableIndex(g, scheme="cdg", seed=seed, eps=0.4, k=2,
-                              num_shards=shards, rebuild_threshold=1.0)
+                              num_shards=shards)
         upd.apply(changes)
         _assert_updated_equals_rebuilt(upd, backing)
 
@@ -156,7 +160,7 @@ class TestUpdatedEqualsRebuilt:
     def test_graceful(self, gc, seed, backing):
         g, changes = gc
         upd = UpdateableIndex(g, scheme="graceful", seed=seed,
-                              num_shards=2, rebuild_threshold=1.0)
+                              num_shards=2)
         upd.apply(changes)
         _assert_updated_equals_rebuilt(upd, backing)
 
@@ -167,8 +171,7 @@ class TestUpdatedEqualsRebuilt:
         """Applying N batches one by one ends bit-identical to a rebuild
         on the final graph (epochs compose)."""
         g, changes = gc
-        upd = UpdateableIndex(g, scheme="tz", seed=seed, k=2,
-                              rebuild_threshold=1.0)
+        upd = UpdateableIndex(g, scheme="tz", seed=seed, k=2)
         for c in changes:
             upd.apply([c])
         assert upd.epoch <= len(changes)
@@ -189,15 +192,13 @@ class TestDisconnectingUpdates:
     def test_removal_parity(self, scheme, params):
         g = self._bridge_graph()
         for seed in range(4):
-            upd = UpdateableIndex(g, scheme=scheme, seed=seed,
-                                  rebuild_threshold=1.0, **params)
+            upd = UpdateableIndex(g, scheme=scheme, seed=seed, **params)
             upd.apply([EdgeChange("remove", 2, 3)])
             _assert_updated_equals_rebuilt(upd, "heap")
 
     def test_reinsert_restores_answers(self):
         g = self._bridge_graph()
-        upd = UpdateableIndex(g, scheme="tz", seed=1, k=2,
-                              rebuild_threshold=1.0)
+        upd = UpdateableIndex(g, scheme="tz", seed=1, k=2)
         before = upd.index.estimate(0, 5)
         upd.apply([EdgeChange("remove", 2, 3)])
         with pytest.raises(QueryError):
@@ -219,16 +220,8 @@ class TestUpdateSemantics:
         assert report.mode == "noop" and report.dirty == 0
         assert upd.epoch == 0 and upd.index is index
 
-    def test_threshold_forces_rebuild(self, triangle):
-        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2,
-                              rebuild_threshold=0.0)
-        report = upd.apply([EdgeChange("set", 0, 1, 3.5)])
-        assert report.mode == "rebuild"
-        _assert_updated_equals_rebuilt(upd, "heap")
-
     def test_repair_under_threshold(self, triangle):
-        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2,
-                              rebuild_threshold=1.0)
+        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2)
         report = upd.apply([EdgeChange("set", 0, 1, 0.5)])
         assert report.mode == "repair" and report.epoch == 1
         assert report.seconds["total"] > 0.0
@@ -237,8 +230,7 @@ class TestUpdateSemantics:
     def test_old_epoch_store_untouched(self, triangle):
         """Epoch semantics: the previous store object still answers with
         the previous graph's values after an apply."""
-        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2,
-                              rebuild_threshold=1.0)
+        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2)
         old_index = upd.index
         old_answer = old_index.estimate(0, 2)
         upd.apply([EdgeChange("set", 1, 2, 0.25)])
@@ -299,7 +291,7 @@ class TestUpdateSemantics:
                       (3, 4, 1.5)])
         net = DensityNet(eps=0.5, n=5, members=(0, 2))
         upd = UpdateableIndex(g, scheme="cdg", seed=1, eps=0.5, k=1,
-                              net=net, rebuild_threshold=1.0)
+                              net=net)
         index = upd.index
         with pytest.raises(QueryError, match="strands"):
             upd.apply([EdgeChange("remove", 3, 4)])  # 4 loses the net
@@ -382,7 +374,7 @@ class TestBuiltSketchesUpdateable:
         from repro import build_sketches
 
         built = build_sketches(er_weighted, scheme=scheme, seed=4, **params)
-        upd = built.updateable(num_shards=2, rebuild_threshold=1.0)
+        upd = built.updateable(num_shards=2)
         assert upd.sketches == built.sketches
         upd.apply(sample_weight_changes(er_weighted, 2, seed=3))
         _assert_updated_equals_rebuilt(upd, "heap")
@@ -408,34 +400,3 @@ class TestBuiltSketchesUpdateable:
                             **{stray: 0.3})
         assert str(got.value) == str(want.value)
         assert f"no parameter '{stray}'" in str(got.value)
-
-
-class TestRepairPolicies:
-    """Repair vs rebuild is one rule — rebuild when the dirty fraction
-    exceeds ``rebuild_threshold`` — and a pure seconds choice (the
-    bit-identity invariant holds on either path)."""
-
-    def test_static_threshold_bounds_and_boundary(self, er_weighted):
-        for bad in (-0.1, 1.5):
-            with pytest.raises(ConfigError, match="rebuild_threshold"):
-                UpdateableIndex(er_weighted, "tz", seed=4, k=2,
-                                rebuild_threshold=bad)
-        changes = sample_weight_changes(er_weighted, 2, seed=6)
-
-        def apply_at(threshold):
-            upd = UpdateableIndex(er_weighted, "tz", seed=4, k=2,
-                                  rebuild_threshold=threshold)
-            return upd, upd.apply(changes)
-
-        _, probe = apply_at(1.0)
-        frac = probe.dirty_fraction
-        assert probe.mode == "repair" and 0.0 < frac < 1.0
-        repaired, at = apply_at(frac)           # == threshold: repair
-        assert at.mode == "repair"
-        rebuilt, below = apply_at(float(np.nextafter(frac, 0.0)))
-        assert below.mode == "rebuild"          # > threshold: rebuild
-        assert "policy" not in at.as_dict()
-        # same changes, same epoch, bit-identical answers either way
-        us, vs = _all_ordered_pairs(er_weighted.n)
-        assert _answers_with_errors(repaired.index, us, vs) == \
-            _answers_with_errors(rebuilt.index, us, vs)

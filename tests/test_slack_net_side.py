@@ -36,13 +36,14 @@ def no_apsp(monkeypatch):
             monkeypatch.setattr(module, "apsp", refuse)
 
 
+@pytest.mark.usefixtures("always_repair")
 @pytest.mark.parametrize("scheme", sorted(PARAMS))
 def test_build_repair_and_index_without_apsp(graph, no_apsp, scheme):
     built = build_sketches(graph, scheme, seed=3, **PARAMS[scheme])
     index = build_index(built.sketches, num_shards=2)
     assert index.n == graph.n
-    upd = UpdateableIndex(graph, scheme, seed=3, rebuild_threshold=1.0,
-                          sketches=built.sketches, **PARAMS[scheme])
+    upd = UpdateableIndex(graph, scheme, seed=3, sketches=built.sketches,
+                          **PARAMS[scheme])
     report = upd.apply(sample_weight_changes(graph, 2, seed=4))
     assert report.mode == "repair"
     assert upd.index == upd.rebuild_reference()

@@ -42,6 +42,9 @@ DEPTH = {"inproc": STREAM_DEPTH, "threads": STREAM_DEPTH,
 #: cuts (on two CPUs, into two ranges)
 SIZE = {"inproc": 25, "threads": 2 * RANGE_PAIRS, "tcp": 25}
 
+# every mid-stream swap goes through a repair
+pytestmark = pytest.mark.usefixtures("always_repair")
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -50,7 +53,7 @@ def graph():
 
 def _updateable(graph) -> UpdateableIndex:
     return UpdateableIndex(graph.copy(), scheme="tz", seed=5, k=2,
-                           num_shards=SHARDS, rebuild_threshold=1.0)
+                           num_shards=SHARDS)
 
 
 @contextmanager
