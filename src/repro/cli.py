@@ -390,9 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "sketches or a graph (default 1; layout only, "
                          "answers are identical; a binary index bakes "
                          "its own in)")
-    sv.add_argument("--cache-size", type=int, default=65536,
+    sv.add_argument("--cache-size", type=int, default=None,
                     help="result-cache slots, one answer and 24 bytes "
-                         "each, direct-mapped (0 disables)")
+                         "each, direct-mapped (0 disables; default: the "
+                         "store's own, 0 for tz and cdg, 65536 for "
+                         "stretch3 and graceful)")
     sv.add_argument("--handlers", type=int, default=2,
                     help="request-handler threads multiplexing the "
                          "connections (default 2)")

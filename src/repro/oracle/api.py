@@ -86,7 +86,8 @@ class BuiltSketches:
         """Batched estimates for an iterable/array of ``(u, v)`` pairs —
         answers are bit-identical to looping :meth:`query`.  Served by a
         one-shard index built on first use and kept in ``extras``; open
-        a session with :meth:`connect` for caching, threads or updates.
+        a session with :meth:`connect` for a result cache
+        (``cache_size=``), threads or updates.
         """
         from repro.service.index import build_index, parse_pair_array
 

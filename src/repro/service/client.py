@@ -84,12 +84,12 @@ def parse_endpoint(spec: str) -> Endpoint:
                  | [option (";" option)*] (inproc)
         option  := key "=" integer
 
-    ``inproc`` accepts ``cache`` (result-cache slots).  Options are
-    validated here, so a typo fails at :func:`connect` time, not
-    mid-serve.
+    ``inproc`` accepts ``cache`` (result-cache slots; absent, the
+    store's ``cache_slots``).  Options are validated here, so a typo
+    fails at :func:`connect` time, not mid-serve.
 
     :raises ConfigError: on an unknown transport, malformed address, or
-        unknown/malformed option.
+        unknown, malformed or repeated option.
     """
     if not isinstance(spec, str) or "://" not in spec:
         raise ConfigError(
@@ -120,6 +120,9 @@ def parse_endpoint(spec: str) -> Endpoint:
             raise ConfigError(
                 f"{transport}:// does not take option {key!r}; "
                 f"allowed: {', '.join(_INPROC_OPTIONS)}")
+        if key in options:
+            raise ConfigError(
+                f"endpoint option {key!r} is given twice in {spec!r}")
         try:
             options[key] = int(value)
         except ValueError:
@@ -629,9 +632,10 @@ def connect(spec: str, source: Any = None, *,
     :class:`~repro.oracle.api.BuiltSketches`, pre-built store, or
     :class:`~repro.service.updates.UpdateableIndex` (which enables
     :meth:`OracleClient.apply_updates`).  ``cache_size`` overrides the
-    spec's ``cache`` option; ``timeout`` bounds the TCP connect +
-    handshake (it is cleared once the session is up, so a slow
-    large-batch reply can never desync the stream).
+    spec's ``cache`` option; with neither, the session gets the store's
+    ``cache_slots`` (no cache on TZ and CDG).  ``timeout`` bounds the
+    TCP connect + handshake (it is cleared once the session is up, so a
+    slow large-batch reply can never desync the stream).
 
     :raises ConfigError: on a bad spec, a missing/forbidden ``source``,
         or an unreachable server.
@@ -653,6 +657,6 @@ def connect(spec: str, source: Any = None, *,
             f"source= (a sketch list, BuiltSketches, IndexStore, or "
             f"UpdateableIndex)")
     cache = cache_size if cache_size is not None \
-        else endpoint.options.get("cache", 65536)
+        else endpoint.options.get("cache")
     server = OracleServer(source, cache_size=cache)
     return server.client(endpoint=endpoint.describe(), owns_server=True)

@@ -74,11 +74,14 @@ the endpoints (both directions can hit at the same level with different
 routes), and the engine's contract is bit-identity with the single-query
 path, so ``(u, v)`` and ``(v, u)`` are cached separately.  A cached
 value is the epoch's own float64, so which entries the cache happens to
-keep can change the cost of an answer and never the answer.
+keep can change the cost of an answer and never the answer.  An engine
+given no size takes its store's ``cache_slots``: none where the store's
+kernels cost less than a probe and a write-back (TZ, CDG).
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 import time
@@ -299,6 +302,17 @@ class _ResultCache:
         return int(old >= 0)
 
 
+def _slot_count(size) -> int:
+    """An explicit cache size as an int: a bool or a non-integral
+    number is refused, never truncated."""
+    if isinstance(size, bool) or not hasattr(type(size), "__index__"):
+        raise ConfigError(f"cache_size must be an integer, got {size!r}")
+    size = operator.index(size)
+    if size < 0:
+        raise ConfigError(f"cache_size must be >= 0, got {size}")
+    return size
+
+
 class QueryEngine:
     """Answer distance queries — singly or in batches — from one
     :class:`~repro.service.index.IndexStore`.
@@ -315,16 +329,16 @@ class QueryEngine:
         its epoch clock; ``None`` serves a static index.
     :param cache_size: slots of the result cache, one answer each (24
         bytes a slot; direct-mapped: a key has one slot, and a miss
-        replaces what it holds); ``0`` disables caching.
-    :raises ConfigError: on a negative cache size.
+        replaces what it holds); ``0`` disables caching, ``None`` takes
+        the store's ``cache_slots``.
+    :raises ConfigError: on a negative, non-integral or bool cache size.
     """
 
     def __init__(self, index: IndexStore, *, updateable=None,
-                 cache_size: int = 65536):
-        if cache_size < 0:
-            raise ConfigError(f"cache_size must be >= 0, got {cache_size}")
+                 cache_size: Optional[int] = None):
         self.n = index.n
-        self.cache_size = int(cache_size)
+        self.cache_size = (index.cache_slots if cache_size is None
+                           else _slot_count(cache_size))
         #: the most ranges a batch is cut into
         self.cpus = usable_cpus()
         # (index, epoch) are read and swapped together, under the lock
@@ -333,7 +347,8 @@ class QueryEngine:
         self._updateable = updateable
         # a live index and its engine share one epoch clock
         self.epoch = updateable.epoch if updateable is not None else 0
-        self._cache = _ResultCache(self.cache_size) if cache_size else None
+        self._cache = (_ResultCache(self.cache_size) if self.cache_size
+                       else None)
         self.stats = CacheStats()
         self._timings = PhaseTimings()
         # created by the first cut batch (guarded by _lock); a closed

@@ -138,6 +138,8 @@ class IndexStore(Protocol):
 
     n: int
     num_shards: int
+    #: result-cache slots a session over this store gets by default
+    cache_slots: int
 
     def estimate_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched distance estimates for equal-length id arrays."""
@@ -283,6 +285,12 @@ class _BaseIndex:
 
     #: registry name of the scheme served (``"tz"`` …)
     scheme: str
+    #: result-cache slots a session over this store gets unless it asks
+    #: for a size: 0 where a batch's probe and write-back cost more than
+    #: the kernels they save — measured per store on batched Zipf-0.9
+    #: traffic by ``benchmarks/cache_crossover.py`` (``docs/serving.md``
+    #: §3)
+    cache_slots: int
 
     def __init__(self, sketches: Sequence[Any], num_shards: int = 1):
         if not sketches:
@@ -475,6 +483,7 @@ class TZIndex(_BaseIndex):
     """
 
     scheme = "tz"
+    cache_slots = 0
 
     @staticmethod
     def _flatten(sketches: Sequence[TZSketch], num_shards: int,
@@ -927,6 +936,7 @@ class Stretch3Index(_BaseIndex):
     """
 
     scheme = "stretch3"
+    cache_slots = 65536
 
     @staticmethod
     def _flatten(sketches: Sequence[Stretch3Sketch], num_shards: int,
@@ -1082,6 +1092,7 @@ class CDGIndex(_BaseIndex):
     """
 
     scheme = "cdg"
+    cache_slots = 0
 
     @staticmethod
     def _flatten(sketches: Sequence[CDGSketch], num_shards: int,
@@ -1286,6 +1297,7 @@ class GracefulIndex(_BaseIndex):
     """
 
     scheme = "graceful"
+    cache_slots = 65536
 
     @staticmethod
     def _flatten(sketches: Sequence[GracefulSketch], num_shards: int,

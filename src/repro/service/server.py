@@ -109,7 +109,8 @@ class OracleServer:
         never a unit of work); must match (or be omitted for) a
         pre-built source.
     :param cache_size: result-cache capacity (answers) of the hosted
-        engine; ``0`` disables it.
+        engine; ``0`` disables it, ``None`` takes the store's
+        ``cache_slots``.
 
     The same server object backs every transport: :meth:`client` hands
     out in-process sessions (what ``inproc://`` binds to),
@@ -122,7 +123,7 @@ class OracleServer:
 
     def __init__(self, source: Any, *,
                  num_shards: Optional[int] = None,
-                 cache_size: int = 65536):
+                 cache_size: Optional[int] = None):
         self._listener: Optional[socket.socket] = None
         self._io_thread: Optional[threading.Thread] = None
         self._selector: Optional[selectors.BaseSelector] = None

@@ -65,6 +65,12 @@ K = 2
 #: many applies, and once more at the end, on this many sampled pairs
 CHECKPOINT_EVERY = 4
 CHECKPOINT_PAIRS = 64
+#: result-cache slots of every replayed session: a TZ store serves
+#: uncached by default, and the replays keep a cache on so that the
+#: oracle also catches a cached answer that outlives its epoch
+CACHE = 65536
+#: the in-process endpoint the replays use
+INPROC = f"inproc://cache={CACHE}"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -514,7 +520,7 @@ def run_scenario(trace: Trace, endpoint: str, *, source=None,
                 raise ConfigError(
                     "the bare tcp:// sentinel serves a local source on a "
                     "loopback listener — pass source=")
-            server = OracleServer(source)
+            server = OracleServer(source, cache_size=CACHE)
             host, port = server.serve("127.0.0.1:0", block=False)
             ep = f"tcp://{host}:{port}"
         elif parse_endpoint(ep).transport == "tcp":
@@ -712,13 +718,13 @@ class ScenarioOracle:
 
 
 def run_named_scenario(name: str, graph: Graph, *, seed, rounds: int,
-                       endpoint: str = "inproc://",
+                       endpoint: str = INPROC,
                        query_threads: int = 2) -> ScenarioResult:
     """Generate the named trace, build the served index and the oracle
     twin from the same ``(graph, seed)``, and replay with the oracle
     armed.  A remote ``tcp://host:port`` endpoint must serve that same
     index (``repro serve GRAPH --updateable --scheme tz --k 2 --seed
-    SEED``) or the oracle flags every answer."""
+    SEED --cache-size CACHE``) or the oracle flags every answer."""
     trace = generate_trace(name, graph, seed=seed, rounds=rounds)
     remote = endpoint != "tcp://" and endpoint.startswith("tcp://")
     return run_scenario(trace, endpoint,

@@ -11,7 +11,10 @@ Three claim families:
   each consumed answer was bit-identical to an epoch the session could
   legally observe, including ``QueryError`` parity while a
   disconnect-heal victim is cut — on small ER graphs and on a random
-  geometric graph of a few hundred nodes driven by three readers;
+  geometric graph of a few hundred nodes driven by three readers.
+  Every replay keeps a result cache on (``scenario_harness.CACHE``
+  slots; a TZ store's default is none), so a cached answer that
+  outlived its epoch would be flagged too;
 * **acceptance topology** — a live ``python -m repro serve`` subprocess
   driven over TCP verifies clean too (the oracle twin is built from the
   same edge-list *file* the daemon reads).
@@ -29,9 +32,10 @@ import pytest
 from repro.errors import ConfigError
 from repro.graphs import (assign_uniform_weights, erdos_renyi,
                           random_geometric, read_edgelist, write_edgelist)
-from scenario_harness import (K, SCENARIOS, QueryEvent, ScenarioOracle,
-                              Trace, generate_trace, run_named_scenario,
-                              run_scenario, served_subprocess, tz_index)
+from scenario_harness import (CACHE, INPROC, K, SCENARIOS, QueryEvent,
+                              ScenarioOracle, Trace, generate_trace,
+                              run_named_scenario, run_scenario,
+                              served_subprocess, tz_index)
 
 ROUNDS = 5
 
@@ -59,10 +63,11 @@ def churn_graph():
 #: reader threads)
 _CLEAN_CASES = [
     pytest.param(name, endpoint, ("er", 20), 3, ROUNDS, 2,
-                 id=f"{name}-{endpoint}")
-    for endpoint in ("inproc://", "tcp://") for name in sorted(SCENARIOS)
+                 id=f"{name}-{label}")
+    for label, endpoint in (("inproc://", INPROC), ("tcp://", "tcp://"))
+    for name in sorted(SCENARIOS)
 ] + [
-    pytest.param("weight-flap", "inproc://", ("er", 24), 0, 6, 2,
+    pytest.param("weight-flap", INPROC, ("er", 24), 0, 6, 2,
                  id="weight-flap-inproc://-er24"),
 ] + [
     pytest.param(name, "tcp://", ("geo", n), 61, rounds, 3,
@@ -146,7 +151,7 @@ class TestScenarioRuns:
         other = erdos_renyi(8, seed=1)
         trace = generate_trace("steady-mix", other, seed=0, rounds=4)
         with pytest.raises(ConfigError, match="n=8"):
-            run_scenario(trace, "inproc://",
+            run_scenario(trace, INPROC,
                          source=tz_index(churn_graph, 0))
 
     def test_endpoint_source_rules(self, churn_graph):
@@ -178,7 +183,8 @@ class TestServedSubprocess:
             write_edgelist(_graph("er", n), gp)
             disk = read_edgelist(gp)  # %.12g — the file is the ground truth
             with served_subprocess(gp, "--updateable", "--scheme", "tz",
-                                   "--k", str(K), "--seed", "0") as addr:
+                                   "--k", str(K), "--seed", "0",
+                                   "--cache-size", CACHE) as addr:
                 assert addr.startswith("tcp://")
                 result = run_named_scenario("flash-crowd", disk, seed=0,
                                             rounds=rounds, endpoint=addr)
@@ -194,7 +200,7 @@ class TestOracleSharpness:
         trace = generate_trace("steady-mix", churn_graph, seed=2,
                                rounds=4)
         oracle = ScenarioOracle(churn_graph, seed=2)
-        result = run_scenario(trace, "inproc://",
+        result = run_scenario(trace, INPROC,
                               source=tz_index(churn_graph, 2),
                               oracle=oracle)
         assert result.ok
@@ -204,7 +210,7 @@ class TestOracleSharpness:
     def test_oracle_flags_tampered_answer(self, churn_graph):
         trace = generate_trace("steady-mix", churn_graph, seed=2,
                                rounds=4)
-        result = run_scenario(trace, "inproc://",
+        result = run_scenario(trace, INPROC,
                               source=tz_index(churn_graph, 2))
         victim = next(r for r in result.queries if r.error is None)
         victim.answers[0] += 1.0  # corrupt one consumed float
@@ -215,7 +221,7 @@ class TestOracleSharpness:
     def test_oracle_flags_illegal_epoch(self, churn_graph):
         trace = generate_trace("steady-mix", churn_graph, seed=2,
                                rounds=4)
-        result = run_scenario(trace, "inproc://",
+        result = run_scenario(trace, INPROC,
                               source=tz_index(churn_graph, 2))
         victim = next(r for r in result.queries if r.error is None)
         victim.epoch_observed = 999  # an epoch that never existed

@@ -339,7 +339,8 @@ class TestResultCache:
             assert seen == [{"hits": 0, "misses": 2, "evictions": 0,
                              "entries": 2}]
 
-    @pytest.mark.parametrize("spec", ["inproc://", "inproc://cache=0"])
+    @pytest.mark.parametrize("spec", ["inproc://", "inproc://cache=0",
+                                      "inproc://cache=64"])
     def test_session_rejects_bad_ids_before_the_cache(self, tz_sketches,
                                                       spec):
         n = len(tz_sketches)

@@ -102,6 +102,14 @@ class TestEndpointGrammar:
         assert ep.describe() == "inproc://cache=0"
         assert parse_endpoint(ep.describe()) == ep
 
+    @pytest.mark.parametrize("spec", ["inproc://cache=0;cache=5",
+                                      "inproc://cache=5;cache=5"])
+    def test_a_repeated_option_is_refused(self, spec):
+        # otherwise the last value wins unseen: cache=0;cache=5 would
+        # serve 5 slots
+        with pytest.raises(ConfigError, match="'cache' is given twice"):
+            parse_endpoint(spec)
+
     def test_tcp_host_port(self):
         ep = parse_endpoint("tcp://serving-box:7111")
         assert (ep.transport, ep.host, ep.port) == ("tcp", "serving-box",
