@@ -52,8 +52,14 @@ Notes on the TZ layout (the template the other stores reuse):
   ``w mod S``; ``bounds`` holds the S+1 shard offsets, so a shard is
   the row range ``bounds[s]:bounds[s+1]`` — a layout, not a separate
   structure.
-* **one hash directory** (open addressing, ``slot_key`` / ``slot_idx``)
-  over every key, so a batch of membership probes is one kernel call.
+* **one hash directory** (open addressing, ``slots``: one int32 row
+  index per slot, -1 when empty; a walk compares ``keys[row]``) over
+  every key, so a batch of membership probes is one kernel call.
+* **narrow columns** — keys are int32 while ``n² < 2³¹``
+  (:func:`_id_dtype`), levels int8; distances stay float64, so the
+  answers are the same floats.  Each store declares the dtype of every
+  column once (``column_dtypes``), and the container loader refuses any
+  other.
 * **one miss filter** in front of it — a blocked Bloom filter derived
   from the resident keys at load, never stored.  ``E|B_i(v)| <= n^{1/k}``
   against n nodes, so nearly every ``p_i(u) ∈ B_i(v)`` probe is absent:
@@ -107,6 +113,20 @@ _PICK_BITS, _PICK_MASK = np.uint64(12), np.uint64(4095)
 #: (float64, so 512 KB per temporary): larger batches are cut into row
 #: blocks so the gathered rows are still cache-resident when reduced
 _BLOCK_CELLS = 1 << 16
+
+#: keys or slots per block of a pass ``_install`` makes over a column
+#: (the miss filter, the directory scan): 64 KB per int64 temporary, so
+#: a load peaks at the store it leaves behind, not at its scratch
+_LOAD_BLOCK = 1 << 13
+
+_F8, _I8, _I4, _I1 = (np.dtype(t) for t in ("<f8", "<i8", "<i4", "|i1"))
+
+
+def _id_dtype(count: int) -> np.dtype:
+    """The column dtype of ids below ``count`` (node ids: ``n``;
+    composite keys ``u * n + w``: ``n * n``): int32 while ``count <
+    2³¹``, else int64 — the -1 / -2 markers fit either way."""
+    return _I4 if count < 1 << 31 else _I8
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +300,9 @@ class _BaseIndex:
     sketch constructor (:meth:`_flatten`), the container loader and
     incremental refresh each produce that pair and hand it to
     :meth:`_install`, which adopts the arrays as they are (views, no
-    copies) and derives everything else.
+    copies) and derives everything else.  ``column_dtypes(meta)`` names
+    every array of the pair with the one dtype it is stored in, so a
+    container that labels a column otherwise is refused at load.
     """
 
     #: registry name of the scheme served (``"tz"`` …)
@@ -366,56 +388,68 @@ def _labels_of(sketches: Sequence[Any]) -> TZLabels:
 
 def _bunch_table(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
                  n: int, num_shards: int) -> dict[str, np.ndarray]:
-    """The stored form of a set of sub-top entries: rows sorted by
-    ``(landmark shard, key)``, the S+1 shard offsets, and the directory
-    over every key.  ``dists`` / ``levels`` carry one trailing **absent
-    row** ``(0.0, -1)``: an empty directory slot points at -1, which
-    wraps to it, so a probe that finds nothing gathers the canonical
-    answer instead of branching."""
+    """The stored form of a set of sub-top entries (int64 ``keys``):
+    rows sorted by ``(landmark shard, key)``, the S+1 shard offsets, and
+    the directory over every key, in the column dtypes of
+    :meth:`TZIndex.column_dtypes`.  ``dists`` / ``levels`` carry one
+    trailing **absent row** ``(0.0, -1)``: an empty directory slot holds
+    row -1, which wraps to it, so a probe that finds nothing gathers the
+    canonical answer instead of branching.
+
+    :raises ConfigError: on a level int8 cannot hold (never in a TZ
+        sketch, whose levels are below k)."""
+    if levels.size and not (-128 <= levels.min() and levels.max() < 128):
+        raise ConfigError("bunch levels outside [-128, 128) cannot be "
+                          "stored")
     shard_of = keys % n % num_shards
     order = np.lexsort((keys, shard_of))
     keys = keys[order]
-    slot_key, slot_idx = _build_hash(keys)
-    return {"keys": keys,
+    stored_levels = np.empty(keys.size + 1, dtype=_I1)
+    stored_levels[:-1] = levels[order]
+    stored_levels[-1] = -1
+    return {"keys": keys.astype(_id_dtype(n * n)),
             "dists": np.append(dists[order], 0.0),
-            "levels": np.append(levels[order], np.int64(-1)),
+            "levels": stored_levels,
             "bounds": np.searchsorted(shard_of[order],
                                       np.arange(num_shards + 1)),
-            "slot_key": slot_key, "slot_idx": slot_idx}
+            "slots": _build_hash(keys)}
 
 
-def _build_hash(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Open-addressing directory ``(slot_key, slot_idx)`` over composite
-    keys: power-of-two table at load factor <= 0.5, linear probing from
-    the Fibonacci hash of the key; an empty slot is keyed -1 and points
-    at row -1.  Probing costs 1-3 gathers — beats binary search, whose
-    ~log2(nnz) dependent accesses dominate the batched lookup profile.
-    """
+def _build_hash(keys: np.ndarray) -> np.ndarray:
+    """Open-addressing directory over int64 composite keys: a
+    power-of-two table at load factor <= 0.5, linear probing from the
+    Fibonacci hash of the key; a slot holds its key's row (int32), an
+    empty one -1.  Probing costs 1-3 gathers — beats binary search,
+    whose ~log2(nnz) dependent accesses dominate the batched lookup
+    profile.
+
+    :raises ConfigError: past 2³¹ - 1 keys (no int32 row index)."""
+    if keys.size >= 1 << 31:
+        raise ConfigError(f"{keys.size} bunch entries exceed the "
+                          f"directory's int32 rows")
     size = 1
     while size < max(2, 2 * keys.size):
         size <<= 1
     mask, shift = _hash_params(size)
-    slot_key = np.full(size, -1, dtype=np.int64)
-    slot_idx = np.full(size, -1, dtype=np.int64)
+    slots = np.full(size, -1, dtype=_I4)
     cur = ((keys.view(np.uint64) * _HASH_MULT) >> shift).view(np.int64)
     pend = np.arange(keys.size)
     # scratch: per slot, the first pending entry that wants it this round
     claim = np.full(size, keys.size, dtype=np.int64)
     while pend.size:
-        slots = cur[pend]
-        free = np.flatnonzero(slot_key[slots] == -1)
-        wanted = slots[free]
+        home = cur[pend]
+        free = np.flatnonzero(slots[home] < 0)
+        wanted = home[free]
         np.minimum.at(claim, wanted, free)
         won = claim[wanted] == free
         claim[wanted] = keys.size
         winners = free[won]
-        slot_key[wanted[won]] = keys[pend[winners]]
-        slot_idx[wanted[won]] = pend[winners]
+        slots[wanted[won]] = pend[winners]
         placed = np.zeros(pend.size, dtype=bool)
         placed[winners] = True
         pend = pend[~placed]
         cur[pend] = (cur[pend] + 1) & mask
-    return slot_key, slot_idx
+    return slots
 
 
 def _hash_params(size: int) -> tuple[int, np.uint64]:
@@ -436,11 +470,36 @@ def _miss_filter(keys: np.ndarray) -> tuple[np.ndarray, np.uint64]:
         words <<= 1
     shift = _hash_params(words)[1]
     filt = np.zeros(words, dtype=np.uint64)
-    for i in range(0, keys.size, _BLOCK_CELLS):
-        h = keys[i:i + _BLOCK_CELLS].view(np.uint64) * _HASH_MULT
+    for i in range(0, keys.size, _LOAD_BLOCK):
+        block = keys[i:i + _LOAD_BLOCK].astype(np.int64, copy=False)
+        h = block.view(np.uint64) * _HASH_MULT
         np.bitwise_or.at(filt, (h >> shift).view(np.int64),
                          _filter_bits(h, shift - _PICK_BITS))
     return filt, shift
+
+
+def _longest_run(slots: np.ndarray, rows: int) -> int:
+    """The longest circular run of occupied slots in a directory, read
+    in blocks of :data:`_LOAD_BLOCK` slots — or -1 when it is no
+    directory over ``rows`` rows: a slot outside ``[-1, rows)``, or no
+    empty slot to end a walk."""
+    longest, run, head = 0, 0, -1
+    for i in range(0, slots.size, _LOAD_BLOCK):
+        block = slots[i:i + _LOAD_BLOCK]
+        if block.min() < -1 or block.max() >= rows:
+            return -1
+        empty = np.flatnonzero(block < 0)
+        if not empty.size:
+            run += block.size
+            continue
+        if head < 0:  # the run that wraps around onto the table's end
+            head = run + int(empty[0])
+        else:
+            longest = max(longest, run + int(empty[0]))
+        if empty.size > 1:
+            longest = max(longest, int(np.diff(empty).max()) - 1)
+        run = block.size - 1 - int(empty[-1])
+    return -1 if head < 0 else max(longest, head + run)
 
 
 def _filter_bits(h: np.ndarray, pick: np.uint64) -> np.ndarray:
@@ -494,6 +553,9 @@ class TZIndex(_BaseIndex):
         labels = (sketches if isinstance(sketches, TZLabels)
                   else _labels_of(sketches))
         n, k = len(labels), labels.k
+        if k >= 128:
+            raise ConfigError(f"k = {k}: levels are stored as int8, so "
+                              f"k must be below 128")
         owners, landmarks = labels.owner, labels.landmark
         dists, levels = labels.dist, labels.level
         # the dense top block is sound only if no landmark mixes level-(k-1)
@@ -553,18 +615,26 @@ class TZIndex(_BaseIndex):
         self.levels = arrays["levels"]
         #: shard ``s`` is rows ``bounds[s]:bounds[s + 1]``
         self.bounds = arrays["bounds"]
-        self.slot_key = arrays["slot_key"]
-        self.slot_idx = arrays["slot_idx"]
-        n, S, slots = self.n, self.num_shards, self.slot_key.size
+        #: the directory: per slot, the row of the key it holds (-1:
+        #: empty, which wraps to the absent row)
+        self.slots = arrays["slots"]
+        n, S, size = self.n, self.num_shards, self.slots.size
         self._consistent(
             self.pivot_ids.shape == self.pivot_dists.shape == (n, self.k)
             and self.top_col.shape == (n,) and self.top_ids.ndim == 1
             and self.top_dist.shape == (n, self.top_ids.size)
             and self.keys.ndim == 1 and self.bounds.shape == (S + 1,)
             and self.dists.shape == self.levels.shape == (self.keys.size + 1,)
-            and self.slot_idx.shape == (slots,)
-            and slots >= 2 and slots & (slots - 1) == 0)
-        self.mask, self.shift = _hash_params(slots)
+            and self.slots.shape == (size,)
+            and size >= 2 and size & (size - 1) == 0 and self.k < 128)
+        self.mask, self.shift = _hash_params(size)
+        #: slot offsets 1..L+1, L the longest occupied run of the
+        #: directory: no walk passes more than L occupied slots
+        longest = _longest_run(self.slots, self.keys.size)
+        if longest < 0:
+            raise ConfigError("TZIndex directory names a row outside its "
+                              "table, or has no empty slot")
+        self._window = np.arange(1, longest + 2)
         #: the miss filter over the resident keys (derived, never stored)
         self._filter, self._filter_shift = _miss_filter(self.keys)
         self._filter_pick = self._filter_shift - _PICK_BITS
@@ -572,18 +642,13 @@ class TZIndex(_BaseIndex):
         #: levels probed in the bunch table (the rest is dense)
         self._kk = self.k - 1 if self.dense_top else self.k
         #: ``(kk, 1, 1)``: the level each row of ``_finish``'s hits checks
-        self._level_rows = np.arange(self._kk, dtype=np.int64)[:, None, None]
+        self._level_rows = np.arange(self._kk, dtype=_I1)[:, None, None]
         #: the dense table as one row of cells, for a flat ``take``
         self._top_cells = self.top_dist.reshape(-1)
         #: node -> dense-table column of its top pivot (-1: sentinel pivot
         #: or not a top landmark), so a top probe is one 2-d gather
         top = self.pivot_ids[:, self.k - 1]
         self._top_pivot_col = np.where(top >= 0, self.top_col[top], -1)
-        #: slot offsets 1..L+1, L the longest occupied run of the
-        #: directory: no walk passes more than L occupied slots
-        empty = np.flatnonzero(self.slot_key == -1)
-        runs = np.diff(empty, append=empty[0] + self.slot_key.size) - 1
-        self._window = np.arange(1, int(runs.max()) + 2)
         #: the hash parameters as Python ints, for the scalar probe
         self._scalar_hash = (int(self.shift), self.mask,
                              int(self._filter_shift), int(self._filter_pick))
@@ -603,20 +668,22 @@ class TZIndex(_BaseIndex):
     # the probe kernel
     # ------------------------------------------------------------------
     def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(dist, level)`` of each composite key — the absent row
-        ``(0.0, -1)`` where the key is not resident.  Every membership
-        probe of the store goes through here, once per :meth:`answer`.
+        """``(dist, level)`` of each int64 composite key — the absent
+        row ``(0.0, -1)`` where the key is not resident.  Every
+        membership probe of the store goes through here, once per
+        :meth:`answer`.
 
         Nearly every probe is a miss, so the miss filter is asked
         first — one gather from a cache-resident table — and the output
         is prefilled with the absent row.  Only the keys the filter
         passes (the resident ones and about 1 % of the rest; for a lone
         pair usually none) walk the directory: from the home slot to the
-        first slot that holds the key or is empty, whose row index
-        gathers the answer (an empty slot's -1 wraps to the absent row).
-        A round of the walk costs a dozen numpy calls however few keys
-        are pending, so once the pending keys' whole remaining walks fit
-        in :data:`_WINDOW_CELLS` cells they are gathered at once.
+        first slot that is empty or holds a row with the key, whose
+        ``(dist, level)`` is gathered (an empty slot's -1 wraps to the
+        absent row).  A round of the walk costs a dozen numpy calls
+        however few keys are pending, so once the pending keys' whole
+        remaining walks fit in :data:`_WINDOW_CELLS` cells they are
+        gathered at once.
         """
         h = keys.view(np.uint64) * _HASH_MULT
         bits = _filter_bits(h, self._filter_pick)
@@ -624,32 +691,35 @@ class TZIndex(_BaseIndex):
         np.bitwise_and(word, bits, out=word)
         live = (word == bits).nonzero()[0]
         dist = np.zeros(keys.size, dtype=np.float64)
-        level = np.empty(keys.size, dtype=np.int64)
+        level = np.empty(keys.size, dtype=self.levels.dtype)
         level.fill(-1)
         if not live.size:
             return dist, level
 
-        keys = keys.take(live)
+        # a key passed the filter, so the table is not empty and row -1
+        # reads a real (last) key: a stop there gathers the absent row.
+        # Probe keys are below n², so they fit the table's dtype
+        table, slots = self.keys, self.slots
+        keys = keys.take(live).astype(table.dtype, copy=False)
         cur = (h.take(live) >> self.shift).view(np.int64)
-        at = self.slot_key.take(cur)
-        pend = ((at != keys) & (at != -1)).nonzero()[0]
+        row = slots.take(cur)
+        pend = ((table.take(row) != keys) & (row >= 0)).nonzero()[0]
         seen = 1  # slots of its walk every pending key has passed
         while pend.size:
             ahead = self._window[:self._window.size - seen]
             if pend.size * ahead.size <= _WINDOW_CELLS:
-                slots = (cur[pend][:, None] + ahead) & self.mask
-                at = self.slot_key.take(slots)
-                stop = (at == keys[pend][:, None]) | (at == -1)
-                cur[pend] = slots[np.arange(pend.size), stop.argmax(axis=1)]
+                at = slots.take((cur[pend][:, None] + ahead) & self.mask)
+                stop = (table.take(at) == keys[pend][:, None]) | (at < 0)
+                row[pend] = at[np.arange(pend.size), stop.argmax(axis=1)]
                 break
             nxt = (cur[pend] + 1) & self.mask
             cur[pend] = nxt
-            at = self.slot_key.take(nxt)
-            pend = pend[(at != keys[pend]) & (at != -1)]
+            at = slots.take(nxt)
+            row[pend] = at
+            pend = pend[(table.take(at) != keys[pend]) & (at >= 0)]
             seen += 1
-        pos = self.slot_idx.take(cur)
-        dist[live] = self.dists.take(pos)
-        level[live] = self.levels.take(pos)
+        dist[live] = self.dists.take(row)
+        level[live] = self.levels.take(row)
         return dist, level
 
     def _probe_one(self, key: int) -> tuple[float, int]:
@@ -662,14 +732,13 @@ class TZIndex(_BaseIndex):
         bits = 1 << (b >> 6) | 1 << (b & 63)
         if self._filter.item(h >> filter_shift) & bits != bits:
             return 0.0, -1
-        slot_key, cur = self.slot_key, h >> shift
+        slots, table, cur = self.slots, self.keys, h >> shift
         while True:
-            at = slot_key.item(cur)
-            if at == key:
-                pos = self.slot_idx.item(cur)
-                return self.dists.item(pos), self.levels.item(pos)
-            if at == -1:
+            row = slots.item(cur)
+            if row < 0:
                 return 0.0, -1
+            if table.item(row) == key:
+                return self.dists.item(row), self.levels.item(row)
             cur = cur + 1 & mask
 
     def _estimate_checked(self, u: int, v: int) -> float:
@@ -801,11 +870,19 @@ class TZIndex(_BaseIndex):
     # ------------------------------------------------------------------
     # the physical form: what a container holds
     # ------------------------------------------------------------------
+    @staticmethod
+    def column_dtypes(meta: dict) -> dict[str, np.dtype]:
+        """Every array the store of ``meta`` keeps, in container order,
+        with the one dtype it is stored in."""
+        return {"pivot_ids": _I8, "pivot_dists": _F8, "top_ids": _I8,
+                "top_col": _I8, "top_dist": _F8,
+                "keys": _id_dtype(int(meta["n"]) ** 2), "dists": _F8,
+                "levels": _I1, "bounds": _I8, "slots": _I4}
+
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Every array this store keeps, by name, in container order."""
-        return {name: getattr(self, name) for name in (
-            "pivot_ids", "pivot_dists", "top_ids", "top_col", "top_dist",
-            "keys", "dists", "levels", "bounds", "slot_key", "slot_idx")}
+        return {name: getattr(self, name)
+                for name in self.column_dtypes(self.pack_meta())}
 
     def pack_meta(self) -> dict:
         """The scalar (non-array) state, JSON-compatible."""
@@ -957,7 +1034,8 @@ class Stretch3Index(_BaseIndex):
                     f"(node {s.node})")
         ids = np.asarray(sorted({w for s in sketches for w in s.entries}),
                          dtype=np.int64)
-        net_ids = ids[np.lexsort((ids, ids % num_shards))]
+        net_ids = ids[np.lexsort((ids, ids % num_shards))].astype(
+            _id_dtype(len(sketches)))
         col = {int(w): j for j, w in enumerate(net_ids)}
         dist = np.full((len(sketches), net_ids.size), np.inf,
                        dtype=np.float64)
@@ -1040,6 +1118,12 @@ class Stretch3Index(_BaseIndex):
         return f"sketches of {int(u)} and {int(v)} share no net node"
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def column_dtypes(meta: dict) -> dict[str, np.dtype]:
+        """Every array the store of ``meta`` keeps, in container order,
+        with the one dtype it is stored in."""
+        return {"net_ids": _id_dtype(int(meta["n"])), "dist": _F8}
+
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Every array this store keeps, by name, in container order."""
         return {"net_ids": self.net_ids, "dist": self.dist}
@@ -1134,7 +1218,8 @@ class CDGIndex(_BaseIndex):
         for lbl in labels.values():
             universe.update(lbl.bunch)
             universe.update(p for p, _ in lbl.pivots if p >= 0)
-        net_ids = np.asarray(sorted(universe), dtype=np.int64)
+        ids = _id_dtype(len(sketches))
+        net_ids = np.asarray(sorted(universe), dtype=ids)
         slot = {int(w): j for j, w in enumerate(net_ids)}
         subs = []
         for j, w in enumerate(net_ids):
@@ -1154,8 +1239,7 @@ class CDGIndex(_BaseIndex):
                     bunch={slot[w2]: entry
                            for w2, entry in lbl.bunch.items()}))
         sub_meta, sub_arrays = TZIndex._flatten(subs, num_shards)
-        gateway_ids = np.asarray([s.gateway for s in sketches],
-                                 dtype=np.int64)
+        gateway_ids = np.asarray([s.gateway for s in sketches], dtype=ids)
         return ({"n": len(sketches), "eps": eps, "k": k,
                  "num_shards": num_shards, "sub": sub_meta},
                 {"gateway_ids": gateway_ids,
@@ -1163,7 +1247,7 @@ class CDGIndex(_BaseIndex):
                      [s.gateway_dist for s in sketches], dtype=np.float64),
                  "net_ids": net_ids,
                  "gw_slot": np.asarray([slot[g] for g in gateway_ids.tolist()],
-                                       dtype=np.int64),
+                                       dtype=ids),
                  **_prefixed("sub.", sub_arrays)})
 
     def _install(self, meta: dict, arrays) -> None:
@@ -1199,9 +1283,10 @@ class CDGIndex(_BaseIndex):
     def _plan_checked(self, ends: np.ndarray) -> tuple[Any, np.ndarray]:
         """Plan the gateway-label TZ sub-batch (gateway slots gathered
         from ``_gw_slot`` are valid sub-universe ids by construction:
-        one validation per batch, however deep the store nests)."""
+        one validation per batch, however deep the store nests; widened
+        to int64 because the sub-index multiplies them by its n)."""
         sub_state, request = self._sub._plan_checked(
-            self._gw_slot.take(ends))
+            self._gw_slot.take(ends).astype(np.int64))
         return (ends, sub_state), request
 
     def answer(self, request: np.ndarray) -> tuple:
@@ -1245,6 +1330,15 @@ class CDGIndex(_BaseIndex):
             f"{self.gateway_ids[u]} and {self.gateway_ids[v]})", row)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def column_dtypes(meta: dict) -> dict[str, np.dtype]:
+        """Every array the store of ``meta`` keeps, in container order,
+        with the one dtype it is stored in (the sub-index's ``sub.*``)."""
+        ids = _id_dtype(int(meta["n"]))
+        return {"gateway_ids": ids, "gateway_dists": _F8, "net_ids": ids,
+                "gw_slot": ids,
+                **_prefixed("sub.", TZIndex.column_dtypes(meta["sub"]))}
+
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Own arrays plus the TZ sub-index's, namespaced ``sub.*``."""
         return {"gateway_ids": self.gateway_ids,
@@ -1378,6 +1472,15 @@ class GracefulIndex(_BaseIndex):
         return min(comp._estimate_checked(u, v) for comp in self.components)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def column_dtypes(meta: dict) -> dict[str, np.dtype]:
+        """Every array the store of ``meta`` keeps, in container order,
+        with the one dtype it is stored in (component i's ``c<i>.*``)."""
+        out: dict[str, np.dtype] = {}
+        for i, comp_meta in enumerate(meta["components"]):
+            out.update(_prefixed(f"c{i}.", CDGIndex.column_dtypes(comp_meta)))
+        return out
+
     def pack_arrays(self) -> dict[str, np.ndarray]:
         """Every component's arrays, namespaced ``c<i>.*``."""
         out: dict[str, np.ndarray] = {}
@@ -1448,6 +1551,24 @@ def index_tag(index: IndexStore) -> Optional[str]:
                  if cls is type(index)), None)
 
 
+def _class_of_tag(tag: str) -> type:
+    cls = _BY_TAG.get(tag)
+    if cls is None:
+        raise ConfigError(f"unknown index type tag {tag!r}")
+    return cls
+
+
+def index_column_dtypes(tag: str, meta: dict) -> dict[str, np.dtype]:
+    """Every array a store of container type ``tag`` and scalar state
+    ``meta`` keeps, with the one dtype it is stored in — what the loader
+    demands of each manifest row.
+
+    :raises ConfigError: on an unknown tag.
+    :raises KeyError: naming the meta key that is missing.
+    """
+    return _class_of_tag(tag).column_dtypes(meta)
+
+
 def index_from_arrays(tag: str, meta: dict, arrays) -> IndexStore:
     """The store of container type ``tag`` over its flattened state —
     the loader's last step.
@@ -1455,10 +1576,7 @@ def index_from_arrays(tag: str, meta: dict, arrays) -> IndexStore:
     :raises ConfigError: on an unknown tag or inconsistent shapes.
     :raises KeyError: naming the array or meta key that is missing.
     """
-    cls = _BY_TAG.get(tag)
-    if cls is None:
-        raise ConfigError(f"unknown index type tag {tag!r}")
-    return cls._from_pack(meta, arrays)
+    return _class_of_tag(tag)._from_pack(meta, arrays)
 
 
 def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:

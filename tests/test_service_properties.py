@@ -642,9 +642,9 @@ def _walk_reference(store: TZIndex, keys) -> tuple[list, list]:
     for key in keys:
         cur = int((np.array([key]).view(np.uint64) * _HASH_MULT)[0]
                   >> store.shift)
-        while store.slot_key[cur] not in (key, -1):
+        while store.slots[cur] >= 0 and store.keys[store.slots[cur]] != key:
             cur = (cur + 1) & store.mask
-        pos = store.slot_idx[cur]
+        pos = store.slots[cur]
         dists.append(store.dists[pos])
         levels.append(store.levels[pos])
     return dists, levels
@@ -687,7 +687,7 @@ class TestProbeBehindTheFilter:
         for whole, store in zip(_tz_stores(full), _tz_stores(index)):
             keys = np.asarray(store.keys)
             assert np.array_equal(keys, whole.keys)
-            dist, level = store._probe(np.ascontiguousarray(keys))
+            dist, level = store._probe(keys.astype(np.int64))
             assert dist.tobytes() == store.dists[:-1].tobytes()
             assert level.tobytes() == store.levels[:-1].tobytes()
 

@@ -6,10 +6,13 @@ built from them.  The sketch digests were recorded at the commit
 *before* the per-root Dijkstra loop became the frontier kernel (and
 before :class:`TZIndex` was assembled from arrays) and have not moved
 since; the RPIX digests were re-recorded when the container went to
-version 2 (one bunch table and one directory per TZ store).  Any builder
-must reproduce the table exactly; the kernel tests below then compare its
-rows against the per-root reference :func:`cluster_of` and the
-definition-based :func:`brute_force_bunches`.
+version 2 (one bunch table and one directory per TZ store), and again at
+version 3 (int32 keys, int8 levels, a directory of int32 rows) — each
+version-3 container checked column by column to hold the values of the
+version-2 one it replaced.  Any builder must reproduce the table
+exactly; the kernel tests below then compare its rows against the
+per-root reference :func:`cluster_of` and the definition-based
+:func:`brute_force_bunches`.
 """
 
 from __future__ import annotations
@@ -73,27 +76,27 @@ def _sketch_digest(sketches) -> str:
 
 
 GOLDEN = {
-    ('er_weighted', 1): ('215e48b658018c07b2a3', 'ee5c4018087ea453744d'),
-    ('er_weighted', 2): ('c9aed4302ea866449008', '1327d98eae1b897dc84e'),
-    ('er_weighted', 3): ('8b8b5cb510c020927993', '0a12fd0e95d910e168c5'),
-    ('er_unit', 1): ('9f5823324d08be4f4a37', 'ab926da17457674dc536'),
-    ('er_unit', 2): ('d2072961598069fbf5c2', '2b905bc9da8482ebc43d'),
-    ('er_unit', 3): ('e76982ed03d34e6590f2', 'cf064a55df81f0eefa7e'),
-    ('small_grid', 1): ('9938e900d3b9ca9313fa', 'ebbb511b59a34bb4aff0'),
-    ('small_grid', 2): ('0c7f9edd01a767feef30', 'e3b631c64b9904b2e81a'),
-    ('small_grid', 3): ('97209afbde1d770f831f', 'f813fe1556ad37159cc9'),
-    ('small_ring', 1): ('5d5e297d2acb37702401', '3c00e7831949d536f4d2'),
-    ('small_ring', 2): ('394c05c4a64cd266cb45', '5ddba5b13d8ad5f303e2'),
-    ('small_ring', 3): ('39fc21ab0b138c8befa8', 'ed880a6238153fa79241'),
-    ('two_components', 1): ('92b051f0ea11afa81622', '238774a3c42f3cb25d81'),
-    ('two_components', 2): ('9bbafc60022261f32e29', '95314ebb91f764f01dfe'),
-    ('two_components', 3): ('c2e8241d9ca6a061a024', '4aaefecc4c4ac5ec3eb7'),
-    ('net_universe', 1): ('534d42412c22fea1ecca', 'a596aab28401d8340a47'),
-    ('net_universe', 2): ('63049f6d3fe818e71793', '284a65582e7a15118d87'),
-    ('net_universe', 3): ('e6477d556f01a604c2d9', '5887ac1801965f7c0e07'),
-    ('single_node', 1): ('44409bfd49f7b62d2889', '148fc688cc9c789961a5'),
-    ('single_node', 2): ('4512eb254926d865b129', '8b50458de60264322bf4'),
-    ('single_node', 3): ('236cd8ce4ba010c5afbb', '706ca5ae513b3a57516c'),
+    ('er_weighted', 1): ('215e48b658018c07b2a3', '94089feaa3903c594bea'),
+    ('er_weighted', 2): ('c9aed4302ea866449008', '35da0d8f579f53c97e5b'),
+    ('er_weighted', 3): ('8b8b5cb510c020927993', 'd3d041c78081bd272eca'),
+    ('er_unit', 1): ('9f5823324d08be4f4a37', '3703663fa792e3364c5e'),
+    ('er_unit', 2): ('d2072961598069fbf5c2', '7d45ae65cd8755c4717b'),
+    ('er_unit', 3): ('e76982ed03d34e6590f2', '3fa9cf8c0a3cf86c20a7'),
+    ('small_grid', 1): ('9938e900d3b9ca9313fa', '7553b1b8fb8a1fb67668'),
+    ('small_grid', 2): ('0c7f9edd01a767feef30', '0e8d0adefb1e9d5d269c'),
+    ('small_grid', 3): ('97209afbde1d770f831f', 'f256230df9e380ba7893'),
+    ('small_ring', 1): ('5d5e297d2acb37702401', 'e8327f05ded5770e358f'),
+    ('small_ring', 2): ('394c05c4a64cd266cb45', '15ad6f93c1614a24767b'),
+    ('small_ring', 3): ('39fc21ab0b138c8befa8', '73a8378fe334442bb1c7'),
+    ('two_components', 1): ('92b051f0ea11afa81622', 'c935c5262fa5c16d62f3'),
+    ('two_components', 2): ('9bbafc60022261f32e29', '6d84bd822b084589cc85'),
+    ('two_components', 3): ('c2e8241d9ca6a061a024', '733af4b817580df1082e'),
+    ('net_universe', 1): ('534d42412c22fea1ecca', 'e78f15cd1c5f0d46e03f'),
+    ('net_universe', 2): ('63049f6d3fe818e71793', '97be0c4cfbc40b149836'),
+    ('net_universe', 3): ('e6477d556f01a604c2d9', '1db0d4d2c40dac43b238'),
+    ('single_node', 1): ('44409bfd49f7b62d2889', '76b10edaf4ccd8a219af'),
+    ('single_node', 2): ('4512eb254926d865b129', '0e006163952e85790b02'),
+    ('single_node', 3): ('236cd8ce4ba010c5afbb', '527891781e06e0d1a754'),
 }
 
 
