@@ -5,24 +5,24 @@ A downstream user can drive the whole pipeline without writing Python::
     python -m repro gen --family er --n 128 --weights uniform --seed 1 -o net.edges
     python -m repro stats net.edges
     python -m repro build net.edges --scheme tz --k 3 --mode distributed \
-        --seed 2 -o sketches.jsonl
-    python -m repro query net.edges sketches.jsonl --pairs 0:100 5:17
-    python -m repro eval net.edges sketches.jsonl --eps 0.25
-    python -m repro build net.edges --scheme tz --k 3 --format binary \
-        --shards 4 -o index.rpix
-    python -m repro serve index.rpix --addr 0.0.0.0:7111 --memory mmap
+        --seed 2 -o idx.rpix
+    python -m repro query net.edges idx.rpix --pairs 0:100 5:17
+    python -m repro eval net.edges idx.rpix --eps 0.25
+    python -m repro build net.edges --scheme tz --k 3 --shards 4 -o idx.rpix
+    python -m repro serve idx.rpix --addr 0.0.0.0:7111 --memory mmap
     python -m repro query --connect tcp://serving-box:7111 --pairs 0:100 5:17
     python -m repro serve net.edges --updateable --scheme tz --k 3 --seed 2 \
         --addr 127.0.0.1:7111
     python -m repro build net.edges --scheme tz --k 3 --seed 2 \
-        --apply-updates changes.jsonl -o sketches.jsonl
+        --apply-updates changes.jsonl -o idx.rpix
     python -m repro schemes --markdown
 
 Serving speed is measured by the ``bench/`` tree at the repository root
 (``python3 bench/run.py --workload NAME``), not by a subcommand.
 
-Sketches travel as the JSON-lines format of
-:mod:`repro.oracle.serialization`; graphs as the edge-list format of
+Sketches travel as the RPIX store container of
+:mod:`repro.oracle.serialization` (``query``, ``eval`` and ``serve``
+answer through the store it holds); graphs as the edge-list format of
 :mod:`repro.graphs.io`.
 """
 
@@ -44,15 +44,6 @@ SCHEME_NAMES = ("cdg", "graceful", "stretch3", "tz")
 # ----------------------------------------------------------------------
 # subcommand implementations
 # ----------------------------------------------------------------------
-def _reject_mmap(args, path: str) -> None:
-    """``--memory mmap`` is how an RPIX file is opened; any other source
-    is parsed into heap arrays, so asking to map it is a usage error."""
-    if args.memory == "mmap":
-        raise ReproError(
-            f"--memory mmap maps a binary index container, and {path} is "
-            f"not one (write one with `repro build --format binary`)")
-
-
 def _cmd_gen(args) -> int:
     from repro.graphs import (assign_exponential_weights,
                               assign_uniform_weights, barabasi_albert,
@@ -109,14 +100,9 @@ def _scheme_flags(args, names=("k", "eps")) -> dict:
 def _cmd_build(args) -> int:
     from repro.graphs import read_edgelist
     from repro.oracle.api import build_sketches
-    from repro.oracle.serialization import save_index_binary, save_sketch_set
+    from repro.oracle.serialization import save_index_binary
 
     # flag errors before the (possibly expensive) build, not after
-    if args.format != "binary" and args.shards is not None:
-        raise ReproError(
-            "--shards only applies to --format binary (a JSON-lines "
-            "sketch set has no shard layout; `repro serve --shards` "
-            "takes it at load time instead)")
     if args.shards is not None and args.shards < 1:
         raise ReproError(f"--shards must be >= 1, got {args.shards}")
 
@@ -135,7 +121,6 @@ def _cmd_build(args) -> int:
             print(f"  {ph.name}: {ph.rounds} rounds, {ph.messages} messages, "
                   f"{ph.words} words")
     shards = 1 if args.shards is None else args.shards
-    sketches, index = built.sketches, None
     if args.apply_updates is not None:
         from repro.service.updates import load_changes_jsonl
 
@@ -144,18 +129,14 @@ def _cmd_build(args) -> int:
         print(f"applied {report.changes} changes from "
               f"{args.apply_updates}: mode={report.mode} "
               f"dirty={report.dirty}/{report.n} epoch={report.epoch}")
-        sketches, index = upd.sketches, upd.index
-    if args.format == "binary":
-        if index is None:
-            from repro.service import build_index
-
-            index = build_index(sketches, num_shards=shards)
-        save_index_binary(index, args.output)
-        print(f"wrote a binary {type(index).__name__} "
-              f"({index.nnz()} entries, {shards} shards) to {args.output}")
+        index = upd.index
     else:
-        save_sketch_set(sketches, args.output)
-        print(f"wrote {len(sketches)} sketches to {args.output}")
+        from repro.service import build_index
+
+        index = build_index(built.sketches, num_shards=shards)
+    save_index_binary(index, args.output)
+    print(f"wrote a binary {type(index).__name__} "
+          f"({index.nnz()} entries, {shards} shards) to {args.output}")
     return 0
 
 
@@ -167,43 +148,35 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ReproError(f"bad pair {text!r}; expected 'u:v'") from None
 
 
-def _query_fn(sketches):
-    from repro.service.index import checked_pair
-
-    def query(u: int, v: int) -> float:
-        u, v = checked_pair(u, v, len(sketches))
-        return sketches[u].estimate_to(sketches[v])
-
-    return query
-
-
 def _cmd_query(args) -> int:
-    from repro.graphs import read_edgelist
-    from repro.graphs.metrics import distance_rows
     from repro.service.index import checked_pair
 
     client = None
     if args.connect is not None:
-        if args.sketches is not None:
+        if args.index is not None:
             raise ReproError(
-                "--connect queries a live server; drop the sketches "
+                "--connect queries a live server; drop the INDEX "
                 "argument (the server owns the index)")
         from repro.service.client import connect
 
         client = connect(args.connect)
         query = client.dist
     else:
-        if args.graph is None or args.sketches is None:
+        if args.graph is None or args.index is None:
             raise ReproError(
-                "query wants GRAPH and SKETCHES files, or --connect SPEC")
-        from repro.oracle.serialization import load_sketch_set
+                "query wants GRAPH and INDEX files, or --connect SPEC")
+        from repro.oracle.serialization import load_index_binary
 
-        query = _query_fn(load_sketch_set(args.sketches))
+        query = load_index_binary(args.index).estimate
     exact = None
     try:
         if args.exact:
             if args.graph is None:
                 raise ReproError("--exact needs the GRAPH argument")
+            # the graph side loads scipy: only a query that asks for it
+            from repro.graphs import read_edgelist
+            from repro.graphs.metrics import distance_rows
+
             g = read_edgelist(args.graph)
             sources = sorted({checked_pair(*_parse_pair(text), g.n)[0]
                               for text in args.pairs})
@@ -230,28 +203,25 @@ def _cmd_serve(args) -> int:
         from repro.graphs import read_edgelist
         from repro.service.updates import UpdateableIndex
 
-        _reject_mmap(args, args.source)
+        if args.memory == "mmap":
+            raise ReproError(
+                f"--memory mmap maps a binary index container, and "
+                f"{args.source} is a graph (write a container with "
+                f"repro build)")
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
                                  num_shards=(args.shards or 1),
                                  **_scheme_flags(args))
-        shards = None  # baked into the updateable's stores
     else:
-        from repro.oracle.serialization import (is_binary_index,
-                                                load_index_binary,
-                                                load_sketch_set)
+        from repro.oracle.serialization import load_index_binary
 
-        if is_binary_index(args.source):
-            source = load_index_binary(args.source, backing=args.memory)
-            shards = args.shards  # validated against the baked layout
-        else:
-            _reject_mmap(args, args.source)
-            source = load_sketch_set(args.source)
-            shards = args.shards
+        source = load_index_binary(args.source, backing=args.memory)
     addr = args.addr
     if args.port is not None:
         addr = f"{addr.rsplit(':', 1)[0]}:{args.port}"
-    server = OracleServer(source, num_shards=shards,
+    # a store bakes its shard layout in: --shards is checked against it
+    server = OracleServer(source,
+                          num_shards=None if args.updateable else args.shards,
                           cache_size=args.cache_size)
     host, port = server.serve(addr, block=False,
                               handlers=args.handlers)
@@ -282,13 +252,13 @@ def _cmd_schemes(args) -> int:
 def _cmd_eval(args) -> int:
     from repro.graphs import apsp, read_edgelist
     from repro.oracle.evaluation import evaluate_stretch
-    from repro.oracle.serialization import load_sketch_set
+    from repro.oracle.serialization import load_index_binary
 
     g = read_edgelist(args.graph)
-    sketches = load_sketch_set(args.sketches)
-    if len(sketches) != g.n:
-        raise ReproError(f"{len(sketches)} sketches for a {g.n}-node graph")
-    rep = evaluate_stretch(apsp(g), _query_fn(sketches), eps=args.eps,
+    store = load_index_binary(args.index)
+    if store.n != g.n:
+        raise ReproError(f"{store.n} sketches for a {g.n}-node graph")
+    rep = evaluate_stretch(apsp(g), store.estimate, eps=args.eps,
                            max_pairs=args.max_pairs, seed=args.seed)
     print(json.dumps({
         "pairs": rep.pairs,
@@ -325,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graph")
     s.set_defaults(func=_cmd_stats)
 
-    b = sub.add_parser("build", help="build sketches for every node")
+    b = sub.add_parser("build", help="build every node's sketch and write "
+                                     "them as an RPIX index")
     b.add_argument("graph")
     b.add_argument("--scheme", choices=SCHEME_NAMES, default="tz")
     b.add_argument("--mode", choices=["centralized", "distributed"],
@@ -336,30 +307,26 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     b.add_argument("--S", type=int, default=None)
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--format", choices=["json", "binary"], default="json",
-                   help="json = per-node sketches as JSON lines; binary = "
-                        "a pre-built index as the mmap-loadable container "
-                        "(serve detects either)")
     b.add_argument("--shards", type=int, default=None,
-                   help="landmark shard count baked into a --format binary "
-                        "index (layout only; answers are identical; "
-                        "rejected with --format json)")
+                   help="landmark shard count baked into the index "
+                        "(default 1; layout only, answers are identical)")
     b.add_argument("--apply-updates", metavar="CHANGES.JSONL", default=None,
                    help="after building, apply this edge-change stream "
                         "(see repro.service.updates) through the "
                         "incremental-repair path and write the updated "
-                        "sketches/index instead (centralized builds of "
+                        "index instead (centralized builds of "
                         "updateable schemes only)")
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=_cmd_build)
 
-    q = sub.add_parser("query", help="estimate distances from sketches "
-                                     "or a live server")
+    q = sub.add_parser("query", help="estimate distances from an RPIX "
+                                     "index or a live server")
     q.add_argument("graph", nargs="?", default=None)
-    q.add_argument("sketches", nargs="?", default=None)
+    q.add_argument("index", nargs="?", default=None,
+                   help="an RPIX index written by repro build")
     q.add_argument("--connect", metavar="SPEC", default=None,
                    help="query a live server (tcp://host:port) instead "
-                        "of local sketch files")
+                        "of a local index file")
     q.add_argument("--pairs", nargs="+", required=True, metavar="u:v")
     q.add_argument("--exact", action="store_true",
                    help="also compute exact distances for comparison "
@@ -371,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "daemon repro.service.client sessions "
                              "connect to)")
     sv.add_argument("source",
-                    help="what to serve: a sketch set (.jsonl), a binary "
-                         "index (.rpix), or — with --updateable — a "
-                         "graph edge list to build a live index from")
+                    help="what to serve: an RPIX index written by repro "
+                         "build, or — with --updateable — a graph edge "
+                         "list to build a live index from")
     sv.add_argument("--addr", default="127.0.0.1:0", metavar="HOST:PORT",
                     help="listen address (port 0 picks a free one; the "
                          "bound tcp://host:port is printed on stdout "
@@ -382,14 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the port of --addr (--port 0 picks a "
                          "free one and prints it)")
     sv.add_argument("--memory", choices=["heap", "mmap"], default="heap",
-                    help="how a binary index (.rpix) source is opened: "
-                         "heap = read into arrays; mmap = memory-mapped, "
-                         "zero parse (any other source is an error)")
+                    help="how the RPIX source is opened: heap = read "
+                         "into arrays; mmap = memory-mapped, zero parse "
+                         "(an error with --updateable)")
     sv.add_argument("--shards", type=int, default=None,
-                    help="landmark shard count when building from "
-                         "sketches or a graph (default 1; layout only, "
-                         "answers are identical; a binary index bakes "
-                         "its own in)")
+                    help="landmark shard count of an --updateable build "
+                         "(default 1; layout only, answers are identical; "
+                         "an RPIX index bakes its own in)")
     sv.add_argument("--cache-size", type=int, default=None,
                     help="result-cache slots, one answer and 24 bytes "
                          "each, direct-mapped (0 disables; default: the "
@@ -420,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="stretch report against exact APSP")
     e.add_argument("graph")
-    e.add_argument("sketches")
+    e.add_argument("index", help="an RPIX index written by repro build")
     e.add_argument("--eps", type=float, default=None,
                    help="restrict to eps-far pairs (slack semantics)")
     e.add_argument("--max-pairs", type=int, default=None)

@@ -1,20 +1,17 @@
-"""Sketch serialization: ship labels between processes or to disk.
+"""On-disk and on-wire formats: the RPIX store container and the
+edge-change stream.
 
-A distance sketch is only useful if it can leave the node that built it
-(the online query of Section 2.1 literally transmits one).  This module
-provides a stable, JSON-compatible wire format for every sketch type in
-the library, with word-size-faithful content (IDs, distances, levels —
-nothing else), plus round-trip helpers for whole sketch sets.  The
-pre-built serving indexes of :mod:`repro.service.index` persist in one
+A pre-built serving store of :mod:`repro.service.index` persists in one
 format, the binary ``RPIX`` container (:func:`save_index_binary` /
 :func:`load_index_binary`): a small JSON header plus the store's arrays
 as raw aligned blobs, loadable memory-mapped with no parsing.
+``repro build`` writes it; ``repro query``, ``eval`` and ``serve``
+answer through the store it holds.
 
-Format: ``{"type": ..., "v": 1, ...payload...}``.  Decoding validates the
-type tag and version so mixed-version archives fail loudly.  Infinite
-distances (possible on disconnected graphs) are encoded as ``null`` —
-RFC 8259 JSON has no ``Infinity`` token, and the files must stay readable
-by strict parsers; the decoder accepts both spellings.
+Edge changes travel as JSON objects ``{"type": "edge_change", "v": 1,
+...}`` (one line of a ``changes.jsonl`` stream, or one entry of a tcp
+``apply`` frame's change list); decoding validates the type tag and
+version so a mixed-version stream fails loudly.
 """
 
 from __future__ import annotations
@@ -25,116 +22,21 @@ import math
 import mmap
 import os
 import struct
-from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.tz.sketch import TZSketch
 
-if TYPE_CHECKING:
-    from repro.slack.cdg import CDGSketch
-    from repro.slack.graceful import GracefulSketch
-    from repro.slack.stretch3 import Stretch3Sketch
-
+#: version of the JSON envelopes: an edge change and the RPIX header
 VERSION = 1
 
 #: magic prefix of the binary index container (see ``save_index_binary``)
 BINARY_MAGIC = b"RPIX"
-#: version of the binary container layout (independent of the JSON
-#: payload version above, which governs the logical content); 3 = narrow
+#: version of the binary container layout (independent of the envelope
+#: version above, which governs the logical content); 3 = narrow
 #: columns (int32 keys and ids, int8 levels) and a one-array TZ
-#: directory — an older file is refused, rebuild it with ``repro build
-#: --format binary``
+#: directory — an older file is refused, rebuild it with ``repro build``
 BINARY_VERSION = 3
-
-AnySketch = Union["TZSketch", "Stretch3Sketch", "CDGSketch", "GracefulSketch"]
-
-
-def _enc_dist(d: float) -> Optional[float]:
-    """Finite distance -> float, infinite -> ``null`` (strict JSON)."""
-    return float(d) if math.isfinite(d) else None
-
-
-def _dec_dist(d) -> float:
-    """Inverse of :func:`_enc_dist`; tolerates legacy raw ``Infinity``."""
-    return math.inf if d is None else float(d)
-
-
-def sketch_to_dict(sketch: AnySketch) -> dict:
-    """Encode any library sketch as a JSON-compatible dict."""
-    if isinstance(sketch, TZSketch):
-        # sorted entry streams: the wire form is canonical — independent
-        # of the in-memory dict's insertion history, so equal sketches
-        # always serialize to equal bytes
-        return {
-            "type": "tz", "v": VERSION, "node": sketch.node, "k": sketch.k,
-            "pivots": [[p, _enc_dist(d)] for p, d in sketch.pivots],
-            "bunch": [[v, sketch.bunch[v][0], sketch.bunch[v][1]]
-                      for v in sorted(sketch.bunch)],
-        }
-    # a slack sketch's module is loaded wherever the sketch exists; the
-    # imports stay here so that loading a container never loads them
-    from repro.slack.cdg import CDGSketch
-    from repro.slack.graceful import GracefulSketch
-    from repro.slack.stretch3 import Stretch3Sketch
-
-    if isinstance(sketch, Stretch3Sketch):
-        return {
-            "type": "stretch3", "v": VERSION, "node": sketch.node,
-            "eps": sketch.eps,
-            "entries": [[w, _enc_dist(sketch.entries[w])]
-                        for w in sorted(sketch.entries)],
-        }
-    if isinstance(sketch, CDGSketch):
-        return {
-            "type": "cdg", "v": VERSION, "node": sketch.node,
-            "eps": sketch.eps, "k": sketch.k,
-            "gateway": sketch.gateway,
-            "gateway_dist": _enc_dist(sketch.gateway_dist),
-            "label": sketch_to_dict(sketch.label),
-        }
-    if isinstance(sketch, GracefulSketch):
-        return {
-            "type": "graceful", "v": VERSION, "node": sketch.node,
-            "components": [sketch_to_dict(c) for c in sketch.components],
-        }
-    raise QueryError(f"cannot serialize {type(sketch).__name__}")
-
-
-def sketch_from_dict(data: dict) -> AnySketch:
-    """Decode a dict produced by :func:`sketch_to_dict`."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise QueryError("not a serialized sketch")
-    if data.get("v") != VERSION:
-        raise QueryError(f"unsupported sketch format version {data.get('v')}")
-    t = data["type"]
-    if t == "tz":
-        return TZSketch(
-            node=data["node"], k=data["k"],
-            pivots=tuple((int(p), _dec_dist(d)) for p, d in data["pivots"]),
-            bunch={int(v): (float(d), int(lvl))
-                   for v, d, lvl in data["bunch"]})
-    from repro.slack.cdg import CDGSketch
-    from repro.slack.graceful import GracefulSketch
-    from repro.slack.stretch3 import Stretch3Sketch
-
-    if t == "stretch3":
-        return Stretch3Sketch(
-            node=data["node"], eps=data["eps"],
-            entries={int(w): _dec_dist(d) for w, d in data["entries"]})
-    if t == "cdg":
-        return CDGSketch(
-            node=data["node"], eps=data["eps"], k=data["k"],
-            gateway=data["gateway"],
-            gateway_dist=_dec_dist(data["gateway_dist"]),
-            label=sketch_from_dict(data["label"]))
-    if t == "graceful":
-        return GracefulSketch(
-            node=data["node"],
-            components=tuple(sketch_from_dict(c)
-                             for c in data["components"]))
-    raise QueryError(f"unknown sketch type tag {t!r}")
 
 
 # ----------------------------------------------------------------------
@@ -199,8 +101,8 @@ def write_index_binary(index, fh) -> None:
 
     The streamable core of :func:`save_index_binary` — also what the
     TCP transport's index-fetch frame serializes into, so a remote
-    worker downloads byte-for-byte the container ``repro build
-    --format binary`` would have written (zero-parse on the wire).
+    worker downloads byte-for-byte the container ``repro build``
+    would have written (zero-parse on the wire).
     """
     from repro.service.buffers import plan_layout
     from repro.service.index import index_tag
@@ -252,13 +154,9 @@ def save_index_binary(index, path) -> None:
         write_index_binary(index, fh)
 
 
-def is_binary_index(path) -> bool:
-    """True when ``path`` starts with the binary container magic."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
-    except OSError:
-        return False
+def _not_a_container() -> QueryError:
+    return QueryError("not a binary index container (repro build "
+                      "writes one)")
 
 
 def _corrupt(what: str) -> QueryError:
@@ -283,13 +181,13 @@ def load_index_bytes(data):
     from repro.service.index import index_column_dtypes, index_from_arrays
 
     if len(data) < 12 or data[:4] != BINARY_MAGIC:
-        raise QueryError("not a binary index container")
+        raise _not_a_container()
     version, _, hlen = struct.unpack_from("<HHI", data, 4)
     if version != BINARY_VERSION:
         raise QueryError(
             f"unsupported binary container version {version} (this "
             f"build reads version {BINARY_VERSION}): rebuild it with "
-            f"repro build ... --format binary")
+            f"repro build")
     try:
         header = json.loads(bytes(data[12:12 + hlen]).decode("ascii"))
     except (ValueError, UnicodeDecodeError):  # short read or garbage
@@ -350,35 +248,6 @@ def load_index_binary(path, backing: str = "heap"):
         if backing == "heap":
             return load_index_bytes(fh.read())
         if not os.fstat(fh.fileno()).st_size:  # nothing to map
-            raise QueryError("not a binary index container")
+            raise _not_a_container()
         return load_index_bytes(
             mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-
-
-def dumps(sketch: AnySketch) -> str:
-    """Sketch -> JSON string."""
-    return json.dumps(sketch_to_dict(sketch), separators=(",", ":"))
-
-
-def loads(text: str) -> AnySketch:
-    """JSON string -> sketch."""
-    return sketch_from_dict(json.loads(text))
-
-
-def save_sketch_set(sketches: list[AnySketch], path) -> None:
-    """Persist a whole per-node sketch set as JSON lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        for s in sketches:
-            fh.write(dumps(s))
-            fh.write("\n")
-
-
-def load_sketch_set(path) -> list[AnySketch]:
-    """Load a sketch set written by :func:`save_sketch_set`."""
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(loads(line))
-    return out

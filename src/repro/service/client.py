@@ -590,8 +590,8 @@ class OracleClient:
         Local sessions return the live store.  TCP sessions download
         the ``RPIX`` binary container through the session's own channel:
         with ``path`` the blob is written there and attached
-        ``backing="mmap"`` — byte-identical to a ``repro build --format
-        binary`` artifact, zero blob parsing — which is how a remote
+        ``backing="mmap"`` — byte-identical to a ``repro build``
+        artifact, zero blob parsing — which is how a remote
         worker box warms up; without ``path`` it is materialized in
         memory.
         """

@@ -130,15 +130,19 @@ def nearest_in_set():
     return reference
 
 
+#: a fresh process's build + index at n = 10^4; it prints its own peak
+#: RSS (``VmHWM``, KiB): ``ru_maxrss`` would carry the forking test
+#: process's high-water mark across the exec
 _AT_SCALE = """
-import json, resource, sys
+import json, sys
 from repro.graphs import assign_uniform_weights, erdos_renyi
 from repro.oracle.api import build_sketches
 from repro.service import build_index
 graph = assign_uniform_weights(erdos_renyi(10_000, seed=1), 1.0, 10.0, seed=2)
 built = build_sketches(graph, sys.argv[1], seed=3, **json.loads(sys.argv[2]))
 build_index(built.sketches, num_shards=4)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 

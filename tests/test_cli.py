@@ -19,8 +19,8 @@ def graph_file(tmp_path):
 
 
 @pytest.fixture()
-def sketch_file(tmp_path, graph_file):
-    path = tmp_path / "sk.jsonl"
+def index_file(tmp_path, graph_file):
+    path = tmp_path / "idx.rpix"
     rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
                "--seed", "3", "-o", str(path)])
     assert rc == 0
@@ -57,21 +57,27 @@ class TestStats:
 
 
 class TestBuild:
-    def test_build_writes_sketches(self, capsys, sketch_file, graph_file):
-        from repro.oracle.serialization import load_sketch_set
+    def test_build_writes_sketches(self, capsys, tmp_path, index_file,
+                                   graph_file):
+        from repro.oracle.serialization import load_index_binary
 
-        sketches = load_sketch_set(sketch_file)
-        assert len(sketches) == 32
+        store = load_index_binary(index_file)
+        assert store.n == 32
+        # one RPIX file and nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "idx.rpix", "net.edges"]
         # a centralized build says where its time went, one line
-        entries = sum(len(s.bunch) for s in sketches)
+        out = capsys.readouterr().out
         assert re.search(
             r"^built in [\d.]+ s — pivots [\d.]+ s, clusters [\d.]+ s "
-            rf"\({entries} bunch entries, \d+ frontier rounds\), "
-            r"assemble [\d.]+ s$", capsys.readouterr().out, re.M)
+            rf"\({store.nnz()} bunch entries, \d+ frontier rounds\), "
+            r"assemble [\d.]+ s$", out, re.M)
+        assert out.endswith(f"wrote a binary TZIndex ({store.nnz()} "
+                            f"entries, 1 shards) to {index_file}\n")
 
     def test_distributed_build_reports_cost(self, tmp_path, graph_file,
                                             capsys):
-        path = tmp_path / "d.jsonl"
+        path = tmp_path / "d.rpix"
         rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
                    "--mode", "distributed", "--seed", "3", "-o", str(path)])
         assert rc == 0
@@ -85,13 +91,13 @@ class TestBuild:
                           r"\d+ words$", out, re.M) == ["phase-1", "phase-0"]
 
     def test_slack_scheme(self, tmp_path, graph_file):
-        path = tmp_path / "s3.jsonl"
+        path = tmp_path / "s3.rpix"
         rc = main(["build", str(graph_file), "--scheme", "stretch3",
                    "--eps", "0.3", "--seed", "5", "-o", str(path)])
         assert rc == 0
 
     def test_missing_params_fail_cleanly(self, tmp_path, graph_file, capsys):
-        path = tmp_path / "x.jsonl"
+        path = tmp_path / "x.rpix"
         rc = main(["build", str(graph_file), "--scheme", "tz",
                    "-o", str(path)])
         assert rc == 2
@@ -99,33 +105,33 @@ class TestBuild:
 
 
 class TestQuery:
-    def test_query_pairs(self, graph_file, sketch_file, capsys):
-        rc = main(["query", str(graph_file), str(sketch_file),
+    def test_query_pairs(self, graph_file, index_file, capsys):
+        rc = main(["query", str(graph_file), str(index_file),
                    "--pairs", "0:31", "5:9"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0:31 estimate=")
 
-    def test_query_with_exact(self, graph_file, sketch_file, capsys):
-        rc = main(["query", str(graph_file), str(sketch_file), "--exact",
+    def test_query_with_exact(self, graph_file, index_file, capsys):
+        rc = main(["query", str(graph_file), str(index_file), "--exact",
                    "--pairs", "0:31"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "exact=" in out and "stretch=" in out
 
-    def test_bad_pair_syntax(self, graph_file, sketch_file, capsys):
-        rc = main(["query", str(graph_file), str(sketch_file),
+    def test_bad_pair_syntax(self, graph_file, index_file, capsys):
+        rc = main(["query", str(graph_file), str(index_file),
                    "--pairs", "0-31"])
         assert rc == 2
 
     @pytest.mark.parametrize("pair", ["-1:5", "32:5"],
                              ids=["negative", "equal-n"])
     def test_out_of_range_id_is_a_usage_error(self, graph_file,
-                                              sketch_file, pair, capsys):
+                                              index_file, pair, capsys):
         """A local query range-checks its ids the way a session does:
         no answer for Python's negative index, no IndexError traceback."""
-        rc = main(["query", str(graph_file), str(sketch_file), "--exact",
+        rc = main(["query", str(graph_file), str(index_file), "--exact",
                    f"--pairs={pair}"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -134,26 +140,28 @@ class TestQuery:
 
 
 class TestEval:
-    def test_stretch_report(self, graph_file, sketch_file, capsys):
-        rc = main(["eval", str(graph_file), str(sketch_file)])
+    def test_stretch_report(self, graph_file, index_file, capsys):
+        rc = main(["eval", str(graph_file), str(index_file)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["underestimates"] == 0
         assert 1.0 <= report["max_stretch"] <= 3.0  # k=2 bound
 
-    def test_eps_filter(self, graph_file, sketch_file, capsys):
-        rc = main(["eval", str(graph_file), str(sketch_file),
+    def test_eps_filter(self, graph_file, index_file, capsys):
+        rc = main(["eval", str(graph_file), str(index_file),
                    "--eps", "0.5", "--max-pairs", "100"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pairs"] <= 100
 
-    def test_mismatched_sketch_set(self, tmp_path, graph_file, sketch_file,
+    def test_mismatched_sketch_set(self, tmp_path, graph_file, index_file,
                                    capsys):
         other = tmp_path / "small.edges"
         main(["gen", "--family", "ring", "--n", "5", "-o", str(other)])
-        rc = main(["eval", str(other), str(sketch_file)])
+        rc = main(["eval", str(other), str(index_file)])
         assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: 32 sketches for a 5-node graph\n"
 
 
 class TestBuildJobs:
@@ -163,7 +171,7 @@ class TestBuildJobs:
     def test_jobs_rejected_for_tz(self, tmp_path, graph_file, capsys):
         with pytest.raises(SystemExit) as usage:
             main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                  "--jobs", "2", "-o", str(tmp_path / "x.jsonl")])
+                  "--jobs", "2", "-o", str(tmp_path / "x.rpix")])
         assert usage.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
@@ -172,7 +180,7 @@ class TestBuildJobs:
         with pytest.raises(SystemExit) as usage:
             main(["build", str(graph_file), "--scheme", "stretch3",
                   "--eps", "0.3", "--jobs", "2",
-                  "-o", str(tmp_path / "x.jsonl")])
+                  "-o", str(tmp_path / "x.rpix")])
         assert usage.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
@@ -183,18 +191,18 @@ class TestConnectFlows:
     tests/test_service_transport.py)."""
 
     @pytest.fixture()
-    def live_server(self, sketch_file):
-        from repro.oracle.serialization import load_sketch_set
+    def live_server(self, index_file):
+        from repro.oracle.serialization import load_index_binary
         from repro.service.server import OracleServer
 
-        server = OracleServer(load_sketch_set(sketch_file), cache_size=0)
+        server = OracleServer(load_index_binary(index_file), cache_size=0)
         host, port = server.serve("127.0.0.1:0", block=False)
         try:
             yield f"tcp://{host}:{port}", server
         finally:
             server.close()
 
-    def test_query_connect(self, live_server, sketch_file, capsys):
+    def test_query_connect(self, live_server, index_file, capsys):
         spec, server = live_server
         rc = main(["query", "--connect", spec, "--pairs", "0:31", "5:9"])
         assert rc == 0
@@ -202,10 +210,10 @@ class TestConnectFlows:
         assert len(lines) == 2 and lines[0].startswith("0:31 estimate=")
 
     def test_query_connect_rejects_sketch_file_too(self, live_server,
-                                                   graph_file, sketch_file,
+                                                   graph_file, index_file,
                                                    capsys):
         spec, _ = live_server
-        rc = main(["query", str(graph_file), str(sketch_file),
+        rc = main(["query", str(graph_file), str(index_file),
                    "--connect", spec, "--pairs", "0:1"])
         assert rc == 2
         assert "server owns the index" in capsys.readouterr().err
@@ -245,29 +253,30 @@ class TestConnectFlows:
         "sketches", "sketches-shards2", "sketches-shards3-cache64",
         "rpix-heap", "rpix-mmap", "stretch3"])
     def test_served_answers_equal_local_query(self, served, tmp_path,
-                                              graph_file, sketch_file,
+                                              graph_file, index_file,
                                               capsys):
-        """Whatever the server holds — a sketch set at any shard count
-        and cache size, an RPIX opened on the heap or mapped, a slack
-        scheme's sketches — ``query --connect`` prints exactly what a
-        local ``query`` of the same sketches prints, and the session
+        """Whatever the server holds — the build's sketches at any shard
+        count and cache size, an RPIX opened on the heap or mapped, a
+        slack scheme's sketches — ``query --connect`` prints exactly
+        what a local ``query`` of the built RPIX prints, and the session
         names the layout it serves and no thread count."""
-        from repro.oracle.serialization import (load_index_binary,
-                                                load_sketch_set)
+        from repro.oracle.api import build_sketches
+        from repro.oracle.serialization import load_index_binary
         from repro.service.client import connect
         from repro.service.server import OracleServer
 
-        scheme, cache = "tz", 0
+        scheme, cache, params = "tz", 0, {"k": 2, "seed": 3}
         if served == "stretch3":
-            scheme, sketch_file = "stretch3", tmp_path / "s3.jsonl"
+            scheme, params = "stretch3", {"eps": 0.3, "seed": 5}
+            index_file = tmp_path / "s3.rpix"
             assert main(["build", str(graph_file), "--scheme", "stretch3",
                          "--eps", "0.3", "--seed", "5",
-                         "-o", str(sketch_file)]) == 0
+                         "-o", str(index_file)]) == 0
         if served.startswith("rpix"):
-            path = tmp_path / "idx.rpix"
+            path = tmp_path / "idx2.rpix"
             assert main(["build", str(graph_file), "--scheme", "tz",
-                         "--k", "2", "--seed", "3", "--format", "binary",
-                         "--shards", "2", "-o", str(path)]) == 0
+                         "--k", "2", "--seed", "3", "--shards", "2",
+                         "-o", str(path)]) == 0
             source = load_index_binary(path, backing=served[len("rpix-"):])
             server = OracleServer(source, cache_size=cache)
             shards = 2  # baked into the container
@@ -275,12 +284,14 @@ class TestConnectFlows:
             shards = {"sketches-shards2": 2,
                       "sketches-shards3-cache64": 3}.get(served, 1)
             cache = 64 if served.endswith("cache64") else 0
-            server = OracleServer(load_sketch_set(sketch_file),
-                                  num_shards=shards, cache_size=cache)
+            built = build_sketches(read_edgelist(graph_file), scheme,
+                                   **params)
+            server = OracleServer(list(built.sketches), num_shards=shards,
+                                  cache_size=cache)
         capsys.readouterr()
         pairs = [f"{u}:{(7 * u + 5) % 32}" for u in range(32)] + ["9:9"]
         pairs += pairs[:8]  # repeats: a cache, if any, answers these
-        assert main(["query", str(graph_file), str(sketch_file),
+        assert main(["query", str(graph_file), str(index_file),
                      "--pairs", *pairs]) == 0
         local = capsys.readouterr().out
         host, port = server.serve("127.0.0.1:0", block=False)
@@ -300,6 +311,46 @@ class TestConnectFlows:
         assert stats["shards"] == shards and stats["cache_size"] == cache
         assert "jobs" not in stats
         assert (stats["cache"]["hits"] > 0) == (cache > 0)
+
+
+#: one small parameter set per scheme: what ``build`` is given as flags
+SCHEME_FLAGS = {
+    "tz": {"k": 2, "seed": 3},
+    "stretch3": {"eps": 0.3, "seed": 5},
+    "cdg": {"eps": 0.3, "k": 2, "seed": 7},
+    "graceful": {"seed": 9},
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_FLAGS))
+def test_local_query_answers_as_the_two_sketches_do(scheme, tmp_path,
+                                                    graph_file, capsys):
+    """``query GRAPH idx.rpix`` answers through the store, and prints for
+    every ordered pair what the paper's two-sketch query of the same
+    seeded build gives (``estimate_to``); an id outside the graph is a
+    usage error after the pairs before it were answered."""
+    from repro.oracle.api import build_sketches
+
+    flags = SCHEME_FLAGS[scheme]
+    path = tmp_path / f"{scheme}.rpix"
+    argv = [f"--{name}={value}" for name, value in flags.items()]
+    assert main(["build", str(graph_file), "--scheme", scheme, *argv,
+                 "-o", str(path)]) == 0
+    sketches = build_sketches(read_edgelist(graph_file), scheme,
+                              **flags).sketches
+    pairs = [(u, v) for u in range(32) for v in range(32)]
+    want = "".join(f"{u}:{v} estimate="
+                   f"{sketches[u].estimate_to(sketches[v]):g}\n"
+                   for u, v in pairs)
+    capsys.readouterr()
+    assert main(["query", str(graph_file), str(path),
+                 "--pairs", *(f"{u}:{v}" for u, v in pairs)]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["query", str(graph_file), str(path),
+                 "--pairs", "0:1", "3:32", "1:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == want.splitlines(keepends=True)[1]
+    assert captured.err == "error: node id out of range [0, 32)\n"
 
 
 class TestSchemesCommand:
@@ -327,23 +378,20 @@ class TestBuildFormatAndMemoryPlane:
     def binary_index_file(self, tmp_path, graph_file):
         path = tmp_path / "idx.rpix"
         rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                   "--seed", "3", "--format", "binary", "--shards", "2",
-                   "-o", str(path)])
+                   "--seed", "3", "--shards", "2", "-o", str(path)])
         assert rc == 0
         return path
 
-    def test_build_binary_matches_jsonl_build(self, sketch_file,
-                                              binary_index_file, capsys):
-        from repro.oracle.serialization import (is_binary_index,
-                                                load_index_binary,
-                                                load_sketch_set)
+    def test_build_index_matches_an_in_process_build(self,
+                                                     binary_index_file,
+                                                     graph_file):
+        from repro.oracle.api import build_sketches
+        from repro.oracle.serialization import load_index_binary
         from repro.service import build_index
 
-        assert is_binary_index(binary_index_file)
-        assert not is_binary_index(sketch_file)
         from_cli = load_index_binary(binary_index_file)
-        rebuilt = build_index(load_sketch_set(sketch_file), num_shards=2)
-        assert from_cli == rebuilt
+        built = build_sketches(read_edgelist(graph_file), "tz", k=2, seed=3)
+        assert from_cli == build_index(built.sketches, num_shards=2)
 
     def test_build_graceful_applies_updates(self, tmp_path, graph_file,
                                             capsys):
@@ -360,7 +408,7 @@ class TestBuildFormatAndMemoryPlane:
         save_changes_jsonl(changes, tmp_path / "changes.jsonl")
         path = tmp_path / "graceful.rpix"
         rc = main(["build", str(graph_file), "--scheme", "graceful",
-                   "--seed", "3", "--format", "binary", "--apply-updates",
+                   "--seed", "3", "--apply-updates",
                    str(tmp_path / "changes.jsonl"), "-o", str(path)])
         assert rc == 0
         assert "applied 3 changes" in capsys.readouterr().out
@@ -373,39 +421,68 @@ class TestBuildFormatAndMemoryPlane:
         ["--memory", "shared"],    # not a choice
         ["--jobs", "2"],           # the engine decides how a batch runs
         ["--rebuild-threshold", "0.5"],  # each scheme's row decides
-    ], ids=["pool", "shared", "jobs", "rebuild-threshold"])
-    @pytest.mark.parametrize("command", ["serve", "serve-bench"])
-    def test_deleted_flags_are_usage_errors(self, sketch_file, command,
-                                            argv, capsys):
+        ["--format", "json"],      # RPIX is the one sketch file
+        ["--format", "binary"],
+    ], ids=["pool", "shared", "jobs", "rebuild-threshold", "format-json",
+            "format-binary"])
+    @pytest.mark.parametrize("command", ["serve", "serve-bench", "build"])
+    def test_deleted_flags_are_usage_errors(self, tmp_path, index_file,
+                                            command, argv, capsys):
+        output = tmp_path / "out.rpix"
         with pytest.raises(SystemExit) as exc:
-            main([command, str(sketch_file), *argv])
+            main([command, str(index_file), *argv, "-o", str(output)]
+                 if command == "build" else [command, str(index_file), *argv])
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        # a command that exists names the flag it refuses
+        assert command == "serve-bench" or argv[0] in err
+        assert not output.exists()
 
     @pytest.mark.parametrize("command", ["serve-bench", "update-bench",
                                          "scenario"],
                              ids=["serve", "update", "scenario"])
-    def test_deleted_commands_are_usage_errors(self, sketch_file, command,
+    def test_deleted_commands_are_usage_errors(self, index_file, command,
                                                capsys):
         """Serving speed is measured by ``bench/run.py``: the
         ``<verb>-bench`` subcommands are unknown commands.  So is
         ``scenario``: the churn replay lives in the test suite."""
         with pytest.raises(SystemExit) as exc:
-            main([command, str(sketch_file)])
+            main([command, str(index_file)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_serve_mmap_wants_a_binary_index(self, sketch_file, graph_file,
-                                             capsys):
-        """``serve sk.jsonl --memory mmap`` names the fix; so does the
-        ``--updateable`` form, whose source is a graph."""
-        rc = main(["serve", str(sketch_file), "--memory", "mmap"])
-        assert rc == 2
-        assert "build --format binary" in capsys.readouterr().err
+    def test_serve_mmap_wants_a_binary_index(self, graph_file, capsys):
+        """The ``--updateable`` form serves a graph, which ``--memory
+        mmap`` cannot map: the error names the command that writes a
+        container."""
         rc = main(["serve", str(graph_file), "--updateable", "--scheme",
                    "tz", "--memory", "mmap"])
         assert rc == 2
-        assert "build --format binary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--memory mmap" in err and "repro build" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "{sk}", "--port", "0"],
+        ["serve", "{sk}", "--port", "0", "--memory", "mmap"],
+        ["query", "{graph}", "{sk}", "--pairs", "0:1"],
+        ["eval", "{graph}", "{sk}"],
+    ], ids=["serve", "serve-mmap", "query", "eval"])
+    def test_a_json_lines_sketch_set_names_repro_build(self, tmp_path,
+                                                       graph_file, argv,
+                                                       capsys):
+        """A sketch set in the retired JSON-lines format is no index:
+        every verb that reads one refuses it with the command that
+        writes one, and no traceback."""
+        sk = tmp_path / "sk.jsonl"
+        sk.write_text('{"type":"tz","v":1,"node":0,"k":1,'
+                      '"pivots":[[0,0.0]],"bunch":[]}\n')
+        rc = main([arg.format(sk=sk, graph=graph_file) for arg in argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: not a binary index container "
+                                "(repro build writes one)\n")
 
     def test_serve_binary_shards_mismatch(self, binary_index_file, capsys):
         """A binary index bakes its shard layout in; asking ``serve`` for
@@ -414,12 +491,3 @@ class TestBuildFormatAndMemoryPlane:
         rc = main(["serve", str(binary_index_file), "--shards", "8"])
         assert rc == 2
         assert "bakes its shard layout" in capsys.readouterr().err
-
-    def test_build_shards_requires_binary_format(self, tmp_path, graph_file,
-                                                 capsys):
-        rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                   "--seed", "3", "--shards", "4",
-                   "-o", str(tmp_path / "sk.jsonl")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--format binary" in err and "repro serve --shards" in err

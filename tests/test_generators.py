@@ -295,14 +295,17 @@ def test_generators_reproduce_the_golden_graphs(case):
     assert _graph_digest(*case) == GOLDEN[case]
 
 
+#: prints the child's own peak RSS (``VmHWM``, KiB): ``ru_maxrss`` would
+#: carry the forking test process's high-water mark across the exec
 _AT_SCALE = """
-import resource, sys
+import sys
 from repro.graphs import assign_uniform_weights, erdos_renyi, random_geometric
 if sys.argv[1] == "er":
     assign_uniform_weights(erdos_renyi(10_000, seed=1), 1.0, 10.0, seed=2)
 else:
     random_geometric(10_000, seed=1)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.cli import SCHEME_NAMES, main
-from repro.graphs import assign_uniform_weights, erdos_renyi
+from repro.graphs import assign_uniform_weights, erdos_renyi, write_edgelist
 from repro.oracle.api import build_sketches
 from repro.oracle.schemes import SCHEMES
 from repro.oracle.serialization import load_index_binary, save_index_binary
@@ -59,8 +59,9 @@ def _imported(log: str) -> set[str]:
         - {"imported package"}
 
 
-def _assert_serving_only(modules: set[str]) -> None:
-    assert "repro.service.server" in modules  # the log was read at all
+def _assert_serving_only(modules: set[str],
+                         loaded: str = "repro.service.server") -> None:
+    assert loaded in modules  # the log was read at all
     assert sorted(m for m in modules
                   if m.startswith("repro")
                   and m not in SERVING_MODULES) == []
@@ -74,7 +75,17 @@ def rpix(tmp_path_factory) -> Path:
     built = build_sketches(graph, scheme="tz", k=2, seed=9)
     path = tmp_path_factory.mktemp("boundary") / "idx.rpix"
     save_index_binary(build_index(built.sketches), path)
+    write_edgelist(graph, path.with_name("net.edges"))
     return path
+
+
+def _query(*argv) -> subprocess.CompletedProcess:
+    """``python -X importtime -m repro query ARGV``, finished."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "query", *argv],
+        capture_output=True, text=True, env=_env(), timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done
 
 
 class TestServingBoundary:
@@ -115,6 +126,26 @@ class TestServingBoundary:
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.strip() == repr(store.estimate(0, 1))
         _assert_serving_only(_imported(done.stderr))
+
+    def test_query_connect_loads_the_serving_stack_only(self, rpix):
+        store = load_index_binary(rpix)
+        with OracleServer(store, cache_size=0) as server:
+            host, port = server.serve("127.0.0.1:0", block=False)
+            done = _query("--connect", f"tcp://{host}:{port}",
+                          "--pairs", "0:1")
+        assert done.stdout == f"0:1 estimate={store.estimate(0, 1):g}\n"
+        _assert_serving_only(_imported(done.stderr),
+                             loaded="repro.service.client")
+
+    def test_local_query_loads_the_serving_stack_only(self, rpix):
+        """Without ``--exact`` the GRAPH argument is never read: the
+        answer comes from the store alone."""
+        done = _query(str(rpix.with_name("net.edges")), str(rpix),
+                      "--pairs", "0:1")
+        store = load_index_binary(rpix)
+        assert done.stdout == f"0:1 estimate={store.estimate(0, 1):g}\n"
+        _assert_serving_only(_imported(done.stderr),
+                             loaded="repro.service.index")
 
 
 #: exports that carry no ``__module__`` of their own: where they live

@@ -1,4 +1,4 @@
-"""Second property-test battery: serialization, super-source, slack
+"""Second property-test battery: super-source, slack
 semantics, routing-vs-estimate consistency, and metric sanity."""
 
 from __future__ import annotations
@@ -25,30 +25,6 @@ def graph_from_seed(seed: int, max_n: int = 14) -> Graph:
         if u != v and not g.has_edge(u, v):
             g.add_edge(u, v, float(rng.integers(1, 10)))
     return g
-
-
-class TestSerializationProperties:
-    @settings(max_examples=20, **COMMON)
-    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3))
-    def test_tz_round_trip_preserves_everything(self, seed, k):
-        from repro.oracle.serialization import loads, dumps
-        from repro.tz import build_tz_sketches_centralized
-
-        g = graph_from_seed(seed)
-        sketches, _ = build_tz_sketches_centralized(g, k=k, seed=seed)
-        for s in sketches:
-            assert loads(dumps(s)) == s
-
-    @settings(max_examples=15, **COMMON)
-    @given(seed=st.integers(0, 10**6))
-    def test_graceful_round_trip(self, seed):
-        from repro.oracle.serialization import loads, dumps
-        from repro.slack.graceful import build_graceful_centralized
-
-        g = graph_from_seed(seed, max_n=10)
-        sketches, _ = build_graceful_centralized(g, seed=seed)
-        s = sketches[0]
-        assert loads(dumps(s)) == s
 
 
 class TestSuperSourceProperties:

@@ -1,19 +1,9 @@
-"""Sketch serialization (repro.oracle.serialization)."""
-
-import json
+"""The RPIX store container (repro.oracle.serialization)."""
 
 import pytest
 
 from repro import build_sketches
 from repro.errors import QueryError
-from repro.oracle.serialization import (
-    dumps,
-    load_sketch_set,
-    loads,
-    save_sketch_set,
-    sketch_from_dict,
-    sketch_to_dict,
-)
 
 
 @pytest.fixture(scope="module")
@@ -25,62 +15,6 @@ def all_built(er_unit):
         "cdg": build_sketches(er_unit, scheme="cdg", eps=0.3, k=2, seed=3),
         "graceful": build_sketches(er_unit, scheme="graceful", seed=4),
     }
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("scheme", ["tz", "stretch3", "cdg", "graceful"])
-    def test_dict_round_trip(self, all_built, scheme):
-        original = all_built[scheme].sketches[5]
-        restored = sketch_from_dict(sketch_to_dict(original))
-        assert restored == original
-
-    @pytest.mark.parametrize("scheme", ["tz", "stretch3", "cdg", "graceful"])
-    def test_json_round_trip_preserves_queries(self, all_built, scheme):
-        built = all_built[scheme]
-        a = loads(dumps(built.sketches[3]))
-        b = loads(dumps(built.sketches[20]))
-        direct = built.query(3, 20)
-        if scheme == "tz":
-            from repro.tz.sketch import estimate_distance
-
-            assert estimate_distance(a, b) == direct
-        else:
-            assert a.estimate_to(b) == direct
-
-    def test_json_is_plain(self, all_built):
-        text = dumps(all_built["cdg"].sketches[0])
-        json.loads(text)  # parses as standard JSON
-
-    def test_sketch_set_file_round_trip(self, tmp_path, all_built):
-        built = all_built["tz"]
-        path = tmp_path / "sketches.jsonl"
-        save_sketch_set(built.sketches, path)
-        restored = load_sketch_set(path)
-        assert restored == built.sketches
-
-
-class TestValidation:
-    def test_unknown_type_tag(self):
-        with pytest.raises(QueryError, match="unknown sketch type"):
-            sketch_from_dict({"type": "wat", "v": 1})
-
-    def test_version_mismatch(self):
-        with pytest.raises(QueryError, match="version"):
-            sketch_from_dict({"type": "tz", "v": 99})
-
-    def test_non_dict(self):
-        with pytest.raises(QueryError, match="not a serialized sketch"):
-            sketch_from_dict("nope")
-
-    def test_unserializable_object(self):
-        with pytest.raises(QueryError, match="cannot serialize"):
-            sketch_to_dict(object())
-
-    def test_keys_become_ints_again(self, all_built):
-        # JSON stringifies nothing here (arrays, not objects) — ensure
-        # decoded bunch keys are ints, not strings
-        s = loads(dumps(all_built["tz"].sketches[1]))
-        assert all(isinstance(k, int) for k in s.bunch)
 
 
 def _all_pairs(n):
@@ -225,20 +159,6 @@ class TestSlackIndexRoundTrip:
         with pytest.raises(QueryError):
             back.estimate_many(np.array([0]), np.array([2]))
 
-    def test_sketch_sets_with_inf_entries_are_strict_json(self):
-        from repro.graphs import Graph
-        from repro.oracle.serialization import dumps, loads
-        from repro.slack.density_net import DensityNet
-        from repro.slack.stretch3 import build_stretch3_centralized
-
-        g = Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        net = DensityNet(eps=0.5, n=g.n, members=(0, 2))
-        sketches, _ = build_stretch3_centralized(g, 0.5, net=net)
-        text = dumps(sketches[0])  # has an inf entry toward node 2
-        assert "Infinity" not in text
-        json.loads(text)
-        assert loads(text) == sketches[0]
-
 
 class TestBinaryContainer:
     """The mmap-loadable binary index format (header + raw array blobs)."""
@@ -278,18 +198,6 @@ class TestBinaryContainer:
                 tmp_path / "b.rpix")
             assert (tmp_path / "a.rpix").read_bytes() == \
                 (tmp_path / "b.rpix").read_bytes()
-
-    def test_format_sniffing(self, all_built, tmp_path):
-        from repro.oracle.serialization import (is_binary_index,
-                                                save_index_binary)
-        from repro.service import build_index
-
-        idx = build_index(all_built["tz"].sketches)
-        save_sketch_set(all_built["tz"].sketches, tmp_path / "sk.jsonl")
-        save_index_binary(idx, tmp_path / "i.rpix")
-        assert is_binary_index(tmp_path / "i.rpix")
-        assert not is_binary_index(tmp_path / "sk.jsonl")
-        assert not is_binary_index(tmp_path / "missing.rpix")
 
     def test_bad_magic_and_version_fail_loudly(self, all_built, tmp_path):
         from repro.oracle.serialization import (load_index_binary,

@@ -380,12 +380,13 @@ class TestDeprecationShims:
 @pytest.fixture(scope="module")
 def served_files(tmp_path_factory, graph, builds):
     from repro.graphs import write_edgelist
-    from repro.oracle.serialization import save_sketch_set
+    from repro.oracle.serialization import save_index_binary
+    from repro.service import build_index
 
     tmp = tmp_path_factory.mktemp("serve-acceptance")
     write_edgelist(graph, tmp / "net.edges")
     for name, built in builds.items():
-        save_sketch_set(built.sketches, tmp / f"{name}.jsonl")
+        save_index_binary(build_index(built.sketches), tmp / f"{name}.rpix")
     return tmp
 
 
@@ -397,7 +398,7 @@ class TestLiveServeProcess:
     def test_tcp_equals_inproc_for_every_scheme(self, served_files,
                                                 builds, scheme):
         pairs = sample_query_pairs(builds[scheme].graph.n, 200, seed=3)
-        with served_subprocess(served_files / f"{scheme}.jsonl") as addr, \
+        with served_subprocess(served_files / f"{scheme}.rpix") as addr, \
                 connect(addr) as remote, \
                 connect("inproc://", builds[scheme], cache_size=0) as local:
             assert remote.scheme == scheme
