@@ -8,7 +8,6 @@ A downstream user can drive the whole pipeline without writing Python::
         --seed 2 -o idx.rpix
     python -m repro query net.edges idx.rpix --pairs 0:100 5:17
     python -m repro eval net.edges idx.rpix --eps 0.25
-    python -m repro build net.edges --scheme tz --k 3 --shards 4 -o idx.rpix
     python -m repro serve idx.rpix --addr 0.0.0.0:7111 --memory mmap
     python -m repro query --connect tcp://serving-box:7111 --pairs 0:100 5:17
     python -m repro serve net.edges --updateable --scheme tz --k 3 --seed 2 \
@@ -22,8 +21,9 @@ Serving speed is measured by the ``bench/`` tree at the repository root
 
 Sketches travel as the RPIX store container of
 :mod:`repro.oracle.serialization` (``query``, ``eval`` and ``serve``
-answer through the store it holds); graphs as the edge-list format of
-:mod:`repro.graphs.io`.
+answer through the store it holds, one landmark shard); graphs as the
+edge-list format of :mod:`repro.graphs.io`.  A file that cannot be
+read or written is a usage error: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def _cmd_build(args) -> int:
     from repro.oracle.api import build_sketches
     from repro.oracle.serialization import save_index_binary
 
-    # flag errors before the (possibly expensive) build, not after
-    if args.shards is not None and args.shards < 1:
-        raise ReproError(f"--shards must be >= 1, got {args.shards}")
-
     g = read_edgelist(args.graph)
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
                            seed=args.seed,
@@ -120,11 +116,10 @@ def _cmd_build(args) -> int:
         for ph in built.metrics.phases:
             print(f"  {ph.name}: {ph.rounds} rounds, {ph.messages} messages, "
                   f"{ph.words} words")
-    shards = 1 if args.shards is None else args.shards
     if args.apply_updates is not None:
         from repro.service.updates import load_changes_jsonl
 
-        upd = built.updateable(num_shards=shards)
+        upd = built.updateable()
         report = upd.apply(load_changes_jsonl(args.apply_updates))
         print(f"applied {report.changes} changes from "
               f"{args.apply_updates}: mode={report.mode} "
@@ -133,10 +128,11 @@ def _cmd_build(args) -> int:
     else:
         from repro.service import build_index
 
-        index = build_index(built.sketches, num_shards=shards)
+        index = build_index(built.sketches)
     save_index_binary(index, args.output)
     print(f"wrote a binary {type(index).__name__} "
-          f"({index.nnz()} entries, {shards} shards) to {args.output}")
+          f"({index.nnz()} entries, {index.num_shards} shards) to "
+          f"{args.output}")
     return 0
 
 
@@ -210,7 +206,6 @@ def _cmd_serve(args) -> int:
                 f"repro build)")
         source = UpdateableIndex(read_edgelist(args.source),
                                  scheme=args.scheme, seed=args.seed,
-                                 num_shards=(args.shards or 1),
                                  **_scheme_flags(args))
     else:
         from repro.oracle.serialization import load_index_binary
@@ -219,10 +214,7 @@ def _cmd_serve(args) -> int:
     addr = args.addr
     if args.port is not None:
         addr = f"{addr.rsplit(':', 1)[0]}:{args.port}"
-    # a store bakes its shard layout in: --shards is checked against it
-    server = OracleServer(source,
-                          num_shards=None if args.updateable else args.shards,
-                          cache_size=args.cache_size)
+    server = OracleServer(source, cache_size=args.cache_size)
     host, port = server.serve(addr, block=False,
                               handlers=args.handlers)
     print(f"serving {server.scheme or '?'} n={server.n} "
@@ -307,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     b.add_argument("--S", type=int, default=None)
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--shards", type=int, default=None,
-                   help="landmark shard count baked into the index "
-                        "(default 1; layout only, answers are identical)")
     b.add_argument("--apply-updates", metavar="CHANGES.JSONL", default=None,
                    help="after building, apply this edge-change stream "
                         "(see repro.service.updates) through the "
@@ -352,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how the RPIX source is opened: heap = read "
                          "into arrays; mmap = memory-mapped, zero parse "
                          "(an error with --updateable)")
-    sv.add_argument("--shards", type=int, default=None,
-                    help="landmark shard count of an --updateable build "
-                         "(default 1; layout only, answers are identical; "
-                         "an RPIX index bakes its own in)")
     sv.add_argument("--cache-size", type=int, default=None,
                     help="result-cache slots, one answer and 24 bytes "
                          "each, direct-mapped (0 disables; default: the "
@@ -402,6 +387,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a missing GRAPH / INDEX / changes file, an unwritable -o
+        text = (exc if exc.filename is None
+                else f"{exc.filename}: {exc.strerror}")
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -6,8 +6,9 @@ per-owner ``sketches`` function for a centralized build, the row's
 ``distributed`` builder otherwise; nothing here names a scheme) and
 wraps the result in :class:`BuiltSketches`, which holds
 
-* one sketch object per node (all schemes expose ``estimate_to`` and
-  ``size_words``),
+* the sketch set — a centralized build's columns
+  (:class:`~repro.tz.sketch.ColumnLabels`), read as one sketch object
+  per node (all schemes expose ``estimate_to`` and ``size_words``),
 * the CONGEST cost (:class:`~repro.congest.metrics.RunMetrics`) for
   distributed builds (``None`` for centralized ones),
 * the scheme metadata needed to interpret stretch guarantees,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError
@@ -33,7 +34,7 @@ from repro.oracle.schemes import SCHEMES, SchemeSpec, get_scheme
 from repro.rng import SeedLike
 from repro.service.index import checked_pair
 from repro.tz.centralized import describe_build
-from repro.tz.sketch import TZLabels
+from repro.tz.sketch import ColumnLabels
 
 
 @dataclass
@@ -44,7 +45,7 @@ class BuiltSketches:
     scheme: SchemeSpec
     mode: str
     params: dict
-    sketches: list[Any]
+    sketches: Sequence[Any]
     metrics: Optional[RunMetrics] = None
     extras: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
@@ -120,7 +121,7 @@ class BuiltSketches:
                                sketches=self.sketches, **self.artifacts)
 
     def sizes_words(self) -> list[int]:
-        if isinstance(self.sketches, TZLabels):
+        if isinstance(self.sketches, ColumnLabels):
             return self.sketches.sizes_words()
         return [s.size_words() for s in self.sketches]
 

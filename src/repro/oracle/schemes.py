@@ -12,9 +12,10 @@ source paper's composition rule as three callables —
   hierarchy over it; ``graceful``: the schedule, then per level net and
   net hierarchy.  An artifact present in ``params`` is taken as given,
   so ``sample`` is the identity on its own output;
-* ``sketches(graph, artifacts, owners=None, **hints) -> list``: the
+* ``sketches(graph, artifacts, owners=None, **hints) -> labels``: the
   centralized per-owner function — from fixed artifacts, the sketches
-  of ``owners`` (all nodes: a build).  Builds
+  of ``owners`` (all nodes: a build) as the scheme's columns (a
+  :class:`~repro.tz.sketch.ColumnLabels`).  Builds
   (:func:`~repro.oracle.api.build_sketches`) and rebuilds
   (:class:`~repro.service.updates.UpdateableIndex`) end in it, and
   repairs re-run its primitives, which is why they agree byte for byte;
@@ -22,8 +23,10 @@ source paper's composition rule as three callables —
   extras)``: the CONGEST construction (it interleaves its artifact
   draws with the simulator's, through the same ``sample``);
 
-plus ``repair(graph, artifacts, sketches, dirty) -> {node: fresh
-sketch}``, the update path's dirty-row discovery, where one exists, and
+plus ``repair(graph, artifacts, labels, dirty) -> (owners, patch)``,
+the update path's dirty-row discovery — the re-issued owners and their
+rows as the same columns type, which ``labels.spliced`` puts in place
+— where one exists, and
 ``rebuild_above``, the dirty fraction past which an update rebuilds
 instead (the scheme's measured crossover, ``docs/serving.md`` §8).
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.slack.cdg import (build_cdg_distributed, cdg_artifacts,
@@ -81,10 +84,10 @@ class SchemeSpec:
     slack_of: Callable[[dict], Optional[float]]
     reads: Mapping[str, tuple[str, ...]]
     sample: Callable[..., dict]
-    sketches: Callable[..., list]
+    sketches: Callable[..., Any]
     distributed: Callable[..., tuple]
     hints: tuple[str, ...] = ()
-    repair: Optional[Callable[..., dict]] = None
+    repair: Optional[Callable[..., tuple]] = None
     rebuild_above: float = 0.0
 
     @property
@@ -128,13 +131,13 @@ class SchemeSpec:
         return f"{self.name}: stretch <= {bound:g}{tail} ({self.paper_result})"
 
 
-def _repair(name: str) -> Callable[..., dict]:
+def _repair(name: str) -> Callable[..., tuple]:
     """A repair lives in :mod:`repro.service.updates`, which imports this
     registry — so a row binds it by name, resolved at call time."""
-    def repair(graph, artifacts, sketches, dirty):
+    def repair(graph, artifacts, labels, dirty):
         from repro.service import updates
 
-        return getattr(updates, name)(graph, artifacts, sketches, dirty)
+        return getattr(updates, name)(graph, artifacts, labels, dirty)
     return repair
 
 
@@ -199,7 +202,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=_distributed(build_stretch3_distributed, ("eps",),
                                  ("net",)),
         repair=_repair("repair_stretch3"),
-        rebuild_above=0.8,
+        rebuild_above=0.95,
     ),
     "cdg": SchemeSpec(
         name="cdg",
@@ -227,7 +230,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         distributed=_distributed(build_graceful_distributed, (),
                                  ("schedule",)),
         repair=_repair("repair_graceful"),
-        rebuild_above=0.1,
+        rebuild_above=0.05,
     ),
 }
 

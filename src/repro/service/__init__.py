@@ -69,8 +69,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                "parse_endpoint"),
     "engine": ("CacheStats", "PhaseTimings", "QueryEngine"),
     "index": ("CDGIndex", "GracefulIndex", "IndexStore", "Stretch3Index",
-              "TZIndex", "build_index", "index_class_for", "refresh_index",
-              "scheme_name_of_index"),
+              "TZIndex", "build_index", "index_class_for", "scheme_name_of_index",
+              "sketch_columns"),
     "server": ("OracleServer",),
     "session": ("EpochStaleness", "PipelineStats", "UpdateReport"),
     "updates": ("EdgeChange", "UpdateableIndex", "dirty_frontier",

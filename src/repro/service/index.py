@@ -18,7 +18,9 @@ Batched answers are **bit-identical** to the scheme's single-pair query
 (``estimate_distance`` / ``estimate_to``) — the test suite asserts this
 pair by pair, including :class:`~repro.errors.QueryError` parity on
 disconnected graphs.  Use :func:`build_index` to get the right store for a
-homogeneous sketch set.
+homogeneous sketch set: a builder's columns
+(:class:`~repro.tz.sketch.ColumnLabels`) as they are, a plain list
+through its columns class's ``from_sketches`` (:func:`sketch_columns`).
 
 A lone pair is the paper's own query and skips the batch machinery:
 ``estimate(u, v)`` — and the engine's batch of one — is the store's
@@ -83,12 +85,12 @@ from typing import (TYPE_CHECKING, Any, Iterable, Optional, Protocol,
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
-from repro.tz.sketch import TZLabels, TZSketch
+from repro.tz.sketch import ColumnLabels, TZLabels
 
 if TYPE_CHECKING:
-    from repro.slack.cdg import CDGSketch
-    from repro.slack.graceful import GracefulSketch
-    from repro.slack.stretch3 import Stretch3Sketch
+    from repro.slack.cdg import CDGLabels
+    from repro.slack.graceful import GracefulLabels
+    from repro.slack.stretch3 import Stretch3Labels
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing constant
 #: the same hash in Python ints (a one-key probe; numpy scalars would
@@ -297,8 +299,8 @@ class _BaseIndex:
     A store's physical form is ``(meta, arrays)`` — JSON-compatible
     scalars plus named contiguous arrays, what :meth:`pack_meta` /
     :meth:`pack_arrays` return and an RPIX container holds.  The
-    sketch constructor (:meth:`_flatten`), the container loader and
-    incremental refresh each produce that pair and hand it to
+    constructor (:meth:`_flatten`, over the sketch set's columns) and
+    the container loader each produce that pair and hand it to
     :meth:`_install`, which adopts the arrays as they are (views, no
     copies) and derives everything else.  ``column_dtypes(meta)`` names
     every array of the pair with the one dtype it is stored in, so a
@@ -315,11 +317,16 @@ class _BaseIndex:
     cache_slots: int
 
     def __init__(self, sketches: Sequence[Any], num_shards: int = 1):
-        if not sketches:
+        if not len(sketches):
             raise ConfigError("cannot index an empty sketch set")
         if num_shards < 1:
             raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
-        self._install(*self._flatten(sketches, int(num_shards)))
+        labels = sketch_columns(sketches)
+        if labels.scheme != self.scheme:
+            raise ConfigError(f"{type(self).__name__} only indexes "
+                              f"{self.scheme} sketches, got "
+                              f"{type(labels).__name__}")
+        self._install(*self._flatten(labels, int(num_shards)))
 
     @classmethod
     def _from_pack(cls, meta: dict, arrays):
@@ -373,19 +380,6 @@ class _BaseIndex:
 # ----------------------------------------------------------------------
 # Thorup–Zwick
 # ----------------------------------------------------------------------
-def _labels_of(sketches: Sequence[Any]) -> TZLabels:
-    """The columns of a list of TZ labels, checked to share one ``k``."""
-    k = sketches[0].k
-    for s in sketches:
-        if not isinstance(s, TZSketch):
-            raise ConfigError(
-                f"TZIndex only indexes TZSketch, got {type(s).__name__}")
-        if s.k != k:
-            raise ConfigError(
-                f"mixed k in sketch set: {s.k} vs {k} (node {s.node})")
-    return TZLabels.from_sketches(sketches)
-
-
 def _bunch_table(keys: np.ndarray, dists: np.ndarray, levels: np.ndarray,
                  n: int, num_shards: int) -> dict[str, np.ndarray]:
     """The stored form of a set of sub-top entries (int64 ``keys``):
@@ -533,7 +527,7 @@ class TZIndex(_BaseIndex):
     reductions.
 
     :param sketches: one :class:`~repro.tz.sketch.TZSketch` per node,
-        indexed by node ID.
+        indexed by node ID, or their :class:`~repro.tz.sketch.TZLabels`.
     :param num_shards: number of landmark shards (``>= 1``).  Answers are
         independent of the shard count; it only changes the order of the
         bunch table's rows.
@@ -545,14 +539,9 @@ class TZIndex(_BaseIndex):
     cache_slots = 0
 
     @staticmethod
-    def _flatten(sketches: Sequence[TZSketch], num_shards: int,
-                 ) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of a sketch set, validated — read off the
-        columns of a :class:`~repro.tz.sketch.TZLabels`, or of a list
-        flattened into one."""
-        labels = (sketches if isinstance(sketches, TZLabels)
-                  else _labels_of(sketches))
-        n, k = len(labels), labels.k
+    def _flatten(labels: TZLabels, num_shards: int) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a label set, read off its columns."""
+        n, k = len(labels), int(labels.k)
         if k >= 128:
             raise ConfigError(f"k = {k}: levels are stored as int8, so "
                               f"k must be below 128")
@@ -891,65 +880,6 @@ class TZIndex(_BaseIndex):
                 "sentinel_pivots": self.sentinel_pivots}
 
     # ------------------------------------------------------------------
-    # incremental refresh (the dynamic-update subsystem's index hook)
-    # ------------------------------------------------------------------
-    def apply_sketch_updates(self, dirty: dict[int, TZSketch]) -> "TZIndex":
-        """A **new** index with the ``dirty`` owners' sketches replaced —
-        byte for byte what ``TZIndex(sketches, num_shards)`` builds from
-        the updated set, without flattening the clean owners' bunches
-        again: their rows are kept, the dirty owners' rows are dropped
-        by one mask and the fresh ones merged in by the build's own
-        sort, and the directory is rebuilt over the result.  ``self`` is
-        never mutated (epoch semantics: readers on the old store are
-        unaffected).
-
-        :raises ConfigError: when a replacement sketch is incompatible
-            with this index's physical layout (wrong ``k``, or an entry
-            whose level disagrees with the dense-top split — callers
-            fall back to a full rebuild).
-        """
-        n, k = self.n, self.k
-        for u, s in dirty.items():
-            if not (0 <= u < n):
-                raise ConfigError(f"dirty owner {u} out of range [0, {n})")
-            if not isinstance(s, TZSketch) or s.k != k:
-                raise ConfigError(
-                    f"replacement sketch for {u} is not a k={k} TZSketch")
-        owners = np.asarray(sorted(dirty), dtype=np.int64)
-        fresh = TZLabels.from_sketches([dirty[u] for u in owners.tolist()])
-        own, landmarks = owners[fresh.owner], fresh.landmark
-        dists, levels = fresh.dist, fresh.level
-        dense = self.top_col[landmarks] >= 0
-        drift = np.flatnonzero(dense != (self.dense_top & (levels == k - 1)))
-        if drift.size:
-            j = drift[0]
-            raise ConfigError(
-                f"entry ({own[j]}, {landmarks[j]}) at level {levels[j]} "
-                f"disagrees with the dense-top layout (rebuild required)")
-
-        arrays = self.pack_arrays()
-        pivot_ids = arrays["pivot_ids"] = np.array(self.pivot_ids)
-        pivot_ids[owners] = fresh.pivot_ids
-        arrays["pivot_dists"] = np.array(self.pivot_dists)
-        arrays["pivot_dists"][owners] = fresh.pivot_dists
-        top_dist = arrays["top_dist"] = np.array(self.top_dist)
-        top_dist[owners, :] = np.inf
-        top_dist[own[dense], self.top_col[landmarks[dense]]] = dists[dense]
-
-        is_dirty = np.zeros(n, dtype=bool)
-        is_dirty[owners] = True
-        keep = ~is_dirty[self.keys // n]
-        sub = ~dense
-        arrays.update(_bunch_table(
-            np.concatenate([self.keys[keep], own[sub] * n + landmarks[sub]]),
-            np.concatenate([self.dists[:-1][keep], dists[sub]]),
-            np.concatenate([self.levels[:-1][keep], levels[sub]]),
-            n, self.num_shards))
-        meta = {**self.pack_meta(),
-                "sentinel_pivots": bool((pivot_ids < 0).any())}
-        return TZIndex._from_pack(meta, arrays)
-
-    # ------------------------------------------------------------------
     # canonical entry columns (serialization / equality)
     # ------------------------------------------------------------------
     def entry_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -1005,7 +935,8 @@ class Stretch3Index(_BaseIndex):
     at once, so neither answers nor cost depend on the shard count.
 
     :param sketches: one :class:`~repro.slack.stretch3.Stretch3Sketch`
-        per node, indexed by node ID.
+        per node, indexed by node ID, or their
+        :class:`~repro.slack.stretch3.Stretch3Labels`.
     :param num_shards: number of net-node shards (``>= 1``): the column
         order only.
     :raises ConfigError: on an empty set, a non-stretch3 sketch, mixed
@@ -1016,34 +947,17 @@ class Stretch3Index(_BaseIndex):
     cache_slots = 65536
 
     @staticmethod
-    def _flatten(sketches: Sequence[Stretch3Sketch], num_shards: int,
+    def _flatten(labels: Stretch3Labels, num_shards: int,
                  ) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of a sketch set, validated."""
-        from repro.slack.stretch3 import Stretch3Sketch
-
-        for s in sketches:
-            if not isinstance(s, Stretch3Sketch):
-                raise ConfigError(
-                    f"Stretch3Index only indexes Stretch3Sketch, "
-                    f"got {type(s).__name__}")
-        eps = sketches[0].eps
-        for s in sketches:
-            if s.eps != eps:
-                raise ConfigError(
-                    f"mixed eps in sketch set: {s.eps} vs {eps} "
-                    f"(node {s.node})")
-        ids = np.asarray(sorted({w for s in sketches for w in s.entries}),
-                         dtype=np.int64)
-        net_ids = ids[np.lexsort((ids, ids % num_shards))].astype(
-            _id_dtype(len(sketches)))
-        col = {int(w): j for j, w in enumerate(net_ids)}
-        dist = np.full((len(sketches), net_ids.size), np.inf,
-                       dtype=np.float64)
-        for u, s in enumerate(sketches):
-            for w, d in s.entries.items():
-                dist[u, col[w]] = d
-        return ({"n": len(sketches), "eps": eps, "num_shards": num_shards},
-                {"net_ids": net_ids, "dist": dist})
+        """``(meta, arrays)`` of a sketch set: its block, the columns
+        in ``(w mod S, w)`` order."""
+        ids = labels.net_ids
+        order = np.lexsort((ids, ids % num_shards))
+        return ({"n": len(labels), "eps": labels.eps,
+                 "num_shards": num_shards},
+                {"net_ids": ids[order].astype(_id_dtype(len(labels))),
+                 "dist": np.ascontiguousarray(labels.dist[:, order],
+                                              dtype=np.float64)})
 
     def _install(self, meta: dict, arrays) -> None:
         """Adopt the stored state (see :class:`_BaseIndex`)."""
@@ -1133,21 +1047,16 @@ class Stretch3Index(_BaseIndex):
         return {"n": self.n, "eps": self.eps, "num_shards": self.num_shards}
 
     # ------------------------------------------------------------------
-    def iter_entries(self) -> Iterable[tuple[int, int, float]]:
-        """Finite entries as ``(owner, net node, dist)``, sorted by
-        ``(owner, net node)`` — the canonical serialization stream,
-        independent of the shard count."""
-        by_id = np.argsort(self.net_ids)
-        table = self.dist[:, by_id]
-        rows, cols = np.nonzero(np.isfinite(table))
-        return zip(rows.tolist(), self.net_ids[by_id][cols].tolist(),
-                   table[rows, cols].tolist())
-
     def __eq__(self, other: object) -> bool:
+        """Same net and same distances, whatever the shard count's
+        column order."""
         if not isinstance(other, Stretch3Index):
             return NotImplemented
+        mine, theirs = np.argsort(self.net_ids), np.argsort(other.net_ids)
         return (self.n == other.n and self.eps == other.eps
-                and list(self.iter_entries()) == list(other.iter_entries()))
+                and np.array_equal(self.net_ids[mine], other.net_ids[theirs])
+                and np.array_equal(self.dist[:, mine],
+                                   other.dist[:, theirs]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Stretch3Index(n={self.n}, net={self.net_ids.size}, "
@@ -1168,7 +1077,7 @@ class CDGIndex(_BaseIndex):
     sub-index's.
 
     :param sketches: one :class:`~repro.slack.cdg.CDGSketch` per node,
-        indexed by node ID.
+        indexed by node ID, or their :class:`~repro.slack.cdg.CDGLabels`.
     :param num_shards: landmark shard count of the TZ sub-index.
     :raises ConfigError: on an empty set, a non-CDG sketch, mixed
         ``eps``/``k``, a sketch whose label is not its gateway's, or two
@@ -1179,75 +1088,36 @@ class CDGIndex(_BaseIndex):
     cache_slots = 0
 
     @staticmethod
-    def _flatten(sketches: Sequence[CDGSketch], num_shards: int,
-                 ) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of a sketch set, validated."""
-        from repro.slack.cdg import CDGSketch
-
-        for s in sketches:
-            if not isinstance(s, CDGSketch):
-                raise ConfigError(
-                    f"CDGIndex only indexes CDGSketch, got {type(s).__name__}")
-        eps, k = sketches[0].eps, sketches[0].k
-        labels: dict[int, TZSketch] = {}
-        for s in sketches:
-            if s.eps != eps or s.k != k:
-                raise ConfigError(
-                    f"mixed eps/k in sketch set: ({s.eps}, {s.k}) vs "
-                    f"({eps}, {k}) (node {s.node})")
-            if s.label.node != s.gateway:
-                raise ConfigError(
-                    f"node {s.node} ships the label of {s.label.node} but "
-                    f"names gateway {s.gateway}")
-            prev = labels.get(s.gateway)
-            if prev is None:
-                labels[s.gateway] = s.label
-            elif prev != s.label:
-                raise ConfigError(
-                    f"conflicting labels for gateway {s.gateway}")
-        lk = next(iter(labels.values())).k
-        for lbl in labels.values():
-            if lbl.k != lk:
-                raise ConfigError(
-                    f"mixed k in net labels: {lbl.k} vs {lk}")
-
-        # compact universe: every id a label mentions (owners, bunch
-        # landmarks, non-sentinel pivots), remapped to 0..m-1 so the TZ
-        # sub-index wastes no rows on non-net nodes
-        universe = set(labels)
-        for lbl in labels.values():
-            universe.update(lbl.bunch)
-            universe.update(p for p, _ in lbl.pivots if p >= 0)
-        ids = _id_dtype(len(sketches))
-        net_ids = np.asarray(sorted(universe), dtype=ids)
-        slot = {int(w): j for j, w in enumerate(net_ids)}
-        subs = []
-        for j, w in enumerate(net_ids):
-            lbl = labels.get(int(w))
-            if lbl is None:
-                # a net node referenced by labels but never a gateway: it
-                # is never queried as an owner, so an empty placeholder
-                # row keeps the universe contiguous without inventing data
-                subs.append(TZSketch(node=j, k=lk,
-                                     pivots=((-1, math.inf),) * lk,
-                                     bunch={}))
-            else:
-                subs.append(TZSketch(
-                    node=j, k=lbl.k,
-                    pivots=tuple((slot[p] if p >= 0 else -1, d)
-                                 for p, d in lbl.pivots),
-                    bunch={slot[w2]: entry
-                           for w2, entry in lbl.bunch.items()}))
-        sub_meta, sub_arrays = TZIndex._flatten(subs, num_shards)
-        gateway_ids = np.asarray([s.gateway for s in sketches], dtype=ids)
-        return ({"n": len(sketches), "eps": eps, "k": k,
+    def _flatten(labels: CDGLabels, num_shards: int) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of a sketch set: the gateway columns, and
+        the net's labels (every net node is its own gateway) as a TZ
+        sub-index over a compact universe — every id they mention
+        (owners, bunch landmarks, non-sentinel pivots), remapped to
+        0..m-1 in id order.  An id that is no gateway is never an owner:
+        its row is an empty placeholder."""
+        net, gateway_ids = labels.net, labels.gateway_ids
+        pivots = net.pivot_ids
+        universe = np.unique(np.concatenate(
+            [net.nodes, net.landmark, pivots[pivots >= 0]]))
+        m, at = universe.size, np.searchsorted(universe, net.nodes)
+        pivot_ids = np.full((m, net.k), -1, dtype=np.int64)
+        pivot_ids[at] = np.where(pivots >= 0,
+                                 np.searchsorted(universe, pivots), -1)
+        pivot_dists = np.full((m, net.k), np.inf)
+        pivot_dists[at] = net.pivot_dists
+        sub_meta, sub_arrays = TZIndex._flatten(TZLabels(
+            net.k, np.arange(m), pivot_ids, pivot_dists, at[net.owner],
+            np.searchsorted(universe, net.landmark), net.dist, net.level),
+            num_shards)
+        ids = _id_dtype(len(labels))
+        return ({"n": len(labels), "eps": labels.eps, "k": labels.k,
                  "num_shards": num_shards, "sub": sub_meta},
-                {"gateway_ids": gateway_ids,
-                 "gateway_dists": np.asarray(
-                     [s.gateway_dist for s in sketches], dtype=np.float64),
-                 "net_ids": net_ids,
-                 "gw_slot": np.asarray([slot[g] for g in gateway_ids.tolist()],
-                                       dtype=ids),
+                {"gateway_ids": gateway_ids.astype(ids),
+                 "gateway_dists": np.asarray(labels.gateway_dists,
+                                             dtype=np.float64),
+                 "net_ids": universe.astype(ids),
+                 "gw_slot": np.searchsorted(universe,
+                                            gateway_ids).astype(ids),
                  **_prefixed("sub.", sub_arrays)})
 
     def _install(self, meta: dict, arrays) -> None:
@@ -1384,7 +1254,8 @@ class GracefulIndex(_BaseIndex):
     shard ``s`` across the component sub-indexes.
 
     :param sketches: one :class:`~repro.slack.graceful.GracefulSketch`
-        per node, indexed by node ID.
+        per node, indexed by node ID, or their
+        :class:`~repro.slack.graceful.GracefulLabels`.
     :param num_shards: landmark shard count for every component.
     :raises ConfigError: on an empty set, a non-graceful sketch, or
         mismatched component counts.
@@ -1394,31 +1265,16 @@ class GracefulIndex(_BaseIndex):
     cache_slots = 65536
 
     @staticmethod
-    def _flatten(sketches: Sequence[GracefulSketch], num_shards: int,
+    def _flatten(labels: GracefulLabels, num_shards: int,
                  ) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of a sketch set, validated."""
-        from repro.slack.graceful import GracefulSketch
-
-        for s in sketches:
-            if not isinstance(s, GracefulSketch):
-                raise ConfigError(
-                    f"GracefulIndex only indexes GracefulSketch, "
-                    f"got {type(s).__name__}")
-        levels = len(sketches[0].components)
-        for s in sketches:
-            if len(s.components) != levels:
-                raise ConfigError(
-                    f"mismatched graceful sketches: node {s.node} has "
-                    f"{len(s.components)} components, expected {levels}")
-        if levels == 0:
-            raise ConfigError("graceful sketches need >= 1 component")
+        """``(meta, arrays)`` of a sketch set: one CDG store's per
+        level, namespaced ``c<i>.*``."""
         metas, arrays = [], {}
-        for i in range(levels):
-            meta, part = CDGIndex._flatten(
-                [s.components[i] for s in sketches], num_shards)
+        for i, level in enumerate(labels.levels):
+            meta, part = CDGIndex._flatten(level, num_shards)
             metas.append(meta)
             arrays.update(_prefixed(f"c{i}.", part))
-        return ({"n": len(sketches), "num_shards": num_shards,
+        return ({"n": len(labels), "num_shards": num_shards,
                  "components": metas}, arrays)
 
     def _install(self, meta: dict, arrays) -> None:
@@ -1523,12 +1379,12 @@ INDEX_TYPES: dict[str, type] = {
 def index_class_for(sketches: Sequence[Any]) -> Optional[type]:
     """The :class:`IndexStore` class serving this sketch set, or ``None``
     when the set is empty, mixed, or of an unknown type (a
-    :class:`~repro.tz.sketch.TZLabels` is known without reading a
-    label)."""
-    if not sketches:
+    :class:`~repro.tz.sketch.ColumnLabels` is known by its ``scheme``,
+    without reading a sketch)."""
+    if not len(sketches):
         return None
-    if isinstance(sketches, TZLabels):
-        return TZIndex
+    if isinstance(sketches, ColumnLabels):
+        return _BY_TAG.get(sketches.scheme + "_index")
     first = type(sketches[0])
     if not all(isinstance(s, first) for s in sketches):
         return None
@@ -1579,12 +1435,8 @@ def index_from_arrays(tag: str, meta: dict, arrays) -> IndexStore:
     return _class_of_tag(tag)._from_pack(meta, arrays)
 
 
-def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:
-    """Build the right :class:`IndexStore` for a homogeneous sketch set.
-
-    :raises ConfigError: when no index class serves this set (empty,
-        mixed types, or an unknown sketch type).
-    """
+def _serving_class(sketches: Sequence[Any]) -> type:
+    """:func:`index_class_for`, or a :class:`ConfigError`."""
     cls = index_class_for(sketches)
     if cls is None:
         kinds = sorted({type(s).__name__ for s in sketches}) or ["(empty)"]
@@ -1592,29 +1444,29 @@ def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:
             f"no batched index for this sketch set ({', '.join(kinds)}); "
             f"indexable types: "
             f"{', '.join(t.rsplit('.', 1)[1] for t in INDEX_TYPES)}")
-    return cls(sketches, num_shards=num_shards)
+    return cls
 
 
-def refresh_index(index: IndexStore, sketches: Sequence[Any],
-                  touched: Iterable[int]) -> IndexStore:
-    """A new store serving ``sketches``, where only the ``touched``
-    owners differ from what ``index`` serves — the index-side
-    ``apply_updates`` path of the dynamic-update subsystem.
+def sketch_columns(sketches: Sequence[Any]) -> ColumnLabels:
+    """A homogeneous sketch set as columns: a
+    :class:`~repro.tz.sketch.ColumnLabels` as it is, a plain list
+    through its scheme's columns class's ``from_sketches``
+    (``ColumnLabels.by_scheme``).
 
-    :class:`TZIndex` keeps the clean owners' rows
-    (:meth:`TZIndex.apply_sketch_updates`) and flattens only the
-    touched sketches.  Other store types (whose layouts couple owners
-    across the whole table) are rebuilt from the sketch list; either
-    way the old store object is left untouched and the result is
-    exactly ``build_index(sketches, num_shards=index.num_shards)``.
+    :raises ConfigError: when no index class serves this set, or the
+        list is inconsistent (mixed parameters, …).
     """
-    touched = sorted(int(u) for u in touched)
-    if not touched:
-        return index
-    if isinstance(index, TZIndex):
-        try:
-            return index.apply_sketch_updates(
-                {u: sketches[u] for u in touched})
-        except ConfigError:  # layout drifted — take the full rebuild
-            pass
-    return build_index(sketches, num_shards=index.num_shards)
+    if isinstance(sketches, ColumnLabels):
+        return sketches
+    scheme = _serving_class(sketches).scheme
+    return ColumnLabels.by_scheme[scheme].from_sketches(sketches)
+
+
+def build_index(sketches: Sequence[Any], num_shards: int = 1) -> IndexStore:
+    """Build the right :class:`IndexStore` for a homogeneous sketch set
+    (its columns, or a plain list of sketches).
+
+    :raises ConfigError: when no index class serves this set (empty,
+        mixed types, or an unknown sketch type).
+    """
+    return _serving_class(sketches)(sketches, num_shards=num_shards)

@@ -41,7 +41,7 @@ from repro.service.protocol import (ANSWERS, APPLY, CLOSE, EPOCH, FETCH_INDEX,
                                     FrameError, FrameReader, encode_error,
                                     encode_frame, kind_name)
 from repro.service.session import UpdateReport
-from repro.tz.sketch import TZLabels
+from repro.tz.sketch import ColumnLabels
 
 if TYPE_CHECKING:
     from repro.service.client import OracleClient
@@ -94,8 +94,8 @@ class OracleServer:
 
     :param source: what to serve —
 
-        * a per-node sketch list, a
-          :class:`~repro.tz.sketch.TZLabels` (read as columns) or a
+        * a per-node sketch list, a scheme's columns (a
+          :class:`~repro.tz.sketch.ColumnLabels`) or a
           :class:`~repro.oracle.api.BuiltSketches`: the index is built
           here with ``num_shards`` shards;
         * a pre-built :class:`~repro.service.index.IndexStore` (e.g.
@@ -175,7 +175,7 @@ class OracleServer:
             raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         if api is not None and isinstance(source, api.BuiltSketches):
             source = source.sketches
-        if isinstance(source, (list, tuple, TZLabels)):
+        if isinstance(source, (list, tuple, ColumnLabels)):
             return build_index(source, num_shards=num_shards or 1), None
         if updates is not None and isinstance(source,
                                               updates.UpdateableIndex):

@@ -25,17 +25,18 @@ An ``apply`` is three steps, none of which knows a scheme:
   re-runs the build's own primitives on the mutated graph — the
   candidate cluster roots of a TZ label, the dirty net members' rows
   of stretch3, the gateway sweep of CDG — and re-issues every owner
-  whose sketch they change.  Past the row's ``rebuild_above`` dirty
-  fraction the build's per-owner function simply runs over every owner:
-  localized repair only wins while the frontier is small, and the
-  fallback bounds the cost by a rebuild plus the frontier sweep.  Each
-  row's value is its scheme's measured crossover (the table is in
-  ``docs/serving.md`` §8), and no caller sets it;
-* the **index refresh** — only sketch entries owned by touched nodes
-  can change, so :func:`~repro.service.index.refresh_index` keeps the
-  clean owners' rows of the TZ bunch table, merges the fresh rows in by
-  the build's own sort and rebuilds the hash directory — the same bytes
-  a from-scratch build gives.
+  whose sketch they change, as a row patch ``(owners, patch)``: the
+  patch is the scheme's columns over ``owners``, which the sketch
+  set's ``spliced`` puts in place of their rows.  Past the row's
+  ``rebuild_above`` dirty fraction the build's per-owner function
+  simply runs over every owner: localized repair only wins while the
+  frontier is small, and the fallback bounds the cost by a rebuild
+  plus the frontier sweep.  Each row's value is its scheme's measured
+  crossover (the table is in ``docs/serving.md`` §8), and no caller
+  sets it;
+* the **index** — repaired or rebuilt, the new columns go through
+  :func:`~repro.service.index.build_index`, as a build's do: the new
+  store is byte for byte a from-scratch build's.
 
 **The hard invariant** (property-tested per scheme × memory backing):
 after ``apply``, the updated index answers *bit-identically* to an index
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -73,14 +74,19 @@ from repro.graphs.graph import Graph
 from repro.graphs.metrics import distance_rows
 from repro.oracle.schemes import get_scheme
 from repro.rng import SeedLike, ensure_rng
-from repro.service.index import IndexStore, build_index, refresh_index
+from repro.service.index import IndexStore, build_index, sketch_columns
 from repro.service.session import UpdateReport
-from repro.slack.cdg import gateways, link_gateways
+from repro.slack.cdg import CDGLabels, gateway_columns, link_gateways
+from repro.slack.graceful import GracefulLabels
+from repro.slack.stretch3 import Stretch3Labels
 from repro.tz.centralized import pivot_key_array, tz_sketches
-from repro.tz.sketch import TZSketch
+from repro.tz.sketch import ColumnLabels, TZLabels
 
 #: ops an :class:`EdgeChange` can carry
 CHANGE_OPS = ("set", "increase", "decrease", "insert", "remove")
+
+#: the owners of a repair that re-issues nothing
+_NONE = np.empty(0, dtype=np.int64)
 
 #: relative pad on the dirtiness tests — float path sums computed from
 #: the two ends of a path can differ by a few ulps, so the frontier
@@ -259,16 +265,18 @@ def dirty_frontier(graph: Graph, changes: Sequence[EdgeChange],
 
 
 # ----------------------------------------------------------------------
-# per-scheme repairs, ``(graph, artifacts, sketches, dirty) -> {node:
-# fresh sketch}``: discover what a dirty set can touch, then re-run the
-# build's own primitives on it
+# per-scheme repairs, ``(graph, artifacts, labels, dirty) -> (owners,
+# patch)``: discover what a dirty set can touch, re-run the build's own
+# primitives on it, and hand back the re-issued owners (sorted) with
+# their rows — the scheme's columns over ``owners`` (``None`` may stand
+# for no rows)
 # ----------------------------------------------------------------------
-def repair_tz(graph: Graph, artifacts: dict, sketches: list,
-              dirty: Sequence[int]) -> dict[int, TZSketch]:
+def repair_tz(graph: Graph, artifacts: dict, labels: TZLabels,
+              dirty: Sequence[int]) -> tuple:
     """The TZ labels of ``dirty`` nodes on the (already mutated) graph,
     bit-identical to a full build's: the build's per-owner function,
     handed the only sub-top cluster roots that can reach a dirty node
-    (``sketches`` goes unread — a label depends on no other label).
+    (``labels`` goes unread — a label depends on no other label).
 
     Bunch entries are direction-sensitive at the ulp level (a float path
     sum depends on which end the Dijkstra ran from), so every stored
@@ -282,10 +290,11 @@ def repair_tz(graph: Graph, artifacts: dict, sketches: list,
     untruncated clusters and the ``k`` pivot sweeps are a fixed cost the
     per-owner function pays for any owner set.
 
-    :returns: ``{node: new TZSketch}`` for exactly the dirty nodes.
+    :returns: exactly the dirty nodes, with their new labels.
     """
-    if len(dirty) == 0:
-        return {}
+    dirty = np.asarray(dirty, dtype=np.int64)
+    if dirty.size == 0:
+        return _NONE, None
     hierarchy = artifacts["hierarchy"]
     pivot_keys = pivot_key_array(graph, hierarchy)
     dirty_rows = distance_rows(graph, dirty)
@@ -297,61 +306,66 @@ def repair_tz(graph: Graph, artifacts: dict, sketches: list,
         rows = dirty_rows[:, members]
         near = (rows <= bound[:, None]) & np.isfinite(rows)
         roots.append(members[near.any(axis=0)])
-    return dict(zip(dirty, tz_sketches(graph, artifacts, dirty,
-                                       roots=np.concatenate(roots),
-                                       pivot_keys=pivot_keys)))
+    return dirty, tz_sketches(graph, artifacts, dirty,
+                              roots=np.concatenate(roots),
+                              pivot_keys=pivot_keys)
 
 
-def repair_stretch3(graph: Graph, artifacts: dict, sketches: list,
-                    dirty: Sequence[int]) -> dict:
+def repair_stretch3(graph: Graph, artifacts: dict, labels: Stretch3Labels,
+                    dirty: Sequence[int]) -> tuple:
     """A stretch3 entry ``d(w, u)`` is read off net member ``w``'s row,
     and a clean node's row is float-identical after the change: only
     the dirty members are swept again, and every owner with a changed
     entry is re-issued."""
-    moved = sorted(set(artifacts["net"].members).intersection(dirty))
-    if not moved:
-        return {}
-    rows = distance_rows(graph, moved)
-    old = np.array([[s.entries[w] for w in moved] for s in sketches]).T
-    return {int(u): replace(sketches[u], entries={
-                **sketches[u].entries, **dict(zip(moved, rows[:, u].tolist()))})
-            for u in np.flatnonzero((rows != old).any(axis=0))}
+    cols = np.flatnonzero(np.isin(labels.net_ids, dirty))
+    if not cols.size:
+        return _NONE, None
+    rows = distance_rows(graph, labels.net_ids[cols])
+    owners = np.flatnonzero((rows != labels.dist[:, cols].T).any(axis=0))
+    block = labels.dist[owners]
+    block[:, cols] = rows[:, owners].T
+    return owners, Stretch3Labels(labels.eps, owners, labels.net_ids, block)
 
 
-def repair_cdg(graph: Graph, artifacts: dict, sketches: list,
-               dirty: Sequence[int]) -> dict:
-    """A dirty *net member*'s label is repaired first (:func:`repair_tz`
-    over the net hierarchy); the gateway column is swept again, and
-    every owner whose gateway pair moved or whose gateway's label
-    changed is re-issued, linked to the current net labels."""
-    members = artifacts["net"].members
-    # every net member is its own gateway (d(w, w) = 0 always wins), so
-    # member w's current label is sketches[w].label
-    labels = {w: sketches[w].label for w in members}
-    relabelled = {w: label for w, label in repair_tz(
-                      graph, artifacts, sketches,
-                      [v for v in dirty if v in labels]).items()
-                  if label != labels[w]}
-    labels.update(relabelled)
-    column = gateways(graph, members)
-    owners = [u for u, s in enumerate(sketches)
-              if s.gateway in relabelled
-              or (s.gateway_dist, s.gateway) != column[u]]
-    return dict(zip(owners, link_gateways(
-        artifacts["eps"], artifacts["k"], owners,
-        [column[u] for u in owners], labels)))
+def repair_cdg(graph: Graph, artifacts: dict, labels: CDGLabels,
+               dirty: Sequence[int]) -> tuple:
+    """The dirty *net members*' labels are repaired first
+    (:func:`repair_tz` over the net hierarchy) and spliced into the
+    net's; the gateway column is swept again, and every owner whose
+    gateway pair moved or whose gateway's label changed is re-issued,
+    linked to the new net labels."""
+    net = labels.net
+    dirty = np.asarray(dirty, dtype=np.int64)
+    members, fresh = repair_tz(graph, artifacts, net,
+                               dirty[np.isin(dirty, net.nodes)])
+    relabelled = np.zeros(graph.n, dtype=bool)
+    if fresh is not None:
+        at = labels.net_rows(members)
+        relabelled[members[net.differ(at, fresh)]] = True
+        net = net.spliced(at, fresh)
+    dist, witness = gateway_columns(graph, artifacts["net"].members)
+    owners = np.flatnonzero(relabelled[labels.gateway_ids]
+                            | (labels.gateway_dists != dist)
+                            | (labels.gateway_ids != witness))
+    if not owners.size:
+        return _NONE, None
+    return owners, link_gateways(artifacts["eps"], artifacts["k"], owners,
+                                 dist[owners], witness[owners], net)
 
 
-def repair_graceful(graph: Graph, artifacts: dict, sketches: list,
-                    dirty: Sequence[int]) -> dict:
-    """Every level is a CDG repair."""
-    per_level = [repair_cdg(graph, level, [s.components[i] for s in sketches],
-                            dirty)
-                 for i, level in enumerate(artifacts["components"])]
-    return {u: replace(sketches[u], components=tuple(
-                fresh.get(u, old)
-                for fresh, old in zip(per_level, sketches[u].components)))
-            for u in set().union(*per_level)}
+def repair_graceful(graph: Graph, artifacts: dict, labels: GracefulLabels,
+                    dirty: Sequence[int]) -> tuple:
+    """Every level is a CDG repair; an owner any level re-issues is
+    re-issued with every level's row."""
+    levels, touched = [], []
+    for level, part in zip(artifacts["components"], labels.levels):
+        owners, patch = repair_cdg(graph, level, part, dirty)
+        levels.append(part if patch is None else part.spliced(owners, patch))
+        touched.append(owners)
+    owners = np.unique(np.concatenate(touched))
+    if not owners.size:
+        return _NONE, None
+    return owners, GracefulLabels([level.take(owners) for level in levels])
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +383,8 @@ class UpdateableIndex:
         they stay pinned, so a from-scratch rebuild is well defined.
     :param num_shards: landmark shard count of every epoch's store.
     :param sketches: optionally, the already-built sketch set for this
-        exact (graph, artifacts) pair — skips the initial build.
+        exact (graph, artifacts) pair — its columns, or a plain list —
+        skips the initial build.
     :param params: scheme parameters (``k`` / ``eps`` / ``hierarchy`` /
         ``net`` / ``schedule``), as for
         :func:`~repro.oracle.api.build_sketches` — or the ``artifacts``
@@ -380,7 +395,7 @@ class UpdateableIndex:
 
     def __init__(self, graph: Graph, scheme: str = "tz",
                  seed: SeedLike = None, num_shards: int = 1,
-                 sketches: Optional[list] = None, **params):
+                 sketches: Optional[Sequence] = None, **params):
         self.graph = graph.copy()
         self.scheme = scheme
         self.num_shards = int(num_shards)
@@ -389,8 +404,13 @@ class UpdateableIndex:
             raise ConfigError(f"scheme {scheme!r} has no update support")
         self._spec.check("centralized", params)
         self.artifacts = self._spec.sample(self.graph, seed, params)
-        self.sketches = (list(sketches) if sketches is not None else
-                         self._spec.sketches(self.graph, self.artifacts))
+        #: the current epoch's sketch set, as its scheme's columns
+        self.sketches: ColumnLabels = (
+            sketch_columns(sketches) if sketches is not None
+            else self._spec.sketches(self.graph, self.artifacts))
+        if self.sketches.scheme != scheme:
+            raise ConfigError(f"{self.sketches.scheme} sketches for a "
+                              f"{scheme} index")
         if len(self.sketches) != self.graph.n:
             raise ConfigError(
                 f"{len(self.sketches)} sketches for a "
@@ -434,18 +454,16 @@ class UpdateableIndex:
             return report
         mode = "rebuild" if frac > self._spec.rebuild_above else "repair"
         if mode == "rebuild":
-            sketches = self._spec.sketches(work, self.artifacts)
-            touched = range(n)
-            t2 = time.perf_counter()
-            index = build_index(sketches, num_shards=self.num_shards)
+            sketches, touched = self._spec.sketches(work, self.artifacts), n
         else:
-            touched = self._spec.repair(work, self.artifacts, self.sketches,
-                                        dirty.tolist())
-            sketches = list(self.sketches)
-            for v, fresh in touched.items():
-                sketches[v] = fresh
-            t2 = time.perf_counter()
-            index = refresh_index(self.index, sketches, touched)
+            owners, patch = self._spec.repair(work, self.artifacts,
+                                              self.sketches, dirty)
+            touched = owners.size
+            sketches = (self.sketches.spliced(owners, patch) if touched
+                        else self.sketches)
+        t2 = time.perf_counter()
+        index = (self.index if sketches is self.sketches
+                 else build_index(sketches, num_shards=self.num_shards))
         t3 = time.perf_counter()
         secs.update({"repair": t2 - t1, "index": t3 - t2, "total": t3 - t0})
         self.graph = work
@@ -454,7 +472,7 @@ class UpdateableIndex:
         self.epoch += 1
         report = UpdateReport(mode=mode, epoch=self.epoch,
                               changes=len(changes), dirty=int(dirty.size),
-                              touched=len(touched), n=n,
+                              touched=int(touched), n=n,
                               dirty_fraction=frac, seconds=secs)
         self.last_report = report
         return report

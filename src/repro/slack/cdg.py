@@ -35,7 +35,7 @@ from repro.algorithms.supersource import distances_to_set
 from repro.tz.centralized import _set_keys, tz_sketches
 from repro.tz.distributed import build_tz_sketches_distributed
 from repro.tz.hierarchy import Hierarchy, sample_hierarchy
-from repro.tz.sketch import TZSketch, estimate_distance
+from repro.tz.sketch import ColumnLabels, TZLabels, TZSketch, estimate_distance
 from repro.words import entry_words
 
 
@@ -60,6 +60,72 @@ class CDGSketch:
         return self.gateway_dist + through + other.gateway_dist
 
 
+class CDGLabels(ColumnLabels):
+    """CDG sketches as columns: ``nodes[j]``'s gateway ``gateway_ids[j]``
+    at ``gateway_dists[j]``, and ``net``, a
+    :class:`~repro.tz.sketch.TZLabels` (its ``nodes`` sorted) holding
+    every gateway's label; read as the list of :class:`CDGSketch`."""
+
+    scheme = "cdg"
+    fields = ("eps", "k", "nodes", "gateway_ids", "gateway_dists", "net")
+
+    @classmethod
+    def from_sketches(cls, sketches: Sequence[CDGSketch]) -> "CDGLabels":
+        """:raises ConfigError: on mixed parameters, a label that is not
+            its gateway's, or two labels for one gateway."""
+        eps, k = sketches[0].eps, sketches[0].k
+        labels: dict[int, TZSketch] = {}
+        for s in sketches:
+            if s.eps != eps or s.k != k:
+                raise ConfigError(
+                    f"mixed eps/k in sketch set: ({s.eps}, {s.k}) vs "
+                    f"({eps}, {k}) (node {s.node})")
+            if s.label.node != s.gateway:
+                raise ConfigError(
+                    f"node {s.node} ships the label of {s.label.node} but "
+                    f"names gateway {s.gateway}")
+            if labels.setdefault(s.gateway, s.label) != s.label:
+                raise ConfigError(
+                    f"conflicting labels for gateway {s.gateway}")
+        return cls(eps, k, np.asarray([s.node for s in sketches],
+                                      dtype=np.int64),
+                   np.asarray([s.gateway for s in sketches], dtype=np.int64),
+                   np.asarray([s.gateway_dist for s in sketches],
+                              dtype=np.float64),
+                   TZLabels.from_sketches([labels[w] for w in sorted(labels)]))
+
+    def net_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The positions in ``net`` of net nodes ``ids``."""
+        return np.searchsorted(self.net.nodes, ids)
+
+    def sizes_words(self) -> list[int]:
+        """The gateway pair plus the gateway's label, per sketch."""
+        sizes = np.asarray(self.net.sizes_words(), dtype=np.int64)
+        return (entry_words()
+                + sizes[self.net_rows(self.gateway_ids)]).tolist()
+
+    def take(self, rows: np.ndarray) -> "CDGLabels":
+        """The sketches at positions ``rows``, over the same net."""
+        return CDGLabels(self.eps, self.k, self.nodes[rows],
+                         self.gateway_ids[rows], self.gateway_dists[rows],
+                         self.net)
+
+    def spliced(self, rows: np.ndarray, patch: "CDGLabels") -> "CDGLabels":
+        """Position ``rows[j]`` holds ``patch``'s sketch ``j``; the net is
+        the patch's, which holds every label the others name."""
+        return CDGLabels(self.eps, self.k, *self._rows_replaced(
+            rows, patch, "nodes", "gateway_ids", "gateway_dists"), patch.net)
+
+    def _materialize(self) -> list[CDGSketch]:
+        net, at = self.net._materialized(), self.net_rows(self.gateway_ids)
+        return [CDGSketch(node=u, eps=self.eps, k=self.k, gateway=w,
+                          gateway_dist=d, label=net[j])
+                for u, w, d, j in zip(self.nodes.tolist(),
+                                      self.gateway_ids.tolist(),
+                                      self.gateway_dists.tolist(),
+                                      at.tolist())]
+
+
 def cdg_sampling_probability(n: int, eps: float, k: int) -> float:
     """The paper's net-hierarchy sampling probability
     ``((10/ε) ln n)^{-1/k}``, clamped into (0, 1]."""
@@ -69,33 +135,30 @@ def cdg_sampling_probability(n: int, eps: float, k: int) -> float:
     return min(1.0, base ** (-1.0 / k))
 
 
-def gateways(graph: Graph, members) -> list[tuple[float, int]]:
-    """Per node ``(d(u, N), u')``: the closest member of ``members``,
-    the smallest id among equidistant ones, ``(inf, -1)`` where none is
-    reachable — one sweep from the net, as the super-source run of
+def gateway_columns(graph: Graph, members) -> tuple[np.ndarray, np.ndarray]:
+    """Per node ``d(u, N)`` and ``u'`` as two columns: the closest
+    member of ``members``, the smallest id among equidistant ones,
+    ``(inf, -1)`` where none is reachable — one sweep from the net, as
+    the super-source run of
     :func:`~repro.algorithms.supersource.distances_to_set` computes it."""
-    dist, witness = _set_keys(graph.to_csr(),
-                              np.asarray(members, dtype=np.int64))
-    return list(zip(dist.tolist(), witness.tolist()))
+    return _set_keys(graph.to_csr(), np.asarray(members, dtype=np.int64))
 
 
-def link_gateways(eps: float, k: int, owners,
-                  pairs: list[tuple[float, int]],
-                  net_labels: dict[int, TZSketch]) -> list[CDGSketch]:
-    """The owners' sketches: each gateway pair ``(d(u, u'), u')`` of
-    ``pairs`` (one per owner) linked to ``u'``'s label.
+def link_gateways(eps: float, k: int, owners: np.ndarray, dist: np.ndarray,
+                  witness: np.ndarray, net: TZLabels) -> CDGLabels:
+    """The owners' sketches: owner ``owners[j]``'s gateway ``witness[j]``
+    at ``dist[j]``, linked to its label in ``net``.
 
     :raises QueryError: when an owner reaches no net member.
     """
-    out = []
-    for u, (gd, gw) in zip(owners, pairs):
-        if gw < 0:
-            raise QueryError(
-                f"the graph strands node {u} from the density net (no "
-                f"reachable member); use a net covering every component")
-        out.append(CDGSketch(node=int(u), eps=eps, k=k, gateway=gw,
-                             gateway_dist=gd, label=net_labels[gw]))
-    return out
+    stranded = np.flatnonzero(witness < 0)
+    if stranded.size:
+        raise QueryError(
+            f"the graph strands node {owners[stranded[0]]} from the density "
+            f"net (no reachable member); use a net covering every component")
+    return CDGLabels(eps, k, np.asarray(owners, dtype=np.int64),
+                     np.asarray(witness, dtype=np.int64),
+                     np.asarray(dist, dtype=np.float64), net)
 
 
 def cdg_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
@@ -118,26 +181,27 @@ def cdg_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 
 def cdg_sketches(graph: Graph, artifacts: dict,
-                 owners: Optional[Sequence[int]] = None) -> list[CDGSketch]:
+                 owners: Optional[Sequence[int]] = None) -> CDGLabels:
     """The cdg registry row's per-owner function: each owner's gateway
-    from one :func:`gateways` sweep over the net, linked to the
+    from one :func:`gateway_columns` sweep over the net, linked to the
     gateway's Thorup–Zwick label over the fixed net and net hierarchy.
 
     :raises QueryError: when an owner reaches no net member.
     """
-    members = artifacts["net"].members
-    labels = dict(zip(members, tz_sketches(graph, artifacts, members)))
-    column = gateways(graph, members)
-    owners = graph.nodes() if owners is None else owners
+    members = np.unique(np.asarray(artifacts["net"].members, dtype=np.int64))
+    net = tz_sketches(graph, artifacts, members)
+    dist, witness = gateway_columns(graph, members)
+    owners = (np.arange(graph.n) if owners is None
+              else np.asarray(owners, dtype=np.int64))
     return link_gateways(artifacts["eps"], artifacts["k"], owners,
-                         [column[u] for u in owners], labels)
+                         dist[owners], witness[owners], net)
 
 
 def build_cdg_centralized(graph: Graph, eps: float, k: int,
                           seed: SeedLike = None,
                           net: Optional[DensityNet] = None,
                           hierarchy: Optional[Hierarchy] = None,
-                          ) -> tuple[list[CDGSketch], DensityNet, Hierarchy]:
+                          ) -> tuple[CDGLabels, DensityNet, Hierarchy]:
     """Centralized twin (used for differential tests and large-n stats)."""
     artifacts = cdg_artifacts(graph, seed, {"eps": eps, "k": k, "net": net,
                                             "hierarchy": hierarchy})
@@ -152,7 +216,7 @@ def build_cdg_distributed(graph: Graph, eps: float, k: int,
                           sync: str = "oracle",
                           S: Optional[int] = None,
                           budget="whp",
-                          ) -> tuple[list[CDGSketch], DensityNet, Hierarchy, RunMetrics]:
+                          ) -> tuple[CDGLabels, DensityNet, Hierarchy, RunMetrics]:
     """Distributed build per Lemma 4.5.
 
     Metrics are the sum of the super-source gateway run and the
@@ -173,7 +237,9 @@ def build_cdg_distributed(graph: Graph, eps: float, k: int,
     assignments, m1 = distances_to_set(graph, net.members, seed=rng)
     tz = build_tz_sketches_distributed(graph, hierarchy=hierarchy, sync=sync,
                                        seed=rng, S=S, budget=budget)
-    net_labels = {w: tz.sketches[w] for w in net.members}
-    metrics = m1 + tz.metrics
-    return (link_gateways(eps, k, graph.nodes(), assignments, net_labels),
-            net, hierarchy, metrics)
+    dist, witness = np.array(assignments, dtype=np.float64).reshape(-1, 2).T
+    net_labels = TZLabels.from_sketches([tz.sketches[w]
+                                         for w in sorted(net.members)])
+    return (link_gateways(eps, k, np.arange(graph.n), dist,
+                          witness.astype(np.int64), net_labels),
+            net, hierarchy, m1 + tz.metrics)

@@ -22,12 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
 from repro.graphs.graph import Graph
 from repro.rng import SeedLike, ensure_rng
-from repro.slack.cdg import (CDGSketch, build_cdg_distributed, cdg_artifacts,
-                             cdg_sketches)
+from repro.slack.cdg import (CDGLabels, CDGSketch, build_cdg_distributed,
+                             cdg_artifacts, cdg_sketches)
+from repro.tz.sketch import ColumnLabels
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,52 @@ class GracefulSketch:
         return self.components[i - 1].estimate_to(other.components[i - 1])
 
 
+class GracefulLabels(ColumnLabels):
+    """Graceful sketches as columns: one
+    :class:`~repro.slack.cdg.CDGLabels` per ε-level, over the same
+    nodes; read as the list of :class:`GracefulSketch`."""
+
+    scheme = "graceful"
+    fields = ("levels",)
+
+    def __init__(self, levels: Sequence[CDGLabels]):
+        if not levels:
+            raise ConfigError("graceful sketches need >= 1 component")
+        super().__init__(tuple(levels))
+        self.nodes = self.levels[0].nodes
+
+    @classmethod
+    def from_sketches(cls, sketches: Sequence[GracefulSketch],
+                      ) -> "GracefulLabels":
+        """:raises ConfigError: on mismatched component counts."""
+        count = len(sketches[0].components)
+        for s in sketches:
+            if len(s.components) != count:
+                raise ConfigError(
+                    f"mismatched graceful sketches: node {s.node} has "
+                    f"{len(s.components)} components, expected {count}")
+        return cls([CDGLabels.from_sketches([s.components[i]
+                                             for s in sketches])
+                    for i in range(count)])
+
+    def sizes_words(self) -> list[int]:
+        """Every level's sketch size, summed per node."""
+        return np.sum([level.sizes_words() for level in self.levels],
+                      axis=0).tolist()
+
+    def spliced(self, rows: np.ndarray, patch: "GracefulLabels",
+                ) -> "GracefulLabels":
+        """Every level spliced with the patch's level."""
+        return GracefulLabels([level.spliced(rows, fresh) for level, fresh
+                               in zip(self.levels, patch.levels)])
+
+    def _materialize(self) -> list[GracefulSketch]:
+        per_level = [level._materialized() for level in self.levels]
+        return [GracefulSketch(node=u, components=tuple(
+                    level[j] for level in per_level))
+                for j, u in enumerate(self.nodes.tolist())]
+
+
 def graceful_schedule(n: int) -> list[tuple[float, int]]:
     """The Theorem 4.8 parameter schedule: ``(ε_i, k_i)`` for
     ``i = 1..ceil(log2 n)`` with ``ε_i = 2^{-i}`` and ``k_i = i``
@@ -69,12 +118,6 @@ def graceful_schedule(n: int) -> list[tuple[float, int]]:
         raise ConfigError("graceful sketches need n >= 2")
     imax = max(1, math.ceil(math.log2(n)))
     return [(2.0 ** -i, i) for i in range(1, imax + 1)]
-
-
-def _assemble(owners, per_level: list[list[CDGSketch]]) -> list[GracefulSketch]:
-    return [GracefulSketch(node=int(u),
-                           components=tuple(level[j] for level in per_level))
-            for j, u in enumerate(owners)]
 
 
 def graceful_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
@@ -94,18 +137,17 @@ def graceful_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 def graceful_sketches(graph: Graph, artifacts: dict,
                       owners: Optional[Sequence[int]] = None,
-                      ) -> list[GracefulSketch]:
+                      ) -> GracefulLabels:
     """The graceful registry row's per-owner function: the owners' CDG
     sketches of every level — one gateway sweep per level, over the
     graph's one CSR."""
-    per_level = [cdg_sketches(graph, level, owners)
-                 for level in artifacts["components"]]
-    return _assemble(graph.nodes() if owners is None else owners, per_level)
+    return GracefulLabels([cdg_sketches(graph, level, owners)
+                           for level in artifacts["components"]])
 
 
 def build_graceful_centralized(graph: Graph, seed: SeedLike = None,
                                schedule: Optional[list[tuple[float, int]]] = None,
-                               ) -> tuple[list[GracefulSketch], list[tuple[float, int]]]:
+                               ) -> tuple[GracefulLabels, list[tuple[float, int]]]:
     """Centralized twin of the Theorem 4.8 build."""
     artifacts = graceful_artifacts(graph, seed, {"schedule": schedule})
     return graceful_sketches(graph, artifacts), artifacts["schedule"]
@@ -116,7 +158,7 @@ def build_graceful_distributed(graph: Graph, seed: SeedLike = None,
                                sync: str = "oracle",
                                S: Optional[int] = None,
                                budget="whp",
-                               ) -> tuple[list[GracefulSketch], list[tuple[float, int]], RunMetrics]:
+                               ) -> tuple[GracefulLabels, list[tuple[float, int]], RunMetrics]:
     """Distributed build: the O(log n) CDG instantiations run back to back
     ("we just run each of the O(log n) instantiations of the theorem back
     to back"), so the metrics are the straight sum."""
@@ -130,4 +172,4 @@ def build_graceful_distributed(graph: Graph, seed: SeedLike = None,
                                                   sync=sync, S=S, budget=budget)
         per_level.append(sketches)
         total = m if total is None else total + m
-    return _assemble(graph.nodes(), per_level), schedule, total
+    return GracefulLabels(per_level), schedule, total

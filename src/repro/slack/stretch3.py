@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.algorithms.ksource import k_source_shortest_paths
 from repro.congest.metrics import RunMetrics
 from repro.errors import ConfigError, QueryError
@@ -29,6 +31,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.metrics import distance_rows
 from repro.rng import SeedLike, ensure_rng
 from repro.slack.density_net import DensityNet, sample_density_net
+from repro.tz.sketch import ColumnLabels
 from repro.words import entry_words
 
 
@@ -59,6 +62,52 @@ class Stretch3Sketch:
         return best
 
 
+class Stretch3Labels(ColumnLabels):
+    """Stretch3 sketches as columns: row ``j`` of the block ``dist`` is
+    ``nodes[j]``'s distance to each net node of ``net_ids`` (sorted),
+    +inf where none; read as the list of :class:`Stretch3Sketch`."""
+
+    scheme = "stretch3"
+    fields = ("eps", "nodes", "net_ids", "dist")
+
+    @classmethod
+    def from_sketches(cls, sketches: Sequence[Stretch3Sketch],
+                      ) -> "Stretch3Labels":
+        """One column per net node any sketch names.
+
+        :raises ConfigError: on mixed ``eps``."""
+        eps = sketches[0].eps
+        for s in sketches:
+            if s.eps != eps:
+                raise ConfigError(
+                    f"mixed eps in sketch set: {s.eps} vs {eps} "
+                    f"(node {s.node})")
+        ids = np.asarray(sorted({w for s in sketches for w in s.entries}),
+                         dtype=np.int64)
+        col = dict(zip(ids.tolist(), range(ids.size)))
+        dist = np.full((len(sketches), ids.size), np.inf)
+        for j, s in enumerate(sketches):
+            dist[j, [col[w] for w in s.entries]] = list(s.entries.values())
+        return cls(eps, np.asarray([s.node for s in sketches], dtype=np.int64),
+                   ids, dist)
+
+    def sizes_words(self) -> list[int]:
+        """Every sketch stores one entry per net node."""
+        return [entry_words() * self.net_ids.size] * len(self)
+
+    def spliced(self, rows: np.ndarray, patch: "Stretch3Labels",
+                ) -> "Stretch3Labels":
+        """Position ``rows[j]`` holds ``patch``'s row ``j``."""
+        nodes, dist = self._rows_replaced(rows, patch, "nodes", "dist")
+        return Stretch3Labels(self.eps, nodes, self.net_ids, dist)
+
+    def _materialize(self) -> list[Stretch3Sketch]:
+        members = self.net_ids.tolist()
+        return [Stretch3Sketch(node=u, eps=self.eps,
+                               entries=dict(zip(members, row)))
+                for u, row in zip(self.nodes.tolist(), self.dist.tolist())]
+
+
 def stretch3_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
     """The stretch3 registry row's ``sample``: one density net for
     ``eps`` (an explicit ``net`` is taken as given)."""
@@ -72,22 +121,21 @@ def stretch3_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
 
 def stretch3_sketches(graph: Graph, artifacts: dict,
                       owners: Optional[Sequence[int]] = None,
-                      ) -> list[Stretch3Sketch]:
+                      ) -> Stretch3Labels:
     """The stretch3 registry row's per-owner function: each owner's
     distances to the fixed net, read off the net members' rows — |N|
     sweeps from the net, each entry computed from the member, as the
     k-source run computes it."""
-    eps, members = artifacts["eps"], list(artifacts["net"].members)
-    owners = graph.nodes() if owners is None else owners
-    columns = distance_rows(graph, members)[:, owners].T.tolist()
-    return [Stretch3Sketch(node=int(u), eps=eps,
-                           entries=dict(zip(members, column)))
-            for u, column in zip(owners, columns)]
+    members = np.unique(np.asarray(artifacts["net"].members, dtype=np.int64))
+    owners = np.arange(graph.n) if owners is None else np.asarray(
+        owners, dtype=np.int64)
+    block = np.ascontiguousarray(distance_rows(graph, members)[:, owners].T)
+    return Stretch3Labels(artifacts["eps"], owners, members, block)
 
 
 def build_stretch3_centralized(graph: Graph, eps: float, seed: SeedLike = None,
                                net: DensityNet = None,
-                               ) -> tuple[list[Stretch3Sketch], DensityNet]:
+                               ) -> tuple[Stretch3Labels, DensityNet]:
     """Centralized twin: net sampling + the net members' distance rows."""
     artifacts = stretch3_artifacts(graph, seed, {"eps": eps, "net": net})
     return stretch3_sketches(graph, artifacts), artifacts["net"]
@@ -100,6 +148,7 @@ def build_stretch3_distributed(graph: Graph, eps: float, seed: SeedLike = None,
     k-Source Shortest Paths run with the net as the source set."""
     rng = ensure_rng(seed)
     net = stretch3_artifacts(graph, rng, {"eps": eps, "net": net})["net"]
+    # a plain list, each dict in the order the run learned its entries
     per_node, metrics = k_source_shortest_paths(graph, net.members, seed=rng)
     return [Stretch3Sketch(node=u, eps=eps, entries=dict(entries))
             for u, entries in enumerate(per_node)], net, metrics

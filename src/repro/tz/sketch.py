@@ -43,7 +43,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.words import entry_words
 
 
@@ -111,8 +111,87 @@ def bunch_dicts(landmark: np.ndarray, dist: np.ndarray, level: np.ndarray,
             for a, b in zip(edges[:-1], edges[1:])]
 
 
-class TZLabels(Sequence):
-    """The labels of a TZ sketch set as columns, read as a sequence of
+class ColumnLabels(Sequence):
+    """A scheme's sketch set as columns, read as the list of its sketch
+    objects.
+
+    A subclass names its constructor's arguments in ``fields`` (each
+    kept as an attribute, never written; ``nodes[j]`` is sketch ``j``'s
+    node), its :meth:`sizes_words` and how to build its sketch objects
+    (``_materialize``).  The first element access builds every sketch
+    once, under a lock; from then on the object behaves as the list of
+    them: indices (negative too), slices (lists), ``==`` against a list
+    either way, ``repr``, pickling.  ``scheme`` names the registry row
+    and the store that serve it, so nothing needs an element to tell.
+    ``spliced(rows, patch)`` is a new set whose position ``rows[j]``
+    holds ``patch``'s sketch ``j``; state the sketches share (a CDG
+    net's labels) is the patch's, which replaces the old one.
+    """
+
+    scheme: str
+    fields: tuple[str, ...]
+    #: scheme -> its columns class, filled as each class is defined (a
+    #: sketch's module defines its columns class, so a list of sketches
+    #: always finds its class here)
+    by_scheme: dict[str, type] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        ColumnLabels.by_scheme[cls.scheme] = cls
+
+    def __init__(self, *args):
+        if len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {self.fields}")
+        for name, value in zip(self.fields, args):
+            setattr(self, name, value)
+        self._lock = threading.Lock()
+        self._labels: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def _materialized(self) -> list:
+        labels = self._labels
+        if labels is None:
+            with self._lock:
+                if self._labels is None:
+                    self._labels = self._materialize()
+                labels = self._labels
+        return labels
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnLabels):
+            other = other._materialized()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._materialized() == other
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.fields)
+
+    def _rows_replaced(self, rows: np.ndarray, patch: "ColumnLabels",
+                       *names: str) -> list[np.ndarray]:
+        """Copies of the per-sketch columns ``names`` with positions
+        ``rows`` taken from ``patch`` (one row per patch sketch)."""
+        out = []
+        for name in names:
+            column = getattr(self, name).copy()
+            column[rows] = getattr(patch, name)
+            out.append(column)
+        return out
+
+
+class TZLabels(ColumnLabels):
+    """The labels of a TZ sketch set as columns, read as the list of
     :class:`TZSketch`.
 
     Label ``j`` belongs to node ``nodes[j]``; its pivots are
@@ -120,32 +199,24 @@ class TZLabels(Sequence):
     is the rows whose ``owner`` is ``j`` — ``owner`` sorted, an owner's
     rows in its bunch's iteration order — as ``landmark -> (dist,
     level)``.  Sizes (:meth:`sizes_words`) and the serving index read
-    the columns.  The first element access builds every
-    :class:`TZSketch` once, under a lock; from then on the object
-    behaves as the list of them: indices (negative too), slices (lists),
-    ``==`` against a list either way, ``repr``, pickling.  The arrays
-    are never written.
+    the columns.
     """
 
-    def __init__(self, k: int, nodes: np.ndarray, pivot_ids: np.ndarray,
-                 pivot_dists: np.ndarray, owner: np.ndarray,
-                 landmark: np.ndarray, dist: np.ndarray, level: np.ndarray):
-        self.k = int(k)
-        self.nodes = nodes
-        self.pivot_ids = pivot_ids
-        self.pivot_dists = pivot_dists
-        self.owner = owner
-        self.landmark = landmark
-        self.dist = dist
-        self.level = level
-        self._lock = threading.Lock()
-        self._labels: Optional[list[TZSketch]] = None
+    scheme = "tz"
+    fields = ("k", "nodes", "pivot_ids", "pivot_dists", "owner",
+              "landmark", "dist", "level")
 
     @classmethod
     def from_sketches(cls, sketches: Sequence[TZSketch]) -> "TZLabels":
         """The columns of a list of same-``k`` labels — one pass over
-        the dicts, label ``j`` keeping position ``j``."""
+        the dicts, label ``j`` keeping position ``j``.
+
+        :raises ConfigError: on mixed ``k``."""
         count, k = len(sketches), sketches[0].k
+        for s in sketches:
+            if s.k != k:
+                raise ConfigError(
+                    f"mixed k in sketch set: {s.k} vs {k} (node {s.node})")
         sizes = np.fromiter((len(s.bunch) for s in sketches),
                             dtype=np.int64, count=count)
         total = int(sizes.sum())
@@ -169,14 +240,45 @@ class TZLabels(Sequence):
         counts = np.bincount(self.owner, minlength=len(self))
         return (entry_words() * (self.k + counts)).tolist()
 
-    def _materialized(self) -> list[TZSketch]:
-        labels = self._labels
-        if labels is None:
-            with self._lock:
-                if self._labels is None:
-                    self._labels = self._materialize()
-                labels = self._labels
-        return labels
+    def spliced(self, rows: np.ndarray, patch: "TZLabels") -> "TZLabels":
+        """Position ``rows[j]`` (sorted) holds ``patch``'s label ``j``,
+        every other position keeps its own — a new object."""
+        rows = np.asarray(rows, dtype=np.int64)
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = False
+        keep = keep[self.owner]
+        owner = np.concatenate([self.owner[keep], rows[patch.owner]])
+        order = np.argsort(owner, kind="stable")
+        return TZLabels(self.k, *self._rows_replaced(
+            rows, patch, "nodes", "pivot_ids", "pivot_dists"), owner[order],
+            *(np.concatenate([getattr(self, name)[keep],
+                              getattr(patch, name)])[order]
+              for name in ("landmark", "dist", "level")))
+
+    def differ(self, rows: np.ndarray, patch: "TZLabels") -> np.ndarray:
+        """Per patch label ``j``: whether it differs from the label at
+        position ``rows[j]`` — a pivot, or the bunch as a mapping (the
+        row order inside a bunch does not count)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        where = np.full(len(self), -1, dtype=np.int64)
+        where[rows] = np.arange(rows.size)
+        mine = np.flatnonzero(where[self.owner] >= 0)
+        sides = [(where[self.owner[mine]], self.landmark[mine],
+                  self.dist[mine], self.level[mine]),
+                 (patch.owner, patch.landmark, patch.dist, patch.level)]
+        counts = [np.bincount(side[0], minlength=rows.size) for side in sides]
+        moved = ((counts[0] != counts[1])
+                 | (self.pivot_ids[rows] != patch.pivot_ids).any(axis=1)
+                 | (self.pivot_dists[rows] != patch.pivot_dists).any(axis=1))
+        # equal-sized bunches, sorted by landmark, align row by row
+        (own, *a), (_, *b) = [
+            [col[even][order] for col in side]
+            for side in sides
+            for even in [~moved[side[0]]]
+            for order in [np.lexsort((side[1][even], side[0][even]))]]
+        bad = np.logical_or.reduce([x != y for x, y in zip(a, b)])
+        moved[own[bad]] = True
+        return moved
 
     def _materialize(self) -> list[TZSketch]:
         k, count = self.k, len(self)
@@ -187,30 +289,6 @@ class TZLabels(Sequence):
                 for u, ids, ds, b in zip(self.nodes.tolist(),
                                          self.pivot_ids.tolist(),
                                          self.pivot_dists.tolist(), bunches)]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-    def __iter__(self):
-        return iter(self._materialized())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TZLabels):
-            other = other._materialized()
-        if not isinstance(other, list):
-            return NotImplemented
-        return self._materialized() == other
-
-    def __repr__(self) -> str:
-        return repr(self._materialized())
-
-    def __reduce__(self):
-        return (TZLabels, (self.k, self.nodes, self.pivot_ids,
-                           self.pivot_dists, self.owner, self.landmark,
-                           self.dist, self.level))
 
 
 def estimate_distance(su: TZSketch, sv: TZSketch,

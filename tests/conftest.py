@@ -109,7 +109,7 @@ def er_weighted_S(er_weighted) -> int:
 @pytest.fixture(scope="session")
 def nearest_in_set():
     """The dense reference for every nearest-net-member routine
-    (:func:`repro.slack.cdg.gateways`,
+    (:func:`repro.slack.cdg.gateway_columns`,
     :func:`repro.algorithms.supersource.distances_to_set`): per node
     ``(d(u, N), closest member)``, the smallest member id among
     equidistant ones, read off the n × n matrix with a ``DistKey`` scan."""

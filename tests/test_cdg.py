@@ -16,7 +16,7 @@ from repro.slack.cdg import (
     cdg_artifacts,
     cdg_sampling_probability,
     cdg_sketches,
-    gateways,
+    gateway_columns,
 )
 from repro.slack.density_net import DensityNet, sample_density_net
 from repro.tz.hierarchy import sample_hierarchy
@@ -99,8 +99,13 @@ class TestBuildEquivalence:
             assert set(s.label.bunch) <= net_set
 
 
+def _pairs(columns) -> list[tuple[float, int]]:
+    dist, witness = columns
+    return list(zip(dist.tolist(), witness.tolist()))
+
+
 class TestGatewaySweep:
-    """:func:`gateways` against the dense reference."""
+    """:func:`gateway_columns` against the dense reference."""
 
     @pytest.mark.parametrize("family", ["er-uniform", "er-exponential",
                                         "rgg"])
@@ -112,7 +117,7 @@ class TestGatewaySweep:
              "rgg": lambda: random_geometric(120, seed=15)}[family]()
         for eps in (0.5, 0.1):
             members = sample_density_net(g.n, eps, seed=16).members
-            got = gateways(g, members)
+            got = _pairs(gateway_columns(g, members))
             assert got == nearest_in_set(apsp(g), members)
             assert all(type(d) is float and type(w) is int for d, w in got)
 
@@ -120,7 +125,7 @@ class TestGatewaySweep:
         # components {0, 1} and {2, 3, 4}; the net lives in the second
         g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 2.0)])
         net = DensityNet(eps=0.5, n=5, members=(3,))
-        got = gateways(g, net.members)
+        got = _pairs(gateway_columns(g, net.members))
         assert got == nearest_in_set(apsp(g), net.members)
         assert got[:2] == [(math.inf, -1)] * 2
         artifacts = cdg_artifacts(g, 1, {"eps": 0.5, "k": 1, "net": net})

@@ -261,7 +261,9 @@ class TestConnectFlows:
         what a local ``query`` of the built RPIX prints, and the session
         names the layout it serves and no thread count."""
         from repro.oracle.api import build_sketches
-        from repro.oracle.serialization import load_index_binary
+        from repro.oracle.serialization import (load_index_binary,
+                                                save_index_binary)
+        from repro.service import build_index
         from repro.service.client import connect
         from repro.service.server import OracleServer
 
@@ -273,10 +275,11 @@ class TestConnectFlows:
                          "--eps", "0.3", "--seed", "5",
                          "-o", str(index_file)]) == 0
         if served.startswith("rpix"):
+            # a two-shard container, written through the Python API
             path = tmp_path / "idx2.rpix"
-            assert main(["build", str(graph_file), "--scheme", "tz",
-                         "--k", "2", "--seed", "3", "--shards", "2",
-                         "-o", str(path)]) == 0
+            save_index_binary(build_index(build_sketches(
+                read_edgelist(graph_file), scheme, **params).sketches,
+                num_shards=2), path)
             source = load_index_binary(path, backing=served[len("rpix-"):])
             server = OracleServer(source, cache_size=cache)
             shards = 2  # baked into the container
@@ -378,7 +381,7 @@ class TestBuildFormatAndMemoryPlane:
     def binary_index_file(self, tmp_path, graph_file):
         path = tmp_path / "idx.rpix"
         rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
-                   "--seed", "3", "--shards", "2", "-o", str(path)])
+                   "--seed", "3", "-o", str(path)])
         assert rc == 0
         return path
 
@@ -391,13 +394,15 @@ class TestBuildFormatAndMemoryPlane:
 
         from_cli = load_index_binary(binary_index_file)
         built = build_sketches(read_edgelist(graph_file), "tz", k=2, seed=3)
-        assert from_cli == build_index(built.sketches, num_shards=2)
+        assert from_cli == build_index(built.sketches)
+        assert from_cli.num_shards == 1
 
-    def test_build_graceful_applies_updates(self, tmp_path, graph_file,
-                                            capsys):
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_FLAGS))
+    def test_build_applies_updates(self, tmp_path, graph_file, scheme,
+                                   capsys):
         """``--apply-updates`` works for every scheme the matrix says
-        repairs — graceful included: the written index is the one a
-        from-scratch build on the mutated graph gives."""
+        repairs: the written index is the one a from-scratch build on
+        the mutated graph gives."""
         from repro.oracle.serialization import load_index_binary
         from repro.service.updates import (UpdateableIndex,
                                            sample_weight_changes,
@@ -406,13 +411,15 @@ class TestBuildFormatAndMemoryPlane:
         g = read_edgelist(graph_file)
         changes = sample_weight_changes(g, 3, seed=8, low=0.2, high=0.6)
         save_changes_jsonl(changes, tmp_path / "changes.jsonl")
-        path = tmp_path / "graceful.rpix"
-        rc = main(["build", str(graph_file), "--scheme", "graceful",
-                   "--seed", "3", "--apply-updates",
-                   str(tmp_path / "changes.jsonl"), "-o", str(path)])
+        path = tmp_path / f"{scheme}.rpix"
+        flags = SCHEME_FLAGS[scheme]
+        rc = main(["build", str(graph_file), "--scheme", scheme,
+                   *(f"--{name}={value}" for name, value in flags.items()),
+                   "--apply-updates", str(tmp_path / "changes.jsonl"),
+                   "-o", str(path)])
         assert rc == 0
         assert "applied 3 changes" in capsys.readouterr().out
-        twin = UpdateableIndex(g, "graceful", seed=3)
+        twin = UpdateableIndex(g, scheme, **flags)
         twin.apply(changes)
         assert load_index_binary(path) == twin.rebuild_reference()
 
@@ -423,8 +430,9 @@ class TestBuildFormatAndMemoryPlane:
         ["--rebuild-threshold", "0.5"],  # each scheme's row decides
         ["--format", "json"],      # RPIX is the one sketch file
         ["--format", "binary"],
+        ["--shards", "2"],         # a layout no answer or cost depends on
     ], ids=["pool", "shared", "jobs", "rebuild-threshold", "format-json",
-            "format-binary"])
+            "format-binary", "shards"])
     @pytest.mark.parametrize("command", ["serve", "serve-bench", "build"])
     def test_deleted_flags_are_usage_errors(self, tmp_path, index_file,
                                             command, argv, capsys):
@@ -484,10 +492,53 @@ class TestBuildFormatAndMemoryPlane:
         assert captured.err == ("error: not a binary index container "
                                 "(repro build writes one)\n")
 
-    def test_serve_binary_shards_mismatch(self, binary_index_file, capsys):
-        """A binary index bakes its shard layout in; asking ``serve`` for
-        another count fails loudly before anything listens, instead of
-        silently serving the baked one."""
-        rc = main(["serve", str(binary_index_file), "--shards", "8"])
+
+class TestUnreadableFiles:
+    """A file that cannot be read or written is a usage error: one
+    ``error:`` line naming the path, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "{missing}", "--k", "2", "-o", "{tmp}/x.rpix"],
+        ["stats", "{missing}"],
+        ["eval", "{missing}", "{index}"],
+        ["query", "{missing}", "{index}", "--pairs", "0:1", "--exact"],
+        ["serve", "{missing}", "--updateable", "--k", "2", "--port", "0"],
+    ], ids=["build", "stats", "eval", "query-exact", "serve-updateable"])
+    def test_a_missing_graph(self, tmp_path, index_file, argv, capsys):
+        self._refused(tmp_path, index_file, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "{graph}", "{missing}", "--pairs", "0:1"],
+        ["eval", "{graph}", "{missing}"],
+        ["serve", "{missing}", "--port", "0"],
+        ["serve", "{missing}", "--port", "0", "--memory", "mmap"],
+    ], ids=["query", "eval", "serve", "serve-mmap"])
+    def test_a_missing_index(self, tmp_path, index_file, argv, capsys):
+        self._refused(tmp_path, index_file, argv, capsys)
+
+    def test_a_missing_changes_file(self, tmp_path, index_file, capsys):
+        self._refused(tmp_path, index_file,
+                      ["build", "{graph}", "--k", "2", "--apply-updates",
+                       "{missing}", "-o", "{tmp}/x.rpix"], capsys)
+        assert not (tmp_path / "x.rpix").exists()
+
+    def test_an_unwritable_output(self, tmp_path, index_file, capsys):
+        out = tmp_path / "no-such-dir" / "x.rpix"
+        rc = main(["build", str(index_file.with_name("net.edges")),
+                   "--k", "2", "-o", str(out)])
         assert rc == 2
-        assert "bakes its shard layout" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {out}: No such file or directory\n")
+
+    @staticmethod
+    def _refused(tmp_path, index_file, argv, capsys):
+        missing = tmp_path / "missing.file"
+        rc = main([arg.format(missing=missing, tmp=tmp_path,
+                              index=index_file,
+                              graph=index_file.with_name("net.edges"))
+                   for arg in argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {missing}: No such file or "
+                                f"directory\n")
+        assert "Traceback" not in captured.out

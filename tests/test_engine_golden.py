@@ -29,6 +29,7 @@ from repro.slack import (
 )
 from repro.tz import sample_hierarchy
 from repro.tz.distributed import TZEchoProgram, build_tz_sketches_distributed
+from repro.tz.sketch import ColumnLabels
 
 
 def _canon(obj):
@@ -40,7 +41,7 @@ def _canon(obj):
                         for f in dataclasses.fields(obj)}))
     if isinstance(obj, dict):
         return sorted((_canon(k), _canon(v)) for k, v in obj.items())
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, ColumnLabels)):
         return [_canon(x) for x in obj]
     return obj
 

@@ -32,7 +32,7 @@ EPOCHS = 3
 #: the smallest batch the engine cuts (into 2 ranges)
 BULK = 2 * RANGE_PAIRS
 
-# every swap goes through a repair and refresh_index
+# every swap goes through a repair, its splice and build_index
 pytestmark = pytest.mark.usefixtures("always_repair")
 
 

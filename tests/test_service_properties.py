@@ -650,21 +650,38 @@ def _walk_reference(store: TZIndex, keys) -> tuple[list, list]:
     return dists, levels
 
 
+def _rows_of(labels, rows):
+    """A patch re-issuing ``labels``' own sketches at ``rows`` (a CDG
+    patch carries the whole net, as a repair's does)."""
+    from repro.slack.cdg import CDGLabels
+    from repro.slack.graceful import GracefulLabels
+
+    if isinstance(labels, GracefulLabels):
+        return GracefulLabels([level.take(rows) for level in labels.levels])
+    if isinstance(labels, CDGLabels):
+        return labels.take(rows)
+    return type(labels).from_sketches([labels[u] for u in rows])
+
+
 def _through(path: str, index, sketches, data, tmp_path):
     """The store ``path`` makes of ``index`` — one construction path
     that ends in ``_install`` each."""
     from repro.oracle.serialization import (load_index_binary,
                                             save_index_binary)
-    from repro.service import refresh_index
+    from repro.service import build_index, sketch_columns
 
     if path == "rpix-mmap":
         file = tmp_path / "store.rpix"
         save_index_binary(index, file)
         return load_index_binary(file, backing="mmap")
     if path == "updates":
-        touched = data.draw(st.sets(st.integers(0, len(sketches) - 1),
-                                    min_size=1, max_size=4), label="dirty")
-        return refresh_index(index, sketches, touched)
+        touched = sorted(data.draw(st.sets(
+            st.integers(0, len(sketches) - 1), min_size=1, max_size=4),
+            label="dirty"))
+        labels = sketch_columns(sketches)
+        return build_index(labels.spliced(
+            np.asarray(touched), _rows_of(labels, touched)),
+            num_shards=index.num_shards)
     return index
 
 

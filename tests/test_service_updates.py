@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, GraphError, QueryError
 from repro.graphs import Graph, random_geometric
 from repro.oracle.serialization import load_index_binary, save_index_binary
-from repro.service import build_index, refresh_index
+from repro.service import build_index
 from repro.service.updates import (EdgeChange, UpdateableIndex,
                                    dirty_frontier, load_changes_jsonl,
                                    sample_weight_changes,
@@ -313,11 +313,15 @@ class TestUpdateSemantics:
 
 class TestIndexRefresh:
     def test_tz_refresh_equals_a_fresh_build(self, er_weighted):
-        """Replacing some owners' sketches gives, byte for byte, the
-        store a from-scratch build of the updated set gives — for any
-        shard count — and the old store object still answers as before."""
+        """Splicing some owners' labels into the columns and indexing
+        them gives, byte for byte, the store a from-scratch build of the
+        updated set gives — for any shard count — and neither the old
+        columns nor the old store object change."""
         from repro.oracle.serialization import index_binary_bytes
         from repro.tz import build_tz_sketches_centralized
+        from dataclasses import replace
+
+        from repro.tz.sketch import TZLabels
 
         old, _ = build_tz_sketches_centralized(er_weighted, k=2, seed=11)
         # same hierarchy, perturbed weights: a compatible update
@@ -329,26 +333,55 @@ class TestIndexRefresh:
         assert 0 < len(touched) < er_weighted.n
         merged = [new[u] if u in touched else old[u]
                   for u in range(er_weighted.n)]
+        patch = TZLabels.from_sketches([new[u] for u in touched])
+        assert old.differ(np.asarray(touched), patch).all()
+        # a bunch is a mapping: its row order does not count
+        assert not old.differ(np.asarray(touched), TZLabels.from_sketches(
+            [replace(old[u], bunch=dict(reversed(old[u].bunch.items())))
+             for u in touched])).any()
+        spliced = old.spliced(np.asarray(touched), patch)
+        assert spliced == merged and old == list(old)
         us, vs = _all_ordered_pairs(er_weighted.n)
         for shards in (1, 3, 8):
             index = build_index(old, num_shards=shards)
             before = index_binary_bytes(index)
             answers = index.estimate_many(us, vs)
-            fresh = index.apply_sketch_updates({u: new[u] for u in touched})
-            assert fresh is not index
+            fresh = build_index(spliced, num_shards=shards)
             assert index_binary_bytes(fresh) == index_binary_bytes(
                 build_index(merged, num_shards=shards))
             assert index_binary_bytes(index) == before
             assert np.array_equal(index.estimate_many(us, vs), answers)
 
-    def test_refresh_index_empty_touch_returns_same_object(self,
-                                                           er_weighted):
-        from repro.tz import build_tz_sketches_centralized
+    @pytest.mark.parametrize("scheme,params", [
+        ("tz", dict(k=2)), ("stretch3", dict(eps=0.4)),
+        ("cdg", dict(eps=0.4, k=2)), ("graceful", dict())],
+        ids=["tz", "stretch3", "cdg", "graceful"])
+    def test_a_repair_that_reissues_nobody_keeps_the_store(
+            self, er_weighted, scheme, params, monkeypatch):
+        """A repair whose dirty set changes no sketch hands back no
+        owners and no patch, and ``apply`` keeps the sketch set and the
+        store object (a new epoch of the same bytes)."""
+        from dataclasses import replace
 
-        sketches, _ = build_tz_sketches_centralized(er_weighted, k=2,
-                                                    seed=11)
-        index = build_index(sketches, num_shards=2)
-        assert refresh_index(index, sketches, []) is index
+        from repro.oracle.schemes import get_scheme
+
+        upd = UpdateableIndex(er_weighted, scheme, seed=5, **params)
+        owners, patch = get_scheme(scheme).repair(
+            upd.graph, upd.artifacts, upd.sketches, [])
+        assert owners.size == 0 and patch is None
+        sketches, before = upd.sketches, upd.index
+        # a real change dirties its endpoints, so ``apply`` repairs; the
+        # row's repair is made to re-issue nobody, as a repair does
+        # whose dirty rows move no stored entry
+        monkeypatch.setattr(upd, "_spec", replace(
+            upd._spec, repair=lambda *args: (owners, None)))
+        # (the lightest edge is a shortest path: doubling it dirties u)
+        u, v, w = min(er_weighted.edges(), key=lambda e: e[2])
+        upd.apply([EdgeChange("set", u, v, 2.0 * w)])
+        report = upd.last_report
+        assert (report.mode, report.epoch, report.touched) == ("repair", 1, 0)
+        assert report.dirty > 0
+        assert upd.sketches is sketches and upd.index is before
 
 
 class TestBuiltSketchesUpdateable:
