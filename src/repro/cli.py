@@ -29,7 +29,9 @@ read or written is a usage error: one ``error:`` line, exit 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -97,11 +99,22 @@ def _scheme_flags(args, names=("k", "eps")) -> dict:
             if getattr(args, name) is not None}
 
 
+def _writable_folder(path: str) -> None:
+    """Raise the error writing ``path`` would raise later when its
+    folder is missing or read-only — before any work is spent."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _cmd_build(args) -> int:
     from repro.graphs import read_edgelist
     from repro.oracle.api import build_sketches
     from repro.oracle.serialization import save_index_binary
 
+    _writable_folder(args.output)
     g = read_edgelist(args.graph)
     built = build_sketches(g, scheme=args.scheme, mode=args.mode,
                            seed=args.seed,
@@ -301,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--apply-updates", metavar="CHANGES.JSONL", default=None,
                    help="after building, apply this edge-change stream "
-                        "(see repro.service.updates) through the "
-                        "incremental-repair path and write the updated "
-                        "index instead (centralized builds of "
-                        "updateable schemes only)")
+                        "(see repro.service.updates) — stretch3 repairs, "
+                        "the other schemes rebuild — and write the "
+                        "updated index instead (centralized builds "
+                        "only)")
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=_cmd_build)
 

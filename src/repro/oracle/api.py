@@ -100,13 +100,14 @@ class BuiltSketches:
 
     def updateable(self, num_shards: int = 1):
         """An :class:`~repro.service.updates.UpdateableIndex` over this
-        build — accepts edge-change streams and incrementally repairs
-        the index (bit-identical to a rebuild with the same artifacts).
+        build — accepts edge-change streams and updates the index
+        (stretch3 repairs, the other schemes rebuild; bit-identical to a
+        rebuild with the same artifacts either way).
 
         Reuses the already-built sketches and the random artifacts the
         build recorded, so no reconstruction happens here.  Centralized
         builds only: a distributed build's cost metrics would not
-        survive a repair.
+        survive an update.
 
         :raises ConfigError: for a distributed build.
         """

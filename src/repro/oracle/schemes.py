@@ -12,27 +12,26 @@ source paper's composition rule as three callables —
   hierarchy over it; ``graceful``: the schedule, then per level net and
   net hierarchy.  An artifact present in ``params`` is taken as given,
   so ``sample`` is the identity on its own output;
-* ``sketches(graph, artifacts, owners=None, **hints) -> labels``: the
-  centralized per-owner function — from fixed artifacts, the sketches
-  of ``owners`` (all nodes: a build) as the scheme's columns (a
-  :class:`~repro.tz.sketch.ColumnLabels`).  Builds
+* ``sketches(graph, artifacts, **hints) -> labels``: the centralized
+  function — from fixed artifacts, every node's sketch as the scheme's
+  columns (a :class:`~repro.tz.sketch.ColumnLabels`).  Builds
   (:func:`~repro.oracle.api.build_sketches`) and rebuilds
-  (:class:`~repro.service.updates.UpdateableIndex`) end in it, and
-  repairs re-run its primitives, which is why they agree byte for byte;
+  (:class:`~repro.service.updates.UpdateableIndex`) end in it, and a
+  repair re-runs its primitives, which is why they agree byte for byte;
 * ``distributed(graph, seed, params) -> (sketches, artifacts, metrics,
   extras)``: the CONGEST construction (it interleaves its artifact
   draws with the simulator's, through the same ``sample``);
 
-plus ``repair(graph, artifacts, labels, dirty) -> (owners, patch)``,
-the update path's dirty-row discovery — the re-issued owners and their
-rows as the same columns type, which ``labels.spliced`` puts in place
-— where one exists, and
-``rebuild_above``, the dirty fraction past which an update rebuilds
-instead (the scheme's measured crossover, ``docs/serving.md`` §8).
+plus, where it pays, ``repair(graph, artifacts, labels, dirty) ->
+(owners, patch)``: the update path's dirty-row discovery — the
+re-issued owners and their rows as the same columns type, which
+``labels.spliced`` puts in place.  Only stretch3 has one: every other
+scheme's update rebuilds through ``sketches``, because its repair cost
+about what a rebuild costs (``docs/serving.md`` §8).
 
 The registry is also the source of the capability matrix rendered by
 ``python -m repro schemes --markdown`` (and pasted into the README):
-which build modes exist, whether the index repairs incrementally, and
+which build modes exist, whether an update repairs incrementally, and
 the serving transports (every scheme has a vectorized index and a wire
 format, so every transport hosts and every file format holds every
 scheme).
@@ -50,7 +49,8 @@ from repro.slack.cdg import (build_cdg_distributed, cdg_artifacts,
 from repro.slack.graceful import (build_graceful_distributed,
                                   graceful_artifacts, graceful_sketches)
 from repro.slack.stretch3 import (build_stretch3_distributed,
-                                  stretch3_artifacts, stretch3_sketches)
+                                  stretch3_artifacts, stretch3_repair,
+                                  stretch3_sketches)
 from repro.tz.centralized import tz_sketches
 from repro.tz.distributed import tz_distributed
 from repro.tz.hierarchy import tz_artifacts
@@ -71,9 +71,6 @@ class SchemeSpec:
     :param reads: per build mode, every keyword parameter a build reads
         (anything else is a :class:`ConfigError`, never dropped).
     :param sample, sketches, distributed, repair: the composition rule.
-    :param rebuild_above: the dirty fraction above which an update
-        rebuilds every owner instead of repairing (a fraction equal to
-        it repairs).
     :param hints: the optional keywords ``sketches`` understands
         (documented there).
     """
@@ -88,7 +85,6 @@ class SchemeSpec:
     distributed: Callable[..., tuple]
     hints: tuple[str, ...] = ()
     repair: Optional[Callable[..., tuple]] = None
-    rebuild_above: float = 0.0
 
     @property
     def build_modes(self) -> tuple[str, ...]:
@@ -99,7 +95,8 @@ class SchemeSpec:
     @property
     def supports_updates(self) -> bool:
         """Whether :mod:`repro.service.updates` repairs this scheme's
-        index incrementally on edge-weight changes."""
+        sketches incrementally on edge changes (every other scheme's
+        update rebuilds them)."""
         return self.repair is not None
 
     def check(self, mode: str, params: Mapping) -> None:
@@ -129,16 +126,6 @@ class SchemeSpec:
         bound = self.stretch_bound(params)
         tail = f" with {slack}-slack" if slack is not None else ""
         return f"{self.name}: stretch <= {bound:g}{tail} ({self.paper_result})"
-
-
-def _repair(name: str) -> Callable[..., tuple]:
-    """A repair lives in :mod:`repro.service.updates`, which imports this
-    registry — so a row binds it by name, resolved at call time."""
-    def repair(graph, artifacts, labels, dirty):
-        from repro.service import updates
-
-        return getattr(updates, name)(graph, artifacts, labels, dirty)
-    return repair
 
 
 def _distributed(builder: Callable, needs: tuple, draws: tuple) -> Callable:
@@ -186,9 +173,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         sample=tz_artifacts,
         sketches=tz_sketches,
         distributed=tz_distributed,
-        hints=("roots", "pivot_keys", "report"),
-        repair=_repair("repair_tz"),
-        rebuild_above=0.05,
+        hints=("report",),
     ),
     "stretch3": SchemeSpec(
         name="stretch3",
@@ -201,8 +186,7 @@ SCHEMES: dict[str, SchemeSpec] = {
         sketches=stretch3_sketches,
         distributed=_distributed(build_stretch3_distributed, ("eps",),
                                  ("net",)),
-        repair=_repair("repair_stretch3"),
-        rebuild_above=0.95,
+        repair=stretch3_repair,
     ),
     "cdg": SchemeSpec(
         name="cdg",
@@ -215,8 +199,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         sketches=cdg_sketches,
         distributed=_distributed(build_cdg_distributed, ("eps", "k"),
                                  ("net", "hierarchy")),
-        repair=_repair("repair_cdg"),
-        rebuild_above=0.15,
     ),
     "graceful": SchemeSpec(
         name="graceful",
@@ -229,8 +211,6 @@ SCHEMES: dict[str, SchemeSpec] = {
         sketches=graceful_sketches,
         distributed=_distributed(build_graceful_distributed, (),
                                  ("schedule",)),
-        repair=_repair("repair_graceful"),
-        rebuild_above=0.05,
     ),
 }
 

@@ -44,9 +44,9 @@ The front door is :func:`~repro.service.client.connect`::
   engine creates for it (the numpy kernels release the GIL; nothing is
   copied or pickled),
 * :mod:`repro.service.updates` — the dynamic-update subsystem:
-  :class:`UpdateableIndex` applies edge-change streams by repairing
-  only the dirty frontier (bit-identical to a from-scratch rebuild,
-  automatic rebuild fallback), and
+  :class:`UpdateableIndex` applies edge-change streams (stretch3
+  repairs the dirty frontier's entries, the other schemes rebuild;
+  bit-identical to a from-scratch rebuild either way), and
   :meth:`QueryEngine.apply_updates <repro.service.engine.QueryEngine.apply_updates>`
   hot-swaps the resulting epochs with zero downtime; its seeded
   workloads (:func:`~repro.service.updates.sample_query_pairs`,

@@ -1,12 +1,13 @@
-"""Incremental index updates on edge-weight changes.
+"""Index updates on edge changes.
 
 Every index the serving layer builds (:mod:`repro.service.index`) is a
 frozen snapshot of one graph.  Real networks change, so this module adds
 the **dynamic-update subsystem**: :class:`UpdateableIndex` accepts a
 stream of :class:`EdgeChange` events (``increase`` / ``decrease`` /
 ``set`` weight, plus ``insert`` / ``remove`` where the scheme's
-semantics allow) and repairs the affected sketch entries in place of a
-from-scratch rebuild.
+semantics allow) and brings the index to the mutated graph: a scheme
+whose sketch entries are read off single sweeps (stretch3) repairs the
+entries a change can have moved, every other scheme rebuilds.
 
 An ``apply`` is three steps, none of which knows a scheme:
 
@@ -18,22 +19,16 @@ An ``apply`` is three steps, none of which knows a scheme:
   conservative float margin), a decrease only if the new edge opens a
   shorter route (``d(v, a) + w_new < d(v, b)`` or symmetrically).  A
   *clean* node's sweep is float-identical after the change, so every
-  stored distance a build computes from it is reused byte-for-byte;
-* the **repair** — the scheme's registry row
-  (:mod:`repro.oracle.schemes`) rebuilds what the dirty set reaches:
-  its ``repair`` function (``repair_tz`` … ``repair_graceful`` below)
-  re-runs the build's own primitives on the mutated graph — the
-  candidate cluster roots of a TZ label, the dirty net members' rows
-  of stretch3, the gateway sweep of CDG — and re-issues every owner
-  whose sketch they change, as a row patch ``(owners, patch)``: the
-  patch is the scheme's columns over ``owners``, which the sketch
-  set's ``spliced`` puts in place of their rows.  Past the row's
-  ``rebuild_above`` dirty fraction the build's per-owner function
-  simply runs over every owner: localized repair only wins while the
-  frontier is small, and the fallback bounds the cost by a rebuild
-  plus the frontier sweep.  Each row's value is its scheme's measured
-  crossover (the table is in ``docs/serving.md`` §8), and no caller
-  sets it;
+  stored distance a build computes from it is reused byte-for-byte.  No
+  dirty node: the apply is a no-op;
+* the **sketches** — the scheme's registry row
+  (:mod:`repro.oracle.schemes`) decides, with no threshold: a row with
+  a ``repair`` (stretch3's) re-runs the build's own primitive on what
+  the dirty set reaches and re-issues every owner whose sketch it
+  changes, as a row patch ``(owners, patch)`` that the sketch set's
+  ``spliced`` puts in place of their rows, at any dirty fraction; every
+  other row rebuilds through its own ``sketches`` (TZ, CDG and graceful
+  repairs cost about what a rebuild costs, ``docs/serving.md`` §8);
 * the **index** — repaired or rebuilt, the new columns go through
   :func:`~repro.service.index.build_index`, as a build's do: the new
   store is byte for byte a from-scratch build's.
@@ -76,17 +71,10 @@ from repro.oracle.schemes import get_scheme
 from repro.rng import SeedLike, ensure_rng
 from repro.service.index import IndexStore, build_index, sketch_columns
 from repro.service.session import UpdateReport
-from repro.slack.cdg import CDGLabels, gateway_columns, link_gateways
-from repro.slack.graceful import GracefulLabels
-from repro.slack.stretch3 import Stretch3Labels
-from repro.tz.centralized import pivot_key_array, tz_sketches
-from repro.tz.sketch import ColumnLabels, TZLabels
+from repro.tz.sketch import ColumnLabels
 
 #: ops an :class:`EdgeChange` can carry
 CHANGE_OPS = ("set", "increase", "decrease", "insert", "remove")
-
-#: the owners of a repair that re-issues nothing
-_NONE = np.empty(0, dtype=np.int64)
 
 #: relative pad on the dirtiness tests — float path sums computed from
 #: the two ends of a path can differ by a few ulps, so the frontier
@@ -265,110 +253,6 @@ def dirty_frontier(graph: Graph, changes: Sequence[EdgeChange],
 
 
 # ----------------------------------------------------------------------
-# per-scheme repairs, ``(graph, artifacts, labels, dirty) -> (owners,
-# patch)``: discover what a dirty set can touch, re-run the build's own
-# primitives on it, and hand back the re-issued owners (sorted) with
-# their rows — the scheme's columns over ``owners`` (``None`` may stand
-# for no rows)
-# ----------------------------------------------------------------------
-def repair_tz(graph: Graph, artifacts: dict, labels: TZLabels,
-              dirty: Sequence[int]) -> tuple:
-    """The TZ labels of ``dirty`` nodes on the (already mutated) graph,
-    bit-identical to a full build's: the build's per-owner function,
-    handed the only sub-top cluster roots that can reach a dirty node
-    (``labels`` goes unread — a label depends on no other label).
-
-    Bunch entries are direction-sensitive at the ulp level (a float path
-    sum depends on which end the Dijkstra ran from), so every stored
-    distance is computed in the **builder's direction — from the
-    landmark**, by the builder: the dirty nodes' own rows only steer
-    *which* clusters are grown and never supply a stored float.  A
-    sub-top landmark ``w`` at level ``i`` is a candidate iff
-    ``d(v, w) <= d(v, A_{i+1})`` for some dirty ``v``, padded by
-    :data:`_MARGIN_REL` (an infinite threshold admits every reachable
-    ``w``); its (small, truncated) cluster is re-grown.  The top level's
-    untruncated clusters and the ``k`` pivot sweeps are a fixed cost the
-    per-owner function pays for any owner set.
-
-    :returns: exactly the dirty nodes, with their new labels.
-    """
-    dirty = np.asarray(dirty, dtype=np.int64)
-    if dirty.size == 0:
-        return _NONE, None
-    hierarchy = artifacts["hierarchy"]
-    pivot_keys = pivot_key_array(graph, hierarchy)
-    dirty_rows = distance_rows(graph, dirty)
-    roots = [np.empty(0, dtype=np.int64)]
-    for i in range(hierarchy.k - 1):
-        members = hierarchy.exact_level(i)
-        thr = pivot_keys[i + 1, dirty, 0]
-        bound = thr + _MARGIN_REL * (1.0 + thr)
-        rows = dirty_rows[:, members]
-        near = (rows <= bound[:, None]) & np.isfinite(rows)
-        roots.append(members[near.any(axis=0)])
-    return dirty, tz_sketches(graph, artifacts, dirty,
-                              roots=np.concatenate(roots),
-                              pivot_keys=pivot_keys)
-
-
-def repair_stretch3(graph: Graph, artifacts: dict, labels: Stretch3Labels,
-                    dirty: Sequence[int]) -> tuple:
-    """A stretch3 entry ``d(w, u)`` is read off net member ``w``'s row,
-    and a clean node's row is float-identical after the change: only
-    the dirty members are swept again, and every owner with a changed
-    entry is re-issued."""
-    cols = np.flatnonzero(np.isin(labels.net_ids, dirty))
-    if not cols.size:
-        return _NONE, None
-    rows = distance_rows(graph, labels.net_ids[cols])
-    owners = np.flatnonzero((rows != labels.dist[:, cols].T).any(axis=0))
-    block = labels.dist[owners]
-    block[:, cols] = rows[:, owners].T
-    return owners, Stretch3Labels(labels.eps, owners, labels.net_ids, block)
-
-
-def repair_cdg(graph: Graph, artifacts: dict, labels: CDGLabels,
-               dirty: Sequence[int]) -> tuple:
-    """The dirty *net members*' labels are repaired first
-    (:func:`repair_tz` over the net hierarchy) and spliced into the
-    net's; the gateway column is swept again, and every owner whose
-    gateway pair moved or whose gateway's label changed is re-issued,
-    linked to the new net labels."""
-    net = labels.net
-    dirty = np.asarray(dirty, dtype=np.int64)
-    members, fresh = repair_tz(graph, artifacts, net,
-                               dirty[np.isin(dirty, net.nodes)])
-    relabelled = np.zeros(graph.n, dtype=bool)
-    if fresh is not None:
-        at = labels.net_rows(members)
-        relabelled[members[net.differ(at, fresh)]] = True
-        net = net.spliced(at, fresh)
-    dist, witness = gateway_columns(graph, artifacts["net"].members)
-    owners = np.flatnonzero(relabelled[labels.gateway_ids]
-                            | (labels.gateway_dists != dist)
-                            | (labels.gateway_ids != witness))
-    if not owners.size:
-        return _NONE, None
-    return owners, link_gateways(artifacts["eps"], artifacts["k"], owners,
-                                 dist[owners], witness[owners], net)
-
-
-def repair_graceful(graph: Graph, artifacts: dict, labels: GracefulLabels,
-                    dirty: Sequence[int]) -> tuple:
-    """Every level is a CDG repair; an owner any level re-issues is
-    re-issued with every level's row."""
-    levels, touched = [], []
-    for level, part in zip(artifacts["components"], labels.levels):
-        owners, patch = repair_cdg(graph, level, part, dirty)
-        levels.append(part if patch is None else part.spliced(owners, patch))
-        touched.append(owners)
-    owners = np.unique(np.concatenate(touched))
-    if not owners.size:
-        return _NONE, None
-    return owners, GracefulLabels([level.take(owners) for level in levels])
-
-
-# ----------------------------------------------------------------------
 # the updateable index
 # ----------------------------------------------------------------------
 class UpdateableIndex:
@@ -377,8 +261,8 @@ class UpdateableIndex:
 
     :param graph: the starting graph (copied; later mutations happen on
         the copy via :meth:`apply`).
-    :param scheme: a :data:`~repro.oracle.schemes.SCHEMES` row with a
-        ``repair``; its ``sample`` draws the artifacts once from
+    :param scheme: a :data:`~repro.oracle.schemes.SCHEMES` row; its
+        ``sample`` draws the artifacts once from
         ``seed``, as :func:`~repro.oracle.api.build_sketches` does, and
         they stay pinned, so a from-scratch rebuild is well defined.
     :param num_shards: landmark shard count of every epoch's store.
@@ -400,8 +284,6 @@ class UpdateableIndex:
         self.scheme = scheme
         self.num_shards = int(num_shards)
         self._spec = get_scheme(scheme)
-        if self._spec.repair is None:
-            raise ConfigError(f"scheme {scheme!r} has no update support")
         self._spec.check("centralized", params)
         self.artifacts = self._spec.sample(self.graph, seed, params)
         #: the current epoch's sketch set, as its scheme's columns
@@ -424,16 +306,17 @@ class UpdateableIndex:
     def apply(self, changes: Sequence[EdgeChange]) -> UpdateReport:
         """Apply a change batch and refresh the index.
 
-        Repairs (or rebuilds, past the row's ``rebuild_above``) the
-        sketch set and installs a **new** index object — the previous
-        epoch's store is left untouched for readers still on it.
+        Repairs the sketch set where the scheme's row has a ``repair``,
+        rebuilds it otherwise, and installs a **new** index object — the
+        previous epoch's store is left untouched for readers still on
+        it.
         Bit-identity with a from-scratch rebuild is the module
         invariant; see the module docstring.
 
         Atomic: the changes land on a working copy of the graph, and
         all state (graph, sketches, index, epoch) commits together only
-        after the repair succeeds — an exception anywhere (a bad
-        change, a repair that strands a node from a density net) leaves
+        after the new sketches are built — an exception anywhere (a bad
+        change, a rebuild that strands a node from a density net) leaves
         the index exactly as it was.
         """
         t0 = time.perf_counter()
@@ -452,10 +335,11 @@ class UpdateableIndex:
                                   n=n, dirty_fraction=0.0, seconds=secs)
             self.last_report = report
             return report
-        mode = "rebuild" if frac > self._spec.rebuild_above else "repair"
-        if mode == "rebuild":
-            sketches, touched = self._spec.sketches(work, self.artifacts), n
+        if self._spec.repair is None:
+            mode, touched = "rebuild", n
+            sketches = self._spec.sketches(work, self.artifacts)
         else:
+            mode = "repair"
             owners, patch = self._spec.repair(work, self.artifacts,
                                               self.sketches, dirty)
             touched = owners.size

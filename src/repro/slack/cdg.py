@@ -104,18 +104,6 @@ class CDGLabels(ColumnLabels):
         return (entry_words()
                 + sizes[self.net_rows(self.gateway_ids)]).tolist()
 
-    def take(self, rows: np.ndarray) -> "CDGLabels":
-        """The sketches at positions ``rows``, over the same net."""
-        return CDGLabels(self.eps, self.k, self.nodes[rows],
-                         self.gateway_ids[rows], self.gateway_dists[rows],
-                         self.net)
-
-    def spliced(self, rows: np.ndarray, patch: "CDGLabels") -> "CDGLabels":
-        """Position ``rows[j]`` holds ``patch``'s sketch ``j``; the net is
-        the patch's, which holds every label the others name."""
-        return CDGLabels(self.eps, self.k, *self._rows_replaced(
-            rows, patch, "nodes", "gateway_ids", "gateway_dists"), patch.net)
-
     def _materialize(self) -> list[CDGSketch]:
         net, at = self.net._materialized(), self.net_rows(self.gateway_ids)
         return [CDGSketch(node=u, eps=self.eps, k=self.k, gateway=w,
@@ -144,19 +132,19 @@ def gateway_columns(graph: Graph, members) -> tuple[np.ndarray, np.ndarray]:
     return _set_keys(graph.to_csr(), np.asarray(members, dtype=np.int64))
 
 
-def link_gateways(eps: float, k: int, owners: np.ndarray, dist: np.ndarray,
-                  witness: np.ndarray, net: TZLabels) -> CDGLabels:
-    """The owners' sketches: owner ``owners[j]``'s gateway ``witness[j]``
-    at ``dist[j]``, linked to its label in ``net``.
+def link_gateways(eps: float, k: int, dist: np.ndarray, witness: np.ndarray,
+                  net: TZLabels) -> CDGLabels:
+    """Every node's sketch: node ``u``'s gateway ``witness[u]`` at
+    ``dist[u]``, linked to its label in ``net``.
 
-    :raises QueryError: when an owner reaches no net member.
+    :raises QueryError: when a node reaches no net member.
     """
     stranded = np.flatnonzero(witness < 0)
     if stranded.size:
         raise QueryError(
-            f"the graph strands node {owners[stranded[0]]} from the density "
+            f"the graph strands node {stranded[0]} from the density "
             f"net (no reachable member); use a net covering every component")
-    return CDGLabels(eps, k, np.asarray(owners, dtype=np.int64),
+    return CDGLabels(eps, k, np.arange(len(witness)),
                      np.asarray(witness, dtype=np.int64),
                      np.asarray(dist, dtype=np.float64), net)
 
@@ -180,21 +168,18 @@ def cdg_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
     return {"eps": eps, "k": k, "net": net, "hierarchy": hierarchy}
 
 
-def cdg_sketches(graph: Graph, artifacts: dict,
-                 owners: Optional[Sequence[int]] = None) -> CDGLabels:
-    """The cdg registry row's per-owner function: each owner's gateway
-    from one :func:`gateway_columns` sweep over the net, linked to the
-    gateway's Thorup–Zwick label over the fixed net and net hierarchy.
+def cdg_sketches(graph: Graph, artifacts: dict) -> CDGLabels:
+    """The cdg registry row's ``sketches``: every node's gateway from one
+    :func:`gateway_columns` sweep over the net, linked to the gateway's
+    Thorup–Zwick label over the fixed net and net hierarchy.
 
-    :raises QueryError: when an owner reaches no net member.
+    :raises QueryError: when a node reaches no net member.
     """
     members = np.unique(np.asarray(artifacts["net"].members, dtype=np.int64))
     net = tz_sketches(graph, artifacts, members)
     dist, witness = gateway_columns(graph, members)
-    owners = (np.arange(graph.n) if owners is None
-              else np.asarray(owners, dtype=np.int64))
-    return link_gateways(artifacts["eps"], artifacts["k"], owners,
-                         dist[owners], witness[owners], net)
+    return link_gateways(artifacts["eps"], artifacts["k"], dist, witness,
+                         net)
 
 
 def build_cdg_centralized(graph: Graph, eps: float, k: int,
@@ -240,6 +225,5 @@ def build_cdg_distributed(graph: Graph, eps: float, k: int,
     dist, witness = np.array(assignments, dtype=np.float64).reshape(-1, 2).T
     net_labels = TZLabels.from_sketches([tz.sketches[w]
                                          for w in sorted(net.members)])
-    return (link_gateways(eps, k, np.arange(graph.n), dist,
-                          witness.astype(np.int64), net_labels),
+    return (link_gateways(eps, k, dist, witness, net_labels),
             net, hierarchy, m1 + tz.metrics)

@@ -96,12 +96,6 @@ class GracefulLabels(ColumnLabels):
         return np.sum([level.sizes_words() for level in self.levels],
                       axis=0).tolist()
 
-    def spliced(self, rows: np.ndarray, patch: "GracefulLabels",
-                ) -> "GracefulLabels":
-        """Every level spliced with the patch's level."""
-        return GracefulLabels([level.spliced(rows, fresh) for level, fresh
-                               in zip(self.levels, patch.levels)])
-
     def _materialize(self) -> list[GracefulSketch]:
         per_level = [level._materialized() for level in self.levels]
         return [GracefulSketch(node=u, components=tuple(
@@ -135,13 +129,11 @@ def graceful_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
     return {"schedule": schedule, "components": components}
 
 
-def graceful_sketches(graph: Graph, artifacts: dict,
-                      owners: Optional[Sequence[int]] = None,
-                      ) -> GracefulLabels:
-    """The graceful registry row's per-owner function: the owners' CDG
+def graceful_sketches(graph: Graph, artifacts: dict) -> GracefulLabels:
+    """The graceful registry row's ``sketches``: every node's CDG
     sketches of every level — one gateway sweep per level, over the
     graph's one CSR."""
-    return GracefulLabels([cdg_sketches(graph, level, owners)
+    return GracefulLabels([cdg_sketches(graph, level)
                            for level in artifacts["components"]])
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,8 +97,10 @@ class Stretch3Labels(ColumnLabels):
 
     def spliced(self, rows: np.ndarray, patch: "Stretch3Labels",
                 ) -> "Stretch3Labels":
-        """Position ``rows[j]`` holds ``patch``'s row ``j``."""
-        nodes, dist = self._rows_replaced(rows, patch, "nodes", "dist")
+        """Position ``rows[j]`` holds ``patch``'s row ``j``, every other
+        position keeps its own — a new object."""
+        nodes, dist = self.nodes.copy(), self.dist.copy()
+        nodes[rows], dist[rows] = patch.nodes, patch.dist
         return Stretch3Labels(self.eps, nodes, self.net_ids, dist)
 
     def _materialize(self) -> list[Stretch3Sketch]:
@@ -119,18 +121,34 @@ def stretch3_artifacts(graph: Graph, seed: SeedLike, params) -> dict:
     return {"eps": eps, "net": net}
 
 
-def stretch3_sketches(graph: Graph, artifacts: dict,
-                      owners: Optional[Sequence[int]] = None,
-                      ) -> Stretch3Labels:
-    """The stretch3 registry row's per-owner function: each owner's
-    distances to the fixed net, read off the net members' rows — |N|
-    sweeps from the net, each entry computed from the member, as the
-    k-source run computes it."""
+def stretch3_sketches(graph: Graph, artifacts: dict) -> Stretch3Labels:
+    """The stretch3 registry row's ``sketches``: every node's distances
+    to the fixed net, read off the net members' rows — |N| sweeps from
+    the net, each entry computed from the member, as the k-source run
+    computes it."""
     members = np.unique(np.asarray(artifacts["net"].members, dtype=np.int64))
-    owners = np.arange(graph.n) if owners is None else np.asarray(
-        owners, dtype=np.int64)
-    block = np.ascontiguousarray(distance_rows(graph, members)[:, owners].T)
-    return Stretch3Labels(artifacts["eps"], owners, members, block)
+    block = np.ascontiguousarray(distance_rows(graph, members).T)
+    return Stretch3Labels(artifacts["eps"], np.arange(graph.n), members,
+                          block)
+
+
+def stretch3_repair(graph: Graph, artifacts: dict, labels: Stretch3Labels,
+                    dirty: Sequence[int]) -> tuple:
+    """The stretch3 registry row's ``repair``, on the mutated graph: an
+    entry ``d(w, u)`` is read off net member ``w``'s row, and a clean
+    node's row is float-identical after the change, so only the dirty
+    members are swept again.  Returns ``(owners, patch)``: every owner
+    with a changed entry (sorted) and its rows, which
+    ``labels.spliced`` puts in place — ``patch`` is ``None`` when no
+    owner is re-issued."""
+    cols = np.flatnonzero(np.isin(labels.net_ids, dirty))
+    if not cols.size:
+        return np.empty(0, dtype=np.int64), None
+    rows = distance_rows(graph, labels.net_ids[cols])
+    owners = np.flatnonzero((rows != labels.dist[:, cols].T).any(axis=0))
+    block = labels.dist[owners]
+    block[:, cols] = rows[:, owners].T
+    return owners, Stretch3Labels(labels.eps, owners, labels.net_ids, block)
 
 
 def build_stretch3_centralized(graph: Graph, eps: float, seed: SeedLike = None,

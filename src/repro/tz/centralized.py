@@ -424,35 +424,21 @@ def assemble_labels(k: int, pivot_keys: np.ndarray, table: BunchTable,
 
 def tz_sketches(graph: Graph, artifacts: dict,
                 owners: Optional[Sequence[int]] = None, *,
-                roots=None, pivot_keys: Optional[np.ndarray] = None,
                 report: Optional[dict] = None) -> TZLabels:
-    """The tz registry row's per-owner function: from a fixed hierarchy,
-    the labels of ``owners`` (default: every node — a build).
+    """The tz registry row's ``sketches``: from a fixed hierarchy, the
+    labels of ``owners`` (default: every node — a build; a CDG build
+    asks for its net's).
 
-    ``roots`` restricts cluster growing to those sub-top landmarks (the
-    top level is always grown: its untruncated clusters reach every
-    label — Lemma 3.2's backstop — and nodes outside the universe root
-    nothing), so the labels hold exactly the entries those landmarks
-    contribute: all of them when ``roots`` covers every cluster that can
-    hold an owner (a repair), the ones a shard range serves otherwise.
-    ``pivot_keys`` (:func:`pivot_key_array`) spares the ``k`` pivot
-    sweeps to a caller that already ran them; ``report``, a dict,
-    receives where the time went (``pivots_s`` / ``clusters_s`` /
-    ``assemble_s``, bunch ``entries``, frontier ``rounds``, and the
-    ``relaxations``: candidate edges the frontier kernel examined).
+    ``report``, a dict, receives where the time went (``pivots_s`` /
+    ``clusters_s`` / ``assemble_s``, bunch ``entries``, frontier
+    ``rounds``, and the ``relaxations``: candidate edges the frontier
+    kernel examined).
     """
     hierarchy = artifacts["hierarchy"]
     t0 = time.perf_counter()
-    if pivot_keys is None:
-        pivot_keys = pivot_key_array(graph, hierarchy)
+    pivot_keys = pivot_key_array(graph, hierarchy)
     t1 = time.perf_counter()
-    if roots is None:
-        roots = hierarchy.universe()
-    else:
-        roots = np.asarray(roots, dtype=np.int64)
-        roots = np.concatenate([hierarchy.exact_level(hierarchy.k - 1),
-                                roots[hierarchy.level[roots] >= 0]])
-    table = grow_clusters(graph, hierarchy, pivot_keys, roots)
+    table = grow_clusters(graph, hierarchy, pivot_keys, hierarchy.universe())
     t2 = time.perf_counter()
     labels = assemble_labels(hierarchy.k, pivot_keys, table, owners)
     if report is not None:

@@ -123,9 +123,6 @@ class ColumnLabels(Sequence):
     them: indices (negative too), slices (lists), ``==`` against a list
     either way, ``repr``, pickling.  ``scheme`` names the registry row
     and the store that serve it, so nothing needs an element to tell.
-    ``spliced(rows, patch)`` is a new set whose position ``rows[j]``
-    holds ``patch``'s sketch ``j``; state the sketches share (a CDG
-    net's labels) is the patch's, which replaces the old one.
     """
 
     scheme: str
@@ -178,17 +175,6 @@ class ColumnLabels(Sequence):
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.fields)
 
-    def _rows_replaced(self, rows: np.ndarray, patch: "ColumnLabels",
-                       *names: str) -> list[np.ndarray]:
-        """Copies of the per-sketch columns ``names`` with positions
-        ``rows`` taken from ``patch`` (one row per patch sketch)."""
-        out = []
-        for name in names:
-            column = getattr(self, name).copy()
-            column[rows] = getattr(patch, name)
-            out.append(column)
-        return out
-
 
 class TZLabels(ColumnLabels):
     """The labels of a TZ sketch set as columns, read as the list of
@@ -239,46 +225,6 @@ class TZLabels(ColumnLabels):
         """:meth:`TZSketch.size_words` of every label, from the columns."""
         counts = np.bincount(self.owner, minlength=len(self))
         return (entry_words() * (self.k + counts)).tolist()
-
-    def spliced(self, rows: np.ndarray, patch: "TZLabels") -> "TZLabels":
-        """Position ``rows[j]`` (sorted) holds ``patch``'s label ``j``,
-        every other position keeps its own — a new object."""
-        rows = np.asarray(rows, dtype=np.int64)
-        keep = np.ones(len(self), dtype=bool)
-        keep[rows] = False
-        keep = keep[self.owner]
-        owner = np.concatenate([self.owner[keep], rows[patch.owner]])
-        order = np.argsort(owner, kind="stable")
-        return TZLabels(self.k, *self._rows_replaced(
-            rows, patch, "nodes", "pivot_ids", "pivot_dists"), owner[order],
-            *(np.concatenate([getattr(self, name)[keep],
-                              getattr(patch, name)])[order]
-              for name in ("landmark", "dist", "level")))
-
-    def differ(self, rows: np.ndarray, patch: "TZLabels") -> np.ndarray:
-        """Per patch label ``j``: whether it differs from the label at
-        position ``rows[j]`` — a pivot, or the bunch as a mapping (the
-        row order inside a bunch does not count)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        where = np.full(len(self), -1, dtype=np.int64)
-        where[rows] = np.arange(rows.size)
-        mine = np.flatnonzero(where[self.owner] >= 0)
-        sides = [(where[self.owner[mine]], self.landmark[mine],
-                  self.dist[mine], self.level[mine]),
-                 (patch.owner, patch.landmark, patch.dist, patch.level)]
-        counts = [np.bincount(side[0], minlength=rows.size) for side in sides]
-        moved = ((counts[0] != counts[1])
-                 | (self.pivot_ids[rows] != patch.pivot_ids).any(axis=1)
-                 | (self.pivot_dists[rows] != patch.pivot_dists).any(axis=1))
-        # equal-sized bunches, sorted by landmark, align row by row
-        (own, *a), (_, *b) = [
-            [col[even][order] for col in side]
-            for side in sides
-            for even in [~moved[side[0]]]
-            for order in [np.lexsort((side[1][even], side[0][even]))]]
-        bad = np.logical_or.reduce([x != y for x, y in zip(a, b)])
-        moved[own[bad]] = True
-        return moved
 
     def _materialize(self) -> list[TZSketch]:
         k, count = self.k, len(self)

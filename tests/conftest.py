@@ -197,35 +197,6 @@ def serving_leftovers():
     return _serving_leftovers
 
 
-def _one_update_path(rebuild_above: float):
-    """Every registry row's ``rebuild_above`` set to ``rebuild_above``
-    until the module ends.  An updateable reads its row when it is built,
-    so a module forces at most one path."""
-    from dataclasses import replace
-
-    from repro.oracle.schemes import SCHEMES
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name, row in SCHEMES.items():
-            mp.setitem(SCHEMES, name, replace(row,
-                                              rebuild_above=rebuild_above))
-        yield
-
-
-@pytest.fixture(scope="module")
-def always_repair():
-    """Every ``UpdateableIndex.apply`` of the module repairs, however
-    dirty the batch (module-scoped: Hypothesis suites use it)."""
-    yield from _one_update_path(1.0)
-
-
-@pytest.fixture(scope="module")
-def always_rebuild():
-    """Every ``UpdateableIndex.apply`` of the module with a dirty node
-    rebuilds."""
-    yield from _one_update_path(0.0)
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(count)``: every engine built from then on (in a test's own

@@ -400,12 +400,13 @@ class TestBuildFormatAndMemoryPlane:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_FLAGS))
     def test_build_applies_updates(self, tmp_path, graph_file, scheme,
                                    capsys):
-        """``--apply-updates`` works for every scheme the matrix says
-        repairs: the written index is the one a from-scratch build on
-        the mutated graph gives."""
+        """``--apply-updates`` works for every scheme (stretch3 repairs,
+        the others rebuild): the written index is the one a build of
+        the mutated graph with the same seed gives."""
+        from repro.oracle.api import build_sketches
         from repro.oracle.serialization import load_index_binary
-        from repro.service.updates import (UpdateableIndex,
-                                           sample_weight_changes,
+        from repro.service import build_index
+        from repro.service.updates import (sample_weight_changes,
                                            save_changes_jsonl)
 
         g = read_edgelist(graph_file)
@@ -419,15 +420,16 @@ class TestBuildFormatAndMemoryPlane:
                    "-o", str(path)])
         assert rc == 0
         assert "applied 3 changes" in capsys.readouterr().out
-        twin = UpdateableIndex(g, scheme, **flags)
-        twin.apply(changes)
-        assert load_index_binary(path) == twin.rebuild_reference()
+        for c in changes:
+            g.set_weight(c.u, c.v, c.weight)
+        assert load_index_binary(path) == build_index(
+            build_sketches(g, scheme, **flags).sketches)
 
     @pytest.mark.parametrize("argv", [
         ["--pool", "thread"],      # not an option
         ["--memory", "shared"],    # not a choice
         ["--jobs", "2"],           # the engine decides how a batch runs
-        ["--rebuild-threshold", "0.5"],  # each scheme's row decides
+        ["--rebuild-threshold", "0.5"],  # a scheme repairs or rebuilds
         ["--format", "json"],      # RPIX is the one sketch file
         ["--format", "binary"],
         ["--shards", "2"],         # a layout no answer or cost depends on
@@ -527,8 +529,20 @@ class TestUnreadableFiles:
         rc = main(["build", str(index_file.with_name("net.edges")),
                    "--k", "2", "-o", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {out}: No such file or directory\n")
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: No such file or directory\n"
+        assert captured.out == ""  # refused before the build ran
+
+    def test_a_read_only_output_folder(self, tmp_path, index_file, capsys,
+                                       monkeypatch):
+        out = tmp_path / "x.rpix"
+        monkeypatch.setattr("repro.cli.os.access", lambda path, mode: False)
+        rc = main(["build", str(index_file.with_name("net.edges")),
+                   "--k", "2", "-o", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: Permission denied\n"
+        assert captured.out == "" and not out.exists()
 
     @staticmethod
     def _refused(tmp_path, index_file, argv, capsys):

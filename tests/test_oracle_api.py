@@ -60,8 +60,7 @@ GOLDEN = {
 
 class TestRegistryRow:
     """A scheme is one registry row: ``sample`` draws its artifacts,
-    ``sketches`` is the per-owner function every build, repair and
-    shard-range build ends in."""
+    ``sketches`` is the function every build and rebuild ends in."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
     def test_same_seed_same_bytes(self, er_weighted, key):
@@ -85,10 +84,10 @@ class TestRegistryRow:
         assert built.sketches == spec.sketches(er_weighted, artifacts)
         assert built.artifacts.keys() == artifacts.keys()
 
-    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    @pytest.mark.parametrize("scheme", ["tz"])
     def test_owner_subset_equals_the_full_build(self, er_weighted, scheme):
-        """What repairs and shard-range builds rest on: an owner's
-        sketch does not depend on who else is being built."""
+        """What a CDG build's net labels rest on: a TZ owner's label
+        does not depend on who else is being built."""
         spec = get_scheme(scheme)
         artifacts = spec.sample(er_weighted, 5, ROW_PARAMS[scheme])
         full = spec.sketches(er_weighted, artifacts)
@@ -96,7 +95,7 @@ class TestRegistryRow:
             assert spec.sketches(er_weighted, artifacts, owners) == \
                 [full[u] for u in owners]
 
-    @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
+    @pytest.mark.parametrize("scheme", ["tz"])
     def test_owner_subset_on_a_disconnected_graph(self, scheme):
         from repro.graphs import Graph
 
@@ -270,9 +269,9 @@ class TestQueryIdRange:
 
 
 class TestRepairPolicies:
-    """Repair or rebuild is one rule per scheme: an apply rebuilds when
-    its dirty fraction exceeds the row's ``rebuild_above``.  It is a
-    seconds choice only: both paths end in the from-scratch index."""
+    """An update repairs only where the scheme's row has a ``repair``
+    (stretch3), at any dirty fraction; every other row rebuilds.  Both
+    paths end in the from-scratch index."""
 
     @staticmethod
     def _dirtying(dirty: int, n: int):
@@ -287,15 +286,20 @@ class TestRepairPolicies:
         return Graph(n, edges)
 
     @pytest.mark.parametrize("scheme", sorted(ROW_PARAMS))
-    def test_row_value_is_the_boundary(self, scheme):
+    def test_only_a_row_with_a_repair_repairs(self, scheme):
         from repro.service.updates import EdgeChange, UpdateableIndex
 
-        n, above = 40, get_scheme(scheme).rebuild_above
-        at = round(above * n)
-        for dirty, mode in ((at, "repair"), (at + 1, "rebuild")):
-            upd = UpdateableIndex(self._dirtying(dirty, n), scheme, seed=1,
+        n = 40
+        mode = "repair" if scheme == "stretch3" else "rebuild"
+        cases = [(self._dirtying(dirty, n), [EdgeChange("set", 0, 1, 1.75)],
+                  dirty) for dirty in (2, n // 2, n - 1)]
+        # moving (0, 2) as well dirties the hub side too: every node
+        cases.append((self._dirtying(n - 1, n),
+                      [EdgeChange("set", 0, 1, 1.75),
+                       EdgeChange("set", 0, 2, 1.75)], n))
+        for graph, changes, dirty in cases:
+            upd = UpdateableIndex(graph, scheme, seed=1,
                                   **ROW_PARAMS[scheme])
-            report = upd.apply([EdgeChange("set", 0, 1, 1.75)])
+            report = upd.apply(changes)
             assert (report.dirty, report.mode) == (dirty, mode)
-            assert (report.dirty_fraction == above) == (mode == "repair")
             assert upd.index == upd.rebuild_reference()

@@ -32,9 +32,6 @@ EPOCHS = 3
 #: the smallest batch the engine cuts (into 2 ranges)
 BULK = 2 * RANGE_PAIRS
 
-# every swap goes through a repair, its splice and build_index
-pytestmark = pytest.mark.usefixtures("always_repair")
-
 
 def _engine_of(session):
     """The engine behind an ``inproc://`` session."""

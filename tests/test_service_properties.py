@@ -576,10 +576,9 @@ class TestOnePairSwept:
     @settings(max_examples=60, **COMMON)
     @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
            shards=st.sampled_from([1, 2, 3, 5]),
-           path=st.sampled_from(["build", "rpix-mmap", "updates"]),
-           data=st.data())
+           path=st.sampled_from(["build", "rpix-mmap"]))
     def test_the_scalar_query_is_the_batch_of_one(self, case, shards, path,
-                                                  data, tmp_path_factory):
+                                                  tmp_path_factory):
         """A lone pair is answered by the store's scalar single-pair
         query (``estimate``, and the engine's batch of one): on every
         layout and whatever path built the store, its float is the
@@ -588,7 +587,7 @@ class TestOnePairSwept:
         one, miss and hit."""
         sketches = _decomposition_set(case)
         index = _through(path, build_index(sketches, num_shards=shards),
-                         sketches, data, tmp_path_factory.mktemp("lone"))
+                         tmp_path_factory.mktemp("lone"))
         n = len(sketches)
         with QueryEngine(index, cache_size=0) as bare, \
                 QueryEngine(index, cache_size=4 * n) as cached:
@@ -650,38 +649,16 @@ def _walk_reference(store: TZIndex, keys) -> tuple[list, list]:
     return dists, levels
 
 
-def _rows_of(labels, rows):
-    """A patch re-issuing ``labels``' own sketches at ``rows`` (a CDG
-    patch carries the whole net, as a repair's does)."""
-    from repro.slack.cdg import CDGLabels
-    from repro.slack.graceful import GracefulLabels
-
-    if isinstance(labels, GracefulLabels):
-        return GracefulLabels([level.take(rows) for level in labels.levels])
-    if isinstance(labels, CDGLabels):
-        return labels.take(rows)
-    return type(labels).from_sketches([labels[u] for u in rows])
-
-
-def _through(path: str, index, sketches, data, tmp_path):
+def _through(path: str, index, tmp_path):
     """The store ``path`` makes of ``index`` — one construction path
     that ends in ``_install`` each."""
     from repro.oracle.serialization import (load_index_binary,
                                             save_index_binary)
-    from repro.service import build_index, sketch_columns
 
     if path == "rpix-mmap":
         file = tmp_path / "store.rpix"
         save_index_binary(index, file)
         return load_index_binary(file, backing="mmap")
-    if path == "updates":
-        touched = sorted(data.draw(st.sets(
-            st.integers(0, len(sketches) - 1), min_size=1, max_size=4),
-            label="dirty"))
-        labels = sketch_columns(sketches)
-        return build_index(labels.spliced(
-            np.asarray(touched), _rows_of(labels, touched)),
-            num_shards=index.num_shards)
     return index
 
 
@@ -693,14 +670,13 @@ class TestProbeBehindTheFilter:
     @settings(max_examples=150, **COMMON)
     @given(case=st.sampled_from(sorted(_DECOMPOSITION_CASES)),
            shards=st.sampled_from([1, 2, 3, 5, 8]),
-           path=st.sampled_from(["build", "rpix-mmap", "updates"]),
+           path=st.sampled_from(["build", "rpix-mmap"]),
            data=st.data())
     def test_resident_found_absent_rejected(self, case, shards, path, data,
                                             tmp_path_factory):
         sketches = _decomposition_set(case)
         full = build_index(sketches, num_shards=shards)
-        index = _through(path, full, sketches, data,
-                         tmp_path_factory.mktemp("probe"))
+        index = _through(path, full, tmp_path_factory.mktemp("probe"))
         for whole, store in zip(_tz_stores(full), _tz_stores(index)):
             keys = np.asarray(store.keys)
             assert np.array_equal(keys, whole.keys)

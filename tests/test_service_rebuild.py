@@ -1,19 +1,16 @@
-"""The rebuild path of ``UpdateableIndex.apply``, forced for the whole
-module (``always_rebuild``; the repair path's suites are in
-``tests/test_service_updates.py``, forced by ``always_repair``)."""
+"""The rebuild path of ``UpdateableIndex.apply``: a scheme whose row has
+no ``repair`` (tz here) rebuilds on any dirty batch (stretch3's repair
+path: ``tests/test_service_updates.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.service.updates import EdgeChange, UpdateableIndex
 
-pytestmark = pytest.mark.usefixtures("always_rebuild")
-
 
 class TestUpdateSemantics:
-    def test_threshold_forces_rebuild(self, triangle):
+    def test_tz_rebuilds(self, triangle):
         upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2)
         report = upd.apply([EdgeChange("set", 0, 1, 3.5)])
         assert report.mode == "rebuild"

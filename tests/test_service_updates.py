@@ -7,7 +7,8 @@ tested for every scheme × memory backing (heap / mmap-loaded RPIX),
 including :class:`~repro.errors.QueryError` parity when an update
 disconnects the graph.  Weight perturbations are drawn as non-integral
 floats on purpose: float path sums are direction-sensitive at the ulp
-level, and the repair must reproduce the builder's floats exactly.
+level, and stretch3's repair must reproduce the builder's floats
+exactly (every other scheme's update rebuilds).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, GraphError, QueryError
 from repro.graphs import Graph, random_geometric
 from repro.oracle.serialization import load_index_binary, save_index_binary
-from repro.service import build_index
 from repro.service.updates import (EdgeChange, UpdateableIndex,
                                    dirty_frontier, load_changes_jsonl,
                                    sample_weight_changes,
@@ -33,10 +33,6 @@ COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 BACKINGS = ("heap", "mmap")
-
-# every apply below repairs, so the suites test the repair path against
-# a from-scratch rebuild (the rebuild path: tests/test_service_rebuild.py)
-pytestmark = pytest.mark.usefixtures("always_repair")
 
 
 @st.composite
@@ -220,8 +216,8 @@ class TestUpdateSemantics:
         assert report.mode == "noop" and report.dirty == 0
         assert upd.epoch == 0 and upd.index is index
 
-    def test_repair_under_threshold(self, triangle):
-        upd = UpdateableIndex(triangle, scheme="tz", seed=1, k=2)
+    def test_stretch3_repairs(self, triangle):
+        upd = UpdateableIndex(triangle, scheme="stretch3", seed=1, eps=0.5)
         report = upd.apply([EdgeChange("set", 0, 1, 0.5)])
         assert report.mode == "repair" and report.epoch == 1
         assert report.seconds["total"] > 0.0
@@ -312,50 +308,8 @@ class TestUpdateSemantics:
 
 
 class TestIndexRefresh:
-    def test_tz_refresh_equals_a_fresh_build(self, er_weighted):
-        """Splicing some owners' labels into the columns and indexing
-        them gives, byte for byte, the store a from-scratch build of the
-        updated set gives — for any shard count — and neither the old
-        columns nor the old store object change."""
-        from repro.oracle.serialization import index_binary_bytes
-        from repro.tz import build_tz_sketches_centralized
-        from dataclasses import replace
-
-        from repro.tz.sketch import TZLabels
-
-        old, _ = build_tz_sketches_centralized(er_weighted, k=2, seed=11)
-        # same hierarchy, perturbed weights: a compatible update
-        moved = er_weighted.copy()
-        for u, v, w in list(er_weighted.edges())[:2]:
-            moved.set_weight(u, v, 2.0 * w)
-        new, _ = build_tz_sketches_centralized(moved, k=2, seed=11)
-        touched = [u for u in range(er_weighted.n) if new[u] != old[u]]
-        assert 0 < len(touched) < er_weighted.n
-        merged = [new[u] if u in touched else old[u]
-                  for u in range(er_weighted.n)]
-        patch = TZLabels.from_sketches([new[u] for u in touched])
-        assert old.differ(np.asarray(touched), patch).all()
-        # a bunch is a mapping: its row order does not count
-        assert not old.differ(np.asarray(touched), TZLabels.from_sketches(
-            [replace(old[u], bunch=dict(reversed(old[u].bunch.items())))
-             for u in touched])).any()
-        spliced = old.spliced(np.asarray(touched), patch)
-        assert spliced == merged and old == list(old)
-        us, vs = _all_ordered_pairs(er_weighted.n)
-        for shards in (1, 3, 8):
-            index = build_index(old, num_shards=shards)
-            before = index_binary_bytes(index)
-            answers = index.estimate_many(us, vs)
-            fresh = build_index(spliced, num_shards=shards)
-            assert index_binary_bytes(fresh) == index_binary_bytes(
-                build_index(merged, num_shards=shards))
-            assert index_binary_bytes(index) == before
-            assert np.array_equal(index.estimate_many(us, vs), answers)
-
     @pytest.mark.parametrize("scheme,params", [
-        ("tz", dict(k=2)), ("stretch3", dict(eps=0.4)),
-        ("cdg", dict(eps=0.4, k=2)), ("graceful", dict())],
-        ids=["tz", "stretch3", "cdg", "graceful"])
+        ("stretch3", dict(eps=0.4))], ids=["stretch3"])
     def test_a_repair_that_reissues_nobody_keeps_the_store(
             self, er_weighted, scheme, params, monkeypatch):
         """A repair whose dirty set changes no sketch hands back no

@@ -3,19 +3,17 @@
 A centralized build of any scheme hands back its
 :class:`~repro.tz.sketch.ColumnLabels` (``TZLabels``,
 ``Stretch3Labels``, ``CDGLabels``, ``GracefulLabels``); the index, the
-sizes, a session and the update path read the columns, and a repair
-splices rows into them.  These tests pin the list contract for the
+sizes, a session and the update path read the columns, and stretch3's
+repair splices rows into them.  These tests pin the list contract for the
 Section 4 classes (``tests/test_tz_labels.py`` pins TZ's), that the
 store built from the columns is byte for byte the one built from the
 list, and that no per-node sketch object is created from a build to
-the container of a repaired epoch.
+the container of an updated epoch.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -113,7 +111,7 @@ def test_index_from_columns_equals_index_from_the_list(er_weighted, scheme,
         index_binary_bytes(build_index(plain, num_shards))
 
 
-@pytest.mark.parametrize("scheme", SECTION4)
+@pytest.mark.parametrize("scheme", ["stretch3"])
 def test_a_splice_is_the_list_with_those_rows_replaced(er_weighted,
                                                        scheme):
     """Rows of another build's columns spliced in equal the list with
@@ -126,22 +124,11 @@ def test_a_splice_is_the_list_with_those_rows_replaced(er_weighted,
         moved.set_weight(u, v, 0.3 * w)
     new = SCHEMES[scheme].sketches(moved, upd.artifacts)
     rows = np.array([1, 4, 9, 30])
-    patch = SCHEMES[scheme].sketches(moved, upd.artifacts, rows)
+    patch = Stretch3Labels(new.eps, rows, new.net_ids, new.dist[rows])
     spliced = upd.sketches.spliced(rows, patch)
     old = list(upd.sketches)
     merged = [new[u] if u in rows else old[u] for u in range(len(old))]
     assert list(upd.sketches) == old  # the old columns are not written
-    # a CDG patch carries its net, which replaces the old one: the
-    # other owners link to the new labels too (a graceful patch, one
-    # per level), as after a repair that re-issued them all
-    if scheme == "cdg":
-        merged = [replace(s, label=new[u].label)
-                  for u, s in enumerate(merged)]
-    if scheme == "graceful":
-        merged = [replace(s, components=tuple(
-                      replace(c, label=fresh.label) for c, fresh
-                      in zip(s.components, new[u].components)))
-                  for u, s in enumerate(merged)]
     assert spliced == merged
     assert index_binary_bytes(build_index(spliced)) == index_binary_bytes(
         build_index(list(spliced)))
@@ -152,23 +139,22 @@ def test_a_splice_is_the_list_with_those_rows_replaced(er_weighted,
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", sorted(PARAMS))
 def test_build_to_repaired_epoch_builds_no_sketch_objects(
-        tmp_path, monkeypatch, created, scheme):
-    """At n = 2000: build → ``updateable()`` → a rebuild epoch → a
-    repair epoch → ``save_index_binary`` → ``sizes_words()``, then a
+        tmp_path, created, scheme):
+    """At n = 2000: build → ``updateable()`` → two update epochs (a
+    400-edge batch, then a one-edge one; stretch3 repairs them, the
+    others rebuild) → ``save_index_binary`` → ``sizes_words()``, then a
     session over the live index: zero per-node sketch objects."""
-    # a batch dirtier than half the graph rebuilds, a one-edge one repairs
-    monkeypatch.setitem(SCHEMES, scheme,
-                        replace(SCHEMES[scheme], rebuild_above=0.5))
     graph = random_geometric(2000, seed=7)
     built = build_sketches(graph, scheme, seed=11, **PARAMS[scheme])
     upd = built.updateable()
-    rebuild = upd.apply(sample_weight_changes(upd.graph, 400, seed=1))
-    repair = upd.apply(sample_weight_changes(upd.graph, 1, seed=2))
+    wide = upd.apply(sample_weight_changes(upd.graph, 400, seed=1))
+    narrow = upd.apply(sample_weight_changes(upd.graph, 1, seed=2))
     save_index_binary(upd.index, tmp_path / "x.rpix")
     sizes = built.sizes_words(), upd.sketches.sizes_words()
     with connect("inproc://", upd) as client:
         client.dist_many([(0, 5), (9, 1999)])
-    assert (rebuild.mode, repair.mode) == ("rebuild", "repair")
+    mode = "repair" if scheme == "stretch3" else "rebuild"
+    assert (wide.mode, narrow.mode) == (mode, mode)
     assert created == []
     assert upd.sketches._labels is None and len(sizes[1]) == 2000
     assert sizes[0][:5] == [s.size_words() for s in built.sketches[:5]]

@@ -42,9 +42,6 @@ DEPTH = {"inproc": STREAM_DEPTH, "threads": STREAM_DEPTH,
 #: cuts (on two CPUs, into two ranges)
 SIZE = {"inproc": 25, "threads": 2 * RANGE_PAIRS, "tcp": 25}
 
-# every mid-stream swap goes through a repair
-pytestmark = pytest.mark.usefixtures("always_repair")
-
 
 @pytest.fixture(scope="module")
 def graph():
