@@ -99,14 +99,11 @@ def parse_endpoint(spec: str) -> Endpoint:
         raise ConfigError(f"unknown transport {transport!r}; "
                           f"choose from {TRANSPORTS}")
     if transport == "tcp":
-        host, sep, port = rest.rpartition(":")
-        if not sep or not host or not port.lstrip("-").isdigit():
+        address = _host_port(rest, f"tcp endpoint {spec!r}")
+        if address is None:
             raise ConfigError(
                 f"tcp endpoint wants tcp://host:port, got {spec!r}")
-        port_num = int(port)
-        if not (0 <= port_num <= 65535):
-            raise ConfigError(f"tcp port out of range in {spec!r}")
-        return Endpoint("tcp", host=host, port=port_num)
+        return Endpoint("tcp", host=address[0], port=address[1])
     options: dict = {}
     for item in rest.split(";") if rest else ():
         if not item:
@@ -132,15 +129,25 @@ def parse_endpoint(spec: str) -> Endpoint:
     return Endpoint(transport, options=options)
 
 
+def _host_port(text: str, what: str) -> Optional[tuple[str, int]]:
+    """``host:port`` as ``(host, port)``, ``None`` for any other form;
+    a port outside [0, 65535] is a ``ConfigError`` naming ``what``."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not host or not port.lstrip("-").isdigit():
+        return None
+    if not 0 <= int(port) <= 65535:
+        raise ConfigError(f"{what}: port {port} is outside [0, 65535]")
+    return host, int(port)
+
+
 def parse_listen_addr(addr: str) -> tuple[str, int]:
     """A listen address is a tcp endpoint without the scheme — same
     validation (including the port range), same failure class."""
-    try:
-        endpoint = parse_endpoint(f"tcp://{addr}")
-    except ConfigError:
+    address = _host_port(addr, f"listen address {addr!r}")
+    if address is None:
         raise ConfigError(
-            f"listen address wants 'host:port', got {addr!r}") from None
-    return endpoint.host, endpoint.port
+            f"listen address wants 'host:port', got {addr!r}")
+    return address
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +346,12 @@ class _TcpTransport:
                 # reading; just wait for writability
                 select.select([], [self._sock], [], 0.05)
 
-    def _fill(self) -> None:
+    def _fill(self, wanted: Optional[int] = None) -> Optional[tuple]:
         """One ``recv`` (receive lock held) and every frame it
-        completes: a reply lands in ``_replies`` under its id for its
-        awaiter, a pushed epoch bump folds into the session clock (and
-        the greeting into ``_hello``).
+        completes: the reply to ``wanted`` is returned (and no longer
+        in flight), any other reply lands in ``_replies`` under its id
+        for its awaiter, a pushed epoch bump folds into the session
+        clock (and the greeting into ``_hello``).
 
         :raises ConnectionError: on EOF, a corrupt frame, or a reply to
             a request that is not in flight.
@@ -353,6 +361,7 @@ class _TcpTransport:
         if not chunk:
             raise ConnectionError("closed by the server")
         reader.feed(chunk)
+        hit = None
         while (frame := reader.next_frame()) is not None:
             rid = frame[1]
             if rid == PUSH_RID:
@@ -360,29 +369,35 @@ class _TcpTransport:
                     self.clock.fold(frame[2])
                 elif frame[0] == HELLO:
                     self._hello = frame[3]
-            elif self._replies.get(rid, frame) is None:
-                self._replies[rid] = frame
-            else:
+            elif self._replies.get(rid, frame) is not None:
                 raise FrameError(
                     f"reply to request id {rid}, which is not in flight")
+            elif rid == wanted:
+                del self._replies[rid]
+                hit = frame
+            else:
+                self._replies[rid] = frame
+        return hit
 
     def _await(self, rid: int, kind: int) -> tuple[int, Any]:
         """Collect the ``kind`` reply for ``rid`` — ``(epoch, body)`` —
-        stashing out-of-order replies for their own awaiters; a typed
-        error frame re-raises as its :mod:`repro.errors` class."""
+        from the ``recv`` that completes it, or from ``_replies`` when
+        another awaiter's ``recv`` stashed it; a typed error frame
+        re-raises as its :mod:`repro.errors` class."""
         hit = None
         while hit is None:
             with self._recv_lock:
-                hit = self._replies.get(rid)
-                if hit is None:
-                    self._check_alive()
-                    try:
-                        self._fill()
-                    except OSError as exc:
-                        self._mark_dead(f"receive failed: {exc}")
-                        raise ConnectionError(
-                            f"oracle connection lost: {exc}") from None
-        del self._replies[rid]
+                hit = self._replies[rid]
+                if hit is not None:  # stashed by another awaiter's recv
+                    del self._replies[rid]
+                    break
+                self._check_alive()
+                try:
+                    hit = self._fill(rid)
+                except OSError as exc:
+                    self._mark_dead(f"receive failed: {exc}")
+                    raise ConnectionError(
+                        f"oracle connection lost: {exc}") from None
         got, _, epoch, body = hit
         if got == ERROR:
             raise error_from_body(body)

@@ -58,8 +58,9 @@ whatever it is given to a store and constructs the engine over it.
 **Epochs.**  An epoch is a store.  Given the live
 :class:`~repro.service.updates.UpdateableIndex` behind it
 (``updateable=``), :meth:`QueryEngine.apply_updates` prepares the next
-epoch's store while traffic continues and swaps ``(store, epoch)`` in
-under the engine lock.  Stores are immutable and a batch — a
+epoch's store while traffic continues and swaps the ``(store, epoch)``
+tuple in whole under the engine lock, so a reader takes a consistent
+pair without the lock.  Stores are immutable and a batch — a
 ``dist_many`` call or one batch of a ``dist_stream`` — reads that pair
 once, when it is submitted; its ticket and its pool tasks hold the store
 from then on, so it is answered wholly by that epoch whatever swaps
@@ -84,10 +85,10 @@ from __future__ import annotations
 import operator
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
@@ -178,17 +179,17 @@ def _serve(index: IndexStore, ends: np.ndarray, start: int = 0) -> tuple:
     s, answer s, finish s, end stamp)``, the answers replaced by the
     :class:`QueryError` (its ``row`` counted in the whole batch) when a
     pair is unresolved."""
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     state, request = index._plan_checked(ends)
-    t1 = time.perf_counter()
+    t1 = perf_counter()
     response = index.answer(request)
-    t2 = time.perf_counter()
+    t2 = perf_counter()
     try:
         out = index._finish(state, response)
     except QueryError as exc:
         exc.row += start
         out = exc
-    t3 = time.perf_counter()
+    t3 = perf_counter()
     return out, t1 - t0, t2 - t1, t3 - t2, t3
 
 
@@ -196,12 +197,12 @@ def _serve_one(index: IndexStore, ends: np.ndarray) -> tuple:
     """:func:`_serve` for a batch of one pair: the store's single-pair
     query (``_estimate_checked``, Lemma 3.2's scalar scan on a TZ
     store), its seconds booked as the answer's."""
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     try:
         out = np.array([index._estimate_checked(*ends[:, 0].tolist())])
     except QueryError as exc:
         out = exc
-    t1 = time.perf_counter()
+    t1 = perf_counter()
     return out, 0.0, t1 - t0, 0.0, t1
 
 
@@ -341,12 +342,12 @@ class QueryEngine:
                            else _slot_count(cache_size))
         #: the most ranges a batch is cut into
         self.cpus = usable_cpus()
-        # (index, epoch) are read and swapped together, under the lock
         self._lock = threading.Lock()
-        self.index = index
         self._updateable = updateable
-        # a live index and its engine share one epoch clock
-        self.epoch = updateable.epoch if updateable is not None else 0
+        #: ``(index, epoch)``, replaced whole under the lock by a swap and
+        #: read whole without it (a live index shares the engine's clock)
+        self._snapshot = (index,
+                          updateable.epoch if updateable is not None else 0)
         self._cache = (_ResultCache(self.cache_size) if self.cache_size
                        else None)
         self.stats = CacheStats()
@@ -357,16 +358,25 @@ class QueryEngine:
         self._closed = False
 
     # ------------------------------------------------------------------
+    @property
+    def index(self) -> IndexStore:
+        """The store currently serving."""
+        return self._snapshot[0]
+
+    @property
+    def epoch(self) -> int:
+        """The epoch currently serving."""
+        return self._snapshot[1]
+
     def index_snapshot(self) -> tuple[IndexStore, int]:
         """The ``(store, epoch)`` pair currently serving, read
-        atomically — a hot swap installs both under the same lock, so
-        the pair is always consistent, and stores are never mutated, so
-        the returned store stays valid even after a subsequent swap
-        (how a batch stays on the epoch it started on, and how the
-        transport layer labels an index blob with the epoch that
-        actually produced it)."""
-        with self._lock:
-            return self.index, self.epoch
+        atomically without a lock — a hot swap installs both as one
+        tuple, so the pair is always consistent, and stores are never
+        mutated, so the returned store stays valid even after a
+        subsequent swap (how a batch stays on the epoch it started on,
+        and how the transport layer labels an index blob with the epoch
+        that actually produced it)."""
+        return self._snapshot
 
     # ------------------------------------------------------------------
     # execution: the start/gather pair over one store
@@ -389,7 +399,7 @@ class QueryEngine:
         if pool is None:
             return None, partial(_serve, index, ends)
         cuts = [q * j // ranges for j in range(ranges + 1)]
-        t_submit = time.perf_counter()
+        t_submit = perf_counter()
         return t_submit, [pool.submit(_serve, index, ends[:, a:b], a)
                           for a, b in zip(cuts, cuts[1:])]
 
@@ -454,40 +464,37 @@ class QueryEngine:
     def dist_one_pinned(self, u: int, v: int) -> tuple[float, int]:
         """:meth:`dist_many_pinned` for the one pair ``(u, v)`` —
         ``(answer, epoch)``, same bits and errors — with no numpy
-        call."""
+        call.  A miss is the store's scalar query, booked as one batch
+        of answer seconds (an unresolved pair's too)."""
         u, v = checked_pair(u, v, self.n)
         cache = self._cache
         if cache is None:
-            index, epoch = self.index_snapshot()
-            return self._answer_one(index, u, v), epoch
-        key = u * self.n + v
-        slot = cache.slot_one(key)
-        with self._lock:
-            # snapshot and probe under one lock: a hit is this epoch's
-            index, epoch = self.index, self.epoch
-            if cache.keys.item(slot) == key:
-                self.stats.hits += 1
-                return cache.vals.item(slot), epoch
-            self.stats.misses += 1
-        answer = self._answer_one(index, u, v)
-        with self._lock:
-            if epoch == self.epoch:  # as in dist_many_pinned
-                self.stats.evictions += cache.insert_one(key, slot, answer)
-        return answer, epoch
-
-    def _answer_one(self, index: IndexStore, u: int, v: int) -> float:
-        """The store's scalar query, booked as one batch of answer
-        seconds (an unresolved pair's too)."""
-        t0 = time.perf_counter()
+            index, epoch = self._snapshot
+        else:
+            key = u * self.n + v
+            slot = cache.slot_one(key)
+            with self._lock:
+                # snapshot and probe under one lock: a hit is this epoch's
+                index, epoch = self._snapshot
+                if cache.keys.item(slot) == key:
+                    self.stats.hits += 1
+                    return cache.vals.item(slot), epoch
+                self.stats.misses += 1
+        t0 = perf_counter()
         try:
-            return index._estimate_checked(u, v)
+            answer = index._estimate_checked(u, v)
         finally:
-            seconds = time.perf_counter() - t0
+            seconds = perf_counter() - t0
             tm = self._timings
             with tm.lock:
                 tm.shard_answer += seconds
                 tm.kernel += seconds
                 tm.batches += 1
+        if cache is not None:
+            with self._lock:
+                if epoch == self.epoch:  # as in dist_many_pinned
+                    self.stats.evictions += cache.insert_one(key, slot, answer)
+        return answer, epoch
 
     def dist_many(self, pairs: Iterable[tuple[int, int]] | np.ndarray,
                   ) -> np.ndarray:
@@ -634,9 +641,8 @@ class QueryEngine:
                 "(`repro serve GRAPH --updateable`)")
         report = self._updateable.apply(changes)
         if report.mode != "noop":
-            with self._lock:
-                self.index = self._updateable.index
-                self.epoch = report.epoch  # the updateable's clock
+            with self._lock:  # report.epoch is the updateable's clock
+                self._snapshot = (self._updateable.index, report.epoch)
                 if self._cache is not None:
                     self._cache.clear()
         return report

@@ -232,7 +232,10 @@ def _node_id(x) -> int:
 def checked_pair(u, v, n: int) -> tuple[int, int]:
     """A lone pair's ids as Python ints in ``[0, n)``: a batch's rules
     (:func:`pair_columns`), with the same errors."""
-    u, v = _node_id(u), _node_id(v)
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:  # _node_id names the id that is not an integer
+        u, v = _node_id(u), _node_id(v)
     if not (0 <= u < n and 0 <= v < n):
         raise QueryError(f"node id out of range [0, {n})")
     return u, v

@@ -13,8 +13,10 @@ than a thread hop, and handlers queueing for the GIL only made the loop
 wait for it too.  Larger frames (whose kernels release the GIL long
 enough to overlap the loop's reads) and every ``apply`` /
 ``fetch_index`` (a repair must never stall the readers) go to the pool.
-Either way :meth:`OracleServer._run_handler` computes the reply; replies
-carry the request id, so they may leave out of order.
+A lone pair's 16-byte ``query`` (the paper's query) is answered by the
+loop itself, from the engine's one-pair entry; :meth:`OracleServer.
+_run_handler` computes every other reply.  Replies carry the request
+id, so they may leave out of order.
 """
 
 from __future__ import annotations
@@ -337,15 +339,15 @@ class OracleServer:
                     return
                 for key, mask in events:
                     tag = key.data
-                    if tag == "wake":
-                        self._drain_wake()
-                    elif tag == "accept":
-                        self._accept_ready()
-                    else:
+                    if isinstance(tag, _Connection):
                         if mask & selectors.EVENT_WRITE:
                             self._flush(tag)
                         if (mask & selectors.EVENT_READ) and not tag.closed:
                             self._read_ready(tag)
+                    elif tag == "wake":
+                        self._drain_wake()
+                    else:
+                        self._accept_ready()
                 while self._dirty:  # flagged before the wake we woke to
                     self._flush(self._dirty.popleft())
         finally:
@@ -413,10 +415,10 @@ class OracleServer:
 
     def _dispatch(self, conn: _Connection) -> None:
         """Answer or hand off every complete frame buffered on ``conn``
-        — here, on the loop thread, for a small ``query`` / ``stats``,
-        else on the handler pool — then settle the selector
-        interest.  Stops (bytes stay buffered) while the connection is
-        backpressured."""
+        — here, on the loop thread, for a lone pair and any small
+        ``query`` / ``stats``, else on the handler pool — then settle
+        the selector interest.  Stops (bytes stay buffered) while the
+        connection is backpressured."""
         reader = conn.reader
         try:
             while not (conn.closed or self._paused(conn)):
@@ -424,7 +426,17 @@ class OracleServer:
                 if frame is None:
                     break
                 kind, rid, _, body = frame
-                if kind == CLOSE:
+                if kind == QUERY and len(body) == ONE_PAIR.size:
+                    # a lone pair: one struct each way, no numpy call
+                    try:
+                        answer, epoch = self._engine.dist_one_pinned(
+                            *ONE_PAIR.unpack(body))
+                        reply = ONE_RESULT.pack(ONE_RESULT.size, RESULT,
+                                                rid, epoch, answer)
+                    except Exception as exc:
+                        reply = encode_error(rid, exc)
+                    self._send(conn, reply)
+                elif kind == CLOSE:
                     self._drop(conn)
                 elif kind in _INLINE_KINDS and len(body) <= INLINE_FRAME_BYTES:
                     self._send(conn, self._run_handler(kind, rid, body))
@@ -438,9 +450,9 @@ class OracleServer:
         self._update_interest(conn)
 
     def _run_handler(self, kind: int, rid: int, body: Any) -> bytes:
-        """The one place a reply is computed: the reply frame for one
-        request — a typed ``error`` frame when handling it raised —
-        echoing ``rid``, the client's matching key."""
+        """The reply frame for one request other than a lone pair — a
+        typed ``error`` frame when handling it raised — echoing ``rid``,
+        the client's matching key."""
         try:
             return self._handle(kind, rid, body)
         except Exception as exc:
@@ -453,9 +465,10 @@ class OracleServer:
         self._enqueue(conn, self._run_handler(kind, rid, body), finished=1)
 
     def _paused(self, conn: _Connection) -> bool:
-        with conn.lock:
-            return (len(conn.outbuf) >= _OUTBUF_HIGH
-                    or conn.inflight >= self._max_pending)
+        # no lock: two atomic reads, and a handler that changes either
+        # after they were read re-flags the connection
+        return (len(conn.outbuf) >= _OUTBUF_HIGH
+                or conn.inflight >= self._max_pending)
 
     def _send(self, conn: _Connection, frame: bytes = b"") -> None:
         """Loop thread only: offer the socket whatever is queued on
@@ -465,11 +478,16 @@ class OracleServer:
             out = conn.outbuf
             if conn.closed or not (out or frame):
                 return
-            out += frame
             try:
-                del out[:conn.sock.send(out)]
+                if out:
+                    out += frame
+                    del out[:conn.sock.send(out)]
+                else:  # nothing queued: the frame goes out as it is
+                    out += frame[conn.sock.send(frame):]
                 return
             except (BlockingIOError, InterruptedError):
+                if not out:  # the frame is not queued yet
+                    out += frame
                 return
             except OSError:
                 pass
@@ -550,12 +568,7 @@ class OracleServer:
             setattr(self, name, None)
 
     def _handle(self, kind: int, rid: int, body: Any) -> bytes:
-        if kind == QUERY:
-            if len(body) == ONE_PAIR.size:  # a lone pair: no numpy call
-                answer, epoch = self._engine.dist_one_pinned(
-                    *ONE_PAIR.unpack(body))
-                return ONE_RESULT.pack(ONE_RESULT.size, RESULT, rid, epoch,
-                                       answer)
+        if kind == QUERY:  # a lone pair never gets here (see _dispatch)
             answers, epoch = self._engine.dist_many_pinned(
                 np.frombuffer(body, dtype=PAIRS).reshape(-1, 2))
             return encode_frame(

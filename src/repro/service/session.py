@@ -272,8 +272,9 @@ class SessionClock:
     def fold(self, epoch: int) -> None:
         """The session observed ``epoch`` (a pushed bump, an apply
         report): the clock only moves forward."""
-        self.epoch = max(self.epoch, epoch)
-        self.staleness.note_epoch(self.epoch)
+        if epoch > self.epoch:  # the current epoch is noted already
+            self.epoch = epoch
+            self.staleness.note_epoch(epoch)
 
     def now(self) -> int:
         """The newest epoch observed, after a look at the server's own
@@ -287,7 +288,8 @@ class SessionClock:
         ``last_result_epoch`` (possibly behind the session clock) and
         account the staleness."""
         self.last_result_epoch = epoch
-        self.now()
+        if self._live is not None:
+            self.fold(self._live())
         self.fold(epoch)
         self.staleness.note_result(epoch, self.epoch)
 

@@ -472,6 +472,21 @@ class TestBuildFormatAndMemoryPlane:
         err = capsys.readouterr().err
         assert "--memory mmap" in err and "repro build" in err
 
+    @pytest.mark.parametrize("argv, addr, port", [
+        (["--port", "99999"], "127.0.0.1:99999", "99999"),
+        (["--addr", "127.0.0.1:-5"], "127.0.0.1:-5", "-5"),
+    ], ids=["port", "addr"])
+    def test_serve_names_a_port_out_of_range(self, index_file, argv, addr,
+                                             port, capsys):
+        """A well-formed listen address whose port is out of range is
+        refused for its port, not for its form."""
+        rc = main(["serve", str(index_file), *argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: listen address {addr!r}: port "
+                                f"{port} is outside [0, 65535]\n")
+
     @pytest.mark.parametrize("argv", [
         ["serve", "{sk}", "--port", "0"],
         ["serve", "{sk}", "--port", "0", "--memory", "mmap"],

@@ -9,6 +9,10 @@ an answer, so this file checks that
 
 * the frames are the array codec's, byte for byte, both ways, and an
   array-encoded one-pair frame is still answered;
+* the client takes its reply however the stream cuts it — split across
+  segments, glued behind a pushed ``epoch`` frame — re-raises an
+  ``error`` reply and keeps serving, and dies on a reply nobody asked
+  for;
 * ``dist(u, v)`` is ``dist_many([(u, v)])[0]`` bit for bit on every
   transport, cache on and off, ``QueryError`` class and message
   included;
@@ -27,6 +31,8 @@ import socket
 import struct
 import sys
 import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -38,8 +44,9 @@ from repro.service import (OracleServer, QueryEngine, UpdateableIndex,
                            build_index, connect, sample_query_pairs,
                            sample_weight_changes)
 from repro.service.engine import _ResultCache
-from repro.service.protocol import (HEAD, HELLO, PROTOCOL_VERSION, PUSH_RID,
-                                    QUERY, RESULT, FrameReader, encode_error,
+from repro.service.protocol import (CLOSE, EPOCH, HEAD, HELLO,
+                                    PROTOCOL_VERSION, PUSH_RID, QUERY,
+                                    RESULT, FrameReader, encode_error,
                                     encode_frame)
 
 SCHEME_PARAMS = {
@@ -203,6 +210,105 @@ def test_the_server_answers_a_lone_pair_with_the_array_codec_reply(
             assert _recv_exact(sock, len(want)) == want
     finally:
         server.close()
+
+
+# ----------------------------------------------------------------------
+# the lone reply, however the stream cuts it
+# ----------------------------------------------------------------------
+def _result(rid: int, epoch: int, answer: float) -> bytes:
+    return encode_frame(RESULT, rid, epoch, np.array([answer],
+                                                     "<f8").tobytes())
+
+
+@contextmanager
+def _scripted(*steps):
+    """A tcp session to a stand-in server that greets (n = 50, epoch
+    0), then answers its k-th request with the k-th step's segments —
+    ``step(rid)`` returns them — each written by its own ``send`` with
+    a pause between, until the session sends ``close`` or goes away."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    script = list(steps)
+
+    def stand_in():
+        conn, _ = listener.accept()
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with conn:
+            conn.sendall(encode_frame(HELLO, PUSH_RID, 0, {
+                "v": PROTOCOL_VERSION, "n": 50, "scheme": "tz", "epoch": 0,
+                "shards": 1, "updateable": False, "max_frame": 1 << 20}))
+            while True:
+                head = conn.recv(HEAD.size, socket.MSG_WAITALL)
+                if len(head) < HEAD.size:
+                    return  # the session went away
+                length, kind, rid, _ = HEAD.unpack(head)
+                _recv_exact(conn, length - HEAD.size)
+                if kind == CLOSE:
+                    return
+                for i, segment in enumerate(script.pop(0)(rid)):
+                    if i:
+                        time.sleep(0.05)  # a segment of its own
+                    conn.sendall(segment)
+
+    thread = threading.Thread(target=stand_in)
+    thread.start()
+    try:
+        with connect("tcp://%s:%d" % listener.getsockname()[:2]) as client:
+            yield client
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+    assert not thread.is_alive()
+    assert not script, f"{len(script)} steps left unused"
+
+
+def test_a_result_split_across_two_sends_is_reassembled():
+    def split(rid):
+        frame = _result(rid, 2, 0.75)
+        return [frame[:HEAD.size + 3], frame[HEAD.size + 3:]]
+
+    def heads_apart(rid):
+        frame = _result(rid, 2, 1.25)
+        return [frame[:10], frame[10:]]
+
+    with _scripted(split, heads_apart) as client:
+        assert client.dist(0, 1) == 0.75
+        assert client.dist(1, 0) == 1.25
+        assert client.last_result_epoch == client.epoch == 2
+
+
+def test_a_result_glued_behind_a_pushed_epoch_frame():
+    """The push and the reply arrive in one segment: the answer is the
+    reply's, its pin the epoch it names, and the session clock folds
+    the pushed one."""
+    def glued(rid):
+        return [encode_frame(EPOCH, PUSH_RID, 7) + _result(rid, 6, 0.5)]
+
+    with _scripted(glued, lambda rid: [_result(rid, 7, 0.125)]) as client:
+        assert client.dist(3, 4) == 0.5
+        assert client.last_result_epoch == 6
+        assert client.epoch == 7
+        assert client.dist(4, 3) == 0.125
+        assert client.last_result_epoch == client.epoch == 7
+
+
+def test_an_error_reply_raises_and_the_session_keeps_serving():
+    def refused(rid):
+        return [encode_error(rid, QueryError("no path between 2 and 9"))]
+
+    with _scripted(refused, lambda rid: [_result(rid, 0, 4.0)]) as client:
+        with pytest.raises(QueryError, match="no path between 2 and 9"):
+            client.dist(2, 9)
+        assert client.dist(2, 8) == 4.0
+
+
+def test_a_result_for_a_request_not_in_flight_kills_the_session():
+    with _scripted(lambda rid: [_result(rid + 100, 0, 1.0)]) as client:
+        with pytest.raises(ConnectionError, match="not in flight"):
+            client.dist(0, 1)
+        for call in (lambda: client.dist(0, 1),
+                     lambda: client.dist_many([(0, 1), (1, 0)])):
+            with pytest.raises(ConnectionError, match="session is dead"):
+                call()
 
 
 # ----------------------------------------------------------------------

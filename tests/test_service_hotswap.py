@@ -356,6 +356,78 @@ def test_phase_timings_accumulate_across_swaps(updateable, ncpu, cpus):
         assert set(session.stats()["phases"].values()) == {0}
 
 
+#: effective hot swaps the lock-free snapshot test makes
+SWAPS = 20
+
+
+@pytest.mark.parametrize("cache_size", [0, 64])
+def test_lone_pairs_read_a_consistent_snapshot_without_a_lock(
+        updateable, cache_size):
+    """Two reader threads take ``index_snapshot()`` and ask lone pairs
+    while the main thread hot-swaps the live index :data:`SWAPS` times.
+    The engine reads ``(store, epoch)`` without its lock, so every pair
+    a reader sees must be one the engine installed together, and every
+    answer must be the store's that ``last_result_epoch`` names."""
+    pairs = sample_query_pairs(updateable.graph.n, 64, seed=12).tolist()
+    server = OracleServer(updateable, cache_size=cache_size)
+    engine = server._engine
+    installed = {0: updateable.index}  # epoch -> the store it serves
+    stop = threading.Event()
+    seen: list[list] = [[], []]
+    failures: list[BaseException] = []
+
+    def reader(slot: int) -> None:
+        session, i = server.client(), slot
+        try:
+            while not stop.is_set():
+                seen[slot].append(("snap", engine.index_snapshot()))
+                u, v = pairs[i % len(pairs)]
+                i += 7
+                seen[slot].append(("dist", u, v, session.dist(u, v),
+                                   session.last_result_epoch))
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+        finally:
+            session.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=reader, args=(slot,))
+               for slot in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        seed = 2000
+        while len(installed) <= SWAPS and seed < 2000 + 10 * SWAPS:
+            changes = sample_weight_changes(updateable.graph, 2, seed=seed,
+                                            low=0.1, high=0.4)
+            seed += 1
+            report = server.apply_updates(changes)
+            if report.mode != "noop":
+                installed[report.epoch] = updateable.index
+            time.sleep(0.002)  # let the readers see this epoch
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=60.0)
+        sys.setswitchinterval(interval)
+        server.close()
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[0]
+    assert len(installed) == SWAPS + 1
+    snaps = epochs = 0
+    for record in seen[0] + seen[1]:
+        if record[0] == "snap":
+            store, epoch = record[1]
+            assert installed[epoch] is store, epoch
+            snaps += 1
+        else:
+            _, u, v, answer, epoch = record
+            assert answer == installed[epoch].estimate(u, v), (u, v, epoch)
+            epochs |= 1 << epoch
+    assert snaps and bin(epochs).count("1") > 1  # served across swaps
+
+
 def test_noop_update_keeps_epoch_and_server(updateable):
     from repro.service.updates import EdgeChange
 
