@@ -39,20 +39,23 @@ from repro.rng import SeedLike, ensure_rng
 _BLOCK = 1 << 20
 
 
-def _connect_components(g: Graph, rng: np.random.Generator, weight: float = 1.0) -> None:
-    """Add minimal random edges to make ``g`` connected (used by random
-    generators so that every returned graph satisfies the paper's model).
-
-    Components are taken in order of their smallest node, each as its
-    ascending node list, and consecutive ones are joined by an edge
-    between a random node of each."""
+def _connected(n: int, u, v, w, rng: np.random.Generator,
+               weight: float = 1.0) -> Graph:
+    """The graph of edges ``(u, v, w)``, made connected as the paper's
+    model wants: consecutive components, in order of their smallest node
+    and each as its ascending node list, are joined by one ``weight`` edge
+    between a random node of each, appended after the edges."""
+    g = Graph.from_arrays(n, u, v, w)
     _, labels = connected_components(g.to_csr(), directed=False)
     comps = np.split(np.argsort(labels, kind="stable"),
                      np.bincount(labels).cumsum()[:-1])
-    for a, b in zip(comps, comps[1:]):
-        u = int(rng.choice(a))
-        v = int(rng.choice(b))
-        g.add_edge(u, v, weight)
+    if len(comps) == 1:
+        return g
+    ju, jv = zip(*[(int(rng.choice(a)), int(rng.choice(b)))
+                   for a, b in zip(comps, comps[1:])])
+    return Graph.from_arrays(
+        n, np.append(u, ju), np.append(v, jv),
+        np.append(np.broadcast_to(w, np.shape(u)), [weight] * len(ju)))
 
 
 def erdos_renyi(n: int, p: Optional[float] = None, seed: SeedLike = None) -> Graph:
@@ -80,9 +83,7 @@ def erdos_renyi(n: int, p: Optional[float] = None, seed: SeedLike = None) -> Gra
     i = np.arange(n, dtype=np.int64)
     starts = i * n - i * (i + 1) // 2
     rows = np.searchsorted(starts, k, side="right") - 1
-    g = Graph.from_arrays(n, rows, k - starts[rows] + rows + 1, 1.0)
-    _connect_components(g, rng)
-    return g
+    return _connected(n, rows, k - starts[rows] + rows + 1, 1.0, rng)
 
 
 def barabasi_albert(n: int, m_attach: int = 2, seed: SeedLike = None) -> Graph:
@@ -91,15 +92,12 @@ def barabasi_albert(n: int, m_attach: int = 2, seed: SeedLike = None) -> Graph:
     if n < 2:
         return Graph(n)
     m_attach = max(1, min(m_attach, n - 1))
-    g = Graph(n)
-    # start from a small clique of m_attach+1 nodes
+    # start from a small clique of m_attach+1 nodes; the repeated-endpoint
+    # list approximates preferential attachment, and its pairs are the
+    # edges in the order they are added
     core = m_attach + 1
-    for u, v in itertools.combinations(range(min(core, n)), 2):
-        g.add_edge(u, v, 1.0)
-    # repeated-endpoint list approximates preferential attachment
-    targets: list[int] = []
-    for u, v, _ in g.edges():
-        targets.extend((u, v))
+    targets: list[int] = list(itertools.chain.from_iterable(
+        itertools.combinations(range(min(core, n)), 2)))
     for u in range(core, n):
         chosen: set[int] = set()
         while len(chosen) < m_attach:
@@ -110,10 +108,8 @@ def barabasi_albert(n: int, m_attach: int = 2, seed: SeedLike = None) -> Graph:
             if cand != u:
                 chosen.add(cand)
         for v in chosen:
-            g.add_edge(u, v, 1.0)
             targets.extend((u, v))
-    _connect_components(g, rng)
-    return g
+    return _connected(n, targets[0::2], targets[1::2], 1.0, rng)
 
 
 def grid2d(rows: int, cols: int) -> Graph:
@@ -180,9 +176,8 @@ def random_geometric(n: int, radius: Optional[float] = None, seed: SeedLike = No
         i, j = np.nonzero(np.triu(dist <= radius, k=1))
         blocks.append((i + lo, j + lo, dist[i, j]))
     u, v, dist = (np.concatenate(c) for c in zip(*blocks))
-    g = Graph.from_arrays(n, u, v, np.maximum(1.0, np.ceil(1000.0 * dist)))
-    _connect_components(g, rng, weight=max(1.0, math.ceil(1000.0 * radius)))
-    return g
+    return _connected(n, u, v, np.maximum(1.0, np.ceil(1000.0 * dist)), rng,
+                      weight=max(1.0, math.ceil(1000.0 * radius)))
 
 
 def caterpillar(spine: int, legs_per_node: int = 1, leg_weight: float = 1.0,

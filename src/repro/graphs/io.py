@@ -10,8 +10,10 @@ from __future__ import annotations
 import os
 from typing import Union
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, refused_edges
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -25,17 +27,28 @@ def write_edgelist(g: Graph, path: PathLike) -> None:
 
 
 def read_edgelist(path: PathLike) -> Graph:
-    """Read a graph previously written by :func:`write_edgelist`."""
+    """Read a graph previously written by :func:`write_edgelist`; a bad
+    line, or an edge a graph refuses, is a :class:`GraphError` naming
+    ``PATH:LINE``."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != "#" or header[1] != "nodes":
+        if (len(header) != 3 or header[:2] != ["#", "nodes"]
+                or not header[2].isdecimal() or int(header[2]) < 1):
             raise GraphError(f"{path}: malformed header {' '.join(header)!r}")
-        g = Graph(int(header[2]))
+        n = int(header[2])
+        us, vs, ws, lines = [], [], [], []
         for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected 'u v w'")
-            g.add_edge(int(parts[0]), int(parts[1]), float(parts[2]))
-    return g
+            try:
+                if parts := line.split():
+                    u, v, w = parts
+                    us.append(int(u))
+                    vs.append(int(v))
+                    ws.append(float(w))
+                    lines.append(lineno)
+            except ValueError:
+                raise GraphError(f"{path}:{lineno}: expected 'u v w'") from None
+    try:
+        return Graph.from_arrays(n, us, vs, ws)
+    except GraphError as exc:  # name the line of the edge it refused
+        bad = refused_edges(n, *map(np.asarray, (us, vs, ws)))
+        raise GraphError(f"{path}:{lines[bad.argmax()]}: {exc}") from None

@@ -48,8 +48,6 @@ def apsp(g: Graph) -> np.ndarray:
     Entries are ``inf`` for disconnected pairs (validated graphs are
     connected, but the function itself does not require it).
     """
-    if g.n == 1:
-        return np.zeros((1, 1))
     return symmetric_dijkstra(g.to_csr())
 
 
@@ -59,16 +57,12 @@ def distance_rows(g: Graph, sources=None) -> np.ndarray:
     :func:`apsp`: same solver, same CSR."""
     if sources is None:
         return apsp(g)
-    if g.n == 1:
-        return np.zeros((len(sources), 1))
     return np.atleast_2d(symmetric_dijkstra(g.to_csr(),
                                             indices=list(sources)))
 
 
 def apsp_hops(g: Graph) -> np.ndarray:
     """All-pairs *hop* distance matrix (treat every weight as 1)."""
-    if g.n == 1:
-        return np.zeros((1, 1))
     csr = g.to_csr().copy()
     csr.data[:] = 1.0
     return symmetric_dijkstra(csr)
@@ -97,23 +91,23 @@ def single_source_hops_on_shortest_paths(g: Graph, source: int) -> tuple[np.ndar
     count among all minimum-weight ``source``-``v`` paths — exactly the
     quantity ``h(source, v)`` from the paper's definition of ``S``.
     """
-    n = g.n
-    dist = np.full(n, np.inf)
-    hops = np.full(n, np.inf)
-    dist[source] = 0.0
-    hops[source] = 0.0
+    csr = g.to_csr()
+    bounds, heads, weights = (csr.indptr.tolist(), csr.indices.tolist(),
+                              csr.data.tolist())
+    dist, hops = [np.inf] * g.n, [np.inf] * g.n
+    dist[source] = hops[source] = 0.0
     pq: list[tuple[float, float, int]] = [(0.0, 0.0, source)]
     while pq:
         d, h, u = heapq.heappop(pq)
         if (d, h) > (dist[u], hops[u]):
             continue
-        for v, w in g.neighbors(u).items():
-            nd, nh = d + w, h + 1.0
+        for j in range(bounds[u], bounds[u + 1]):
+            v, nd, nh = heads[j], d + weights[j], h + 1.0
             if nd < dist[v] or (nd == dist[v] and nh < hops[v]):
                 dist[v] = nd
                 hops[v] = nh
                 heapq.heappush(pq, (nd, nh, v))
-    return dist, hops
+    return np.array(dist), np.array(hops)
 
 
 def shortest_path_diameter(g: Graph) -> int:

@@ -571,3 +571,33 @@ class TestUnreadableFiles:
         assert captured.err == (f"error: {missing}: No such file or "
                                 f"directory\n")
         assert "Traceback" not in captured.out
+
+
+class TestMalformedEdgeFiles:
+    """A bad line of an edge file is a usage error naming ``PATH:LINE``:
+    one ``error:`` line, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("text,where,message", [
+        ("# nodes 3\n0 1 1.0\n1 x 2.0\n", ":3", "expected 'u v w'"),
+        ("# nodes 3\n0 1 abc\n", ":2", "expected 'u v w'"),
+        ("# nodes 3\n0 1 1.0\n1 2\n", ":3", "expected 'u v w'"),
+        ("# nodes three\n0 1 1.0\n", "",
+         "malformed header '# nodes three'"),
+        ("# nodes 3\n0 1 1.0\n\n1 5 2.0\n", ":4",
+         "node 5 out of range [0, 3)"),
+        ("# nodes 3\n0 1 1.0\n99999999999999999999 1 2.0\n", ":3",
+         "node 99999999999999999999 out of range [0, 3)"),
+        ("# nodes 3\n0 1 1.0\n2 2 1.0\n", ":3",
+         "self-loops are not allowed (node 2)"),
+        ("# nodes 3\n0 1 1.0\n1 2 -1\n", ":3",
+         "edge weight must be positive and finite, got -1.0"),
+    ], ids=["bad-id", "bad-weight", "two-fields", "bad-header",
+            "out-of-range", "past-int64", "self-loop", "negative-weight"])
+    def test_stats_names_the_line(self, tmp_path, capsys, text, where,
+                                  message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}{where}: {message}\n"

@@ -1,6 +1,8 @@
 """The Graph type (repro.graphs.graph)."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs import Graph
+from repro.graphs import Graph, assign_uniform_weights, erdos_renyi
 
 
 class TestConstruction:
@@ -77,6 +79,16 @@ class TestQueries:
         g = Graph(3, [(0, 1, 1.0), (1, 2, 7.0)])
         assert g.max_weight() == 7.0
         assert Graph(2).max_weight() == 0.0
+
+    @pytest.mark.parametrize("u", [-1, -3, 3, 7])
+    def test_an_id_outside_the_graph_is_refused(self, u):
+        # -1 once read node 2's edges: list indexing wraps
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 5.0)])
+        message = rf"node {u} out of range \[0, 3\)"
+        for read in (g.neighbors, g.degree, lambda x: g.weight(x, 1)):
+            with pytest.raises(GraphError, match=message):
+                read(u)
+        assert not g.has_edge(u, 1)
 
     def test_set_weight_requires_existing_edge(self):
         g = Graph(3, [(0, 1, 1.0)])
@@ -265,3 +277,175 @@ class TestBulkConstruction:
             Graph(3, [(0, 1, 1.0), (1, 2, -1), (0, 5, 1.0)])
         with pytest.raises(GraphError, match=r"node 5 out of range"):
             Graph.from_arrays(3, [0, 0, 1], [1, 5, 1], [1.0, 1.0, 1.0])
+
+
+def test_a_graph_holds_at_most_40_bytes_per_edge():
+    """Both half-edges in the CSR (int32 column, float64 weight) and
+    their int32 input order: 32 B per edge, plus the row pointers."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = assign_uniform_weights(erdos_renyi(10_000, seed=7), seed=7)
+        g.to_csr()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held / g.m <= 40, f"{held / g.m:.0f} B per edge"
+
+
+# ----------------------------------------------------------------------
+# the graph against a dict-of-dicts twin, step by step
+# ----------------------------------------------------------------------
+class Twin:
+    """The graph contract as a dict-of-dicts adjacency: a node's
+    neighbours in the order their edges first appeared, a repeated edge
+    keeping its first position and taking its last weight."""
+
+    def __init__(self, n):
+        self.n = n
+        self.adj = [{} for _ in range(n)]
+
+    def copy(self):
+        twin = Twin(self.n)
+        twin.adj = [dict(a) for a in self.adj]
+        return twin
+
+    def _check_node(self, u):
+        if not 0 <= u < self.n:
+            raise GraphError(f"node {u} out of range [0, {self.n})")
+
+    def add_edge(self, u, v, weight=1.0):
+        self._check_node(u)
+        self._check_node(v)
+        if u == v:
+            raise GraphError(f"self-loops are not allowed (node {u})")
+        w = float(weight)
+        if not (w > 0) or not math.isfinite(w):
+            raise GraphError("edge weight must be positive and finite, "
+                             f"got {weight!r}")
+        self.adj[u][v] = self.adj[v][u] = w
+
+    def set_weight(self, u, v, weight):
+        if v not in self.adj[u]:
+            raise GraphError(f"edge ({u}, {v}) does not exist")
+        self.add_edge(u, v, weight)
+
+    def remove_edge(self, u, v):
+        self._check_node(u)
+        self._check_node(v)
+        if v not in self.adj[u]:
+            raise GraphError(f"edge ({u}, {v}) does not exist")
+        del self.adj[u][v], self.adj[v][u]
+
+    def _replace_weights(self, w):
+        w = np.asarray(w, dtype=np.float64)
+        bad = ~(w > 0) | ~np.isfinite(w)
+        if bad.any():
+            raise GraphError("edge weight must be positive and finite, "
+                             f"got {w[bad.argmax()].item()!r}")
+        for (u, v, _), x in zip(self.edges(), w.tolist()):
+            self.adj[u][v] = self.adj[v][u] = x
+
+    def edges(self):
+        return [(u, v, w) for u in range(self.n)
+                for v, w in self.adj[u].items() if u < v]
+
+    def neighbors(self, u):
+        return self.adj[u]
+
+    def degree(self, u):
+        return len(self.adj[u])
+
+    def has_edge(self, u, v):
+        return 0 <= u < self.n and v in self.adj[u]
+
+    def weight(self, u, v):
+        try:
+            return self.adj[u][v]
+        except KeyError:
+            raise GraphError(f"edge ({u}, {v}) does not exist") from None
+
+    def csr(self):
+        rows = [sorted(a.items()) for a in self.adj]
+        return (np.cumsum([0] + [len(r) for r in rows]).tolist(),
+                [v for r in rows for v, _ in r],
+                [w for r in rows for _, w in r])
+
+
+def _state(g):
+    """Everything a reader sees of ``g`` (graph or twin)."""
+    csr = (g.csr() if isinstance(g, Twin) else
+           tuple(a.tolist() for a in (g.to_csr().indptr, g.to_csr().indices,
+                                      g.to_csr().data)))
+    nodes = range(g.n)
+    return ([list(g.neighbors(u).items()) for u in nodes], list(g.edges()),
+            sum(map(g.degree, nodes)) // 2, csr)
+
+
+def _call(obj, name, *args):
+    """``obj.name(*args)``, or the GraphError it raised as a message."""
+    try:
+        return ("ok", getattr(obj, name)(*args))
+    except GraphError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def steps(draw, n):
+    """One call on the graph: a method name and its arguments (ids up to
+    two outside the graph where the call checks them, inside it where
+    the call reads a row)."""
+    node = st.integers(0, n - 1)
+    any_id = st.integers(-2, n + 1)
+    weight = st.one_of(GOOD_WEIGHTS, BAD_WEIGHTS)
+    name = draw(st.sampled_from(
+        ["add_edge", "add_edge", "set_weight", "remove_edge",
+         "_replace_weights", "copy", "weight", "has_edge"]))
+    if name == "add_edge":
+        return name, (draw(any_id), draw(any_id), draw(weight))
+    if name == "set_weight":
+        return name, (draw(node), draw(any_id), draw(weight))
+    if name in ("remove_edge", "has_edge"):
+        return name, (draw(any_id), draw(any_id))
+    if name == "weight":
+        return name, (draw(node), draw(any_id))
+    return name, ()
+
+
+class TestAgainstTheTwin:
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.booleans().flatmap(edge_lists), data=st.data())
+    def test_every_step_reads_as_the_twin_does(self, case, data):
+        n, edges = case
+        u, v, w = (np.array([e[i] for e in edges], dtype=dtype)
+                   for i, dtype in enumerate((np.int64, np.int64, float)))
+        twin, want = Twin(n), ("ok", None)
+        for e in zip(u.tolist(), v.tolist(), w.tolist()):
+            want = _call(twin, "add_edge", *e)
+            if want[0] == "error":  # the twin starts over, edgeless
+                twin = Twin(n)
+                break
+        got = _call(Graph, "from_arrays", n, u, v, w)
+        assert got[0] == want[0] and (got[0] == "ok" or got == want)
+        pool = [(twin, got[1] if got[0] == "ok" else Graph(n))]
+        for _ in range(data.draw(st.integers(0, 25))):
+            twin, g = pool[data.draw(st.integers(0, len(pool) - 1))]
+            name, args = data.draw(steps(n))
+            if name == "copy":
+                pool.append((twin.copy(), g.copy()))
+                continue
+            if name == "_replace_weights":
+                m = len(twin.edges())
+                args = (data.draw(st.lists(GOOD_WEIGHTS, min_size=m,
+                                           max_size=m)),)
+                if m and data.draw(st.booleans()):
+                    args[0][data.draw(st.integers(0, m - 1))] = \
+                        data.draw(BAD_WEIGHTS)
+            assert _call(g, name, *args) == _call(twin, name, *args)
+            for twin, g in pool:  # and every copy kept to itself
+                assert _state(g) == _state(twin)
+                assert g.m == len(twin.edges())
+            for (ta, a), (tb, b) in zip(pool, pool[1:]):
+                assert (a == b) == (ta.adj == tb.adj)
