@@ -31,7 +31,6 @@ from repro.congest.network import Simulator
 from repro.congest.node import NodeProgram
 from repro.errors import ConfigError
 from repro.graphs.graph import Graph
-from repro.graphs.metrics import apsp_hops
 from repro.rng import SeedLike
 from repro.words import DEFAULT_BANDWIDTH_WORDS
 
@@ -190,9 +189,3 @@ def _hop_shortest_path(graph: Graph, src: int, dst: int) -> list[int]:
     while path[-1] != src:
         path.append(prev[path[-1]])
     return path[::-1]
-
-
-def hop_distance(graph: Graph, u: int, v: int) -> int:
-    """Minimum hop count between two nodes (helper for E10 tables)."""
-    h = apsp_hops(graph)
-    return int(h[u, v])

@@ -109,6 +109,14 @@ class SchemeSpec:
                 f"a {mode} {self.name} build takes no parameter "
                 f"{', '.join(map(repr, unknown))}; it reads: "
                 f"{', '.join(self.reads[mode])}")
+        # the round budgets are read by the known-S terminator alone
+        sync = params.get("sync") or "oracle"
+        budgets = [key for key in _SYNC[1:] if params.get(key) is not None]
+        if budgets and sync != "known_smax":
+            raise ConfigError(
+                f"a {mode} {self.name} build reads "
+                f"{' and '.join(map(repr, budgets))} only with "
+                f"sync='known_smax', not sync={sync!r}")
 
     def build(self, graph, seed, params: Mapping, **hints):
         """A centralized build — ``sample``, then ``sketches`` over every

@@ -515,7 +515,7 @@ def build_tz_sketches_distributed(
                              owner, src, dist, hierarchy.level[src]))
     return TZDistributedResult(sketches=sketches,
                                hierarchy=hierarchy, metrics=run.metrics,
-                               sync=sync, max_queue_len=int(run.max_q.max()),
+                               sync=sync, max_queue_len=run.max_q,
                                tree_depth=run.tree_depth)
 
 

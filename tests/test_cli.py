@@ -96,6 +96,20 @@ class TestBuild:
                    "--eps", "0.3", "--seed", "5", "-o", str(path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("sync", [[], ["--sync", "oracle"],
+                                      ["--sync", "echo"]])
+    def test_s_without_known_smax_is_refused(self, tmp_path, graph_file,
+                                             capsys, sync):
+        path = tmp_path / "x.rpix"
+        rc = main(["build", str(graph_file), "--scheme", "tz", "--k", "2",
+                   "--mode", "distributed", *sync, "--S", "4",
+                   "-o", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "only with sync='known_smax'" in err
+        assert not path.exists()
+
     def test_missing_params_fail_cleanly(self, tmp_path, graph_file, capsys):
         path = tmp_path / "x.rpix"
         rc = main(["build", str(graph_file), "--scheme", "tz",

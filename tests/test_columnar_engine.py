@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.congest import RunMetrics, Simulator
 from repro.errors import ProtocolError, SimulationError
-from repro.graphs import Graph, erdos_renyi, shortest_path_diameter
+from repro.graphs import (Graph, assign_uniform_weights, erdos_renyi,
+                          path_graph, shortest_path_diameter)
 from repro.tz import sample_hierarchy
 from repro.tz.distributed import (TZEchoProgram, TZKnownSProgram,
                                   TZOracleProgram, build_tz_sketches_distributed,
@@ -132,6 +133,28 @@ class TestDifferential:
         h = sample_hierarchy(g.n, 3, seed=4)
         kw = {"S": shortest_path_diameter(g)} if sync == "known_smax" else {}
         _same_run(g, h, sync, **kw)
+
+    def test_the_benchmark_shape(self):
+        # congest-build's instances: ER at p = 2 ln n / n, n = 200,
+        # weights U[1, 10], k = 3, echo termination
+        g = assign_uniform_weights(erdos_renyi(200, seed=11), 1.0, 10.0,
+                                   seed=12)
+        _same_run(g, sample_hierarchy(g.n, 3, seed=13), "echo")
+
+    def test_a_path(self):
+        # long COMPLETE / START chains: many rounds carry only control
+        # messages, or only ECHOs
+        g = path_graph(60)
+        _same_run(g, sample_hierarchy(g.n, 3, seed=14), "echo")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("sync", ["echo", "known_smax"])
+    def test_a_thousand_nodes(self, sync):
+        # the per-message work dominates at this size
+        g = assign_uniform_weights(erdos_renyi(1000, seed=15), 1.0, 10.0,
+                                   seed=16)
+        kw = {"S": shortest_path_diameter(g)} if sync == "known_smax" else {}
+        _same_run(g, sample_hierarchy(g.n, 2, seed=17), sync, **kw)
 
     @pytest.mark.parametrize("sync", ["oracle", "echo"])
     def test_single_node(self, sync):

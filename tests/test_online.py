@@ -4,11 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.graphs import path_graph, ring, star_path
-from repro.oracle.online import (
-    hop_distance,
-    online_query_cost,
-    simulate_online_exchange,
-)
+from repro.oracle.online import online_query_cost, simulate_online_exchange
 
 
 class TestClosedForm:
@@ -62,10 +58,6 @@ class TestSimulatedExchange:
                                                  sketch_words=12)
         _, _, bf_metrics = single_source_distances(g, 0)
         assert metrics.rounds < bf_metrics.rounds
-
-    def test_hop_distance_helper(self):
-        g = star_path(30)
-        assert hop_distance(g, 0, 29) == 2
 
 
 class TestBandwidthValidation:

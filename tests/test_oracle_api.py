@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_sketches
 from repro.errors import ConfigError
+from repro.graphs import shortest_path_diameter
 from repro.oracle.schemes import SCHEMES, get_scheme
 
 
@@ -160,6 +161,21 @@ class TestUnknownParameters:
             build_sketches(er_unit, scheme, mode, seed=1,
                            **self.REQUIRED[scheme], **{stray: 2})
 
+    @pytest.mark.parametrize("scheme", ["tz", "cdg", "graceful"])
+    @pytest.mark.parametrize("sync", [None, "oracle", "echo"])
+    @pytest.mark.parametrize("given", [{"S": 4}, {"budget": [1, 1]},
+                                       {"S": 4, "budget": "whp"}])
+    def test_round_budgets_need_known_smax(self, er_unit, scheme, sync,
+                                           given):
+        """``S`` and ``budget`` size the known-S terminator's phases and
+        nothing else: under any other sync (a missing one is the oracle)
+        they would be dropped, so they are refused."""
+        params = {**self.REQUIRED[scheme], **given}
+        if sync is not None:
+            params["sync"] = sync
+        with pytest.raises(ConfigError, match="only with sync='known_smax'"):
+            build_sketches(er_unit, scheme, "distributed", seed=1, **params)
+
     def test_the_error_names_what_is_read(self, er_unit):
         with pytest.raises(ConfigError, match="reads: k, hierarchy$"):
             build_sketches(er_unit, "tz", k=2, epsilon=0.5, sinc="echo")
@@ -186,7 +202,8 @@ class TestUnknownParameters:
         for (scheme, mode), names in _PARAMS.items():
             params = {**dict.fromkeys(names), **self.REQUIRED[scheme]}
             if "sync" in names:
-                params.update(sync="oracle", budget="whp")
+                params.update(sync="known_smax", budget="whp",
+                              S=shortest_path_diameter(small_ring))
             built = build_sketches(small_ring, scheme, mode, seed=3,
                                    **params)
             assert len(built.sketches) == small_ring.n
